@@ -55,6 +55,13 @@ func BuildChaos(base config.Config, runs int, snapEvery int64, inject InjectSpec
 		cfg := base
 		cfg.Topology = topos[i%len(topos)]
 		cfg.Checks = "all"
+		if cfg.WarmupCycles >= ChaosTraceCycles {
+			// The run must outlast its warm-up or the arm dies with
+			// nothing measured (config.Default's 50k warm-up against this
+			// 4k trace). A warm-up that already fits is left alone, so
+			// those plans keep their kill schedules.
+			cfg.WarmupCycles = ChaosTraceCycles / 2
+		}
 		if cfg.Topology == "torus" && cfg.VCsPerPort < 8 {
 			// qroute quarters the data VCs on a wraparound fabric
 			// (escape/adaptive x dateline); provision both arms alike so

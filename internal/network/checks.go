@@ -63,6 +63,7 @@ func (n *Network) runChecks(cycle int64) error {
 		}
 		if n.checks.Credits {
 			viols = n.checkCredits(cycle, viols)
+			viols = n.checkRequestMasks(cycle, viols)
 		}
 		if n.checks.Watchdog {
 			viols = n.checkPacketBounds(cycle, viols)
@@ -107,6 +108,36 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 						Msg: fmt.Sprintf("router %d port %v vc %d: quiet channel accounts for %d of %d credits (leak)",
 							id, dir, vc, sum, n.cfg.VCDepth)})
 				}
+			}
+		}
+	}
+	return viols
+}
+
+// checkRequestMasks recomputes every router's request masks and
+// per-port pending-free counts from the VC and port state they are
+// derived from (DESIGN.md §18) and reports any disagreement with the
+// incrementally maintained copies: a stale bit would silently hide a VC
+// from, or wrongly offer it to, the RC/VA/SA walks.
+func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []invariant.Violation {
+	for id, r := range n.routers {
+		route, vaWait := r.requestMasks()
+		for out := range route {
+			if route[out] != r.routeMask[out] {
+				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+					Msg: fmt.Sprintf("router %d port %v: request mask %#x, VC route state gives %#x",
+						id, topology.Direction(out), r.routeMask[out], route[out])})
+			}
+		}
+		if vaWait != r.vaWait {
+			viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+				Msg: fmt.Sprintf("router %d: VA-wait mask %#x, VC route state gives %#x", id, r.vaWait, vaWait)})
+		}
+		for _, p := range r.outputs {
+			if k := p.countPendingFree(); k != p.pendingFree {
+				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+					Msg: fmt.Sprintf("router %d port %v: pending-free count %d, %d VCs pending",
+						id, p.dir, p.pendingFree, k)})
 			}
 		}
 	}

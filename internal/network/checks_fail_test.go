@@ -113,6 +113,43 @@ func TestCreditImbalanceChecks(t *testing.T) {
 	}
 }
 
+// TestRequestMaskChecks flips one bit of each kind of derived pipeline
+// state — a route mask, the VA-wait mask, a pending-free count — under a
+// routed, VC-holding resident and expects the census to localize each.
+func TestRequestMaskChecks(t *testing.T) {
+	n := checkedNet(t)
+	if pkt, err := n.NewDataPacket(0, 15, 4, 0); err != nil || pkt == nil {
+		t.Fatalf("inject: (%v, %v)", pkt, err)
+	}
+	r := n.routers[0]
+	for r.routeMask[topology.East] == 0 || r.vaWait != 0 {
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+		t.Fatalf("consistent masks flagged: %v", err)
+	}
+	bit := r.routeMask[topology.East] & -r.routeMask[topology.East]
+
+	r.routeMask[topology.East] &^= bit
+	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: request mask")
+	assertDump(t, ierr)
+	r.routeMask[topology.East] |= bit
+
+	r.vaWait |= bit
+	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: VA-wait mask")
+	r.vaWait &^= bit
+
+	r.outputs[topology.East].pendingFree++
+	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: pending-free count 1, 0 VCs pending")
+	r.outputs[topology.East].pendingFree--
+
+	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+		t.Fatalf("restored masks still flagged: %v", err)
+	}
+}
+
 // TestPacketAgeWatchdog ages an outstanding packet past MaxPacketAge and
 // expects the livelock watchdog to name it, with the packet visible in
 // the dump's stuck-packet table.
@@ -215,6 +252,7 @@ func TestCheckedStepSurfacesTypedError(t *testing.T) {
 // TestUncheckedConfigSkipsProbes pins that the default configuration
 // runs with every probe off (the zero-cost contract's policy side).
 func TestUncheckedConfigSkipsProbes(t *testing.T) {
+	t.Setenv(config.EnvChecks, "") // the suite also runs under RLNOC_CHECKS=all
 	cfg := testConfig(0)
 	n := newNet(t, cfg, Mode1, true)
 	if n.Checks().Enabled() {

@@ -393,14 +393,10 @@ func (n *Network) purgeVC(r *Router, port topology.Direction, vc *inputVC, reaso
 			// The tail will never pass; schedule the downstream VC free
 			// the way grantAndSend would have (releaseVCs completes it
 			// once the in-flight credits come home).
-			op.vcPendingFree[vc.outVC] = true
+			op.markPendingFree(vc.outVC)
 		}
 	}
-	vc.routed = false
-	vc.outVC = -1
-	vc.pkt = nil
-	vc.qAdaptive = false
-	vc.qWait = 0
+	vc.unroute()
 }
 
 // sweepAfterFaults walks the surviving fabric after reroute and condemns

@@ -1129,12 +1129,13 @@ func (n *Network) processCredits(p *outputPort) {
 
 // releaseVCs frees downstream VCs whose packet has fully drained.
 func (n *Network) releaseVCs(p *outputPort) {
-	if p.vcPendingFree == nil {
+	if p.pendingFree == 0 {
 		return
 	}
 	for vc := range p.vcPendingFree {
 		if p.vcPendingFree[vc] && p.credits[vc] == n.cfg.VCDepth && len(p.unacked) == 0 {
 			p.vcPendingFree[vc] = false
+			p.pendingFree--
 			p.vcBusy[vc] = false
 		}
 	}
@@ -1171,6 +1172,7 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	}
 	vc.routed = true
 	vc.pkt = pkt
+	r.routeMask[vc.outPort] |= vc.bit()
 	// Record the head's path for latency attribution (exact even
 	// under adaptive routing).
 	if k := len(pkt.Path); k == 0 || pkt.Path[k-1] != r.id {
@@ -1178,6 +1180,8 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	}
 	if vc.outPort == topology.Local {
 		vc.outVC = 0 // ejection needs no VC arbitration
+	} else {
+		r.vaWait |= vc.bit()
 	}
 }
 
@@ -1220,6 +1224,7 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 		return false
 	}
 	vc.outVC = grant
+	r.vaWait &^= vc.bit()
 	op.vcBusy[grant] = true
 	n.meter.Arbitration(r.id)
 	r.vaRR[out] = idx + 1
@@ -1227,17 +1232,28 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 }
 
 // routeAndAllocate performs the RC and VA stages for head flits at the
-// front of their VCs, visiting only occupied VCs via the router's
-// occupancy mask. Bit order equals the dense (port, vc) scan order, and
-// the round-robin scans rotate over the same slot numbering, so every
-// decision matches routeAndAllocateDense exactly.
+// front of their VCs, visiting only the occupied VCs that can act, via
+// the router's occupancy and request masks (DESIGN.md §18). Bit order
+// equals the dense (port, vc) scan order, the round-robin scans rotate
+// over the same slot numbering, and a slot the masks leave out is one the
+// dense scan would have passed over without effect, so every decision
+// matches routeAndAllocateDense exactly.
 func (n *Network) routeAndAllocate(r *Router) {
 	if r.occMask == 0 {
 		return
 	}
 	vcs := len(r.inputs[0])
-	// RC: compute output port for unrouted heads.
-	for m := r.occMask; m != 0; {
+	// RC: compute output port for unrouted heads. Routed slots matter only
+	// to qroute, which ages the ones still waiting for an output VC.
+	var routed uint64
+	for _, m := range r.routeMask {
+		routed |= m
+	}
+	rc := r.occMask &^ routed
+	if n.qr != nil {
+		rc |= r.occMask & r.vaWait
+	}
+	for m := rc; m != 0; {
 		slot := bits.TrailingZeros64(m)
 		m &^= 1 << uint(slot)
 		vc := r.inputs[slot/vcs][slot%vcs]
@@ -1262,16 +1278,20 @@ func (n *Network) routeAndAllocate(r *Router) {
 		if !op.hasDownstream() {
 			continue
 		}
+		req := r.occMask & r.routeMask[out] & r.vaWait
+		if req == 0 {
+			continue
+		}
 		start := r.vaRR[out] % total
 		lowMask := uint64(1)<<uint(start) - 1
-		for m := r.occMask &^ lowMask; m != 0; { // slots start..total-1
+		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
 			if n.vaTryGrant(r, op, out, idx, vcs) {
 				goto nextOut
 			}
 		}
-		for m := r.occMask & lowMask; m != 0; { // wrapped slots 0..start-1
+		for m := req & lowMask; m != 0; { // wrapped slots 0..start-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
 			if n.vaTryGrant(r, op, out, idx, vcs) {
@@ -1382,10 +1402,10 @@ func (n *Network) saPortReady(r *Router, op *outputPort, sh *shardState) bool {
 // saTryGrant runs the SA stage body for candidate slot idx competing for
 // output port out; it reports whether the flit was granted and sent.
 func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx, vcs int, sh *shardState) bool {
-	port := topology.Direction(idx / vcs)
-	if r.inputUsed[port] {
+	if r.inputUsed&(1<<uint(idx)) != 0 {
 		return false
 	}
+	port := topology.Direction(idx / vcs)
 	vc := r.inputs[port][idx%vcs]
 	front := vc.front()
 	if front == nil || !vc.routed || vc.outVC < 0 || vc.outPort != out || front.ready > n.cycle {
@@ -1394,7 +1414,7 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	if out != topology.Local && op.credits[vc.outVC] <= 0 {
 		return false
 	}
-	r.inputUsed[port] = true
+	r.inputUsed |= (uint64(1)<<uint(vcs) - 1) << uint(idx-idx%vcs)
 	r.saRR[out] = idx + 1
 	n.grantAndSend(r, port, vc, op, sh)
 	return true
@@ -1402,12 +1422,11 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 
 // switchAllocate performs SA and ST: it first services pending go-back-N
 // retransmissions, then grants at most one flit per output port and one
-// per input port. Like routeAndAllocate, it walks only occupied VC slots
-// via the occupancy mask, in dense round-robin order.
+// per input port. Like routeAndAllocate, it walks only the slots that can
+// act — occupied, routed to this output, holding an output VC, on an
+// input port not yet granted this cycle — in dense round-robin order.
 func (n *Network) switchAllocate(r *Router, sh *shardState) {
-	for i := range r.inputUsed {
-		r.inputUsed[i] = false
-	}
+	r.inputUsed = 0
 	vcs := len(r.inputs[0])
 	total := int(topology.NumPorts) * vcs
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
@@ -1415,19 +1434,20 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 		if !n.saPortReady(r, op, sh) {
 			continue
 		}
-		if r.occMask == 0 {
+		req := r.occMask & r.routeMask[out] &^ r.vaWait &^ r.inputUsed
+		if req == 0 {
 			continue
 		}
 		start := r.saRR[out] % total
 		lowMask := uint64(1)<<uint(start) - 1
-		for m := r.occMask &^ lowMask; m != 0; { // slots start..total-1
+		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
 			if n.saTryGrant(r, op, out, idx, vcs, sh) {
 				goto nextOut
 			}
 		}
-		for m := r.occMask & lowMask; m != 0; { // wrapped slots 0..start-1
+		for m := req & lowMask; m != 0; { // wrapped slots 0..start-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
 			if n.saTryGrant(r, op, out, idx, vcs, sh) {
@@ -1441,9 +1461,7 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 // switchAllocateDense is the original full scan over all ports x VCs —
 // the referee implementation for switchAllocate.
 func (n *Network) switchAllocateDense(r *Router) {
-	for i := range r.inputUsed {
-		r.inputUsed[i] = false
-	}
+	r.inputUsed = 0
 	vcs := len(r.inputs[0])
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
 		op := r.outputs[out]
@@ -1498,13 +1516,9 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 	if f.Type.IsTail() {
 		// The packet has left this VC; clear route state.
 		if op.dir != topology.Local && op.vcBusy != nil {
-			op.vcPendingFree[outVC] = true
+			op.markPendingFree(outVC)
 		}
-		vc.routed = false
-		vc.outVC = -1
-		vc.pkt = nil
-		vc.qAdaptive = false
-		vc.qWait = 0
+		vc.unroute()
 	}
 
 	if op.dir == topology.Local {

@@ -234,6 +234,7 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 	vc.qAdaptive = false
 	vc.qWait = 0
 	n.qr.escapes[r.id]++
+	r.routeMask[vc.outPort] &^= vc.bit()
 	vc.outPort = n.topo.Route(r.id, vc.pkt.Dst)
 	if vc.outPort == topology.Unreachable {
 		// Cannot happen while the permitted mask was non-empty (a
@@ -242,7 +243,10 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 		// granted toward a sentinel.
 		vc.outPort = topology.Local
 		vc.routed = false
+		r.vaWait &^= vc.bit()
+		return
 	}
+	r.routeMask[vc.outPort] |= vc.bit()
 }
 
 // qrouteFeedback applies the Boyan-Littman TD update when a data head is

@@ -51,9 +51,26 @@ type inputVC struct {
 func (vc *inputVC) empty() bool { return len(vc.buf) == 0 }
 func (vc *inputVC) full() bool  { return len(vc.buf) >= vc.cap }
 
+// bit is this VC's bit in the owner's occupancy and request masks.
+func (vc *inputVC) bit() uint64 { return 1 << uint(vc.slot) }
+
+// unroute clears the resident packet's route state (its tail has left,
+// or a hard fault purged it) together with the owner's request-mask bits.
+func (vc *inputVC) unroute() {
+	if vc.routed {
+		vc.owner.routeMask[vc.outPort] &^= vc.bit()
+		vc.owner.vaWait &^= vc.bit()
+	}
+	vc.routed = false
+	vc.outVC = -1
+	vc.pkt = nil
+	vc.qAdaptive = false
+	vc.qWait = 0
+}
+
 func (vc *inputVC) push(f *flit.Flit, ready int64) {
 	vc.buf = append(vc.buf, bufFlit{f: f, ready: ready})
-	vc.owner.occMask |= 1 << uint(vc.slot)
+	vc.owner.occMask |= vc.bit()
 }
 
 func (vc *inputVC) front() *bufFlit {
@@ -72,7 +89,7 @@ func (vc *inputVC) pop() *flit.Flit {
 	vc.buf[m] = bufFlit{}
 	vc.buf = vc.buf[:m]
 	if m == 0 {
-		vc.owner.occMask &^= 1 << uint(vc.slot)
+		vc.owner.occMask &^= vc.bit()
 	}
 	return f
 }
@@ -134,6 +151,10 @@ type outputPort struct {
 	credits       []int
 	vcBusy        []bool
 	vcPendingFree []bool
+	// pendingFree counts the set entries of vcPendingFree, so releaseVCs
+	// skips the scan on the (usual) port with nothing to release. Derived:
+	// recounted on restore, never serialized.
+	pendingFree int
 
 	linkBusyUntil int64
 	// mode is the operating mode; targetMode is the controller's latest
@@ -222,6 +243,26 @@ func (p *outputPort) trySwitchMode() {
 	}
 }
 
+// markPendingFree schedules downstream VC vc for release once its packet
+// has fully drained (releaseVCs).
+func (p *outputPort) markPendingFree(vc int) {
+	if !p.vcPendingFree[vc] {
+		p.vcPendingFree[vc] = true
+		p.pendingFree++
+	}
+}
+
+// countPendingFree recounts pendingFree from vcPendingFree.
+func (p *outputPort) countPendingFree() int {
+	k := 0
+	for _, pending := range p.vcPendingFree {
+		if pending {
+			k++
+		}
+	}
+	return k
+}
+
 // freeVC returns the lowest free downstream VC in [lo, hi), or -1.
 func (p *outputPort) freeVC(lo, hi int) int {
 	for vc := lo; vc < hi && vc < len(p.vcBusy); vc++ {
@@ -247,6 +288,20 @@ type Router struct {
 	// config.Validate).
 	occMask uint64
 
+	// Request masks (DESIGN.md §18), over the same slot numbering as
+	// occMask. routeMask[out] has a slot's bit set while its VC is routed
+	// to output port out (vc.routed && vc.outPort == out); vaWait while it
+	// is routed but holds no output VC yet (vc.routed && vc.outVC == -1).
+	// A bit may be set on an empty VC (body flits still upstream), so the
+	// stages always intersect with occMask: VA visits occMask &
+	// routeMask[out] & vaWait, SA visits occMask & routeMask[out] &^ vaWait
+	// and RC the occupied slots in no routeMask. Every slot left out is one
+	// whose *TryGrant predicate would have returned false with no side
+	// effect. Derived from the VC fields: rebuilt on restore, never
+	// serialized.
+	routeMask [topology.NumPorts]uint64
+	vaWait    uint64
+
 	// saRR rotates switch-allocation priority across input (port, vc)
 	// pairs per output port.
 	saRR [topology.NumPorts]int
@@ -257,10 +312,11 @@ type Router struct {
 	winFlitsIn   int64
 	winErrEvents int64
 
-	// inputUsed marks input ports already granted this cycle's switch
-	// allocation. Per-router (not per-network) so parallel shards never
-	// share it; switchAllocate clears it before arbitration.
-	inputUsed [topology.NumPorts]bool
+	// inputUsed has the slot bits of every input port already granted this
+	// cycle's switch allocation (one flit per input port per cycle).
+	// Per-router (not per-network) so parallel shards never share it;
+	// switchAllocate clears it before arbitration.
+	inputUsed uint64
 
 	// pool is the flit pool this router allocates from and frees to.
 	// Points at the network-wide pool when stepping sequentially and at
@@ -300,6 +356,24 @@ func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, ptrSlab []*in
 			r.inputs[port][v] = vc
 		}
 	}
+}
+
+// requestMasks recomputes routeMask and vaWait from the VC route fields:
+// the restore path installs the result, the invariant census compares it
+// with the incrementally maintained masks.
+func (r *Router) requestMasks() (route [topology.NumPorts]uint64, vaWait uint64) {
+	for _, in := range r.inputs {
+		for _, vc := range in {
+			if !vc.routed {
+				continue
+			}
+			route[vc.outPort] |= vc.bit()
+			if vc.outVC == -1 {
+				vaWait |= vc.bit()
+			}
+		}
+	}
+	return route, vaWait
 }
 
 // wiresQuiet reports that no port of the router has wire-phase work: no

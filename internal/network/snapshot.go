@@ -717,8 +717,14 @@ func (n *Network) restoreRouter(r *snap.Reader, rt *Router, pkts []*flit.Packet,
 			vc.pkt = pktAt(r, pkts, r.Int())
 			vc.qAdaptive = r.Bool()
 			vc.qWait = r.I64()
+			if vc.routed && vc.outPort >= topology.NumPorts {
+				r.Fail(fmt.Errorf("network: snapshot VC routed to port %d of %d", vc.outPort, topology.NumPorts))
+				return
+			}
 		}
 	}
+	// The request masks are derived from the route fields just read.
+	rt.routeMask, rt.vaWait = rt.requestMasks()
 	for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
 		p := rt.outputs[dir]
 		p.downstream = r.Int()
@@ -726,6 +732,7 @@ func (n *Network) restoreRouter(r *snap.Reader, rt *Router, pkts []*flit.Packet,
 		r.IntsInto(p.credits)
 		r.BoolsInto(p.vcBusy)
 		r.BoolsInto(p.vcPendingFree)
+		p.pendingFree = p.countPendingFree()
 		p.linkBusyUntil = r.I64()
 		p.mode = Mode(r.U8())
 		p.targetMode = Mode(r.U8())
