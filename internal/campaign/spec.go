@@ -40,7 +40,9 @@ type TraceSpec struct {
 	Seed    int64   `json:"seed"`
 }
 
-// Events materializes the trace for cfg's fabric.
+// Events materializes the trace for cfg's fabric. Every attempt of every
+// arm that names the same tuple gets the same shared slice (DESIGN.md
+// §19): callers must not modify it.
 func (t TraceSpec) Events(cfg config.Config) ([]traffic.Event, error) {
 	topo, err := topology.FromConfig(cfg)
 	if err != nil {
@@ -51,9 +53,9 @@ func (t TraceSpec) Events(cfg config.Config) ([]traffic.Event, error) {
 		if err != nil {
 			return nil, err
 		}
-		return b.Trace(topo, t.Cycles, cfg.FlitsPerPacket, t.Seed)
+		return b.SharedTrace(topo, t.Cycles, cfg.FlitsPerPacket, t.Seed)
 	}
-	return traffic.Synthetic(topo, traffic.Pattern(t.Pattern), t.Rate,
+	return traffic.SharedProgram(topo, []traffic.Segment{{Pattern: traffic.Pattern(t.Pattern), Rate: t.Rate}},
 		cfg.FlitsPerPacket, t.Cycles, t.Seed)
 }
 

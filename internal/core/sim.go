@@ -23,16 +23,13 @@ func topologyOf(cfg config.Config) (topology.Topology, error) {
 // and hot, quiet and congested operating points so the learned policy
 // covers the state space the benchmarks later visit (the paper pre-trains
 // on synthetic traffic for 1M cycles).
-var pretrainSegments = []struct {
-	pattern traffic.Pattern
-	rate    float64
-}{
-	{traffic.Uniform, 0.001},
-	{traffic.Uniform, 0.006},
-	{traffic.Hotspot, 0.004},
-	{traffic.Transpose, 0.003},
-	{traffic.Uniform, 0.009},
-	{traffic.Neighbor, 0.002},
+var pretrainSegments = []traffic.Segment{
+	{Pattern: traffic.Uniform, Rate: 0.001},
+	{Pattern: traffic.Uniform, Rate: 0.006},
+	{Pattern: traffic.Hotspot, Rate: 0.004},
+	{Pattern: traffic.Transpose, Rate: 0.003},
+	{Pattern: traffic.Uniform, Rate: 0.009},
+	{Pattern: traffic.Neighbor, Rate: 0.002},
 }
 
 // Result is the outcome of one benchmark run under one scheme: the raw
@@ -287,30 +284,12 @@ func (s *Sim) Controller() network.Controller { return s.ctrl }
 func (s *Sim) Pretrain() error {
 	cycles := int64(s.cfg.PretrainCycles)
 	if cycles > 0 {
-		per := cycles / int64(len(pretrainSegments))
-		if per < 1 {
-			per = cycles
-		}
-		var events []traffic.Event
-		var offset int64
-		for i, seg := range pretrainSegments {
-			if offset >= cycles {
-				break
-			}
-			span := per
-			if offset+span > cycles {
-				span = cycles - offset
-			}
-			segEvents, err := traffic.Synthetic(s.net.Topology(), seg.pattern, seg.rate,
-				s.cfg.FlitsPerPacket, span, s.cfg.Seed*31+900+int64(i))
-			if err != nil {
-				return err
-			}
-			for _, e := range segEvents {
-				e.Cycle += offset
-				events = append(events, e)
-			}
-			offset += span
+		// Every sim of a (fabric, seed, length) replays the same program,
+		// so it comes from the shared, read-only memo (DESIGN.md §19).
+		events, err := traffic.SharedProgram(s.net.Topology(), pretrainSegments,
+			s.cfg.FlitsPerPacket, cycles, s.cfg.Seed*31+900)
+		if err != nil {
+			return err
 		}
 		if err := s.runTrace(events, cycles+int64(s.cfg.DrainCycles)); err != nil {
 			return err
@@ -342,9 +321,19 @@ type injector struct {
 	base      int64
 }
 
+// newInjector copies events (which it never modifies, and which may be a
+// shared trace) into per-source queues carved from one slab.
 func newInjector(events []traffic.Event, nodes int, window int, base int64) *injector {
 	in := &injector{queues: make([][]traffic.Event, nodes), heads: make([]int, nodes),
 		remaining: len(events), window: window, base: base}
+	counts := make([]int, nodes)
+	for _, e := range events {
+		counts[e.Src]++
+	}
+	slab := make([]traffic.Event, len(events))
+	for src, n := range counts {
+		in.queues[src], slab = slab[:0:n], slab[n:]
+	}
 	for _, e := range events {
 		in.queues[e.Src] = append(in.queues[e.Src], e)
 	}
@@ -645,7 +634,7 @@ func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	events, err := b.Trace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
+	events, err := b.SharedTrace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
 	if err != nil {
 		return Result{}, err
 	}

@@ -94,13 +94,7 @@ func (s *Sim) SnapState(w *snap.Writer) error {
 
 func snapMeasure(w *snap.Writer, ms *measureState) {
 	w.String(ms.label)
-	w.Len(len(ms.events))
-	for _, e := range ms.events {
-		w.I64(e.Cycle)
-		w.Int(e.Src)
-		w.Int(e.Dst)
-		w.Int(e.Flits)
-	}
+	snapEvents(w, ms.events)
 	w.Ints(ms.in.heads)
 	w.Int(ms.in.remaining)
 	w.I64(ms.base)
@@ -113,25 +107,62 @@ func snapMeasure(w *snap.Writer, ms *measureState) {
 	w.Bool(ms.drained)
 }
 
+// A trace event is stored as four I64 words (cycle, src, dst, flits);
+// the trace moves through the codec eventBlock events at a time.
+const (
+	eventWords = 4
+	eventBlock = 128
+)
+
+func snapEvents(w *snap.Writer, events []traffic.Event) {
+	w.Len(len(events))
+	var words [eventWords * eventBlock]int64
+	for len(events) > 0 {
+		n := min(len(events), eventBlock)
+		for i, e := range events[:n] {
+			words[eventWords*i], words[eventWords*i+1] = e.Cycle, int64(e.Src)
+			words[eventWords*i+2], words[eventWords*i+3] = int64(e.Dst), int64(e.Flits)
+		}
+		w.RawI64s(words[:eventWords*n])
+		events = events[n:]
+	}
+}
+
+// restoreEvents reads a trace written by snapEvents into a slice the
+// restored sim owns, rejecting endpoints outside the fabric.
+func restoreEvents(r *snap.Reader, routers int) []traffic.Event {
+	n := r.Len()
+	if r.Err() != nil {
+		return nil
+	}
+	events := make([]traffic.Event, n)
+	var words [eventWords * eventBlock]int64
+	for base := 0; base < n; base += eventBlock {
+		block := events[base:min(base+eventBlock, n)]
+		r.RawI64sInto(words[:eventWords*len(block)])
+		if r.Err() != nil {
+			return nil
+		}
+		for i := range block {
+			e := traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
+				Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}
+			if e.Src < 0 || e.Src >= routers || e.Dst < 0 || e.Dst >= routers {
+				r.Fail(fmt.Errorf("core: snapshot trace event %d out of range", base+i))
+				return nil
+			}
+			block[i] = e
+		}
+	}
+	return events
+}
+
 func (s *Sim) restoreMeasure(r *snap.Reader) {
 	ms := &measureState{}
 	ms.label = r.String()
-	n := r.Len()
+	routers := s.cfg.Routers()
+	ms.events = restoreEvents(r, routers)
 	if r.Err() != nil {
 		return
-	}
-	routers := s.cfg.Routers()
-	ms.events = make([]traffic.Event, n)
-	for i := range ms.events {
-		e := traffic.Event{Cycle: r.I64(), Src: r.Int(), Dst: r.Int(), Flits: r.Int()}
-		if r.Err() != nil {
-			return
-		}
-		if e.Src < 0 || e.Src >= routers || e.Dst < 0 || e.Dst >= routers {
-			r.Fail(fmt.Errorf("core: snapshot trace event %d out of range", i))
-			return
-		}
-		ms.events[i] = e
 	}
 	heads := r.Ints()
 	remaining := r.Int()

@@ -100,6 +100,26 @@ func New(seed int64, domain, id, cycle uint64) Stream {
 	return Stream{state: Key(seed, domain, id, cycle)}
 }
 
+// KeyPrefix is the (seed, domain, id) part of a stream key, absorbed
+// once. A draw site that visits the same id on every cycle (a traffic
+// source, say) hoists the prefix out of its cycle loop and pays one
+// finalizer per stream instead of four.
+type KeyPrefix uint64
+
+// Prefix absorbs the first three words of a key tuple exactly as Key
+// does: Prefix(seed, domain, id).At(cycle) is New(seed, domain, id, cycle).
+func Prefix(seed int64, domain, id uint64) KeyPrefix {
+	k := mix64(uint64(seed) + golden)
+	k = mix64(k + domain + golden)
+	k = mix64(k + id + golden)
+	return KeyPrefix(k)
+}
+
+// At absorbs the cycle word and returns the tuple's stream.
+func (p KeyPrefix) At(cycle uint64) Stream {
+	return Stream{state: mix64(uint64(p) + cycle + golden)}
+}
+
 // Uint64 advances the stream and returns the next 64 uniform bits.
 func (s *Stream) Uint64() uint64 {
 	s.state += golden

@@ -150,3 +150,19 @@ func FuzzStreamDeterminism(f *testing.F) {
 		}
 	})
 }
+
+// TestPrefixAtEqualsNew pins the hoisted form of the key: absorbing
+// (seed, domain, id) once and the cycle per stream must land on the
+// stream New derives from the whole tuple.
+func TestPrefixAtEqualsNew(t *testing.T) {
+	in := rand.New(rand.NewSource(16))
+	for i := 0; i < 10_000; i++ {
+		seed, domain, id, cycle := int64(in.Uint64()), in.Uint64(), in.Uint64(), in.Uint64()
+		if i%4 == 0 { // the shapes draw sites actually use
+			domain, id, cycle = DomainTraffic, uint64(in.Intn(64)), uint64(in.Intn(1_000_000))
+		}
+		if got, want := Prefix(seed, domain, id).At(cycle), New(seed, domain, id, cycle); got != want {
+			t.Fatalf("Prefix(%d,%d,%d).At(%d) = %#x, New = %#x", seed, domain, id, cycle, got.state, want.state)
+		}
+	}
+}

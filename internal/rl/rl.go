@@ -147,11 +147,21 @@ type Agent struct {
 // NewAgent builds an agent with Q-values initialized to zero (per the
 // paper's initialization) and a deterministic exploration stream.
 func NewAgent(cfg config.RLConfig, seed int64) *Agent {
+	a := newShell(cfg, seed)
+	a.q = make([]float64, NumStates*NumActions)
+	a.visits = make([]uint32, NumStates*NumActions)
+	a.rsum = make([]float64, NumStates*NumActions)
+	if cfg.DoubleQ {
+		a.q2 = make([]float64, NumStates*NumActions)
+	}
+	return a
+}
+
+// newShell builds everything of an agent but its tables: hyperparameters
+// and the seeded exploration stream.
+func newShell(cfg config.RLConfig, seed int64) *Agent {
 	src := snap.NewCountingSource(seed)
-	a := &Agent{
-		q:       make([]float64, NumStates*NumActions),
-		visits:  make([]uint32, NumStates*NumActions),
-		rsum:    make([]float64, NumStates*NumActions),
+	return &Agent{
 		alpha:   cfg.Alpha,
 		decay:   cfg.AlphaDecay,
 		gamma:   cfg.Gamma,
@@ -159,10 +169,6 @@ func NewAgent(cfg config.RLConfig, seed int64) *Agent {
 		rng:     rand.New(src),
 		src:     src,
 	}
-	if cfg.DoubleQ {
-		a.q2 = make([]float64, NumStates*NumActions)
-	}
-	return a
 }
 
 // NewSharedAgents builds n agents that share a single Q-table but keep
@@ -170,17 +176,18 @@ func NewAgent(cfg config.RLConfig, seed int64) *Agent {
 // multiplies the effective sample rate by n, letting the tabular policy
 // converge within simulation-scale pre-training budgets (the paper's
 // per-router tables rely on a 1M-cycle pre-train); DESIGN.md documents
-// this option and the ablation comparing both variants.
+// this option and the ablation comparing both variants. One table set is
+// allocated, by the first agent; the rest are table-less shells aliasing it.
 func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
 	agents := make([]*Agent, n)
 	for i := range agents {
-		agents[i] = NewAgent(cfg, seed+int64(i)*7919)
-		if i > 0 {
-			agents[i].q = agents[0].q
-			agents[i].q2 = agents[0].q2
-			agents[i].visits = agents[0].visits
-			agents[i].rsum = agents[0].rsum
+		if i == 0 {
+			agents[i] = NewAgent(cfg, seed)
+			continue
 		}
+		a := newShell(cfg, seed+int64(i)*7919)
+		a.q, a.q2, a.visits, a.rsum = agents[0].q, agents[0].q2, agents[0].visits, agents[0].rsum
+		agents[i] = a
 	}
 	return agents
 }
@@ -338,8 +345,19 @@ func (a *Agent) Load(r io.Reader) error {
 	return nil
 }
 
-// CopyPolicyFrom copies another agent's Q-table (used to clone pretrained
-// policies across routers or runs).
+// CopyPolicyFrom copies another agent's policy (used to clone pretrained
+// policies across routers or runs). Under Double Q-learning the acting
+// estimate is the mean of both tables, so both are copied; a Double-Q
+// destination cloning a single-table source seeds its second table from
+// the first, as Load does.
 func (a *Agent) CopyPolicyFrom(src *Agent) {
 	copy(a.q, src.q)
+	if a.q2 == nil {
+		return
+	}
+	if src.q2 != nil {
+		copy(a.q2, src.q2)
+	} else {
+		copy(a.q2, a.q)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -300,6 +301,105 @@ func TestCopyPolicyFrom(t *testing.T) {
 	b.q[42] = 0
 	if a.q[42] != 3.14 {
 		t.Fatal("CopyPolicyFrom aliased the table")
+	}
+}
+
+// TestCopyPolicyFromDoubleQ: under Double Q-learning the acting estimate
+// is (q+q2)/2, so a clone must carry both tables or its greedy policy
+// differs from its source's.
+func TestCopyPolicyFromDoubleQ(t *testing.T) {
+	src := NewAgent(doubleQConfig(), 1)
+	in := rand.New(rand.NewSource(3))
+	visited := map[State]bool{}
+	for i := 0; i < 20_000; i++ {
+		s := State{Buf: uint8(in.Intn(BufBins)), InNACK: uint8(in.Intn(NACKBins)), Temp: uint8(in.Intn(TempBins))}
+		visited[s] = true
+		src.Step(s, in.Float64()*float64(1+int(s.Temp)))
+	}
+	diverged := false
+	for i := range src.q {
+		diverged = diverged || src.q[i] != src.q2[i]
+	}
+	if !diverged {
+		t.Fatal("the two estimators never diverged: the test cannot tell a q-only copy from a full one")
+	}
+
+	dst := NewAgent(doubleQConfig(), 2)
+	dst.CopyPolicyFrom(src)
+	for s := range visited {
+		if got, want := dst.Greedy(s), src.Greedy(s); got != want {
+			t.Fatalf("state %+v: clone's greedy action %d, source's %d", s, got, want)
+		}
+		for act := 0; act < NumActions; act++ {
+			if dst.Q(s, act) != src.Q(s, act) {
+				t.Fatalf("state %+v action %d: clone Q %g, source Q %g", s, act, dst.Q(s, act), src.Q(s, act))
+			}
+		}
+	}
+	dst.q2[0]++
+	if src.q2[0] == dst.q2[0] {
+		t.Fatal("CopyPolicyFrom aliased the second table")
+	}
+
+	// A Double-Q destination cloning a single-table source starts both
+	// estimators from it (what Load does), so it acts as the source does.
+	plain := newAgent(4)
+	for s := range visited {
+		plain.Step(s, float64(s.Temp))
+		plain.Step(s, float64(s.Buf))
+	}
+	dst = NewAgent(doubleQConfig(), 5)
+	dst.q2[7] = 99 // stale second-table content must not survive
+	dst.CopyPolicyFrom(plain)
+	for s := range visited {
+		if got, want := dst.Greedy(s), plain.Greedy(s); got != want {
+			t.Fatalf("state %+v: double-Q clone of a plain agent picks %d, source %d", s, got, want)
+		}
+	}
+	if dst.q2[7] != plain.q[7] {
+		t.Fatal("second table not seeded from the copied first")
+	}
+}
+
+// TestSharedAgentsOneTableSet pins the NewSharedAgents layout: every
+// agent aliases agent 0's tables, keeps its own exploration stream (the
+// seeds NewAgent would have been given), and the constructor allocates
+// one table set, not n.
+func TestSharedAgentsOneTableSet(t *testing.T) {
+	for _, cfg := range []config.RLConfig{config.Default().RL, doubleQConfig()} {
+		const n, seed = 64, 501
+		agents := NewSharedAgents(cfg, n, seed)
+		for i, a := range agents {
+			if !a.SharesTableWith(agents[0]) || &a.visits[0] != &agents[0].visits[0] || &a.rsum[0] != &agents[0].rsum[0] {
+				t.Fatalf("agent %d does not alias agent 0's tables", i)
+			}
+			if (a.q2 != nil) != cfg.DoubleQ || (cfg.DoubleQ && &a.q2[0] != &agents[0].q2[0]) {
+				t.Fatalf("agent %d: second table not shared (DoubleQ=%v)", i, cfg.DoubleQ)
+			}
+			solo := NewAgent(cfg, seed+int64(i)*7919)
+			for d := 0; d < 8; d++ {
+				if got, want := a.rng.Uint64(), solo.rng.Uint64(); got != want {
+					t.Fatalf("agent %d draw %d: exploration stream differs from NewAgent's at the same seed", i, d)
+				}
+			}
+		}
+		one := testing.AllocsPerRun(3, func() { NewAgent(cfg, seed) })
+		all := testing.AllocsPerRun(3, func() { NewSharedAgents(cfg, n, seed) })
+		// Per extra agent: the shell, its rand.Rand and its counting source
+		// (a handful of small objects) — never a table.
+		if perShell := (all - one) / (n - 1); perShell > 6 {
+			t.Errorf("NewSharedAgents allocates %.1f objects per extra agent; tables are being built and dropped again", perShell)
+		}
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	agents := NewSharedAgents(config.Default().RL, 64, 1)
+	runtime.ReadMemStats(&ms1)
+	runtime.KeepAlive(agents)
+	// One table set is 10000x4 x (8+4+8) bytes = 0.8 MB; 64 sources of
+	// math/rand state add 0.3 MB. The parent allocated 53.6 MB here.
+	if mb := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20); mb > 2 {
+		t.Errorf("NewSharedAgents(64) allocated %.1f MB, want <= 2", mb)
 	}
 }
 

@@ -54,8 +54,27 @@ const maxSliceLen = 1 << 30
 // subsystem SnapState code writes straight-line without per-call checks.
 type Writer struct {
 	w   *bufio.Writer
-	buf [8]byte
+	buf [chunkBytes]byte // scalar staging, and the slice codecs' chunk
 	err error
+}
+
+// chunkBytes is how many bytes the slice codecs encode or decode per
+// trip through bufio: tables of tens of thousands of words move as a few
+// dozen writes instead of one per element. The stream is unchanged.
+const chunkBytes = 4096
+
+// word64 is every integer type the format stores as 64 little-endian bits.
+type word64 interface{ ~int | ~int64 | ~uint64 }
+
+func write64s[T word64](w *Writer, v []T) {
+	for len(v) > 0 && w.err == nil {
+		n := min(len(v), chunkBytes/8)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(w.buf[i*8:], uint64(x))
+		}
+		w.write(w.buf[:n*8])
+		v = v[n:]
+	}
 }
 
 // NewWriter wraps w (buffered internally; call Flush when done).
@@ -172,41 +191,49 @@ func (w *Writer) String(s string) {
 // I64s writes a length-prefixed []int64.
 func (w *Writer) I64s(v []int64) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.I64(x)
-	}
+	write64s(w, v)
 }
+
+// RawI64s writes v as consecutive I64 values with no length prefix, for
+// fixed-width records whose count the caller frames itself (trace events).
+func (w *Writer) RawI64s(v []int64) { write64s(w, v) }
 
 // F64s writes a length-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.F64(x)
+	for len(v) > 0 && w.err == nil {
+		n := min(len(v), chunkBytes/8)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(w.buf[i*8:], math.Float64bits(x))
+		}
+		w.write(w.buf[:n*8])
+		v = v[n:]
 	}
 }
 
 // U64s writes a length-prefixed []uint64.
 func (w *Writer) U64s(v []uint64) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.U64(x)
-	}
+	write64s(w, v)
 }
 
 // U32s writes a length-prefixed []uint32.
 func (w *Writer) U32s(v []uint32) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.U32(x)
+	for len(v) > 0 && w.err == nil {
+		n := min(len(v), chunkBytes/4)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint32(w.buf[i*4:], x)
+		}
+		w.write(w.buf[:n*4])
+		v = v[n:]
 	}
 }
 
 // Ints writes a length-prefixed []int (as 64-bit values).
 func (w *Writer) Ints(v []int) {
 	w.Len(len(v))
-	for _, x := range v {
-		w.Int(x)
-	}
+	write64s(w, v)
 }
 
 // Bools writes a length-prefixed []bool.
@@ -221,8 +248,22 @@ func (w *Writer) Bools(v []bool) {
 // discipline: after the first failure every call returns the zero value.
 type Reader struct {
 	r   *bufio.Reader
-	buf [8]byte
+	buf [chunkBytes]byte // scalar staging, and the slice codecs' chunk
 	err error
+}
+
+// read64s fills dst from the stream, a chunk per read.
+func read64s[T word64](r *Reader, dst []T) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkBytes/8)
+		if !r.read(r.buf[:n*8]) {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = T(binary.LittleEndian.Uint64(r.buf[i*8:]))
+		}
+		dst = dst[n:]
+	}
 }
 
 // NewReader wraps r.
@@ -369,41 +410,56 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // I64sInto reads a []int64 written by I64s into dst (length must match).
 func (r *Reader) I64sInto(dst []int64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.I64()
-	}
+	read64s(r, dst)
 }
+
+// RawI64sInto reads len(dst) consecutive I64 values (see Writer.RawI64s).
+func (r *Reader) RawI64sInto(dst []int64) { read64s(r, dst) }
 
 // F64sInto reads a []float64 written by F64s into dst (length must match).
 func (r *Reader) F64sInto(dst []float64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.F64()
+	r.f64s(dst)
+}
+
+func (r *Reader) f64s(dst []float64) {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkBytes/8)
+		if !r.read(r.buf[:n*8]) {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[i*8:]))
+		}
+		dst = dst[n:]
 	}
 }
 
 // U64sInto reads a []uint64 written by U64s into dst (length must match).
 func (r *Reader) U64sInto(dst []uint64) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.U64()
-	}
+	read64s(r, dst)
 }
 
 // U32sInto reads a []uint32 written by U32s into dst (length must match).
 func (r *Reader) U32sInto(dst []uint32) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.U32()
+	for len(dst) > 0 {
+		n := min(len(dst), chunkBytes/4)
+		if !r.read(r.buf[:n*4]) {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = binary.LittleEndian.Uint32(r.buf[i*4:])
+		}
+		dst = dst[n:]
 	}
 }
 
 // IntsInto reads a []int written by Ints into dst (length must match).
 func (r *Reader) IntsInto(dst []int) {
 	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.Int()
-	}
+	read64s(r, dst)
 }
 
 // BoolsInto reads a []bool written by Bools into dst (length must match).
@@ -421,9 +477,7 @@ func (r *Reader) Ints() []int {
 		return nil
 	}
 	v := make([]int, n)
-	for i := range v {
-		v[i] = r.Int()
-	}
+	read64s(r, v)
 	return v
 }
 
@@ -434,9 +488,7 @@ func (r *Reader) F64s() []float64 {
 		return nil
 	}
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.F64()
-	}
+	r.f64s(v)
 	return v
 }
 
@@ -447,9 +499,7 @@ func (r *Reader) U64s() []uint64 {
 		return nil
 	}
 	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.U64()
-	}
+	read64s(r, v)
 	return v
 }
 
@@ -497,16 +547,21 @@ func (s *CountingSource) Seed(seed int64) {
 // Draws returns the number of values drawn since the last (re)seed.
 func (s *CountingSource) Draws() uint64 { return s.draws }
 
-// Restore reseeds with the original seed and fast-forwards the source by
-// draws values, leaving it exactly where a run that drew that many
-// values would be. Each state advance is one xorshift-class step, so
-// replay costs nanoseconds per draw.
+// Restore leaves the source exactly where a run that drew `draws` values
+// since seeding would be. A source at or before that position — a freshly
+// constructed one, as every restore starts from — is advanced the
+// difference; only a source already past it is reseeded first (seeding
+// math/rand's 607-word state costs as much as ten thousand draws). Each
+// state advance is one additive-lagged-Fibonacci step, so replay costs
+// nanoseconds per draw.
 func (s *CountingSource) Restore(draws uint64) {
-	s.src.Seed(s.seed)
-	for i := uint64(0); i < draws; i++ {
+	if draws < s.draws {
+		s.src.Seed(s.seed)
+		s.draws = 0
+	}
+	for ; s.draws < draws; s.draws++ {
 		s.src.Uint64()
 	}
-	s.draws = draws
 }
 
 // Snap writes the draw count.

@@ -281,6 +281,31 @@ func TestCountingSourceRestore(t *testing.T) {
 	}
 }
 
+// TestCountingSourceRestoreFromAnyPosition: Restore lands on the same
+// stream position whether the source starts fresh, behind the target
+// (advanced, never reseeded) or past it (reseeded and replayed).
+func TestCountingSourceRestoreFromAnyPosition(t *testing.T) {
+	const seed, target = 99, 500
+	ref := NewCountingSource(seed)
+	for i := 0; i < target; i++ {
+		ref.Uint64()
+	}
+	want := ref.Uint64()
+	for _, start := range []int{0, 1, target - 1, target, target + 1, 3 * target} {
+		cs := NewCountingSource(seed)
+		for i := 0; i < start; i++ {
+			cs.Int63()
+		}
+		cs.Restore(target)
+		if cs.Draws() != target {
+			t.Errorf("start %d: draw count %d after Restore(%d)", start, cs.Draws(), target)
+		}
+		if got := cs.Uint64(); got != want {
+			t.Errorf("start %d: next value %d, want %d", start, got, want)
+		}
+	}
+}
+
 // TestCountingSourceSnapUnsnap round-trips the draw count through the
 // wire format.
 func TestCountingSourceSnapUnsnap(t *testing.T) {
@@ -339,4 +364,145 @@ func TestDeterministicBytes(t *testing.T) {
 	if !bytes.Equal(emit(), emit()) {
 		t.Error("identical write sequences produced different bytes")
 	}
+}
+
+// TestBulkSliceCodecFormat pins the chunked slice codecs to the wire
+// format of the element-by-element ones they replaced: a length prefix
+// followed by each element through the scalar writer. Lengths straddle
+// the chunk boundary on both sides, and the read side must land every
+// element and leave the stream exactly consumed.
+func TestBulkSliceCodecFormat(t *testing.T) {
+	in := rand.New(rand.NewSource(16))
+	for _, n := range []int{0, 1, chunkBytes/8 - 1, chunkBytes / 8, chunkBytes/8 + 1, chunkBytes/4 + 1, 40_000} {
+		f64 := make([]float64, n)
+		u64 := make([]uint64, n)
+		i64 := make([]int64, n)
+		u32 := make([]uint32, n)
+		ints := make([]int, n)
+		for i := 0; i < n; i++ {
+			f64[i] = math.Float64frombits(in.Uint64()) // every bit pattern, NaNs included
+			u64[i] = in.Uint64()
+			i64[i] = int64(in.Uint64())
+			u32[i] = in.Uint32()
+			ints[i] = int(int64(in.Uint64()))
+		}
+
+		var bulk, ref bytes.Buffer
+		w := NewWriter(&bulk)
+		w.F64s(f64)
+		w.U64s(u64)
+		w.I64s(i64)
+		w.U32s(u32)
+		w.Ints(ints)
+		w.U8(0xEE)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		w = NewWriter(&ref)
+		w.Len(n)
+		for _, x := range f64 {
+			w.F64(x)
+		}
+		w.Len(n)
+		for _, x := range u64 {
+			w.U64(x)
+		}
+		w.Len(n)
+		for _, x := range i64 {
+			w.I64(x)
+		}
+		w.Len(n)
+		for _, x := range u32 {
+			w.U32(x)
+		}
+		w.Len(n)
+		for _, x := range ints {
+			w.Int(x)
+		}
+		w.U8(0xEE)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bulk.Bytes(), ref.Bytes()) {
+			t.Fatalf("n=%d: chunked encoding differs from the element-wise format", n)
+		}
+
+		r := NewReader(bytes.NewReader(ref.Bytes()))
+		gf, gu, gi, g32, gn := make([]float64, n), make([]uint64, n), make([]int64, n), make([]uint32, n), make([]int, n)
+		r.F64sInto(gf)
+		r.U64sInto(gu)
+		r.I64sInto(gi)
+		r.U32sInto(g32)
+		r.IntsInto(gn)
+		if r.U8() != 0xEE || r.Err() != nil {
+			t.Fatalf("n=%d: stream not consumed exactly (err %v)", n, r.Err())
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(gf[i]) != math.Float64bits(f64[i]) || gu[i] != u64[i] || gi[i] != i64[i] || g32[i] != u32[i] || gn[i] != ints[i] {
+				t.Fatalf("n=%d: element %d did not round-trip", n, i)
+			}
+		}
+
+		// The variable-length readers share the chunked path.
+		r = NewReader(bytes.NewReader(ref.Bytes()))
+		vf, vu := r.F64s(), r.U64s()
+		r.I64sInto(gi)
+		r.U32sInto(g32)
+		vn := r.Ints()
+		if r.U8() != 0xEE || r.Err() != nil || len(vf) != n || len(vu) != n || len(vn) != n {
+			t.Fatalf("n=%d: variable-length read drifted (err %v)", n, r.Err())
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(vf[i]) != math.Float64bits(f64[i]) || vu[i] != u64[i] || vn[i] != ints[i] {
+				t.Fatalf("n=%d: variable-length element %d did not round-trip", n, i)
+			}
+		}
+	}
+}
+
+// TestBulkSliceTruncation: a stream that ends inside a chunk fails with
+// the sticky corrupt error, as a truncated scalar does.
+func TestBulkSliceTruncation(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.F64s(make([]float64, 2000))
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{5, 4 + chunkBytes - 1, buf.Len() - 1} {
+		r := NewReader(bytes.NewReader(buf.Bytes()[:cut]))
+		r.F64sInto(make([]float64, 2000))
+		if !IsCorrupt(r.Err()) {
+			t.Errorf("cut at %d: err = %v, want a corrupt-stream error", cut, r.Err())
+		}
+	}
+}
+
+func BenchmarkSliceCodec(b *testing.B) {
+	table := make([]float64, 40_000)
+	for i := range table {
+		table[i] = float64(i) * 0.25
+	}
+	var buf bytes.Buffer
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(table)) * 8)
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			w := NewWriter(&buf)
+			w.F64s(table)
+			if err := w.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(table)) * 8)
+		for i := 0; i < b.N; i++ {
+			r := NewReader(bytes.NewReader(buf.Bytes()))
+			r.F64sInto(table)
+			if r.Err() != nil {
+				b.Fatal(r.Err())
+			}
+		}
+	})
 }

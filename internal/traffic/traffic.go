@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"rlnoc/internal/detrand"
@@ -54,85 +55,102 @@ func Patterns() []Pattern {
 // designated hot nodes.
 const hotspotFraction = 0.3
 
-// destination computes the destination for src under the pattern; for
-// stochastic patterns it consumes the RNG. Returns ok=false if the pattern
-// maps src to itself (the caller skips the injection).
-func destination(m topology.Topology, p Pattern, src int, rng detrand.Source) (int, bool) {
+// Sentinels of destPlan.fixed, beside real destinations (>= 0).
+const (
+	dstSkip    = -1 // the pattern maps the source to itself: it never injects
+	dstUniform = -2 // the source draws a uniform destination per packet
+)
+
+// destPlan is a pattern resolved against a fabric once, so the generation
+// loop never queries the topology: each source's destination is fixed (the
+// permutation patterns), absent, or drawn — uniformly, after Hotspot's
+// biased first draw when hot is set.
+type destPlan struct {
+	n     int
+	fixed []int
+	hot   []int
+}
+
+func newDestPlan(m topology.Topology, p Pattern) destPlan {
 	n := m.Nodes()
 	w, h := m.Dims()
-	switch p {
-	case Uniform:
-		if n == 1 {
-			return 0, false
-		}
-		d := rng.Intn(n - 1)
-		if d >= src {
-			d++
-		}
-		return d, true
-	case Transpose:
-		c := m.Coord(src)
-		if c.X >= h || c.Y >= w {
-			// Non-square fabrics: fall back to uniform for unmappable nodes.
-			return destination(m, Uniform, src, rng)
-		}
-		d := m.ID(topology.Coord{X: c.Y, Y: c.X})
-		return d, d != src
-	case BitComplement:
-		if n&(n-1) != 0 {
-			return destination(m, Uniform, src, rng)
-		}
-		d := (^src) & (n - 1)
-		return d, d != src
-	case BitReverse:
-		if n&(n-1) != 0 {
-			return destination(m, Uniform, src, rng)
-		}
-		bits := 0
-		for 1<<uint(bits) < n {
-			bits++
-		}
-		d := 0
-		for b := 0; b < bits; b++ {
-			if src&(1<<uint(b)) != 0 {
-				d |= 1 << uint(bits-1-b)
+	pl := destPlan{n: n, fixed: make([]int, n)}
+	pow2 := n&(n-1) == 0
+	for src := range pl.fixed {
+		d := dstUniform
+		switch p {
+		case Uniform, Hotspot:
+		case Transpose:
+			// Non-square fabrics: uniform for unmappable nodes.
+			if c := m.Coord(src); c.X < h && c.Y < w {
+				d = m.ID(topology.Coord{X: c.Y, Y: c.X})
 			}
+		case BitComplement:
+			if pow2 {
+				d = (^src) & (n - 1)
+			}
+		case BitReverse:
+			if pow2 {
+				bits := log2(n)
+				d = 0
+				for b := 0; b < bits; b++ {
+					if src&(1<<uint(b)) != 0 {
+						d |= 1 << uint(bits-1-b)
+					}
+				}
+			}
+		case Shuffle:
+			if pow2 {
+				d = ((src << 1) | (src >> uint(log2(n)-1))) & (n - 1)
+			}
+		case Neighbor:
+			c := m.Coord(src)
+			d = m.ID(topology.Coord{X: (c.X + 1) % w, Y: c.Y})
+		case Tornado:
+			c := m.Coord(src)
+			shift := (w+1)/2 - 1
+			if shift < 1 {
+				shift = 1
+			}
+			d = m.ID(topology.Coord{X: (c.X + shift) % w, Y: c.Y})
+		default:
+			d = dstSkip
 		}
-		return d, d != src
-	case Shuffle:
-		if n&(n-1) != 0 {
-			return destination(m, Uniform, src, rng)
+		if d == src || n == 1 {
+			d = dstSkip
 		}
-		d := ((src << 1) | (src >> uint(log2(n)-1))) & (n - 1)
-		return d, d != src
-	case Hotspot:
+		pl.fixed[src] = d
+	}
+	if p == Hotspot && n > 1 {
 		// A handful of hot nodes near the center receive extra traffic.
-		hot := []int{m.ID(topology.Coord{X: w / 2, Y: h / 2})}
+		pl.hot = append(pl.hot, m.ID(topology.Coord{X: w / 2, Y: h / 2}))
 		if w > 2 && h > 2 {
-			hot = append(hot, m.ID(topology.Coord{X: w/2 - 1, Y: h / 2}))
+			pl.hot = append(pl.hot, m.ID(topology.Coord{X: w/2 - 1, Y: h / 2}))
 		}
-		if rng.Float64() < hotspotFraction {
-			d := hot[rng.Intn(len(hot))]
-			if d != src {
-				return d, true
-			}
-		}
-		return destination(m, Uniform, src, rng)
-	case Neighbor:
-		c := m.Coord(src)
-		d := m.ID(topology.Coord{X: (c.X + 1) % w, Y: c.Y})
-		return d, d != src
-	case Tornado:
-		c := m.Coord(src)
-		shift := (w+1)/2 - 1
-		if shift < 1 {
-			shift = 1
-		}
-		d := m.ID(topology.Coord{X: (c.X + shift) % w, Y: c.Y})
-		return d, d != src
-	default:
+	}
+	return pl
+}
+
+// pick returns src's destination for one packet, consuming rng for the
+// stochastic patterns; ok=false means src does not inject.
+func (pl *destPlan) pick(src int, rng *detrand.Stream) (int, bool) {
+	d := pl.fixed[src]
+	if d >= 0 {
+		return d, true
+	}
+	if d == dstSkip {
 		return 0, false
 	}
+	if len(pl.hot) > 0 && rng.Float64() < hotspotFraction {
+		if d := pl.hot[rng.Intn(len(pl.hot))]; d != src {
+			return d, true
+		}
+	}
+	d = rng.Intn(pl.n - 1)
+	if d >= src {
+		d++
+	}
+	return d, true
 }
 
 func log2(n int) int {
@@ -143,37 +161,115 @@ func log2(n int) int {
 	return b
 }
 
-// Synthetic generates a cycle-sorted trace for a synthetic pattern.
-// rate is packets per node per cycle; flits is the packet size.
-func Synthetic(m topology.Topology, p Pattern, rate float64, flits int, cycles int64, seed int64) ([]Event, error) {
+// sourcePrefixes hoists the (seed, domain, source) part of every
+// (cycle, source) stream key out of the generation loops.
+func sourcePrefixes(n int, seed int64) []detrand.KeyPrefix {
+	pre := make([]detrand.KeyPrefix, n)
+	for src := range pre {
+		pre[src] = detrand.Prefix(seed, detrand.DomainTraffic, uint64(src))
+	}
+	return pre
+}
+
+// maxPresize caps the capacity reserved from an expected event count, so
+// a long, nearly silent trace never reserves memory it will not fill.
+const maxPresize = 1 << 22
+
+// sizeHint turns an expected event count into a capacity with four
+// standard deviations of headroom: append regrows only on outliers.
+func sizeHint(expected float64) int {
+	c := expected + 4*math.Sqrt(expected) + 16
+	if c > maxPresize {
+		return maxPresize
+	}
+	return int(c)
+}
+
+func checkSynthetic(rate float64, flits int, cycles int64) error {
 	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("traffic: rate %g outside [0,1]", rate)
+		return fmt.Errorf("traffic: rate %g outside [0,1]", rate)
 	}
 	if flits < 1 {
-		return nil, fmt.Errorf("traffic: flits %d < 1", flits)
+		return fmt.Errorf("traffic: flits %d < 1", flits)
 	}
 	if cycles < 0 {
-		return nil, fmt.Errorf("traffic: negative duration %d", cycles)
+		return fmt.Errorf("traffic: negative duration %d", cycles)
 	}
-	// Each (cycle, src) pair draws from its own counter-based stream, so
-	// a node's injection decision is a pure function of (seed, node,
-	// cycle) — independent of every other node's draws, and stable under
-	// any future reordering or parallelization of trace generation.
-	var events []Event
-	for cycle := int64(0); cycle < cycles; cycle++ {
-		for src := 0; src < m.Nodes(); src++ {
-			rng := detrand.New(seed, detrand.DomainTraffic, uint64(src), uint64(cycle))
+	return nil
+}
+
+// Synthetic generates a cycle-sorted trace for a synthetic pattern.
+// rate is packets per node per cycle; flits is the packet size. The
+// caller owns the returned slice.
+func Synthetic(m topology.Topology, p Pattern, rate float64, flits int, cycles int64, seed int64) ([]Event, error) {
+	if err := checkSynthetic(rate, flits, cycles); err != nil {
+		return nil, err
+	}
+	events := make([]Event, 0, sizeHint(rate*float64(m.Nodes())*float64(cycles)))
+	return appendSynthetic(events, m, p, rate, flits, 0, cycles, seed), nil
+}
+
+// appendSynthetic appends span cycles of pattern traffic to events, with
+// event cycles shifted by offset.
+//
+// Each (cycle, src) pair draws from its own counter-based stream, so a
+// node's injection decision is a pure function of (seed, node, cycle) —
+// independent of every other node's draws, and stable under any future
+// reordering or parallelization of trace generation. The stream is a
+// stack value handed to pick by concrete pointer: nothing in the loop
+// allocates but append.
+func appendSynthetic(events []Event, m topology.Topology, p Pattern, rate float64, flits int, offset, span int64, seed int64) []Event {
+	pl := newDestPlan(m, p)
+	pre := sourcePrefixes(pl.n, seed)
+	for cycle := int64(0); cycle < span; cycle++ {
+		for src, prefix := range pre {
+			rng := prefix.At(uint64(cycle))
 			if rng.Float64() >= rate {
 				continue
 			}
-			dst, ok := destination(m, p, src, &rng)
+			dst, ok := pl.pick(src, &rng)
 			if !ok {
 				continue
 			}
-			events = append(events, Event{Cycle: cycle, Src: src, Dst: dst, Flits: flits})
+			events = append(events, Event{Cycle: offset + cycle, Src: src, Dst: dst, Flits: flits})
 		}
 	}
-	return events, nil
+	return events
+}
+
+// Segment is one phase of a synthetic traffic program.
+type Segment struct {
+	Pattern Pattern
+	Rate    float64
+}
+
+// program concatenates the segments into one trace of the given length:
+// each segment spans cycles/len(segs) cycles (the division's remainder
+// stays silent; a program shorter than its segment count is all first
+// segment) and draws from seed+i.
+func program(m topology.Topology, segs []Segment, flits int, cycles int64, seed int64) []Event {
+	per := cycles / int64(len(segs))
+	if per < 1 {
+		per = cycles
+	}
+	var expected float64
+	for _, seg := range segs {
+		expected += seg.Rate * float64(m.Nodes()) * float64(per)
+	}
+	events := make([]Event, 0, sizeHint(expected))
+	var offset int64
+	for i, seg := range segs {
+		if offset >= cycles {
+			break
+		}
+		span := per
+		if offset+span > cycles {
+			span = cycles - offset
+		}
+		events = appendSynthetic(events, m, seg.Pattern, seg.Rate, flits, offset, span, seed+int64(i))
+		offset += span
+	}
+	return events
 }
 
 // Benchmark describes one PARSEC-like workload's traffic character.
@@ -227,16 +323,31 @@ func BenchmarkByName(name string) (Benchmark, error) {
 }
 
 // Trace synthesizes the benchmark's injection trace over the fabric.
-// dataFlits is the full data-packet size (Table II: 4 flits).
+// dataFlits is the full data-packet size (Table II: 4 flits). The caller
+// owns the returned slice.
 func (b Benchmark) Trace(m topology.Topology, cycles int64, dataFlits int, seed int64) ([]Event, error) {
+	if err := checkTrace(cycles, dataFlits); err != nil {
+		return nil, err
+	}
+	return b.trace(m, cycles, dataFlits, seed), nil
+}
+
+func checkTrace(cycles int64, dataFlits int) error {
 	if dataFlits < 1 {
-		return nil, fmt.Errorf("traffic: dataFlits %d < 1", dataFlits)
+		return fmt.Errorf("traffic: dataFlits %d < 1", dataFlits)
 	}
 	if cycles < 0 {
-		return nil, fmt.Errorf("traffic: negative duration %d", cycles)
+		return fmt.Errorf("traffic: negative duration %d", cycles)
 	}
-	n := m.Nodes()
-	bursting := make([]bool, n)
+	return nil
+}
+
+// trace is Trace's kernel. As in appendSynthetic, one keyed stream per
+// (cycle, src) lives on the stack and the fabric is resolved into tables
+// (traceFabric) before the loop.
+func (b Benchmark) trace(m topology.Topology, cycles int64, dataFlits int, seed int64) []Event {
+	f := newTraceFabric(m)
+	bursting := make([]bool, f.n)
 	// Start some nodes mid-burst so traces don't begin silent. The
 	// initial states draw from a dedicated init domain keyed per node.
 	duty := b.BurstOnProb / (b.BurstOnProb + b.BurstOffProb)
@@ -244,13 +355,14 @@ func (b Benchmark) Trace(m topology.Topology, cycles int64, dataFlits int, seed 
 		init := detrand.New(seed, detrand.DomainTrafficInit, uint64(i), 0)
 		bursting[i] = init.Float64() < duty
 	}
-	hot := hotNodes(m)
 	rate := b.RatePktPerKCycle / 1000
-	var events []Event
+	pre := sourcePrefixes(f.n, seed)
+	// The ON/OFF process is correlated, so leave a little more headroom
+	// than sizeHint's Poisson allowance.
+	events := make([]Event, 0, sizeHint(1.05*duty*rate*float64(f.n)*float64(cycles)))
 	for cycle := int64(0); cycle < cycles; cycle++ {
-		for src := 0; src < n; src++ {
-			// One keyed stream per (cycle, src), as in Synthetic.
-			rng := detrand.New(seed, detrand.DomainTraffic, uint64(src), uint64(cycle))
+		for src, prefix := range pre {
+			rng := prefix.At(uint64(cycle))
 			if bursting[src] {
 				if rng.Float64() < b.BurstOffProb {
 					bursting[src] = false
@@ -264,7 +376,7 @@ func (b Benchmark) Trace(m topology.Topology, cycles int64, dataFlits int, seed 
 			if rng.Float64() >= rate {
 				continue
 			}
-			dst := b.pickDst(m, src, hot, &rng)
+			dst := b.pickDst(&f, src, &rng)
 			if dst == src {
 				continue
 			}
@@ -275,46 +387,57 @@ func (b Benchmark) Trace(m topology.Topology, cycles int64, dataFlits int, seed 
 			events = append(events, Event{Cycle: cycle, Src: src, Dst: dst, Flits: flits})
 		}
 	}
-	return events, nil
+	return events
 }
 
-// hotNodes returns the grid-corner tiles, standing in for memory
-// controllers.
-func hotNodes(m topology.Topology) []int {
+// traceFabric is what pickDst needs of a fabric, resolved once: node
+// coordinates, the coordinate-to-ID grid and the grid-corner tiles that
+// stand in for memory controllers.
+type traceFabric struct {
+	n, w, h int
+	coords  []topology.Coord
+	ids     []int // ids[y*w+x] is the node at (x, y)
+	hot     [4]int
+}
+
+func newTraceFabric(m topology.Topology) traceFabric {
 	w, h := m.Dims()
-	return []int{
-		m.ID(topology.Coord{X: 0, Y: 0}),
-		m.ID(topology.Coord{X: w - 1, Y: 0}),
-		m.ID(topology.Coord{X: 0, Y: h - 1}),
-		m.ID(topology.Coord{X: w - 1, Y: h - 1}),
+	f := traceFabric{n: m.Nodes(), w: w, h: h, coords: make([]topology.Coord, m.Nodes()), ids: make([]int, w*h)}
+	for id := range f.coords {
+		f.coords[id] = m.Coord(id)
 	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			f.ids[y*w+x] = m.ID(topology.Coord{X: x, Y: y})
+		}
+	}
+	f.hot = [4]int{f.ids[0], f.ids[w-1], f.ids[(h-1)*w], f.ids[(h-1)*w+w-1]}
+	return f
 }
 
-func (b Benchmark) pickDst(m topology.Topology, src int, hot []int, rng detrand.Source) int {
+func (b Benchmark) pickDst(f *traceFabric, src int, rng *detrand.Stream) int {
 	r := rng.Float64()
 	switch {
 	case r < b.HotspotProb:
-		return hot[rng.Intn(len(hot))]
+		return f.hot[rng.Intn(len(f.hot))]
 	case r < b.HotspotProb+b.Locality:
 		// A node within Manhattan radius 2.
-		c := m.Coord(src)
-		w, h := m.Dims()
+		c := f.coords[src]
 		for attempt := 0; attempt < 8; attempt++ {
 			dx := rng.Intn(5) - 2
 			dy := rng.Intn(5) - 2
 			if dx == 0 && dy == 0 {
 				continue
 			}
-			nc := topology.Coord{X: c.X + dx, Y: c.Y + dy}
-			if nc.X < 0 || nc.X >= w || nc.Y < 0 || nc.Y >= h {
+			x, y := c.X+dx, c.Y+dy
+			if x < 0 || x >= f.w || y < 0 || y >= f.h {
 				continue
 			}
-			return m.ID(nc)
+			return f.ids[y*f.w+x]
 		}
 		fallthrough
 	default:
-		d := rng.Intn(m.Nodes())
-		return d
+		return rng.Intn(f.n)
 	}
 }
 
