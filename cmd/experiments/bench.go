@@ -31,7 +31,6 @@ import (
 
 	"rlnoc/internal/core"
 	"rlnoc/internal/network"
-	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
 
 	"rlnoc"
@@ -372,11 +371,7 @@ func (r *benchRun) step(until int64) error {
 			return err
 		}
 		if r.sc.snapEvery > 0 && r.net.Cycle()%r.sc.snapEvery == 0 {
-			w := snap.NewWriter(io.Discard)
-			if err := r.sim.SnapState(w); err != nil {
-				return err
-			}
-			if err := w.Flush(); err != nil {
+			if err := r.sim.WriteSnapshot(io.Discard); err != nil {
 				return err
 			}
 		}

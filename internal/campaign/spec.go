@@ -140,7 +140,8 @@ func (s Spec) Validate() error {
 
 // SnapshotCapable reports whether a scheme's controller supports
 // checkpoint/restore. The DT baseline keeps an uncounted rand.Rand and
-// is excluded (see core.snapController); its jobs retry from scratch.
+// is excluded (its controller is no snap.Snapshotter); its jobs retry
+// from scratch.
 func SnapshotCapable(scheme string) bool {
 	return scheme != string(core.SchemeDT)
 }

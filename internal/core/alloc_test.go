@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -76,5 +77,54 @@ func TestInjectorOneSlab(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() { newInjector(big, 64, 4, 0) }); allocs > 6 {
 		t.Errorf("newInjector made %.0f allocations for 64 queues; want one slab, not a grown slice per source", allocs)
+	}
+}
+
+// TestSnapshotAllocBudget: encoding a checkpoint allocates per snapshot —
+// one codec, two intern tables, the sorted keys of each non-empty map —
+// never per router, packet or reference. A walk-local that escapes (a
+// scratch header, a reference index, a method value bound per VC) shows
+// up here as thousands of allocations on a loaded 8x8.
+func TestSnapshotAllocBudget(t *testing.T) {
+	cfg := config.Default()
+	cfg.PretrainCycles = 0
+	cfg.WarmupCycles = 100
+	cfg.MaxCycles = 3000
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := traffic.Synthetic(topo, traffic.Uniform, 0.02, cfg.FlitsPerPacket, int64(cfg.MaxCycles), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(cfg, SchemeRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	measured := false
+	sim.SetObserver(1500, func(s Snapshot) {
+		if measured {
+			return
+		}
+		measured = true
+		if s.DataInFlight < 20 {
+			t.Errorf("only %d packets in flight; the budget would hold trivially", s.DataInFlight)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := sim.WriteSnapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 400 {
+			t.Errorf("WriteSnapshot made %.0f allocations with %d packets in flight, budget 400", allocs, s.DataInFlight)
+		}
+	})
+	if _, err := sim.Measure(events, "allocs"); err != nil {
+		t.Fatal(err)
+	}
+	if !measured {
+		t.Fatal("run ended before the snapshot point")
 	}
 }

@@ -338,6 +338,12 @@ func (c *DTController) FinishTraining() error {
 	return nil
 }
 
+// Telemetry returns how often the trained policy chose each mode (the
+// supervised baseline observes no reward).
+func (c *DTController) Telemetry() (counts [int(network.NumModes)]int64, meanReward [int(network.NumModes)]float64) {
+	return c.decideCount, meanReward
+}
+
 // Samples returns how many labeled examples were collected.
 func (c *DTController) Samples() int { return len(c.samples) }
 

@@ -88,8 +88,8 @@ type Sim struct {
 	observer      func(Snapshot)
 
 	// ms is the in-progress measurement phase, held on the Sim (rather
-	// than as Measure locals) so SnapState can serialize it and a
-	// restored process can resume the loop mid-phase (DESIGN.md §15).
+	// than as Measure locals) so a snapshot can carry it and a restored
+	// process can resume the loop mid-phase (DESIGN.md §15).
 	ms *measureState
 
 	// Snapshot policy: every snapEvery measurement cycles, write a
@@ -295,16 +295,37 @@ func (s *Sim) Pretrain() error {
 			return err
 		}
 	}
-	if dtc, ok := s.ctrl.(*DTController); ok {
-		if err := dtc.FinishTraining(); err != nil {
+	if t, ok := s.ctrl.(trainer); ok {
+		if err := t.FinishTraining(); err != nil {
 			return err
 		}
 	}
-	if rlc, ok := s.ctrl.(*RLController); ok && s.cfg.RL.FreezeAfterPretrain {
-		rlc.Freeze()
+	if f, ok := s.ctrl.(freezer); ok && s.cfg.RL.FreezeAfterPretrain {
+		f.Freeze()
 	}
 	return nil
 }
+
+// What a controller may offer beyond network.Controller's Decide. The
+// phase sequence asks for each capability where it applies — once per
+// phase, never per cycle — instead of naming concrete controllers, so a
+// wrapper (benchmark/replica.go's timedController) or a new scheme
+// implements only Decide and whichever of these it has. Checkpointing is
+// the fifth: a controller that is a snap.Snapshotter can be snapshotted.
+type (
+	// trainer fits a supervised policy on what pre-training collected.
+	trainer interface{ FinishTraining() error }
+	// freezer stops learning and exploration after pre-training.
+	freezer interface{ Freeze() }
+	// annealer takes the measured phase's exploration rate.
+	annealer interface{ SetEpsilon(eps float64) }
+	// telemetryResetter restarts its counters at the measured phase.
+	telemetryResetter interface{ ResetTelemetry() }
+	// telemeter reports decisions (and mean reward) per operation mode.
+	telemeter interface {
+		Telemetry() (counts [int(network.NumModes)]int64, meanReward [int(network.NumModes)]float64)
+	}
+)
 
 // injector replays a trace through the source-window back-pressure model:
 // a node's next event is held while the node has SourceWindow undelivered
@@ -535,16 +556,11 @@ func (s *Sim) runMeasure() (Result, error) {
 			ms.started = true
 			// Anneal exploration for the measured phase (every random
 			// mode costs real latency; see config.RLConfig.TestEpsilon).
-			if s.cfg.RL.TestEpsilon >= 0 {
-				switch c := s.ctrl.(type) {
-				case *RLController:
-					c.SetEpsilon(s.cfg.RL.TestEpsilon)
-				case *RLPortController:
-					c.SetEpsilon(s.cfg.RL.TestEpsilon)
-				}
+			if a, ok := s.ctrl.(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
+				a.SetEpsilon(s.cfg.RL.TestEpsilon)
 			}
-			if rlc, ok := s.ctrl.(*RLController); ok {
-				rlc.ResetTelemetry()
+			if t, ok := s.ctrl.(telemetryResetter); ok {
+				t.ResetTelemetry()
 			}
 		}
 		if err := ms.in.step(net, now); err != nil {
@@ -601,11 +617,8 @@ func (s *Sim) runMeasure() (Result, error) {
 	if tot > 0 {
 		res.EnergyEfficiency = float64(sum.FlitsDelivered) / (tot * 1e-6) // flits per microjoule
 	}
-	switch c := s.ctrl.(type) {
-	case *RLController:
-		res.ModeDecisions, res.ModeMeanReward = c.Telemetry()
-	case *DTController:
-		res.ModeDecisions = c.decideCount
+	if t, ok := s.ctrl.(telemeter); ok {
+		res.ModeDecisions, res.ModeMeanReward = t.Telemetry()
 	}
 	return res, nil
 }

@@ -9,11 +9,13 @@ package core
 // that wrote it.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"rlnoc/internal/config"
@@ -65,46 +67,149 @@ func (s *Sim) SaveSnapshotIn(dir string) (string, error) {
 // SIGKILL — mid-write never leaves a truncated file under the final
 // name.
 func (s *Sim) SaveSnapshot(path string) error {
-	return snap.WriteFileAtomic(path, s.SnapState)
+	return snap.WriteFileAtomic(path, s.encode)
 }
 
-// SnapState serializes the full simulation: header, config, scheme,
-// measurement phase, controller, then the network.
-func (s *Sim) SnapState(w *snap.Writer) error {
-	cfgJSON, err := json.Marshal(s.cfg)
-	if err != nil {
-		return fmt.Errorf("core: snapshot config: %w", err)
-	}
-	w.Header()
-	w.Section("CORE")
-	w.Bytes(cfgJSON)
-	w.String(string(s.scheme))
-
-	w.Section("MEAS")
-	w.Bool(s.ms != nil)
-	if s.ms != nil {
-		snapMeasure(w, s.ms)
-	}
-
-	if err := s.snapController(w); err != nil {
+// WriteSnapshot writes the complete simulation state to w — the stream
+// RestoreSim reads.
+func (s *Sim) WriteSnapshot(w io.Writer) error {
+	c := snap.NewEncoder(w)
+	if err := s.encode(c); err != nil {
 		return err
 	}
-	return s.net.SnapState(w)
+	return c.Flush()
 }
 
-func snapMeasure(w *snap.Writer, ms *measureState) {
-	w.String(ms.label)
-	snapEvents(w, ms.events)
-	w.Ints(ms.in.heads)
-	w.Int(ms.in.remaining)
-	w.I64(ms.base)
-	w.I64(ms.warmEnd)
-	w.I64(ms.capCycle)
-	w.F64(ms.dynStart)
-	w.F64(ms.totStart)
-	w.I64(ms.measureStart)
-	w.Bool(ms.started)
-	w.Bool(ms.drained)
+func (s *Sim) encode(c *snap.Codec) error {
+	_, err := snapSim(c, s, nil)
+	return err
+}
+
+// RestoreSim reads a snapshot written by WriteSnapshot/SaveSnapshot and
+// reconstructs the simulation mid-run. The config and scheme come from
+// the stream, so the caller needs nothing but the snapshot itself;
+// ResumeMeasure then continues the interrupted measurement phase.
+func RestoreSim(rd io.Reader) (*Sim, error) {
+	return RestoreSimTuned(rd, nil)
+}
+
+// RestoreSimTuned is RestoreSim with a host-local config override,
+// applied before the Sim skeleton is rebuilt. Only knobs that cannot
+// change results may be touched — StepWorkers, SuiteWorkers, Checks —
+// so a snapshot written on one machine resumes bit-identically on
+// another with a different core count.
+func RestoreSimTuned(rd io.Reader, tune func(*config.Config)) (*Sim, error) {
+	return snapSim(snap.NewDecoder(rd), nil, tune)
+}
+
+// snapSim walks the full simulation stream: header, config, scheme,
+// measurement phase, controller, then the network. Encoding walks s;
+// decoding ignores s and builds the Sim from the config and scheme the
+// stream itself carries (tune, if non-nil, adjusts the config first),
+// then walks the same fields into it.
+func snapSim(c *snap.Codec, s *Sim, tune func(*config.Config)) (*Sim, error) {
+	var cfgJSON []byte
+	var scheme string
+	if !c.Decoding() {
+		var err error
+		if cfgJSON, err = json.Marshal(s.cfg); err != nil {
+			return nil, fmt.Errorf("core: snapshot config: %w", err)
+		}
+		scheme = string(s.scheme)
+	}
+	if err := c.Header(); err != nil {
+		return nil, err
+	}
+	c.Section("CORE")
+	c.Bytes(&cfgJSON)
+	c.String(&scheme)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if c.Decoding() {
+		var cfg config.Config
+		if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
+			// A bit flip inside the embedded JSON is invisible to the stream
+			// framing; type it corrupt here so recovery falls back to the
+			// previous checkpoint.
+			return nil, snap.Corrupt(fmt.Errorf("core: snapshot config: %w", err))
+		}
+		if tune != nil {
+			tune(&cfg)
+		}
+		var err error
+		if s, err = simForScheme(cfg, scheme); err != nil {
+			return nil, snap.Corrupt(err)
+		}
+	}
+	if err := s.snapState(c); err != nil {
+		if c.Decoding() {
+			s.Close()
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// snapState walks everything below the config prologue.
+func (s *Sim) snapState(c *snap.Codec) error {
+	c.Section("MEAS")
+	measuring := s.ms != nil
+	c.Bool(&measuring)
+	if measuring {
+		if c.Decoding() {
+			s.ms = &measureState{}
+		}
+		s.snapMeasure(c)
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	// Static controllers (crc, arq-ecc, pinned-mode ablations) walk a bare
+	// section tag, the RL controller its tables. The DT baseline keeps an
+	// uncounted rand.Rand and is excluded from checkpointing (the paper's
+	// resumable long runs are the learned schemes).
+	ctrl, ok := s.ctrl.(snap.Snapshotter)
+	if !ok {
+		return fmt.Errorf("core: snapshot unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
+	}
+	if err := ctrl.Snap(c); err != nil {
+		return err
+	}
+	return s.net.Snap(c)
+}
+
+// snapMeasure walks the in-progress measurement phase. Decoding rebuilds
+// the injector's per-source queues from the decoded trace, then lands
+// the cursors in them.
+func (s *Sim) snapMeasure(c *snap.Codec) {
+	ms, routers := s.ms, s.cfg.Routers()
+	c.String(&ms.label)
+	snapEvents(c, &ms.events, routers)
+	if c.Err() != nil {
+		return
+	}
+	if c.Decoding() {
+		ms.in = newInjector(ms.events, routers, s.cfg.SourceWindow, 0)
+	}
+	c.Ints(ms.in.heads)
+	c.Int(&ms.in.remaining)
+	c.I64(&ms.base)
+	c.I64(&ms.warmEnd)
+	c.I64(&ms.capCycle)
+	c.F64(&ms.dynStart)
+	c.F64(&ms.totStart)
+	c.I64(&ms.measureStart)
+	c.Bool(&ms.started)
+	c.Bool(&ms.drained)
+	if c.Decoding() {
+		ms.in.base = ms.base
+		for src, h := range ms.in.heads {
+			if h < 0 || h > len(ms.in.queues[src]) {
+				c.Fail(fmt.Errorf("core: snapshot injector head %d out of range", src))
+			}
+		}
+	}
 }
 
 // A trace event is stored as four I64 words (cycle, src, dst, flits);
@@ -114,113 +219,30 @@ const (
 	eventBlock = 128
 )
 
-func snapEvents(w *snap.Writer, events []traffic.Event) {
-	w.Len(len(events))
+// snapEvents walks the test trace. Decoding builds a slice the restored
+// sim owns, rejecting endpoints outside the fabric.
+func snapEvents(c *snap.Codec, events *[]traffic.Event, routers int) {
 	var words [eventWords * eventBlock]int64
-	for len(events) > 0 {
-		n := min(len(events), eventBlock)
-		for i, e := range events[:n] {
+	done := 0
+	snap.Blocks(c, events, snap.MaxLen, eventBlock, func(run []traffic.Event) {
+		for i, e := range run {
 			words[eventWords*i], words[eventWords*i+1] = e.Cycle, int64(e.Src)
 			words[eventWords*i+2], words[eventWords*i+3] = int64(e.Dst), int64(e.Flits)
 		}
-		w.RawI64s(words[:eventWords*n])
-		events = events[n:]
-	}
-}
-
-// restoreEvents reads a trace written by snapEvents into a slice the
-// restored sim owns, rejecting endpoints outside the fabric.
-func restoreEvents(r *snap.Reader, routers int) []traffic.Event {
-	n := r.Len()
-	if r.Err() != nil {
-		return nil
-	}
-	events := make([]traffic.Event, n)
-	var words [eventWords * eventBlock]int64
-	for base := 0; base < n; base += eventBlock {
-		block := events[base:min(base+eventBlock, n)]
-		r.RawI64sInto(words[:eventWords*len(block)])
-		if r.Err() != nil {
-			return nil
-		}
-		for i := range block {
-			e := traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
-				Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}
-			if e.Src < 0 || e.Src >= routers || e.Dst < 0 || e.Dst >= routers {
-				r.Fail(fmt.Errorf("core: snapshot trace event %d out of range", base+i))
-				return nil
+		c.RawI64s(words[:eventWords*len(run)])
+		if c.Decoding() && c.Err() == nil {
+			for i := range run {
+				e := traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
+					Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}
+				if e.Src < 0 || e.Src >= routers || e.Dst < 0 || e.Dst >= routers {
+					c.Fail(fmt.Errorf("core: snapshot trace event %d out of range", done+i))
+					return
+				}
+				run[i] = e
 			}
-			block[i] = e
 		}
-	}
-	return events
-}
-
-func (s *Sim) restoreMeasure(r *snap.Reader) {
-	ms := &measureState{}
-	ms.label = r.String()
-	routers := s.cfg.Routers()
-	ms.events = restoreEvents(r, routers)
-	if r.Err() != nil {
-		return
-	}
-	heads := r.Ints()
-	remaining := r.Int()
-	ms.base = r.I64()
-	ms.warmEnd = r.I64()
-	ms.capCycle = r.I64()
-	ms.dynStart = r.F64()
-	ms.totStart = r.F64()
-	ms.measureStart = r.I64()
-	ms.started = r.Bool()
-	ms.drained = r.Bool()
-	if r.Err() != nil {
-		return
-	}
-	ms.in = newInjector(ms.events, routers, s.cfg.SourceWindow, ms.base)
-	if len(heads) != len(ms.in.heads) {
-		r.Fail(fmt.Errorf("core: snapshot injector has %d sources, config has %d",
-			len(heads), len(ms.in.heads)))
-		return
-	}
-	for src, h := range heads {
-		if h < 0 || h > len(ms.in.queues[src]) {
-			r.Fail(fmt.Errorf("core: snapshot injector head %d out of range", src))
-			return
-		}
-	}
-	copy(ms.in.heads, heads)
-	ms.in.remaining = remaining
-	s.ms = ms
-}
-
-// snapController dispatches on the concrete controller type. Static
-// controllers (crc, arq-ecc, pinned-mode ablations) are stateless — the
-// section tag alone keeps the stream positions aligned. The DT baseline
-// keeps an uncounted rand.Rand and is excluded from checkpointing (the
-// paper's resumable long runs are the learned schemes).
-func (s *Sim) snapController(w *snap.Writer) error {
-	switch c := s.ctrl.(type) {
-	case network.StaticController:
-		w.Section("SCTL")
-		return w.Err()
-	case *RLController:
-		return c.SnapState(w)
-	default:
-		return fmt.Errorf("core: snapshot unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
-	}
-}
-
-func (s *Sim) restoreController(r *snap.Reader) error {
-	switch c := s.ctrl.(type) {
-	case network.StaticController:
-		r.Section("SCTL")
-		return r.Err()
-	case *RLController:
-		return c.SnapRestore(r)
-	default:
-		return fmt.Errorf("core: restore unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
-	}
+		done += len(run)
+	})
 }
 
 // stateKey packs a discretized RL state into a sortable integer.
@@ -246,104 +268,55 @@ func (c *RLController) tableReps() []int {
 	return rep
 }
 
-// SnapState serializes the controller: shared-table groups (each table
-// written once, by its first owner), per-agent learner state, and the
-// telemetry the Result reports.
-func (c *RLController) SnapState(w *snap.Writer) error {
-	w.Section("RLCT")
-	w.Len(len(c.agents))
+// Snap walks the controller: shared-table groups (each table walked
+// once, by its first owner), per-agent learner state, and the telemetry
+// the Result reports. Decoding overwrites a freshly constructed
+// controller, whose sharing structure must match the snapshot's (it is
+// config-derived, so a Sim rebuilt from the embedded config always
+// matches).
+func (c *RLController) Snap(cd *snap.Codec) error {
+	cd.Section("RLCT")
+	cd.LenCheck(len(c.agents))
 	rep := c.tableReps()
-	w.Ints(rep)
-	for i, a := range c.agents {
-		if rep[i] == i {
-			a.SnapTable(w)
-		}
+	got := slices.Clone(rep)
+	cd.VarInts(&got, snap.MaxLen)
+	if err := cd.Err(); err != nil {
+		return err
 	}
-	for _, a := range c.agents {
-		a.SnapLocal(w)
-	}
-	w.U8(c.ModeMask)
-	for _, v := range c.decideCount {
-		w.I64(v)
-	}
-	for _, v := range c.rewardSum {
-		w.F64(v)
-	}
-	for _, v := range c.rewardCount {
-		w.I64(v)
-	}
-	w.Ints(c.prevAction)
-	keys := make([]rl.State, 0, len(c.visits))
-	for s := range c.visits {
-		keys = append(keys, s)
-	}
-	sort.Slice(keys, func(i, j int) bool { return stateKey(keys[i]) < stateKey(keys[j]) })
-	w.Len(len(keys))
-	for _, st := range keys {
-		w.U8(st.Buf)
-		w.U8(st.InLink)
-		w.U8(st.OutLink)
-		w.U8(st.InNACK)
-		w.U8(st.OutNACK)
-		w.U8(st.Temp)
-		w.I64(c.visits[st])
-	}
-	return w.Err()
-}
-
-// SnapRestore overwrites a freshly constructed controller. The sharing
-// structure must match the snapshot's (it is config-derived, so a Sim
-// rebuilt from the embedded config always matches).
-func (c *RLController) SnapRestore(r *snap.Reader) error {
-	r.Section("RLCT")
-	r.LenCheck(len(c.agents))
-	rep := r.Ints()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	want := c.tableReps()
-	if len(rep) != len(want) {
-		return fmt.Errorf("core: snapshot has %d agents, controller has %d", len(rep), len(want))
+	if len(got) != len(rep) {
+		return fmt.Errorf("core: snapshot has %d agents, controller has %d", len(got), len(rep))
 	}
 	for i := range rep {
-		if rep[i] != want[i] {
+		if got[i] != rep[i] {
 			return fmt.Errorf("core: snapshot table sharing differs at agent %d (snapshot group %d, controller group %d)",
-				i, rep[i], want[i])
+				i, got[i], rep[i])
 		}
 	}
 	for i, a := range c.agents {
 		if rep[i] == i {
-			a.SnapRestoreTable(r)
+			a.SnapTable(cd)
 		}
 	}
 	for _, a := range c.agents {
-		a.SnapRestoreLocal(r)
+		a.SnapLocal(cd)
 	}
-	c.ModeMask = r.U8()
+	cd.U8(&c.ModeMask)
 	for i := range c.decideCount {
-		c.decideCount[i] = r.I64()
+		cd.I64(&c.decideCount[i])
 	}
 	for i := range c.rewardSum {
-		c.rewardSum[i] = r.F64()
+		cd.F64(&c.rewardSum[i])
 	}
 	for i := range c.rewardCount {
-		c.rewardCount[i] = r.I64()
+		cd.I64(&c.rewardCount[i])
 	}
-	r.IntsInto(c.prevAction)
-	nv := r.Len()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	c.visits = make(map[rl.State]int64, nv)
-	for i := 0; i < nv; i++ {
-		st := rl.State{Buf: r.U8(), InLink: r.U8(), OutLink: r.U8(),
-			InNACK: r.U8(), OutNACK: r.U8(), Temp: r.U8()}
-		c.visits[st] = r.I64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	return r.Err()
+	cd.Ints(c.prevAction)
+	snap.Map(cd, &c.visits, func(a, b rl.State) int { return cmp.Compare(stateKey(a), stateKey(b)) },
+		func(cd *snap.Codec, st *rl.State, visits *int64) {
+			st.Snap(cd)
+			cd.I64(visits)
+		})
+	return cd.Err()
 }
 
 // simForScheme rebuilds the Sim skeleton a snapshot was taken from: the
@@ -359,63 +332,6 @@ func simForScheme(cfg config.Config, schemeStr string) (*Sim, error) {
 		}
 	}
 	return nil, fmt.Errorf("core: snapshot has unknown scheme %q", schemeStr)
-}
-
-// RestoreSim reads a snapshot written by SnapState and reconstructs the
-// simulation mid-run. The config and scheme come from the stream, so the
-// caller needs nothing but the snapshot itself; ResumeMeasure then
-// continues the interrupted measurement phase.
-func RestoreSim(rd io.Reader) (*Sim, error) {
-	return RestoreSimTuned(rd, nil)
-}
-
-// RestoreSimTuned is RestoreSim with a host-local config override,
-// applied before the Sim skeleton is rebuilt. Only knobs that cannot
-// change results may be touched — StepWorkers, SuiteWorkers, Checks —
-// so a snapshot written on one machine resumes bit-identically on
-// another with a different core count.
-func RestoreSimTuned(rd io.Reader, tune func(*config.Config)) (*Sim, error) {
-	r := snap.NewReader(rd)
-	if err := r.Header(); err != nil {
-		return nil, err
-	}
-	r.Section("CORE")
-	cfgJSON := r.Bytes()
-	schemeStr := r.String()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var cfg config.Config
-	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
-		// A bit flip inside the embedded JSON is invisible to the stream
-		// framing; type it corrupt here so recovery falls back to the
-		// previous checkpoint.
-		return nil, snap.Corrupt(fmt.Errorf("core: snapshot config: %w", err))
-	}
-	if tune != nil {
-		tune(&cfg)
-	}
-	sim, err := simForScheme(cfg, schemeStr)
-	if err != nil {
-		return nil, snap.Corrupt(err)
-	}
-	r.Section("MEAS")
-	if r.Bool() {
-		sim.restoreMeasure(r)
-	}
-	if err := r.Err(); err != nil {
-		sim.Close()
-		return nil, err
-	}
-	if err := sim.restoreController(r); err != nil {
-		sim.Close()
-		return nil, err
-	}
-	if err := sim.net.SnapRestore(r); err != nil {
-		sim.Close()
-		return nil, err
-	}
-	return sim, nil
 }
 
 // RestoreSimFile restores a simulation from a snapshot file.

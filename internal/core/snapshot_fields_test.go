@@ -1,0 +1,237 @@
+package core
+
+// The executable "not serialized" list (DESIGN.md §15). A loaded sim is
+// stopped mid-run inside the kill schedule, snapshotted and restored, and
+// every field reachable from the two — Network, Router, inputVC,
+// outputPort, NI, stats.Collector, power.Meter, thermal.Grid, rl.Agent,
+// RLController, measureState and all they point at — is compared by
+// reflection. A field may differ only if the unsnapshotted table names it
+// and says why; a table entry that names no field the walk reached fails
+// too, so the list cannot rot.
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"rlnoc/internal/traffic"
+)
+
+// unsnapshotted lists every field the snapshot stream does not carry, as
+// "package.Type.field", with the reason it need not. A rebuilt field is
+// recomputed exactly by the decoding walk and is still compared; the rest
+// may differ between the live sim and its restored twin and are skipped.
+var unsnapshotted = map[string]struct {
+	rebuilt bool
+	why     string
+}{
+	// Derived: recomputed from the fields a decode did read.
+	"network.Router.routeMask":       {true, "requestMasks() over the decoded VC route fields"},
+	"network.Router.vaWait":          {true, "requestMasks() over the decoded VC route fields"},
+	"network.outputPort.pendingFree": {true, "countPendingFree() over the decoded vcPendingFree"},
+	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
+	"network.qrouteState.dist":       {true, "rebuildDist over the decoded dead-port flags"},
+	"core.measureState.in":           {true, "per-source queues rebuilt from the decoded trace; the cursors are decoded into them"},
+	"network.Network.hardSched":      {true, "reparsed from the Config the stream embeds"},
+	"network.Network.wireActive":     {false, "activity set: refilled conservatively (every live router); a spurious member is a no-op visit with no draws and no meter charges"},
+	"network.Network.niActive":       {false, "activity set: as wireActive"},
+	"network.Network.pipeActive":     {false, "activity set: as wireActive"},
+
+	// Stream cursors: every detrand stream is rekeyed lazily on first use
+	// each cycle, so a stale cursor (-1) is exact at a cycle boundary.
+	"network.outputPort.rng":       {false, "stream cursor: rekeyed from (seed, link, cycle) on first use"},
+	"network.outputPort.rngCycle":  {false, "stream cursor: left stale (-1) to force the rekey"},
+	"network.qrouteState.rng":      {false, "stream cursor: rekeyed from (seed, router, cycle) on first use"},
+	"network.qrouteState.rngCycle": {false, "stream cursor: left stale (-1) to force the rekey"},
+
+	// Pools and free lists: invisible to results (Get fully resets a
+	// recycled object).
+	"network.Network.fpool":   {false, "pool: flit free list and counters"},
+	"network.Network.pktPool": {false, "pool: packet free list and counters"},
+	"network.NI.reasmFree":    {false, "pool: emptied reassembly buffers"},
+	"network.Router.pool":     {false, "pool: the network's or the owning shard's, per this process's layout"},
+	"network.NI.pool":         {false, "pool: as Router.pool"},
+
+	// Shard staging and scratch: empty or dead between cycles, rebuilt for
+	// whatever worker count the restoring process has.
+	"network.Network.shards":          {false, "shard staging: per-worker buffers, empty between cycles"},
+	"network.Network.hub":             {false, "shard staging: this process's worker goroutines"},
+	"network.NI.sh":                   {false, "shard staging: owning shard in this process's layout"},
+	"network.Router.inputUsed":        {false, "scratch: cleared by switchAllocate before every use"},
+	"network.Network.scratchPowers":   {false, "scratch: overwritten by thermalStep before every use"},
+	"network.Network.epochLats":       {false, "scratch: overwritten by controlEpoch before every use"},
+	"network.Network.epochPowers":     {false, "scratch: overwritten by controlEpoch before every use"},
+	"network.Network.epochCtrlPowers": {false, "scratch: overwritten by controlEpoch before every use"},
+	"network.outputPort.winUtil":      {false, "scratch: error-model input pinned by a boundary capture; encoding materializes errProb first, after which it is dead"},
+	"network.outputPort.winRelaxed":   {false, "scratch: as winUtil"},
+	"thermal.Grid.scratch":            {false, "scratch: solver workspace, overwritten by every Step"},
+
+	// Memo caches: deterministic functions of their inputs.
+	"network.Network.ftab": {false, "memo cache: the fault kernel per link on exact (temp, util) keys"},
+
+	// Diagnostics, attached per process and never read by the simulation.
+	"network.Network.ering": {false, "diagnostic event ring (RLNOC_CHECKS), observational"},
+}
+
+func TestSnapshotCoversEveryField(t *testing.T) {
+	cfg := snapConfig("mesh")
+	cfg.Fault.BaseErrorRate = 0.01
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Heavier than snapTrace, so VC buffers, wires, ARQ retransmission
+	// buffers and NI queues all hold state at the comparison point.
+	events, err := traffic.Synthetic(topo, traffic.Uniform, 0.02, cfg.FlitsPerPacket,
+		int64(cfg.MaxCycles), cfg.Seed*31+1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(cfg, SchemeQRoute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if err := sim.Pretrain(); err != nil {
+		t.Fatal(err)
+	}
+	// The observer fires between cycles, where a checkpoint would be
+	// taken; 3300 lies between the link kill (2600) and the router kill
+	// (4200) of the measured phase.
+	base, compared := sim.Network().Cycle(), false
+	sim.SetObserver(100, func(s Snapshot) {
+		if compared || s.Cycle < base+3300 {
+			return
+		}
+		compared = true
+		if s.DataInFlight == 0 {
+			t.Errorf("cycle %d: nothing in flight; the comparison would cover empty containers", s.Cycle)
+		}
+		var buf bytes.Buffer
+		if err := sim.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreSim(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+		d := &fieldDiff{t: t, seen: map[[2]uintptr]bool{}, listed: map[string]bool{}}
+		d.walk("net", reflect.ValueOf(sim.net), reflect.ValueOf(restored.net))
+		d.walk("ctrl", reflect.ValueOf(sim.ctrl), reflect.ValueOf(restored.ctrl))
+		d.walk("ms", reflect.ValueOf(sim.ms), reflect.ValueOf(restored.ms))
+		for field := range unsnapshotted {
+			if !d.listed[field] {
+				t.Errorf("unsnapshotted lists %s, which the comparison never reached: stale entry", field)
+			}
+		}
+		if d.compared < 10_000 {
+			t.Errorf("only %d leaf values compared; the walk is not reaching the fabric", d.compared)
+		}
+	})
+	if _, err := sim.Measure(events, "fields"); err != nil {
+		t.Fatal(err)
+	}
+	if !compared {
+		t.Fatal("run ended before the comparison cycle")
+	}
+}
+
+// fieldDiff walks two values of the same type in lockstep.
+type fieldDiff struct {
+	t        *testing.T
+	seen     map[[2]uintptr]bool // pointer pairs already compared (the graph has cycles)
+	listed   map[string]bool     // unsnapshotted entries met
+	compared int
+	reported int
+}
+
+func (d *fieldDiff) differ(path, format string, args ...any) {
+	if d.reported++; d.reported <= 20 {
+		d.t.Errorf("%s: %s — snapshot it, or list it in unsnapshotted with the reason it may differ",
+			path, fmt.Sprintf(format, args...))
+	}
+}
+
+func (d *fieldDiff) walk(path string, a, b reflect.Value) {
+	if a.Kind() != b.Kind() || (a.IsValid() && a.Type() != b.Type()) {
+		d.differ(path, "live holds a %v, restored a %v", a, b)
+		return
+	}
+	switch a.Kind() {
+	case reflect.Invalid:
+	case reflect.Bool:
+		d.leaf(path, a.Bool() == b.Bool(), a, b)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.leaf(path, a.Int() == b.Int(), a, b)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		d.leaf(path, a.Uint() == b.Uint(), a, b)
+	case reflect.Float32, reflect.Float64:
+		d.leaf(path, math.Float64bits(a.Float()) == math.Float64bits(b.Float()), a, b)
+	case reflect.String:
+		d.leaf(path, a.String() == b.String(), a, b)
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		d.leaf(path, a.IsNil() == b.IsNil(), a, b)
+	case reflect.Interface:
+		if a.IsNil() != b.IsNil() {
+			d.differ(path, "nil on one side only")
+			return
+		}
+		d.walk(path, a.Elem(), b.Elem())
+	case reflect.Pointer:
+		if a.IsNil() != b.IsNil() {
+			d.differ(path, "nil on one side only")
+			return
+		}
+		pair := [2]uintptr{a.Pointer(), b.Pointer()}
+		if a.IsNil() || d.seen[pair] {
+			return
+		}
+		d.seen[pair] = true
+		d.walk(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			name := a.Type().String() + "." + a.Type().Field(i).Name
+			if u, ok := unsnapshotted[name]; ok {
+				d.listed[name] = true
+				if !u.rebuilt {
+					continue
+				}
+			}
+			d.walk(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))
+		}
+	case reflect.Array, reflect.Slice:
+		// A nil slice and an empty one are the same state.
+		if a.Len() != b.Len() {
+			d.differ(path, "length %d live, %d restored", a.Len(), b.Len())
+			return
+		}
+		for i := 0; i < a.Len(); i++ {
+			d.walk(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			d.differ(path, "%d entries live, %d restored", a.Len(), b.Len())
+			return
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				d.differ(path, "key %v missing from the restored map", it.Key())
+				continue
+			}
+			d.walk(fmt.Sprintf("%s[%v]", path, it.Key()), it.Value(), bv)
+		}
+	default:
+		d.differ(path, "unhandled kind %v", a.Kind())
+	}
+}
+
+func (d *fieldDiff) leaf(path string, equal bool, a, b reflect.Value) {
+	d.compared++
+	if !equal {
+		d.differ(path, "%v live, %v restored", a, b)
+	}
+}

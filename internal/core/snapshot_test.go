@@ -9,11 +9,13 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -201,7 +203,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 
 // TestSnapshotIdempotent re-snapshots a restored sim without stepping it
 // and requires the bytes to match the original checkpoint — the
-// serializer covers exactly the state the restorer reproduces.
+// encoding walk covers exactly the state the decoding walk reproduces.
 func TestSnapshotIdempotent(t *testing.T) {
 	cfg := snapConfig("mesh")
 	events := snapTrace(t, cfg)
@@ -218,11 +220,7 @@ func TestSnapshotIdempotent(t *testing.T) {
 	}
 	defer sim.Close()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	if err := sim.SnapState(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if err := sim.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(orig, buf.Bytes()) {
@@ -230,36 +228,54 @@ func TestSnapshotIdempotent(t *testing.T) {
 	}
 }
 
-// snapshotBytesPin is the SHA-256 over every checkpoint file (ascending
-// cycle, rl then qroute) of the snapConfig mesh run below, captured from
-// the element-by-element codec before internal/snap moved slices and
-// trace events in chunks. A codec change must reproduce it: that is what
-// "the format did not change" means, and it is what lets a build restore
-// the checkpoints its predecessor wrote. It legitimately moves when the
-// snapshotted state itself changes (a new Config field, a new stateful
-// subsystem, a model change) — re-capture it in that commit and say so.
-const snapshotBytesPin = "542405ea3604f36f8d158813d5c25aeebace05ae11605b82efe22a657d4cc952"
+// snapshotBytesPins holds, per arm, the SHA-256 over every checkpoint
+// file (ascending cycle, scheme by scheme) of a snapConfig run. The mesh
+// rl+qroute pin was captured from the element-by-element codec before
+// internal/snap moved slices and trace events in chunks; the torus arm
+// (dateline VC classes, 8 VCs per port) and the arq-ecc arm (static
+// controller, the SCTL section) were captured on the last commit that
+// still had a separate Writer and Reader. A codec change must reproduce
+// all three: that is what "the format did not change" means, and it is
+// what lets a build restore the checkpoints its predecessor wrote. A pin
+// legitimately moves when the snapshotted state itself changes (a new
+// Config field, a new stateful subsystem, a model change) — re-capture
+// it in that commit and say so.
+var snapshotBytesPins = []struct {
+	name, topo string
+	schemes    []Scheme
+	sha        string
+}{
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "542405ea3604f36f8d158813d5c25aeebace05ae11605b82efe22a657d4cc952"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "16b43e49a6be864d764af393a457882911776c05e01fc38b30bebcb58ac099a0"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "1064abe763472b8bf42c1675f447b2fe919ff46fa58d713fad7e85f9bd9beb41"},
+}
 
 func TestSnapshotBytesPin(t *testing.T) {
-	cfg := snapConfig("mesh")
-	events := snapTrace(t, cfg)
-	h := sha256.New()
-	files := 0
-	for _, scheme := range []Scheme{SchemeRL, SchemeQRoute} {
-		dir := t.TempDir()
-		runFull(t, cfg, scheme, events, 1, dir, 700)
-		paths, _ := snapshotCycles(t, dir)
-		for _, p := range paths {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
+	for _, arm := range snapshotBytesPins {
+		arm := arm
+		t.Run(arm.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := snapConfig(arm.topo)
+			events := snapTrace(t, cfg)
+			h := sha256.New()
+			files := 0
+			for _, scheme := range arm.schemes {
+				dir := t.TempDir()
+				runFull(t, cfg, scheme, events, 1, dir, 700)
+				paths, _ := snapshotCycles(t, dir)
+				for _, p := range paths {
+					b, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.Write(b)
+					files++
+				}
 			}
-			h.Write(b)
-			files++
-		}
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != snapshotBytesPin {
-		t.Errorf("checkpoint bytes changed: sha256 over %d files = %s, pinned %s", files, got, snapshotBytesPin)
+			if got := hex.EncodeToString(h.Sum(nil)); got != arm.sha {
+				t.Errorf("checkpoint bytes changed: sha256 over %d files = %s, pinned %s", files, got, arm.sha)
+			}
+		})
 	}
 }
 
@@ -315,15 +331,51 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		defer restored.Close()
 		var buf bytes.Buffer
-		w := snap.NewWriter(&buf)
-		if err := restored.SnapState(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
+		if err := restored.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(orig, buf.Bytes()) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
 	})
+}
+
+// TestHostileTraceLengthIsCorrupt patches one word of a valid checkpoint
+// — the MEAS section's trace length, to the largest value the format
+// admits — and requires the restore to fail as a corrupt stream after a
+// bounded allocation. Reserving what the prefix claims (32 GiB of
+// events) kills the process, and the campaign's fall-back to the
+// previous checkpoint never runs.
+func TestHostileTraceLengthIsCorrupt(t *testing.T) {
+	cfg := snapConfig("mesh")
+	dir := t.TempDir()
+	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), 1, dir, 700)
+	paths, _ := snapshotCycles(t, dir)
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MEAS tag, the has-measure byte, the length-prefixed label, then the
+	// trace length.
+	off := bytes.Index(data, []byte("MEAS")) + 4 + 1
+	off += 4 + int(binary.LittleEndian.Uint32(data[off:]))
+	if n := binary.LittleEndian.Uint32(data[off:]); n == 0 || int(n)*8*4 > len(data) {
+		t.Fatalf("offset %d holds %d, not the trace length", off, n)
+	}
+	binary.LittleEndian.PutUint32(data[off:], 1<<30)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sim, err := RestoreSim(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		sim.Close()
+		t.Fatal("checkpoint with a 2^30-event trace length restored")
+	}
+	if !snap.IsCorrupt(err) {
+		t.Errorf("err = %v, want a snap.CorruptError", err)
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
+		t.Errorf("restore allocated %d MB before rejecting a %d-byte checkpoint", mb, len(data))
+	}
 }

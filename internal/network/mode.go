@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rlnoc/internal/rl"
+	"rlnoc/internal/snap"
 )
 
 // Mode is a fault-tolerant operation mode of the proposed router
@@ -155,3 +156,10 @@ type StaticController struct{ Fixed Mode }
 
 // Decide implements Controller.
 func (s StaticController) Decide(int, Observation) Mode { return s.Fixed }
+
+// Snap makes the static controllers checkpointable: they are stateless,
+// so the section tag alone keeps the stream positions aligned.
+func (StaticController) Snap(c *snap.Codec) error {
+	c.Section("SCTL")
+	return c.Err()
+}

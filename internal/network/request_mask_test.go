@@ -125,21 +125,21 @@ func TestRequestMasksMatchVCState(t *testing.T) {
 func assertRestoredMasks(t *testing.T, n *Network, cfg config.Config, kind ControllerKind) {
 	t.Helper()
 	var buf bytes.Buffer
-	w := snap.NewWriter(&buf)
-	if err := n.SnapState(w); err != nil {
+	enc := snap.NewEncoder(&buf)
+	if err := n.Snap(enc); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := New(cfg, StaticController{Fixed: Mode0}, kind, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.SnapRestore(snap.NewReader(&buf)); err != nil {
+	if err := fresh.Snap(snap.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	assertRequestMasks(t, fresh, "after SnapRestore")
+	assertRequestMasks(t, fresh, "after a decoding Snap")
 	for id, r := range n.routers {
 		fr := fresh.routers[id]
 		if fr.routeMask != r.routeMask || fr.vaWait != r.vaWait {

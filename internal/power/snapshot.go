@@ -7,27 +7,15 @@ package power
 
 import "rlnoc/internal/snap"
 
-// SnapState serializes the cumulative and windowed energy accounts.
-func (m *Meter) SnapState(w *snap.Writer) error {
-	w.Section("POWR")
-	w.I64s(m.cnt)
-	w.I64s(m.winCnt)
-	w.F64s(m.linkScale)
-	w.F64s(m.winLinkScale)
-	w.F64s(m.staticPJ)
-	w.F64s(m.windowStaticPJ)
-	return w.Err()
-}
-
-// SnapRestore overwrites the accounts of a freshly constructed meter for
-// the same router count.
-func (m *Meter) SnapRestore(r *snap.Reader) error {
-	r.Section("POWR")
-	r.I64sInto(m.cnt)
-	r.I64sInto(m.winCnt)
-	r.F64sInto(m.linkScale)
-	r.F64sInto(m.winLinkScale)
-	r.F64sInto(m.staticPJ)
-	r.F64sInto(m.windowStaticPJ)
-	return r.Err()
+// Snap walks the cumulative and windowed energy accounts; decoding
+// overwrites a freshly constructed meter for the same router count.
+func (m *Meter) Snap(c *snap.Codec) error {
+	c.Section("POWR")
+	c.I64s(m.cnt)
+	c.I64s(m.winCnt)
+	c.F64s(m.linkScale)
+	c.F64s(m.winLinkScale)
+	c.F64s(m.staticPJ)
+	c.F64s(m.windowStaticPJ)
+	return c.Err()
 }

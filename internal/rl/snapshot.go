@@ -4,9 +4,9 @@ package rl
 // state splits into the learned tables — possibly shared across agents
 // via NewSharedAgents — and per-agent locals (exploration cursor,
 // epsilon, previous state/action). The caller (core.RLController) groups
-// agents by table identity and serializes each unique table once; every
-// agent then serializes only its locals. Restore replays the counting
-// RNG source so the next epsilon draw continues the original sequence.
+// agents by table identity and walks each unique table once; every
+// agent then walks only its locals. Decoding replays the counting RNG
+// source so the next epsilon draw continues the original sequence.
 
 import (
 	"fmt"
@@ -20,81 +20,49 @@ func (a *Agent) SharesTableWith(b *Agent) bool {
 	return len(a.q) > 0 && len(b.q) > 0 && &a.q[0] == &b.q[0]
 }
 
-// SnapTable serializes the learned tables (q, optional q2, visit counts,
-// reward sums). Shared-table groups call this once per group.
-func (a *Agent) SnapTable(w *snap.Writer) {
-	w.Section("QTAB")
-	w.F64s(a.q)
-	w.Bool(a.q2 != nil)
-	if a.q2 != nil {
-		w.F64s(a.q2)
-	}
-	w.U32s(a.visits)
-	w.F64s(a.rsum)
-}
-
-// SnapRestoreTable restores the learned tables in place (aliasing agents
-// observe the update through their shared slices).
-func (a *Agent) SnapRestoreTable(r *snap.Reader) {
-	r.Section("QTAB")
-	r.F64sInto(a.q)
-	hasQ2 := r.Bool()
-	if r.Err() != nil {
-		return
-	}
-	if hasQ2 != (a.q2 != nil) {
-		r.Fail(fmt.Errorf("rl: snapshot DoubleQ=%v, this run DoubleQ=%v (config mismatch)",
+// SnapTable walks the learned tables (q, optional q2, visit counts,
+// reward sums) in place, so aliasing agents observe a decode through
+// their shared slices. Shared-table groups call this once per group.
+func (a *Agent) SnapTable(c *snap.Codec) {
+	c.Section("QTAB")
+	c.F64s(a.q)
+	hasQ2 := a.q2 != nil
+	c.Bool(&hasQ2)
+	if c.Err() == nil && hasQ2 != (a.q2 != nil) {
+		c.Fail(fmt.Errorf("rl: snapshot DoubleQ=%v, this run DoubleQ=%v (config mismatch)",
 			hasQ2, a.q2 != nil))
-		return
 	}
-	if a.q2 != nil {
-		r.F64sInto(a.q2)
+	if hasQ2 {
+		c.F64s(a.q2)
 	}
-	r.U32sInto(a.visits)
-	r.F64sInto(a.rsum)
+	c.U32s(a.visits)
+	c.F64s(a.rsum)
 }
 
-// SnapLocal serializes the per-agent state outside the shared tables.
-func (a *Agent) SnapLocal(w *snap.Writer) {
-	w.F64(a.epsilon)
-	w.Bool(a.frozen)
-	w.Bool(a.hasPrev)
-	w.U8(a.prevState.Buf)
-	w.U8(a.prevState.InLink)
-	w.U8(a.prevState.OutLink)
-	w.U8(a.prevState.InNACK)
-	w.U8(a.prevState.OutNACK)
-	w.U8(a.prevState.Temp)
-	w.Int(a.prevAction)
-	w.I64(a.updates)
-	a.src.Snap(w)
+// SnapLocal walks the per-agent state outside the shared tables.
+func (a *Agent) SnapLocal(c *snap.Codec) {
+	c.F64(&a.epsilon)
+	c.Bool(&a.frozen)
+	c.Bool(&a.hasPrev)
+	a.prevState.Snap(c)
+	c.Int(&a.prevAction)
+	c.I64(&a.updates)
+	a.src.Snap(c)
 }
 
-// SnapRestoreLocal restores the per-agent state written by SnapLocal.
-func (a *Agent) SnapRestoreLocal(r *snap.Reader) {
-	a.epsilon = r.F64()
-	a.frozen = r.Bool()
-	a.hasPrev = r.Bool()
-	a.prevState.Buf = r.U8()
-	a.prevState.InLink = r.U8()
-	a.prevState.OutLink = r.U8()
-	a.prevState.InNACK = r.U8()
-	a.prevState.OutNACK = r.U8()
-	a.prevState.Temp = r.U8()
-	a.prevAction = r.Int()
-	a.updates = r.I64()
-	a.src.Unsnap(r)
+// Snap walks a discretized state's six bucket indices.
+func (s *State) Snap(c *snap.Codec) {
+	c.U8(&s.Buf)
+	c.U8(&s.InLink)
+	c.U8(&s.OutLink)
+	c.U8(&s.InNACK)
+	c.U8(&s.OutNACK)
+	c.U8(&s.Temp)
 }
 
-// SnapState serializes a route agent's Q-table. RouteAgents are passive
-// (no RNG, no history), so the table is the whole state.
-func (a *RouteAgent) SnapState(w *snap.Writer) {
-	w.Section("QRTE")
-	w.F64s(a.q)
-}
-
-// SnapRestore restores a route agent's Q-table.
-func (a *RouteAgent) SnapRestore(r *snap.Reader) {
-	r.Section("QRTE")
-	r.F64sInto(a.q)
+// Snap walks a route agent's Q-table. RouteAgents are passive (no RNG,
+// no history), so the table is the whole state.
+func (a *RouteAgent) Snap(c *snap.Codec) {
+	c.Section("QRTE")
+	c.F64s(a.q)
 }

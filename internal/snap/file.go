@@ -12,7 +12,7 @@ package snap
 // the rename is atomic on POSIX filesystems, and the two fsyncs make
 // both the contents and the directory entry durable before the new
 // name is trusted. Reads surface every stream-level failure as a
-// *CorruptError (see Reader.fail), which callers detect with errors.As.
+// *CorruptError (see Codec.Fail), which callers detect with errors.As.
 
 import (
 	"errors"
@@ -58,18 +58,18 @@ func IsCorrupt(err error) bool {
 }
 
 // WriteFileAtomic writes one snapshot stream to path durably: emit
-// serializes into a Writer over a temporary file in path's directory,
+// walks an encoding Codec over a temporary file in path's directory,
 // which is fsynced, atomically renamed over path, and the directory
 // entry fsynced. On any failure the temporary file is removed and path
 // is untouched (either absent or still the previous complete snapshot).
 // Parent directories are created as needed.
-func WriteFileAtomic(path string, emit func(*Writer) error) error {
+func WriteFileAtomic(path string, emit func(*Codec) error) error {
 	return writeAtomic(path, func(f *os.File) error {
-		w := NewWriter(f)
-		if err := emit(w); err != nil {
+		c := NewEncoder(f)
+		if err := emit(c); err != nil {
 			return err
 		}
-		return w.Flush()
+		return c.Flush()
 	})
 }
 

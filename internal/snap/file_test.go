@@ -12,32 +12,37 @@ import (
 // emitDemo writes a small but structurally interesting stream: header,
 // two sections, a length-prefixed slice — enough surface for the
 // truncation and bit-flip probes below to land on every kind of field.
-func emitDemo(w *Writer) error {
-	w.Header()
-	w.Section("DEMO")
-	w.I64s([]int64{1, -2, 3, 1 << 40})
-	w.Section("TAIL")
-	w.String("campaign")
-	w.U64(0xFEEDFACECAFEBEEF)
-	return w.Err()
+// One walk serves both directions, as every subsystem's does.
+type demo struct {
+	vals []int64
+	name string
+	tail uint64
+}
+
+func (d *demo) snap(c *Codec) error {
+	if err := c.Header(); err != nil {
+		return err
+	}
+	c.Section("DEMO")
+	c.I64s(d.vals)
+	c.Section("TAIL")
+	c.String(&d.name)
+	c.U64(&d.tail)
+	return c.Err()
+}
+
+func emitDemo(c *Codec) error {
+	return (&demo{vals: []int64{1, -2, 3, 1 << 40}, name: "campaign", tail: 0xFEEDFACECAFEBEEF}).snap(c)
 }
 
 func readDemo(data []byte) error {
-	r := NewReader(bytes.NewReader(data))
-	if err := r.Header(); err != nil {
+	c := NewDecoder(bytes.NewReader(data))
+	if err := (&demo{vals: make([]int64, 4)}).snap(c); err != nil {
 		return err
 	}
-	r.Section("DEMO")
-	dst := make([]int64, 4)
-	r.I64sInto(dst)
-	r.Section("TAIL")
-	_ = r.String()
-	r.U64()
-	if r.Err() != nil {
-		return r.Err()
-	}
 	// The stream must be exactly consumed.
-	if r.U8(); r.Err() == nil {
+	var extra uint8
+	if c.U8(&extra); c.Err() == nil {
 		return errors.New("trailing bytes")
 	}
 	return nil
@@ -64,7 +69,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	// A failing emit must leave no file at the final name.
 	bad := filepath.Join(dir, "bad.rlns")
 	injected := errors.New("emit failed")
-	if err := WriteFileAtomic(bad, func(w *Writer) error { return injected }); !errors.Is(err, injected) {
+	if err := WriteFileAtomic(bad, func(*Codec) error { return injected }); !errors.Is(err, injected) {
 		t.Fatalf("emit error not propagated: %v", err)
 	}
 	if _, err := os.Stat(bad); !errors.Is(err, os.ErrNotExist) {
@@ -93,11 +98,11 @@ func TestWriteRawAtomic(t *testing.T) {
 // contract recovery relies on to fall back to an older checkpoint.
 func TestTruncatedSnapshotIsCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := emitDemo(w); err != nil {
+	enc := NewEncoder(&buf)
+	if err := emitDemo(enc); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -123,11 +128,11 @@ func TestTruncatedSnapshotIsCorrupt(t *testing.T) {
 // far a misread can propagate.)
 func TestBitFlippedSnapshotIsCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := emitDemo(w); err != nil {
+	enc := NewEncoder(&buf)
+	if err := emitDemo(enc); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

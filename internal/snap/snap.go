@@ -1,21 +1,23 @@
 // Package snap is the bit-identical checkpoint/restore substrate: a
-// versioned, deterministic little-endian binary format (Writer/Reader
-// with sticky errors and section tags), the Snapshotter interface every
-// stateful subsystem implements, and a draw-counting rand.Source64 that
-// makes math/rand consumers resumable by replay.
+// versioned, deterministic little-endian binary format moved by one
+// bidirectional Codec (sticky errors, section tags), the Snapshotter
+// interface every stateful subsystem implements, and a draw-counting
+// rand.Source64 that makes math/rand consumers resumable by replay.
 //
-// Format discipline (DESIGN.md §15): every value is written in a fixed,
-// canonical order — maps are iterated in sorted key order by the caller,
-// floats are written as their IEEE-754 bit patterns, and slices are
-// length-prefixed. Two snapshots of identical simulator states are
-// therefore byte-identical, which is what lets tests compare snapshots
-// directly instead of walking live state.
+// One walk states the format (DESIGN.md §15): a subsystem lists its
+// fields once, as pointers, and the same statements write them when the
+// codec encodes and overwrite them when it decodes — a field cannot be
+// written without being read. Every value moves in a fixed, canonical
+// order: maps in sorted key order, floats as their IEEE-754 bit
+// patterns, slices length-prefixed. Two snapshots of identical simulator
+// states are therefore byte-identical, which is what lets tests compare
+// snapshots directly instead of walking live state.
 //
-// Section tags ("NETW", "STAT", ...) are 4-byte markers written between
-// subsystems. They carry no data; a reader that drifts out of sync with
-// the writer (a version skew, a struct field added on one side only)
-// fails fast at the next tag with both names in the error instead of
-// silently misinterpreting payload bytes.
+// Section tags ("NETW", "STAT", ...) are 4-byte markers between
+// subsystems. They carry no data; a stream that drifts out of sync with
+// the walk reading it (a version skew, a truncated section) fails fast
+// at the next tag with both names in the error instead of silently
+// misinterpreting payload bytes.
 package snap
 
 import (
@@ -25,6 +27,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Magic identifies an rlnoc snapshot stream ("RLNS" little-endian).
@@ -36,471 +39,454 @@ const Magic uint32 = 0x534E4C52
 // resumable by the binary (or a behavior-identical build) that wrote it.
 const Version uint32 = 1
 
-// Snapshotter is implemented by every stateful subsystem. SnapState
-// serializes the subsystem's mutable state; SnapRestore overwrites the
-// state of a freshly constructed, structurally identical instance so the
-// next Step continues bit-identically to the run that was snapshotted.
+// Snapshotter is implemented by every stateful subsystem. Snap walks the
+// subsystem's mutable state through c: an encoding codec serializes it; a
+// decoding one overwrites the state of a freshly constructed,
+// structurally identical instance so the next Step continues
+// bit-identically to the run that was snapshotted.
 type Snapshotter interface {
-	SnapState(w *Writer) error
-	SnapRestore(r *Reader) error
+	Snap(c *Codec) error
 }
 
-// maxSliceLen bounds length prefixes on read so a corrupt or truncated
-// snapshot fails with an error instead of a huge allocation.
-const maxSliceLen = 1 << 30
+// MaxLen bounds every length prefix, in both directions. It is a format
+// limit, not an allocation budget: variable-length decodes grow with the
+// bytes that actually arrive (see Blocks).
+const MaxLen = 1 << 30
 
-// Writer serializes primitives little-endian with a sticky error: after
-// the first failure every call is a no-op and Err/Flush report it, so
-// subsystem SnapState code writes straight-line without per-call checks.
-type Writer struct {
-	w   *bufio.Writer
-	buf [chunkBytes]byte // scalar staging, and the slice codecs' chunk
+// chunkBytes is how many bytes the slice walks move per trip through
+// bufio: tables of tens of thousands of words move as a few dozen
+// transfers instead of one per element. The stream is unchanged.
+const chunkBytes = 4096
+
+// maxAhead is how many elements a variable-length decode may allocate
+// beyond what the stream has delivered: a length prefix up to maxAhead is
+// allocated exactly, a longer one is grown by doubling as elements
+// arrive, so a flipped or truncated length costs a bounded allocation
+// and then fails as corrupt instead of exhausting memory.
+const maxAhead = 1 << 16
+
+// Codec moves primitives little-endian in one direction fixed at
+// construction: an encoder writes the pointed-to values, a decoder
+// overwrites them. Errors are sticky: after the first failure every call
+// is a no-op (a decoder stores zero values) and Err/Flush report it, so
+// walks are straight-line without per-call checks.
+type Codec struct {
+	w   *bufio.Writer // encoding when non-nil
+	r   *bufio.Reader // decoding when non-nil
+	buf [chunkBytes]byte
 	err error
 }
 
-// chunkBytes is how many bytes the slice codecs encode or decode per
-// trip through bufio: tables of tens of thousands of words move as a few
-// dozen writes instead of one per element. The stream is unchanged.
-const chunkBytes = 4096
+// NewEncoder returns a codec that writes to w (buffered internally; call
+// Flush when done).
+func NewEncoder(w io.Writer) *Codec { return &Codec{w: bufio.NewWriterSize(w, 1<<16)} }
+
+// NewDecoder returns a codec that reads from r.
+func NewDecoder(r io.Reader) *Codec { return &Codec{r: bufio.NewReaderSize(r, 1<<16)} }
+
+// Decoding reports the codec's direction. Walks branch on it only for
+// steps that exist on one side: allocation, derived-state rebuilds and
+// range checks when decoding, canonical ordering when encoding.
+func (c *Codec) Decoding() bool { return c.r != nil }
+
+// Err returns the first error encountered, if any.
+func (c *Codec) Err() error { return c.err }
+
+// Fail records an error from a walk's own validation with the same
+// sticky discipline. Every failure of a decoder — truncation, bad magic,
+// version skew, section drift, out-of-range lengths, structural
+// mismatches against the restoring configuration — means the stream
+// cannot be trusted, so it is tagged as a CorruptError: recovery code
+// keys "fall back to the previous checkpoint" off that one type.
+func (c *Codec) Fail(err error) {
+	if c.err != nil {
+		return
+	}
+	if c.Decoding() {
+		err = Corrupt(err)
+	}
+	c.err = err
+}
+
+// Flush drains an encoder's buffer and returns the sticky error.
+func (c *Codec) Flush() error {
+	if c.err == nil && c.w != nil {
+		c.err = c.w.Flush()
+	}
+	return c.err
+}
+
+// xfer moves p through the stream — out of p when encoding, into it when
+// decoding — and reports whether the codec is still healthy.
+func (c *Codec) xfer(p []byte) bool {
+	if c.err != nil {
+		return false
+	}
+	if c.Decoding() {
+		if _, err := io.ReadFull(c.r, p); err != nil {
+			c.Fail(err)
+		}
+	} else {
+		_, c.err = c.w.Write(p)
+	}
+	return c.err == nil
+}
+
+// put encodes the low n bytes of v, little-endian.
+func (c *Codec) put(n int, v uint64) {
+	if c.err == nil {
+		binary.LittleEndian.PutUint64(c.buf[:8], v)
+		_, c.err = c.w.Write(c.buf[:n])
+	}
+}
+
+// get decodes an n-byte little-endian word (zero after a failure).
+func (c *Codec) get(n int) uint64 {
+	binary.LittleEndian.PutUint64(c.buf[:8], 0)
+	if !c.xfer(c.buf[:n]) {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(c.buf[:8])
+}
+
+// Header walks the magic and version words that start every snapshot,
+// verifying them when decoding.
+func (c *Codec) Header() error {
+	m, v := Magic, Version
+	c.U32(&m)
+	if c.err == nil && m != Magic {
+		c.Fail(fmt.Errorf("snap: bad magic %#x (not an rlnoc snapshot)", m))
+	}
+	c.U32(&v)
+	if c.err == nil && v != Version {
+		c.Fail(fmt.Errorf("snap: snapshot version %d, this build reads %d", v, Version))
+	}
+	return c.err
+}
+
+// Section walks a 4-byte subsystem tag, verifying it when decoding.
+func (c *Codec) Section(tag string) {
+	if len(tag) != 4 {
+		c.Fail(fmt.Errorf("snap: section tag %q is not 4 bytes", tag))
+		return
+	}
+	got := c.buf[:4]
+	copy(got, tag)
+	if c.xfer(got) && string(got) != tag {
+		c.Fail(fmt.Errorf("snap: section %q, want %q (stream out of sync)", got, tag))
+	}
+}
+
+// The scalar walks: an encoder reads *v and never writes it, a decoder
+// overwrites it. They are spelled out (not generic over the integer
+// types) so each inlines to a branch and one call, and a walk's locals
+// stay off the heap.
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.Decoding() {
+		*v = uint8(c.get(1))
+	} else {
+		c.put(1, uint64(*v))
+	}
+}
+
+// Bool walks a bool as one byte.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.U8(&b)
+	if c.Decoding() {
+		*v = b != 0
+	}
+}
+
+// U16 walks a little-endian uint16.
+func (c *Codec) U16(v *uint16) {
+	if c.Decoding() {
+		*v = uint16(c.get(2))
+	} else {
+		c.put(2, uint64(*v))
+	}
+}
+
+// U32 walks a little-endian uint32.
+func (c *Codec) U32(v *uint32) {
+	if c.Decoding() {
+		*v = uint32(c.get(4))
+	} else {
+		c.put(4, uint64(*v))
+	}
+}
+
+// U64 walks a little-endian uint64.
+func (c *Codec) U64(v *uint64) {
+	if c.Decoding() {
+		*v = c.get(8)
+	} else {
+		c.put(8, *v)
+	}
+}
+
+// I32 walks a little-endian int32.
+func (c *Codec) I32(v *int32) {
+	if c.Decoding() {
+		*v = int32(c.get(4))
+	} else {
+		c.put(4, uint64(*v))
+	}
+}
+
+// I64 walks a little-endian int64.
+func (c *Codec) I64(v *int64) {
+	if c.Decoding() {
+		*v = int64(c.get(8))
+	} else {
+		c.put(8, uint64(*v))
+	}
+}
+
+// Int walks an int as 64 bits.
+func (c *Codec) Int(v *int) {
+	if c.Decoding() {
+		*v = int(c.get(8))
+	} else {
+		c.put(8, uint64(*v))
+	}
+}
+
+// F64 walks a float64 as its IEEE-754 bit pattern (exact, canonical).
+func (c *Codec) F64(v *float64) {
+	if c.Decoding() {
+		*v = math.Float64frombits(c.get(8))
+	} else {
+		c.put(8, math.Float64bits(*v))
+	}
+}
+
+// Enum walks a small enumeration (an operation mode, a flit kind, a port
+// direction) as one byte.
+func Enum[T ~int | ~uint8](c *Codec, v *T) {
+	if c.Decoding() {
+		*v = T(c.get(1))
+	} else {
+		c.put(1, uint64(*v))
+	}
+}
+
+// Len walks a slice/map length prefix, rejecting values beyond MaxLen.
+func (c *Codec) Len(n *int) {
+	if !c.Decoding() && (*n < 0 || *n > MaxLen) {
+		c.Fail(fmt.Errorf("snap: length %d out of range", *n))
+		return
+	}
+	u := uint32(*n)
+	c.U32(&u)
+	if c.err == nil && u > MaxLen {
+		c.Fail(fmt.Errorf("snap: length %d out of range", u))
+		u = 0
+	}
+	*n = int(u)
+}
+
+// LenCheck walks a length prefix that must equal want — used for slices
+// whose length is structural (per-router arrays, Q-tables) so a snapshot
+// taken under a different configuration fails loudly.
+func (c *Codec) LenCheck(want int) {
+	n := want
+	c.Len(&n)
+	if c.err == nil && n != want {
+		c.Fail(fmt.Errorf("snap: length %d, want %d (config mismatch?)", n, want))
+	}
+}
+
+// Blocks walks a variable-length slice: a length prefix of at most bound,
+// then the elements, handed to walk in runs of up to block. Decoding
+// resizes *s in place — its capacity is reused, and beyond that it grows
+// no further ahead of the stream than maxAhead allows — and hands walk
+// zeroed elements to fill.
+func Blocks[T any](c *Codec, s *[]T, bound, block int, walk func([]T)) {
+	n := len(*s)
+	c.Len(&n)
+	if c.err == nil && n > bound {
+		c.Fail(fmt.Errorf("snap: length %d exceeds its bound %d", n, bound))
+	}
+	if c.err != nil {
+		return
+	}
+	if c.Decoding() {
+		*s = (*s)[:0]
+	}
+	for lo := 0; lo < n && c.err == nil; lo += block {
+		hi := min(lo+block, n)
+		if c.Decoding() {
+			if hi > cap(*s) {
+				*s = append(make([]T, 0, min(n, max(2*cap(*s), maxAhead, hi))), *s...)
+			}
+			*s = (*s)[:hi]
+			clear((*s)[lo:hi])
+		}
+		walk((*s)[lo:hi])
+	}
+}
+
+// Slice walks a variable-length slice element by element (see Blocks).
+func Slice[T any](c *Codec, s *[]T, bound int, elem func(*Codec, *T)) {
+	Blocks(c, s, bound, chunkBytes/8, func(run []T) {
+		for i := range run {
+			elem(c, &run[i])
+		}
+	})
+}
+
+// Map walks a map in the canonical order cmp gives its keys: entry moves
+// one key/value pair, and may derive the key from the value it decoded
+// when the stream does not carry it. Decoding fills *m (allocating it if
+// nil and the stream has entries) on top of whatever it held.
+func Map[K comparable, V any](c *Codec, m *map[K]V, cmp func(a, b K) int, entry func(c *Codec, k *K, v *V)) {
+	keys := SortedKeys(*m, cmp)
+	n := len(keys)
+	c.Len(&n)
+	if c.Decoding() && n > 0 && *m == nil {
+		*m = make(map[K]V, min(n, maxAhead))
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var k K
+		var v V
+		if !c.Decoding() {
+			k, v = keys[i], (*m)[keys[i]]
+		}
+		entry(c, &k, &v)
+		if c.Decoding() && c.err == nil {
+			(*m)[k] = v
+		}
+	}
+}
+
+// SortedKeys returns m's keys in cmp order — the canonical iteration
+// order of every map in a snapshot.
+func SortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	if len(m) == 0 {
+		return nil
+	}
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
+}
+
+// Bytes walks a length-prefixed byte slice of variable length.
+func (c *Codec) Bytes(p *[]byte) {
+	Blocks(c, p, MaxLen, chunkBytes, func(run []byte) { c.xfer(run) })
+}
+
+// String walks a length-prefixed string.
+func (c *Codec) String(s *string) {
+	b := []byte(*s)
+	c.Bytes(&b)
+	if c.Decoding() {
+		*s = string(b)
+	}
+}
 
 // word64 is every integer type the format stores as 64 little-endian bits.
 type word64 interface{ ~int | ~int64 | ~uint64 }
 
-func write64s[T word64](w *Writer, v []T) {
-	for len(v) > 0 && w.err == nil {
+// xfer64s moves v through the stream a chunk per transfer.
+func xfer64s[T word64](c *Codec, v []T) {
+	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/8)
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(w.buf[i*8:], uint64(x))
+		if !c.Decoding() {
+			for i, x := range v[:n] {
+				binary.LittleEndian.PutUint64(c.buf[i*8:], uint64(x))
+			}
 		}
-		w.write(w.buf[:n*8])
+		if c.xfer(c.buf[:n*8]) && c.Decoding() {
+			for i := range v[:n] {
+				v[i] = T(binary.LittleEndian.Uint64(c.buf[i*8:]))
+			}
+		}
 		v = v[n:]
 	}
 }
 
-// NewWriter wraps w (buffered internally; call Flush when done).
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+// I64s walks a length-prefixed []int64 in place (the length is structural:
+// a decoded prefix must match len(v)).
+func (c *Codec) I64s(v []int64) {
+	c.LenCheck(len(v))
+	xfer64s(c, v)
 }
 
-// Header writes the magic and version words that start every snapshot.
-func (w *Writer) Header() {
-	w.U32(Magic)
-	w.U32(Version)
-}
-
-// Err returns the first error encountered, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Flush drains the internal buffer and returns the sticky error.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.w.Flush()
-	return w.err
-}
-
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(p)
-}
-
-// Section writes a 4-byte subsystem tag. Tags must be exactly 4 bytes.
-func (w *Writer) Section(tag string) {
-	if len(tag) != 4 {
-		w.fail(fmt.Errorf("snap: section tag %q is not 4 bytes", tag))
-		return
-	}
-	w.write([]byte(tag))
-}
-
-func (w *Writer) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
-}
-
-// Fail records an error from a caller's own validation.
-func (w *Writer) Fail(err error) { w.fail(err) }
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf[0] = v; w.write(w.buf[:1]) }
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	binary.LittleEndian.PutUint16(w.buf[:2], v)
-	w.write(w.buf[:2])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I32 writes a little-endian int32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
-
-// I64 writes a little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as 64 bits.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 as its IEEE-754 bit pattern (exact, canonical).
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Len writes a slice/map length prefix.
-func (w *Writer) Len(n int) {
-	if n < 0 || n > maxSliceLen {
-		w.fail(fmt.Errorf("snap: length %d out of range", n))
-		return
-	}
-	w.U32(uint32(n))
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.Len(len(p))
-	w.write(p)
-}
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.Len(len(s))
-	w.write([]byte(s))
-}
-
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
-	w.Len(len(v))
-	write64s(w, v)
-}
-
-// RawI64s writes v as consecutive I64 values with no length prefix, for
+// RawI64s walks v as consecutive I64 values with no length prefix, for
 // fixed-width records whose count the caller frames itself (trace events).
-func (w *Writer) RawI64s(v []int64) { write64s(w, v) }
+func (c *Codec) RawI64s(v []int64) { xfer64s(c, v) }
 
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(v []float64) {
-	w.Len(len(v))
-	for len(v) > 0 && w.err == nil {
+// U64s walks a length-prefixed []uint64 in place (length must match).
+func (c *Codec) U64s(v []uint64) {
+	c.LenCheck(len(v))
+	xfer64s(c, v)
+}
+
+// Ints walks a length-prefixed []int, as 64-bit values, in place (length
+// must match).
+func (c *Codec) Ints(v []int) {
+	c.LenCheck(len(v))
+	xfer64s(c, v)
+}
+
+// VarInts walks a []int of variable length, at most bound.
+func (c *Codec) VarInts(v *[]int, bound int) {
+	Blocks(c, v, bound, chunkBytes/8, func(run []int) { xfer64s(c, run) })
+}
+
+// F64s walks a length-prefixed []float64 in place (length must match).
+func (c *Codec) F64s(v []float64) {
+	c.LenCheck(len(v))
+	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/8)
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(w.buf[i*8:], math.Float64bits(x))
+		if !c.Decoding() {
+			for i, x := range v[:n] {
+				binary.LittleEndian.PutUint64(c.buf[i*8:], math.Float64bits(x))
+			}
 		}
-		w.write(w.buf[:n*8])
+		if c.xfer(c.buf[:n*8]) && c.Decoding() {
+			for i := range v[:n] {
+				v[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.buf[i*8:]))
+			}
+		}
 		v = v[n:]
 	}
 }
 
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(v []uint64) {
-	w.Len(len(v))
-	write64s(w, v)
-}
-
-// U32s writes a length-prefixed []uint32.
-func (w *Writer) U32s(v []uint32) {
-	w.Len(len(v))
-	for len(v) > 0 && w.err == nil {
+// U32s walks a length-prefixed []uint32 in place (length must match).
+func (c *Codec) U32s(v []uint32) {
+	c.LenCheck(len(v))
+	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/4)
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint32(w.buf[i*4:], x)
+		if !c.Decoding() {
+			for i, x := range v[:n] {
+				binary.LittleEndian.PutUint32(c.buf[i*4:], x)
+			}
 		}
-		w.write(w.buf[:n*4])
+		if c.xfer(c.buf[:n*4]) && c.Decoding() {
+			for i := range v[:n] {
+				v[i] = binary.LittleEndian.Uint32(c.buf[i*4:])
+			}
+		}
 		v = v[n:]
 	}
 }
 
-// Ints writes a length-prefixed []int (as 64-bit values).
-func (w *Writer) Ints(v []int) {
-	w.Len(len(v))
-	write64s(w, v)
-}
-
-// Bools writes a length-prefixed []bool.
-func (w *Writer) Bools(v []bool) {
-	w.Len(len(v))
-	for _, x := range v {
-		w.Bool(x)
+// Bools walks a length-prefixed []bool in place (length must match).
+func (c *Codec) Bools(v []bool) {
+	c.LenCheck(len(v))
+	for i := range v {
+		c.Bool(&v[i])
 	}
-}
-
-// Reader deserializes a Writer stream with the same sticky-error
-// discipline: after the first failure every call returns the zero value.
-type Reader struct {
-	r   *bufio.Reader
-	buf [chunkBytes]byte // scalar staging, and the slice codecs' chunk
-	err error
-}
-
-// read64s fills dst from the stream, a chunk per read.
-func read64s[T word64](r *Reader, dst []T) {
-	for len(dst) > 0 {
-		n := min(len(dst), chunkBytes/8)
-		if !r.read(r.buf[:n*8]) {
-			return
-		}
-		for i := range dst[:n] {
-			dst[i] = T(binary.LittleEndian.Uint64(r.buf[i*8:]))
-		}
-		dst = dst[n:]
-	}
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Header reads and verifies the magic and version words.
-func (r *Reader) Header() error {
-	if m := r.U32(); r.err == nil && m != Magic {
-		r.fail(fmt.Errorf("snap: bad magic %#x (not an rlnoc snapshot)", m))
-	}
-	if v := r.U32(); r.err == nil && v != Version {
-		r.fail(fmt.Errorf("snap: snapshot version %d, this build reads %d", v, Version))
-	}
-	return r.err
-}
-
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Fail records an error from a caller's own validation (config
-// mismatches and the like), using the same sticky-error discipline.
-func (r *Reader) Fail(err error) { r.fail(err) }
-
-// fail records the first error, tagging it as a CorruptError: every
-// failure a Reader can produce — truncation, bad magic, version skew,
-// section drift, out-of-range lengths, caller-side structural
-// mismatches — means the stream cannot be trusted, and recovery code
-// keys "fall back to the previous checkpoint" off that one type.
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = Corrupt(err)
-	}
-}
-
-func (r *Reader) read(p []byte) bool {
-	if r.err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.fail(err)
-		return false
-	}
-	return true
-}
-
-// Section reads a 4-byte tag and verifies it matches.
-func (r *Reader) Section(tag string) {
-	var got [4]byte
-	if !r.read(got[:]) {
-		return
-	}
-	if string(got[:]) != tag {
-		r.fail(fmt.Errorf("snap: section %q, want %q (stream out of sync)", got[:], tag))
-	}
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.read(r.buf[:1]) {
-		return 0
-	}
-	return r.buf[0]
-}
-
-// Bool reads a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if !r.read(r.buf[:2]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(r.buf[:2])
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if !r.read(r.buf[:4]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.buf[:8]) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-// I32 reads a little-endian int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Len reads a length prefix, rejecting corrupt values.
-func (r *Reader) Len() int {
-	n := r.U32()
-	if r.err == nil && n > maxSliceLen {
-		r.fail(fmt.Errorf("snap: length %d out of range", n))
-		return 0
-	}
-	return int(n)
-}
-
-// LenCheck reads a length prefix that must equal want — used for slices
-// whose length is structural (per-router arrays, Q-tables) so a snapshot
-// taken under a different configuration fails loudly.
-func (r *Reader) LenCheck(want int) int {
-	n := r.Len()
-	if r.err == nil && n != want {
-		r.fail(fmt.Errorf("snap: length %d, want %d (config mismatch?)", n, want))
-		return 0
-	}
-	return n
-}
-
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	p := make([]byte, n)
-	if !r.read(p) {
-		return nil
-	}
-	return p
-}
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
-
-// I64sInto reads a []int64 written by I64s into dst (length must match).
-func (r *Reader) I64sInto(dst []int64) {
-	r.LenCheck(len(dst))
-	read64s(r, dst)
-}
-
-// RawI64sInto reads len(dst) consecutive I64 values (see Writer.RawI64s).
-func (r *Reader) RawI64sInto(dst []int64) { read64s(r, dst) }
-
-// F64sInto reads a []float64 written by F64s into dst (length must match).
-func (r *Reader) F64sInto(dst []float64) {
-	r.LenCheck(len(dst))
-	r.f64s(dst)
-}
-
-func (r *Reader) f64s(dst []float64) {
-	for len(dst) > 0 {
-		n := min(len(dst), chunkBytes/8)
-		if !r.read(r.buf[:n*8]) {
-			return
-		}
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[i*8:]))
-		}
-		dst = dst[n:]
-	}
-}
-
-// U64sInto reads a []uint64 written by U64s into dst (length must match).
-func (r *Reader) U64sInto(dst []uint64) {
-	r.LenCheck(len(dst))
-	read64s(r, dst)
-}
-
-// U32sInto reads a []uint32 written by U32s into dst (length must match).
-func (r *Reader) U32sInto(dst []uint32) {
-	r.LenCheck(len(dst))
-	for len(dst) > 0 {
-		n := min(len(dst), chunkBytes/4)
-		if !r.read(r.buf[:n*4]) {
-			return
-		}
-		for i := range dst[:n] {
-			dst[i] = binary.LittleEndian.Uint32(r.buf[i*4:])
-		}
-		dst = dst[n:]
-	}
-}
-
-// IntsInto reads a []int written by Ints into dst (length must match).
-func (r *Reader) IntsInto(dst []int) {
-	r.LenCheck(len(dst))
-	read64s(r, dst)
-}
-
-// BoolsInto reads a []bool written by Bools into dst (length must match).
-func (r *Reader) BoolsInto(dst []bool) {
-	r.LenCheck(len(dst))
-	for i := range dst {
-		dst[i] = r.Bool()
-	}
-}
-
-// Ints reads a []int with a caller-chosen length (variable-size queues).
-func (r *Reader) Ints() []int {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]int, n)
-	read64s(r, v)
-	return v
-}
-
-// F64s reads a []float64 with a variable length.
-func (r *Reader) F64s() []float64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]float64, n)
-	r.f64s(v)
-	return v
-}
-
-// U64s reads a []uint64 with a variable length.
-func (r *Reader) U64s() []uint64 {
-	n := r.Len()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	v := make([]uint64, n)
-	read64s(r, v)
-	return v
 }
 
 // CountingSource is a rand.Source64 that counts draws. The simulator's
@@ -564,14 +550,12 @@ func (s *CountingSource) Restore(draws uint64) {
 	}
 }
 
-// Snap writes the draw count.
-func (s *CountingSource) Snap(w *Writer) { w.U64(s.draws) }
-
-// Unsnap reads a draw count and restores the source to that position.
-func (s *CountingSource) Unsnap(r *Reader) {
-	n := r.U64()
-	if r.Err() != nil {
-		return
+// Snap walks the draw count; decoding replays the source to that
+// position.
+func (s *CountingSource) Snap(c *Codec) {
+	n := s.draws
+	c.U64(&n)
+	if c.Decoding() && c.Err() == nil {
+		s.Restore(n)
 	}
-	s.Restore(n)
 }

@@ -2,141 +2,158 @@ package snap
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestRoundTripPrimitives writes one of everything and reads it back,
+type color int
+
+type pair struct {
+	k uint64
+	v bool
+}
+
+// prims holds one of everything the codec moves; its snap is the single
+// walk both directions of TestRoundTripPrimitives run.
+type prims struct {
+	u8             uint8
+	t, f           bool
+	u16            uint16
+	u32            uint32
+	u64            uint64
+	i32            int32
+	i64            int64
+	i              int
+	pi, ninf, zero float64
+	hue            color
+	raw            []byte
+	s, empty       string
+	i64s           []int64
+	f64s           []float64
+	u64s           []uint64
+	u32s           []uint32
+	ints, varInts  []int
+	bools          []bool
+	pairs          []pair
+	byKey          map[uint64]int32
+}
+
+func (p *prims) snap(c *Codec) {
+	c.Header()
+	c.Section("TEST")
+	c.U8(&p.u8)
+	c.Bool(&p.t)
+	c.Bool(&p.f)
+	c.U16(&p.u16)
+	c.U32(&p.u32)
+	c.U64(&p.u64)
+	c.I32(&p.i32)
+	c.I64(&p.i64)
+	c.Int(&p.i)
+	c.F64(&p.pi)
+	c.F64(&p.ninf)
+	c.F64(&p.zero)
+	Enum(c, &p.hue)
+	c.Bytes(&p.raw)
+	c.String(&p.s)
+	c.String(&p.empty)
+	c.I64s(p.i64s)
+	c.F64s(p.f64s)
+	c.U64s(p.u64s)
+	c.U32s(p.u32s)
+	c.Ints(p.ints)
+	c.VarInts(&p.varInts, MaxLen)
+	c.Bools(p.bools)
+	Slice(c, &p.pairs, 8, func(c *Codec, e *pair) {
+		c.U64(&e.k)
+		c.Bool(&e.v)
+	})
+	Map(c, &p.byKey, cmp.Compare[uint64], func(c *Codec, k *uint64, v *int32) {
+		c.U64(k)
+		c.I32(v)
+	})
+}
+
+// TestRoundTripPrimitives walks one of everything out and back in,
 // checking values and that the stream is consumed exactly.
 func TestRoundTripPrimitives(t *testing.T) {
+	in := prims{
+		u8: 0xAB, t: true, u16: 0xBEEF, u32: 0xDEADBEEF, u64: 0x0123456789ABCDEF,
+		i32: -7, i64: -1 << 40, i: -42, pi: math.Pi, ninf: math.Inf(-1), hue: 3,
+		raw: []byte{1, 2, 3}, s: "wormhole",
+		i64s: []int64{-1, 0, 1}, f64s: []float64{0.5, -0.5}, u64s: []uint64{9, 10},
+		u32s: []uint32{11, 12}, ints: []int{-3, 3}, varInts: []int{7, -7, 70},
+		bools: []bool{true, false, true}, pairs: []pair{{1, true}, {2, false}},
+		byKey: map[uint64]int32{9: -9, 2: 20, 5: 50},
+	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Header()
-	w.Section("TEST")
-	w.U8(0xAB)
-	w.Bool(true)
-	w.Bool(false)
-	w.U16(0xBEEF)
-	w.U32(0xDEADBEEF)
-	w.U64(0x0123456789ABCDEF)
-	w.I32(-7)
-	w.I64(-1 << 40)
-	w.Int(-42)
-	w.F64(math.Pi)
-	w.F64(math.Inf(-1))
-	w.F64(0.0)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("wormhole")
-	w.String("")
-	w.I64s([]int64{-1, 0, 1})
-	w.F64s([]float64{0.5, -0.5})
-	w.U64s([]uint64{9, 10})
-	w.U32s([]uint32{11, 12})
-	w.Ints([]int{-3, 3})
-	w.Bools([]bool{true, false, true})
-	if err := w.Flush(); err != nil {
+	enc := NewEncoder(&buf)
+	in.snap(enc)
+	if err := enc.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if err := r.Header(); err != nil {
-		t.Fatalf("header: %v", err)
+	// Fixed-length slices decode in place; everything else starts zero
+	// (with stale capacity in one variable-length slice, to be reused).
+	out := prims{i64s: make([]int64, 3), f64s: make([]float64, 2), u64s: make([]uint64, 2),
+		u32s: make([]uint32, 2), ints: make([]int, 2), bools: make([]bool, 3),
+		pairs: make([]pair, 5, 8)}
+	stale := &out.pairs[0]
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	out.snap(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-	r.Section("TEST")
-	if got := r.U8(); got != 0xAB {
-		t.Errorf("U8 = %#x", got)
+	if &out.pairs[0] != stale {
+		t.Error("Slice reallocated a slice whose capacity sufficed")
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round-trip wrong")
-	}
-	if got := r.U16(); got != 0xBEEF {
-		t.Errorf("U16 = %#x", got)
-	}
-	if got := r.U32(); got != 0xDEADBEEF {
-		t.Errorf("U32 = %#x", got)
-	}
-	if got := r.U64(); got != 0x0123456789ABCDEF {
-		t.Errorf("U64 = %#x", got)
-	}
-	if got := r.I32(); got != -7 {
-		t.Errorf("I32 = %d", got)
-	}
-	if got := r.I64(); got != -1<<40 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.Int(); got != -42 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.F64(); got != math.Pi {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.F64(); !math.IsInf(got, -1) {
-		t.Errorf("F64 inf = %v", got)
-	}
-	if got := r.F64(); got != 0 {
-		t.Errorf("F64 zero = %v", got)
-	}
-	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.String(); got != "wormhole" {
-		t.Errorf("String = %q", got)
-	}
-	if got := r.String(); got != "" {
-		t.Errorf("empty String = %q", got)
-	}
-	i64s := make([]int64, 3)
-	r.I64sInto(i64s)
-	if i64s[0] != -1 || i64s[2] != 1 {
-		t.Errorf("I64sInto = %v", i64s)
-	}
-	f64s := make([]float64, 2)
-	r.F64sInto(f64s)
-	if f64s[0] != 0.5 || f64s[1] != -0.5 {
-		t.Errorf("F64sInto = %v", f64s)
-	}
-	u64s := make([]uint64, 2)
-	r.U64sInto(u64s)
-	if u64s[0] != 9 || u64s[1] != 10 {
-		t.Errorf("U64sInto = %v", u64s)
-	}
-	u32s := make([]uint32, 2)
-	r.U32sInto(u32s)
-	if u32s[0] != 11 || u32s[1] != 12 {
-		t.Errorf("U32sInto = %v", u32s)
-	}
-	ints := r.Ints()
-	if len(ints) != 2 || ints[0] != -3 || ints[1] != 3 {
-		t.Errorf("Ints = %v", ints)
-	}
-	bools := make([]bool, 3)
-	r.BoolsInto(bools)
-	if !bools[0] || bools[1] || !bools[2] {
-		t.Errorf("BoolsInto = %v", bools)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatalf("reader error: %v", err)
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip changed values:\n in %+v\nout %+v", in, out)
 	}
 	// The stream must be exactly consumed: one more read should fail.
-	r.U8()
-	if r.Err() == nil {
-		t.Error("read past end succeeded; writer/reader call counts drifted")
+	var extra uint8
+	dec.U8(&extra)
+	if dec.Err() == nil {
+		t.Error("read past end succeeded; the two directions moved different byte counts")
+	}
+}
+
+// TestMapCanonicalOrder: a map encodes in sorted key order whatever its
+// iteration order, so equal maps give equal bytes.
+func TestMapCanonicalOrder(t *testing.T) {
+	m := map[uint64]int32{}
+	for k := uint64(0); k < 100; k++ {
+		m[k*7919%101] = int32(k)
+	}
+	var buf bytes.Buffer
+	c := NewEncoder(&buf)
+	var seen []uint64
+	Map(c, &m, cmp.Compare[uint64], func(c *Codec, k *uint64, v *int32) {
+		seen = append(seen, *k)
+		c.U64(k)
+	})
+	if !slices.IsSorted(seen) || len(seen) != len(m) {
+		t.Errorf("map walked out of order or incompletely: %v", seen)
 	}
 }
 
 // TestSectionMismatch checks the out-of-sync detector names both tags.
 func TestSectionMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Section("NETW")
-	if err := w.Flush(); err != nil {
+	enc := NewEncoder(&buf)
+	enc.Section("NETW")
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	r.Section("STAT")
-	err := r.Err()
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.Section("STAT")
+	err := dec.Err()
 	if err == nil {
 		t.Fatal("mismatched section accepted")
 	}
@@ -147,31 +164,27 @@ func TestSectionMismatch(t *testing.T) {
 
 // TestBadSectionTag rejects tags that are not exactly 4 bytes.
 func TestBadSectionTag(t *testing.T) {
-	w := NewWriter(&bytes.Buffer{})
-	w.Section("TOOLONG")
-	if w.Err() == nil {
+	c := NewEncoder(&bytes.Buffer{})
+	c.Section("TOOLONG")
+	if c.Err() == nil {
 		t.Error("7-byte tag accepted")
 	}
 }
 
 // TestHeaderRejects checks bad magic and version skew fail loudly.
 func TestHeaderRejects(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U32(0x12345678) // wrong magic
-	w.U32(Version)
-	w.Flush()
-	if err := NewReader(bytes.NewReader(buf.Bytes())).Header(); err == nil {
-		t.Error("bad magic accepted")
-	}
-
-	buf.Reset()
-	w = NewWriter(&buf)
-	w.U32(Magic)
-	w.U32(Version + 1)
-	w.Flush()
-	if err := NewReader(bytes.NewReader(buf.Bytes())).Header(); err == nil {
-		t.Error("future version accepted")
+	for name, words := range map[string][2]uint32{
+		"bad magic":      {0x12345678, Version},
+		"future version": {Magic, Version + 1},
+	} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		enc.U32(&words[0])
+		enc.U32(&words[1])
+		enc.Flush()
+		if err := NewDecoder(bytes.NewReader(buf.Bytes())).Header(); !IsCorrupt(err) {
+			t.Errorf("%s accepted (err %v)", name, err)
+		}
 	}
 }
 
@@ -179,47 +192,54 @@ func TestHeaderRejects(t *testing.T) {
 // snapshot from a differently sized configuration is read back.
 func TestLenCheckMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.I64s([]int64{1, 2, 3})
-	w.Flush()
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	r.I64sInto(make([]int64, 4))
-	if r.Err() == nil {
+	enc := NewEncoder(&buf)
+	enc.I64s([]int64{1, 2, 3})
+	enc.Flush()
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.I64s(make([]int64, 4))
+	if dec.Err() == nil {
 		t.Error("length mismatch accepted")
 	}
 }
 
-// TestStickyErrors checks both halves go quiet after the first failure.
+// TestStickyErrors checks both directions go quiet after the first
+// failure.
 func TestStickyErrors(t *testing.T) {
-	// Reader: truncated stream; every later call returns the zero value
+	// Decoding: truncated stream; every later call stores the zero value
 	// and the first error is preserved.
-	r := NewReader(bytes.NewReader([]byte{0x01}))
-	r.U64()
-	first := r.Err()
+	dec := NewDecoder(bytes.NewReader([]byte{0x01}))
+	var u64 uint64
+	dec.U64(&u64)
+	first := dec.Err()
 	if first == nil {
 		t.Fatal("truncated U64 read succeeded")
 	}
-	if got := r.U32(); got != 0 {
-		t.Errorf("post-error U32 = %d, want 0", got)
+	u32 := uint32(99)
+	if dec.U32(&u32); u32 != 0 {
+		t.Errorf("post-error U32 = %d, want 0", u32)
 	}
-	if r.Err() != first {
+	if dec.Err() != first {
 		t.Error("first error not sticky")
 	}
 
-	// Writer: an injected failure suppresses later writes.
+	// Encoding: an injected failure suppresses later writes, and is not
+	// dressed up as a corrupt stream.
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	werr := w.Err()
-	if werr != nil {
-		t.Fatal(werr)
+	enc := NewEncoder(&buf)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
 	}
-	w.Fail(errInjected)
-	w.U64(7)
-	if err := w.Flush(); err != errInjected {
+	enc.Fail(errInjected)
+	seven := uint64(7)
+	enc.U64(&seven)
+	if err := enc.Flush(); err != errInjected {
 		t.Errorf("Flush = %v, want injected error", err)
 	}
 	if buf.Len() != 0 {
 		t.Errorf("post-error write emitted %d bytes", buf.Len())
+	}
+	if seven != 7 {
+		t.Errorf("encoding changed the walked value to %d", seven)
 	}
 }
 
@@ -233,12 +253,62 @@ func (*injectedError) Error() string { return "injected" }
 // huge allocation: Len rejects values over the cap.
 func TestTruncatedSlice(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U32(0xFFFFFFFF) // length prefix far over maxSliceLen
-	w.Flush()
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	if p := r.Bytes(); p != nil || r.Err() == nil {
+	enc := NewEncoder(&buf)
+	huge := uint32(0xFFFFFFFF) // length prefix far over MaxLen
+	enc.U32(&huge)
+	enc.Flush()
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	var p []byte
+	if dec.Bytes(&p); p != nil || !IsCorrupt(dec.Err()) {
 		t.Error("oversized length prefix accepted")
+	}
+}
+
+// TestHostileLengthAllocatesAsBytesArrive: a length prefix the format
+// allows but the stream cannot back — one flipped word in an otherwise
+// small file — must fail as corrupt after a bounded allocation, for
+// every variable-length walk, instead of reserving what it claims.
+func TestHostileLengthAllocatesAsBytesArrive(t *testing.T) {
+	var stream bytes.Buffer
+	enc := NewEncoder(&stream)
+	claimed := MaxLen
+	enc.Len(&claimed)
+	enc.F64s(make([]float64, 100_000)) // 800 KB of real data behind the lie
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	type wide struct{ a, b, c, d int64 }
+	walks := map[string]func(*Codec){
+		"Bytes":   func(c *Codec) { var p []byte; c.Bytes(&p) },
+		"String":  func(c *Codec) { var s string; c.String(&s) },
+		"VarInts": func(c *Codec) { var v []int; c.VarInts(&v, MaxLen) },
+		"Slice": func(c *Codec) {
+			var v []wide
+			Slice(c, &v, MaxLen, func(c *Codec, e *wide) { c.I64(&e.a) })
+		},
+		"Map": func(c *Codec) {
+			var m map[uint64]wide
+			Map(c, &m, cmp.Compare[uint64], func(c *Codec, k *uint64, e *wide) { c.U64(k) })
+		},
+	}
+	for name, walk := range walks {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dec := NewDecoder(bytes.NewReader(stream.Bytes()))
+		walk(dec)
+		runtime.ReadMemStats(&after)
+		if !IsCorrupt(dec.Err()) {
+			t.Errorf("%s: err = %v, want a corrupt-stream error", name, dec.Err())
+		}
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 32 {
+			t.Errorf("%s: a %d-element claim over a %d-byte stream allocated %.0f MB", name, claimed, stream.Len(), mb)
+		}
+	}
+	// A bound below the format limit rejects the prefix outright.
+	dec := NewDecoder(bytes.NewReader(stream.Bytes()))
+	var v []int
+	if dec.VarInts(&v, 1000); !IsCorrupt(dec.Err()) || v != nil {
+		t.Errorf("length over its bound accepted (err %v)", dec.Err())
 	}
 }
 
@@ -315,15 +385,15 @@ func TestCountingSourceSnapUnsnap(t *testing.T) {
 		rng.Uint64()
 	}
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	cs.Snap(w)
-	w.Flush()
+	enc := NewEncoder(&buf)
+	cs.Snap(enc)
+	enc.Flush()
 	next := rng.Uint64() // first post-snapshot value; restore must reproduce it
 
 	cs2 := NewCountingSource(7)
-	r := NewReader(bytes.NewReader(buf.Bytes()))
-	cs2.Unsnap(r)
-	if err := r.Err(); err != nil {
+	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	cs2.Snap(dec)
+	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if cs2.Draws() != 137 {
@@ -353,12 +423,13 @@ func TestCountingSourceSeedResets(t *testing.T) {
 func TestDeterministicBytes(t *testing.T) {
 	emit := func() []byte {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.Header()
-		w.Section("DEMO")
-		w.F64s([]float64{1.5, math.SmallestNonzeroFloat64})
-		w.String("x")
-		w.Flush()
+		c := NewEncoder(&buf)
+		c.Header()
+		c.Section("DEMO")
+		c.F64s([]float64{1.5, math.SmallestNonzeroFloat64})
+		x := "x"
+		c.String(&x)
+		c.Flush()
 		return buf.Bytes()
 	}
 	if !bytes.Equal(emit(), emit()) {
@@ -388,54 +459,56 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 		}
 
 		var bulk, ref bytes.Buffer
-		w := NewWriter(&bulk)
-		w.F64s(f64)
-		w.U64s(u64)
-		w.I64s(i64)
-		w.U32s(u32)
-		w.Ints(ints)
-		w.U8(0xEE)
-		if err := w.Flush(); err != nil {
+		c := NewEncoder(&bulk)
+		c.F64s(f64)
+		c.U64s(u64)
+		c.I64s(i64)
+		c.U32s(u32)
+		c.Ints(ints)
+		mark := uint8(0xEE)
+		c.U8(&mark)
+		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		w = NewWriter(&ref)
-		w.Len(n)
+		c = NewEncoder(&ref)
+		c.Len(&n)
 		for _, x := range f64 {
-			w.F64(x)
+			c.F64(&x)
 		}
-		w.Len(n)
+		c.Len(&n)
 		for _, x := range u64 {
-			w.U64(x)
+			c.U64(&x)
 		}
-		w.Len(n)
+		c.Len(&n)
 		for _, x := range i64 {
-			w.I64(x)
+			c.I64(&x)
 		}
-		w.Len(n)
+		c.Len(&n)
 		for _, x := range u32 {
-			w.U32(x)
+			c.U32(&x)
 		}
-		w.Len(n)
+		c.Len(&n)
 		for _, x := range ints {
-			w.Int(x)
+			c.Int(&x)
 		}
-		w.U8(0xEE)
-		if err := w.Flush(); err != nil {
+		c.U8(&mark)
+		if err := c.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bulk.Bytes(), ref.Bytes()) {
 			t.Fatalf("n=%d: chunked encoding differs from the element-wise format", n)
 		}
 
-		r := NewReader(bytes.NewReader(ref.Bytes()))
+		c = NewDecoder(bytes.NewReader(ref.Bytes()))
 		gf, gu, gi, g32, gn := make([]float64, n), make([]uint64, n), make([]int64, n), make([]uint32, n), make([]int, n)
-		r.F64sInto(gf)
-		r.U64sInto(gu)
-		r.I64sInto(gi)
-		r.U32sInto(g32)
-		r.IntsInto(gn)
-		if r.U8() != 0xEE || r.Err() != nil {
-			t.Fatalf("n=%d: stream not consumed exactly (err %v)", n, r.Err())
+		c.F64s(gf)
+		c.U64s(gu)
+		c.I64s(gi)
+		c.U32s(g32)
+		c.Ints(gn)
+		mark = 0
+		if c.U8(&mark); mark != 0xEE || c.Err() != nil {
+			t.Fatalf("n=%d: stream not consumed exactly (err %v)", n, c.Err())
 		}
 		for i := 0; i < n; i++ {
 			if math.Float64bits(gf[i]) != math.Float64bits(f64[i]) || gu[i] != u64[i] || gi[i] != i64[i] || g32[i] != u32[i] || gn[i] != ints[i] {
@@ -443,17 +516,20 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 			}
 		}
 
-		// The variable-length readers share the chunked path.
-		r = NewReader(bytes.NewReader(ref.Bytes()))
-		vf, vu := r.F64s(), r.U64s()
-		r.I64sInto(gi)
-		r.U32sInto(g32)
-		vn := r.Ints()
-		if r.U8() != 0xEE || r.Err() != nil || len(vf) != n || len(vu) != n || len(vn) != n {
-			t.Fatalf("n=%d: variable-length read drifted (err %v)", n, r.Err())
+		// The variable-length walk shares the chunked path.
+		c = NewDecoder(bytes.NewReader(ref.Bytes()))
+		c.F64s(gf)
+		c.U64s(gu)
+		c.I64s(gi)
+		c.U32s(g32)
+		var vn []int
+		c.VarInts(&vn, MaxLen)
+		mark = 0
+		if c.U8(&mark); mark != 0xEE || c.Err() != nil || len(vn) != n {
+			t.Fatalf("n=%d: variable-length read drifted (err %v)", n, c.Err())
 		}
 		for i := 0; i < n; i++ {
-			if math.Float64bits(vf[i]) != math.Float64bits(f64[i]) || vu[i] != u64[i] || vn[i] != ints[i] {
+			if vn[i] != ints[i] {
 				t.Fatalf("n=%d: variable-length element %d did not round-trip", n, i)
 			}
 		}
@@ -464,16 +540,16 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 // the sticky corrupt error, as a truncated scalar does.
 func TestBulkSliceTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.F64s(make([]float64, 2000))
-	if err := w.Flush(); err != nil {
+	enc := NewEncoder(&buf)
+	enc.F64s(make([]float64, 2000))
+	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{5, 4 + chunkBytes - 1, buf.Len() - 1} {
-		r := NewReader(bytes.NewReader(buf.Bytes()[:cut]))
-		r.F64sInto(make([]float64, 2000))
-		if !IsCorrupt(r.Err()) {
-			t.Errorf("cut at %d: err = %v, want a corrupt-stream error", cut, r.Err())
+		dec := NewDecoder(bytes.NewReader(buf.Bytes()[:cut]))
+		dec.F64s(make([]float64, 2000))
+		if !IsCorrupt(dec.Err()) {
+			t.Errorf("cut at %d: err = %v, want a corrupt-stream error", cut, dec.Err())
 		}
 	}
 }
@@ -488,9 +564,9 @@ func BenchmarkSliceCodec(b *testing.B) {
 		b.SetBytes(int64(len(table)) * 8)
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
-			w := NewWriter(&buf)
-			w.F64s(table)
-			if err := w.Flush(); err != nil {
+			c := NewEncoder(&buf)
+			c.F64s(table)
+			if err := c.Flush(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -498,10 +574,10 @@ func BenchmarkSliceCodec(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(table)) * 8)
 		for i := 0; i < b.N; i++ {
-			r := NewReader(bytes.NewReader(buf.Bytes()))
-			r.F64sInto(table)
-			if r.Err() != nil {
-				b.Fatal(r.Err())
+			c := NewDecoder(bytes.NewReader(buf.Bytes()))
+			c.F64s(table)
+			if c.Err() != nil {
+				b.Fatal(c.Err())
 			}
 		}
 	})

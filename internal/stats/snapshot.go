@@ -2,117 +2,62 @@ package stats
 
 // Checkpoint/restore for the measurement counters and the recovery log
 // (DESIGN.md §15). Everything here is plain accumulated state, so the
-// snapshot is a field-by-field dump in declaration order; the per-router
+// walk is a field-by-field list in declaration order; the per-router
 // window slices carry a structural length check so a snapshot from a
 // different fabric size fails loudly.
 
 import "rlnoc/internal/snap"
 
-// SnapState serializes every counter, histogram bucket and per-router
-// window of the collector.
-func (c *Collector) SnapState(w *snap.Writer) error {
-	w.Section("STAT")
-	w.Bool(c.measuring)
-	w.I64(c.PacketsInjected)
-	w.I64(c.PacketsDelivered)
-	w.I64(c.FlitsDelivered)
-	w.I64(c.ControlInjected)
-	w.F64(c.latSum)
-	w.I64(c.latCount)
-	w.I64(c.latMax)
-	w.F64(c.netSum)
+// Snap walks every counter, histogram bucket and per-router window of
+// the collector.
+func (c *Collector) Snap(cd *snap.Codec) error {
+	cd.Section("STAT")
+	cd.Bool(&c.measuring)
+	cd.I64(&c.PacketsInjected)
+	cd.I64(&c.PacketsDelivered)
+	cd.I64(&c.FlitsDelivered)
+	cd.I64(&c.ControlInjected)
+	cd.F64(&c.latSum)
+	cd.I64(&c.latCount)
+	cd.I64(&c.latMax)
+	cd.F64(&c.netSum)
 	for i := range c.latHist {
-		w.I64(c.latHist[i])
+		cd.I64(&c.latHist[i])
 	}
-	w.I64(c.SourceRetransmissions)
-	w.I64(c.LinkRetransmissions)
-	w.I64(c.PreRetransmissions)
-	w.I64(c.ErrorsInjected)
-	w.I64(c.ECCCorrections)
-	w.I64(c.ECCDetections)
-	w.I64(c.CRCFailures)
-	w.I64(c.LinkNACKs)
-	w.I64(c.SilentCorruption)
+	cd.I64(&c.SourceRetransmissions)
+	cd.I64(&c.LinkRetransmissions)
+	cd.I64(&c.PreRetransmissions)
+	cd.I64(&c.ErrorsInjected)
+	cd.I64(&c.ECCCorrections)
+	cd.I64(&c.ECCDetections)
+	cd.I64(&c.CRCFailures)
+	cd.I64(&c.LinkNACKs)
+	cd.I64(&c.SilentCorruption)
 	for i := range c.drops {
-		w.I64(c.drops[i])
+		cd.I64(&c.drops[i])
 	}
-	w.F64s(c.winLatSum)
-	w.I64s(c.winLatCount)
-	w.I64s(c.winFlitsIn)
-	w.I64s(c.winFlitsOut)
-	w.I64s(c.winNACKsIn)
-	w.I64s(c.winNACKsOut)
-	w.I64s(c.winResidual)
-	return w.Err()
+	cd.F64s(c.winLatSum)
+	cd.I64s(c.winLatCount)
+	cd.I64s(c.winFlitsIn)
+	cd.I64s(c.winFlitsOut)
+	cd.I64s(c.winNACKsIn)
+	cd.I64s(c.winNACKsOut)
+	cd.I64s(c.winResidual)
+	return cd.Err()
 }
 
-// SnapRestore overwrites the collector's state from a snapshot.
-func (c *Collector) SnapRestore(r *snap.Reader) error {
-	r.Section("STAT")
-	c.measuring = r.Bool()
-	c.PacketsInjected = r.I64()
-	c.PacketsDelivered = r.I64()
-	c.FlitsDelivered = r.I64()
-	c.ControlInjected = r.I64()
-	c.latSum = r.F64()
-	c.latCount = r.I64()
-	c.latMax = r.I64()
-	c.netSum = r.F64()
-	for i := range c.latHist {
-		c.latHist[i] = r.I64()
-	}
-	c.SourceRetransmissions = r.I64()
-	c.LinkRetransmissions = r.I64()
-	c.PreRetransmissions = r.I64()
-	c.ErrorsInjected = r.I64()
-	c.ECCCorrections = r.I64()
-	c.ECCDetections = r.I64()
-	c.CRCFailures = r.I64()
-	c.LinkNACKs = r.I64()
-	c.SilentCorruption = r.I64()
-	for i := range c.drops {
-		c.drops[i] = r.I64()
-	}
-	r.F64sInto(c.winLatSum)
-	r.I64sInto(c.winLatCount)
-	r.I64sInto(c.winFlitsIn)
-	r.I64sInto(c.winFlitsOut)
-	r.I64sInto(c.winNACKsIn)
-	r.I64sInto(c.winNACKsOut)
-	r.I64sInto(c.winResidual)
-	return r.Err()
-}
-
-// SnapState serializes the recovery log. A nil log writes an empty one
-// (matching the nil-as-no-op recorder semantics).
-func (l *RecoveryLog) SnapState(w *snap.Writer) error {
-	w.Section("RECV")
+// Snap walks the recovery log. A nil log is an empty one on both sides
+// (matching the nil-as-no-op recorder semantics): it encodes the empty
+// record, and decoding into it consumes a record and keeps nothing.
+func (l *RecoveryLog) Snap(c *snap.Codec) error {
+	c.Section("RECV")
 	if l == nil {
-		w.Len(0)
-		w.Int(0)
-		return w.Err()
+		l = &RecoveryLog{}
 	}
-	w.Len(len(l.entries))
-	for _, e := range l.entries {
-		w.I64(e.KillCycle)
-		w.I64(e.FirstDeliveryAfter)
-	}
-	w.Int(l.pending)
-	return w.Err()
-}
-
-// SnapRestore overwrites the log from a snapshot.
-func (l *RecoveryLog) SnapRestore(r *snap.Reader) error {
-	r.Section("RECV")
-	n := r.Len()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	l.entries = l.entries[:0]
-	for i := 0; i < n; i++ {
-		e := RecoveryEntry{KillCycle: r.I64(), FirstDeliveryAfter: r.I64()}
-		l.entries = append(l.entries, e)
-	}
-	l.pending = r.Int()
-	return r.Err()
+	snap.Slice(c, &l.entries, snap.MaxLen, func(c *snap.Codec, e *RecoveryEntry) {
+		c.I64(&e.KillCycle)
+		c.I64(&e.FirstDeliveryAfter)
+	})
+	c.Int(&l.pending)
+	return c.Err()
 }

@@ -6,19 +6,11 @@ package thermal
 
 import "rlnoc/internal/snap"
 
-// SnapState serializes the tile temperatures and version counter.
-func (g *Grid) SnapState(w *snap.Writer) error {
-	w.Section("THRM")
-	w.F64s(g.temp)
-	w.I64(g.version)
-	return w.Err()
-}
-
-// SnapRestore overwrites the temperatures and version of a freshly
-// constructed grid over the same fabric.
-func (g *Grid) SnapRestore(r *snap.Reader) error {
-	r.Section("THRM")
-	r.F64sInto(g.temp)
-	g.version = r.I64()
-	return r.Err()
+// Snap walks the tile temperatures and version counter; decoding
+// overwrites a freshly constructed grid over the same fabric.
+func (g *Grid) Snap(c *snap.Codec) error {
+	c.Section("THRM")
+	c.F64s(g.temp)
+	c.I64(&g.version)
+	return c.Err()
 }
