@@ -14,10 +14,8 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
-	"rlnoc/internal/network"
 	"rlnoc/internal/power"
 	"rlnoc/internal/rl"
-	"rlnoc/internal/traffic"
 )
 
 func benchSetup(b *testing.B) (Config, []string) {
@@ -120,35 +118,4 @@ func BenchmarkOverheadEnergy(b *testing.B) {
 		_, _, frac = power.EnergyOverheadPerFlit(power.DefaultParams())
 	}
 	b.ReportMetric(frac*100, "%overhead")
-}
-
-// BenchmarkRouterCycle measures the simulator's raw speed: router-cycles
-// per second stepping a loaded 8x8 mesh under the ARQ+ECC scheme.
-func BenchmarkRouterCycle(b *testing.B) {
-	cfg := DefaultConfig()
-	net, err := network.New(cfg, network.StaticController{Fixed: network.Mode1},
-		network.ControllerNone, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := traffic.Synthetic(net.Topology(), traffic.Uniform, 0.005,
-		cfg.FlitsPerPacket, int64(b.N)+1000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	i := 0
-	for c := 0; c < b.N; c++ {
-		for i < len(events) && events[i].Cycle <= net.Cycle() {
-			e := events[i]
-			if _, err := net.NewDataPacket(e.Src, e.Dst, e.Flits, e.Cycle); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-		if err := net.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(cfg.Routers())*float64(b.N)/b.Elapsed().Seconds(), "router-cycles/s")
 }

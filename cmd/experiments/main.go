@@ -13,6 +13,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,44 +46,42 @@ func runRestore(path string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		figFlag   = flag.String("fig", "", "regenerate one figure: 6|7|8|9|10")
-		all       = flag.Bool("all", false, "regenerate every figure")
-		table2    = flag.Bool("table2", false, "print the Table II parameters")
-		overhead  = flag.Bool("overhead", false, "print the Section VI-B overhead analysis")
-		ablation  = flag.String("ablation", "", "run an ablation: rl-params|modes|epoch|table-sharing|static-modes")
-		benchFlag = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all nine)")
-		cfgPath   = flag.String("config", "", "JSON config file")
-		small     = flag.Bool("small", false, "use the 4x4 quick configuration (fast, noisier)")
-		seed      = flag.Int64("seed", 0, "override random seed")
-		topoFlag  = flag.String("topology", "", "fabric topology: mesh|torus (default: config)")
-		chart     = flag.Bool("chart", false, "render figures as ASCII bar charts instead of tables")
-		seeds     = flag.Int("seeds", 1, "number of seeds to average figures over (mean +/- std)")
-		analytic  = flag.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
-		loadsweep = flag.Bool("loadsweep", false, "run the load-latency sweep (latency vs injection rate per scheme)")
-		chaos     = flag.Int("chaos", 0, "run N randomized hard-fault chaos campaigns (mesh+torus x arq+rl, checks=all)")
-		benchBase = flag.Bool("bench-baseline", false, "measure the cycle loop per scheme and write the baseline JSON")
-		benchComp = flag.Bool("bench-compare", false, "re-measure the cycle loop and compare against the baseline JSON")
-		benchOut  = flag.String("bench-out", "BENCH_baseline.json", "baseline file path for -bench-baseline / -bench-compare")
-		benchCyc  = flag.Int64("bench-cycles", 20_000, "measured cycles per scheme for the cycle-loop baseline")
-		benchGate = flag.String("bench-gate", "allocs", "which -bench-compare regressions fail the run: allocs|speed|all")
-		benchScen = flag.String("bench-scenarios", "", "comma-separated scenario subset for -bench-baseline / -bench-compare (default: all)")
-		workers   = flag.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
-		stepW     = flag.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the measured bench loops to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile after the measured bench loops to this file")
-		snapEvery = flag.Int64("snapshot-every", 0, "checkpoint every N cycles during -chaos campaigns (0 = off)")
-		snapDir   = flag.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
-		restore   = flag.String("restore", "", "resume a checkpoint file to completion and print its result")
+		figFlag   = fs.String("fig", "", "regenerate one figure: 6|7|8|9|10")
+		all       = fs.Bool("all", false, "regenerate every figure")
+		table2    = fs.Bool("table2", false, "print the Table II parameters")
+		overhead  = fs.Bool("overhead", false, "print the Section VI-B overhead analysis")
+		ablation  = fs.String("ablation", "", "run an ablation: rl-params|modes|epoch|table-sharing|static-modes")
+		benchFlag = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all nine)")
+		cfgPath   = fs.String("config", "", "JSON config file")
+		small     = fs.Bool("small", false, "use the 4x4 quick configuration (fast, noisier)")
+		seed      = fs.Int64("seed", 0, "override random seed")
+		topoFlag  = fs.String("topology", "", "fabric topology: mesh|torus (default: config)")
+		chart     = fs.Bool("chart", false, "render figures as ASCII bar charts instead of tables")
+		seeds     = fs.Int("seeds", 1, "number of seeds to average figures over (mean +/- std)")
+		analytic  = fs.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
+		loadsweep = fs.Bool("loadsweep", false, "run the load-latency sweep (latency vs injection rate per scheme)")
+		chaos     = fs.Int("chaos", 0, "run N randomized hard-fault chaos campaigns (mesh+torus x arq+rl, checks=all)")
+		workers   = fs.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
+		stepW     = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
+		snapEvery = fs.Int64("snapshot-every", 0, "checkpoint every N cycles during -chaos campaigns (0 = off)")
+		snapDir   = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
+		restore   = fs.String("restore", "", "resume a checkpoint file to completion and print its result")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *restore != "" {
 		return runRestore(*restore)
@@ -116,14 +115,9 @@ func run() error {
 			return err
 		}
 	}
-	prof := benchProfiles{cpu: *cpuProf, mem: *memProf}
 	var benchmarks []string
 	if *benchFlag != "" {
 		benchmarks = strings.Split(*benchFlag, ",")
-	}
-	var benchSubset []string
-	if *benchScen != "" {
-		benchSubset = strings.Split(*benchScen, ",")
 	}
 
 	did := false
@@ -148,18 +142,6 @@ func run() error {
 	if *chaos > 0 {
 		dir, _ := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
 		if err := runChaos(cfg, *chaos, dir, *snapEvery); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *benchBase {
-		if err := runBenchBaseline(cfg, *benchOut, *benchCyc, benchSubset, prof); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *benchComp {
-		if err := runBenchCompare(cfg, *benchOut, *benchCyc, *benchGate, benchSubset, prof); err != nil {
 			return err
 		}
 		did = true
@@ -217,7 +199,7 @@ func run() error {
 		did = true
 	}
 	if !did {
-		flag.Usage()
+		fs.Usage()
 	}
 	return nil
 }

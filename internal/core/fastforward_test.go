@@ -115,3 +115,47 @@ func TestFastForwardSnapshotLandsOnBoundary(t *testing.T) {
 			resumed[0], resumed[1])
 	}
 }
+
+// TestFastForwardEngages counts loop iterations. The equivalence referees
+// prove a jump changes nothing, so a fast-forward that silently stopped
+// firing would pass every one of them; pollControl ticks progTick once
+// per iteration of either loop, and over a mostly idle program the
+// jumping run must take at most a quarter of the per-cycle run's
+// iterations. With checks armed the census boundaries join the horizon,
+// which only adds a stop every 1024 cycles.
+func TestFastForwardEngages(t *testing.T) {
+	// Pre-training replays pretrainSegments; a one-packet-per-thousand-
+	// cycles program leaves its loop as idle as ffGapTrace leaves Measure's.
+	defer func(segs []traffic.Segment) { pretrainSegments = segs }(pretrainSegments)
+	pretrainSegments = []traffic.Segment{{Pattern: traffic.Uniform, Rate: 0.0001}}
+
+	for _, tc := range []struct {
+		name     string
+		pretrain int
+		run      func(*Sim) error
+	}{
+		{"measure", 0, func(s *Sim) error { _, err := s.Measure(ffGapTrace(), "ffgap"); return err }},
+		{"pretrain", 8000, (*Sim).Pretrain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			iterations := func(perCycle bool) int {
+				cfg := ffSnapConfig(perCycle)
+				cfg.PretrainCycles = tc.pretrain
+				sim, err := NewSim(cfg, SchemeRL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Close()
+				if err := tc.run(sim); err != nil {
+					t.Fatal(err)
+				}
+				return sim.progTick
+			}
+			perCycle, ff := iterations(true), iterations(false)
+			t.Logf("loop iterations: per-cycle %d, fast-forward %d", perCycle, ff)
+			if ff*4 > perCycle {
+				t.Errorf("fast-forward took %d iterations against %d per-cycle: the jump is not engaging", ff, perCycle)
+			}
+		})
+	}
+}

@@ -285,6 +285,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(1), false)
 	f.Add(int64(20260808), uint8(2), true)
 	f.Add(int64(-7), uint8(4), false)
+	f.Add(int64(1)<<40, uint8(3), true)
 	f.Fuzz(func(t *testing.T, seed int64, workers uint8, qroute bool) {
 		cfg := config.Small()
 		cfg.PretrainCycles = 0
@@ -337,7 +338,61 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(orig, buf.Bytes()) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
+		restoreMustBeCorrupt(t, withLastNIDraws(t, orig, 1<<63))
 	})
+}
+
+// restoreMustBeCorrupt requires RestoreSim to reject data as a corrupt
+// stream — the one error recovery answers by falling back to the
+// previous checkpoint.
+func restoreMustBeCorrupt(t *testing.T, data []byte) {
+	t.Helper()
+	sim, err := RestoreSim(bytes.NewReader(data))
+	if err == nil {
+		sim.Close()
+		t.Fatal("hostile checkpoint restored")
+	}
+	if !snap.IsCorrupt(err) {
+		t.Errorf("err = %v, want a snap.CorruptError", err)
+	}
+}
+
+// firstCheckpoint runs the mesh snapshot config and returns the bytes of
+// its earliest checkpoint, for the hostile-input tests to patch.
+func firstCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	cfg := snapConfig("mesh")
+	dir := t.TempDir()
+	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), 1, dir, 700)
+	paths, _ := snapshotCycles(t, dir)
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// withLastNIDraws returns a copy of a checkpoint with the last NI's
+// payload-RNG draw count — the word ahead of the CTRL section tag —
+// overwritten.
+func withLastNIDraws(t *testing.T, data []byte, draws uint64) []byte {
+	t.Helper()
+	off := bytes.LastIndex(data, []byte("CTRL")) - 8
+	if off < 0 || binary.LittleEndian.Uint64(data[off:]) > 1<<32 {
+		t.Fatalf("offset %d does not hold an NI draw count", off)
+	}
+	data = bytes.Clone(data)
+	binary.LittleEndian.PutUint64(data[off:], draws)
+	return data
+}
+
+// TestHostileDrawCountIsCorrupt flips the top bit of one RNG draw count
+// in a valid checkpoint. Replaying what the word claims would spin for
+// 2^63 draws — a wedged recovery (this test would time out), not a
+// failed one; the restore must instead hold the count to what the
+// checkpoint's own cycle counter allows and fail as a corrupt stream.
+func TestHostileDrawCountIsCorrupt(t *testing.T) {
+	restoreMustBeCorrupt(t, withLastNIDraws(t, firstCheckpoint(t), 1<<63))
 }
 
 // TestHostileTraceLengthIsCorrupt patches one word of a valid checkpoint
@@ -347,14 +402,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // events) kills the process, and the campaign's fall-back to the
 // previous checkpoint never runs.
 func TestHostileTraceLengthIsCorrupt(t *testing.T) {
-	cfg := snapConfig("mesh")
-	dir := t.TempDir()
-	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), 1, dir, 700)
-	paths, _ := snapshotCycles(t, dir)
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := firstCheckpoint(t)
 	// MEAS tag, the has-measure byte, the length-prefixed label, then the
 	// trace length.
 	off := bytes.Index(data, []byte("MEAS")) + 4 + 1

@@ -5,58 +5,7 @@ import (
 
 	"rlnoc/internal/flit"
 	"rlnoc/internal/topology"
-	"rlnoc/internal/traffic"
 )
-
-func benchNet(b *testing.B, mode Mode, hasECC bool) *Network {
-	b.Helper()
-	cfg := testConfig(0.001)
-	cfg.Width, cfg.Height = 8, 8
-	cfg.Checks = "off" // keep allocation/cycle numbers immune to RLNOC_CHECKS
-	n, err := New(cfg, StaticController{Fixed: mode}, ControllerNone, hasECC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return n
-}
-
-// BenchmarkStepIdle measures the per-cycle cost of a quiescent 8x8 mesh
-// (the simulator's floor).
-func BenchmarkStepIdle(b *testing.B) {
-	n := benchNet(b, Mode0, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStepLoaded measures the per-cycle cost under sustained uniform
-// traffic with full ARQ+ECC protection.
-func BenchmarkStepLoaded(b *testing.B) {
-	n := benchNet(b, Mode1, true)
-	events, err := traffic.Synthetic(n.Topology(), traffic.Uniform, 0.008, 4, int64(b.N)+10_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	i := 0
-	for c := 0; c < b.N; c++ {
-		for i < len(events) && events[i].Cycle <= n.Cycle() {
-			e := events[i]
-			if _, err := n.NewDataPacket(e.Src, e.Dst, e.Flits, e.Cycle); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-		if err := n.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkCommitPhase isolates the wire-commit half of the parallel
 // cycle loop: each iteration stages one accepted arrival per router of
@@ -117,29 +66,5 @@ func BenchmarkCommitPhase(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkStepMode2 measures the duplicate-transmission overhead.
-func BenchmarkStepMode2(b *testing.B) {
-	n := benchNet(b, Mode2, true)
-	events, err := traffic.Synthetic(n.Topology(), traffic.Uniform, 0.005, 4, int64(b.N)+10_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	i := 0
-	for c := 0; c < b.N; c++ {
-		for i < len(events) && events[i].Cycle <= n.Cycle() {
-			e := events[i]
-			if _, err := n.NewDataPacket(e.Src, e.Dst, e.Flits, e.Cycle); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-		if err := n.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -257,9 +257,26 @@ func (n *Network) Snap(c *snap.Codec) error {
 		}
 	}
 	if c.Decoding() {
+		// Every draw count read so far on this codec — the NIs' above and,
+		// in a core.Sim stream, the controller's agents before the NETW
+		// section — is only now checked against the decoded cycle counter.
+		c.ReplayDraws(maxDraws(n.cycle))
+		if err := c.Err(); err != nil {
+			return err
+		}
 		return n.afterDecode()
 	}
 	return nil
+}
+
+// maxDraws is the most values one RNG source can have drawn by cycle: an
+// NI draws flit.WordsPerFlit payload words per flit of each packet built
+// at its node, an agent a handful per control epoch. 256 a cycle is 32
+// four-flit packets per node per cycle; the head start admits a burst
+// queued at cycle 0. The clamp keeps a flipped cycle counter from
+// overflowing the product.
+func maxDraws(cycle int64) uint64 {
+	return uint64(min(max(cycle, 0), 1<<40)+4096) * 256
 }
 
 // afterDecode recomputes everything derived from the decoded kill state.

@@ -75,6 +75,15 @@ type Codec struct {
 	r   *bufio.Reader // decoding when non-nil
 	buf [chunkBytes]byte
 	err error
+	// replay lists the RNG sources a decode has read draw counts for, until
+	// ReplayDraws moves them there.
+	replay []pendingDraws
+}
+
+// pendingDraws is a decoded draw count awaiting its bound.
+type pendingDraws struct {
+	src   *CountingSource
+	draws uint64
 }
 
 // NewEncoder returns a codec that writes to w (buffered internally; call
@@ -550,12 +559,29 @@ func (s *CountingSource) Restore(draws uint64) {
 	}
 }
 
-// Snap walks the draw count; decoding replays the source to that
-// position.
+// Snap walks the draw count. A decode only notes it: the replay is the
+// one decode step whose cost the stream dictates — a flipped count would
+// spin for up to 2^64 draws — so it waits for ReplayDraws and the bound
+// the walk supplies there.
 func (s *CountingSource) Snap(c *Codec) {
 	n := s.draws
 	c.U64(&n)
 	if c.Decoding() && c.Err() == nil {
-		s.Restore(n)
+		c.replay = append(c.replay, pendingDraws{s, n})
 	}
+}
+
+// ReplayDraws replays every source decoded so far to its recorded
+// position. max is the caller's ceiling on how many values any one source
+// can have drawn by the point the snapshot was taken; a count beyond it
+// fails the decode as corrupt instead of being replayed.
+func (c *Codec) ReplayDraws(max uint64) {
+	for _, p := range c.replay {
+		if p.draws > max {
+			c.Fail(fmt.Errorf("snap: RNG draw count %d exceeds the ceiling of %d", p.draws, max))
+			break
+		}
+		p.src.Restore(p.draws)
+	}
+	c.replay = nil
 }

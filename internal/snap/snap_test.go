@@ -393,6 +393,10 @@ func TestCountingSourceSnapUnsnap(t *testing.T) {
 	cs2 := NewCountingSource(7)
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
 	cs2.Snap(dec)
+	if cs2.Draws() != 0 {
+		t.Fatalf("decode replayed %d draws before ReplayDraws supplied a ceiling", cs2.Draws())
+	}
+	dec.ReplayDraws(137)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +405,29 @@ func TestCountingSourceSnapUnsnap(t *testing.T) {
 	}
 	if got := rand.New(cs2).Uint64(); got != next {
 		t.Errorf("restored source diverged: %d != %d", got, next)
+	}
+}
+
+// TestHostileDrawCountIsCorrupt: a draw count past the caller's ceiling —
+// one over it, and the 1<<63 a flipped top bit produces, which would
+// replay for centuries — fails the decode as corrupt without drawing.
+func TestHostileDrawCountIsCorrupt(t *testing.T) {
+	for _, draws := range []uint64{138, 1 << 63} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		enc.U64(&draws)
+		enc.Flush()
+
+		cs := NewCountingSource(7)
+		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+		cs.Snap(dec)
+		dec.ReplayDraws(137)
+		if err := dec.Err(); !IsCorrupt(err) {
+			t.Errorf("draw count %d under a ceiling of 137: err = %v, want a CorruptError", draws, err)
+		}
+		if cs.Draws() != 0 {
+			t.Errorf("draw count %d: source replayed %d draws before failing", draws, cs.Draws())
+		}
 	}
 }
 
