@@ -88,7 +88,7 @@ func ablateModeSubsets(cfg rlnoc.Config, bench string) error {
 			return err
 		}
 		sim.Controller().(*core.RLController).ModeMask = m.mask
-		res, err := runSim(sim, cfg, bench)
+		res, err := sim.RunBenchmark(bench)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.name, err)
 		}
@@ -141,7 +141,7 @@ func ablateStaticModes(cfg rlnoc.Config, bench string) error {
 		if err != nil {
 			return err
 		}
-		res, err := runSim(sim, cfg, bench)
+		res, err := sim.RunBenchmark(bench)
 		if err != nil {
 			return fmt.Errorf("%v: %w", m, err)
 		}
@@ -161,22 +161,10 @@ func ablateGranularity(cfg rlnoc.Config, bench string) error {
 	if err != nil {
 		return err
 	}
-	perPort, err := runSim(sim, cfg, bench)
+	perPort, err := sim.RunBenchmark(bench)
 	if err != nil {
 		return err
 	}
 	printRow("per-port agents (4x finer)", perPort)
 	return nil
-}
-
-// runSim drives a pre-built Sim through pretrain+measure on a benchmark.
-func runSim(sim *core.Sim, cfg rlnoc.Config, bench string) (rlnoc.Result, error) {
-	if err := sim.Pretrain(); err != nil {
-		return rlnoc.Result{}, err
-	}
-	events, err := rlnoc.BenchmarkTrace(cfg, bench, int64(cfg.MaxCycles), cfg.Seed*31+1300)
-	if err != nil {
-		return rlnoc.Result{}, err
-	}
-	return sim.Measure(events, bench)
 }

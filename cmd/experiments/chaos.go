@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
 
 	"rlnoc"
 	"rlnoc/internal/campaign"
@@ -38,33 +36,9 @@ func runChaos(base rlnoc.Config, runs int, snapDir string, snapEvery int64) erro
 	if snapEvery > 0 {
 		dir = snapDir
 	}
-	workers := base.SuiteWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	eng, err := campaign.Open(campaign.Options{
-		Dir:     dir,
-		Name:    "chaos",
-		Workers: workers,
-		Seed:    base.Seed,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
+	byID, err := campaign.RunSpecs("chaos", dir, base, plan.Specs)
 	if err != nil {
 		return err
-	}
-	defer eng.Close()
-	if err := eng.Submit(plan.Specs...); err != nil {
-		return err
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		return err
-	}
-
-	byID := map[string]campaign.JobResult{}
-	for _, r := range eng.Results() {
-		byID[r.ID] = r
 	}
 	counts := map[string]int{}
 	failed := 0

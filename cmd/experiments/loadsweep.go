@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
 
 	"rlnoc"
 	"rlnoc/internal/campaign"
@@ -17,33 +15,10 @@ import (
 // job campaign on the supervised engine, so a wedged or crashed cell
 // retries instead of losing the sweep.
 func runLoadSweep(cfg rlnoc.Config) error {
-	rates := []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010}
-	specs := campaign.BuildLoadSweep(cfg, rates, 0)
-	workers := cfg.SuiteWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	eng, err := campaign.Open(campaign.Options{
-		Name:    "loadsweep",
-		Workers: workers,
-		Seed:    cfg.Seed,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
+	rates := campaign.LoadSweepRates
+	byID, err := campaign.RunSpecs("loadsweep", "", cfg, campaign.BuildLoadSweep(cfg, rates, 0))
 	if err != nil {
 		return err
-	}
-	defer eng.Close()
-	if err := eng.Submit(specs...); err != nil {
-		return err
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		return err
-	}
-	byID := map[string]campaign.JobResult{}
-	for _, r := range eng.Results() {
-		byID[r.ID] = r
 	}
 
 	fmt.Println("load-latency sweep: mean E2E latency (cycles) vs injection rate, uniform traffic")

@@ -66,3 +66,25 @@ func TestRun(t *testing.T) {
 		})
 	}
 }
+
+// TestCampaignTablesIgnoreWorkerCount: -workers 0 means GOMAXPROCS for the
+// campaign-backed modes too (they used to read it as 1), and the pool
+// size never reaches the printed tables.
+func TestCampaignTablesIgnoreWorkerCount(t *testing.T) {
+	for _, mode := range [][]string{{"-chaos", "3"}, {"-loadsweep"}} {
+		t.Run(mode[0], func(t *testing.T) {
+			args := append([]string{"-small"}, mode...)
+			one, err := runCaptured(t, append(args, "-workers", "1")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := runCaptured(t, append(args, "-workers", "0")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto != one || one == "" {
+				t.Errorf("-workers 0 and -workers 1 print different tables:\n--- 1\n%s--- 0\n%s", one, auto)
+			}
+		})
+	}
+}

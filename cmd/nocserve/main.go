@@ -172,8 +172,7 @@ func buildPreset(preset string, cfg rlnoc.Config, runs int, snapEvery int64, inj
 		}
 		return plan.Specs, nil
 	case "loadsweep":
-		rates := []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010}
-		return campaign.BuildLoadSweep(cfg, rates, snapEvery), nil
+		return campaign.BuildLoadSweep(cfg, campaign.LoadSweepRates, snapEvery), nil
 	default:
 		return nil, fmt.Errorf("unknown campaign %q (want chaos|loadsweep)", preset)
 	}

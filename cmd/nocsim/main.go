@@ -27,43 +27,49 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nocsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
 	var (
-		schemeFlag = flag.String("scheme", "rl", "fault-tolerant scheme: crc|arq-ecc|dt|rl|qroute")
-		benchFlag  = flag.String("benchmark", "", "PARSEC-like benchmark name (see cmd/trafficgen -list)")
-		traceFlag  = flag.String("trace", "", "trace file to run (overrides -benchmark)")
-		pattern    = flag.String("pattern", "", "synthetic pattern (uniform|transpose|...) instead of a benchmark")
-		rate       = flag.Float64("rate", 0.004, "synthetic injection rate, packets/node/cycle")
-		cfgPath    = flag.String("config", "", "JSON config file (default: paper Table II)")
-		seed       = flag.Int64("seed", 0, "override random seed (0 = keep config seed)")
-		errRate    = flag.Float64("error-rate", -1, "override base timing-error rate (-1 = keep config)")
-		routing    = flag.String("routing", "", "routing algorithm: xy|yx|westfirst (default: config)")
-		hardFault  = flag.String("hard-faults", "", "permanent-failure schedule, e.g. 5000:l12.east,8000:r3")
-		checksFlag = flag.String("checks", "", "runtime invariant checks: off|all|ledger,credits,watchdog (default: RLNOC_CHECKS env)")
-		topoFlag   = flag.String("topology", "", "fabric topology: mesh|torus (default: config)")
-		small      = flag.Bool("small", false, "use the 4x4 quick configuration")
-		stepW      = flag.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
-		verbose    = flag.Bool("v", false, "print the error-control breakdown")
-		policy     = flag.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
-		savePolicy = flag.String("save-policy", "", "write the trained RL Q-tables to a file after the run")
-		loadPolicy = flag.String("load-policy", "", "preload RL Q-tables (skips pre-training)")
-		eventLog   = flag.String("eventlog", "", "record flit/packet events of the testing phase to a file")
-		analyze    = flag.String("analyze", "", "analyze a recorded event log and exit")
-		qAlpha     = flag.Float64("qroute-alpha", 0, "override the qroute learning rate (0 = keep config)")
-		qEpsilon   = flag.Float64("qroute-epsilon", -1, "override the qroute exploration epsilon (-1 = keep config)")
-		snapEvery  = flag.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
-		snapDir    = flag.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
-		restore    = flag.String("restore", "", "resume from a checkpoint file and finish the run (ignores workload flags)")
-		fastFwd    = flag.Bool("fast-forward", true, "jump quiescent idle spans to the next event (bit-identical; false steps every cycle)")
-		progress   = flag.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
+		schemeFlag = fs.String("scheme", "rl", "fault-tolerant scheme: crc|arq-ecc|dt|rl|qroute")
+		benchFlag  = fs.String("benchmark", "", "PARSEC-like benchmark name (see cmd/trafficgen -list)")
+		traceFlag  = fs.String("trace", "", "trace file to run (overrides -benchmark)")
+		pattern    = fs.String("pattern", "", "synthetic pattern (uniform|transpose|...) instead of a benchmark")
+		rate       = fs.Float64("rate", 0.004, "synthetic injection rate, packets/node/cycle")
+		cfgPath    = fs.String("config", "", "JSON config file (default: paper Table II)")
+		seed       = fs.Int64("seed", 0, "override random seed (0 = keep config seed)")
+		errRate    = fs.Float64("error-rate", -1, "override base timing-error rate (-1 = keep config)")
+		routing    = fs.String("routing", "", "routing algorithm: xy|yx|westfirst (default: config)")
+		hardFault  = fs.String("hard-faults", "", "permanent-failure schedule, e.g. 5000:l12.east,8000:r3")
+		checksFlag = fs.String("checks", "", "runtime invariant checks: off|all|ledger,credits,watchdog (default: RLNOC_CHECKS env)")
+		topoFlag   = fs.String("topology", "", "fabric topology: mesh|torus (default: config)")
+		small      = fs.Bool("small", false, "use the 4x4 quick configuration")
+		stepW      = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
+		verbose    = fs.Bool("v", false, "print the error-control breakdown")
+		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
+		savePolicy = fs.String("save-policy", "", "write the trained RL Q-tables to a file after the run")
+		loadPolicy = fs.String("load-policy", "", "preload RL Q-tables (skips pre-training)")
+		eventLog   = fs.String("eventlog", "", "record flit/packet events of the testing phase to a file")
+		analyze    = fs.String("analyze", "", "analyze a recorded event log and exit")
+		qAlpha     = fs.Float64("qroute-alpha", 0, "override the qroute learning rate (0 = keep config)")
+		qEpsilon   = fs.Float64("qroute-epsilon", -1, "override the qroute exploration epsilon (-1 = keep config)")
+		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
+		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
+		restore    = fs.String("restore", "", "resume from a checkpoint file and finish the run (ignores workload flags)")
+		fastFwd    = fs.Bool("fast-forward", true, "jump quiescent idle spans to the next event (bit-identical; false steps every cycle)")
+		progress   = fs.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *restore != "" {
 		return runRestore(*restore, *stepW, *verbose, *progress)
@@ -170,16 +176,7 @@ func run() error {
 		if bench == "" {
 			bench = "canneal"
 		}
-		b, err := traffic.BenchmarkByName(bench)
-		if err != nil {
-			return err
-		}
-		topo, err := topology.FromConfig(cfg)
-		if err != nil {
-			return err
-		}
-		events, err = b.Trace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
-		if err != nil {
+		if events, err = core.BenchmarkTrace(cfg, bench); err != nil {
 			return err
 		}
 		label = bench
@@ -228,7 +225,9 @@ func run() error {
 		var iv *invariant.Error
 		if errors.As(err, &iv) {
 			fmt.Fprint(os.Stderr, iv.Report())
-			bisectInvariant(sim)
+			if msg := sim.Bisect(); msg != "" {
+				fmt.Fprintln(os.Stderr, msg)
+			}
 		}
 		return err
 	}
@@ -266,11 +265,8 @@ func run() error {
 	return nil
 }
 
-// runRestore resumes a checkpoint written by -snapshot-every: the file
-// carries config, scheme, trace and complete state, so only host-local
-// knobs (-step-workers — bit-identical by construction) still apply.
 // attachProgress wires a stderr progress reporter onto the simulation's
-// cycle loops. The reported cycle is the simulated-cycle counter —
+// cycle loop. The reported cycle is the simulated-cycle counter —
 // fast-forwarded spans count like stepped ones — so the derived
 // cycles/s figure stays meaningful whichever path the loop takes.
 func attachProgress(sim *core.Sim, every time.Duration) {
@@ -285,6 +281,9 @@ func attachProgress(sim *core.Sim, every time.Duration) {
 	})
 }
 
+// runRestore resumes a checkpoint written by -snapshot-every: the file
+// carries config, scheme, trace and complete state, so only host-local
+// knobs (-step-workers — bit-identical by construction) still apply.
 func runRestore(path string, stepW int, verbose bool, progress time.Duration) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -320,31 +319,6 @@ func runRestore(path string, stepW int, verbose bool, progress time.Duration) er
 		printFaultReport(sim.Network())
 	}
 	return nil
-}
-
-// bisectInvariant is the checkpoint-assisted failure workflow: when an
-// invariant fires mid-run and checkpoints were being written, replay
-// from the latest one with flit-level event capture, so the failure
-// reproduces within one checkpoint interval instead of from cycle zero.
-func bisectInvariant(sim *core.Sim) {
-	last := sim.LastSnapshotPath()
-	if last == "" {
-		return
-	}
-	elogPath := last + ".replay.elog"
-	fmt.Fprintf(os.Stderr, "replaying from %s with event capture -> %s\n", last, elogPath)
-	ef, err := os.Create(elogPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bisect:", err)
-		return
-	}
-	_, rerr := core.ReplayFromSnapshot(last, ef)
-	ef.Close()
-	if rerr != nil {
-		fmt.Fprintf(os.Stderr, "replay reproduced the failure: %v\nanalyze with: nocsim -analyze %s\n", rerr, elogPath)
-	} else {
-		fmt.Fprintln(os.Stderr, "replay completed clean (failure did not reproduce from the checkpoint)")
-	}
 }
 
 // printFaultReport summarizes the damage after a hard-faulted run: what

@@ -1,0 +1,113 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runCaptured calls run with args and returns what it printed to
+// os.Stdout (the printers write there directly).
+func runCaptured(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run(args)
+	os.Stdout = stdout
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+func writeTrace(t *testing.T, lines string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		want    []string // substrings of stdout
+		wantErr string   // substring of the error; "" means success
+	}{
+		{name: "default benchmark", args: []string{"-small"},
+			want: []string{"scheme            rl\n", "workload          canneal\n", "drained           true\n"}},
+		{name: "pattern", args: []string{"-small", "-scheme", "crc", "-pattern", "transpose", "-v"},
+			want: []string{"scheme            crc\n", "workload          transpose\n", "drained           true\n", "crc failures"}},
+		{name: "trace", args: []string{"-small", "-scheme", "arq-ecc", "-trace", writeTrace(t, "0 0 5 4\n2500 15 1 4\n")},
+			want: []string{"drained           true\n", "flits delivered   4\n"}}, // the first packet lands in warm-up
+		{name: "unknown scheme", args: []string{"-small", "-scheme", "bogus"},
+			wantErr: `unknown scheme "bogus"`},
+		// A trace naming a node outside the fabric used to index past the
+		// injector's queues; it must be an error naming the event.
+		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},
+			wantErr: "event 1 endpoints (40,1) outside fabric"},
+		{name: "trace source negative", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 -1 1 4\n")},
+			wantErr: "event 0 endpoints (-1,1) outside fabric"},
+		{name: "trace destination past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 1 16 4\n")},
+			wantErr: "event 0 endpoints (1,16) outside fabric"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := runCaptured(t, tc.args...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range tc.want {
+				if !strings.Contains(out, s) {
+					t.Errorf("output lacks %q:\n%s", s, out)
+				}
+			}
+		})
+	}
+}
+
+// TestRestorePrintsTheUninterruptedResult: a run that checkpoints, and
+// every one of its checkpoints resumed through -restore, print the result
+// block of the run that wrote no checkpoint at all.
+func TestRestorePrintsTheUninterruptedResult(t *testing.T) {
+	args := []string{"-small", "-scheme", "rl", "-benchmark", "dedup", "-seed", "9"}
+	want, err := runCaptured(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	got, err := runCaptured(t, append(args, "-snapshot-every", "7000", "-snapshot-dir", dir)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("checkpointing changed the result:\n--- plain\n%s--- with -snapshot-every\n%s", want, got)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snapshot-*.rlns"))
+	if err != nil || len(snaps) < 2 {
+		t.Fatalf("want at least two checkpoints in %s, got %v (%v)", dir, snaps, err)
+	}
+	for _, path := range snaps {
+		got, err := runCaptured(t, "-restore", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("-restore %s:\n--- uninterrupted\n%s--- resumed\n%s", filepath.Base(path), want, got)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package rlnoc
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -17,18 +16,6 @@ import (
 type Suite struct {
 	Benchmarks []string
 	Results    map[string]map[Scheme]Result // benchmark -> scheme -> result
-}
-
-// suiteWorkers resolves the worker-pool size for RunSuite: the configured
-// Config.SuiteWorkers, or the process's GOMAXPROCS when unset. Every job
-// is an independent simulation with its own seeded RNGs, so the pool size
-// changes only memory use and wall-clock time, never results (pinned by
-// TestDeterminismParallelSuite).
-func suiteWorkers(cfg Config) int {
-	if cfg.SuiteWorkers > 0 {
-		return cfg.SuiteWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // RunSuite executes all four schemes over the given benchmarks (all nine
@@ -57,7 +44,7 @@ func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
 		wg       sync.WaitGroup
 		firstErr error
 	)
-	sem := make(chan struct{}, suiteWorkers(cfg))
+	sem := make(chan struct{}, cfg.SuiteWorkerCount())
 	for _, j := range jobs {
 		wg.Add(1)
 		go func(j job) {

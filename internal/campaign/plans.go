@@ -3,10 +3,13 @@ package campaign
 // Builders for the stock campaign shapes: the chaos battery and the
 // load-latency sweep. `cmd/experiments` and `cmd/nocserve` both submit
 // these specs, so the setup logic (schedule derivation, topology
-// provisioning, per-arm snapshot policy) lives here exactly once.
+// provisioning, per-arm snapshot policy) lives here exactly once, as does
+// the open-submit-run-collect sequence of a one-shot campaign (RunSpecs).
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
@@ -100,6 +103,10 @@ func BuildChaos(base config.Config, runs int, snapEvery int64, inject InjectSpec
 	return plan, nil
 }
 
+// LoadSweepRates are the injection rates (packets/node/cycle) of the
+// stock load-latency sweep, up to the pre-saturation region.
+var LoadSweepRates = []float64{0.001, 0.002, 0.004, 0.006, 0.008, 0.010}
+
 // SweepJobID names the job for one (rate, scheme) pair.
 func SweepJobID(rate float64, scheme core.Scheme) string {
 	return fmt.Sprintf("sweep-r%g-%s", rate, scheme)
@@ -133,4 +140,35 @@ func BuildLoadSweep(base config.Config, rates []float64, snapEvery int64) []Spec
 		}
 	}
 	return specs
+}
+
+// RunSpecs runs specs to completion as one campaign — in dir, or in a
+// throwaway directory when dir is empty — on base's suite worker pool,
+// with supervisor diagnostics on stderr, and returns every job's
+// terminal result by ID.
+func RunSpecs(name, dir string, base config.Config, specs []Spec) (map[string]JobResult, error) {
+	eng, err := Open(Options{
+		Dir:     dir,
+		Name:    name,
+		Workers: base.SuiteWorkerCount(),
+		Seed:    base.Seed,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	if err := eng.Submit(specs...); err != nil {
+		return nil, err
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		return nil, err
+	}
+	byID := map[string]JobResult{}
+	for _, r := range eng.Results() {
+		byID[r.ID] = r
+	}
+	return byID, nil
 }

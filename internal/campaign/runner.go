@@ -201,7 +201,9 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	if outcome == OutcomeWatchdog {
 		e.logf("%s", iv.Report())
 		if spec.Bisect {
-			e.bisect(sim, spec.ID)
+			if msg := sim.Bisect(); msg != "" {
+				e.logf("job %s: %s", spec.ID, msg)
+			}
 		}
 	}
 	return attemptResult{kind: attemptDone, outcome: outcome, detail: detail,
@@ -276,27 +278,4 @@ func armInjection(sim *core.Sim, inj InjectSpec) {
 			}
 		}
 	})
-}
-
-// bisect replays a watchdog failure from the job's latest checkpoint
-// with flit-level event capture; the resulting .replay.elog feeds
-// `nocsim -analyze` (the invariant-bisection flow).
-func (e *Engine) bisect(sim *core.Sim, id string) {
-	last := sim.LastSnapshotPath()
-	if last == "" {
-		return
-	}
-	elogPath := last + ".replay.elog"
-	ef, err := os.Create(elogPath)
-	if err != nil {
-		e.logf("job %s: bisect: %v", id, err)
-		return
-	}
-	_, rerr := core.ReplayFromSnapshot(last, ef)
-	ef.Close()
-	if rerr != nil {
-		e.logf("job %s: replayed from %s: failure reproduced (%v); events in %s", id, last, rerr, elogPath)
-	} else {
-		e.logf("job %s: replayed from %s: completed clean", id, last)
-	}
 }

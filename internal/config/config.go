@@ -8,6 +8,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+
+	"rlnoc/internal/invariant"
 )
 
 // Routing selects the routing algorithm used by the mesh.
@@ -356,8 +359,8 @@ func (c *Config) Validate() error {
 	case c.StepWorkers < 0:
 		return fmt.Errorf("config: step workers must be non-negative, got %d", c.StepWorkers)
 	}
-	if err := validateChecks(c.Checks); err != nil {
-		return err
+	if _, err := invariant.Parse(c.Checks); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if err := c.Fault.validate(); err != nil {
 		return err
@@ -451,44 +454,17 @@ func (r *RLConfig) validate() error {
 	return nil
 }
 
-// validateChecks verifies the Checks spec: empty, "off", "all", or a
-// comma list drawn from the known check names. The spec is parsed again
-// by internal/invariant; this only rejects typos early.
-func validateChecks(spec string) error {
-	switch spec {
-	case "", "off", "all":
-		return nil
+// SuiteWorkerCount resolves SuiteWorkers for every pool that runs whole
+// simulations side by side (RunSuite, the -chaos and -loadsweep
+// campaigns): the configured size, or GOMAXPROCS when 0. Jobs are
+// independent simulations with their own seeded RNGs, so the size changes
+// only memory use and wall-clock time, never results (pinned by
+// TestDeterminismParallelSuite).
+func (c *Config) SuiteWorkerCount() int {
+	if c.SuiteWorkers > 0 {
+		return c.SuiteWorkers
 	}
-	for _, tok := range splitComma(spec) {
-		switch tok {
-		case "ledger", "credits", "watchdog":
-		default:
-			return fmt.Errorf("config: unknown check %q (want off|all or a list of ledger,credits,watchdog)", tok)
-		}
-	}
-	return nil
-}
-
-// splitComma splits on commas, trimming spaces and dropping empties.
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			tok := s[start:i]
-			for len(tok) > 0 && tok[0] == ' ' {
-				tok = tok[1:]
-			}
-			for len(tok) > 0 && tok[len(tok)-1] == ' ' {
-				tok = tok[:len(tok)-1]
-			}
-			if tok != "" {
-				out = append(out, tok)
-			}
-			start = i + 1
-		}
-	}
-	return out
+	return runtime.GOMAXPROCS(0)
 }
 
 // Routers returns the number of routers in the fabric.

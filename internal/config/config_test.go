@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -81,6 +82,7 @@ func TestValidateRejects(t *testing.T) {
 		{"gamma = 1", func(c *Config) { c.RL.Gamma = 1 }},
 		{"epsilon > 1", func(c *Config) { c.RL.Epsilon = 1.5 }},
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
+		{"unknown check", func(c *Config) { c.Checks = "ledger,credit" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,5 +138,16 @@ func TestHelpers(t *testing.T) {
 	}
 	if got := c.CyclePeriodNS(); got != 0.5 {
 		t.Errorf("CyclePeriodNS() = %g, want 0.5", got)
+	}
+}
+
+func TestSuiteWorkerCount(t *testing.T) {
+	c := Default()
+	if got, want := c.SuiteWorkerCount(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("SuiteWorkers 0 resolved to %d workers, want GOMAXPROCS = %d", got, want)
+	}
+	c.SuiteWorkers = 3
+	if got := c.SuiteWorkerCount(); got != 3 {
+		t.Errorf("SuiteWorkers 3 resolved to %d workers", got)
 	}
 }

@@ -119,7 +119,8 @@ func TestFastForwardSnapshotLandsOnBoundary(t *testing.T) {
 // TestFastForwardEngages counts loop iterations. The equivalence referees
 // prove a jump changes nothing, so a fast-forward that silently stopped
 // firing would pass every one of them; pollControl ticks progTick once
-// per iteration of either loop, and over a mostly idle program the
+// per iteration of the one loop (Sim.drive) in either of its roles,
+// pre-training and measurement, and over a mostly idle program the
 // jumping run must take at most a quarter of the per-cycle run's
 // iterations. With checks armed the census boundaries join the horizon,
 // which only adds a stop every 1024 cycles.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -99,7 +100,7 @@ type Sim struct {
 	lastSnap  string
 
 	// abortp holds the cooperative-cancellation request, set from any
-	// goroutine via Abort and polled by the cycle loops (pollControl).
+	// goroutine via Abort and polled by the cycle loop (pollControl).
 	// The loop stops between Steps, so the Sim is left at a clean
 	// inter-cycle boundary — snapshot-safe for suspend/resume.
 	abortp atomic.Pointer[AbortError]
@@ -136,7 +137,7 @@ func (s *Sim) SetObserver(every int64, fn func(Snapshot)) {
 
 // SetProgress registers fn to be called with the current simulated cycle
 // at wall-clock intervals of roughly `every` during the pre-training and
-// measurement loops. The reported cycle is the network's cycle counter,
+// measurement phases. The reported cycle is the network's cycle counter,
 // which counts fast-forwarded spans like stepped ones.
 func (s *Sim) SetProgress(every time.Duration, fn func(cycle int64)) {
 	s.progEvery = every
@@ -189,7 +190,7 @@ func (s *Sim) Aborted() error {
 // resumable checkpoint shape; supervisors restart those from scratch.
 func (s *Sim) HasMeasure() bool { return s.ms != nil }
 
-// pollControl is the cycle loops' per-iteration control hook: every 256
+// pollControl is the cycle loop's per-iteration control hook: every 256
 // iterations it checks for a pending abort and fires the progress
 // callback when the wall-clock interval has elapsed. It reads but never
 // writes simulation state, so byte-identity is unaffected.
@@ -210,16 +211,21 @@ func (s *Sim) pollControl() error {
 	return nil
 }
 
-// fastForward reports whether the cycle loops may jump quiescent spans
+// fastForward reports whether the cycle loop may jump quiescent spans
 // (DESIGN.md §16). On by default; config.NoFastForward pins per-cycle
 // stepping (the referee for TestFastForwardMatchesPerCycle).
 func (s *Sim) fastForward() bool { return !s.cfg.NoFastForward }
 
-// nextMultiple returns the smallest multiple of period strictly greater
-// than cycle — the caller-side boundary arithmetic mirroring the
-// network's internal event horizon.
-func nextMultiple(cycle, period int64) int64 {
-	return cycle - cycle%period + period
+// never is the wake cycle of a duty the loop does not have.
+const never int64 = math.MaxInt64
+
+// nextHook returns the next cycle after now on which a hook firing every
+// `every` cycles counted from origin falls (never when the hook is off).
+func nextHook(now, origin, every int64) int64 {
+	if every <= 0 {
+		return never
+	}
+	return origin + network.NextBoundary(now-origin, every)
 }
 
 func (s *Sim) snapshot() Snapshot {
@@ -291,7 +297,16 @@ func (s *Sim) Pretrain() error {
 		if err != nil {
 			return err
 		}
-		if err := s.runTrace(events, cycles+int64(s.cfg.DrainCycles)); err != nil {
+		base := s.net.Cycle()
+		in, err := s.accept(events, base)
+		if err != nil {
+			return err
+		}
+		// Hitting the cap is not an error: pre-training is warm-up, and
+		// under a reactive baseline at a hostile error corner a
+		// retransmission storm may legitimately still be draining; the
+		// leftovers complete during the next phase's warm-up.
+		if _, err := s.drive(in, base+cycles+int64(s.cfg.DrainCycles), nil); err != nil {
 			return err
 		}
 	}
@@ -342,6 +357,18 @@ type injector struct {
 	base      int64
 }
 
+// accept is the one place a phase takes in a trace (whose cycles are
+// relative to base): a trace file, an API caller's slice and a decoded
+// snapshot all pass traffic.Validate against the fabric here, so a bad
+// endpoint, ordering or flit count is an error naming the event rather
+// than an index panic mid-run.
+func (s *Sim) accept(events []traffic.Event, base int64) (*injector, error) {
+	if err := traffic.Validate(s.net.Topology(), events); err != nil {
+		return nil, err
+	}
+	return newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base), nil
+}
+
 // newInjector copies events (which it never modifies, and which may be a
 // shared trace) into per-source queues carved from one slab.
 func newInjector(events []traffic.Event, nodes int, window int, base int64) *injector {
@@ -384,69 +411,86 @@ func (in *injector) step(net *network.Network, now int64) error {
 func (in *injector) done() bool { return in.remaining == 0 }
 
 // nextEventCycle returns the absolute cycle of the earliest pending
-// event across all sources, and whether any remain — the injector's
+// event across all sources (never when none remain) — the injector's
 // contribution to the fast-forward event horizon. A head event held by
 // source-window back-pressure reports its (past) original cycle, which
 // simply yields a no-op jump; back-pressure cannot hold events while
 // the network is quiescent, because outstanding packets imply flits in
 // flight.
-func (in *injector) nextEventCycle() (int64, bool) {
-	var best int64
-	ok := false
+func (in *injector) nextEventCycle() int64 {
+	best := never
 	for src, q := range in.queues {
 		if h := in.heads[src]; h < len(q) {
-			if c := in.base + q[h].Cycle; !ok || c < best {
-				best, ok = c, true
-			}
+			best = min(best, in.base+q[h].Cycle)
 		}
 	}
-	return best, ok
+	return best
 }
 
-// runTrace injects events (whose cycles are relative to the current
-// network cycle) and steps until everything drains or the relative cycle
-// cap passes. Hitting the cap is not an error — the pre-training phase is
-// warm-up, and under a reactive baseline at a hostile error corner a
-// retransmission storm may legitimately still be draining; the leftovers
-// complete during the next phase's warm-up.
-func (s *Sim) runTrace(events []traffic.Event, relCap int64) error {
-	base := s.net.Cycle()
-	capCycle := base + relCap
-	in := newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base)
+// drive is the cycle loop, the only one: inject, Step, and — when the
+// network is quiescent with events still pending — jump to the next cycle
+// anything can happen (DESIGN.md §16). It runs until everything drains
+// (reporting true) or the network reaches capCycle. ms == nil is
+// pre-training: no warm-up edge, observer, snapshot or statistics.
+//
+// Each duty the loop must be awake for is stated once per iteration as the
+// cycle it next falls on, and both its fast-forward stop and its fire test
+// read that one value. Edge duties (injection, warm-up, cap) act before
+// the Step of their cycle, so a jump may land on them; periodic hooks
+// (observer, snapshot) act after the Step that reaches their cycle, so a
+// jump stops one short and the boundary is reached through a normal Step.
+// The network clamps every jump to its own horizon (thermal, control
+// epoch, invariant census, pending hard faults).
+func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error) {
+	net := s.net
 	ff := s.fastForward()
-	for s.net.Cycle() < capCycle {
-		// Fast-forward: with events still pending and the network
-		// quiescent, jump to the next injection (or the cap), clamped by
-		// the network to its own internal event horizon. Gated on
-		// !in.done() so the empty-trace case steps once exactly like the
-		// per-cycle loop. Cycles skipped here would each have mutated
-		// only the cycle counter (DESIGN.md §16).
-		if ff && !in.done() && s.net.Quiescent() {
-			target := capCycle
-			if nc, ok := in.nextEventCycle(); ok && nc < target {
-				target = nc
+	for now := net.Cycle(); now < capCycle; now = net.Cycle() {
+		warmAt, observeAt, snapAt := never, never, never
+		if ms != nil {
+			if !ms.started {
+				warmAt = ms.warmEnd
 			}
-			if s.net.FastForwardTo(target) >= capCycle {
+			if s.observer != nil {
+				observeAt = nextHook(now, 0, s.observerEvery)
+			}
+			snapAt = nextHook(now, ms.base, s.snapEvery)
+		}
+		// Gated on !in.done() so the empty-trace case steps once exactly
+		// like the per-cycle loop. Cycles skipped here would each have
+		// mutated only the cycle counter.
+		if ff && !in.done() && net.Quiescent() {
+			now = net.FastForwardTo(min(capCycle, in.nextEventCycle(), warmAt, observeAt-1, snapAt-1))
+			if now >= capCycle {
 				// Jumped to the cap: exit exactly as the per-cycle loop
-				// does on reaching it, without injecting events due at
-				// the cap itself.
+				// does, without injecting events due at the cap itself.
 				break
 			}
 		}
-		if err := in.step(s.net, s.net.Cycle()); err != nil {
-			return err
+		if now >= warmAt {
+			s.startMeasuring(ms, now)
 		}
-		if err := s.net.Step(); err != nil {
-			return err
+		if err := in.step(net, now); err != nil {
+			return false, err
+		}
+		if err := net.Step(); err != nil {
+			return false, err
+		}
+		if net.Cycle() == observeAt {
+			s.observer(s.snapshot())
+		}
+		if net.Cycle() == snapAt {
+			if err := s.writeAutoSnapshot(); err != nil {
+				return false, err
+			}
 		}
 		if err := s.pollControl(); err != nil {
-			return err
+			return false, err
 		}
-		if in.done() && s.net.Drained() {
-			return nil
+		if in.done() && net.Drained() {
+			return true, nil
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // measureState is the complete bookkeeping of an in-progress
@@ -472,8 +516,12 @@ type measureState struct {
 }
 
 // beginMeasure installs a fresh measurement phase over events.
-func (s *Sim) beginMeasure(events []traffic.Event, label string) {
+func (s *Sim) beginMeasure(events []traffic.Event, label string) error {
 	base := s.net.Cycle()
+	in, err := s.accept(events, base)
+	if err != nil {
+		return err
+	}
 	var traceLen int64
 	if len(events) > 0 {
 		traceLen = events[len(events)-1].Cycle
@@ -481,10 +529,29 @@ func (s *Sim) beginMeasure(events []traffic.Event, label string) {
 	s.ms = &measureState{
 		label:    label,
 		events:   events,
-		in:       newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base),
+		in:       in,
 		base:     base,
 		warmEnd:  base + int64(s.cfg.WarmupCycles),
 		capCycle: base + traceLen + int64(s.cfg.WarmupCycles) + int64(s.cfg.MaxCycles) + int64(s.cfg.DrainCycles),
+	}
+	return nil
+}
+
+// startMeasuring is the warm-up edge: statistics switch on and the energy
+// baselines are captured at cycle now.
+func (s *Sim) startMeasuring(ms *measureState, now int64) {
+	s.net.Stats().SetMeasuring(true)
+	ms.dynStart = s.net.Meter().TotalDynamicPJ()
+	ms.totStart = s.net.Meter().TotalPJ()
+	ms.measureStart = now
+	ms.started = true
+	// Anneal exploration for the measured phase (every random mode costs
+	// real latency; see config.RLConfig.TestEpsilon).
+	if a, ok := s.ctrl.(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
+		a.SetEpsilon(s.cfg.RL.TestEpsilon)
+	}
+	if t, ok := s.ctrl.(telemetryResetter); ok {
+		t.ResetTelemetry()
 	}
 }
 
@@ -492,99 +559,25 @@ func (s *Sim) beginMeasure(events []traffic.Event, label string) {
 // The warm-up prefix is excluded from statistics but included in the
 // execution time, mirroring the paper's methodology.
 func (s *Sim) Measure(events []traffic.Event, label string) (Result, error) {
-	s.beginMeasure(events, label)
-	return s.runMeasure()
+	if err := s.beginMeasure(events, label); err != nil {
+		return Result{}, err
+	}
+	return s.ResumeMeasure()
 }
 
-// ResumeMeasure continues a measurement phase restored by RestoreSim,
-// running it to completion from the snapshotted cycle.
+// ResumeMeasure drives the installed measurement phase — fresh from
+// Measure, or restored mid-run by RestoreSim — to completion from the
+// current cycle and collects the Result.
 func (s *Sim) ResumeMeasure() (Result, error) {
-	if s.ms == nil {
+	net, ms := s.net, s.ms
+	if ms == nil {
 		return Result{}, fmt.Errorf("core: no measurement phase to resume")
 	}
-	return s.runMeasure()
-}
-
-// runMeasure drives the installed measurement phase to completion. The
-// loop body is cycle-for-cycle the behavior Measure always had; the only
-// addition is the snapshot hook, which runs between cycles and touches
-// no simulation state.
-func (s *Sim) runMeasure() (Result, error) {
-	net, ms := s.net, s.ms
-	ff := s.fastForward()
-	for net.Cycle() < ms.capCycle {
-		now := net.Cycle()
-		// Fast-forward (DESIGN.md §16): with events pending and the
-		// network quiescent, jump to the earliest cycle anything can
-		// happen — the next injection, the warm-up edge (so the meter
-		// baselines are captured on the same cycle as per-cycle
-		// stepping), the next observer or snapshot boundary (stopping
-		// one cycle short so the boundary is reached through a normal
-		// Step and the hook fires on the exact cycle), or the cap. The
-		// network clamps the jump to its own internal horizon (thermal,
-		// control epoch, invariant census, pending hard faults).
-		if ff && !ms.in.done() && net.Quiescent() {
-			target := ms.capCycle
-			if nc, ok := ms.in.nextEventCycle(); ok && nc < target {
-				target = nc
-			}
-			if !ms.started && ms.warmEnd < target {
-				target = ms.warmEnd
-			}
-			if s.observer != nil && s.observerEvery > 0 {
-				if b := nextMultiple(now, s.observerEvery) - 1; b < target {
-					target = b
-				}
-			}
-			if s.snapEvery > 0 {
-				if b := ms.base + nextMultiple(now-ms.base, s.snapEvery) - 1; b < target {
-					target = b
-				}
-			}
-			if net.FastForwardTo(target) >= ms.capCycle {
-				// Jumped to the cap: exit exactly as the per-cycle loop
-				// does, without injecting events due at the cap itself.
-				break
-			}
-			now = net.Cycle()
-		}
-		if !ms.started && now >= ms.warmEnd {
-			net.Stats().SetMeasuring(true)
-			ms.dynStart = net.Meter().TotalDynamicPJ()
-			ms.totStart = net.Meter().TotalPJ()
-			ms.measureStart = now
-			ms.started = true
-			// Anneal exploration for the measured phase (every random
-			// mode costs real latency; see config.RLConfig.TestEpsilon).
-			if a, ok := s.ctrl.(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
-				a.SetEpsilon(s.cfg.RL.TestEpsilon)
-			}
-			if t, ok := s.ctrl.(telemetryResetter); ok {
-				t.ResetTelemetry()
-			}
-		}
-		if err := ms.in.step(net, now); err != nil {
-			return Result{}, err
-		}
-		if err := net.Step(); err != nil {
-			return Result{}, err
-		}
-		if s.observer != nil && s.observerEvery > 0 && net.Cycle()%s.observerEvery == 0 {
-			s.observer(s.snapshot())
-		}
-		if s.snapEvery > 0 && (net.Cycle()-ms.base)%s.snapEvery == 0 {
-			if err := s.writeAutoSnapshot(); err != nil {
-				return Result{}, err
-			}
-		}
-		if err := s.pollControl(); err != nil {
-			return Result{}, err
-		}
-		if ms.in.done() && net.Drained() {
-			ms.drained = true
-			break
-		}
+	drained, err := s.drive(ms.in, ms.capCycle, ms)
+	if err != nil {
+		return Result{}, err
 	}
+	ms.drained = drained
 	net.Stats().SetMeasuring(false)
 	if !ms.started {
 		return Result{}, fmt.Errorf("core: warm-up longer than the run")
@@ -623,6 +616,39 @@ func (s *Sim) runMeasure() (Result, error) {
 	return res, nil
 }
 
+// Run executes the paper's methodology on an already-built Sim: pre-train
+// on synthetic traffic, then warm up, measure and drain over events.
+func (s *Sim) Run(events []traffic.Event, label string) (Result, error) {
+	if err := s.Pretrain(); err != nil {
+		return Result{}, err
+	}
+	return s.Measure(events, label)
+}
+
+// RunBenchmark is Run over the named PARSEC-like benchmark's trace.
+func (s *Sim) RunBenchmark(benchmark string) (Result, error) {
+	events, err := BenchmarkTrace(s.cfg, benchmark)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run(events, benchmark)
+}
+
+// BenchmarkTrace synthesizes the test trace every run of the named
+// benchmark under cfg replays: MaxCycles long, seeded from cfg.Seed. The
+// slice comes from the shared memo (DESIGN.md §19) and is read-only.
+func BenchmarkTrace(cfg config.Config, benchmark string) ([]traffic.Event, error) {
+	b, err := traffic.BenchmarkByName(benchmark)
+	if err != nil {
+		return nil, err
+	}
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return b.SharedTrace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
+}
+
 // RunTrace executes the full methodology (pre-train, test, measure) for
 // one scheme over one trace.
 func RunTrace(cfg config.Config, scheme Scheme, events []traffic.Event, label string) (Result, error) {
@@ -630,26 +656,15 @@ func RunTrace(cfg config.Config, scheme Scheme, events []traffic.Event, label st
 	if err != nil {
 		return Result{}, err
 	}
-	if err := sim.Pretrain(); err != nil {
-		return Result{}, err
-	}
-	return sim.Measure(events, label)
+	return sim.Run(events, label)
 }
 
 // RunBenchmark synthesizes the named PARSEC-like benchmark's trace and
 // runs it under a scheme.
 func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, error) {
-	b, err := traffic.BenchmarkByName(benchmark)
+	sim, err := NewSim(cfg, scheme)
 	if err != nil {
 		return Result{}, err
 	}
-	topo, err := topologyOf(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	events, err := b.SharedTrace(topo, int64(cfg.MaxCycles), cfg.FlitsPerPacket, cfg.Seed*31+1300)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunTrace(cfg, scheme, events, benchmark)
+	return sim.RunBenchmark(benchmark)
 }

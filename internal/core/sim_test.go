@@ -151,3 +151,24 @@ func TestRunTraceDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %+v vs %+v", a, b)
 	}
 }
+
+// TestMeasureRejectsBadTrace: a phase validates the trace it is handed
+// against the fabric before building its injector. An endpoint outside
+// the 4x4 fabric used to index past the per-source queues and panic.
+func TestMeasureRejectsBadTrace(t *testing.T) {
+	cfg := quickConfig()
+	cfg.PretrainCycles = 0
+	for name, events := range map[string][]traffic.Event{
+		"source past the fabric":      {{Cycle: 0, Src: 40, Dst: 1, Flits: 4}},
+		"negative source":             {{Cycle: 0, Src: -1, Dst: 1, Flits: 4}},
+		"destination past the fabric": {{Cycle: 0, Src: 1, Dst: 16, Flits: 4}},
+		"cycles out of order":         {{Cycle: 9, Src: 0, Dst: 1, Flits: 4}, {Cycle: 3, Src: 1, Dst: 2, Flits: 4}},
+		"no flits":                    {{Cycle: 0, Src: 0, Dst: 1, Flits: 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := RunTrace(cfg, SchemeCRC, events, name); err == nil {
+				t.Fatal("bad trace accepted")
+			}
+		})
+	}
+}

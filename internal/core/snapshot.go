@@ -183,14 +183,18 @@ func (s *Sim) snapState(c *snap.Codec) error {
 // the injector's per-source queues from the decoded trace, then lands
 // the cursors in them.
 func (s *Sim) snapMeasure(c *snap.Codec) {
-	ms, routers := s.ms, s.cfg.Routers()
+	ms := s.ms
 	c.String(&ms.label)
-	snapEvents(c, &ms.events, routers)
+	snapEvents(c, &ms.events)
 	if c.Err() != nil {
 		return
 	}
 	if c.Decoding() {
-		ms.in = newInjector(ms.events, routers, s.cfg.SourceWindow, 0)
+		var err error
+		if ms.in, err = s.accept(ms.events, 0); err != nil {
+			c.Fail(err)
+			return
+		}
 	}
 	c.Ints(ms.in.heads)
 	c.Int(&ms.in.remaining)
@@ -220,10 +224,9 @@ const (
 )
 
 // snapEvents walks the test trace. Decoding builds a slice the restored
-// sim owns, rejecting endpoints outside the fabric.
-func snapEvents(c *snap.Codec, events *[]traffic.Event, routers int) {
+// sim owns; accept then holds it to the fabric like any other trace.
+func snapEvents(c *snap.Codec, events *[]traffic.Event) {
 	var words [eventWords * eventBlock]int64
-	done := 0
 	snap.Blocks(c, events, snap.MaxLen, eventBlock, func(run []traffic.Event) {
 		for i, e := range run {
 			words[eventWords*i], words[eventWords*i+1] = e.Cycle, int64(e.Src)
@@ -232,16 +235,10 @@ func snapEvents(c *snap.Codec, events *[]traffic.Event, routers int) {
 		c.RawI64s(words[:eventWords*len(run)])
 		if c.Decoding() && c.Err() == nil {
 			for i := range run {
-				e := traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
+				run[i] = traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
 					Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}
-				if e.Src < 0 || e.Src >= routers || e.Dst < 0 || e.Dst >= routers {
-					c.Fail(fmt.Errorf("core: snapshot trace event %d out of range", done+i))
-					return
-				}
-				run[i] = e
 			}
 		}
-		done += len(run)
 	})
 }
 
@@ -348,17 +345,6 @@ func RestoreSimFile(path string) (*Sim, error) {
 	return sim, nil
 }
 
-// LatestSnapshot returns the newest snapshot file in dir (by name; the
-// zero-padded cycle number makes lexicographic order chronological).
-func LatestSnapshot(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "snapshot-*.rlns"))
-	if err != nil || len(matches) == 0 {
-		return "", fmt.Errorf("core: no snapshots in %s", dir)
-	}
-	sort.Strings(matches)
-	return matches[len(matches)-1], nil
-}
-
 // ListSnapshots returns every snapshot file in dir, newest first — the
 // fallback chain recovery walks when the latest checkpoint turns out to
 // be corrupt. An empty slice (no error) means no checkpoints exist.
@@ -388,4 +374,27 @@ func ReplayFromSnapshot(path string, elogW io.Writer) (Result, error) {
 		defer l.Flush()
 	}
 	return sim.ResumeMeasure()
+}
+
+// Bisect is the checkpoint-assisted failure workflow for a run that an
+// invariant check terminated: replay from the latest checkpoint the
+// snapshot policy wrote, capturing flit-level events into
+// <checkpoint>.replay.elog, and report in one line how the replay ended
+// ("" when no checkpoint was written, so there is nothing to replay).
+func (s *Sim) Bisect() string {
+	last := s.lastSnap
+	if last == "" {
+		return ""
+	}
+	elogPath := last + ".replay.elog"
+	ef, err := os.Create(elogPath)
+	if err != nil {
+		return "bisect: " + err.Error()
+	}
+	_, rerr := ReplayFromSnapshot(last, ef)
+	ef.Close()
+	if rerr == nil {
+		return fmt.Sprintf("replay from %s completed clean (failure did not reproduce from the checkpoint)", last)
+	}
+	return fmt.Sprintf("replay from %s reproduced the failure: %v; analyze with: nocsim -analyze %s", last, rerr, elogPath)
 }

@@ -23,8 +23,8 @@ package network
 // are exactly the internal-event horizon computed below (thermal and
 // control-epoch boundaries, invariant census boundaries, pending hard
 // faults) plus the caller-side horizon (next injection, warm-up edge,
-// observer/snapshot boundaries, cycle cap), which the core loop folds
-// in before calling FastForwardTo.
+// observer/snapshot boundaries, cycle cap), which core's one cycle loop
+// (Sim.drive) folds in before calling FastForwardTo.
 
 // Quiescent reports whether a Step would change no state other than
 // the cycle counter: nothing in flight and every active set empty.
@@ -42,9 +42,10 @@ func (n *Network) Quiescent() bool {
 		n.wireActive.empty() && n.niActive.empty() && n.pipeActive.empty()
 }
 
-// nextBoundary returns the smallest multiple of period strictly greater
-// than cycle.
-func nextBoundary(cycle, period int64) int64 {
+// NextBoundary returns the smallest multiple of period strictly greater
+// than cycle: the boundary arithmetic of this horizon and of the
+// caller-side one.
+func NextBoundary(cycle, period int64) int64 {
 	return cycle - cycle%period + period
 }
 
@@ -56,12 +57,12 @@ func nextBoundary(cycle, period int64) int64 {
 // fault, whichever comes first.
 func (n *Network) NextInternalEventCycle() int64 {
 	c := n.cycle
-	next := nextBoundary(c, int64(n.cfg.Thermal.UpdatePeriod))
-	if b := nextBoundary(c, int64(n.cfg.RL.StepCycles)); b < next {
+	next := NextBoundary(c, int64(n.cfg.Thermal.UpdatePeriod))
+	if b := NextBoundary(c, int64(n.cfg.RL.StepCycles)); b < next {
 		next = b
 	}
 	if n.checks.Enabled() {
-		if b := nextBoundary(c, n.thresh.CheckPeriod); b < next {
+		if b := NextBoundary(c, n.thresh.CheckPeriod); b < next {
 			next = b
 		}
 	}

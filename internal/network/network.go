@@ -97,12 +97,10 @@ type Network struct {
 
 	// Sharded parallel stepping (DESIGN.md §11). workers is the resolved
 	// shard count; 1 means the fully-ordered sequential reference path.
-	// forceSeq pins the sequential path regardless of workers (the referee
-	// for TestParallelStepMatchesSequential); inParallel is true only while
-	// stepParallel is between phase dispatch and final commit, and gates
-	// the staging seams (activity marks) inside shared phase bodies.
+	// inParallel is true only while stepParallel is between phase dispatch
+	// and final commit, and gates the staging seams (activity marks) inside
+	// shared phase bodies.
 	workers    int
-	forceSeq   bool
 	inParallel bool
 	shards     []shardState
 	hub        *workerHub
@@ -728,7 +726,7 @@ func (n *Network) Step() error {
 		for _, r := range n.routers {
 			n.switchAllocateDense(r)
 		}
-	} else if n.workers > 1 && !n.forceSeq && n.elog == nil {
+	} else if n.workers > 1 && n.elog == nil {
 		// Sharded parallel path: same four phases, compute fanned out
 		// across contiguous router-ID shards with cross-shard effects
 		// staged and committed in ascending (router, port) order — bit-

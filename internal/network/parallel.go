@@ -25,7 +25,6 @@ package network
 // Hence: bit-identical results at a fixed seed for every worker count.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -203,7 +202,7 @@ func (n *Network) applyStatDelta(sh *shardState) {
 // minShardRouters is the coarsening floor applied to auto-derived
 // worker counts (RLNOC_STEP_WORKERS): each shard gets at least this
 // many routers, so per-phase dispatch overhead amortizes over real
-// work. An explicit Config.StepWorkers (or SetStepWorkers) is honored
+// work. An explicit Config.StepWorkers is honored
 // exactly — equivalence tests pin shard layouts that way.
 const minShardRouters = 16
 
@@ -255,16 +254,6 @@ func (n *Network) buildShards() {
 			n.nis[id].pool = &sh.pool
 			n.nis[id].sh = sh
 		}
-	}
-}
-
-// resetLayout points every router and NI back at the network-wide pool
-// (the workers == 1 layout).
-func (n *Network) resetLayout() {
-	for id := range n.routers {
-		n.routers[id].pool = &n.fpool
-		n.nis[id].pool = &n.fpool
-		n.nis[id].sh = nil
 	}
 }
 
@@ -555,37 +544,5 @@ func (n *Network) commitLocal() {
 	}
 }
 
-// SetSequential forces the fully-ordered single-worker reference walk
-// regardless of the configured worker count — the referee path for
-// TestParallelStepMatchesSequential, the parallel sibling of
-// SetDenseScan's dense referee.
-func (n *Network) SetSequential(seq bool) { n.forceSeq = seq }
-
 // StepWorkers returns the resolved worker count.
 func (n *Network) StepWorkers() int { return n.workers }
-
-// SetStepWorkers re-shards the fabric to k workers (clamped to
-// [1, nodes]) at a cycle boundary. Existing flits keep circulating;
-// pools are re-pointed, which is invisible to results.
-func (n *Network) SetStepWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	if nodes := n.topo.Nodes(); k > nodes {
-		k = nodes
-	}
-	if k == n.workers {
-		return
-	}
-	if n.inParallel {
-		panic(fmt.Sprintf("network: SetStepWorkers(%d) called mid-step", k))
-	}
-	n.Close()
-	n.workers = k
-	n.shards = nil
-	if k > 1 {
-		n.buildShards()
-	} else {
-		n.resetLayout()
-	}
-}

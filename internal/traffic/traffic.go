@@ -445,12 +445,13 @@ func (b Benchmark) pickDst(f *traceFabric, src int, rng *detrand.Stream) int {
 // sizes, non-decreasing cycles.
 func Validate(m topology.Topology, events []Event) error {
 	var prev int64 = -1
+	nodes := m.Nodes()
 	for i, e := range events {
 		if e.Cycle < prev {
 			return fmt.Errorf("traffic: event %d cycle %d before %d", i, e.Cycle, prev)
 		}
 		prev = e.Cycle
-		if e.Src < 0 || e.Src >= m.Nodes() || e.Dst < 0 || e.Dst >= m.Nodes() {
+		if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
 			return fmt.Errorf("traffic: event %d endpoints (%d,%d) outside fabric", i, e.Src, e.Dst)
 		}
 		if e.Src == e.Dst {

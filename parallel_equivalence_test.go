@@ -136,42 +136,3 @@ func TestParallelStepMatchesSequentialLoaded(t *testing.T) {
 		}
 	}
 }
-
-// TestSetSequentialForcesReferencePath pins the SetSequential escape
-// hatch: a network configured for parallel stepping but forced
-// sequential must match a workers=1 network exactly (it is the same
-// code path), and re-enabling parallel stepping mid-run at a cycle
-// boundary must not diverge either.
-func TestSetSequentialForcesReferencePath(t *testing.T) {
-	run := func(workers int, forceSeq bool) string {
-		cfg := fastConfig()
-		cfg.Seed = 777
-		cfg.StepWorkers = workers
-		sim, err := core.NewSim(cfg, core.SchemeARQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sim.Close()
-		sim.Network().SetSequential(forceSeq)
-		if err := sim.Pretrain(); err != nil {
-			t.Fatal(err)
-		}
-		events, err := traffic.Synthetic(sim.Network().Topology(), traffic.Uniform, 0.02,
-			cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Measure(events, "uniform")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return serialize(t, res)
-	}
-	ref := run(1, false)
-	if got := run(4, true); got != ref {
-		t.Errorf("SetSequential(true) with 4 workers diverged from workers=1:\n ref: %s\n got: %s", ref, got)
-	}
-	if got := run(4, false); got != ref {
-		t.Errorf("4-worker run diverged from workers=1 (sanity):\n ref: %s\n got: %s", ref, got)
-	}
-}

@@ -209,10 +209,7 @@ func RunStaticMode(cfg Config, mode int, events []Event, label string) (Result, 
 	if err != nil {
 		return Result{}, err
 	}
-	if err := sim.Pretrain(); err != nil {
-		return Result{}, err
-	}
-	return sim.Measure(events, label)
+	return sim.Run(events, label)
 }
 
 // BenchmarkTrace synthesizes the named PARSEC-like benchmark's trace.
