@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rlnoc/internal/config"
@@ -20,27 +21,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trafficgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("trafficgen", flag.ContinueOnError)
 	var (
-		list      = flag.Bool("list", false, "list the PARSEC-like benchmarks and their traffic characters")
-		benchmark = flag.String("benchmark", "", "generate the named benchmark's trace")
-		pattern   = flag.String("pattern", "", "generate a synthetic pattern trace")
-		rate      = flag.Float64("rate", 0.005, "synthetic injection rate, packets/node/cycle")
-		cycles    = flag.Int64("cycles", 200_000, "trace duration in cycles")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "output file (default stdout)")
-		inspect   = flag.String("inspect", "", "validate and summarize an existing trace file")
-		width     = flag.Int("width", 8, "fabric width")
-		height    = flag.Int("height", 8, "fabric height")
-		topoFlag  = flag.String("topology", "mesh", "fabric topology: mesh|torus")
+		list      = fs.Bool("list", false, "list the PARSEC-like benchmarks and their traffic characters")
+		benchmark = fs.String("benchmark", "", "generate the named benchmark's trace")
+		pattern   = fs.String("pattern", "", "generate a synthetic pattern trace")
+		rate      = fs.Float64("rate", 0.005, "synthetic injection rate, packets/node/cycle")
+		cycles    = fs.Int64("cycles", 200_000, "trace duration in cycles")
+		seed      = fs.Int64("seed", 1, "random seed")
+		out       = fs.String("out", "", "output file (default stdout)")
+		inspect   = fs.String("inspect", "", "validate and summarize an existing trace file")
+		width     = fs.Int("width", 8, "fabric width")
+		height    = fs.Int("height", 8, "fabric height")
+		topoFlag  = fs.String("topology", "mesh", "fabric topology: mesh|torus")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var mesh topology.Topology
 	var err error
@@ -58,15 +62,15 @@ func run() error {
 
 	switch {
 	case *list:
-		fmt.Printf("%-15s %10s %8s %8s %8s %8s\n", "benchmark", "rate/kcyc", "duty", "local", "hotspot", "short")
+		fmt.Fprintf(stdout, "%-15s %10s %8s %8s %8s %8s\n", "benchmark", "rate/kcyc", "duty", "local", "hotspot", "short")
 		for _, b := range traffic.Benchmarks() {
 			duty := b.BurstOnProb / (b.BurstOnProb + b.BurstOffProb)
-			fmt.Printf("%-15s %10.1f %8.2f %8.2f %8.2f %8.2f\n",
+			fmt.Fprintf(stdout, "%-15s %10.1f %8.2f %8.2f %8.2f %8.2f\n",
 				b.Name, b.RatePktPerKCycle, duty, b.Locality, b.HotspotProb, b.ShortFrac)
 		}
-		fmt.Println("\nsynthetic patterns:")
+		fmt.Fprintln(stdout, "\nsynthetic patterns:")
 		for _, p := range traffic.Patterns() {
-			fmt.Println(" ", p)
+			fmt.Fprintln(stdout, " ", p)
 		}
 		return nil
 
@@ -89,10 +93,10 @@ func run() error {
 			flits += int64(e.Flits)
 			last = e.Cycle
 		}
-		fmt.Printf("events         %d\n", len(events))
-		fmt.Printf("flits          %d\n", flits)
-		fmt.Printf("span           %d cycles\n", last+1)
-		fmt.Printf("offered load   %.5f flits/node/cycle\n", traffic.OfferedLoad(mesh, events, last+1))
+		fmt.Fprintf(stdout, "events         %d\n", len(events))
+		fmt.Fprintf(stdout, "flits          %d\n", flits)
+		fmt.Fprintf(stdout, "span           %d cycles\n", last+1)
+		fmt.Fprintf(stdout, "offered load   %.5f flits/node/cycle\n", traffic.OfferedLoad(mesh, events, last+1))
 		return nil
 
 	case *benchmark != "":
@@ -104,7 +108,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return writeOut(*out, events)
+		return writeOut(stdout, *out, events)
 
 	case *pattern != "":
 		events, err := traffic.Synthetic(mesh, traffic.Pattern(*pattern), *rate,
@@ -112,29 +116,30 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return writeOut(*out, events)
+		return writeOut(stdout, *out, events)
 
 	default:
-		flag.Usage()
+		fs.Usage()
 		return nil
 	}
 }
 
-func writeOut(path string, events []traffic.Event) error {
-	w := os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+// writeOut writes the trace to path, or to stdout when path is empty.
+func writeOut(stdout io.Writer, path string, events []traffic.Event) error {
+	if path == "" {
+		return traffic.WriteTrace(stdout, events)
 	}
-	if err := traffic.WriteTrace(w, events); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
-	if path != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", len(events), path)
+	if err := traffic.WriteTrace(f, events); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", len(events), path)
 	return nil
 }

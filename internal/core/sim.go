@@ -351,7 +351,13 @@ type injector struct {
 	// heads[src] indexes the next pending event of queues[src]; consuming
 	// by index instead of re-slicing keeps the per-cycle injection sweep
 	// free of slice-header churn.
-	heads     []int
+	heads []int
+	// due[src] is the absolute cycle of queues[src]'s head event (never once
+	// the queue is spent): the per-cycle sweep and the event horizon read
+	// this one dense vector and open a queue only when its head is due.
+	// Derived from heads and base (sync): rebuilt on restore, never
+	// serialized.
+	due       []int64
 	remaining int
 	window    int
 	base      int64
@@ -373,7 +379,7 @@ func (s *Sim) accept(events []traffic.Event, base int64) (*injector, error) {
 // shared trace) into per-source queues carved from one slab.
 func newInjector(events []traffic.Event, nodes int, window int, base int64) *injector {
 	in := &injector{queues: make([][]traffic.Event, nodes), heads: make([]int, nodes),
-		remaining: len(events), window: window, base: base}
+		due: make([]int64, nodes), remaining: len(events), window: window, base: base}
 	counts := make([]int, nodes)
 	for _, e := range events {
 		counts[e.Src]++
@@ -385,11 +391,30 @@ func newInjector(events []traffic.Event, nodes int, window int, base int64) *inj
 	for _, e := range events {
 		in.queues[e.Src] = append(in.queues[e.Src], e)
 	}
+	in.sync()
 	return in
 }
 
+// headDue returns the absolute cycle of src's head event.
+func (in *injector) headDue(src int) int64 {
+	if q, h := in.queues[src], in.heads[src]; h < len(q) {
+		return in.base + q[h].Cycle
+	}
+	return never
+}
+
+// sync recomputes due from heads and base.
+func (in *injector) sync() {
+	for src := range in.due {
+		in.due[src] = in.headDue(src)
+	}
+}
+
 func (in *injector) step(net *network.Network, now int64) error {
-	for src := range in.queues {
+	for src, due := range in.due {
+		if due > now {
+			continue
+		}
 		q := in.queues[src]
 		h := in.heads[src]
 		for h < len(q) && in.base+q[h].Cycle <= now {
@@ -404,6 +429,7 @@ func (in *injector) step(net *network.Network, now int64) error {
 			in.remaining--
 		}
 		in.heads[src] = h
+		in.due[src] = in.headDue(src)
 	}
 	return nil
 }
@@ -419,10 +445,8 @@ func (in *injector) done() bool { return in.remaining == 0 }
 // flight.
 func (in *injector) nextEventCycle() int64 {
 	best := never
-	for src, q := range in.queues {
-		if h := in.heads[src]; h < len(q) {
-			best = min(best, in.base+q[h].Cycle)
-		}
+	for _, due := range in.due {
+		best = min(best, due)
 	}
 	return best
 }

@@ -211,8 +211,10 @@ func (s *Sim) snapMeasure(c *snap.Codec) {
 		for src, h := range ms.in.heads {
 			if h < 0 || h > len(ms.in.queues[src]) {
 				c.Fail(fmt.Errorf("core: snapshot injector head %d out of range", src))
+				return
 			}
 		}
+		ms.in.sync()
 	}
 }
 

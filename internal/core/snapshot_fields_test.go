@@ -34,6 +34,9 @@ var unsnapshotted = map[string]struct {
 	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
 	"network.qrouteState.dist":       {true, "rebuildDist over the decoded dead-port flags"},
 	"core.measureState.in":           {true, "per-source queues rebuilt from the decoded trace; the cursors are decoded into them"},
+	"core.injector.due":              {true, "sync() over the decoded heads and base"},
+	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},
+	"network.Router.wirePorts":       {false, "port summary: refilled conservatively (every port); a spurious bit is a no-op port visit that clears it"},
 	"network.Network.hardSched":      {true, "reparsed from the Config the stream embeds"},
 	"network.Network.wireActive":     {false, "activity set: refilled conservatively (every live router); a spurious member is a no-op visit with no draws and no meter charges"},
 	"network.Network.niActive":       {false, "activity set: as wireActive"},

@@ -201,6 +201,59 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotResumesHeldSource checkpoints a run whose sources are
+// throttled by SourceWindow back-pressure: a held head event is due in the
+// past, and the injector's due vector — derived state the stream does not
+// carry — must come back saying so, or the resumed run would release the
+// source on a different cycle. Every checkpoint resumes to the
+// uninterrupted run's bytes, and at least one must actually catch a
+// source held.
+func TestSnapshotResumesHeldSource(t *testing.T) {
+	cfg := snapConfig("mesh")
+	cfg.HardFaults = ""
+	cfg.SourceWindow = 1
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := traffic.Synthetic(topo, traffic.Uniform, 0.02, cfg.FlitsPerPacket,
+		int64(cfg.MaxCycles), cfg.Seed*31+1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runFull(t, cfg, SchemeRL, events, 1, "", 0)
+	dir := t.TempDir()
+	if got := runFull(t, cfg, SchemeRL, events, 1, dir, 900); got != want {
+		t.Fatalf("snapshotting perturbed the run:\n got %s\nwant %s", got, want)
+	}
+	paths, _ := snapshotCycles(t, dir)
+	held := 0
+	for _, p := range paths {
+		sim, err := RestoreSimFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, now := sim.ms.in, sim.net.Cycle()
+		for src, due := range in.due {
+			if due != in.headDue(src) {
+				t.Errorf("%s: restored due[%d] = %d, head event says %d", filepath.Base(p), src, due, in.headDue(src))
+			}
+			// The checkpoint follows the Step that ended cycle now-1's
+			// iteration: a head due before now was offered and refused.
+			if due < now && sim.net.SourceOutstanding(src) >= cfg.SourceWindow {
+				held++
+			}
+		}
+		sim.Close()
+		if got := resumeFrom(t, p, 0); got != want {
+			t.Errorf("%s: resumed run diverged:\n got %s\nwant %s", filepath.Base(p), got, want)
+		}
+	}
+	if held == 0 {
+		t.Fatalf("no source was held by back-pressure at any of %d checkpoints", len(paths))
+	}
+}
+
 // TestSnapshotIdempotent re-snapshots a restored sim without stepping it
 // and requires the bytes to match the original checkpoint — the
 // encoding walk covers exactly the state the decoding walk reproduces.

@@ -62,7 +62,7 @@ func BenchmarkCommitPhase(b *testing.B) {
 				for id := 0; id < tc.nodes; id++ {
 					// Drain the pushed flit so the next iteration starts
 					// from an empty buffer (same flit struct, no pool churn).
-					n.routers[id].inputs[topology.West][0].pop()
+					n.routers[id].vc(topology.West, 0).pop()
 				}
 			}
 		})

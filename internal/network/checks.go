@@ -92,7 +92,7 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 			dr := n.routers[p.downstream]
 			quiet := len(p.inflight) == 0 && len(p.unacked) == 0 && p.resendIdx < 0
 			for vc := range p.credits {
-				sum := p.credits[vc] + len(dr.inputs[p.inPort][vc].buf)
+				sum := p.credits[vc] + len(dr.vc(p.inPort, vc).buf)
 				for _, c := range p.credRet {
 					if c.vc == vc {
 						sum++
@@ -118,7 +118,8 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 // per-port pending-free counts from the VC and port state they are
 // derived from (DESIGN.md §18) and reports any disagreement with the
 // incrementally maintained copies: a stale bit would silently hide a VC
-// from, or wrongly offer it to, the RC/VA/SA walks.
+// from, or wrongly offer it to, the RC/VA/SA walks. The port summaries
+// (§20) are held to the state they summarize in the same pass.
 func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []invariant.Violation {
 	for id, r := range n.routers {
 		route, vaWait := r.requestMasks()
@@ -138,6 +139,20 @@ func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []
 				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
 					Msg: fmt.Sprintf("router %d port %v: pending-free count %d, %d VCs pending",
 						id, p.dir, p.pendingFree, k)})
+			}
+			// The port summaries (DESIGN.md §20) are supersets: a spurious
+			// bit is a no-op port visit, a missing one hides queued work
+			// from the wire or SA walk.
+			bit := uint8(1) << uint(p.dir)
+			if p.wireQueued() && r.wirePorts&bit == 0 {
+				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+					Msg: fmt.Sprintf("router %d port %v: wire queues hold %d flits, %d acks, %d credits but the wirePorts bit is clear",
+						id, p.dir, len(p.inflight), len(p.acks), len(p.credRet))})
+			}
+			if p.saPending() && r.saAttn&bit == 0 {
+				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+					Msg: fmt.Sprintf("router %d port %v: resend cursor %d, mode %v -> %v pending, but the saAttn bit is clear",
+						id, p.dir, p.resendIdx, p.mode, p.targetMode)})
 			}
 		}
 	}

@@ -114,8 +114,9 @@ func TestCreditImbalanceChecks(t *testing.T) {
 }
 
 // TestRequestMaskChecks flips one bit of each kind of derived pipeline
-// state — a route mask, the VA-wait mask, a pending-free count — under a
-// routed, VC-holding resident and expects the census to localize each.
+// state — a route mask, the VA-wait mask, a pending-free count, then a
+// wirePorts and an saAttn bit — under a routed, VC-holding resident and
+// expects the census to localize each.
 func TestRequestMaskChecks(t *testing.T) {
 	n := checkedNet(t)
 	if pkt, err := n.NewDataPacket(0, 15, 4, 0); err != nil || pkt == nil {
@@ -144,6 +145,35 @@ func TestRequestMaskChecks(t *testing.T) {
 	r.outputs[topology.East].pendingFree++
 	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: pending-free count 1, 0 VCs pending")
 	r.outputs[topology.East].pendingFree--
+
+	// The port summaries: step until the head is on the east wire (Mode 1
+	// keeps its clean copy unacked), then ask for a mode switch the
+	// channel cannot take yet. Both bits are now set for cause; a spurious
+	// bit elsewhere is legal, a missing one is the violation.
+	east := r.outputs[topology.East]
+	for len(east.inflight) == 0 {
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.applyMode(0, Mode2)
+	portBit := uint8(1) << uint(topology.East)
+	if !east.switchPending() || r.wirePorts&portBit == 0 || r.saAttn&portBit == 0 {
+		t.Fatalf("east port: switch pending %v, wirePorts %05b, saAttn %05b; want both bits set",
+			east.switchPending(), r.wirePorts, r.saAttn)
+	}
+	r.wirePorts |= 1 << uint(topology.West) // spurious: legal
+	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+		t.Fatalf("consistent summaries flagged: %v", err)
+	}
+
+	r.wirePorts &^= portBit
+	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: wire queues hold 1 flits")
+	r.wirePorts |= portBit
+
+	r.saAttn &^= portBit
+	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: resend cursor -1, mode mode1-ecc -> mode2-preretx pending")
+	r.saAttn |= portBit
 
 	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
 		t.Fatalf("restored masks still flagged: %v", err)

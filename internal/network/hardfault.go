@@ -250,7 +250,11 @@ func (n *Network) killLink(id int, dir topology.Direction, sw *faultSweep) bool 
 // in the retransmission buffer is a casualty (condemned and dropped),
 // the reverse wires are cleared, and the port is marked dead so no
 // pipeline stage or credit-return site touches it again. Cancelling any
-// pending mode switch keeps pipeQuiet reachable for the owning router.
+// pending resend and mode switch takes the port out of saAttn, which keeps
+// pipeQuiet reachable for the owning router. Emptying the retransmission
+// buffer can complete a VC release's condition with no ACK to announce
+// it, so the port is flagged for this cycle's wire visit (the dense
+// referee would release there).
 func (n *Network) killPort(r *Router, p *outputPort, reason stats.DropReason, sw *faultSweep) {
 	for i := range p.inflight {
 		f := p.inflight[i].f
@@ -270,8 +274,10 @@ func (n *Network) killPort(r *Router, p *outputPort, reason stats.DropReason, sw
 	p.credRet = p.credRet[:0]
 	p.resendIdx = -1
 	p.targetMode = p.mode
+	r.saAttn &^= 1 << uint(p.dir)
 	p.dead = true
 	p.downstream = -1
+	n.flagWire(r, p, nil)
 }
 
 // killRouter removes a router, its NI and every incident link. Reports
@@ -304,13 +310,12 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 		}
 	}
 	// Buffered flits inside the router are casualties too.
-	for port := topology.Direction(0); port < topology.NumPorts; port++ {
-		for _, vc := range r.inputs[port] {
-			if pkt, attempt := residentOf(vc); pkt != nil {
-				n.condemnPkt(sw, pkt, attempt, stats.DropDeadRouter, false)
-			}
-			n.purgeVC(r, port, vc, stats.DropDeadRouter)
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		if pkt, attempt := residentOf(vc); pkt != nil {
+			n.condemnPkt(sw, pkt, attempt, stats.DropDeadRouter, false)
 		}
+		n.purgeVC(r, vc, stats.DropDeadRouter)
 	}
 	// NI teardown. Every packet this node sourced is condemned for
 	// declaration (its replay home is gone); map iteration goes through a
@@ -367,22 +372,11 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 // purgeVC empties one input VC, returning a credit per dropped flit to
 // the upstream channel (unless that channel died) and releasing the
 // VC's downstream allocation so the fabric's VC inventory never leaks.
-func (n *Network) purgeVC(r *Router, port topology.Direction, vc *inputVC, reason stats.DropReason) {
-	var upPort *outputPort
-	up := -1
-	if port != topology.Local {
-		if u, ok := n.topo.Neighbor(r.id, port); ok {
-			if q := n.routers[u].outputs[port.Opposite()]; !q.dead {
-				up, upPort = u, q
-			}
-		}
-	}
+func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
+	port := r.portOf(vc.slot)
 	for !vc.empty() {
 		f := vc.pop()
-		if upPort != nil {
-			upPort.credRet = append(upPort.credRet, wireCredit{vc: f.VC, deliver: n.cycle + 1})
-			n.markWire(up)
-		}
+		n.returnCredit(r.up[port], f.VC)
 		n.dropFlit(f, r, reason)
 	}
 	if port == topology.Local {
@@ -392,8 +386,11 @@ func (n *Network) purgeVC(r *Router, port topology.Direction, vc *inputVC, reaso
 		if op := r.outputs[vc.outPort]; !op.dead && op.dir != topology.Local && op.vcBusy != nil {
 			// The tail will never pass; schedule the downstream VC free
 			// the way grantAndSend would have (releaseVCs completes it
-			// once the in-flight credits come home).
+			// once the in-flight credits come home — at once if they
+			// already are, with no wire event to announce it, so the port
+			// is flagged for this cycle's wire visit).
 			op.markPendingFree(vc.outVC)
+			n.flagWire(r, op, nil)
 		}
 	}
 	vc.unroute()
@@ -413,22 +410,21 @@ func (n *Network) sweepAfterFaults(sw *faultSweep) {
 		if n.isDeadRouter(id) {
 			continue
 		}
-		for port := topology.Direction(0); port < topology.NumPorts; port++ {
-			for _, vc := range r.inputs[port] {
-				pkt, attempt := residentOf(vc)
-				if pkt == nil {
-					continue
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			pkt, attempt := residentOf(vc)
+			if pkt == nil {
+				continue
+			}
+			switch {
+			case vc.routed && vc.outPort < topology.NumPorts && r.outputs[vc.outPort].dead:
+				reason := stats.DropKilledLink
+				if !topology.Reachable(n.topo, id, pkt.Dst) {
+					reason = stats.DropUnreachable
 				}
-				switch {
-				case vc.routed && vc.outPort < topology.NumPorts && r.outputs[vc.outPort].dead:
-					reason := stats.DropKilledLink
-					if !topology.Reachable(n.topo, id, pkt.Dst) {
-						reason = stats.DropUnreachable
-					}
-					n.condemnPkt(sw, pkt, attempt, reason, false)
-				case !topology.Reachable(n.topo, id, pkt.Dst):
-					n.condemnPkt(sw, pkt, attempt, stats.DropUnreachable, false)
-				}
+				n.condemnPkt(sw, pkt, attempt, reason, false)
+			case !topology.Reachable(n.topo, id, pkt.Dst):
+				n.condemnPkt(sw, pkt, attempt, stats.DropUnreachable, false)
 			}
 		}
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
@@ -486,22 +482,21 @@ func (n *Network) sweepAfterFaults(sw *faultSweep) {
 		if n.isDeadRouter(id) {
 			continue
 		}
-		for port := topology.Direction(0); port < topology.NumPorts; port++ {
-			for _, vc := range r.inputs[port] {
-				pkt, attempt := residentOf(vc)
-				if pkt == nil {
-					continue
-				}
-				att, ok := n.condemned[pkt.ID]
-				if !ok || attempt > att {
-					continue
-				}
-				reason := stats.DropKilledLink
-				if i, hit := sw.index[pkt.ID]; hit {
-					reason = sw.affected[i].reason
-				}
-				n.purgeVC(r, port, vc, reason)
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			pkt, attempt := residentOf(vc)
+			if pkt == nil {
+				continue
 			}
+			att, ok := n.condemned[pkt.ID]
+			if !ok || attempt > att {
+				continue
+			}
+			reason := stats.DropKilledLink
+			if i, hit := sw.index[pkt.ID]; hit {
+				reason = sw.affected[i].reason
+			}
+			n.purgeVC(r, vc, reason)
 		}
 	}
 }

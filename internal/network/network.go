@@ -122,19 +122,19 @@ type Network struct {
 	// ID to the newest condemned attempt for the poison screen in
 	// applyWireOp. ctrlLive tracks control packets between send and NI
 	// receive so a kill can cancel each exactly once.
-	hardSched        []fault.HardFault
-	hardIdx          int
-	hardFaulted      bool
-	deadRouter       []bool
-	condemned        map[uint64]int32
+	hardSched   []fault.HardFault
+	hardIdx     int
+	hardFaulted bool
+	deadRouter  []bool
+	condemned   map[uint64]int32
 
 	// qr holds the learned-routing machinery for the qroute scheme
 	// (qroute.go); nil for every other scheme. recov tracks per-kill
 	// time-to-recover whenever a hard-fault schedule is configured,
 	// regardless of scheme, so chaos head-to-heads can compare recovery
 	// across routing policies.
-	qr    *qrouteState
-	recov *stats.RecoveryLog
+	qr               *qrouteState
+	recov            *stats.RecoveryLog
 	ctrlLive         map[uint64]*flit.Packet
 	unreachablePairs int
 
@@ -246,7 +246,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	routerArr := make([]Router, n)
 	niArr := make([]NI, n)
 	vcArr := make([]inputVC, n*ports*vcs)
-	ptrArr := make([]*inputVC, n*ports*vcs)
 	bufArr := make([]bufFlit, n*ports*vcs*cfg.VCDepth)
 	portArr := make([]outputPort, n*ports)
 	lvbArr := make([]bool, n*vcs)
@@ -255,7 +254,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		base := id * ports * vcs
 		initRouter(r, id, vcs, cfg.VCDepth,
 			vcArr[base:base+ports*vcs:base+ports*vcs],
-			ptrArr[base:base+ports*vcs:base+ports*vcs],
 			bufArr[base*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth])
 		r.pool = &net.fpool
 		net.routers[id] = r
@@ -270,7 +268,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		r := net.routers[id]
 		for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
 			p := &portArr[id*ports+int(dir)]
-			*p = outputPort{dir: dir, owner: id, downstream: -1, resendIdx: -1, wireScale: 1,
+			*p = outputPort{dir: dir, owner: int32(id), downstream: -1, resendIdx: -1, wireScale: 1,
 				linkID: -1}
 			if dir == topology.Local {
 				p.downstream = id // ejection to own NI
@@ -287,7 +285,9 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		p.downstream = l.Dst
 		p.inPort = l.Dir.Opposite()
 		p.wireScale = l.Length
-		p.linkID = topo.LinkIndex(l.Src, l.Dir)
+		p.linkID = int32(topo.LinkIndex(l.Src, l.Dir))
+		p.linkKey = detrand.Prefix(cfg.Seed, detrand.DomainLink, uint64(p.linkID))
+		net.routers[l.Dst].up[p.inPort] = p
 		p.credits = credArr[li*vcs : (li+1)*vcs : (li+1)*vcs]
 		for v := range p.credits {
 			p.credits[v] = cfg.VCDepth
@@ -372,6 +372,27 @@ func (n *Network) markNI(id int) {
 		return
 	}
 	n.niActive.add(id)
+}
+
+// flagWire records that output port p of router r holds (or may soon hold)
+// wire-phase work: the port joins r's wirePorts summary and r the wire
+// set. Own-router state: callers are r's own phase handlers or the main
+// goroutine (credit commit, hard faults).
+func (n *Network) flagWire(r *Router, p *outputPort, sh *shardState) {
+	r.wirePorts |= 1 << uint(p.dir)
+	n.markWireCtx(r.id, sh)
+}
+
+// returnCredit puts one credit for downstream VC vc on the return wire of
+// upstream output port up (a Router.up entry; nil for an unwired edge). A
+// hard-failed channel has nobody listening upstream. Main goroutine only:
+// the sharded path stages a creditOp and commits it here.
+func (n *Network) returnCredit(up *outputPort, vc int) {
+	if up == nil || up.dead {
+		return
+	}
+	up.credRet = append(up.credRet, wireCredit{vc: vc, deliver: n.cycle + 1})
+	n.flagWire(n.routers[up.owner], up, nil)
 }
 
 // SetDenseScan toggles the original dense O(routers x ports x VCs) phase
@@ -548,22 +569,26 @@ func (n *Network) applyMode(id int, m Mode) {
 	}
 	n.modes[id] = m
 	r := n.routers[id]
-	pending := false
 	for dir := topology.North; dir < topology.NumPorts; dir++ {
 		if p := r.outputs[dir]; p.hasDownstream() {
-			p.targetMode = m
-			p.trySwitchMode()
-			pending = pending || p.mode != p.targetMode
+			n.requestMode(r, p, m)
 		}
 	}
-	// A still-pending switch must be retried by the SA stage each cycle
-	// until the channel drains, so such routers are marked. When every
-	// port switched (or kept its mode) the scan would be a no-op; not
-	// marking then keeps an idle fabric quiescent across control epochs,
-	// which is what lets fast-forward jump them and the lazy
-	// error-probability materialization stay deferred.
-	if pending {
-		n.markPipe(id)
+}
+
+// requestMode points port p of router r at mode m and applies the switch
+// if the channel is clean. A still-pending switch must be retried by the
+// SA stage each cycle until the channel drains, so the port joins saAttn
+// and the router the pipe set. When the port switched (or kept its mode)
+// the SA visit would be a no-op; not marking then keeps an idle fabric
+// quiescent across control epochs, which is what lets fast-forward jump
+// them and the lazy error-probability materialization stay deferred.
+func (n *Network) requestMode(r *Router, p *outputPort, m Mode) {
+	p.targetMode = m
+	p.trySwitchMode()
+	if p.switchPending() {
+		r.saAttn |= 1 << uint(p.dir)
+		n.markPipe(r.id)
 	}
 }
 
@@ -573,7 +598,6 @@ func (n *Network) applyMode(id int, m Mode) {
 func (n *Network) applyPortModes(id int, pm [4]Mode) {
 	r := n.routers[id]
 	report := Mode0
-	pending := false
 	for dir := topology.North; dir < topology.NumPorts; dir++ {
 		p := r.outputs[dir]
 		if !p.hasDownstream() {
@@ -586,17 +610,12 @@ func (n *Network) applyPortModes(id int, pm [4]Mode) {
 		if m >= NumModes {
 			m = Mode0
 		}
-		p.targetMode = m
-		p.trySwitchMode()
-		pending = pending || p.mode != p.targetMode
+		n.requestMode(r, p, m)
 		if m > report {
 			report = m
 		}
 	}
 	n.modes[id] = report
-	if pending {
-		n.markPipe(id) // as in applyMode: pending switches need SA visits
-	}
 }
 
 // eccFraction returns the share of router id's ECC codecs currently
@@ -671,7 +690,7 @@ func (n *Network) materializeErrorProbs() {
 				continue
 			}
 			p.winCaptured = false
-			p.errProb = n.ftab.ErrorProbability(p.linkID, temp, p.winUtil, p.winRelaxed)
+			p.errProb = n.ftab.ErrorProbability(int(p.linkID), temp, p.winUtil, p.winRelaxed)
 		}
 	}
 }
@@ -707,7 +726,7 @@ func (n *Network) Step() error {
 
 		// 1. Arrivals, ACK/NACK wires and credit returns.
 		for _, r := range n.routers {
-			n.stepWires(r, nil)
+			n.stepWiresDense(r)
 		}
 
 		// 2. NI injection.
@@ -799,41 +818,64 @@ func (n *Network) Step() error {
 	return nil
 }
 
-// stepWires runs the wire phase for one router: arrivals, ACK/NACK
-// processing, credit returns and VC releases on every port. sh is the
+// stepWires runs the wire phase for one router over the ports its
+// wirePorts summary names, in ascending port order — the dense order — and
+// clears the bit of each port it leaves with all three queues empty. A
+// port outside the summary holds no queue entry and no newly possible VC
+// release, so the dense visit to it would have been a no-op. sh is the
 // owning shard when running inside a parallel compute pass, nil on the
-// sequential and dense paths; it receives the staged cross-router effects.
+// sequential path; it receives the staged cross-router effects.
 func (n *Network) stepWires(r *Router, sh *shardState) {
-	for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
-		p := r.outputs[dir]
-		if len(p.inflight) > 0 {
-			n.processArrivals(r, p, sh)
+	for m := r.wirePorts; m != 0; m &= m - 1 {
+		dir := bits.TrailingZeros8(m)
+		if !n.stepWirePort(r, r.outputs[dir], sh) {
+			r.wirePorts &^= 1 << uint(dir)
 		}
-		if len(p.acks) > 0 {
-			n.processAcks(r, p, sh)
-		}
-		if len(p.credRet) > 0 {
-			n.processCredits(p)
-		}
-		n.releaseVCs(p)
 	}
 }
 
+// stepWiresDense is the original scan over every port — the referee
+// implementation for stepWires, which reads no summary.
+func (n *Network) stepWiresDense(r *Router) {
+	for _, p := range r.outputs {
+		n.stepWirePort(r, p, nil)
+	}
+}
+
+// stepWirePort runs the wire phase on one port: arrivals, ACK/NACK
+// processing, credit returns and VC releases. It reports whether the port
+// still holds a queue entry.
+func (n *Network) stepWirePort(r *Router, p *outputPort, sh *shardState) bool {
+	if len(p.inflight) > 0 {
+		n.processArrivals(r, p, sh)
+	}
+	if len(p.acks) > 0 {
+		n.processAcks(r, p, sh)
+	}
+	if len(p.credRet) > 0 {
+		n.processCredits(p)
+	}
+	n.releaseVCs(p)
+	return p.wireQueued()
+}
+
 // processArrivals handles flits whose link traversal completes this cycle.
+// pushWire keeps a link's arrivals strictly increasing (and an ejection
+// port takes one flit per cycle), so the due entries are a prefix: handle
+// it, then close the gap with one copy.
 func (n *Network) processArrivals(r *Router, p *outputPort, sh *shardState) {
-	keep := p.inflight[:0]
-	for _, wf := range p.inflight {
-		if wf.arrive > n.cycle {
-			keep = append(keep, wf)
-			continue
-		}
+	due := 0
+	for ; due < len(p.inflight) && p.inflight[due].arrive <= n.cycle; due++ {
+		wf := p.inflight[due]
 		if p.dir == topology.Local {
 			n.emitWireOp(wireOp{f: wf.f, down: int32(r.id), flags: opEject}, sh)
 			continue
 		}
 		n.receiveOnLink(r, p, wf, sh)
 	}
-	p.inflight = keep
+	if due > 0 {
+		p.inflight = p.inflight[:copy(p.inflight, p.inflight[due:])]
+	}
 }
 
 // receiveOnLink runs the downstream decoder and ARQ acceptance logic.
@@ -893,7 +935,7 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit, sh *shar
 		// the encoder, so a clean copy decodes to "OK" on every word.
 		// The decode energy is charged unconditionally, as in hardware
 		// (and as in the dense referee path).
-		if wf.f.Kind == flit.Data && wf.corrupted {
+		if wf.corrupted && wf.f.Kind == flit.Data {
 			corrected := false
 			for w := 0; w < flit.WordsPerFlit; w++ {
 				word, res := coding.DecodeSECDED(wf.f.Payload[w], wf.f.ECCCheck[w])
@@ -986,17 +1028,12 @@ func (n *Network) applyWireOp(op wireOp) {
 			// queued) — only the buffer entry is suppressed, so go-back-N
 			// never stalls on a silently-missing flit. The buffer slot the
 			// flit would have taken goes back upstream as a normal credit.
-			if up, ok := n.topo.Neighbor(down, op.inPort); ok {
-				if upPort := n.routers[up].outputs[op.inPort.Opposite()]; !upPort.dead {
-					upPort.credRet = append(upPort.credRet, wireCredit{vc: op.f.VC, deliver: cycle + 1})
-					n.markWire(up)
-				}
-			}
+			n.returnCredit(dr.up[op.inPort], op.f.VC)
 			n.dropFlit(op.f, dr, stats.DropKilledLink)
 			n.lastProgress = cycle
 			return
 		}
-		vcBuf := dr.inputs[op.inPort][op.f.VC]
+		vcBuf := dr.vc(op.inPort, op.f.VC)
 		if vcBuf.full() {
 			panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
 				down, op.inPort, op.f.VC))
@@ -1045,7 +1082,7 @@ func (n *Network) applyWireOpOwned(op *wireOp, sh *shardState) {
 		return
 	}
 	dr := n.routers[down]
-	vcBuf := dr.inputs[op.inPort][op.f.VC]
+	vcBuf := dr.vc(op.inPort, op.f.VC)
 	if vcBuf.full() {
 		panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
 			down, op.inPort, op.f.VC))
@@ -1080,6 +1117,7 @@ func (n *Network) processAcks(r *Router, p *outputPort, sh *shardState) {
 				}
 			}
 			// The SA stage services pending retransmissions; wake it.
+			r.saAttn |= 1 << uint(p.dir)
 			n.markPipeCtx(r.id, sh)
 			continue
 		}
@@ -1185,9 +1223,8 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 
 // vaTryGrant runs the VA stage body for candidate slot idx competing for
 // output port out; it reports whether a grant was issued.
-func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, idx, vcs int) bool {
-	port := topology.Direction(idx / vcs)
-	vc := r.inputs[port][idx%vcs]
+func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, idx int) bool {
+	vc := &r.vcs[idx]
 	front := vc.front()
 	if front == nil || !vc.routed || vc.outVC != -1 || vc.outPort != out {
 		return false
@@ -1240,7 +1277,6 @@ func (n *Network) routeAndAllocate(r *Router) {
 	if r.occMask == 0 {
 		return
 	}
-	vcs := len(r.inputs[0])
 	// RC: compute output port for unrouted heads. Routed slots matter only
 	// to qroute, which ages the ones still waiting for an output VC.
 	var routed uint64
@@ -1254,7 +1290,7 @@ func (n *Network) routeAndAllocate(r *Router) {
 	for m := rc; m != 0; {
 		slot := bits.TrailingZeros64(m)
 		m &^= 1 << uint(slot)
-		vc := r.inputs[slot/vcs][slot%vcs]
+		vc := &r.vcs[slot]
 		front := vc.front()
 		if front == nil || !front.f.Type.IsHead() {
 			continue
@@ -1270,14 +1306,14 @@ func (n *Network) routeAndAllocate(r *Router) {
 	// VA: one grant per output port per cycle, round-robin. The two-pass
 	// rotated mask walk visits exactly the occupied slots the dense scan
 	// (start+k)%total would have visited, in the same order.
-	total := int(topology.NumPorts) * vcs
+	total := len(r.vcs)
 	for out := topology.North; out < topology.NumPorts; out++ {
-		op := r.outputs[out]
-		if !op.hasDownstream() {
-			continue
-		}
 		req := r.occMask & r.routeMask[out] & r.vaWait
 		if req == 0 {
+			continue
+		}
+		op := r.outputs[out]
+		if !op.hasDownstream() {
 			continue
 		}
 		start := r.vaRR[out] % total
@@ -1285,14 +1321,14 @@ func (n *Network) routeAndAllocate(r *Router) {
 		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.vaTryGrant(r, op, out, idx, vcs) {
+			if n.vaTryGrant(r, op, out, idx) {
 				goto nextOut
 			}
 		}
 		for m := req & lowMask; m != 0; { // wrapped slots 0..start-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.vaTryGrant(r, op, out, idx, vcs) {
+			if n.vaTryGrant(r, op, out, idx) {
 				break
 			}
 		}
@@ -1304,32 +1340,30 @@ func (n *Network) routeAndAllocate(r *Router) {
 // the referee implementation for routeAndAllocate.
 func (n *Network) routeAndAllocateDense(r *Router) {
 	// RC: compute output port for unrouted heads.
-	for port := topology.Direction(0); port < topology.NumPorts; port++ {
-		for _, vc := range r.inputs[port] {
-			front := vc.front()
-			if front == nil || !front.f.Type.IsHead() {
-				continue
-			}
-			if vc.routed {
-				if n.qr != nil {
-					n.qrouteEscalate(r, vc)
-				}
-				continue
-			}
-			n.routeCompute(r, vc, front)
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		front := vc.front()
+		if front == nil || !front.f.Type.IsHead() {
+			continue
 		}
+		if vc.routed {
+			if n.qr != nil {
+				n.qrouteEscalate(r, vc)
+			}
+			continue
+		}
+		n.routeCompute(r, vc, front)
 	}
 	// VA: one grant per output port per cycle, round-robin.
-	vcs := len(r.inputs[0])
+	total := len(r.vcs)
 	for out := topology.North; out < topology.NumPorts; out++ {
 		op := r.outputs[out]
 		if !op.hasDownstream() {
 			continue
 		}
-		total := int(topology.NumPorts) * vcs
 		start := r.vaRR[out]
 		for k := 0; k < total; k++ {
-			if n.vaTryGrant(r, op, out, (start+k)%total, vcs) {
+			if n.vaTryGrant(r, op, out, (start+k)%total) {
 				break
 			}
 		}
@@ -1399,12 +1433,11 @@ func (n *Network) saPortReady(r *Router, op *outputPort, sh *shardState) bool {
 
 // saTryGrant runs the SA stage body for candidate slot idx competing for
 // output port out; it reports whether the flit was granted and sent.
-func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx, vcs int, sh *shardState) bool {
+func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx int, sh *shardState) bool {
 	if r.inputUsed&(1<<uint(idx)) != 0 {
 		return false
 	}
-	port := topology.Direction(idx / vcs)
-	vc := r.inputs[port][idx%vcs]
+	vc := &r.vcs[idx]
 	front := vc.front()
 	if front == nil || !vc.routed || vc.outVC < 0 || vc.outPort != out || front.ready > n.cycle {
 		return false
@@ -1412,7 +1445,8 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	if out != topology.Local && op.credits[vc.outVC] <= 0 {
 		return false
 	}
-	r.inputUsed |= (uint64(1)<<uint(vcs) - 1) << uint(idx-idx%vcs)
+	port := r.portOf(idx)
+	r.inputUsed |= (uint64(1)<<uint(r.nvc) - 1) << uint(int(port)*r.nvc)
 	r.saRR[out] = idx + 1
 	n.grantAndSend(r, port, vc, op, sh)
 	return true
@@ -1422,18 +1456,25 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 // retransmissions, then grants at most one flit per output port and one
 // per input port. Like routeAndAllocate, it walks only the slots that can
 // act — occupied, routed to this output, holding an output VC, on an
-// input port not yet granted this cycle — in dense round-robin order.
+// input port not yet granted this cycle — in dense round-robin order, and
+// it reads the port itself only when such a slot exists or the saAttn
+// summary says a resend or mode switch is waiting there (DESIGN.md §20):
+// with neither, saPortReady has no effect and nothing could be granted.
 func (n *Network) switchAllocate(r *Router, sh *shardState) {
 	r.inputUsed = 0
-	vcs := len(r.inputs[0])
-	total := int(topology.NumPorts) * vcs
+	total := len(r.vcs)
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
-		op := r.outputs[out]
-		if !n.saPortReady(r, op, sh) {
+		req := r.occMask & r.routeMask[out] &^ r.vaWait &^ r.inputUsed
+		attn := r.saAttn & (1 << uint(out))
+		if req == 0 && attn == 0 {
 			continue
 		}
-		req := r.occMask & r.routeMask[out] &^ r.vaWait &^ r.inputUsed
-		if req == 0 {
+		op := r.outputs[out]
+		ready := n.saPortReady(r, op, sh)
+		if attn != 0 && !op.saPending() {
+			r.saAttn &^= attn
+		}
+		if !ready || req == 0 {
 			continue
 		}
 		start := r.saRR[out] % total
@@ -1441,14 +1482,14 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.saTryGrant(r, op, out, idx, vcs, sh) {
+			if n.saTryGrant(r, op, out, idx, sh) {
 				goto nextOut
 			}
 		}
 		for m := req & lowMask; m != 0; { // wrapped slots 0..start-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.saTryGrant(r, op, out, idx, vcs, sh) {
+			if n.saTryGrant(r, op, out, idx, sh) {
 				break
 			}
 		}
@@ -1460,16 +1501,15 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 // the referee implementation for switchAllocate.
 func (n *Network) switchAllocateDense(r *Router) {
 	r.inputUsed = 0
-	vcs := len(r.inputs[0])
+	total := len(r.vcs)
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
 		op := r.outputs[out]
 		if !n.saPortReady(r, op, nil) {
 			continue
 		}
-		total := int(topology.NumPorts) * vcs
 		start := r.saRR[out]
 		for k := 0; k < total; k++ {
-			if n.saTryGrant(r, op, out, (start+k)%total, vcs, nil) {
+			if n.saTryGrant(r, op, out, (start+k)%total, nil) {
 				break
 			}
 		}
@@ -1498,14 +1538,10 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 	// one credit per cycle, so the appends commute across shards; commit
 	// still replays them in shard order for a canonical credRet layout.
 	if inPort != topology.Local {
-		if up, ok := n.topo.Neighbor(r.id, inPort); ok {
-			if sh != nil {
-				sh.credits = append(sh.credits, creditOp{router: int32(up),
-					dir: inPort.Opposite(), vc: int8(f.VC)})
-			} else if upPort := n.routers[up].outputs[inPort.Opposite()]; !upPort.dead {
-				upPort.credRet = append(upPort.credRet, wireCredit{vc: f.VC, deliver: n.cycle + 1})
-				n.markWire(up)
-			}
+		if sh != nil {
+			sh.credits = append(sh.credits, creditOp{up: r.up[inPort], vc: int8(f.VC)})
+		} else {
+			n.returnCredit(r.up[inPort], f.VC)
 		}
 	} else if f.Type.IsTail() {
 		n.nis[r.id].releaseLocalVC(f.VC)
@@ -1523,7 +1559,7 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 		// Ejection: one cycle to the NI, no faults, no ARQ.
 		op.inflight = append(op.inflight, wireFlit{f: f, arrive: n.cycle + 1})
 		op.linkBusyUntil = n.cycle + 1
-		n.markWireCtx(op.owner, sh)
+		n.flagWire(r, op, sh)
 		return
 	}
 
@@ -1567,7 +1603,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardSta
 		wire = r.pool.Clone(f) // the unacked entry keeps the pristine flit
 	}
 	hit := n.corrupt(r, op, wire, eccOn, sh)
-	n.pushWire(op, wireFlit{f: wire, arrive: arrive, seq: seq, eccValid: eccOn,
+	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: seq, eccValid: eccOn,
 		dupFollows: mode == Mode2, corrupted: hit}, sh)
 	n.meter.LinkScaled(r.id, op.wireScale)
 	n.stats.RouterFlitOut(r.id)
@@ -1579,7 +1615,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardSta
 	if mode == Mode2 {
 		dup := r.pool.Clone(op.unacked[len(op.unacked)-1].f)
 		hit := n.corrupt(r, op, dup, true, sh)
-		n.pushWire(op, wireFlit{f: dup, arrive: arrive + 1, seq: seq, eccValid: true,
+		n.pushWire(r, op, wireFlit{f: dup, arrive: arrive + 1, seq: seq, eccValid: true,
 			isDup: true, corrupted: hit}, sh)
 		n.meter.LinkScaled(r.id, op.wireScale)
 		n.countStat(evPreRetransmissions, sh)
@@ -1602,7 +1638,7 @@ func (n *Network) retransmit(r *Router, op *outputPort, sh *shardState) {
 	// Retransmissions go out singly (no Mode 2 duplicate) with the ECC
 	// stage enabled — only ECC-protected flits can be NACKed.
 	arrive := n.cycle + 2 // link + ECC stage
-	n.pushWire(op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true,
+	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true,
 		isRetx: true, corrupted: hit}, sh)
 	op.linkBusyUntil = n.cycle + 1
 	n.meter.LinkScaled(r.id, op.wireScale)
@@ -1614,12 +1650,12 @@ func (n *Network) retransmit(r *Router, op *outputPort, sh *shardState) {
 
 // pushWire appends an in-flight flit, enforcing monotone arrival order so
 // mode switches can never reorder a link.
-func (n *Network) pushWire(op *outputPort, wf wireFlit, sh *shardState) {
+func (n *Network) pushWire(r *Router, op *outputPort, wf wireFlit, sh *shardState) {
 	if k := len(op.inflight); k > 0 && wf.arrive <= op.inflight[k-1].arrive {
 		wf.arrive = op.inflight[k-1].arrive + 1
 	}
 	op.inflight = append(op.inflight, wf)
-	n.markWireCtx(op.owner, sh)
+	n.flagWire(r, op, sh)
 }
 
 // corrupt samples the link's timing-error process and flips payload bits,
@@ -1627,7 +1663,8 @@ func (n *Network) pushWire(op *outputPort, wf wireFlit, sh *shardState) {
 // signaling and are never corrupted (the paper's ACK wires are likewise
 // assumed error-free).
 //
-// Draws come from a counter-based stream keyed on (seed, link, cycle),
+// Draws come from a counter-based stream keyed on (seed, link, cycle) —
+// the (seed, link) prefix absorbed once at wiring (outputPort.linkKey) —
 // rekeyed lazily on the port's first draw each cycle. A link makes at
 // most one transmission decision per cycle — either a new flit (plus its
 // Mode 2 duplicate) or one go-back-N retransmission, never both — so all
@@ -1645,7 +1682,7 @@ func (n *Network) corrupt(r *Router, op *outputPort, f *flit.Flit, eccPending bo
 	}
 	if op.rngCycle != n.cycle {
 		op.rngCycle = n.cycle
-		op.rng = detrand.New(n.cfg.Seed, detrand.DomainLink, uint64(op.linkID), uint64(n.cycle))
+		op.rng = op.linkKey.At(uint64(n.cycle))
 	}
 	nbits := n.faults.SampleErrorBits(&op.rng, op.errProb)
 	if nbits == 0 {

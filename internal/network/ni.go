@@ -155,7 +155,7 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 		pkt.Path = pkt.Path[:0] // fresh attempt, fresh route record
 	}
 	router := ni.net.routers[ni.id]
-	vcBuf := router.inputs[topology.Local][cur.vc]
+	vcBuf := router.vc(topology.Local, cur.vc)
 	if vcBuf.full() {
 		return false
 	}
@@ -183,7 +183,7 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 func (ni *NI) freeLocalVC(lo, hi int) int {
 	router := ni.net.routers[ni.id]
 	for vc := lo; vc < hi && vc < len(ni.localVCBusy); vc++ {
-		if !ni.localVCBusy[vc] && router.inputs[topology.Local][vc].empty() {
+		if !ni.localVCBusy[vc] && router.vc(topology.Local, vc).empty() {
 			return vc
 		}
 	}

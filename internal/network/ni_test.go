@@ -29,8 +29,8 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 		ni.inject(c)
 	}
 	total := 0
-	for _, vc := range router.inputs[topology.Local] {
-		total += len(vc.buf)
+	for v := 0; v < router.nvc; v++ {
+		total += len(router.vc(topology.Local, v).buf)
 	}
 	if total != 4 {
 		t.Fatalf("injected %d flits, want 4", total)
@@ -43,8 +43,8 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 	}
 	// All flits of one packet share a VC, in order.
 	var vcUsed *inputVC
-	for _, vc := range router.inputs[topology.Local] {
-		if len(vc.buf) > 0 {
+	for v := 0; v < router.nvc; v++ {
+		if vc := router.vc(topology.Local, v); len(vc.buf) > 0 {
 			if vcUsed != nil {
 				t.Fatal("packet spread across VCs")
 			}
@@ -70,8 +70,8 @@ func TestNIInjectRespectsBufferDepth(t *testing.T) {
 		ni.inject(c) // no drain: only VCDepth flits can enter
 	}
 	total := 0
-	for _, vc := range n.routers[0].inputs[topology.Local] {
-		total += len(vc.buf)
+	for v := 0; v < n.cfg.VCsPerPort; v++ {
+		total += len(n.routers[0].vc(topology.Local, v).buf)
 	}
 	if total != 2 {
 		t.Fatalf("buffered %d flits with depth 2", total)
@@ -92,7 +92,7 @@ func TestNIControlPriority(t *testing.T) {
 	lo, _ := n.vcRange(true)
 	found := false
 	for v := lo; v < n.cfg.VCsPerPort; v++ {
-		if !n.routers[0].inputs[topology.Local][v].empty() {
+		if !n.routers[0].vc(topology.Local, v).empty() {
 			found = true
 		}
 	}

@@ -52,11 +52,11 @@ const (
 )
 
 // creditOp is a staged credit return to an upstream router's output port
-// (always delivered at cycle+1, so the deliver stamp is implicit).
+// (a Router.up entry; always delivered at cycle+1, so the deliver stamp is
+// implicit).
 type creditOp struct {
-	router int32
-	dir    topology.Direction
-	vc     int8
+	up *outputPort
+	vc int8
 }
 
 // statEvent indexes the global Collector counters that phase handlers
@@ -518,12 +518,7 @@ func (n *Network) commitLocal() {
 	for w := range n.shards {
 		sh := &n.shards[w]
 		for _, c := range sh.credits {
-			upPort := n.routers[c.router].outputs[c.dir]
-			if upPort.dead {
-				continue // hard-failed channel: nobody is listening upstream
-			}
-			upPort.credRet = append(upPort.credRet, wireCredit{vc: int(c.vc), deliver: n.cycle + 1})
-			n.markWire(int(c.router))
+			n.returnCredit(c.up, int(c.vc))
 		}
 		sh.credits = sh.credits[:0]
 		n.wireActive.merge(sh.wireMarks)

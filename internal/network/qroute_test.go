@@ -227,7 +227,7 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	}
 	r := n.routers[5]
 	op := r.outputs[topology.East]
-	vc := r.inputs[topology.West][0]
+	vc := r.vc(topology.West, 0)
 	pkt, err := n.NewDataPacket(5, 6, 4, 0)
 	if err != nil || pkt == nil {
 		t.Fatalf("NewDataPacket: (%v, %v)", pkt, err)
@@ -239,7 +239,7 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	vc.pkt = pkt
 	vc.outPort = topology.East
 	vc.qAdaptive = true
-	if !n.vaTryGrant(r, op, topology.East, int(topology.West)*len(r.inputs[0]), len(r.inputs[0])) {
+	if !n.vaTryGrant(r, op, topology.East, vc.slot) {
 		t.Fatal("adaptive head got no grant on an idle port")
 	}
 	if lo := n.dataVCs / 2; vc.outVC < lo || vc.outVC >= n.dataVCs {
@@ -250,7 +250,7 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	op.vcBusy[vc.outVC] = false
 	vc.outVC = -1
 	vc.qAdaptive = false
-	if !n.vaTryGrant(r, op, topology.East, int(topology.West)*len(r.inputs[0]), len(r.inputs[0])) {
+	if !n.vaTryGrant(r, op, topology.East, vc.slot) {
 		t.Fatal("escape head got no grant on an idle port")
 	}
 	if vc.outVC < 0 || vc.outVC >= n.dataVCs/2 {

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/flit"
 	"rlnoc/internal/rl"
 	"rlnoc/internal/snap"
+	"rlnoc/internal/stats"
+	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
 
@@ -26,20 +29,22 @@ func (c *agentController) Decide(id int, obs Observation) Mode {
 
 // assertRequestMasks recomputes every router's request masks and every
 // port's pending-free count from the VC and port fields alone and fails
-// on the first disagreement with the maintained copies.
+// on the first disagreement with the maintained copies. The port
+// summaries are held to their superset rule: a port with a wire-queue
+// entry is in wirePorts, a port with a pending resend or mode switch in
+// saAttn (a spurious bit is legal, a missing one hides work).
 func assertRequestMasks(t *testing.T, n *Network, when string) {
 	t.Helper()
 	for id, r := range n.routers {
 		var route [len(r.routeMask)]uint64
 		var vaWait uint64
-		for _, in := range r.inputs {
-			for _, vc := range in {
-				if vc.routed {
-					route[vc.outPort] |= 1 << uint(vc.slot)
-				}
-				if vc.routed && vc.outVC == -1 {
-					vaWait |= 1 << uint(vc.slot)
-				}
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			if vc.routed {
+				route[vc.outPort] |= 1 << uint(vc.slot)
+			}
+			if vc.routed && vc.outVC == -1 {
+				vaWait |= 1 << uint(vc.slot)
 			}
 		}
 		if route != r.routeMask || vaWait != r.vaWait {
@@ -53,19 +58,29 @@ func assertRequestMasks(t *testing.T, n *Network, when string) {
 					pending++
 				}
 			}
-			if pending != p.pendingFree {
+			if pending != int(p.pendingFree) {
 				t.Fatalf("%s, cycle %d, router %d port %v: pending-free count %d, %d VCs pending",
 					when, n.cycle, id, p.dir, p.pendingFree, pending)
+			}
+			bit := uint8(1) << uint(p.dir)
+			if queued := len(p.inflight) + len(p.acks) + len(p.credRet); queued > 0 && r.wirePorts&bit == 0 {
+				t.Fatalf("%s, cycle %d, router %d port %v: %d wire-queue entries outside wirePorts %05b",
+					when, n.cycle, id, p.dir, queued, r.wirePorts)
+			}
+			if (p.resendIdx >= 0 || p.targetMode != p.mode) && r.saAttn&bit == 0 {
+				t.Fatalf("%s, cycle %d, router %d port %v: resend cursor %d, mode %v -> %v outside saAttn %05b",
+					when, n.cycle, id, p.dir, p.resendIdx, p.mode, p.targetMode, r.saAttn)
 			}
 		}
 	}
 }
 
 // TestRequestMasksMatchVCState runs loaded 8x8 fabrics through a link
-// kill and a router kill and holds the request masks to the VC state
-// after every Step, on the sequential and the sharded path, and again on
-// a network restored from a mid-run snapshot, whose masks must be rebuilt
-// rather than read.
+// kill and a router kill and holds the request masks to the VC state, and
+// the port summaries to the port state, after every Step, on the
+// sequential and the sharded path, and again on a network restored from a
+// mid-run snapshot — whose masks must be rebuilt rather than read — at the
+// restore and after each of its next Steps.
 func TestRequestMasksMatchVCState(t *testing.T) {
 	const cycles = 1200
 	for _, topo := range []string{"mesh", "torus"} {
@@ -121,8 +136,33 @@ func TestRequestMasksMatchVCState(t *testing.T) {
 
 // assertRestoredMasks round-trips n through the snapshot codec into a
 // fresh network and checks the rebuilt masks against both the restored
-// VC state and the live network's incrementally maintained masks.
+// VC state and the live network's incrementally maintained masks, then
+// lets the restored network drain for a while: the conservatively
+// refilled summaries must stay supersets while the first visits prune
+// them.
 func assertRestoredMasks(t *testing.T, n *Network, cfg config.Config, kind ControllerKind) {
+	t.Helper()
+	fresh := restoredCopy(t, n, cfg, kind)
+	defer fresh.Close()
+	assertRequestMasks(t, fresh, "after a decoding Snap")
+	for id, r := range n.routers {
+		fr := fresh.routers[id]
+		if fr.routeMask != r.routeMask || fr.vaWait != r.vaWait || fr.saAttn != r.saAttn {
+			t.Fatalf("cycle %d, router %d: restored masks route=%x vaWait=%x saAttn=%05b, live route=%x vaWait=%x saAttn=%05b",
+				n.cycle, id, fr.routeMask, fr.vaWait, fr.saAttn, r.routeMask, r.vaWait, r.saAttn)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if err := fresh.Step(); err != nil {
+			t.Fatal(err)
+		}
+		assertRequestMasks(t, fresh, "on the restored network")
+	}
+}
+
+// restoredCopy round-trips n through the snapshot codec into a fresh
+// network built from cfg.
+func restoredCopy(t *testing.T, n *Network, cfg config.Config, kind ControllerKind) *Network {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := snap.NewEncoder(&buf)
@@ -139,12 +179,66 @@ func assertRestoredMasks(t *testing.T, n *Network, cfg config.Config, kind Contr
 	if err := fresh.Snap(snap.NewDecoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	assertRequestMasks(t, fresh, "after a decoding Snap")
-	for id, r := range n.routers {
-		fr := fresh.routers[id]
-		if fr.routeMask != r.routeMask || fr.vaWait != r.vaWait {
-			t.Fatalf("cycle %d, router %d: restored masks route=%x vaWait=%x, live route=%x vaWait=%x",
-				n.cycle, id, fr.routeMask, fr.vaWait, r.routeMask, r.vaWait)
-		}
+	return fresh
+}
+
+// TestPurgeReleasesOnNextWireVisit is the one VC release no wire event
+// announces. A VC is routed, holds an output VC and is empty (head
+// forwarded, body still upstream), every credit is home and the
+// retransmission buffer has drained; then a hard fault condemns its packet
+// and the sweep purges it. The release condition is true at once, so the
+// dense referee frees the downstream VC in the wire phase of that same
+// Step. The mask path must too — purgeVC flags the port and wakes the
+// router, which had long left the wire set — and so must a network
+// restored from a snapshot taken between the purge and that wire phase,
+// whose summaries come back conservative rather than read.
+func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		dense, restore bool
+	}{
+		{name: "dense referee", dense: true},
+		{name: "port summaries"},
+		{name: "port summaries, restored before the wire visit", restore: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(0)
+			cfg.Checks = "all"
+			n := newNet(t, cfg, Mode1, true)
+			n.SetDenseScan(tc.dense)
+			for n.Cycle() < 4 { // let the mask path prune its sets
+				if err := n.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const router, outVC = 5, 0
+			r := n.routers[router]
+			if !tc.dense && n.wireActive.has(router) {
+				t.Fatal("idle router still in the wire set; the test would not need the flag")
+			}
+			op := r.outputs[topology.East]
+			vc := r.vc(topology.West, 0)
+			vc.routed, vc.outPort, vc.outVC = true, topology.East, outVC
+			vc.pkt = n.buildPacket(flit.Data, 4, 7, cfg.FlitsPerPacket, n.Cycle(), 0)
+			r.routeMask[topology.East] |= vc.bit()
+			op.vcBusy[outVC] = true
+
+			n.purgeVC(r, vc, stats.DropKilledLink)
+			if !op.vcPendingFree[outVC] || op.pendingFree != 1 || !op.vcBusy[outVC] {
+				t.Fatalf("purge left pending=%v count=%d busy=%v; want the release scheduled, not done",
+					op.vcPendingFree[outVC], op.pendingFree, op.vcBusy[outVC])
+			}
+			if tc.restore {
+				n = restoredCopy(t, n, cfg, ControllerNone)
+				op = n.routers[router].outputs[topology.East]
+			}
+			if err := n.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if op.vcBusy[outVC] || op.vcPendingFree[outVC] || op.pendingFree != 0 {
+				t.Fatalf("one Step after the purge: busy=%v pending=%v count=%d; the dense scan has released the VC by now",
+					op.vcBusy[outVC], op.vcPendingFree[outVC], op.pendingFree)
+			}
+		})
 	}
 }

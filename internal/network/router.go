@@ -142,21 +142,19 @@ type txEntry struct {
 // channel (both the upstream retransmission buffer and the downstream
 // decoder's sequence bookkeeping, which is equivalent state since links
 // are point-to-point).
+//
+// Field order is the cache layout (DESIGN.md §20): the struct is five
+// 64-byte lines, ports sit back to back in one line-aligned slab, and the
+// words one phase reads share a line — the first holds everything the SA
+// stage tests before it grants, the second starts with the three wire
+// queues, so a wire-phase visit that finds them empty touches one line.
+// TestOutputPortLayout pins the offsets.
 type outputPort struct {
-	dir        topology.Direction
-	owner      int // ID of the router owning this port (for activity marking)
-	downstream int // router ID, or -1 for ejection/edge
-	inPort     topology.Direction
-
-	credits       []int
-	vcBusy        []bool
-	vcPendingFree []bool
-	// pendingFree counts the set entries of vcPendingFree, so releaseVCs
-	// skips the scan on the (usual) port with nothing to release. Derived:
-	// recounted on restore, never serialized.
-	pendingFree int
-
+	// Line 0: the SA gate.
+	dir           topology.Direction
+	downstream    int // router ID, or -1 for ejection/edge
 	linkBusyUntil int64
+	resendIdx     int // index into unacked, -1 when no retransmission pending
 	// mode is the operating mode; targetMode is the controller's latest
 	// request. A switch is applied only once the channel's ARQ state has
 	// drained (no unacked flits, no pending retransmission) — switching
@@ -164,48 +162,54 @@ type outputPort struct {
 	// sequence screen and be lost.
 	mode       Mode
 	targetMode Mode
+	// dead marks a hard-failed channel. killPort also clears downstream
+	// (so hasDownstream() excuses the port from every pipeline stage and
+	// observation loop exactly like an unwired mesh edge), but an unwired
+	// port and a killed one differ for the topology: Neighbor still
+	// reports the killed link as wired, so credit-return sites check dead
+	// ports explicitly before appending to their queues.
+	dead bool
+	// winRelaxed (with winUtil below) is an error-model input pinned by
+	// the last boundary capture; winCaptured marks the port as awaiting
+	// materialization. Never serialized: snapshots materialize first.
+	winRelaxed  bool
+	winCaptured bool
+	// pendingFree counts the set entries of vcPendingFree, so releaseVCs
+	// skips the scan on the (usual) port with nothing to release. Derived:
+	// recounted on restore, never serialized.
+	pendingFree uint8
+	credits     []int
 
-	// In-flight traffic and reverse wires.
+	// Line 1: in-flight traffic and reverse wires.
 	inflight []wireFlit
 	acks     []wireAck
 	credRet  []wireCredit
-
-	// ARQ upstream state.
-	nextSeq   uint64
-	unacked   []txEntry
-	resendIdx int // index into unacked, -1 when no retransmission pending
 
 	// ARQ downstream (decoder) state. A failed Mode 2 original needs no
 	// extra bookkeeping: its duplicate carries the same sequence number,
 	// so expectSeq simply stays put until a good copy lands.
 	expectSeq uint64
 
+	// ARQ upstream state.
+	unacked []txEntry
+	nextSeq uint64
+
 	// Cached per-flit error probability, refreshed each thermal window.
-	// The refresh is split: a boundary *captures* the model inputs below
-	// and marks the network's probabilities stale; the Pow/Erf kernel
-	// runs lazily, only once something can consume errProb (see
-	// captureErrorInputs / materializeErrorProbs).
+	// The refresh is split: a boundary *captures* the model inputs
+	// (winUtil, winRelaxed) and marks the network's probabilities stale;
+	// the Pow/Erf kernel runs lazily, only once something can consume
+	// errProb (see captureErrorInputs / materializeErrorProbs).
 	errProb float64
 
-	// winUtil and winRelaxed are the utilization and relaxation inputs
-	// pinned by the last capture; winCaptured marks the port as awaiting
-	// materialization. Never serialized: snapshots materialize first.
-	winUtil     float64
-	winRelaxed  bool
-	winCaptured bool
-
-	// linkID is the topology-global link index behind this port (-1 for
-	// Local ports, which have no physical link). It keys the per-cycle
-	// fault-injection RNG stream below.
-	linkID int
-
 	// rng is the counter-based fault stream for this link, rekeyed lazily
-	// to (seed, DomainLink, linkID, cycle) on first use each cycle so the
-	// original and its Mode 2 duplicate advance one stream in a fixed
-	// order regardless of which worker, or how many workers, run the
-	// owning router. rngCycle records the cycle the stream was keyed for.
-	rng      detrand.Stream
+	// to linkKey.At(cycle) — (seed, DomainLink, linkID, cycle) — on first
+	// use each cycle so the original and its Mode 2 duplicate advance one
+	// stream in a fixed order regardless of which worker, or how many
+	// workers, run the owning router. rngCycle records the cycle the
+	// stream was keyed for.
 	rngCycle int64
+	rng      detrand.Stream
+	linkKey  detrand.KeyPrefix
 
 	// wireScale is the physical wire length behind this port in tile
 	// pitches (1 for mesh links, row/column span for torus wrap links);
@@ -221,13 +225,16 @@ type outputPort struct {
 	winNackEpoch     int64
 	winResidualEpoch int64
 
-	// dead marks a hard-failed channel. killPort also clears downstream
-	// (so hasDownstream() excuses the port from every pipeline stage and
-	// observation loop exactly like an unwired mesh edge), but an unwired
-	// port and a killed one differ for the topology: Neighbor still
-	// reports the killed link as wired, so credit-return sites check dead
-	// ports explicitly before appending to their queues.
-	dead bool
+	owner int32 // ID of the router owning this port (for activity marking)
+	// linkID is the topology-global link index behind this port (-1 for
+	// Local ports, which have no physical link). It keys linkKey and the
+	// fault table.
+	linkID int32
+
+	vcBusy        []bool
+	vcPendingFree []bool
+	inPort        topology.Direction
+	winUtil       float64
 }
 
 func (p *outputPort) hasDownstream() bool { return p.downstream >= 0 }
@@ -253,8 +260,8 @@ func (p *outputPort) markPendingFree(vc int) {
 }
 
 // countPendingFree recounts pendingFree from vcPendingFree.
-func (p *outputPort) countPendingFree() int {
-	k := 0
+func (p *outputPort) countPendingFree() uint8 {
+	var k uint8
 	for _, pending := range p.vcPendingFree {
 		if pending {
 			k++
@@ -262,6 +269,16 @@ func (p *outputPort) countPendingFree() int {
 	}
 	return k
 }
+
+// wireQueued reports whether any of the port's three wire queues holds an
+// entry.
+func (p *outputPort) wireQueued() bool {
+	return len(p.inflight) > 0 || len(p.acks) > 0 || len(p.credRet) > 0
+}
+
+// saPending reports whether the SA stage owes the port a visit even with
+// no requester: a go-back-N resend or a mode switch is waiting.
+func (p *outputPort) saPending() bool { return p.resendIdx >= 0 || p.switchPending() }
 
 // freeVC returns the lowest free downstream VC in [lo, hi), or -1.
 func (p *outputPort) freeVC(lo, hi int) int {
@@ -274,11 +291,10 @@ func (p *outputPort) freeVC(lo, hi int) int {
 }
 
 // Router is one fabric router: five input ports of VCs and five output
-// ports.
+// ports. The words every visit reads come first, so the masks that decide
+// which ports a visit touches at all share the struct's leading lines.
 type Router struct {
-	id      int
-	inputs  [topology.NumPorts][]*inputVC
-	outputs [topology.NumPorts]*outputPort
+	id int
 
 	// occMask has bit (port*vcsPerPort + vc) set while that input VC
 	// holds flits. The RC/VA/SA stages iterate set bits instead of
@@ -299,8 +315,26 @@ type Router struct {
 	// whose *TryGrant predicate would have returned false with no side
 	// effect. Derived from the VC fields: rebuilt on restore, never
 	// serialized.
-	routeMask [topology.NumPorts]uint64
 	vaWait    uint64
+	routeMask [topology.NumPorts]uint64
+
+	// inputUsed has the slot bits of every input port already granted this
+	// cycle's switch allocation (one flit per input port per cycle).
+	// Per-router (not per-network) so parallel shards never share it;
+	// switchAllocate clears it before arbitration.
+	inputUsed uint64
+
+	// Port summaries (DESIGN.md §20), bit per output port, maintained like
+	// the activity sets one level up: set where the work is queued, cleared
+	// by the phase that visited the port and found it quiet, so a spurious
+	// bit costs one no-op port visit and a missing one would be a bug.
+	// wirePorts: the port may hold an inflight/acks/credRet entry, or a
+	// hard fault just made a VC release possible on it (flagWire).
+	// saAttn: the port may hold a pending go-back-N resend or mode switch
+	// (outputPort.saPending). Never serialized: a restore sets every
+	// wirePorts bit and recomputes saAttn.
+	wirePorts uint8
+	saAttn    uint8
 
 	// saRR rotates switch-allocation priority across input (port, vc)
 	// pairs per output port.
@@ -308,15 +342,21 @@ type Router struct {
 	// vaRR rotates VC-allocation priority per output port.
 	vaRR [topology.NumPorts]int
 
+	outputs [topology.NumPorts]*outputPort
+	// up[in] is the upstream router's output port feeding input port in —
+	// where the credits of flits leaving that input return to. Nil for
+	// Local and for unwired edges; fixed at wiring (a killed link keeps
+	// its entry and is screened by outputPort.dead).
+	up [topology.NumPorts]*outputPort
+
+	// vcs is the router's input VCs in slot order (port-major), nvc per
+	// port: slot = port*nvc + vc.
+	vcs []inputVC
+	nvc int
+
 	// Window counters for controller features.
 	winFlitsIn   int64
 	winErrEvents int64
-
-	// inputUsed has the slot bits of every input port already granted this
-	// cycle's switch allocation (one flit per input port per cycle).
-	// Per-router (not per-network) so parallel shards never share it;
-	// switchAllocate clears it before arbitration.
-	inputUsed uint64
 
 	// pool is the flit pool this router allocates from and frees to.
 	// Points at the network-wide pool when stepping sequentially and at
@@ -331,86 +371,80 @@ type Router struct {
 func newRouter(id int, vcs, vcDepth int) *Router {
 	r := &Router{}
 	ports := int(topology.NumPorts)
-	initRouter(r, id, vcs, vcDepth, make([]inputVC, ports*vcs),
-		make([]*inputVC, ports*vcs), make([]bufFlit, ports*vcs*vcDepth))
+	initRouter(r, id, vcs, vcDepth, make([]inputVC, ports*vcs), make([]bufFlit, ports*vcs*vcDepth))
 	return r
 }
 
 // initRouter wires one router over caller-provided backing slabs
 // (DESIGN.md §14): vcSlab holds its NumPorts x vcs inputVC structs,
-// ptrSlab the per-port pointer views onto them, bufSlab the flit-buffer
-// storage (vcDepth entries per VC). The buffer slices are three-index
-// (cap pinned to the slot) and cannot bleed into a neighbor's slot:
-// every push site checks full() first, so append never grows past cap.
-func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, ptrSlab []*inputVC, bufSlab []bufFlit) {
+// bufSlab the flit-buffer storage (vcDepth entries per VC). The buffer
+// slices are three-index (cap pinned to the slot) and cannot bleed into a
+// neighbor's slot: every push site checks full() first, so append never
+// grows past cap.
+func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, bufSlab []bufFlit) {
 	r.id = id
-	for port := topology.Direction(0); port < topology.NumPorts; port++ {
-		po := int(port) * vcs
-		r.inputs[port] = ptrSlab[po : po+vcs : po+vcs]
-		for v := 0; v < vcs; v++ {
-			slot := po + v
-			vc := &vcSlab[slot]
-			bo := slot * vcDepth
-			*vc = inputVC{buf: bufSlab[bo : bo : bo+vcDepth], cap: vcDepth,
-				owner: r, slot: slot, outVC: -1}
-			r.inputs[port][v] = vc
-		}
+	r.vcs, r.nvc = vcSlab, vcs
+	for slot := range vcSlab {
+		bo := slot * vcDepth
+		vcSlab[slot] = inputVC{buf: bufSlab[bo : bo : bo+vcDepth], cap: vcDepth,
+			owner: r, slot: slot, outVC: -1}
 	}
 }
+
+// vc returns input VC v of port.
+func (r *Router) vc(port topology.Direction, v int) *inputVC { return &r.vcs[int(port)*r.nvc+v] }
+
+// portOf returns the input port a VC slot belongs to.
+func (r *Router) portOf(slot int) topology.Direction { return topology.Direction(slot / r.nvc) }
 
 // requestMasks recomputes routeMask and vaWait from the VC route fields:
 // the restore path installs the result, the invariant census compares it
 // with the incrementally maintained masks.
 func (r *Router) requestMasks() (route [topology.NumPorts]uint64, vaWait uint64) {
-	for _, in := range r.inputs {
-		for _, vc := range in {
-			if !vc.routed {
-				continue
-			}
-			route[vc.outPort] |= vc.bit()
-			if vc.outVC == -1 {
-				vaWait |= vc.bit()
-			}
+	for i := range r.vcs {
+		vc := &r.vcs[i]
+		if !vc.routed {
+			continue
+		}
+		route[vc.outPort] |= vc.bit()
+		if vc.outVC == -1 {
+			vaWait |= vc.bit()
 		}
 	}
 	return route, vaWait
 }
 
-// wiresQuiet reports that no port of the router has wire-phase work: no
-// in-flight flits, no pending ACK/NACKs, no credit returns. VC releases
-// (vcPendingFree) need no separate term: the conditions releaseVCs waits
-// on (credits refilled, retransmission buffer drained) can only become
-// true through an ACK or credit arriving on these wires, which re-adds
-// the router and releaseVCs runs in that same visit.
-func (r *Router) wiresQuiet() bool {
-	for _, p := range r.outputs {
-		if len(p.inflight) > 0 || len(p.acks) > 0 || len(p.credRet) > 0 {
-			return false
+// saAttention recomputes saAttn from the port state; the restore path
+// installs the result.
+func (r *Router) saAttention() (attn uint8) {
+	for dir, p := range r.outputs {
+		if p.saPending() {
+			attn |= 1 << uint(dir)
 		}
 	}
-	return true
+	return attn
 }
+
+// wiresQuiet reports that no port of the router has wire-phase work: no
+// in-flight flits, no pending ACK/NACKs, no credit returns. stepWires
+// just cleared the wirePorts bit of every port it found with all three
+// queues empty, and a port outside wirePorts holds no entry, so the
+// summary says it. VC releases (vcPendingFree) need no separate term: the
+// conditions releaseVCs waits on (credits refilled, retransmission buffer
+// drained) can only become true through an ACK or credit arriving on
+// these wires, which re-adds the router and releaseVCs runs in that same
+// visit — or through a hard fault, which flags the port (flagWire).
+func (r *Router) wiresQuiet() bool { return r.wirePorts == 0 }
 
 // pipeQuiet reports that the RC/VA/SA stages have nothing to do: every
 // input VC is empty and no output port is waiting to service a go-back-N
-// retransmission or apply a pending mode switch.
-func (r *Router) pipeQuiet() bool {
-	if r.occMask != 0 {
-		return false
-	}
-	for _, p := range r.outputs {
-		if p.resendIdx >= 0 || p.switchPending() {
-			return false
-		}
-	}
-	return true
-}
+// retransmission or apply a pending mode switch — switchAllocate just
+// left saAttn exact.
+func (r *Router) pipeQuiet() bool { return r.occMask == 0 && r.saAttn == 0 }
 
 // occupiedVCs counts input VCs currently holding flits (Table I feature 1).
 func (r *Router) occupiedVCs() int {
 	return bits.OnesCount64(r.occMask)
 }
 
-func (r *Router) totalVCs() int {
-	return int(topology.NumPorts) * len(r.inputs[0])
-}
+func (r *Router) totalVCs() int { return len(r.vcs) }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"testing"
+	"unsafe"
 
 	"rlnoc/internal/flit"
 	"rlnoc/internal/topology"
@@ -91,9 +92,32 @@ func TestRouterOccupiedVCs(t *testing.T) {
 	}
 	p := &flit.Packet{}
 	p.SetNumFlits(1)
-	r.inputs[topology.North][2].push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
-	r.inputs[topology.Local][0].push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
+	r.vc(topology.North, 2).push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
+	r.vc(topology.Local, 0).push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
 	if got := r.occupiedVCs(); got != 2 {
 		t.Fatalf("occupiedVCs = %d, want 2", got)
+	}
+}
+
+// TestOutputPortLayout pins the cache layout the field order of outputPort
+// states (DESIGN.md §20): ports are whole 64-byte lines, the words the SA
+// stage tests before a grant fill the first, and the second starts with
+// the three wire queues, whose length words all fall inside it.
+func TestOutputPortLayout(t *testing.T) {
+	const line = 64
+	var p outputPort
+	if size := unsafe.Sizeof(p); size%line != 0 {
+		t.Errorf("outputPort is %d bytes, not a whole number of %d-byte lines", size, line)
+	}
+	if end := unsafe.Offsetof(p.credits) + unsafe.Sizeof(p.credits); end != line {
+		t.Errorf("the SA gate (dir … credits) ends at byte %d, want %d", end, line)
+	}
+	if off := unsafe.Offsetof(p.inflight); off != line {
+		t.Errorf("inflight starts at byte %d, want the second line (%d)", off, line)
+	}
+	// A slice header is (ptr, len, cap): the last queue's len word is 8
+	// bytes into its header.
+	if lenEnd := unsafe.Offsetof(p.credRet) + 16; lenEnd > 2*line {
+		t.Errorf("credRet's length word ends at byte %d, past the second line", lenEnd)
 	}
 }

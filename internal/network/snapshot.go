@@ -20,9 +20,9 @@ package network
 // the pointer.
 //
 // What is deliberately not walked — state a decode rebuilds (request
-// masks, pending-free counts, route tables, activity sets, stream
-// cursors) and state invisible to results (pools, shard staging, memo
-// caches) — is listed field by field, each with its reason, in the
+// masks, port summaries, pending-free counts, route tables, activity
+// sets, stream cursors) and state invisible to results (pools, shard
+// staging, memo caches) — is listed field by field, each with its reason, in the
 // unsnapshotted table of internal/core/snapshot_fields_test.go, which
 // compares a live mid-run sim against its restored twin and fails on any
 // differing field the table does not name.
@@ -126,11 +126,9 @@ func (n *Network) collectPackets(t *refs[flit.Packet]) {
 // buffer; per NI the reassembly buffers (sorted by packet ID).
 func (n *Network) collectFlits(t *refs[flit.Flit]) {
 	for _, r := range n.routers {
-		for port := topology.Direction(0); port < topology.NumPorts; port++ {
-			for _, vc := range r.inputs[port] {
-				for i := range vc.buf {
-					t.add(vc.buf[i].f)
-				}
+		for v := range r.vcs {
+			for _, b := range r.vcs[v].buf {
+				t.add(b.f)
 			}
 		}
 		for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
@@ -454,19 +452,18 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	}
 	c.I64(&rt.winFlitsIn)
 	c.I64(&rt.winErrEvents)
-	for port := topology.Direction(0); port < topology.NumPorts; port++ {
-		for _, vc := range rt.inputs[port] {
-			snap.Slice(c, &vc.buf, vc.cap, w.bufFlit) // bounded by the VC depth
-			c.Bool(&vc.routed)
-			snap.Enum(c, &vc.outPort)
-			c.Int(&vc.outVC)
-			w.pkts.ref(c, &vc.pkt)
-			c.Bool(&vc.qAdaptive)
-			c.I64(&vc.qWait)
-			if c.Decoding() && vc.routed && vc.outPort >= topology.NumPorts {
-				c.Fail(fmt.Errorf("network: snapshot VC routed to port %d of %d", vc.outPort, topology.NumPorts))
-				return
-			}
+	for i := range rt.vcs { // slot order is port-major
+		vc := &rt.vcs[i]
+		snap.Slice(c, &vc.buf, vc.cap, w.bufFlit) // bounded by the VC depth
+		c.Bool(&vc.routed)
+		snap.Enum(c, &vc.outPort)
+		c.Int(&vc.outVC)
+		w.pkts.ref(c, &vc.pkt)
+		c.Bool(&vc.qAdaptive)
+		c.I64(&vc.qWait)
+		if c.Decoding() && vc.routed && vc.outPort >= topology.NumPorts {
+			c.Fail(fmt.Errorf("network: snapshot VC routed to port %d of %d", vc.outPort, topology.NumPorts))
+			return
 		}
 	}
 	if c.Decoding() {
@@ -502,6 +499,15 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 			// cycle boundary, where no stream is mid-cycle.
 			p.rngCycle = -1
 		}
+	}
+	if c.Decoding() {
+		// The port summaries are derived too (DESIGN.md §20). saAttn is
+		// recomputed from the resend cursors and modes just read; wirePorts
+		// refills conservatively, like the activity sets: the first wire
+		// visit clears the bit of every port it finds quiet, and until then
+		// every port with a pending VC release stays flagged.
+		rt.saAttn = rt.saAttention()
+		rt.wirePorts = 1<<topology.NumPorts - 1
 	}
 }
 
