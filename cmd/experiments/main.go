@@ -168,11 +168,19 @@ func run(args []string) error {
 			}
 			wanted = []rlnoc.FigureID{id}
 		}
-		fmt.Fprintln(os.Stderr, "running suite (all schemes x benchmarks); this takes a few minutes...")
 		var seedList []int64
 		for s := int64(0); s < int64(*seeds); s++ {
 			seedList = append(seedList, cfg.Seed+s)
 		}
+		cells := len(benchmarks)
+		if cells == 0 {
+			cells = len(rlnoc.Benchmarks())
+		}
+		cells *= len(rlnoc.Schemes())
+		// What the run simulates: each scheme pre-trains once per seed and
+		// every cell measures from that state (DESIGN.md §21 has wall times).
+		fmt.Fprintf(os.Stderr, "running suite: %d seed(s), each %d pre-trainings of %d cycles then %d cells of about %d cycles...\n",
+			len(seedList), len(rlnoc.Schemes()), cfg.PretrainCycles, cells, cfg.WarmupCycles+cfg.MaxCycles)
 		multi, err := rlnoc.RunSuiteSeeds(cfg, benchmarks, seedList)
 		if err != nil {
 			return err

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 
+	"rlnoc/internal/core"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
+	"rlnoc/internal/traffic"
 )
 
 // Suite holds the results of running every scheme over a set of
@@ -19,53 +21,147 @@ type Suite struct {
 }
 
 // RunSuite executes all four schemes over the given benchmarks (all nine
-// PARSEC-like workloads if benchmarks is empty). Runs are independent and
-// executed in parallel across schemes and benchmarks.
+// PARSEC-like workloads if benchmarks is empty). Each scheme pre-trains
+// once; its benchmarks then run in parallel, each from that scheme's
+// pre-trained state.
 func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
+	suites, err := runSuites([]Config{cfg}, benchmarks, (*core.Sim).Pretrain)
+	if err != nil {
+		return nil, err
+	}
+	return suites[0], nil
+}
+
+// runSuites runs one suite per config on one pool of cfgs[0]'s
+// SuiteWorkerCount workers. Pre-training is the same for every benchmark
+// of a (config, scheme) — Sim.Pretrain reads nothing of the trace that
+// follows — so a suite is one pre-training job per scheme and one measure
+// job per cell (DESIGN.md §21). pretrain is Sim.Pretrain; the engagement
+// test counts its calls.
+func runSuites(cfgs []Config, benchmarks []string, pretrain func(*core.Sim) error) ([]*Suite, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = Benchmarks()
 	}
-	s := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
 	for _, b := range benchmarks {
-		s.Results[b] = make(map[Scheme]Result)
-	}
-	type job struct {
-		bench  string
-		scheme Scheme
-	}
-	var jobs []job
-	for _, b := range benchmarks {
-		for _, sc := range Schemes() {
-			jobs = append(jobs, job{b, sc})
+		// A misspelt name fails here, not after the pre-training it follows.
+		if _, err := traffic.BenchmarkByName(b); err != nil {
+			return nil, err
 		}
 	}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	sem := make(chan struct{}, cfg.SuiteWorkerCount())
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Run(cfg, j.scheme, j.bench)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%s/%s: %w", j.bench, j.scheme, err)
-				return
-			}
-			s.Results[j.bench][j.scheme] = res
-		}(j)
+	workers := cfgs[0].SuiteWorkerCount()
+	run := &suiteRun{benchmarks: benchmarks, pretrain: pretrain, slots: make(chan struct{}, workers)}
+	// A scheme is open from the start of its pre-training to the end of its
+	// last cell, which is how long its pre-trained state is held; as many
+	// schemes as workers keep every worker busy, and more would only hold
+	// more state (every seed of RunSuiteSeeds queues here).
+	open := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	suites := make([]*Suite, len(cfgs))
+	for i, cfg := range cfgs {
+		suite := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
+		for _, b := range benchmarks {
+			suite.Results[b] = make(map[Scheme]Result)
+		}
+		suites[i] = suite
+		for _, scheme := range Schemes() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				open <- struct{}{}
+				defer func() { <-open }()
+				run.scheme(cfg, scheme, suite)
+			}()
+		}
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if run.firstErr != nil {
+		return nil, run.firstErr
 	}
-	return s, nil
+	return suites, nil
+}
+
+// suiteRun is what the jobs of one runSuites call share.
+type suiteRun struct {
+	benchmarks []string
+	pretrain   func(*core.Sim) error
+	slots      chan struct{} // one token per worker
+
+	mu       sync.Mutex // guards firstErr and every Suite's Results
+	firstErr error
+}
+
+// onPool runs fn on a worker slot and records its failure under the job's
+// name.
+func (r *suiteRun) onPool(what string, fn func() error) {
+	r.slots <- struct{}{}
+	err := fn()
+	<-r.slots
+	if err != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.firstErr == nil {
+			r.firstErr = fmt.Errorf("%s: %w", what, err)
+		}
+	}
+}
+
+// scheme fills one scheme's row of suite: it pre-trains one sim, then
+// measures every benchmark in parallel — all but the last on forks of the
+// pre-trained sim's checkpoint (core.Checkpoint), the last on that sim
+// itself, so a suite builds as many sims as it has cells.
+func (r *suiteRun) scheme(cfg Config, scheme Scheme, suite *Suite) {
+	// sims[b] builds the sim that measures benchmarks[b].
+	var sims []func() (*core.Sim, error)
+	r.onPool(fmt.Sprintf("seed %d: pre-training %s", cfg.Seed, scheme), func() error {
+		sim, err := core.NewSim(cfg, scheme)
+		if err != nil {
+			return err
+		}
+		if err := r.pretrain(sim); err != nil {
+			sim.Close()
+			return err
+		}
+		if len(r.benchmarks) > 1 {
+			at, err := sim.Checkpoint()
+			if err != nil {
+				sim.Close()
+				return err
+			}
+			for range r.benchmarks[1:] {
+				sims = append(sims, at.Sim)
+			}
+		}
+		sims = append(sims, func() (*core.Sim, error) { return sim, nil })
+		return nil
+	})
+	var cells sync.WaitGroup
+	for b, newSim := range sims {
+		bench := r.benchmarks[b]
+		cells.Add(1)
+		go func() {
+			defer cells.Done()
+			r.onPool(fmt.Sprintf("seed %d: %s/%s", cfg.Seed, bench, scheme), func() error {
+				sim, err := newSim()
+				if err != nil {
+					return err
+				}
+				defer sim.Close()
+				events, err := core.BenchmarkTrace(cfg, bench)
+				if err != nil {
+					return err
+				}
+				res, err := sim.Measure(events, bench)
+				if err != nil {
+					return err
+				}
+				r.mu.Lock()
+				defer r.mu.Unlock()
+				suite.Results[bench][scheme] = res
+				return nil
+			})
+		}()
+	}
+	cells.Wait()
 }
 
 // FigureID names one of the paper's evaluation figures.
@@ -73,11 +169,11 @@ type FigureID string
 
 // The paper's five evaluation figures.
 const (
-	Fig6Retransmission    FigureID = "fig6"  // retransmission packets, normalized to CRC
-	Fig7Speedup           FigureID = "fig7"  // execution-time speed-up over CRC
-	Fig8Latency           FigureID = "fig8"  // mean E2E latency, normalized to CRC
-	Fig9EnergyEfficiency  FigureID = "fig9"  // flits/energy, normalized to CRC
-	Fig10DynamicPower     FigureID = "fig10" // dynamic power, normalized to CRC
+	Fig6Retransmission   FigureID = "fig6"  // retransmission packets, normalized to CRC
+	Fig7Speedup          FigureID = "fig7"  // execution-time speed-up over CRC
+	Fig8Latency          FigureID = "fig8"  // mean E2E latency, normalized to CRC
+	Fig9EnergyEfficiency FigureID = "fig9"  // flits/energy, normalized to CRC
+	Fig10DynamicPower    FigureID = "fig10" // dynamic power, normalized to CRC
 )
 
 // FigureIDs returns all figure IDs in paper order.
@@ -203,22 +299,22 @@ type MultiSuite struct {
 	Suites []*Suite
 }
 
-// RunSuiteSeeds runs the full suite once per seed.
+// RunSuiteSeeds runs the full suite once per seed, every seed's jobs on
+// one worker pool.
 func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64) (*MultiSuite, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{cfg.Seed}
 	}
-	m := &MultiSuite{}
-	for _, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		s, err := RunSuite(c, benchmarks)
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		m.Suites = append(m.Suites, s)
+	cfgs := make([]Config, len(seeds))
+	for i, seed := range seeds {
+		cfgs[i] = cfg
+		cfgs[i].Seed = seed
 	}
-	return m, nil
+	suites, err := runSuites(cfgs, benchmarks, (*core.Sim).Pretrain)
+	if err != nil {
+		return nil, err
+	}
+	return &MultiSuite{Suites: suites}, nil
 }
 
 // Figure aggregates one figure across seeds: the returned Figure carries

@@ -1,0 +1,185 @@
+package rlnoc
+
+// Referee for pre-train-once (DESIGN.md §21). A suite pre-trains each
+// scheme once and measures every benchmark on a fork of that state, and a
+// fork is a restore: core.Checkpoint holds the snapshot stream in memory
+// and Sim() is RestoreSim over it. So the state at the end of pre-training
+// — learned tables, a trained tree, thermal history, whatever a reactive
+// baseline still has in flight — must come through the codec whole: a
+// forked sim, the sim the checkpoint was taken from and a sim that was
+// never checkpointed must measure the same Result and end in the same
+// bytes, for every scheme on both fabrics; and RunSuite, which is built
+// on that, must fill every cell with what Run gives for it alone.
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"rlnoc/internal/core"
+	"rlnoc/internal/network"
+	"rlnoc/internal/traffic"
+)
+
+// measureAndSnapshot measures events on sim and returns the Result with
+// the snapshot stream of the state the sim ends in.
+func measureAndSnapshot(t *testing.T, sim *core.Sim, events []traffic.Event) (Result, []byte) {
+	t.Helper()
+	res, err := sim.Measure(events, "uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
+func TestForkMatchesUnforkedRun(t *testing.T) {
+	type arm struct {
+		name     string
+		newSim   func(Config) (*core.Sim, error)
+		tune     func(*Config)
+		inFlight bool // pre-training must end with packets still in the network
+	}
+	var arms []arm
+	for _, scheme := range AllSchemes() {
+		scheme := scheme
+		arms = append(arms, arm{name: string(scheme),
+			newSim: func(cfg Config) (*core.Sim, error) { return core.NewSim(cfg, scheme) }})
+	}
+	arms = append(arms,
+		arm{name: "static-mode2",
+			newSim: func(cfg Config) (*core.Sim, error) { return core.NewStaticSim(cfg, network.Mode2) }},
+		// The reactive baseline at a hostile error corner: end-to-end
+		// retransmissions outlast the pre-training drain, so the checkpoint
+		// holds flits on wires, replay buffers and half-built packets.
+		arm{name: "crc-undrained", inFlight: true,
+			newSim: func(cfg Config) (*core.Sim, error) { return core.NewSim(cfg, CRC) },
+			tune: func(cfg *Config) {
+				cfg.Fault.BaseErrorRate = 0.05
+				cfg.DrainCycles = 40
+			}})
+
+	for _, topo := range []string{"mesh", "torus"} {
+		for _, a := range arms {
+			topo, a := topo, a
+			t.Run(topo+"/"+a.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := fastConfig()
+				cfg.Seed = 2121
+				cfg.Topology = topo
+				cfg.PretrainCycles = 4000
+				cfg.MaxCycles = 4000
+				if topo == "torus" {
+					cfg.VCsPerPort = 8 // qroute: escape/adaptive x dateline VC classes
+				}
+				if a.tune != nil {
+					a.tune(&cfg)
+				}
+				pretrained := func() *core.Sim {
+					sim, err := a.newSim(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(sim.Close)
+					if err := sim.Pretrain(); err != nil {
+						t.Fatal(err)
+					}
+					return sim
+				}
+
+				plain := pretrained()
+				if got := plain.Network().DataInFlight(); a.inFlight && got == 0 {
+					t.Fatal("pre-training drained: the checkpoint would hold an empty network")
+				}
+				events, err := traffic.Synthetic(plain.Network().Topology(), traffic.Uniform, 0.01,
+					cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRes, wantBytes := measureAndSnapshot(t, plain, events)
+
+				origin := pretrained()
+				at, err := origin.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fork, err := at.Sim()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(fork.Close)
+				for name, sim := range map[string]*core.Sim{"fork": fork, "checkpointed original": origin} {
+					res, data := measureAndSnapshot(t, sim, events)
+					if !reflect.DeepEqual(res, wantRes) {
+						t.Errorf("%s measured a different Result:\n got %s\nwant %s", name, serialize(t, res), serialize(t, wantRes))
+					}
+					if !bytes.Equal(data, wantBytes) {
+						t.Errorf("%s ended in a different state: %d snapshot bytes against %d, or the same number and different",
+							name, len(data), len(wantBytes))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunSuitePretrainsOncePerScheme is the engagement test and the suite
+// referee in one run. The equivalence above proves a fork changes nothing,
+// so a suite that quietly went back to pre-training every cell would pass
+// it; what cannot be faked is the number of pre-training phases, counted
+// here at the one place runSuites starts them. Three benchmarks and two
+// seeds: len(Schemes()) phases per seed, and every cell of every suite
+// equal to Run on that (config, scheme, benchmark) alone.
+func TestRunSuitePretrainsOncePerScheme(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two suites and each of their cells again")
+	}
+	cfg := fastConfig()
+	cfg.PretrainCycles = 4000
+	cfg.MaxCycles = 4000
+	benchmarks := []string{"swaptions", "canneal", "dedup"}
+	seeds := []int64{cfg.Seed, cfg.Seed + 1}
+
+	var cfgs []Config
+	for _, seed := range seeds {
+		c := cfg
+		c.Seed = seed
+		cfgs = append(cfgs, c)
+	}
+	var pretrains atomic.Int64
+	suites, err := runSuites(cfgs, benchmarks, func(sim *core.Sim) error {
+		pretrains.Add(1)
+		return sim.Pretrain()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pretrains.Load(), int64(len(seeds)*len(Schemes())); got != want {
+		t.Errorf("%d pre-training phases for %d seeds x %d schemes x %d benchmarks, want %d",
+			got, len(seeds), len(Schemes()), len(benchmarks), want)
+	}
+	for i, suite := range suites {
+		for _, bench := range benchmarks {
+			for _, scheme := range Schemes() {
+				cell := fmt.Sprintf("seed %d %s/%s", cfgs[i].Seed, bench, scheme)
+				got, ok := suite.Results[bench][scheme]
+				if !ok {
+					t.Errorf("%s: no result", cell)
+					continue
+				}
+				want, err := Run(cfgs[i], scheme, bench)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: the suite's cell differs from Run:\n got %s\nwant %s", cell, serialize(t, got), serialize(t, want))
+				}
+			}
+		}
+	}
+}

@@ -147,6 +147,8 @@ type Engine struct {
 	name  string
 	seed  int64
 	runCh chan struct{} // closed while Run is active (guards double Run)
+	// pretrains holds one lock per pre-trained state file (pretrainClaim).
+	pretrains map[string]*sync.Mutex
 }
 
 // Open loads (or initializes) the campaign at opts.Dir: the manifest's
@@ -177,7 +179,7 @@ func Open(opts Options) (*Engine, error) {
 	}
 
 	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{},
-		name: opts.Name, seed: opts.Seed}
+		name: opts.Name, seed: opts.Seed, pretrains: map[string]*sync.Mutex{}}
 	e.cond = sync.NewCond(&e.mu)
 	if e.dir == "" {
 		dir, err := os.MkdirTemp("", "rlnoc-campaign-")

@@ -6,11 +6,14 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -134,11 +137,14 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	}
 
 	dir := e.jobDir(spec.ID)
-	sim, resumed, err := e.openSim(spec, dir)
+	sim, at, release, err := e.openSim(spec, dir)
 	if err != nil {
 		return attemptResult{kind: attemptRetry, err: err}
 	}
+	defer release()
 	defer sim.Close()
+	sim.SetSnapshotPolicy(dir, spec.SnapshotEvery)
+	resumed := at == atCheckpoint
 
 	e.mu.Lock()
 	j.sim = sim
@@ -159,19 +165,29 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 
 	var res core.Result
 	var merr error
-	if resumed {
-		res, merr = sim.ResumeMeasure()
-	} else {
-		if spec.Pretrain {
-			merr = sim.Pretrain()
-		}
-		if merr == nil {
-			events, terr := spec.Trace.Events(spec.Config)
-			if terr != nil {
-				return attemptResult{kind: attemptRetry, err: terr}
+	if at == atStart && spec.Pretrain {
+		if merr = sim.Pretrain(); merr == nil {
+			// Every later job of this (config, scheme), and every retry of
+			// this one, starts from the file instead of the phase.
+			path := e.pretrainPath(spec)
+			if serr := sim.SaveSnapshot(path); serr != nil {
+				e.logf("job %s: pre-trained state not kept: %v", spec.ID, serr)
+			} else {
+				e.logf("job %s: pre-trained state kept as %s", spec.ID, filepath.Base(path))
 			}
-			res, merr = sim.Measure(events, spec.Label)
 		}
+		release()
+	}
+	switch {
+	case merr != nil:
+	case resumed:
+		res, merr = sim.ResumeMeasure()
+	default:
+		events, terr := spec.Trace.Events(spec.Config)
+		if terr != nil {
+			return attemptResult{kind: attemptRetry, err: terr}
+		}
+		res, merr = sim.Measure(events, spec.Label)
 	}
 
 	if core.IsAbort(merr) {
@@ -210,44 +226,104 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 		result: res, recovered: resumed}
 }
 
-// openSim restores the job's newest valid checkpoint, or builds a fresh
-// simulation when none exists. A corrupt checkpoint (truncated by a
-// crash that beat the rename, bit-flipped on a dying disk) is
-// quarantined under a .corrupt suffix and the next-older one tried —
-// the typed snap.CorruptError contract from the read side.
-func (e *Engine) openSim(spec Spec, dir string) (sim *core.Sim, resumed bool, err error) {
+// Where openSim found a job's simulation.
+type simStart int
+
+const (
+	atStart      simStart = iota // freshly built: cycle 0
+	atPretrained                 // the campaign's pre-trained state for the job's (config, scheme)
+	atCheckpoint                 // the job's own newest checkpoint, mid-measure
+)
+
+// openSim returns the job's simulation at the latest point a file can put
+// it: its own newest valid checkpoint; else, for a job that pre-trains,
+// the state at the end of pre-training that an earlier job or attempt of
+// the same (config, scheme) left in the campaign directory; else a fresh
+// build. Pre-training reads nothing of the trace that follows it, so that
+// state serves every such job (DESIGN.md §21).
+//
+// One attempt at a time works on a (config, scheme)'s pre-training: a
+// fresh build is returned holding that claim, which release gives up
+// (harmless to call again, a no-op for the other two starts) once the
+// caller has pre-trained and saved — the attempts that queued behind it
+// then restore instead of repeating the phase.
+func (e *Engine) openSim(spec Spec, dir string) (sim *core.Sim, at simStart, release func(), err error) {
+	noClaim := func() {}
 	if spec.SnapshotEvery > 0 {
-		snaps, lerr := core.ListSnapshots(dir)
-		if lerr != nil {
-			return nil, false, lerr
+		snaps, err := core.ListSnapshots(dir)
+		if err != nil {
+			return nil, 0, nil, err
 		}
 		for _, path := range snaps {
-			s, rerr := core.RestoreSimFile(path)
-			if rerr == nil {
-				s.SetSnapshotPolicy(dir, spec.SnapshotEvery)
-				return s, true, nil
-			}
-			if !snap.IsCorrupt(rerr) {
-				return nil, false, rerr
-			}
-			e.logf("job %s: checkpoint %s unreadable (%v), falling back", spec.ID, filepath.Base(path), rerr)
-			if mvErr := os.Rename(path, path+".corrupt"); mvErr != nil {
-				e.logf("job %s: quarantine %s: %v", spec.ID, filepath.Base(path), mvErr)
+			if sim, err := e.restore(spec.ID, path); sim != nil || err != nil {
+				return sim, atCheckpoint, noClaim, err
 			}
 		}
 	}
-	scheme, err := core.ParseScheme(spec.Scheme)
-	if err != nil {
-		return nil, false, err
+	release = noClaim
+	if spec.Pretrain {
+		path := e.pretrainPath(spec)
+		mu := e.pretrainClaim(path)
+		mu.Lock()
+		release = sync.OnceFunc(mu.Unlock)
+		if sim, err := e.restore(spec.ID, path); sim != nil || err != nil {
+			release()
+			if sim != nil {
+				e.logf("job %s: starts from pre-trained state %s", spec.ID, filepath.Base(path))
+			}
+			return sim, atPretrained, noClaim, err
+		}
 	}
-	s, err := core.NewSim(spec.Config, scheme)
-	if err != nil {
-		return nil, false, err
+	if sim, err = core.NewSim(spec.Config, core.Scheme(spec.Scheme)); err != nil {
+		release()
+		return nil, 0, nil, err
 	}
-	if spec.SnapshotEvery > 0 {
-		s.SetSnapshotPolicy(dir, spec.SnapshotEvery)
+	return sim, atStart, release, nil
+}
+
+// restore reads the snapshot file at path. A missing file is (nil, nil),
+// and so is a corrupt one (truncated by a crash that beat the rename,
+// bit-flipped on a dying disk) — the typed snap.CorruptError contract from
+// the read side — after it is quarantined under a .corrupt suffix, so the
+// caller falls back to the next-older state.
+func (e *Engine) restore(id, path string) (*core.Sim, error) {
+	sim, err := core.RestoreSimFile(path)
+	switch {
+	case err == nil:
+		return sim, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case !snap.IsCorrupt(err):
+		return nil, err
 	}
-	return s, false, nil
+	e.logf("job %s: %s unreadable (%v), falling back", id, filepath.Base(path), err)
+	if mvErr := os.Rename(path, path+".corrupt"); mvErr != nil {
+		e.logf("job %s: quarantine %s: %v", id, filepath.Base(path), mvErr)
+	}
+	return nil, nil
+}
+
+// pretrainPath names the file holding the state at the end of
+// pre-training for spec's (config, scheme): everything the phase reads.
+func (e *Engine) pretrainPath(spec Spec) string {
+	h := sha256.New()
+	// Config holds only JSON-encodable fields; Validate already accepted it.
+	_ = json.NewEncoder(h).Encode(spec.Config)
+	h.Write([]byte(spec.Scheme))
+	return filepath.Join(e.dir, fmt.Sprintf("pretrain-%x.rlns", h.Sum(nil)[:12]))
+}
+
+// pretrainClaim returns the lock that serializes work on one pre-trained
+// state file.
+func (e *Engine) pretrainClaim(path string) *sync.Mutex {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	mu := e.pretrains[path]
+	if mu == nil {
+		mu = new(sync.Mutex)
+		e.pretrains[path] = mu
+	}
+	return mu
 }
 
 // armInjection installs the induced-failure observer. Observers are

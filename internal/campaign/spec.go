@@ -104,14 +104,16 @@ type Spec struct {
 	Scheme string        `json:"scheme"`
 	Label  string        `json:"label"`
 	// Pretrain runs the synthetic pre-training phase before measuring
-	// (the full methodology). Chaos probes skip it.
+	// (the full methodology). Chaos probes skip it. The phase runs once per
+	// (Config, Scheme) in a campaign: the first job through it leaves the
+	// state it ends in as pretrain-<hash>.rlns in the campaign directory,
+	// and every other such job, and every retry, restores that.
 	Pretrain bool      `json:"pretrain,omitempty"`
 	Trace    TraceSpec `json:"trace"`
 
 	// SnapshotEvery checkpoints the run every N measured cycles into the
 	// job's directory; recovery resumes from the latest valid checkpoint.
-	// 0 disables — then every retry restarts from cycle 0 (required for
-	// schemes without snapshot support, i.e. the DT baseline).
+	// 0 disables — then every retry restarts the measured phase.
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
 	// Bisect replays a watchdog-terminated run from its latest
 	// checkpoint with flit-level event capture (the invariant-bisection
@@ -132,18 +134,7 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 	}
-	if s.SnapshotEvery > 0 && !SnapshotCapable(s.Scheme) {
-		return fmt.Errorf("campaign: spec %s: scheme %s has no snapshot support", s.ID, s.Scheme)
-	}
 	return nil
-}
-
-// SnapshotCapable reports whether a scheme's controller supports
-// checkpoint/restore. The DT baseline keeps an uncounted rand.Rand and
-// is excluded (its controller is no snap.Snapshotter); its jobs retry
-// from scratch.
-func SnapshotCapable(scheme string) bool {
-	return scheme != string(core.SchemeDT)
 }
 
 // Job terminal outcomes. The first four are the chaos battery's

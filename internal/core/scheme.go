@@ -19,6 +19,7 @@ import (
 	"rlnoc/internal/dt"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
+	"rlnoc/internal/snap"
 )
 
 // Scheme names a fault-tolerant design under evaluation.
@@ -290,6 +291,7 @@ func (c *RLController) LoadPolicy(r io.Reader) error {
 type DTController struct {
 	collecting bool
 	rng        *rand.Rand
+	src        *snap.CountingSource
 	samples    []dt.Sample
 	prevFeat   [][]float64
 	policy     *dt.Policy
@@ -300,9 +302,11 @@ type DTController struct {
 
 // NewDTController builds a collecting controller for `routers` routers.
 func NewDTController(cfg config.Config, routers int) *DTController {
+	src := snap.NewCountingSource(cfg.Seed*31 + 700)
 	return &DTController{
 		collecting: true,
-		rng:        rand.New(rand.NewSource(cfg.Seed*31 + 700)),
+		rng:        rand.New(src),
+		src:        src,
 		prevFeat:   make([][]float64, routers),
 		opts:       dt.DefaultOptions(),
 	}

@@ -9,6 +9,7 @@ package core
 // that wrote it.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -19,6 +20,7 @@ import (
 	"sort"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/dt"
 	"rlnoc/internal/eventlog"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
@@ -83,6 +85,33 @@ func (s *Sim) WriteSnapshot(w io.Writer) error {
 func (s *Sim) encode(c *snap.Codec) error {
 	_, err := snapSim(c, s, nil)
 	return err
+}
+
+// Checkpoint is a simulation's complete state at one inter-cycle boundary,
+// held in memory: the stream WriteSnapshot writes. It is immutable, so any
+// number of goroutines may call Sim at once. Its use is to pay for a phase
+// once — pre-training, which every benchmark of a suite and every rate of
+// a sweep repeats identically — and continue from its end many times
+// (DESIGN.md §21).
+type Checkpoint struct{ stream []byte }
+
+// Checkpoint captures the simulation as it stands. The Sim is not
+// disturbed and may go on running.
+func (s *Sim) Checkpoint() (*Checkpoint, error) {
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{stream: buf.Bytes()}, nil
+}
+
+// Sim builds a new simulation in the captured state, sharing nothing
+// mutable with the one the checkpoint was taken from or with any other
+// built from it. It is RestoreSim over the held stream, so whatever the
+// new Sim goes on to do is byte-identical to what the original would have
+// done from that point.
+func (k *Checkpoint) Sim() (*Sim, error) {
+	return RestoreSim(bytes.NewReader(k.stream))
 }
 
 // RestoreSim reads a snapshot written by WriteSnapshot/SaveSnapshot and
@@ -166,9 +195,9 @@ func (s *Sim) snapState(c *snap.Codec) error {
 		return err
 	}
 	// Static controllers (crc, arq-ecc, pinned-mode ablations) walk a bare
-	// section tag, the RL controller its tables. The DT baseline keeps an
-	// uncounted rand.Rand and is excluded from checkpointing (the paper's
-	// resumable long runs are the learned schemes).
+	// section tag, the RL controller its tables, the DT controller its
+	// training set or its tree. A controller that is no snap.Snapshotter
+	// (the per-port ablation, a caller's wrapper) cannot be checkpointed.
 	ctrl, ok := s.ctrl.(snap.Snapshotter)
 	if !ok {
 		return fmt.Errorf("core: snapshot unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
@@ -315,6 +344,56 @@ func (c *RLController) Snap(cd *snap.Codec) error {
 			st.Snap(cd)
 			cd.I64(visits)
 		})
+	return cd.Err()
+}
+
+// featureCount is the length of every feature vector the DT controller
+// holds.
+var featureCount = len(featureVector(rl.Features{}))
+
+// snapFeatures walks one feature vector: absent (a router not yet
+// observed) or featureCount values.
+func snapFeatures(cd *snap.Codec, x *[]float64) {
+	present := *x != nil
+	cd.Bool(&present)
+	if cd.Decoding() {
+		*x = nil
+		if present {
+			*x = make([]float64, featureCount)
+		}
+	}
+	if present {
+		cd.F64s(*x)
+	}
+}
+
+// Snap walks the controller in either of its lives: collecting (the
+// exploration stream's position, the labeled samples so far and each
+// router's pending feature vector) or trained (the tree and the decision
+// counters; the thresholds and training options are constants). Decoding
+// overwrites a freshly constructed controller.
+func (c *DTController) Snap(cd *snap.Codec) error {
+	cd.Section("DTCT")
+	cd.Bool(&c.collecting)
+	c.src.Snap(cd)
+	snap.Slice(cd, &c.samples, snap.MaxLen, func(cd *snap.Codec, s *dt.Sample) {
+		snapFeatures(cd, &s.X)
+		cd.F64(&s.Y)
+	})
+	cd.LenCheck(len(c.prevFeat))
+	for i := range c.prevFeat {
+		snapFeatures(cd, &c.prevFeat[i])
+	}
+	for i := range c.decideCount {
+		cd.I64(&c.decideCount[i])
+	}
+	if err := cd.Err(); err != nil || c.collecting {
+		return err
+	}
+	if cd.Decoding() {
+		c.policy = &dt.Policy{Tree: new(dt.Tree), Thresholds: dt.DefaultThresholds()}
+	}
+	c.policy.Tree.Snap(cd, c.opts)
 	return cd.Err()
 }
 

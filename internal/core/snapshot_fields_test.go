@@ -4,10 +4,10 @@ package core
 // stopped mid-run inside the kill schedule, snapshotted and restored, and
 // every field reachable from the two — Network, Router, inputVC,
 // outputPort, NI, stats.Collector, power.Meter, thermal.Grid, rl.Agent,
-// RLController, measureState and all they point at — is compared by
-// reflection. A field may differ only if the unsnapshotted table names it
-// and says why; a table entry that names no field the walk reached fails
-// too, so the list cannot rot.
+// RLController, DTController and its dt.Tree, measureState and all they
+// point at — is compared by reflection. A field may differ only if the
+// unsnapshotted table names it and says why; a table entry that names no
+// field the walk reached fails too, so the list cannot rot.
 
 import (
 	"bytes"
@@ -92,53 +92,89 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSim(cfg, SchemeQRoute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	if err := sim.Pretrain(); err != nil {
-		t.Fatal(err)
-	}
-	// The observer fires between cycles, where a checkpoint would be
-	// taken; 3300 lies between the link kill (2600) and the router kill
-	// (4200) of the measured phase.
-	base, compared := sim.Network().Cycle(), false
-	sim.SetObserver(100, func(s Snapshot) {
-		if compared || s.Cycle < base+3300 {
-			return
-		}
-		compared = true
-		if s.DataInFlight == 0 {
-			t.Errorf("cycle %d: nothing in flight; the comparison would cover empty containers", s.Cycle)
-		}
-		var buf bytes.Buffer
-		if err := sim.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := RestoreSim(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer restored.Close()
-		d := &fieldDiff{t: t, seen: map[[2]uintptr]bool{}, listed: map[string]bool{}}
-		d.walk("net", reflect.ValueOf(sim.net), reflect.ValueOf(restored.net))
-		d.walk("ctrl", reflect.ValueOf(sim.ctrl), reflect.ValueOf(restored.ctrl))
-		d.walk("ms", reflect.ValueOf(sim.ms), reflect.ValueOf(restored.ms))
-		for field := range unsnapshotted {
-			if !d.listed[field] {
-				t.Errorf("unsnapshotted lists %s, which the comparison never reached: stale entry", field)
+	// qroute reaches every field of the fabric and the RL controller. The
+	// DT controller has two lives and is compared in both: trained by
+	// pre-training, and — measured without it — still collecting, its
+	// exploration stream advanced and every router's sample pending.
+	listed := map[string]bool{}
+	for _, arm := range []struct {
+		name     string
+		scheme   Scheme
+		pretrain bool
+	}{
+		{"qroute", SchemeQRoute, true},
+		{"dt-trained", SchemeDT, true},
+		{"dt-collecting", SchemeDT, false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := cfg
+			if arm.scheme == SchemeDT {
+				// Eight control epochs inside the 800-cycle pre-training: enough
+				// labeled samples for the tree to split.
+				cfg.RL.StepCycles = 100
 			}
-		}
-		if d.compared < 10_000 {
-			t.Errorf("only %d leaf values compared; the walk is not reaching the fabric", d.compared)
-		}
-	})
-	if _, err := sim.Measure(events, "fields"); err != nil {
-		t.Fatal(err)
+			sim, err := NewSim(cfg, arm.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			if arm.pretrain {
+				if err := sim.Pretrain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c, ok := sim.ctrl.(*DTController); ok {
+				if trained := c.Tree() != nil; trained != arm.pretrain {
+					t.Fatalf("DT controller trained = %v, want %v", trained, arm.pretrain)
+				}
+				if arm.pretrain && c.Tree().Nodes() < 3 {
+					t.Fatalf("trained tree is a single leaf; the comparison would cover no split")
+				}
+			}
+			// The observer fires between cycles, where a checkpoint would be
+			// taken; 3300 lies between the link kill (2600) and the router kill
+			// (4200) of the measured phase.
+			base, compared := sim.Network().Cycle(), false
+			sim.SetObserver(100, func(s Snapshot) {
+				if compared || s.Cycle < base+3300 {
+					return
+				}
+				compared = true
+				if s.DataInFlight == 0 {
+					t.Errorf("cycle %d: nothing in flight; the comparison would cover empty containers", s.Cycle)
+				}
+				if c, ok := sim.ctrl.(*DTController); ok && !arm.pretrain && c.Samples() == 0 {
+					t.Errorf("cycle %d: no samples collected; the comparison would cover an empty training set", s.Cycle)
+				}
+				var buf bytes.Buffer
+				if err := sim.WriteSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := RestoreSim(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer restored.Close()
+				d := &fieldDiff{t: t, seen: map[[2]uintptr]bool{}, listed: listed}
+				d.walk("net", reflect.ValueOf(sim.net), reflect.ValueOf(restored.net))
+				d.walk("ctrl", reflect.ValueOf(sim.ctrl), reflect.ValueOf(restored.ctrl))
+				d.walk("ms", reflect.ValueOf(sim.ms), reflect.ValueOf(restored.ms))
+				if d.compared < 10_000 {
+					t.Errorf("only %d leaf values compared; the walk is not reaching the fabric", d.compared)
+				}
+			})
+			if _, err := sim.Measure(events, "fields"); err != nil {
+				t.Fatal(err)
+			}
+			if !compared {
+				t.Fatal("run ended before the comparison cycle")
+			}
+		})
 	}
-	if !compared {
-		t.Fatal("run ended before the comparison cycle")
+	for field := range unsnapshotted {
+		if !listed[field] {
+			t.Errorf("unsnapshotted lists %s, which the comparison never reached: stale entry", field)
+		}
 	}
 }
 

@@ -333,13 +333,17 @@ func TestSnapshotBytesPin(t *testing.T) {
 }
 
 // FuzzSnapshotRoundTrip drives short runs from fuzzed knobs and checks
-// the restore→re-snapshot fixpoint on the final checkpoint.
+// the restore→re-snapshot fixpoint on the final checkpoint. arm picks the
+// controller: rl, qroute, a DT controller trained by a short pre-training,
+// or a DT controller measured without one and so still collecting.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(1), false)
-	f.Add(int64(20260808), uint8(2), true)
-	f.Add(int64(-7), uint8(4), false)
-	f.Add(int64(1)<<40, uint8(3), true)
-	f.Fuzz(func(t *testing.T, seed int64, workers uint8, qroute bool) {
+	f.Add(int64(1), uint8(1), uint8(0))
+	f.Add(int64(20260808), uint8(2), uint8(1))
+	f.Add(int64(-7), uint8(4), uint8(0))
+	f.Add(int64(1)<<40, uint8(3), uint8(1))
+	f.Add(int64(3), uint8(1), uint8(2))
+	f.Add(int64(5), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, workers uint8, arm uint8) {
 		cfg := config.Small()
 		cfg.PretrainCycles = 0
 		cfg.WarmupCycles = 100
@@ -349,9 +353,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		cfg.HardFaults = "300:l5.east"
 		cfg.Seed = seed
 		cfg.StepWorkers = int(workers%4) + 1
-		scheme := SchemeRL
-		if qroute {
-			scheme = SchemeQRoute
+		scheme := []Scheme{SchemeRL, SchemeQRoute, SchemeDT, SchemeDT}[arm%4]
+		trained := arm%4 == 2
+		if scheme == SchemeDT {
+			cfg.RL.StepCycles = 50 // control epochs, and so samples, within these few hundred cycles
+		}
+		if trained {
+			cfg.PretrainCycles = 600
+			cfg.HardFaults = "900:l5.east"
 		}
 		topo, err := topologyOf(cfg)
 		if err != nil {
@@ -366,6 +375,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer sim.Close()
+		if trained {
+			if err := sim.Pretrain(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		dir := t.TempDir()
 		sim.SetSnapshotPolicy(dir, 250)
 		if _, err := sim.Measure(events, "fuzz"); err != nil {
@@ -392,7 +406,32 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
 		restoreMustBeCorrupt(t, withLastNIDraws(t, orig, 1<<63))
+		if c, ok := restored.ctrl.(*DTController); ok {
+			if got := c.Tree() != nil; got != trained {
+				t.Fatalf("restored DT controller trained = %v, want %v", got, trained)
+			}
+			if trained {
+				// One node more than a tree of the training depth can hold.
+				restoreMustBeCorrupt(t, withTreeNodes(t, orig, 1<<(c.opts.MaxDepth+1)))
+			} else if c.Samples() == 0 {
+				t.Fatal("collecting DT controller restored with no samples")
+			}
+		}
 	})
+}
+
+// withTreeNodes returns a copy of a trained-DT checkpoint with the node
+// count in its tree's header — the second word after the TREE section tag
+// — overwritten.
+func withTreeNodes(t *testing.T, data []byte, nodes uint64) []byte {
+	t.Helper()
+	off := bytes.Index(data, []byte("TREE")) + 4 + 8
+	if off < 12 || binary.LittleEndian.Uint64(data[off:]) > 1<<16 {
+		t.Fatalf("offset %d does not hold a tree's node count", off)
+	}
+	data = bytes.Clone(data)
+	binary.LittleEndian.PutUint64(data[off:], nodes)
+	return data
 }
 
 // restoreMustBeCorrupt requires RestoreSim to reject data as a corrupt

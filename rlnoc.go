@@ -133,6 +133,24 @@ func NewSession(cfg Config, scheme Scheme) (*Session, error) {
 // Pretrain runs the synthetic pre-training phase.
 func (s *Session) Pretrain() error { return s.sim.Pretrain() }
 
+// Fork returns an independent session in this one's current state: the
+// state is checkpointed in memory and restored into a new simulation, so
+// whatever the fork goes on to do is byte-identical to what this session
+// would have done, and neither disturbs the other. Pre-train once, then
+// Measure each trace on its own fork (DESIGN.md §21). Observers, the
+// snapshot policy and a pending Abort are not state and do not carry over.
+func (s *Session) Fork() (*Session, error) {
+	at, err := s.sim.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	sim, err := at.Sim()
+	if err != nil {
+		return nil, err
+	}
+	return &Session{sim: sim}, nil
+}
+
 // Network exposes the live network under the session. Fault-injection
 // campaigns use it to audit a finished (or failed) run: the packet
 // conservation ledger, dead-router and unreachable-pair counts, and the

@@ -117,6 +117,44 @@ func TestSessionObserver(t *testing.T) {
 	}
 }
 
+// TestSessionFork pre-trains one session and measures two traces on forks
+// of it: each must give what RunTrace gives pre-training for itself, and
+// forking must leave the session it forks undisturbed.
+func TestSessionFork(t *testing.T) {
+	cfg := fastConfig()
+	sess, err := NewSession(cfg, RL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Pretrain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"dedup", "canneal"} {
+		events, err := BenchmarkTrace(cfg, bench, int64(cfg.MaxCycles), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunTrace(cfg, RL, events, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := sess
+		if bench == "dedup" {
+			// The last trace runs on the forked-from session itself.
+			if run, err = sess.Fork(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := run.Measure(events, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serialize(t, got) != serialize(t, want) {
+			t.Errorf("%s: measured on a fork = %v:\n got %s\nwant %s", bench, run != sess, serialize(t, got), serialize(t, want))
+		}
+	}
+}
+
 func TestSuiteAndFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite run is slow")
