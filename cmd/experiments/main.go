@@ -1,6 +1,9 @@
 // Command experiments regenerates the paper's evaluation: every figure
 // (Fig. 6-10), the Table II parameter listing, the Section VI-B overhead
-// analysis, and the ablation studies DESIGN.md calls out.
+// analysis, the closed-form cost model, and the ablation studies DESIGN.md
+// calls out. Campaigns (the chaos battery, the load-latency sweep) run
+// through cmd/nocserve; one simulation, fresh or restored, through
+// cmd/nocsim.
 //
 // Examples:
 //
@@ -12,38 +15,14 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"rlnoc/internal/config"
-
 	"rlnoc"
 )
-
-// runRestore resumes a checkpoint (written by a -chaos campaign with
-// -snapshot-every, or by nocsim) and prints the finished result.
-func runRestore(path string) error {
-	sess, err := rlnoc.RestoreSession(path)
-	if err != nil {
-		return err
-	}
-	defer sess.Network().Close()
-	res, err := sess.ResumeMeasure()
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s\n", data)
-	fmt.Printf("ledger %s\n", sess.Network().ConservationLedger())
-	return nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -68,23 +47,14 @@ func run(args []string) error {
 		chart     = fs.Bool("chart", false, "render figures as ASCII bar charts instead of tables")
 		seeds     = fs.Int("seeds", 1, "number of seeds to average figures over (mean +/- std)")
 		analytic  = fs.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
-		loadsweep = fs.Bool("loadsweep", false, "run the load-latency sweep (latency vs injection rate per scheme)")
-		chaos     = fs.Int("chaos", 0, "run N randomized hard-fault chaos campaigns (mesh+torus x arq+rl, checks=all)")
 		workers   = fs.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
 		stepW     = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
-		snapEvery = fs.Int64("snapshot-every", 0, "checkpoint every N cycles during -chaos campaigns (0 = off)")
-		snapDir   = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
-		restore   = fs.String("restore", "", "resume a checkpoint file to completion and print its result")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
-	}
-
-	if *restore != "" {
-		return runRestore(*restore)
 	}
 
 	cfg := rlnoc.DefaultConfig()
@@ -131,19 +101,6 @@ func run(args []string) error {
 	}
 	if *analytic {
 		printAnalytic(cfg)
-		did = true
-	}
-	if *loadsweep {
-		if err := runLoadSweep(cfg); err != nil {
-			return err
-		}
-		did = true
-	}
-	if *chaos > 0 {
-		dir, _ := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
-		if err := runChaos(cfg, *chaos, dir, *snapEvery); err != nil {
-			return err
-		}
 		did = true
 	}
 	if *ablation != "" {

@@ -44,6 +44,18 @@ func TestRun(t *testing.T) {
 		// ignored. The name is split so a grep for it lists live uses only.
 		{name: "removed harness flag", args: []string{"-bench" + "-compare"},
 			wantErr: "flag provided but not defined"},
+		// Campaigns run through nocserve and restores through nocsim; the
+		// second front doors are gone, loudly.
+		{name: "removed chaos flag", args: []string{"-small", "-cha" + "os", "3"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed loadsweep flag", args: []string{"-small", "-load" + "sweep"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed snapshot-every flag", args: []string{"-snapshot" + "-every", "100"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed snapshot-dir flag", args: []string{"-snapshot" + "-dir", "snaps"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed restore flag", args: []string{"-re" + "store", "x.rlns"},
+			wantErr: "flag provided but not defined"},
 		{name: "unknown figure", args: []string{"-small", "-fig", "11"},
 			wantErr: "unknown figure"},
 	} {
@@ -62,28 +74,6 @@ func TestRun(t *testing.T) {
 				if !strings.Contains(out, s) {
 					t.Errorf("output lacks %q:\n%s", s, out)
 				}
-			}
-		})
-	}
-}
-
-// TestCampaignTablesIgnoreWorkerCount: -workers 0 means GOMAXPROCS for the
-// campaign-backed modes too (they used to read it as 1), and the pool
-// size never reaches the printed tables.
-func TestCampaignTablesIgnoreWorkerCount(t *testing.T) {
-	for _, mode := range [][]string{{"-chaos", "3"}, {"-loadsweep"}} {
-		t.Run(mode[0], func(t *testing.T) {
-			args := append([]string{"-small"}, mode...)
-			one, err := runCaptured(t, append(args, "-workers", "1")...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			auto, err := runCaptured(t, append(args, "-workers", "0")...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if auto != one || one == "" {
-				t.Errorf("-workers 0 and -workers 1 print different tables:\n--- 1\n%s--- 0\n%s", one, auto)
 			}
 		})
 	}

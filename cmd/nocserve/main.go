@@ -9,11 +9,16 @@
 // is a graceful shutdown: all in-flight jobs checkpoint, the journal
 // flushes, and the process exits 0 with the campaign resumable.
 //
+// With -campaign, the finished campaign prints its report — the chaos
+// battery's per-arm outcomes, the sweep's latency-vs-load table — and the
+// process exits non-zero if any job wedged, died or missed its deadline.
+// results.json in -dir records every job's terminal result.
+//
 // Examples:
 //
 //	nocserve -dir /data/chaos -campaign chaos -runs 16 -snapshot-every 2000
 //	nocserve -dir /data/chaos                      # resume after a crash
-//	nocserve -dir /data/sweep -campaign loadsweep -serve :8080
+//	nocserve -dir /data/sweep -campaign loadsweep -snapshot-every 0 -serve :8080
 package main
 
 import (
@@ -37,31 +42,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nocserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("nocserve", flag.ContinueOnError)
 	var (
-		dirFlag     = flag.String("dir", "", "campaign directory (default: RLNOC_CAMPAIGN_DIR env, else 'campaign')")
-		preset      = flag.String("campaign", "", "campaign to submit: chaos|loadsweep (empty: resume whatever -dir holds)")
-		runs        = flag.Int("runs", 4, "chaos kill schedules to sweep (with -campaign chaos)")
-		cfgPath     = flag.String("config", "", "JSON config file")
-		small       = flag.Bool("small", false, "use the 4x4 quick configuration")
-		seed        = flag.Int64("seed", 0, "override random seed")
-		workers     = flag.Int("workers", 1, "concurrent jobs")
-		maxAttempts = flag.Int("max-attempts", 3, "per-job retry budget")
-		deadline    = flag.Duration("deadline", 0, "per-job wall-clock deadline across attempts (0 = none)")
-		watchdog    = flag.Duration("watchdog", 30*time.Second, "kill a job whose progress heartbeat is silent this long (0 = off)")
-		snapEvery   = flag.Int64("snapshot-every", 2000, "checkpoint each job every N cycles (0 = retries restart from cycle 0)")
-		serveAddr   = flag.String("serve", "", "serve campaign status as JSON on this address (e.g. :8080)")
-		statusEvery = flag.Duration("status-every", 10*time.Second, "print the job status table this often (0 = off)")
-		injPanic    = flag.Int64("inject-panic", 0, "TESTING: panic each job once at this cycle (first attempt only)")
-		injStall    = flag.Int64("inject-stall", 0, "TESTING: stall each job at this cycle until the watchdog kills it (first attempt only)")
+		dirFlag     = fs.String("dir", "", "campaign directory (default: RLNOC_CAMPAIGN_DIR env, else 'campaign')")
+		presetFlag  = fs.String("campaign", "", "campaign to submit: chaos|loadsweep (empty: resume whatever -dir holds)")
+		runs        = fs.Int("runs", 4, "chaos kill schedules to sweep (with -campaign chaos)")
+		cfgPath     = fs.String("config", "", "JSON config file")
+		small       = fs.Bool("small", false, "use the 4x4 quick configuration")
+		seed        = fs.Int64("seed", 0, "override random seed")
+		workers     = fs.Int("workers", 0, "concurrent jobs (0 = the config's suite workers, else GOMAXPROCS)")
+		maxAttempts = fs.Int("max-attempts", 3, "per-job retry budget")
+		deadline    = fs.Duration("deadline", 0, "per-job wall-clock deadline across attempts (0 = none)")
+		watchdog    = fs.Duration("watchdog", 30*time.Second, "kill a job whose progress heartbeat is silent this long (0 = off)")
+		snapEvery   = fs.Int64("snapshot-every", 2000, "checkpoint each job every N cycles (0 = retries restart from cycle 0)")
+		serveAddr   = fs.String("serve", "", "serve campaign status as JSON on this address (e.g. :8080)")
+		statusEvery = fs.Duration("status-every", 10*time.Second, "print the job status table this often (0 = off)")
+		injPanic    = fs.Int64("inject-panic", 0, "TESTING: panic each job once at this cycle (first attempt only)")
+		injStall    = fs.Int64("inject-stall", 0, "TESTING: stall each job at this cycle until the watchdog kills it (first attempt only)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	dir, _ := config.ResolveString(config.EnvCampaignDir, *dirFlag, "campaign")
 
 	cfg := rlnoc.DefaultConfig()
@@ -76,6 +87,21 @@ func run() error {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
+	}
+	if *workers == 0 {
+		*workers = cfg.SuiteWorkerCount()
+	}
+
+	p, err := buildPreset(*presetFlag, cfg, *runs, *snapEvery, campaign.InjectSpec{
+		PanicAtCycle: *injPanic, StallAtCycle: *injStall,
+	})
+	if err != nil {
+		return err
+	}
+	if *deadline > 0 {
+		for i := range p.specs {
+			p.specs[i].Deadline = *deadline
+		}
 	}
 
 	logger := log.New(os.Stderr, "nocserve: ", log.LstdFlags)
@@ -93,20 +119,9 @@ func run() error {
 	}
 	defer eng.Close()
 
-	specs, err := buildPreset(*preset, cfg, *runs, *snapEvery, campaign.InjectSpec{
-		PanicAtCycle: *injPanic, StallAtCycle: *injStall,
-	})
-	if err != nil {
-		return err
-	}
-	if *deadline > 0 {
-		for i := range specs {
-			specs[i].Deadline = *deadline
-		}
-	}
 	// Submit is idempotent over job IDs, so restarting with the same
 	// flags re-offers the same specs and the manifest wins.
-	if err := eng.Submit(specs...); err != nil {
+	if err := eng.Submit(p.specs...); err != nil {
 		return err
 	}
 
@@ -145,37 +160,69 @@ func run() error {
 	if err := writeResults(dir, results); err != nil {
 		return err
 	}
-	printStatus(eng)
-	lost := 0
-	for _, r := range results {
-		if r.Outcome == campaign.OutcomeDead || r.Outcome == campaign.OutcomeDeadline {
-			lost++
+	if p.report != nil {
+		byID := map[string]campaign.JobResult{}
+		for _, r := range results {
+			byID[r.ID] = r
 		}
+		p.report(byID)
+	} else {
+		printStatus(eng)
 	}
-	if lost > 0 {
-		return fmt.Errorf("campaign finished with %d lost jobs (of %d)", lost, len(results))
+	if err := verdict(results); err != nil {
+		return err
 	}
-	logger.Printf("campaign complete: %d jobs, 0 lost", len(results))
+	logger.Printf("campaign complete: %d jobs, none wedged or lost", len(results))
 	return nil
 }
 
-// buildPreset materializes the named campaign's specs ("" builds none:
-// resume-only mode).
-func buildPreset(preset string, cfg rlnoc.Config, runs int, snapEvery int64, inject campaign.InjectSpec) ([]campaign.Spec, error) {
-	switch preset {
+// preset is a stock campaign: the specs it submits and the report its
+// results print (nil for resume-only mode, which prints the status tally).
+type preset struct {
+	specs  []campaign.Spec
+	report func(byID map[string]campaign.JobResult)
+}
+
+// buildPreset materializes the named campaign ("" builds none: resume-only
+// mode).
+func buildPreset(name string, cfg rlnoc.Config, runs int, snapEvery int64, inject campaign.InjectSpec) (preset, error) {
+	switch name {
 	case "":
-		return nil, nil
+		return preset{}, nil
 	case "chaos":
 		plan, err := campaign.BuildChaos(cfg, runs, snapEvery, inject)
 		if err != nil {
-			return nil, err
+			return preset{}, err
 		}
-		return plan.Specs, nil
+		return preset{plan.Specs, func(byID map[string]campaign.JobResult) { printChaos(plan, byID) }}, nil
 	case "loadsweep":
-		return campaign.BuildLoadSweep(cfg, campaign.LoadSweepRates, snapEvery), nil
+		rates := campaign.LoadSweepRates
+		specs := campaign.BuildLoadSweep(cfg, rates, snapEvery)
+		return preset{specs, func(byID map[string]campaign.JobResult) { printLoadSweep(rates, byID) }}, nil
 	default:
-		return nil, fmt.Errorf("unknown campaign %q (want chaos|loadsweep)", preset)
+		return preset{}, fmt.Errorf("unknown campaign %q (want chaos|loadsweep)", name)
 	}
+}
+
+// verdict is the campaign's exit status: every job must end drained, at
+// its cycle budget, or terminated by the invariant watchdog with a
+// balanced ledger. A wedge, a spent retry budget or a missed deadline
+// fails the campaign.
+func verdict(results []campaign.JobResult) error {
+	failed := map[string]int{}
+	n := 0
+	for _, r := range results {
+		switch r.Outcome {
+		case campaign.OutcomeWedged, campaign.OutcomeDead, campaign.OutcomeDeadline:
+			failed[r.Outcome]++
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return fmt.Errorf("campaign failed: %d of %d jobs wedged or lost (%d wedged, %d dead, %d deadline)",
+		n, len(results), failed[campaign.OutcomeWedged], failed[campaign.OutcomeDead], failed[campaign.OutcomeDeadline])
 }
 
 // writeResults persists the terminal results next to the manifest, so a

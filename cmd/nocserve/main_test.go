@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +19,100 @@ import (
 // process mid-campaign.
 func TestMain(m *testing.M) {
 	if os.Getenv("NOCSERVE_CHILD") == "1" {
-		if err := run(); err != nil {
+		if err := run(os.Args[1:]); err != nil {
 			fmt.Fprintln(os.Stderr, "nocserve:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// runCaptured calls run with args on a fresh campaign directory and
+// returns what it printed to os.Stdout (the reports write there directly).
+func runCaptured(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	runErr := run(append([]string{"-dir", filepath.Join(t.TempDir(), "camp"), "-status-every", "0"}, args...))
+	os.Stdout = stdout
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// TestRun drives each stock campaign at one worker and at the default
+// pool (-workers 0 = GOMAXPROCS): both print the campaign's report, and
+// the pool size never reaches it.
+func TestRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		want    []string // substrings of stdout
+		wantErr string   // substring of the error; "" means success
+	}{
+		{name: "loadsweep", args: []string{"-small", "-campaign", "loadsweep", "-snapshot-every", "0"},
+			want: []string{"load-latency sweep: mean E2E latency", "\n0.01 ", "(* = saturated"}},
+		{name: "chaos", args: []string{"-small", "-campaign", "chaos", "-runs", "3", "-snapshot-every", "0"},
+			want: []string{"chaos run  2  mesh  kills=3", "    qroute  drained", "chaos: 3 runs x 2 arms —"}},
+		{name: "unknown campaign", args: []string{"-campaign", "sweep"},
+			wantErr: `unknown campaign "sweep"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			one, err := runCaptured(t, append(tc.args, "-workers", "1")...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range tc.want {
+				if !strings.Contains(one, s) {
+					t.Errorf("output lacks %q:\n%s", s, one)
+				}
+			}
+			auto, err := runCaptured(t, append(tc.args, "-workers", "0")...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto != one {
+				t.Errorf("-workers 0 and -workers 1 print different reports:\n--- 1\n%s--- 0\n%s", one, auto)
+			}
+		})
+	}
+}
+
+// TestVerdict: a campaign fails on any wedged, dead or deadline job, and
+// on nothing else.
+func TestVerdict(t *testing.T) {
+	ok := []campaign.JobResult{
+		{ID: "a", Outcome: campaign.OutcomeDrained},
+		{ID: "b", Outcome: campaign.OutcomeBudget},
+		{ID: "c", Outcome: campaign.OutcomeWatchdog},
+	}
+	if err := verdict(ok); err != nil {
+		t.Fatalf("clean campaign failed: %v", err)
+	}
+	if err := verdict(nil); err != nil {
+		t.Fatalf("empty campaign failed: %v", err)
+	}
+	for _, bad := range []string{campaign.OutcomeWedged, campaign.OutcomeDead, campaign.OutcomeDeadline} {
+		results := append(ok[:len(ok):len(ok)], campaign.JobResult{ID: "d", Outcome: bad})
+		err := verdict(results)
+		if err == nil || !strings.Contains(err.Error(), "1 of 4 jobs") || !strings.Contains(err.Error(), "1 "+bad) {
+			t.Errorf("%s job: verdict %v, want an error counting it", bad, err)
+		}
+	}
 }
 
 func nocserveCmd(t *testing.T, dir string) *exec.Cmd {

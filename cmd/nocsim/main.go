@@ -2,11 +2,19 @@
 // file, or a synthetic pattern) under one fault-tolerant scheme, printing
 // the headline metrics.
 //
+// A run can also start from a snapshot file (-restore): a checkpoint
+// written by -snapshot-every finishes its run, and a pre-trained state
+// (-save-pretrained, or a campaign's pretrain-*.rlns) measures the
+// workload flags' trace — printing exactly what the uninterrupted run
+// prints.
+//
 // Examples:
 //
 //	nocsim -scheme rl -benchmark canneal
 //	nocsim -scheme crc -pattern uniform -rate 0.005
 //	nocsim -scheme arq-ecc -trace trace.txt -config cfg.json
+//	nocsim -small -scheme dt -save-pretrained dt.rlns
+//	nocsim -restore dt.rlns -benchmark dedup
 package main
 
 import (
@@ -52,15 +60,14 @@ func run(args []string) error {
 		stepW      = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
 		verbose    = fs.Bool("v", false, "print the error-control breakdown")
 		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
-		savePolicy = fs.String("save-policy", "", "write the trained RL Q-tables to a file after the run")
-		loadPolicy = fs.String("load-policy", "", "preload RL Q-tables (skips pre-training)")
+		savePre    = fs.String("save-pretrained", "", "write the state at the end of pre-training to a file (any scheme; measure from it with -restore)")
 		eventLog   = fs.String("eventlog", "", "record flit/packet events of the testing phase to a file")
 		analyze    = fs.String("analyze", "", "analyze a recorded event log and exit")
 		qAlpha     = fs.Float64("qroute-alpha", 0, "override the qroute learning rate (0 = keep config)")
 		qEpsilon   = fs.Float64("qroute-epsilon", -1, "override the qroute exploration epsilon (-1 = keep config)")
 		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
 		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
-		restore    = fs.String("restore", "", "resume from a checkpoint file and finish the run (ignores workload flags)")
+		restore    = fs.String("restore", "", "start from a snapshot file, which carries config and scheme: a checkpoint finishes its run, a pre-trained state measures the workload flags' trace")
 		fastFwd    = fs.Bool("fast-forward", true, "jump quiescent idle spans to the next event (bit-identical; false steps every cycle)")
 		progress   = fs.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
 	)
@@ -69,10 +76,6 @@ func run(args []string) error {
 			return nil
 		}
 		return err
-	}
-
-	if *restore != "" {
-		return runRestore(*restore, *stepW, *verbose, *progress)
 	}
 
 	if *analyze != "" {
@@ -89,122 +92,88 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := config.Default()
-	if *small {
-		cfg = config.Small()
-	}
-	if *cfgPath != "" {
+	var sim *core.Sim
+	if *restore != "" {
 		var err error
-		if cfg, err = config.Load(*cfgPath); err != nil {
+		if sim, err = restoreSim(fs, *restore, *stepW); err != nil {
 			return err
 		}
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *errRate >= 0 {
-		cfg.Fault.BaseErrorRate = *errRate
-	}
-	if *routing != "" {
-		cfg.Routing = config.Routing(*routing)
+	} else {
+		cfg := config.Default()
+		if *small {
+			cfg = config.Small()
+		}
+		if *cfgPath != "" {
+			var err error
+			if cfg, err = config.Load(*cfgPath); err != nil {
+				return err
+			}
+		}
+		if *seed != 0 {
+			cfg.Seed = *seed
+		}
+		if *errRate >= 0 {
+			cfg.Fault.BaseErrorRate = *errRate
+		}
+		if *routing != "" {
+			cfg.Routing = config.Routing(*routing)
+		}
+		if *topoFlag != "" {
+			cfg.Topology = *topoFlag
+		}
+		if *stepW != 0 {
+			cfg.StepWorkers = *stepW
+		}
+		if *hardFault != "" {
+			cfg.HardFaults = *hardFault
+		}
+		if *checksFlag != "" {
+			cfg.Checks = *checksFlag
+		}
+		if *qAlpha != 0 {
+			cfg.QRoute.Alpha = *qAlpha
+		}
+		if *qEpsilon >= 0 {
+			cfg.QRoute.Epsilon = *qEpsilon
+		}
+		cfg.NoFastForward = !*fastFwd
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-	}
-	if *topoFlag != "" {
-		cfg.Topology = *topoFlag
-		if err := cfg.Validate(); err != nil {
+		scheme, err := core.ParseScheme(*schemeFlag)
+		if err != nil {
+			return err
+		}
+		if sim, err = core.NewSim(cfg, scheme); err != nil {
 			return err
 		}
 	}
-	if *stepW != 0 {
-		cfg.StepWorkers = *stepW
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	if *hardFault != "" {
-		cfg.HardFaults = *hardFault
-	}
-	if *checksFlag != "" {
-		cfg.Checks = *checksFlag
-	}
-	if *qAlpha != 0 {
-		cfg.QRoute.Alpha = *qAlpha
-	}
-	if *qEpsilon >= 0 {
-		cfg.QRoute.Epsilon = *qEpsilon
-	}
-	if *hardFault != "" || *checksFlag != "" {
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	cfg.NoFastForward = !*fastFwd
-	scheme, err := core.ParseScheme(*schemeFlag)
-	if err != nil {
-		return err
-	}
+	defer sim.Close()
+	cfg := sim.Config()
 
+	// A checkpoint carries its trace; a fresh or pre-trained sim measures
+	// the one the workload flags name.
 	var events []traffic.Event
 	label := ""
-	switch {
-	case *traceFlag != "":
-		f, err := os.Open(*traceFlag)
-		if err != nil {
+	if !sim.HasMeasure() {
+		var err error
+		if events, label, err = workload(cfg, *traceFlag, *pattern, *rate, *benchFlag); err != nil {
 			return err
 		}
-		events, err = traffic.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		label = *traceFlag
-	case *pattern != "":
-		topo, err := topology.FromConfig(cfg)
-		if err != nil {
-			return err
-		}
-		events, err = traffic.Synthetic(topo, traffic.Pattern(*pattern), *rate,
-			cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+7)
-		if err != nil {
-			return err
-		}
-		label = *pattern
-	default:
-		bench := *benchFlag
-		if bench == "" {
-			bench = "canneal"
-		}
-		if events, err = core.BenchmarkTrace(cfg, bench); err != nil {
-			return err
-		}
-		label = bench
-	}
-
-	sim, err := core.NewSim(cfg, scheme)
-	if err != nil {
-		return err
 	}
 	if *progress > 0 {
 		attachProgress(sim, *progress)
 	}
-	if *loadPolicy != "" {
-		rlc, ok := sim.Controller().(*core.RLController)
-		if !ok {
-			return fmt.Errorf("-load-policy requires -scheme rl")
-		}
-		f, err := os.Open(*loadPolicy)
-		if err != nil {
+	if *restore == "" {
+		if err := sim.Pretrain(); err != nil {
 			return err
 		}
-		err = rlc.LoadPolicy(f)
-		f.Close()
-		if err != nil {
-			return err
+		if *savePre != "" {
+			if err := sim.SaveSnapshot(*savePre); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "saved pre-trained state to %s\n", *savePre)
 		}
-	} else if err := sim.Pretrain(); err != nil {
-		return err
 	}
 	if *eventLog != "" {
 		f, err := os.Create(*eventLog)
@@ -220,7 +189,13 @@ func run(args []string) error {
 		dir, _ := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
 		sim.SetSnapshotPolicy(dir, *snapEvery)
 	}
-	res, err := sim.Measure(events, label)
+	var res core.Result
+	var err error
+	if sim.HasMeasure() {
+		res, err = sim.ResumeMeasure()
+	} else {
+		res, err = sim.Measure(events, label)
+	}
 	if err != nil {
 		var iv *invariant.Error
 		if errors.As(err, &iv) {
@@ -244,25 +219,86 @@ func run(args []string) error {
 			fmt.Print(rlc.PolicyDump(*policy))
 		}
 	}
-	if *savePolicy != "" {
-		rlc, ok := sim.Controller().(*core.RLController)
-		if !ok {
-			return fmt.Errorf("-save-policy requires -scheme rl")
-		}
-		f, err := os.Create(*savePolicy)
-		if err != nil {
-			return err
-		}
-		if err := rlc.SavePolicy(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "saved RL policy to %s\n", *savePolicy)
-	}
 	return nil
+}
+
+// freshOnly are the flags that describe the sim a fresh run builds; a
+// snapshot carries its own config and scheme, so alongside -restore they
+// are errors rather than silently ignored.
+var freshOnly = map[string]bool{
+	"scheme": true, "config": true, "small": true, "seed": true, "error-rate": true,
+	"routing": true, "hard-faults": true, "checks": true, "topology": true,
+	"qroute-alpha": true, "qroute-epsilon": true, "fast-forward": true, "save-pretrained": true,
+}
+
+// workloadFlags name the trace a run measures; a checkpoint taken
+// mid-measurement carries its own.
+var workloadFlags = map[string]bool{"benchmark": true, "trace": true, "pattern": true, "rate": true}
+
+// restoreSim rebuilds the sim a snapshot file holds — a checkpoint written
+// by -snapshot-every, a -save-pretrained state or a campaign's
+// pretrain-*.rlns — after checking that no flag set on the command line
+// contradicts it. Only host-local knobs (-step-workers, bit-identical by
+// construction) still apply to its config.
+func restoreSim(fs *flag.FlagSet, path string, stepW int) (*core.Sim, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	sim, err := core.RestoreSimTuned(f, func(cfg *config.Config) {
+		if stepW != 0 {
+			cfg.StepWorkers = stepW
+		}
+	})
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	fs.Visit(func(fl *flag.Flag) {
+		switch {
+		case err != nil:
+		case freshOnly[fl.Name]:
+			err = fmt.Errorf("-%s cannot be used with -restore: the snapshot carries its config and scheme", fl.Name)
+		case workloadFlags[fl.Name] && sim.HasMeasure():
+			err = fmt.Errorf("-%s cannot be used with -restore of a checkpoint taken mid-measurement: it carries its trace", fl.Name)
+		}
+	})
+	if err != nil {
+		sim.Close()
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "resumed %s at cycle %d\n", path, sim.Network().Cycle())
+	return sim, nil
+}
+
+// workload builds the trace the workload flags name (a trace file, a
+// synthetic pattern, or a PARSEC-like benchmark, canneal by default) for
+// the fabric and seed of cfg.
+func workload(cfg config.Config, tracePath, pattern string, rate float64, bench string) ([]traffic.Event, string, error) {
+	switch {
+	case tracePath != "":
+		f, err := os.Open(tracePath)
+		if err != nil {
+			return nil, "", err
+		}
+		defer f.Close()
+		events, err := traffic.ReadTrace(f)
+		return events, tracePath, err
+	case pattern != "":
+		topo, err := topology.FromConfig(cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		events, err := traffic.Synthetic(topo, traffic.Pattern(pattern), rate,
+			cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+7)
+		return events, pattern, err
+	default:
+		if bench == "" {
+			bench = "canneal"
+		}
+		events, err := core.BenchmarkTrace(cfg, bench)
+		return events, bench, err
+	}
 }
 
 // attachProgress wires a stderr progress reporter onto the simulation's
@@ -279,46 +315,6 @@ func attachProgress(sim *core.Sim, every time.Duration) {
 			cycle, now.Sub(start).Seconds(), rate)
 		lastT, lastC = now, cycle
 	})
-}
-
-// runRestore resumes a checkpoint written by -snapshot-every: the file
-// carries config, scheme, trace and complete state, so only host-local
-// knobs (-step-workers — bit-identical by construction) still apply.
-func runRestore(path string, stepW int, verbose bool, progress time.Duration) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	sim, err := core.RestoreSimTuned(f, func(cfg *config.Config) {
-		if stepW != 0 {
-			cfg.StepWorkers = stepW
-		}
-	})
-	f.Close()
-	if err != nil {
-		return err
-	}
-	defer sim.Close()
-	if progress > 0 {
-		attachProgress(sim, progress)
-	}
-	fmt.Fprintf(os.Stderr, "resumed %s at cycle %d\n", path, sim.Network().Cycle())
-	res, err := sim.ResumeMeasure()
-	if err != nil {
-		var iv *invariant.Error
-		if errors.As(err, &iv) {
-			fmt.Fprint(os.Stderr, iv.Report())
-		}
-		return err
-	}
-	printResult(res, verbose)
-	if net := sim.Network(); net.QRouteEnabled() {
-		fmt.Printf("qroute telemetry  %s\n", net.QRouteTelemetry().Format())
-	}
-	if sim.Network().DeadRouters() > 0 || sim.Network().UnreachablePairs() > 0 {
-		printFaultReport(sim.Network())
-	}
-	return nil
 }
 
 // printFaultReport summarizes the damage after a hard-faulted run: what

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rlnoc/internal/core"
 )
 
 // runCaptured calls run with args and returns what it printed to
@@ -51,6 +53,13 @@ func TestRun(t *testing.T) {
 			want: []string{"drained           true\n", "flits delivered   4\n"}}, // the first packet lands in warm-up
 		{name: "unknown scheme", args: []string{"-small", "-scheme", "bogus"},
 			wantErr: `unknown scheme "bogus"`},
+		// The RL-only Q-table files are gone; trained state travels as a
+		// snapshot (-save-pretrained / -restore). Names split so a grep
+		// for them lists live uses only.
+		{name: "removed save-policy flag", args: []string{"-small", "-save" + "-policy", "q.bin"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed load-policy flag", args: []string{"-small", "-load" + "-policy", "q.bin"},
+			wantErr: "flag provided but not defined"},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
 		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},
@@ -109,5 +118,39 @@ func TestRestorePrintsTheUninterruptedResult(t *testing.T) {
 		if got != want {
 			t.Errorf("-restore %s:\n--- uninterrupted\n%s--- resumed\n%s", filepath.Base(path), want, got)
 		}
+	}
+}
+
+// TestRestorePretrainedPrintsTheUninterruptedResult: for every scheme, a
+// run that saves its pre-trained state prints what a run that does not
+// prints, and measuring from that file prints it again. The file carries
+// config and scheme, so a flag restating either is an error naming it.
+func TestRestorePretrainedPrintsTheUninterruptedResult(t *testing.T) {
+	for _, scheme := range core.AllSchemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			args := []string{"-small", "-seed", "9", "-scheme", string(scheme), "-benchmark", "dedup"}
+			want, err := runCaptured(t, args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "pretrained.rlns")
+			saved, err := runCaptured(t, append(args, "-save-pretrained", path)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved != want {
+				t.Errorf("-save-pretrained changed the result:\n--- plain\n%s--- saving\n%s", want, saved)
+			}
+			got, err := runCaptured(t, "-restore", path, "-benchmark", "dedup")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("-restore of the pre-trained state:\n--- uninterrupted\n%s--- restored\n%s", want, got)
+			}
+			if _, err := runCaptured(t, "-restore", path, "-seed", "3"); err == nil || !strings.Contains(err.Error(), "-seed") {
+				t.Errorf("-restore with -seed: err = %v, want one naming -seed", err)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"rlnoc/internal/core"
+	"rlnoc/internal/network"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
 	"rlnoc/internal/traffic"
@@ -437,7 +438,7 @@ func TableII(cfg Config) string {
 	fmt.Fprintf(&b, "cores / routers     %d (%dx%d 2D %s)\n", cfg.Routers(), cfg.Width, cfg.Height, cfg.TopologyKind())
 	fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
 	fmt.Fprintf(&b, "router pipeline     %d stages, %d VCs/port, %d flits/VC\n",
-		cfg.PipelineDepth, cfg.VCsPerPort, cfg.VCDepth)
+		network.PipelineStages, cfg.VCsPerPort, cfg.VCDepth)
 	fmt.Fprintf(&b, "packet              %d bits/flit, %d flits\n", cfg.FlitBits, cfg.FlitsPerPacket)
 	fmt.Fprintf(&b, "operating point     %.1f V, %.1f GHz\n", cfg.VoltageV, cfg.FrequencyGHz)
 	fmt.Fprintf(&b, "RL                  alpha %.2f, gamma %.2f, epsilon %.2f, step %d cycles\n",

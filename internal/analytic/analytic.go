@@ -136,7 +136,7 @@ func EvaluateMode(m int, p float64, flits, hops int, pr power.Params) ModeCost {
 		cost.EnergyPJ += p * pathEnergy
 	default:
 		// ECC stage energy on every protected hop.
-		cost.EnergyPJ += pr.ECCEncodePJ + pr.ECCDecodePJ + pr.OutputBufferPJ
+		cost.EnergyPJ += pr.ECCEncodePJ + pr.ECCDecodePJ + pr.RetxBufferPJ
 		if m != 3 {
 			// Multi-bit bursts miscorrect silently past SECDED and pay
 			// the end-to-end retransmission like Mode 0, scaled by the

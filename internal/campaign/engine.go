@@ -45,9 +45,7 @@ var errDeadline = errors.New("campaign: job deadline exceeded")
 // Options configures an Engine.
 type Options struct {
 	// Dir is the campaign directory (manifest, journal, per-job
-	// checkpoints). Empty runs the campaign in a throwaway temp
-	// directory that Close removes — full recovery machinery, no
-	// persistence beyond the process (the -chaos / load-sweep mode).
+	// checkpoints, pre-trained states). Required.
 	Dir string
 	// Name labels the manifest (default "campaign").
 	Name string
@@ -135,10 +133,9 @@ func (j *job) maxAttempts(def int) int {
 
 // Engine is the campaign supervisor. Open one, Submit specs, Run it.
 type Engine struct {
-	opts      Options
-	dir       string
-	ephemeral bool
-	journal   *Journal
+	opts    Options
+	dir     string
+	journal *Journal
 
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -156,6 +153,9 @@ type Engine struct {
 // queued to resume from its checkpoints. A fresh directory starts an
 // empty campaign.
 func Open(opts Options) (*Engine, error) {
+	if opts.Dir == "" {
+		return nil, errors.New("campaign: Options.Dir is required")
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -181,13 +181,7 @@ func Open(opts Options) (*Engine, error) {
 	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{},
 		name: opts.Name, seed: opts.Seed, pretrains: map[string]*sync.Mutex{}}
 	e.cond = sync.NewCond(&e.mu)
-	if e.dir == "" {
-		dir, err := os.MkdirTemp("", "rlnoc-campaign-")
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
-		}
-		e.dir, e.ephemeral = dir, true
-	} else if err := os.MkdirAll(e.dir, 0o755); err != nil {
+	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
@@ -568,14 +562,5 @@ func (e *Engine) Done() bool {
 	return true
 }
 
-// Close flushes and closes the journal; an ephemeral (temp-dir)
-// campaign directory is removed. Call after Run has returned.
-func (e *Engine) Close() error {
-	err := e.journal.Close()
-	if e.ephemeral {
-		if rerr := os.RemoveAll(e.dir); err == nil {
-			err = rerr
-		}
-	}
-	return err
-}
+// Close flushes and closes the journal. Call after Run has returned.
+func (e *Engine) Close() error { return e.journal.Close() }

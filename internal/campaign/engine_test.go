@@ -41,6 +41,15 @@ func openTestEngine(t *testing.T, opts Options) *Engine {
 	return eng
 }
 
+// TestOpenRequiresDir: every engine is durable; the temp-dir mode the
+// one-shot campaign helper used is gone with it.
+func TestOpenRequiresDir(t *testing.T) {
+	if eng, err := Open(Options{}); err == nil {
+		eng.Close()
+		t.Fatal("Open without a directory succeeded")
+	}
+}
+
 // TestBackoffDeterministicJitter pins the retry-delay policy: same
 // (seed, job, failure) triple → same delay across engines; delays grow
 // exponentially, stay within [base/2^0 .. max], and differ across jobs.

@@ -1,15 +1,12 @@
 package campaign
 
-// Builders for the stock campaign shapes: the chaos battery and the
-// load-latency sweep. `cmd/experiments` and `cmd/nocserve` both submit
-// these specs, so the setup logic (schedule derivation, topology
-// provisioning, per-arm snapshot policy) lives here exactly once, as does
-// the open-submit-run-collect sequence of a one-shot campaign (RunSpecs).
+// Builders for the stock campaign shapes `cmd/nocserve -campaign` submits:
+// the chaos battery and the load-latency sweep. The setup logic (schedule
+// derivation, topology provisioning, per-arm snapshot policy) lives here
+// exactly once.
 
 import (
-	"context"
 	"fmt"
-	"os"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
@@ -136,35 +133,4 @@ func BuildLoadSweep(base config.Config, rates []float64, snapEvery int64) []Spec
 		}
 	}
 	return specs
-}
-
-// RunSpecs runs specs to completion as one campaign — in dir, or in a
-// throwaway directory when dir is empty — on base's suite worker pool,
-// with supervisor diagnostics on stderr, and returns every job's
-// terminal result by ID.
-func RunSpecs(name, dir string, base config.Config, specs []Spec) (map[string]JobResult, error) {
-	eng, err := Open(Options{
-		Dir:     dir,
-		Name:    name,
-		Workers: base.SuiteWorkerCount(),
-		Seed:    base.Seed,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	if err := eng.Submit(specs...); err != nil {
-		return nil, err
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		return nil, err
-	}
-	byID := map[string]JobResult{}
-	for _, r := range eng.Results() {
-		byID[r.ID] = r
-	}
-	return byID, nil
 }

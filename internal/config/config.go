@@ -44,14 +44,15 @@ type Config struct {
 
 	Routing Routing `json:"routing"`
 
-	// Router microarchitecture.
-	VCsPerPort    int `json:"vcs_per_port"`   // virtual channels per input port
-	VCDepth       int `json:"vc_depth"`       // flit slots per VC buffer
-	PipelineDepth int `json:"pipeline_depth"` // router pipeline stages (RC,VA,SA,ST)
-	OutputBuffer  int `json:"output_buffer"`  // per-port output (retransmission) buffer slots
+	// Router microarchitecture. The pipeline depth is the network's
+	// modelled four stages, not a knob (network.PipelineStages), and the
+	// go-back-N retransmission buffer is unbounded; configs that still name
+	// pipeline_depth or output_buffer load with those keys ignored.
+	VCsPerPort int `json:"vcs_per_port"` // virtual channels per input port
+	VCDepth    int `json:"vc_depth"`     // flit slots per VC buffer
 
 	// Packet format.
-	FlitBits       int `json:"flit_bits"`        // payload bits per flit
+	FlitBits       int `json:"flit_bits"`        // payload bits per flit: 128, the flit model's two 64-bit words
 	FlitsPerPacket int `json:"flits_per_packet"` // flits per data packet
 
 	// Electrical operating point.
@@ -239,8 +240,6 @@ func Default() Config {
 		Routing:        RoutingXY,
 		VCsPerPort:     4,
 		VCDepth:        4,
-		PipelineDepth:  4,
-		OutputBuffer:   8,
 		FlitBits:       128,
 		FlitsPerPacket: 4,
 		VoltageV:       1.0,
@@ -336,12 +335,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: at most 12 VCs per port supported, got %d", c.VCsPerPort)
 	case c.VCDepth < 1:
 		return fmt.Errorf("config: VC depth must be positive, got %d", c.VCDepth)
-	case c.PipelineDepth < 1:
-		return fmt.Errorf("config: pipeline depth must be positive, got %d", c.PipelineDepth)
-	case c.OutputBuffer < 1:
-		return fmt.Errorf("config: output buffer must be positive, got %d", c.OutputBuffer)
-	case c.FlitBits < 8 || c.FlitBits%8 != 0:
-		return fmt.Errorf("config: flit bits must be a positive multiple of 8, got %d", c.FlitBits)
+	case c.FlitBits != 128:
+		return fmt.Errorf("config: flit bits must be 128 (two 64-bit words, the only width the flit model has), got %d", c.FlitBits)
 	case c.FlitsPerPacket < 1:
 		return fmt.Errorf("config: flits per packet must be positive, got %d", c.FlitsPerPacket)
 	case c.VoltageV <= 0:

@@ -35,9 +35,6 @@ func TestDefaultMatchesTableII(t *testing.T) {
 	if c.VCsPerPort != 4 {
 		t.Errorf("VCs = %d, want 4", c.VCsPerPort)
 	}
-	if c.PipelineDepth != 4 {
-		t.Errorf("pipeline = %d, want 4", c.PipelineDepth)
-	}
 	if c.FlitBits != 128 {
 		t.Errorf("flit bits = %d, want 128", c.FlitBits)
 	}
@@ -59,9 +56,8 @@ func TestValidateRejects(t *testing.T) {
 		{"bad routing", func(c *Config) { c.Routing = "zigzag" }},
 		{"one VC", func(c *Config) { c.VCsPerPort = 1 }},
 		{"zero depth", func(c *Config) { c.VCDepth = 0 }},
-		{"zero pipeline", func(c *Config) { c.PipelineDepth = 0 }},
-		{"zero output buffer", func(c *Config) { c.OutputBuffer = 0 }},
 		{"odd flit bits", func(c *Config) { c.FlitBits = 100 }},
+		{"64-bit flits", func(c *Config) { c.FlitBits = 64 }},
 		{"zero flits", func(c *Config) { c.FlitsPerPacket = 0 }},
 		{"zero voltage", func(c *Config) { c.VoltageV = 0 }},
 		{"zero frequency", func(c *Config) { c.FrequencyGHz = 0 }},
@@ -111,6 +107,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got.Width != 6 || got.Seed != 99 || got.RL.Gamma != 0.9 {
 		t.Fatalf("round trip lost fields: %+v", got)
+	}
+}
+
+// TestLoadIgnoresRetiredKeys: pipeline_depth and output_buffer were
+// knobs nothing but Validate read; a config file (or a campaign manifest,
+// decoded the same way) written while they existed still loads.
+func TestLoadIgnoresRetiredKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"width": 6, "pipeline_depth": 4, "output_buffer": 8}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Width != 6 {
+		t.Fatalf("width = %d, want 6", got.Width)
 	}
 }
 

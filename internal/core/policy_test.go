@@ -9,48 +9,6 @@ import (
 	"rlnoc/internal/rl"
 )
 
-func TestPolicySaveLoadRoundTrip(t *testing.T) {
-	cfg := config.Small()
-	src := NewRLController(cfg, 4)
-	// Teach it something.
-	for i := 0; i < 50; i++ {
-		src.Decide(i%4, network.Observation{
-			Features:      rl.Features{TemperatureC: 80},
-			WindowLatency: 10, WindowPowerW: 0.002,
-		})
-	}
-	var buf bytes.Buffer
-	if err := src.SavePolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewRLController(cfg, 4)
-	if err := dst.LoadPolicy(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	s := rl.DefaultDiscretizer().Discretize(rl.Features{TemperatureC: 80})
-	for a := 0; a < rl.NumActions; a++ {
-		if src.Agents()[0].Q(s, a) != dst.Agents()[0].Q(s, a) {
-			t.Fatalf("Q(s,%d) differs after round trip", a)
-		}
-	}
-}
-
-func TestPolicyLoadRejectsMismatch(t *testing.T) {
-	cfg := config.Small()
-	src := NewRLController(cfg, 4)
-	var buf bytes.Buffer
-	if err := src.SavePolicy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewRLController(cfg, 8)
-	if err := dst.LoadPolicy(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("agent-count mismatch accepted")
-	}
-	if err := dst.LoadPolicy(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("junk accepted")
-	}
-}
-
 func TestPolicyDumpRenders(t *testing.T) {
 	cfg := config.Small()
 	c := NewRLController(cfg, 2)

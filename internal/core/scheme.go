@@ -8,9 +8,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -246,40 +244,8 @@ func (c *RLController) SetEpsilon(eps float64) {
 	}
 }
 
-// Agents exposes the underlying agents (for persistence and inspection).
+// Agents exposes the underlying agents (for inspection).
 func (c *RLController) Agents() []*rl.Agent { return c.agents }
-
-// SavePolicy writes every agent's Q-table (shared tables write identical
-// copies, keeping the format uniform).
-func (c *RLController) SavePolicy(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(c.agents))); err != nil {
-		return fmt.Errorf("core: save policy: %w", err)
-	}
-	for _, a := range c.agents {
-		if err := a.Save(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadPolicy restores agent Q-tables written by SavePolicy. The agent
-// count must match.
-func (c *RLController) LoadPolicy(r io.Reader) error {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return fmt.Errorf("core: load policy: %w", err)
-	}
-	if int(n) != len(c.agents) {
-		return fmt.Errorf("core: policy has %d agents, controller has %d", n, len(c.agents))
-	}
-	for _, a := range c.agents {
-		if err := a.Load(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // --- DT controller --------------------------------------------------------
 

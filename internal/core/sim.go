@@ -280,6 +280,10 @@ func (s *Sim) Network() *network.Network { return s.net }
 // sequential simulations; a finalizer also covers forgotten calls).
 func (s *Sim) Close() { s.net.Close() }
 
+// Config returns the configuration the simulation runs — for a restored
+// Sim, the one its snapshot carried.
+func (s *Sim) Config() config.Config { return s.cfg }
+
 // Controller exposes the scheme's controller.
 func (s *Sim) Controller() network.Controller { return s.ctrl }
 

@@ -292,15 +292,18 @@ func TestSnapshotIdempotent(t *testing.T) {
 // what lets a build restore the checkpoints its predecessor wrote. A pin
 // legitimately moves when the snapshotted state itself changes (a new
 // Config field, a new stateful subsystem, a model change) — re-capture
-// it in that commit and say so.
+// it in that commit and say so. All three were re-captured when
+// pipeline_depth and output_buffer left Config: every checkpoint stayed
+// byte-equal to the previous one after the CORE section's embedded config
+// JSON, which lost exactly those two keys.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "542405ea3604f36f8d158813d5c25aeebace05ae11605b82efe22a657d4cc952"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "16b43e49a6be864d764af393a457882911776c05e01fc38b30bebcb58ac099a0"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "1064abe763472b8bf42c1675f447b2fe919ff46fa58d713fad7e85f9bd9beb41"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "67f133c1063b395d7b35fc86a61c7d0ad70a0100ff7b47b07b1056d397deb79b"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "77578372e6e73f83effc3d6dfa13d1ff45dd1533ade9832627b24656265fdbd6"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "bca04cee6e997d022d42caf1f0de80bb14f2c4a280f2de049ec85a163668712a"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {

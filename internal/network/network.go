@@ -27,6 +27,10 @@ type statsCollector = stats.Collector
 // zero-load hop of Table II).
 const pipelineFill = 2
 
+// PipelineStages is the modelled router pipeline depth (RC, VA, SA, ST)
+// Table II reports.
+const PipelineStages = pipelineFill + 2
+
 // watchdogCycles is how long the network may go without any flit movement
 // while traffic is outstanding before Step reports a deadlock.
 const watchdogCycles = 100_000
@@ -1592,7 +1596,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardSta
 		// retires to the pool on cumulative ACK); the wire gets a pooled
 		// clone below, which fault injection may corrupt.
 		op.unacked = append(op.unacked, txEntry{f: f, seq: seq, dupFollows: mode == Mode2})
-		n.meter.OutputBuffer(r.id)
+		n.meter.RetxBuffer(r.id)
 	}
 
 	arrive := n.cycle + 1 + mode.ExtraLatency()

@@ -34,7 +34,7 @@ type Params struct {
 
 	// Output (retransmission) buffer write, per flit, present in the
 	// proposed router and the ARQ+ECC router.
-	OutputBufferPJ float64
+	RetxBufferPJ float64
 
 	// Leakage (quoted at LeakageRefC).
 	RouterLeakageMW float64 // whole router, always on
@@ -72,7 +72,7 @@ func (p Params) Scaled(voltageV float64) Params {
 	s.CRCCheckPJ *= dyn
 	s.RLComputePJ *= dyn
 	s.DTComputePJ *= dyn
-	s.OutputBufferPJ *= dyn
+	s.RetxBufferPJ *= dyn
 	s.RouterLeakageMW *= leak
 	s.ECCLeakageMW *= leak
 	s.CoreIdleW *= dyn
@@ -86,23 +86,23 @@ func (p Params) Scaled(voltageV float64) Params {
 // (13.1 pJ/flit) against its 0.16 pJ RL overhead.
 func DefaultParams() Params {
 	return Params{
-		BufferWritePJ:   0.62,
-		BufferReadPJ:    0.48,
-		CrossbarPJ:      0.98,
-		ArbitrationPJ:   0.12,
-		LinkPJ:          1.76,
-		ECCEncodePJ:     0.31,
-		ECCDecodePJ:     0.38,
-		CRCCheckPJ:      0.22,
-		RLComputePJ:     0.16,
-		DTComputePJ:     0.19,
-		OutputBufferPJ:  0.55,
+		BufferWritePJ:    0.62,
+		BufferReadPJ:     0.48,
+		CrossbarPJ:       0.98,
+		ArbitrationPJ:    0.12,
+		LinkPJ:           1.76,
+		ECCEncodePJ:      0.31,
+		ECCDecodePJ:      0.38,
+		CRCCheckPJ:       0.22,
+		RLComputePJ:      0.16,
+		DTComputePJ:      0.19,
+		RetxBufferPJ:     0.55,
 		RouterLeakageMW:  1.9,
 		ECCLeakageMW:     0.21,
 		LeakageTempCoeff: 0.015,
 		LeakageRefC:      55,
-		CoreIdleW:       0.35,
-		CoreActiveW:     1.6,
+		CoreIdleW:        0.35,
+		CoreActiveW:      1.6,
 	}
 }
 
@@ -121,7 +121,7 @@ const (
 	EvCRCCheck
 	EvRLCompute
 	EvDTCompute
-	EvOutputBuffer
+	EvRetxBuffer
 	numEvents
 )
 
@@ -151,7 +151,7 @@ func (e Event) String() string {
 // scale sum, which is written exclusively by the router's owning worker
 // in its own deterministic port order.
 //
-// Concurrency: event-recording methods (BufferWrite .. OutputBuffer,
+// Concurrency: event-recording methods (BufferWrite .. RetxBuffer,
 // LinkScaled) may be called concurrently for *distinct* routers; all
 // other methods (reads, static charging, WindowReset) are single-
 // threaded, which matches the simulator's sequential commit/epoch
@@ -187,17 +187,17 @@ func NewMeter(p Params, n int) *Meter {
 		windowStaticPJ: make([]float64, n),
 	}
 	m.unit = [numEvents]float64{
-		EvBufferWrite:  p.BufferWritePJ,
-		EvBufferRead:   p.BufferReadPJ,
-		EvCrossbar:     p.CrossbarPJ,
-		EvArbitration:  p.ArbitrationPJ,
-		EvLink:         p.LinkPJ,
-		EvECCEncode:    p.ECCEncodePJ,
-		EvECCDecode:    p.ECCDecodePJ,
-		EvCRCCheck:     p.CRCCheckPJ,
-		EvRLCompute:    p.RLComputePJ,
-		EvDTCompute:    p.DTComputePJ,
-		EvOutputBuffer: p.OutputBufferPJ,
+		EvBufferWrite: p.BufferWritePJ,
+		EvBufferRead:  p.BufferReadPJ,
+		EvCrossbar:    p.CrossbarPJ,
+		EvArbitration: p.ArbitrationPJ,
+		EvLink:        p.LinkPJ,
+		EvECCEncode:   p.ECCEncodePJ,
+		EvECCDecode:   p.ECCDecodePJ,
+		EvCRCCheck:    p.CRCCheckPJ,
+		EvRLCompute:   p.RLComputePJ,
+		EvDTCompute:   p.DTComputePJ,
+		EvRetxBuffer:  p.RetxBufferPJ,
 	}
 	return m
 }
@@ -268,8 +268,8 @@ func (m *Meter) RLCompute(r int) { m.record(r, EvRLCompute) }
 // DTCompute records the per-flit decision-tree controller overhead.
 func (m *Meter) DTCompute(r int) { m.record(r, EvDTCompute) }
 
-// OutputBuffer records a retransmission-buffer write at router r.
-func (m *Meter) OutputBuffer(r int) { m.record(r, EvOutputBuffer) }
+// RetxBuffer records a retransmission-buffer write at router r.
+func (m *Meter) RetxBuffer(r int) { m.record(r, EvRetxBuffer) }
 
 // AddStaticCycles charges leakage for `cycles` cycles at router r at the
 // leakage reference temperature. eccFraction in [0,1] is the share of the

@@ -42,7 +42,7 @@ func TestAllEventMethods(t *testing.T) {
 	m.CRCCheck(0)
 	m.RLCompute(0)
 	m.DTCompute(0)
-	m.OutputBuffer(0)
+	m.RetxBuffer(0)
 	for ev := Event(0); ev < numEvents; ev++ {
 		if m.EventCount(ev) != 1 {
 			t.Errorf("event %v count = %d, want 1", ev, m.EventCount(ev))

@@ -2,10 +2,12 @@ package rl
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/snap"
 )
 
 func doubleQConfig() config.RLConfig {
@@ -76,25 +78,65 @@ func TestDoubleQSharedAcrossAgents(t *testing.T) {
 	}
 }
 
-func TestDoubleQLoadSyncsBothTables(t *testing.T) {
-	src := NewAgent(doubleQConfig(), 1)
-	for i := 0; i < 50; i++ {
-		src.Step(State{Temp: 3}, 2.0)
-	}
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewAgent(doubleQConfig(), 2)
-	if err := dst.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Both estimators must agree right after a load (Q is their mean).
-	s := State{Temp: 3}
-	for act := 0; act < NumActions; act++ {
-		if dst.q[s.Index()*NumActions+act] != dst.q2[s.Index()*NumActions+act] {
-			t.Fatal("estimators diverge after Load")
+// TestDoubleQSnapshotCarriesBothTables: trained state moves between runs
+// only as a snapshot, so under Double Q-learning (acting estimate
+// (q+q2)/2) the stream must carry both estimators — a restored agent acts
+// and learns exactly as its source does — and a single-table stream must
+// not load into a Double-Q agent.
+func TestDoubleQSnapshotCarriesBothTables(t *testing.T) {
+	encode := func(a *Agent) []byte {
+		var buf bytes.Buffer
+		c := snap.NewEncoder(&buf)
+		a.SnapTable(c)
+		a.SnapLocal(c)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	decode := func(a *Agent, data []byte) error {
+		c := snap.NewDecoder(bytes.NewReader(data))
+		a.SnapTable(c)
+		a.SnapLocal(c)
+		c.ReplayDraws(math.MaxUint64)
+		return c.Err()
+	}
+	in := rand.New(rand.NewSource(3))
+	state := func() State {
+		return State{Buf: uint8(in.Intn(BufBins)), InNACK: uint8(in.Intn(NACKBins)), Temp: uint8(in.Intn(TempBins))}
+	}
+	src := NewAgent(doubleQConfig(), 1)
+	for i := 0; i < 20_000; i++ {
+		s := state()
+		src.Step(s, in.Float64()*float64(1+int(s.Temp)))
+	}
+	diverged := false
+	for i := range src.q {
+		diverged = diverged || src.q[i] != src.q2[i]
+	}
+	if !diverged {
+		t.Fatal("the two estimators never diverged: the test cannot tell one table from two")
+	}
+
+	// A restore rebuilds its skeleton from the config the stream carries,
+	// so the exploration stream has the source's seed, replayed to its
+	// position.
+	dst := NewAgent(doubleQConfig(), 1)
+	if err := decode(dst, encode(src)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2_000; i++ {
+		s, r := state(), in.Float64()
+		if got, want := dst.Step(s, r), src.Step(s, r); got != want {
+			t.Fatalf("step %d: restored agent chose %d, source %d", i, got, want)
+		}
+	}
+	if !bytes.Equal(encode(dst), encode(src)) {
+		t.Fatal("restored agent's state diverged from its source's")
+	}
+
+	if err := decode(NewAgent(doubleQConfig(), 4), encode(newAgent(5))); err == nil {
+		t.Fatal("a single-table snapshot loaded into a Double-Q agent")
 	}
 }
 

@@ -7,10 +7,6 @@
 package rl
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math/rand"
 
 	"rlnoc/internal/config"
@@ -299,65 +295,3 @@ func (a *Agent) SetEpsilon(eps float64) { a.epsilon = eps }
 // Reset clears the previous state/action memory (e.g. between simulation
 // phases) without touching the learned Q-table.
 func (a *Agent) Reset() { a.hasPrev = false }
-
-// Save writes the Q-table in a compact binary format.
-func (a *Agent) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr = struct {
-		Magic   uint32
-		States  uint32
-		Actions uint32
-	}{0x514C4E43, NumStates, NumActions} // "QLNC"
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return fmt.Errorf("rl: save header: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, a.q); err != nil {
-		return fmt.Errorf("rl: save table: %w", err)
-	}
-	return bw.Flush()
-}
-
-// Load replaces the Q-table from a Save'd stream.
-func (a *Agent) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var hdr struct {
-		Magic   uint32
-		States  uint32
-		Actions uint32
-	}
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return fmt.Errorf("rl: load header: %w", err)
-	}
-	if hdr.Magic != 0x514C4E43 {
-		return fmt.Errorf("rl: bad magic %#x", hdr.Magic)
-	}
-	if hdr.States != NumStates || hdr.Actions != NumActions {
-		return fmt.Errorf("rl: table shape %dx%d, want %dx%d", hdr.States, hdr.Actions, NumStates, NumActions)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &a.q); err != nil {
-		return fmt.Errorf("rl: load table: %w", err)
-	}
-	// The persisted format carries one table; under Double Q-learning
-	// initialize both estimators from it.
-	if a.q2 != nil {
-		copy(a.q2, a.q)
-	}
-	return nil
-}
-
-// CopyPolicyFrom copies another agent's policy (used to clone pretrained
-// policies across routers or runs). Under Double Q-learning the acting
-// estimate is the mean of both tables, so both are copied; a Double-Q
-// destination cloning a single-table source seeds its second table from
-// the first, as Load does.
-func (a *Agent) CopyPolicyFrom(src *Agent) {
-	copy(a.q, src.q)
-	if a.q2 == nil {
-		return
-	}
-	if src.q2 != nil {
-		copy(a.q2, src.q2)
-	} else {
-		copy(a.q2, a.q)
-	}
-}

@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -256,108 +255,6 @@ func TestResetClearsHistoryNotTable(t *testing.T) {
 	a.Step(s, 99) // no update: history cleared
 	if a.Updates() != upd {
 		t.Fatal("Reset did not clear state-action history")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	a := newAgent(6)
-	rng := rand.New(rand.NewSource(7))
-	for i := range a.q {
-		a.q[i] = rng.Float64()
-	}
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	b := newAgent(8)
-	if err := b.Load(&buf); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for i := range a.q {
-		if a.q[i] != b.q[i] {
-			t.Fatalf("q[%d] differs after round trip", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	a := newAgent(9)
-	if err := a.Load(bytes.NewReader([]byte("not a q-table"))); err == nil {
-		t.Fatal("Load accepted garbage")
-	}
-	if err := a.Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("Load accepted empty stream")
-	}
-}
-
-func TestCopyPolicyFrom(t *testing.T) {
-	a := newAgent(10)
-	a.q[42] = 3.14
-	b := newAgent(11)
-	b.CopyPolicyFrom(a)
-	if b.q[42] != 3.14 {
-		t.Fatal("CopyPolicyFrom did not copy")
-	}
-	b.q[42] = 0
-	if a.q[42] != 3.14 {
-		t.Fatal("CopyPolicyFrom aliased the table")
-	}
-}
-
-// TestCopyPolicyFromDoubleQ: under Double Q-learning the acting estimate
-// is (q+q2)/2, so a clone must carry both tables or its greedy policy
-// differs from its source's.
-func TestCopyPolicyFromDoubleQ(t *testing.T) {
-	src := NewAgent(doubleQConfig(), 1)
-	in := rand.New(rand.NewSource(3))
-	visited := map[State]bool{}
-	for i := 0; i < 20_000; i++ {
-		s := State{Buf: uint8(in.Intn(BufBins)), InNACK: uint8(in.Intn(NACKBins)), Temp: uint8(in.Intn(TempBins))}
-		visited[s] = true
-		src.Step(s, in.Float64()*float64(1+int(s.Temp)))
-	}
-	diverged := false
-	for i := range src.q {
-		diverged = diverged || src.q[i] != src.q2[i]
-	}
-	if !diverged {
-		t.Fatal("the two estimators never diverged: the test cannot tell a q-only copy from a full one")
-	}
-
-	dst := NewAgent(doubleQConfig(), 2)
-	dst.CopyPolicyFrom(src)
-	for s := range visited {
-		if got, want := dst.Greedy(s), src.Greedy(s); got != want {
-			t.Fatalf("state %+v: clone's greedy action %d, source's %d", s, got, want)
-		}
-		for act := 0; act < NumActions; act++ {
-			if dst.Q(s, act) != src.Q(s, act) {
-				t.Fatalf("state %+v action %d: clone Q %g, source Q %g", s, act, dst.Q(s, act), src.Q(s, act))
-			}
-		}
-	}
-	dst.q2[0]++
-	if src.q2[0] == dst.q2[0] {
-		t.Fatal("CopyPolicyFrom aliased the second table")
-	}
-
-	// A Double-Q destination cloning a single-table source starts both
-	// estimators from it (what Load does), so it acts as the source does.
-	plain := newAgent(4)
-	for s := range visited {
-		plain.Step(s, float64(s.Temp))
-		plain.Step(s, float64(s.Buf))
-	}
-	dst = NewAgent(doubleQConfig(), 5)
-	dst.q2[7] = 99 // stale second-table content must not survive
-	dst.CopyPolicyFrom(plain)
-	for s := range visited {
-		if got, want := dst.Greedy(s), plain.Greedy(s); got != want {
-			t.Fatalf("state %+v: double-Q clone of a plain agent picks %d, source %d", s, got, want)
-		}
-	}
-	if dst.q2[7] != plain.q[7] {
-		t.Fatal("second table not seeded from the copied first")
 	}
 }
 
