@@ -261,23 +261,39 @@ func printStatus(eng *campaign.Engine) {
 	}
 }
 
-// statusServer serves the status surface as JSON: /status (live job
-// table) and /results (terminal results so far).
+// statusServer serves statusHandler on addr. Both routes answer from
+// memory, so a client that takes seconds to send its headers or read the
+// reply is stuck or hostile, and its connection is dropped rather than
+// held open.
 func statusServer(addr string, eng *campaign.Engine) *http.Server {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(eng.Status())
-	})
-	mux.HandleFunc("/results", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(eng.Results())
-	})
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           statusHandler(eng),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       60 * time.Second,
+	}
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "nocserve: serve:", err)
 		}
 	}()
 	return srv
+}
+
+// statusHandler is the read-only status surface, as JSON: GET /status
+// (live job table) and GET /results (terminal results so far). Any other
+// method is refused, so no request body is ever read.
+func statusHandler(eng *campaign.Engine) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(eng.Status())
+	})
+	mux.HandleFunc("GET /results", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(eng.Results())
+	})
+	return mux
 }

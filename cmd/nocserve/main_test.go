@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -112,6 +114,52 @@ func TestVerdict(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "1 of 4 jobs") || !strings.Contains(err.Error(), "1 "+bad) {
 			t.Errorf("%s job: verdict %v, want an error counting it", bad, err)
 		}
+	}
+}
+
+// TestStatusServer: the status surface answers GET on its two routes with
+// JSON, refuses every other method and path, and the listener drops slow
+// clients instead of holding their connections open.
+func TestStatusServer(t *testing.T) {
+	eng, err := campaign.Open(campaign.Options{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	h := statusHandler(eng)
+	for _, tc := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodGet, "/status", http.StatusOK},
+		{http.MethodGet, "/results", http.StatusOK},
+		{http.MethodHead, "/status", http.StatusOK},
+		{http.MethodPost, "/status", http.StatusMethodNotAllowed},
+		{http.MethodPut, "/results", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/jobs", http.StatusNotFound},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}")))
+		if rec.Code != tc.code {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.code)
+			continue
+		}
+		if tc.code != http.StatusOK || tc.method == http.MethodHead {
+			continue
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q", tc.method, tc.path, ct)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Errorf("%s %s: body is not JSON: %q", tc.method, tc.path, rec.Body.String())
+		}
+	}
+
+	srv := statusServer("127.0.0.1:0", eng)
+	defer srv.Close()
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("listener timeouts header=%v read=%v write=%v idle=%v; every one must be set",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
 )
 
@@ -38,9 +41,134 @@ func TestNewSimAllocBudget(t *testing.T) {
 	}
 }
 
-// TestInjectorOneSlab: the injector's queues are carved from one slab
-// sized by a counting pass, in trace order per source, and the trace
-// handed in (possibly shared) is not written.
+// TestRestoreBuildsOnlyWhatTheRunTouches: a restore builds the fabric and
+// decodes the state, and nothing the resumed run has not yet asked for. No
+// RNG source is seeded before its first draw (128 of them, 4.9 KB and a
+// 607-word seeding each), no controller is consulted for cycle-0 modes the
+// decode overwrites, and the decoded trace is held once, by the phase and
+// its injector alike. Re-encoding the restored sim without a Step gives
+// back the checkpoint's bytes, so none of that is visible in the state.
+func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
+	cfg := config.Default()
+	cfg.PretrainCycles = 0
+	cfg.WarmupCycles = 100
+	cfg.MaxCycles = 3000
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := traffic.Synthetic(topo, traffic.Uniform, 0.02, cfg.FlitsPerPacket, int64(cfg.MaxCycles), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(cfg, SchemeRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	var cp *Checkpoint
+	sim.SetObserver(1500, func(Snapshot) {
+		if cp == nil {
+			if cp, err = sim.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if _, err := sim.Measure(events, "restore"); err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil {
+		t.Fatal("run ended before the checkpoint")
+	}
+
+	var restored *Sim
+	mb := allocatedMB(func() {
+		if restored, err = cp.Sim(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer restored.Close()
+	total, built := countingSources(reflect.ValueOf(restored))
+	if want := 2 * cfg.Routers(); total != want {
+		t.Fatalf("walk found %d RNG sources, want %d (an agent and an NI per router)", total, want)
+	}
+	if built != 0 {
+		t.Errorf("restore materialized %d of %d RNG sources before any draw", built, total)
+	}
+	if ms := restored.ms; &ms.in.events[0] != &ms.events[0] {
+		t.Error("the restored injector holds a second copy of the decoded trace")
+	}
+	// 1.25x the 1.45 MB measured when this budget was set: the 8x8 fabric,
+	// one Q-table set, the decoded trace and the codec's buffers. Seeding
+	// all 128 sources, consulting the controller at cycle 0 and copying the
+	// trace into the injector made it 2.21 MB.
+	if mb > 1.8 {
+		t.Errorf("restoring an 8x8 rl checkpoint allocated %.2f MB, budget 1.8 MB", mb)
+	}
+	var buf bytes.Buffer
+	if err := restored.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), cp.stream) {
+		t.Errorf("re-encoding the restored sim gave %d bytes differing from the checkpoint's %d", buf.Len(), len(cp.stream))
+	}
+}
+
+// countingSources walks everything reachable from v and counts the
+// snap.CountingSources it holds, and how many have built their math/rand
+// source.
+func countingSources(v reflect.Value) (total, built int) {
+	type key struct {
+		addr uintptr
+		typ  reflect.Type
+	}
+	seen := map[key]bool{}
+	source := reflect.TypeOf(snap.CountingSource{})
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			k := key{v.Pointer(), v.Type()}
+			if v.IsNil() || seen[k] {
+				return
+			}
+			seen[k] = true
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			if v.Type() == source {
+				total++
+				if !v.FieldByName("src").IsNil() {
+					built++
+				}
+				return
+			}
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Array, reflect.Slice:
+			if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+				return // scalars hold no sources
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value())
+			}
+		}
+	}
+	walk(v)
+	return total, built
+}
+
+// TestInjectorOneSlab: the injector holds the trace it is handed (possibly
+// shared) without copying it, and its per-source queues are index lists
+// in trace order, carved from one slab sized by a counting pass.
 func TestInjectorOneSlab(t *testing.T) {
 	events := []traffic.Event{
 		{Cycle: 0, Src: 2, Dst: 0, Flits: 1},
@@ -49,27 +177,26 @@ func TestInjectorOneSlab(t *testing.T) {
 		{Cycle: 5, Src: 2, Dst: 1, Flits: 1},
 		{Cycle: 9, Src: 0, Dst: 3, Flits: 4},
 	}
-	orig := append([]traffic.Event(nil), events...)
 	in := newInjector(events, 4, 2, 100)
-	want := [][]traffic.Event{{orig[1], orig[4]}, nil, {orig[0], orig[2], orig[3]}, nil}
+	if &in.events[0] != &events[0] {
+		t.Fatal("the injector copied the trace instead of holding it")
+	}
+	want := [][]int32{{1, 4}, nil, {0, 2, 3}, nil}
 	for src, q := range in.queues {
 		if len(q) != len(want[src]) || cap(q) != len(q) {
 			t.Fatalf("source %d: queue len %d cap %d, want len=cap=%d", src, len(q), cap(q), len(want[src]))
 		}
 		for i := range q {
 			if q[i] != want[src][i] {
-				t.Fatalf("source %d event %d = %+v, want %+v", src, i, q[i], want[src][i])
+				t.Fatalf("source %d entry %d = %d, want %d", src, i, q[i], want[src][i])
 			}
 		}
 	}
 	if in.remaining != len(events) {
 		t.Fatalf("remaining = %d", in.remaining)
 	}
-	in.queues[2][0].Cycle = -1
-	for i := range events {
-		if events[i] != orig[i] {
-			t.Fatal("the injector aliases or modified the caller's trace")
-		}
+	if in.due[0] != 101 || in.due[1] != never || in.due[2] != 100 {
+		t.Fatalf("due = %v, want the head events' absolute cycles", in.due)
 	}
 	big := make([]traffic.Event, 50_000)
 	for i := range big {
@@ -77,6 +204,12 @@ func TestInjectorOneSlab(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(3, func() { newInjector(big, 64, 4, 0) }); allocs > 6 {
 		t.Errorf("newInjector made %.0f allocations for 64 queues; want one slab, not a grown slice per source", allocs)
+	}
+	// 4 bytes an event plus the per-source vectors and size-class rounding;
+	// a copy of the trace is 32 bytes an event.
+	budget := float64(5*len(big)) / (1 << 20)
+	if mb := allocatedMB(func() { newInjector(big, 64, 4, 0) }); mb > budget {
+		t.Errorf("newInjector allocated %.3f MB for %d events, budget %.3f MB", mb, len(big), budget)
 	}
 }
 

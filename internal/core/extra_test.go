@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"rlnoc/internal/config"
@@ -79,6 +80,33 @@ func TestSimObserverDuringMeasure(t *testing.T) {
 		if temp < cfg.Thermal.AmbientC || temp > 200 {
 			t.Fatalf("implausible snapshot temperature %g", temp)
 		}
+	}
+}
+
+// TestObserverAbortStopsAtObservedCycle: an Abort called from an observer
+// ends the run before the next Step, at the cycle the observer saw. Seen
+// only by the every-256-iterations control poll, it used to run 255 more
+// cycles and call the observer 255 more times.
+func TestObserverAbortStopsAtObservedCycle(t *testing.T) {
+	cfg := quickConfig()
+	cfg.PretrainCycles = 0
+	sim, err := NewSim(cfg, SchemeRL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	stop := errors.New("observed")
+	var seen []int64
+	sim.SetObserver(1, func(s Snapshot) {
+		seen = append(seen, s.Cycle)
+		sim.Abort(stop)
+	})
+	_, err = sim.Measure(quickTrace(t, cfg), "abort")
+	if !IsAbort(err) || !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the observer's abort", err)
+	}
+	if len(seen) != 1 || sim.Network().Cycle() != seen[0] {
+		t.Fatalf("observer saw cycles %v; the run stopped at cycle %d", seen, sim.Network().Cycle())
 	}
 }
 

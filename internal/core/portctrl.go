@@ -95,5 +95,5 @@ func NewRLPortSim(cfg config.Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, scheme: "rl-per-port", net: net, ctrl: ctrl}, nil
+	return &Sim{cfg: cfg, scheme: "rl-per-port", net: net}, nil
 }

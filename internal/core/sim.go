@@ -82,8 +82,10 @@ type Result struct {
 type Sim struct {
 	cfg    config.Config
 	scheme Scheme
-	net    *network.Network
-	ctrl   network.Controller
+	// net owns the scheme's controller: it is reached through
+	// net.Controller(), which first settles the cycle-0 consult network.New
+	// defers (and a restore cancels).
+	net *network.Network
 
 	observerEvery int64
 	observer      func(Snapshot)
@@ -100,9 +102,10 @@ type Sim struct {
 	lastSnap  string
 
 	// abortp holds the cooperative-cancellation request, set from any
-	// goroutine via Abort and polled by the cycle loop (pollControl).
-	// The loop stops between Steps, so the Sim is left at a clean
-	// inter-cycle boundary — snapshot-safe for suspend/resume.
+	// goroutine via Abort and polled by the cycle loop (pollControl, and
+	// after every observer call). The loop stops between Steps, so the Sim
+	// is left at a clean inter-cycle boundary — snapshot-safe for
+	// suspend/resume.
 	abortp atomic.Pointer[AbortError]
 
 	// Progress reporting (nocsim -progress): progFn receives the current
@@ -165,8 +168,9 @@ func IsAbort(err error) bool {
 }
 
 // Abort requests that the running cycle loop stop at its next control
-// poll (within 256 iterations). Safe to call from any goroutine, and
-// before or during a run; the first reason wins. The loop returns an
+// poll (within 256 iterations) or, when called from an observer, before
+// the next Step. Safe to call from any goroutine, and before or during a
+// run; the first reason wins. The loop returns an
 // *AbortError wrapping reason, leaving the Sim at an inter-cycle
 // boundary from which SaveSnapshot captures a resumable checkpoint.
 func (s *Sim) Abort(reason error) {
@@ -257,7 +261,7 @@ func NewSim(cfg config.Config, scheme Scheme) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, scheme: scheme, net: net, ctrl: ctrl}, nil
+	return &Sim{cfg: cfg, scheme: scheme, net: net}, nil
 }
 
 // NewStaticSim builds a simulation whose routers are pinned to a single
@@ -270,7 +274,7 @@ func NewStaticSim(cfg config.Config, mode network.Mode) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, scheme: Scheme("static-" + mode.String()), net: net, ctrl: ctrl}, nil
+	return &Sim{cfg: cfg, scheme: Scheme("static-" + mode.String()), net: net}, nil
 }
 
 // Network exposes the underlying network (examples and tests peek at it).
@@ -285,7 +289,7 @@ func (s *Sim) Close() { s.net.Close() }
 func (s *Sim) Config() config.Config { return s.cfg }
 
 // Controller exposes the scheme's controller.
-func (s *Sim) Controller() network.Controller { return s.ctrl }
+func (s *Sim) Controller() network.Controller { return s.net.Controller() }
 
 // Pretrain runs the synthetic pre-training phase: every scheme sees the
 // same traffic (so thermal state is comparable); the RL agents learn and
@@ -314,12 +318,12 @@ func (s *Sim) Pretrain() error {
 			return err
 		}
 	}
-	if t, ok := s.ctrl.(trainer); ok {
+	if t, ok := s.Controller().(trainer); ok {
 		if err := t.FinishTraining(); err != nil {
 			return err
 		}
 	}
-	if f, ok := s.ctrl.(freezer); ok && s.cfg.RL.FreezeAfterPretrain {
+	if f, ok := s.Controller().(freezer); ok && s.cfg.RL.FreezeAfterPretrain {
 		f.Freeze()
 	}
 	return nil
@@ -351,8 +355,13 @@ type (
 // packets outstanding, so a slow (error-ridden) network stretches the
 // application's execution time, exactly what Fig. 7 measures.
 type injector struct {
-	queues [][]traffic.Event
-	// heads[src] indexes the next pending event of queues[src]; consuming
+	// events is the trace, held (never copied or written) from the caller:
+	// possibly a shared memo slice, or the slice a restore decoded.
+	events []traffic.Event
+	// queues[src] lists, in trace order, the indices into events of src's
+	// events: 4 bytes per event where a per-source copy took 32.
+	queues [][]int32
+	// heads[src] indexes the next pending entry of queues[src]; consuming
 	// by index instead of re-slicing keeps the per-cycle injection sweep
 	// free of slice-header churn.
 	heads []int
@@ -376,24 +385,27 @@ func (s *Sim) accept(events []traffic.Event, base int64) (*injector, error) {
 	if err := traffic.Validate(s.net.Topology(), events); err != nil {
 		return nil, err
 	}
+	if len(events) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: trace of %d events exceeds the injector's %d", len(events), math.MaxInt32)
+	}
 	return newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base), nil
 }
 
-// newInjector copies events (which it never modifies, and which may be a
+// newInjector indexes events (which it never modifies, and which may be a
 // shared trace) into per-source queues carved from one slab.
 func newInjector(events []traffic.Event, nodes int, window int, base int64) *injector {
-	in := &injector{queues: make([][]traffic.Event, nodes), heads: make([]int, nodes),
+	in := &injector{events: events, queues: make([][]int32, nodes), heads: make([]int, nodes),
 		due: make([]int64, nodes), remaining: len(events), window: window, base: base}
 	counts := make([]int, nodes)
 	for _, e := range events {
 		counts[e.Src]++
 	}
-	slab := make([]traffic.Event, len(events))
+	slab := make([]int32, len(events))
 	for src, n := range counts {
 		in.queues[src], slab = slab[:0:n], slab[n:]
 	}
-	for _, e := range events {
-		in.queues[e.Src] = append(in.queues[e.Src], e)
+	for i, e := range events {
+		in.queues[e.Src] = append(in.queues[e.Src], int32(i))
 	}
 	in.sync()
 	return in
@@ -402,7 +414,7 @@ func newInjector(events []traffic.Event, nodes int, window int, base int64) *inj
 // headDue returns the absolute cycle of src's head event.
 func (in *injector) headDue(src int) int64 {
 	if q, h := in.queues[src], in.heads[src]; h < len(q) {
-		return in.base + q[h].Cycle
+		return in.base + in.events[q[h]].Cycle
 	}
 	return never
 }
@@ -421,11 +433,11 @@ func (in *injector) step(net *network.Network, now int64) error {
 		}
 		q := in.queues[src]
 		h := in.heads[src]
-		for h < len(q) && in.base+q[h].Cycle <= now {
+		for h < len(q) && in.base+in.events[q[h]].Cycle <= now {
 			if in.window > 0 && net.SourceOutstanding(src) >= in.window {
 				break
 			}
-			e := q[h]
+			e := &in.events[q[h]]
 			if _, err := net.NewDataPacket(e.Src, e.Dst, e.Flits, now); err != nil {
 				return err
 			}
@@ -503,12 +515,20 @@ func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error
 		if err := net.Step(); err != nil {
 			return false, err
 		}
-		if net.Cycle() == observeAt {
+		observed := net.Cycle() == observeAt
+		if observed {
 			s.observer(s.snapshot())
 		}
 		if net.Cycle() == snapAt {
 			if err := s.writeAutoSnapshot(); err != nil {
 				return false, err
+			}
+		}
+		// An observer's own Abort stops the loop before the next Step; any
+		// other waits for the control poll.
+		if observed {
+			if e := s.abortp.Load(); e != nil {
+				return false, e
 			}
 		}
 		if err := s.pollControl(); err != nil {
@@ -575,10 +595,10 @@ func (s *Sim) startMeasuring(ms *measureState, now int64) {
 	ms.started = true
 	// Anneal exploration for the measured phase (every random mode costs
 	// real latency; see config.RLConfig.TestEpsilon).
-	if a, ok := s.ctrl.(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
+	if a, ok := s.Controller().(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
 		a.SetEpsilon(s.cfg.RL.TestEpsilon)
 	}
-	if t, ok := s.ctrl.(telemetryResetter); ok {
+	if t, ok := s.Controller().(telemetryResetter); ok {
 		t.ResetTelemetry()
 	}
 }
@@ -638,7 +658,7 @@ func (s *Sim) ResumeMeasure() (Result, error) {
 	if tot > 0 {
 		res.EnergyEfficiency = float64(sum.FlitsDelivered) / (tot * 1e-6) // flits per microjoule
 	}
-	if t, ok := s.ctrl.(telemeter); ok {
+	if t, ok := s.Controller().(telemeter); ok {
 		res.ModeDecisions, res.ModeMeanReward = t.Telemetry()
 	}
 	return res, nil

@@ -196,13 +196,8 @@ func (s *Sim) snapState(c *snap.Codec) error {
 	}
 	// Static controllers (crc, arq-ecc, pinned-mode ablations) walk a bare
 	// section tag, the RL controller its tables, the DT controller its
-	// training set or its tree. A controller that is no snap.Snapshotter
-	// (the per-port ablation, a caller's wrapper) cannot be checkpointed.
-	ctrl, ok := s.ctrl.(snap.Snapshotter)
-	if !ok {
-		return fmt.Errorf("core: snapshot unsupported for scheme %q (%T controller)", s.scheme, s.ctrl)
-	}
-	if err := ctrl.Snap(c); err != nil {
+	// training set or its tree.
+	if err := s.net.SnapController(c); err != nil {
 		return err
 	}
 	return s.net.Snap(c)

@@ -409,7 +409,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
 		restoreMustBeCorrupt(t, withLastNIDraws(t, orig, 1<<63))
-		if c, ok := restored.ctrl.(*DTController); ok {
+		if c, ok := restored.Controller().(*DTController); ok {
 			if got := c.Tree() != nil; got != trained {
 				t.Fatalf("restored DT controller trained = %v, want %v", got, trained)
 			}
@@ -488,6 +488,36 @@ func withLastNIDraws(t *testing.T, data []byte, draws uint64) []byte {
 // checkpoint's own cycle counter allows and fail as a corrupt stream.
 func TestHostileDrawCountIsCorrupt(t *testing.T) {
 	restoreMustBeCorrupt(t, withLastNIDraws(t, firstCheckpoint(t), 1<<63))
+}
+
+// TestRestoreDrawCeilingHoldsAtDecode: RNG sources are lazy, so a restore
+// only records each draw count and the replay happens at the source's first
+// draw. The ceiling that keeps a hostile count from wedging that replay
+// must still be applied by RestoreSim: one draw over it is a corrupt
+// stream at decode, and a count at it restores and draws.
+func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
+	data := firstCheckpoint(t)
+	sim, err := RestoreSim(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, last := sim.Network().Cycle(), sim.Network().Topology().Nodes()-1
+	sim.Close()
+	// network.maxDraws: 256 draws per source per cycle, after a 4096-cycle
+	// head start.
+	ceiling := uint64(cycle+4096) * 256
+	restoreMustBeCorrupt(t, withLastNIDraws(t, data, ceiling+1))
+
+	sim, err = RestoreSim(bytes.NewReader(withLastNIDraws(t, data, ceiling)))
+	if err != nil {
+		t.Fatalf("a draw count at the ceiling failed to restore: %v", err)
+	}
+	defer sim.Close()
+	// A packet built at the last NI draws its payload from that source,
+	// which replays all ceiling draws first.
+	if p, err := sim.Network().NewDataPacket(last, 0, 1, cycle); err != nil || p == nil {
+		t.Fatalf("first draw after the restore: packet %v, err %v", p, err)
+	}
 }
 
 // TestHostileTraceLengthIsCorrupt patches one word of a valid checkpoint

@@ -69,6 +69,9 @@ type Network struct {
 	// last boundary capture; materializeErrorProbs clears it.
 	probsDirty bool
 
+	// consultOwed marks the cycle-0 controller consult New defers (settle).
+	consultOwed bool
+
 	packetSeq    uint64
 	dataInFlight int
 	ctrlInFlight int
@@ -171,10 +174,11 @@ type Network struct {
 // decoupling credit from causation.
 const neutralLatency = 6
 
-// New assembles a network. controller decides per-router modes each epoch;
-// kind selects the per-flit controller energy overhead; hasECC states
-// whether the scheme's routers contain ECC hardware at all (false for the
-// plain CRC baseline, which also forces Mode 0 leakage accounting).
+// New assembles a network. controller decides per-router modes each epoch,
+// and the initial ones when the network is first used (settle); kind
+// selects the per-flit controller energy overhead; hasECC states whether
+// the scheme's routers contain ECC hardware at all (false for the plain
+// CRC baseline, which also forces Mode 0 leakage accounting).
 func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC bool) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -337,17 +341,35 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	if net.workers > 1 {
 		net.buildShards()
 	}
-	// Initial modes: ask the controller once at cycle 0. Static schemes
-	// get their fixed mode immediately; learning controllers start from
-	// their policy's answer to the idle state, which for a zero-initialized
-	// Q-table is Mode 0 — the paper's initialization.
-	idle := Observation{Features: rl.Features{TemperatureC: cfg.Thermal.InitialC}}
-	for id := 0; id < n; id++ {
-		net.applyMode(id, controller.Decide(id, idle))
-	}
-	net.captureErrorInputs()
-	net.materializeErrorProbs()
+	net.consultOwed = true
 	return net, nil
+}
+
+// settle runs the cycle-0 controller consult New owes, once. It runs
+// before anything reads what the consult writes — the first Step, Modes,
+// Controller or encoding Snap — so a fresh network behaves as if New had
+// consulted. A decoding Snap overwrites every mode, port, error
+// probability and controller field the consult would set, so it cancels
+// the debt instead: a restore never asks the agents (nor draws their RNG
+// streams) for decisions it is about to discard.
+func (n *Network) settle() {
+	if n.consultOwed {
+		n.consult()
+	}
+}
+
+// consult asks the controller for every router's initial mode. Static
+// schemes get their fixed mode immediately; learning controllers start
+// from their policy's answer to the idle state, which for a
+// zero-initialized Q-table is Mode 0 — the paper's initialization.
+func (n *Network) consult() {
+	n.consultOwed = false
+	idle := Observation{Features: rl.Features{TemperatureC: n.cfg.Thermal.InitialC}}
+	for id := range n.routers {
+		n.applyMode(id, n.controller.Decide(id, idle))
+	}
+	n.captureErrorInputs()
+	n.materializeErrorProbs()
 }
 
 // markWire records that router id has (or may soon have) wire-phase work:
@@ -432,7 +454,19 @@ func (n *Network) Topology() topology.Topology { return n.topo }
 func (n *Network) Cycle() int64 { return n.cycle }
 
 // Modes returns the live per-router mode slice (read-only by convention).
-func (n *Network) Modes() []Mode { return n.modes }
+func (n *Network) Modes() []Mode {
+	n.settle()
+	return n.modes
+}
+
+// Controller returns the controller the network consults, once it has
+// answered the cycle-0 consult. It is the way to reach the controller
+// after New: a phase hook that froze it or changed its exploration
+// before that consult would change the decisions the consult draws.
+func (n *Network) Controller() Controller {
+	n.settle()
+	return n.controller
+}
 
 // DataInFlight returns outstanding data packets.
 func (n *Network) DataInFlight() int { return n.dataInFlight }
@@ -703,6 +737,7 @@ func (n *Network) materializeErrorProbs() {
 // detected deadlock (no movement for watchdogCycles while traffic is
 // outstanding), which indicates a simulator bug, never expected behavior.
 func (n *Network) Step() error {
+	n.settle()
 	n.cycle++
 	cycle := n.cycle
 

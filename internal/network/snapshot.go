@@ -5,7 +5,9 @@ package network
 // encoding codec serializes it, a decoding one overwrites a freshly
 // constructed Network built from the same Config so the next Step
 // continues bit-identically to the run that was snapshotted — at any
-// StepWorkers count, because no scheduling state is walked at all.
+// StepWorkers count, because no scheduling state is walked at all. A
+// decode also cancels the cycle-0 controller consult New deferred
+// (settle): everything it would write is overwritten here.
 //
 // Pointer identity is the only non-trivial part. Live packets are
 // referenced from replay buffers, injection queues, the control ledger,
@@ -150,10 +152,34 @@ func (n *Network) collectFlits(t *refs[flit.Flit]) {
 	}
 }
 
+// settleFor resolves the cycle-0 consult ahead of a walk: an encode must
+// see its effects, a decode overwrites them all, so it drops the debt.
+func (n *Network) settleFor(c *snap.Codec) {
+	if c.Decoding() {
+		n.consultOwed = false
+	} else {
+		n.settle()
+	}
+}
+
+// SnapController walks the controller the network consults; in a core.Sim
+// stream it sits ahead of the NETW section. A controller that is no
+// snap.Snapshotter (the per-port ablation's, a caller's wrapper) cannot be
+// checkpointed.
+func (n *Network) SnapController(c *snap.Codec) error {
+	n.settleFor(c)
+	ctrl, ok := n.controller.(snap.Snapshotter)
+	if !ok {
+		return fmt.Errorf("network: snapshot unsupported for a %T controller", n.controller)
+	}
+	return ctrl.Snap(c)
+}
+
 // Snap walks the complete mutable state of the fabric. A decoding codec
 // needs a receiver built with the same Config the snapshotted network was
 // (the structural length checks fail loudly otherwise).
 func (n *Network) Snap(c *snap.Codec) error {
+	n.settleFor(c)
 	// Lazily deferred error probabilities must be concrete before ports
 	// serialize: the capture pinned their inputs, so materializing here
 	// writes the same bytes an eager refresh would have.
@@ -256,8 +282,10 @@ func (n *Network) Snap(c *snap.Codec) error {
 	}
 	if c.Decoding() {
 		// Every draw count read so far on this codec — the NIs' above and,
-		// in a core.Sim stream, the controller's agents before the NETW
-		// section — is only now checked against the decoded cycle counter.
+		// in a core.Sim stream, the controller's (SnapController) before the
+		// NETW section — is only now checked against the decoded cycle
+		// counter. The sources only take the count; each is built and
+		// replayed on its first draw, if the resumed run makes one.
 		c.ReplayDraws(maxDraws(n.cycle))
 		if err := c.Err(); err != nil {
 			return err

@@ -5,8 +5,9 @@ package rl
 // via NewSharedAgents — and per-agent locals (exploration cursor,
 // epsilon, previous state/action). The caller (core.RLController) groups
 // agents by table identity and walks each unique table once; every
-// agent then walks only its locals. Decoding replays the counting RNG
-// source so the next epsilon draw continues the original sequence.
+// agent then walks only its locals. Decoding sets the counting RNG
+// source's draw count, and the source replays to it at its next draw, so
+// the next epsilon draw continues the original sequence.
 
 import (
 	"fmt"

@@ -508,8 +508,14 @@ func (c *Codec) Bools(v []bool) {
 // Counting happens at the Source level, below math/rand's rejection
 // loops (Float64's 1.0 retry, Int31n's modulo-bias retry), so the count
 // is exact no matter which Rand methods consumed the draws.
+//
+// The source is lazy: its state is the seed and the logical draw count,
+// and the math/rand source behind them (607 words, as costly to seed as
+// ten thousand draws) is built and replayed to that count on the first
+// draw. A restored simulation has 128 of these and typically draws from
+// few of them, so a fork pays for exactly the streams it uses.
 type CountingSource struct {
-	src   rand.Source64
+	src   rand.Source64 // nil until the first draw after a (re)seed or rewind
 	seed  int64
 	draws uint64
 }
@@ -517,42 +523,56 @@ type CountingSource struct {
 // NewCountingSource returns a counting source over rand.NewSource(seed).
 // The draw sequence is identical to the unwrapped source's.
 func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+	return &CountingSource{seed: seed}
+}
+
+// source returns the materialized source, building it at the logical
+// position on first use.
+func (s *CountingSource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+		for i := uint64(0); i < s.draws; i++ {
+			s.src.Uint64()
+		}
+	}
+	return s.src
 }
 
 // Int63 draws like the underlying source, counting the draw.
 func (s *CountingSource) Int63() int64 {
+	v := s.source().Int63()
 	s.draws++
-	return s.src.Int63()
+	return v
 }
 
 // Uint64 draws like the underlying source, counting the draw.
 func (s *CountingSource) Uint64() uint64 {
+	v := s.source().Uint64()
 	s.draws++
-	return s.src.Uint64()
+	return v
 }
 
-// Seed reseeds the underlying source and resets the draw count.
+// Seed reseeds the source and resets the draw count.
 func (s *CountingSource) Seed(seed int64) {
 	s.seed = seed
 	s.draws = 0
-	s.src.Seed(seed)
+	s.src = nil
 }
 
 // Draws returns the number of values drawn since the last (re)seed.
 func (s *CountingSource) Draws() uint64 { return s.draws }
 
 // Restore leaves the source exactly where a run that drew `draws` values
-// since seeding would be. A source at or before that position — a freshly
-// constructed one, as every restore starts from — is advanced the
-// difference; only a source already past it is reseeded first (seeding
-// math/rand's 607-word state costs as much as ten thousand draws). Each
-// state advance is one additive-lagged-Fibonacci step, so replay costs
-// nanoseconds per draw.
+// since seeding would be. An unmaterialized source — every restore starts
+// from one — only records the count. A materialized one at or before the
+// position is advanced the difference (one additive-lagged-Fibonacci step
+// per draw); one already past it is dropped, to be rebuilt on its next
+// draw.
 func (s *CountingSource) Restore(draws uint64) {
-	if draws < s.draws {
-		s.src.Seed(s.seed)
-		s.draws = 0
+	if s.src == nil || draws < s.draws {
+		s.src = nil
+		s.draws = draws
+		return
 	}
 	for ; s.draws < draws; s.draws++ {
 		s.src.Uint64()
@@ -560,9 +580,9 @@ func (s *CountingSource) Restore(draws uint64) {
 }
 
 // Snap walks the draw count. A decode only notes it: the replay is the
-// one decode step whose cost the stream dictates — a flipped count would
-// spin for up to 2^64 draws — so it waits for ReplayDraws and the bound
-// the walk supplies there.
+// one restore step whose cost the stream dictates — a flipped count would
+// spin for up to 2^64 draws — so the count waits for ReplayDraws and the
+// bound the walk supplies there.
 func (s *CountingSource) Snap(c *Codec) {
 	n := s.draws
 	c.U64(&n)
@@ -571,10 +591,11 @@ func (s *CountingSource) Snap(c *Codec) {
 	}
 }
 
-// ReplayDraws replays every source decoded so far to its recorded
-// position. max is the caller's ceiling on how many values any one source
-// can have drawn by the point the snapshot was taken; a count beyond it
-// fails the decode as corrupt instead of being replayed.
+// ReplayDraws restores every source decoded so far to its recorded
+// position (Restore: the replay itself runs at the source's first draw).
+// max is the caller's ceiling on how many values any one source can have
+// drawn by the point the snapshot was taken; a count beyond it fails the
+// decode as corrupt here, so a hostile count never reaches a draw.
 func (c *Codec) ReplayDraws(max uint64) {
 	for _, p := range c.replay {
 		if p.draws > max {

@@ -352,8 +352,9 @@ func TestCountingSourceRestore(t *testing.T) {
 }
 
 // TestCountingSourceRestoreFromAnyPosition: Restore lands on the same
-// stream position whether the source starts fresh, behind the target
-// (advanced, never reseeded) or past it (reseeded and replayed).
+// stream position whether the source starts fresh (the count is only
+// recorded), behind the target (advanced in place) or past it (dropped, to
+// be rebuilt and replayed at the next draw).
 func TestCountingSourceRestoreFromAnyPosition(t *testing.T) {
 	const seed, target = 99, 500
 	ref := NewCountingSource(seed)
@@ -370,9 +371,36 @@ func TestCountingSourceRestoreFromAnyPosition(t *testing.T) {
 		if cs.Draws() != target {
 			t.Errorf("start %d: draw count %d after Restore(%d)", start, cs.Draws(), target)
 		}
+		if built, wantBuilt := cs.src != nil, start > 0 && start <= target; built != wantBuilt {
+			t.Errorf("start %d: source materialized = %v after Restore(%d), want %v", start, built, target, wantBuilt)
+		}
 		if got := cs.Uint64(); got != want {
 			t.Errorf("start %d: next value %d, want %d", start, got, want)
 		}
+	}
+}
+
+// TestCountingSourceIsLazy: the math/rand state behind a source is built
+// at its first draw, never by construction, Seed or a Restore of a source
+// that has none, and the values it then yields are the eager source's.
+func TestCountingSourceIsLazy(t *testing.T) {
+	cs := NewCountingSource(5)
+	cs.Restore(40)
+	cs.Seed(6)
+	cs.Restore(40)
+	if cs.src != nil {
+		t.Fatal("source materialized before its first draw")
+	}
+	eager := rand.NewSource(6).(rand.Source64)
+	for i := 0; i < 40; i++ {
+		eager.Uint64()
+	}
+	if got, want := cs.Int63(), eager.Int63(); got != want || cs.src == nil || cs.Draws() != 41 {
+		t.Fatalf("first draw %d (materialized %v, count %d), want %d at count 41", got, cs.src != nil, cs.Draws(), want)
+	}
+	cs.Seed(6)
+	if cs.src != nil || cs.Draws() != 0 {
+		t.Fatal("Seed kept the old state")
 	}
 }
 

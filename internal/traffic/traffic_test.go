@@ -332,6 +332,43 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzReadTrace feeds the trace-file reader arbitrary bytes. Nothing may
+// panic — not the reader, nor Validate on what it accepts — and every trace
+// it accepts survives WriteTrace → ReadTrace unchanged.
+func FuzzReadTrace(f *testing.F) {
+	f.Add([]byte("# rlnoc trace v1: cycle src dst flits\n0 1 2 4\n3 5 0 1\n"))
+	f.Add([]byte("10 1 2 4\r\n\n5 3 4 1\n# trailing comment"))
+	f.Add([]byte("1 2 three 4\n"))
+	f.Add([]byte("-1 0 64 -4\n9223372036854775807 63 0 1\n7 7 7 7 7\n"))
+	m, err := topology.NewMesh(8, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = Validate(m, events) // an error is an answer; a panic is the bug
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if len(again) != len(events) {
+			t.Fatalf("round trip: %d events, want %d", len(again), len(events))
+		}
+		for i := range again {
+			if again[i] != events[i] {
+				t.Fatalf("round trip: event %d = %+v, want %+v", i, again[i], events[i])
+			}
+		}
+	})
+}
+
 func TestTraceRejectsBadArgs(t *testing.T) {
 	m := mesh8(t)
 	b, _ := BenchmarkByName("dedup")
