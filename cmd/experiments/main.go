@@ -39,7 +39,7 @@ func run(args []string) error {
 		table2    = fs.Bool("table2", false, "print the Table II parameters")
 		overhead  = fs.Bool("overhead", false, "print the Section VI-B overhead analysis")
 		ablation  = fs.String("ablation", "", "run an ablation: rl-params|modes|epoch|table-sharing|static-modes|granularity")
-		benchFlag = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all nine)")
+		benchFlag = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all nine; canneal for -ablation)")
 		cfgPath   = fs.String("config", "", "JSON config file")
 		small     = fs.Bool("small", false, "use the 4x4 quick configuration (fast, noisier)")
 		seed      = fs.Int64("seed", 0, "override random seed")
@@ -55,6 +55,9 @@ func run(args []string) error {
 			return nil
 		}
 		return err
+	}
+	if *ablation != "" && *seeds > 1 {
+		return fmt.Errorf("-seeds averages the figures only; an -ablation table runs one seed (pick it with -seed)")
 	}
 
 	cfg := rlnoc.DefaultConfig()

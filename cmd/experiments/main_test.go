@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"rlnoc"
 )
 
 // runCaptured calls run with args and returns what it printed to
@@ -58,6 +61,11 @@ func TestRun(t *testing.T) {
 			wantErr: "flag provided but not defined"},
 		{name: "unknown figure", args: []string{"-small", "-fig", "11"},
 			wantErr: "unknown figure"},
+		{name: "unknown ablation", args: []string{"-small", "-ablation", "colour"},
+			wantErr: "unknown ablation"},
+		// An ablation table is one seed; -seeds must not be silently ignored.
+		{name: "ablation with seeds", args: []string{"-small", "-ablation", "modes", "-seeds", "2"},
+			wantErr: "-seeds"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, err := runCaptured(t, tc.args...)
@@ -76,5 +84,37 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAblationRowsEqualRun: -ablation prints one table per benchmark, and
+// each row is what Run gives for that arm alone, though the pool
+// pre-trained each arm once and measured dedup on a fork.
+func TestAblationRowsEqualRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the ablation and each of its cells again")
+	}
+	benchmarks := []string{"canneal", "dedup"}
+	out, err := runCaptured(t, "-small", "-ablation", "static-modes", "-benchmarks", strings.Join(benchmarks, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := studies(rlnoc.SmallConfig())["static-modes"]
+	var want []string
+	for b, bench := range benchmarks {
+		if b > 0 {
+			want = append(want, "")
+		}
+		want = append(want, fmt.Sprintf(s.title, bench), tableHeader)
+		for _, arm := range s.arms {
+			res, err := rlnoc.Run(arm.Config, arm.Scheme, bench)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", arm.Label, bench, err)
+			}
+			want = append(want, row(arm.Label, res))
+		}
+	}
+	if got := strings.Join(want, "\n") + "\n"; out != got {
+		t.Errorf("ablation output:\n%s\nwant (rows from Run):\n%s", out, got)
 	}
 }

@@ -26,20 +26,36 @@ type Suite struct {
 // once; its benchmarks then run in parallel, each from that scheme's
 // pre-trained state.
 func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
-	suites, err := runSuites([]Config{cfg}, benchmarks, (*core.Sim).Pretrain)
+	multi, err := RunSuiteSeeds(cfg, benchmarks, nil)
 	if err != nil {
 		return nil, err
 	}
-	return suites[0], nil
+	return multi.Suites[0], nil
 }
 
-// runSuites runs one suite per config on one pool of cfgs[0]'s
-// SuiteWorkerCount workers. Pre-training is the same for every benchmark
-// of a (config, scheme) — Sim.Pretrain reads nothing of the trace that
-// follows — so a suite is one pre-training job per scheme and one measure
-// job per cell (DESIGN.md §21). pretrain is Sim.Pretrain; the engagement
-// test counts its calls.
-func runSuites(cfgs []Config, benchmarks []string, pretrain func(*core.Sim) error) ([]*Suite, error) {
+// Arm is one simulation setup an experiment compares: a configuration and
+// a scheme (any name ParseScheme accepts), under a label for reports.
+type Arm struct {
+	Label  string
+	Config Config
+	Scheme Scheme
+}
+
+// RunArms runs every arm over the given benchmarks (all nine PARSEC-like
+// workloads if benchmarks is empty) on one pool of the first arm's
+// SuiteWorkerCount workers. Each arm pre-trains once; its benchmarks then
+// run in parallel, each from that arm's pre-trained state. results[i][b] is
+// arms[i] measured on benchmarks[b], the Result Run gives for it alone.
+func RunArms(arms []Arm, benchmarks []string) ([][]Result, error) {
+	return runArms(arms, benchmarks, (*core.Sim).Pretrain)
+}
+
+// runArms is RunArms with the pre-training phase passed in: Sim.Pretrain,
+// whose calls the engagement test counts. Pre-training is the same for
+// every benchmark of an arm — Sim.Pretrain reads nothing of the trace that
+// follows — so an arm is one pre-training job and one measure job per
+// benchmark (DESIGN.md §21).
+func runArms(arms []Arm, benchmarks []string, pretrain func(*core.Sim) error) ([][]Result, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = Benchmarks()
 	}
@@ -49,51 +65,48 @@ func runSuites(cfgs []Config, benchmarks []string, pretrain func(*core.Sim) erro
 			return nil, err
 		}
 	}
-	workers := cfgs[0].SuiteWorkerCount()
-	run := &suiteRun{benchmarks: benchmarks, pretrain: pretrain, slots: make(chan struct{}, workers)}
-	// A scheme is open from the start of its pre-training to the end of its
+	if len(arms) == 0 {
+		return nil, nil
+	}
+	workers := arms[0].Config.SuiteWorkerCount()
+	run := &armRun{benchmarks: benchmarks, pretrain: pretrain, slots: make(chan struct{}, workers)}
+	// An arm is open from the start of its pre-training to the end of its
 	// last cell, which is how long its pre-trained state is held; as many
-	// schemes as workers keep every worker busy, and more would only hold
-	// more state (every seed of RunSuiteSeeds queues here).
+	// arms as workers keep every worker busy, and more would only hold more
+	// state (every seed of RunSuiteSeeds queues here).
 	open := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	suites := make([]*Suite, len(cfgs))
-	for i, cfg := range cfgs {
-		suite := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
-		for _, b := range benchmarks {
-			suite.Results[b] = make(map[Scheme]Result)
-		}
-		suites[i] = suite
-		for _, scheme := range Schemes() {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				open <- struct{}{}
-				defer func() { <-open }()
-				run.scheme(cfg, scheme, suite)
-			}()
-		}
+	results := make([][]Result, len(arms))
+	for i, arm := range arms {
+		results[i] = make([]Result, len(benchmarks))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			open <- struct{}{}
+			defer func() { <-open }()
+			run.arm(arm, results[i])
+		}()
 	}
 	wg.Wait()
 	if run.firstErr != nil {
 		return nil, run.firstErr
 	}
-	return suites, nil
+	return results, nil
 }
 
-// suiteRun is what the jobs of one runSuites call share.
-type suiteRun struct {
+// armRun is what the jobs of one runArms call share.
+type armRun struct {
 	benchmarks []string
 	pretrain   func(*core.Sim) error
 	slots      chan struct{} // one token per worker
 
-	mu       sync.Mutex // guards firstErr and every Suite's Results
+	mu       sync.Mutex // guards firstErr
 	firstErr error
 }
 
 // onPool runs fn on a worker slot and records its failure under the job's
 // name.
-func (r *suiteRun) onPool(what string, fn func() error) {
+func (r *armRun) onPool(what string, fn func() error) {
 	r.slots <- struct{}{}
 	err := fn()
 	<-r.slots
@@ -106,15 +119,17 @@ func (r *suiteRun) onPool(what string, fn func() error) {
 	}
 }
 
-// scheme fills one scheme's row of suite: it pre-trains one sim, then
+// arm fills one arm's row of results: it pre-trains one sim, then
 // measures every benchmark in parallel — all but the last on forks of the
 // pre-trained sim's checkpoint (core.Checkpoint), the last on that sim
-// itself, so a suite builds as many sims as it has cells.
-func (r *suiteRun) scheme(cfg Config, scheme Scheme, suite *Suite) {
+// itself, so a run builds as many sims as it has cells.
+func (r *armRun) arm(arm Arm, row []Result) {
+	cfg := arm.Config
+	who := strings.TrimSpace(fmt.Sprintf("%s seed %d: %s", arm.Label, cfg.Seed, arm.Scheme))
 	// sims[b] builds the sim that measures benchmarks[b].
 	var sims []func() (*core.Sim, error)
-	r.onPool(fmt.Sprintf("seed %d: pre-training %s", cfg.Seed, scheme), func() error {
-		sim, err := core.NewSim(cfg, scheme)
+	r.onPool(who+": pre-training", func() error {
+		sim, err := core.NewSim(cfg, arm.Scheme)
 		if err != nil {
 			return err
 		}
@@ -141,7 +156,7 @@ func (r *suiteRun) scheme(cfg Config, scheme Scheme, suite *Suite) {
 		cells.Add(1)
 		go func() {
 			defer cells.Done()
-			r.onPool(fmt.Sprintf("seed %d: %s/%s", cfg.Seed, bench, scheme), func() error {
+			r.onPool(who+": "+bench, func() error {
 				sim, err := newSim()
 				if err != nil {
 					return err
@@ -151,14 +166,8 @@ func (r *suiteRun) scheme(cfg Config, scheme Scheme, suite *Suite) {
 				if err != nil {
 					return err
 				}
-				res, err := sim.Measure(events, bench)
-				if err != nil {
-					return err
-				}
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				suite.Results[bench][scheme] = res
-				return nil
+				row[b], err = sim.Measure(events, bench)
+				return err
 			})
 		}()
 	}
@@ -300,22 +309,41 @@ type MultiSuite struct {
 	Suites []*Suite
 }
 
-// RunSuiteSeeds runs the full suite once per seed, every seed's jobs on
-// one worker pool.
+// RunSuiteSeeds runs the full suite once per seed (cfg.Seed alone if seeds
+// is empty): its arms are every seed under every scheme of Schemes(), all
+// on one RunArms pool.
 func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64) (*MultiSuite, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{cfg.Seed}
 	}
-	cfgs := make([]Config, len(seeds))
-	for i, seed := range seeds {
-		cfgs[i] = cfg
-		cfgs[i].Seed = seed
+	if len(benchmarks) == 0 {
+		benchmarks = Benchmarks()
 	}
-	suites, err := runSuites(cfgs, benchmarks, (*core.Sim).Pretrain)
+	schemes := Schemes()
+	var arms []Arm
+	for _, seed := range seeds {
+		for _, scheme := range schemes {
+			arm := Arm{Config: cfg, Scheme: scheme}
+			arm.Config.Seed = seed
+			arms = append(arms, arm)
+		}
+	}
+	results, err := RunArms(arms, benchmarks)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiSuite{Suites: suites}, nil
+	multi := &MultiSuite{Suites: make([]*Suite, len(seeds))}
+	for i := range seeds {
+		suite := &Suite{Benchmarks: benchmarks, Results: make(map[string]map[Scheme]Result)}
+		for b, bench := range benchmarks {
+			suite.Results[bench] = make(map[Scheme]Result)
+			for j, scheme := range schemes {
+				suite.Results[bench][scheme] = results[i*len(schemes)+j][b]
+			}
+		}
+		multi.Suites[i] = suite
+	}
+	return multi, nil
 }
 
 // Figure aggregates one figure across seeds: the returned Figure carries

@@ -8,8 +8,9 @@ package rlnoc
 // baseline still has in flight — must come through the codec whole: a
 // forked sim, the sim the checkpoint was taken from and a sim that was
 // never checkpointed must measure the same Result and end in the same
-// bytes, for every scheme on both fabrics; and RunSuite, which is built
-// on that, must fill every cell with what Run gives for it alone.
+// bytes, for every scheme name on both fabrics; and the arm pool under
+// RunSuite and the ablations, which is built on that, must fill every cell
+// with what Run gives for it alone.
 
 import (
 	"bytes"
@@ -41,24 +42,26 @@ func measureAndSnapshot(t *testing.T, sim *core.Sim, events []traffic.Event) (Re
 func TestForkMatchesUnforkedRun(t *testing.T) {
 	type arm struct {
 		name     string
-		newSim   func(Config) (*core.Sim, error)
+		scheme   Scheme
 		tune     func(*Config)
 		inFlight bool // pre-training must end with packets still in the network
 	}
+	// Every name the scheme table holds: the five schemes, the per-port
+	// granularity arm and the four static arms.
 	var arms []arm
-	for _, scheme := range AllSchemes() {
-		scheme := scheme
-		arms = append(arms, arm{name: string(scheme),
-			newSim: func(cfg Config) (*core.Sim, error) { return core.NewSim(cfg, scheme) }})
+	for _, scheme := range append(AllSchemes(), core.SchemeRLPerPort) {
+		arms = append(arms, arm{name: string(scheme), scheme: scheme})
+	}
+	for m := network.Mode0; m < network.NumModes; m++ {
+		arms = append(arms, arm{name: string(core.StaticScheme(m)), scheme: core.StaticScheme(m)})
 	}
 	arms = append(arms,
-		arm{name: "static-mode2",
-			newSim: func(cfg Config) (*core.Sim, error) { return core.NewStaticSim(cfg, network.Mode2) }},
+		// The mode-subset ablation's arm: the mask travels in the config.
+		arm{name: "rl-modes01", scheme: RL, tune: func(cfg *Config) { cfg.RL.ModeMask = 0b0011 }},
 		// The reactive baseline at a hostile error corner: end-to-end
 		// retransmissions outlast the pre-training drain, so the checkpoint
 		// holds flits on wires, replay buffers and half-built packets.
-		arm{name: "crc-undrained", inFlight: true,
-			newSim: func(cfg Config) (*core.Sim, error) { return core.NewSim(cfg, CRC) },
+		arm{name: "crc-undrained", scheme: CRC, inFlight: true,
 			tune: func(cfg *Config) {
 				cfg.Fault.BaseErrorRate = 0.05
 				cfg.DrainCycles = 40
@@ -81,7 +84,7 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 					a.tune(&cfg)
 				}
 				pretrained := func() *core.Sim {
-					sim, err := a.newSim(cfg)
+					sim, err := core.NewSim(cfg, a.scheme)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,57 +131,58 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 	}
 }
 
-// TestRunSuitePretrainsOncePerScheme is the engagement test and the suite
-// referee in one run. The equivalence above proves a fork changes nothing,
-// so a suite that quietly went back to pre-training every cell would pass
-// it; what cannot be faked is the number of pre-training phases, counted
-// here at the one place runSuites starts them. Three benchmarks and two
-// seeds: len(Schemes()) phases per seed, and every cell of every suite
-// equal to Run on that (config, scheme, benchmark) alone.
-func TestRunSuitePretrainsOncePerScheme(t *testing.T) {
+// TestRunArmsPretrainsOncePerArm is the engagement test and the referee of
+// the arm pool that suites and ablations share. The equivalence above
+// proves a fork changes nothing, so a pool that quietly went back to
+// pre-training every cell would pass it; what cannot be faked is the
+// number of pre-training phases, counted here at the one place runArms
+// starts them. A mixed arm list — schemes, seeds, the ablation arms, two
+// arms of one scheme that differ only in config — over three benchmarks:
+// one phase per arm, and every cell equal to Run on that (config, scheme,
+// benchmark) alone.
+func TestRunArmsPretrainsOncePerArm(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two suites and each of their cells again")
+		t.Skip("runs a pool of arms and each of their cells again")
 	}
 	cfg := fastConfig()
 	cfg.PretrainCycles = 4000
 	cfg.MaxCycles = 4000
 	benchmarks := []string{"swaptions", "canneal", "dedup"}
-	seeds := []int64{cfg.Seed, cfg.Seed + 1}
-
-	var cfgs []Config
-	for _, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		cfgs = append(cfgs, c)
+	next := cfg
+	next.Seed++
+	masked := cfg
+	masked.RL.ModeMask = 0b0011
+	arms := []Arm{
+		{Config: cfg, Scheme: CRC},
+		{Config: cfg, Scheme: DT},
+		{Config: cfg, Scheme: RL},
+		{Config: next, Scheme: RL},
+		{Label: "modes {0,1}", Config: masked, Scheme: RL},
+		{Config: cfg, Scheme: core.SchemeRLPerPort},
+		{Config: cfg, Scheme: core.StaticScheme(network.Mode2)},
 	}
+
 	var pretrains atomic.Int64
-	suites, err := runSuites(cfgs, benchmarks, func(sim *core.Sim) error {
+	results, err := runArms(arms, benchmarks, func(sim *core.Sim) error {
 		pretrains.Add(1)
 		return sim.Pretrain()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pretrains.Load(), int64(len(seeds)*len(Schemes())); got != want {
-		t.Errorf("%d pre-training phases for %d seeds x %d schemes x %d benchmarks, want %d",
-			got, len(seeds), len(Schemes()), len(benchmarks), want)
+	if got := pretrains.Load(); got != int64(len(arms)) {
+		t.Errorf("%d pre-training phases for %d arms x %d benchmarks, want %d",
+			got, len(arms), len(benchmarks), len(arms))
 	}
-	for i, suite := range suites {
-		for _, bench := range benchmarks {
-			for _, scheme := range Schemes() {
-				cell := fmt.Sprintf("seed %d %s/%s", cfgs[i].Seed, bench, scheme)
-				got, ok := suite.Results[bench][scheme]
-				if !ok {
-					t.Errorf("%s: no result", cell)
-					continue
-				}
-				want, err := Run(cfgs[i], scheme, bench)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: the suite's cell differs from Run:\n got %s\nwant %s", cell, serialize(t, got), serialize(t, want))
-				}
+	for i, arm := range arms {
+		for b, bench := range benchmarks {
+			cell := fmt.Sprintf("arm %d (seed %d %s %s)/%s", i, arm.Config.Seed, arm.Scheme, arm.Label, bench)
+			want, err := Run(arm.Config, arm.Scheme, bench)
+			if err != nil {
+				t.Fatalf("%s: %v", cell, err)
+			}
+			if got := results[i][b]; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: the pool's cell differs from Run:\n got %s\nwant %s", cell, serialize(t, got), serialize(t, want))
 			}
 		}
 	}

@@ -19,6 +19,7 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
+	"rlnoc/internal/network"
 )
 
 // sweepBase is a quick pre-training configuration for sweep jobs.
@@ -134,6 +135,40 @@ func TestLoadSweepPretrainsOncePerScheme(t *testing.T) {
 	}
 	if kept, reused := log.count("pre-trained state kept"), log.count("starts from pre-trained state"); kept != 4 || reused != 4 {
 		t.Errorf("%d jobs pre-trained and %d started from a kept state, want 4 and 4:\n%s",
+			kept, reused, strings.Join(log.lines, "\n"))
+	}
+	checkAgainstDirect(t, eng, specs)
+}
+
+// TestStaticArmRestoresPretrainedState: a static-* arm — the static oracle
+// a learned controller's regret is measured against — is a campaign scheme
+// like the figures' four. Its spec validates, its first job keeps the
+// pre-trained state, the second restores that file, and both end with the
+// Result of the arm run directly.
+func TestStaticArmRestoresPretrainedState(t *testing.T) {
+	var log logLines
+	eng := openTestEngine(t, Options{Workers: 1, Logf: log.logf})
+	var specs []Spec
+	for _, rate := range []float64{0.002, 0.006} {
+		spec := BuildLoadSweep(sweepBase(), []float64{rate}, 0)[0]
+		spec.ID = fmt.Sprintf("static-r%g", rate)
+		spec.Scheme = string(core.StaticScheme(network.Mode1))
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	if err := eng.Submit(specs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if files := pretrainFiles(t, eng.Dir()); len(files) != 1 {
+		t.Errorf("pre-trained state files %v, want one", files)
+	}
+	if kept, reused := log.count("pre-trained state kept"), log.count("starts from pre-trained state"); kept != 1 || reused != 1 {
+		t.Errorf("%d jobs pre-trained and %d started from a kept state, want 1 and 1:\n%s",
 			kept, reused, strings.Join(log.lines, "\n"))
 	}
 	checkAgainstDirect(t, eng, specs)

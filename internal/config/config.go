@@ -200,6 +200,10 @@ type RLConfig struct {
 	// selection/evaluation), removing the max-operator's overestimation
 	// bias — an ablation variant; the paper uses plain Q-learning.
 	DoubleQ bool `json:"double_q"`
+	// ModeMask restricts the RL controllers to the modes whose bits are set
+	// (bit m allows Mode m); a masked-out choice steps down to the next
+	// cheaper allowed mode. Zero allows all four.
+	ModeMask uint8 `json:"mode_mask,omitempty"`
 }
 
 // QRouteConfig parameterizes per-router Q-routing (the qroute scheme):
@@ -445,6 +449,8 @@ func (r *RLConfig) validate() error {
 		return fmt.Errorf("config: RL test epsilon must be <= 1, got %g", r.TestEpsilon)
 	case r.StepCycles < 1:
 		return fmt.Errorf("config: RL step must be positive, got %d", r.StepCycles)
+	case r.ModeMask > 0b1111: // bits above Mode 3 name no mode, and alone would spin the step-down
+		return fmt.Errorf("config: RL mode mask %#b names modes beyond the four (bits 0-3)", r.ModeMask)
 	}
 	return nil
 }

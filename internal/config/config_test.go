@@ -78,6 +78,7 @@ func TestValidateRejects(t *testing.T) {
 		{"gamma = 1", func(c *Config) { c.RL.Gamma = 1 }},
 		{"epsilon > 1", func(c *Config) { c.RL.Epsilon = 1.5 }},
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
+		{"mode mask beyond four modes", func(c *Config) { c.RL.ModeMask = 0b10000 }},
 		{"unknown check", func(c *Config) { c.Checks = "ledger,credit" }},
 	}
 	for _, tc := range cases {
@@ -98,6 +99,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c.Width = 6
 	c.Seed = 99
 	c.RL.Gamma = 0.9
+	c.RL.ModeMask = 0b0011
 	if err := c.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -105,7 +107,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.Width != 6 || got.Seed != 99 || got.RL.Gamma != 0.9 {
+	if got.Width != 6 || got.Seed != 99 || got.RL.Gamma != 0.9 || got.RL.ModeMask != 0b0011 {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"rlnoc/internal/config"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
+	"rlnoc/internal/snap"
 	"rlnoc/internal/topology"
 )
 
@@ -13,10 +14,11 @@ import (
 // ECC-Link enable hardware (Fig. 3). Channel agents share the router's
 // latency/power reward but see their own channel's utilization, NACK rate
 // and residual-corruption rate, and gate their own link independently.
-// DESIGN.md lists this as the granularity ablation.
+// It is the SchemeRLPerPort arm of the granularity ablation.
 type RLPortController struct {
 	agents []*rl.Agent // routers x 4, North..West
 	disc   rl.Discretizer
+	mask   uint8 // config.RLConfig.ModeMask
 }
 
 // NewRLPortController builds one agent per output channel — the agent
@@ -34,7 +36,7 @@ func NewRLPortController(cfg config.Config, routers int) *RLPortController {
 			agents[i] = rl.NewAgent(cfg.RL, cfg.Seed*31+600+int64(i)*104729)
 		}
 	}
-	return &RLPortController{agents: agents, disc: rl.DefaultDiscretizer()}
+	return &RLPortController{agents: agents, disc: rl.DefaultDiscretizer(), mask: cfg.RL.ModeMask}
 }
 
 // Decide implements Controller (used only for the cycle-0 initialization,
@@ -73,7 +75,7 @@ func (c *RLPortController) DecidePorts(id int, obs network.Observation) [4]netwo
 		})
 		r := base / (1 + reliabilityWeight*po.ResidualRate)
 		agent := c.agents[topology.LinkIndex(id, topology.North+topology.Direction(port))]
-		modes[port] = network.Mode(agent.Step(s, r))
+		modes[port] = network.Mode(allowed(c.mask, agent.Step(s, r)))
 	}
 	return modes
 }
@@ -88,12 +90,10 @@ func (c *RLPortController) SetEpsilon(eps float64) {
 	}
 }
 
-// NewRLPortSim builds a simulation driven by the per-port RL controller.
-func NewRLPortSim(cfg config.Config) (*Sim, error) {
-	ctrl := NewRLPortController(cfg, cfg.Routers())
-	net, err := network.New(cfg, ctrl, network.ControllerRL, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Sim{cfg: cfg, scheme: "rl-per-port", net: net}, nil
+// Snap walks the channel agents (snapAgents); the discretizer and the
+// mask are config-derived. Decoding overwrites a freshly constructed
+// controller.
+func (c *RLPortController) Snap(cd *snap.Codec) error {
+	cd.Section("RPCT")
+	return snapAgents(cd, c.agents)
 }

@@ -63,7 +63,7 @@ func TestPortControllerAgentCount(t *testing.T) {
 
 func TestRLPortSimEndToEnd(t *testing.T) {
 	cfg := quickConfig()
-	sim, err := NewRLPortSim(cfg)
+	sim, err := NewSim(cfg, SchemeRLPerPort)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,16 @@ const (
 // pins stay exactly four bars.
 const SchemeQRoute Scheme = "qroute"
 
+// SchemeRLPerPort is the granularity ablation's arm: the RL controller
+// with one agent per output channel (RLPortController). Like the static
+// arms (StaticScheme), ParseScheme accepts it but no figure shows it.
+const SchemeRLPerPort Scheme = "rl-per-port"
+
+// StaticScheme names the arm whose routers are all pinned to mode m, e.g.
+// "static-mode2-preretx": the static-mode ablation's arms, and the oracle
+// a learned controller's regret is measured against.
+func StaticScheme(m network.Mode) Scheme { return Scheme("static-" + m.String()) }
+
 // Schemes returns all schemes in the paper's presentation order.
 func Schemes() []Scheme { return []Scheme{SchemeCRC, SchemeARQ, SchemeDT, SchemeRL} }
 
@@ -54,14 +64,50 @@ func Schemes() []Scheme { return []Scheme{SchemeCRC, SchemeARQ, SchemeDT, Scheme
 // four plus the qroute extension.
 func AllSchemes() []Scheme { return append(Schemes(), SchemeQRoute) }
 
-// ParseScheme converts a string to a Scheme.
-func ParseScheme(s string) (Scheme, error) {
-	for _, sc := range AllSchemes() {
-		if string(sc) == s {
-			return sc, nil
-		}
+// schemeSpec is what a scheme name builds: the controller, its
+// controller-energy kind, and whether the routers carry ECC hardware.
+type schemeSpec struct {
+	name   Scheme
+	kind   network.ControllerKind
+	hasECC bool
+	build  func(cfg config.Config) network.Controller
+}
+
+// schemeTable is the one place a scheme name becomes a controller:
+// ParseScheme accepts exactly these names, and NewSim — so also a restore,
+// from the name its snapshot carries — builds from them.
+var schemeTable = func() []schemeSpec {
+	static := func(m network.Mode) func(config.Config) network.Controller {
+		return func(config.Config) network.Controller { return network.StaticController{Fixed: m} }
 	}
-	return "", fmt.Errorf("core: unknown scheme %q (want crc|arq-ecc|dt|rl|qroute)", s)
+	perRouter := func(cfg config.Config) network.Controller { return NewRLController(cfg, cfg.Routers()) }
+	table := []schemeSpec{
+		{SchemeCRC, network.ControllerNone, false, static(network.Mode0)},
+		{SchemeARQ, network.ControllerNone, true, static(network.Mode1)},
+		{SchemeDT, network.ControllerDT, true, func(cfg config.Config) network.Controller { return NewDTController(cfg, cfg.Routers()) }},
+		{SchemeRL, network.ControllerRL, true, perRouter},
+		// Same mode controller as SchemeRL: chaos head-to-heads then isolate
+		// the routing policy as the only difference.
+		{SchemeQRoute, network.ControllerRL, true, perRouter},
+		{SchemeRLPerPort, network.ControllerRL, true, func(cfg config.Config) network.Controller { return NewRLPortController(cfg, cfg.Routers()) }},
+	}
+	for m := network.Mode0; m < network.NumModes; m++ {
+		table = append(table, schemeSpec{StaticScheme(m), network.ControllerNone, m.ECCOn(), static(m)})
+	}
+	return table
+}()
+
+// ParseScheme converts a string to a Scheme: any name in the scheme
+// table, the figures' five and the ablation arms alike.
+func ParseScheme(s string) (Scheme, error) {
+	names := make([]string, len(schemeTable))
+	for i, spec := range schemeTable {
+		if string(spec.name) == s {
+			return spec.name, nil
+		}
+		names[i] = string(spec.name)
+	}
+	return "", fmt.Errorf("core: unknown scheme %q (want %s)", s, strings.Join(names, "|"))
 }
 
 // reliabilityWeight scales the residual-corruption rate in the RL reward.
@@ -96,9 +142,7 @@ func featureVector(f rl.Features) []float64 {
 type RLController struct {
 	agents []*rl.Agent
 	disc   rl.Discretizer
-	// ModeMask restricts the action space (for the mode-subset ablation);
-	// a zero value allows all four modes.
-	ModeMask uint8
+	mask   uint8 // config.RLConfig.ModeMask
 
 	// Telemetry: decisions per mode and the reward observed after each
 	// mode (credited to the previous epoch's action).
@@ -125,8 +169,19 @@ func NewRLController(cfg config.Config, routers int) *RLController {
 	for i := range prev {
 		prev[i] = -1
 	}
-	return &RLController{agents: agents, disc: rl.DefaultDiscretizer(), prevAction: prev,
-		visits: make(map[rl.State]int64)}
+	return &RLController{agents: agents, disc: rl.DefaultDiscretizer(), mask: cfg.RL.ModeMask,
+		prevAction: prev, visits: make(map[rl.State]int64)}
+}
+
+// allowed steps action down toward cheaper modes until mask permits it (a
+// zero mask permits all four; config.Validate keeps every bit in range).
+func allowed(mask uint8, action int) int {
+	if mask != 0 {
+		for (mask>>uint(action))&1 == 0 {
+			action = (action + 3) % int(network.NumModes)
+		}
+	}
+	return action
 }
 
 // PolicyDump renders the most-visited states with their Q-rows and greedy
@@ -198,12 +253,7 @@ func (c *RLController) Decide(id int, obs network.Observation) network.Mode {
 		c.rewardSum[prev] += r
 		c.rewardCount[prev]++
 	}
-	action := c.agents[id].Step(s, r)
-	if c.ModeMask != 0 {
-		for (c.ModeMask>>uint(action))&1 == 0 {
-			action = (action + 3) % int(network.NumModes) // step down toward cheaper modes
-		}
-	}
+	action := allowed(c.mask, c.agents[id].Step(s, r))
 	c.decideCount[action]++
 	c.prevAction[id] = action
 	return network.Mode(action)
@@ -328,23 +378,12 @@ func (c *DTController) Tree() *dt.Tree {
 // --- scheme wiring ---------------------------------------------------------
 
 // buildController instantiates the controller, controller-energy kind and
-// ECC-hardware flag for a scheme.
+// ECC-hardware flag for a scheme, from the scheme table.
 func buildController(scheme Scheme, cfg config.Config) (network.Controller, network.ControllerKind, bool, error) {
-	routers := cfg.Routers()
-	switch scheme {
-	case SchemeCRC:
-		return network.StaticController{Fixed: network.Mode0}, network.ControllerNone, false, nil
-	case SchemeARQ:
-		return network.StaticController{Fixed: network.Mode1}, network.ControllerNone, true, nil
-	case SchemeDT:
-		return NewDTController(cfg, routers), network.ControllerDT, true, nil
-	case SchemeRL:
-		return NewRLController(cfg, routers), network.ControllerRL, true, nil
-	case SchemeQRoute:
-		// Same mode controller as SchemeRL: chaos head-to-heads then
-		// isolate the routing policy as the only difference.
-		return NewRLController(cfg, routers), network.ControllerRL, true, nil
-	default:
-		return nil, network.ControllerNone, false, fmt.Errorf("core: unknown scheme %q", scheme)
+	for _, spec := range schemeTable {
+		if spec.name == scheme {
+			return spec.build(cfg), spec.kind, spec.hasECC, nil
+		}
 	}
+	return nil, network.ControllerNone, false, fmt.Errorf("core: unknown scheme %q", scheme)
 }

@@ -9,11 +9,19 @@ import (
 )
 
 func TestParseScheme(t *testing.T) {
-	for _, s := range Schemes() {
+	names := append(AllSchemes(), SchemeRLPerPort)
+	for m := network.Mode0; m < network.NumModes; m++ {
+		names = append(names, StaticScheme(m))
+	}
+	for _, s := range names {
 		got, err := ParseScheme(string(s))
 		if err != nil || got != s {
 			t.Errorf("ParseScheme(%q) = %v, %v", s, got, err)
 		}
+	}
+	// The static arms keep the names their Results have always carried.
+	if got := StaticScheme(network.Mode1); got != "static-mode1-ecc" {
+		t.Errorf("StaticScheme(Mode1) = %q", got)
 	}
 	if _, err := ParseScheme("magic"); err == nil {
 		t.Error("unknown scheme parsed")
@@ -45,6 +53,9 @@ func TestBuildControllerWiring(t *testing.T) {
 		{SchemeARQ, network.ControllerNone, true},
 		{SchemeDT, network.ControllerDT, true},
 		{SchemeRL, network.ControllerRL, true},
+		{SchemeRLPerPort, network.ControllerRL, true},
+		{StaticScheme(network.Mode0), network.ControllerNone, false},
+		{StaticScheme(network.Mode3), network.ControllerNone, true},
 	}
 	for _, tc := range cases {
 		ctrl, kind, hasECC, err := buildController(tc.scheme, cfg)
@@ -90,8 +101,8 @@ func TestRLControllerDecidesValidModes(t *testing.T) {
 
 func TestRLControllerModeMask(t *testing.T) {
 	cfg := config.Small()
+	cfg.RL.ModeMask = 0b0011 // only modes 0 and 1
 	c := NewRLController(cfg, 1)
-	c.ModeMask = 0b0011 // only modes 0 and 1
 	for i := 0; i < 500; i++ {
 		obs := network.Observation{
 			Features:      rl.Features{TemperatureC: 95, InputNACKRate: 0.5},

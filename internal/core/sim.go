@@ -247,7 +247,9 @@ func (s *Sim) snapshot() Snapshot {
 	return snap
 }
 
-// NewSim builds the network for a scheme.
+// NewSim builds the network for a scheme: any name in the scheme table
+// (scheme.go), which is how every constructor and every restore picks a
+// controller.
 func NewSim(cfg config.Config, scheme Scheme) (*Sim, error) {
 	// The qroute scheme is the RL scheme plus learned routing; the network
 	// reads the flag (validated against the rest of the config) to build
@@ -265,16 +267,9 @@ func NewSim(cfg config.Config, scheme Scheme) (*Sim, error) {
 }
 
 // NewStaticSim builds a simulation whose routers are pinned to a single
-// operation mode — the static-mode ablation showing that no fixed mode
-// dominates across error levels.
+// operation mode: NewSim under StaticScheme(mode).
 func NewStaticSim(cfg config.Config, mode network.Mode) (*Sim, error) {
-	ctrl := network.StaticController{Fixed: mode}
-	hasECC := mode.ECCOn()
-	net, err := network.New(cfg, ctrl, network.ControllerNone, hasECC)
-	if err != nil {
-		return nil, err
-	}
-	return &Sim{cfg: cfg, scheme: Scheme("static-" + mode.String()), net: net}, nil
+	return NewSim(cfg, StaticScheme(mode))
 }
 
 // Network exposes the underlying network (examples and tests peek at it).
@@ -673,15 +668,6 @@ func (s *Sim) Run(events []traffic.Event, label string) (Result, error) {
 	return s.Measure(events, label)
 }
 
-// RunBenchmark is Run over the named PARSEC-like benchmark's trace.
-func (s *Sim) RunBenchmark(benchmark string) (Result, error) {
-	events, err := BenchmarkTrace(s.cfg, benchmark)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run(events, benchmark)
-}
-
 // BenchmarkTrace synthesizes the test trace every run of the named
 // benchmark under cfg replays: MaxCycles long, seeded from cfg.Seed. The
 // slice comes from the shared memo (DESIGN.md §19) and is read-only.
@@ -714,5 +700,9 @@ func RunBenchmark(cfg config.Config, scheme Scheme, benchmark string) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	return sim.RunBenchmark(benchmark)
+	events, err := BenchmarkTrace(cfg, benchmark)
+	if err != nil {
+		return Result{}, err
+	}
+	return sim.Run(events, benchmark)
 }

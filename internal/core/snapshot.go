@@ -22,7 +22,6 @@ import (
 	"rlnoc/internal/config"
 	"rlnoc/internal/dt"
 	"rlnoc/internal/eventlog"
-	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
 	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
@@ -167,7 +166,7 @@ func snapSim(c *snap.Codec, s *Sim, tune func(*config.Config)) (*Sim, error) {
 			tune(&cfg)
 		}
 		var err error
-		if s, err = simForScheme(cfg, scheme); err != nil {
+		if s, err = NewSim(cfg, Scheme(scheme)); err != nil {
 			return nil, snap.Corrupt(err)
 		}
 	}
@@ -194,8 +193,8 @@ func (s *Sim) snapState(c *snap.Codec) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	// Static controllers (crc, arq-ecc, pinned-mode ablations) walk a bare
-	// section tag, the RL controller its tables, the DT controller its
+	// Static controllers (crc, arq-ecc, the static-* arms) walk a bare
+	// section tag, the RL controllers their tables, the DT controller its
 	// training set or its tree.
 	if err := s.net.SnapController(c); err != nil {
 		return err
@@ -277,12 +276,12 @@ func stateKey(s rl.State) uint64 {
 // tableReps computes, per agent, the index of the first agent whose
 // Q-table it shares (itself if unshared) — the canonical encoding of the
 // sharing structure, independent of how the tables were allocated.
-func (c *RLController) tableReps() []int {
-	rep := make([]int, len(c.agents))
-	for i, a := range c.agents {
+func tableReps(agents []*rl.Agent) []int {
+	rep := make([]int, len(agents))
+	for i, a := range agents {
 		rep[i] = i
 		for j := 0; j < i; j++ {
-			if a.SharesTableWith(c.agents[j]) {
+			if a.SharesTableWith(agents[j]) {
 				rep[i] = j
 				break
 			}
@@ -291,16 +290,14 @@ func (c *RLController) tableReps() []int {
 	return rep
 }
 
-// Snap walks the controller: shared-table groups (each table walked
-// once, by its first owner), per-agent learner state, and the telemetry
-// the Result reports. Decoding overwrites a freshly constructed
-// controller, whose sharing structure must match the snapshot's (it is
-// config-derived, so a Sim rebuilt from the embedded config always
-// matches).
-func (c *RLController) Snap(cd *snap.Codec) error {
-	cd.Section("RLCT")
-	cd.LenCheck(len(c.agents))
-	rep := c.tableReps()
+// snapAgents walks a controller's agents: the shared-table groups (each
+// table walked once, by its first owner), then every agent's learner
+// state. Decoding overwrites freshly constructed agents, whose sharing
+// structure must match the snapshot's (it is config-derived, so a Sim
+// rebuilt from the embedded config always matches).
+func snapAgents(cd *snap.Codec, agents []*rl.Agent) error {
+	cd.LenCheck(len(agents))
+	rep := tableReps(agents)
 	got := slices.Clone(rep)
 	cd.VarInts(&got, snap.MaxLen)
 	if err := cd.Err(); err != nil {
@@ -315,15 +312,32 @@ func (c *RLController) Snap(cd *snap.Codec) error {
 				i, got[i], rep[i])
 		}
 	}
-	for i, a := range c.agents {
+	for i, a := range agents {
 		if rep[i] == i {
 			a.SnapTable(cd)
 		}
 	}
-	for _, a := range c.agents {
+	for _, a := range agents {
 		a.SnapLocal(cd)
 	}
-	cd.U8(&c.ModeMask)
+	return cd.Err()
+}
+
+// Snap walks the controller: its agents (snapAgents), the mode mask, and
+// the telemetry the Result reports. Decoding overwrites a freshly
+// constructed controller.
+func (c *RLController) Snap(cd *snap.Codec) error {
+	cd.Section("RLCT")
+	if err := snapAgents(cd, c.agents); err != nil {
+		return err
+	}
+	// The mask is config-derived; the stream's byte is a cross-check, so a
+	// damaged one cannot hand Decide a mask Validate would have refused.
+	mask := c.mask
+	cd.U8(&mask)
+	if mask != c.mask {
+		cd.Fail(fmt.Errorf("core: snapshot mode mask %#b, config %#b", mask, c.mask))
+	}
 	for i := range c.decideCount {
 		cd.I64(&c.decideCount[i])
 	}
@@ -390,21 +404,6 @@ func (c *DTController) Snap(cd *snap.Codec) error {
 	}
 	c.policy.Tree.Snap(cd, c.opts)
 	return cd.Err()
-}
-
-// simForScheme rebuilds the Sim skeleton a snapshot was taken from: the
-// five named schemes via NewSim, the pinned-mode ablations via
-// NewStaticSim.
-func simForScheme(cfg config.Config, schemeStr string) (*Sim, error) {
-	if scheme, err := ParseScheme(schemeStr); err == nil {
-		return NewSim(cfg, scheme)
-	}
-	for m := network.Mode0; m < network.NumModes; m++ {
-		if schemeStr == "static-"+m.String() {
-			return NewStaticSim(cfg, m)
-		}
-	}
-	return nil, fmt.Errorf("core: snapshot has unknown scheme %q", schemeStr)
 }
 
 // RestoreSimFile restores a simulation from a snapshot file.

@@ -4,10 +4,11 @@ package core
 // stopped mid-run inside the kill schedule, snapshotted and restored, and
 // every field reachable from the two — Network, Router, inputVC,
 // outputPort, NI, stats.Collector, power.Meter, thermal.Grid, rl.Agent,
-// RLController, DTController and its dt.Tree, measureState and all they
-// point at — is compared by reflection. A field may differ only if the
-// unsnapshotted table names it and says why; a table entry that names no
-// field the walk reached fails too, so the list cannot rot.
+// RLController, RLPortController, DTController and its dt.Tree,
+// measureState and all they point at — is compared by reflection. A field
+// may differ only if the unsnapshotted table names it and says why; a
+// table entry that names no field the walk reached fails too, so the list
+// cannot rot.
 
 import (
 	"bytes"
@@ -98,10 +99,11 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// qroute reaches every field of the fabric and the RL controller. The
-	// DT controller has two lives and is compared in both: trained by
-	// pre-training, and — measured without it — still collecting, its
-	// exploration stream advanced and every router's sample pending.
+	// qroute reaches every field of the fabric and the RL controller, and
+	// rl-per-port those of the per-channel one. The DT controller has two
+	// lives and is compared in both: trained by pre-training, and —
+	// measured without it — still collecting, its exploration stream
+	// advanced and every router's sample pending.
 	listed := map[string]bool{}
 	for _, arm := range []struct {
 		name     string
@@ -109,6 +111,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		pretrain bool
 	}{
 		{"qroute", SchemeQRoute, true},
+		{"rl-per-port", SchemeRLPerPort, true},
 		{"dt-trained", SchemeDT, true},
 		{"dt-collecting", SchemeDT, false},
 	} {

@@ -520,6 +520,26 @@ func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
 	}
 }
 
+// TestHostileModeMaskIsCorrupt: the mode mask comes from the config, and
+// the RLCT walk's mask byte only cross-checks it, so a stream whose byte
+// disagrees fails as corrupt rather than handing Decide a mask Validate
+// never saw (one with no bit among the four modes spins its step-down).
+func TestHostileModeMaskIsCorrupt(t *testing.T) {
+	cfg := config.Small()
+	var buf bytes.Buffer
+	enc := snap.NewEncoder(&buf)
+	if err := NewRLController(cfg, cfg.Routers()).Snap(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.RL.ModeMask = 0b0011
+	if err := NewRLController(cfg, cfg.Routers()).Snap(snap.NewDecoder(&buf)); !snap.IsCorrupt(err) {
+		t.Fatalf("err = %v, want a snap.CorruptError", err)
+	}
+}
+
 // TestHostileTraceLengthIsCorrupt patches one word of a valid checkpoint
 // — the MEAS section's trace length, to the largest value the format
 // admits — and requires the restore to fail as a corrupt stream after a

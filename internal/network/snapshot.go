@@ -164,8 +164,7 @@ func (n *Network) settleFor(c *snap.Codec) {
 
 // SnapController walks the controller the network consults; in a core.Sim
 // stream it sits ahead of the NETW section. A controller that is no
-// snap.Snapshotter (the per-port ablation's, a caller's wrapper) cannot be
-// checkpointed.
+// snap.Snapshotter (a caller's wrapper) cannot be checkpointed.
 func (n *Network) SnapController(c *snap.Codec) error {
 	n.settleFor(c)
 	ctrl, ok := n.controller.(snap.Snapshotter)

@@ -223,11 +223,7 @@ func RunStaticMode(cfg Config, mode int, events []Event, label string) (Result, 
 	if mode < 0 || mode >= int(network.NumModes) {
 		return Result{}, fmt.Errorf("rlnoc: mode %d out of range [0,%d)", mode, int(network.NumModes))
 	}
-	sim, err := core.NewStaticSim(cfg, network.Mode(mode))
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.Run(events, label)
+	return core.RunTrace(cfg, core.StaticScheme(network.Mode(mode)), events, label)
 }
 
 // BenchmarkTrace synthesizes the named PARSEC-like benchmark's trace.
