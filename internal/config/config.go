@@ -339,6 +339,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: at most 12 VCs per port supported, got %d", c.VCsPerPort)
 	case c.VCDepth < 1:
 		return fmt.Errorf("config: VC depth must be positive, got %d", c.VCDepth)
+	case c.VCDepth > 64:
+		// The fabric allocates routers x 5 ports x VCs x depth flit slots up
+		// front: at the 64x64, 12-VC ceiling a depth of 64 is 15.7M slots
+		// (250 MB).
+		return fmt.Errorf("config: VC depth above 64 unsupported, got %d", c.VCDepth)
 	case c.FlitBits != 128:
 		return fmt.Errorf("config: flit bits must be 128 (two 64-bit words, the only width the flit model has), got %d", c.FlitBits)
 	case c.FlitsPerPacket < 1:

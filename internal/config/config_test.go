@@ -56,6 +56,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad routing", func(c *Config) { c.Routing = "zigzag" }},
 		{"one VC", func(c *Config) { c.VCsPerPort = 1 }},
 		{"zero depth", func(c *Config) { c.VCDepth = 0 }},
+		{"depth above 64", func(c *Config) { c.VCDepth = 65 }},
 		{"odd flit bits", func(c *Config) { c.FlitBits = 100 }},
 		{"64-bit flits", func(c *Config) { c.FlitBits = 64 }},
 		{"zero flits", func(c *Config) { c.FlitsPerPacket = 0 }},

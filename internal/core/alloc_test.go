@@ -22,22 +22,31 @@ func allocatedMB(f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 }
 
-// TestNewSimAllocBudget keeps the 53 MB constructor from coming back:
-// building the default-config rl sim used to allocate 64 Q-table sets to
-// keep one (53.6 MB, 98 % of it in rl.NewSharedAgents). One table set is
-// 0.8 MB and the fabric about 1.5 MB.
+// TestNewSimAllocBudget keeps the constructor small: building the
+// default-config rl sim once allocated 64 Q-table sets to keep one
+// (53.6 MB), then one dense set of 0.8 MB (1.19 MB in all). A sparse
+// table is a 20 KB state index and a 256-row slab of 28 KB; the fabric is
+// most of the rest. Budgets are 1.25x the 0.448 MB (shared table) and
+// 3.40 MB (a table per router, 50.4 MB dense) measured when they were
+// set.
 func TestNewSimAllocBudget(t *testing.T) {
-	cfg := config.Default()
-	build := func() {
-		sim, err := NewSim(cfg, SchemeRL)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		shared bool
+		budget float64
+	}{{true, 0.56}, {false, 4.25}} {
+		cfg := config.Default()
+		cfg.RL.SharedTable = tc.shared
+		build := func() {
+			sim, err := NewSim(cfg, SchemeRL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Close()
 		}
-		sim.Close()
-	}
-	build() // fill the process-wide topology memo first
-	if mb := allocatedMB(build); mb > 4 {
-		t.Errorf("core.NewSim(default, rl) allocated %.1f MB, budget 4 MB", mb)
+		build() // fill the process-wide topology memo first
+		if mb := allocatedMB(build); mb > tc.budget {
+			t.Errorf("core.NewSim(default, rl, SharedTable=%v) allocated %.2f MB, budget %.2f MB", tc.shared, mb, tc.budget)
+		}
 	}
 }
 
@@ -98,12 +107,13 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 	if ms := restored.ms; &ms.in.events[0] != &ms.events[0] {
 		t.Error("the restored injector holds a second copy of the decoded trace")
 	}
-	// 1.25x the 1.45 MB measured when this budget was set: the 8x8 fabric,
-	// one Q-table set, the decoded trace and the codec's buffers. Seeding
-	// all 128 sources, consulting the controller at cycle 0 and copying the
-	// trace into the injector made it 2.21 MB.
-	if mb > 1.8 {
-		t.Errorf("restoring an 8x8 rl checkpoint allocated %.2f MB, budget 1.8 MB", mb)
+	// 1.25x the 0.709 MB measured when this budget was set: the 8x8 fabric,
+	// the Q-table rows the run touched, the decoded trace and the codec.
+	// Seeding all 128 sources, consulting the controller at cycle 0 and
+	// copying the trace into the injector made it 2.21 MB; decoding a dense
+	// 0.8 MB table and a fresh 64 KiB stream buffer, 1.45 MB.
+	if mb > 0.89 {
+		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.89 MB", mb)
 	}
 	var buf bytes.Buffer
 	if err := restored.WriteSnapshot(&buf); err != nil {

@@ -75,6 +75,7 @@ func (s *Sim) SaveSnapshot(path string) error {
 // RestoreSim reads.
 func (s *Sim) WriteSnapshot(w io.Writer) error {
 	c := snap.NewEncoder(w)
+	defer c.Release()
 	if err := s.encode(c); err != nil {
 		return err
 	}
@@ -127,7 +128,9 @@ func RestoreSim(rd io.Reader) (*Sim, error) {
 // so a snapshot written on one machine resumes bit-identically on
 // another with a different core count.
 func RestoreSimTuned(rd io.Reader, tune func(*config.Config)) (*Sim, error) {
-	return snapSim(snap.NewDecoder(rd), nil, tune)
+	c := snap.NewDecoder(rd)
+	defer c.Release()
+	return snapSim(c, nil, tune)
 }
 
 // snapSim walks the full simulation stream: header, config, scheme,

@@ -5,7 +5,8 @@ package core
 // every field reachable from the two — Network, Router, inputVC,
 // outputPort, NI, stats.Collector, power.Meter, thermal.Grid, rl.Agent,
 // RLController, RLPortController, DTController and its dt.Tree,
-// measureState and all they point at — is compared by reflection. A field
+// measureState and all they point at — is compared by reflection, a
+// Q-table state by state. A field
 // may differ only if the unsnapshotted table names it and says why; a
 // table entry that names no field the walk reached fails too, so the list
 // cannot rot.
@@ -17,6 +18,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rlnoc/internal/rl"
 	"rlnoc/internal/traffic"
 )
 
@@ -77,6 +79,12 @@ var unsnapshotted = map[string]struct {
 	"network.outputPort.winUtil":      {false, "scratch: error-model input pinned by a boundary capture; encoding materializes errProb first, after which it is dead"},
 	"network.outputPort.winRelaxed":   {false, "scratch: as winUtil"},
 	"thermal.Grid.scratch":            {false, "scratch: solver workspace, overwritten by every Step"},
+
+	// Sparse Q-table layout: the slab holds rows in first-touch order, and
+	// a decode appends them in state order. The walk compares every
+	// state's row through the index instead (fieldDiff.table).
+	"rl.Table.index": {false, "slab layout: row positions; compared as each state's row"},
+	"rl.Table.rows":  {false, "slab layout: row order; compared as each state's row"},
 
 	// Memo caches: deterministic functions of their inputs.
 	"network.Network.ftab": {false, "memo cache: the fault kernel per link on exact (temp, util) keys"},
@@ -249,6 +257,9 @@ func (d *fieldDiff) walk(path string, a, b reflect.Value) {
 			}
 			d.walk(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))
 		}
+		if a.Type() == reflect.TypeFor[rl.Table]() {
+			d.table(path, a, b)
+		}
 	case reflect.Array, reflect.Slice:
 		// A nil slice and an empty one are the same state.
 		if a.Len() != b.Len() {
@@ -273,6 +284,16 @@ func (d *fieldDiff) walk(path string, a, b reflect.Value) {
 		}
 	default:
 		d.differ(path, "unhandled kind %v", a.Kind())
+	}
+}
+
+// table compares two Q-tables as what they hold: each state's row, read
+// through the index, so an untouched state reads the zero row.
+func (d *fieldDiff) table(path string, a, b reflect.Value) {
+	ai, ar := a.FieldByName("index"), a.FieldByName("rows")
+	bi, br := b.FieldByName("index"), b.FieldByName("rows")
+	for s := 0; s < ai.Len(); s++ {
+		d.walk(fmt.Sprintf("%s.state[%d]", path, s), ar.Index(int(ai.Index(s).Uint())), br.Index(int(bi.Index(s).Uint())))
 	}
 }
 

@@ -111,8 +111,8 @@ func TestDoubleQSnapshotCarriesBothTables(t *testing.T) {
 		src.Step(s, in.Float64()*float64(1+int(s.Temp)))
 	}
 	diverged := false
-	for i := range src.q {
-		diverged = diverged || src.q[i] != src.q2[i]
+	for _, r := range src.t.rows {
+		diverged = diverged || r.q != r.q2
 	}
 	if !diverged {
 		t.Fatal("the two estimators never diverged: the test cannot tell one table from two")
@@ -142,11 +142,11 @@ func TestDoubleQSnapshotCarriesBothTables(t *testing.T) {
 
 func TestDoubleQDisabledHasNilSecondTable(t *testing.T) {
 	a := NewAgent(config.Default().RL, 1)
-	if a.q2 != nil {
-		t.Fatal("q2 allocated without DoubleQ")
+	if a.t.doubleQ {
+		t.Fatal("second estimate live without DoubleQ")
 	}
 	b := NewAgent(doubleQConfig(), 1)
-	if b.q2 == nil {
-		t.Fatal("q2 missing with DoubleQ")
+	if !b.t.doubleQ {
+		t.Fatal("second estimate missing with DoubleQ")
 	}
 }

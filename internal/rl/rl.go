@@ -4,6 +4,11 @@
 // temperature, 4 log-space bins for NACK rates), an epsilon-greedy policy
 // over the four operation modes, and the temporal-difference update
 // Q(s,a) <- (1-alpha)Q(s,a) + alpha[r + gamma*max_a' Q(s',a')].
+//
+// The Q-table is sparse (Table): a run visits tens to a few hundred of the
+// 10 000 states, so a table holds rows only for the states an update has
+// touched, and untouched states read as zero. Snapshots still carry the
+// dense 10 000 x 4 form (DESIGN.md §15).
 package rl
 
 import (
@@ -16,12 +21,12 @@ import (
 // Bin counts per feature, per the paper: features 1-3 and 6 have 5 bins,
 // features 4-5 (NACK rates) have 4.
 const (
-	BufBins     = 5
-	LinkBins    = 5
-	NACKBins    = 4
-	TempBins    = 5
-	NumStates   = BufBins * LinkBins * LinkBins * NACKBins * NACKBins * TempBins
-	NumActions  = 4
+	BufBins    = 5
+	LinkBins   = 5
+	NACKBins   = 4
+	TempBins   = 5
+	NumStates  = BufBins * LinkBins * LinkBins * NACKBins * NACKBins * TempBins
+	NumActions = 4
 )
 
 // Features is the raw (continuous) per-router observation vector of
@@ -117,13 +122,50 @@ func (d Discretizer) Discretize(f Features) State {
 	}
 }
 
+// Table is the learned state of one or more agents: per (state, action)
+// the Q-value, the second Double-Q estimate, the visit count and the
+// reward sum. It is sparse. A fixed index maps each of the NumStates
+// states to a row of a contiguous slab; index 0 is a permanent zero row
+// that every untouched state reads, so reads never allocate and only the
+// first update of a state appends its row.
+type Table struct {
+	index   [NumStates]uint16 // state -> row in rows; 0 = untouched
+	rows    []row             // rows[0] stays zero
+	doubleQ bool              // q2 is live (Double Q-learning)
+}
+
+// row is one state's four actions.
+type row struct {
+	q, q2  [NumActions]float64
+	visits [NumActions]uint32
+	rsum   [NumActions]float64
+}
+
+// tableRows is the slab's initial capacity: enough for the states a
+// pre-train visits, so the timed run rarely grows it.
+const tableRows = 256
+
+func newTable(doubleQ bool) *Table {
+	return &Table{rows: make([]row, 1, tableRows), doubleQ: doubleQ}
+}
+
+// read returns state s's row, the zero row if s is untouched. The
+// pointer is valid until the next write.
+func (t *Table) read(s int) *row { return &t.rows[t.index[s]] }
+
+// write returns state s's row, appending it on first touch.
+func (t *Table) write(s int) *row {
+	if t.index[s] == 0 {
+		t.rows = append(t.rows, row{})
+		t.index[s] = uint16(len(t.rows) - 1)
+	}
+	return &t.rows[t.index[s]]
+}
+
 // Agent is one per-router tabular Q-learning agent. Not safe for
 // concurrent use.
 type Agent struct {
-	q      []float64 // NumStates x NumActions, row-major
-	q2     []float64 // second table for Double Q-learning (nil when off)
-	visits []uint32  // per (s,a) update counts, shared like q
-	rsum   []float64 // per (s,a) reward sums (diagnostics), shared like q
+	t *Table // possibly shared (NewSharedAgents)
 
 	alpha   float64
 	decay   bool
@@ -143,21 +185,15 @@ type Agent struct {
 // NewAgent builds an agent with Q-values initialized to zero (per the
 // paper's initialization) and a deterministic exploration stream.
 func NewAgent(cfg config.RLConfig, seed int64) *Agent {
-	a := newShell(cfg, seed)
-	a.q = make([]float64, NumStates*NumActions)
-	a.visits = make([]uint32, NumStates*NumActions)
-	a.rsum = make([]float64, NumStates*NumActions)
-	if cfg.DoubleQ {
-		a.q2 = make([]float64, NumStates*NumActions)
-	}
-	return a
+	return newAgentOn(cfg, seed, newTable(cfg.DoubleQ))
 }
 
-// newShell builds everything of an agent but its tables: hyperparameters
-// and the seeded exploration stream.
-func newShell(cfg config.RLConfig, seed int64) *Agent {
+// newAgentOn builds an agent over table t: hyperparameters and the seeded
+// exploration stream.
+func newAgentOn(cfg config.RLConfig, seed int64, t *Table) *Agent {
 	src := snap.NewCountingSource(seed)
 	return &Agent{
+		t:       t,
 		alpha:   cfg.Alpha,
 		decay:   cfg.AlphaDecay,
 		gamma:   cfg.Gamma,
@@ -172,18 +208,13 @@ func newShell(cfg config.RLConfig, seed int64) *Agent {
 // multiplies the effective sample rate by n, letting the tabular policy
 // converge within simulation-scale pre-training budgets (the paper's
 // per-router tables rely on a 1M-cycle pre-train); DESIGN.md documents
-// this option and the ablation comparing both variants. One table set is
-// allocated, by the first agent; the rest are table-less shells aliasing it.
+// this option and the ablation comparing both variants. Agent i has the
+// exploration seed seed+7919i.
 func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
+	t := newTable(cfg.DoubleQ)
 	agents := make([]*Agent, n)
 	for i := range agents {
-		if i == 0 {
-			agents[i] = NewAgent(cfg, seed)
-			continue
-		}
-		a := newShell(cfg, seed+int64(i)*7919)
-		a.q, a.q2, a.visits, a.rsum = agents[0].q, agents[0].q2, agents[0].visits, agents[0].rsum
-		agents[i] = a
+		agents[i] = newAgentOn(cfg, seed+int64(i)*7919, t)
 	}
 	return agents
 }
@@ -191,11 +222,11 @@ func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
 // Q returns the Q-value for (s, a) — with Double Q-learning, the mean of
 // the two tables (the acting estimate).
 func (a *Agent) Q(s State, action int) float64 {
-	idx := s.Index()*NumActions + action
-	if a.q2 != nil {
-		return (a.q[idx] + a.q2[idx]) / 2
+	r := a.t.read(s.Index())
+	if a.t.doubleQ {
+		return (r.q[action] + r.q2[action]) / 2
 	}
-	return a.q[idx]
+	return r.q[action]
 }
 
 // Greedy returns the action with maximal Q-value in state s (ties break
@@ -231,39 +262,40 @@ func (a *Agent) Step(s State, reward float64) int {
 // convergence"), approaching a sample average while keeping a floor for
 // non-stationarity.
 func (a *Agent) update(s State, action int, reward float64, next State) {
-	idx := s.Index()*NumActions + action
 	// Double Q-learning (van Hasselt 2010): update one table with the
 	// other's value of its own argmax, decoupling selection from
 	// evaluation and removing the max-operator's overestimation bias.
-	target, eval := a.q, a.q
-	if a.q2 != nil {
-		if a.rng.Intn(2) == 0 {
-			target, eval = a.q, a.q2
-		} else {
-			target, eval = a.q2, a.q
-		}
+	second := a.t.doubleQ && a.rng.Intn(2) != 0
+	nr := a.t.read(next.Index())
+	target, eval := &nr.q, &nr.q
+	if second {
+		target = &nr.q2
+	} else if a.t.doubleQ {
+		eval = &nr.q2
 	}
-	nextBase := next.Index() * NumActions
 	argmax := 0
 	for act := 1; act < NumActions; act++ {
-		if target[nextBase+act] > target[nextBase+argmax] {
+		if target[act] > target[argmax] {
 			argmax = act
 		}
 	}
-	maxNext := eval[nextBase+argmax]
-	a.rsum[idx] += reward
+	maxNext := eval[argmax]
+	r := a.t.write(s.Index()) // may grow the slab: nr is dead from here
+	r.rsum[action] += reward
+	r.visits[action]++
 	alpha := a.alpha
 	if a.decay {
-		a.visits[idx]++
-		alpha = 1 / (1 + float64(a.visits[idx])/4)
+		alpha = 1 / (1 + float64(r.visits[action])/4)
 		const floor = 0.02
 		if alpha < floor {
 			alpha = floor
 		}
-	} else {
-		a.visits[idx]++
 	}
-	target[idx] = (1-alpha)*target[idx] + alpha*(reward+a.gamma*maxNext)
+	q := &r.q
+	if second {
+		q = &r.q2
+	}
+	q[action] = (1-alpha)*q[action] + alpha*(reward+a.gamma*maxNext)
 	a.updates++
 }
 
@@ -273,12 +305,12 @@ func (a *Agent) Updates() int64 { return a.updates }
 // SampleStats returns the visit count and empirical mean reward of a
 // (state, action) cell — diagnostics for policy debugging.
 func (a *Agent) SampleStats(s State, action int) (visits uint32, meanReward float64) {
-	idx := s.Index()*NumActions + action
-	v := a.visits[idx]
+	r := a.t.read(s.Index())
+	v := r.visits[action]
 	if v == 0 {
 		return 0, 0
 	}
-	return v, a.rsum[idx] / float64(v)
+	return v, r.rsum[action] / float64(v)
 }
 
 // Freeze stops learning and exploration; the agent becomes a pure greedy

@@ -1,0 +1,289 @@
+package rl
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"rlnoc/internal/config"
+	"rlnoc/internal/snap"
+)
+
+// denseAgent is the layout Table replaced, kept as its referee: four
+// NumStates x NumActions slices, allocated up front and shared by
+// aliasing. Its learning rule is Agent's, written against that layout.
+type denseAgent struct {
+	q, q2      []float64
+	visits     []uint32
+	rsum       []float64
+	cfg        config.RLConfig
+	rng        *rand.Rand
+	hasPrev    bool
+	prevState  State
+	prevAction int
+	updates    int64
+}
+
+func (d *denseAgent) value(s State, act int) float64 {
+	i := s.Index()*NumActions + act
+	if d.q2 != nil {
+		return (d.q[i] + d.q2[i]) / 2
+	}
+	return d.q[i]
+}
+
+func (d *denseAgent) step(s State, reward float64) int {
+	if d.hasPrev {
+		idx := d.prevState.Index()*NumActions + d.prevAction
+		target, eval := d.q, d.q
+		if d.q2 != nil {
+			if d.rng.Intn(2) == 0 {
+				eval = d.q2
+			} else {
+				target, eval = d.q2, d.q
+			}
+		}
+		base, argmax := s.Index()*NumActions, 0
+		for act := 1; act < NumActions; act++ {
+			if target[base+act] > target[base+argmax] {
+				argmax = act
+			}
+		}
+		d.rsum[idx] += reward
+		d.visits[idx]++
+		alpha := d.cfg.Alpha
+		if d.cfg.AlphaDecay {
+			alpha = max(1/(1+float64(d.visits[idx])/4), 0.02)
+		}
+		target[idx] = (1-alpha)*target[idx] + alpha*(reward+d.cfg.Gamma*eval[base+argmax])
+		d.updates++
+	}
+	action := 0
+	for act := 1; act < NumActions; act++ {
+		if d.value(s, act) > d.value(s, action) {
+			action = act
+		}
+	}
+	if d.cfg.Epsilon > 0 && d.rng.Float64() < d.cfg.Epsilon {
+		action = d.rng.Intn(NumActions)
+	}
+	d.prevState, d.prevAction, d.hasPrev = s, action, true
+	return action
+}
+
+// holds reports whether state s has a word with a bit set.
+func (d *denseAgent) holds(s int) bool {
+	for _, f := range [][]float64{d.q, d.q2, d.rsum} {
+		if f != nil && nonZero([NumActions]float64(f[s*NumActions:])) {
+			return true
+		}
+	}
+	return [NumActions]uint32(d.visits[s*NumActions:]) != [NumActions]uint32{}
+}
+
+// snapTable writes the dense stream: the format Table.snap must keep.
+func (d *denseAgent) snapTable(c *snap.Codec) {
+	c.Section("QTAB")
+	c.F64s(d.q)
+	hasQ2 := d.q2 != nil
+	c.Bool(&hasQ2)
+	if hasQ2 {
+		c.F64s(d.q2)
+	}
+	c.U32s(d.visits)
+	c.F64s(d.rsum)
+}
+
+// newDenseAgents builds n dense agents with NewSharedAgents' seeds, one
+// aliased table set when shared, n sets otherwise.
+func newDenseAgents(cfg config.RLConfig, n int, shared bool, seed int64) []*denseAgent {
+	agents := make([]*denseAgent, n)
+	for i := range agents {
+		d := &denseAgent{cfg: cfg, rng: rand.New(snap.NewCountingSource(seed + int64(i)*7919))}
+		if shared && i > 0 {
+			d.q, d.q2, d.visits, d.rsum = agents[0].q, agents[0].q2, agents[0].visits, agents[0].rsum
+		} else {
+			d.q, d.visits, d.rsum = make([]float64, NumStates*NumActions), make([]uint32, NumStates*NumActions), make([]float64, NumStates*NumActions)
+			if cfg.DoubleQ {
+				d.q2 = make([]float64, NumStates*NumActions)
+			}
+		}
+		agents[i] = d
+	}
+	return agents
+}
+
+// Switches of the referee, one bit each in the first input byte.
+const (
+	swShared = 1 << iota
+	swDoubleQ
+	swAlphaDecay
+	swNegZero
+)
+
+// checkAgainstDense drives the sparse and dense agents through the same
+// Step sequence (input bytes in threes: agent, state, reward) and fails
+// on the first difference in an action, a Q-value's bits, SampleStats or
+// Updates, then on any difference in the table streams. Each sparse
+// stream must decode into a fresh table that re-encodes to the same bytes
+// with a row for exactly the states holding a non-zero word.
+func checkAgainstDense(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	sw, data := data[0], data[1:]
+	cfg := config.Default().RL
+	cfg.DoubleQ = sw&swDoubleQ != 0
+	cfg.AlphaDecay = sw&swAlphaDecay != 0
+	cfg.Alpha = 0.3
+	const n, seed = 3, 11
+	shared := sw&swShared != 0
+	dense := newDenseAgents(cfg, n, shared, seed)
+	sparse := NewSharedAgents(cfg, n, seed)
+	if !shared {
+		for i := range sparse {
+			sparse[i] = NewAgent(cfg, seed+int64(i)*7919)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	rewards := []float64{0, 1, -0.5, 0.25, 3, -2, 0.1, 1e-3}
+	if sw&swNegZero != 0 {
+		// A -0.0 in the table survives the TD update only where every term
+		// is -0.0, so seed the first state's row with one as well.
+		rewards[0] = negZero
+		for i := range sparse {
+			if i == 0 || !shared {
+				sparse[i].t.write(0).q[0] = negZero
+				dense[i].q[0] = negZero
+			}
+		}
+	}
+	// States come from a 500-state corner: enough to grow the slab past
+	// its initial capacity, few enough that the sequences revisit them.
+	for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
+		i := int(data[0]) % n
+		s := State{Buf: data[1] % BufBins, Temp: (data[1] / BufBins) % TempBins, InNACK: data[1] >> 6,
+			OutLink: (data[0] / n) % LinkBins}
+		r := rewards[int(data[2])%len(rewards)]
+		got, want := sparse[i].Step(s, r), dense[i].step(s, r)
+		if got != want {
+			t.Fatalf("step %d agent %d: sparse chose %d, dense %d", step, i, got, want)
+		}
+		for act := range NumActions {
+			if g, w := sparse[i].Q(s, act), dense[i].value(s, act); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d agent %d: Q(%v,%d) = %g sparse, %g dense", step, i, s, act, g, w)
+			}
+			v, mean := sparse[i].SampleStats(s, act)
+			idx := s.Index()*NumActions + act
+			wantMean := 0.0
+			if dense[i].visits[idx] != 0 {
+				wantMean = dense[i].rsum[idx] / float64(dense[i].visits[idx])
+			}
+			if v != dense[i].visits[idx] || math.Float64bits(mean) != math.Float64bits(wantMean) {
+				t.Fatalf("step %d agent %d: SampleStats(%v,%d) = %d,%g sparse, %d,%g dense",
+					step, i, s, act, v, mean, dense[i].visits[idx], wantMean)
+			}
+		}
+		if sparse[i].Updates() != dense[i].updates {
+			t.Fatalf("step %d agent %d: %d updates sparse, %d dense", step, i, sparse[i].Updates(), dense[i].updates)
+		}
+	}
+	encode := func(walk func(*snap.Codec)) []byte {
+		var buf bytes.Buffer
+		c := snap.NewEncoder(&buf)
+		walk(c)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := range sparse {
+		if shared && i > 0 {
+			if !sparse[i].SharesTableWith(sparse[0]) {
+				t.Fatalf("shared agent %d has its own table", i)
+			}
+			continue
+		}
+		stream := encode(sparse[i].SnapTable)
+		if !bytes.Equal(stream, encode(dense[i].snapTable)) {
+			t.Fatalf("agent %d: sparse table stream differs from the dense one", i)
+		}
+		// A decode into a table that already holds rows must overwrite them,
+		// zeros included.
+		fresh, used := NewAgent(cfg, 1), NewAgent(cfg, 2)
+		for k := range 600 {
+			used.Step(State{Buf: uint8(k % BufBins), OutNACK: uint8(k % NACKBins), Temp: uint8(k % TempBins)}, 7)
+		}
+		for _, a := range []*Agent{fresh, used} {
+			c := snap.NewDecoder(bytes.NewReader(stream))
+			a.SnapTable(c)
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encode(a.SnapTable), stream) {
+				t.Fatalf("agent %d: decode then re-encode changed the table stream", i)
+			}
+		}
+		live := 0
+		for s := range NumStates {
+			if dense[i].holds(s) {
+				live++
+			}
+		}
+		if rows := len(fresh.t.rows) - 1; rows != live {
+			t.Fatalf("agent %d: decode built %d rows for %d states holding data", i, rows, live)
+		}
+	}
+}
+
+// TestSparseTableMatchesDense runs the referee over every combination of
+// its switches on seeded random step sequences.
+func TestSparseTableMatchesDense(t *testing.T) {
+	for sw := range 16 {
+		t.Run(fmt.Sprintf("switches=%04b", sw), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(sw)))
+			data := make([]byte, 1+3*4000)
+			rng.Read(data)
+			data[0] = byte(sw)
+			checkAgainstDense(t, data)
+		})
+	}
+}
+
+// FuzzAgentTable: arbitrary step sequences under arbitrary switches.
+func FuzzAgentTable(f *testing.F) {
+	for sw := range 16 {
+		f.Add([]byte{byte(sw), 0, 0, 0, 1, 1, 0, 0, 0, 1, 2, 63, 7, 0, 0, 1})
+	}
+	f.Fuzz(checkAgainstDense)
+}
+
+// TestTableGrowsOnlyOnUpdate: a fresh agent holds no rows, reads of
+// untouched states (Greedy, Q, SampleStats) never add one, and an update
+// adds exactly the row of the state it closes.
+func TestTableGrowsOnlyOnUpdate(t *testing.T) {
+	cfg := config.Default().RL
+	cfg.Epsilon = 0
+	a := NewAgent(cfg, 1)
+	s, next := State{Buf: 3}, State{Temp: 2}
+	if allocs := testing.AllocsPerRun(10, func() {
+		a.Greedy(s)
+		a.SampleStats(next, 2)
+	}); allocs != 0 {
+		t.Errorf("reading untouched states made %.0f allocations", allocs)
+	}
+	a.Step(s, 0)
+	if rows := len(a.t.rows) - 1; rows != 0 {
+		t.Fatalf("the first Step (no update) added %d rows", rows)
+	}
+	a.Step(next, 1)
+	if rows := len(a.t.rows) - 1; rows != 1 || a.t.index[s.Index()] != 1 || a.t.index[next.Index()] != 0 {
+		t.Fatalf("one update added %d rows (index of s %d, of next %d), want s's row only",
+			rows, a.t.index[s.Index()], a.t.index[next.Index()])
+	}
+	if a.t.rows[0] != (row{}) {
+		t.Fatal("the shared zero row was written")
+	}
+}

@@ -66,6 +66,7 @@ func IsCorrupt(err error) bool {
 func WriteFileAtomic(path string, emit func(*Codec) error) error {
 	return writeAtomic(path, func(f *os.File) error {
 		c := NewEncoder(f)
+		defer c.Release()
 		if err := emit(c); err != nil {
 			return err
 		}

@@ -23,11 +23,13 @@ package snap
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 )
 
 // Magic identifies an rlnoc snapshot stream ("RLNS" little-endian).
@@ -86,12 +88,55 @@ type pendingDraws struct {
 	draws uint64
 }
 
-// NewEncoder returns a codec that writes to w (buffered internally; call
-// Flush when done).
-func NewEncoder(w io.Writer) *Codec { return &Codec{w: bufio.NewWriterSize(w, 1<<16)} }
+// bufSize is the stream buffer of every codec.
+const bufSize = 1 << 16
 
-// NewDecoder returns a codec that reads from r.
-func NewDecoder(r io.Reader) *Codec { return &Codec{r: bufio.NewReaderSize(r, 1<<16)} }
+// The codecs' stream buffers, reused across snapshots: a campaign writes
+// a checkpoint every few thousand cycles per job, and each would
+// otherwise allocate its own 64 KiB. Reuse cannot reach the stream: a
+// buffer is Reset onto its new stream, and a Writer emits or a Reader
+// returns only bytes that stream put there.
+var (
+	writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bufSize) }}
+	readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
+)
+
+// errReleased is the sticky error of a codec after Release.
+var errReleased = errors.New("snap: codec used after Release")
+
+// NewEncoder returns a codec that writes to w (buffered internally; call
+// Flush when done, and Release after).
+func NewEncoder(w io.Writer) *Codec {
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return &Codec{w: bw}
+}
+
+// NewDecoder returns a codec that reads from r (call Release when done).
+func NewDecoder(r io.Reader) *Codec {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &Codec{r: br}
+}
+
+// Release returns the codec's stream buffer for reuse — without flushing
+// it, so an encoder abandoned on an error writes nothing more — and makes
+// every later call a no-op failing with a sticky error. A codec never
+// released is collected with its buffer, which is correct, only slower.
+func (c *Codec) Release() {
+	if c.w != nil {
+		c.w.Reset(nil)
+		writers.Put(c.w)
+	}
+	if c.r != nil {
+		c.r.Reset(nil)
+		readers.Put(c.r)
+	}
+	c.w, c.r = nil, nil
+	if c.err == nil {
+		c.err = errReleased
+	}
+}
 
 // Decoding reports the codec's direction. Walks branch on it only for
 // steps that exist on one side: allocation, derived-state rebuilds and
@@ -455,6 +500,12 @@ func (c *Codec) VarInts(v *[]int, bound int) {
 // F64s walks a length-prefixed []float64 in place (length must match).
 func (c *Codec) F64s(v []float64) {
 	c.LenCheck(len(v))
+	c.RawF64s(v)
+}
+
+// RawF64s walks v with no length prefix, for vectors the caller frames
+// itself (a sparse table streamed as its dense form, a run at a time).
+func (c *Codec) RawF64s(v []float64) {
 	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/8)
 		if !c.Decoding() {
@@ -474,6 +525,11 @@ func (c *Codec) F64s(v []float64) {
 // U32s walks a length-prefixed []uint32 in place (length must match).
 func (c *Codec) U32s(v []uint32) {
 	c.LenCheck(len(v))
+	c.RawU32s(v)
+}
+
+// RawU32s walks v with no length prefix (see RawF64s).
+func (c *Codec) RawU32s(v []uint32) {
 	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/4)
 		if !c.Decoding() {

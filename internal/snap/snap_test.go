@@ -3,6 +3,8 @@ package snap
 import (
 	"bytes"
 	"cmp"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -606,6 +608,59 @@ func TestBulkSliceTruncation(t *testing.T) {
 		if !IsCorrupt(dec.Err()) {
 			t.Errorf("cut at %d: err = %v, want a corrupt-stream error", cut, dec.Err())
 		}
+	}
+}
+
+// TestReleasedBuffersCarryNothing: a released codec's buffer goes back to
+// the pool, the next codec that takes it sees only its own stream — an
+// encoder abandoned mid-walk leaks no unflushed bytes into the next, and
+// a decoder released with read-ahead left leaks none into the next — and
+// a codec used after Release fails instead of touching the reused buffer.
+func TestReleasedBuffersCarryNothing(t *testing.T) {
+	var junk, want bytes.Buffer
+	abandoned := NewEncoder(&junk)
+	abandoned.U64s(make([]uint64, 100))
+	abandoned.Release()
+	if junk.Len() != 0 {
+		t.Fatalf("Release flushed %d bytes of an abandoned encoder", junk.Len())
+	}
+	var v uint64 = 7
+	abandoned.U64(&v)
+	if !errors.Is(abandoned.Flush(), errReleased) {
+		t.Fatal("a released encoder accepted a write")
+	}
+	enc := NewEncoder(&want)
+	enc.U64(&v)
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	enc.Release()
+	if want.Len() != 8 {
+		t.Fatalf("the reused writer emitted %d bytes for one word", want.Len())
+	}
+
+	long := NewDecoder(bytes.NewReader(make([]byte, 1000)))
+	long.U64(&v)
+	long.Release()
+	dec := NewDecoder(bytes.NewReader(want.Bytes()))
+	var got uint64
+	dec.U64(&got)
+	dec.U8(new(uint8))
+	if got != 7 || !IsCorrupt(dec.Err()) {
+		t.Fatalf("reused reader gave %d then err %v; want 7 then the end of its own stream", got, dec.Err())
+	}
+	dec.Release()
+
+	if allocs := testing.AllocsPerRun(20, func() {
+		c := NewEncoder(io.Discard)
+		c.U64(&v)
+		c.Flush()
+		c.Release()
+		c = NewDecoder(bytes.NewReader(want.Bytes()))
+		c.U64(&got)
+		c.Release()
+	}); allocs > 4 {
+		t.Errorf("an encode and a decode made %.0f allocations; the stream buffers are not reused", allocs)
 	}
 }
 
