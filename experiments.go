@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"rlnoc/internal/config"
 	"rlnoc/internal/core"
 	"rlnoc/internal/network"
 	"rlnoc/internal/power"
@@ -464,7 +465,11 @@ func TableII(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table II: simulation parameters")
 	fmt.Fprintf(&b, "cores / routers     %d (%dx%d 2D %s)\n", cfg.Routers(), cfg.Width, cfg.Height, cfg.TopologyKind())
-	fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
+	if cfg.Routing == config.RoutingWestFirst {
+		fmt.Fprintln(&b, "routing             adaptive (west-first turn model)")
+	} else {
+		fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
+	}
 	fmt.Fprintf(&b, "router pipeline     %d stages, %d VCs/port, %d flits/VC\n",
 		network.PipelineStages, cfg.VCsPerPort, cfg.VCDepth)
 	fmt.Fprintf(&b, "packet              %d bits/flit, %d flits\n", cfg.FlitBits, cfg.FlitsPerPacket)

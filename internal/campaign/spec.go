@@ -17,6 +17,7 @@ package campaign
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rlnoc/internal/config"
@@ -123,10 +124,15 @@ type Spec struct {
 	Inject InjectSpec `json:"inject,omitempty"`
 }
 
-// Validate rejects specs the engine cannot run.
+// Validate rejects specs the engine cannot run. The ID names the job's
+// directory under <campaign>/jobs, so it must be a single path element:
+// specs also arrive from manifest.json on disk.
 func (s Spec) Validate() error {
-	if s.ID == "" {
+	switch {
+	case s.ID == "":
 		return fmt.Errorf("campaign: spec has no ID")
+	case s.ID == "." || s.ID == ".." || strings.ContainsAny(s.ID, "/\\\x00"):
+		return fmt.Errorf("campaign: spec ID %q is not a single path element", s.ID)
 	}
 	if _, err := core.ParseScheme(s.Scheme); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)

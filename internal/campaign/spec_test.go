@@ -1,0 +1,78 @@
+package campaign
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// pathIDs are job IDs that are not one path element: each would put the
+// job's checkpoints somewhere other than a directory of its own directly
+// under <campaign>/jobs.
+var pathIDs = []string{"", ".", "..", "../../escaped", "a/b", "/abs", `a\b`, "a\x00b"}
+
+// TestValidateRejectsPathIDs: a spec whose ID is not a single path
+// element is refused by Validate, by Submit and by a resumed manifest,
+// before any checkpoint is written outside the campaign directory.
+func TestValidateRejectsPathIDs(t *testing.T) {
+	for _, id := range pathIDs {
+		if err := tinySpec(id, 0).Validate(); err == nil {
+			t.Errorf("Validate accepted ID %q", id)
+		}
+	}
+	for _, id := range []string{"chaos-0-rl", "...", "a.b", "loadsweep-rl-0.010"} {
+		if err := tinySpec(id, 0).Validate(); err != nil {
+			t.Errorf("Validate rejected ID %q: %v", id, err)
+		}
+	}
+
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "campaign")
+	eng := openTestEngine(t, Options{Dir: dir})
+	escaped := tinySpec("../../escaped", 0)
+	escaped.SnapshotEvery = 100
+	if err := eng.Submit(escaped); err == nil {
+		t.Fatal("Submit accepted ID ../../escaped")
+	}
+	eng.Close()
+
+	data, err := json.Marshal(Manifest{Name: "hostile", Specs: []Spec{escaped}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err := Open(Options{Dir: dir}); err == nil {
+		eng.Close()
+		t.Fatal("Open resumed a manifest naming ID ../../escaped")
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped")); !os.IsNotExist(err) {
+		t.Errorf("something was written outside the campaign directory: %v", err)
+	}
+}
+
+// FuzzSpec: whatever the JSON says, a spec Validate accepts names a job
+// directory directly inside <campaign>/jobs.
+func FuzzSpec(f *testing.F) {
+	for _, id := range append([]string{"chaos-0-rl", "..."}, pathIDs...) {
+		data, err := json.Marshal(tinySpec(id, 0))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	e := &Engine{dir: filepath.Join("campaign", "dir")}
+	jobs := filepath.Join(e.dir, "jobs")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Spec
+		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+			return
+		}
+		dir := e.jobDir(s.ID)
+		if filepath.Dir(dir) != jobs || filepath.Base(dir) != s.ID {
+			t.Fatalf("accepted ID %q resolves to %q, not a child of %q", s.ID, dir, jobs)
+		}
+	})
+}

@@ -35,7 +35,7 @@ var unsnapshotted = map[string]struct {
 	"network.Router.vaWait":          {true, "requestMasks() over the decoded VC route fields"},
 	"network.outputPort.pendingFree": {true, "countPendingFree() over the decoded vcPendingFree"},
 	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
-	"network.qrouteState.dist":       {true, "rebuildDist over the decoded dead-port flags"},
+	"network.qrouteState.dist":       {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
 	"core.measureState.in":           {true, "per-source queues rebuilt from the decoded trace; the cursors are decoded into them"},
 	"core.injector.due":              {true, "sync() over the decoded heads and base"},
 	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},

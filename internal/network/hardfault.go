@@ -10,8 +10,9 @@ package network
 //
 //  1. kill: mark ports dead, discard the flits that were physically on
 //     the dying hardware (wires, retransmission buffers, router buffers).
-//  2. reroute: rebuild the topology's route tables around the surviving
-//     edges and count unreachable pairs.
+//  2. reroute: rebuild the fabric's route table and qroute's distances
+//     around the surviving edges (reroute, the one site) and count
+//     unreachable pairs.
 //  3. sweep: condemn every packet attempt that lost flits or whose
 //     endpoints died or disconnected, and purge the condemned residents
 //     out of live routers' buffers.
@@ -210,22 +211,41 @@ func (n *Network) applyHardFaults() {
 		return
 	}
 	n.hardFaulted = true
-	fa := n.topo.(topology.FaultAware) // enforced by New when a schedule is set
-	n.unreachablePairs = fa.Reroute(func(id int, d topology.Direction) bool {
-		return n.routers[id].outputs[d].dead
-	})
-	if n.qr != nil {
-		// The permitted mask reads surviving-hop distances; refresh them
-		// against the fabric the reroute just rebuilt.
-		n.qr.rebuildDist(n.topo, func(id int, d topology.Direction) bool {
-			return n.routers[id].outputs[d].dead
-		})
-	}
+	n.unreachablePairs = n.reroute()
 	if n.recov != nil {
 		n.recov.RecordKill(n.cycle)
 	}
 	n.sweepAfterFaults(sw)
 	n.resolveCondemned(sw)
+}
+
+// portDead reports whether router id's output port d is dead: the one
+// dead-link predicate the fabric's surviving-link BFS reads.
+func (n *Network) portDead(id int, d topology.Direction) bool { return n.routers[id].outputs[d].dead }
+
+// reroute is the one reroute site: it rebuilds the route table around the
+// dead ports, refreshes qroute's surviving distances from the same BFS,
+// and returns the number of ordered pairs left unreachable.
+func (n *Network) reroute() int {
+	pairs := n.topo.Reroute(n.portDead)
+	n.fillSurvivingDist()
+	return pairs
+}
+
+// fillSurvivingDist fills qroute's distance matrix, one fabric BFS per
+// destination, under the current dead ports; a no-op without qroute. It
+// reads only the fabric's adjacency, so filling a healthy network's
+// matrix never clones the shared route table.
+func (n *Network) fillSurvivingDist() {
+	q := n.qr
+	if q == nil {
+		return
+	}
+	dead := n.portDead
+	var queue []int32
+	for dst := 0; dst < q.nodes; dst++ {
+		queue = n.topo.SurvivingDistances(dst, dead, q.dist[dst*q.nodes:(dst+1)*q.nodes], queue)
+	}
 }
 
 // killLink severs the link from router id through dir, both directions.

@@ -5,7 +5,6 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/stats"
-	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
 
@@ -119,7 +118,7 @@ func TestTorusRingLinkDeadDrains(t *testing.T) {
 	// wrap edge back to router 0.
 	cfg := hardFaultConfig("torus", "400:l3.east")
 	n := newNet(t, cfg, Mode1, true)
-	if _, ok := n.Topology().(*topology.Torus); !ok {
+	if n.Topology().Kind() != "torus" {
 		t.Fatal("config did not build a torus")
 	}
 	events := uniformEvents(t, n, 0.02, 2000)

@@ -306,16 +306,11 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	net.ctrlLive = make(map[uint64]*flit.Packet)
 	if cfg.QRoute.Enabled {
 		net.qr = newQRouteState(cfg, topo)
-		net.qr.rebuildDist(topo, func(id int, d topology.Direction) bool {
-			return net.routers[id].outputs[d].dead
-		})
+		net.fillSurvivingDist()
 	}
 	if cfg.HardFaults != "" {
 		if adaptive {
 			return nil, fmt.Errorf("network: hard faults require deterministic (table) routing; west-first is coordinate math blind to dead links")
-		}
-		if _, ok := topo.(topology.FaultAware); !ok {
-			return nil, fmt.Errorf("network: topology %T cannot reroute around hard faults", topo)
 		}
 		sched, err := fault.ParseHardFaults(cfg.HardFaults)
 		if err != nil {
@@ -1285,7 +1280,7 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 		// Dateline rule (wraparound fabrics only): each VC class splits
 		// into wrap classes 0 (lower half) and 1 (upper half), and the
 		// topology dictates which half this hop may allocate from. See
-		// Topology.WrapVCClass for the deadlock-freedom argument.
+		// Fabric.WrapVCClass for the deadlock-freedom argument.
 		mid := lo + (hi-lo)/2
 		if n.topo.WrapVCClass(r.id, int(front.f.Dst), out) == 0 {
 			hi = mid

@@ -247,7 +247,7 @@ func TestMode2PreRetransmits(t *testing.T) {
 	}
 }
 
-func mustMesh(t *testing.T, cfg config.Config) *topology.Mesh {
+func mustMesh(t *testing.T, cfg config.Config) topology.Topology {
 	t.Helper()
 	m, err := topology.NewMesh(cfg.Width, cfg.Height)
 	if err != nil {

@@ -39,8 +39,9 @@ type qrouteState struct {
 	agents []*rl.RouteAgent
 
 	// dist[dst*nodes+v] is v's hop distance to dst over surviving links,
-	// -1 when unreachable. Rebuilt by applyHardFaults after each reroute;
-	// the permitted mask reads it to enforce strict productivity.
+	// -1 when unreachable: the fabric's SurvivingDistances, filled by
+	// fillSurvivingDist at construction and on every reroute. The
+	// permitted mask reads it to enforce strict productivity.
 	dist  []int32
 	nodes int
 
@@ -64,8 +65,8 @@ type qrouteState struct {
 	updates      int64
 }
 
-// newQRouteState builds the agents and the initial (fault-free) distance
-// table.
+// newQRouteState builds the agents and sizes the distance table, which
+// fillSurvivingDist fills.
 func newQRouteState(cfg config.Config, topo topology.Topology) *qrouteState {
 	nodes := topo.Nodes()
 	q := &qrouteState{
@@ -90,35 +91,6 @@ func newQRouteState(cfg config.Config, topo topology.Topology) *qrouteState {
 		q.rngCycle[i] = -1
 	}
 	return q
-}
-
-// rebuildDist recomputes every destination's surviving-hop distances by
-// backward BFS, using the same edge-liveness rule as the topology's
-// reroute (u reaches v through direction d iff u's port d is not dead).
-// queue is reused across destinations; the whole rebuild runs on the
-// main goroutine (construction or applyHardFaults).
-func (q *qrouteState) rebuildDist(topo topology.Topology, dead func(id int, d topology.Direction) bool) {
-	queue := make([]int32, 0, q.nodes)
-	for dst := 0; dst < q.nodes; dst++ {
-		row := q.dist[dst*q.nodes : (dst+1)*q.nodes]
-		for i := range row {
-			row[i] = -1
-		}
-		row[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			v := int(queue[0])
-			queue = queue[1:]
-			for d := topology.North; d < topology.NumPorts; d++ {
-				u, ok := topo.Neighbor(v, d)
-				if !ok || row[u] >= 0 || dead(u, d.Opposite()) {
-					continue
-				}
-				row[u] = row[v] + 1
-				queue = append(queue, int32(u))
-			}
-		}
-	}
 }
 
 // qroutePermittedMask returns the bitmask (bit p = Direction North+p) of

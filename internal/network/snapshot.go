@@ -306,22 +306,14 @@ func maxDraws(cycle int64) uint64 {
 
 // afterDecode recomputes everything derived from the decoded kill state.
 func (n *Network) afterDecode() error {
-	portDead := func(id int, d topology.Direction) bool { return n.routers[id].outputs[d].dead }
 	// Route tables and qroute distances are deterministic functions of the
 	// dead-port flags; the recomputed unreachable-pair count must agree
 	// with the serialized one (checked — a mismatch means the topology
 	// diverged from the snapshot's).
 	if n.hardFaulted {
-		fa, ok := n.topo.(topology.FaultAware)
-		if !ok {
-			return fmt.Errorf("network: restored snapshot has hard faults but topology %T cannot reroute", n.topo)
-		}
-		if pairs := fa.Reroute(portDead); pairs != n.unreachablePairs {
+		if pairs := n.reroute(); pairs != n.unreachablePairs {
 			return fmt.Errorf("network: restore reroute found %d unreachable pairs, snapshot recorded %d",
 				pairs, n.unreachablePairs)
-		}
-		if n.qr != nil {
-			n.qr.rebuildDist(n.topo, portDead)
 		}
 	}
 	// The qroute exploration streams are rekeyed lazily each cycle; a stale

@@ -8,75 +8,53 @@ import (
 )
 
 // fabricKey identifies a memoizable fabric: route tables and edge lists
-// depend only on kind, dimensions and table dimension order.
+// depend only on wrap, dimensions and table dimension order.
 type fabricKey struct {
-	kind          string
+	wrap          bool
 	width, height int
 	order         Order
 }
 
 // fabricCache memoizes built fabrics across FromConfig calls. Suite
 // sweeps and chaos campaigns build the same (topology, size, order)
-// dozens of times per process, and the O(n^2) route-table BFS dominates
-// per-run setup on large fabrics. Each hit returns a fresh shallow copy
-// sharing the immutable links slice and the route table; the table is
-// marked shared so Reroute clones it before its first mutation
+// dozens of times per process, and evaluating the O(n^2) route table
+// dominates per-run setup on large fabrics. Each hit returns a fresh
+// shallow copy sharing the immutable links slice and the route table; the
+// table is marked shared so Reroute clones it before its first mutation
 // (copy-on-reroute), keeping the cached original pristine.
-var fabricCache sync.Map // fabricKey -> *Mesh | *Torus
+var (
+	fabricMu    sync.Mutex
+	fabricCache = map[fabricKey]*Fabric{}
+)
 
-// FromConfig builds the fabric a Config describes: kind from
+// FromConfig builds the fabric a Config describes: wraparound from
 // cfg.Topology, dimensions from Width x Height, and the route table's
-// dimension order from cfg.Routing (west-first routing is adaptive and
-// computed per hop by the network, so its table order is irrelevant; it
-// gets the XY table used by analytic models). Identical configurations
-// within a process share memoized route/link tables.
+// dimension order from cfg.Routing. The healthy table is evaluated per
+// (here, dst) pair. West-first routing is adaptive and computed per hop
+// by the network, which reads the table only off the adaptive path, so
+// it gets the XY table. Identical configurations within a process share
+// memoized route/link tables.
 func FromConfig(cfg config.Config) (Topology, error) {
 	order := OrderXY
 	if cfg.Routing == config.RoutingYX {
 		order = OrderYX
 	}
 	kind := cfg.TopologyKind()
-	key := fabricKey{kind: string(kind), width: cfg.Width, height: cfg.Height, order: order}
-	if v, ok := fabricCache.Load(key); ok {
-		switch proto := v.(type) {
-		case *Mesh:
-			c := *proto
-			c.sharedRoutes = true
-			return &c, nil
-		case *Torus:
-			c := *proto
-			c.sharedRoutes = true
-			return &c, nil
-		}
-	}
-	var (
-		topo Topology
-		err  error
-	)
-	switch kind {
-	case config.TopologyMesh:
-		topo, err = NewMeshOrder(cfg.Width, cfg.Height, order)
-	case config.TopologyTorus:
-		topo, err = NewTorusOrder(cfg.Width, cfg.Height, order)
-	default:
+	if kind != config.TopologyMesh && kind != config.TopologyTorus {
 		return nil, fmt.Errorf("topology: unknown kind %q (want mesh|torus)", kind)
 	}
-	if err != nil {
-		return nil, err
+	key := fabricKey{wrap: kind == config.TopologyTorus, width: cfg.Width, height: cfg.Height, order: order}
+	fabricMu.Lock()
+	defer fabricMu.Unlock()
+	proto, ok := fabricCache[key]
+	if !ok {
+		var err error
+		if proto, err = newFabric(cfg.Width, cfg.Height, key.wrap, order); err != nil {
+			return nil, err
+		}
+		fabricCache[key] = proto
 	}
-	// Store a private prototype and hand the caller a shared-marked
-	// copy; concurrent first builds may race the store, which is
-	// harmless (either prototype is equivalent).
-	fabricCache.Store(key, topo)
-	switch proto := topo.(type) {
-	case *Mesh:
-		c := *proto
-		c.sharedRoutes = true
-		return &c, nil
-	case *Torus:
-		c := *proto
-		c.sharedRoutes = true
-		return &c, nil
-	}
-	return topo, nil
+	c := *proto
+	c.sharedRoutes = true
+	return &c, nil
 }

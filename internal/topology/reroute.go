@@ -7,21 +7,6 @@ package topology
 // collide with a real port and still fits the table's uint8 cells.
 const Unreachable Direction = NumPorts
 
-// FaultAware is implemented by fabrics whose route tables can be rebuilt
-// around permanently dead links (both concrete fabrics here implement
-// it). Reroute is a whole-table rebuild, called only when a hard fault
-// lands — never per flit — so its cost is irrelevant to the cycle loop.
-type FaultAware interface {
-	Topology
-	// Reroute rebuilds the route table over the surviving edges. dead
-	// reports whether the directed edge leaving router id through port d
-	// is down (callers kill links bidirectionally; Reroute itself treats
-	// each direction independently). It returns the number of ordered
-	// (src, dst) pairs, src != dst, left with no surviving path; their
-	// table cells hold Unreachable.
-	Reroute(dead func(id int, d Direction) bool) int
-}
-
 // Reachable reports whether the fabric's route table has a live path
 // from src to dst (trivially true when src == dst).
 func Reachable(t Topology, src, dst int) bool {
@@ -33,42 +18,59 @@ func Reachable(t Topology, src, dst int) bool {
 // XY flavor of the healthy tables.
 var rerouteProbeOrder = [linkPorts]Direction{East, West, North, South}
 
-// rebuildRoutes recomputes a fabric's route table with a BFS per
-// destination over the surviving edges. For each destination it derives
-// exact hop distances (backward BFS along reversed alive edges), then
-// points every source at a neighbor one step closer — preferring the
-// port the previous table used when that port is still optimal, so
-// traffic unaffected by the fault keeps its dimension-ordered (and on
-// the torus, dateline-safe) routes, and falling back to a fixed probe
-// order otherwise. Everything is index-ordered and the dead predicate is
-// pure, so rebuilt tables are identical across runs and worker counts.
-// Returns the number of unreachable ordered pairs.
-func rebuildRoutes(t Topology, routes []uint8, dead func(id int, d Direction) bool) int {
-	n := t.Nodes()
-	dist := make([]int, n)
-	queue := make([]int, 0, n)
+// SurvivingDistances is the backward BFS over surviving links: it fills
+// row[v] with router v's hop distance to dst over the directed edges dead
+// leaves alive (dead reports whether the edge leaving router id through
+// port d is down), -1 where no path survives. row holds Nodes() entries.
+// queue is scratch space of any length; the grown buffer is returned for
+// the next call. It reads only adjacency, never the route table.
+func (f *Fabric) SurvivingDistances(dst int, dead func(id int, d Direction) bool, row, queue []int32) []int32 {
+	for i := range row {
+		row[i] = -1
+	}
+	row[dst] = 0
+	queue = append(queue[:0], int32(dst))
+	for qi := 0; qi < len(queue); qi++ {
+		v := int(queue[qi])
+		for d := North; d < NumPorts; d++ {
+			// u sits in direction d from v, so u reaches v through the
+			// opposite port; that directed edge must be alive.
+			u, ok := f.Neighbor(v, d)
+			if !ok || row[u] >= 0 || dead(u, d.Opposite()) {
+				continue
+			}
+			row[u] = row[v] + 1
+			queue = append(queue, int32(u))
+		}
+	}
+	return queue
+}
+
+// Reroute rebuilds the route table around dead links and returns the
+// number of ordered (src, dst) pairs, src != dst, left with no surviving
+// path; their cells hold Unreachable. For each destination it takes the
+// surviving distances, then points every source at a neighbor one step
+// closer — preferring the port the previous table used when that port is
+// still optimal, so traffic unaffected by the fault keeps its
+// dimension-ordered route, and falling back to a fixed probe order
+// otherwise. dead treats each direction of a link independently (callers
+// kill links in both). Everything is index-ordered and dead is pure, so
+// rebuilt tables are identical across runs and worker counts. A table
+// shared with the FromConfig cache is cloned first (copy-on-reroute).
+// It runs only when a hard fault lands, never per flit.
+func (f *Fabric) Reroute(dead func(id int, d Direction) bool) int {
+	if f.sharedRoutes {
+		f.routes = append([]uint8(nil), f.routes...)
+		f.sharedRoutes = false
+	}
+	n := f.Nodes()
+	dist := make([]int32, n)
+	var queue []int32
 	unreachable := 0
 	for dst := 0; dst < n; dst++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], dst)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			for d := North; d < NumPorts; d++ {
-				// u sits in direction d from v, so u reaches v through
-				// the opposite port; that directed edge must be alive.
-				u, ok := t.Neighbor(v, d)
-				if !ok || dist[u] >= 0 || dead(u, d.Opposite()) {
-					continue
-				}
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
+		queue = f.SurvivingDistances(dst, dead, dist, queue)
 		for here := 0; here < n; here++ {
-			cell := &routes[here*n+dst]
+			cell := &f.routes[here*n+dst]
 			switch {
 			case here == dst:
 				*cell = uint8(Local)
@@ -79,7 +81,7 @@ func rebuildRoutes(t Topology, routes []uint8, dead func(id int, d Direction) bo
 				prev := Direction(*cell)
 				best := Unreachable
 				for _, d := range rerouteProbeOrder {
-					next, ok := t.Neighbor(here, d)
+					next, ok := f.Neighbor(here, d)
 					if !ok || dead(here, d) || dist[next] != dist[here]-1 {
 						continue
 					}
@@ -96,31 +98,4 @@ func rebuildRoutes(t Topology, routes []uint8, dead func(id int, d Direction) bo
 		}
 	}
 	return unreachable
-}
-
-// Reroute rebuilds the mesh route table around dead links. A table
-// shared with the FromConfig cache is cloned first (copy-on-reroute),
-// so fault campaigns never corrupt the pristine cached tables other
-// runs in the process will receive.
-func (m *Mesh) Reroute(dead func(id int, d Direction) bool) int {
-	if m.sharedRoutes {
-		m.routes = append([]uint8(nil), m.routes...)
-		m.sharedRoutes = false
-	}
-	return rebuildRoutes(m, m.routes, dead)
-}
-
-// Reroute rebuilds the torus route table around dead links. Detour
-// routes stay dateline-safe because WrapVCClass derives the escape class
-// from coordinates per hop, independent of the table: any hop moving
-// away from the destination within its ring (the stretch before a wrap
-// crossing) rides class 1 and drops to class 0 at the dateline.
-// A cache-shared table is cloned before the first mutation, as for the
-// mesh.
-func (t *Torus) Reroute(dead func(id int, d Direction) bool) int {
-	if t.sharedRoutes {
-		t.routes = append([]uint8(nil), t.routes...)
-		t.sharedRoutes = false
-	}
-	return rebuildRoutes(t, t.routes, dead)
 }

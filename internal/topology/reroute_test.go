@@ -120,14 +120,13 @@ func TestRerouteCountsUnreachablePairs(t *testing.T) {
 	}
 }
 
-// TestTorusRerouteDatelineSafety is the deadlock-freedom property test
-// for rebuilt torus routes: walk every surviving (src, dst) route and
-// require that (a) any hop crossing a wraparound edge rides the class-0
-// side of the dateline — WrapVCClass assigns the wrap crossing itself to
-// the escape class's exit, never class 1, so the class-1 channel
-// dependency chain still terminates at the dateline — and (b) no route
-// crosses the same ring's wrap edge twice in one direction, which would
-// re-enter class 1 after the dateline and close a dependency cycle.
+// TestTorusRerouteDatelineSafety walks every surviving (src, dst) route
+// of rebuilt torus tables and requires that (a) any hop crossing a
+// wraparound edge rides the class-0 side of the dateline — WrapVCClass
+// assigns the wrap crossing itself to class 0, never class 1 — and (b)
+// no route crosses the same ring's wrap edge twice in one direction.
+// These are per-route properties only: the tables' combined channel
+// dependencies are still cyclic after a kill (see cdg_test.go).
 func TestTorusRerouteDatelineSafety(t *testing.T) {
 	for _, kills := range [][]struct {
 		id  int
@@ -176,7 +175,7 @@ func TestTorusRerouteDatelineSafety(t *testing.T) {
 
 // crossesWrap reports whether the hop (here, out) traverses a torus
 // wraparound edge.
-func crossesWrap(to *Torus, here int, out Direction) bool {
+func crossesWrap(to *Fabric, here int, out Direction) bool {
 	c := to.Coord(here)
 	switch out {
 	case East:

@@ -1,8 +1,8 @@
-// Package topology models the interconnect fabric behind an abstract
-// Topology interface: node coordinates, port directions, neighbor
-// relations, an explicit link (edge) list, and table-driven
-// dimension-ordered routing. Two fabrics implement it — the paper's 2D
-// mesh (8x8 with X-Y routing in the evaluation) and a 2D torus whose
+// Package topology models the interconnect fabric: node coordinates,
+// port directions, neighbor relations, an explicit link (edge) list, and
+// table-driven dimension-ordered routing. One type, Fabric, is both the
+// paper's 2D mesh (8x8 with X-Y routing in the evaluation) and the 2D
+// torus, a mesh whose rows and columns close into rings and whose
 // wraparound links use a dateline VC-class rule for deadlock freedom.
 package topology
 
@@ -82,54 +82,6 @@ func LinkIndex(id int, d Direction) int { return id*linkPorts + int(d-North) }
 // of the given node count.
 func LinkSlots(nodes int) int { return nodes * linkPorts }
 
-// Topology is the abstract fabric: every consumer (network wiring,
-// routing, fault keying, thermal and power geometry, traffic patterns)
-// goes through this interface rather than assuming a concrete shape.
-type Topology interface {
-	// Kind names the fabric ("mesh", "torus").
-	Kind() string
-	// Nodes returns the number of routers.
-	Nodes() int
-	// Dims returns the physical 2D tile-grid dimensions. Both fabrics
-	// here lay tiles out as a width x height grid (torus wrap links are
-	// long wires over that same grid), so thermal adjacency and
-	// grid-based traffic patterns key on Dims, not on link structure.
-	Dims() (width, height int)
-	// Coord converts a router ID to its coordinate; panics out of range.
-	Coord(id int) Coord
-	// ID converts a coordinate to a router ID; panics out of range.
-	ID(c Coord) int
-	// Neighbor returns the router adjacent to id through output port d
-	// and whether that port is wired.
-	Neighbor(id int, d Direction) (int, bool)
-	// Hops returns the minimal hop distance between two routers.
-	Hops(src, dst int) int
-	// Links returns the fabric's directed edge list, ordered by source
-	// ID then by port direction. Callers must not mutate it.
-	Links() []Link
-	// LinkIndex is the canonical dense link slot for (id, d); see the
-	// package-level LinkIndex.
-	LinkIndex(id int, d Direction) int
-	// LinkSlots is the size of the dense link-index space.
-	LinkSlots() int
-	// Route returns the output port a packet at router here destined
-	// for router dst must take (Local when here == dst). It is a table
-	// lookup: the full routing relation is computed once at
-	// construction, never per flit.
-	Route(here, dst int) Direction
-	// Wraparound reports whether the fabric has wraparound links, i.e.
-	// whether deadlock freedom needs the dateline VC classes below.
-	Wraparound() bool
-	// WrapVCClass returns the dateline VC class (0 or 1) for a packet
-	// at here destined for dst leaving through out. Fabrics without
-	// wraparound always return 0.
-	WrapVCClass(here, dst int, out Direction) int
-	// WireLength returns the physical length, in tile pitches, of the
-	// wire behind output port d of router id (1 when the port is
-	// unwired; the value is only meaningful for wired ports).
-	WireLength(id int, d Direction) float64
-}
-
 // Order selects the dimension order of deterministic routing.
 type Order int
 
@@ -139,61 +91,6 @@ const (
 	// OrderYX resolves the Y dimension first, then X.
 	OrderYX
 )
-
-// RouteFunc computes the output port a packet at router here destined for
-// router dst must take. Returning Local means the packet has arrived.
-// Route tables are built by evaluating a RouteFunc over all pairs.
-type RouteFunc func(t Topology, here, dst int) Direction
-
-// buildRouteTable evaluates route over every (here, dst) pair once. The
-// table stores the identical Directions the per-pair arithmetic yields,
-// so table-driven lookup is bit-identical to calling route per flit.
-func buildRouteTable(t Topology, route RouteFunc) []uint8 {
-	n := t.Nodes()
-	table := make([]uint8, n*n)
-	for here := 0; here < n; here++ {
-		for dst := 0; dst < n; dst++ {
-			table[here*n+dst] = uint8(route(t, here, dst))
-		}
-	}
-	return table
-}
-
-// RouteXY is grid dimension-ordered routing, X dimension first, with no
-// wraparound. Deadlock-free on meshes.
-func RouteXY(t Topology, here, dst int) Direction {
-	h, d := t.Coord(here), t.Coord(dst)
-	switch {
-	case d.X > h.X:
-		return East
-	case d.X < h.X:
-		return West
-	case d.Y > h.Y:
-		return North
-	case d.Y < h.Y:
-		return South
-	default:
-		return Local
-	}
-}
-
-// RouteYX is grid dimension-ordered routing, Y dimension first, with no
-// wraparound. Deadlock-free on meshes.
-func RouteYX(t Topology, here, dst int) Direction {
-	h, d := t.Coord(here), t.Coord(dst)
-	switch {
-	case d.Y > h.Y:
-		return North
-	case d.Y < h.Y:
-		return South
-	case d.X > h.X:
-		return East
-	case d.X < h.X:
-		return West
-	default:
-		return Local
-	}
-}
 
 // WestFirstCandidates returns the productive output directions a packet
 // at here destined for dst may take under the west-first turn model
@@ -223,35 +120,6 @@ func WestFirstCandidates(t Topology, here, dst int) []Direction {
 		c = append(c, South)
 	}
 	return c
-}
-
-// Path returns the sequence of router IDs a packet visits from src to dst
-// (inclusive of both) under the given routing function, or t.Route when
-// route is nil. It is used by tests and analytic models, not by the
-// cycle-accurate simulator. A misbehaving RouteFunc cannot hang it: any
-// walk exceeding Nodes() hops, or stepping through an unwired port, is
-// reported as an error.
-func Path(t Topology, src, dst int, route RouteFunc) ([]int, error) {
-	if route == nil {
-		route = func(t Topology, here, dst int) Direction { return t.Route(here, dst) }
-	}
-	path := []int{src}
-	here := src
-	for here != dst {
-		d := route(t, here, dst)
-		next, ok := t.Neighbor(here, d)
-		if !ok {
-			return nil, fmt.Errorf("topology: route from %d to %d fell off the fabric at %d going %v", src, dst, here, d)
-		}
-		here = next
-		path = append(path, here)
-		// A loop-free walk visits at most Nodes() routers, i.e. makes at
-		// most Nodes()-1 hops; one extra hop proves a routing cycle.
-		if len(path) > t.Nodes() {
-			return nil, fmt.Errorf("topology: route from %d to %d does not converge (%d hops without arriving)", src, dst, len(path)-1)
-		}
-	}
-	return path, nil
 }
 
 func abs(v int) int {

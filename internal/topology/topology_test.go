@@ -5,20 +5,33 @@ import (
 	"testing/quick"
 )
 
-func mustPath(t *testing.T, topo Topology, src, dst int, route RouteFunc) []int {
+// walkPath returns the routers a packet visits from src to dst (both
+// included) by walking the fabric's route table; walkRoute fails the test
+// on a dead, unreachable, unwired or looping step.
+func walkPath(t *testing.T, topo Topology, src, dst int) []int {
 	t.Helper()
-	path, err := Path(topo, src, dst, route)
-	if err != nil {
-		t.Fatalf("Path(%d,%d): %v", src, dst, err)
+	path := []int{src}
+	for _, hop := range walkRoute(t, topo, nil, src, dst) {
+		next, _ := topo.Neighbor(hop[0], Direction(hop[1]))
+		path = append(path, next)
 	}
 	return path
 }
 
-func mustMesh(t *testing.T, w, h int) *Mesh {
+func mustMesh(t *testing.T, w, h int) *Fabric {
 	t.Helper()
 	m, err := NewMesh(w, h)
 	if err != nil {
 		t.Fatalf("NewMesh(%d,%d): %v", w, h, err)
+	}
+	return m
+}
+
+func mustMeshOrder(t *testing.T, w, h int, order Order) *Fabric {
+	t.Helper()
+	m, err := NewMeshOrder(w, h, order)
+	if err != nil {
+		t.Fatalf("NewMeshOrder(%d,%d,%d): %v", w, h, order, err)
 	}
 	return m
 }
@@ -125,7 +138,7 @@ func TestRouteXYOrder(t *testing.T) {
 	m := mustMesh(t, 8, 8)
 	// From (0,0) to (3,3): XY goes East until X matches, then North.
 	src, dst := m.ID(Coord{0, 0}), m.ID(Coord{3, 3})
-	path := mustPath(t, m, src, dst, RouteXY)
+	path := walkPath(t, m, src, dst)
 	want := []int{0, 1, 2, 3, 11, 19, 27}
 	if len(path) != len(want) {
 		t.Fatalf("path length %d, want %d (%v)", len(path), len(want), path)
@@ -138,9 +151,9 @@ func TestRouteXYOrder(t *testing.T) {
 }
 
 func TestRouteYXOrder(t *testing.T) {
-	m := mustMesh(t, 8, 8)
+	m := mustMeshOrder(t, 8, 8, OrderYX)
 	src, dst := m.ID(Coord{0, 0}), m.ID(Coord{3, 3})
-	path := mustPath(t, m, src, dst, RouteYX)
+	path := walkPath(t, m, src, dst)
 	// Y first: 0 -> 8 -> 16 -> 24 -> 25 -> 26 -> 27
 	want := []int{0, 8, 16, 24, 25, 26, 27}
 	for i := range want {
@@ -151,29 +164,24 @@ func TestRouteYXOrder(t *testing.T) {
 }
 
 func TestRouteSelfIsLocal(t *testing.T) {
-	m := mustMesh(t, 4, 4)
-	for id := 0; id < m.Nodes(); id++ {
-		if d := RouteXY(m, id, id); d != Local {
-			t.Fatalf("RouteXY(%d,%d) = %v, want local", id, id, d)
-		}
-		if d := RouteYX(m, id, id); d != Local {
-			t.Fatalf("RouteYX(%d,%d) = %v, want local", id, id, d)
+	for _, m := range []*Fabric{mustMesh(t, 4, 4), mustMeshOrder(t, 4, 4, OrderYX)} {
+		for id := 0; id < m.Nodes(); id++ {
+			if d := m.Route(id, id); d != Local {
+				t.Fatalf("Route(%d,%d) = %v, want local", id, id, d)
+			}
 		}
 	}
 }
 
-// Property: both dimension-ordered routes always reach the destination in
+// Property: both dimension-ordered tables always reach the destination in
 // exactly the Manhattan distance number of hops.
 func TestRouteMinimalProperty(t *testing.T) {
-	m := mustMesh(t, 8, 8)
+	xy, yx := mustMesh(t, 8, 8), mustMeshOrder(t, 8, 8, OrderYX)
 	prop := func(srcRaw, dstRaw uint8) bool {
-		src := int(srcRaw) % m.Nodes()
-		dst := int(dstRaw) % m.Nodes()
-		for _, r := range []RouteFunc{RouteXY, RouteYX} {
-			path, err := Path(m, src, dst, r)
-			if err != nil {
-				return false
-			}
+		src := int(srcRaw) % xy.Nodes()
+		dst := int(dstRaw) % xy.Nodes()
+		for _, m := range []*Fabric{xy, yx} {
+			path := walkPath(t, m, src, dst)
 			if len(path)-1 != m.Hops(src, dst) {
 				return false
 			}
@@ -265,7 +273,7 @@ func TestXYNeverTurnsYToX(t *testing.T) {
 	m := mustMesh(t, 8, 8)
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
-			path := mustPath(t, m, src, dst, RouteXY)
+			path := walkPath(t, m, src, dst)
 			movedY := false
 			for i := 1; i < len(path); i++ {
 				a, b := m.Coord(path[i-1]), m.Coord(path[i])

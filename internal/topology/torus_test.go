@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-func mustTorus(t *testing.T, w, h int) *Torus {
+func mustTorus(t *testing.T, w, h int) *Fabric {
 	t.Helper()
 	to, err := NewTorus(w, h)
 	if err != nil {
@@ -113,10 +113,7 @@ func TestTorusRouteMinimalProperty(t *testing.T) {
 			}
 			for rep := 0; rep < 50; rep++ {
 				src, dst := rng.Intn(to.Nodes()), rng.Intn(to.Nodes())
-				path, err := Path(to, src, dst, nil)
-				if err != nil {
-					t.Fatalf("%dx%d order %d: %v", w, h, order, err)
-				}
+				path := walkPath(t, to, src, dst)
 				if len(path)-1 != to.Hops(src, dst) {
 					t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
 						w, h, src, dst, len(path)-1, to.Hops(src, dst))
@@ -144,10 +141,7 @@ func TestMeshRouteMinimalRandomDims(t *testing.T) {
 			}
 			for rep := 0; rep < 50; rep++ {
 				src, dst := rng.Intn(m.Nodes()), rng.Intn(m.Nodes())
-				path, err := Path(m, src, dst, nil)
-				if err != nil {
-					t.Fatalf("%dx%d order %d: %v", w, h, order, err)
-				}
+				path := walkPath(t, m, src, dst)
 				if len(path)-1 != m.Hops(src, dst) {
 					t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
 						w, h, src, dst, len(path)-1, m.Hops(src, dst))
@@ -277,10 +271,7 @@ func TestTorusDatelineClassMonotonic(t *testing.T) {
 	to := mustTorus(t, 6, 6)
 	for src := 0; src < to.Nodes(); src++ {
 		for dst := 0; dst < to.Nodes(); dst++ {
-			path, err := Path(to, src, dst, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			path := walkPath(t, to, src, dst)
 			lastClass := map[bool]int{} // key: horizontal hop?
 			for i := 0; i+1 < len(path); i++ {
 				out := to.Route(path[i], dst)
@@ -292,32 +283,6 @@ func TestTorusDatelineClassMonotonic(t *testing.T) {
 				lastClass[horiz] = cls
 			}
 		}
-	}
-}
-
-func TestPathGuardsAgainstLoopingRoute(t *testing.T) {
-	m := mustMesh(t, 4, 4)
-	// A malicious route that ping-pongs between two nodes forever.
-	pingPong := func(t Topology, here, dst int) Direction {
-		if here%2 == 0 {
-			return East
-		}
-		return West
-	}
-	if _, err := Path(m, 0, 15, pingPong); err == nil {
-		t.Fatal("looping RouteFunc did not return an error")
-	}
-	// A route that walks off the fabric edge.
-	alwaysWest := func(t Topology, here, dst int) Direction { return West }
-	if _, err := Path(m, 0, 15, alwaysWest); err == nil {
-		t.Fatal("off-fabric RouteFunc did not return an error")
-	}
-	// The same guards hold on a torus, where no port is unwired: the hop
-	// cap is the only backstop.
-	to := mustTorus(t, 4, 4)
-	alwaysEast := func(t Topology, here, dst int) Direction { return East }
-	if _, err := Path(to, 0, 15, alwaysEast); err == nil {
-		t.Fatal("orbiting RouteFunc did not return an error on the torus")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"rlnoc/internal/topology"
 )
 
-func mesh8(t *testing.T) *topology.Mesh {
+func mesh8(t *testing.T) topology.Topology {
 	t.Helper()
 	m, err := topology.NewMesh(8, 8)
 	if err != nil {

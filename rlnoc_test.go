@@ -3,6 +3,8 @@ package rlnoc
 import (
 	"strings"
 	"testing"
+
+	"rlnoc/internal/config"
 )
 
 // fastConfig keeps root-level integration tests quick.
@@ -188,6 +190,22 @@ func TestSuiteAndFigures(t *testing.T) {
 	}
 	if _, err := suite.Figure("fig99"); err == nil {
 		t.Error("unknown figure accepted")
+	}
+}
+
+// TestTableIIRouting: the routing row names each algorithm for what it
+// is; west-first is adaptive, not dimension-ordered.
+func TestTableIIRouting(t *testing.T) {
+	for _, tc := range []struct{ routing, want string }{
+		{"xy", "routing             xy dimension-ordered\n"},
+		{"yx", "routing             yx dimension-ordered\n"},
+		{"westfirst", "routing             adaptive (west-first turn model)\n"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Routing = config.Routing(tc.routing)
+		if out := TableII(cfg); !strings.Contains(out, tc.want) {
+			t.Errorf("%s: Table II lacks %q:\n%s", tc.routing, tc.want, out)
+		}
 	}
 }
 
