@@ -67,10 +67,10 @@ func studies(cfg rlnoc.Config) map[string]study {
 	}
 }
 
-// runAblation runs one study's arms on the suite's pool — each arm
+// runAblation runs one study's arms as one RunArms plan in dir — each arm
 // pre-trains once and every benchmark measures from that state — and
 // prints one table per benchmark (canneal when none is named).
-func runAblation(cfg rlnoc.Config, name string, benchmarks []string) error {
+func runAblation(cfg rlnoc.Config, name string, benchmarks []string, dir string) error {
 	s, ok := studies(cfg)[name]
 	if !ok {
 		return fmt.Errorf("unknown ablation %q (want rl-params|modes|epoch|table-sharing|static-modes|granularity)", name)
@@ -78,7 +78,7 @@ func runAblation(cfg rlnoc.Config, name string, benchmarks []string) error {
 	if len(benchmarks) == 0 {
 		benchmarks = []string{"canneal"}
 	}
-	results, err := rlnoc.RunArms(s.arms, benchmarks)
+	results, err := rlnoc.RunArms(s.arms, benchmarks, dir)
 	if err != nil {
 		return err
 	}

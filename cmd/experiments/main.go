@@ -12,6 +12,7 @@
 //	experiments -all
 //	experiments -overhead
 //	experiments -ablation rl-params
+//	experiments -all -seeds 5 -dir runs/all   # rerun the same to resume
 package main
 
 import (
@@ -49,6 +50,7 @@ func run(args []string) error {
 		analytic  = fs.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
 		workers   = fs.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
 		stepW     = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
+		dir       = fs.String("dir", "", "campaign directory for the figure and ablation runs; rerunning over it resumes (default: a temporary one)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -107,7 +109,7 @@ func run(args []string) error {
 		did = true
 	}
 	if *ablation != "" {
-		if err := runAblation(cfg, *ablation, benchmarks); err != nil {
+		if err := runAblation(cfg, *ablation, benchmarks, *dir); err != nil {
 			return err
 		}
 		did = true
@@ -141,7 +143,7 @@ func run(args []string) error {
 		// every cell measures from that state (DESIGN.md §21 has wall times).
 		fmt.Fprintf(os.Stderr, "running suite: %d seed(s), each %d pre-trainings of %d cycles then %d cells of about %d cycles...\n",
 			len(seedList), len(rlnoc.Schemes()), cfg.PretrainCycles, cells, cfg.WarmupCycles+cfg.MaxCycles)
-		multi, err := rlnoc.RunSuiteSeeds(cfg, benchmarks, seedList)
+		multi, err := rlnoc.RunSuiteSeeds(cfg, benchmarks, seedList, *dir)
 		if err != nil {
 			return err
 		}

@@ -3,10 +3,12 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"rlnoc"
+	"rlnoc/internal/campaign"
 )
 
 // runCaptured calls run with args and returns what it printed to
@@ -116,5 +118,44 @@ func TestAblationRowsEqualRun(t *testing.T) {
 	}
 	if got := strings.Join(want, "\n") + "\n"; out != got {
 		t.Errorf("ablation output:\n%s\nwant (rows from Run):\n%s", out, got)
+	}
+}
+
+// TestRerunAtOtherWorkersSimulatesNothing: -workers and -step-workers are
+// host-local knobs that change no result, so a rerun over a finished -dir
+// at other counts is the same plan — it prints the same figure and starts
+// no job.
+func TestRerunAtOtherWorkersSimulatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	starts := func() int {
+		t.Helper()
+		journal, recs, err := campaign.OpenJournal(filepath.Join(dir, "journal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Close()
+		n := 0
+		for _, rec := range recs {
+			if rec.Type == campaign.RecStart {
+				n++
+			}
+		}
+		return n
+	}
+	args := []string{"-small", "-fig", "8", "-benchmarks", "canneal", "-dir", dir}
+	first, err := runCaptured(t, append(args, "-workers", "2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := starts()
+	again, err := runCaptured(t, append(args, "-workers", "1", "-step-workers", "2")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Errorf("the rerun printed\n%s\nwant\n%s", again, first)
+	}
+	if n := starts() - ran; n != 0 {
+		t.Errorf("the rerun at other worker counts started %d jobs, want none", n)
 	}
 }

@@ -51,7 +51,7 @@ func run(args []string) error {
 		rate       = fs.Float64("rate", 0.004, "synthetic injection rate, packets/node/cycle")
 		cfgPath    = fs.String("config", "", "JSON config file (default: paper Table II)")
 		seed       = fs.Int64("seed", 0, "override random seed (0 = keep config seed)")
-		errRate    = fs.Float64("error-rate", -1, "override base timing-error rate (-1 = keep config)")
+		errRate    = fs.Float64("error-rate", -1, "override base timing-error rate, the rate at t_ref_c and zero utilisation only (-1 = keep config); a fault-free run also needs temp_sensitivity and util_sensitivity at 0 in -config")
 		routing    = fs.String("routing", "", "routing algorithm: xy|yx|westfirst (default: config)")
 		hardFault  = fs.String("hard-faults", "", "permanent-failure schedule, e.g. 5000:l12.east,8000:r3")
 		checksFlag = fs.String("checks", "", "runtime invariant checks: off|all|ledger,credits,watchdog (default: RLNOC_CHECKS env)")

@@ -1,13 +1,14 @@
 package rlnoc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
+	"rlnoc/internal/campaign"
 	"rlnoc/internal/config"
-	"rlnoc/internal/core"
 	"rlnoc/internal/network"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
@@ -23,11 +24,10 @@ type Suite struct {
 }
 
 // RunSuite executes all four schemes over the given benchmarks (all nine
-// PARSEC-like workloads if benchmarks is empty). Each scheme pre-trains
-// once; its benchmarks then run in parallel, each from that scheme's
-// pre-trained state.
+// PARSEC-like workloads if benchmarks is empty): RunSuiteSeeds for cfg.Seed
+// alone, in a scratch directory.
 func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
-	multi, err := RunSuiteSeeds(cfg, benchmarks, nil)
+	multi, err := RunSuiteSeeds(cfg, benchmarks, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -43,20 +43,19 @@ type Arm struct {
 }
 
 // RunArms runs every arm over the given benchmarks (all nine PARSEC-like
-// workloads if benchmarks is empty) on one pool of the first arm's
-// SuiteWorkerCount workers. Each arm pre-trains once; its benchmarks then
-// run in parallel, each from that arm's pre-trained state. results[i][b] is
-// arms[i] measured on benchmarks[b], the Result Run gives for it alone.
-func RunArms(arms []Arm, benchmarks []string) ([][]Result, error) {
-	return runArms(arms, benchmarks, (*core.Sim).Pretrain)
+// workloads if benchmarks is empty) as one plan on the campaign engine,
+// with the first arm's SuiteWorkerCount workers, in dir ("" = a scratch
+// directory removed on return). Each arm pre-trains once and its other
+// benchmarks fork that state (DESIGN.md §21). A rerun over dir resumes: it
+// runs only the cells no earlier run finished. results[i][b] is arms[i]
+// measured on benchmarks[b], the Result Run gives for it alone.
+func RunArms(arms []Arm, benchmarks []string, dir string) ([][]Result, error) {
+	return runPlan(context.Background(), campaign.Options{Dir: dir}, arms, benchmarks)
 }
 
-// runArms is RunArms with the pre-training phase passed in: Sim.Pretrain,
-// whose calls the engagement test counts. Pre-training is the same for
-// every benchmark of an arm — Sim.Pretrain reads nothing of the trace that
-// follows — so an arm is one pre-training job and one measure job per
-// benchmark (DESIGN.md §21).
-func runArms(arms []Arm, benchmarks []string, pretrain func(*core.Sim) error) ([][]Result, error) {
+// runPlan is RunArms under ctx, on an engine opened with opts: Dir and, in
+// tests, Logf, which the engine tells of every phase and finished cell.
+func runPlan(ctx context.Context, opts campaign.Options, arms []Arm, benchmarks []string) ([][]Result, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = Benchmarks()
 	}
@@ -69,110 +68,64 @@ func runArms(arms []Arm, benchmarks []string, pretrain func(*core.Sim) error) ([
 	if len(arms) == 0 {
 		return nil, nil
 	}
-	workers := arms[0].Config.SuiteWorkerCount()
-	run := &armRun{benchmarks: benchmarks, pretrain: pretrain, slots: make(chan struct{}, workers)}
-	// An arm is open from the start of its pre-training to the end of its
-	// last cell, which is how long its pre-trained state is held; as many
-	// arms as workers keep every worker busy, and more would only hold more
-	// state (every seed of RunSuiteSeeds queues here).
-	open := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	results := make([][]Result, len(arms))
-	for i, arm := range arms {
-		results[i] = make([]Result, len(benchmarks))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			open <- struct{}{}
-			defer func() { <-open }()
-			run.arm(arm, results[i])
-		}()
+	// One job per cell, named by its content: arms that differ only in
+	// label share their cells, and a larger plan over the same directory
+	// finds the smaller one's cells finished.
+	var specs []campaign.Spec
+	for _, arm := range arms {
+		for _, bench := range benchmarks {
+			cfg := arm.Config
+			spec := campaign.Spec{Config: cfg, Scheme: string(arm.Scheme), Label: bench, Pretrain: true,
+				// The trace core.BenchmarkTrace synthesizes.
+				Trace: campaign.TraceSpec{Benchmark: bench, Cycles: int64(cfg.MaxCycles), Seed: cfg.Seed*31 + 1300}}
+			spec.ID = campaign.ContentID(string(arm.Scheme)+"-"+bench, spec)
+			specs = append(specs, spec)
+		}
 	}
-	wg.Wait()
-	if run.firstErr != nil {
-		return nil, run.firstErr
+	opts.Workers = arms[0].Config.SuiteWorkerCount()
+	opts.MaxAttempts = 1 // a simulation that failed once fails again
+	open := campaign.Open
+	if opts.Dir == "" {
+		open = campaign.OpenScratch
+	}
+	eng, err := open(opts)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	if err := eng.Submit(specs...); err != nil {
+		return nil, err
+	}
+	if err := eng.Run(ctx); err != nil {
+		return nil, err
+	}
+	byID := make(map[string]campaign.JobResult)
+	for _, r := range eng.Results() {
+		byID[r.ID] = r
+	}
+	results := make([][]Result, len(arms))
+	for c, spec := range specs {
+		res, err := cellResult(byID[spec.ID])
+		if err != nil {
+			return nil, fmt.Errorf("%s seed %d: %w", spec.ID, spec.Config.Seed, err)
+		}
+		results[c/len(benchmarks)] = append(results[c/len(benchmarks)], res)
 	}
 	return results, nil
 }
 
-// armRun is what the jobs of one runArms call share.
-type armRun struct {
-	benchmarks []string
-	pretrain   func(*core.Sim) error
-	slots      chan struct{} // one token per worker
-
-	mu       sync.Mutex // guards firstErr
-	firstErr error
-}
-
-// onPool runs fn on a worker slot and records its failure under the job's
-// name.
-func (r *armRun) onPool(what string, fn func() error) {
-	r.slots <- struct{}{}
-	err := fn()
-	<-r.slots
-	if err != nil {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.firstErr == nil {
-			r.firstErr = fmt.Errorf("%s: %w", what, err)
-		}
+// cellResult is a finished cell's Result, or why it has none. The engine
+// finishes a run that an armed invariant check stopped (RLNOC_CHECKS) as a
+// job with outcome watchdog or wedged; its Result is truncated, and a plan
+// fails on it as Run fails on the check's error.
+func cellResult(r campaign.JobResult) (Result, error) {
+	switch {
+	case r.Err != "":
+		return Result{}, errors.New(r.Err)
+	case r.Outcome != campaign.OutcomeDrained && r.Outcome != campaign.OutcomeBudget:
+		return Result{}, fmt.Errorf("run ended %s: %s", r.Outcome, r.Detail)
 	}
-}
-
-// arm fills one arm's row of results: it pre-trains one sim, then
-// measures every benchmark in parallel — all but the last on forks of the
-// pre-trained sim's checkpoint (core.Checkpoint), the last on that sim
-// itself, so a run builds as many sims as it has cells.
-func (r *armRun) arm(arm Arm, row []Result) {
-	cfg := arm.Config
-	who := strings.TrimSpace(fmt.Sprintf("%s seed %d: %s", arm.Label, cfg.Seed, arm.Scheme))
-	// sims[b] builds the sim that measures benchmarks[b].
-	var sims []func() (*core.Sim, error)
-	r.onPool(who+": pre-training", func() error {
-		sim, err := core.NewSim(cfg, arm.Scheme)
-		if err != nil {
-			return err
-		}
-		if err := r.pretrain(sim); err != nil {
-			sim.Close()
-			return err
-		}
-		if len(r.benchmarks) > 1 {
-			at, err := sim.Checkpoint()
-			if err != nil {
-				sim.Close()
-				return err
-			}
-			for range r.benchmarks[1:] {
-				sims = append(sims, at.Sim)
-			}
-		}
-		sims = append(sims, func() (*core.Sim, error) { return sim, nil })
-		return nil
-	})
-	var cells sync.WaitGroup
-	for b, newSim := range sims {
-		bench := r.benchmarks[b]
-		cells.Add(1)
-		go func() {
-			defer cells.Done()
-			r.onPool(who+": "+bench, func() error {
-				sim, err := newSim()
-				if err != nil {
-					return err
-				}
-				defer sim.Close()
-				events, err := core.BenchmarkTrace(cfg, bench)
-				if err != nil {
-					return err
-				}
-				row[b], err = sim.Measure(events, bench)
-				return err
-			})
-		}()
-	}
-	cells.Wait()
+	return r.Result, nil
 }
 
 // FigureID names one of the paper's evaluation figures.
@@ -312,8 +265,13 @@ type MultiSuite struct {
 
 // RunSuiteSeeds runs the full suite once per seed (cfg.Seed alone if seeds
 // is empty): its arms are every seed under every scheme of Schemes(), all
-// on one RunArms pool.
-func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64) (*MultiSuite, error) {
+// one RunArms plan in dir ("" = a scratch directory).
+func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64, dir string) (*MultiSuite, error) {
+	return runSuiteSeeds(context.Background(), campaign.Options{Dir: dir}, cfg, benchmarks, seeds)
+}
+
+// runSuiteSeeds is RunSuiteSeeds under ctx, on an engine opened with opts.
+func runSuiteSeeds(ctx context.Context, opts campaign.Options, cfg Config, benchmarks []string, seeds []int64) (*MultiSuite, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{cfg.Seed}
 	}
@@ -329,7 +287,7 @@ func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64) (*MultiSuite,
 			arms = append(arms, arm)
 		}
 	}
-	results, err := RunArms(arms, benchmarks)
+	results, err := runPlan(ctx, opts, arms, benchmarks)
 	if err != nil {
 		return nil, err
 	}

@@ -8,17 +8,18 @@ package rlnoc
 // baseline still has in flight — must come through the codec whole: a
 // forked sim, the sim the checkpoint was taken from and a sim that was
 // never checkpointed must measure the same Result and end in the same
-// bytes, for every scheme name on both fabrics; and the arm pool under
-// RunSuite and the ablations, which is built on that, must fill every cell
-// with what Run gives for it alone.
+// bytes, for every scheme name on both fabrics; and the plans RunSuite and
+// the ablations run on the campaign engine, which forks that state, must
+// fill every cell with what Run gives for it alone.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
+	"rlnoc/internal/campaign"
 	"rlnoc/internal/core"
 	"rlnoc/internal/network"
 	"rlnoc/internal/traffic"
@@ -132,14 +133,14 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 }
 
 // TestRunArmsPretrainsOncePerArm is the engagement test and the referee of
-// the arm pool that suites and ablations share. The equivalence above
-// proves a fork changes nothing, so a pool that quietly went back to
+// the plans that suites and ablations share. The equivalence above proves
+// a fork changes nothing, so an engine that quietly went back to
 // pre-training every cell would pass it; what cannot be faked is the
-// number of pre-training phases, counted here at the one place runArms
-// starts them. A mixed arm list — schemes, seeds, the ablation arms, two
-// arms of one scheme that differ only in config — over three benchmarks:
-// one phase per arm, and every cell equal to Run on that (config, scheme,
-// benchmark) alone.
+// number of pre-training phases, counted here from the line the engine
+// logs at the one place it runs them. A mixed arm list — schemes, seeds,
+// the ablation arms, two arms of one scheme that differ only in config —
+// over three benchmarks: one phase per arm, and every cell equal to Run on
+// that (config, scheme, benchmark) alone.
 func TestRunArmsPretrainsOncePerArm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a pool of arms and each of their cells again")
@@ -162,15 +163,12 @@ func TestRunArmsPretrainsOncePerArm(t *testing.T) {
 		{Config: cfg, Scheme: core.StaticScheme(network.Mode2)},
 	}
 
-	var pretrains atomic.Int64
-	results, err := runArms(arms, benchmarks, func(sim *core.Sim) error {
-		pretrains.Add(1)
-		return sim.Pretrain()
-	})
+	var log planLog
+	results, err := runPlan(context.Background(), campaign.Options{Dir: t.TempDir(), Logf: log.logf}, arms, benchmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pretrains.Load(); got != int64(len(arms)) {
+	if got := log.count(phaseLine); got != len(arms) {
 		t.Errorf("%d pre-training phases for %d arms x %d benchmarks, want %d",
 			got, len(arms), len(benchmarks), len(arms))
 	}
@@ -182,7 +180,7 @@ func TestRunArmsPretrainsOncePerArm(t *testing.T) {
 				t.Fatalf("%s: %v", cell, err)
 			}
 			if got := results[i][b]; !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: the pool's cell differs from Run:\n got %s\nwant %s", cell, serialize(t, got), serialize(t, want))
+				t.Errorf("%s: the plan's cell differs from Run:\n got %s\nwant %s", cell, serialize(t, got), serialize(t, want))
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package campaign
 //	   ^                 ├─ graceful shutdown ──> pending (suspend
 //	   │                 │      snapshot written; no budget spent)
 //	  open/restart       └─ deadline / budget exhausted ──> dead
+//	  (and a job dead of its budget, with a fresh one)
 //
 // Every transition is journaled before it is acted on, so a SIGKILL at
 // any point leaves a journal whose replay reconstructs the exact job
@@ -20,6 +21,7 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,6 +119,8 @@ type job struct {
 	recovered bool
 	result    core.Result
 
+	key string // pretrainPath(spec) for a job that pre-trains, else ""
+
 	beat heartbeat
 	sim  *core.Sim // non-nil while running; Abort target for the watchdog
 }
@@ -144,8 +148,14 @@ type Engine struct {
 	name  string
 	seed  int64
 	runCh chan struct{} // closed while Run is active (guards double Run)
-	// pretrains holds one lock per pre-trained state file (pretrainClaim).
-	pretrains map[string]*sync.Mutex
+	// scratch marks a campaign OpenScratch made: no later process reads its
+	// directory, which Close removes.
+	scratch bool
+	// Pre-trained states by job key (DESIGN.md §21): training maps a key
+	// to the job pre-training it, whose key-mates next holds back;
+	// pretrained holds the state until no unfinished job of the key remains.
+	training   map[string]*job
+	pretrained map[string]*core.Checkpoint
 }
 
 // Open loads (or initializes) the campaign at opts.Dir: the manifest's
@@ -156,6 +166,26 @@ func Open(opts Options) (*Engine, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("campaign: Options.Dir is required")
 	}
+	return open(opts, false)
+}
+
+// OpenScratch opens an empty campaign in a new temporary directory (opts.Dir
+// is ignored) that Close removes. No later process can read it, so it writes
+// no manifest and no pre-trained state file and never syncs its journal.
+func OpenScratch(opts Options) (*Engine, error) {
+	dir, err := os.MkdirTemp("", "rlnoc-campaign-")
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	opts.Dir = dir
+	e, err := open(opts, true)
+	if err != nil {
+		os.RemoveAll(dir)
+	}
+	return e, err
+}
+
+func open(opts Options, scratch bool) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -178,8 +208,8 @@ func Open(opts Options) (*Engine, error) {
 		opts.Name = "campaign"
 	}
 
-	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{},
-		name: opts.Name, seed: opts.Seed, pretrains: map[string]*sync.Mutex{}}
+	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{}, scratch: scratch,
+		name: opts.Name, seed: opts.Seed, training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
 	e.cond = sync.NewCond(&e.mu)
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -193,6 +223,7 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.journal = journal
+	journal.nosync = scratch
 	if err := e.applyJournal(recs); err != nil {
 		journal.Close()
 		return nil, err
@@ -235,6 +266,9 @@ func (e *Engine) loadManifest() error {
 
 // writeManifest persists the full job list atomically.
 func (e *Engine) writeManifest() error {
+	if e.scratch {
+		return nil
+	}
 	m := Manifest{Name: e.name, Seed: e.seed}
 	for _, j := range e.jobs {
 		m.Specs = append(m.Specs, j.spec)
@@ -254,6 +288,9 @@ func (e *Engine) addJob(spec Spec) error {
 		return fmt.Errorf("campaign: duplicate job ID %q", spec.ID)
 	}
 	j := &job{spec: spec, seq: len(e.jobs)}
+	if spec.Pretrain {
+		j.key = e.pretrainPath(spec)
+	}
 	e.jobs = append(e.jobs, j)
 	e.byID[spec.ID] = j
 	return nil
@@ -292,6 +329,13 @@ func (e *Engine) applyJournal(recs []Record) error {
 				}
 			}
 		case RecDead:
+			if rec.Outcome == OutcomeDead {
+				// A new process gives a job that spent its retry budget a
+				// fresh one: what failed it may have been the host, or a
+				// build since fixed.
+				j.state, j.failures = jobPending, 0
+				continue
+			}
 			j.state = jobDead
 			j.outcome = rec.Outcome
 			j.errMsg = rec.Error
@@ -303,8 +347,8 @@ func (e *Engine) applyJournal(recs []Record) error {
 }
 
 // Submit adds jobs to the campaign and persists the manifest. Specs
-// already present (same ID) are ignored, so re-submitting a campaign's
-// build over an existing directory is idempotent — the restart path.
+// already present (same ID and identity) are ignored, so re-submitting a
+// campaign's build over a directory is idempotent — the restart path.
 func (e *Engine) Submit(specs ...Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -333,10 +377,38 @@ func (e *Engine) Submit(specs ...Spec) error {
 	return nil
 }
 
-func specEqual(a, b Spec) bool {
-	aj, err1 := json.Marshal(a)
-	bj, err2 := json.Marshal(b)
-	return err1 == nil && err2 == nil && string(aj) == string(bj)
+func specEqual(a, b Spec) bool { return digest(identity(a)) == digest(identity(b)) }
+
+// ResultsVersion names what this build computes. Every name digest gives —
+// a ContentID, a pre-trained state file — is keyed on it and on
+// snap.Version, so a change that moves any result (a golden pin) must bump
+// it: a directory an older build filled then shares no job or state with
+// this one, instead of handing back that build's numbers.
+const ResultsVersion = 1
+
+// digest is the SHA-256 of v's JSON (specs are JSON-encodable) under this
+// build's ResultsVersion and snapshot format, in hex.
+func digest(v any) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d.%d\n", ResultsVersion, snap.Version)
+	_ = json.NewEncoder(h).Encode(v)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// identity is spec less the host-local knobs SuiteWorkers and StepWorkers,
+// which change no result (core.RestoreSimTuned): a rerun on another core
+// count is the same job.
+func identity(spec Spec) Spec {
+	spec.Config.SuiteWorkers, spec.Config.StepWorkers = 0, 0
+	return spec
+}
+
+// ContentID names a job by what it computes: prefix, then a digest of its
+// identity. A plan named so can grow over one directory (more seeds, more
+// benchmarks) and reuse every job it already finished.
+func ContentID(prefix string, spec Spec) string {
+	spec.ID = ""
+	return prefix + "-" + digest(identity(spec))[:16]
 }
 
 // backoffDelay computes the jittered exponential delay before retry n
@@ -382,6 +454,12 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 					}
 					continue
 				}
+				if e.training[j.key] != nil {
+					// Its (config, scheme) is being pre-trained: it waits
+					// for that state without holding a worker.
+					open = true
+					continue
+				}
 				if best == nil || j.spec.Priority > best.spec.Priority ||
 					(j.spec.Priority == best.spec.Priority && j.seq < best.seq) {
 					best = j
@@ -391,6 +469,9 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 			}
 		}
 		if best != nil {
+			if best.key != "" && e.pretrained[best.key] == nil {
+				e.training[best.key] = best // it pre-trains, or finds a file
+			}
 			best.state = jobRunning
 			best.starts++
 			best.beat.reset(now)
@@ -562,5 +643,12 @@ func (e *Engine) Done() bool {
 	return true
 }
 
-// Close flushes and closes the journal. Call after Run has returned.
-func (e *Engine) Close() error { return e.journal.Close() }
+// Close flushes and closes the journal, and removes a scratch campaign's
+// directory. Call after Run has returned.
+func (e *Engine) Close() error {
+	err := e.journal.Close()
+	if e.scratch {
+		err = errors.Join(err, os.RemoveAll(e.dir))
+	}
+	return err
+}

@@ -125,7 +125,8 @@ func TestPriorityOrder(t *testing.T) {
 
 // TestRetryBudgetExhaustion drives a job that can never build its trace
 // (nonexistent benchmark) through the retry machinery to OutcomeDead,
-// and checks the journal recorded each failed attempt.
+// checks the journal recorded each failed attempt, and reopens the
+// campaign to see the job retried.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1, MaxAttempts: 2,
 		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
@@ -175,6 +176,29 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	if fails != 1 || deads != 1 {
 		t.Errorf("journal for doomed job: %d fail + %d dead records, want 1+1", fails, deads)
+	}
+
+	// The next process gives the dead job a fresh budget — what failed it
+	// may have been the host, or a build since fixed — and leaves the
+	// finished one alone.
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	eng = openTestEngine(t, Options{Dir: eng.Dir(), Workers: 1, MaxAttempts: 2,
+		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	if err := eng.Submit(spec, tinySpec("fine", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	starts := map[string]int{}
+	for _, st := range eng.Status() {
+		starts[st.ID] = st.Starts
+	}
+	if starts["doomed"] != 4 || starts["fine"] != 1 {
+		t.Errorf("over two processes the dead job started %d times and the finished one %d, want 4 and 1",
+			starts["doomed"], starts["fine"])
 	}
 }
 
@@ -232,8 +256,8 @@ func TestCorruptCheckpointQuarantine(t *testing.T) {
 }
 
 // TestSubmitIdempotent re-offers the same specs to a reopened campaign
-// (the daemon-restart path) and rejects an ID reuse with a different
-// payload.
+// (the daemon-restart path), and at other worker counts, and rejects an ID
+// reuse with a different payload.
 func TestSubmitIdempotent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
@@ -243,6 +267,13 @@ func TestSubmitIdempotent(t *testing.T) {
 	}
 	if err := eng.Submit(spec); err != nil {
 		t.Fatalf("idempotent re-submit rejected: %v", err)
+	}
+	// Worker counts are host-local: they change no result, so the spec
+	// that differs only in them is the same job.
+	elsewhere := spec
+	elsewhere.Config.SuiteWorkers, elsewhere.Config.StepWorkers = 3, 2
+	if err := eng.Submit(elsewhere); err != nil {
+		t.Fatalf("re-submit at other worker counts rejected: %v", err)
 	}
 	changed := spec
 	changed.Priority = 9

@@ -65,9 +65,10 @@ type Record struct {
 
 // Journal is the append side. Safe for concurrent use.
 type Journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	seq uint64
+	mu     sync.Mutex
+	f      *os.File
+	seq    uint64
+	nosync bool // a scratch campaign's journal (OpenScratch)
 }
 
 // encodeRecord renders one journal line (CRC, space, JSON, newline).
@@ -135,9 +136,12 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		return nil, nil, fmt.Errorf("campaign: journal: %w", err)
 	}
 	recs, validLen := replayJournal(f)
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("campaign: journal truncate: %w", err)
+	// Cut only a torn tail: on ext4, truncating to zero flushes at close.
+	if end, err := f.Seek(0, io.SeekEnd); err != nil || end > validLen {
+		if err := f.Truncate(validLen); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("campaign: journal truncate: %w", err)
+		}
 	}
 	if _, err := f.Seek(validLen, io.SeekStart); err != nil {
 		f.Close()
@@ -164,6 +168,9 @@ func (j *Journal) Append(rec Record) error {
 	}
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("campaign: journal append: %w", err)
+	}
+	if j.nosync {
+		return nil
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("campaign: journal sync: %w", err)

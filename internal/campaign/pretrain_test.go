@@ -1,11 +1,11 @@
 package campaign
 
 // Pre-train once per (config, scheme) (DESIGN.md §21): the first job
-// through a pre-training phase leaves the state it ends in as
-// pretrain-<hash>.rlns in the campaign directory, and every other job of
-// that (config, scheme), and every retry, restores it. A restore changes
-// nothing, so every job must still end with the Result the same spec
-// gives when run directly through core.
+// through a pre-training phase holds the state it ends in, in memory for
+// every other job of that (config, scheme) and every retry to fork, and as
+// pretrain-<hash>.rlns in the campaign directory for a later process. A
+// fork changes nothing, so every job must still end with the Result the
+// same spec gives when run directly through core.
 
 import (
 	"context"
@@ -114,9 +114,10 @@ func (l *logLines) count(substr string) int {
 
 // TestLoadSweepPretrainsOncePerScheme is the campaign's engagement test:
 // a two-rate sweep is eight pre-training jobs over four (config, scheme)
-// pairs. Eight workers start both jobs of every pair at once, so the
-// second of each must wait for the first instead of pre-training beside
-// it: four phases run, four states are kept, four jobs start from one.
+// pairs. Eight workers could start both jobs of every pair at once, so the
+// second of each must wait for the first, holding no worker, instead of
+// pre-training beside it: four phases run, four states are kept, four jobs
+// start from one, and none is held once the campaign is done.
 func TestLoadSweepPretrainsOncePerScheme(t *testing.T) {
 	var log logLines
 	eng := openTestEngine(t, Options{Workers: 8, Logf: log.logf})
@@ -137,14 +138,17 @@ func TestLoadSweepPretrainsOncePerScheme(t *testing.T) {
 		t.Errorf("%d jobs pre-trained and %d started from a kept state, want 4 and 4:\n%s",
 			kept, reused, strings.Join(log.lines, "\n"))
 	}
+	if n := len(eng.pretrained); n != 0 {
+		t.Errorf("the finished campaign still holds %d pre-trained states in memory", n)
+	}
 	checkAgainstDirect(t, eng, specs)
 }
 
 // TestStaticArmRestoresPretrainedState: a static-* arm — the static oracle
 // a learned controller's regret is measured against — is a campaign scheme
 // like the figures' four. Its spec validates, its first job keeps the
-// pre-trained state, the second restores that file, and both end with the
-// Result of the arm run directly.
+// pre-trained state, the second forks it, and both end with the Result of
+// the arm run directly.
 func TestStaticArmRestoresPretrainedState(t *testing.T) {
 	var log logLines
 	eng := openTestEngine(t, Options{Workers: 1, Logf: log.logf})

@@ -6,14 +6,12 @@ package campaign
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,6 +67,7 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 	out := e.attempt(ctx, j, spec, starts, elapsed)
 	ran := time.Since(began)
 
+	e.unclaim(j) // the phase failed, or never ran
 	e.mu.Lock()
 	j.sim = nil
 	j.elapsed += ran
@@ -112,15 +111,31 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 			e.logf("job %s: attempt %d failed (%v), retry in %v", spec.ID, starts, out.err, delay.Round(time.Millisecond))
 		}
 	}
+	if j.terminal() && j.key != "" {
+		e.dropUnused(j.key)
+	}
 	e.mu.Unlock()
 	if err := e.journal.Append(rec); err != nil {
 		e.logf("journal: %v", err)
 	}
+	if out.kind == attemptDone {
+		e.logf("job %s: done (%s)", spec.ID, out.outcome)
+	}
 	e.cond.Broadcast()
 }
 
-// attempt runs the simulation once: restore from the newest valid
-// checkpoint (quarantining corrupt ones) or start fresh, wire the
+// dropUnused forgets key's pre-trained state once no unfinished job of the
+// key remains; the file stays for a rerun. Callers hold e.mu.
+func (e *Engine) dropUnused(key string) {
+	for _, o := range e.jobs {
+		if o.key == key && !o.terminal() {
+			return
+		}
+	}
+	delete(e.pretrained, key)
+}
+
+// attempt runs the simulation once: open it (openSim), wire the
 // heartbeat / deadline / cancellation / injection hooks, run, and
 // classify how it ended. A panic anywhere inside is converted to a
 // retryable failure by the deferred recover.
@@ -137,11 +152,10 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	}
 
 	dir := e.jobDir(spec.ID)
-	sim, at, release, err := e.openSim(spec, dir)
+	sim, at, err := e.openSim(j, spec, dir)
 	if err != nil {
 		return attemptResult{kind: attemptRetry, err: err}
 	}
-	defer release()
 	defer sim.Close()
 	sim.SetSnapshotPolicy(dir, spec.SnapshotEvery)
 	resumed := at == atCheckpoint
@@ -166,17 +180,11 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	var res core.Result
 	var merr error
 	if at == atStart && spec.Pretrain {
+		// The key's one phase: its other jobs, and every retry of this
+		// one, fork the state it ends in.
 		if merr = sim.Pretrain(); merr == nil {
-			// Every later job of this (config, scheme), and every retry of
-			// this one, starts from the file instead of the phase.
-			path := e.pretrainPath(spec)
-			if serr := sim.SaveSnapshot(path); serr != nil {
-				e.logf("job %s: pre-trained state not kept: %v", spec.ID, serr)
-			} else {
-				e.logf("job %s: pre-trained state kept as %s", spec.ID, filepath.Base(path))
-			}
+			e.keep(j, sim)
 		}
-		release()
 	}
 	switch {
 	case merr != nil:
@@ -235,50 +243,90 @@ const (
 	atCheckpoint                 // the job's own newest checkpoint, mid-measure
 )
 
-// openSim returns the job's simulation at the latest point a file can put
-// it: its own newest valid checkpoint; else, for a job that pre-trains,
-// the state at the end of pre-training that an earlier job or attempt of
-// the same (config, scheme) left in the campaign directory; else a fresh
+// openSim returns the job's simulation at the latest point it can be put:
+// its own newest valid checkpoint; else, for a job that pre-trains, a fork
+// of the state its (config, scheme) ended pre-training in; else a fresh
 // build. Pre-training reads nothing of the trace that follows it, so that
 // state serves every such job (DESIGN.md §21).
-//
-// One attempt at a time works on a (config, scheme)'s pre-training: a
-// fresh build is returned holding that claim, which release gives up
-// (harmless to call again, a no-op for the other two starts) once the
-// caller has pre-trained and saved — the attempts that queued behind it
-// then restore instead of repeating the phase.
-func (e *Engine) openSim(spec Spec, dir string) (sim *core.Sim, at simStart, release func(), err error) {
-	noClaim := func() {}
+func (e *Engine) openSim(j *job, spec Spec, dir string) (*core.Sim, simStart, error) {
 	if spec.SnapshotEvery > 0 {
 		snaps, err := core.ListSnapshots(dir)
 		if err != nil {
-			return nil, 0, nil, err
+			return nil, 0, err
 		}
 		for _, path := range snaps {
 			if sim, err := e.restore(spec.ID, path); sim != nil || err != nil {
-				return sim, atCheckpoint, noClaim, err
+				e.unclaim(j) // past pre-training: its key-mates need not wait
+				return sim, atCheckpoint, err
 			}
 		}
 	}
-	release = noClaim
 	if spec.Pretrain {
-		path := e.pretrainPath(spec)
-		mu := e.pretrainClaim(path)
-		mu.Lock()
-		release = sync.OnceFunc(mu.Unlock)
-		if sim, err := e.restore(spec.ID, path); sim != nil || err != nil {
-			release()
-			if sim != nil {
-				e.logf("job %s: starts from pre-trained state %s", spec.ID, filepath.Base(path))
-			}
-			return sim, atPretrained, noClaim, err
+		if sim, err := e.fromPretrained(j); sim != nil || err != nil {
+			return sim, atPretrained, err
 		}
 	}
-	if sim, err = core.NewSim(spec.Config, core.Scheme(spec.Scheme)); err != nil {
-		release()
-		return nil, 0, nil, err
+	sim, err := core.NewSim(spec.Config, core.Scheme(spec.Scheme))
+	return sim, atStart, err
+}
+
+// fromPretrained forks the pre-trained state of j's key held in memory.
+// Only after a restart does it read the key's file, which it then holds
+// for the key's other jobs. (nil, nil) means there is neither.
+func (e *Engine) fromPretrained(j *job) (sim *core.Sim, err error) {
+	e.mu.Lock()
+	k := e.pretrained[j.key]
+	e.mu.Unlock()
+	if k != nil {
+		sim, err = k.Sim()
+	} else if sim, err = e.restore(j.spec.ID, j.key); sim != nil {
+		if k, err = sim.Checkpoint(); err != nil {
+			sim.Close()
+			return nil, err
+		}
+		e.hold(j.key, k)
 	}
-	return sim, atStart, release, nil
+	if sim != nil {
+		e.logf("job %s: starts from pre-trained state %s", j.spec.ID, filepath.Base(j.key))
+	}
+	return sim, err
+}
+
+// keep holds the state sim ended pre-training in for the other jobs of j's
+// key, and writes the same bytes as the key's file for a rerun.
+func (e *Engine) keep(j *job, sim *core.Sim) {
+	k, err := sim.Checkpoint()
+	if err == nil {
+		e.hold(j.key, k)
+		if !e.scratch {
+			err = k.Save(j.key)
+		}
+	}
+	if err != nil {
+		e.logf("job %s: pre-trained state not kept: %v", j.spec.ID, err)
+		return
+	}
+	e.logf("job %s: pre-trained state kept as %s", j.spec.ID, filepath.Base(j.key))
+}
+
+// unclaim ends j's claim on its key's pre-training, if it holds it, so a
+// key-mate may take the phase up.
+func (e *Engine) unclaim(j *job) {
+	e.mu.Lock()
+	if e.training[j.key] == j {
+		delete(e.training, j.key)
+	}
+	e.mu.Unlock()
+	e.cond.Broadcast()
+}
+
+// hold keeps k as key's pre-trained state and ends the key's claim.
+func (e *Engine) hold(key string, k *core.Checkpoint) {
+	e.mu.Lock()
+	e.pretrained[key] = k
+	delete(e.training, key)
+	e.mu.Unlock()
+	e.cond.Broadcast()
 }
 
 // restore reads the snapshot file at path. A missing file is (nil, nil),
@@ -306,24 +354,8 @@ func (e *Engine) restore(id, path string) (*core.Sim, error) {
 // pretrainPath names the file holding the state at the end of
 // pre-training for spec's (config, scheme): everything the phase reads.
 func (e *Engine) pretrainPath(spec Spec) string {
-	h := sha256.New()
-	// Config holds only JSON-encodable fields; Validate already accepted it.
-	_ = json.NewEncoder(h).Encode(spec.Config)
-	h.Write([]byte(spec.Scheme))
-	return filepath.Join(e.dir, fmt.Sprintf("pretrain-%x.rlns", h.Sum(nil)[:12]))
-}
-
-// pretrainClaim returns the lock that serializes work on one pre-trained
-// state file.
-func (e *Engine) pretrainClaim(path string) *sync.Mutex {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	mu := e.pretrains[path]
-	if mu == nil {
-		mu = new(sync.Mutex)
-		e.pretrains[path] = mu
-	}
-	return mu
+	id := identity(spec)
+	return filepath.Join(e.dir, "pretrain-"+digest([]any{id.Config, id.Scheme})[:24]+".rlns")
 }
 
 // armInjection installs the induced-failure observer. Observers are

@@ -10,9 +10,10 @@
 // crash-safe journal + manifest so a SIGKILLed supervisor process
 // resumes every in-flight job byte-identically on restart.
 //
-// The chaos battery (`cmd/experiments -chaos`), the load sweep, and
-// the `cmd/nocserve` daemon all run on this one engine, so fault
-// classification and recovery live here exactly once.
+// The figure suite and ablations (rlnoc.RunArms plans, `experiments
+// -dir`), the chaos battery and the load sweep (`nocserve -campaign`) all
+// run on this one engine, so pre-train-once, fault classification and
+// recovery live here exactly once.
 package campaign
 
 import (
@@ -106,9 +107,9 @@ type Spec struct {
 	Label  string        `json:"label"`
 	// Pretrain runs the synthetic pre-training phase before measuring
 	// (the full methodology). Chaos probes skip it. The phase runs once per
-	// (Config, Scheme) in a campaign: the first job through it leaves the
-	// state it ends in as pretrain-<hash>.rlns in the campaign directory,
-	// and every other such job, and every retry, restores that.
+	// (Config, Scheme) in a campaign: every other such job, and every
+	// retry, forks the state the first ends it in, which is also kept as
+	// pretrain-<hash>.rlns in the campaign directory for a later process.
 	Pretrain bool      `json:"pretrain,omitempty"`
 	Trace    TraceSpec `json:"trace"`
 

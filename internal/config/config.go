@@ -460,12 +460,12 @@ func (r *RLConfig) validate() error {
 	return nil
 }
 
-// SuiteWorkerCount resolves SuiteWorkers for every pool that runs whole
-// simulations side by side (RunSuite, the -chaos and -loadsweep
-// campaigns): the configured size, or GOMAXPROCS when 0. Jobs are
+// SuiteWorkerCount resolves SuiteWorkers for the campaign engine that runs
+// whole simulations side by side (the figure suite, the ablations and
+// nocserve campaigns): the configured size, or GOMAXPROCS when 0. Jobs are
 // independent simulations with their own seeded RNGs, so the size changes
 // only memory use and wall-clock time, never results (pinned by
-// TestDeterminismParallelSuite).
+// TestDeterminismParallelSuite), and a campaign's job identity ignores it.
 func (c *Config) SuiteWorkerCount() int {
 	if c.SuiteWorkers > 0 {
 		return c.SuiteWorkers

@@ -105,6 +105,10 @@ func (s *Sim) Checkpoint() (*Checkpoint, error) {
 	return &Checkpoint{stream: buf.Bytes()}, nil
 }
 
+// Save writes the held stream to path as SaveSnapshot would have written
+// it, atomically; RestoreSimFile reads it back.
+func (k *Checkpoint) Save(path string) error { return snap.WriteRawAtomic(path, k.stream) }
+
 // Sim builds a new simulation in the captured state, sharing nothing
 // mutable with the one the checkpoint was taken from or with any other
 // built from it. It is RestoreSim over the held stream, so whatever the

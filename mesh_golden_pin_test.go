@@ -14,6 +14,9 @@ package rlnoc
 // the run is independent of StepWorkers by construction, so these bytes
 // hold for sequential, dense-scan and parallel stepping alike
 // (parallel_equivalence_test.go enforces that equality directly).
+// Re-pinning means results moved: bump campaign.ResultsVersion in the same
+// change, so no campaign directory the old build filled is read back as
+// this one's.
 
 import "testing"
 
