@@ -68,7 +68,6 @@ func run(args []string) error {
 		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
 		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
 		restore    = fs.String("restore", "", "start from a snapshot file, which carries config and scheme: a checkpoint finishes its run, a pre-trained state measures the workload flags' trace")
-		fastFwd    = fs.Bool("fast-forward", true, "jump quiescent idle spans to the next event (bit-identical; false steps every cycle)")
 		progress   = fs.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -136,7 +135,6 @@ func run(args []string) error {
 		if *qEpsilon >= 0 {
 			cfg.QRoute.Epsilon = *qEpsilon
 		}
-		cfg.NoFastForward = !*fastFwd
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
@@ -228,7 +226,7 @@ func run(args []string) error {
 var freshOnly = map[string]bool{
 	"scheme": true, "config": true, "small": true, "seed": true, "error-rate": true,
 	"routing": true, "hard-faults": true, "checks": true, "topology": true,
-	"qroute-alpha": true, "qroute-epsilon": true, "fast-forward": true, "save-pretrained": true,
+	"qroute-alpha": true, "qroute-epsilon": true, "save-pretrained": true,
 }
 
 // workloadFlags name the trace a run measures; a checkpoint taken
@@ -302,9 +300,8 @@ func workload(cfg config.Config, tracePath, pattern string, rate float64, bench 
 }
 
 // attachProgress wires a stderr progress reporter onto the simulation's
-// cycle loop. The reported cycle is the simulated-cycle counter —
-// fast-forwarded spans count like stepped ones — so the derived
-// cycles/s figure stays meaningful whichever path the loop takes.
+// cycle loop, reporting the simulated-cycle counter and the cycles/s
+// since the previous report.
 func attachProgress(sim *core.Sim, every time.Duration) {
 	start := time.Now()
 	lastT, lastC := start, sim.Network().Cycle()

@@ -60,6 +60,9 @@ func TestRun(t *testing.T) {
 			wantErr: "flag provided but not defined"},
 		{name: "removed load-policy flag", args: []string{"-small", "-load" + "-policy", "q.bin"},
 			wantErr: "flag provided but not defined"},
+		// The cycle loop steps every cycle; there is no jump to turn off.
+		{name: "removed fast-forward flag", args: []string{"-small", "-fast" + "-forward=false"},
+			wantErr: "flag provided but not defined"},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
 		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},

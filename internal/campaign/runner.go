@@ -358,13 +358,12 @@ func (e *Engine) pretrainPath(spec Spec) string {
 	return filepath.Join(e.dir, "pretrain-"+digest([]any{id.Config, id.Scheme})[:24]+".rlns")
 }
 
-// armInjection installs the induced-failure observer. Observers are
-// observational (fast-forward treats their boundaries as jump targets
-// without touching state), so an armed injection that never fires
-// leaves the run byte-identical to an unobserved one. The injected
-// stall blocks inside the observer until an abort lands — exactly the
-// shape of a wedged run from the watchdog's point of view — while
-// staying responsive to shutdown.
+// armInjection installs the induced-failure observer. Observers read
+// the network after a Step and never write it, so an armed injection
+// that never fires leaves the run byte-identical to an unobserved one.
+// The injected stall blocks inside the observer until an abort lands —
+// exactly the shape of a wedged run from the watchdog's point of view —
+// while staying responsive to shutdown.
 func armInjection(sim *core.Sim, inj InjectSpec) {
 	every := inj.ObserverEvery
 	if every <= 0 {

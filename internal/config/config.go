@@ -108,14 +108,6 @@ type Config struct {
 	// validated by internal/fault.
 	HardFaults string `json:"hard_faults,omitempty"`
 
-	// NoFastForward disables the event-horizon fast-forward: the cycle
-	// loops then step every quiescent cycle individually instead of
-	// jumping to the next event (DESIGN.md §16). Fast-forward is on by
-	// default because it is bit-identical by construction — this switch
-	// exists as the referee for the equivalence tests and for timing
-	// the per-cycle path.
-	NoFastForward bool `json:"no_fast_forward,omitempty"`
-
 	// Checks enables the runtime invariant layer (internal/invariant):
 	// "" or "off" disables it (zero overhead, bit-identical runs), "all"
 	// enables every check, or a comma-separated subset of

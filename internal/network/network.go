@@ -474,6 +474,15 @@ func (n *Network) Drained() bool {
 	return true
 }
 
+// Quiescent and FastForwardTo are kept only for benchmark/replica.go,
+// which still calls them; the cycle loop steps every cycle (DESIGN.md
+// §16). Quiescent always reports false, so the replica steps every cycle
+// too. Both go when those replica lines do.
+func (n *Network) Quiescent() bool { return false }
+
+// FastForwardTo skips nothing: it returns the current cycle.
+func (n *Network) FastForwardTo(target int64) int64 { return n.cycle }
+
 // LastDeliveryCycle returns the cycle of the most recent data delivery.
 func (n *Network) LastDeliveryCycle() int64 { return n.lastDelivery }
 
@@ -613,9 +622,10 @@ func (n *Network) applyMode(id int, m Mode) {
 // if the channel is clean. A still-pending switch must be retried by the
 // SA stage each cycle until the channel drains, so the port joins saAttn
 // and the router the pipe set. When the port switched (or kept its mode)
-// the SA visit would be a no-op; not marking then keeps an idle fabric
-// quiescent across control epochs, which is what lets fast-forward jump
-// them and the lazy error-probability materialization stay deferred.
+// the SA visit would be a no-op; not marking then keeps an idle fabric's
+// active sets empty across control epochs, which is what lets the lazy
+// error-probability materialization stay deferred and the idle Step
+// visit nothing.
 func (n *Network) requestMode(r *Router, p *outputPort, m Mode) {
 	p.targetMode = m
 	p.trySwitchMode()
