@@ -30,16 +30,15 @@ const (
 	// measured, so the numbers reflect the cruising loop, not cold-buffer
 	// growth.
 	cycleLoopWarmup = 2_000
-	// shardedAllocBudget is the absolute allocs/cycle ceiling on the loaded
-	// sharded rows: steady state stays within single-digit allocations per
-	// simulated cycle (pooled flits and packets, recycled staging buffers)
-	// no matter the fabric size or worker count.
-	shardedAllocBudget = 8
+	// largeAllocBudget is the absolute allocs/cycle ceiling on the loaded
+	// 16x16 and 32x32 rows: steady state stays within single-digit
+	// allocations per simulated cycle (pooled flits and packets) no matter
+	// the fabric size.
+	largeAllocBudget = 8
 )
 
 // cycleLoopRow is one scenario: a square fabric, an adaptive scheme or a
-// pinned mode, an injection rate, a step-worker count, a warm-up and an
-// allocation budget.
+// pinned mode, an injection rate, a warm-up and an allocation budget.
 type cycleLoopRow struct {
 	name     string
 	scheme   core.Scheme  // adaptive scheme; empty pins every router to mode
@@ -47,7 +46,6 @@ type cycleLoopRow struct {
 	topology string       // empty keeps the mesh
 	side     int
 	rate     float64
-	workers  int     // Config.StepWorkers, explicit so RLNOC_STEP_WORKERS cannot move a row
 	warmup   int64   // cycles stepped before measuring
 	budget   float64 // allocs/cycle ceiling; 0 leaves the row to the benches
 }
@@ -61,7 +59,7 @@ func (r cycleLoopRow) measured() int64 {
 	return 10_000
 }
 
-// shardedRate is the loaded Mode-2 rate on a side x side mesh. It scales
+// largeRate is the loaded Mode-2 rate on a side x side mesh. It scales
 // as 6/side: the mean uniform-traffic hop count grows with the side, so a
 // constant per-node rate would push the larger fabrics past their
 // bisection capacity. The driver is open-loop (no source window), and a
@@ -69,7 +67,7 @@ func (r cycleLoopRow) measured() int64 {
 // measure queue reallocation, not the cycle loop. The scaling holds
 // per-link load at about 60% of the bisection (counting Mode 2's
 // duplication), loaded but convergent.
-func shardedRate(side int) float64 { return cycleLoopLoadedRate * 6 / float64(side) }
+func largeRate(side int) float64 { return cycleLoopLoadedRate * 6 / float64(side) }
 
 // The sequential 8x8 budgets are 1.25x the allocs/cycle last recorded for
 // the row plus 0.5: headroom for runtime-internal allocations without
@@ -78,18 +76,15 @@ func shardedRate(side int) float64 { return cycleLoopLoadedRate * 6 / float64(si
 // approaches steady state over several times the packet latency, and
 // measuring before that reports pool growth as per-cycle allocation.
 var cycleLoopRows = []cycleLoopRow{
-	{name: "crc", scheme: core.SchemeCRC, side: 8, rate: cycleLoopRate, workers: 1, warmup: cycleLoopWarmup, budget: 0.52},
-	{name: "arq-ecc", scheme: core.SchemeARQ, side: 8, rate: cycleLoopRate, workers: 1, warmup: cycleLoopWarmup, budget: 0.51},
-	{name: "dt", scheme: core.SchemeDT, side: 8, rate: cycleLoopRate, workers: 1, warmup: cycleLoopWarmup, budget: 0.62},
-	{name: "rl", scheme: core.SchemeRL, side: 8, rate: cycleLoopRate, workers: 1, warmup: cycleLoopWarmup, budget: 0.58},
-	{name: "idle", mode: network.Mode0, side: 8, rate: 0, workers: 1, warmup: cycleLoopWarmup, budget: 0.50},
-	{name: "mode2-loaded", mode: network.Mode2, side: 8, rate: cycleLoopLoadedRate, workers: 1, warmup: cycleLoopWarmup, budget: 3.75},
-	{name: "torus-rl", scheme: core.SchemeRL, topology: "torus", side: 8, rate: cycleLoopRate, workers: 1, warmup: cycleLoopWarmup, budget: 0.58},
-	{name: "par16-w1", mode: network.Mode2, side: 16, rate: shardedRate(16), workers: 1, warmup: cycleLoopWarmup, budget: shardedAllocBudget},
-	{name: "par16-w2", mode: network.Mode2, side: 16, rate: shardedRate(16), workers: 2, warmup: cycleLoopWarmup, budget: shardedAllocBudget},
-	{name: "par16-w4", mode: network.Mode2, side: 16, rate: shardedRate(16), workers: 4, warmup: cycleLoopWarmup, budget: shardedAllocBudget},
-	{name: "par32-w1", mode: network.Mode2, side: 32, rate: shardedRate(32), workers: 1, warmup: 2 * cycleLoopWarmup},
-	{name: "par32-w4", mode: network.Mode2, side: 32, rate: shardedRate(32), workers: 4, warmup: 2 * cycleLoopWarmup, budget: shardedAllocBudget},
+	{name: "crc", scheme: core.SchemeCRC, side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.52},
+	{name: "arq-ecc", scheme: core.SchemeARQ, side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.51},
+	{name: "dt", scheme: core.SchemeDT, side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.62},
+	{name: "rl", scheme: core.SchemeRL, side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.58},
+	{name: "idle", mode: network.Mode0, side: 8, rate: 0, warmup: cycleLoopWarmup, budget: 0.50},
+	{name: "mode2-loaded", mode: network.Mode2, side: 8, rate: cycleLoopLoadedRate, warmup: cycleLoopWarmup, budget: 3.75},
+	{name: "torus-rl", scheme: core.SchemeRL, topology: "torus", side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.58},
+	{name: "par16-w1", mode: network.Mode2, side: 16, rate: largeRate(16), warmup: cycleLoopWarmup, budget: largeAllocBudget},
+	{name: "par32-w1", mode: network.Mode2, side: 32, rate: largeRate(32), warmup: 2 * cycleLoopWarmup, budget: largeAllocBudget},
 }
 
 // cycleLoop is a constructed row: the simulation, its open-loop trace
@@ -108,7 +103,6 @@ func newCycleLoop(tb testing.TB, row cycleLoopRow, measured int64) *cycleLoop {
 	cfg := DefaultConfig()
 	cfg.Checks = "off"
 	cfg.Width, cfg.Height = row.side, row.side
-	cfg.StepWorkers = row.workers
 	if row.topology != "" {
 		cfg.Topology = row.topology
 	}
@@ -124,7 +118,6 @@ func newCycleLoop(tb testing.TB, row cycleLoopRow, measured int64) *cycleLoop {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(sim.Close)
 	events, err := traffic.Synthetic(sim.Network().Topology(), traffic.Uniform, row.rate,
 		cfg.FlitsPerPacket, row.warmup+measured+1, 1)
 	if err != nil {
@@ -208,12 +201,8 @@ func BenchmarkCycleLoopTorusRL(b *testing.B)     { benchmarkCycleLoop(b, "torus-
 func BenchmarkCycleLoopIdle(b *testing.B)        { benchmarkCycleLoop(b, "idle") }
 func BenchmarkCycleLoopMode2Loaded(b *testing.B) { benchmarkCycleLoop(b, "mode2-loaded") }
 
-// The sharded rows: W1 is the sequential referee of its fabric, the
-// others run the sharded Step against it. The ratio is advisory: it
-// reflects the host's spare cores, not just the code (on a single-core
-// host the parallel path can only show its coordination overhead).
-func BenchmarkCycleLoopParallelW1(b *testing.B)   { benchmarkCycleLoop(b, "par16-w1") }
-func BenchmarkCycleLoopParallelW2(b *testing.B)   { benchmarkCycleLoop(b, "par16-w2") }
-func BenchmarkCycleLoopParallelW4(b *testing.B)   { benchmarkCycleLoop(b, "par16-w4") }
-func BenchmarkCycleLoopParallel32W1(b *testing.B) { benchmarkCycleLoop(b, "par32-w1") }
-func BenchmarkCycleLoopParallel32W4(b *testing.B) { benchmarkCycleLoop(b, "par32-w4") }
+// The large rows: loaded Mode 2 on 16x16 and 32x32 meshes, past the
+// paper's 8x8. The -w1 in their names (one Step worker) dates from when
+// Step could be sharded (DESIGN.md section 11).
+func BenchmarkCycleLoopLoaded16(b *testing.B) { benchmarkCycleLoop(b, "par16-w1") }
+func BenchmarkCycleLoopLoaded32(b *testing.B) { benchmarkCycleLoop(b, "par32-w1") }

@@ -49,7 +49,6 @@ func run(args []string) error {
 		seeds     = fs.Int("seeds", 1, "number of seeds to average figures over (mean +/- std)")
 		analytic  = fs.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
 		workers   = fs.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
-		stepW     = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
 		dir       = fs.String("dir", "", "campaign directory for the figure and ablation runs; rerunning over it resumes (default: a temporary one)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -77,18 +76,12 @@ func run(args []string) error {
 	}
 	if *topoFlag != "" {
 		cfg.Topology = *topoFlag
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
 	}
 	if *workers != 0 {
 		cfg.SuiteWorkers = *workers
 	}
-	if *stepW != 0 {
-		cfg.StepWorkers = *stepW
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	var benchmarks []string
 	if *benchFlag != "" {

@@ -61,6 +61,13 @@ func TestRun(t *testing.T) {
 			wantErr: "flag provided but not defined"},
 		{name: "removed restore flag", args: []string{"-re" + "store", "x.rlns"},
 			wantErr: "flag provided but not defined"},
+		// Step is sequential; there is no shard count to pick.
+		{name: "removed step-workers flag", args: []string{"-small", "-step" + "-workers", "2", "-table2"},
+			wantErr: "flag provided but not defined"},
+		// Every override is validated, not only -topology: a negative pool
+		// size fails as it does from a -config file.
+		{name: "negative workers", args: []string{"-workers", "-1", "-table2"},
+			wantErr: "suite workers must be non-negative"},
 		{name: "unknown figure", args: []string{"-small", "-fig", "11"},
 			wantErr: "unknown figure"},
 		{name: "unknown ablation", args: []string{"-small", "-ablation", "colour"},
@@ -121,10 +128,9 @@ func TestAblationRowsEqualRun(t *testing.T) {
 	}
 }
 
-// TestRerunAtOtherWorkersSimulatesNothing: -workers and -step-workers are
-// host-local knobs that change no result, so a rerun over a finished -dir
-// at other counts is the same plan — it prints the same figure and starts
-// no job.
+// TestRerunAtOtherWorkersSimulatesNothing: -workers is a host-local knob
+// that changes no result, so a rerun over a finished -dir at another
+// count is the same plan — it prints the same figure and starts no job.
 func TestRerunAtOtherWorkersSimulatesNothing(t *testing.T) {
 	dir := t.TempDir()
 	starts := func() int {
@@ -148,7 +154,7 @@ func TestRerunAtOtherWorkersSimulatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := starts()
-	again, err := runCaptured(t, append(args, "-workers", "1", "-step-workers", "2")...)
+	again, err := runCaptured(t, append(args, "-workers", "1")...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +162,6 @@ func TestRerunAtOtherWorkersSimulatesNothing(t *testing.T) {
 		t.Errorf("the rerun printed\n%s\nwant\n%s", again, first)
 	}
 	if n := starts() - ran; n != 0 {
-		t.Errorf("the rerun at other worker counts started %d jobs, want none", n)
+		t.Errorf("the rerun at another worker count started %d jobs, want none", n)
 	}
 }

@@ -73,7 +73,7 @@ func run(args []string) error {
 		}
 		return err
 	}
-	dir, _ := config.ResolveString(config.EnvCampaignDir, *dirFlag, "campaign")
+	dir := config.ResolveString(config.EnvCampaignDir, *dirFlag, "campaign")
 
 	cfg := rlnoc.DefaultConfig()
 	if *small {

@@ -57,7 +57,6 @@ func run(args []string) error {
 		checksFlag = fs.String("checks", "", "runtime invariant checks: off|all|ledger,credits,watchdog (default: RLNOC_CHECKS env)")
 		topoFlag   = fs.String("topology", "", "fabric topology: mesh|torus (default: config)")
 		small      = fs.Bool("small", false, "use the 4x4 quick configuration")
-		stepW      = fs.Int("step-workers", 0, "per-Step shard workers, deterministic (0 = config/env, 1 = sequential)")
 		verbose    = fs.Bool("v", false, "print the error-control breakdown")
 		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
 		savePre    = fs.String("save-pretrained", "", "write the state at the end of pre-training to a file (any scheme; measure from it with -restore)")
@@ -94,7 +93,7 @@ func run(args []string) error {
 	var sim *core.Sim
 	if *restore != "" {
 		var err error
-		if sim, err = restoreSim(fs, *restore, *stepW); err != nil {
+		if sim, err = restoreSim(fs, *restore); err != nil {
 			return err
 		}
 	} else {
@@ -120,9 +119,6 @@ func run(args []string) error {
 		if *topoFlag != "" {
 			cfg.Topology = *topoFlag
 		}
-		if *stepW != 0 {
-			cfg.StepWorkers = *stepW
-		}
 		if *hardFault != "" {
 			cfg.HardFaults = *hardFault
 		}
@@ -146,7 +142,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-	defer sim.Close()
 	cfg := sim.Config()
 
 	// A checkpoint carries its trace; a fresh or pre-trained sim measures
@@ -184,7 +179,7 @@ func run(args []string) error {
 		defer l.Flush()
 	}
 	if *snapEvery > 0 {
-		dir, _ := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
+		dir := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
 		sim.SetSnapshotPolicy(dir, *snapEvery)
 	}
 	var res core.Result
@@ -236,19 +231,9 @@ var workloadFlags = map[string]bool{"benchmark": true, "trace": true, "pattern":
 // restoreSim rebuilds the sim a snapshot file holds — a checkpoint written
 // by -snapshot-every, a -save-pretrained state or a campaign's
 // pretrain-*.rlns — after checking that no flag set on the command line
-// contradicts it. Only host-local knobs (-step-workers, bit-identical by
-// construction) still apply to its config.
-func restoreSim(fs *flag.FlagSet, path string, stepW int) (*core.Sim, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := core.RestoreSimTuned(f, func(cfg *config.Config) {
-		if stepW != 0 {
-			cfg.StepWorkers = stepW
-		}
-	})
-	f.Close()
+// contradicts it.
+func restoreSim(fs *flag.FlagSet, path string) (*core.Sim, error) {
+	sim, err := core.RestoreSimFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +247,6 @@ func restoreSim(fs *flag.FlagSet, path string, stepW int) (*core.Sim, error) {
 		}
 	})
 	if err != nil {
-		sim.Close()
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "resumed %s at cycle %d\n", path, sim.Network().Cycle())

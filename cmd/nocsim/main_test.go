@@ -63,6 +63,9 @@ func TestRun(t *testing.T) {
 		// The cycle loop steps every cycle; there is no jump to turn off.
 		{name: "removed fast-forward flag", args: []string{"-small", "-fast" + "-forward=false"},
 			wantErr: "flag provided but not defined"},
+		// Step is sequential; there is no shard count to pick.
+		{name: "removed step-workers flag", args: []string{"-small", "-step" + "-workers", "2"},
+			wantErr: "flag provided but not defined"},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
 		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},

@@ -89,7 +89,6 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					t.Cleanup(sim.Close)
 					if err := sim.Pretrain(); err != nil {
 						t.Fatal(err)
 					}
@@ -116,7 +115,6 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(fork.Close)
 				for name, sim := range map[string]*core.Sim{"fork": fork, "checkpointed original": origin} {
 					res, data := measureAndSnapshot(t, sim, events)
 					if !reflect.DeepEqual(res, wantRes) {

@@ -1,69 +1,63 @@
 package rlnoc
 
-// Determinism pin for hard-fault campaigns. A mid-run kill schedule
-// tears through every layer the parallel step shards — link ARQ state,
-// VC buffers, NI replay buffers, the route tables themselves — and all
-// of it happens on the main goroutine at the top of Step, so the
-// sharded walk must remain bit-identical to the sequential referee
-// through the kill, the re-route and the condemned-packet resolution.
-// Checks stay armed the whole way: the same runs must also keep the
-// conservation ledger closed at every census.
+// Equivalence pin for hard-fault campaigns. A mid-run kill schedule
+// tears through every layer the active sets track — link ARQ state, VC
+// buffers, NI replay buffers, the route tables themselves — and prunes
+// dead routers from every set, so the active-set walk must remain
+// bit-identical to the dense referee through the kill, the re-route and
+// the condemned-packet resolution. Checks stay armed the whole way: the
+// same runs must also keep the conservation ledger closed at every
+// census.
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
 	"rlnoc/internal/core"
-	"rlnoc/internal/traffic"
 )
 
-// runHardFaultWithWorkers runs a measured synthetic phase through a
-// mid-run kill schedule at the given worker count, returning the
-// serialized Result plus the fault aftermath (dead routers, unreachable
-// pairs, conservation ledger) so divergence in the fault path itself is
-// caught even where the pinned Summary would not show it.
-func runHardFaultWithWorkers(t *testing.T, scheme core.Scheme, topo, sched string, workers int) string {
+// runHardFaultScan runs a measured synthetic phase through a mid-run kill
+// schedule on the requested stepping path, returning the serialized
+// Result plus the fault aftermath (dead routers, unreachable pairs,
+// conservation ledger) and a digest of the final simulation state (the
+// checkpoint stream, which walks every VC, port and ARQ field), so
+// divergence in the fault path itself is caught even where the pinned
+// Summary would not show it.
+func runHardFaultScan(t *testing.T, scheme core.Scheme, topo, sched string, dense bool) string {
 	t.Helper()
 	cfg := fastConfig()
 	cfg.Seed = 4242
 	cfg.Topology = topo
-	cfg.StepWorkers = workers
 	cfg.PretrainCycles = 0 // cycle zero = schedule zero: kills land mid-measure
 	cfg.HardFaults = sched
 	cfg.Checks = "all"
 	if scheme == core.SchemeQRoute && topo == "torus" {
 		cfg.VCsPerPort = 8 // escape/adaptive x dateline VC quartering
 	}
-	sim, err := core.NewSim(cfg, scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	events, err := traffic.Synthetic(sim.Network().Topology(), traffic.Uniform, 0.02,
-		cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Measure(events, "uniform")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, res := runScan(t, cfg, scheme, 0.02, dense)
 	net := sim.Network()
 	led := net.ConservationLedger()
 	if !led.Balanced() {
-		t.Fatalf("%s/%s workers=%d: ledger does not balance: %s", scheme, topo, workers, led)
+		t.Fatalf("%s/%s dense=%v: ledger does not balance: %s", scheme, topo, dense, led)
 	}
-	return fmt.Sprintf("%s dead=%d unreachable=%d drops=%d %s",
-		serialize(t, res), net.DeadRouters(), net.UnreachablePairs(), net.Stats().TotalDrops(), led)
+	var state bytes.Buffer
+	if err := sim.WriteSnapshot(&state); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s dead=%d unreachable=%d drops=%d %s state=%x",
+		serialize(t, res), net.DeadRouters(), net.UnreachablePairs(), net.Stats().TotalDrops(), led,
+		sha256.Sum256(state.Bytes()))
 }
 
-// TestParallelStepMatchesSequentialHardFaults runs the same fixed-seed
-// workload through a mid-run kill schedule at worker counts 1 (the
-// sequential referee), 2 and 4, requiring byte-identical results and
-// fault aftermath. The schedules mix link and router kills; the torus
-// case exercises re-routing around a wrap edge under dateline VC
-// classes.
-func TestParallelStepMatchesSequentialHardFaults(t *testing.T) {
+// TestActiveSetMatchesDenseScanHardFaults runs the same fixed-seed
+// workload through a mid-run kill schedule on the dense referee and the
+// active-set path, requiring byte-identical results and fault aftermath.
+// The schedules mix link and router kills; the torus case exercises
+// re-routing around a wrap edge under dateline VC classes, and qroute
+// rebuilds its surviving-distance table and permitted masks at each kill.
+func TestActiveSetMatchesDenseScanHardFaults(t *testing.T) {
 	cases := []struct {
 		scheme core.Scheme
 		topo   string
@@ -72,21 +66,15 @@ func TestParallelStepMatchesSequentialHardFaults(t *testing.T) {
 		{core.SchemeARQ, "mesh", "1500:l5.east,3000:r10"},
 		{core.SchemeRL, "mesh", "1500:l5.east,3000:r10"},
 		{core.SchemeRL, "torus", "1200:l3.east,2600:r6"},
-		// qroute through mid-run kills: the surviving-distance table and
-		// permitted masks rebuild on the main goroutine at the top of
-		// Step, and learned routing must stay bit-identical through the
-		// kill, reroute and condemned-packet resolution.
 		{core.SchemeQRoute, "mesh", "1500:l5.east,3000:r10"},
 		{core.SchemeQRoute, "torus", "1200:l3.east,2600:r6"},
 	}
 	for _, tc := range cases {
-		ref := runHardFaultWithWorkers(t, tc.scheme, tc.topo, tc.sched, 1)
-		for _, workers := range []int{2, 4} {
-			got := runHardFaultWithWorkers(t, tc.scheme, tc.topo, tc.sched, workers)
-			if got != ref {
-				t.Errorf("%s/%s [%s]: %d-worker stepping diverged from sequential:\n  seq: %s\n  par: %s",
-					tc.scheme, tc.topo, tc.sched, workers, ref, got)
-			}
+		dense := runHardFaultScan(t, tc.scheme, tc.topo, tc.sched, true)
+		active := runHardFaultScan(t, tc.scheme, tc.topo, tc.sched, false)
+		if dense != active {
+			t.Errorf("%s/%s [%s]: active-set stepping diverged from dense scan:\n dense: %s\nactive: %s",
+				tc.scheme, tc.topo, tc.sched, dense, active)
 		}
 	}
 }

@@ -395,9 +395,9 @@ func digest(v any) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// identity is spec less the host-local knobs SuiteWorkers and StepWorkers,
-// which change no result (core.RestoreSimTuned): a rerun on another core
-// count is the same job.
+// identity is spec less the knobs that change no result: SuiteWorkers,
+// host-local, so a rerun on another core count is the same job, and the
+// ignored StepWorkers (config.Config says why it still exists).
 func identity(spec Spec) Spec {
 	spec.Config.SuiteWorkers, spec.Config.StepWorkers = 0, 0
 	return spec
@@ -481,8 +481,15 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 			return nil, false
 		}
 		if !wake.IsZero() {
-			// Wake the scheduler when the earliest backoff expires.
-			t := time.AfterFunc(time.Until(wake), e.cond.Broadcast)
+			// Wake the scheduler when the earliest backoff expires. The
+			// timer broadcasts under e.mu: this goroutine holds it until
+			// Wait parks, so a short backoff cannot fire in between and
+			// be lost.
+			t := time.AfterFunc(time.Until(wake), func() {
+				e.mu.Lock()
+				e.cond.Broadcast()
+				e.mu.Unlock()
+			})
 			e.cond.Wait()
 			t.Stop()
 		} else {

@@ -268,8 +268,9 @@ func TestSubmitIdempotent(t *testing.T) {
 	if err := eng.Submit(spec); err != nil {
 		t.Fatalf("idempotent re-submit rejected: %v", err)
 	}
-	// Worker counts are host-local: they change no result, so the spec
-	// that differs only in them is the same job.
+	// Worker counts change no result (SuiteWorkers is host-local,
+	// StepWorkers ignored), so the spec that differs only in them is the
+	// same job.
 	elsewhere := spec
 	elsewhere.Config.SuiteWorkers, elsewhere.Config.StepWorkers = 3, 2
 	if err := eng.Submit(elsewhere); err != nil {

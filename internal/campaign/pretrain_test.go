@@ -38,7 +38,6 @@ func runDirect(t *testing.T, spec Spec) core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if spec.Pretrain {
 		if err := sim.Pretrain(); err != nil {
 			t.Fatal(err)

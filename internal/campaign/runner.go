@@ -156,7 +156,6 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	if err != nil {
 		return attemptResult{kind: attemptRetry, err: err}
 	}
-	defer sim.Close()
 	sim.SetSnapshotPolicy(dir, spec.SnapshotEvery)
 	resumed := at == atCheckpoint
 
@@ -281,7 +280,6 @@ func (e *Engine) fromPretrained(j *job) (sim *core.Sim, err error) {
 		sim, err = k.Sim()
 	} else if sim, err = e.restore(j.spec.ID, j.key); sim != nil {
 		if k, err = sim.Checkpoint(); err != nil {
-			sim.Close()
 			return nil, err
 		}
 		e.hold(j.key, k)

@@ -84,13 +84,11 @@ type Config struct {
 	// pool size; this only trades memory for wall-clock time.
 	SuiteWorkers int `json:"suite_workers"`
 
-	// StepWorkers sets the worker pool size for intra-cycle parallelism
-	// inside Network.Step (sharded compute/commit; see DESIGN.md §11).
-	// 0 or 1 runs the sequential reference path. Results are bit-identical
-	// for every value at a fixed seed, so this only trades goroutine
-	// overhead for wall-clock speed on multi-core hosts. The
-	// RLNOC_STEP_WORKERS environment variable supplies a default when the
-	// field is 0.
+	// StepWorkers is ignored: Step is sequential (DESIGN.md §11). The
+	// field stays because the frozen benchmark module sets it
+	// (benchmark/replica.go:233), and its JSON key stays because config
+	// JSON is embedded in every snapshot, so dropping the key would move
+	// every checkpoint's bytes and content ID.
 	StepWorkers int `json:"step_workers"`
 
 	// SourceWindow caps outstanding (undelivered) packets per source
@@ -319,6 +317,10 @@ func (c *Config) Validate() error {
 		// The west-first turn model assumes a wrap-free grid; on a torus
 		// its cycles reappear through the wrap links.
 		return fmt.Errorf("config: westfirst routing is mesh-only; torus uses dimension-ordered routing")
+	case c.HardFaults != "" && c.Routing == RoutingWestFirst:
+		// West-first is coordinate math, blind to dead links; rerouting
+		// around a kill needs the deterministic route tables.
+		return fmt.Errorf("config: hard faults require deterministic (table) routing; westfirst is unsupported")
 	case c.TopologyKind() == TopologyTorus && c.VCsPerPort < 4:
 		// The torus dateline rule halves each VC class (data, control)
 		// into wrap classes 0 and 1, so both halves need a VC.
@@ -352,8 +354,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: source window must be non-negative, got %d", c.SourceWindow)
 	case c.SuiteWorkers < 0:
 		return fmt.Errorf("config: suite workers must be non-negative, got %d", c.SuiteWorkers)
-	case c.StepWorkers < 0:
-		return fmt.Errorf("config: step workers must be non-negative, got %d", c.StepWorkers)
 	}
 	if _, err := invariant.Parse(c.Checks); err != nil {
 		return fmt.Errorf("config: %w", err)

@@ -93,6 +93,23 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestHardFaultScheduleRejectsAdaptive pins the constraint that hard
+// faults require table-driven routing: the adaptive west-first router is
+// coordinate math with no notion of a dead link. Validate is the gate, so
+// no config that reaches network.New can trip it.
+func TestHardFaultScheduleRejectsAdaptive(t *testing.T) {
+	c := Small()
+	c.Routing = RoutingWestFirst
+	c.HardFaults = "100:l5.east"
+	if err := c.Validate(); err == nil {
+		t.Fatal("hard faults with adaptive routing accepted")
+	}
+	c.HardFaults = ""
+	if err := c.Validate(); err != nil {
+		t.Fatalf("westfirst without hard faults rejected: %v", err)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cfg.json")

@@ -2,21 +2,17 @@ package config
 
 // Centralized RLNOC_* environment-variable handling. Every knob that can
 // arrive from three places — an explicit flag/config value, an
-// environment variable, a built-in default — resolves through one of the
-// helpers here with a fixed precedence: explicit > environment >
-// default. Call sites also learn *where* the value came from, because
-// some behaviors key on provenance (the parallel stepper coarsens shard
-// counts only for env-derived worker counts, never for explicit ones).
+// environment variable, a built-in default — resolves through
+// ResolveString with a fixed precedence: explicit > environment >
+// default.
 
-import (
-	"os"
-	"strconv"
-)
+import "os"
 
 // The simulator's environment variables.
 const (
-	// EnvStepWorkers sets the per-Step shard worker count when neither
-	// the -step-workers flag nor Config.StepWorkers chose one.
+	// EnvStepWorkers is read by nothing: Step is sequential (DESIGN.md
+	// §11). It stays only because the frozen benchmark module unsets it
+	// (benchmark/main.go:113).
 	EnvStepWorkers = "RLNOC_STEP_WORKERS"
 	// EnvChecks enables runtime invariant checks when Config.Checks is
 	// empty (same syntax: "off", "all", or a comma list).
@@ -29,40 +25,14 @@ const (
 	EnvCampaignDir = "RLNOC_CAMPAIGN_DIR"
 )
 
-// Source identifies where a resolved value came from.
-type Source int
-
-// Resolution provenance, in precedence order.
-const (
-	SourceExplicit Source = iota // flag or config field
-	SourceEnv                    // environment variable
-	SourceDefault                // built-in default
-)
-
 // ResolveString resolves a string knob: a non-empty explicit value wins,
 // then a non-empty environment variable, then the default.
-func ResolveString(env, explicit, def string) (string, Source) {
+func ResolveString(env, explicit, def string) string {
 	if explicit != "" {
-		return explicit, SourceExplicit
+		return explicit
 	}
 	if v := os.Getenv(env); v != "" {
-		return v, SourceEnv
+		return v
 	}
-	return def, SourceDefault
-}
-
-// ResolveInt resolves an integer knob: a non-zero explicit value wins,
-// then a parseable environment variable, then the default. An
-// unparseable environment value is ignored (falls through to the
-// default) rather than failing a run over a stray shell variable.
-func ResolveInt(env string, explicit, def int) (int, Source) {
-	if explicit != 0 {
-		return explicit, SourceExplicit
-	}
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n, SourceEnv
-		}
-	}
-	return def, SourceDefault
+	return def
 }

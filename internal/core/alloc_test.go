@@ -37,11 +37,9 @@ func TestNewSimAllocBudget(t *testing.T) {
 		cfg := config.Default()
 		cfg.RL.SharedTable = tc.shared
 		build := func() {
-			sim, err := NewSim(cfg, SchemeRL)
-			if err != nil {
+			if _, err := NewSim(cfg, SchemeRL); err != nil {
 				t.Fatal(err)
 			}
-			sim.Close()
 		}
 		build() // fill the process-wide topology memo first
 		if mb := allocatedMB(build); mb > tc.budget {
@@ -74,7 +72,6 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	var cp *Checkpoint
 	sim.SetObserver(1500, func(Snapshot) {
 		if cp == nil {
@@ -96,7 +93,6 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	defer restored.Close()
 	total, built := countingSources(reflect.ValueOf(restored))
 	if want := 2 * cfg.Routers(); total != want {
 		t.Fatalf("walk found %d RNG sources, want %d (an agent and an NI per router)", total, want)
@@ -245,7 +241,6 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	measured := false
 	sim.SetObserver(1500, func(s Snapshot) {
 		if measured {

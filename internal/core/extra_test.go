@@ -94,7 +94,6 @@ func TestObserverAbortStopsAtObservedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	stop := errors.New("observed")
 	var seen []int64
 	sim.SetObserver(1, func(s Snapshot) {

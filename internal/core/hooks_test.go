@@ -43,7 +43,6 @@ func runHooked(t *testing.T, snapEvery, observeEvery int64) (fp string, base, en
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.Pretrain(); err != nil {
 		t.Fatal(err)
 	}

@@ -262,9 +262,10 @@ func NewStaticSim(cfg config.Config, mode network.Mode) (*Sim, error) {
 // Network exposes the underlying network (examples and tests peek at it).
 func (s *Sim) Network() *network.Network { return s.net }
 
-// Close releases the network's step-worker goroutines (a no-op for
-// sequential simulations; a finalizer also covers forgotten calls).
-func (s *Sim) Close() { s.net.Close() }
+// Close does nothing: a Sim holds no goroutines or handles. It is kept
+// only for the frozen benchmark module, which calls it
+// (benchmark/probe.go).
+func (s *Sim) Close() {}
 
 // Config returns the configuration the simulation runs — for a restored
 // Sim, the one its snapshot carried.

@@ -83,7 +83,7 @@ func (s *Sim) WriteSnapshot(w io.Writer) error {
 }
 
 func (s *Sim) encode(c *snap.Codec) error {
-	_, err := snapSim(c, s, nil)
+	_, err := snapSim(c, s)
 	return err
 }
 
@@ -123,26 +123,16 @@ func (k *Checkpoint) Sim() (*Sim, error) {
 // the stream, so the caller needs nothing but the snapshot itself;
 // ResumeMeasure then continues the interrupted measurement phase.
 func RestoreSim(rd io.Reader) (*Sim, error) {
-	return RestoreSimTuned(rd, nil)
-}
-
-// RestoreSimTuned is RestoreSim with a host-local config override,
-// applied before the Sim skeleton is rebuilt. Only knobs that cannot
-// change results may be touched — StepWorkers, SuiteWorkers, Checks —
-// so a snapshot written on one machine resumes bit-identically on
-// another with a different core count.
-func RestoreSimTuned(rd io.Reader, tune func(*config.Config)) (*Sim, error) {
 	c := snap.NewDecoder(rd)
 	defer c.Release()
-	return snapSim(c, nil, tune)
+	return snapSim(c, nil)
 }
 
 // snapSim walks the full simulation stream: header, config, scheme,
 // measurement phase, controller, then the network. Encoding walks s;
 // decoding ignores s and builds the Sim from the config and scheme the
-// stream itself carries (tune, if non-nil, adjusts the config first),
-// then walks the same fields into it.
-func snapSim(c *snap.Codec, s *Sim, tune func(*config.Config)) (*Sim, error) {
+// stream itself carries, then walks the same fields into it.
+func snapSim(c *snap.Codec, s *Sim) (*Sim, error) {
 	var cfgJSON []byte
 	var scheme string
 	if !c.Decoding() {
@@ -169,18 +159,12 @@ func snapSim(c *snap.Codec, s *Sim, tune func(*config.Config)) (*Sim, error) {
 			// previous checkpoint.
 			return nil, snap.Corrupt(fmt.Errorf("core: snapshot config: %w", err))
 		}
-		if tune != nil {
-			tune(&cfg)
-		}
 		var err error
 		if s, err = NewSim(cfg, Scheme(scheme)); err != nil {
 			return nil, snap.Corrupt(err)
 		}
 	}
 	if err := s.snapState(c); err != nil {
-		if c.Decoding() {
-			s.Close()
-		}
 		return nil, err
 	}
 	return s, nil
@@ -449,7 +433,6 @@ func ReplayFromSnapshot(path string, elogW io.Writer) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer sim.Close()
 	if elogW != nil {
 		l := eventlog.New(elogW)
 		sim.Network().SetEventLog(l)

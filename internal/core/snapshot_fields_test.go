@@ -63,14 +63,8 @@ var unsnapshotted = map[string]struct {
 	"network.Network.fpool":   {false, "pool: flit free list and counters"},
 	"network.Network.pktPool": {false, "pool: packet free list and counters"},
 	"network.NI.reasmFree":    {false, "pool: emptied reassembly buffers"},
-	"network.Router.pool":     {false, "pool: the network's or the owning shard's, per this process's layout"},
-	"network.NI.pool":         {false, "pool: as Router.pool"},
 
-	// Shard staging and scratch: empty or dead between cycles, rebuilt for
-	// whatever worker count the restoring process has.
-	"network.Network.shards":          {false, "shard staging: per-worker buffers, empty between cycles"},
-	"network.Network.hub":             {false, "shard staging: this process's worker goroutines"},
-	"network.NI.sh":                   {false, "shard staging: owning shard in this process's layout"},
+	// Scratch: dead between cycles.
 	"network.Router.inputUsed":        {false, "scratch: cleared by switchAllocate before every use"},
 	"network.Network.scratchPowers":   {false, "scratch: overwritten by thermalStep before every use"},
 	"network.Network.epochLats":       {false, "scratch: overwritten by controlEpoch before every use"},
@@ -134,7 +128,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer sim.Close()
 			if arm.pretrain {
 				if err := sim.Pretrain(); err != nil {
 					t.Fatal(err)
@@ -171,7 +164,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer restored.Close()
 				d := &fieldDiff{t: t, seen: map[[2]uintptr]bool{}, listed: listed}
 				d.walk("net", reflect.ValueOf(sim.net), reflect.ValueOf(restored.net)) // and, through it, the controller
 				d.walk("ms", reflect.ValueOf(sim.ms), reflect.ValueOf(restored.ms))

@@ -2,9 +2,8 @@ package core
 
 // Checkpoint/restore equivalence (DESIGN.md §15): a run that is
 // snapshotted mid-measurement and resumed in a fresh Sim must finish
-// with byte-identical results — across topologies, learned schemes,
-// StepWorkers counts on both sides of the restore, and with the restore
-// point inside an active hard-fault kill schedule.
+// with byte-identical results — across topologies and learned schemes,
+// and with the restore point inside an active hard-fault kill schedule.
 
 import (
 	"bytes"
@@ -41,6 +40,9 @@ func snapConfig(topo string) config.Config {
 	cfg.Fault.BaseErrorRate = 0.002
 	cfg.HardFaults = "2600:l5.east,4200:r10"
 	cfg.Seed = 20260808
+	// Ignored by the simulator, but the embedded config JSON carries it,
+	// and snapshotBytesPins were captured with it set.
+	cfg.StepWorkers = 1
 	return cfg
 }
 
@@ -69,17 +71,15 @@ func fingerprint(t *testing.T, res Result, sim *Sim) string {
 	return string(b) + "\n" + sim.Network().ConservationLedger().String()
 }
 
-// runFull runs pretrain+measure at the given worker count, optionally
-// checkpointing every snapEvery cycles into dir.
+// runFull runs pretrain+measure, optionally checkpointing every
+// snapEvery cycles into dir.
 func runFull(t *testing.T, cfg config.Config, scheme Scheme, events []traffic.Event,
-	workers int, dir string, snapEvery int64) string {
+	dir string, snapEvery int64) string {
 	t.Helper()
-	cfg.StepWorkers = workers
 	sim, err := NewSim(cfg, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.Pretrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,26 +113,13 @@ func snapshotCycles(t *testing.T, dir string) (paths []string, cycles []int64) {
 	return paths, cycles
 }
 
-// resumeFrom restores path at the given worker count and runs the phase
-// to completion.
-func resumeFrom(t *testing.T, path string, workers int) string {
+// resumeFrom restores path and runs the phase to completion.
+func resumeFrom(t *testing.T, path string) string {
 	t.Helper()
 	sim, err := RestoreSimFile(path)
-	if workers > 0 {
-		f, ferr := os.Open(path)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		if sim != nil {
-			sim.Close()
-		}
-		sim, err = RestoreSimTuned(f, func(cfg *config.Config) { cfg.StepWorkers = workers })
-		f.Close()
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	res, err := sim.ResumeMeasure()
 	if err != nil {
 		t.Fatal(err)
@@ -141,35 +128,33 @@ func resumeFrom(t *testing.T, path string, workers int) string {
 }
 
 // TestSnapshotRestoreEquivalence is the acceptance matrix: mesh and
-// torus, rl and qroute, snapshot written at workers W and restored at a
-// different count, including a restore point between the two scheduled
-// hard-fault kills.
+// torus, rl and qroute, including a restore point between the two
+// scheduled hard-fault kills.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	type combo struct {
-		topo         string
-		scheme       Scheme
-		runW, resumW int
+		topo   string
+		scheme Scheme
 	}
 	combos := []combo{
-		{"mesh", SchemeRL, 1, 4},
-		{"mesh", SchemeQRoute, 2, 1},
-		{"torus", SchemeRL, 4, 2},
-		{"torus", SchemeQRoute, 1, 2},
+		{"mesh", SchemeRL},
+		{"mesh", SchemeQRoute},
+		{"torus", SchemeRL},
+		{"torus", SchemeQRoute},
 	}
 	if testing.Short() {
 		combos = combos[:1]
 	}
 	for _, c := range combos {
 		c := c
-		t.Run(fmt.Sprintf("%s-%s-w%dto%d", c.topo, c.scheme, c.runW, c.resumW), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-%s", c.topo, c.scheme), func(t *testing.T) {
 			t.Parallel()
 			cfg := snapConfig(c.topo)
 			events := snapTrace(t, cfg)
 
-			want := runFull(t, cfg, c.scheme, events, 1, "", 0)
+			want := runFull(t, cfg, c.scheme, events, "", 0)
 
 			dir := t.TempDir()
-			got := runFull(t, cfg, c.scheme, events, c.runW, dir, 400)
+			got := runFull(t, cfg, c.scheme, events, dir, 400)
 			if got != want {
 				t.Fatalf("snapshotting perturbed the run:\n got %s\nwant %s", got, want)
 			}
@@ -193,7 +178,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			for name, p := range map[string]string{
 				"first": paths[0], "mid-kill": midKill, "after-kill": afterKill,
 			} {
-				if got := resumeFrom(t, p, c.resumW); got != want {
+				if got := resumeFrom(t, p); got != want {
 					t.Errorf("%s restore diverged:\n got %s\nwant %s", name, got, want)
 				}
 			}
@@ -221,9 +206,9 @@ func TestSnapshotResumesHeldSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runFull(t, cfg, SchemeRL, events, 1, "", 0)
+	want := runFull(t, cfg, SchemeRL, events, "", 0)
 	dir := t.TempDir()
-	if got := runFull(t, cfg, SchemeRL, events, 1, dir, 900); got != want {
+	if got := runFull(t, cfg, SchemeRL, events, dir, 900); got != want {
 		t.Fatalf("snapshotting perturbed the run:\n got %s\nwant %s", got, want)
 	}
 	paths, _ := snapshotCycles(t, dir)
@@ -244,8 +229,7 @@ func TestSnapshotResumesHeldSource(t *testing.T) {
 				held++
 			}
 		}
-		sim.Close()
-		if got := resumeFrom(t, p, 0); got != want {
+		if got := resumeFrom(t, p); got != want {
 			t.Errorf("%s: resumed run diverged:\n got %s\nwant %s", filepath.Base(p), got, want)
 		}
 	}
@@ -261,7 +245,7 @@ func TestSnapshotIdempotent(t *testing.T) {
 	cfg := snapConfig("mesh")
 	events := snapTrace(t, cfg)
 	dir := t.TempDir()
-	runFull(t, cfg, SchemeQRoute, events, 2, dir, 700)
+	runFull(t, cfg, SchemeQRoute, events, dir, 700)
 	paths, _ := snapshotCycles(t, dir)
 	orig, err := os.ReadFile(paths[len(paths)/2])
 	if err != nil {
@@ -271,7 +255,6 @@ func TestSnapshotIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	var buf bytes.Buffer
 	if err := sim.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -317,7 +300,7 @@ func TestSnapshotBytesPin(t *testing.T) {
 			files := 0
 			for _, scheme := range arm.schemes {
 				dir := t.TempDir()
-				runFull(t, cfg, scheme, events, 1, dir, 700)
+				runFull(t, cfg, scheme, events, dir, 700)
 				paths, _ := snapshotCycles(t, dir)
 				for _, p := range paths {
 					b, err := os.ReadFile(p)
@@ -340,13 +323,13 @@ func TestSnapshotBytesPin(t *testing.T) {
 // controller: rl, qroute, a DT controller trained by a short pre-training,
 // or a DT controller measured without one and so still collecting.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0))
-	f.Add(int64(20260808), uint8(2), uint8(1))
-	f.Add(int64(-7), uint8(4), uint8(0))
-	f.Add(int64(1)<<40, uint8(3), uint8(1))
-	f.Add(int64(3), uint8(1), uint8(2))
-	f.Add(int64(5), uint8(2), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, workers uint8, arm uint8) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(20260808), uint8(1))
+	f.Add(int64(-7), uint8(0))
+	f.Add(int64(1)<<40, uint8(1))
+	f.Add(int64(3), uint8(2))
+	f.Add(int64(5), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, arm uint8) {
 		cfg := config.Small()
 		cfg.PretrainCycles = 0
 		cfg.WarmupCycles = 100
@@ -355,7 +338,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		cfg.Fault.BaseErrorRate = 0.002
 		cfg.HardFaults = "300:l5.east"
 		cfg.Seed = seed
-		cfg.StepWorkers = int(workers%4) + 1
 		scheme := []Scheme{SchemeRL, SchemeQRoute, SchemeDT, SchemeDT}[arm%4]
 		trained := arm%4 == 2
 		if scheme == SchemeDT {
@@ -377,7 +359,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sim.Close()
 		if trained {
 			if err := sim.Pretrain(); err != nil {
 				t.Fatal(err)
@@ -400,7 +381,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer restored.Close()
 		var buf bytes.Buffer
 		if err := restored.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
@@ -442,9 +422,8 @@ func withTreeNodes(t *testing.T, data []byte, nodes uint64) []byte {
 // previous checkpoint.
 func restoreMustBeCorrupt(t *testing.T, data []byte) {
 	t.Helper()
-	sim, err := RestoreSim(bytes.NewReader(data))
+	_, err := RestoreSim(bytes.NewReader(data))
 	if err == nil {
-		sim.Close()
 		t.Fatal("hostile checkpoint restored")
 	}
 	if !snap.IsCorrupt(err) {
@@ -458,7 +437,7 @@ func firstCheckpoint(t *testing.T) []byte {
 	t.Helper()
 	cfg := snapConfig("mesh")
 	dir := t.TempDir()
-	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), 1, dir, 700)
+	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), dir, 700)
 	paths, _ := snapshotCycles(t, dir)
 	data, err := os.ReadFile(paths[0])
 	if err != nil {
@@ -502,7 +481,6 @@ func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	cycle, last := sim.Network().Cycle(), sim.Network().Topology().Nodes()-1
-	sim.Close()
 	// network.maxDraws: 256 draws per source per cycle, after a 4096-cycle
 	// head start.
 	ceiling := uint64(cycle+4096) * 256
@@ -512,7 +490,6 @@ func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("a draw count at the ceiling failed to restore: %v", err)
 	}
-	defer sim.Close()
 	// A packet built at the last NI draws its payload from that source,
 	// which replays all ceiling draws first.
 	if p, err := sim.Network().NewDataPacket(last, 0, 1, cycle); err != nil || p == nil {
@@ -559,10 +536,9 @@ func TestHostileTraceLengthIsCorrupt(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	sim, err := RestoreSim(bytes.NewReader(data))
+	_, err := RestoreSim(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		sim.Close()
 		t.Fatal("checkpoint with a 2^30-event trace length restored")
 	}
 	if !snap.IsCorrupt(err) {

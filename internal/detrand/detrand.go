@@ -5,8 +5,8 @@
 // Stream is keyed on (seed, domain, id, cycle): every draw site owns an
 // independent stream whose values are a pure function of its key. That
 // makes the simulation's random behavior invariant under traversal
-// order — in particular under the worker count of the parallel Step()
-// path — while remaining fully reproducible from the run seed.
+// order — in particular between the dense and active-set Step() walks —
+// while remaining fully reproducible from the run seed.
 //
 // The generator is splitmix64 (Steele, Lea & Flood, "Fast Splittable
 // Pseudorandom Number Generators", OOPSLA 2014): a 64-bit Weyl sequence
@@ -41,7 +41,7 @@ const (
 	// DomainQRoute keys per-(router, cycle) exploration draws for the
 	// Q-routing scheme's epsilon-greedy next-hop selection; id is the
 	// router ID. Keyed per cycle so the draw sequence is invariant under
-	// the parallel Step() shard layout.
+	// router traversal order.
 	DomainQRoute uint64 = 6
 	// DomainCampaign keys the campaign engine's retry-backoff jitter;
 	// id is a hash of the job ID, cycle is the failure count. Jitter

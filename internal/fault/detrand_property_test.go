@@ -48,7 +48,7 @@ func TestSampleErrorBitsDistributionMatchesSharedRNG(t *testing.T) {
 	oldHit, oldHist := sample(func() detrand.Source { return shared })
 
 	// New style: every event draws from its own (link, cycle)-keyed
-	// stream, the way the parallel Step path samples faults.
+	// stream, the way Step samples faults.
 	i := uint64(0)
 	var stream detrand.Stream
 	newHit, newHist := sample(func() detrand.Source {

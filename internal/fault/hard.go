@@ -25,7 +25,7 @@ const (
 // and its Dir neighbor in both directions; a KillRouter event removes the
 // router, its NI and all incident links. Unlike the transient timing-error
 // model, hard faults are not probabilistic — the schedule is explicit, so
-// campaigns replay identically at any StepWorkers count.
+// campaigns replay identically.
 type HardFault struct {
 	Cycle  int64
 	Kind   HardKind

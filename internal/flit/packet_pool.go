@@ -11,9 +11,8 @@ package flit
 // a bounded working set.
 //
 // A PacketPool is single-goroutine, like the Pool and the Network that
-// owns it: packets are created and settled only on the main goroutine
-// (injection, NI ejection commit, hard-fault resolution), never inside a
-// parallel compute pass. Get fully resets a recycled packet, so a run is
+// owns it: packets are created and settled at injection, NI ejection and
+// hard-fault resolution. Get fully resets a recycled packet, so a run is
 // indistinguishable from one that allocated fresh structs throughout.
 //
 // Callers that hold a *Packet past its settlement (delivery, declare)

@@ -78,71 +78,3 @@ func (s *activeSet) forEach(fn func(id int)) {
 		}
 	}
 }
-
-// forEachIn calls fn for every member with lo <= ID < hi, in ascending
-// ID order — the shard-restricted sibling of forEach used by the
-// parallel compute passes. Shard boundaries are arbitrary (not word-
-// aligned), so the first and last words are masked to the range. The
-// same word-snapshot rule applies: the callback may not mutate the set
-// being iterated (parallel shards stage marks and drops instead).
-func (s *activeSet) forEachIn(lo, hi int, fn func(id int)) {
-	if lo >= hi {
-		return
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	for wi := loW; wi <= hiW; wi++ {
-		w := s.words[wi]
-		base := wi << 6
-		if base < lo {
-			w &= ^uint64(0) << uint(lo-base)
-		}
-		if span := hi - base; span < 64 {
-			w &= 1<<uint(span) - 1
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			fn(base + b)
-		}
-	}
-}
-
-// forEachInWith is forEachIn with a staged-marks overlay: it iterates
-// the union of the set and the extra mark words, restricted to
-// [lo, hi). The fused parallel local phase uses it so a shard's RC/VA
-// and SA walks see routers whose pipeline work was staged earlier in
-// the same phase (NI injection marks its own router on the shard, not
-// the shared set) — the union reproduces the sequential path's live
-// marking. extra must cover the same word range as the set.
-func (s *activeSet) forEachInWith(lo, hi int, extra []uint64, fn func(id int)) {
-	if lo >= hi {
-		return
-	}
-	loW, hiW := lo>>6, (hi-1)>>6
-	for wi := loW; wi <= hiW; wi++ {
-		w := s.words[wi] | extra[wi]
-		base := wi << 6
-		if base < lo {
-			w &= ^uint64(0) << uint(lo-base)
-		}
-		if span := hi - base; span < 64 {
-			w &= 1<<uint(span) - 1
-		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			fn(base + b)
-		}
-	}
-}
-
-// merge ORs staged mark words into the set and clears them, the commit
-// half of the parallel paths' staged activity marking.
-func (s *activeSet) merge(marks []uint64) {
-	for i, w := range marks {
-		if w != 0 {
-			s.words[i] |= w
-			marks[i] = 0
-		}
-	}
-}

@@ -107,7 +107,7 @@ func TestSetDenseScanRefills(t *testing.T) {
 	if !runTrace(t, n, nil, n.Cycle()+300) {
 		t.Fatal("active-set resume did not drain")
 	}
-	if gets, _, puts, _ := n.poolTotals(); gets != puts {
+	if gets, _, puts := n.fpool.Stats(); gets != puts {
 		t.Fatalf("flit pool unbalanced: %d gets, %d puts", gets, puts)
 	}
 }

@@ -3,10 +3,9 @@ package network
 // Hard-fault injection and graceful degradation (DESIGN.md §12).
 //
 // A hard fault permanently removes a link (both directions) or a whole
-// router. applyHardFaults runs on the main goroutine at the top of Step,
-// before any phase, so the three stepping paths (dense, active-set,
-// sharded parallel) see identical post-fault state. The machinery has
-// four parts:
+// router. applyHardFaults runs at the top of Step, before any phase, so
+// the two stepping paths (dense, active-set) see identical post-fault
+// state. The machinery has four parts:
 //
 //  1. kill: mark ports dead, discard the flits that were physically on
 //     the dying hardware (wires, retransmission buffers, router buffers).
@@ -92,7 +91,7 @@ func (n *Network) recordDrop(router int, pkt uint64, reason stats.DropReason) {
 func (n *Network) dropFlit(f *flit.Flit, r *Router, reason stats.DropReason) {
 	n.stats.Drop(reason)
 	n.recordDrop(r.id, f.PacketID, reason)
-	r.pool.Put(f)
+	n.fpool.Put(f)
 }
 
 // poisoned reports whether a flit belongs to a condemned attempt and
@@ -189,7 +188,7 @@ func removePacket(q []*flit.Packet, pkt *flit.Packet) []*flit.Packet {
 
 // applyHardFaults executes every schedule entry due at the current
 // cycle, then reroutes, sweeps and resolves. Called from Step before any
-// phase runs; everything here is main-goroutine only.
+// phase runs.
 func (n *Network) applyHardFaults() {
 	sw := &faultSweep{index: make(map[uint64]int)}
 	changed := false
@@ -297,7 +296,7 @@ func (n *Network) killPort(r *Router, p *outputPort, reason stats.DropReason, sw
 	r.saAttn &^= 1 << uint(p.dir)
 	p.dead = true
 	p.downstream = -1
-	n.flagWire(r, p, nil)
+	n.flagWire(r, p)
 }
 
 // killRouter removes a router, its NI and every incident link. Reports
@@ -410,7 +409,7 @@ func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 			// already are, with no wire event to announce it, so the port
 			// is flagged for this cycle's wire visit).
 			op.markPendingFree(vc.outVC)
-			n.flagWire(r, op, nil)
+			n.flagWire(r, op)
 		}
 	}
 	vc.unroute()

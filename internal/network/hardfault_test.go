@@ -130,15 +130,3 @@ func TestTorusRingLinkDeadDrains(t *testing.T) {
 	}
 	assertBalanced(t, n)
 }
-
-// TestHardFaultScheduleRejectsAdaptive pins the constraint that hard
-// faults require table-driven routing: the adaptive west-first router is
-// coordinate math with no notion of a dead link.
-func TestHardFaultScheduleRejectsAdaptive(t *testing.T) {
-	cfg := testConfig(0)
-	cfg.Routing = "westfirst"
-	cfg.HardFaults = "100:l5.east"
-	if _, err := New(cfg, StaticController{Fixed: Mode1}, ControllerNone, true); err == nil {
-		t.Fatal("hard faults with adaptive routing accepted")
-	}
-}

@@ -97,20 +97,8 @@ type Network struct {
 
 	// pktPool recycles settled packets (delivered, declared, resolved
 	// control) back into buildPacket, with their Payload/CRCs/Path backing
-	// arrays. Main-goroutine only: packets are built and settled at
-	// injection, ejection commit and hard-fault resolution, never inside a
-	// parallel compute pass.
+	// arrays.
 	pktPool flit.PacketPool
-
-	// Sharded parallel stepping (DESIGN.md §11). workers is the resolved
-	// shard count; 1 means the fully-ordered sequential reference path.
-	// inParallel is true only while stepParallel is between phase dispatch
-	// and final commit, and gates the staging seams (activity marks) inside
-	// shared phase bodies.
-	workers    int
-	inParallel bool
-	shards     []shardState
-	hub        *workerHub
 
 	// Reused per-epoch/per-window scratch buffers (one element per
 	// router), hoisted out of thermalStep and controlEpoch.
@@ -153,9 +141,7 @@ type Network struct {
 	totalDeclared  int64
 
 	// Invariant layer (Config.Checks / RLNOC_CHECKS). ering is the
-	// fixed-size diagnostic event ring attached when checks are on; it
-	// records only at main-goroutine sites, so unlike elog it does not
-	// force the sequential Step path.
+	// fixed-size diagnostic event ring attached when checks are on.
 	checks invariant.Config
 	thresh invariant.Thresholds
 	ering  *eventlog.Ring
@@ -240,11 +226,10 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	}
 	// Structure-of-arrays hot state (DESIGN.md §14): routers, NIs, input
 	// VCs, flit buffers, output ports and per-link credit tables all live
-	// in contiguous network-wide arenas, indexed so a shard's routers
-	// occupy one linear span. The per-router structs remain the API —
-	// they are views into the arenas — but the parallel workers' phase
-	// walks now touch sequential memory instead of chasing per-router
-	// heap islands.
+	// in contiguous network-wide arenas in router-ID order. The
+	// per-router structs remain the API — they are views into the arenas
+	// — but the ascending-ID phase walks touch sequential memory instead
+	// of chasing per-router heap islands.
 	// Size fresh packets' route records for this fabric: the longest
 	// minimal route is Width+Height-2 hops, plus slack for adaptive
 	// detours, so Path never regrows mid-flight even on a 64x64 mesh.
@@ -263,7 +248,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		initRouter(r, id, vcs, cfg.VCDepth,
 			vcArr[base:base+ports*vcs:base+ports*vcs],
 			bufArr[base*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth])
-		r.pool = &net.fpool
 		net.routers[id] = r
 		ni := &niArr[id]
 		initNI(ni, id, net, cfg.Seed*31+100+int64(id), lvbArr[id*vcs:(id+1)*vcs:(id+1)*vcs])
@@ -309,9 +293,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.fillSurvivingDist()
 	}
 	if cfg.HardFaults != "" {
-		if adaptive {
-			return nil, fmt.Errorf("network: hard faults require deterministic (table) routing; west-first is coordinate math blind to dead links")
-		}
 		sched, err := fault.ParseHardFaults(cfg.HardFaults)
 		if err != nil {
 			return nil, err
@@ -322,7 +303,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.hardSched = sched
 		net.recov = stats.NewRecoveryLog()
 	}
-	checkSpec, _ := config.ResolveString(config.EnvChecks, cfg.Checks, "")
+	checkSpec := config.ResolveString(config.EnvChecks, cfg.Checks, "")
 	checks, err := invariant.Parse(checkSpec)
 	if err != nil {
 		return nil, err
@@ -331,10 +312,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.checks = checks
 		net.thresh = invariant.DefaultThresholds(n)
 		net.ering = eventlog.NewRing(128)
-	}
-	net.workers = resolveStepWorkers(cfg.StepWorkers, n)
-	if net.workers > 1 {
-		net.buildShards()
 	}
 	net.consultOwed = true
 	return net, nil
@@ -397,23 +374,21 @@ func (n *Network) markNI(id int) {
 
 // flagWire records that output port p of router r holds (or may soon hold)
 // wire-phase work: the port joins r's wirePorts summary and r the wire
-// set. Own-router state: callers are r's own phase handlers or the main
-// goroutine (credit commit, hard faults).
-func (n *Network) flagWire(r *Router, p *outputPort, sh *shardState) {
+// set.
+func (n *Network) flagWire(r *Router, p *outputPort) {
 	r.wirePorts |= 1 << uint(p.dir)
-	n.markWireCtx(r.id, sh)
+	n.markWire(r.id)
 }
 
 // returnCredit puts one credit for downstream VC vc on the return wire of
 // upstream output port up (a Router.up entry; nil for an unwired edge). A
-// hard-failed channel has nobody listening upstream. Main goroutine only:
-// the sharded path stages a creditOp and commits it here.
+// hard-failed channel has nobody listening upstream.
 func (n *Network) returnCredit(up *outputPort, vc int) {
 	if up == nil || up.dead {
 		return
 	}
 	up.credRet = append(up.credRet, wireCredit{vc: vc, deliver: n.cycle + 1})
-	n.flagWire(n.routers[up.owner], up, nil)
+	n.flagWire(n.routers[up.owner], up)
 }
 
 // SetDenseScan toggles the original dense O(routers x ports x VCs) phase
@@ -482,6 +457,11 @@ func (n *Network) Quiescent() bool { return false }
 
 // FastForwardTo skips nothing: it returns the current cycle.
 func (n *Network) FastForwardTo(target int64) int64 { return n.cycle }
+
+// Close does nothing: Step is sequential and holds no goroutines
+// (DESIGN.md §11). It is kept only for the frozen benchmark module, which
+// calls it (benchmark/kernels.go:67, benchmark/replica.go:147,238).
+func (n *Network) Close() {}
 
 // LastDeliveryCycle returns the cycle of the most recent data delivery.
 func (n *Network) LastDeliveryCycle() int64 { return n.lastDelivery }
@@ -746,9 +726,8 @@ func (n *Network) Step() error {
 	n.cycle++
 	cycle := n.cycle
 
-	// 0. Hard faults due this cycle fire before any phase, on the main
-	// goroutine, so all three stepping paths see identical post-fault
-	// state (the schedule and its effects are worker-count independent).
+	// 0. Hard faults due this cycle fire before any phase, so both
+	// stepping paths see identical post-fault state.
 	if n.hardIdx < len(n.hardSched) && n.hardSched[n.hardIdx].Cycle <= cycle {
 		n.applyHardFaults()
 	}
@@ -757,8 +736,7 @@ func (n *Network) Step() error {
 	// consume them this cycle: activity in any set implies possible link
 	// transmissions (injections mark the NI set before Step runs, and
 	// everything else NACK/credit-driven is already in a set), and the
-	// dense referee scans everything. Runs on the main goroutine before
-	// any phase, so workers only ever read errProb.
+	// dense referee scans everything.
 	if n.probsDirty && (n.dense ||
 		!n.wireActive.empty() || !n.niActive.empty() || !n.pipeActive.empty()) {
 		n.materializeErrorProbs()
@@ -789,15 +767,6 @@ func (n *Network) Step() error {
 		for _, r := range n.routers {
 			n.switchAllocateDense(r)
 		}
-	} else if n.workers > 1 && n.elog == nil {
-		// Sharded parallel path: same four phases, compute fanned out
-		// across contiguous router-ID shards with cross-shard effects
-		// staged and committed in ascending (router, port) order — bit-
-		// identical to the sequential path below at any worker count.
-		// Event logging forces the sequential path: the log interleaves
-		// records from every router in handler order, which only the
-		// fully-ordered walk reproduces.
-		n.stepParallel()
 	} else {
 		// Activity-proportional path: identical phase bodies over the
 		// active sets only. Set iteration is in ascending ID order — the
@@ -808,7 +777,7 @@ func (n *Network) Step() error {
 		// 1. Arrivals, ACK/NACK wires and credit returns.
 		n.wireActive.forEach(func(id int) {
 			r := n.routers[id]
-			n.stepWires(r, nil)
+			n.stepWires(r)
 			if r.wiresQuiet() {
 				n.wireActive.remove(id)
 			}
@@ -832,7 +801,7 @@ func (n *Network) Step() error {
 		// 4. Switch allocation, switch traversal and link transmission.
 		n.pipeActive.forEach(func(id int) {
 			r := n.routers[id]
-			n.switchAllocate(r, nil)
+			n.switchAllocate(r)
 			if r.pipeQuiet() {
 				n.pipeActive.remove(id)
 			}
@@ -866,13 +835,11 @@ func (n *Network) Step() error {
 // wirePorts summary names, in ascending port order — the dense order — and
 // clears the bit of each port it leaves with all three queues empty. A
 // port outside the summary holds no queue entry and no newly possible VC
-// release, so the dense visit to it would have been a no-op. sh is the
-// owning shard when running inside a parallel compute pass, nil on the
-// sequential path; it receives the staged cross-router effects.
-func (n *Network) stepWires(r *Router, sh *shardState) {
+// release, so the dense visit to it would have been a no-op.
+func (n *Network) stepWires(r *Router) {
 	for m := r.wirePorts; m != 0; m &= m - 1 {
 		dir := bits.TrailingZeros8(m)
-		if !n.stepWirePort(r, r.outputs[dir], sh) {
+		if !n.stepWirePort(r, r.outputs[dir]) {
 			r.wirePorts &^= 1 << uint(dir)
 		}
 	}
@@ -882,19 +849,19 @@ func (n *Network) stepWires(r *Router, sh *shardState) {
 // implementation for stepWires, which reads no summary.
 func (n *Network) stepWiresDense(r *Router) {
 	for _, p := range r.outputs {
-		n.stepWirePort(r, p, nil)
+		n.stepWirePort(r, p)
 	}
 }
 
 // stepWirePort runs the wire phase on one port: arrivals, ACK/NACK
 // processing, credit returns and VC releases. It reports whether the port
 // still holds a queue entry.
-func (n *Network) stepWirePort(r *Router, p *outputPort, sh *shardState) bool {
+func (n *Network) stepWirePort(r *Router, p *outputPort) bool {
 	if len(p.inflight) > 0 {
-		n.processArrivals(r, p, sh)
+		n.processArrivals(r, p)
 	}
 	if len(p.acks) > 0 {
-		n.processAcks(r, p, sh)
+		n.processAcks(r, p)
 	}
 	if len(p.credRet) > 0 {
 		n.processCredits(p)
@@ -907,15 +874,15 @@ func (n *Network) stepWirePort(r *Router, p *outputPort, sh *shardState) bool {
 // pushWire keeps a link's arrivals strictly increasing (and an ejection
 // port takes one flit per cycle), so the due entries are a prefix: handle
 // it, then close the gap with one copy.
-func (n *Network) processArrivals(r *Router, p *outputPort, sh *shardState) {
+func (n *Network) processArrivals(r *Router, p *outputPort) {
 	due := 0
 	for ; due < len(p.inflight) && p.inflight[due].arrive <= n.cycle; due++ {
 		wf := p.inflight[due]
 		if p.dir == topology.Local {
-			n.emitWireOp(wireOp{f: wf.f, down: int32(r.id), flags: opEject}, sh)
+			n.applyWireOp(wireOp{f: wf.f, down: int32(r.id), flags: opEject})
 			continue
 		}
-		n.receiveOnLink(r, p, wf, sh)
+		n.receiveOnLink(r, p, wf)
 	}
 	if due > 0 {
 		p.inflight = p.inflight[:copy(p.inflight, p.inflight[due:])]
@@ -923,17 +890,12 @@ func (n *Network) processArrivals(r *Router, p *outputPort, sh *shardState) {
 }
 
 // receiveOnLink runs the downstream decoder and ARQ acceptance logic.
-//
-// The body splits along the shard boundary: everything decided and
-// mutated here touches only the upstream router's own state (sequence
-// screen, decode, ack queue, per-port epoch counters) plus the wire flit
-// itself, which this link exclusively owns. All effects on the
-// *downstream* router — meter charges, NACK-out stats, the buffer push —
-// are collapsed into a wireOp and executed by applyWireOp: inline when
-// stepping sequentially (sh == nil), or replayed in ascending (router,
-// port) order at commit when sh is a parallel shard. One executor for
-// both paths makes the commit bit-identical by construction.
-func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit, sh *shardState) {
+// Everything decided and mutated here touches only the upstream router's
+// own state (sequence screen, decode, ack queue, per-port epoch counters)
+// plus the wire flit itself; the effects on the *downstream* router —
+// meter charges, NACK-out stats, the buffer push — are collapsed into a
+// wireOp and applied by applyWireOp.
+func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 	cycle := n.cycle
 
 	// Sequence screening (the downstream decoder's go-back-N window).
@@ -944,8 +906,8 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit, sh *shar
 		// and retransmit put clones on the wire), so a dropped one
 		// retires to the pool. The discard is still accounted: every
 		// flit leaving the simulation passes a counted drop seam.
-		n.countDrop(stats.DropStaleSeq, sh)
-		up.pool.Put(wf.f)
+		n.stats.Drop(stats.DropStaleSeq)
+		n.fpool.Put(wf.f)
 		return
 	}
 
@@ -992,28 +954,28 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit, sh *shar
 				}
 			}
 			if corrected && accept {
-				n.countStat(evECCCorrections, sh)
+				n.stats.Measuref(func(c *statsCollector) { c.ECCCorrections++ })
 			}
 		}
 	}
 
 	if !accept {
-		n.countStat(evECCDetections, sh)
-		up.pool.Put(wf.f)
+		n.stats.Measuref(func(c *statsCollector) { c.ECCDetections++ })
+		n.fpool.Put(wf.f)
 		if wf.dupFollows {
 			// Mode 2: the pre-retransmitted copy (same sequence number)
 			// arrives next cycle; defer the NACK decision to it.
 			if flags != 0 {
-				n.emitWireOp(wireOp{down: int32(p.downstream), flags: flags}, sh)
+				n.applyWireOp(wireOp{down: int32(p.downstream), flags: flags})
 			}
 			return
 		}
 		// NACK: request retransmission of this flit (and implicitly all
 		// younger ones, go-back-N).
 		p.acks = append(p.acks, wireAck{seq: wf.seq, nack: true, deliver: cycle + 1})
-		n.countStat(evLinkNACKs, sh)
+		n.stats.Measuref(func(c *statsCollector) { c.LinkNACKs++ })
 		flags |= opNACKOut
-		n.emitWireOp(wireOp{down: int32(p.downstream), flags: flags}, sh)
+		n.applyWireOp(wireOp{down: int32(p.downstream), flags: flags})
 		n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KNACK, Router: p.downstream,
 			Packet: wf.f.PacketID, Aux: int64(wf.f.Seq)})
 		return
@@ -1023,24 +985,28 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit, sh *shar
 	p.expectSeq = wf.seq + 1
 	wf.f.ECCValid = false
 	p.acks = append(p.acks, wireAck{seq: wf.seq, nack: false, deliver: cycle + 1})
-	n.emitWireOp(wireOp{f: wf.f, down: int32(p.downstream), inPort: p.inPort,
-		flags: flags | opAccept}, sh)
+	n.applyWireOp(wireOp{f: wf.f, down: int32(p.downstream), inPort: p.inPort,
+		flags: flags | opAccept})
 }
 
-// emitWireOp stages op on the shard when running a parallel compute pass,
-// or executes it immediately on the sequential/dense paths.
-func (n *Network) emitWireOp(op wireOp, sh *shardState) {
-	if sh != nil {
-		sh.ops = append(sh.ops, op)
-		return
-	}
-	n.applyWireOp(op)
+// wireOp is the downstream half of one link arrival (or local ejection):
+// which router it lands on and which effects to apply there.
+type wireOp struct {
+	f      *flit.Flit
+	down   int32
+	inPort topology.Direction
+	flags  uint8
 }
 
-// applyWireOp executes the downstream-router effects of one arrival. It
-// is the single executor for both the sequential path (inline) and the
-// parallel path (replayed at commit in ascending shard order, which is
-// ascending router order — the sequential visiting order).
+const (
+	opCRCCheck  uint8 = 1 << iota // charge CRC-snoop energy at down
+	opECCDecode                   // charge SECDED decode energy at down
+	opNACKOut                     // count a NACK sent by down
+	opAccept                      // push f into down's input VC
+	opEject                       // hand f to down's NI
+)
+
+// applyWireOp executes the downstream-router effects of one arrival.
 func (n *Network) applyWireOp(op wireOp) {
 	down := int(op.down)
 	cycle := n.cycle
@@ -1085,8 +1051,8 @@ func (n *Network) applyWireOp(op wireOp) {
 		if n.qr != nil && op.f.Type.IsHead() && op.f.Kind == flit.Data {
 			// The hop completed: feed the realized cost back to the
 			// upstream router's agent, then restart the hop clock for the
-			// next leg. Runs on the main goroutine in ascending
-			// (router, port) order on every stepping path.
+			// next leg. Runs in ascending (router, port) order on
+			// both stepping paths.
 			n.qrouteFeedback(down, op.inPort, op.f.HopStart, int(op.f.Dst))
 		}
 		op.f.HopStart = cycle
@@ -1101,47 +1067,8 @@ func (n *Network) applyWireOp(op wireOp) {
 	}
 }
 
-// applyWireOpOwned is applyWireOp specialized for the concurrent wire
-// commit (commitWiresShard). The caller guarantees: op lands on a
-// router sh owns, op is not an ejection, the run has no condemned
-// attempts (so the poison screen is a constant false and the
-// restitution branch is dead), no learned routing, and no event log.
-// Under those guarantees every write here is indexed by the owned
-// router — meter counters, per-router stat windows, the input VC, the
-// flit itself — except the activity mark and progress stamp, which are
-// staged on the shard and merged by the main goroutine.
-func (n *Network) applyWireOpOwned(op *wireOp, sh *shardState) {
-	down := int(op.down)
-	cycle := n.cycle
-	if op.flags&opCRCCheck != 0 {
-		n.meter.CRCCheck(down)
-	}
-	if op.flags&opECCDecode != 0 {
-		n.meter.ECCDecode(down)
-	}
-	if op.flags&opNACKOut != 0 {
-		n.stats.RouterNACKOut(down)
-	}
-	if op.flags&opAccept == 0 {
-		return
-	}
-	dr := n.routers[down]
-	vcBuf := dr.vc(op.inPort, op.f.VC)
-	if vcBuf.full() {
-		panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
-			down, op.inPort, op.f.VC))
-	}
-	op.f.HopStart = cycle
-	vcBuf.push(op.f, cycle+pipelineFill)
-	sh.setPipe(down)
-	n.meter.BufferWrite(down)
-	n.stats.RouterFlitIn(down)
-	dr.winFlitsIn++
-	sh.progress = true
-}
-
 // processAcks consumes ACK/NACK wire messages at the upstream port.
-func (n *Network) processAcks(r *Router, p *outputPort, sh *shardState) {
+func (n *Network) processAcks(r *Router, p *outputPort) {
 	keep := p.acks[:0]
 	for _, a := range p.acks {
 		if a.deliver > n.cycle {
@@ -1162,7 +1089,7 @@ func (n *Network) processAcks(r *Router, p *outputPort, sh *shardState) {
 			}
 			// The SA stage services pending retransmissions; wake it.
 			r.saAttn |= 1 << uint(p.dir)
-			n.markPipeCtx(r.id, sh)
+			n.markPipe(r.id)
 			continue
 		}
 		// Cumulative ACK: drop acknowledged entries from the front. The
@@ -1171,7 +1098,7 @@ func (n *Network) processAcks(r *Router, p *outputPort, sh *shardState) {
 		// back to the flit pool.
 		popped := 0
 		for popped < len(p.unacked) && p.unacked[popped].seq <= a.seq {
-			r.pool.Put(p.unacked[popped].f)
+			n.fpool.Put(p.unacked[popped].f)
 			popped++
 		}
 		if popped > 0 {
@@ -1452,7 +1379,7 @@ func (n *Network) routeAdaptive(r *Router, pkt *flit.Packet) topology.Direction 
 // saPortReady runs the per-output-port preamble of the SA stage:
 // retransmission service and pending mode switches. It reports whether
 // the port may grant a new flit this cycle.
-func (n *Network) saPortReady(r *Router, op *outputPort, sh *shardState) bool {
+func (n *Network) saPortReady(r *Router, op *outputPort) bool {
 	if op.dir != topology.Local && !op.hasDownstream() {
 		return false
 	}
@@ -1461,7 +1388,7 @@ func (n *Network) saPortReady(r *Router, op *outputPort, sh *shardState) bool {
 	}
 	// Retransmissions first: they own the channel until done.
 	if op.resendIdx >= 0 {
-		n.retransmit(r, op, sh)
+		n.retransmit(r, op)
 		return false
 	}
 	// A pending mode switch pauses new grants until the ARQ state
@@ -1477,7 +1404,7 @@ func (n *Network) saPortReady(r *Router, op *outputPort, sh *shardState) bool {
 
 // saTryGrant runs the SA stage body for candidate slot idx competing for
 // output port out; it reports whether the flit was granted and sent.
-func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx int, sh *shardState) bool {
+func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx int) bool {
 	if r.inputUsed&(1<<uint(idx)) != 0 {
 		return false
 	}
@@ -1492,7 +1419,7 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	port := r.portOf(idx)
 	r.inputUsed |= (uint64(1)<<uint(r.nvc) - 1) << uint(int(port)*r.nvc)
 	r.saRR[out] = idx + 1
-	n.grantAndSend(r, port, vc, op, sh)
+	n.grantAndSend(r, port, vc, op)
 	return true
 }
 
@@ -1504,7 +1431,7 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 // it reads the port itself only when such a slot exists or the saAttn
 // summary says a resend or mode switch is waiting there (DESIGN.md §20):
 // with neither, saPortReady has no effect and nothing could be granted.
-func (n *Network) switchAllocate(r *Router, sh *shardState) {
+func (n *Network) switchAllocate(r *Router) {
 	r.inputUsed = 0
 	total := len(r.vcs)
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
@@ -1514,7 +1441,7 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 			continue
 		}
 		op := r.outputs[out]
-		ready := n.saPortReady(r, op, sh)
+		ready := n.saPortReady(r, op)
 		if attn != 0 && !op.saPending() {
 			r.saAttn &^= attn
 		}
@@ -1526,14 +1453,14 @@ func (n *Network) switchAllocate(r *Router, sh *shardState) {
 		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.saTryGrant(r, op, out, idx, sh) {
+			if n.saTryGrant(r, op, out, idx) {
 				goto nextOut
 			}
 		}
 		for m := req & lowMask; m != 0; { // wrapped slots 0..start-1
 			idx := bits.TrailingZeros64(m)
 			m &^= 1 << uint(idx)
-			if n.saTryGrant(r, op, out, idx, sh) {
+			if n.saTryGrant(r, op, out, idx) {
 				break
 			}
 		}
@@ -1548,12 +1475,12 @@ func (n *Network) switchAllocateDense(r *Router) {
 	total := len(r.vcs)
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
 		op := r.outputs[out]
-		if !n.saPortReady(r, op, nil) {
+		if !n.saPortReady(r, op) {
 			continue
 		}
 		start := r.saRR[out]
 		for k := 0; k < total; k++ {
-			if n.saTryGrant(r, op, out, (start+k)%total, nil) {
+			if n.saTryGrant(r, op, out, (start+k)%total) {
 				break
 			}
 		}
@@ -1562,7 +1489,7 @@ func (n *Network) switchAllocateDense(r *Router) {
 
 // grantAndSend pops the winning flit, traverses the switch and transmits
 // it on the output channel.
-func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC, op *outputPort, sh *shardState) {
+func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC, op *outputPort) {
 	f := vc.pop()
 	outVC := vc.outVC
 	n.meter.BufferRead(r.id)
@@ -1574,19 +1501,11 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 	case ControllerDT:
 		n.meter.DTCompute(r.id)
 	}
-	n.progressCtx(sh)
+	n.lastProgress = n.cycle
 
-	// Return the freed buffer slot upstream. Cross-router: staged on the
-	// shard and applied at commit when parallel. Each upstream port has
-	// exactly one downstream router that can grant it credits and at most
-	// one credit per cycle, so the appends commute across shards; commit
-	// still replays them in shard order for a canonical credRet layout.
+	// Return the freed buffer slot upstream.
 	if inPort != topology.Local {
-		if sh != nil {
-			sh.credits = append(sh.credits, creditOp{up: r.up[inPort], vc: int8(f.VC)})
-		} else {
-			n.returnCredit(r.up[inPort], f.VC)
-		}
+		n.returnCredit(r.up[inPort], f.VC)
 	} else if f.Type.IsTail() {
 		n.nis[r.id].releaseLocalVC(f.VC)
 	}
@@ -1603,17 +1522,17 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 		// Ejection: one cycle to the NI, no faults, no ARQ.
 		op.inflight = append(op.inflight, wireFlit{f: f, arrive: n.cycle + 1})
 		op.linkBusyUntil = n.cycle + 1
-		n.flagWire(r, op, sh)
+		n.flagWire(r, op)
 		return
 	}
 
 	f.VC = outVC
-	n.transmit(r, op, f, sh)
+	n.transmit(r, op, f)
 }
 
 // transmit sends a flit on a link under the port's current mode, applying
 // ECC encoding, fault injection, ARQ bookkeeping and Mode 2 duplication.
-func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardState) {
+func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 	mode := op.mode
 	seq := op.nextSeq
 	op.nextSeq++
@@ -1644,11 +1563,11 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardSta
 
 	wire := f
 	if eccOn {
-		wire = r.pool.Clone(f) // the unacked entry keeps the pristine flit
+		wire = n.fpool.Clone(f) // the unacked entry keeps the pristine flit
 	}
-	hit := n.corrupt(r, op, wire, eccOn, sh)
+	hit := n.corrupt(r, op, wire, eccOn)
 	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: seq, eccValid: eccOn,
-		dupFollows: mode == Mode2, corrupted: hit}, sh)
+		dupFollows: mode == Mode2, corrupted: hit})
 	n.meter.LinkScaled(r.id, op.wireScale)
 	n.stats.RouterFlitOut(r.id)
 	op.winSent++
@@ -1657,17 +1576,17 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit, sh *shardSta
 		Packet: f.PacketID, Aux: int64(f.Seq)})
 
 	if mode == Mode2 {
-		dup := r.pool.Clone(op.unacked[len(op.unacked)-1].f)
-		hit := n.corrupt(r, op, dup, true, sh)
+		dup := n.fpool.Clone(op.unacked[len(op.unacked)-1].f)
+		hit := n.corrupt(r, op, dup, true)
 		n.pushWire(r, op, wireFlit{f: dup, arrive: arrive + 1, seq: seq, eccValid: true,
-			isDup: true, corrupted: hit}, sh)
+			isDup: true, corrupted: hit})
 		n.meter.LinkScaled(r.id, op.wireScale)
-		n.countStat(evPreRetransmissions, sh)
+		n.stats.Measuref(func(c *statsCollector) { c.PreRetransmissions++ })
 	}
 }
 
 // retransmit re-sends the oldest NACKed entry on the channel.
-func (n *Network) retransmit(r *Router, op *outputPort, sh *shardState) {
+func (n *Network) retransmit(r *Router, op *outputPort) {
 	if op.resendIdx >= len(op.unacked) {
 		op.resendIdx = -1
 		return
@@ -1677,29 +1596,29 @@ func (n *Network) retransmit(r *Router, op *outputPort, sh *shardState) {
 	if op.resendIdx >= len(op.unacked) {
 		op.resendIdx = -1
 	}
-	wire := r.pool.Clone(e.f)
-	hit := n.corrupt(r, op, wire, true, sh)
+	wire := n.fpool.Clone(e.f)
+	hit := n.corrupt(r, op, wire, true)
 	// Retransmissions go out singly (no Mode 2 duplicate) with the ECC
 	// stage enabled — only ECC-protected flits can be NACKed.
 	arrive := n.cycle + 2 // link + ECC stage
 	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true,
-		isRetx: true, corrupted: hit}, sh)
+		isRetx: true, corrupted: hit})
 	op.linkBusyUntil = n.cycle + 1
 	n.meter.LinkScaled(r.id, op.wireScale)
-	n.countStat(evLinkRetransmissions, sh)
-	n.progressCtx(sh)
+	n.stats.Measuref(func(c *statsCollector) { c.LinkRetransmissions++ })
+	n.lastProgress = n.cycle
 	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KRetx, Router: r.id,
 		Packet: e.f.PacketID, Aux: int64(e.f.Seq)})
 }
 
 // pushWire appends an in-flight flit, enforcing monotone arrival order so
 // mode switches can never reorder a link.
-func (n *Network) pushWire(r *Router, op *outputPort, wf wireFlit, sh *shardState) {
+func (n *Network) pushWire(r *Router, op *outputPort, wf wireFlit) {
 	if k := len(op.inflight); k > 0 && wf.arrive <= op.inflight[k-1].arrive {
 		wf.arrive = op.inflight[k-1].arrive + 1
 	}
 	op.inflight = append(op.inflight, wf)
-	n.flagWire(r, op, sh)
+	n.flagWire(r, op)
 }
 
 // corrupt samples the link's timing-error process and flips payload bits,
@@ -1712,15 +1631,15 @@ func (n *Network) pushWire(r *Router, op *outputPort, wf wireFlit, sh *shardStat
 // rekeyed lazily on the port's first draw each cycle. A link makes at
 // most one transmission decision per cycle — either a new flit (plus its
 // Mode 2 duplicate) or one go-back-N retransmission, never both — so all
-// of a cycle's draws on a link advance this one stream in a fixed order
-// no matter which worker runs the router or how many workers exist. The
+// of a cycle's draws on a link advance this one stream in a fixed order,
+// whatever order the routers are visited in. The
 // draw still happens for every Data flit even at errProb zero, keeping
 // the original/duplicate positions within the stream fixed.
 //
 // eccPending asks corrupt to materialize the flit's SECDED check bits
 // (deferred by transmit) over the pre-corruption payload before flipping,
 // preserving what an eager encoder would have stored.
-func (n *Network) corrupt(r *Router, op *outputPort, f *flit.Flit, eccPending bool, sh *shardState) bool {
+func (n *Network) corrupt(r *Router, op *outputPort, f *flit.Flit, eccPending bool) bool {
 	if f.Kind != flit.Data {
 		return false
 	}
@@ -1739,7 +1658,7 @@ func (n *Network) corrupt(r *Router, op *outputPort, f *flit.Flit, eccPending bo
 	}
 	fault.FlipBits(&op.rng, f.Payload[:], nbits)
 	f.Dirty = true
-	n.countStat(evErrorsInjected, sh)
+	n.stats.Measuref(func(c *statsCollector) { c.ErrorsInjected++ })
 	r.winErrEvents++
 	return true
 }

@@ -39,17 +39,6 @@ type NI struct {
 	// rngSrc is rng's underlying draw-counting source; checkpoint/restore
 	// replays the draw count to resume the exact payload sequence.
 	rngSrc *snap.CountingSource
-
-	// pool is the flit pool this NI draws from and frees to: the
-	// network-wide pool when stepping sequentially, the owning shard's
-	// when stepping in parallel (invisible to results; see Router.pool).
-	pool *flit.Pool
-
-	// sh is the owning shard in a parallel layout (nil otherwise). Only
-	// the injection path consults it, and only while Network.inParallel:
-	// injection runs on a worker there and must stage its pipe-activity
-	// mark instead of touching the shared set.
-	sh *shardState
 }
 
 // txState tracks a packet being streamed into the local input port.
@@ -71,7 +60,6 @@ func initNI(ni *NI, id int, net *Network, seed int64, lvb []bool) {
 		reasm:       make(map[uint64][]*flit.Flit),
 		rng:         rand.New(src),
 		rngSrc:      src,
-		pool:        &net.fpool,
 	}
 }
 
@@ -163,11 +151,7 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 	f.VC = cur.vc
 	f.HopStart = cycle // first-hop clock for the qroute learning signal
 	vcBuf.push(f, cycle+pipelineFill)
-	if ni.net.inParallel {
-		ni.sh.setPipe(ni.id)
-	} else {
-		ni.net.markPipe(ni.id)
-	}
+	ni.net.markPipe(ni.id)
 	ni.net.meter.BufferWrite(ni.id)
 	ni.net.meter.CRCCheck(ni.id) // source CRC encode
 	cur.next++
@@ -200,7 +184,7 @@ func (ni *NI) releaseLocalVC(vc int) { ni.localVCBusy[vc] = false }
 // Mode 2 duplicates, kill-sweep casualties) can be screened and dropped
 // without touching the packet, which may have settled and recycled.
 func (ni *NI) makeFlit(p *flit.Packet, seq int) *flit.Flit {
-	f := ni.pool.Get()
+	f := ni.net.fpool.Get()
 	f.Packet = p
 	f.PacketID = p.ID
 	f.Kind = p.Kind
@@ -236,7 +220,7 @@ func (ni *NI) receive(f *flit.Flit, cycle int64) {
 	flits := buf
 	defer func() {
 		for i, fl := range flits {
-			ni.pool.Put(fl)
+			ni.net.fpool.Put(fl)
 			flits[i] = nil
 		}
 		ni.reasmFree = append(ni.reasmFree, flits[:0])

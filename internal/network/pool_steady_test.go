@@ -38,9 +38,9 @@ func TestFlitPoolSteadyStateRecycles(t *testing.T) {
 	}
 	idx := 0
 	stepLoaded(t, n, events, &idx, 4000) // warm-up: pool grows to working set
-	gets0, news0, _, _ := n.poolTotals()
+	gets0, news0, _ := n.fpool.Stats()
 	stepLoaded(t, n, events, &idx, 9000)
-	gets1, news1, puts1, _ := n.poolTotals()
+	gets1, news1, puts1 := n.fpool.Stats()
 
 	if gets1 == gets0 {
 		t.Fatal("no pool traffic in the measured window")
@@ -70,10 +70,8 @@ func TestFlitPoolBalances(t *testing.T) {
 	if !runTrace(t, n, events, 60_000) {
 		t.Fatal("network did not drain")
 	}
-	// Aggregate across the network pool and any shard pools: a flit may
-	// be drawn from one shard's pool and retired to another's, so only
-	// the sum balances (and the parked working set may live anywhere).
-	gets, _, puts, size := n.poolTotals()
+	gets, _, puts := n.fpool.Stats()
+	size := n.fpool.Size()
 	if gets != puts {
 		t.Errorf("pool imbalance after drain: %d gets vs %d puts (leaked %d flits)",
 			gets, puts, gets-puts)

@@ -17,10 +17,9 @@ package network
 //
 // Determinism: exploration draws come from counter-based streams keyed
 // (seed, DomainQRoute, router, cycle) and are consumed in RC slot order,
-// which is identical across the dense, active-set and sharded-parallel
-// stepping paths; TD updates run inside applyWireOp, which executes on
-// the main goroutine in ascending (router, port) order on every path.
-// All counters mutated during the (parallel) RC phase are per-router.
+// which is identical across the dense and active-set stepping paths; TD
+// updates run inside applyWireOp, in ascending (router, port) order on
+// both paths.
 
 import (
 	"math/bits"
@@ -51,13 +50,12 @@ type qrouteState struct {
 	escTimeout int64
 
 	// Per-router exploration streams, rekeyed lazily per cycle (the
-	// outputPort.rng idiom). Indexed by router ID, so parallel RC shards
-	// never share an element.
+	// outputPort.rng idiom), indexed by router ID.
 	rng      []detrand.Stream
 	rngCycle []int64
 
-	// Per-router counters (RC phase runs sharded; per-router slots keep
-	// it race-free). updates is main-goroutine only.
+	// Per-router counters (RC phase), and the network-wide TD update
+	// count.
 	decisions    []int64
 	explorations []int64
 	escapes      []int64
@@ -160,8 +158,8 @@ func (n *Network) qrouteGreedy(r *Router, dst int, mask uint8) int {
 // qrouteChoose runs the epsilon-greedy policy for a data head at router
 // r toward dst. The false return means the permitted mask is empty (no
 // productive live port) and the caller must fall back to the table
-// route. Called from the RC stage on all three stepping paths; draws
-// and counters touch only router-indexed state.
+// route. Called from the RC stage on both stepping paths; draws and
+// counters touch only router-indexed state.
 func (n *Network) qrouteChoose(r *Router, dst int) (topology.Direction, bool) {
 	q := n.qr
 	mask := n.qroutePermittedMask(r.id, dst)
@@ -226,8 +224,8 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 // router that sent it observes the realized hop cost (cycles since the
 // flit entered the upstream buffer) plus the downstream router's own
 // best remaining estimate, and pulls its Q entry toward that target.
-// Runs only inside applyWireOp — main goroutine, identical order on
-// every stepping path.
+// Runs only inside applyWireOp, in identical order on both stepping
+// paths.
 func (n *Network) qrouteFeedback(down int, inPort topology.Direction, hopStart int64, dst int) {
 	q := n.qr
 	up, ok := n.topo.Neighbor(down, inPort)

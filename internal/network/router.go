@@ -204,9 +204,8 @@ type outputPort struct {
 	// rng is the counter-based fault stream for this link, rekeyed lazily
 	// to linkKey.At(cycle) — (seed, DomainLink, linkID, cycle) — on first
 	// use each cycle so the original and its Mode 2 duplicate advance one
-	// stream in a fixed order regardless of which worker, or how many
-	// workers, run the owning router. rngCycle records the cycle the
-	// stream was keyed for.
+	// stream in a fixed order, whatever order the routers are visited in.
+	// rngCycle records the cycle the stream was keyed for.
 	rngCycle int64
 	rng      detrand.Stream
 	linkKey  detrand.KeyPrefix
@@ -320,7 +319,6 @@ type Router struct {
 
 	// inputUsed has the slot bits of every input port already granted this
 	// cycle's switch allocation (one flit per input port per cycle).
-	// Per-router (not per-network) so parallel shards never share it;
 	// switchAllocate clears it before arbitration.
 	inputUsed uint64
 
@@ -357,17 +355,11 @@ type Router struct {
 	// Window counters for controller features.
 	winFlitsIn   int64
 	winErrEvents int64
-
-	// pool is the flit pool this router allocates from and frees to.
-	// Points at the network-wide pool when stepping sequentially and at
-	// the owning shard's pool when stepping in parallel; flits carry no
-	// pool identity, so the choice is invisible to simulation results.
-	pool *flit.Pool
 }
 
 // newRouter builds a self-contained router with its own backing slabs
 // (tests and standalone use). New allocates network-wide arenas instead
-// and calls initRouter directly, so a shard's routers sit contiguously.
+// and calls initRouter directly, so routers sit contiguously in ID order.
 func newRouter(id int, vcs, vcDepth int) *Router {
 	r := &Router{}
 	ports := int(topology.NumPorts)

@@ -4,8 +4,7 @@ package network
 // stateful piece of the network once, in one fixed, canonical order: an
 // encoding codec serializes it, a decoding one overwrites a freshly
 // constructed Network built from the same Config so the next Step
-// continues bit-identically to the run that was snapshotted — at any
-// StepWorkers count, because no scheduling state is walked at all. A
+// continues bit-identically to the run that was snapshotted. A
 // decode also cancels the cycle-0 controller consult New deferred
 // (settle): everything it would write is overwritten here.
 //
@@ -23,8 +22,8 @@ package network
 //
 // What is deliberately not walked — state a decode rebuilds (request
 // masks, port summaries, pending-free counts, route tables, activity
-// sets, stream cursors) and state invisible to results (pools, shard
-// staging, memo caches) — is listed field by field, each with its reason, in the
+// sets, stream cursors) and state invisible to results (pools, memo
+// caches) — is listed field by field, each with its reason, in the
 // unsnapshotted table of internal/core/snapshot_fields_test.go, which
 // compares a live mid-run sim against its restored twin and fails on any
 // differing field the table does not name.

@@ -142,8 +142,7 @@ func (e Event) String() string {
 // window used for thermal coupling and RL rewards.
 //
 // Dynamic energy is stored as exact per-(router, event) int64 counts and
-// materialized as count x unit-energy only on read. That representation
-// is what makes the parallel Step() path deterministic: integer counter
+// materialized as count x unit-energy only on read. Integer counter
 // increments commute, so the energy read back is independent of the
 // order in which routers recorded their events — unlike the old
 // floating-point accumulators, whose low bits depended on global event

@@ -12,7 +12,7 @@ package rl
 // randomness. Exploration is the caller's job (the network draws from a
 // counter-based detrand stream keyed on (seed, DomainQRoute, router,
 // cycle)), which keeps the learned-routing path bit-identical across
-// parallel Step() worker counts.
+// router traversal orders.
 type RouteAgent struct {
 	dests int
 	q     []float64 // dests x RoutePorts, row-major; cost estimates

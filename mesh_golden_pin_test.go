@@ -7,13 +7,12 @@ package rlnoc
 // wire-scaled link energy; DESIGN.md section 10) and re-captured — in a
 // dedicated, clearly-labeled commit step — when the shared *rand.Rand
 // was replaced by counter-based per-(link,cycle) / per-(node,cycle)
-// detrand streams for the sharded parallel Step (DESIGN.md section 11).
+// detrand streams, which make draws independent of traversal order.
 // That migration changes which bits each individual draw yields (so the
 // pins had to move once) but not the distributions, which
-// internal/fault/detrand_property_test.go pins separately. From here on
-// the run is independent of StepWorkers by construction, so these bytes
-// hold for sequential, dense-scan and parallel stepping alike
-// (parallel_equivalence_test.go enforces that equality directly).
+// internal/fault/detrand_property_test.go pins separately. These bytes
+// hold for active-set and dense-scan stepping alike
+// (activeset_equivalence_test.go enforces that equality directly).
 // Re-pinning means results moved: bump campaign.ResultsVersion in the same
 // change, so no campaign directory the old build filled is read back as
 // this one's.

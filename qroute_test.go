@@ -24,7 +24,6 @@ func TestQRouteDrainsAndLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.Pretrain(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,6 @@ func TestQRouteDisabledLeavesNetworkClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	net := sim.Network()
 	if net.QRouteEnabled() {
 		t.Fatal("rl scheme has learned routing enabled")
@@ -110,7 +108,6 @@ func TestQRouteRecoveryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	events, err := traffic.Synthetic(sim.Network().Topology(), traffic.Uniform, 0.02,
 		cfg.FlitsPerPacket, int64(cfg.MaxCycles), cfg.Seed+5)
 	if err != nil {
