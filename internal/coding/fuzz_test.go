@@ -133,3 +133,70 @@ func FuzzCRCTableVsBitwise(f *testing.F) {
 		}
 	})
 }
+
+// sameOutcome checks that an error pattern e (payload words ew, check-bit
+// bytes ec) meets payloads a and b alike: the flit CRC-16 flags a⊕e
+// exactly when it flags b⊕e, and every word's SECDED decode returns the
+// same result class and leaves the same residual error (decoded ⊕ sent).
+// That is what lets the simulator draw payload words from any stream: no
+// word value can change what the codes do with an error.
+func sameOutcome(t *testing.T, a, b, ew [2]uint64, ec [2]uint8) {
+	t.Helper()
+	hitA := [2]uint64{a[0] ^ ew[0], a[1] ^ ew[1]}
+	hitB := [2]uint64{b[0] ^ ew[0], b[1] ^ ew[1]}
+	flagA := CRC16Words(hitA[:]) != CRC16Words(a[:])
+	flagB := CRC16Words(hitB[:]) != CRC16Words(b[:])
+	if flagA != flagB {
+		t.Fatalf("error %x: CRC-16 flags payload %x %v, payload %x %v", ew, a, flagA, b, flagB)
+	}
+	for w := range a {
+		gotA, resA := DecodeSECDED(hitA[w], EncodeSECDED(a[w])^ec[w])
+		gotB, resB := DecodeSECDED(hitB[w], EncodeSECDED(b[w])^ec[w])
+		if resA != resB || gotA^a[w] != gotB^b[w] {
+			t.Fatalf("error %x/%x on word %d: payload %x decodes %v residual %x, payload %x %v residual %x",
+				ew[w], ec[w], w, a[w], resA, gotA^a[w], b[w], resB, gotB^b[w])
+		}
+	}
+}
+
+// TestDetectionIgnoresPayload runs sameOutcome over every one- and
+// two-bit error in a flit's 128 payload bits, and every single check-bit
+// error, for a few payload pairs.
+func TestDetectionIgnoresPayload(t *testing.T) {
+	pairs := [][2][2]uint64{
+		{{0, 0}, {^uint64(0), ^uint64(0)}},
+		{{0xDEADBEEFCAFEF00D, 0x0123456789ABCDEF}, {0x5555555555555555, 0xAAAAAAAAAAAAAAAA}},
+	}
+	bit := func(i int) [2]uint64 {
+		var e [2]uint64
+		e[i/64] = 1 << uint(i%64)
+		return e
+	}
+	for _, p := range pairs {
+		for i := 0; i < 128; i++ {
+			sameOutcome(t, p[0], p[1], bit(i), [2]uint8{})
+			for j := i + 1; j < 128; j++ {
+				e := bit(i)
+				e[j/64] ^= 1 << uint(j%64)
+				sameOutcome(t, p[0], p[1], e, [2]uint8{})
+			}
+		}
+		for c := 0; c < 16; c++ {
+			var ec [2]uint8
+			ec[c/8] = 1 << uint(c%8)
+			sameOutcome(t, p[0], p[1], [2]uint64{}, ec)
+		}
+	}
+}
+
+// FuzzDetectionIgnoresPayload: for arbitrary payloads a, b and an
+// arbitrary error pattern, CRC-16 detection and the SECDED outcome
+// depend on the error alone (sameOutcome).
+func FuzzDetectionIgnoresPayload(f *testing.F) {
+	f.Add(uint64(0), uint64(0), ^uint64(0), ^uint64(0), uint64(1), uint64(0), uint8(0), uint8(0))
+	f.Add(uint64(0xDEADBEEFCAFEF00D), uint64(7), uint64(1), uint64(2), uint64(0x11), uint64(1<<63), uint8(0), uint8(4))
+	f.Add(uint64(42), uint64(43), uint64(44), uint64(45), uint64(0x7), uint64(0), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, a0, a1, b0, b1, e0, e1 uint64, c0, c1 uint8) {
+		sameOutcome(t, [2]uint64{a0, a1}, [2]uint64{b0, b1}, [2]uint64{e0, e1}, [2]uint8{c0, c1})
+	})
+}

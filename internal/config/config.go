@@ -7,6 +7,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 
@@ -361,6 +362,9 @@ func (c *Config) Validate() error {
 	if err := c.Fault.validate(); err != nil {
 		return err
 	}
+	if _, _, err := c.Fault.operatingPoint(c.VoltageV); err != nil {
+		return err
+	}
 	if err := c.Thermal.validate(); err != nil {
 		return err
 	}
@@ -396,6 +400,9 @@ func (c *Config) validateQRoute() error {
 		return fmt.Errorf("config: qroute congestion weight must be non-negative, got %g", q.CongestionWeight)
 	case q.EscapeTimeout < 1:
 		return fmt.Errorf("config: qroute escape timeout must be positive, got %d", q.EscapeTimeout)
+	case q.EscapeTimeout > math.MaxUint16:
+		// An input VC counts a head's wait in 16 bits.
+		return fmt.Errorf("config: qroute escape timeout above %d cycles unsupported, got %d", math.MaxUint16, q.EscapeTimeout)
 	}
 	return nil
 }
@@ -420,6 +427,79 @@ func (f *FaultConfig) validate() error {
 		return fmt.Errorf("config: critical paths must be positive, got %d", f.CriticalPaths)
 	}
 	return nil
+}
+
+// vNominal is the supply voltage at which the timing-error model's delay
+// is centered.
+const vNominal = 1.0
+
+// voltageExponent approximates alpha-power-law delay scaling with supply
+// voltage: delay ~ (Vnom/V)^voltageExponent.
+const voltageExponent = 1.3
+
+// FaultCalibration is the timing-error model's operating point at the
+// calibration reference (TRefC, zero utilization), which internal/fault
+// builds its Model from.
+type FaultCalibration struct {
+	// Mu0 is the critical-path mean delay, in clock periods.
+	Mu0 float64
+	// Z0 is the slack 1-Mu0 in path-delay standard deviations: the
+	// standard-normal quantile at which one path of CriticalPaths fails
+	// often enough for a link to see BaseErrorRate.
+	Z0 float64
+}
+
+// Calibrate solves the error model at supply voltage voltageV. It fails
+// when the critical path has no slack at that voltage, or when the base
+// error rate is too large for any slack to produce it; Validate refuses
+// both (operatingPoint), so every validated config builds its fault
+// model. f must already have passed its own range checks.
+func (f *FaultConfig) Calibrate(voltageV float64) (FaultCalibration, error) {
+	mu0, q, err := f.operatingPoint(voltageV)
+	if err != nil {
+		return FaultCalibration{}, err
+	}
+	return FaultCalibration{Mu0: mu0, Z0: normalQuantile(q)}, nil
+}
+
+// operatingPoint returns the critical-path mean delay and the
+// standard-normal level q whose quantile is Z0, or the reason the model
+// cannot be solved. It is all Validate runs, so it skips the bisection:
+// that search first compares q with the CDF at 0, exactly 0.5, and keeps
+// its answer on that side of 0, so Z0 > 0 exactly when q > 0.5.
+func (f *FaultConfig) operatingPoint(voltageV float64) (mu0, q float64, err error) {
+	vScale := math.Pow(vNominal/voltageV, voltageExponent)
+	mu0 = (1 - f.NominalSlack) * vScale
+	if mu0 >= 1 {
+		return 0, 0, fmt.Errorf("config: no timing slack at V=%gV (mean path delay %.3f cycles)", voltageV, mu0)
+	}
+	// Solve for the link error probability at the reference point to equal
+	// BaseErrorRate: with nCrit independent paths,
+	// pLink = 1-(1-pPath)^nCrit, and pPath = Q(slack/sigma).
+	pLink := f.BaseErrorRate
+	if pLink <= 0 {
+		pLink = 1e-12 // keep the model well-defined; probabilities stay ~0
+	}
+	pPath := 1 - math.Pow(1-pLink, 1/float64(f.CriticalPaths))
+	if q = 1 - pPath; q <= 0.5 {
+		return 0, 0, fmt.Errorf("config: base error rate %g too large to calibrate", f.BaseErrorRate)
+	}
+	return mu0, q, nil
+}
+
+// normalQuantile inverts the standard normal CDF by bisection; p must be
+// in (0,1).
+func normalQuantile(p float64) float64 {
+	lo, hi := -12.0, 12.0
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if 0.5*(1+math.Erf(mid/math.Sqrt2)) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
 }
 
 func (t *ThermalConfig) validate() error {

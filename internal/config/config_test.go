@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,6 +82,9 @@ func TestValidateRejects(t *testing.T) {
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
 		{"mode mask beyond four modes", func(c *Config) { c.RL.ModeMask = 0b10000 }},
 		{"unknown check", func(c *Config) { c.Checks = "ledger,credit" }},
+		{"no timing slack", func(c *Config) { c.VoltageV = 0.5 }},
+		{"error rate too large to calibrate", func(c *Config) { c.Fault.BaseErrorRate = 1 }},
+		{"escape timeout above 16 bits", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.EscapeTimeout = 1 << 16 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,5 +188,42 @@ func TestSuiteWorkerCount(t *testing.T) {
 	c.SuiteWorkers = 3
 	if got := c.SuiteWorkerCount(); got != 3 {
 		t.Errorf("SuiteWorkers 3 resolved to %d workers", got)
+	}
+}
+
+// TestNormalQuantile: the bisection Calibrate solves z0 with inverts the
+// standard normal CDF to within its tolerance across both tails.
+func TestNormalQuantile(t *testing.T) {
+	for _, p := range []float64{1e-9, 0.001, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9} {
+		z := normalQuantile(p)
+		if cdf := 0.5 * (1 + math.Erf(z/math.Sqrt2)); math.Abs(cdf-p) > 1e-9 {
+			t.Errorf("quantile(%g) = %g -> cdf %g", p, z, cdf)
+		}
+	}
+}
+
+// TestCalibrateMatchesFaultModel: the operating point Validate gates on is
+// the one the default fault model runs at, and the escape-timeout ceiling
+// admits its largest legal value.
+func TestCalibrateMatchesFaultModel(t *testing.T) {
+	c := Default()
+	cal, err := c.Fault.Calibrate(c.VoltageV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 - c.Fault.NominalSlack; math.Abs(cal.Mu0-want) > 1e-15 || cal.Z0 <= 0 {
+		t.Fatalf("calibration at nominal voltage = %+v, want Mu0 %g and a positive Z0", cal, want)
+	}
+	// Validate skips the bisection (operatingPoint): its answer is
+	// positive exactly when the level it inverts is above one half.
+	for _, q := range []float64{0.25, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), 0.75} {
+		if z := normalQuantile(q); (z > 0) != (q > 0.5) {
+			t.Fatalf("quantile(%v) = %v: the gate's sign test disagrees", q, z)
+		}
+	}
+	c.QRoute.Enabled = true
+	c.QRoute.EscapeTimeout = math.MaxUint16
+	if err := c.Validate(); err != nil {
+		t.Fatalf("escape timeout at the 16-bit ceiling rejected: %v", err)
 	}
 }

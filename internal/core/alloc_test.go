@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/network"
 	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
 )
@@ -26,14 +27,15 @@ func allocatedMB(f func()) float64 {
 // default-config rl sim once allocated 64 Q-table sets to keep one
 // (53.6 MB), then one dense set of 0.8 MB (1.19 MB in all). A sparse
 // table is a 20 KB state index and a 256-row slab of 28 KB; the fabric is
-// most of the rest. Budgets are 1.25x the 0.448 MB (shared table) and
-// 3.40 MB (a table per router, 50.4 MB dense) measured when they were
-// set.
+// most of the rest. Budgets are 1.25x the 0.359 MB (shared table) and
+// 3.31 MB (a table per router, 50.4 MB dense) measured when the 1,280
+// input VCs became 24-byte control words over their router's flit slab;
+// as 96-byte slice-header structs they made it 0.448 and 3.40 MB.
 func TestNewSimAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		shared bool
 		budget float64
-	}{{true, 0.56}, {false, 4.25}} {
+	}{{true, 0.45}, {false, 4.14}} {
 		cfg := config.Default()
 		cfg.RL.SharedTable = tc.shared
 		build := func() {
@@ -48,13 +50,53 @@ func TestNewSimAllocBudget(t *testing.T) {
 	}
 }
 
+// TestMeasureAllocBudget keeps a measured phase to what its traffic needs:
+// a 3k-cycle, fault-free 8x8 static-mode-2 measure at 0.02
+// packets/node/cycle (3,802 packets) allocates the injector's queues and
+// the packet, flit and reassembly working sets, and nothing per node. The
+// budget is 1.25x the 0.2245 MB measured when packet payloads became
+// keyed streams; a math/rand source per NI to draw them from (64 of
+// 4.9 KB, built at a node's first packet) made it 0.553 MB.
+func TestMeasureAllocBudget(t *testing.T) {
+	cfg := config.Default()
+	cfg.PretrainCycles = 0
+	cfg.WarmupCycles = 100
+	cfg.MaxCycles = 3000
+	cfg.Fault.BaseErrorRate = 0
+	topo, err := topologyOf(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := traffic.Synthetic(topo, traffic.Uniform, 0.02, cfg.FlitsPerPacket, int64(cfg.MaxCycles), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSim(cfg, StaticScheme(network.Mode2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	mb := allocatedMB(func() {
+		if res, err = sim.Measure(events, "allocs"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !res.Drained {
+		t.Fatal("the measure did not drain; the budget would cover a truncated run")
+	}
+	if mb > 0.28 {
+		t.Errorf("an 8x8 static-mode-2 measure of %d packets allocated %.3f MB, budget 0.28 MB", len(events), mb)
+	}
+}
+
 // TestRestoreBuildsOnlyWhatTheRunTouches: a restore builds the fabric and
 // decodes the state, and nothing the resumed run has not yet asked for. No
-// RNG source is seeded before its first draw (128 of them, 4.9 KB and a
-// 607-word seeding each), no controller is consulted for cycle-0 modes the
-// decode overwrites, and the decoded trace is held once, by the phase and
-// its injector alike. Re-encoding the restored sim without a Step gives
-// back the checkpoint's bytes, so none of that is visible in the state.
+// RNG source is seeded before its first draw (64 of them, one per agent,
+// 4.9 KB and a 607-word seeding each; packet payloads need none), no
+// controller is consulted for cycle-0 modes the decode overwrites, and the
+// injector holds only the trace events still to be issued. Re-encoding the
+// restored sim without a Step gives back the checkpoint's bytes, so none
+// of that is visible in the state.
 func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 	cfg := config.Default()
 	cfg.PretrainCycles = 0
@@ -94,22 +136,25 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 		}
 	})
 	total, built := countingSources(reflect.ValueOf(restored))
-	if want := 2 * cfg.Routers(); total != want {
-		t.Fatalf("walk found %d RNG sources, want %d (an agent and an NI per router)", total, want)
+	if want := cfg.Routers(); total != want {
+		t.Fatalf("walk found %d RNG sources, want %d (an agent per router)", total, want)
 	}
 	if built != 0 {
 		t.Errorf("restore materialized %d of %d RNG sources before any draw", built, total)
 	}
-	if ms := restored.ms; &ms.in.events[0] != &ms.events[0] {
-		t.Error("the restored injector holds a second copy of the decoded trace")
+	if in := restored.ms.in; len(in.events) != in.remaining || len(in.events) >= len(events) {
+		t.Errorf("the restored injector holds %d events for %d pending of a %d-event trace; want the pending ones only",
+			len(in.events), in.remaining, len(events))
 	}
-	// 1.25x the 0.709 MB measured when this budget was set: the 8x8 fabric,
-	// the Q-table rows the run touched, the decoded trace and the codec.
-	// Seeding all 128 sources, consulting the controller at cycle 0 and
-	// copying the trace into the injector made it 2.21 MB; decoding a dense
-	// 0.8 MB table and a fresh 64 KiB stream buffer, 1.45 MB.
-	if mb > 0.89 {
-		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.89 MB", mb)
+	// 1.25x the 0.565 MB measured when this budget was set: the 8x8 fabric,
+	// the Q-table rows the run touched, the pending half of the trace and
+	// the codec. Decoding and indexing the whole trace, with 96-byte input
+	// VCs, made it 0.709 MB; seeding all 128 sources of the time,
+	// consulting the controller at cycle 0 and copying the trace into the
+	// injector, 2.21 MB; decoding a dense 0.8 MB table and a fresh 64 KiB
+	// stream buffer, 1.45 MB.
+	if mb > 0.71 {
+		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.71 MB", mb)
 	}
 	var buf bytes.Buffer
 	if err := restored.WriteSnapshot(&buf); err != nil {

@@ -13,9 +13,10 @@ import (
 // under every name ParseScheme accepts, through each controller's first
 // decision. Nothing may panic or spin, and Validate must be the gate:
 // NewSim builds no config Validate rejects, and builds every config it
-// accepts, save the two checks that need more than the config and live in
-// internal/fault (the error model's calibration at the operating point,
-// the hard-fault schedule against the fabric).
+// accepts, save the one check that needs more than the config and lives
+// in internal/fault: the hard-fault schedule against the fabric. The error
+// model's calibration at the operating point is Validate's own
+// (config.FaultConfig.Calibrate).
 func FuzzConfig(f *testing.F) {
 	for _, tune := range []func(*config.Config){
 		func(*config.Config) {},
@@ -60,7 +61,7 @@ func FuzzConfig(f *testing.F) {
 			switch {
 			case verr != nil && err == nil:
 				t.Errorf("%s: NewSim built a config Validate rejects (%v)", spec.name, verr)
-			case verr == nil && err != nil && !strings.HasPrefix(err.Error(), "fault: "):
+			case verr == nil && err != nil && !strings.HasPrefix(err.Error(), "fault: hard fault "):
 				t.Errorf("%s: Validate accepts a config NewSim cannot build: %v", spec.name, err)
 			}
 		}

@@ -339,7 +339,8 @@ type (
 // application's execution time, exactly what Fig. 7 measures.
 type injector struct {
 	// events is the trace, held (never copied or written) from the caller:
-	// possibly a shared memo slice, or the slice a restore decoded.
+	// possibly a shared memo slice, or the pending events a restore
+	// decoded.
 	events []traffic.Event
 	// queues[src] lists, in trace order, the indices into events of src's
 	// events: 4 bytes per event where a per-source copy took 32.
@@ -438,6 +439,17 @@ func (in *injector) step(net *network.Network, now int64) error {
 
 func (in *injector) done() bool { return in.remaining == 0 }
 
+// eachPending calls f on every event the injector has not yet issued, in
+// trace order: event i of source src is pending once its queue's head has
+// reached it, since each queue lists ascending indices.
+func (in *injector) eachPending(f func(traffic.Event)) {
+	for i, e := range in.events {
+		if q, h := in.queues[e.Src], in.heads[e.Src]; h < len(q) && int32(i) >= q[h] {
+			f(e)
+		}
+	}
+}
+
 // drive is the cycle loop, the only one: inject, Step, then the periodic
 // hooks, every cycle, until everything drains (reporting true) or the
 // network reaches capCycle. ms == nil is pre-training: no warm-up edge,
@@ -487,13 +499,12 @@ func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error
 // measureState is the complete bookkeeping of an in-progress
 // measurement phase. Everything a resumed process needs to re-enter the
 // loop at the exact cycle it left lives here: the phase boundaries, the
-// energy-meter baselines captured at warm-up end, and the injector
-// cursors (the events themselves are serialized so the restored side
+// energy-meter baselines captured at warm-up end, and the injector (a
+// checkpoint carries the events it has yet to issue, so the restored side
 // needs no access to the original trace file).
 type measureState struct {
-	label  string
-	events []traffic.Event
-	in     *injector
+	label string
+	in    *injector
 
 	base     int64
 	warmEnd  int64
@@ -519,7 +530,6 @@ func (s *Sim) beginMeasure(events []traffic.Event, label string) error {
 	}
 	s.ms = &measureState{
 		label:    label,
-		events:   events,
 		in:       in,
 		base:     base,
 		warmEnd:  base + int64(s.cfg.WarmupCycles),

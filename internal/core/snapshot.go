@@ -2,7 +2,7 @@ package core
 
 // Checkpoint/restore for the simulation driver (DESIGN.md §15). The Sim
 // snapshot is self-contained: it embeds the Config (as JSON), the scheme,
-// the full test trace and injector cursors, the measurement-phase
+// the test-trace events not yet injected, the measurement-phase
 // bookkeeping, the controller state and the complete network state — so
 // RestoreSim needs nothing but the snapshot stream to rebuild a Sim in a
 // fresh process and ResumeMeasure continues bit-identically to the run
@@ -193,25 +193,33 @@ func (s *Sim) snapState(c *snap.Codec) error {
 	return s.net.Snap(c)
 }
 
-// snapMeasure walks the in-progress measurement phase. Decoding rebuilds
-// the injector's per-source queues from the decoded trace, then lands
-// the cursors in them.
+// snapMeasure walks the in-progress measurement phase. The stream holds
+// only the events the injector has not issued, in trace order, and their
+// count: decoding indexes them into a fresh injector whose every source
+// starts at the head of its queue, and a count that disagrees is corrupt.
 func (s *Sim) snapMeasure(c *snap.Codec) {
 	ms := s.ms
 	c.String(&ms.label)
-	snapEvents(c, &ms.events)
-	if c.Err() != nil {
-		return
-	}
+	var events []traffic.Event
 	if c.Decoding() {
+		decodeEvents(c, &events)
+		if c.Err() != nil {
+			return
+		}
 		var err error
-		if ms.in, err = s.accept(ms.events, 0); err != nil {
+		if ms.in, err = s.accept(events, 0); err != nil {
 			c.Fail(err)
 			return
 		}
+	} else {
+		encodePending(c, ms.in)
 	}
-	c.Ints(ms.in.heads)
-	c.Int(&ms.in.remaining)
+	remaining := ms.in.remaining
+	c.Int(&remaining)
+	if c.Decoding() && remaining != ms.in.remaining {
+		c.Fail(fmt.Errorf("core: snapshot holds %d pending events, its count says %d", ms.in.remaining, remaining))
+		return
+	}
 	c.I64(&ms.base)
 	c.I64(&ms.warmEnd)
 	c.I64(&ms.capCycle)
@@ -222,12 +230,6 @@ func (s *Sim) snapMeasure(c *snap.Codec) {
 	c.Bool(&ms.drained)
 	if c.Decoding() {
 		ms.in.base = ms.base
-		for src, h := range ms.in.heads {
-			if h < 0 || h > len(ms.in.queues[src]) {
-				c.Fail(fmt.Errorf("core: snapshot injector head %d out of range", src))
-				return
-			}
-		}
 		ms.in.sync()
 	}
 }
@@ -239,17 +241,35 @@ const (
 	eventBlock = 128
 )
 
-// snapEvents walks the test trace. Decoding builds a slice the restored
+// encodePending writes in's pending events as snap.Blocks lays out a
+// slice — a length prefix, then the events — without gathering them into
+// one.
+func encodePending(c *snap.Codec, in *injector) {
+	n := in.remaining
+	c.Len(&n)
+	var words [eventWords * eventBlock]int64
+	k, wrote := 0, 0
+	in.eachPending(func(e traffic.Event) {
+		words[eventWords*k], words[eventWords*k+1] = e.Cycle, int64(e.Src)
+		words[eventWords*k+2], words[eventWords*k+3] = int64(e.Dst), int64(e.Flits)
+		if k++; k == eventBlock {
+			c.RawI64s(words[:])
+			wrote, k = wrote+k, 0
+		}
+	})
+	c.RawI64s(words[:eventWords*k])
+	if wrote += k; wrote != n {
+		c.Fail(fmt.Errorf("core: injector counts %d pending events, its queues hold %d", n, wrote))
+	}
+}
+
+// decodeEvents reads what encodePending wrote into a slice the restored
 // sim owns; accept then holds it to the fabric like any other trace.
-func snapEvents(c *snap.Codec, events *[]traffic.Event) {
+func decodeEvents(c *snap.Codec, events *[]traffic.Event) {
 	var words [eventWords * eventBlock]int64
 	snap.Blocks(c, events, snap.MaxLen, eventBlock, func(run []traffic.Event) {
-		for i, e := range run {
-			words[eventWords*i], words[eventWords*i+1] = e.Cycle, int64(e.Src)
-			words[eventWords*i+2], words[eventWords*i+3] = int64(e.Dst), int64(e.Flits)
-		}
 		c.RawI64s(words[:eventWords*len(run)])
-		if c.Decoding() && c.Err() == nil {
+		if c.Err() == nil {
 			for i := range run {
 				run[i] = traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
 					Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}

@@ -36,8 +36,11 @@ var unsnapshotted = map[string]struct {
 	"network.outputPort.pendingFree": {true, "countPendingFree() over the decoded vcPendingFree"},
 	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
 	"network.qrouteState.dist":       {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
-	"core.measureState.in":           {true, "per-source queues rebuilt from the decoded trace; the cursors are decoded into them"},
-	"core.injector.due":              {true, "sync() over the decoded heads and base"},
+	"core.measureState.in":           {true, "a fresh injector over the decoded pending events"},
+	"core.injector.due":              {true, "sync() over the restarted heads and base"},
+	"core.injector.events":           {false, "a checkpoint carries only the pending events: compared as the eachPending list"},
+	"core.injector.queues":           {false, "index lists into the held events, rebuilt by accept"},
+	"core.injector.heads":            {false, "cursors into the queues: every source restarts at 0 over the pending events"},
 	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},
 	"network.Router.wirePorts":       {false, "port summary: refilled conservatively (every port); a spurious bit is a no-op port visit that clears it"},
 	"network.Network.hardSched":      {true, "reparsed from the Config the stream embeds"},
@@ -167,6 +170,11 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 				d := &fieldDiff{t: t, seen: map[[2]uintptr]bool{}, listed: listed}
 				d.walk("net", reflect.ValueOf(sim.net), reflect.ValueOf(restored.net)) // and, through it, the controller
 				d.walk("ms", reflect.ValueOf(sim.ms), reflect.ValueOf(restored.ms))
+				live := pendingEvents(sim.ms.in)
+				if len(live) == 0 {
+					t.Errorf("cycle %d: no pending events; the comparison would cover an empty trace", s.Cycle)
+				}
+				d.walk("ms.in.pending", reflect.ValueOf(live), reflect.ValueOf(pendingEvents(restored.ms.in)))
 				if d.compared < 10_000 {
 					t.Errorf("only %d leaf values compared; the walk is not reaching the fabric", d.compared)
 				}
@@ -184,6 +192,13 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 			t.Errorf("unsnapshotted lists %s, which the comparison never reached: stale entry", field)
 		}
 	}
+}
+
+// pendingEvents lists the events in has yet to issue, in trace order.
+func pendingEvents(in *injector) []traffic.Event {
+	var out []traffic.Event
+	in.eachPending(func(e traffic.Event) { out = append(out, e) })
+	return out
 }
 
 // fieldDiff walks two values of the same type in lockstep.

@@ -19,7 +19,9 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/network"
 	"rlnoc/internal/snap"
+	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
 
@@ -278,15 +280,18 @@ func TestSnapshotIdempotent(t *testing.T) {
 // it in that commit and say so. All three were re-captured when
 // pipeline_depth and output_buffer left Config: every checkpoint stayed
 // byte-equal to the previous one after the CORE section's embedded config
-// JSON, which lost exactly those two keys.
+// JSON, which lost exactly those two keys. All three were re-captured for
+// format version 2 (snap.Version): packets with keyed payload words and
+// no NI draw counts, input VCs as ring head, count and flits, the
+// mode2-dup drop counter, and only the pending trace events.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "67f133c1063b395d7b35fc86a61c7d0ad70a0100ff7b47b07b1056d397deb79b"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "77578372e6e73f83effc3d6dfa13d1ff45dd1533ade9832627b24656265fdbd6"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "bca04cee6e997d022d42caf1f0de80bb14f2c4a280f2de049ec85a163668712a"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "11bebfe653938f0842cf9860062dd6643f247b15c829aa498e2026ba4043a592"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "b25d2a1e98d2020d26f67165d1487c264a82676a4378e2eb541bdb1ed2a52ffe"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "8b162c160421296add1b85bd63eb40e67c04588ed593131f9f01853a6716c1b1"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -388,8 +393,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(orig, buf.Bytes()) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
-		restoreMustBeCorrupt(t, withLastNIDraws(t, orig, 1<<63))
+		restoreMustBeHostileV2(t, orig)
 		if c, ok := restored.Controller().(*DTController); ok {
+			restoreMustBeCorrupt(t, withDTDraws(t, orig, 1<<63))
 			if got := c.Tree() != nil; got != trained {
 				t.Fatalf("restored DT controller trained = %v, want %v", got, trained)
 			}
@@ -431,13 +437,27 @@ func restoreMustBeCorrupt(t *testing.T, data []byte) {
 	}
 }
 
-// firstCheckpoint runs the mesh snapshot config and returns the bytes of
-// its earliest checkpoint, for the hostile-input tests to patch.
-func firstCheckpoint(t *testing.T) []byte {
+// firstCheckpoint runs the mesh snapshot config under scheme and returns
+// the bytes of its earliest checkpoint, for the hostile-input tests to
+// patch. A DT arm is measured without pre-training, so its controller is
+// still collecting and draws from its exploration source at every epoch.
+func firstCheckpoint(t *testing.T, scheme Scheme) []byte {
 	t.Helper()
 	cfg := snapConfig("mesh")
 	dir := t.TempDir()
-	runFull(t, cfg, SchemeRL, snapTrace(t, cfg), dir, 700)
+	if scheme == SchemeDT {
+		cfg.RL.StepCycles = 100
+		sim, err := NewSim(cfg, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetSnapshotPolicy(dir, 700)
+		if _, err := sim.Measure(snapTrace(t, cfg), "snaptest"); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		runFull(t, cfg, scheme, snapTrace(t, cfg), dir, 700)
+	}
 	paths, _ := snapshotCycles(t, dir)
 	data, err := os.ReadFile(paths[0])
 	if err != nil {
@@ -446,14 +466,14 @@ func firstCheckpoint(t *testing.T) []byte {
 	return data
 }
 
-// withLastNIDraws returns a copy of a checkpoint with the last NI's
-// payload-RNG draw count — the word ahead of the CTRL section tag —
-// overwritten.
-func withLastNIDraws(t *testing.T, data []byte, draws uint64) []byte {
+// withDTDraws returns a copy of a DT checkpoint with its exploration
+// source's draw count — the word after the DTCT tag and the collecting
+// byte — overwritten.
+func withDTDraws(t *testing.T, data []byte, draws uint64) []byte {
 	t.Helper()
-	off := bytes.LastIndex(data, []byte("CTRL")) - 8
-	if off < 0 || binary.LittleEndian.Uint64(data[off:]) > 1<<32 {
-		t.Fatalf("offset %d does not hold an NI draw count", off)
+	off := bytes.Index(data, []byte("DTCT")) + 4 + 1
+	if off < 5 || binary.LittleEndian.Uint64(data[off:]) > 1<<32 {
+		t.Fatalf("offset %d does not hold a DT draw count", off)
 	}
 	data = bytes.Clone(data)
 	binary.LittleEndian.PutUint64(data[off:], draws)
@@ -466,7 +486,7 @@ func withLastNIDraws(t *testing.T, data []byte, draws uint64) []byte {
 // failed one; the restore must instead hold the count to what the
 // checkpoint's own cycle counter allows and fail as a corrupt stream.
 func TestHostileDrawCountIsCorrupt(t *testing.T) {
-	restoreMustBeCorrupt(t, withLastNIDraws(t, firstCheckpoint(t), 1<<63))
+	restoreMustBeCorrupt(t, withDTDraws(t, firstCheckpoint(t, SchemeDT), 1<<63))
 }
 
 // TestRestoreDrawCeilingHoldsAtDecode: RNG sources are lazy, so a restore
@@ -475,25 +495,66 @@ func TestHostileDrawCountIsCorrupt(t *testing.T) {
 // must still be applied by RestoreSim: one draw over it is a corrupt
 // stream at decode, and a count at it restores and draws.
 func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
-	data := firstCheckpoint(t)
+	data := firstCheckpoint(t, SchemeDT)
 	sim, err := RestoreSim(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycle, last := sim.Network().Cycle(), sim.Network().Topology().Nodes()-1
+	cycle := sim.Network().Cycle()
 	// network.maxDraws: 256 draws per source per cycle, after a 4096-cycle
 	// head start.
 	ceiling := uint64(cycle+4096) * 256
-	restoreMustBeCorrupt(t, withLastNIDraws(t, data, ceiling+1))
+	restoreMustBeCorrupt(t, withDTDraws(t, data, ceiling+1))
 
-	sim, err = RestoreSim(bytes.NewReader(withLastNIDraws(t, data, ceiling)))
+	sim, err = RestoreSim(bytes.NewReader(withDTDraws(t, data, ceiling)))
 	if err != nil {
 		t.Fatalf("a draw count at the ceiling failed to restore: %v", err)
 	}
-	// A packet built at the last NI draws its payload from that source,
-	// which replays all ceiling draws first.
-	if p, err := sim.Network().NewDataPacket(last, 0, 1, cycle); err != nil || p == nil {
-		t.Fatalf("first draw after the restore: packet %v, err %v", p, err)
+	// A collecting DT controller explores from that source, which replays
+	// all ceiling draws first.
+	if m := sim.Controller().Decide(0, network.Observation{}); m > network.Mode2 {
+		t.Fatalf("first draw after the restore explored mode %d, want 0..2", m)
+	}
+}
+
+// TestHostileV2FieldsAreCorrupt patches the words format v2 added — the
+// pending-event count, an input VC's ring head and its output VC index —
+// and requires each restore to fail as a corrupt stream, never a panic.
+func TestHostileV2FieldsAreCorrupt(t *testing.T) {
+	restoreMustBeHostileV2(t, firstCheckpoint(t, SchemeRL))
+}
+
+// restoreMustBeHostileV2 runs TestHostileV2FieldsAreCorrupt's patches on
+// one mid-measure checkpoint.
+func restoreMustBeHostileV2(t *testing.T, data []byte) {
+	t.Helper()
+	// MEAS tag, the has-measure byte, the length-prefixed label, the
+	// length-prefixed events, then the pending count.
+	off := bytes.Index(data, []byte("MEAS")) + 4 + 1
+	off += 4 + int(binary.LittleEndian.Uint32(data[off:]))
+	pending := int(binary.LittleEndian.Uint32(data[off:]))
+	off += 4 + pending*8*4
+	if got := binary.LittleEndian.Uint64(data[off:]); got != uint64(pending) {
+		t.Fatalf("offset %d holds %d, not the pending count %d", off, got, pending)
+	}
+	for _, count := range []uint64{uint64(pending) + 1, uint64(pending) - 1, 1 << 63} {
+		bad := bytes.Clone(data)
+		binary.LittleEndian.PutUint64(bad[off:], count)
+		restoreMustBeCorrupt(t, bad)
+	}
+	// Router 0's first input VC follows the RTRS tag, the occupancy mask,
+	// two round-robin arrays of NumPorts words and two window counters:
+	// ring head, flit count, the flits (a reference and a ready cycle
+	// each), the routed byte, the output port, the output VC.
+	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 2*8
+	outVC := vc + 2 + 16*int(data[vc+1]) + 2
+	for _, patch := range []struct {
+		off int
+		val byte
+	}{{vc, 0xff}, {vc + 1, 0xff}, {outVC, 0x7f}, {outVC, 0xfe}} {
+		bad := bytes.Clone(data)
+		bad[patch.off] = patch.val
+		restoreMustBeCorrupt(t, bad)
 	}
 }
 
@@ -524,7 +585,7 @@ func TestHostileModeMaskIsCorrupt(t *testing.T) {
 // events) kills the process, and the campaign's fall-back to the
 // previous checkpoint never runs.
 func TestHostileTraceLengthIsCorrupt(t *testing.T) {
-	data := firstCheckpoint(t)
+	data := firstCheckpoint(t, SchemeRL)
 	// MEAS tag, the has-measure byte, the length-prefixed label, then the
 	// trace length.
 	off := bytes.Index(data, []byte("MEAS")) + 4 + 1

@@ -48,6 +48,11 @@ const (
 	// decorrelates a thundering herd of retries without making test
 	// runs irreproducible.
 	DomainCampaign uint64 = 7
+	// DomainPayload keys the payload words of one packet; id is the
+	// packet ID, cycle is 0. The codes protecting a flit are linear, so
+	// no word value reaches a result: the stream only has to make each
+	// packet's words a pure function of (seed, packet).
+	DomainPayload uint64 = 8
 )
 
 // Source is the draw interface shared by detrand streams and

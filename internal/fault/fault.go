@@ -21,13 +21,6 @@ import (
 	"rlnoc/internal/detrand"
 )
 
-// vNominal is the supply voltage at which the delay model is centered.
-const vNominal = 1.0
-
-// voltageExponent approximates alpha-power-law delay scaling with supply
-// voltage: delay ~ (Vnom/V)^voltageExponent.
-const voltageExponent = 1.3
-
 // maxErrorProbability caps the per-flit error probability; beyond this the
 // link is effectively unusable and the cap keeps retransmission storms
 // finite.
@@ -47,32 +40,21 @@ type Model struct {
 	linkFactor []float64 // per-link process-variation delay factor
 }
 
-// New builds a calibrated model for numLinks links. The per-link process
-// variation factors are drawn deterministically from seed.
+// New builds a model for numLinks links at the operating point
+// cfg.Calibrate solves (the arithmetic config.Validate gates on). The
+// per-link process variation factors are drawn deterministically from
+// seed.
 func New(cfg config.FaultConfig, voltageV float64, numLinks int, seed int64) (*Model, error) {
 	if numLinks < 0 {
 		return nil, fmt.Errorf("fault: negative link count %d", numLinks)
 	}
-	vScale := math.Pow(vNominal/voltageV, voltageExponent)
-	mu0 := (1 - cfg.NominalSlack) * vScale
-	if mu0 >= 1 {
-		return nil, fmt.Errorf("fault: no timing slack at V=%gV (mean path delay %.3f cycles)", voltageV, mu0)
-	}
-	// Calibrate sigma so that the link error probability at the reference
-	// point equals BaseErrorRate: with nCrit independent paths,
-	// pLink = 1-(1-pPath)^nCrit, and pPath = Q(slack/sigma).
-	pLink := cfg.BaseErrorRate
-	if pLink <= 0 {
-		pLink = 1e-12 // keep the model well-defined; probabilities stay ~0
-	}
-	pPath := 1 - math.Pow(1-pLink, 1/float64(cfg.CriticalPaths))
-	z0 := normalQuantile(1 - pPath)
-	if z0 <= 0 {
-		return nil, fmt.Errorf("fault: base error rate %g too large to calibrate", cfg.BaseErrorRate)
+	cal, err := cfg.Calibrate(voltageV)
+	if err != nil {
+		return nil, err
 	}
 	m := &Model{
-		mu0:        mu0,
-		sigma:      (1 - mu0) / z0,
+		mu0:        cal.Mu0,
+		sigma:      (1 - cal.Mu0) / cal.Z0, // the reference slack sits at quantile Z0
 		kT:         cfg.TempSensitivity,
 		kU:         cfg.UtilSensitivity,
 		tRef:       cfg.TRefC,
@@ -205,18 +187,4 @@ func FlipBits(rng detrand.Source, words []uint64, n int) {
 // normalCDF is the standard normal cumulative distribution function.
 func normalCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
-}
-
-// normalQuantile inverts normalCDF by bisection; p must be in (0,1).
-func normalQuantile(p float64) float64 {
-	lo, hi := -12.0, 12.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if normalCDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
 }

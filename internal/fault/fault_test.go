@@ -260,11 +260,20 @@ func popcount(words []uint64) int {
 	return n
 }
 
+// TestNormalCDFQuantileInverse: the model's CDF undoes the quantile
+// config.Calibrate solves for, so a single-path link at the reference
+// point fails with exactly the base rate.
 func TestNormalCDFQuantileInverse(t *testing.T) {
-	for _, p := range []float64{0.001, 0.1, 0.5, 0.9, 0.999} {
-		z := normalQuantile(p)
-		if math.Abs(normalCDF(z)-p) > 1e-9 {
-			t.Errorf("quantile(%g) -> cdf %g", p, normalCDF(z))
+	cfg := config.Default().Fault
+	cfg.CriticalPaths = 1
+	for _, p := range []float64{0.6, 0.9, 0.999, 1 - 1e-9} {
+		cfg.BaseErrorRate = 1 - p
+		cal, err := cfg.Calibrate(1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(normalCDF(cal.Z0)-p) > 1e-9 {
+			t.Errorf("quantile(%g) -> cdf %g", p, normalCDF(cal.Z0))
 		}
 	}
 	if math.Abs(normalCDF(0)-0.5) > 1e-12 {

@@ -92,7 +92,7 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 			dr := n.routers[p.downstream]
 			quiet := len(p.inflight) == 0 && len(p.unacked) == 0 && p.resendIdx < 0
 			for vc := range p.credits {
-				sum := p.credits[vc] + len(dr.vc(p.inPort, vc).buf)
+				sum := p.credits[vc] + int(dr.vc(p.inPort, vc).n)
 				for _, c := range p.credRet {
 					if c.vc == vc {
 						sum++

@@ -164,8 +164,8 @@ func (n *Network) livePacket(f *flit.Flit) *flit.Packet {
 // empty-but-still-routed VC. A routed VC always holds the packet's
 // newest attempt (older attempts are poisoned before they can enter a
 // buffer), so the owner's current Retransmissions names the attempt.
-func residentOf(vc *inputVC) (*flit.Packet, int32) {
-	if front := vc.front(); front != nil {
+func residentOf(r *Router, vc *inputVC) (*flit.Packet, int32) {
+	if front := vc.front(r); front != nil {
 		return front.f.Packet, front.f.Attempt
 	}
 	if vc.routed && vc.pkt != nil {
@@ -331,7 +331,7 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 	// Buffered flits inside the router are casualties too.
 	for i := range r.vcs {
 		vc := &r.vcs[i]
-		if pkt, attempt := residentOf(vc); pkt != nil {
+		if pkt, attempt := residentOf(r, vc); pkt != nil {
 			n.condemnPkt(sw, pkt, attempt, stats.DropDeadRouter, false)
 		}
 		n.purgeVC(r, vc, stats.DropDeadRouter)
@@ -394,12 +394,12 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 	port := r.portOf(vc.slot)
 	for !vc.empty() {
-		f := vc.pop()
+		f := vc.pop(r)
 		n.returnCredit(r.up[port], f.VC)
 		n.dropFlit(f, r, reason)
 	}
 	if port == topology.Local {
-		n.nis[r.id].releaseLocalVC(vc.slot) // Local slots are the VC indices
+		n.nis[r.id].releaseLocalVC(int(vc.slot)) // Local slots are the VC indices
 	}
 	if vc.routed && vc.outVC >= 0 {
 		if op := r.outputs[vc.outPort]; !op.dead && op.dir != topology.Local && op.vcBusy != nil {
@@ -408,11 +408,11 @@ func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 			// once the in-flight credits come home — at once if they
 			// already are, with no wire event to announce it, so the port
 			// is flagged for this cycle's wire visit).
-			op.markPendingFree(vc.outVC)
+			op.markPendingFree(int(vc.outVC))
 			n.flagWire(r, op)
 		}
 	}
-	vc.unroute()
+	vc.unroute(r)
 }
 
 // sweepAfterFaults walks the surviving fabric after reroute and condemns
@@ -431,12 +431,12 @@ func (n *Network) sweepAfterFaults(sw *faultSweep) {
 		}
 		for i := range r.vcs {
 			vc := &r.vcs[i]
-			pkt, attempt := residentOf(vc)
+			pkt, attempt := residentOf(r, vc)
 			if pkt == nil {
 				continue
 			}
 			switch {
-			case vc.routed && vc.outPort < topology.NumPorts && r.outputs[vc.outPort].dead:
+			case vc.routed && vc.out() < topology.NumPorts && r.outputs[vc.outPort].dead:
 				reason := stats.DropKilledLink
 				if !topology.Reachable(n.topo, id, pkt.Dst) {
 					reason = stats.DropUnreachable
@@ -503,7 +503,7 @@ func (n *Network) sweepAfterFaults(sw *faultSweep) {
 		}
 		for i := range r.vcs {
 			vc := &r.vcs[i]
-			pkt, attempt := residentOf(vc)
+			pkt, attempt := residentOf(r, vc)
 			if pkt == nil {
 				continue
 			}

@@ -250,7 +250,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 			bufArr[base*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth:(base+ports*vcs)*cfg.VCDepth])
 		net.routers[id] = r
 		ni := &niArr[id]
-		initNI(ni, id, net, cfg.Seed*31+100+int64(id), lvbArr[id*vcs:(id+1)*vcs:(id+1)*vcs])
+		initNI(ni, id, net, lvbArr[id*vcs:(id+1)*vcs:(id+1)*vcs])
 		net.nis[id] = ni
 	}
 	// Wire output ports from the topology's edge list: every port starts
@@ -518,6 +518,12 @@ func (n *Network) NewDataPacket(src, dst, flits int, createdAt int64) (*flit.Pac
 	return p, nil
 }
 
+// buildPacket draws a packet from the pool and fills in its identity,
+// payload and per-flit CRCs. The payload words come from the stream keyed
+// by (seed, packet ID): CRC-16 and SECDED are linear, so whether an error
+// is detected, corrected or missed depends on the error pattern alone and
+// no word value reaches a result (coding.FuzzDetectionIgnoresPayload).
+// A restore needs no payload cursor: every live packet carries its words.
 func (n *Network) buildPacket(kind flit.Kind, src, dst, nflits int, createdAt int64, ref uint64) *flit.Packet {
 	n.packetSeq++
 	p := n.pktPool.Get(nflits)
@@ -528,7 +534,7 @@ func (n *Network) buildPacket(kind flit.Kind, src, dst, nflits int, createdAt in
 	p.RefID = ref
 	p.CreatedAt = createdAt
 	p.FirstInjectedAt = -1
-	rng := n.nis[src].rng
+	rng := detrand.New(n.cfg.Seed, detrand.DomainPayload, p.ID, 0)
 	for i := range p.Payload {
 		p.Payload[i] = rng.Uint64()
 	}
@@ -905,8 +911,14 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 		// ones in order. Every wire flit is singly-referenced (transmit
 		// and retransmit put clones on the wire), so a dropped one
 		// retires to the pool. The discard is still accounted: every
-		// flit leaving the simulation passes a counted drop seam.
-		n.stats.Drop(stats.DropStaleSeq)
+		// flit leaving the simulation passes a counted drop seam, and a
+		// Mode 2 copy whose original got through counts apart from the
+		// sequence breaks.
+		reason := stats.DropStaleSeq
+		if wf.isDup && wf.seq < p.expectSeq {
+			reason = stats.DropDuplicate
+		}
+		n.stats.Drop(reason)
 		n.fpool.Put(wf.f)
 		return
 	}
@@ -1044,7 +1056,7 @@ func (n *Network) applyWireOp(op wireOp) {
 			return
 		}
 		vcBuf := dr.vc(op.inPort, op.f.VC)
-		if vcBuf.full() {
+		if vcBuf.full(dr) {
 			panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
 				down, op.inPort, op.f.VC))
 		}
@@ -1056,7 +1068,7 @@ func (n *Network) applyWireOp(op wireOp) {
 			n.qrouteFeedback(down, op.inPort, op.f.HopStart, int(op.f.Dst))
 		}
 		op.f.HopStart = cycle
-		vcBuf.push(op.f, cycle+pipelineFill)
+		vcBuf.push(dr, op.f, cycle+pipelineFill)
 		n.markPipe(down)
 		n.meter.BufferWrite(down)
 		n.stats.RouterFlitIn(down)
@@ -1154,29 +1166,31 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	pkt := front.f.Packet
 	vc.qAdaptive = false
 	vc.qWait = 0
+	var out topology.Direction
 	if n.qr != nil && pkt.Kind == flit.Data && pkt.Dst != r.id {
 		// Learned route over the permitted (live, strictly-productive)
 		// ports; empty mask falls back to the deterministic table route
 		// on the escape VC class. Control packets always take the table
 		// route — the retransmission protocol depends on their paths.
-		if out, ok := n.qrouteChoose(r, pkt.Dst); ok {
-			vc.outPort = out
+		var learned bool
+		if out, learned = n.qrouteChoose(r, pkt.Dst); learned {
 			vc.qAdaptive = true
 		} else {
-			vc.outPort = n.topo.Route(r.id, pkt.Dst)
+			out = n.topo.Route(r.id, pkt.Dst)
 		}
 	} else if n.adaptive {
-		vc.outPort = n.routeAdaptive(r, pkt)
+		out = n.routeAdaptive(r, pkt)
 	} else {
-		vc.outPort = n.topo.Route(r.id, pkt.Dst)
+		out = n.topo.Route(r.id, pkt.Dst)
 	}
-	if vc.outPort == topology.Unreachable {
+	if out == topology.Unreachable {
 		// No surviving path (hard faults). The sweep condemns and purges
 		// such residents; leaving the VC unrouted here is a backstop so a
 		// head can never be granted toward a sentinel port.
-		vc.outPort = topology.Local
+		vc.outPort = uint8(topology.Local)
 		return
 	}
+	vc.outPort = uint8(out)
 	vc.routed = true
 	vc.pkt = pkt
 	r.routeMask[vc.outPort] |= vc.bit()
@@ -1185,7 +1199,7 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	if k := len(pkt.Path); k == 0 || pkt.Path[k-1] != r.id {
 		pkt.Path = append(pkt.Path, r.id)
 	}
-	if vc.outPort == topology.Local {
+	if out == topology.Local {
 		vc.outVC = 0 // ejection needs no VC arbitration
 	} else {
 		r.vaWait |= vc.bit()
@@ -1196,8 +1210,8 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 // output port out; it reports whether a grant was issued.
 func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, idx int) bool {
 	vc := &r.vcs[idx]
-	front := vc.front()
-	if front == nil || !vc.routed || vc.outVC != -1 || vc.outPort != out {
+	front := vc.front(r)
+	if front == nil || !vc.routed || vc.outVC != -1 || vc.out() != out {
 		return false
 	}
 	lo, hi := n.vcRange(front.f.Kind != flit.Data)
@@ -1229,7 +1243,7 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	if grant < 0 {
 		return false
 	}
-	vc.outVC = grant
+	vc.outVC = int8(grant)
 	r.vaWait &^= vc.bit()
 	op.vcBusy[grant] = true
 	n.meter.Arbitration(r.id)
@@ -1262,7 +1276,7 @@ func (n *Network) routeAndAllocate(r *Router) {
 		slot := bits.TrailingZeros64(m)
 		m &^= 1 << uint(slot)
 		vc := &r.vcs[slot]
-		front := vc.front()
+		front := vc.front(r)
 		if front == nil || !front.f.Type.IsHead() {
 			continue
 		}
@@ -1313,7 +1327,7 @@ func (n *Network) routeAndAllocateDense(r *Router) {
 	// RC: compute output port for unrouted heads.
 	for i := range r.vcs {
 		vc := &r.vcs[i]
-		front := vc.front()
+		front := vc.front(r)
 		if front == nil || !front.f.Type.IsHead() {
 			continue
 		}
@@ -1409,14 +1423,14 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 		return false
 	}
 	vc := &r.vcs[idx]
-	front := vc.front()
-	if front == nil || !vc.routed || vc.outVC < 0 || vc.outPort != out || front.ready > n.cycle {
+	front := vc.front(r)
+	if front == nil || !vc.routed || vc.outVC < 0 || vc.out() != out || front.ready > n.cycle {
 		return false
 	}
 	if out != topology.Local && op.credits[vc.outVC] <= 0 {
 		return false
 	}
-	port := r.portOf(idx)
+	port := r.portOf(vc.slot)
 	r.inputUsed |= (uint64(1)<<uint(r.nvc) - 1) << uint(int(port)*r.nvc)
 	r.saRR[out] = idx + 1
 	n.grantAndSend(r, port, vc, op)
@@ -1490,8 +1504,8 @@ func (n *Network) switchAllocateDense(r *Router) {
 // grantAndSend pops the winning flit, traverses the switch and transmits
 // it on the output channel.
 func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC, op *outputPort) {
-	f := vc.pop()
-	outVC := vc.outVC
+	f := vc.pop(r)
+	outVC := int(vc.outVC)
 	n.meter.BufferRead(r.id)
 	n.meter.Arbitration(r.id)
 	n.meter.Crossbar(r.id)
@@ -1515,7 +1529,7 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 		if op.dir != topology.Local && op.vcBusy != nil {
 			op.markPendingFree(outVC)
 		}
-		vc.unroute()
+		vc.unroute(r)
 	}
 
 	if op.dir == topology.Local {

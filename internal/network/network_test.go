@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/stats"
 	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
@@ -244,6 +245,50 @@ func TestMode2PreRetransmits(t *testing.T) {
 	}
 	if s.PacketsDelivered != int64(len(events)) {
 		t.Fatalf("delivered %d of %d", s.PacketsDelivered, len(events))
+	}
+}
+
+// TestMode2DuplicatesDropApart: on a fault-free fabric every Mode 2 copy
+// trails an original that got through, so the sequence screen drops each
+// as mode2-dup and nothing as stale-seq; Mode 1 sends no copies, and on a
+// clean link go-back-N never breaks sequence, so it drops neither. At the
+// screen itself, only a copy of an already accepted sequence number is a
+// mode2-dup: a copy racing ahead of a go-back-N resend, or a resent
+// original, is a sequence break.
+func TestMode2DuplicatesDropApart(t *testing.T) {
+	n := newNet(t, testConfig(0), Mode2, true)
+	r := n.routers[0]
+	p := r.outputs[topology.East]
+	p.expectSeq = 5
+	for _, tc := range []struct {
+		seq    uint64
+		isDup  bool
+		reason stats.DropReason
+	}{{3, true, stats.DropDuplicate}, {7, true, stats.DropStaleSeq}, {3, false, stats.DropStaleSeq}} {
+		before := n.Stats().Drops(tc.reason)
+		n.receiveOnLink(r, p, wireFlit{f: n.fpool.Get(), seq: tc.seq, isDup: tc.isDup})
+		if n.Stats().Drops(tc.reason) != before+1 {
+			t.Errorf("seq %d (dup %v) at expected seq 5: not counted as %s", tc.seq, tc.isDup, tc.reason)
+		}
+	}
+
+	for _, tc := range []struct {
+		mode Mode
+		dups bool
+	}{{Mode2, true}, {Mode1, false}} {
+		n := newNet(t, testConfig(0), tc.mode, true)
+		events, err := traffic.Synthetic(n.Topology(), traffic.Uniform, 0.004, 4, 3000, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !runTrace(t, n, events, 100_000) {
+			t.Fatalf("mode %d: did not drain", tc.mode)
+		}
+		stale, dup := n.Stats().Drops(stats.DropStaleSeq), n.Stats().Drops(stats.DropDuplicate)
+		if stale != 0 || (dup > 0) != tc.dups {
+			t.Errorf("mode %d: stale-seq=%d mode2-dup=%d, want stale-seq 0 and mode2-dup > 0 = %v",
+				tc.mode, stale, dup, tc.dups)
+		}
 	}
 }
 

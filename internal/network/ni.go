@@ -1,12 +1,9 @@
 package network
 
 import (
-	"math/rand"
-
 	"rlnoc/internal/coding"
 	"rlnoc/internal/eventlog"
 	"rlnoc/internal/flit"
-	"rlnoc/internal/snap"
 	"rlnoc/internal/topology"
 )
 
@@ -34,11 +31,6 @@ type NI struct {
 	// reasmFree recycles emptied reassembly buffers so steady-state
 	// packet reception allocates no slices.
 	reasmFree [][]*flit.Flit
-
-	rng *rand.Rand
-	// rngSrc is rng's underlying draw-counting source; checkpoint/restore
-	// replays the draw count to resume the exact payload sequence.
-	rngSrc *snap.CountingSource
 }
 
 // txState tracks a packet being streamed into the local input port.
@@ -50,16 +42,13 @@ type txState struct {
 
 // initNI wires one NI in place. lvb is the caller-provided localVCBusy
 // backing (a slice of a network-wide arena when called from New).
-func initNI(ni *NI, id int, net *Network, seed int64, lvb []bool) {
-	src := snap.NewCountingSource(seed)
+func initNI(ni *NI, id int, net *Network, lvb []bool) {
 	*ni = NI{
 		id:          id,
 		net:         net,
 		localVCBusy: lvb,
 		replay:      make(map[uint64]*flit.Packet),
 		reasm:       make(map[uint64][]*flit.Flit),
-		rng:         rand.New(src),
-		rngSrc:      src,
 	}
 }
 
@@ -144,13 +133,13 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 	}
 	router := ni.net.routers[ni.id]
 	vcBuf := router.vc(topology.Local, cur.vc)
-	if vcBuf.full() {
+	if vcBuf.full(router) {
 		return false
 	}
 	f := ni.makeFlit(cur.pkt, cur.next)
 	f.VC = cur.vc
 	f.HopStart = cycle // first-hop clock for the qroute learning signal
-	vcBuf.push(f, cycle+pipelineFill)
+	vcBuf.push(router, f, cycle+pipelineFill)
 	ni.net.markPipe(ni.id)
 	ni.net.meter.BufferWrite(ni.id)
 	ni.net.meter.CRCCheck(ni.id) // source CRC encode

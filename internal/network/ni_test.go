@@ -30,7 +30,7 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 	}
 	total := 0
 	for v := 0; v < router.nvc; v++ {
-		total += len(router.vc(topology.Local, v).buf)
+		total += int(router.vc(topology.Local, v).n)
 	}
 	if total != 4 {
 		t.Fatalf("injected %d flits, want 4", total)
@@ -44,15 +44,15 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 	// All flits of one packet share a VC, in order.
 	var vcUsed *inputVC
 	for v := 0; v < router.nvc; v++ {
-		if vc := router.vc(topology.Local, v); len(vc.buf) > 0 {
+		if vc := router.vc(topology.Local, v); !vc.empty() {
 			if vcUsed != nil {
 				t.Fatal("packet spread across VCs")
 			}
 			vcUsed = vc
 		}
 	}
-	for i, bf := range vcUsed.buf {
-		if bf.f.Seq != i {
+	for i := 0; i < int(vcUsed.n); i++ {
+		if bf := vcUsed.at(router, i); bf.f.Seq != i {
 			t.Fatalf("flit %d out of order (seq %d)", i, bf.f.Seq)
 		}
 	}
@@ -71,7 +71,7 @@ func TestNIInjectRespectsBufferDepth(t *testing.T) {
 	}
 	total := 0
 	for v := 0; v < n.cfg.VCsPerPort; v++ {
-		total += len(n.routers[0].vc(topology.Local, v).buf)
+		total += int(n.routers[0].vc(topology.Local, v).n)
 	}
 	if total != 2 {
 		t.Fatalf("buffered %d flits with depth 2", total)

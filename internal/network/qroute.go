@@ -198,24 +198,25 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 		return
 	}
 	vc.qWait++
-	if vc.qWait < n.qr.escTimeout {
+	if int64(vc.qWait) < n.qr.escTimeout {
 		return
 	}
 	vc.qAdaptive = false
 	vc.qWait = 0
 	n.qr.escapes[r.id]++
 	r.routeMask[vc.outPort] &^= vc.bit()
-	vc.outPort = n.topo.Route(r.id, vc.pkt.Dst)
-	if vc.outPort == topology.Unreachable {
+	out := n.topo.Route(r.id, vc.pkt.Dst)
+	if out == topology.Unreachable {
 		// Cannot happen while the permitted mask was non-empty (a
 		// productive port implies a surviving path), but mirror
 		// routeCompute's backstop: leave the head unrouted rather than
 		// granted toward a sentinel.
-		vc.outPort = topology.Local
+		vc.outPort = uint8(topology.Local)
 		vc.routed = false
 		r.vaWait &^= vc.bit()
 		return
 	}
+	vc.outPort = uint8(out)
 	r.routeMask[vc.outPort] |= vc.bit()
 }
 

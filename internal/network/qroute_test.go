@@ -234,15 +234,15 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	}
 	// Stage a routed adaptive head at the VC front the way RC leaves it.
 	head := n.nis[5].makeFlit(pkt, 0)
-	vc.push(head, 0)
+	vc.push(r, head, 0)
 	vc.routed = true
 	vc.pkt = pkt
-	vc.outPort = topology.East
+	vc.outPort = uint8(topology.East)
 	vc.qAdaptive = true
-	if !n.vaTryGrant(r, op, topology.East, vc.slot) {
+	if !n.vaTryGrant(r, op, topology.East, int(vc.slot)) {
 		t.Fatal("adaptive head got no grant on an idle port")
 	}
-	if lo := n.dataVCs / 2; vc.outVC < lo || vc.outVC >= n.dataVCs {
+	if lo := n.dataVCs / 2; int(vc.outVC) < lo || int(vc.outVC) >= n.dataVCs {
 		t.Fatalf("adaptive grant VC %d outside adaptive window [%d,%d)", vc.outVC, lo, n.dataVCs)
 	}
 	// Re-stage as an escape (table-routed) head: grant must come from the
@@ -250,10 +250,10 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	op.vcBusy[vc.outVC] = false
 	vc.outVC = -1
 	vc.qAdaptive = false
-	if !n.vaTryGrant(r, op, topology.East, vc.slot) {
+	if !n.vaTryGrant(r, op, topology.East, int(vc.slot)) {
 		t.Fatal("escape head got no grant on an idle port")
 	}
-	if vc.outVC < 0 || vc.outVC >= n.dataVCs/2 {
+	if vc.outVC < 0 || int(vc.outVC) >= n.dataVCs/2 {
 		t.Fatalf("escape grant VC %d outside escape window [0,%d)", vc.outVC, n.dataVCs/2)
 	}
 	_ = flit.Data // keep the import honest if assertions above change

@@ -215,7 +215,7 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			}
 			op := r.outputs[topology.East]
 			vc := r.vc(topology.West, 0)
-			vc.routed, vc.outPort, vc.outVC = true, topology.East, outVC
+			vc.routed, vc.outPort, vc.outVC = true, uint8(topology.East), outVC
 			vc.pkt = n.buildPacket(flit.Data, 4, 7, cfg.FlitsPerPacket, n.Cycle(), 0)
 			r.routeMask[topology.East] |= vc.bit()
 			op.vcBusy[outVC] = true

@@ -18,48 +18,71 @@ type bufFlit struct {
 // inputVC is one virtual-channel FIFO on an input port. Because a
 // downstream VC is only reallocated after the previous packet fully
 // drains, a VC holds flits of at most one packet at a time.
+//
+// The struct is the VC's control word, 24 bytes (TestInputVCLayout): its
+// flits live in the owning router's bufFlit slab, a ring of depth entries
+// at slot*depth, so a VC holds no slice header, capacity or owner pointer,
+// and every method that touches the buffer takes the router. Each field
+// has the narrowest type config.Validate's ceilings allow: at most 60
+// slots (5 ports x 12 VCs) and 64 flits of depth fit a byte, an output
+// VC index (-1 until VC allocation succeeds) fits an int8, and the escape
+// timeout qWait counts to fits 16 bits.
 type inputVC struct {
-	buf []bufFlit
-	cap int
-
-	// owner is the router holding this VC; push and pop keep the owner's
-	// occupancy mask bit for slot in sync with the buffer.
-	owner *Router
-	// slot is this VC's index in the router's occupancy mask and in the
-	// VA/SA round-robin numbering: port*vcsPerPort + vcIndex.
-	slot int
-
-	// Route state for the resident packet.
-	routed  bool
-	outPort topology.Direction
-	outVC   int // -1 until VC allocation succeeds
-
 	// pkt identifies the resident packet even when the buffer is
 	// momentarily empty (flits forwarded, tail still upstream). The
 	// hard-fault sweep needs that identity: a kill can strand a VC in
-	// exactly that state, with nothing left in buf to name the owner.
+	// exactly that state, with nothing left in the buffer to name it.
 	pkt *flit.Packet
 
-	// Q-routing (qroute scheme) only. qAdaptive marks the resident route
-	// as learned — VC allocation must serve it from the adaptive (upper)
-	// data-VC sub-range — and qWait counts cycles the routed head has sat
-	// without a VC grant before escalating onto the escape class.
+	// Q-routing (qroute scheme) only: qWait counts cycles the routed head
+	// has sat without a VC grant before escalating onto the escape class.
+	qWait uint16
+
+	// head is the ring index of the front flit, n the number buffered.
+	head, n uint8
+
+	// slot is this VC's index in the router's occupancy mask and in the
+	// VA/SA round-robin numbering: port*vcsPerPort + vcIndex.
+	slot uint8
+
+	// Route state for the resident packet: outPort is a
+	// topology.Direction, outVC -1 until VC allocation succeeds.
+	outPort uint8
+	outVC   int8
+	routed  bool
+	// qAdaptive (qroute only) marks the resident route as learned: VC
+	// allocation must serve it from the adaptive (upper) data-VC
+	// sub-range.
 	qAdaptive bool
-	qWait     int64
 }
 
-func (vc *inputVC) empty() bool { return len(vc.buf) == 0 }
-func (vc *inputVC) full() bool  { return len(vc.buf) >= vc.cap }
+func (vc *inputVC) empty() bool { return vc.n == 0 }
 
-// bit is this VC's bit in the owner's occupancy and request masks.
-func (vc *inputVC) bit() uint64 { return 1 << uint(vc.slot) }
+// out returns the output port the resident packet is routed to.
+func (vc *inputVC) out() topology.Direction { return topology.Direction(vc.outPort) }
+
+// bit is this VC's bit in the router's occupancy and request masks.
+func (vc *inputVC) bit() uint64 { return 1 << vc.slot }
+
+// full reports whether vc, one of r's input VCs, holds depth flits.
+func (vc *inputVC) full(r *Router) bool { return int(vc.n) >= r.depth }
+
+// at returns the k-th buffered flit of vc (k < vc.n), front first: ring
+// position head+k, wrapped, of the VC's depth entries in r's slab.
+func (vc *inputVC) at(r *Router, k int) *bufFlit {
+	i := int(vc.head) + k
+	if i >= r.depth {
+		i -= r.depth
+	}
+	return &r.bufs[int(vc.slot)*r.depth+i]
+}
 
 // unroute clears the resident packet's route state (its tail has left,
-// or a hard fault purged it) together with the owner's request-mask bits.
-func (vc *inputVC) unroute() {
+// or a hard fault purged it) together with r's request-mask bits.
+func (vc *inputVC) unroute(r *Router) {
 	if vc.routed {
-		vc.owner.routeMask[vc.outPort] &^= vc.bit()
-		vc.owner.vaWait &^= vc.bit()
+		r.routeMask[vc.outPort] &^= vc.bit()
+		r.vaWait &^= vc.bit()
 	}
 	vc.routed = false
 	vc.outVC = -1
@@ -68,28 +91,34 @@ func (vc *inputVC) unroute() {
 	vc.qWait = 0
 }
 
-func (vc *inputVC) push(f *flit.Flit, ready int64) {
-	vc.buf = append(vc.buf, bufFlit{f: f, ready: ready})
-	vc.owner.occMask |= vc.bit()
+// push appends a flit at the back of the ring and sets the VC's bit in
+// r's occupancy mask. Every caller checks full first.
+func (vc *inputVC) push(r *Router, f *flit.Flit, ready int64) {
+	*vc.at(r, int(vc.n)) = bufFlit{f: f, ready: ready}
+	vc.n++
+	r.occMask |= vc.bit()
 }
 
-func (vc *inputVC) front() *bufFlit {
-	if len(vc.buf) == 0 {
+func (vc *inputVC) front(r *Router) *bufFlit {
+	if vc.n == 0 {
 		return nil
 	}
-	return &vc.buf[0]
+	return vc.at(r, 0)
 }
 
-// pop removes and returns the front flit, compacting in place so the
-// buffer's backing array (sized to the VC depth at construction) is
-// reused for the lifetime of the router.
-func (vc *inputVC) pop() *flit.Flit {
-	f := vc.buf[0].f
-	m := copy(vc.buf, vc.buf[1:])
-	vc.buf[m] = bufFlit{}
-	vc.buf = vc.buf[:m]
-	if m == 0 {
-		vc.owner.occMask &^= vc.bit()
+// pop removes and returns the front flit: the ring head advances, and
+// nothing is copied.
+func (vc *inputVC) pop(r *Router) *flit.Flit {
+	b := vc.at(r, 0)
+	f := b.f
+	*b = bufFlit{}
+	vc.head++
+	if int(vc.head) == r.depth {
+		vc.head = 0
+	}
+	vc.n--
+	if vc.n == 0 {
+		r.occMask &^= vc.bit()
 	}
 	return f
 }
@@ -348,9 +377,12 @@ type Router struct {
 	up [topology.NumPorts]*outputPort
 
 	// vcs is the router's input VCs in slot order (port-major), nvc per
-	// port: slot = port*nvc + vc.
-	vcs []inputVC
-	nvc int
+	// port: slot = port*nvc + vc. bufs holds their flits, depth entries
+	// per VC in slot order (inputVC.ring).
+	vcs   []inputVC
+	nvc   int
+	bufs  []bufFlit
+	depth int
 
 	// Window counters for controller features.
 	winFlitsIn   int64
@@ -369,17 +401,15 @@ func newRouter(id int, vcs, vcDepth int) *Router {
 
 // initRouter wires one router over caller-provided backing slabs
 // (DESIGN.md §14): vcSlab holds its NumPorts x vcs inputVC structs,
-// bufSlab the flit-buffer storage (vcDepth entries per VC). The buffer
-// slices are three-index (cap pinned to the slot) and cannot bleed into a
-// neighbor's slot: every push site checks full() first, so append never
-// grows past cap.
+// bufSlab the flit-buffer storage (vcDepth entries per VC). A VC's ring
+// is the depth entries at slot*vcDepth and cannot bleed into a
+// neighbor's: every push site checks full first.
 func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, bufSlab []bufFlit) {
 	r.id = id
 	r.vcs, r.nvc = vcSlab, vcs
+	r.bufs, r.depth = bufSlab, vcDepth
 	for slot := range vcSlab {
-		bo := slot * vcDepth
-		vcSlab[slot] = inputVC{buf: bufSlab[bo : bo : bo+vcDepth], cap: vcDepth,
-			owner: r, slot: slot, outVC: -1}
+		vcSlab[slot] = inputVC{slot: uint8(slot), outVC: -1}
 	}
 }
 
@@ -387,7 +417,7 @@ func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, bufSlab []buf
 func (r *Router) vc(port topology.Direction, v int) *inputVC { return &r.vcs[int(port)*r.nvc+v] }
 
 // portOf returns the input port a VC slot belongs to.
-func (r *Router) portOf(slot int) topology.Direction { return topology.Direction(slot / r.nvc) }
+func (r *Router) portOf(slot uint8) topology.Direction { return topology.Direction(int(slot) / r.nvc) }
 
 // requestMasks recomputes routeMask and vaWait from the VC route fields:
 // the restore path installs the result, the invariant census compares it

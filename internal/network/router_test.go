@@ -9,30 +9,44 @@ import (
 )
 
 func TestInputVCFIFO(t *testing.T) {
-	vc := &inputVC{cap: 2, owner: &Router{}, outVC: -1}
-	if !vc.empty() || vc.full() {
+	r := newRouter(0, 2, 2)
+	vc := r.vc(topology.North, 1)
+	if !vc.empty() || vc.full(r) {
 		t.Fatal("fresh VC state wrong")
 	}
 	p := &flit.Packet{}
-	p.SetNumFlits(2)
+	p.SetNumFlits(3)
 	f1 := &flit.Flit{Packet: p, Seq: 0, Type: flit.Head}
-	f2 := &flit.Flit{Packet: p, Seq: 1, Type: flit.Tail}
-	vc.push(f1, 10)
-	vc.push(f2, 11)
-	if !vc.full() {
-		t.Fatal("VC should be full at cap 2")
+	f2 := &flit.Flit{Packet: p, Seq: 1, Type: flit.Body}
+	f3 := &flit.Flit{Packet: p, Seq: 2, Type: flit.Tail}
+	vc.push(r, f1, 10)
+	vc.push(r, f2, 11)
+	if !vc.full(r) {
+		t.Fatal("VC should be full at depth 2")
 	}
-	if front := vc.front(); front == nil || front.f != f1 || front.ready != 10 {
+	if r.occMask != vc.bit() {
+		t.Fatalf("occMask = %#x, want only the VC's bit %#x", r.occMask, vc.bit())
+	}
+	if front := vc.front(r); front == nil || front.f != f1 || front.ready != 10 {
 		t.Fatal("front wrong")
 	}
-	if got := vc.pop(); got != f1 {
+	if got := vc.pop(r); got != f1 {
 		t.Fatal("pop order wrong")
 	}
-	if got := vc.pop(); got != f2 {
-		t.Fatal("pop order wrong")
+	// The ring wraps: f3 takes the slot f1 left.
+	vc.push(r, f3, 12)
+	for _, want := range []*flit.Flit{f2, f3} {
+		if got := vc.pop(r); got != want {
+			t.Fatal("pop order wrong across the ring's wrap")
+		}
 	}
-	if !vc.empty() || vc.front() != nil {
+	if !vc.empty() || vc.front(r) != nil || r.occMask != 0 {
 		t.Fatal("VC should be empty")
+	}
+	for i, b := range r.bufs {
+		if b.f != nil {
+			t.Fatalf("slab entry %d still references a popped flit", i)
+		}
 	}
 }
 
@@ -92,8 +106,8 @@ func TestRouterOccupiedVCs(t *testing.T) {
 	}
 	p := &flit.Packet{}
 	p.SetNumFlits(1)
-	r.vc(topology.North, 2).push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
-	r.vc(topology.Local, 0).push(&flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
+	r.vc(topology.North, 2).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
+	r.vc(topology.Local, 0).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
 	if got := r.occupiedVCs(); got != 2 {
 		t.Fatalf("occupiedVCs = %d, want 2", got)
 	}
@@ -119,5 +133,15 @@ func TestOutputPortLayout(t *testing.T) {
 	// bytes into its header.
 	if lenEnd := unsafe.Offsetof(p.credRet) + 16; lenEnd > 2*line {
 		t.Errorf("credRet's length word ends at byte %d, past the second line", lenEnd)
+	}
+}
+
+// TestInputVCLayout pins the VC control word (DESIGN.md §14): a packet
+// reference and a few narrow counters, its flits in the router's slab.
+// An 8x8 fabric at the default 4 VCs holds 1,280 of them per job; the
+// slice-header layout they replaced was 96 bytes each.
+func TestInputVCLayout(t *testing.T) {
+	if size := unsafe.Sizeof(inputVC{}); size > 32 {
+		t.Errorf("inputVC is %d bytes, want at most 32", size)
 	}
 }

@@ -128,8 +128,9 @@ func (n *Network) collectPackets(t *refs[flit.Packet]) {
 func (n *Network) collectFlits(t *refs[flit.Flit]) {
 	for _, r := range n.routers {
 		for v := range r.vcs {
-			for _, b := range r.vcs[v].buf {
-				t.add(b.f)
+			vc := &r.vcs[v]
+			for k := 0; k < int(vc.n); k++ {
+				t.add(vc.at(r, k).f)
 			}
 		}
 		for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
@@ -279,9 +280,9 @@ func (n *Network) Snap(c *snap.Codec) error {
 		}
 	}
 	if c.Decoding() {
-		// Every draw count read so far on this codec — the NIs' above and,
-		// in a core.Sim stream, the controller's (SnapController) before the
-		// NETW section — is only now checked against the decoded cycle
+		// Every draw count read so far on this codec — in a core.Sim
+		// stream, the controller's agents' (SnapController, ahead of the
+		// NETW section) — is only now checked against the decoded cycle
 		// counter. The sources only take the count; each is built and
 		// replayed on its first draw, if the resumed run makes one.
 		c.ReplayDraws(maxDraws(n.cycle))
@@ -294,11 +295,9 @@ func (n *Network) Snap(c *snap.Codec) error {
 }
 
 // maxDraws is the most values one RNG source can have drawn by cycle: an
-// NI draws flit.WordsPerFlit payload words per flit of each packet built
-// at its node, an agent a handful per control epoch. 256 a cycle is 32
-// four-flit packets per node per cycle; the head start admits a burst
-// queued at cycle 0. The clamp keeps a flipped cycle counter from
-// overflowing the product.
+// agent draws a handful per control epoch, so 256 a cycle, after a head
+// start, is far above any honest count. The clamp keeps a flipped cycle
+// counter from overflowing the product.
 func maxDraws(cycle int64) uint64 {
 	return uint64(min(max(cycle, 0), 1<<40)+4096) * 256
 }
@@ -416,6 +415,9 @@ func (w *fabricWalk) flit(c *snap.Codec, fp **flit.Flit) {
 	}
 	c.U16(&f.CRC)
 	c.Int(&f.VC)
+	if c.Decoding() && (f.VC < 0 || f.VC >= w.n.cfg.VCsPerPort) {
+		c.Fail(fmt.Errorf("network: snapshot flit on VC %d of %d", f.VC, w.n.cfg.VCsPerPort))
+	}
 	for i := range f.ECCCheck {
 		c.U8(&f.ECCCheck[i])
 	}
@@ -471,16 +473,7 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	c.I64(&rt.winFlitsIn)
 	c.I64(&rt.winErrEvents)
 	for i := range rt.vcs { // slot order is port-major
-		vc := &rt.vcs[i]
-		snap.Slice(c, &vc.buf, vc.cap, w.bufFlit) // bounded by the VC depth
-		c.Bool(&vc.routed)
-		snap.Enum(c, &vc.outPort)
-		c.Int(&vc.outVC)
-		w.pkts.ref(c, &vc.pkt)
-		c.Bool(&vc.qAdaptive)
-		c.I64(&vc.qWait)
-		if c.Decoding() && vc.routed && vc.outPort >= topology.NumPorts {
-			c.Fail(fmt.Errorf("network: snapshot VC routed to port %d of %d", vc.outPort, topology.NumPorts))
+		if !w.inputVC(c, rt, &rt.vcs[i]) {
 			return
 		}
 	}
@@ -529,6 +522,39 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	}
 }
 
+// inputVC walks one input VC: its ring head and the flits it holds,
+// front first, then the route state. Decoding reports false, the codec
+// failed, on a ring position, route port or output VC the fabric does not
+// have.
+func (w *fabricWalk) inputVC(c *snap.Codec, rt *Router, vc *inputVC) bool {
+	c.U8(&vc.head)
+	c.U8(&vc.n)
+	if c.Decoding() && (int(vc.head) >= rt.depth || int(vc.n) > rt.depth) {
+		c.Fail(fmt.Errorf("network: snapshot VC ring head %d, %d flits, depth %d", vc.head, vc.n, rt.depth))
+		return false
+	}
+	for k := 0; k < int(vc.n); k++ {
+		w.bufFlit(c, vc.at(rt, k))
+	}
+	c.Bool(&vc.routed)
+	c.U8(&vc.outPort)
+	outVC := uint8(vc.outVC)
+	c.U8(&outVC)
+	vc.outVC = int8(outVC)
+	w.pkts.ref(c, &vc.pkt)
+	c.Bool(&vc.qAdaptive)
+	c.U16(&vc.qWait)
+	if c.Decoding() {
+		switch {
+		case vc.routed && vc.out() >= topology.NumPorts:
+			c.Fail(fmt.Errorf("network: snapshot VC routed to port %d of %d", vc.outPort, topology.NumPorts))
+		case vc.outVC < -1 || int(vc.outVC) >= rt.nvc:
+			c.Fail(fmt.Errorf("network: snapshot VC holds output VC %d of %d", vc.outVC, rt.nvc))
+		}
+	}
+	return c.Err() == nil
+}
+
 func (w *fabricWalk) txState(c *snap.Codec, tx *txState) {
 	w.pkts.ref(c, &tx.pkt)
 	c.Int(&tx.next)
@@ -536,8 +562,7 @@ func (w *fabricWalk) txState(c *snap.Codec, tx *txState) {
 }
 
 // ni walks one network interface: queues and transmitters as packet
-// references, the replay and reassembly maps in sorted-key order, and
-// the payload RNG's draw count.
+// references, and the replay and reassembly maps in sorted-key order.
 func (w *fabricWalk) ni(c *snap.Codec, ni *NI) {
 	snap.Slice(c, &ni.dataQueue, snap.MaxLen, w.pkts.ref)
 	snap.Slice(c, &ni.ctrlQueue, snap.MaxLen, w.pkts.ref)
@@ -549,5 +574,4 @@ func (w *fabricWalk) ni(c *snap.Codec, ni *NI) {
 		c.U64(id)
 		snap.Slice(c, buf, snap.MaxLen, w.flits.ref)
 	})
-	ni.rngSrc.Snap(c)
 }

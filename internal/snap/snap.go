@@ -39,7 +39,10 @@ const Magic uint32 = 0x534E4C52
 // other version: the format captures unexported simulator state, so
 // cross-version compatibility is explicitly out of scope — a snapshot is
 // resumable by the binary (or a behavior-identical build) that wrote it.
-const Version uint32 = 1
+// Version 2: packets carry keyed payload words (no NI draw counts), input
+// VCs their ring head, the drop counters a mode2-dup reason, and a
+// mid-measure checkpoint only the trace events not yet injected.
+const Version uint32 = 2
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a
@@ -555,8 +558,8 @@ func (c *Codec) Bools(v []bool) {
 }
 
 // CountingSource is a rand.Source64 that counts draws. The simulator's
-// three math/rand consumers (NI payload words, RL agent exploration, the
-// DT training sampler) are seeded deterministically but consume an
+// two math/rand consumers (RL agent exploration, the DT training
+// sampler) are seeded deterministically but consume an
 // unpredictable number of draws; wrapping their sources lets a snapshot
 // record the draw count and a restore replay the source to the same
 // position, reproducing the remaining sequence bit-for-bit.
@@ -568,8 +571,9 @@ func (c *Codec) Bools(v []bool) {
 // The source is lazy: its state is the seed and the logical draw count,
 // and the math/rand source behind them (607 words, as costly to seed as
 // ten thousand draws) is built and replayed to that count on the first
-// draw. A restored simulation has 128 of these and typically draws from
-// few of them, so a fork pays for exactly the streams it uses.
+// draw. A restored 8x8 rl simulation has 64 of these, one per agent, and
+// typically draws from few of them, so a fork pays for exactly the streams
+// it uses.
 type CountingSource struct {
 	src   rand.Source64 // nil until the first draw after a (re)seed or rewind
 	seed  int64

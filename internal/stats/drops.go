@@ -6,11 +6,14 @@ package stats
 // balance: injected = delivered + dropped-with-cause + in-flight.
 type DropReason uint8
 
-// Drop reasons. StaleSeq is the ARQ receive screen discarding a
-// duplicate or out-of-order wire flit (benign: the go-back-N window
-// resends it); the rest are hard-fault casualties.
+// Drop reasons. StaleSeq is the ARQ receive screen discarding a wire
+// flit out of sequence (benign: go-back-N resends it), Duplicate the same
+// screen discarding a Mode 2 pre-retransmitted copy whose original was
+// already accepted (benign by design: the copy only exists in case the
+// original failed); the rest are hard-fault casualties.
 const (
-	DropStaleSeq    DropReason = iota // ARQ duplicate/out-of-order wire flit
+	DropStaleSeq    DropReason = iota // ARQ out-of-sequence wire flit
+	DropDuplicate                     // Mode 2 copy of an already accepted flit
 	DropKilledLink                    // flit in flight on a link at the instant it died
 	DropDeadRouter                    // flit or packet buffered in a router/NI that died
 	DropUnreachable                   // packet declared undeliverable: no surviving route
@@ -18,7 +21,7 @@ const (
 )
 
 var dropReasonNames = [NumDropReasons]string{
-	"stale-seq", "killed-link", "dead-router", "unreachable",
+	"stale-seq", "mode2-dup", "killed-link", "dead-router", "unreachable",
 }
 
 // String returns the reason's kebab-case name.
