@@ -146,15 +146,16 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 		t.Errorf("the restored injector holds %d events for %d pending of a %d-event trace; want the pending ones only",
 			len(in.events), in.remaining, len(events))
 	}
-	// 1.25x the 0.565 MB measured when this budget was set: the 8x8 fabric,
-	// the Q-table rows the run touched, the pending half of the trace and
-	// the codec. Decoding and indexing the whole trace, with 96-byte input
-	// VCs, made it 0.709 MB; seeding all 128 sources of the time,
-	// consulting the controller at cycle 0 and copying the trace into the
-	// injector, 2.21 MB; decoding a dense 0.8 MB table and a fresh 64 KiB
-	// stream buffer, 1.45 MB.
-	if mb > 0.71 {
-		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.71 MB", mb)
+	// 1.25x the 0.555 MB measured when this budget was set: the 8x8 fabric,
+	// the Q-table rows the run touched (streamed as rows), the pending half
+	// of the trace and the codec. Streaming the table in its dense form made
+	// it 0.565 MB; decoding and indexing the whole trace, with 96-byte input
+	// VCs, 0.709 MB; seeding all 128 sources of the time, consulting the
+	// controller at cycle 0 and copying the trace into the injector,
+	// 2.21 MB; decoding a dense 0.8 MB table and a fresh 64 KiB stream
+	// buffer, 1.45 MB.
+	if mb > 0.69 {
+		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.69 MB", mb)
 	}
 	var buf bytes.Buffer
 	if err := restored.WriteSnapshot(&buf); err != nil {

@@ -122,9 +122,12 @@ func ParseScheme(s string) (Scheme, error) {
 // (p <= a few 1e-4) keep a comfortable Mode 0 margin either way.
 const reliabilityWeight = 400
 
+// featureCount is the length of the decision tree's feature vector.
+const featureCount = 6
+
 // featureVector flattens the Table-I features for the decision tree.
-func featureVector(f rl.Features) []float64 {
-	return []float64{
+func featureVector(f rl.Features) [featureCount]float64 {
+	return [featureCount]float64{
 		f.BufferUtilization,
 		f.InputLinkUtil,
 		f.OutputLinkUtil,
@@ -302,14 +305,15 @@ func (c *RLController) Agents() []*rl.Agent { return c.agents }
 // DTController is the supervised baseline. During pre-training it applies
 // random modes from {0,1,2} (Mode 3 suppresses the very errors being
 // labeled) while recording (features -> measured error rate) samples; a
-// call to FinishTraining fits the regression tree, after which the
-// controller runs the frozen threshold policy.
+// call to FinishTraining fits the regression tree and drops the training
+// set, after which the controller runs the frozen threshold policy.
 type DTController struct {
 	collecting bool
 	rng        *rand.Rand
 	src        *snap.CountingSource
-	samples    []dt.Sample
-	prevFeat   [][]float64
+	samples    []dt.Sample // the training set, while collecting
+	prevFeat   [][]float64 // each router's unlabeled features, while collecting
+	fitted     int         // how many samples the tree was fit on
 	policy     *dt.Policy
 	opts       dt.Options
 
@@ -330,21 +334,23 @@ func NewDTController(cfg config.Config, routers int) *DTController {
 
 // Decide implements network.Controller.
 func (c *DTController) Decide(id int, obs network.Observation) network.Mode {
-	x := featureVector(obs.Features)
 	if c.collecting {
+		x := featureVector(obs.Features)
 		if c.prevFeat[id] != nil {
 			c.samples = append(c.samples, dt.Sample{X: c.prevFeat[id], Y: obs.MeasuredErrorRate})
 		}
-		c.prevFeat[id] = x
+		c.prevFeat[id] = x[:]
 		return network.Mode(c.rng.Intn(3)) // explore modes 0..2
 	}
-	m := c.policy.Mode(x)
+	x := featureVector(obs.Features) // not retained, so it stays on the stack
+	m := c.policy.Mode(x[:])
 	c.decideCount[m]++
 	return network.Mode(m)
 }
 
-// FinishTraining fits the tree on the collected samples and freezes the
-// controller. It fails if pre-training produced no samples.
+// FinishTraining fits the tree on the collected samples, drops them and
+// the pending feature vectors, and freezes the controller. It fails if
+// pre-training produced no samples.
 func (c *DTController) FinishTraining() error {
 	if !c.collecting {
 		return nil
@@ -354,6 +360,8 @@ func (c *DTController) FinishTraining() error {
 		return fmt.Errorf("core: DT pre-training: %w", err)
 	}
 	c.policy = &dt.Policy{Tree: tree, Thresholds: dt.DefaultThresholds()}
+	c.fitted = len(c.samples)
+	c.samples, c.prevFeat = nil, nil
 	c.collecting = false
 	return nil
 }
@@ -364,8 +372,14 @@ func (c *DTController) Telemetry() (counts [int(network.NumModes)]int64, meanRew
 	return c.decideCount, meanReward
 }
 
-// Samples returns how many labeled examples were collected.
-func (c *DTController) Samples() int { return len(c.samples) }
+// Samples returns how many labeled examples were collected: so far while
+// collecting, and in all once trained.
+func (c *DTController) Samples() int {
+	if c.collecting {
+		return len(c.samples)
+	}
+	return c.fitted
+}
 
 // Tree returns the trained tree (nil while collecting).
 func (c *DTController) Tree() *dt.Tree {

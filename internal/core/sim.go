@@ -279,27 +279,8 @@ func (s *Sim) Controller() network.Controller { return s.net.Controller() }
 // the DT controller collects its labeled samples, then trains and
 // freezes. The phase ends with a drain.
 func (s *Sim) Pretrain() error {
-	cycles := int64(s.cfg.PretrainCycles)
-	if cycles > 0 {
-		// Every sim of a (fabric, seed, length) replays the same program,
-		// so it comes from the shared, read-only memo (DESIGN.md §19).
-		events, err := traffic.SharedProgram(s.net.Topology(), pretrainSegments,
-			s.cfg.FlitsPerPacket, cycles, s.cfg.Seed*31+900)
-		if err != nil {
-			return err
-		}
-		base := s.net.Cycle()
-		in, err := s.accept(events, base)
-		if err != nil {
-			return err
-		}
-		// Hitting the cap is not an error: pre-training is warm-up, and
-		// under a reactive baseline at a hostile error corner a
-		// retransmission storm may legitimately still be draining; the
-		// leftovers complete during the next phase's warm-up.
-		if _, err := s.drive(in, base+cycles+int64(s.cfg.DrainCycles), nil); err != nil {
-			return err
-		}
+	if err := s.pretrainTraffic(); err != nil {
+		return err
 	}
 	if t, ok := s.Controller().(trainer); ok {
 		if err := t.FinishTraining(); err != nil {
@@ -310,6 +291,33 @@ func (s *Sim) Pretrain() error {
 		f.Freeze()
 	}
 	return nil
+}
+
+// pretrainTraffic runs pre-training's traffic and drain, leaving the
+// controller as the phase left it: still collecting, for the DT.
+func (s *Sim) pretrainTraffic() error {
+	cycles := int64(s.cfg.PretrainCycles)
+	if cycles <= 0 {
+		return nil
+	}
+	// Every sim of a (fabric, seed, length) replays the same program, so
+	// it comes from the shared, read-only memo (DESIGN.md §19).
+	events, err := traffic.SharedProgram(s.net.Topology(), pretrainSegments,
+		s.cfg.FlitsPerPacket, cycles, s.cfg.Seed*31+900)
+	if err != nil {
+		return err
+	}
+	base := s.net.Cycle()
+	in, err := s.accept(events, base)
+	if err != nil {
+		return err
+	}
+	// Hitting the cap is not an error: pre-training is warm-up, and under a
+	// reactive baseline at a hostile error corner a retransmission storm
+	// may legitimately still be draining; the leftovers complete during the
+	// next phase's warm-up.
+	_, err = s.drive(in, base+cycles+int64(s.cfg.DrainCycles), nil)
+	return err
 }
 
 // What a controller may offer beyond network.Controller's Decide. The

@@ -367,10 +367,6 @@ func (c *RLController) Snap(cd *snap.Codec) error {
 	return cd.Err()
 }
 
-// featureCount is the length of every feature vector the DT controller
-// holds.
-var featureCount = len(featureVector(rl.Features{}))
-
 // snapFeatures walks one feature vector: absent (a router not yet
 // observed) or featureCount values.
 func snapFeatures(cd *snap.Codec, x *[]float64) {
@@ -389,20 +385,27 @@ func snapFeatures(cd *snap.Codec, x *[]float64) {
 
 // Snap walks the controller in either of its lives: collecting (the
 // exploration stream's position, the labeled samples so far and each
-// router's pending feature vector) or trained (the tree and the decision
-// counters; the thresholds and training options are constants). Decoding
-// overwrites a freshly constructed controller.
+// router's pending feature vector) or trained (the fitted sample count,
+// the tree and the decision counters; the thresholds and training options
+// are constants). Decoding overwrites a freshly constructed controller.
 func (c *DTController) Snap(cd *snap.Codec) error {
 	cd.Section("DTCT")
 	cd.Bool(&c.collecting)
 	c.src.Snap(cd)
-	snap.Slice(cd, &c.samples, snap.MaxLen, func(cd *snap.Codec, s *dt.Sample) {
-		snapFeatures(cd, &s.X)
-		cd.F64(&s.Y)
-	})
-	cd.LenCheck(len(c.prevFeat))
-	for i := range c.prevFeat {
-		snapFeatures(cd, &c.prevFeat[i])
+	if c.collecting {
+		snap.Slice(cd, &c.samples, snap.MaxLen, func(cd *snap.Codec, s *dt.Sample) {
+			snapFeatures(cd, &s.X)
+			cd.F64(&s.Y)
+		})
+		cd.LenCheck(len(c.prevFeat))
+		for i := range c.prevFeat {
+			snapFeatures(cd, &c.prevFeat[i])
+		}
+	} else {
+		cd.Int(&c.fitted)
+		if cd.Decoding() {
+			c.samples, c.prevFeat = nil, nil
+		}
 	}
 	for i := range c.decideCount {
 		cd.I64(&c.decideCount[i])

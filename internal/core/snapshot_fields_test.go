@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rlnoc/internal/rl"
@@ -175,8 +176,9 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 					t.Errorf("cycle %d: no pending events; the comparison would cover an empty trace", s.Cycle)
 				}
 				d.walk("ms.in.pending", reflect.ValueOf(live), reflect.ValueOf(pendingEvents(restored.ms.in)))
-				if d.compared < 10_000 {
-					t.Errorf("only %d leaf values compared; the walk is not reaching the fabric", d.compared)
+				if d.fabric < fabricLeafFloor {
+					t.Errorf("only %d leaf values compared under the fabric (%d in all); the walk is not reaching it",
+						d.fabric, d.compared)
 				}
 			})
 			if _, err := sim.Measure(events, "fields"); err != nil {
@@ -201,12 +203,23 @@ func pendingEvents(in *injector) []traffic.Event {
 	return out
 }
 
+// fabricPaths are the walk paths under the fabric: routers with their
+// ports and VCs, NIs, and the links and routes of the topology.
+var fabricPaths = []string{"net.routers", "net.nis", "net.topo"}
+
+// fabricLeafFloor is the fewest leaves under fabricPaths any arm compared
+// when the floor was set (qroute: 7,640; rl-per-port 8,380, dt-trained
+// 7,874, dt-collecting 8,061), so a walk that stops reaching the fabric
+// fails however much controller state it still compares.
+const fabricLeafFloor = 7_640
+
 // fieldDiff walks two values of the same type in lockstep.
 type fieldDiff struct {
 	t        *testing.T
 	seen     map[[2]uintptr]bool // pointer pairs already compared (the graph has cycles)
 	listed   map[string]bool     // unsnapshotted entries met
 	compared int
+	fabric   int // leaves compared under fabricPaths
 	reported int
 }
 
@@ -306,6 +319,12 @@ func (d *fieldDiff) table(path string, a, b reflect.Value) {
 
 func (d *fieldDiff) leaf(path string, equal bool, a, b reflect.Value) {
 	d.compared++
+	for _, p := range fabricPaths {
+		if strings.HasPrefix(path, p) {
+			d.fabric++
+			break
+		}
+	}
 	if !equal {
 		d.differ(path, "%v live, %v restored", a, b)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/network"
+	"rlnoc/internal/rl"
 	"rlnoc/internal/snap"
 	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
@@ -266,6 +267,83 @@ func TestSnapshotIdempotent(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesBudget keeps learned state out of a checkpoint
+// unless it exists: a Q-table writes the rows a run touched, not its
+// 10,000 states, and a trained DT controller no training set. Budgets are
+// 1.25x the sizes measured when the table became a row stream (the dense
+// table made the 4x4 mesh rl and qroute checkpoints 833,397 and 842,546
+// bytes, and with a table per router 12,833,653).
+func TestCheckpointBytesBudget(t *testing.T) {
+	for _, arm := range []struct {
+		name     string
+		scheme   Scheme
+		shared   bool
+		measured int
+	}{
+		{"rl", SchemeRL, true, 33_881},
+		{"qroute", SchemeQRoute, true, 42_948},
+		{"rl-table-per-router", SchemeRL, false, 35_821},
+	} {
+		cfg := snapConfig("mesh")
+		cfg.RL.SharedTable = arm.shared
+		sim, err := NewSim(cfg, arm.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Pretrain(); err != nil {
+			t.Fatal(err)
+		}
+		var cp *Checkpoint
+		sim.SetObserver(2000, func(Snapshot) {
+			if cp == nil {
+				if cp, err = sim.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if _, err := sim.Measure(snapTrace(t, cfg), "budget"); err != nil {
+			t.Fatal(err)
+		}
+		if cp == nil {
+			t.Fatalf("%s: run ended before the checkpoint", arm.name)
+		}
+		if budget := arm.measured * 5 / 4; len(cp.stream) > budget {
+			t.Errorf("%s: a mid-measure checkpoint is %d bytes, budget %d", arm.name, len(cp.stream), budget)
+		}
+	}
+
+	// The DT arm at the end of pre-training: still collecting, then
+	// trained. Fitting the tree drops the training set from the stream.
+	cfg := snapConfig("mesh")
+	cfg.RL.StepCycles = 100
+	sim, err := NewSim(cfg, SchemeDT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.pretrainTraffic(); err != nil {
+		t.Fatal(err)
+	}
+	collecting, err := sim.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.Controller().(*DTController)
+	if c.Samples() == 0 {
+		t.Fatal("pre-training collected no samples")
+	}
+	if err := c.FinishTraining(); err != nil {
+		t.Fatal(err)
+	}
+	trained, err := sim.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trained.stream) >= len(collecting.stream) {
+		t.Errorf("a trained DT's pre-train checkpoint is %d bytes, the collecting one %d: the training set is still in it",
+			len(trained.stream), len(collecting.stream))
+	}
+}
+
 // snapshotBytesPins holds, per arm, the SHA-256 over every checkpoint
 // file (ascending cycle, scheme by scheme) of a snapConfig run. The mesh
 // rl+qroute pin was captured from the element-by-element codec before
@@ -283,15 +361,18 @@ func TestSnapshotIdempotent(t *testing.T) {
 // JSON, which lost exactly those two keys. All three were re-captured for
 // format version 2 (snap.Version): packets with keyed payload words and
 // no NI draw counts, input VCs as ring head, count and flits, the
-// mode2-dup drop counter, and only the pending trace events.
+// mode2-dup drop counter, and only the pending trace events. All three
+// were re-captured for format version 3: a Q-table as its touched rows,
+// and a trained DT controller without its training set (the arq-ecc arm
+// moved only by the version word).
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "11bebfe653938f0842cf9860062dd6643f247b15c829aa498e2026ba4043a592"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "b25d2a1e98d2020d26f67165d1487c264a82676a4378e2eb541bdb1ed2a52ffe"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "8b162c160421296add1b85bd63eb40e67c04588ed593131f9f01853a6716c1b1"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "5aecdc5255897dbf6b090ab40f41df89cbb5081b277d7466eef9bba1343b8ae5"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "31eddb2be77bb47cfc19ef42fe658030683ec09a79ede0d35e26087368904e97"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "5cf3c5914fd139115c8d6c1209bcefed5f8dc3022c18263509574c64f0fe7e37"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -393,7 +474,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if !bytes.Equal(orig, buf.Bytes()) {
 			t.Fatalf("round-trip not a fixpoint: %d vs %d bytes", len(orig), len(buf.Bytes()))
 		}
-		restoreMustBeHostileV2(t, orig)
+		restoreMustBeHostileV3(t, orig)
 		if c, ok := restored.Controller().(*DTController); ok {
 			restoreMustBeCorrupt(t, withDTDraws(t, orig, 1<<63))
 			if got := c.Tree() != nil; got != trained {
@@ -437,16 +518,18 @@ func restoreMustBeCorrupt(t *testing.T, data []byte) {
 	}
 }
 
-// firstCheckpoint runs the mesh snapshot config under scheme and returns
-// the bytes of its earliest checkpoint, for the hostile-input tests to
-// patch. A DT arm is measured without pre-training, so its controller is
-// still collecting and draws from its exploration source at every epoch.
+// firstCheckpoint runs the mesh snapshot config under scheme, with a
+// control epoch every 100 cycles, and returns the bytes of its earliest
+// checkpoint, for the hostile-input tests to patch. The epochs fill an rl
+// arm's Q-table with rows. A DT arm is measured without pre-training, so
+// its controller is still collecting and draws from its exploration
+// source at every epoch.
 func firstCheckpoint(t *testing.T, scheme Scheme) []byte {
 	t.Helper()
 	cfg := snapConfig("mesh")
+	cfg.RL.StepCycles = 100
 	dir := t.TempDir()
 	if scheme == SchemeDT {
-		cfg.RL.StepCycles = 100
 		sim, err := NewSim(cfg, scheme)
 		if err != nil {
 			t.Fatal(err)
@@ -517,17 +600,63 @@ func TestRestoreDrawCeilingHoldsAtDecode(t *testing.T) {
 	}
 }
 
-// TestHostileV2FieldsAreCorrupt patches the words format v2 added — the
-// pending-event count, an input VC's ring head and its output VC index —
-// and requires each restore to fail as a corrupt stream, never a panic.
-func TestHostileV2FieldsAreCorrupt(t *testing.T) {
-	restoreMustBeHostileV2(t, firstCheckpoint(t, SchemeRL))
+// TestHostileV3FieldsAreCorrupt patches the words formats 2 and 3 added —
+// the pending-event count, an input VC's ring head and its output VC
+// index, a Q-table's row count and its rows' states — and requires each
+// restore to fail as a corrupt stream, never a panic.
+func TestHostileV3FieldsAreCorrupt(t *testing.T) {
+	data := firstCheckpoint(t, SchemeRL)
+	if _, rows, _ := qtabRows(t, data); rows < 2 {
+		t.Fatalf("the checkpoint's Q-table holds %d rows; the row patches need two", rows)
+	}
+	restoreMustBeHostileV3(t, data)
 }
 
-// restoreMustBeHostileV2 runs TestHostileV2FieldsAreCorrupt's patches on
-// one mid-measure checkpoint.
-func restoreMustBeHostileV2(t *testing.T, data []byte) {
+// qtabRows locates the first Q-table of a checkpoint: the offset of its
+// row count (after the QTAB tag and the DoubleQ byte), the count, and the
+// bytes of one row — a state index and the words of q, q2 under Double Q,
+// visits and rsum. off is -1 when the checkpoint holds no Q-table.
+func qtabRows(t *testing.T, data []byte) (off, rows, rowBytes int) {
 	t.Helper()
+	tag := bytes.Index(data, []byte("QTAB"))
+	if tag < 0 {
+		return -1, 0, 0
+	}
+	off = tag + 4 + 1
+	rows = int(binary.LittleEndian.Uint32(data[off:]))
+	rowBytes = 2 + 4*8 + 4*4 + 4*8
+	if data[tag+4] == 1 {
+		rowBytes += 4 * 8
+	}
+	if rows > rl.NumStates || rows > 0 && binary.LittleEndian.Uint16(data[off+4:]) >= rl.NumStates {
+		t.Fatalf("offset %d holds %d, not a Q-table's row count", off, rows)
+	}
+	return off, rows, rowBytes
+}
+
+// restoreMustBeHostileV3 runs TestHostileV3FieldsAreCorrupt's patches on
+// one mid-measure checkpoint; the row patches where its Q-table has the
+// rows they patch.
+func restoreMustBeHostileV3(t *testing.T, data []byte) {
+	t.Helper()
+	if off, rows, rowBytes := qtabRows(t, data); off >= 0 {
+		for _, count := range []uint32{rl.NumStates + 1, 0xffffffff} {
+			bad := bytes.Clone(data)
+			binary.LittleEndian.PutUint32(bad[off:], count)
+			restoreMustBeCorrupt(t, bad)
+		}
+		first, second := off+4, off+4+rowBytes
+		if rows >= 1 {
+			bad := bytes.Clone(data)
+			binary.LittleEndian.PutUint16(bad[first:], rl.NumStates)
+			restoreMustBeCorrupt(t, bad)
+		}
+		if rows >= 2 {
+			bad := bytes.Clone(data)
+			copy(bad[second:second+2], data[first:first+2])
+			restoreMustBeCorrupt(t, bad)
+		}
+	}
 	// MEAS tag, the has-measure byte, the length-prefixed label, the
 	// length-prefixed events, then the pending count.
 	off := bytes.Index(data, []byte("MEAS")) + 4 + 1

@@ -7,8 +7,8 @@
 //
 // The Q-table is sparse (Table): a run visits tens to a few hundred of the
 // 10 000 states, so a table holds rows only for the states an update has
-// touched, and untouched states read as zero. Snapshots still carry the
-// dense 10 000 x 4 form (DESIGN.md §15).
+// touched, and untouched states read as zero. Snapshots carry those rows
+// and nothing for the untouched states (DESIGN.md §15).
 package rl
 
 import (

@@ -11,7 +11,6 @@ package rl
 
 import (
 	"fmt"
-	"math"
 
 	"rlnoc/internal/snap"
 )
@@ -25,59 +24,54 @@ func (a *Agent) SharesTableWith(b *Agent) bool { return a.t == b.t }
 // Shared-table groups call this once per group.
 func (a *Agent) SnapTable(c *snap.Codec) { a.t.snap(c) }
 
-// snapChunk is how many states one codec transfer moves: 512 words, the
-// codec's 4 KiB chunk.
-const snapChunk = 128
-
-// snap walks the table in its dense form, each field a length-prefixed
-// NumStates x NumActions row-major vector, untouched states as zeros: the
-// stream a dense table writes. A decode appends a row only for a state
-// some word of which has non-zero bits (a stored -0.0 included), so a
-// restored table is as sparse as the run it came from.
+// snap walks the table as its rows: the DoubleQ flag, the row count,
+// then for each touched state in ascending order its index and the raw
+// words of q, q2 (under Double Q), visits and rsum. A decode starts from
+// an empty table and appends exactly the stream's rows, so a restored
+// table re-encodes to the same bytes. A count above NumStates, a state
+// out of range or a state that does not ascend is corrupt.
 func (t *Table) snap(c *snap.Codec) {
 	c.Section("QTAB")
-	snapField(t, c, c.RawF64s, func(r *row) *[NumActions]float64 { return &r.q })
 	hasQ2 := t.doubleQ
 	c.Bool(&hasQ2)
 	if c.Err() == nil && hasQ2 != t.doubleQ {
 		c.Fail(fmt.Errorf("rl: snapshot DoubleQ=%v, this run DoubleQ=%v (config mismatch)",
 			hasQ2, t.doubleQ))
 	}
-	if hasQ2 {
-		snapField(t, c, c.RawF64s, func(r *row) *[NumActions]float64 { return &r.q2 })
+	n := len(t.rows) - 1
+	c.Len(&n)
+	if c.Err() == nil && n > NumStates {
+		c.Fail(fmt.Errorf("rl: %d table rows, there are %d states", n, NumStates))
 	}
-	snapField(t, c, c.RawU32s, func(r *row) *[NumActions]uint32 { return &r.visits })
-	snapField(t, c, c.RawF64s, func(r *row) *[NumActions]float64 { return &r.rsum })
-}
-
-// snapField walks one field of every state (see snap), a chunk of states
-// per raw transfer.
-func snapField[T float64 | uint32](t *Table, c *snap.Codec, raw func([]T), field func(*row) *[NumActions]T) {
-	c.LenCheck(NumStates * NumActions)
-	var run [snapChunk * NumActions]T
-	for lo := 0; lo < NumStates && c.Err() == nil; lo += snapChunk {
-		n := min(snapChunk, NumStates-lo)
-		for s := 0; s < n && !c.Decoding(); s++ {
-			copy(run[s*NumActions:], field(t.read(lo + s))[:])
+	if c.Decoding() {
+		clear(t.index[:])
+		t.rows = t.rows[:1]
+	}
+	next := 0 // the lowest state the next row may hold
+	for range n {
+		if c.Err() != nil {
+			return
 		}
-		raw(run[:n*NumActions])
-		for s := 0; s < n && c.Decoding(); s++ {
-			if v := [NumActions]T(run[s*NumActions:]); t.index[lo+s] != 0 || nonZero(v) {
-				*field(t.write(lo + s)) = v
+		if !c.Decoding() {
+			for t.index[next] == 0 {
+				next++
 			}
 		}
-	}
-}
-
-// nonZero reports whether any of v's words has a bit set: -0.0 counts,
-// so a decode keeps it instead of reading back +0.0.
-func nonZero[T float64 | uint32](v [NumActions]T) bool {
-	for _, x := range v {
-		if math.Float64bits(float64(x)) != 0 {
-			return true
+		s := uint16(next)
+		c.U16(&s)
+		if c.Decoding() && c.Err() == nil && (int(s) < next || int(s) >= NumStates) {
+			c.Fail(fmt.Errorf("rl: table row for state %d, want one in [%d, %d)", s, next, NumStates))
+			return
 		}
+		next = int(s) + 1
+		r := t.write(int(s)) // appends when decoding; the existing row when encoding
+		c.RawF64s(r.q[:])
+		if t.doubleQ {
+			c.RawF64s(r.q2[:])
+		}
+		c.RawU32s(r.visits[:])
+		c.RawF64s(r.rsum[:])
 	}
-	return false
 }
 
 // SnapLocal walks the per-agent state outside the shared tables.

@@ -73,27 +73,37 @@ func (d *denseAgent) step(s State, reward float64) int {
 	return action
 }
 
-// holds reports whether state s has a word with a bit set.
-func (d *denseAgent) holds(s int) bool {
-	for _, f := range [][]float64{d.q, d.q2, d.rsum} {
-		if f != nil && nonZero([NumActions]float64(f[s*NumActions:])) {
-			return true
-		}
-	}
+// visited reports whether state s has a non-zero visit count: every
+// update increments one, so these are the states a table holds rows for.
+func (d *denseAgent) visited(s int) bool {
 	return [NumActions]uint32(d.visits[s*NumActions:]) != [NumActions]uint32{}
 }
 
-// snapTable writes the dense stream: the format Table.snap must keep.
+// snapTable writes the row stream from the dense layout: the format
+// Table.snap must write. A row for each visited state, in ascending order.
 func (d *denseAgent) snapTable(c *snap.Codec) {
 	c.Section("QTAB")
-	c.F64s(d.q)
 	hasQ2 := d.q2 != nil
 	c.Bool(&hasQ2)
-	if hasQ2 {
-		c.F64s(d.q2)
+	var states []int
+	for s := range NumStates {
+		if d.visited(s) {
+			states = append(states, s)
+		}
 	}
-	c.U32s(d.visits)
-	c.F64s(d.rsum)
+	n := len(states)
+	c.Len(&n)
+	for _, s := range states {
+		idx := uint16(s)
+		c.U16(&idx)
+		lo, hi := s*NumActions, (s+1)*NumActions
+		c.RawF64s(d.q[lo:hi])
+		if hasQ2 {
+			c.RawF64s(d.q2[lo:hi])
+		}
+		c.RawU32s(d.visits[lo:hi])
+		c.RawF64s(d.rsum[lo:hi])
+	}
 }
 
 // newDenseAgents builds n dense agents with NewSharedAgents' seeds, one
@@ -128,7 +138,7 @@ const (
 // on the first difference in an action, a Q-value's bits, SampleStats or
 // Updates, then on any difference in the table streams. Each sparse
 // stream must decode into a fresh table that re-encodes to the same bytes
-// with a row for exactly the states holding a non-zero word.
+// with a row for exactly the visited states.
 func checkAgainstDense(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -151,12 +161,14 @@ func checkAgainstDense(t *testing.T, data []byte) {
 	rewards := []float64{0, 1, -0.5, 0.25, 3, -2, 0.1, 1e-3}
 	if sw&swNegZero != 0 {
 		// A -0.0 in the table survives the TD update only where every term
-		// is -0.0, so seed the first state's row with one as well.
+		// is -0.0, so seed the first state's row with one as well, and a
+		// visit, as an update would.
 		rewards[0] = negZero
 		for i := range sparse {
 			if i == 0 || !shared {
-				sparse[i].t.write(0).q[0] = negZero
-				dense[i].q[0] = negZero
+				r := sparse[i].t.write(0)
+				r.q[0], r.visits[0] = negZero, 1
+				dense[i].q[0], dense[i].visits[0] = negZero, 1
 			}
 		}
 	}
@@ -210,8 +222,7 @@ func checkAgainstDense(t *testing.T, data []byte) {
 		if !bytes.Equal(stream, encode(dense[i].snapTable)) {
 			t.Fatalf("agent %d: sparse table stream differs from the dense one", i)
 		}
-		// A decode into a table that already holds rows must overwrite them,
-		// zeros included.
+		// A decode into a table that already holds rows must drop them.
 		fresh, used := NewAgent(cfg, 1), NewAgent(cfg, 2)
 		for k := range 600 {
 			used.Step(State{Buf: uint8(k % BufBins), OutNACK: uint8(k % NACKBins), Temp: uint8(k % TempBins)}, 7)
@@ -228,12 +239,14 @@ func checkAgainstDense(t *testing.T, data []byte) {
 		}
 		live := 0
 		for s := range NumStates {
-			if dense[i].holds(s) {
+			if dense[i].visited(s) {
 				live++
 			}
 		}
-		if rows := len(fresh.t.rows) - 1; rows != live {
-			t.Fatalf("agent %d: decode built %d rows for %d states holding data", i, rows, live)
+		for _, a := range []*Agent{fresh, used} {
+			if rows := len(a.t.rows) - 1; rows != live {
+				t.Fatalf("agent %d: decode built %d rows for %d visited states", i, rows, live)
+			}
 		}
 	}
 }
@@ -286,4 +299,53 @@ func TestTableGrowsOnlyOnUpdate(t *testing.T) {
 	if a.t.rows[0] != (row{}) {
 		t.Fatal("the shared zero row was written")
 	}
+}
+
+// FuzzTableStream: arbitrary bytes after a QTAB tag either fail as a
+// corrupt stream or decode into a table that re-encodes to exactly the
+// bytes the decode consumed — and never panic.
+func FuzzTableStream(f *testing.F) {
+	for sw := range 4 {
+		cfg := config.Default().RL
+		cfg.DoubleQ = sw&1 != 0
+		a := NewAgent(cfg, int64(sw))
+		for k := range 6 + 3*sw {
+			a.Step(State{Buf: uint8(k % BufBins), InNACK: uint8(k % NACKBins), Temp: uint8(k / 7 % TempBins)}, float64(k%5)-2)
+		}
+		var buf bytes.Buffer
+		c := snap.NewEncoder(&buf)
+		a.SnapTable(c)
+		if err := c.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(cfg.DoubleQ, buf.Bytes()[4:])
+		if sw == 0 {
+			f.Add(false, []byte{0, 1, 0, 0, 0})
+			f.Add(true, []byte{1, 2, 0, 0, 0, 9, 0, 9, 0})
+		}
+	}
+	f.Fuzz(func(t *testing.T, doubleQ bool, body []byte) {
+		stream := append([]byte("QTAB"), body...)
+		tbl := newTable(doubleQ)
+		c := snap.NewDecoder(bytes.NewReader(stream))
+		tbl.snap(c)
+		if err := c.Err(); err != nil {
+			if !snap.IsCorrupt(err) {
+				t.Fatalf("err = %v, want a snap.CorruptError", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		enc := snap.NewEncoder(&out)
+		tbl.snap(enc)
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(stream, out.Bytes()) {
+			t.Fatalf("the decoded table re-encodes to %d bytes that are not the %d-byte stream's prefix", out.Len(), len(stream))
+		}
+		if rows := len(tbl.rows) - 1; tbl.rows[0] != (row{}) || rows > NumStates {
+			t.Fatalf("decode left %d rows, row 0 = %+v", rows, tbl.rows[0])
+		}
+	})
 }

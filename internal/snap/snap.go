@@ -42,7 +42,9 @@ const Magic uint32 = 0x534E4C52
 // Version 2: packets carry keyed payload words (no NI draw counts), input
 // VCs their ring head, the drop counters a mode2-dup reason, and a
 // mid-measure checkpoint only the trace events not yet injected.
-const Version uint32 = 2
+// Version 3: a Q-table carries only its touched rows, and a trained DT
+// controller no training set.
+const Version uint32 = 3
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a
@@ -248,7 +250,8 @@ func (c *Codec) U8(v *uint8) {
 	}
 }
 
-// Bool walks a bool as one byte.
+// Bool walks a bool as one byte, 0 or 1; a decoded byte of any other
+// value is corrupt, so every stream a decode accepts re-encodes to itself.
 func (c *Codec) Bool(v *bool) {
 	var b uint8
 	if *v {
@@ -256,7 +259,10 @@ func (c *Codec) Bool(v *bool) {
 	}
 	c.U8(&b)
 	if c.Decoding() {
-		*v = b != 0
+		if b > 1 {
+			c.Fail(fmt.Errorf("snap: bool byte %#x", b))
+		}
+		*v = b == 1
 	}
 }
 
@@ -507,7 +513,7 @@ func (c *Codec) F64s(v []float64) {
 }
 
 // RawF64s walks v with no length prefix, for vectors the caller frames
-// itself (a sparse table streamed as its dense form, a run at a time).
+// itself (the words of one Q-table row).
 func (c *Codec) RawF64s(v []float64) {
 	for len(v) > 0 && c.err == nil {
 		n := min(len(v), chunkBytes/8)

@@ -190,6 +190,25 @@ func TestHeaderRejects(t *testing.T) {
 	}
 }
 
+// TestBoolByteIsCanonical: a bool decodes from 0 or 1, and any other
+// byte is corrupt, so a stream a decode accepts re-encodes to itself.
+func TestBoolByteIsCanonical(t *testing.T) {
+	for b, want := range map[byte]bool{0: false, 1: true} {
+		v := !want
+		dec := NewDecoder(bytes.NewReader([]byte{b}))
+		if dec.Bool(&v); dec.Err() != nil || v != want {
+			t.Errorf("byte %d decoded to %v, err %v", b, v, dec.Err())
+		}
+	}
+	for _, b := range []byte{2, 0xff} {
+		var v bool
+		dec := NewDecoder(bytes.NewReader([]byte{b}))
+		if dec.Bool(&v); !IsCorrupt(dec.Err()) {
+			t.Errorf("bool byte %#x: err %v, want a CorruptError", b, dec.Err())
+		}
+	}
+}
+
 // TestLenCheckMismatch checks the structural-length guard fires when a
 // snapshot from a differently sized configuration is read back.
 func TestLenCheckMismatch(t *testing.T) {
