@@ -66,6 +66,10 @@ func TestRun(t *testing.T) {
 		// Step is sequential; there is no shard count to pick.
 		{name: "removed step-workers flag", args: []string{"-small", "-step" + "-workers", "2"},
 			wantErr: "flag provided but not defined"},
+		// The table's dimension order is the only routing choice; a
+		// removed algorithm's name is refused, never run on XY tables.
+		{name: "removed routing value", args: []string{"-small", "-routing", "west" + "first"},
+			wantErr: `unknown routing "west` + `first"`},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
 		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},

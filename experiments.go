@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"rlnoc/internal/campaign"
-	"rlnoc/internal/config"
 	"rlnoc/internal/network"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
@@ -423,11 +422,7 @@ func TableII(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table II: simulation parameters")
 	fmt.Fprintf(&b, "cores / routers     %d (%dx%d 2D %s)\n", cfg.Routers(), cfg.Width, cfg.Height, cfg.TopologyKind())
-	if cfg.Routing == config.RoutingWestFirst {
-		fmt.Fprintln(&b, "routing             adaptive (west-first turn model)")
-	} else {
-		fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
-	}
+	fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
 	fmt.Fprintf(&b, "router pipeline     %d stages, %d VCs/port, %d flits/VC\n",
 		network.PipelineStages, cfg.VCsPerPort, cfg.VCDepth)
 	fmt.Fprintf(&b, "packet              %d bits/flit, %d flits\n", cfg.FlitBits, cfg.FlitsPerPacket)

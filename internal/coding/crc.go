@@ -1,8 +1,8 @@
 // Package coding implements the error-control codes used by the
-// fault-tolerant NoC: table-driven cyclic redundancy checks (CRC-8,
-// CRC-16/CCITT, CRC-32/IEEE) for end-to-end error detection at the network
-// interfaces, and an extended Hamming(72,64) SECDED code (single-error
-// correcting, double-error detecting) for the per-link ARQ+ECC protection.
+// fault-tolerant NoC: a table-driven CRC-16/CCITT for end-to-end error
+// detection at the network interfaces, and an extended Hamming(72,64)
+// SECDED code (single-error correcting, double-error detecting) for the
+// per-link ARQ+ECC protection.
 //
 // These are real bit-level implementations: the simulator flips actual
 // payload bits when injecting timing errors, and these codes detect or
@@ -11,88 +11,37 @@ package coding
 
 import "encoding/binary"
 
-// CRC8Poly is the CRC-8 generator polynomial x^8+x^2+x+1 (0x07, MSB-first).
-const CRC8Poly = 0x07
-
 // CRC16Poly is the CRC-16/CCITT generator polynomial x^16+x^12+x^5+1
 // (0x1021, MSB-first). CCITT detects all single- and double-bit errors for
 // block lengths below 32767 bits, which covers any flit size this
 // simulator supports.
 const CRC16Poly = 0x1021
 
-// CRC32Poly is the reflected CRC-32/IEEE polynomial (0xEDB88320).
-const CRC32Poly = 0xEDB88320
-
-var (
-	crc8Table  [256]uint8
-	crc16Table [256]uint16
-	crc32Table [256]uint32
-)
+var crc16Table [256]uint16
 
 func init() {
 	for i := 0; i < 256; i++ {
-		// CRC-8, MSB-first.
-		c8 := uint8(i)
+		c := uint16(i) << 8
 		for k := 0; k < 8; k++ {
-			if c8&0x80 != 0 {
-				c8 = c8<<1 ^ CRC8Poly
+			if c&0x8000 != 0 {
+				c = c<<1 ^ CRC16Poly
 			} else {
-				c8 <<= 1
+				c <<= 1
 			}
 		}
-		crc8Table[i] = c8
-
-		// CRC-16/CCITT, MSB-first.
-		c16 := uint16(i) << 8
-		for k := 0; k < 8; k++ {
-			if c16&0x8000 != 0 {
-				c16 = c16<<1 ^ CRC16Poly
-			} else {
-				c16 <<= 1
-			}
-		}
-		crc16Table[i] = c16
-
-		// CRC-32/IEEE, LSB-first (reflected).
-		c32 := uint32(i)
-		for k := 0; k < 8; k++ {
-			if c32&1 != 0 {
-				c32 = c32>>1 ^ CRC32Poly
-			} else {
-				c32 >>= 1
-			}
-		}
-		crc32Table[i] = c32
+		crc16Table[i] = c
 	}
-}
-
-// CRC8 returns the CRC-8 checksum of data with initial value 0.
-func CRC8(data []byte) uint8 {
-	var crc uint8
-	for _, b := range data {
-		crc = crc8Table[crc^b]
-	}
-	return crc
 }
 
 // CRC16 returns the CRC-16/CCITT checksum of data with initial value
-// 0xFFFF (the CCITT-FALSE convention).
+// 0xFFFF (the CCITT-FALSE convention). It is CRC16Words' byte-level
+// reference.
 func CRC16(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
 		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
 	}
 	return crc
-}
-
-// CRC32 returns the CRC-32/IEEE checksum of data (reflected, init and
-// xorout 0xFFFFFFFF, matching hash/crc32's IEEE result).
-func CRC32(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc = crc>>8 ^ crc32Table[byte(crc)^b]
-	}
-	return ^crc
 }
 
 // CRC16Words returns the CRC-16/CCITT checksum over 64-bit payload words

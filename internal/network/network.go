@@ -58,7 +58,6 @@ type Network struct {
 	controller Controller
 	ctrlKind   ControllerKind
 	hasECC     bool
-	adaptive   bool // west-first congestion-aware routing
 	wrapVCs    bool // dateline VC classes active (wraparound fabric)
 	modes      []Mode
 
@@ -176,7 +175,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	if err != nil {
 		return nil, err
 	}
-	adaptive := cfg.Routing == config.RoutingWestFirst
 	n := topo.Nodes()
 	faults, err := fault.New(cfg.Fault, cfg.VoltageV, topo.LinkSlots(), cfg.Seed*31+1)
 	if err != nil {
@@ -198,7 +196,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		stats:         stats.New(n),
 		disc:          rl.DefaultDiscretizer(),
 		controller:    controller,
-		adaptive:      adaptive,
 		wrapVCs:       topo.Wraparound(),
 		ctrlKind:      kind,
 		hasECC:        hasECC,
@@ -231,7 +228,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	// — but the ascending-ID phase walks touch sequential memory instead
 	// of chasing per-router heap islands.
 	// Size fresh packets' route records for this fabric: the longest
-	// minimal route is Width+Height-2 hops, plus slack for adaptive
+	// minimal route is Width+Height-2 hops, plus slack for reroute
 	// detours, so Path never regrows mid-flight even on a 64x64 mesh.
 	net.pktPool.PathHint = cfg.Width + cfg.Height + 8
 	vcs := cfg.VCsPerPort
@@ -1164,25 +1161,21 @@ func (n *Network) releaseVCs(p *outputPort) {
 // unrouted head flit at its front.
 func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	pkt := front.f.Packet
-	vc.qAdaptive = false
 	vc.qWait = 0
+	// Under qroute a data head takes a learned hop over the permitted
+	// (live, strictly-productive) ports. Every other head, and a data
+	// head whose mask is empty, takes the table route (under qroute, on
+	// the escape VC class). Control packets always take the table route:
+	// the retransmission protocol depends on their paths.
 	var out topology.Direction
+	learned := false
 	if n.qr != nil && pkt.Kind == flit.Data && pkt.Dst != r.id {
-		// Learned route over the permitted (live, strictly-productive)
-		// ports; empty mask falls back to the deterministic table route
-		// on the escape VC class. Control packets always take the table
-		// route — the retransmission protocol depends on their paths.
-		var learned bool
-		if out, learned = n.qrouteChoose(r, pkt.Dst); learned {
-			vc.qAdaptive = true
-		} else {
-			out = n.topo.Route(r.id, pkt.Dst)
-		}
-	} else if n.adaptive {
-		out = n.routeAdaptive(r, pkt)
-	} else {
+		out, learned = n.qrouteChoose(r, pkt.Dst)
+	}
+	if !learned {
 		out = n.topo.Route(r.id, pkt.Dst)
 	}
+	vc.qAdaptive = learned
 	if out == topology.Unreachable {
 		// No surviving path (hard faults). The sweep condemns and purges
 		// such residents; leaving the VC unrouted here is a backstop so a
@@ -1195,7 +1188,7 @@ func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
 	vc.pkt = pkt
 	r.routeMask[vc.outPort] |= vc.bit()
 	// Record the head's path for latency attribution (exact even
-	// under adaptive routing).
+	// for learned hops and reroute detours).
 	if k := len(pkt.Path); k == 0 || pkt.Path[k-1] != r.id {
 		pkt.Path = append(pkt.Path, r.id)
 	}
@@ -1353,41 +1346,6 @@ func (n *Network) routeAndAllocateDense(r *Router) {
 			}
 		}
 	}
-}
-
-// routeAdaptive picks among the west-first candidate directions by
-// congestion: most free credits in the packet's VC class wins, with a
-// bonus for an idle link; ties break deterministically.
-func (n *Network) routeAdaptive(r *Router, pkt *flit.Packet) topology.Direction {
-	cands := topology.WestFirstCandidates(n.topo, r.id, pkt.Dst)
-	if len(cands) == 0 {
-		return topology.Local
-	}
-	if len(cands) == 1 {
-		return cands[0]
-	}
-	lo, hi := n.vcRange(pkt.Kind != flit.Data)
-	best, bestScore := cands[0], -1
-	for _, d := range cands {
-		op := r.outputs[d]
-		if !op.hasDownstream() {
-			continue
-		}
-		score := 0
-		for v := lo; v < hi && v < len(op.credits); v++ {
-			score += op.credits[v]
-			if !op.vcBusy[v] {
-				score += 2 // a whole free VC beats residual credits
-			}
-		}
-		if op.linkBusyUntil <= n.cycle {
-			score += 2
-		}
-		if score > bestScore {
-			best, bestScore = d, score
-		}
-	}
-	return best
 }
 
 // saPortReady runs the per-output-port preamble of the SA stage:

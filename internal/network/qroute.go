@@ -279,15 +279,6 @@ func (n *Network) QRouteAgent(id int) *rl.RouteAgent {
 	return n.qr.agents[id]
 }
 
-// QRoutePermittedMask exposes the permitted-action mask (bit p =
-// Direction North+p) for property tests; zero when qroute is off.
-func (n *Network) QRoutePermittedMask(here, dst int) uint8 {
-	if n.qr == nil {
-		return 0
-	}
-	return n.qroutePermittedMask(here, dst)
-}
-
 // QRouteSurvivingDist exposes the surviving-hop distance from v to dst
 // (-1 when unreachable or qroute is off).
 func (n *Network) QRouteSurvivingDist(v, dst int) int {

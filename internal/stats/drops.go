@@ -39,9 +39,6 @@ func (r DropReason) String() string {
 // result bytes of fault-free runs.
 func (c *Collector) Drop(r DropReason) { c.drops[r]++ }
 
-// DropAdd counts n discards of the given reason (always on).
-func (c *Collector) DropAdd(r DropReason, n int64) { c.drops[r] += n }
-
 // Drops returns the count for one reason.
 func (c *Collector) Drops(r DropReason) int64 { return c.drops[r] }
 

@@ -30,9 +30,7 @@ var (
 // FromConfig builds the fabric a Config describes: wraparound from
 // cfg.Topology, dimensions from Width x Height, and the route table's
 // dimension order from cfg.Routing. The healthy table is evaluated per
-// (here, dst) pair. West-first routing is adaptive and computed per hop
-// by the network, which reads the table only off the adaptive path, so
-// it gets the XY table. Identical configurations within a process share
+// (here, dst) pair. Identical configurations within a process share
 // memoized route/link tables.
 func FromConfig(cfg config.Config) (Topology, error) {
 	order := OrderXY

@@ -92,36 +92,6 @@ const (
 	OrderYX
 )
 
-// WestFirstCandidates returns the productive output directions a packet
-// at here destined for dst may take under the west-first turn model
-// (Glass & Ni): all West hops must happen first — while the destination
-// lies to the west, West is the only choice; afterwards any minimal
-// combination of East/North/South may be chosen adaptively. Forbidding
-// turns into West breaks every cycle, so the routing is deadlock-free on
-// meshes while leaving room for congestion-aware choices. It assumes a
-// wrap-free grid and must not be used on a torus.
-// Returns nil when here == dst.
-func WestFirstCandidates(t Topology, here, dst int) []Direction {
-	h, d := t.Coord(here), t.Coord(dst)
-	if h == d {
-		return nil
-	}
-	if d.X < h.X {
-		return []Direction{West}
-	}
-	var c []Direction
-	if d.X > h.X {
-		c = append(c, East)
-	}
-	if d.Y > h.Y {
-		c = append(c, North)
-	}
-	if d.Y < h.Y {
-		c = append(c, South)
-	}
-	return c
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v

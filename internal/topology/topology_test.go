@@ -216,57 +216,6 @@ func TestHopsMetricProperty(t *testing.T) {
 	}
 }
 
-func TestWestFirstCandidates(t *testing.T) {
-	m := mustMesh(t, 8, 8)
-	// Destination strictly west: West is the only candidate.
-	if c := WestFirstCandidates(m, m.ID(Coord{5, 3}), m.ID(Coord{2, 6})); len(c) != 1 || c[0] != West {
-		t.Fatalf("west-needed candidates = %v", c)
-	}
-	// Destination north-east: both East and North allowed.
-	c := WestFirstCandidates(m, m.ID(Coord{1, 1}), m.ID(Coord{4, 5}))
-	if len(c) != 2 || c[0] != East || c[1] != North {
-		t.Fatalf("NE candidates = %v", c)
-	}
-	// Aligned column going south: South only.
-	if c := WestFirstCandidates(m, m.ID(Coord{3, 5}), m.ID(Coord{3, 1})); len(c) != 1 || c[0] != South {
-		t.Fatalf("south candidates = %v", c)
-	}
-	// Arrived: nil.
-	if c := WestFirstCandidates(m, 9, 9); c != nil {
-		t.Fatalf("self candidates = %v", c)
-	}
-}
-
-// Property: every west-first candidate is productive (reduces Manhattan
-// distance), and West never appears together with another direction — the
-// turn-model invariant that guarantees deadlock freedom.
-func TestWestFirstProperties(t *testing.T) {
-	m := mustMesh(t, 8, 8)
-	for src := 0; src < m.Nodes(); src++ {
-		for dst := 0; dst < m.Nodes(); dst++ {
-			if src == dst {
-				continue
-			}
-			cands := WestFirstCandidates(m, src, dst)
-			if len(cands) == 0 {
-				t.Fatalf("no candidates for %d->%d", src, dst)
-			}
-			for _, d := range cands {
-				next, ok := m.Neighbor(src, d)
-				if !ok {
-					t.Fatalf("candidate %v off mesh at %d", d, src)
-				}
-				if m.Hops(next, dst) != m.Hops(src, dst)-1 {
-					t.Fatalf("unproductive candidate %v at %d->%d", d, src, dst)
-				}
-				if d == West && len(cands) != 1 {
-					t.Fatalf("West mixed with other candidates at %d->%d: %v", src, dst, cands)
-				}
-			}
-		}
-	}
-}
-
 // XY routing is deadlock-free because no packet ever turns from Y back to
 // X; verify that property over all pairs on a mesh.
 func TestXYNeverTurnsYToX(t *testing.T) {

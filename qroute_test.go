@@ -142,19 +142,10 @@ func TestQRouteRecoveryLog(t *testing.T) {
 }
 
 // TestQRouteConfigRejection pins the validation gates: qroute refuses
-// west-first routing and under-provisioned VC counts, but only when the
-// scheme is actually selected.
+// under-provisioned VC counts, but only when the scheme is actually
+// selected.
 func TestQRouteConfigRejection(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Routing = "westfirst"
-	if _, err := core.NewSim(cfg, core.SchemeQRoute); err == nil {
-		t.Error("qroute accepted west-first routing")
-	}
-	if _, err := core.NewSim(cfg, core.SchemeRL); err != nil {
-		t.Errorf("west-first rejected for rl scheme: %v", err)
-	}
-
-	cfg = fastConfig()
 	cfg.Topology = "torus"
 	if _, err := core.NewSim(cfg, core.SchemeQRoute); err == nil {
 		t.Error("qroute accepted a torus with 4 VCs/port (needs 8 for escape x dateline classes)")

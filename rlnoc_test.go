@@ -193,13 +193,11 @@ func TestSuiteAndFigures(t *testing.T) {
 	}
 }
 
-// TestTableIIRouting: the routing row names each algorithm for what it
-// is; west-first is adaptive, not dimension-ordered.
+// TestTableIIRouting: the routing row names each table's dimension order.
 func TestTableIIRouting(t *testing.T) {
 	for _, tc := range []struct{ routing, want string }{
 		{"xy", "routing             xy dimension-ordered\n"},
 		{"yx", "routing             yx dimension-ordered\n"},
-		{"westfirst", "routing             adaptive (west-first turn model)\n"},
 	} {
 		cfg := DefaultConfig()
 		cfg.Routing = config.Routing(tc.routing)
