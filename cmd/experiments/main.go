@@ -57,6 +57,9 @@ func run(args []string) error {
 		}
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
+	}
 	if *ablation != "" && *seeds > 1 {
 		return fmt.Errorf("-seeds averages the figures only; an -ablation table runs one seed (pick it with -seed)")
 	}

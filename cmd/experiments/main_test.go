@@ -44,6 +44,9 @@ func TestRun(t *testing.T) {
 			want: []string{"Section VI-B overhead analysis", "area overhead:"}},
 		{name: "analytic", args: []string{"-analytic"},
 			want: []string{"closed-form cost model", "crossover thresholds:"}},
+		// -seeds 0 used to run one seed silently.
+		{name: "no seeds", args: []string{"-small", "-fig", "6", "-seeds", "0"},
+			wantErr: "-seeds must be at least 1, got 0"},
 		// The cycle-loop harness is gone (go test -bench CycleLoop and
 		// benchmark/ replace it); its flags must fail loudly, not be
 		// ignored. The name is split so a grep for it lists live uses only.

@@ -66,6 +66,9 @@ func TestRun(t *testing.T) {
 			want: []string{"chaos run  2  mesh  kills=3", "    qroute  drained", "chaos: 3 runs x 2 arms —"}},
 		{name: "unknown campaign", args: []string{"-campaign", "sweep"},
 			wantErr: `unknown campaign "sweep"`},
+		// A campaign of no jobs used to report success having run nothing.
+		{name: "chaos with no runs", args: []string{"-small", "-campaign", "chaos", "-runs", "0"},
+			wantErr: "chaos needs at least one run, got 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			one, err := runCaptured(t, append(tc.args, "-workers", "1")...)

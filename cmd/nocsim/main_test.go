@@ -53,6 +53,10 @@ func TestRun(t *testing.T) {
 			want: []string{"drained           true\n", "flits delivered   4\n"}}, // the first packet lands in warm-up
 		{name: "unknown scheme", args: []string{"-small", "-scheme", "bogus"},
 			wantErr: `unknown scheme "bogus"`},
+		// A mistyped pattern used to run an empty trace and fail on the
+		// warm-up; it must be refused by name.
+		{name: "unknown pattern", args: []string{"-small", "-pattern", "nosuch"},
+			wantErr: `unknown pattern "nosuch" (want uniform,`},
 		// The RL-only Q-table files are gone; trained state travels as a
 		// snapshot (-save-pretrained / -restore). Names split so a grep
 		// for them lists live uses only.

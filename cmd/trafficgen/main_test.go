@@ -46,6 +46,8 @@ func TestRun(t *testing.T) {
 			wantErr: `unknown topology "ring" (want mesh|torus)`},
 		{name: "unknown benchmark", args: []string{"-benchmark", "nope"},
 			wantErr: `unknown benchmark "nope"`},
+		{name: "unknown pattern", args: []string{"-pattern", "nosuch"},
+			wantErr: `unknown pattern "nosuch"`},
 		{name: "unknown flag", args: []string{"-bogus"},
 			wantErr: "flag provided but not defined"},
 	} {

@@ -17,8 +17,8 @@ import (
 // cycles (RC/VA), wins SA, and traverses the link in 1 cycle plus the
 // mode's extra latency. Injection and ejection add the constant 4.
 const (
-	perHopBase    = 3
-	constantTerm  = 4
+	perHopBase   = 3
+	constantTerm = 4
 )
 
 // LinkParams captures how an operation mode shapes a channel.

@@ -49,6 +49,10 @@ func ChaosJobID(run int, scheme core.Scheme) string {
 // checkpoint recovery and lets a watchdog termination replay from the
 // latest checkpoint with event capture (Bisect).
 func BuildChaos(base config.Config, runs int, snapEvery int64, inject InjectSpec) (*ChaosPlan, error) {
+	if runs < 1 {
+		// A campaign of no jobs would report success having run nothing.
+		return nil, fmt.Errorf("campaign: chaos needs at least one run, got %d", runs)
+	}
 	topos := []string{"mesh", "torus"}
 	plan := &ChaosPlan{Arms: []core.Scheme{core.SchemeRL, core.SchemeQRoute}}
 	for i := 0; i < runs; i++ {

@@ -15,7 +15,7 @@ func TestPolicyDumpRenders(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Decide(i%2, network.Observation{
 			Features:      rl.Features{TemperatureC: 60 + float64(10*(i%3))},
-			WindowLatency: 8, WindowPowerW: 0.002,
+			WindowLatency: 8, ControlPowerW: 0.002,
 		})
 	}
 	out := c.PolicyDump(5)

@@ -14,7 +14,7 @@ func TestPortControllerDecidesPerChannel(t *testing.T) {
 	obs := network.Observation{
 		Features:      rl.Features{TemperatureC: 70},
 		WindowLatency: 20,
-		WindowPowerW:  0.003,
+		ControlPowerW: 0.003,
 		Ports: [4]network.PortObservation{
 			{Connected: true, Util: 0.05},
 			{Connected: true, Util: 0.01, NACKRate: 0.2, ResidualRate: 0.1},

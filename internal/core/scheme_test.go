@@ -90,7 +90,7 @@ func TestRLControllerDecidesValidModes(t *testing.T) {
 		obs := network.Observation{
 			Features:      rl.Features{TemperatureC: 60 + float64(i%40), InputNACKRate: float64(i%10) / 10},
 			WindowLatency: 30 + float64(i%100),
-			WindowPowerW:  0.002,
+			ControlPowerW: 0.002,
 		}
 		m := c.Decide(i%cfg.Routers(), obs)
 		if m >= network.NumModes {
@@ -107,7 +107,7 @@ func TestRLControllerModeMask(t *testing.T) {
 		obs := network.Observation{
 			Features:      rl.Features{TemperatureC: 95, InputNACKRate: 0.5},
 			WindowLatency: 100,
-			WindowPowerW:  0.003,
+			ControlPowerW: 0.003,
 		}
 		if m := c.Decide(0, obs); m > network.Mode1 {
 			t.Fatalf("masked controller picked %v", m)
@@ -126,7 +126,7 @@ func TestRLControllerSharedVsPerRouter(t *testing.T) {
 	}
 	// A TD update through agent 0 must be visible to agent 1 only in the
 	// shared variant.
-	obs := network.Observation{WindowLatency: 10, WindowPowerW: 0.001}
+	obs := network.Observation{WindowLatency: 10, ControlPowerW: 0.001}
 	for i := 0; i < 10; i++ {
 		shared.Decide(0, obs)
 		private.Decide(0, obs)

@@ -72,10 +72,7 @@ var unsnapshotted = map[string]struct {
 	"network.Router.inputUsed":        {false, "scratch: cleared by switchAllocate before every use"},
 	"network.Network.scratchPowers":   {false, "scratch: overwritten by thermalStep before every use"},
 	"network.Network.epochLats":       {false, "scratch: overwritten by controlEpoch before every use"},
-	"network.Network.epochPowers":     {false, "scratch: overwritten by controlEpoch before every use"},
 	"network.Network.epochCtrlPowers": {false, "scratch: overwritten by controlEpoch before every use"},
-	"network.outputPort.winUtil":      {false, "scratch: error-model input pinned by a boundary capture; encoding materializes errProb first, after which it is dead"},
-	"network.outputPort.winRelaxed":   {false, "scratch: as winUtil"},
 	"thermal.Grid.scratch":            {false, "scratch: solver workspace, overwritten by every Step"},
 
 	// Sparse Q-table layout: the slab holds rows in first-touch order, and

@@ -364,15 +364,17 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // mode2-dup drop counter, and only the pending trace events. All three
 // were re-captured for format version 3: a Q-table as its touched rows,
 // and a trained DT controller without its training set (the arq-ecc arm
-// moved only by the version word).
+// moved only by the version word). All three were re-captured for format
+// version 4, which drops the write-only words: each equals the previous
+// build's stream with exactly those words left out of the walk.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "5aecdc5255897dbf6b090ab40f41df89cbb5081b277d7466eef9bba1343b8ae5"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "31eddb2be77bb47cfc19ef42fe658030683ec09a79ede0d35e26087368904e97"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "5cf3c5914fd139115c8d6c1209bcefed5f8dc3022c18263509574c64f0fe7e37"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "c5beb3d9764bb6bb651c380675ce3caf84984ac5d0ae132e24d4997cd6909b23"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "b7e42f695c71b14998953afed0c83308f0a629dd58c43fdd9bc1f70e92e13132"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "1dafca33bd1590c9a56a5d6aa817583ef0fb37497d135cde13e057ce16523574"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -672,10 +674,10 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 		restoreMustBeCorrupt(t, bad)
 	}
 	// Router 0's first input VC follows the RTRS tag, the occupancy mask,
-	// two round-robin arrays of NumPorts words and two window counters:
+	// two round-robin arrays of NumPorts words and one window counter:
 	// ring head, flit count, the flits (a reference and a ready cycle
 	// each), the routed byte, the output port, the output VC.
-	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 2*8
+	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 8
 	outVC := vc + 2 + 16*int(data[vc+1]) + 2
 	for _, patch := range []struct {
 		off int

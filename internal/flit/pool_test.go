@@ -13,7 +13,6 @@ func TestPoolGetResetsRecycledFlit(t *testing.T) {
 	f.CRC = 0x1234
 	f.VC = 2
 	f.ECCCheck = [WordsPerFlit]uint8{0xaa, 0xbb}
-	f.ECCValid = true
 	f.Tainted = true
 	p.Put(f)
 
@@ -29,7 +28,7 @@ func TestPoolGetResetsRecycledFlit(t *testing.T) {
 func TestPoolCloneIsDeepAndPooled(t *testing.T) {
 	var p Pool
 	pkt := &Packet{ID: 9}
-	f := &Flit{Packet: pkt, Seq: 1, Payload: [WordsPerFlit]uint64{1, 2}, CRC: 42, ECCValid: true}
+	f := &Flit{Packet: pkt, Seq: 1, Payload: [WordsPerFlit]uint64{1, 2}, CRC: 42, Tainted: true}
 	c := p.Clone(f)
 	if *c != *f {
 		t.Fatalf("clone differs: %+v vs %+v", *c, *f)

@@ -41,18 +41,6 @@ func (s *activeSet) addAll(n int) {
 	}
 }
 
-// empty reports whether the set has no members. Step polls this every
-// cycle while error probabilities are stale, so it is a plain word scan
-// with no allocation.
-func (s *activeSet) empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // count returns the number of members (used by tests and diagnostics).
 func (s *activeSet) count() int {
 	n := 0

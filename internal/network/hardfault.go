@@ -22,8 +22,8 @@ package network
 // silently deleting a wire flit would wedge the downstream go-back-N
 // screen (expectSeq never advances and no NACK is ever raised for a flit
 // that simply vanished). Instead they complete their ARQ accept upstream
-// and are poison-dropped at applyWireOp — identified by Flit.Attempt no
-// newer than the condemned attempt — while the source's fresh
+// and are poison-dropped at accept or eject — identified by Flit.Attempt
+// no newer than the condemned attempt — while the source's fresh
 // retransmission carries a higher Attempt and passes untouched.
 
 import (

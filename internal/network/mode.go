@@ -94,13 +94,12 @@ type Observation struct {
 	// numerator input); routers that saw no deliveries get the network
 	// mean as fallback.
 	WindowLatency float64
-	// WindowPowerW is the router's average power over the epoch in watts.
-	WindowPowerW float64
-	// ControlPowerW is WindowPowerW minus the always-on router leakage —
-	// the action-controllable share (dynamic activity plus the gateable
-	// ECC-codec leakage). Feeding this to the reward instead of the total
-	// keeps the constant leakage floor from compressing per-action
-	// differences below the noise.
+	// ControlPowerW is the router's average power over the epoch in
+	// watts, minus the always-on router leakage — the action-controllable
+	// share (dynamic activity plus the gateable ECC-codec leakage).
+	// Feeding this to the reward instead of the total keeps the constant
+	// leakage floor from compressing per-action differences below the
+	// noise.
 	ControlPowerW float64
 	// NetMeanReward is the network-wide mean of the raw Eq. (3) reward
 	// 1/(latency x power) this epoch. Controllers can divide by it to

@@ -64,10 +64,6 @@ type Network struct {
 	cycle   int64
 	dataVCs int
 
-	// probsDirty marks the per-port error probabilities stale since the
-	// last boundary capture; materializeErrorProbs clears it.
-	probsDirty bool
-
 	// consultOwed marks the cycle-0 controller consult New defers (settle).
 	consultOwed bool
 
@@ -103,7 +99,6 @@ type Network struct {
 	// router), hoisted out of thermalStep and controlEpoch.
 	scratchPowers   []float64
 	epochLats       []float64
-	epochPowers     []float64
 	epochCtrlPowers []float64
 
 	// elog records flit/packet events when non-nil (nocsim -eventlog).
@@ -112,9 +107,9 @@ type Network struct {
 	// Hard-fault machinery (DESIGN.md §12). hardSched is the sorted kill
 	// schedule, hardIdx the next due entry. deadRouter (nil until a
 	// router dies) marks removed routers; condemned (nil until the first
-	// kill, so the fault-free accept path pays one nil check) maps packet
-	// ID to the newest condemned attempt for the poison screen in
-	// applyWireOp. ctrlLive tracks control packets between send and NI
+	// kill, so the fault-free arrival path pays one nil check) maps packet
+	// ID to the newest condemned attempt for the poison screen in eject
+	// and accept. ctrlLive tracks control packets between send and NI
 	// receive so a kill can cancel each exactly once.
 	hardSched   []fault.HardFault
 	hardIdx     int
@@ -146,9 +141,6 @@ type Network struct {
 	ering  *eventlog.Ring
 
 	epochEnergyPJ []float64 // per-router energy snapshot at epoch start
-	epochLatSum   float64
-	epochLatCount int64
-	meanLatEWMA   float64
 }
 
 // neutralLatency is the per-hop latency fed to a controller for an epoch
@@ -203,11 +195,9 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		dataVCs:       cfg.VCsPerPort / 2,
 		coreFlits:     make([]float64, n),
 		epochEnergyPJ: make([]float64, n),
-		meanLatEWMA:   50,
 
 		scratchPowers:   make([]float64, n),
 		epochLats:       make([]float64, n),
-		epochPowers:     make([]float64, n),
 		epochCtrlPowers: make([]float64, n),
 
 		wireActive: newActiveSet(n),
@@ -337,8 +327,7 @@ func (n *Network) consult() {
 	for id := range n.routers {
 		n.applyMode(id, n.controller.Decide(id, idle))
 	}
-	n.captureErrorInputs()
-	n.materializeErrorProbs()
+	n.refreshErrorProbs()
 }
 
 // markWire records that router id has (or may soon have) wire-phase work:
@@ -548,7 +537,6 @@ func (n *Network) sendE2ENack(from int, pkt *flit.Packet, cycle int64) {
 	n.nis[from].enqueueCtrl(ctrl)
 	n.ctrlInFlight++
 	n.ctrlLive[ctrl.ID] = ctrl
-	n.stats.Measuref(func(c *statsCollector) { c.ControlInjected++ })
 }
 
 // deliverData finalizes a successfully received data packet.
@@ -567,8 +555,6 @@ func (n *Network) deliverData(pkt *flit.Packet, cycle int64) {
 	for _, id := range pkt.Path {
 		n.stats.RouterPacketLatency(id, perHop)
 	}
-	n.epochLatSum += float64(latency)
-	n.epochLatCount++
 	// The receiving core also works on arriving data (memory-controller
 	// and consumer tiles heat up with traffic, not just producers).
 	n.coreFlits[pkt.Dst] += float64(pkt.NumFlits())
@@ -606,9 +592,8 @@ func (n *Network) applyMode(id int, m Mode) {
 // SA stage each cycle until the channel drains, so the port joins saAttn
 // and the router the pipe set. When the port switched (or kept its mode)
 // the SA visit would be a no-op; not marking then keeps an idle fabric's
-// active sets empty across control epochs, which is what lets the lazy
-// error-probability materialization stay deferred and the idle Step
-// visit nothing.
+// active sets empty across control epochs, so the idle Step visits
+// nothing.
 func (n *Network) requestMode(r *Router, p *outputPort, m Mode) {
 	p.targetMode = m
 	p.trySwitchMode()
@@ -668,55 +653,31 @@ func (n *Network) eccFraction(id int) float64 {
 	return float64(on) / float64(total)
 }
 
-// captureErrorInputs pins, for every connected port, the inputs the
-// error-probability model would be evaluated with right now — window
-// utilization and the port's relaxation mode; temperature comes from the
-// grid, which only moves at these same boundaries — and marks the cached
-// probabilities stale. The expensive Pow/Erf kernel runs later, in
-// materializeErrorProbs, and only if something can actually consume a
-// probability: on a quiescent fabric whole windows come and go without a
-// single flit crossing a link, and those windows' probabilities were
-// never observable.
-func (n *Network) captureErrorInputs() {
+// refreshErrorProbs re-evaluates every connected port's per-flit error
+// probability from its tile's temperature, its link's utilization over
+// the thermal window and whether it runs relaxed (Mode 3). It runs at the
+// three points the inputs can move: the cycle-0 consult, the thermal
+// solve and the control epoch. The memo table recomputes the Pow/Erf
+// kernel only when a link's (temperature, utilization) pair changed, so
+// idle windows and a converged grid cost a lookup per link.
+//
+// At the default periods (1,000-cycle epochs, 250-cycle thermal windows)
+// every control epoch falls on a thermal boundary, after thermalStep has
+// zeroed winSent, so the epoch's refresh models every link as idle for
+// the window that follows: one window in four runs at utilization 0.
+// That is a model bug, kept until the fix's moved digests can be
+// re-pinned (ROADMAP item 4).
+func (n *Network) refreshErrorProbs() {
 	period := float64(n.cfg.Thermal.UpdatePeriod)
-	for _, r := range n.routers {
+	for id, r := range n.routers {
+		temp := n.grid.Temperature(id)
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
 			p := r.outputs[dir]
 			if !p.hasDownstream() {
 				continue
 			}
-			util := float64(p.winSent) / period
-			if util > 1 {
-				util = 1
-			}
-			p.winUtil = util
-			p.winRelaxed = p.mode == Mode3
-			p.winCaptured = true
-		}
-	}
-	n.probsDirty = true
-}
-
-// materializeErrorProbs evaluates the error model for every port captured
-// since the last materialization. The grid has not stepped since the
-// capture, and utilization and the relaxation flag were pinned by it, so
-// the resulting float64s are exactly the ones an eager refresh at the
-// boundary would have produced — including for ports whose link died in
-// between (their capture flag is still set, and the model is a pure
-// function of the pinned inputs). The memo table recomputes the Pow/Erf
-// kernel only when a link's (temperature, utilization) pair actually
-// changed — idle windows and a converged thermal grid hit the cache.
-func (n *Network) materializeErrorProbs() {
-	n.probsDirty = false
-	for id, r := range n.routers {
-		temp := n.grid.Temperature(id)
-		for dir := topology.North; dir < topology.NumPorts; dir++ {
-			p := r.outputs[dir]
-			if !p.winCaptured {
-				continue
-			}
-			p.winCaptured = false
-			p.errProb = n.ftab.ErrorProbability(int(p.linkID), temp, p.winUtil, p.winRelaxed)
+			util := min(float64(p.winSent)/period, 1)
+			p.errProb = n.ftab.ErrorProbability(int(p.linkID), temp, util, p.mode == Mode3)
 		}
 	}
 }
@@ -733,16 +694,6 @@ func (n *Network) Step() error {
 	// stepping paths see identical post-fault state.
 	if n.hardIdx < len(n.hardSched) && n.hardSched[n.hardIdx].Cycle <= cycle {
 		n.applyHardFaults()
-	}
-
-	// 0b. Stale error probabilities materialize only when some flit could
-	// consume them this cycle: activity in any set implies possible link
-	// transmissions (injections mark the NI set before Step runs, and
-	// everything else NACK/credit-driven is already in a set), and the
-	// dense referee scans everything.
-	if n.probsDirty && (n.dense ||
-		!n.wireActive.empty() || !n.niActive.empty() || !n.pipeActive.empty()) {
-		n.materializeErrorProbs()
 	}
 
 	if n.dense {
@@ -882,7 +833,7 @@ func (n *Network) processArrivals(r *Router, p *outputPort) {
 	for ; due < len(p.inflight) && p.inflight[due].arrive <= n.cycle; due++ {
 		wf := p.inflight[due]
 		if p.dir == topology.Local {
-			n.applyWireOp(wireOp{f: wf.f, down: int32(r.id), flags: opEject})
+			n.eject(r.id, wf.f)
 			continue
 		}
 		n.receiveOnLink(r, p, wf)
@@ -892,14 +843,14 @@ func (n *Network) processArrivals(r *Router, p *outputPort) {
 	}
 }
 
-// receiveOnLink runs the downstream decoder and ARQ acceptance logic.
-// Everything decided and mutated here touches only the upstream router's
-// own state (sequence screen, decode, ack queue, per-port epoch counters)
-// plus the wire flit itself; the effects on the *downstream* router —
-// meter charges, NACK-out stats, the buffer push — are collapsed into a
-// wireOp and applied by applyWireOp.
+// receiveOnLink runs the downstream decoder and ARQ acceptance logic for
+// one flit arriving over port p of router up: the sequence screen, the
+// CRC snoop or the SECDED decode (never both: a copy either has its ECC
+// link on or not, so each energy charge happens at most once), the ACK or
+// NACK, and the push into the downstream router's input VC.
 func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 	cycle := n.cycle
+	down := p.downstream
 
 	// Sequence screening (the downstream decoder's go-back-N window).
 	if wf.seq != p.expectSeq {
@@ -920,7 +871,6 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 		return
 	}
 
-	var flags uint8
 	accept := true
 	if !wf.eccValid && n.ctrlKind != ControllerNone && wf.f.Kind == flit.Data {
 		// Adaptive-scheme routers snoop the per-flit CRC on ECC-bypassed
@@ -929,7 +879,7 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 		// it feeds the upstream router's NACK-rate feature and the
 		// reliability term of its reward, restoring the error visibility
 		// that disabling the ECC decoders would otherwise destroy.
-		flags |= opCRCCheck
+		n.meter.CRCCheck(down)
 		// A flit never touched by fault injection provably matches its
 		// source CRC; skip recomputing it (the check energy is charged
 		// either way).
@@ -939,17 +889,16 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 			wf.f.Tainted = true
 			n.stats.RouterResidualCorrupt(up.id)
 			n.stats.RouterNACKIn(up.id)
-			flags |= opNACKOut
+			n.stats.RouterNACKOut(down)
 			p.winResidualEpoch++
 		}
 	}
 	if wf.eccValid {
-		flags |= opECCDecode
+		// The decode energy is charged unconditionally, as in hardware.
 		// The SECDED word loop only matters if this traversal corrupted
 		// the copy: the check bits cover the payload exactly as it left
 		// the encoder, so a clean copy decodes to "OK" on every word.
-		// The decode energy is charged unconditionally, as in hardware
-		// (and as in the dense referee path).
+		n.meter.ECCDecode(down)
 		if wf.corrupted && wf.f.Kind == flit.Data {
 			corrected := false
 			for w := 0; w < flit.WordsPerFlit; w++ {
@@ -974,106 +923,69 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 		if wf.dupFollows {
 			// Mode 2: the pre-retransmitted copy (same sequence number)
 			// arrives next cycle; defer the NACK decision to it.
-			if flags != 0 {
-				n.applyWireOp(wireOp{down: int32(p.downstream), flags: flags})
-			}
 			return
 		}
 		// NACK: request retransmission of this flit (and implicitly all
 		// younger ones, go-back-N).
 		p.acks = append(p.acks, wireAck{seq: wf.seq, nack: true, deliver: cycle + 1})
-		n.stats.Measuref(func(c *statsCollector) { c.LinkNACKs++ })
-		flags |= opNACKOut
-		n.applyWireOp(wireOp{down: int32(p.downstream), flags: flags})
-		n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KNACK, Router: p.downstream,
+		n.stats.RouterNACKOut(down)
+		n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KNACK, Router: down,
 			Packet: wf.f.PacketID, Aux: int64(wf.f.Seq)})
 		return
 	}
 
-	// Accepted.
 	p.expectSeq = wf.seq + 1
-	wf.f.ECCValid = false
 	p.acks = append(p.acks, wireAck{seq: wf.seq, nack: false, deliver: cycle + 1})
-	n.applyWireOp(wireOp{f: wf.f, down: int32(p.downstream), inPort: p.inPort,
-		flags: flags | opAccept})
+	n.accept(n.routers[down], p.inPort, wf.f)
 }
 
-// wireOp is the downstream half of one link arrival (or local ejection):
-// which router it lands on and which effects to apply there.
-type wireOp struct {
-	f      *flit.Flit
-	down   int32
-	inPort topology.Direction
-	flags  uint8
+// eject hands a flit that crossed router down's Local port to its NI.
+func (n *Network) eject(down int, f *flit.Flit) {
+	if n.poisoned(f) {
+		// Straggler of a hard-fault-condemned attempt arriving at the NI:
+		// its packet was already declared or re-queued; the copy is
+		// discarded (finite cleanup work, so it counts as progress).
+		n.dropFlit(f, n.routers[down], stats.DropKilledLink)
+		n.lastProgress = n.cycle
+		return
+	}
+	n.nis[down].receive(f, n.cycle)
+	n.lastProgress = n.cycle
 }
 
-const (
-	opCRCCheck  uint8 = 1 << iota // charge CRC-snoop energy at down
-	opECCDecode                   // charge SECDED decode energy at down
-	opNACKOut                     // count a NACK sent by down
-	opAccept                      // push f into down's input VC
-	opEject                       // hand f to down's NI
-)
-
-// applyWireOp executes the downstream-router effects of one arrival.
-func (n *Network) applyWireOp(op wireOp) {
-	down := int(op.down)
+// accept pushes a flit the link ARQ accepted into input port inPort of
+// router dr.
+func (n *Network) accept(dr *Router, inPort topology.Direction, f *flit.Flit) {
 	cycle := n.cycle
-	if op.flags&opCRCCheck != 0 {
-		n.meter.CRCCheck(down)
-	}
-	if op.flags&opECCDecode != 0 {
-		n.meter.ECCDecode(down)
-	}
-	if op.flags&opNACKOut != 0 {
-		n.stats.RouterNACKOut(down)
-	}
-	switch {
-	case op.flags&opEject != 0:
-		if n.poisoned(op.f) {
-			// Straggler of a hard-fault-condemned attempt arriving at the
-			// NI: its packet was already declared or re-queued; the copy
-			// is discarded (finite cleanup work, so it counts as progress).
-			n.dropFlit(op.f, n.routers[down], stats.DropKilledLink)
-			n.lastProgress = cycle
-			return
-		}
-		n.nis[down].receive(op.f, cycle)
+	if n.poisoned(f) {
+		// The upstream ARQ accept already ran (sequence advanced, ACK
+		// queued) — only the buffer entry is suppressed, so go-back-N
+		// never stalls on a silently-missing flit. The buffer slot the
+		// flit would have taken goes back upstream as a normal credit.
+		n.returnCredit(dr.up[inPort], f.VC)
+		n.dropFlit(f, dr, stats.DropKilledLink)
 		n.lastProgress = cycle
-	case op.flags&opAccept != 0:
-		dr := n.routers[down]
-		if n.poisoned(op.f) {
-			// The upstream ARQ accept already ran (sequence advanced, ACK
-			// queued) — only the buffer entry is suppressed, so go-back-N
-			// never stalls on a silently-missing flit. The buffer slot the
-			// flit would have taken goes back upstream as a normal credit.
-			n.returnCredit(dr.up[op.inPort], op.f.VC)
-			n.dropFlit(op.f, dr, stats.DropKilledLink)
-			n.lastProgress = cycle
-			return
-		}
-		vcBuf := dr.vc(op.inPort, op.f.VC)
-		if vcBuf.full(dr) {
-			panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
-				down, op.inPort, op.f.VC))
-		}
-		if n.qr != nil && op.f.Type.IsHead() && op.f.Kind == flit.Data {
-			// The hop completed: feed the realized cost back to the
-			// upstream router's agent, then restart the hop clock for the
-			// next leg. Runs in ascending (router, port) order on
-			// both stepping paths.
-			n.qrouteFeedback(down, op.inPort, op.f.HopStart, int(op.f.Dst))
-		}
-		op.f.HopStart = cycle
-		vcBuf.push(dr, op.f, cycle+pipelineFill)
-		n.markPipe(down)
-		n.meter.BufferWrite(down)
-		n.stats.RouterFlitIn(down)
-		dr.winFlitsIn++
-		n.lastProgress = cycle
-		n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KAccept, Router: down,
-			Packet: op.f.PacketID, Aux: int64(op.f.Seq)})
+		return
 	}
+	vcBuf := dr.vc(inPort, f.VC)
+	if vcBuf.full(dr) {
+		panic(fmt.Sprintf("network: credit protocol violated: router %d port %v vc %d overflow",
+			dr.id, inPort, f.VC))
+	}
+	if n.qr != nil && f.Type.IsHead() && f.Kind == flit.Data {
+		// The hop completed: feed the realized cost back to the upstream
+		// router's agent, then restart the hop clock for the next leg.
+		// Runs in ascending (router, port) order.
+		n.qrouteFeedback(dr.id, inPort, f.HopStart, int(f.Dst))
+	}
+	f.HopStart = cycle
+	vcBuf.push(dr, f, cycle+pipelineFill)
+	n.markPipe(dr.id)
+	n.meter.BufferWrite(dr.id)
+	n.stats.RouterFlitIn(dr.id)
+	n.lastProgress = cycle
+	n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KAccept, Router: dr.id,
+		Packet: f.PacketID, Aux: int64(f.Seq)})
 }
 
 // processAcks consumes ACK/NACK wire messages at the upstream port.
@@ -1521,12 +1433,11 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 		// encoder would have produced). A clean traversal never reads
 		// them, so the encode compute is skipped while the encoder
 		// energy is charged as before.
-		f.ECCValid = true
 		n.meter.ECCEncode(r.id)
 		// The retransmission buffer keeps f itself as the clean copy (it
 		// retires to the pool on cumulative ACK); the wire gets a pooled
 		// clone below, which fault injection may corrupt.
-		op.unacked = append(op.unacked, txEntry{f: f, seq: seq, dupFollows: mode == Mode2})
+		op.unacked = append(op.unacked, txEntry{f: f, seq: seq})
 		n.meter.RetxBuffer(r.id)
 	}
 
@@ -1573,8 +1484,7 @@ func (n *Network) retransmit(r *Router, op *outputPort) {
 	// Retransmissions go out singly (no Mode 2 duplicate) with the ECC
 	// stage enabled — only ECC-protected flits can be NACKed.
 	arrive := n.cycle + 2 // link + ECC stage
-	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true,
-		isRetx: true, corrupted: hit})
+	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true, corrupted: hit})
 	op.linkBusyUntil = n.cycle + 1
 	n.meter.LinkScaled(r.id, op.wireScale)
 	n.stats.Measuref(func(c *statsCollector) { c.LinkRetransmissions++ })
@@ -1652,7 +1562,7 @@ func (n *Network) thermalStep() {
 		panic(err) // sizes are internally consistent; a failure is a bug
 	}
 	n.meter.WindowReset()
-	n.captureErrorInputs()
+	n.refreshErrorProbs()
 	for _, r := range n.routers {
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
 			r.outputs[dir].winSent = 0
@@ -1665,22 +1575,18 @@ func (n *Network) thermalStep() {
 func (n *Network) controlEpoch() {
 	epoch := float64(n.cfg.RL.StepCycles)
 	epochNS := epoch * n.cfg.CyclePeriodNS()
-	if n.epochLatCount > 0 {
-		n.meanLatEWMA = 0.7*n.meanLatEWMA + 0.3*(n.epochLatSum/float64(n.epochLatCount))
-	}
-	// First pass: per-router latency and power, plus the network-wide
-	// mean raw reward used for normalization. The three scratch buffers
-	// are reused across epochs and fully overwritten here.
+	// First pass: per-router latency and controllable power, plus the
+	// network-wide mean raw reward used for normalization. The two scratch
+	// buffers are reused across epochs and fully overwritten here.
 	lats := n.epochLats
-	powers := n.epochPowers
 	ctrlPowers := n.epochCtrlPowers
 	leakBaseW := n.meter.Params().RouterLeakageMW / 1000
 	var rawSum float64
 	for id := range n.routers {
 		energyNow := n.meter.DynamicPJ(id) + n.meter.StaticPJ(id)
-		powers[id] = (energyNow - n.epochEnergyPJ[id]) / epochNS / 1000
+		powerW := (energyNow - n.epochEnergyPJ[id]) / epochNS / 1000
 		n.epochEnergyPJ[id] = energyNow
-		ctrlPowers[id] = powers[id] - leakBaseW
+		ctrlPowers[id] = powerW - leakBaseW
 		if ctrlPowers[id] < 0 {
 			ctrlPowers[id] = 0
 		}
@@ -1705,8 +1611,6 @@ func (n *Network) controlEpoch() {
 		if flitsOut > 0 {
 			errRate = float64(r.winErrEvents) / float64(flitsOut)
 		}
-		powerW := powers[id]
-		winLat := lats[id]
 		var ports [4]PortObservation
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
 			p := r.outputs[dir]
@@ -1730,8 +1634,7 @@ func (n *Network) controlEpoch() {
 				OutputNACKRate:    n.stats.WindowNACKRateOut(id),
 				TemperatureC:      n.grid.Temperature(id),
 			},
-			WindowLatency:     winLat,
-			WindowPowerW:      powerW,
+			WindowLatency:     lats[id],
 			ControlPowerW:     ctrlPowers[id],
 			NetMeanReward:     netMean,
 			MeasuredErrorRate: errRate,
@@ -1744,7 +1647,6 @@ func (n *Network) controlEpoch() {
 			n.applyMode(id, n.controller.Decide(id, obs))
 		}
 		r.winErrEvents = 0
-		r.winFlitsIn = 0
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
 			p := r.outputs[dir]
 			p.winSentEpoch = 0
@@ -1753,9 +1655,7 @@ func (n *Network) controlEpoch() {
 		}
 	}
 	n.stats.WindowReset()
-	n.epochLatSum = 0
-	n.epochLatCount = 0
-	n.captureErrorInputs()
+	n.refreshErrorProbs()
 }
 
 // Discretizer exposes the feature discretizer (shared with controllers).

@@ -128,7 +128,6 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 		if pkt.FirstInjectedAt < 0 {
 			pkt.FirstInjectedAt = cycle
 		}
-		pkt.InjectedAt = cycle
 		pkt.Path = pkt.Path[:0] // fresh attempt, fresh route record
 	}
 	router := ni.net.routers[ni.id]

@@ -18,8 +18,8 @@ package network
 // Determinism: exploration draws come from counter-based streams keyed
 // (seed, DomainQRoute, router, cycle) and are consumed in RC slot order,
 // which is identical across the dense and active-set stepping paths; TD
-// updates run inside applyWireOp, in ascending (router, port) order on
-// both paths.
+// updates run inside accept, in ascending (router, port) order on both
+// paths.
 
 import (
 	"math/bits"
@@ -225,8 +225,7 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 // router that sent it observes the realized hop cost (cycles since the
 // flit entered the upstream buffer) plus the downstream router's own
 // best remaining estimate, and pulls its Q entry toward that target.
-// Runs only inside applyWireOp, in identical order on both stepping
-// paths.
+// Runs only inside accept, in identical order on both stepping paths.
 func (n *Network) qrouteFeedback(down int, inPort topology.Direction, hopStart int64, dst int) {
 	q := n.qr
 	up, ok := n.topo.Neighbor(down, inPort)

@@ -134,8 +134,6 @@ type wireFlit struct {
 	dupFollows bool
 	// isDup marks the pre-retransmitted copy itself.
 	isDup bool
-	// isRetx marks a link-level (go-back-N) retransmission.
-	isRetx bool
 	// corrupted marks a copy whose payload was hit by fault injection on
 	// this traversal. A clean ECC-protected copy needs no SECDED decode:
 	// its check bits were (conceptually) computed over exactly this
@@ -161,9 +159,8 @@ type wireCredit struct {
 // (retransmission) buffer while ARQ awaits its ACK. The stored flit is the
 // clean pre-corruption copy.
 type txEntry struct {
-	f          *flit.Flit
-	seq        uint64
-	dupFollows bool
+	f   *flit.Flit
+	seq uint64
 }
 
 // outputPort owns one output channel: the credit state of the downstream
@@ -198,11 +195,6 @@ type outputPort struct {
 	// reports the killed link as wired, so credit-return sites check dead
 	// ports explicitly before appending to their queues.
 	dead bool
-	// winRelaxed (with winUtil below) is an error-model input pinned by
-	// the last boundary capture; winCaptured marks the port as awaiting
-	// materialization. Never serialized: snapshots materialize first.
-	winRelaxed  bool
-	winCaptured bool
 	// pendingFree counts the set entries of vcPendingFree, so releaseVCs
 	// skips the scan on the (usual) port with nothing to release. Derived:
 	// recounted on restore, never serialized.
@@ -223,11 +215,8 @@ type outputPort struct {
 	unacked []txEntry
 	nextSeq uint64
 
-	// Cached per-flit error probability, refreshed each thermal window.
-	// The refresh is split: a boundary *captures* the model inputs
-	// (winUtil, winRelaxed) and marks the network's probabilities stale;
-	// the Pow/Erf kernel runs lazily, only once something can consume
-	// errProb (see captureErrorInputs / materializeErrorProbs).
+	// Cached per-flit error probability, refreshed at every thermal
+	// window and control epoch (refreshErrorProbs).
 	errProb float64
 
 	// rng is the counter-based fault stream for this link, rekeyed lazily
@@ -262,7 +251,10 @@ type outputPort struct {
 	vcBusy        []bool
 	vcPendingFree []bool
 	inPort        topology.Direction
-	winUtil       float64
+
+	// Pads the struct to whole lines, so every port in the slab starts
+	// on a line boundary (TestOutputPortLayout).
+	_ [8]byte
 }
 
 func (p *outputPort) hasDownstream() bool { return p.downstream >= 0 }
@@ -384,8 +376,8 @@ type Router struct {
 	bufs  []bufFlit
 	depth int
 
-	// Window counters for controller features.
-	winFlitsIn   int64
+	// winErrEvents counts the errors injected on the router's output
+	// links this control epoch (the DT training label).
 	winErrEvents int64
 }
 

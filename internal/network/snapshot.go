@@ -179,12 +179,6 @@ func (n *Network) SnapController(c *snap.Codec) error {
 // (the structural length checks fail loudly otherwise).
 func (n *Network) Snap(c *snap.Codec) error {
 	n.settleFor(c)
-	// Lazily deferred error probabilities must be concrete before ports
-	// serialize: the capture pinned their inputs, so materializing here
-	// writes the same bytes an eager refresh would have.
-	if !c.Decoding() && n.probsDirty {
-		n.materializeErrorProbs()
-	}
 	nodes := n.topo.Nodes()
 
 	c.Section("NETW")
@@ -203,9 +197,6 @@ func (n *Network) Snap(c *snap.Codec) error {
 	c.I64(&n.totalInjected)
 	c.I64(&n.totalDelivered)
 	c.I64(&n.totalDeclared)
-	c.F64(&n.epochLatSum)
-	c.I64(&n.epochLatCount)
-	c.F64(&n.meanLatEWMA)
 	c.Int(&n.unreachablePairs)
 	c.Int(&n.hardIdx)
 	c.Bool(&n.hardFaulted)
@@ -358,7 +349,6 @@ func (w *fabricWalk) packet(c *snap.Codec, pp **flit.Packet) {
 	c.Int(&p.Dst)
 	c.U64(&p.RefID)
 	c.I64(&p.CreatedAt)
-	c.I64(&p.InjectedAt)
 	c.I64(&p.FirstInjectedAt)
 	c.Int(&p.Retransmissions)
 	nf := p.NumFlits()
@@ -421,7 +411,6 @@ func (w *fabricWalk) flit(c *snap.Codec, fp **flit.Flit) {
 	for i := range f.ECCCheck {
 		c.U8(&f.ECCCheck[i])
 	}
-	c.Bool(&f.ECCValid)
 	c.Bool(&f.Tainted)
 	c.Bool(&f.Dirty)
 	c.I64(&f.HopStart)
@@ -439,14 +428,12 @@ func (w *fabricWalk) wireFlit(c *snap.Codec, wf *wireFlit) {
 	c.Bool(&wf.eccValid)
 	c.Bool(&wf.dupFollows)
 	c.Bool(&wf.isDup)
-	c.Bool(&wf.isRetx)
 	c.Bool(&wf.corrupted)
 }
 
 func (w *fabricWalk) txEntry(c *snap.Codec, te *txEntry) {
 	w.flits.ref(c, &te.f)
 	c.U64(&te.seq)
-	c.Bool(&te.dupFollows)
 }
 
 func snapAck(c *snap.Codec, a *wireAck) {
@@ -470,7 +457,6 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	for i := range rt.vaRR {
 		c.Int(&rt.vaRR[i])
 	}
-	c.I64(&rt.winFlitsIn)
 	c.I64(&rt.winErrEvents)
 	for i := range rt.vcs { // slot order is port-major
 		if !w.inputVC(c, rt, &rt.vcs[i]) {

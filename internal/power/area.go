@@ -8,10 +8,10 @@ package power
 
 // AreaUM2 holds the area breakdown of one router variant in um^2.
 type AreaUM2 struct {
-	Base        float64 // buffers, crossbar, allocators, CRC codecs at the NI
-	ECCCodecs   float64 // ARQ+ECC encoders/decoders on all ports
-	DTLogic     float64 // decision-tree evaluation logic
-	RLOverhead  float64 // output buffers + Q-value ALU + Q-table SRAM
+	Base       float64 // buffers, crossbar, allocators, CRC codecs at the NI
+	ECCCodecs  float64 // ARQ+ECC encoders/decoders on all ports
+	DTLogic    float64 // decision-tree evaluation logic
+	RLOverhead float64 // output buffers + Q-value ALU + Q-table SRAM
 }
 
 // Total returns the variant's total area.

@@ -147,14 +147,11 @@ func (e Event) String() string {
 // order in which routers recorded their events — unlike the old
 // floating-point accumulators, whose low bits depended on global event
 // order. The only per-event float state is the per-router link-length
-// scale sum, which is written exclusively by the router's owning worker
-// in its own deterministic port order.
+// scale sum, which only the router's own link transmissions add to, in
+// the cycle loop's deterministic port order.
 //
-// Concurrency: event-recording methods (BufferWrite .. RetxBuffer,
-// LinkScaled) may be called concurrently for *distinct* routers; all
-// other methods (reads, static charging, WindowReset) are single-
-// threaded, which matches the simulator's sequential commit/epoch
-// phases.
+// Not safe for concurrent use: the network charges it from its one
+// sequential Step.
 type Meter struct {
 	p    Params
 	n    int

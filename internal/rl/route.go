@@ -14,8 +14,7 @@ package rl
 // cycle)), which keeps the learned-routing path bit-identical across
 // router traversal orders.
 type RouteAgent struct {
-	dests int
-	q     []float64 // dests x RoutePorts, row-major; cost estimates
+	q []float64 // destinations x RoutePorts, row-major; cost estimates
 }
 
 // RoutePorts is the number of candidate output ports a RouteAgent ranks:
@@ -27,7 +26,7 @@ const RoutePorts = 4
 // Zero-init is optimistic (every route looks free), so early traffic
 // explores broadly before estimates tighten.
 func NewRouteAgent(dests int) *RouteAgent {
-	return &RouteAgent{dests: dests, q: make([]float64, dests*RoutePorts)}
+	return &RouteAgent{q: make([]float64, dests*RoutePorts)}
 }
 
 // Q returns the cost estimate for routing toward dst via port index

@@ -44,7 +44,11 @@ const Magic uint32 = 0x534E4C52
 // mid-measure checkpoint only the trace events not yet injected.
 // Version 3: a Q-table carries only its touched rows, and a trained DT
 // controller no training set.
-const Version uint32 = 3
+// Version 4: the write-only words are gone (latency EWMA, packet inject
+// cycle, flit ECC flag, the retransmission flag of a wire flit and the
+// Mode 2 flag of a retransmission-buffer entry, router flits-in window,
+// grid version, two stats counters).
+const Version uint32 = 4
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

@@ -16,7 +16,6 @@ func (c *Collector) Snap(cd *snap.Codec) error {
 	cd.I64(&c.PacketsInjected)
 	cd.I64(&c.PacketsDelivered)
 	cd.I64(&c.FlitsDelivered)
-	cd.I64(&c.ControlInjected)
 	cd.F64(&c.latSum)
 	cd.I64(&c.latCount)
 	cd.I64(&c.latMax)
@@ -31,7 +30,6 @@ func (c *Collector) Snap(cd *snap.Codec) error {
 	cd.I64(&c.ECCCorrections)
 	cd.I64(&c.ECCDetections)
 	cd.I64(&c.CRCFailures)
-	cd.I64(&c.LinkNACKs)
 	cd.I64(&c.SilentCorruption)
 	for i := range c.drops {
 		cd.I64(&c.drops[i])

@@ -22,7 +22,6 @@ type Collector struct {
 	PacketsInjected  int64
 	PacketsDelivered int64
 	FlitsDelivered   int64
-	ControlInjected  int64 // end-to-end NACK packets injected
 
 	// Latency (cycles), over delivered data packets.
 	latSum   float64
@@ -43,7 +42,6 @@ type Collector struct {
 	ECCCorrections   int64 // single-bit errors corrected by SECDED
 	ECCDetections    int64 // double-bit errors detected (NACKed)
 	CRCFailures      int64 // packets failing the destination CRC check
-	LinkNACKs        int64
 	SilentCorruption int64 // delivered packets whose payload check failed silently (must stay 0)
 
 	// drops counts flit/packet discards by reason; see drops.go. Always

@@ -34,11 +34,6 @@ type Grid struct {
 	nbr [][4]int
 	// scratch holds per-step temperature deltas.
 	scratch []float64
-	// version counts Step calls that changed at least one temperature
-	// bit. Near equilibrium the Euler deltas underflow the float64
-	// accumulation and the grid stops moving; downstream caches (the
-	// fault-probability memo) use Version to observe that convergence.
-	version int64
 }
 
 // NewGrid builds a thermal grid over the fabric's physical tile layout
@@ -121,22 +116,13 @@ func (g *Grid) Step(powerW []float64, dtSeconds float64) error {
 		steps = 1
 	}
 	h := dtSeconds / float64(steps)
-	changed := false
 	for s := 0; s < steps; s++ {
-		if g.substep(powerW, h) {
-			changed = true
-		}
-	}
-	if changed {
-		g.version++
+		g.substep(powerW, h)
 	}
 	return nil
 }
 
-// Version returns the number of Step calls that moved any temperature.
-func (g *Grid) Version() int64 { return g.version }
-
-func (g *Grid) substep(powerW []float64, h float64) bool {
+func (g *Grid) substep(powerW []float64, h float64) {
 	for i := range g.temp {
 		flow := powerW[i] - (g.temp[i]-g.cfg.AmbientC)/g.cfg.RThetaJA
 		for _, j := range g.nbr[i] {
@@ -146,15 +132,9 @@ func (g *Grid) substep(powerW []float64, h float64) bool {
 		}
 		g.scratch[i] = h * flow / g.cfg.CThermal
 	}
-	changed := false
 	for i := range g.temp {
-		next := g.temp[i] + g.scratch[i]
-		if next != g.temp[i] {
-			g.temp[i] = next
-			changed = true
-		}
+		g.temp[i] += g.scratch[i]
 	}
-	return changed
 }
 
 // SteadyState returns the equilibrium temperatures for a constant power

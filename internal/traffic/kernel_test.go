@@ -31,7 +31,9 @@ func referenceFabrics(t testing.TB) []topology.Topology {
 
 // TestGeneratorsMatchReference holds the generation kernels to the exact
 // event slices of the loops they replaced (reference_test.go): all eight
-// patterns and all nine benchmarks, three fabrics, several seeds.
+// patterns and all nine benchmarks, three fabrics, several seeds. (An
+// unknown pattern is an error now, TestUnknownPatternRejected, so it has
+// no trace to compare.)
 func TestGeneratorsMatchReference(t *testing.T) {
 	seeds := []int64{1, 2, 907, -5, 1 << 40}
 	if testing.Short() {
@@ -40,7 +42,7 @@ func TestGeneratorsMatchReference(t *testing.T) {
 	for _, m := range referenceFabrics(t) {
 		w, h := m.Dims()
 		fabric := fmt.Sprintf("%s-%dx%d", m.Kind(), w, h)
-		for _, p := range append(Patterns(), Pattern("no-such-pattern")) {
+		for _, p := range Patterns() {
 			for _, seed := range seeds {
 				for _, rate := range []float64{0.004, 0.3} {
 					got, err := Synthetic(m, p, rate, 4, 1500, seed)

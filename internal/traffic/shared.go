@@ -126,7 +126,7 @@ func SharedProgram(m topology.Topology, segs []Segment, flits int, cycles int64,
 	}
 	key := fmt.Appendf(nil, "program %s flits=%d cycles=%d seed=%d", fabricKey(m), flits, cycles, seed)
 	for _, seg := range segs {
-		if err := checkSynthetic(seg.Rate, flits, cycles); err != nil {
+		if err := checkSynthetic(seg.Pattern, seg.Rate, flits, cycles); err != nil {
 			return nil, err
 		}
 		key = fmt.Appendf(key, " %q@%v", seg.Pattern, seg.Rate)

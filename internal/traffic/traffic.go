@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"rlnoc/internal/detrand"
 	"rlnoc/internal/topology"
@@ -113,8 +115,6 @@ func newDestPlan(m topology.Topology, p Pattern) destPlan {
 				shift = 1
 			}
 			d = m.ID(topology.Coord{X: (c.X + shift) % w, Y: c.Y})
-		default:
-			d = dstSkip
 		}
 		if d == src || n == 1 {
 			d = dstSkip
@@ -185,7 +185,17 @@ func sizeHint(expected float64) int {
 	return int(c)
 }
 
-func checkSynthetic(rate float64, flits int, cycles int64) error {
+// checkSynthetic validates one pattern segment's parameters. An unknown
+// pattern is an error: no source would have a destination plan, so the
+// trace would be silently empty.
+func checkSynthetic(p Pattern, rate float64, flits int, cycles int64) error {
+	if !slices.Contains(Patterns(), p) {
+		names := make([]string, 0, len(Patterns()))
+		for _, q := range Patterns() {
+			names = append(names, string(q))
+		}
+		return fmt.Errorf("traffic: unknown pattern %q (want %s)", p, strings.Join(names, ", "))
+	}
 	if rate < 0 || rate > 1 {
 		return fmt.Errorf("traffic: rate %g outside [0,1]", rate)
 	}
@@ -202,7 +212,7 @@ func checkSynthetic(rate float64, flits int, cycles int64) error {
 // rate is packets per node per cycle; flits is the packet size. The
 // caller owns the returned slice.
 func Synthetic(m topology.Topology, p Pattern, rate float64, flits int, cycles int64, seed int64) ([]Event, error) {
-	if err := checkSynthetic(rate, flits, cycles); err != nil {
+	if err := checkSynthetic(p, rate, flits, cycles); err != nil {
 		return nil, err
 	}
 	events := make([]Event, 0, sizeHint(rate*float64(m.Nodes())*float64(cycles)))

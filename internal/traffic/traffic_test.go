@@ -33,6 +33,22 @@ func TestSyntheticAllPatternsValid(t *testing.T) {
 	}
 }
 
+// TestUnknownPatternRejected: a pattern name outside Patterns() is an
+// error naming it, from Synthetic and from any segment of SharedProgram,
+// never an empty trace.
+func TestUnknownPatternRejected(t *testing.T) {
+	m := mesh8(t)
+	const want = `traffic: unknown pattern "nosuch" (want uniform, transpose,`
+	if _, err := Synthetic(m, "nosuch", 0.01, 4, 2000, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Synthetic: err = %v, want %q", err, want)
+	}
+	for _, segs := range [][]Segment{{{"nosuch", 0.01}}, {{Uniform, 0.01}, {"nosuch", 0.01}}} {
+		if _, err := SharedProgram(m, segs, 4, 2000, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SharedProgram %v: err = %v, want %q", segs, err, want)
+		}
+	}
+}
+
 func TestSyntheticRateControlsVolume(t *testing.T) {
 	m := mesh8(t)
 	low, err := Synthetic(m, Uniform, 0.002, 4, 5000, 1)
