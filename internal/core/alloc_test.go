@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/network"
@@ -142,20 +143,21 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 	if built != 0 {
 		t.Errorf("restore materialized %d of %d RNG sources before any draw", built, total)
 	}
-	if in := restored.ms.in; len(in.events) != in.remaining || len(in.events) >= len(events) {
-		t.Errorf("the restored injector holds %d events for %d pending of a %d-event trace; want the pending ones only",
-			len(in.events), in.remaining, len(events))
+	if in := restored.ms.in; in.remaining == 0 || in.remaining >= len(events) || streamBytes(in) > 4*in.remaining {
+		t.Errorf("the restored injector holds %d stream bytes for %d pending of a %d-event trace; want the pending ones only, packed",
+			streamBytes(in), in.remaining, len(events))
 	}
-	// 1.25x the 0.555 MB measured when this budget was set: the 8x8 fabric,
+	// 1.25x the 0.484 MB measured when this budget was set: the 8x8 fabric,
 	// the Q-table rows the run touched (streamed as rows), the pending half
-	// of the trace and the codec. Streaming the table in its dense form made
-	// it 0.565 MB; decoding and indexing the whole trace, with 96-byte input
-	// VCs, 0.709 MB; seeding all 128 sources of the time, consulting the
-	// controller at cycle 0 and copying the trace into the injector,
-	// 2.21 MB; decoding a dense 0.8 MB table and a fresh 64 KiB stream
-	// buffer, 1.45 MB.
-	if mb > 0.69 {
-		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.69 MB", mb)
+	// of the trace as packed streams and the codec. Decoding the pending
+	// events and indexing them made it 0.555 MB; streaming the table in its
+	// dense form, 0.565 MB; decoding and indexing the whole trace, with
+	// 96-byte input VCs, 0.709 MB; seeding all 128 sources of the time,
+	// consulting the controller at cycle 0 and copying the trace into the
+	// injector, 2.21 MB; decoding a dense 0.8 MB table and a fresh 64 KiB
+	// stream buffer, 1.45 MB.
+	if mb > 0.605 {
+		t.Errorf("restoring an 8x8 rl checkpoint allocated %.3f MB, budget 0.605 MB", mb)
 	}
 	var buf bytes.Buffer
 	if err := restored.WriteSnapshot(&buf); err != nil {
@@ -218,50 +220,79 @@ func countingSources(v reflect.Value) (total, built int) {
 	return total, built
 }
 
-// TestInjectorOneSlab: the injector holds the trace it is handed (possibly
-// shared) without copying it, and its per-source queues are index lists
-// in trace order, carved from one slab sized by a counting pass.
+// streamBytes is the length of in's unread streams.
+func streamBytes(in *injector) int {
+	n := 0
+	for _, st := range in.streams {
+		n += len(st)
+	}
+	return n
+}
+
+// TestInjectorOneSlab: the injector packs each source's events into one
+// stream of uvarints — cycle delta from the source's previous event,
+// destination, flit count — cut from a slab sized by a first pass, and
+// holds no copy of the trace.
 func TestInjectorOneSlab(t *testing.T) {
 	events := []traffic.Event{
 		{Cycle: 0, Src: 2, Dst: 0, Flits: 1},
 		{Cycle: 1, Src: 0, Dst: 1, Flits: 4},
 		{Cycle: 1, Src: 2, Dst: 3, Flits: 4},
 		{Cycle: 5, Src: 2, Dst: 1, Flits: 1},
-		{Cycle: 9, Src: 0, Dst: 3, Flits: 4},
+		{Cycle: 200, Src: 0, Dst: 3, Flits: 4},
 	}
-	in := newInjector(events, 4, 2, 100)
-	if &in.events[0] != &events[0] {
-		t.Fatal("the injector copied the trace instead of holding it")
+	in := newInjector(4, 2, 100)
+	in.pack(events)
+	// Source 0's second delta, 199, takes two bytes: 0x80|(199&0x7f), 1.
+	want := [][]byte{{1, 1, 4, 199, 1, 3, 4}, nil, {0, 0, 1, 1, 3, 4, 4, 1, 1}, nil}
+	for src, st := range in.streams {
+		if !bytes.Equal(st, want[src]) || cap(st) != len(st) {
+			t.Fatalf("source %d: stream %v (cap %d), want %v with len=cap", src, st, cap(st), want[src])
+		}
 	}
-	want := [][]int32{{1, 4}, nil, {0, 2, 3}, nil}
-	for src, q := range in.queues {
-		if len(q) != len(want[src]) || cap(q) != len(q) {
-			t.Fatalf("source %d: queue len %d cap %d, want len=cap=%d", src, len(q), cap(q), len(want[src]))
-		}
-		for i := range q {
-			if q[i] != want[src][i] {
-				t.Fatalf("source %d entry %d = %d, want %d", src, i, q[i], want[src][i])
-			}
-		}
+	if unsafe.SliceData(in.streams[2]) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(in.streams[0])), 7)) {
+		t.Fatal("the streams are not consecutive windows on one slab")
 	}
 	if in.remaining != len(events) {
 		t.Fatalf("remaining = %d", in.remaining)
 	}
-	if in.due[0] != 101 || in.due[1] != never || in.due[2] != 100 {
+	if in.due[0] != 101 || in.due[1] != never || in.due[2] != 100 || in.due[3] != never {
 		t.Fatalf("due = %v, want the head events' absolute cycles", in.due)
 	}
+	for _, want := range []struct {
+		dst, flits int
+		due        int64
+	}{{0, 1, 101}, {3, 4, 105}, {1, 1, never}} {
+		if dst, flits := in.issue(2); dst != want.dst || flits != want.flits || in.due[2] != want.due {
+			t.Fatalf("issued (%d, %d) with the next due at %d, want (%d, %d) and %d",
+				dst, flits, in.due[2], want.dst, want.flits, want.due)
+		}
+	}
+	if in.remaining != 2 || in.at[2] != 5 {
+		t.Fatalf("remaining %d, source 2's cycle base %d; want 2 and 5", in.remaining, in.at[2])
+	}
+
 	big := make([]traffic.Event, 50_000)
 	for i := range big {
 		big[i] = traffic.Event{Cycle: int64(i), Src: i % 64, Dst: (i + 1) % 64, Flits: 4}
 	}
-	if allocs := testing.AllocsPerRun(3, func() { newInjector(big, 64, 4, 0) }); allocs > 6 {
-		t.Errorf("newInjector made %.0f allocations for 64 queues; want one slab, not a grown slice per source", allocs)
+	pack := func() *injector {
+		in := newInjector(64, 4, 0)
+		in.pack(big)
+		return in
 	}
-	// 4 bytes an event plus the per-source vectors and size-class rounding;
-	// a copy of the trace is 32 bytes an event.
-	budget := float64(5*len(big)) / (1 << 20)
-	if mb := allocatedMB(func() { newInjector(big, 64, 4, 0) }); mb > budget {
-		t.Errorf("newInjector allocated %.3f MB for %d events, budget %.3f MB", mb, len(big), budget)
+	if n := streamBytes(pack()); n != 3*len(big) {
+		t.Errorf("a trace of one-byte deltas, destinations and flit counts packed to %d bytes for %d events, want 3 each", n, len(big))
+	}
+	if allocs := testing.AllocsPerRun(3, func() { pack() }); allocs > 5 {
+		t.Errorf("packing made %.0f allocations for 64 streams; want one slab, not a grown slice per source", allocs)
+	}
+	// 3 bytes an event plus the per-source vectors and size-class rounding;
+	// the index lists this replaced took 4 bytes an event, a copy of the
+	// trace 32.
+	budget := float64(4*len(big)) / (1 << 20)
+	if mb := allocatedMB(func() { pack() }); mb > budget {
+		t.Errorf("packing allocated %.3f MB for %d events, budget %.3f MB", mb, len(big), budget)
 	}
 }
 

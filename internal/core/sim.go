@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -345,22 +347,24 @@ type (
 // a node's next event is held while the node has SourceWindow undelivered
 // packets outstanding, so a slow (error-ridden) network stretches the
 // application's execution time, exactly what Fig. 7 measures.
+//
+// Each source's events are one packed stream, three uvarints an event —
+// the cycle less the source's previous event's (or 0 before its first),
+// the destination, the flit count — and every stream is a window on one
+// slab: 3.4-3.8 bytes an event on the benchmark traces (a delta takes a
+// second byte once a source's gap passes 127 cycles), where a copy of the
+// trace takes 32. A checkpoint writes each source's cycle base and unread
+// suffix as they stand, and a restore adopts them (DESIGN.md §15).
 type injector struct {
-	// events is the trace, held (never copied or written) from the caller:
-	// possibly a shared memo slice, or the pending events a restore
-	// decoded.
-	events []traffic.Event
-	// queues[src] lists, in trace order, the indices into events of src's
-	// events: 4 bytes per event where a per-source copy took 32.
-	queues [][]int32
-	// heads[src] indexes the next pending entry of queues[src]; consuming
-	// by index instead of re-slicing keeps the per-cycle injection sweep
-	// free of slice-header churn.
-	heads []int
-	// due[src] is the absolute cycle of queues[src]'s head event (never once
-	// the queue is spent): the per-cycle sweep reads this one dense vector
-	// and opens a queue only when its head is due.
-	// Derived from heads and base (sync): rebuilt on restore, never
+	// streams[src] is src's unread events, consumed from the front.
+	streams [][]byte
+	// at[src] is the cycle of src's last issued event, relative to base
+	// (0 before its first): the base its head's delta counts from.
+	at []int64
+	// due[src] is the absolute cycle of src's head event (never once the
+	// stream is spent): the per-cycle sweep reads this one dense vector
+	// and decodes a stream only when its head is due.
+	// Derived from streams, at and base (sync): rebuilt on restore, never
 	// serialized.
 	due       []int64
 	remaining int
@@ -369,56 +373,92 @@ type injector struct {
 }
 
 // accept is the one place a phase takes in a trace (whose cycles are
-// relative to base): a trace file, an API caller's slice and a decoded
-// snapshot all pass traffic.Validate against the fabric here, so a bad
-// endpoint, ordering or flit count is an error naming the event rather
-// than an index panic mid-run.
+// relative to base): a trace file and an API caller's slice pass
+// traffic.Validate against the fabric here, and a checkpoint's streams
+// the same per-event rule (parseStream), so a bad endpoint, ordering or
+// flit count is an error naming the event rather than an index panic
+// mid-run.
 func (s *Sim) accept(events []traffic.Event, base int64) (*injector, error) {
 	if err := traffic.Validate(s.net.Topology(), events); err != nil {
 		return nil, err
 	}
-	if len(events) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: trace of %d events exceeds the injector's %d", len(events), math.MaxInt32)
-	}
-	return newInjector(events, s.cfg.Routers(), s.cfg.SourceWindow, base), nil
+	in := newInjector(s.cfg.Routers(), s.cfg.SourceWindow, base)
+	in.pack(events)
+	return in, nil
 }
 
-// newInjector indexes events (which it never modifies, and which may be a
-// shared trace) into per-source queues carved from one slab.
-func newInjector(events []traffic.Event, nodes int, window int, base int64) *injector {
-	in := &injector{events: events, queues: make([][]int32, nodes), heads: make([]int, nodes),
-		due: make([]int64, nodes), remaining: len(events), window: window, base: base}
-	counts := make([]int, nodes)
+// newInjector returns an injector for nodes sources with every stream
+// empty.
+func newInjector(nodes, window int, base int64) *injector {
+	cycles := make([]int64, 2*nodes)
+	return &injector{streams: make([][]byte, nodes), at: cycles[:nodes:nodes], due: cycles[nodes:],
+		window: window, base: base}
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// pack encodes a validated trace (which it never modifies, and which may
+// be a shared one) into the per-source streams, cut from one slab sized
+// by a first pass.
+func (in *injector) pack(events []traffic.Event) {
+	sizes := make([]int, len(in.streams))
+	total := 0
 	for _, e := range events {
-		counts[e.Src]++
+		n := uvarintLen(uint64(e.Cycle-in.at[e.Src])) + uvarintLen(uint64(e.Dst)) + uvarintLen(uint64(e.Flits))
+		sizes[e.Src] += n
+		total += n
+		in.at[e.Src] = e.Cycle
 	}
-	slab := make([]int32, len(events))
-	for src, n := range counts {
-		in.queues[src], slab = slab[:0:n], slab[n:]
+	slab := make([]byte, total)
+	for src, n := range sizes {
+		in.streams[src], slab = slab[:0:n], slab[n:]
 	}
-	for i, e := range events {
-		in.queues[e.Src] = append(in.queues[e.Src], int32(i))
+	clear(in.at)
+	for _, e := range events {
+		st := binary.AppendUvarint(in.streams[e.Src], uint64(e.Cycle-in.at[e.Src]))
+		st = binary.AppendUvarint(st, uint64(e.Dst))
+		in.streams[e.Src] = binary.AppendUvarint(st, uint64(e.Flits))
+		in.at[e.Src] = e.Cycle
 	}
+	clear(in.at)
+	in.remaining = len(events)
 	in.sync()
-	return in
 }
 
-// never is the due cycle of a spent queue.
+// never is the due cycle of a spent stream.
 const never int64 = math.MaxInt64
 
 // headDue returns the absolute cycle of src's head event.
 func (in *injector) headDue(src int) int64 {
-	if q, h := in.queues[src], in.heads[src]; h < len(q) {
-		return in.base + in.events[q[h]].Cycle
+	if st := in.streams[src]; len(st) > 0 {
+		delta, _ := binary.Uvarint(st)
+		return in.base + in.at[src] + int64(delta)
 	}
 	return never
 }
 
-// sync recomputes due from heads and base.
+// sync recomputes due from the streams, their cycle bases and base.
 func (in *injector) sync() {
 	for src := range in.due {
 		in.due[src] = in.headDue(src)
 	}
+}
+
+// issue consumes src's head event and returns its destination and flit
+// count.
+func (in *injector) issue(src int) (dst, flits int) {
+	st := in.streams[src]
+	delta, n := binary.Uvarint(st)
+	st = st[n:]
+	d, n := binary.Uvarint(st)
+	st = st[n:]
+	f, n := binary.Uvarint(st)
+	in.streams[src] = st[n:]
+	in.at[src] += int64(delta)
+	in.remaining--
+	in.due[src] = in.headDue(src)
+	return int(d), int(f)
 }
 
 func (in *injector) step(net *network.Network, now int64) error {
@@ -426,37 +466,17 @@ func (in *injector) step(net *network.Network, now int64) error {
 		if due > now {
 			continue
 		}
-		q := in.queues[src]
-		h := in.heads[src]
-		for h < len(q) && in.base+in.events[q[h]].Cycle <= now {
-			if in.window > 0 && net.SourceOutstanding(src) >= in.window {
-				break
-			}
-			e := &in.events[q[h]]
-			if _, err := net.NewDataPacket(e.Src, e.Dst, e.Flits, now); err != nil {
+		for in.due[src] <= now && (in.window <= 0 || net.SourceOutstanding(src) < in.window) {
+			dst, flits := in.issue(src)
+			if _, err := net.NewDataPacket(src, dst, flits, now); err != nil {
 				return err
 			}
-			h++
-			in.remaining--
 		}
-		in.heads[src] = h
-		in.due[src] = in.headDue(src)
 	}
 	return nil
 }
 
 func (in *injector) done() bool { return in.remaining == 0 }
-
-// eachPending calls f on every event the injector has not yet issued, in
-// trace order: event i of source src is pending once its queue's head has
-// reached it, since each queue lists ascending indices.
-func (in *injector) eachPending(f func(traffic.Event)) {
-	for i, e := range in.events {
-		if q, h := in.queues[e.Src], in.heads[e.Src]; h < len(q) && int32(i) >= q[h] {
-			f(e)
-		}
-	}
-}
 
 // drive is the cycle loop, the only one: inject, Step, then the periodic
 // hooks, every cycle, until everything drains (reporting true) or the

@@ -11,9 +11,11 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -193,26 +195,17 @@ func (s *Sim) snapState(c *snap.Codec) error {
 	return s.net.Snap(c)
 }
 
-// snapMeasure walks the in-progress measurement phase. The stream holds
-// only the events the injector has not issued, in trace order, and their
-// count: decoding indexes them into a fresh injector whose every source
-// starts at the head of its queue, and a count that disagrees is corrupt.
+// snapMeasure walks the in-progress measurement phase: its label, the
+// injector's pending events (snapStreams) and their count, then the phase
+// bookkeeping. A count that disagrees with the streams is corrupt.
 func (s *Sim) snapMeasure(c *snap.Codec) {
 	ms := s.ms
 	c.String(&ms.label)
-	var events []traffic.Event
 	if c.Decoding() {
-		decodeEvents(c, &events)
-		if c.Err() != nil {
-			return
-		}
-		var err error
-		if ms.in, err = s.accept(events, 0); err != nil {
-			c.Fail(err)
-			return
-		}
-	} else {
-		encodePending(c, ms.in)
+		ms.in = newInjector(s.cfg.Routers(), s.cfg.SourceWindow, 0)
+	}
+	if ms.in.snapStreams(c); c.Err() != nil {
+		return
 	}
 	remaining := ms.in.remaining
 	c.Int(&remaining)
@@ -234,48 +227,83 @@ func (s *Sim) snapMeasure(c *snap.Codec) {
 	}
 }
 
-// A trace event is stored as four I64 words (cycle, src, dst, flits);
-// the trace moves through the codec eventBlock events at a time.
-const (
-	eventWords = 4
-	eventBlock = 128
-)
-
-// encodePending writes in's pending events as snap.Blocks lays out a
-// slice — a length prefix, then the events — without gathering them into
-// one.
-func encodePending(c *snap.Codec, in *injector) {
-	n := in.remaining
-	c.Len(&n)
-	var words [eventWords * eventBlock]int64
-	k, wrote := 0, 0
-	in.eachPending(func(e traffic.Event) {
-		words[eventWords*k], words[eventWords*k+1] = e.Cycle, int64(e.Src)
-		words[eventWords*k+2], words[eventWords*k+3] = int64(e.Dst), int64(e.Flits)
-		if k++; k == eventBlock {
-			c.RawI64s(words[:])
-			wrote, k = wrote+k, 0
+// snapStreams walks the injector's unread streams: the source count, the
+// streams' total length and every source's unread suffix as it stands,
+// then per source its cycle base and suffix length. Decoding reads the
+// suffixes into one slab, cuts it into the streams and holds every event
+// to the fabric (parseStream), counting them into remaining.
+func (in *injector) snapStreams(c *snap.Codec) {
+	c.LenCheck(len(in.streams))
+	var slab []byte
+	if c.Decoding() {
+		c.Bytes(&slab)
+	} else {
+		total := 0
+		for _, st := range in.streams {
+			total += len(st)
 		}
-	})
-	c.RawI64s(words[:eventWords*k])
-	if wrote += k; wrote != n {
-		c.Fail(fmt.Errorf("core: injector counts %d pending events, its queues hold %d", n, wrote))
+		c.Len(&total)
+		for _, st := range in.streams {
+			c.RawBytes(st)
+		}
+	}
+	for src := range in.streams {
+		c.I64(&in.at[src])
+		n := len(in.streams[src])
+		c.Len(&n)
+		if c.Decoding() && c.Err() == nil {
+			if n > len(slab) {
+				c.Fail(fmt.Errorf("core: snapshot source %d claims %d stream bytes, %d are left", src, n, len(slab)))
+				return
+			}
+			in.streams[src], slab = slab[:n:n], slab[n:]
+		}
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	if len(slab) > 0 {
+		c.Fail(fmt.Errorf("core: snapshot streams leave %d bytes over", len(slab)))
+		return
+	}
+	for src, st := range in.streams {
+		n, err := parseStream(st, src, len(in.streams), in.at[src])
+		if err != nil {
+			c.Fail(err)
+			return
+		}
+		in.remaining += n
 	}
 }
 
-// decodeEvents reads what encodePending wrote into a slice the restored
-// sim owns; accept then holds it to the fabric like any other trace.
-func decodeEvents(c *snap.Codec, events *[]traffic.Event) {
-	var words [eventWords * eventBlock]int64
-	snap.Blocks(c, events, snap.MaxLen, eventBlock, func(run []traffic.Event) {
-		c.RawI64s(words[:eventWords*len(run)])
-		if c.Err() == nil {
-			for i := range run {
-				run[i] = traffic.Event{Cycle: words[eventWords*i], Src: int(words[eventWords*i+1]),
-					Dst: int(words[eventWords*i+2]), Flits: int(words[eventWords*i+3])}
+// parseStream checks that st is a whole number of src's packed events
+// whose cycles, counted up from at, stay within int64 and each of which
+// passes traffic.CheckEvent on a fabric of nodes, and returns how many it
+// holds.
+func parseStream(st []byte, src, nodes int, at int64) (int, error) {
+	if at < 0 {
+		return 0, fmt.Errorf("core: snapshot source %d has cycle base %d", src, at)
+	}
+	events := 0
+	for len(st) > 0 {
+		var w [3]uint64 // delta, dst, flits
+		for i := range w {
+			v, k := binary.Uvarint(st)
+			if k <= 0 || v > math.MaxInt {
+				return 0, fmt.Errorf("core: snapshot source %d event %d: truncated or out-of-range varint", src, events)
 			}
+			w[i], st = v, st[k:]
 		}
-	})
+		if w[0] > uint64(math.MaxInt64-at) {
+			return 0, fmt.Errorf("core: snapshot source %d event %d: cycle overflows", src, events)
+		}
+		at += int64(w[0])
+		if err := traffic.CheckEvent(nodes, src, int(w[1]), int(w[2])); err != nil {
+			return 0, fmt.Errorf("core: snapshot source %d event %d %w", src, events, err)
+		}
+		events++
+	}
+	return events, nil
 }
 
 // stateKey packs a discretized RL state into a sortable integer.

@@ -37,11 +37,10 @@ var unsnapshotted = map[string]struct {
 	"network.outputPort.pendingFree": {true, "countPendingFree() over the decoded vcPendingFree"},
 	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
 	"network.qrouteState.dist":       {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
-	"core.measureState.in":           {true, "a fresh injector over the decoded pending events"},
-	"core.injector.due":              {true, "sync() over the restarted heads and base"},
-	"core.injector.events":           {false, "a checkpoint carries only the pending events: compared as the eachPending list"},
-	"core.injector.queues":           {false, "index lists into the held events, rebuilt by accept"},
-	"core.injector.heads":            {false, "cursors into the queues: every source restarts at 0 over the pending events"},
+	"core.measureState.in":           {true, "a fresh injector that adopts the decoded streams"},
+	"core.injector.due":              {true, "sync() over the adopted streams, their cycle bases and base"},
+	"core.injector.streams":          {true, "each source's unread suffix, written as it stands; a restore's windows cut one decoded slab"},
+	"core.injector.at":               {true, "each source's cycle base, written beside its suffix"},
 	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},
 	"network.Router.wirePorts":       {false, "port summary: refilled conservatively (every port); a spurious bit is a no-op port visit that clears it"},
 	"network.Network.hardSched":      {true, "reparsed from the Config the stream embeds"},
@@ -191,13 +190,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 			t.Errorf("unsnapshotted lists %s, which the comparison never reached: stale entry", field)
 		}
 	}
-}
-
-// pendingEvents lists the events in has yet to issue, in trace order.
-func pendingEvents(in *injector) []traffic.Event {
-	var out []traffic.Event
-	in.eachPending(func(e traffic.Event) { out = append(out, e) })
-	return out
 }
 
 // fabricPaths are the walk paths under the fabric: routers with their

@@ -12,10 +12,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"rlnoc/internal/config"
@@ -270,9 +273,10 @@ func TestSnapshotIdempotent(t *testing.T) {
 // TestCheckpointBytesBudget keeps learned state out of a checkpoint
 // unless it exists: a Q-table writes the rows a run touched, not its
 // 10,000 states, and a trained DT controller no training set. Budgets are
-// 1.25x the sizes measured when the table became a row stream (the dense
-// table made the 4x4 mesh rl and qroute checkpoints 833,397 and 842,546
-// bytes, and with a table per router 12,833,653).
+// 1.25x the sizes measured when the pending trace became packed streams
+// (as 32-byte events, 33,676, 42,739 and 35,616 bytes; the dense table
+// made the 4x4 mesh rl and qroute checkpoints 833,397 and 842,546 bytes,
+// and with a table per router 12,833,653).
 func TestCheckpointBytesBudget(t *testing.T) {
 	for _, arm := range []struct {
 		name     string
@@ -280,9 +284,9 @@ func TestCheckpointBytesBudget(t *testing.T) {
 		shared   bool
 		measured int
 	}{
-		{"rl", SchemeRL, true, 33_881},
-		{"qroute", SchemeQRoute, true, 42_948},
-		{"rl-table-per-router", SchemeRL, false, 35_821},
+		{"rl", SchemeRL, true, 28_560},
+		{"qroute", SchemeQRoute, true, 37_651},
+		{"rl-table-per-router", SchemeRL, false, 30_500},
 	} {
 		cfg := snapConfig("mesh")
 		cfg.RL.SharedTable = arm.shared
@@ -366,15 +370,18 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // and a trained DT controller without its training set (the arq-ecc arm
 // moved only by the version word). All three were re-captured for format
 // version 4, which drops the write-only words: each equals the previous
-// build's stream with exactly those words left out of the walk.
+// build's stream with exactly those words left out of the walk. All three
+// were re-captured for format version 5: each equals the previous build's
+// stream but for the version word and the pending trace, now each
+// source's packed stream and cycle base.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "c5beb3d9764bb6bb651c380675ce3caf84984ac5d0ae132e24d4997cd6909b23"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "b7e42f695c71b14998953afed0c83308f0a629dd58c43fdd9bc1f70e92e13132"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "1dafca33bd1590c9a56a5d6aa817583ef0fb37497d135cde13e057ce16523574"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "ec9b595d553213c3c99e3dfaaf151f61ec0e9c371effec5c3ff55ce6d03bf9f7"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "f8c93c3c38e44553963e6ce36bc059cce2eabdbb6d437a335c3adc26a8daec0d"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "cd35499cba1f611d948ddca2534dce3ef2588513c3c53d466aee56f4eee86da4"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -659,19 +666,11 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 			restoreMustBeCorrupt(t, bad)
 		}
 	}
-	// MEAS tag, the has-measure byte, the length-prefixed label, the
-	// length-prefixed events, then the pending count.
-	off := bytes.Index(data, []byte("MEAS")) + 4 + 1
-	off += 4 + int(binary.LittleEndian.Uint32(data[off:]))
-	pending := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4 + pending*8*4
-	if got := binary.LittleEndian.Uint64(data[off:]); got != uint64(pending) {
-		t.Fatalf("offset %d holds %d, not the pending count %d", off, got, pending)
-	}
-	for _, count := range []uint64{uint64(pending) + 1, uint64(pending) - 1, 1 << 63} {
-		bad := bytes.Clone(data)
-		binary.LittleEndian.PutUint64(bad[off:], count)
-		restoreMustBeCorrupt(t, bad)
+	p := readPending(t, data)
+	for _, count := range []int64{p.remaining + 1, p.remaining - 1, math.MinInt64} {
+		q := *p
+		q.remaining = count
+		restoreMustBeCorrupt(t, q.patch(data))
 	}
 	// Router 0's first input VC follows the RTRS tag, the occupancy mask,
 	// two round-robin arrays of NumPorts words and one window counter:
@@ -709,34 +708,141 @@ func TestHostileModeMaskIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestHostileTraceLengthIsCorrupt patches one word of a valid checkpoint
-// — the MEAS section's trace length, to the largest value the format
-// admits — and requires the restore to fail as a corrupt stream after a
-// bounded allocation. Reserving what the prefix claims (32 GiB of
-// events) kills the process, and the campaign's fall-back to the
-// previous checkpoint never runs.
-func TestHostileTraceLengthIsCorrupt(t *testing.T) {
-	data := firstCheckpoint(t, SchemeRL)
-	// MEAS tag, the has-measure byte, the length-prefixed label, then the
-	// trace length.
+// pendingSection is a checkpoint's pending trace, as the MEAS section
+// lays it out after the has-measure byte and the label: the source count,
+// the streams' total length and their bytes, each source's cycle base and
+// stream length, then the pending count. The hostile tests edit it and
+// patch it back.
+type pendingSection struct {
+	streams   [][]byte
+	at        []int64
+	lens      []int // the stream lengths patch writes
+	remaining int64
+	// start and end bound the section in the checkpoint.
+	start, end int
+}
+
+// readPending parses data's pending section.
+func readPending(t *testing.T, data []byte) *pendingSection {
+	t.Helper()
 	off := bytes.Index(data, []byte("MEAS")) + 4 + 1
 	off += 4 + int(binary.LittleEndian.Uint32(data[off:]))
-	if n := binary.LittleEndian.Uint32(data[off:]); n == 0 || int(n)*8*4 > len(data) {
-		t.Fatalf("offset %d holds %d, not the trace length", off, n)
+	p := &pendingSection{start: off}
+	nodes := int(binary.LittleEndian.Uint32(data[off:]))
+	total := int(binary.LittleEndian.Uint32(data[off+4:]))
+	if nodes != 16 || total == 0 || off+8+total+12*nodes+8 > len(data) {
+		t.Fatalf("offset %d holds %d sources and %d stream bytes, not a 4x4 fabric's pending trace", off, nodes, total)
 	}
-	binary.LittleEndian.PutUint32(data[off:], 1<<30)
+	slab := data[off+8 : off+8+total]
+	off += 8 + total
+	for range nodes {
+		n := int(binary.LittleEndian.Uint32(data[off+8:]))
+		p.at = append(p.at, int64(binary.LittleEndian.Uint64(data[off:])))
+		p.lens = append(p.lens, n)
+		p.streams = append(p.streams, slices.Clone(slab[:n]))
+		slab, off = slab[n:], off+12
+	}
+	p.remaining = int64(binary.LittleEndian.Uint64(data[off:]))
+	p.end = off + 8
+	return p
+}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := RestoreSim(bytes.NewReader(data))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("checkpoint with a 2^30-event trace length restored")
+// patch returns a copy of data with p in place of its pending section.
+func (p *pendingSection) patch(data []byte) []byte {
+	out := slices.Clone(data[:p.start])
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(p.streams)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(slices.Concat(p.streams...))))
+	out = append(out, slices.Concat(p.streams...)...)
+	for src := range p.streams {
+		out = binary.LittleEndian.AppendUint64(out, uint64(p.at[src]))
+		out = binary.LittleEndian.AppendUint32(out, uint32(p.lens[src]))
 	}
-	if !snap.IsCorrupt(err) {
-		t.Errorf("err = %v, want a snap.CorruptError", err)
+	out = binary.LittleEndian.AppendUint64(out, uint64(p.remaining))
+	return append(out, data[p.end:]...)
+}
+
+// TestHostileTraceLengthIsCorrupt edits the pending trace of a valid
+// checkpoint — its total length, to the largest value the format admits;
+// a truncated varint; a destination off the fabric or at the source; a
+// packet of no flits; stream lengths that overrun the bytes or leave some
+// over; a pending count the streams disagree with; a negative cycle base
+// and cycle deltas whose sum overflows — and requires each restore to
+// fail as a corrupt stream after a bounded allocation. Reserving what the
+// length prefix claims (1 GiB) used to kill the process before the
+// campaign's fall-back to the previous checkpoint could run.
+func TestHostileTraceLengthIsCorrupt(t *testing.T) {
+	data := firstCheckpoint(t, SchemeRL)
+	orig := readPending(t, data)
+	if got := orig.patch(data); !bytes.Equal(got, data) {
+		t.Fatal("re-patching the unedited pending section changed the checkpoint")
 	}
-	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
-		t.Errorf("restore allocated %d MB before rejecting a %d-byte checkpoint", mb, len(data))
+	// src is the first source with two pending events; head its first
+	// event's destination and flits offsets in its stream.
+	src, dstAt := -1, 0
+	for s, st := range orig.streams {
+		if in := (&injector{streams: [][]byte{st}, at: []int64{0}}); len(pendingEvents(in)) >= 2 {
+			_, n := binary.Uvarint(st)
+			src, dstAt = s, n
+			break
+		}
+	}
+	if src < 0 {
+		t.Fatal("no source has two pending events")
+	}
+	last := len(orig.streams) - 1
+	for len(orig.streams[last]) == 0 {
+		last--
+	}
+	edit := func(f func(p *pendingSection)) []byte {
+		p := &pendingSection{streams: make([][]byte, len(orig.streams)), at: slices.Clone(orig.at),
+			lens: slices.Clone(orig.lens), remaining: orig.remaining, start: orig.start, end: orig.end}
+		for s, st := range orig.streams {
+			p.streams[s] = slices.Clone(st)
+		}
+		f(p)
+		return p.patch(data)
+	}
+	cases := []struct {
+		name, want string // want is in the error
+		data       []byte
+	}{
+		{"total length 2^30", "EOF", func() []byte {
+			bad := slices.Clone(data)
+			binary.LittleEndian.PutUint32(bad[orig.start+4:], 1<<30)
+			return bad
+		}()},
+		{"truncated varint", "truncated", edit(func(p *pendingSection) { p.streams[last][len(p.streams[last])-1] |= 0x80 })},
+		{"destination off the fabric", "outside fabric", edit(func(p *pendingSection) { p.streams[src][dstAt] = byte(len(p.streams)) })},
+		{"self-send", "self-send", edit(func(p *pendingSection) { p.streams[src][dstAt] = byte(src) })},
+		{"no flits", "0 flits", edit(func(p *pendingSection) { p.streams[src][dstAt+1] = 0 })},
+		{"lengths overrun the bytes", "are left", edit(func(p *pendingSection) { p.lens[last]++ })},
+		{"lengths leave bytes over", "bytes over", edit(func(p *pendingSection) { p.lens[last]-- })},
+		{"pending count too high", "pending events", edit(func(p *pendingSection) { p.remaining++ })},
+		{"pending count too low", "pending events", edit(func(p *pendingSection) { p.remaining-- })},
+		{"negative cycle base", "cycle base", edit(func(p *pendingSection) { p.at[src] = -1 })},
+		{"cycle deltas overflow", "overflows", edit(func(p *pendingSection) {
+			// Three events 2^62 cycles apart: the second's cycle passes
+			// 2^63-1. The pending count stays right.
+			ev := slices.Concat(binary.AppendUvarint(nil, 1<<62), []byte{byte((src + 1) % len(p.streams)), 4})
+			p.remaining += 3 - int64(len(pendingEvents(&injector{streams: p.streams[src : src+1], at: []int64{0}})))
+			p.streams[src] = slices.Concat(ev, ev, ev)
+			p.lens[src] = len(p.streams[src])
+		})},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreSim(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: the checkpoint restored", tc.name)
+			continue
+		}
+		if !snap.IsCorrupt(err) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a snap.CorruptError saying %q", tc.name, err, tc.want)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
+			t.Errorf("%s: restore allocated %d MB before rejecting a %d-byte checkpoint", tc.name, mb, len(tc.data))
+		}
 	}
 }

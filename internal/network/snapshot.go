@@ -442,9 +442,14 @@ func snapAck(c *snap.Codec, a *wireAck) {
 	c.I64(&a.deliver)
 }
 
-func snapCredit(c *snap.Codec, cr *wireCredit) {
+// credit walks one credit in flight back upstream; decoding rejects a VC
+// the port does not have.
+func (w *fabricWalk) credit(c *snap.Codec, cr *wireCredit) {
 	c.Int(&cr.vc)
 	c.I64(&cr.deliver)
+	if c.Decoding() && (cr.vc < 0 || cr.vc >= w.n.cfg.VCsPerPort) {
+		c.Fail(fmt.Errorf("network: snapshot credit returns VC %d of %d", cr.vc, w.n.cfg.VCsPerPort))
+	}
 }
 
 // router walks one router's arbitration state, its input VCs and its
@@ -472,6 +477,13 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		c.Int(&p.downstream)
 		c.Bool(&p.dead)
 		c.Ints(p.credits)
+		if c.Decoding() {
+			for vc, n := range p.credits {
+				if n < 0 || n > w.n.cfg.VCDepth {
+					c.Fail(fmt.Errorf("network: snapshot VC %d holds %d credits of %d", vc, n, w.n.cfg.VCDepth))
+				}
+			}
+		}
 		c.Bools(p.vcBusy)
 		c.Bools(p.vcPendingFree)
 		c.I64(&p.linkBusyUntil)
@@ -479,7 +491,7 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		snap.Enum(c, &p.targetMode)
 		snap.Slice(c, &p.inflight, snap.MaxLen, w.wireFlit)
 		snap.Slice(c, &p.acks, snap.MaxLen, snapAck)
-		snap.Slice(c, &p.credRet, snap.MaxLen, snapCredit)
+		snap.Slice(c, &p.credRet, snap.MaxLen, w.credit)
 		c.U64(&p.nextSeq)
 		snap.Slice(c, &p.unacked, snap.MaxLen, w.txEntry)
 		c.Int(&p.resendIdx)
@@ -541,10 +553,15 @@ func (w *fabricWalk) inputVC(c *snap.Codec, rt *Router, vc *inputVC) bool {
 	return c.Err() == nil
 }
 
+// txState walks one NI transmitter; decoding rejects a Local-port VC the
+// router does not have.
 func (w *fabricWalk) txState(c *snap.Codec, tx *txState) {
 	w.pkts.ref(c, &tx.pkt)
 	c.Int(&tx.next)
 	c.Int(&tx.vc)
+	if c.Decoding() && (tx.vc < 0 || tx.vc >= w.n.cfg.VCsPerPort) {
+		c.Fail(fmt.Errorf("network: snapshot transmitter on VC %d of %d", tx.vc, w.n.cfg.VCsPerPort))
+	}
 }
 
 // ni walks one network interface: queues and transmitters as packet

@@ -48,7 +48,9 @@ const Magic uint32 = 0x534E4C52
 // cycle, flit ECC flag, the retransmission flag of a wire flit and the
 // Mode 2 flag of a retransmission-buffer entry, router flits-in window,
 // grid version, two stats counters).
-const Version uint32 = 4
+// Version 5: the pending trace is each source's packed event stream
+// (uvarint cycle delta, destination, flit count) with its cycle base.
+const Version uint32 = 5
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a
@@ -451,6 +453,10 @@ func (c *Codec) Bytes(p *[]byte) {
 	Blocks(c, p, MaxLen, chunkBytes, func(run []byte) { c.xfer(run) })
 }
 
+// RawBytes moves exactly len(p) bytes, with no length prefix: the walk
+// states the length elsewhere.
+func (c *Codec) RawBytes(p []byte) { c.xfer(p) }
+
 // String walks a length-prefixed string.
 func (c *Codec) String(s *string) {
 	b := []byte(*s)
@@ -487,10 +493,6 @@ func (c *Codec) I64s(v []int64) {
 	c.LenCheck(len(v))
 	xfer64s(c, v)
 }
-
-// RawI64s walks v as consecutive I64 values with no length prefix, for
-// fixed-width records whose count the caller frames itself (trace events).
-func (c *Codec) RawI64s(v []int64) { xfer64s(c, v) }
 
 // U64s walks a length-prefixed []uint64 in place (length must match).
 func (c *Codec) U64s(v []uint64) {

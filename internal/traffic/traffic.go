@@ -451,25 +451,35 @@ func (b Benchmark) pickDst(f *traceFabric, src int, rng *detrand.Stream) int {
 	}
 }
 
-// Validate checks a trace against a fabric: in-range endpoints, positive
-// sizes, non-decreasing cycles.
+// Validate checks a trace against a fabric: non-negative, non-decreasing
+// cycles, and every event passing CheckEvent.
 func Validate(m topology.Topology, events []Event) error {
-	var prev int64 = -1
+	var prev int64
 	nodes := m.Nodes()
 	for i, e := range events {
 		if e.Cycle < prev {
 			return fmt.Errorf("traffic: event %d cycle %d before %d", i, e.Cycle, prev)
 		}
 		prev = e.Cycle
-		if e.Src < 0 || e.Src >= nodes || e.Dst < 0 || e.Dst >= nodes {
-			return fmt.Errorf("traffic: event %d endpoints (%d,%d) outside fabric", i, e.Src, e.Dst)
+		if err := CheckEvent(nodes, e.Src, e.Dst, e.Flits); err != nil {
+			return fmt.Errorf("traffic: event %d %w", i, err)
 		}
-		if e.Src == e.Dst {
-			return fmt.Errorf("traffic: event %d is a self-send at node %d", i, e.Src)
-		}
-		if e.Flits < 1 {
-			return fmt.Errorf("traffic: event %d has %d flits", i, e.Flits)
-		}
+	}
+	return nil
+}
+
+// CheckEvent holds one event to a fabric of nodes: both endpoints on it,
+// not a self-send, at least one flit. It is the per-event rule of every
+// trace the simulator replays, a caller's or a checkpoint's; the error
+// completes a sentence that names the event.
+func CheckEvent(nodes, src, dst, flits int) error {
+	switch {
+	case src < 0 || src >= nodes || dst < 0 || dst >= nodes:
+		return fmt.Errorf("endpoints (%d,%d) outside fabric", src, dst)
+	case src == dst:
+		return fmt.Errorf("is a self-send at node %d", src)
+	case flits < 1:
+		return fmt.Errorf("has %d flits", flits)
 	}
 	return nil
 }

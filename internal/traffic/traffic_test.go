@@ -295,6 +295,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		events []Event
 	}{
 		{"out of order", []Event{{Cycle: 5, Src: 0, Dst: 1, Flits: 1}, {Cycle: 4, Src: 0, Dst: 1, Flits: 1}}},
+		{"negative cycle", []Event{{Cycle: -1, Src: 0, Dst: 1, Flits: 1}}},
 		{"bad src", []Event{{Cycle: 0, Src: -1, Dst: 1, Flits: 1}}},
 		{"bad dst", []Event{{Cycle: 0, Src: 0, Dst: 64, Flits: 1}}},
 		{"self send", []Event{{Cycle: 0, Src: 3, Dst: 3, Flits: 1}}},
