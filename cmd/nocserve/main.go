@@ -37,7 +37,6 @@ import (
 
 	"rlnoc"
 	"rlnoc/internal/campaign"
-	"rlnoc/internal/config"
 	"rlnoc/internal/snap"
 )
 
@@ -51,7 +50,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("nocserve", flag.ContinueOnError)
 	var (
-		dirFlag     = fs.String("dir", "", "campaign directory (default: RLNOC_CAMPAIGN_DIR env, else 'campaign')")
+		dir         = fs.String("dir", "campaign", "campaign directory")
 		presetFlag  = fs.String("campaign", "", "campaign to submit: chaos|loadsweep (empty: resume whatever -dir holds)")
 		runs        = fs.Int("runs", 4, "chaos kill schedules to sweep (with -campaign chaos)")
 		cfgPath     = fs.String("config", "", "JSON config file")
@@ -73,7 +72,20 @@ func run(args []string) error {
 		}
 		return err
 	}
-	dir := config.ResolveString(config.EnvCampaignDir, *dirFlag, "campaign")
+	switch {
+	case *maxAttempts < 1:
+		return fmt.Errorf("-max-attempts must be at least 1, got %d", *maxAttempts)
+	case *workers < 0:
+		return fmt.Errorf("-workers must be non-negative, got %d", *workers)
+	case *snapEvery < 0:
+		return fmt.Errorf("-snapshot-every must be non-negative, got %d", *snapEvery)
+	case *deadline < 0:
+		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
+	case *watchdog < 0:
+		return fmt.Errorf("-watchdog must be non-negative, got %v", *watchdog)
+	case *statusEvery < 0:
+		return fmt.Errorf("-status-every must be non-negative, got %v", *statusEvery)
+	}
 
 	cfg := rlnoc.DefaultConfig()
 	if *small {
@@ -106,7 +118,7 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "nocserve: ", log.LstdFlags)
 	eng, err := campaign.Open(campaign.Options{
-		Dir:           dir,
+		Dir:           *dir,
 		Name:          "nocserve",
 		Workers:       *workers,
 		MaxAttempts:   *maxAttempts,
@@ -147,17 +159,17 @@ func run(args []string) error {
 		}()
 	}
 
-	logger.Printf("campaign %s: %d jobs", dir, len(eng.Status()))
+	logger.Printf("campaign %s: %d jobs", *dir, len(eng.Status()))
 	if rerr := eng.Run(ctx); rerr != nil {
 		// Graceful shutdown: every in-flight job checkpointed, journal
 		// flushed. The campaign resumes from -dir.
 		printStatus(eng)
-		logger.Printf("suspended on %v; restart with -dir %s to resume", rerr, dir)
+		logger.Printf("suspended on %v; restart with -dir %s to resume", rerr, *dir)
 		return nil
 	}
 
 	results := eng.Results()
-	if err := writeResults(dir, results); err != nil {
+	if err := writeResults(*dir, results); err != nil {
 		return err
 	}
 	if p.report != nil {

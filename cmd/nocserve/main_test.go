@@ -69,9 +69,22 @@ func TestRun(t *testing.T) {
 		// A campaign of no jobs used to report success having run nothing.
 		{name: "chaos with no runs", args: []string{"-small", "-campaign", "chaos", "-runs", "0"},
 			wantErr: "chaos needs at least one run, got 0"},
+		// Out-of-range flags are refused, not run as a default or "off".
+		{name: "zero max-attempts", args: []string{"-max-attempts", "0"},
+			wantErr: "-max-attempts must be at least 1, got 0"},
+		{name: "negative workers", args: []string{"-workers", "-1"},
+			wantErr: "-workers must be non-negative, got -1"},
+		{name: "negative snapshot-every", args: []string{"-snapshot-every", "-1"},
+			wantErr: "-snapshot-every must be non-negative, got -1"},
+		{name: "negative deadline", args: []string{"-deadline", "-1s"},
+			wantErr: "-deadline must be non-negative, got -1s"},
+		{name: "negative watchdog", args: []string{"-watchdog", "-1s"},
+			wantErr: "-watchdog must be non-negative, got -1s"},
+		{name: "negative status-every", args: []string{"-status-every", "-1s"},
+			wantErr: "-status-every must be non-negative, got -1s"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			one, err := runCaptured(t, append(tc.args, "-workers", "1")...)
+			one, err := runCaptured(t, append([]string{"-workers", "1"}, tc.args...)...)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
@@ -86,7 +99,7 @@ func TestRun(t *testing.T) {
 					t.Errorf("output lacks %q:\n%s", s, one)
 				}
 			}
-			auto, err := runCaptured(t, append(tc.args, "-workers", "0")...)
+			auto, err := runCaptured(t, append([]string{"-workers", "0"}, tc.args...)...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,10 +51,8 @@ func run(args []string) error {
 		rate       = fs.Float64("rate", 0.004, "synthetic injection rate, packets/node/cycle")
 		cfgPath    = fs.String("config", "", "JSON config file (default: paper Table II)")
 		seed       = fs.Int64("seed", 0, "override random seed (0 = keep config seed)")
-		errRate    = fs.Float64("error-rate", -1, "override base timing-error rate, the rate at t_ref_c and zero utilisation only (-1 = keep config); a fault-free run also needs temp_sensitivity and util_sensitivity at 0 in -config")
-		routing    = fs.String("routing", "", "routing dimension order: xy|yx (default: config)")
 		hardFault  = fs.String("hard-faults", "", "permanent-failure schedule, e.g. 5000:l12.east,8000:r3")
-		checksFlag = fs.String("checks", "", "runtime invariant checks: off|all|ledger,credits,watchdog (default: RLNOC_CHECKS env)")
+		checksFlag = fs.String("checks", "", "runtime invariant checks: off|all (default: RLNOC_CHECKS env)")
 		topoFlag   = fs.String("topology", "", "fabric topology: mesh|torus (default: config)")
 		small      = fs.Bool("small", false, "use the 4x4 quick configuration")
 		verbose    = fs.Bool("v", false, "print the error-control breakdown")
@@ -62,10 +60,8 @@ func run(args []string) error {
 		savePre    = fs.String("save-pretrained", "", "write the state at the end of pre-training to a file (any scheme; measure from it with -restore)")
 		eventLog   = fs.String("eventlog", "", "record flit/packet events of the testing phase to a file")
 		analyze    = fs.String("analyze", "", "analyze a recorded event log and exit")
-		qAlpha     = fs.Float64("qroute-alpha", 0, "override the qroute learning rate (0 = keep config)")
-		qEpsilon   = fs.Float64("qroute-epsilon", -1, "override the qroute exploration epsilon (-1 = keep config)")
 		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
-		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory (default: RLNOC_SNAPSHOT_DIR env, else 'snapshots')")
+		snapDir    = fs.String("snapshot-dir", "snapshots", "checkpoint directory")
 		restore    = fs.String("restore", "", "start from a snapshot file, which carries config and scheme: a checkpoint finishes its run, a pre-trained state measures the workload flags' trace")
 		progress   = fs.Duration("progress", 0, "print progress to stderr at this wall-clock interval, e.g. 5s (0 = off)")
 	)
@@ -110,12 +106,6 @@ func run(args []string) error {
 		if *seed != 0 {
 			cfg.Seed = *seed
 		}
-		if *errRate >= 0 {
-			cfg.Fault.BaseErrorRate = *errRate
-		}
-		if *routing != "" {
-			cfg.Routing = config.Routing(*routing)
-		}
 		if *topoFlag != "" {
 			cfg.Topology = *topoFlag
 		}
@@ -124,12 +114,6 @@ func run(args []string) error {
 		}
 		if *checksFlag != "" {
 			cfg.Checks = *checksFlag
-		}
-		if *qAlpha != 0 {
-			cfg.QRoute.Alpha = *qAlpha
-		}
-		if *qEpsilon >= 0 {
-			cfg.QRoute.Epsilon = *qEpsilon
 		}
 		if err := cfg.Validate(); err != nil {
 			return err
@@ -179,8 +163,7 @@ func run(args []string) error {
 		defer l.Flush()
 	}
 	if *snapEvery > 0 {
-		dir := config.ResolveString(config.EnvSnapshotDir, *snapDir, "snapshots")
-		sim.SetSnapshotPolicy(dir, *snapEvery)
+		sim.SetSnapshotPolicy(*snapDir, *snapEvery)
 	}
 	var res core.Result
 	var err error
@@ -219,9 +202,8 @@ func run(args []string) error {
 // snapshot carries its own config and scheme, so alongside -restore they
 // are errors rather than silently ignored.
 var freshOnly = map[string]bool{
-	"scheme": true, "config": true, "small": true, "seed": true, "error-rate": true,
-	"routing": true, "hard-faults": true, "checks": true, "topology": true,
-	"qroute-alpha": true, "qroute-epsilon": true, "save-pretrained": true,
+	"scheme": true, "config": true, "small": true, "seed": true,
+	"hard-faults": true, "checks": true, "topology": true, "save-pretrained": true,
 }
 
 // workloadFlags name the trace a run measures; a checkpoint taken

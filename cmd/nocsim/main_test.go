@@ -29,10 +29,12 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 	return string(out), runErr
 }
 
-func writeTrace(t *testing.T, lines string) string {
+// writeTemp writes body to a fresh file (a trace or a JSON config) and
+// returns its path.
+func writeTemp(t *testing.T, body string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "trace.txt")
-	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "input")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -49,7 +51,7 @@ func TestRun(t *testing.T) {
 			want: []string{"scheme            rl\n", "workload          canneal\n", "drained           true\n"}},
 		{name: "pattern", args: []string{"-small", "-scheme", "crc", "-pattern", "transpose", "-v"},
 			want: []string{"scheme            crc\n", "workload          transpose\n", "drained           true\n", "crc failures"}},
-		{name: "trace", args: []string{"-small", "-scheme", "arq-ecc", "-trace", writeTrace(t, "0 0 5 4\n2500 15 1 4\n")},
+		{name: "trace", args: []string{"-small", "-scheme", "arq-ecc", "-trace", writeTemp(t, "0 0 5 4\n2500 15 1 4\n")},
 			want: []string{"drained           true\n", "flits delivered   4\n"}}, // the first packet lands in warm-up
 		{name: "unknown scheme", args: []string{"-small", "-scheme", "bogus"},
 			wantErr: `unknown scheme "bogus"`},
@@ -72,15 +74,25 @@ func TestRun(t *testing.T) {
 			wantErr: "flag provided but not defined"},
 		// The table's dimension order is the only routing choice; a
 		// removed algorithm's name is refused, never run on XY tables.
-		{name: "removed routing value", args: []string{"-small", "-routing", "west" + "first"},
+		{name: "removed routing value", args: []string{"-small", "-config", writeTemp(t, `{"routing": "west`+`first"}`)},
 			wantErr: `unknown routing "west` + `first"`},
+		// Flags that repeated a config key are gone; the key in -config
+		// is the one source of each setting.
+		{name: "removed routing flag", args: []string{"-small", "-rout" + "ing", "yx"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed error-rate flag", args: []string{"-small", "-error" + "-rate", "0"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed qroute-alpha flag", args: []string{"-small", "-qroute" + "-alpha", "0.5"},
+			wantErr: "flag provided but not defined"},
+		{name: "removed qroute-epsilon flag", args: []string{"-small", "-qroute" + "-epsilon", "0"},
+			wantErr: "flag provided but not defined"},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
-		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 0 1 4\n2 40 1 4\n")},
+		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTemp(t, "0 0 1 4\n2 40 1 4\n")},
 			wantErr: "event 1 endpoints (40,1) outside fabric"},
-		{name: "trace source negative", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 -1 1 4\n")},
+		{name: "trace source negative", args: []string{"-small", "-scheme", "crc", "-trace", writeTemp(t, "0 -1 1 4\n")},
 			wantErr: "event 0 endpoints (-1,1) outside fabric"},
-		{name: "trace destination past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTrace(t, "0 1 16 4\n")},
+		{name: "trace destination past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTemp(t, "0 1 16 4\n")},
 			wantErr: "event 0 endpoints (1,16) outside fabric"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

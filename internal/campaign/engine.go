@@ -53,8 +53,9 @@ type Options struct {
 	Name string
 	// Workers is the job-level parallelism (default 1).
 	Workers int
-	// MaxAttempts is the default per-job retry budget: a job dies after
-	// this many failed attempts (default 3).
+	// MaxAttempts is the per-job retry budget: a job dies after this
+	// many failed attempts (default 3). An attempt ended by graceful
+	// shutdown does not count.
 	MaxAttempts int
 	// BackoffBase and BackoffMax bound the exponential retry backoff
 	// (defaults 100ms and 5s). The delay for failure n is
@@ -105,7 +106,6 @@ func (s jobState) String() string {
 // the watchdog exchange through atomics (see heartbeat).
 type job struct {
 	spec Spec
-	seq  int // submit order; the priority tie-breaker
 
 	state     jobState
 	starts    int // attempts ever started, across process restarts
@@ -126,14 +126,6 @@ type job struct {
 }
 
 func (j *job) terminal() bool { return j.state == jobDone || j.state == jobDead }
-
-// maxAttempts resolves the job's retry budget.
-func (j *job) maxAttempts(def int) int {
-	if j.spec.MaxAttempts > 0 {
-		return j.spec.MaxAttempts
-	}
-	return def
-}
 
 // Engine is the campaign supervisor. Open one, Submit specs, Run it.
 type Engine struct {
@@ -287,7 +279,7 @@ func (e *Engine) addJob(spec Spec) error {
 	if _, dup := e.byID[spec.ID]; dup {
 		return fmt.Errorf("campaign: duplicate job ID %q", spec.ID)
 	}
-	j := &job{spec: spec, seq: len(e.jobs)}
+	j := &job{spec: spec}
 	if spec.Pretrain {
 		j.key = e.pretrainPath(spec)
 	}
@@ -430,9 +422,9 @@ func (e *Engine) backoffDelay(jobID string, n int) time.Duration {
 	return half + time.Duration(st.Float64()*float64(half))
 }
 
-// next blocks until a job is ready to run (returns it marked running),
-// all jobs are terminal (returns nil, false), or ctx is done (returns
-// nil, true).
+// next blocks until a job is ready to run (returns the first in submit
+// order, marked running), all jobs are terminal (returns nil, false), or
+// ctx is done (returns nil, true).
 func (e *Engine) next(ctx context.Context) (*job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -460,8 +452,7 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 					open = true
 					continue
 				}
-				if best == nil || j.spec.Priority > best.spec.Priority ||
-					(j.spec.Priority == best.spec.Priority && j.seq < best.seq) {
+				if best == nil {
 					best = j
 				}
 			case jobRunning:

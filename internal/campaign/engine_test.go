@@ -14,17 +14,16 @@ import (
 
 // tinySpec is a fast chaos-style job (no pretrain, short trace) for
 // engine-mechanics tests.
-func tinySpec(id string, priority int) Spec {
+func tinySpec(id string) Spec {
 	cfg := config.Small()
 	cfg.Checks = "all"
 	cfg.WarmupCycles = 50
 	return Spec{
-		ID:       id,
-		Priority: priority,
-		Config:   cfg,
-		Scheme:   string(core.SchemeRL),
-		Label:    id,
-		Trace:    TraceSpec{Pattern: "uniform", Rate: 0.005, Cycles: 300, Seed: cfg.Seed + 7},
+		ID:     id,
+		Config: cfg,
+		Scheme: string(core.SchemeRL),
+		Label:  id,
+		Trace:  TraceSpec{Pattern: "uniform", Rate: 0.005, Cycles: 300, Seed: cfg.Seed + 7},
 	}
 }
 
@@ -87,14 +86,14 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
-// TestPriorityOrder runs a single worker over jobs submitted in
-// priority-inverted order and checks the journal's start records: the
-// queue must run highest priority first, submit order breaking ties.
-func TestPriorityOrder(t *testing.T) {
+// TestSubmitOrder runs a single worker over jobs whose IDs sort in
+// another order than they were submitted in, and checks the journal's
+// start records: the queue runs jobs in submit order.
+func TestSubmitOrder(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1})
 	specs := []Spec{
-		tinySpec("low", 0), tinySpec("high", 5),
-		tinySpec("mid", 2), tinySpec("mid-tie", 2),
+		tinySpec("c"), tinySpec("a"),
+		tinySpec("d"), tinySpec("b"),
 	}
 	if err := eng.Submit(specs...); err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestPriorityOrder(t *testing.T) {
 			order = append(order, rec.Job)
 		}
 	}
-	want := "high mid mid-tie low"
+	want := "c a d b"
 	if got := strings.Join(order, " "); got != want {
 		t.Errorf("execution order %q, want %q", got, want)
 	}
@@ -130,9 +129,9 @@ func TestPriorityOrder(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1, MaxAttempts: 2,
 		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	spec := tinySpec("doomed", 0)
+	spec := tinySpec("doomed")
 	spec.Trace = TraceSpec{Benchmark: "no-such-benchmark", Cycles: 100, Seed: 1}
-	if err := eng.Submit(spec, tinySpec("fine", 0)); err != nil {
+	if err := eng.Submit(spec, tinySpec("fine")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(context.Background()); err != nil {
@@ -186,7 +185,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	eng = openTestEngine(t, Options{Dir: eng.Dir(), Workers: 1, MaxAttempts: 2,
 		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	if err := eng.Submit(spec, tinySpec("fine", 0)); err != nil {
+	if err := eng.Submit(spec, tinySpec("fine")); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(context.Background()); err != nil {
@@ -206,7 +205,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // budget is gone before it can finish dies with OutcomeDeadline.
 func TestDeadlineExpires(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1})
-	spec := tinySpec("rushed", 0)
+	spec := tinySpec("rushed")
 	spec.Trace.Cycles = 20_000 // long enough that the abort always lands mid-run
 	spec.Deadline = time.Nanosecond
 	if err := eng.Submit(spec); err != nil {
@@ -227,7 +226,7 @@ func TestDeadlineExpires(t *testing.T) {
 // job.
 func TestCorruptCheckpointQuarantine(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1})
-	spec := tinySpec("scarred", 0)
+	spec := tinySpec("scarred")
 	spec.SnapshotEvery = 100
 	jobDir := eng.jobDir(spec.ID)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
@@ -261,7 +260,7 @@ func TestCorruptCheckpointQuarantine(t *testing.T) {
 func TestSubmitIdempotent(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
-	spec := tinySpec("job", 0)
+	spec := tinySpec("job")
 	if err := eng.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestSubmitIdempotent(t *testing.T) {
 		t.Fatalf("re-submit at other worker counts rejected: %v", err)
 	}
 	changed := spec
-	changed.Priority = 9
+	changed.Label = "other"
 	if err := eng.Submit(changed); err == nil {
 		t.Fatal("same ID with different spec accepted")
 	}

@@ -96,7 +96,6 @@ func BuildChaos(base config.Config, runs int, snapEvery int64, inject InjectSpec
 					Cycles: ChaosTraceCycles, Seed: cfg.Seed + int64(i)*1000,
 				},
 				SnapshotEvery: snapEvery,
-				Bisect:        snapEvery > 0,
 				Inject:        inject,
 			})
 		}

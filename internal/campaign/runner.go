@@ -96,7 +96,7 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		e.logf("job %s: suspended at cycle %d", spec.ID, j.beat.cycle())
 	case attemptRetry:
 		j.failures++
-		if j.failures >= j.maxAttempts(e.opts.MaxAttempts) {
+		if j.failures >= e.opts.MaxAttempts {
 			j.state = jobDead
 			j.outcome = OutcomeDead
 			j.errMsg = out.err.Error()
@@ -223,10 +223,8 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	detail := FormatDetail(sim.Network(), res)
 	if outcome == OutcomeWatchdog {
 		e.logf("%s", iv.Report())
-		if spec.Bisect {
-			if msg := sim.Bisect(); msg != "" {
-				e.logf("job %s: %s", spec.ID, msg)
-			}
+		if msg := sim.Bisect(); msg != "" {
+			e.logf("job %s: %s", spec.ID, msg)
 		}
 	}
 	return attemptResult{kind: attemptDone, outcome: outcome, detail: detail,
@@ -356,6 +354,9 @@ func (e *Engine) pretrainPath(spec Spec) string {
 	return filepath.Join(e.dir, "pretrain-"+digest([]any{id.Config, id.Scheme})[:24]+".rlns")
 }
 
+// injectEvery is the induced-failure observer's period, in cycles.
+const injectEvery = 64
+
 // armInjection installs the induced-failure observer. Observers read
 // the network after a Step and never write it, so an armed injection
 // that never fires leaves the run byte-identical to an unobserved one.
@@ -363,12 +364,8 @@ func (e *Engine) pretrainPath(spec Spec) string {
 // exactly the shape of a wedged run from the watchdog's point of view —
 // while staying responsive to shutdown.
 func armInjection(sim *core.Sim, inj InjectSpec) {
-	every := inj.ObserverEvery
-	if every <= 0 {
-		every = 64
-	}
 	fired := false
-	sim.SetObserver(every, func(s core.Snapshot) {
+	sim.SetObserver(injectEvery, func(s core.Snapshot) {
 		if fired {
 			return
 		}

@@ -1,7 +1,7 @@
 // Package campaign is the supervised job engine behind long-running
 // experiment campaigns (DESIGN.md §17). A campaign is a set of durable
 // jobs — one simulation run each — driven by a worker pool that owns
-// everything the bare simulator does not: a priority queue with
+// everything the bare simulator does not: a submit-order queue with
 // per-job deadlines and context cancellation, per-job panic isolation,
 // retry with exponential backoff and deterministic jitter,
 // a progress-heartbeat watchdog that kills stalled runs snapshot-aware,
@@ -74,10 +74,6 @@ type InjectSpec struct {
 	// watchdog kills it (0 disables) — exercising stall detection and
 	// snapshot-aware kill/resume.
 	StallAtCycle int64 `json:"stall_at_cycle,omitempty"`
-	// ObserverEvery is the poll granularity for the injection hook
-	// (default 64 cycles). Observers are observational, so arming an
-	// injection never perturbs simulation state or results.
-	ObserverEvery int64 `json:"observer_every,omitempty"`
 }
 
 func (i InjectSpec) armed() bool { return i.PanicAtCycle > 0 || i.StallAtCycle > 0 }
@@ -91,16 +87,10 @@ type Spec struct {
 	// job's checkpoint directory name.
 	ID string `json:"id"`
 
-	// Priority orders the queue (higher runs first; ties run in submit
-	// order).
-	Priority int `json:"priority,omitempty"`
 	// Deadline bounds the job's total running wall-clock time across
 	// attempts (0 = none). An expired job is killed snapshot-aware and
 	// marked dead with OutcomeDeadline.
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// MaxAttempts overrides the engine's retry budget (0 = engine
-	// default). An attempt ended by graceful shutdown does not count.
-	MaxAttempts int `json:"max_attempts,omitempty"`
 
 	Config config.Config `json:"config"`
 	Scheme string        `json:"scheme"`
@@ -115,12 +105,11 @@ type Spec struct {
 
 	// SnapshotEvery checkpoints the run every N measured cycles into the
 	// job's directory; recovery resumes from the latest valid checkpoint.
-	// 0 disables — then every retry restarts the measured phase.
+	// 0 disables — then every retry restarts the measured phase. A run an
+	// invariant watchdog ends is replayed from its latest checkpoint with
+	// flit-level event capture (the invariant-bisection flow), leaving a
+	// .replay.elog next to the checkpoint.
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
-	// Bisect replays a watchdog-terminated run from its latest
-	// checkpoint with flit-level event capture (the invariant-bisection
-	// flow), leaving a .replay.elog next to the checkpoint.
-	Bisect bool `json:"bisect,omitempty"`
 
 	Inject InjectSpec `json:"inject,omitempty"`
 }
@@ -134,6 +123,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: spec has no ID")
 	case s.ID == "." || s.ID == ".." || strings.ContainsAny(s.ID, "/\\\x00"):
 		return fmt.Errorf("campaign: spec ID %q is not a single path element", s.ID)
+	case s.SnapshotEvery < 0:
+		return fmt.Errorf("campaign: spec %s: negative snapshot_every %d", s.ID, s.SnapshotEvery)
+	case s.Deadline < 0:
+		return fmt.Errorf("campaign: spec %s: negative deadline %v", s.ID, s.Deadline)
 	}
 	if _, err := core.ParseScheme(s.Scheme); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)

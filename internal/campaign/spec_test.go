@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // pathIDs are job IDs that are not one path element: each would put the
@@ -17,12 +18,12 @@ var pathIDs = []string{"", ".", "..", "../../escaped", "a/b", "/abs", `a\b`, "a\
 // before any checkpoint is written outside the campaign directory.
 func TestValidateRejectsPathIDs(t *testing.T) {
 	for _, id := range pathIDs {
-		if err := tinySpec(id, 0).Validate(); err == nil {
+		if err := tinySpec(id).Validate(); err == nil {
 			t.Errorf("Validate accepted ID %q", id)
 		}
 	}
 	for _, id := range []string{"chaos-0-rl", "...", "a.b", "loadsweep-rl-0.010"} {
-		if err := tinySpec(id, 0).Validate(); err != nil {
+		if err := tinySpec(id).Validate(); err != nil {
 			t.Errorf("Validate rejected ID %q: %v", id, err)
 		}
 	}
@@ -30,7 +31,7 @@ func TestValidateRejectsPathIDs(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "a", "campaign")
 	eng := openTestEngine(t, Options{Dir: dir})
-	escaped := tinySpec("../../escaped", 0)
+	escaped := tinySpec("../../escaped")
 	escaped.SnapshotEvery = 100
 	if err := eng.Submit(escaped); err == nil {
 		t.Fatal("Submit accepted ID ../../escaped")
@@ -53,11 +54,27 @@ func TestValidateRejectsPathIDs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeBudgets: a negative checkpoint period or
+// deadline is refused, not run as "none" (specs also arrive from
+// manifest.json on disk).
+func TestValidateRejectsNegativeBudgets(t *testing.T) {
+	neg := tinySpec("neg")
+	neg.SnapshotEvery = -1
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted snapshot_every -1")
+	}
+	neg = tinySpec("neg")
+	neg.Deadline = -time.Second
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted deadline -1s")
+	}
+}
+
 // FuzzSpec: whatever the JSON says, a spec Validate accepts names a job
 // directory directly inside <campaign>/jobs.
 func FuzzSpec(f *testing.F) {
 	for _, id := range append([]string{"chaos-0-rl", "..."}, pathIDs...) {
-		data, err := json.Marshal(tinySpec(id, 0))
+		data, err := json.Marshal(tinySpec(id))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -5,8 +5,11 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -104,11 +107,10 @@ type Config struct {
 	// validated by internal/fault.
 	HardFaults string `json:"hard_faults,omitempty"`
 
-	// Checks enables the runtime invariant layer (internal/invariant):
-	// "" or "off" disables it (zero overhead, bit-identical runs), "all"
-	// enables every check, or a comma-separated subset of
-	// "ledger,credits,watchdog". The RLNOC_CHECKS environment variable
-	// supplies a default when the field is empty.
+	// Checks arms the runtime invariant layer (internal/invariant): ""
+	// or "off" disables it (zero overhead, bit-identical runs), "all"
+	// runs every check. The RLNOC_CHECKS environment variable supplies a
+	// default when the field is empty.
 	Checks string `json:"checks,omitempty"`
 
 	// Random seed for every stochastic component (fault injection,
@@ -166,10 +168,6 @@ type RLConfig struct {
 	Gamma      float64 `json:"gamma"`       // discount rate
 	Epsilon    float64 `json:"epsilon"`     // exploration probability
 	StepCycles int     `json:"step_cycles"` // cycles per RL time step
-	// FreezeAfterPretrain stops learning after the pre-training phase
-	// (the paper's RL keeps learning during testing; this enables the
-	// DT-style frozen ablation).
-	FreezeAfterPretrain bool `json:"freeze_after_pretrain"`
 	// SharedTable makes all per-router agents learn into one shared
 	// Q-table (n-times the sample rate; see DESIGN.md). The paper's
 	// strictly per-router tables are the ablation variant.
@@ -180,9 +178,9 @@ type RLConfig struct {
 	AlphaDecay bool `json:"alpha_decay"`
 	// TestEpsilon is the exploration rate used during the measured
 	// testing phase (annealed from the pre-training Epsilon; standard
-	// practice, and every random mode costs real latency). Set negative
-	// to keep Epsilon throughout, as a literal reading of the paper
-	// would.
+	// practice, and every random mode costs real latency). Setting it to
+	// Epsilon keeps one rate throughout, as a literal reading of the
+	// paper would.
 	TestEpsilon float64 `json:"test_epsilon"`
 	// DoubleQ enables Double Q-learning (two tables, decoupled action
 	// selection/evaluation), removing the max-operator's overestimation
@@ -509,8 +507,8 @@ func (r *RLConfig) validate() error {
 		return fmt.Errorf("config: RL gamma must be in [0,1), got %g", r.Gamma)
 	case r.Epsilon < 0 || r.Epsilon > 1:
 		return fmt.Errorf("config: RL epsilon must be in [0,1], got %g", r.Epsilon)
-	case r.TestEpsilon > 1:
-		return fmt.Errorf("config: RL test epsilon must be <= 1, got %g", r.TestEpsilon)
+	case r.TestEpsilon < 0 || r.TestEpsilon > 1:
+		return fmt.Errorf("config: RL test epsilon must be in [0,1], got %g", r.TestEpsilon)
 	case r.StepCycles < 1:
 		return fmt.Errorf("config: RL step must be positive, got %d", r.StepCycles)
 	case r.ModeMask > 0b1111: // bits above Mode 3 name no mode, and alone would spin the step-down
@@ -549,19 +547,43 @@ func (c *Config) TopologyKind() string {
 func (c *Config) CyclePeriodNS() float64 { return 1.0 / c.FrequencyGHz }
 
 // Load reads a JSON configuration file, filling unset fields from Default.
+// A key that names no field is an error, so a typo cannot silently run the
+// default; the retired keys below still load, ignored.
 func Load(path string) (Config, error) {
 	c := Default()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return c, fmt.Errorf("config: %w", err)
 	}
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := decode(data, &c); err != nil {
 		return c, fmt.Errorf("config: parsing %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {
 		return c, err
 	}
 	return c, nil
+}
+
+// decode fills c from exactly one JSON value, refusing unknown keys.
+func decode(data []byte, c *Config) error {
+	// The router's pipeline depth and retransmission buffer are not knobs
+	// (see Config), and the fast-forward switch turned off a cycle-loop
+	// jump that no longer exists; ignoring them runs what the file asked.
+	file := struct {
+		*Config
+		PipelineDepth json.RawMessage `json:"pipeline_depth"`
+		OutputBuffer  json.RawMessage `json:"output_buffer"`
+		NoFastForward json.RawMessage `json:"no_fast_forward"`
+	}{Config: c}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&file); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // Save writes the configuration as indented JSON.

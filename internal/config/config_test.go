@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -83,6 +84,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
 		{"mode mask beyond four modes", func(c *Config) { c.RL.ModeMask = 0b10000 }},
 		{"unknown check", func(c *Config) { c.Checks = "ledger,credit" }},
+		{"check subset", func(c *Config) { c.Checks = "ledger" }},
+		{"negative test epsilon", func(c *Config) { c.RL.TestEpsilon = -1 }},
 		{"no timing slack", func(c *Config) { c.VoltageV = 0.5 }},
 		{"error rate too large to calibrate", func(c *Config) { c.Fault.BaseErrorRate = 1 }},
 		{"escape timeout above 16 bits", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.EscapeTimeout = 1 << 16 }},
@@ -134,6 +137,43 @@ func TestLoadIgnoresRetiredKeys(t *testing.T) {
 	}
 	if got.Width != 6 {
 		t.Fatalf("width = %d, want 6", got.Width)
+	}
+}
+
+// TestLoadRejectsUnknownKeys: a key that names no field fails by name
+// instead of silently running the default it was meant to override, and
+// so does anything after the object; a partial nested object still merges
+// over the defaults.
+func TestLoadRejectsUnknownKeys(t *testing.T) {
+	for _, tc := range []struct{ name, json, wantErr string }{
+		{"top-level typo", `{"vcs_per_prot": 8}`, `unknown field "vcs_per_prot"`},
+		{"nested typo", `{"rl": {"alhpa": 0.5}}`, `unknown field "alhpa"`},
+		{"removed freeze switch", `{"rl": {"freeze_after_` + `pretrain": true}}`, `unknown field "freeze_after_` + `pretrain"`},
+		{"trailing object", `{"width": 6} {"width": 5}`, "trailing data"},
+		{"trailing garbage", `{"width": 6} x`, "trailing data"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cfg.json")
+			if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Load(%s) err = %v, want one containing %q", tc.json, err, tc.wantErr)
+			}
+		})
+	}
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte("{\"rl\": {\"gamma\": 0.9}}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Default()
+	want.RL.Gamma = 0.9
+	if got != want {
+		t.Fatalf("partial rl object: got %+v, want the defaults with gamma 0.9", got.RL)
 	}
 }
 

@@ -1,6 +1,6 @@
 package config
 
-// Centralized RLNOC_* environment-variable handling. Every knob that can
+// Centralized RLNOC_* environment-variable handling. A knob that can
 // arrive from three places — an explicit flag/config value, an
 // environment variable, a built-in default — resolves through
 // ResolveString with a fixed precedence: explicit > environment >
@@ -14,15 +14,9 @@ const (
 	// §11). It stays only because the frozen benchmark module unsets it
 	// (benchmark/main.go:113).
 	EnvStepWorkers = "RLNOC_STEP_WORKERS"
-	// EnvChecks enables runtime invariant checks when Config.Checks is
-	// empty (same syntax: "off", "all", or a comma list).
+	// EnvChecks arms the runtime invariant checks when Config.Checks is
+	// empty (same syntax: "off" or "all").
 	EnvChecks = "RLNOC_CHECKS"
-	// EnvSnapshotDir sets the checkpoint directory when the
-	// -snapshot-dir flag is absent.
-	EnvSnapshotDir = "RLNOC_SNAPSHOT_DIR"
-	// EnvCampaignDir sets the nocserve campaign directory (manifest,
-	// journal, per-job checkpoints) when the -dir flag is absent.
-	EnvCampaignDir = "RLNOC_CAMPAIGN_DIR"
 )
 
 // ResolveString resolves a string knob: a non-empty explicit value wins,

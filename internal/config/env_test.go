@@ -25,12 +25,10 @@ func TestResolveStringPrecedence(t *testing.T) {
 	}
 }
 
-// The real variable names are part of the contract: flags and docs refer
-// to them, so renaming one is an API break this test makes visible.
+// The real variable name is part of the contract: CI and docs refer to
+// it, so renaming it is an API break this test makes visible.
 func TestEnvVarNames(t *testing.T) {
-	if EnvChecks != "RLNOC_CHECKS" ||
-		EnvSnapshotDir != "RLNOC_SNAPSHOT_DIR" ||
-		EnvCampaignDir != "RLNOC_CAMPAIGN_DIR" {
-		t.Fatalf("env var names drifted: %q %q %q", EnvChecks, EnvSnapshotDir, EnvCampaignDir)
+	if EnvChecks != "RLNOC_CHECKS" {
+		t.Fatalf("env var name drifted: %q", EnvChecks)
 	}
 }

@@ -282,13 +282,6 @@ func (c *RLController) Telemetry() (counts [int(network.NumModes)]int64, meanRew
 	return counts, meanReward
 }
 
-// Freeze stops all agents from learning and exploring.
-func (c *RLController) Freeze() {
-	for _, a := range c.agents {
-		a.Freeze()
-	}
-}
-
 // SetEpsilon overrides every agent's exploration rate (used to anneal
 // exploration when the measured testing phase begins).
 func (c *RLController) SetEpsilon(eps float64) {

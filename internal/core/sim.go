@@ -289,9 +289,6 @@ func (s *Sim) Pretrain() error {
 			return err
 		}
 	}
-	if f, ok := s.Controller().(freezer); ok && s.cfg.RL.FreezeAfterPretrain {
-		f.Freeze()
-	}
 	return nil
 }
 
@@ -331,8 +328,6 @@ func (s *Sim) pretrainTraffic() error {
 type (
 	// trainer fits a supervised policy on what pre-training collected.
 	trainer interface{ FinishTraining() error }
-	// freezer stops learning and exploration after pre-training.
-	freezer interface{ Freeze() }
 	// annealer takes the measured phase's exploration rate.
 	annealer interface{ SetEpsilon(eps float64) }
 	// telemetryResetter restarts its counters at the measured phase.
@@ -576,7 +571,7 @@ func (s *Sim) startMeasuring(ms *measureState, now int64) {
 	ms.started = true
 	// Anneal exploration for the measured phase (every random mode costs
 	// real latency; see config.RLConfig.TestEpsilon).
-	if a, ok := s.Controller().(annealer); ok && s.cfg.RL.TestEpsilon >= 0 {
+	if a, ok := s.Controller().(annealer); ok {
 		a.SetEpsilon(s.cfg.RL.TestEpsilon)
 	}
 	if t, ok := s.Controller().(telemetryResetter); ok {

@@ -111,24 +111,6 @@ func TestDTControllerTrainsDuringPretrain(t *testing.T) {
 	}
 }
 
-func TestRLFreezeAfterPretrain(t *testing.T) {
-	cfg := quickConfig()
-	cfg.RL.FreezeAfterPretrain = true
-	sim, err := NewSim(cfg, SchemeRL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Pretrain(); err != nil {
-		t.Fatal(err)
-	}
-	rlc := sim.Controller().(*RLController)
-	for _, a := range rlc.Agents() {
-		if !a.Frozen() {
-			t.Fatal("agent not frozen after pretrain")
-		}
-	}
-}
-
 func TestRunBenchmarkUnknownName(t *testing.T) {
 	if _, err := RunBenchmark(quickConfig(), SchemeCRC, "quake3"); err == nil {
 		t.Fatal("unknown benchmark accepted")

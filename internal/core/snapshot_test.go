@@ -373,15 +373,17 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // build's stream with exactly those words left out of the walk. All three
 // were re-captured for format version 5: each equals the previous build's
 // stream but for the version word and the pending trace, now each
-// source's packed stream and cycle base.
+// source's packed stream and cycle base. All three were re-captured when
+// freeze_after_pretrain left RLConfig: the previous build with only that
+// key removed writes the same three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "ec9b595d553213c3c99e3dfaaf151f61ec0e9c371effec5c3ff55ce6d03bf9f7"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "f8c93c3c38e44553963e6ce36bc059cce2eabdbb6d437a335c3adc26a8daec0d"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "cd35499cba1f611d948ddca2534dce3ef2588513c3c53d466aee56f4eee86da4"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "0f3bb7a9abe1a425d35a346ab3b7ec636d5bcf46819995bba7ef600af3eef5b4"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "d7f798f50f30f93410a50d1d9d1cc510a0277a90e0a266f51988f0fd3924371f"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "124c42cbb3606e9ad08a4ac6089add791c733ddeaeeea3fe1a51674c74a96087"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {

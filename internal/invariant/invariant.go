@@ -1,13 +1,13 @@
 // Package invariant defines the simulator's runtime self-checks: a
 // flit-conservation ledger, per-VC credit-balance bounds, and
 // deadlock/livelock watchdogs. The package holds the check *policy* —
-// which checks run, their thresholds, and how violations are reported —
-// while the probing itself lives in internal/network, which owns the
-// state being checked. Checks are strictly observational: with every
-// check disabled the network takes no extra branches on its hot paths,
-// and with checks enabled no simulation outcome changes — a run either
-// completes identically or fails fast with a diagnostic report where it
-// previously would have wedged or silently lied.
+// whether the checks run, their thresholds, and how violations are
+// reported — while the probing itself lives in internal/network, which
+// owns the state being checked. Checks are strictly observational: with
+// the checks disabled the network takes no extra branches on its hot
+// paths, and with checks enabled no simulation outcome changes — a run
+// either completes identically or fails fast with a diagnostic report
+// where it previously would have wedged or silently lied.
 package invariant
 
 import (
@@ -15,54 +15,17 @@ import (
 	"strings"
 )
 
-// Config selects which checks run. The zero value disables everything.
-type Config struct {
-	// Ledger enables the packet/flit-conservation census: counters must
-	// satisfy injected = delivered + declared + in-flight, and the
-	// counter view of in-flight must match a structural walk of the
-	// network's queues and buffers.
-	Ledger bool
-	// Credits enables per-VC credit-balance checks on every live link:
-	// credits + downstream occupancy + pending returns never exceed the
-	// buffer depth, with exact equality whenever the link is quiet.
-	Credits bool
-	// Watchdog enables the forward-progress, packet-age and hop-count
-	// watchdogs, which fail fast with a diagnostic report instead of
-	// letting a wedged run burn its whole cycle budget.
-	Watchdog bool
-}
-
-// Enabled reports whether any check is on.
-func (c Config) Enabled() bool { return c.Ledger || c.Credits || c.Watchdog }
-
-// All returns a Config with every check enabled.
-func All() Config { return Config{Ledger: true, Credits: true, Watchdog: true} }
-
-// Parse interprets a check spec: "" or "off" disables everything, "all"
-// enables everything, otherwise a comma-separated subset of
-// "ledger,credits,watchdog".
-func Parse(spec string) (Config, error) {
+// Parse interprets a check spec: "" or "off" disables the checks, "all"
+// arms every one of them (the conservation ledger, per-VC credit
+// balance, and the deadlock/livelock watchdogs).
+func Parse(spec string) (bool, error) {
 	switch strings.TrimSpace(spec) {
 	case "", "off":
-		return Config{}, nil
+		return false, nil
 	case "all":
-		return All(), nil
+		return true, nil
 	}
-	var c Config
-	for _, tok := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(tok) {
-		case "":
-		case "ledger":
-			c.Ledger = true
-		case "credits":
-			c.Credits = true
-		case "watchdog":
-			c.Watchdog = true
-		default:
-			return Config{}, fmt.Errorf("invariant: unknown check %q (want off|all or a list of ledger,credits,watchdog)", tok)
-		}
-	}
-	return c, nil
+	return false, fmt.Errorf("invariant: unknown check spec %q (want off|all)", spec)
 }
 
 // Thresholds parameterizes the watchdogs. All bounds are deliberately

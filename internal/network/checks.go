@@ -18,8 +18,8 @@ import (
 	"rlnoc/internal/topology"
 )
 
-// Checks returns the active invariant configuration.
-func (n *Network) Checks() invariant.Config { return n.checks }
+// Checks reports whether the invariant checks are armed.
+func (n *Network) Checks() bool { return n.checks }
 
 // ConservationLedger assembles the packet-conservation account: every
 // data packet ever injected must be delivered, declared undeliverable,
@@ -39,35 +39,29 @@ func (n *Network) ConservationLedger() invariant.Ledger {
 	}
 }
 
-// runChecks executes the enabled invariant probes for this cycle. The
+// runChecks executes every invariant probe due this cycle. The
 // progress watchdog is O(1) and runs every cycle; the ledger, credit and
 // packet-bound walks are O(network) and amortized over CheckPeriod.
 func (n *Network) runChecks(cycle int64) error {
 	var viols []invariant.Violation
-	if n.checks.Watchdog && !n.Drained() && cycle-n.lastProgress > n.thresh.ProgressWindow {
+	if !n.Drained() && cycle-n.lastProgress > n.thresh.ProgressWindow {
 		viols = append(viols, invariant.Violation{Cycle: cycle, Check: "watchdog",
 			Msg: fmt.Sprintf("no forward progress for %d cycles (%d data, %d ctrl in flight)",
 				cycle-n.lastProgress, n.dataInFlight, n.ctrlInFlight)})
 	}
 	if cycle%n.thresh.CheckPeriod == 0 {
-		if n.checks.Ledger {
-			if l := n.ConservationLedger(); !l.Balanced() {
-				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "ledger",
-					Msg: "packet account does not close: " + l.String()})
-			}
-			if n.ctrlInFlight != len(n.ctrlLive) {
-				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "ledger",
-					Msg: fmt.Sprintf("control census mismatch: counter %d, live set %d",
-						n.ctrlInFlight, len(n.ctrlLive))})
-			}
+		if l := n.ConservationLedger(); !l.Balanced() {
+			viols = append(viols, invariant.Violation{Cycle: cycle, Check: "ledger",
+				Msg: "packet account does not close: " + l.String()})
 		}
-		if n.checks.Credits {
-			viols = n.checkCredits(cycle, viols)
-			viols = n.checkRequestMasks(cycle, viols)
+		if n.ctrlInFlight != len(n.ctrlLive) {
+			viols = append(viols, invariant.Violation{Cycle: cycle, Check: "ledger",
+				Msg: fmt.Sprintf("control census mismatch: counter %d, live set %d",
+					n.ctrlInFlight, len(n.ctrlLive))})
 		}
-		if n.checks.Watchdog {
-			viols = n.checkPacketBounds(cycle, viols)
-		}
+		viols = n.checkCredits(cycle, viols)
+		viols = n.checkRequestMasks(cycle, viols)
+		viols = n.checkPacketBounds(cycle, viols)
 	}
 	if len(viols) == 0 {
 		return nil

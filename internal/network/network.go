@@ -136,7 +136,7 @@ type Network struct {
 
 	// Invariant layer (Config.Checks / RLNOC_CHECKS). ering is the
 	// fixed-size diagnostic event ring attached when checks are on.
-	checks invariant.Config
+	checks bool
 	thresh invariant.Thresholds
 	ering  *eventlog.Ring
 
@@ -290,13 +290,10 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.hardSched = sched
 		net.recov = stats.NewRecoveryLog()
 	}
-	checkSpec := config.ResolveString(config.EnvChecks, cfg.Checks, "")
-	checks, err := invariant.Parse(checkSpec)
-	if err != nil {
+	if net.checks, err = invariant.Parse(config.ResolveString(config.EnvChecks, cfg.Checks, "")); err != nil {
 		return nil, err
 	}
-	if checks.Enabled() {
-		net.checks = checks
+	if net.checks {
 		net.thresh = invariant.DefaultThresholds(n)
 		net.ering = eventlog.NewRing(128)
 	}
@@ -771,7 +768,7 @@ func (n *Network) Step() error {
 	}
 
 	// 5b. Invariant checks (observation-only; disabled costs one bool).
-	if n.checks.Enabled() {
+	if n.checks {
 		if err := n.runChecks(cycle); err != nil {
 			return err
 		}
