@@ -59,7 +59,6 @@ func run(args []string) error {
 		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
 		savePre    = fs.String("save-pretrained", "", "write the state at the end of pre-training to a file (any scheme; measure from it with -restore)")
 		eventLog   = fs.String("eventlog", "", "record flit/packet events of the testing phase to a file")
-		analyze    = fs.String("analyze", "", "analyze a recorded event log and exit")
 		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")
 		snapDir    = fs.String("snapshot-dir", "snapshots", "checkpoint directory")
 		restore    = fs.String("restore", "", "start from a snapshot file, which carries config and scheme: a checkpoint finishes its run, a pre-trained state measures the workload flags' trace")
@@ -70,20 +69,6 @@ func run(args []string) error {
 			return nil
 		}
 		return err
-	}
-
-	if *analyze != "" {
-		f, err := os.Open(*analyze)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		events, err := eventlog.Read(f)
-		if err != nil {
-			return err
-		}
-		fmt.Print(eventlog.Analyze(events).Format())
-		return nil
 	}
 
 	var sim *core.Sim
@@ -176,8 +161,8 @@ func run(args []string) error {
 		var iv *invariant.Error
 		if errors.As(err, &iv) {
 			fmt.Fprint(os.Stderr, iv.Report())
-			if msg := sim.Bisect(); msg != "" {
-				fmt.Fprintln(os.Stderr, msg)
+			if cmd := sim.ReplayCommand(); cmd != "" {
+				fmt.Fprintln(os.Stderr, "replay with:", cmd)
 			}
 		}
 		return err

@@ -86,6 +86,10 @@ func TestRun(t *testing.T) {
 			wantErr: "flag provided but not defined"},
 		{name: "removed qroute-epsilon flag", args: []string{"-small", "-qroute" + "-epsilon", "0"},
 			wantErr: "flag provided but not defined"},
+		// An event log is counted with awk on its second field; there is
+		// no in-process analyzer.
+		{name: "removed analyze flag", args: []string{"-ana" + "lyze", "run.elog"},
+			wantErr: "flag provided but not defined"},
 		// A trace naming a node outside the fabric used to index past the
 		// injector's queues; it must be an error naming the event.
 		{name: "trace source past the fabric", args: []string{"-small", "-scheme", "crc", "-trace", writeTemp(t, "0 0 1 4\n2 40 1 4\n")},

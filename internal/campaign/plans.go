@@ -46,8 +46,8 @@ func ChaosJobID(run int, scheme core.Scheme) string {
 // through detrand: randomized hard-fault kill schedules swept across
 // both topologies with every invariant check armed. snapEvery > 0
 // enables per-arm checkpoints, which both arms the engine's
-// checkpoint recovery and lets a watchdog termination replay from the
-// latest checkpoint with event capture (Bisect).
+// checkpoint recovery and gives a watchdog termination a checkpoint to
+// name in the replay command it logs (Sim.ReplayCommand).
 func BuildChaos(base config.Config, runs int, snapEvery int64, inject InjectSpec) (*ChaosPlan, error) {
 	if runs < 1 {
 		// A campaign of no jobs would report success having run nothing.

@@ -223,8 +223,8 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	detail := FormatDetail(sim.Network(), res)
 	if outcome == OutcomeWatchdog {
 		e.logf("%s", iv.Report())
-		if msg := sim.Bisect(); msg != "" {
-			e.logf("job %s: %s", spec.ID, msg)
+		if cmd := sim.ReplayCommand(); cmd != "" {
+			e.logf("job %s: replay with: %s", spec.ID, cmd)
 		}
 	}
 	return attemptResult{kind: attemptDone, outcome: outcome, detail: detail,

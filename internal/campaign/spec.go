@@ -106,9 +106,9 @@ type Spec struct {
 	// SnapshotEvery checkpoints the run every N measured cycles into the
 	// job's directory; recovery resumes from the latest valid checkpoint.
 	// 0 disables — then every retry restarts the measured phase. A run an
-	// invariant watchdog ends is replayed from its latest checkpoint with
-	// flit-level event capture (the invariant-bisection flow), leaving a
-	// .replay.elog next to the checkpoint.
+	// invariant watchdog ends logs the command that replays it from its
+	// latest checkpoint with flit-level event capture
+	// (Sim.ReplayCommand).
 	SnapshotEvery int64 `json:"snapshot_every,omitempty"`
 
 	Inject InjectSpec `json:"inject,omitempty"`

@@ -23,7 +23,6 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/dt"
-	"rlnoc/internal/eventlog"
 	"rlnoc/internal/rl"
 	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
@@ -38,8 +37,8 @@ func (s *Sim) SetSnapshotPolicy(dir string, every int64) {
 }
 
 // LastSnapshotPath returns the most recent checkpoint written by the
-// snapshot policy ("" if none yet) — the restart point for the
-// invariant-bisection flow.
+// snapshot policy ("" if none yet) — the restart point ReplayCommand
+// names.
 func (s *Sim) LastSnapshotPath() string { return s.lastSnap }
 
 func (s *Sim) writeAutoSnapshot() error {
@@ -474,43 +473,15 @@ func ListSnapshots(dir string) ([]string, error) {
 	return matches, nil
 }
 
-// ReplayFromSnapshot is the invariant-bisection flow: when a -checks
-// watchdog fires deep into a long run, restore the latest checkpoint,
-// attach an event log, and re-run the interrupted phase. The failure
-// reproduces within one checkpoint interval with full event capture
-// instead of re-running the whole history blind.
-func ReplayFromSnapshot(path string, elogW io.Writer) (Result, error) {
-	sim, err := RestoreSimFile(path)
-	if err != nil {
-		return Result{}, err
-	}
-	if elogW != nil {
-		l := eventlog.New(elogW)
-		sim.Network().SetEventLog(l)
-		defer l.Flush()
-	}
-	return sim.ResumeMeasure()
-}
-
-// Bisect is the checkpoint-assisted failure workflow for a run that an
-// invariant check terminated: replay from the latest checkpoint the
-// snapshot policy wrote, capturing flit-level events into
-// <checkpoint>.replay.elog, and report in one line how the replay ended
-// ("" when no checkpoint was written, so there is nothing to replay).
-func (s *Sim) Bisect() string {
-	last := s.lastSnap
-	if last == "" {
+// ReplayCommand returns the command that replays the measured phase from
+// the latest checkpoint the snapshot policy wrote, with every invariant
+// check armed and flit-level events recorded beside the checkpoint — how
+// a run an invariant check terminated is reproduced ("" when no
+// checkpoint was written). The env prefix is needed because a run armed
+// by RLNOC_CHECKS alone restores with checks off.
+func (s *Sim) ReplayCommand() string {
+	if s.lastSnap == "" {
 		return ""
 	}
-	elogPath := last + ".replay.elog"
-	ef, err := os.Create(elogPath)
-	if err != nil {
-		return "bisect: " + err.Error()
-	}
-	_, rerr := ReplayFromSnapshot(last, ef)
-	ef.Close()
-	if rerr == nil {
-		return fmt.Sprintf("replay from %s completed clean (failure did not reproduce from the checkpoint)", last)
-	}
-	return fmt.Sprintf("replay from %s reproduced the failure: %v; analyze with: nocsim -analyze %s", last, rerr, elogPath)
+	return fmt.Sprintf("%s=all nocsim -restore %s -eventlog %s.elog", config.EnvChecks, s.lastSnap, s.lastSnap)
 }

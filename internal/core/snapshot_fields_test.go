@@ -84,7 +84,6 @@ var unsnapshotted = map[string]struct {
 	"network.Network.ftab": {false, "memo cache: the fault kernel per link on exact (temp, util) keys"},
 
 	// Diagnostics, attached per process and never read by the simulation.
-	"network.Network.ering": {false, "diagnostic event ring (RLNOC_CHECKS), observational"},
 }
 
 func TestSnapshotCoversEveryField(t *testing.T) {

@@ -848,3 +848,29 @@ func TestHostileTraceLengthIsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayCommandNamesLastCheckpoint: the command a checked run's
+// failure prints restores the newest checkpoint the policy wrote, with
+// every check armed and the event log beside it; with no checkpoint
+// there is nothing to name.
+func TestReplayCommandNamesLastCheckpoint(t *testing.T) {
+	cfg := snapConfig(config.TopologyMesh)
+	sim, err := NewSim(cfg, SchemeCRC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.ReplayCommand(); got != "" {
+		t.Fatalf("ReplayCommand before any checkpoint = %q, want empty", got)
+	}
+	dir := t.TempDir()
+	sim.SetSnapshotPolicy(dir, 1000)
+	if _, err := sim.Measure(snapTrace(t, cfg), "replay"); err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := snapshotCycles(t, dir)
+	last := paths[len(paths)-1]
+	want := "RLNOC_CHECKS=all nocsim -restore " + last + " -eventlog " + last + ".elog"
+	if got := sim.ReplayCommand(); got != want {
+		t.Fatalf("ReplayCommand = %q, want %q", got, want)
+	}
+}

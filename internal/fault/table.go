@@ -58,15 +58,5 @@ func (t *Table) ErrorProbability(link int, tempC, utilization float64, relaxed b
 	return t.model.finish(c.raw, relaxed)
 }
 
-// Stats reports cache hits and misses since construction (or Reset).
+// Stats reports cache hits and misses since construction.
 func (t *Table) Stats() (hits, misses int64) { return t.hits, t.misses }
-
-// Reset zeroes the hit/miss counters without discarding cached values.
-func (t *Table) Reset() { t.hits, t.misses = 0, 0 }
-
-// Invalidate discards every cached kernel value.
-func (t *Table) Invalidate() {
-	for i := range t.cells {
-		t.cells[i].valid = false
-	}
-}

@@ -70,11 +70,6 @@ func TestTableHitsOnRepeatedInputs(t *testing.T) {
 	if hits, misses := tab.Stats(); hits != 2 || misses != 3 {
 		t.Fatalf("after input changes: hits=%d misses=%d, want 2/3", hits, misses)
 	}
-	tab.Invalidate()
-	tab.ErrorProbability(0, 60.0001, 0.2, false)
-	if hits, misses := tab.Stats(); hits != 2 || misses != 4 {
-		t.Fatalf("after invalidate: hits=%d misses=%d, want 2/4", hits, misses)
-	}
 
 	// Out-of-range links fall through to the analytic path.
 	want := m.ErrorProbability(99, 60, 0, false)

@@ -74,7 +74,7 @@ func (v Violation) String() string {
 
 // Error is the fail-fast result of one or more violated invariants,
 // carrying the diagnostic dump assembled by the network (conservation
-// ledger, stuck-packet table, credit state, recent events).
+// ledger, drop tallies, stuck-packet table, hard faults fired).
 type Error struct {
 	Violations []Violation
 	Dump       string

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"rlnoc/internal/eventlog"
@@ -193,7 +194,8 @@ func (p *observationProbe) Decide(id int, obs Observation) Mode {
 }
 
 // TestEventLogIntegration runs errored traffic with a recorder attached
-// and checks the analyzed stream is self-consistent with the collector.
+// and checks the stream's per-kind counts (its second field) equal the
+// collector's.
 func TestEventLogIntegration(t *testing.T) {
 	cfg := testConfig(0.01)
 	n := newNet(t, cfg, Mode1, true)
@@ -211,25 +213,26 @@ func TestEventLogIntegration(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	logged, err := eventlog.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	count := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 {
+			t.Fatalf("malformed event line %q", line)
+		}
+		count[f[1]]++
 	}
-	a := eventlog.Analyze(logged)
 	s := n.Stats().Summarize()
-	if int64(a.Packets) != s.PacketsInjected {
-		t.Errorf("log packets %d != stats %d", a.Packets, s.PacketsInjected)
-	}
-	if int64(a.Delivered) != s.PacketsDelivered {
-		t.Errorf("log deliveries %d != stats %d", a.Delivered, s.PacketsDelivered)
-	}
-	if int64(a.Retx) != s.LinkRetransmissions {
-		t.Errorf("log retx %d != stats %d", a.Retx, s.LinkRetransmissions)
-	}
-	if int64(a.CRCFailures) != s.CRCFailures {
-		t.Errorf("log crcfail %d != stats %d", a.CRCFailures, s.CRCFailures)
-	}
-	if a.MeanLatency <= 0 {
-		t.Error("log mean latency not computed")
+	for _, c := range []struct {
+		kind eventlog.Kind
+		want int64
+	}{
+		{eventlog.KInject, s.PacketsInjected},
+		{eventlog.KDeliver, s.PacketsDelivered},
+		{eventlog.KRetx, s.LinkRetransmissions},
+		{eventlog.KCRCFail, s.CRCFailures},
+	} {
+		if got := count[c.kind.String()]; got != c.want {
+			t.Errorf("log %s %d != stats %d", c.kind, got, c.want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"rlnoc/internal/fault"
 	"rlnoc/internal/flit"
 	"rlnoc/internal/invariant"
 	"rlnoc/internal/stats"
@@ -191,7 +192,7 @@ func (n *Network) checkPacketBounds(cycle int64, viols []invariant.Violation) []
 
 // diagnosticDump snapshots the network for an invariant failure report:
 // the conservation ledger, drop and fault tallies, the oldest stuck
-// packets and the recent event ring.
+// packets and the hard faults fired so far.
 func (n *Network) diagnosticDump(cycle int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle %d: %s\n", cycle, n.ConservationLedger())
@@ -237,6 +238,8 @@ func (n *Network) diagnosticDump(cycle int64) string {
 				p.ID, p.Src, p.Dst, s.age, p.Retransmissions, len(p.Path))
 		}
 	}
-	b.WriteString(n.ering.Format())
+	if n.hardIdx > 0 {
+		fmt.Fprintf(&b, "hard faults fired: %s\n", fault.FormatSchedule(n.hardSched[:n.hardIdx]))
+	}
 	return b.String()
 }

@@ -71,20 +71,15 @@ func (n *Network) DeadRouters() int {
 	return count
 }
 
-// recordFault notes a hard-fault event on the diagnostic ring and the
-// streaming event log (both nil-safe).
+// recordFault notes a hard-fault event on the event log (nil-safe).
 func (n *Network) recordFault(router int, aux int64) {
-	e := eventlog.Event{Cycle: n.cycle, Kind: eventlog.KHardFault, Router: router, Aux: aux}
-	n.ering.Record(e)
-	n.elog.Record(e)
+	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KHardFault, Router: router, Aux: aux})
 }
 
-// recordDrop notes a discard on the diagnostic ring and event log.
+// recordDrop notes a discard on the event log (nil-safe).
 func (n *Network) recordDrop(router int, pkt uint64, reason stats.DropReason) {
-	e := eventlog.Event{Cycle: n.cycle, Kind: eventlog.KDrop, Router: router,
-		Packet: pkt, Aux: int64(reason)}
-	n.ering.Record(e)
-	n.elog.Record(e)
+	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KDrop, Router: router,
+		Packet: pkt, Aux: int64(reason)})
 }
 
 // dropFlit counts, logs and retires one discarded flit.

@@ -134,11 +134,9 @@ type Network struct {
 	totalDelivered int64
 	totalDeclared  int64
 
-	// Invariant layer (Config.Checks / RLNOC_CHECKS). ering is the
-	// fixed-size diagnostic event ring attached when checks are on.
+	// Invariant layer (Config.Checks / RLNOC_CHECKS).
 	checks bool
 	thresh invariant.Thresholds
-	ering  *eventlog.Ring
 
 	epochEnergyPJ []float64 // per-router energy snapshot at epoch start
 }
@@ -295,7 +293,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	}
 	if net.checks {
 		net.thresh = invariant.DefaultThresholds(n)
-		net.ering = eventlog.NewRing(128)
 	}
 	net.consultOwed = true
 	return net, nil
@@ -560,9 +557,7 @@ func (n *Network) deliverData(pkt *flit.Packet, cycle int64) {
 	n.totalDelivered++
 	n.lastDelivery = cycle
 	n.lastProgress = cycle
-	if n.recov != nil {
-		n.recov.RecordDelivery(cycle)
-	}
+	n.recov.RecordDelivery(cycle)
 	n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KDeliver, Router: pkt.Dst,
 		Packet: pkt.ID, Aux: latency})
 	// Settled: recycle the packet and its backing arrays. Any remaining

@@ -66,10 +66,3 @@ func (a *RouteAgent) Update(dst, p int, target, alpha float64) {
 	i := dst*RoutePorts + p
 	a.q[i] += alpha * (target - a.q[i])
 }
-
-// Snapshot copies the agent's row for dst — telemetry only.
-func (a *RouteAgent) Snapshot(dst int) [RoutePorts]float64 {
-	var out [RoutePorts]float64
-	copy(out[:], a.q[dst*RoutePorts:dst*RoutePorts+RoutePorts])
-	return out
-}

@@ -537,12 +537,6 @@ func (c *Codec) RawF64s(v []float64) {
 	}
 }
 
-// U32s walks a length-prefixed []uint32 in place (length must match).
-func (c *Codec) U32s(v []uint32) {
-	c.LenCheck(len(v))
-	c.RawU32s(v)
-}
-
 // RawU32s walks v with no length prefix (see RawF64s).
 func (c *Codec) RawU32s(v []uint32) {
 	for len(v) > 0 && c.err == nil {

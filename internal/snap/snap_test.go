@@ -68,7 +68,7 @@ func (p *prims) snap(c *Codec) {
 	c.I64s(p.i64s)
 	c.F64s(p.f64s)
 	c.U64s(p.u64s)
-	c.U32s(p.u32s)
+	c.RawU32s(p.u32s)
 	c.Ints(p.ints)
 	c.VarInts(&p.varInts, MaxLen)
 	c.Bools(p.bools)
@@ -515,7 +515,8 @@ func TestDeterministicBytes(t *testing.T) {
 
 // TestBulkSliceCodecFormat pins the chunked slice codecs to the wire
 // format of the element-by-element ones they replaced: a length prefix
-// followed by each element through the scalar writer. Lengths straddle
+// followed by each element through the scalar writer (RawU32s writes the
+// elements alone, with no prefix). Lengths straddle
 // the chunk boundary on both sides, and the read side must land every
 // element and leave the stream exactly consumed.
 func TestBulkSliceCodecFormat(t *testing.T) {
@@ -539,7 +540,7 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 		c.F64s(f64)
 		c.U64s(u64)
 		c.I64s(i64)
-		c.U32s(u32)
+		c.RawU32s(u32)
 		c.Ints(ints)
 		mark := uint8(0xEE)
 		c.U8(&mark)
@@ -559,7 +560,6 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 		for _, x := range i64 {
 			c.I64(&x)
 		}
-		c.Len(&n)
 		for _, x := range u32 {
 			c.U32(&x)
 		}
@@ -580,7 +580,7 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 		c.F64s(gf)
 		c.U64s(gu)
 		c.I64s(gi)
-		c.U32s(g32)
+		c.RawU32s(g32)
 		c.Ints(gn)
 		mark = 0
 		if c.U8(&mark); mark != 0xEE || c.Err() != nil {
@@ -597,7 +597,7 @@ func TestBulkSliceCodecFormat(t *testing.T) {
 		c.F64s(gf)
 		c.U64s(gu)
 		c.I64s(gi)
-		c.U32s(g32)
+		c.RawU32s(g32)
 		var vn []int
 		c.VarInts(&vn, MaxLen)
 		mark = 0

@@ -19,7 +19,7 @@ type RecoveryEntry struct {
 // data delivery; the log resolves each pending kill against the first
 // delivery that follows it. It lives outside Summary so enabling it can
 // never perturb golden result bytes. A nil *RecoveryLog is a valid no-op
-// recorder, mirroring eventlog.Ring.
+// recorder.
 type RecoveryLog struct {
 	entries []RecoveryEntry
 	pending int // index of the first entry with no delivery yet
@@ -38,6 +38,9 @@ func (l *RecoveryLog) RecordKill(cycle int64) {
 
 // RecordDelivery resolves every pending kill against a delivery at cycle.
 func (l *RecoveryLog) RecordDelivery(cycle int64) {
+	if l == nil {
+		return
+	}
 	for l.pending < len(l.entries) {
 		l.entries[l.pending].FirstDeliveryAfter = cycle
 		l.pending++

@@ -23,7 +23,6 @@ package rlnoc
 
 import (
 	"fmt"
-	"io"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
@@ -206,14 +205,6 @@ func RestoreSession(path string) (*Session, error) {
 		return nil, err
 	}
 	return &Session{sim: sim}, nil
-}
-
-// ReplayFromSnapshot restores the checkpoint at path, records flit-level
-// events to w (nil disables), and re-runs the phase — the
-// invariant-bisection flow: reproduce a watchdog failure from the last
-// checkpoint with full event capture instead of re-running blind.
-func ReplayFromSnapshot(path string, w io.Writer) (Result, error) {
-	return core.ReplayFromSnapshot(path, w)
 }
 
 // RunStaticMode runs a trace with every router pinned to one operation
