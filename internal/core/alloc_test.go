@@ -141,7 +141,7 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 		t.Fatalf("walk found %d RNG sources, want %d (an agent per router)", total, want)
 	}
 	if built != 0 {
-		t.Errorf("restore materialized %d of %d RNG sources before any draw", built, total)
+		t.Errorf("restore built the history of %d of %d RNG sources before any draw", built, total)
 	}
 	if in := restored.ms.in; in.remaining == 0 || in.remaining >= len(events) || streamBytes(in) > 4*in.remaining {
 		t.Errorf("the restored injector holds %d stream bytes for %d pending of a %d-event trace; want the pending ones only, packed",
@@ -169,8 +169,8 @@ func TestRestoreBuildsOnlyWhatTheRunTouches(t *testing.T) {
 }
 
 // countingSources walks everything reachable from v and counts the
-// snap.CountingSources it holds, and how many have built their math/rand
-// source.
+// snap.CountingSources it holds, and how many hold history (values
+// computed at a draw).
 func countingSources(v reflect.Value) (total, built int) {
 	type key struct {
 		addr uintptr
@@ -195,7 +195,7 @@ func countingSources(v reflect.Value) (total, built int) {
 		case reflect.Struct:
 			if v.Type() == source {
 				total++
-				if !v.FieldByName("src").IsNil() {
+				if !v.FieldByName("hist").IsNil() {
 					built++
 				}
 				return

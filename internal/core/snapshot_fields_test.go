@@ -49,10 +49,10 @@ var unsnapshotted = map[string]struct {
 	"network.Network.pipeActive":     {false, "activity set: as wireActive"},
 
 	// Lazy RNG sources: a CountingSource's state is its seed and draw count
-	// (both compared); the math/rand source behind them is built and
-	// replayed to the count on the first draw, so a restored twin holds none
-	// until its run draws.
-	"snap.CountingSource.src": {false, "lazy source: materialized on the first draw, replayed to the decoded draw count"},
+	// (both compared); the values behind them are computed up to the count
+	// on the first draw, so a restored twin holds none until its run draws.
+	"snap.CountingSource.done": {false, "derived: recomputed from seed and draw count at the first draw"},
+	"snap.CountingSource.hist": {false, "derived: recomputed from seed and draw count at the first draw"},
 
 	// Stream cursors: every detrand stream is rekeyed lazily on first use
 	// each cycle, so a stale cursor (-1) is exact at a cycle boundary.

@@ -19,6 +19,7 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/detrand"
+	"rlnoc/internal/snap"
 )
 
 // maxErrorProbability caps the per-flit error probability; beyond this the
@@ -63,7 +64,7 @@ func New(cfg config.FaultConfig, voltageV float64, numLinks int, seed int64) (*M
 		doubleFrac: cfg.DoubleBitFraction,
 		linkFactor: make([]float64, numLinks),
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(snap.NewCountingSource(seed))
 	for i := range m.linkFactor {
 		m.linkFactor[i] = 1 + rng.NormFloat64()*cfg.ProcessSigma
 		if m.linkFactor[i] < 0.5 {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 )
@@ -560,100 +559,6 @@ func (c *Codec) Bools(v []bool) {
 	c.LenCheck(len(v))
 	for i := range v {
 		c.Bool(&v[i])
-	}
-}
-
-// CountingSource is a rand.Source64 that counts draws. The simulator's
-// two math/rand consumers (RL agent exploration, the DT training
-// sampler) are seeded deterministically but consume an
-// unpredictable number of draws; wrapping their sources lets a snapshot
-// record the draw count and a restore replay the source to the same
-// position, reproducing the remaining sequence bit-for-bit.
-//
-// Counting happens at the Source level, below math/rand's rejection
-// loops (Float64's 1.0 retry, Int31n's modulo-bias retry), so the count
-// is exact no matter which Rand methods consumed the draws.
-//
-// The source is lazy: its state is the seed and the logical draw count,
-// and the math/rand source behind them (607 words, as costly to seed as
-// ten thousand draws) is built and replayed to that count on the first
-// draw. A restored 8x8 rl simulation has 64 of these, one per agent, and
-// typically draws from few of them, so a fork pays for exactly the streams
-// it uses.
-type CountingSource struct {
-	src   rand.Source64 // nil until the first draw after a (re)seed or rewind
-	seed  int64
-	draws uint64
-}
-
-// NewCountingSource returns a counting source over rand.NewSource(seed).
-// The draw sequence is identical to the unwrapped source's.
-func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{seed: seed}
-}
-
-// source returns the materialized source, building it at the logical
-// position on first use.
-func (s *CountingSource) source() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-		for i := uint64(0); i < s.draws; i++ {
-			s.src.Uint64()
-		}
-	}
-	return s.src
-}
-
-// Int63 draws like the underlying source, counting the draw.
-func (s *CountingSource) Int63() int64 {
-	v := s.source().Int63()
-	s.draws++
-	return v
-}
-
-// Uint64 draws like the underlying source, counting the draw.
-func (s *CountingSource) Uint64() uint64 {
-	v := s.source().Uint64()
-	s.draws++
-	return v
-}
-
-// Seed reseeds the source and resets the draw count.
-func (s *CountingSource) Seed(seed int64) {
-	s.seed = seed
-	s.draws = 0
-	s.src = nil
-}
-
-// Draws returns the number of values drawn since the last (re)seed.
-func (s *CountingSource) Draws() uint64 { return s.draws }
-
-// Restore leaves the source exactly where a run that drew `draws` values
-// since seeding would be. An unmaterialized source — every restore starts
-// from one — only records the count. A materialized one at or before the
-// position is advanced the difference (one additive-lagged-Fibonacci step
-// per draw); one already past it is dropped, to be rebuilt on its next
-// draw.
-func (s *CountingSource) Restore(draws uint64) {
-	if s.src == nil || draws < s.draws {
-		s.src = nil
-		s.draws = draws
-		return
-	}
-	for ; s.draws < draws; s.draws++ {
-		s.src.Uint64()
-	}
-}
-
-// Snap walks the draw count. A decode only notes it: the replay is the
-// one restore step whose cost the stream dictates — a flipped count would
-// spin for up to 2^64 draws — so the count waits for ReplayDraws and the
-// bound the walk supplies there.
-func (s *CountingSource) Snap(c *Codec) {
-	n := s.draws
-	c.U64(&n)
-	if c.Decoding() && c.Err() == nil {
-		c.replay = append(c.replay, pendingDraws{s, n})
 	}
 }
 

@@ -372,55 +372,62 @@ func TestCountingSourceRestore(t *testing.T) {
 	}
 }
 
-// TestCountingSourceRestoreFromAnyPosition: Restore lands on the same
-// stream position whether the source starts fresh (the count is only
-// recorded), behind the target (advanced in place) or past it (dropped, to
-// be rebuilt and replayed at the next draw).
+// TestCountingSourceRestoreFromAnyPosition: Restore lands on the stdlib
+// source's stream position whether the source starts fresh (the count is
+// only recorded), behind the target (its history kept, to be caught up at
+// the next draw) or past it (its history dropped, to be recomputed from
+// the seed). The targets straddle the generator's tap (273), its lag
+// (607) and the history ring's wrap (640).
 func TestCountingSourceRestoreFromAnyPosition(t *testing.T) {
-	const seed, target = 99, 500
-	ref := NewCountingSource(seed)
-	for i := 0; i < target; i++ {
-		ref.Uint64()
-	}
-	want := ref.Uint64()
-	for _, start := range []int{0, 1, target - 1, target, target + 1, 3 * target} {
-		cs := NewCountingSource(seed)
-		for i := 0; i < start; i++ {
-			cs.Int63()
+	const seed = 99
+	for _, target := range []int{0, 1, 272, 273, 500, 606, 607, 639, 640, 1500} {
+		ref := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < target; i++ {
+			ref.Uint64()
 		}
-		cs.Restore(target)
-		if cs.Draws() != target {
-			t.Errorf("start %d: draw count %d after Restore(%d)", start, cs.Draws(), target)
-		}
-		if built, wantBuilt := cs.src != nil, start > 0 && start <= target; built != wantBuilt {
-			t.Errorf("start %d: source materialized = %v after Restore(%d), want %v", start, built, target, wantBuilt)
-		}
-		if got := cs.Uint64(); got != want {
-			t.Errorf("start %d: next value %d, want %d", start, got, want)
+		want := ref.Uint64()
+		for _, start := range []int{0, 1, target - 1, target, target + 1, 3*target + 1} {
+			if start < 0 {
+				continue
+			}
+			cs := NewCountingSource(seed)
+			for i := 0; i < start; i++ {
+				cs.Int63()
+			}
+			cs.Restore(uint64(target))
+			if cs.Draws() != uint64(target) {
+				t.Errorf("target %d, start %d: draw count %d after Restore", target, start, cs.Draws())
+			}
+			if held, wantHeld := cs.hist != nil, start > 0 && start <= target; held != wantHeld {
+				t.Errorf("target %d, start %d: holds history = %v after Restore, want %v", target, start, held, wantHeld)
+			}
+			if got := cs.Uint64(); got != want {
+				t.Errorf("target %d, start %d: next value %d, want %d", target, start, got, want)
+			}
 		}
 	}
 }
 
-// TestCountingSourceIsLazy: the math/rand state behind a source is built
-// at its first draw, never by construction, Seed or a Restore of a source
-// that has none, and the values it then yields are the eager source's.
+// TestCountingSourceIsLazy: a source computes no history until its first
+// draw — not at construction, Seed or a Restore of a source that holds
+// none — and the values it then yields are the eager stdlib source's.
 func TestCountingSourceIsLazy(t *testing.T) {
 	cs := NewCountingSource(5)
 	cs.Restore(40)
 	cs.Seed(6)
 	cs.Restore(40)
-	if cs.src != nil {
-		t.Fatal("source materialized before its first draw")
+	if cs.hist != nil {
+		t.Fatal("source holds history before its first draw")
 	}
 	eager := rand.NewSource(6).(rand.Source64)
 	for i := 0; i < 40; i++ {
 		eager.Uint64()
 	}
-	if got, want := cs.Int63(), eager.Int63(); got != want || cs.src == nil || cs.Draws() != 41 {
-		t.Fatalf("first draw %d (materialized %v, count %d), want %d at count 41", got, cs.src != nil, cs.Draws(), want)
+	if got, want := cs.Int63(), eager.Int63(); got != want || cs.hist == nil || cs.Draws() != 41 {
+		t.Fatalf("first draw %d (holds history %v, count %d), want %d at count 41", got, cs.hist != nil, cs.Draws(), want)
 	}
 	cs.Seed(6)
-	if cs.src != nil || cs.Draws() != 0 {
+	if cs.hist != nil || cs.Draws() != 0 {
 		t.Fatal("Seed kept the old state")
 	}
 }
