@@ -375,15 +375,20 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // stream but for the version word and the pending trace, now each
 // source's packed stream and cycle base. All three were re-captured when
 // freeze_after_pretrain left RLConfig: the previous build with only that
-// key removed writes the same three streams.
+// key removed writes the same three streams. All three were re-captured
+// for format version 6, which moves the control epoch's window from the
+// STAT section's per-router vectors to the router walk and drops the
+// words the ports already count: the previous build writing that layout,
+// and clearing a dead router's port counters each epoch as this one
+// does, writes the same three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "0f3bb7a9abe1a425d35a346ab3b7ec636d5bcf46819995bba7ef600af3eef5b4"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "d7f798f50f30f93410a50d1d9d1cc510a0277a90e0a266f51988f0fd3924371f"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "124c42cbb3606e9ad08a4ac6089add791c733ddeaeeea3fe1a51674c74a96087"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "40686dd04d6731d906801bb35f96c69b00678087d1e5a1a247147515bef0f8e0"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "f0dee26df7fe85953db91fcde2cd42863ab445ddf121f3b1912f72f8af9f469c"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "d984b911dbe6141896eb509c7172a009178fa97f35c422fe6715c73d4406e6f7"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -675,10 +680,11 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 		restoreMustBeCorrupt(t, q.patch(data))
 	}
 	// Router 0's first input VC follows the RTRS tag, the occupancy mask,
-	// two round-robin arrays of NumPorts words and one window counter:
-	// ring head, flit count, the flits (a reference and a ready cycle
-	// each), the routed byte, the output port, the output VC.
-	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 8
+	// two round-robin arrays of NumPorts words and the six words of the
+	// control-epoch window: ring head, flit count, the flits (a reference
+	// and a ready cycle each), the routed byte, the output port, the
+	// output VC.
+	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 6*8
 	outVC := vc + 2 + 16*int(data[vc+1]) + 2
 	for _, patch := range []struct {
 		off int

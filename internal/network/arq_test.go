@@ -39,8 +39,8 @@ func TestCRCSnooperFeedsResidualStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for id := 0; id < cfg.Routers(); id++ {
-		if n.stats.WindowResidualRate(id) > 0 {
+	for _, r := range n.routers {
+		if _, _, residual := r.epochSends(); residual > 0 {
 			residualSeen = true
 		}
 	}
@@ -71,21 +71,21 @@ func TestNoSnooperForStaticSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for id := 0; id < cfg.Routers(); id++ {
-		if n.stats.WindowResidualRate(id) != 0 {
-			t.Fatalf("router %d has residual rate %g without snoopers",
-				id, n.stats.WindowResidualRate(id))
+	for id, r := range n.routers {
+		if _, _, residual := r.epochSends(); residual != 0 {
+			t.Fatalf("router %d has %d residual corruptions without snoopers", id, residual)
 		}
 	}
 }
 
 // flappingController switches every router between two modes on every
-// epoch — the harshest mode-churn the ARQ drain logic must survive.
+// epoch — the harshest mode-churn the ARQ drain logic must survive. Every
+// consult asks router 0 first, so its call starts the next epoch.
 type flappingController struct{ a, b Mode }
 
-func (f *flappingController) Decide(id int, obs Observation) Mode {
-	if (obs.Cycle/1000)%2 == 0 {
-		return f.a
+func (f *flappingController) Decide(id int, _ Observation) Mode {
+	if id == 0 {
+		f.a, f.b = f.b, f.a
 	}
 	return f.b
 }

@@ -115,8 +115,6 @@ type Observation struct {
 	ResidualErrorRate float64
 	// Ports carries the per-channel observations (for PortControllers).
 	Ports [4]PortObservation
-	// Cycle is the current simulation cycle.
-	Cycle int64
 }
 
 // PortObservation is the per-output-channel slice of an Observation,

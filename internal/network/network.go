@@ -137,8 +137,6 @@ type Network struct {
 	// Invariant layer (Config.Checks / RLNOC_CHECKS).
 	checks bool
 	thresh invariant.Thresholds
-
-	epochEnergyPJ []float64 // per-router energy snapshot at epoch start
 }
 
 // neutralLatency is the per-hop latency fed to a controller for an epoch
@@ -175,24 +173,23 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		return nil, err
 	}
 	net := &Network{
-		cfg:           cfg,
-		topo:          topo,
-		routers:       make([]*Router, n),
-		nis:           make([]*NI, n),
-		faults:        faults,
-		ftab:          fault.NewTable(faults, topo.LinkSlots()),
-		grid:          grid,
-		meter:         power.NewMeter(power.DefaultParams().Scaled(cfg.VoltageV), n),
-		stats:         stats.New(n),
-		disc:          rl.DefaultDiscretizer(),
-		controller:    controller,
-		wrapVCs:       topo.Wraparound(),
-		ctrlKind:      kind,
-		hasECC:        hasECC,
-		modes:         make([]Mode, n),
-		dataVCs:       cfg.VCsPerPort / 2,
-		coreFlits:     make([]float64, n),
-		epochEnergyPJ: make([]float64, n),
+		cfg:        cfg,
+		topo:       topo,
+		routers:    make([]*Router, n),
+		nis:        make([]*NI, n),
+		faults:     faults,
+		ftab:       fault.NewTable(faults, topo.LinkSlots()),
+		grid:       grid,
+		meter:      power.NewMeter(power.DefaultParams().Scaled(cfg.VoltageV), n),
+		stats:      stats.New(),
+		disc:       rl.DefaultDiscretizer(),
+		controller: controller,
+		wrapVCs:    topo.Wraparound(),
+		ctrlKind:   kind,
+		hasECC:     hasECC,
+		modes:      make([]Mode, n),
+		dataVCs:    cfg.VCsPerPort / 2,
+		coreFlits:  make([]float64, n),
 
 		scratchPowers:   make([]float64, n),
 		epochLats:       make([]float64, n),
@@ -540,14 +537,18 @@ func (n *Network) deliverData(pkt *flit.Packet, cycle int64) {
 	n.stats.PacketDelivered(latency, netLatency, pkt.NumFlits())
 	// Attribute the per-hop latency to every router on the packet's
 	// recorded path — the paper's per-router reward input, normalized by
-	// path length.
+	// path length: raw end-to-end latency varies ~6x with distance on an
+	// 8x8 mesh, which would swamp the per-hop action effects the reward
+	// must expose.
 	hops := len(pkt.Path) - 1
 	if hops < 1 {
 		hops = n.topo.Hops(pkt.Src, pkt.Dst)
 	}
 	perHop := float64(latency) / float64(hops+1)
 	for _, id := range pkt.Path {
-		n.stats.RouterPacketLatency(id, perHop)
+		r := n.routers[id]
+		r.winLatSum += perHop
+		r.winLatCount++
 	}
 	// The receiving core also works on arriving data (memory-controller
 	// and consumer tiles heat up with traffic, not just producers).
@@ -879,10 +880,8 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 			// First detection: blame the link that actually corrupted it;
 			// the taint bit stops later hops from re-blaming innocents.
 			wf.f.Tainted = true
-			n.stats.RouterResidualCorrupt(up.id)
-			n.stats.RouterNACKIn(up.id)
-			n.stats.RouterNACKOut(down)
 			p.winResidualEpoch++
+			n.routers[down].winNACKsOut++
 		}
 	}
 	if wf.eccValid {
@@ -920,7 +919,7 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 		// NACK: request retransmission of this flit (and implicitly all
 		// younger ones, go-back-N).
 		p.acks = append(p.acks, wireAck{seq: wf.seq, nack: true, deliver: cycle + 1})
-		n.stats.RouterNACKOut(down)
+		n.routers[down].winNACKsOut++
 		n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KNACK, Router: down,
 			Packet: wf.f.PacketID, Aux: int64(wf.f.Seq)})
 		return
@@ -974,7 +973,7 @@ func (n *Network) accept(dr *Router, inPort topology.Direction, f *flit.Flit) {
 	vcBuf.push(dr, f, cycle+pipelineFill)
 	n.markPipe(dr.id)
 	n.meter.BufferWrite(dr.id)
-	n.stats.RouterFlitIn(dr.id)
+	dr.winFlitsIn++
 	n.lastProgress = cycle
 	n.elog.Record(eventlog.Event{Cycle: cycle, Kind: eventlog.KAccept, Router: dr.id,
 		Packet: f.PacketID, Aux: int64(f.Seq)})
@@ -989,7 +988,6 @@ func (n *Network) processAcks(r *Router, p *outputPort) {
 			continue
 		}
 		if a.nack {
-			n.stats.RouterNACKIn(r.id)
 			p.winNackEpoch++
 			// Roll back to the NACKed entry.
 			for i, e := range p.unacked {
@@ -1444,7 +1442,6 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: seq, eccValid: eccOn,
 		dupFollows: mode == Mode2, corrupted: hit})
 	n.meter.LinkScaled(r.id, op.wireScale)
-	n.stats.RouterFlitOut(r.id)
 	op.winSent++
 	op.winSentEpoch++
 	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KLinkTx, Router: r.id,
@@ -1574,15 +1571,18 @@ func (n *Network) controlEpoch() {
 	ctrlPowers := n.epochCtrlPowers
 	leakBaseW := n.meter.Params().RouterLeakageMW / 1000
 	var rawSum float64
-	for id := range n.routers {
+	for id, r := range n.routers {
 		energyNow := n.meter.DynamicPJ(id) + n.meter.StaticPJ(id)
-		powerW := (energyNow - n.epochEnergyPJ[id]) / epochNS / 1000
-		n.epochEnergyPJ[id] = energyNow
+		powerW := (energyNow - r.epochEnergyPJ) / epochNS / 1000
+		r.epochEnergyPJ = energyNow
 		ctrlPowers[id] = powerW - leakBaseW
 		if ctrlPowers[id] < 0 {
 			ctrlPowers[id] = 0
 		}
-		lats[id] = n.stats.WindowLatency(id, neutralLatency)
+		lats[id] = neutralLatency
+		if r.winLatCount > 0 {
+			lats[id] = r.winLatSum / float64(r.winLatCount)
+		}
 		lat, pw := lats[id], ctrlPowers[id]
 		if lat < 1 {
 			lat = 1
@@ -1598,56 +1598,55 @@ func (n *Network) controlEpoch() {
 		if n.isDeadRouter(id) {
 			continue // nothing to observe or control on dead hardware
 		}
-		flitsOut := n.stats.WindowFlitsOut(id)
-		errRate := 0.0
-		if flitsOut > 0 {
-			errRate = float64(r.winErrEvents) / float64(flitsOut)
-		}
+		sent, nacksIn, residual := r.epochSends()
 		var ports [4]PortObservation
 		for dir := topology.North; dir < topology.NumPorts; dir++ {
 			p := r.outputs[dir]
 			if !p.hasDownstream() {
 				continue
 			}
-			po := PortObservation{Connected: true, Util: float64(p.winSentEpoch) / epoch}
-			if p.winSentEpoch > 0 {
-				po.NACKRate = float64(p.winNackEpoch) / float64(p.winSentEpoch)
-				po.ResidualRate = float64(p.winResidualEpoch) / float64(p.winSentEpoch)
+			ports[dir-topology.North] = PortObservation{
+				Connected:    true,
+				Util:         float64(p.winSentEpoch) / epoch,
+				NACKRate:     rate(p.winNackEpoch, p.winSentEpoch),
+				ResidualRate: rate(p.winResidualEpoch, p.winSentEpoch),
 			}
-			ports[dir-topology.North] = po
 		}
 		obs := Observation{
 			Ports: ports,
 			Features: rl.Features{
 				BufferUtilization: float64(r.occupiedVCs()) / float64(r.totalVCs()),
-				InputLinkUtil:     float64(n.stats.WindowFlitsIn(id)) / (epoch * 4),
-				OutputLinkUtil:    float64(flitsOut) / (epoch * 4),
-				InputNACKRate:     n.stats.WindowNACKRateIn(id),
-				OutputNACKRate:    n.stats.WindowNACKRateOut(id),
+				InputLinkUtil:     float64(r.winFlitsIn) / (epoch * 4),
+				OutputLinkUtil:    float64(sent) / (epoch * 4),
+				InputNACKRate:     rate(nacksIn, sent),
+				OutputNACKRate:    rate(r.winNACKsOut, r.winFlitsIn),
 				TemperatureC:      n.grid.Temperature(id),
 			},
 			WindowLatency:     lats[id],
 			ControlPowerW:     ctrlPowers[id],
 			NetMeanReward:     netMean,
-			MeasuredErrorRate: errRate,
-			ResidualErrorRate: n.stats.WindowResidualRate(id),
-			Cycle:             n.cycle,
+			MeasuredErrorRate: rate(r.winErrEvents, sent),
+			ResidualErrorRate: rate(residual, sent),
 		}
 		if pc, ok := n.controller.(PortController); ok {
 			n.applyPortModes(id, pc.DecidePorts(id, obs))
 		} else {
 			n.applyMode(id, n.controller.Decide(id, obs))
 		}
-		r.winErrEvents = 0
-		for dir := topology.North; dir < topology.NumPorts; dir++ {
-			p := r.outputs[dir]
-			p.winSentEpoch = 0
-			p.winNackEpoch = 0
-			p.winResidualEpoch = 0
-		}
 	}
-	n.stats.WindowReset()
+	// The first pass read every router's latency window, dead ones too.
+	for _, r := range n.routers {
+		r.resetEpoch()
+	}
 	n.refreshErrorProbs()
+}
+
+// rate is events per opportunity, 0 (not NaN) when there was none.
+func rate(events, of int64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(events) / float64(of)
 }
 
 // Discretizer exposes the feature discretizer (shared with controllers).

@@ -237,7 +237,8 @@ type outputPort struct {
 	// utilization input of the fault model).
 	winSent int64
 
-	// Per-*epoch* channel counters for the PortController observations.
+	// Per-*epoch* channel counters: the PortController observations, and
+	// summed over the ports, the router's own (Router.epochSends).
 	winSentEpoch     int64
 	winNackEpoch     int64
 	winResidualEpoch int64
@@ -376,9 +377,45 @@ type Router struct {
 	bufs  []bufFlit
 	depth int
 
-	// winErrEvents counts the errors injected on the router's output
-	// links this control epoch (the DT training label).
-	winErrEvents int64
+	// The control epoch's window, as far as no output port counts it:
+	// controlEpoch reads it and clears it on every router, dead ones
+	// included. winErrEvents counts the errors injected on the router's
+	// output links (the DT training label), winFlitsIn the flits it
+	// accepted, winNACKsOut the NACKs it sent upstream, and
+	// winLatSum/winLatCount the per-hop latency of the packets delivered
+	// through it. epochEnergyPJ is its energy at the epoch's start. Flits
+	// out, NACKs in and residual corruption are its link ports' epoch
+	// counters (epochSends).
+	winErrEvents  int64
+	winFlitsIn    int64
+	winNACKsOut   int64
+	winLatSum     float64
+	winLatCount   int64
+	epochEnergyPJ float64
+}
+
+// epochSends sums the router's link ports' epoch counters: flits sent,
+// NACKs received (ECC NACKs plus the snoopers' advisory ones) and the
+// residual corruption the snoopers caught. A port killed mid-epoch keeps
+// its sends from before the kill, so dead ports count too.
+func (r *Router) epochSends() (sent, nacks, residual int64) {
+	for dir := topology.North; dir < topology.NumPorts; dir++ {
+		p := r.outputs[dir]
+		sent += p.winSentEpoch
+		nacks += p.winNackEpoch + p.winResidualEpoch
+		residual += p.winResidualEpoch
+	}
+	return sent, nacks, residual
+}
+
+// resetEpoch clears the router's control-epoch window and its ports'.
+func (r *Router) resetEpoch() {
+	r.winErrEvents, r.winFlitsIn, r.winNACKsOut = 0, 0, 0
+	r.winLatSum, r.winLatCount = 0, 0
+	for dir := topology.North; dir < topology.NumPorts; dir++ {
+		p := r.outputs[dir]
+		p.winSentEpoch, p.winNackEpoch, p.winResidualEpoch = 0, 0, 0
+	}
 }
 
 // newRouter builds a self-contained router with its own backing slabs

@@ -212,7 +212,6 @@ func (n *Network) Snap(c *snap.Codec) error {
 		c.Bools(n.deadRouter)
 	}
 	c.F64s(n.coreFlits)
-	c.F64s(n.epochEnergyPJ)
 	c.LenCheck(len(n.modes))
 	for i := range n.modes {
 		snap.Enum(c, &n.modes[i])
@@ -463,6 +462,11 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		c.Int(&rt.vaRR[i])
 	}
 	c.I64(&rt.winErrEvents)
+	c.I64(&rt.winFlitsIn)
+	c.I64(&rt.winNACKsOut)
+	c.F64(&rt.winLatSum)
+	c.I64(&rt.winLatCount)
+	c.F64(&rt.epochEnergyPJ)
 	for i := range rt.vcs { // slot order is port-major
 		if !w.inputVC(c, rt, &rt.vcs[i]) {
 			return

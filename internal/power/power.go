@@ -267,18 +267,13 @@ func (m *Meter) DTCompute(r int) { m.record(r, EvDTCompute) }
 // RetxBuffer records a retransmission-buffer write at router r.
 func (m *Meter) RetxBuffer(r int) { m.record(r, EvRetxBuffer) }
 
-// AddStaticCycles charges leakage for `cycles` cycles at router r at the
-// leakage reference temperature. eccFraction in [0,1] is the share of the
-// router's ECC codecs powered during the span (per-port power gating).
-// cyclePeriodNS is the clock period in nanoseconds.
-func (m *Meter) AddStaticCycles(r int, cycles int64, eccFraction float64, cyclePeriodNS float64) {
-	m.AddStaticCyclesAt(r, cycles, eccFraction, cyclePeriodNS, m.p.LeakageRefC)
-}
-
-// AddStaticCyclesAt charges leakage like AddStaticCycles, scaled for the
-// tile temperature: subthreshold leakage grows exponentially with
-// temperature (LeakageTempCoeff per degree), so hot tiles pay more static
-// power — a second reason, besides the error rate, to cool off.
+// AddStaticCyclesAt charges leakage for `cycles` cycles at router r,
+// scaled for the tile temperature tempC: subthreshold leakage grows
+// exponentially with temperature (LeakageTempCoeff per degree), so hot
+// tiles pay more static power — a second reason, besides the error rate,
+// to cool off. eccFraction in [0,1] is the share of the router's ECC
+// codecs powered during the span (per-port power gating); cyclePeriodNS
+// is the clock period in nanoseconds.
 func (m *Meter) AddStaticCyclesAt(r int, cycles int64, eccFraction float64, cyclePeriodNS, tempC float64) {
 	if eccFraction < 0 {
 		eccFraction = 0

@@ -56,8 +56,8 @@ func TestAllEventMethods(t *testing.T) {
 func TestStaticEnergyGating(t *testing.T) {
 	p := DefaultParams()
 	m := NewMeter(p, 2)
-	m.AddStaticCycles(0, 1000, 1.0, 0.5) // all ECC codecs powered
-	m.AddStaticCycles(1, 1000, 0.0, 0.5) // all ECC codecs gated
+	m.AddStaticCyclesAt(0, 1000, 1.0, 0.5, m.Params().LeakageRefC) // all ECC codecs powered
+	m.AddStaticCyclesAt(1, 1000, 0.0, 0.5, m.Params().LeakageRefC) // all ECC codecs gated
 	on := m.StaticPJ(0)
 	off := m.StaticPJ(1)
 	wantOn := (p.RouterLeakageMW + p.ECCLeakageMW) * 1000 * 0.5
@@ -79,13 +79,13 @@ func TestStaticEnergyGating(t *testing.T) {
 	}
 	// Partial gating and clamping.
 	m2 := NewMeter(p, 1)
-	m2.AddStaticCycles(0, 1000, 0.5, 0.5)
+	m2.AddStaticCyclesAt(0, 1000, 0.5, 0.5, m2.Params().LeakageRefC)
 	wantHalf := (p.RouterLeakageMW + 0.5*p.ECCLeakageMW) * 1000 * 0.5
 	if math.Abs(m2.StaticPJ(0)-wantHalf) > 1e-9 {
 		t.Errorf("half-gated static = %g, want %g", m2.StaticPJ(0), wantHalf)
 	}
 	m3 := NewMeter(p, 1)
-	m3.AddStaticCycles(0, 1000, 7.0, 0.5) // clamped to 1
+	m3.AddStaticCyclesAt(0, 1000, 7.0, 0.5, m3.Params().LeakageRefC) // clamped to 1
 	if math.Abs(m3.StaticPJ(0)-wantOn) > 1e-9 {
 		t.Errorf("clamped static = %g, want %g", m3.StaticPJ(0), wantOn)
 	}
@@ -108,7 +108,7 @@ func TestTemperatureDependentLeakage(t *testing.T) {
 	}
 	// The temperature-free wrapper charges at the reference point.
 	m2 := NewMeter(p, 1)
-	m2.AddStaticCycles(0, 1000, 0, 0.5)
+	m2.AddStaticCyclesAt(0, 1000, 0, 0.5, m2.Params().LeakageRefC)
 	if math.Abs(m2.StaticPJ(0)-ref) > 1e-9 {
 		t.Fatalf("wrapper = %g, want %g", m2.StaticPJ(0), ref)
 	}
@@ -117,7 +117,7 @@ func TestTemperatureDependentLeakage(t *testing.T) {
 func TestWindowReset(t *testing.T) {
 	m := NewMeter(DefaultParams(), 1)
 	m.Link(0)
-	m.AddStaticCycles(0, 100, 0, 0.5)
+	m.AddStaticCyclesAt(0, 100, 0, 0.5, m.Params().LeakageRefC)
 	if m.WindowDynamicPJ(0) == 0 || m.WindowTotalPJ(0) == 0 {
 		t.Fatal("window did not accumulate")
 	}

@@ -49,7 +49,10 @@ const Magic uint32 = 0x534E4C52
 // grid version, two stats counters).
 // Version 5: the pending trace is each source's packed event stream
 // (uvarint cycle delta, destination, flit count) with its cycle base.
-const Version uint32 = 5
+// Version 6: the statistics carry no per-router window; each router
+// carries its own control-epoch words (flits in, NACKs out, latency sum
+// and count, epoch-start energy) beside its error count.
+const Version uint32 = 6
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

@@ -2,14 +2,11 @@ package stats
 
 // Checkpoint/restore for the measurement counters and the recovery log
 // (DESIGN.md §15). Everything here is plain accumulated state, so the
-// walk is a field-by-field list in declaration order; the per-router
-// window slices carry a structural length check so a snapshot from a
-// different fabric size fails loudly.
+// walk is a field-by-field list in declaration order.
 
 import "rlnoc/internal/snap"
 
-// Snap walks every counter, histogram bucket and per-router window of
-// the collector.
+// Snap walks every counter and histogram bucket of the collector.
 func (c *Collector) Snap(cd *snap.Codec) error {
 	cd.Section("STAT")
 	cd.Bool(&c.measuring)
@@ -34,13 +31,6 @@ func (c *Collector) Snap(cd *snap.Codec) error {
 	for i := range c.drops {
 		cd.I64(&c.drops[i])
 	}
-	cd.F64s(c.winLatSum)
-	cd.I64s(c.winLatCount)
-	cd.I64s(c.winFlitsIn)
-	cd.I64s(c.winFlitsOut)
-	cd.I64s(c.winNACKsIn)
-	cd.I64s(c.winNACKsOut)
-	cd.I64s(c.winResidual)
 	return cd.Err()
 }
 

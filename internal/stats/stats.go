@@ -1,7 +1,8 @@
 // Package stats collects the simulator's measurement counters: end-to-end
 // packet latency, retransmission traffic (both end-to-end packet
 // retransmissions and link-level flit retransmissions), error-control
-// outcomes, and per-router windowed aggregates used by the RL reward.
+// outcomes and flit/packet drops. The controllers' per-router epoch
+// window lives with the routers in internal/network.
 package stats
 
 import (
@@ -47,38 +48,13 @@ type Collector struct {
 	// drops counts flit/packet discards by reason; see drops.go. Always
 	// on (not gated on measuring).
 	drops [NumDropReasons]int64
-
-	// Per-router windows (reset each control epoch).
-	routers     int
-	winLatSum   []float64
-	winLatCount []int64
-	winFlitsIn  []int64
-	winFlitsOut []int64
-	winNACKsIn  []int64 // NACKs received by the router (from downstream)
-	winNACKsOut []int64 // NACKs sent by the router (to upstream)
-	// winResidual counts corrupted flits the router let through on its
-	// ECC-bypassed output links, as observed by the downstream CRC
-	// snooper (the reliability term of the RL reward).
-	winResidual []int64
 }
 
-// New builds a collector for n routers. Measurement starts disabled.
-func New(n int) *Collector {
-	return &Collector{
-		routers:     n,
-		winLatSum:   make([]float64, n),
-		winLatCount: make([]int64, n),
-		winFlitsIn:  make([]int64, n),
-		winFlitsOut: make([]int64, n),
-		winNACKsIn:  make([]int64, n),
-		winNACKsOut: make([]int64, n),
-		winResidual: make([]int64, n),
-	}
-}
+// New builds a collector. Measurement starts disabled.
+func New() *Collector { return &Collector{} }
 
-// SetMeasuring enables or disables the global counters. Per-router window
-// counters always accumulate (the controllers need them even during
-// warm-up).
+// SetMeasuring enables or disables the global counters (the drop counters
+// always accumulate).
 func (c *Collector) SetMeasuring(on bool) { c.measuring = on }
 
 // Measuring reports whether global counters are live.
@@ -175,88 +151,6 @@ func (c *Collector) RetransmittedPacketEquivalents(flitsPerPacket int) float64 {
 	}
 	return float64(c.SourceRetransmissions) +
 		float64(c.LinkRetransmissions)/float64(flitsPerPacket)
-}
-
-// --- per-router windows -------------------------------------------------
-
-// RouterPacketLatency attributes a delivered packet's latency to router r
-// (every router on the packet's path calls this), feeding the RL reward.
-// The value is the packet's per-hop latency (end-to-end divided by path
-// length): raw end-to-end latency varies ~6x with distance on an 8x8
-// mesh, which would swamp the per-hop action effects the reward must
-// expose.
-func (c *Collector) RouterPacketLatency(r int, perHopLatency float64) {
-	c.winLatSum[r] += perHopLatency
-	c.winLatCount[r]++
-}
-
-// RouterFlitIn counts a flit received by router r on any input port.
-func (c *Collector) RouterFlitIn(r int) { c.winFlitsIn[r]++ }
-
-// RouterFlitOut counts a flit sent by router r on any output port.
-func (c *Collector) RouterFlitOut(r int) { c.winFlitsOut[r]++ }
-
-// RouterNACKIn counts a link-level NACK received by router r.
-func (c *Collector) RouterNACKIn(r int) { c.winNACKsIn[r]++ }
-
-// RouterNACKOut counts a link-level NACK sent by router r.
-func (c *Collector) RouterNACKOut(r int) { c.winNACKsOut[r]++ }
-
-// RouterResidualCorrupt counts a corrupted flit that router r forwarded
-// on an ECC-bypassed link (caught downstream by the CRC snooper).
-func (c *Collector) RouterResidualCorrupt(r int) { c.winResidual[r]++ }
-
-// WindowResidualRate returns router r's residual-corruption rate per flit
-// sent this window.
-func (c *Collector) WindowResidualRate(r int) float64 {
-	if c.winFlitsOut[r] == 0 {
-		return 0
-	}
-	return float64(c.winResidual[r]) / float64(c.winFlitsOut[r])
-}
-
-// WindowLatency returns router r's mean packet latency this window, or
-// fallback if no packet traversed it.
-func (c *Collector) WindowLatency(r int, fallback float64) float64 {
-	if c.winLatCount[r] == 0 {
-		return fallback
-	}
-	return c.winLatSum[r] / float64(c.winLatCount[r])
-}
-
-// WindowFlitsIn returns flits received by router r this window.
-func (c *Collector) WindowFlitsIn(r int) int64 { return c.winFlitsIn[r] }
-
-// WindowFlitsOut returns flits sent by router r this window.
-func (c *Collector) WindowFlitsOut(r int) int64 { return c.winFlitsOut[r] }
-
-// WindowNACKRateIn returns NACKs received per flit sent by router r.
-func (c *Collector) WindowNACKRateIn(r int) float64 {
-	if c.winFlitsOut[r] == 0 {
-		return 0
-	}
-	return float64(c.winNACKsIn[r]) / float64(c.winFlitsOut[r])
-}
-
-// WindowNACKRateOut returns NACKs sent per flit received by router r.
-func (c *Collector) WindowNACKRateOut(r int) float64 {
-	if c.winFlitsIn[r] == 0 {
-		return 0
-	}
-	return float64(c.winNACKsOut[r]) / float64(c.winFlitsIn[r])
-}
-
-// WindowReset clears the per-router windows.
-func (c *Collector) WindowReset() {
-	for i := 0; i < c.routers; i++ {
-		c.winLatSum[i] = 0
-		c.winLatCount[i] = 0
-		c.winFlitsIn[i] = 0
-		c.winFlitsOut[i] = 0
-		c.winNACKsIn[i] = 0
-		c.winNACKsOut[i] = 0
-		c.winResidual[i] = 0
-	}
 }
 
 // Summary is a plain-data snapshot of the headline metrics.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMeasurementGate(t *testing.T) {
-	c := New(4)
+	c := New()
 	c.PacketDelivered(100, 80, 4)
 	if c.PacketsDelivered != 0 {
 		t.Fatal("counted while not measuring")
@@ -22,7 +22,7 @@ func TestMeasurementGate(t *testing.T) {
 }
 
 func TestMeasuref(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.Measuref(func(c *Collector) { c.CRCFailures++ })
 	if c.CRCFailures != 0 {
 		t.Fatal("Measuref ran while gated")
@@ -35,7 +35,7 @@ func TestMeasuref(t *testing.T) {
 }
 
 func TestLatencyAggregates(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.SetMeasuring(true)
 	c.PacketDelivered(10, 8, 1)
 	c.PacketDelivered(30, 20, 1)
@@ -51,7 +51,7 @@ func TestLatencyAggregates(t *testing.T) {
 }
 
 func TestLatencyPercentiles(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.SetMeasuring(true)
 	// 90 fast packets, 9 slow, 1 terrible.
 	for i := 0; i < 90; i++ {
@@ -80,7 +80,7 @@ func TestLatencyPercentiles(t *testing.T) {
 }
 
 func TestLatencyPercentileEmpty(t *testing.T) {
-	c := New(1)
+	c := New()
 	if c.LatencyPercentile(0.5) != 0 {
 		t.Error("empty percentile not 0")
 	}
@@ -96,14 +96,14 @@ func TestBucketOf(t *testing.T) {
 }
 
 func TestLatencyEmptyIsZero(t *testing.T) {
-	c := New(1)
+	c := New()
 	if c.MeanLatency() != 0 || c.MeanNetworkLatency() != 0 {
 		t.Fatal("empty collector returned nonzero latency")
 	}
 }
 
 func TestRetransmittedPacketEquivalents(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.SourceRetransmissions = 10
 	c.LinkRetransmissions = 8
 	c.PreRetransmissions = 4 // proactive: excluded from the Fig. 6 metric
@@ -116,65 +116,8 @@ func TestRetransmittedPacketEquivalents(t *testing.T) {
 	}
 }
 
-func TestRouterWindows(t *testing.T) {
-	c := New(2)
-	c.RouterPacketLatency(0, 10)
-	c.RouterPacketLatency(0, 20)
-	c.RouterFlitIn(0)
-	c.RouterFlitIn(0)
-	c.RouterFlitOut(0)
-	c.RouterNACKIn(0)
-	c.RouterNACKOut(0)
-	if got := c.WindowLatency(0, -1); got != 15 {
-		t.Errorf("WindowLatency = %g, want 15", got)
-	}
-	if got := c.WindowLatency(1, 42); got != 42 {
-		t.Errorf("fallback latency = %g, want 42", got)
-	}
-	if got := c.WindowNACKRateIn(0); got != 1 {
-		t.Errorf("NACK-in rate = %g, want 1 (1 NACK / 1 flit out)", got)
-	}
-	if got := c.WindowNACKRateOut(0); got != 0.5 {
-		t.Errorf("NACK-out rate = %g, want 0.5", got)
-	}
-	if c.WindowFlitsIn(0) != 2 || c.WindowFlitsOut(0) != 1 {
-		t.Error("flit windows wrong")
-	}
-	// Zero-traffic rates are zero, not NaN.
-	if got := c.WindowNACKRateIn(1); got != 0 {
-		t.Errorf("idle NACK rate = %g", got)
-	}
-	c.WindowReset()
-	if c.WindowLatency(0, -1) != -1 || c.WindowFlitsIn(0) != 0 {
-		t.Error("WindowReset incomplete")
-	}
-}
-
-func TestResidualCorruptionWindow(t *testing.T) {
-	c := New(2)
-	// No traffic: rate must be 0, not NaN.
-	if got := c.WindowResidualRate(0); got != 0 {
-		t.Fatalf("idle residual rate = %g", got)
-	}
-	c.RouterFlitOut(0)
-	c.RouterFlitOut(0)
-	c.RouterFlitOut(0)
-	c.RouterFlitOut(0)
-	c.RouterResidualCorrupt(0)
-	if got := c.WindowResidualRate(0); got != 0.25 {
-		t.Fatalf("residual rate = %g, want 0.25", got)
-	}
-	if got := c.WindowResidualRate(1); got != 0 {
-		t.Fatalf("uninvolved router residual = %g", got)
-	}
-	c.WindowReset()
-	if got := c.WindowResidualRate(0); got != 0 {
-		t.Fatalf("residual survived reset: %g", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
-	c := New(1)
+	c := New()
 	c.SetMeasuring(true)
 	c.PacketsInjected = 5
 	c.PacketDelivered(10, 10, 4)
