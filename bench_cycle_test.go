@@ -83,8 +83,8 @@ var cycleLoopRows = []cycleLoopRow{
 	{name: "idle", mode: network.Mode0, side: 8, rate: 0, warmup: cycleLoopWarmup, budget: 0.50},
 	{name: "mode2-loaded", mode: network.Mode2, side: 8, rate: cycleLoopLoadedRate, warmup: cycleLoopWarmup, budget: 3.75},
 	{name: "torus-rl", scheme: core.SchemeRL, topology: "torus", side: 8, rate: cycleLoopRate, warmup: cycleLoopWarmup, budget: 0.58},
-	{name: "par16-w1", mode: network.Mode2, side: 16, rate: largeRate(16), warmup: cycleLoopWarmup, budget: largeAllocBudget},
-	{name: "par32-w1", mode: network.Mode2, side: 32, rate: largeRate(32), warmup: 2 * cycleLoopWarmup, budget: largeAllocBudget},
+	{name: "loaded16", mode: network.Mode2, side: 16, rate: largeRate(16), warmup: cycleLoopWarmup, budget: largeAllocBudget},
+	{name: "loaded32", mode: network.Mode2, side: 32, rate: largeRate(32), warmup: 2 * cycleLoopWarmup, budget: largeAllocBudget},
 }
 
 // cycleLoop is a constructed row: the simulation, its open-loop trace
@@ -202,7 +202,6 @@ func BenchmarkCycleLoopIdle(b *testing.B)        { benchmarkCycleLoop(b, "idle")
 func BenchmarkCycleLoopMode2Loaded(b *testing.B) { benchmarkCycleLoop(b, "mode2-loaded") }
 
 // The large rows: loaded Mode 2 on 16x16 and 32x32 meshes, past the
-// paper's 8x8. The -w1 in their names (one Step worker) dates from when
-// Step could be sharded (DESIGN.md section 11).
-func BenchmarkCycleLoopLoaded16(b *testing.B) { benchmarkCycleLoop(b, "par16-w1") }
-func BenchmarkCycleLoopLoaded32(b *testing.B) { benchmarkCycleLoop(b, "par32-w1") }
+// paper's 8x8.
+func BenchmarkCycleLoopLoaded16(b *testing.B) { benchmarkCycleLoop(b, "loaded16") }
+func BenchmarkCycleLoopLoaded32(b *testing.B) { benchmarkCycleLoop(b, "loaded32") }

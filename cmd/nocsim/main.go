@@ -56,7 +56,7 @@ func run(args []string) error {
 		topoFlag   = fs.String("topology", "", "fabric topology: mesh|torus (default: config)")
 		small      = fs.Bool("small", false, "use the 4x4 quick configuration")
 		verbose    = fs.Bool("v", false, "print the error-control breakdown")
-		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows")
+		policy     = fs.Int("policy", 0, "print the N most-visited RL states with their Q-rows (visits: the Q-table's per-state update counts)")
 		savePre    = fs.String("save-pretrained", "", "write the state at the end of pre-training to a file (any scheme; measure from it with -restore)")
 		eventLog   = fs.String("eventlog", "", "record flit/packet events of the testing phase to a file")
 		snapEvery  = fs.Int64("snapshot-every", 0, "write a checkpoint every N cycles of the measured phase (0 = off)")

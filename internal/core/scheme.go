@@ -153,7 +153,6 @@ type RLController struct {
 	rewardSum   [int(network.NumModes)]float64
 	rewardCount [int(network.NumModes)]int64
 	prevAction  []int
-	visits      map[rl.State]int64
 }
 
 // NewRLController builds the per-router agents (shared Q-table if
@@ -173,7 +172,7 @@ func NewRLController(cfg config.Config, routers int) *RLController {
 		prev[i] = -1
 	}
 	return &RLController{agents: agents, disc: rl.DefaultDiscretizer(), mask: cfg.RL.ModeMask,
-		prevAction: prev, visits: make(map[rl.State]int64)}
+		prevAction: prev}
 }
 
 // allowed steps action down toward cheaper modes until mask permits it (a
@@ -187,25 +186,24 @@ func allowed(mask uint8, action int) int {
 	return action
 }
 
-// PolicyDump renders the most-visited states with their Q-rows and greedy
-// action — a debugging view of what the policy learned.
+// PolicyDump renders the most-visited states of router 0's Q-table with
+// their Q-rows and greedy action — a debugging view of what the policy
+// learned. A state's visits are the TD updates the table applied to it.
 func (c *RLController) PolicyDump(top int) string {
 	type sv struct {
 		s rl.State
 		n int64
 	}
 	var all []sv
-	for s, n := range c.visits {
-		all = append(all, sv{s, n})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].n > all[j].n })
+	a := c.agents[0]
+	a.Visits(func(s rl.State, n int64) { all = append(all, sv{s, n}) })
+	sort.SliceStable(all, func(i, j int) bool { return all[i].n > all[j].n })
 	if top > len(all) {
 		top = len(all)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "distinct states visited: %d\n", len(all))
 	fmt.Fprintf(&b, "%-34s %8s  %-8s %s\n", "state(buf,in,out,inN,outN,temp)", "visits", "greedy", "Q-row")
-	a := c.agents[0]
 	for _, e := range all[:top] {
 		fmt.Fprintf(&b, "(%d,%d,%d,%d,%d,%d)%24s %8d  mode%-4d [%.2f %.2f %.2f %.2f]",
 			e.s.Buf, e.s.InLink, e.s.OutLink, e.s.InNACK, e.s.OutNACK, e.s.Temp, "",
@@ -237,7 +235,6 @@ func Reward(latencyCycles, powerW float64) float64 {
 // Decide implements network.Controller.
 func (c *RLController) Decide(id int, obs network.Observation) network.Mode {
 	s := c.disc.Discretize(obs.Features)
-	c.visits[s]++
 	r := Reward(obs.WindowLatency, obs.ControlPowerW)
 	if obs.NetMeanReward > 0 {
 		// Advantage-style normalization: dividing by the network-wide

@@ -10,7 +10,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -305,12 +304,6 @@ func parseStream(st []byte, src, nodes int, at int64) (int, error) {
 	return events, nil
 }
 
-// stateKey packs a discretized RL state into a sortable integer.
-func stateKey(s rl.State) uint64 {
-	return uint64(s.Buf)<<40 | uint64(s.InLink)<<32 | uint64(s.OutLink)<<24 |
-		uint64(s.InNACK)<<16 | uint64(s.OutNACK)<<8 | uint64(s.Temp)
-}
-
 // tableReps computes, per agent, the index of the first agent whose
 // Q-table it shares (itself if unshared) — the canonical encoding of the
 // sharing structure, independent of how the tables were allocated.
@@ -386,11 +379,6 @@ func (c *RLController) Snap(cd *snap.Codec) error {
 		cd.I64(&c.rewardCount[i])
 	}
 	cd.Ints(c.prevAction)
-	snap.Map(cd, &c.visits, func(a, b rl.State) int { return cmp.Compare(stateKey(a), stateKey(b)) },
-		func(cd *snap.Codec, st *rl.State, visits *int64) {
-			st.Snap(cd)
-			cd.I64(visits)
-		})
 	return cd.Err()
 }
 

@@ -380,15 +380,20 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // STAT section's per-router vectors to the router walk and drops the
 // words the ports already count: the previous build writing that layout,
 // and clearing a dead router's port counters each epoch as this one
-// does, writes the same three streams.
+// does, writes the same three streams. All three were re-captured for
+// format version 7, which writes the energy meter as one count matrix
+// (the link column last, in tile pitches) and its copy at the last
+// window reset, qroute's counters as scalars, and no controller visit
+// map or agent update count: the previous build writing that layout
+// from its own state writes the same three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "40686dd04d6731d906801bb35f96c69b00678087d1e5a1a247147515bef0f8e0"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "f0dee26df7fe85953db91fcde2cd42863ab445ddf121f3b1912f72f8af9f469c"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "d984b911dbe6141896eb509c7172a009178fa97f35c422fe6715c73d4406e6f7"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "239289441425b243f6fe84e2e400ff82b38e693f96a1e7b4d9d6738c0d0319a4"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "e55921d68c8aa00e3c8b0ed8b385acc7e84fe40515c09c2f00e50268d0932e73"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "d3d5d8c44dba4e9affc9715b1efd6308e1c0c4915ac83e3305cd48cf6fe769d2"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {

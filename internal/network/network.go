@@ -258,7 +258,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		p := net.routers[l.Src].outputs[l.Dir]
 		p.downstream = l.Dst
 		p.inPort = l.Dir.Opposite()
-		p.wireScale = l.Length
+		p.wireScale = int64(l.Length)
 		p.linkID = int32(topo.LinkIndex(l.Src, l.Dir))
 		p.linkKey = detrand.Prefix(cfg.Seed, detrand.DomainLink, uint64(p.linkID))
 		net.routers[l.Dst].up[p.inPort] = p
@@ -1441,7 +1441,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 	hit := n.corrupt(r, op, wire, eccOn)
 	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: seq, eccValid: eccOn,
 		dupFollows: mode == Mode2, corrupted: hit})
-	n.meter.LinkScaled(r.id, op.wireScale)
+	n.meter.Link(r.id, op.wireScale)
 	op.winSent++
 	op.winSentEpoch++
 	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KLinkTx, Router: r.id,
@@ -1452,7 +1452,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 		hit := n.corrupt(r, op, dup, true)
 		n.pushWire(r, op, wireFlit{f: dup, arrive: arrive + 1, seq: seq, eccValid: true,
 			isDup: true, corrupted: hit})
-		n.meter.LinkScaled(r.id, op.wireScale)
+		n.meter.Link(r.id, op.wireScale)
 		n.stats.Measuref(func(c *statsCollector) { c.PreRetransmissions++ })
 	}
 }
@@ -1475,7 +1475,7 @@ func (n *Network) retransmit(r *Router, op *outputPort) {
 	arrive := n.cycle + 2 // link + ECC stage
 	n.pushWire(r, op, wireFlit{f: wire, arrive: arrive, seq: e.seq, eccValid: true, corrupted: hit})
 	op.linkBusyUntil = n.cycle + 1
-	n.meter.LinkScaled(r.id, op.wireScale)
+	n.meter.Link(r.id, op.wireScale)
 	n.stats.Measuref(func(c *statsCollector) { c.LinkRetransmissions++ })
 	n.lastProgress = n.cycle
 	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KRetx, Router: r.id,
@@ -1541,10 +1541,10 @@ func (n *Network) thermalStep() {
 	periodNS := float64(period) * n.cfg.CyclePeriodNS()
 	powers := n.scratchPowers // fully overwritten below
 	for id := range n.routers {
-		n.meter.AddStaticCyclesAt(id, period, n.eccFraction(id), n.cfg.CyclePeriodNS(),
+		staticPJ := n.meter.AddStaticCyclesAt(id, period, n.eccFraction(id), n.cfg.CyclePeriodNS(),
 			n.grid.Temperature(id))
 		activity := n.coreFlits[id] / (float64(period) * coreActivityFullLoad)
-		powers[id] = n.meter.TilePowerW(id, period, n.cfg.CyclePeriodNS(), activity)
+		powers[id] = n.meter.TilePowerW(id, staticPJ, period, n.cfg.CyclePeriodNS(), activity)
 		n.coreFlits[id] = 0
 	}
 	if err := n.grid.Step(powers, periodNS*1e-9); err != nil {
@@ -1567,6 +1567,13 @@ func (n *Network) controlEpoch() {
 	// First pass: per-router latency and controllable power, plus the
 	// network-wide mean raw reward used for normalization. The two scratch
 	// buffers are reused across epochs and fully overwritten here.
+	//
+	// The mean runs over every router, dead ones included: a dead router
+	// reads neutralLatency and power clamped to 1e-4 W, so it adds
+	// 1/(6·1e-4)/16 ≈ 104 to a 4×4 mesh's NetMeanReward and roughly halves
+	// every live router's normalized reward after a router kill. That is a
+	// model bug, kept until the fix's moved digests can be re-pinned
+	// (ROADMAP item 13).
 	lats := n.epochLats
 	ctrlPowers := n.epochCtrlPowers
 	leakBaseW := n.meter.Params().RouterLeakageMW / 1000

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
 	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
@@ -346,6 +347,37 @@ func TestEnergyAccountingActive(t *testing.T) {
 	}
 	if m.EventEnergyPJ(0) <= 0 { // buffer writes must have happened
 		t.Fatal("no buffer-write energy")
+	}
+}
+
+// TestTorusWrapLinkChargesItsSpan sends one packet over the 4x4 torus's
+// west wrap link from (0,0) to (3,0): the wire spans three tile pitches,
+// so each flit must charge three pitches of link energy, not one.
+func TestTorusWrapLinkChargesItsSpan(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Topology = "torus"
+	n := newNet(t, cfg, Mode0, false)
+	const src, dst, flits, pitches = 0, 3, 4, 3
+	if nb, _ := n.Topology().Neighbor(src, topology.West); nb != dst {
+		t.Fatalf("router %d's west neighbor is %d, want the wrap to %d", src, nb, dst)
+	}
+	if _, err := n.NewDataPacket(src, dst, flits, 0); err != nil {
+		t.Fatal(err)
+	}
+	for !n.Drained() && n.Cycle() < 1000 {
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.Drained() {
+		t.Fatal("packet never delivered")
+	}
+	m := n.Meter()
+	if got := m.EventCount(power.EvLink); got != pitches*flits {
+		t.Fatalf("link count = %d pitches, want %d", got, pitches*flits)
+	}
+	if got, want := m.EventEnergyPJ(power.EvLink), float64(pitches*flits)*m.Params().LinkPJ; got != want {
+		t.Fatalf("link energy = %g pJ, want %g", got, want)
 	}
 }
 

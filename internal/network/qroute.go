@@ -54,13 +54,7 @@ type qrouteState struct {
 	rng      []detrand.Stream
 	rngCycle []int64
 
-	// Per-router counters (RC phase), and the network-wide TD update
-	// count.
-	decisions    []int64
-	explorations []int64
-	escapes      []int64
-	fallbacks    []int64
-	updates      int64
+	tel stats.QRouteTelemetry // network-wide counters
 }
 
 // newQRouteState builds the agents and sizes the distance table, which
@@ -68,19 +62,15 @@ type qrouteState struct {
 func newQRouteState(cfg config.Config, topo topology.Topology) *qrouteState {
 	nodes := topo.Nodes()
 	q := &qrouteState{
-		agents:       make([]*rl.RouteAgent, nodes),
-		dist:         make([]int32, nodes*nodes),
-		nodes:        nodes,
-		alpha:        cfg.QRoute.Alpha,
-		epsilon:      cfg.QRoute.Epsilon,
-		congW:        cfg.QRoute.CongestionWeight,
-		escTimeout:   int64(cfg.QRoute.EscapeTimeout),
-		rng:          make([]detrand.Stream, nodes),
-		rngCycle:     make([]int64, nodes),
-		decisions:    make([]int64, nodes),
-		explorations: make([]int64, nodes),
-		escapes:      make([]int64, nodes),
-		fallbacks:    make([]int64, nodes),
+		agents:     make([]*rl.RouteAgent, nodes),
+		dist:       make([]int32, nodes*nodes),
+		nodes:      nodes,
+		alpha:      cfg.QRoute.Alpha,
+		epsilon:    cfg.QRoute.Epsilon,
+		congW:      cfg.QRoute.CongestionWeight,
+		escTimeout: int64(cfg.QRoute.EscapeTimeout),
+		rng:        make([]detrand.Stream, nodes),
+		rngCycle:   make([]int64, nodes),
 	}
 	for id := range q.agents {
 		q.agents[id] = rl.NewRouteAgent(nodes)
@@ -158,16 +148,15 @@ func (n *Network) qrouteGreedy(r *Router, dst int, mask uint8) int {
 // qrouteChoose runs the epsilon-greedy policy for a data head at router
 // r toward dst. The false return means the permitted mask is empty (no
 // productive live port) and the caller must fall back to the table
-// route. Called from the RC stage on both stepping paths; draws and
-// counters touch only router-indexed state.
+// route. Called from the RC stage on both stepping paths.
 func (n *Network) qrouteChoose(r *Router, dst int) (topology.Direction, bool) {
 	q := n.qr
 	mask := n.qroutePermittedMask(r.id, dst)
 	if mask == 0 {
-		q.fallbacks[r.id]++
+		q.tel.Fallbacks++
 		return 0, false
 	}
-	q.decisions[r.id]++
+	q.tel.Decisions++
 	if q.rngCycle[r.id] != n.cycle {
 		q.rngCycle[r.id] = n.cycle
 		q.rng[r.id] = detrand.New(n.cfg.Seed, detrand.DomainQRoute, uint64(r.id), uint64(n.cycle))
@@ -182,7 +171,7 @@ func (n *Network) qrouteChoose(r *Router, dst int) (topology.Direction, bool) {
 			m &= m - 1
 		}
 		p = bits.TrailingZeros8(m)
-		q.explorations[r.id]++
+		q.tel.Explorations++
 	} else {
 		p = n.qrouteGreedy(r, dst, mask)
 	}
@@ -203,7 +192,7 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 	}
 	vc.qAdaptive = false
 	vc.qWait = 0
-	n.qr.escapes[r.id]++
+	n.qr.tel.Escapes++
 	r.routeMask[vc.outPort] &^= vc.bit()
 	out := n.topo.Route(r.id, vc.pkt.Dst)
 	if out == topology.Unreachable {
@@ -245,29 +234,19 @@ func (n *Network) qrouteFeedback(down int, inPort topology.Direction, hopStart i
 		target += q.agents[down].MinQ(dst, n.qroutePermittedMask(down, dst))
 	}
 	q.agents[up].Update(dst, action, target, q.alpha)
-	q.updates++
+	q.tel.Updates++
 }
 
 // QRouteEnabled reports whether learned routing is active.
 func (n *Network) QRouteEnabled() bool { return n.qr != nil }
 
-// QRouteTelemetry aggregates the learned-routing counters; zero when the
+// QRouteTelemetry returns the learned-routing counters; zero when the
 // scheme is not qroute.
 func (n *Network) QRouteTelemetry() stats.QRouteTelemetry {
-	var t stats.QRouteTelemetry
 	if n.qr == nil {
-		return t
+		return stats.QRouteTelemetry{}
 	}
-	q := n.qr
-	t.RouterDecisions = append([]int64(nil), q.decisions...)
-	for id := range q.decisions {
-		t.Decisions += q.decisions[id]
-		t.Explorations += q.explorations[id]
-		t.Escapes += q.escapes[id]
-		t.Fallbacks += q.fallbacks[id]
-	}
-	t.Updates = q.updates
-	return t
+	return n.qr.tel
 }
 
 // QRouteAgent exposes router id's route agent (tests and telemetry).

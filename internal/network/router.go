@@ -229,9 +229,9 @@ type outputPort struct {
 	linkKey  detrand.KeyPrefix
 
 	// wireScale is the physical wire length behind this port in tile
-	// pitches (1 for mesh links, row/column span for torus wrap links);
-	// it multiplies the per-traversal link energy.
-	wireScale float64
+	// pitches (1 for mesh links, row/column span for torus wrap links):
+	// the link energy one traversal charges, in units of LinkPJ.
+	wireScale int64
 
 	// winSent counts flits sent this *thermal* window (drives the
 	// utilization input of the fault model).

@@ -257,11 +257,12 @@ func (n *Network) Snap(c *snap.Codec) error {
 		for _, a := range n.qr.agents {
 			a.Snap(c)
 		}
-		c.I64s(n.qr.decisions)
-		c.I64s(n.qr.explorations)
-		c.I64s(n.qr.escapes)
-		c.I64s(n.qr.fallbacks)
-		c.I64(&n.qr.updates)
+		t := &n.qr.tel
+		c.I64(&t.Decisions)
+		c.I64(&t.Explorations)
+		c.I64(&t.Escapes)
+		c.I64(&t.Fallbacks)
+		c.I64(&t.Updates)
 	}
 
 	for _, sub := range []snap.Snapshotter{n.stats, n.recov, n.grid, n.meter} {

@@ -2,9 +2,10 @@
 // NoC routers at a 32 nm / 1.0 V / 2.0 GHz operating point, plus the
 // analytic area model used for the paper's overhead analysis. Every
 // microarchitectural event (buffer read/write, crossbar traversal,
-// arbitration, link traversal, ECC encode/decode, CRC check, controller
-// computation) deposits a fixed energy; leakage accrues per cycle and the
-// ECC codec share of it is power-gated when a router runs in Mode 0.
+// arbitration, link traversal per tile pitch of wire, ECC encode/decode,
+// CRC check, controller computation) deposits a fixed energy; leakage
+// accrues per cycle and the ECC codec share of it is power-gated when a
+// router runs in Mode 0.
 package power
 
 import (
@@ -109,26 +110,27 @@ func DefaultParams() Params {
 // Event identifies a dynamic-energy event class for aggregate reporting.
 type Event int
 
-// Dynamic event classes.
+// Dynamic event classes. EvLink is last, so each router's energy sum adds
+// the link term last.
 const (
 	EvBufferWrite Event = iota
 	EvBufferRead
 	EvCrossbar
 	EvArbitration
-	EvLink
 	EvECCEncode
 	EvECCDecode
 	EvCRCCheck
 	EvRLCompute
 	EvDTCompute
 	EvRetxBuffer
+	EvLink // counts tile pitches of wire traversed, not traversals
 	numEvents
 )
 
 var eventNames = [numEvents]string{
-	"buffer-write", "buffer-read", "crossbar", "arbitration", "link",
+	"buffer-write", "buffer-read", "crossbar", "arbitration",
 	"ecc-encode", "ecc-decode", "crc-check", "rl-compute", "dt-compute",
-	"output-buffer",
+	"output-buffer", "link",
 }
 
 func (e Event) String() string {
@@ -138,62 +140,49 @@ func (e Event) String() string {
 	return eventNames[e]
 }
 
-// Meter accumulates dynamic and static energy per router plus a resettable
-// window used for thermal coupling and RL rewards.
+// Meter accumulates dynamic and static energy per router, plus the
+// window since the last WindowReset that feeds the thermal model.
 //
-// Dynamic energy is stored as exact per-(router, event) int64 counts and
-// materialized as count x unit-energy only on read. Integer counter
-// increments commute, so the energy read back is independent of the
-// order in which routers recorded their events — unlike the old
-// floating-point accumulators, whose low bits depended on global event
-// order. The only per-event float state is the per-router link-length
-// scale sum, which only the router's own link transmissions add to, in
-// the cycle loop's deterministic port order.
+// Dynamic energy is one int64 count per (router, event), materialized as
+// count x unit-energy only on read. Integer increments commute, so the
+// energy read back is independent of the order in which routers recorded
+// their events. A window's count is the cumulative count minus base, the
+// copy WindowReset takes: an exact integer difference.
 //
 // Not safe for concurrent use: the network charges it from its one
 // sequential Step.
 type Meter struct {
 	p    Params
 	n    int
-	unit [numEvents]float64 // pJ per event occurrence (Link at scale 1)
+	unit [numEvents]float64 // pJ per event occurrence (per tile pitch for EvLink)
 
-	cnt    []int64 // n x numEvents cumulative event counts, router-major
-	winCnt []int64 // n x numEvents counts since the last WindowReset
+	cnt  []int64 // n x numEvents cumulative event counts, router-major
+	base []int64 // cnt as of the last WindowReset
 
-	// linkScale sums the tile-pitch scale of every link traversal per
-	// router (== the EvLink count on a mesh, larger when torus wrap
-	// links charge their physical span).
-	linkScale    []float64
-	winLinkScale []float64
-
-	staticPJ       []float64 // per-router cumulative static energy
-	windowStaticPJ []float64
+	staticPJ []float64 // per-router cumulative static energy
 }
 
 // NewMeter builds a meter for n routers.
 func NewMeter(p Params, n int) *Meter {
 	m := &Meter{
-		p:              p,
-		n:              n,
-		cnt:            make([]int64, n*int(numEvents)),
-		winCnt:         make([]int64, n*int(numEvents)),
-		linkScale:      make([]float64, n),
-		winLinkScale:   make([]float64, n),
-		staticPJ:       make([]float64, n),
-		windowStaticPJ: make([]float64, n),
+		p:        p,
+		n:        n,
+		cnt:      make([]int64, n*int(numEvents)),
+		base:     make([]int64, n*int(numEvents)),
+		staticPJ: make([]float64, n),
 	}
 	m.unit = [numEvents]float64{
 		EvBufferWrite: p.BufferWritePJ,
 		EvBufferRead:  p.BufferReadPJ,
 		EvCrossbar:    p.CrossbarPJ,
 		EvArbitration: p.ArbitrationPJ,
-		EvLink:        p.LinkPJ,
 		EvECCEncode:   p.ECCEncodePJ,
 		EvECCDecode:   p.ECCDecodePJ,
 		EvCRCCheck:    p.CRCCheckPJ,
 		EvRLCompute:   p.RLComputePJ,
 		EvDTCompute:   p.DTComputePJ,
 		EvRetxBuffer:  p.RetxBufferPJ,
+		EvLink:        p.LinkPJ,
 	}
 	return m
 }
@@ -202,24 +191,22 @@ func NewMeter(p Params, n int) *Meter {
 func (m *Meter) Params() Params { return m.p }
 
 func (m *Meter) record(router int, ev Event) {
-	i := router*int(numEvents) + int(ev)
-	m.cnt[i]++
-	m.winCnt[i]++
+	m.cnt[router*int(numEvents)+int(ev)]++
 }
 
-// routerDynamicPJ materializes one router's dynamic energy from its
-// event counts: sum(count x unit) for every class, with the link class
-// weighted by the accumulated length scale instead of the raw count.
-func (m *Meter) routerDynamicPJ(r int, cnt []int64, scale []float64) float64 {
-	row := cnt[r*int(numEvents) : (r+1)*int(numEvents)]
+// routerDynamicPJ materializes router r's dynamic energy, sum(count x
+// unit) over the event classes, from its counts minus since's (nil: from
+// the start of the run).
+func (m *Meter) routerDynamicPJ(r int, since []int64) float64 {
+	lo, hi := r*int(numEvents), (r+1)*int(numEvents)
 	var pj float64
-	for ev, c := range row {
-		if Event(ev) == EvLink {
-			continue
+	for ev, c := range m.cnt[lo:hi] {
+		if since != nil {
+			c -= since[lo+ev]
 		}
 		pj += float64(c) * m.unit[ev]
 	}
-	return pj + m.p.LinkPJ*scale[r]
+	return pj
 }
 
 // BufferWrite records an input-VC buffer write at router r.
@@ -234,19 +221,12 @@ func (m *Meter) Crossbar(r int) { m.record(r, EvCrossbar) }
 // Arbitration records a switch/VC arbitration at router r.
 func (m *Meter) Arbitration(r int) { m.record(r, EvArbitration) }
 
-// Link records a link traversal leaving router r over a wire one tile
-// pitch long.
-func (m *Meter) Link(r int) { m.LinkScaled(r, 1) }
-
-// LinkScaled records a link traversal leaving router r over a wire
-// `scale` tile pitches long: link energy is dominated by wire
-// capacitance, which grows linearly with length, so torus wraparound
-// links charge their full physical span. The scale sum is per-router
-// float state, written only by the code that owns router r.
-func (m *Meter) LinkScaled(r int, scale float64) {
-	m.record(r, EvLink)
-	m.linkScale[r] += scale
-	m.winLinkScale[r] += scale
+// Link records a link traversal leaving router r over a wire `pitches`
+// tile pitches long: link energy is dominated by wire capacitance, which
+// grows linearly with length, so torus wraparound links charge their
+// full physical span.
+func (m *Meter) Link(r int, pitches int64) {
+	m.cnt[r*int(numEvents)+int(EvLink)] += pitches
 }
 
 // ECCEncode records a SECDED encode at router r's output.
@@ -268,13 +248,14 @@ func (m *Meter) DTCompute(r int) { m.record(r, EvDTCompute) }
 func (m *Meter) RetxBuffer(r int) { m.record(r, EvRetxBuffer) }
 
 // AddStaticCyclesAt charges leakage for `cycles` cycles at router r,
-// scaled for the tile temperature tempC: subthreshold leakage grows
-// exponentially with temperature (LeakageTempCoeff per degree), so hot
-// tiles pay more static power — a second reason, besides the error rate,
-// to cool off. eccFraction in [0,1] is the share of the router's ECC
-// codecs powered during the span (per-port power gating); cyclePeriodNS
-// is the clock period in nanoseconds.
-func (m *Meter) AddStaticCyclesAt(r int, cycles int64, eccFraction float64, cyclePeriodNS, tempC float64) {
+// scaled for the tile temperature tempC, and returns the charge in pJ:
+// subthreshold leakage grows exponentially with temperature
+// (LeakageTempCoeff per degree), so hot tiles pay more static power — a
+// second reason, besides the error rate, to cool off. eccFraction in
+// [0,1] is the share of the router's ECC codecs powered during the span
+// (per-port power gating); cyclePeriodNS is the clock period in
+// nanoseconds.
+func (m *Meter) AddStaticCyclesAt(r int, cycles int64, eccFraction float64, cyclePeriodNS, tempC float64) float64 {
 	if eccFraction < 0 {
 		eccFraction = 0
 	}
@@ -288,13 +269,11 @@ func (m *Meter) AddStaticCyclesAt(r int, cycles int64, eccFraction float64, cycl
 	// mW * ns = pJ.
 	pj := mw * float64(cycles) * cyclePeriodNS
 	m.staticPJ[r] += pj
-	m.windowStaticPJ[r] += pj
+	return pj
 }
 
 // DynamicPJ returns router r's cumulative dynamic energy.
-func (m *Meter) DynamicPJ(r int) float64 {
-	return m.routerDynamicPJ(r, m.cnt, m.linkScale)
-}
+func (m *Meter) DynamicPJ(r int) float64 { return m.routerDynamicPJ(r, nil) }
 
 // StaticPJ returns router r's cumulative static energy.
 func (m *Meter) StaticPJ(r int) float64 { return m.staticPJ[r] }
@@ -303,7 +282,7 @@ func (m *Meter) StaticPJ(r int) float64 { return m.staticPJ[r] }
 func (m *Meter) TotalDynamicPJ() float64 {
 	var sum float64
 	for r := 0; r < m.n; r++ {
-		sum += m.routerDynamicPJ(r, m.cnt, m.linkScale)
+		sum += m.routerDynamicPJ(r, nil)
 	}
 	return sum
 }
@@ -323,17 +302,11 @@ func (m *Meter) TotalPJ() float64 { return m.TotalDynamicPJ() + m.TotalStaticPJ(
 // EventEnergyPJ returns the network-wide energy attributed to one event
 // class.
 func (m *Meter) EventEnergyPJ(ev Event) float64 {
-	if ev == EvLink {
-		var scale float64
-		for _, s := range m.linkScale {
-			scale += s
-		}
-		return m.p.LinkPJ * scale
-	}
 	return float64(m.EventCount(ev)) * m.unit[ev]
 }
 
-// EventCount returns how many events of a class occurred network-wide.
+// EventCount returns how many events of a class occurred network-wide
+// (for EvLink, how many tile pitches of wire were traversed).
 func (m *Meter) EventCount(ev Event) int64 {
 	var sum int64
 	for r := 0; r < m.n; r++ {
@@ -342,38 +315,20 @@ func (m *Meter) EventCount(ev Event) int64 {
 	return sum
 }
 
-// WindowDynamicPJ returns router r's dynamic energy since the last
-// WindowReset.
-func (m *Meter) WindowDynamicPJ(r int) float64 {
-	return m.routerDynamicPJ(r, m.winCnt, m.winLinkScale)
-}
-
-// WindowTotalPJ returns router r's total energy since the last WindowReset.
-func (m *Meter) WindowTotalPJ(r int) float64 {
-	return m.WindowDynamicPJ(r) + m.windowStaticPJ[r]
-}
-
-// WindowReset zeroes the per-window accumulators.
-func (m *Meter) WindowReset() {
-	for i := range m.winCnt {
-		m.winCnt[i] = 0
-	}
-	for i := range m.winLinkScale {
-		m.winLinkScale[i] = 0
-		m.windowStaticPJ[i] = 0
-	}
-}
+// WindowReset starts a new window at the current counts.
+func (m *Meter) WindowReset() { copy(m.base, m.cnt) }
 
 // TilePowerW returns the power (watts) to feed the thermal model for
 // router r's tile: core idle + activity-proportional core power + the
-// router's measured window power. windowCycles is the window length;
-// coreActivity in [0,1] proxies the tile core's load.
-func (m *Meter) TilePowerW(r int, windowCycles int64, cyclePeriodNS, coreActivity float64) float64 {
+// router's window power, its dynamic energy since the last WindowReset
+// plus staticPJ, the leakage charged for the window. windowCycles is the
+// window length; coreActivity in [0,1] proxies the tile core's load.
+func (m *Meter) TilePowerW(r int, staticPJ float64, windowCycles int64, cyclePeriodNS, coreActivity float64) float64 {
 	if windowCycles <= 0 {
 		return m.p.CoreIdleW
 	}
 	windowNS := float64(windowCycles) * cyclePeriodNS
-	routerW := m.WindowTotalPJ(r) / windowNS / 1000 // pJ/ns = mW
+	routerW := (m.routerDynamicPJ(r, m.base) + staticPJ) / windowNS / 1000 // pJ/ns = mW
 	if coreActivity < 0 {
 		coreActivity = 0
 	}

@@ -12,7 +12,7 @@ func TestMeterAccumulatesEvents(t *testing.T) {
 	m.BufferWrite(0)
 	m.BufferRead(1)
 	m.Crossbar(1)
-	m.Link(2)
+	m.Link(2, 1)
 	if got, want := m.DynamicPJ(0), 2*p.BufferWritePJ; math.Abs(got-want) > 1e-12 {
 		t.Errorf("router 0 dynamic = %g, want %g", got, want)
 	}
@@ -36,7 +36,7 @@ func TestAllEventMethods(t *testing.T) {
 	m.BufferRead(0)
 	m.Crossbar(0)
 	m.Arbitration(0)
-	m.Link(0)
+	m.Link(0, 1)
 	m.ECCEncode(0)
 	m.ECCDecode(0)
 	m.CRCCheck(0)
@@ -115,19 +115,19 @@ func TestTemperatureDependentLeakage(t *testing.T) {
 }
 
 func TestWindowReset(t *testing.T) {
-	m := NewMeter(DefaultParams(), 1)
-	m.Link(0)
-	m.AddStaticCyclesAt(0, 100, 0, 0.5, m.Params().LeakageRefC)
-	if m.WindowDynamicPJ(0) == 0 || m.WindowTotalPJ(0) == 0 {
-		t.Fatal("window did not accumulate")
+	p := DefaultParams()
+	m := NewMeter(p, 1)
+	m.Link(0, 1)
+	if got := m.TilePowerW(0, 0, 1000, 0.5, 0); got <= p.CoreIdleW {
+		t.Fatalf("window did not accumulate: tile power %g", got)
 	}
 	m.WindowReset()
-	if m.WindowDynamicPJ(0) != 0 || m.WindowTotalPJ(0) != 0 {
-		t.Fatal("window not reset")
+	if got := m.TilePowerW(0, 0, 1000, 0.5, 0); got != p.CoreIdleW {
+		t.Fatalf("window not reset: tile power %g, want %g", got, p.CoreIdleW)
 	}
-	// Cumulative totals survive the reset.
-	if m.DynamicPJ(0) == 0 || m.StaticPJ(0) == 0 {
-		t.Fatal("reset clobbered cumulative totals")
+	// The cumulative total survives the reset.
+	if m.DynamicPJ(0) != p.LinkPJ {
+		t.Fatalf("reset clobbered the cumulative total: %g", m.DynamicPJ(0))
 	}
 }
 
@@ -135,30 +135,29 @@ func TestTilePower(t *testing.T) {
 	p := DefaultParams()
 	m := NewMeter(p, 1)
 	// Idle tile: core idle power only.
-	if got := m.TilePowerW(0, 1000, 0.5, 0); math.Abs(got-p.CoreIdleW) > 1e-9 {
+	if got := m.TilePowerW(0, 0, 1000, 0.5, 0); math.Abs(got-p.CoreIdleW) > 1e-9 {
 		t.Errorf("idle tile power = %g, want %g", got, p.CoreIdleW)
 	}
 	// Full activity adds CoreActiveW.
-	if got := m.TilePowerW(0, 1000, 0.5, 1.0); math.Abs(got-(p.CoreIdleW+p.CoreActiveW)) > 1e-9 {
+	if got := m.TilePowerW(0, 0, 1000, 0.5, 1.0); math.Abs(got-(p.CoreIdleW+p.CoreActiveW)) > 1e-9 {
 		t.Errorf("active tile power = %g", got)
 	}
 	// Activity clamps.
-	if got := m.TilePowerW(0, 1000, 0.5, 7.0); math.Abs(got-(p.CoreIdleW+p.CoreActiveW)) > 1e-9 {
+	if got := m.TilePowerW(0, 0, 1000, 0.5, 7.0); math.Abs(got-(p.CoreIdleW+p.CoreActiveW)) > 1e-9 {
 		t.Errorf("clamped tile power = %g", got)
 	}
-	if got := m.TilePowerW(0, 1000, 0.5, -1); math.Abs(got-p.CoreIdleW) > 1e-9 {
+	if got := m.TilePowerW(0, 0, 1000, 0.5, -1); math.Abs(got-p.CoreIdleW) > 1e-9 {
 		t.Errorf("negative-activity tile power = %g", got)
 	}
 	// Router energy contributes: 1000 pJ over 500 ns = 2 mW = 0.002 W.
-	// Charge it as static energy (a direct float deposit; dynamic energy
-	// is count-based and cannot be set to an arbitrary value).
-	m.windowStaticPJ[0] = 1000
-	got := m.TilePowerW(0, 1000, 0.5, 0)
+	// Charge it as the window's static energy (dynamic energy is
+	// count-based and cannot be set to an arbitrary value).
+	got := m.TilePowerW(0, 1000, 1000, 0.5, 0)
 	if math.Abs(got-(p.CoreIdleW+0.002)) > 1e-9 {
 		t.Errorf("tile power with router energy = %g, want %g", got, p.CoreIdleW+0.002)
 	}
 	// Degenerate window.
-	if got := m.TilePowerW(0, 0, 0.5, 0.5); got != p.CoreIdleW {
+	if got := m.TilePowerW(0, 0, 0, 0.5, 0.5); got != p.CoreIdleW {
 		t.Errorf("zero-window tile power = %g", got)
 	}
 }

@@ -178,8 +178,6 @@ type Agent struct {
 	hasPrev    bool
 	prevState  State
 	prevAction int
-
-	updates int64
 }
 
 // NewAgent builds an agent with Q-values initialized to zero (per the
@@ -296,11 +294,7 @@ func (a *Agent) update(s State, action int, reward float64, next State) {
 		q = &r.q2
 	}
 	q[action] = (1-alpha)*q[action] + alpha*(reward+a.gamma*maxNext)
-	a.updates++
 }
-
-// Updates returns how many TD updates the agent has applied.
-func (a *Agent) Updates() int64 { return a.updates }
 
 // SampleStats returns the visit count and empirical mean reward of a
 // (state, action) cell — diagnostics for policy debugging.
@@ -311,6 +305,36 @@ func (a *Agent) SampleStats(s State, action int) (visits uint32, meanReward floa
 		return 0, 0
 	}
 	return v, r.rsum[action] / float64(v)
+}
+
+// Visits calls f for every state the agent's table holds a row for, in
+// ascending state order, with the number of TD updates applied to it:
+// its visit counts summed over the actions. A shared table counts the
+// updates of every agent on it.
+func (a *Agent) Visits(f func(s State, updates int64)) {
+	t := a.t
+	for i, ri := range &t.index {
+		if ri == 0 {
+			continue
+		}
+		var n int64
+		for _, v := range t.rows[ri].visits {
+			n += int64(v)
+		}
+		f(stateOf(i), n)
+	}
+}
+
+// stateOf inverts State.Index.
+func stateOf(i int) State {
+	var s State
+	s.Temp, i = uint8(i%TempBins), i/TempBins
+	s.OutNACK, i = uint8(i%NACKBins), i/NACKBins
+	s.InNACK, i = uint8(i%NACKBins), i/NACKBins
+	s.OutLink, i = uint8(i%LinkBins), i/LinkBins
+	s.InLink, i = uint8(i%LinkBins), i/LinkBins
+	s.Buf = uint8(i)
+	return s
 }
 
 // Freeze stops learning and exploration; the agent becomes a pure greedy

@@ -30,6 +30,9 @@ func TestStateIndexBijective(t *testing.T) {
 							if prev, dup := seen[idx]; dup {
 								t.Fatalf("states %+v and %+v collide at %d", prev, s, idx)
 							}
+							if back := stateOf(idx); back != s {
+								t.Fatalf("stateOf(%d) = %+v, want %+v", idx, back, s)
+							}
 							seen[idx] = s
 						}
 					}
@@ -159,6 +162,13 @@ func TestQLearningStateDependentPolicy(t *testing.T) {
 	}
 }
 
+// updates sums the agent's table's per-state update counts.
+func updates(a *Agent) int64 {
+	var total int64
+	a.Visits(func(_ State, n int64) { total += n })
+	return total
+}
+
 func TestTDUpdateRule(t *testing.T) {
 	// One hand-checked application of Eq. (2).
 	cfg := config.Default().RL
@@ -177,8 +187,8 @@ func TestTDUpdateRule(t *testing.T) {
 	if got := a.Q(s, 1); math.Abs(got-1.25) > 1e-12 {
 		t.Fatalf("TD update produced %g, want 1.25", got)
 	}
-	if a.Updates() != 1 {
-		t.Fatalf("updates = %d, want 1", a.Updates())
+	if n := updates(a); n != 1 {
+		t.Fatalf("updates = %d, want 1", n)
 	}
 }
 
@@ -228,7 +238,7 @@ func TestFreezeStopsLearningAndExploring(t *testing.T) {
 	if a.Q(s, 2) != before {
 		t.Fatal("frozen agent learned")
 	}
-	if a.Updates() != 0 {
+	if updates(a) != 0 {
 		t.Fatal("frozen agent recorded updates")
 	}
 }
@@ -247,13 +257,13 @@ func TestResetClearsHistoryNotTable(t *testing.T) {
 	s := State{}
 	a.Step(s, 0)
 	a.Step(s, 1) // performs an update
-	upd := a.Updates()
+	upd := updates(a)
 	if upd == 0 {
 		t.Fatal("no update happened")
 	}
 	a.Reset()
 	a.Step(s, 99) // no update: history cleared
-	if a.Updates() != upd {
+	if updates(a) != upd {
 		t.Fatal("Reset did not clear state-action history")
 	}
 }

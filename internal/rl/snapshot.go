@@ -81,7 +81,6 @@ func (a *Agent) SnapLocal(c *snap.Codec) {
 	c.Bool(&a.hasPrev)
 	a.prevState.Snap(c)
 	c.Int(&a.prevAction)
-	c.I64(&a.updates)
 	a.src.Snap(c)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rlnoc/internal/config"
@@ -23,7 +24,6 @@ type denseAgent struct {
 	hasPrev    bool
 	prevState  State
 	prevAction int
-	updates    int64
 }
 
 func (d *denseAgent) value(s State, act int) float64 {
@@ -58,7 +58,6 @@ func (d *denseAgent) step(s State, reward float64) int {
 			alpha = max(1/(1+float64(d.visits[idx])/4), 0.02)
 		}
 		target[idx] = (1-alpha)*target[idx] + alpha*(reward+d.cfg.Gamma*eval[base+argmax])
-		d.updates++
 	}
 	action := 0
 	for act := 1; act < NumActions; act++ {
@@ -135,8 +134,8 @@ const (
 
 // checkAgainstDense drives the sparse and dense agents through the same
 // Step sequence (input bytes in threes: agent, state, reward) and fails
-// on the first difference in an action, a Q-value's bits, SampleStats or
-// Updates, then on any difference in the table streams. Each sparse
+// on the first difference in an action, a Q-value's bits or SampleStats,
+// then on any difference in Visits or the table streams. Each sparse
 // stream must decode into a fresh table that re-encodes to the same bytes
 // with a row for exactly the visited states.
 func checkAgainstDense(t *testing.T, data []byte) {
@@ -198,9 +197,6 @@ func checkAgainstDense(t *testing.T, data []byte) {
 					step, i, s, act, v, mean, dense[i].visits[idx], wantMean)
 			}
 		}
-		if sparse[i].Updates() != dense[i].updates {
-			t.Fatalf("step %d agent %d: %d updates sparse, %d dense", step, i, sparse[i].Updates(), dense[i].updates)
-		}
 	}
 	encode := func(walk func(*snap.Codec)) []byte {
 		var buf bytes.Buffer
@@ -237,12 +233,21 @@ func checkAgainstDense(t *testing.T, data []byte) {
 				t.Fatalf("agent %d: decode then re-encode changed the table stream", i)
 			}
 		}
-		live := 0
+		var want, got []int64 // state, update count pairs
 		for s := range NumStates {
 			if dense[i].visited(s) {
-				live++
+				var n int64
+				for _, v := range dense[i].visits[s*NumActions : (s+1)*NumActions] {
+					n += int64(v)
+				}
+				want = append(want, int64(s), n)
 			}
 		}
+		sparse[i].Visits(func(s State, n int64) { got = append(got, int64(s.Index()), n) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("agent %d: Visits = %v, dense table %v", i, got, want)
+		}
+		live := len(want) / 2
 		for _, a := range []*Agent{fresh, used} {
 			if rows := len(a.t.rows) - 1; rows != live {
 				t.Fatalf("agent %d: decode built %d rows for %d visited states", i, rows, live)

@@ -52,7 +52,11 @@ const Magic uint32 = 0x534E4C52
 // Version 6: the statistics carry no per-router window; each router
 // carries its own control-epoch words (flits in, NACKs out, latency sum
 // and count, epoch-start energy) beside its error count.
-const Version uint32 = 6
+// Version 7: the energy meter is one count matrix (link energy in tile
+// pitches) and its copy at the last window reset; qroute's counters are
+// network-wide scalars; an RL controller carries no state-visit map and
+// an RL agent no update count.
+const Version uint32 = 7
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

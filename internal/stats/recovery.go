@@ -99,15 +99,12 @@ func (l *RecoveryLog) Format() string {
 // blocked adaptive heads escalated onto the escape class (Escapes), how
 // many fell back to the table route on an empty permitted mask
 // (Fallbacks), and how many per-hop TD updates were applied (Updates).
-// RouterDecisions breaks Decisions down per router.
 type QRouteTelemetry struct {
 	Decisions    int64
 	Explorations int64
 	Escapes      int64
 	Fallbacks    int64
 	Updates      int64
-
-	RouterDecisions []int64
 }
 
 // Format renders the telemetry as a one-line campaign summary.
