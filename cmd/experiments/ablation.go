@@ -39,14 +39,11 @@ func studies(cfg rlnoc.Config) map[string]study {
 	}
 	return map[string]study{
 		"rl-params": {"RL hyper-parameter ablation on %s", []rlnoc.Arm{
-			rl("baseline (a0.1 g0.5 e0.1)", asIs),
+			rl("baseline (g0.5 e0.2/0.02)", asIs),
 			rl("gamma=0 (bandit)", func(c *rlnoc.Config) { c.RL.Gamma = 0 }),
 			rl("gamma=0.9", func(c *rlnoc.Config) { c.RL.Gamma = 0.9 }),
-			rl("alpha=0.3", func(c *rlnoc.Config) { c.RL.Alpha = 0.3 }),
-			rl("no alpha decay", func(c *rlnoc.Config) { c.RL.AlphaDecay = false }),
 			rl("epsilon=0.05", func(c *rlnoc.Config) { c.RL.Epsilon = 0.05 }),
 			rl("test-epsilon=0.1 (paper)", func(c *rlnoc.Config) { c.RL.TestEpsilon = 0.1 }),
-			rl("double Q-learning", func(c *rlnoc.Config) { c.RL.DoubleQ = true }),
 		}},
 		"modes": {"operation-mode subset ablation on %s", []rlnoc.Arm{
 			rl("modes {0,1}", mask(0b0011)),

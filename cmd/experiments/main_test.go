@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +129,36 @@ func TestAblationRowsEqualRun(t *testing.T) {
 	}
 	if got := strings.Join(want, "\n") + "\n"; out != got {
 		t.Errorf("ablation output:\n%s\nwant (rows from Run):\n%s", out, got)
+	}
+}
+
+// TestAblationArmsAreDistinct: an arm whose Result equals another arm's
+// in the same study turns a knob that moves nothing the study measures,
+// so it shows nothing. Every study runs at -small on canneal, and no two
+// of its arms may return equal Results (the scheme name aside, which
+// tells the static-mode arms apart by label alone).
+func TestAblationArmsAreDistinct(t *testing.T) {
+	all := studies(rlnoc.SmallConfig())
+	var names []string
+	for name := range all {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		s := all[name]
+		results, err := rlnoc.RunArms(s.arms, []string{"canneal"}, "")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range s.arms {
+			for j := i + 1; j < len(s.arms); j++ {
+				a, b := results[i][0], results[j][0]
+				a.Scheme, b.Scheme = "", ""
+				if a == b {
+					t.Errorf("%s: arms %q and %q return equal Results", name, s.arms[i].Label, s.arms[j].Label)
+				}
+			}
+		}
 	}
 }
 

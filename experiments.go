@@ -427,8 +427,8 @@ func TableII(cfg Config) string {
 		network.PipelineStages, cfg.VCsPerPort, cfg.VCDepth)
 	fmt.Fprintf(&b, "packet              %d bits/flit, %d flits\n", cfg.FlitBits, cfg.FlitsPerPacket)
 	fmt.Fprintf(&b, "operating point     %.1f V, %.1f GHz\n", cfg.VoltageV, cfg.FrequencyGHz)
-	fmt.Fprintf(&b, "RL                  alpha %.2f, gamma %.2f, epsilon %.2f, step %d cycles\n",
-		cfg.RL.Alpha, cfg.RL.Gamma, cfg.RL.Epsilon, cfg.RL.StepCycles)
+	fmt.Fprintf(&b, "RL                  alpha max(0.02, 1/(1+n/4)) at a cell's n-th update, gamma %.2f, epsilon %.2f pre-train / %.2f measured, step %d cycles\n",
+		cfg.RL.Gamma, cfg.RL.Epsilon, cfg.RL.TestEpsilon, cfg.RL.StepCycles)
 	fmt.Fprintf(&b, "phases              pretrain %d, warmup %d, measure %d, drain %d cycles\n",
 		cfg.PretrainCycles, cfg.WarmupCycles, cfg.MaxCycles, cfg.DrainCycles)
 	return b.String()

@@ -162,9 +162,10 @@ type ThermalConfig struct {
 	InitialC      float64 `json:"initial_c"`       // initial tile temperature
 }
 
-// RLConfig parameterizes the tabular Q-learning controller.
+// RLConfig parameterizes the tabular Q-learning controller. The learning
+// rate is not a setting: each (state, action) cell's decays with its
+// visit count (rl's learningRate).
 type RLConfig struct {
-	Alpha      float64 `json:"alpha"`       // learning rate
 	Gamma      float64 `json:"gamma"`       // discount rate
 	Epsilon    float64 `json:"epsilon"`     // exploration probability
 	StepCycles int     `json:"step_cycles"` // cycles per RL time step
@@ -172,20 +173,12 @@ type RLConfig struct {
 	// Q-table (n-times the sample rate; see DESIGN.md). The paper's
 	// strictly per-router tables are the ablation variant.
 	SharedTable bool `json:"shared_table"`
-	// AlphaDecay reduces each (state,action) cell's learning rate with
-	// its visit count (the paper notes alpha "can be reduced over time"
-	// for convergence); Alpha then acts as the initial rate.
-	AlphaDecay bool `json:"alpha_decay"`
 	// TestEpsilon is the exploration rate used during the measured
 	// testing phase (annealed from the pre-training Epsilon; standard
 	// practice, and every random mode costs real latency). Setting it to
 	// Epsilon keeps one rate throughout, as a literal reading of the
 	// paper would.
 	TestEpsilon float64 `json:"test_epsilon"`
-	// DoubleQ enables Double Q-learning (two tables, decoupled action
-	// selection/evaluation), removing the max-operator's overestimation
-	// bias — an ablation variant; the paper uses plain Q-learning.
-	DoubleQ bool `json:"double_q"`
 	// ModeMask restricts the RL controllers to the modes whose bits are set
 	// (bit m allows Mode m); a masked-out choice steps down to the next
 	// cheaper allowed mode. Zero allows all four.
@@ -266,7 +259,6 @@ func Default() Config {
 			EscapeTimeout:    8,
 		},
 		RL: RLConfig{
-			Alpha: 0.1,
 			Gamma: 0.5,
 			// The paper quotes epsilon = 0.1 without distinguishing
 			// phases; we explore harder during pre-training and anneal
@@ -274,7 +266,6 @@ func Default() Config {
 			Epsilon:     0.2,
 			StepCycles:  1000,
 			SharedTable: true,
-			AlphaDecay:  true,
 			TestEpsilon: 0.02,
 		},
 		PretrainCycles: 600_000,
@@ -501,8 +492,6 @@ func (t *ThermalConfig) validate() error {
 
 func (r *RLConfig) validate() error {
 	switch {
-	case r.Alpha <= 0 || r.Alpha > 1:
-		return fmt.Errorf("config: RL alpha must be in (0,1], got %g", r.Alpha)
 	case r.Gamma < 0 || r.Gamma >= 1:
 		return fmt.Errorf("config: RL gamma must be in [0,1), got %g", r.Gamma)
 	case r.Epsilon < 0 || r.Epsilon > 1:

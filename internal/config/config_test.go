@@ -77,8 +77,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero thermal R", func(c *Config) { c.Thermal.RThetaJA = 0 }},
 		{"zero thermal C", func(c *Config) { c.Thermal.CThermal = 0 }},
 		{"zero thermal period", func(c *Config) { c.Thermal.UpdatePeriod = 0 }},
-		{"zero alpha", func(c *Config) { c.RL.Alpha = 0 }},
-		{"alpha > 1", func(c *Config) { c.RL.Alpha = 1.5 }},
+		{"zero qroute alpha", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 0 }},
+		{"qroute alpha > 1", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 1.5 }},
 		{"gamma = 1", func(c *Config) { c.RL.Gamma = 1 }},
 		{"epsilon > 1", func(c *Config) { c.RL.Epsilon = 1.5 }},
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
@@ -149,6 +149,11 @@ func TestLoadRejectsUnknownKeys(t *testing.T) {
 		{"top-level typo", `{"vcs_per_prot": 8}`, `unknown field "vcs_per_prot"`},
 		{"nested typo", `{"rl": {"alhpa": 0.5}}`, `unknown field "alhpa"`},
 		{"removed freeze switch", `{"rl": {"freeze_after_` + `pretrain": true}}`, `unknown field "freeze_after_` + `pretrain"`},
+		// The learning rate is the visit-decayed rule, not a setting, and
+		// Double Q-learning is gone.
+		{"removed alpha", `{"rl": {"alpha": 0.3}}`, `unknown field "alpha"`},
+		{"removed alpha decay switch", `{"rl": {"alpha_decay": false}}`, `unknown field "alpha_decay"`},
+		{"removed double Q switch", `{"rl": {"double_q": true}}`, `unknown field "double_q"`},
 		{"trailing object", `{"width": 6} {"width": 5}`, "trailing data"},
 		{"trailing garbage", `{"width": 6} x`, "trailing data"},
 	} {

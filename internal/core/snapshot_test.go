@@ -385,15 +385,19 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // (the link column last, in tile pitches) and its copy at the last
 // window reset, qroute's counters as scalars, and no controller visit
 // map or agent update count: the previous build writing that layout
-// from its own state writes the same three streams.
+// from its own state writes the same three streams. All three were
+// re-captured for format version 8, when alpha, alpha_decay and double_q
+// left RLConfig and the Q-table its Double-Q flag: the previous build
+// with only those keys, that byte and the version word changed writes
+// the same three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "239289441425b243f6fe84e2e400ff82b38e693f96a1e7b4d9d6738c0d0319a4"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "e55921d68c8aa00e3c8b0ed8b385acc7e84fe40515c09c2f00e50268d0932e73"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "d3d5d8c44dba4e9affc9715b1efd6308e1c0c4915ac83e3305cd48cf6fe769d2"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "ea289d48fdc2bf07257b96b20608342ae282934e03ab77a5dfdec2256a5782b1"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "7d9a277f5bc4bf38fb551da80ede90571e4fd7cf7e1cae524f8517998edb47bc"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "454cf3005ebee68f86038f53c1056ddb406cea3bfdbb506e01f29a3cfb427180"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -634,21 +638,18 @@ func TestHostileV3FieldsAreCorrupt(t *testing.T) {
 }
 
 // qtabRows locates the first Q-table of a checkpoint: the offset of its
-// row count (after the QTAB tag and the DoubleQ byte), the count, and the
-// bytes of one row — a state index and the words of q, q2 under Double Q,
-// visits and rsum. off is -1 when the checkpoint holds no Q-table.
+// row count (right after the QTAB tag), the count, and the bytes of one
+// row — a state index and the words of q, visits and rsum. off is -1 when
+// the checkpoint holds no Q-table.
 func qtabRows(t *testing.T, data []byte) (off, rows, rowBytes int) {
 	t.Helper()
 	tag := bytes.Index(data, []byte("QTAB"))
 	if tag < 0 {
 		return -1, 0, 0
 	}
-	off = tag + 4 + 1
+	off = tag + 4
 	rows = int(binary.LittleEndian.Uint32(data[off:]))
 	rowBytes = 2 + 4*8 + 4*4 + 4*8
-	if data[tag+4] == 1 {
-		rowBytes += 4 * 8
-	}
 	if rows > rl.NumStates || rows > 0 && binary.LittleEndian.Uint16(data[off+4:]) >= rl.NumStates {
 		t.Fatalf("offset %d holds %d, not a Q-table's row count", off, rows)
 	}

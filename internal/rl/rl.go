@@ -3,7 +3,8 @@
 // discretization (5 linear bins for buffer/link utilization and
 // temperature, 4 log-space bins for NACK rates), an epsilon-greedy policy
 // over the four operation modes, and the temporal-difference update
-// Q(s,a) <- (1-alpha)Q(s,a) + alpha[r + gamma*max_a' Q(s',a')].
+// Q(s,a) <- (1-alpha)Q(s,a) + alpha[r + gamma*max_a' Q(s',a')], with alpha
+// decaying in the cell's visit count (learningRate).
 //
 // The Q-table is sparse (Table): a run visits tens to a few hundred of the
 // 10 000 states, so a table holds rows only for the states an update has
@@ -123,20 +124,19 @@ func (d Discretizer) Discretize(f Features) State {
 }
 
 // Table is the learned state of one or more agents: per (state, action)
-// the Q-value, the second Double-Q estimate, the visit count and the
-// reward sum. It is sparse. A fixed index maps each of the NumStates
-// states to a row of a contiguous slab; index 0 is a permanent zero row
-// that every untouched state reads, so reads never allocate and only the
-// first update of a state appends its row.
+// the Q-value, the visit count and the reward sum. It is sparse. A fixed
+// index maps each of the NumStates states to a row of a contiguous slab;
+// index 0 is a permanent zero row that every untouched state reads, so
+// reads never allocate and only the first update of a state appends its
+// row.
 type Table struct {
-	index   [NumStates]uint16 // state -> row in rows; 0 = untouched
-	rows    []row             // rows[0] stays zero
-	doubleQ bool              // q2 is live (Double Q-learning)
+	index [NumStates]uint16 // state -> row in rows; 0 = untouched
+	rows  []row             // rows[0] stays zero
 }
 
 // row is one state's four actions.
 type row struct {
-	q, q2  [NumActions]float64
+	q      [NumActions]float64
 	visits [NumActions]uint32
 	rsum   [NumActions]float64
 }
@@ -145,8 +145,8 @@ type row struct {
 // pre-train visits, so the timed run rarely grows it.
 const tableRows = 256
 
-func newTable(doubleQ bool) *Table {
-	return &Table{rows: make([]row, 1, tableRows), doubleQ: doubleQ}
+func newTable() *Table {
+	return &Table{rows: make([]row, 1, tableRows)}
 }
 
 // read returns state s's row, the zero row if s is untouched. The
@@ -167,8 +167,6 @@ func (t *Table) write(s int) *row {
 type Agent struct {
 	t *Table // possibly shared (NewSharedAgents)
 
-	alpha   float64
-	decay   bool
 	gamma   float64
 	epsilon float64
 	rng     *rand.Rand
@@ -183,7 +181,7 @@ type Agent struct {
 // NewAgent builds an agent with Q-values initialized to zero (per the
 // paper's initialization) and a deterministic exploration stream.
 func NewAgent(cfg config.RLConfig, seed int64) *Agent {
-	return newAgentOn(cfg, seed, newTable(cfg.DoubleQ))
+	return newAgentOn(cfg, seed, newTable())
 }
 
 // newAgentOn builds an agent over table t: hyperparameters and the seeded
@@ -192,8 +190,6 @@ func newAgentOn(cfg config.RLConfig, seed int64, t *Table) *Agent {
 	src := snap.NewCountingSource(seed)
 	return &Agent{
 		t:       t,
-		alpha:   cfg.Alpha,
-		decay:   cfg.AlphaDecay,
 		gamma:   cfg.Gamma,
 		epsilon: cfg.Epsilon,
 		rng:     rand.New(src),
@@ -209,7 +205,7 @@ func newAgentOn(cfg config.RLConfig, seed int64, t *Table) *Agent {
 // this option and the ablation comparing both variants. Agent i has the
 // exploration seed seed+7919i.
 func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
-	t := newTable(cfg.DoubleQ)
+	t := newTable()
 	agents := make([]*Agent, n)
 	for i := range agents {
 		agents[i] = newAgentOn(cfg, seed+int64(i)*7919, t)
@@ -217,14 +213,9 @@ func NewSharedAgents(cfg config.RLConfig, n int, seed int64) []*Agent {
 	return agents
 }
 
-// Q returns the Q-value for (s, a) — with Double Q-learning, the mean of
-// the two tables (the acting estimate).
+// Q returns the Q-value for (s, a).
 func (a *Agent) Q(s State, action int) float64 {
-	r := a.t.read(s.Index())
-	if a.t.doubleQ {
-		return (r.q[action] + r.q2[action]) / 2
-	}
-	return r.q[action]
+	return a.t.read(s.Index()).q[action]
 }
 
 // Greedy returns the action with maximal Q-value in state s (ties break
@@ -254,46 +245,30 @@ func (a *Agent) Step(s State, reward float64) int {
 	return action
 }
 
-// update applies the temporal-difference rule. With AlphaDecay the
-// learning rate of each (s,a) cell decays with its visit count (the
-// paper: "the learning rate alpha can be reduced over time [for]
-// convergence"), approaching a sample average while keeping a floor for
-// non-stationarity.
+// learningRate is the step size of a cell's n-th TD update: 1/(1 + n/4),
+// floored at 0.02. The paper sets alpha = 0.1 and notes it "can be
+// reduced over time [for] convergence"; this rate starts near a sample
+// average (0.8 at a cell's first update), passes the paper's 0.1 at its
+// 36th and keeps the floor from its 196th for non-stationarity.
+func learningRate(n uint32) float64 {
+	return max(1/(1+float64(n)/4), 0.02)
+}
+
+// update applies the temporal-difference rule at the cell's learning
+// rate.
 func (a *Agent) update(s State, action int, reward float64, next State) {
-	// Double Q-learning (van Hasselt 2010): update one table with the
-	// other's value of its own argmax, decoupling selection from
-	// evaluation and removing the max-operator's overestimation bias.
-	second := a.t.doubleQ && a.rng.Intn(2) != 0
-	nr := a.t.read(next.Index())
-	target, eval := &nr.q, &nr.q
-	if second {
-		target = &nr.q2
-	} else if a.t.doubleQ {
-		eval = &nr.q2
-	}
-	argmax := 0
-	for act := 1; act < NumActions; act++ {
-		if target[act] > target[argmax] {
-			argmax = act
+	nq := &a.t.read(next.Index()).q
+	maxNext := nq[0]
+	for _, v := range nq[1:] {
+		if v > maxNext { // strict: of a tie (-0 and +0) the first stays, as in Greedy
+			maxNext = v
 		}
 	}
-	maxNext := eval[argmax]
-	r := a.t.write(s.Index()) // may grow the slab: nr is dead from here
+	r := a.t.write(s.Index()) // may grow the slab: nq is dead from here
 	r.rsum[action] += reward
 	r.visits[action]++
-	alpha := a.alpha
-	if a.decay {
-		alpha = 1 / (1 + float64(r.visits[action])/4)
-		const floor = 0.02
-		if alpha < floor {
-			alpha = floor
-		}
-	}
-	q := &r.q
-	if second {
-		q = &r.q2
-	}
-	q[action] = (1-alpha)*q[action] + alpha*(reward+a.gamma*maxNext)
+	alpha := learningRate(r.visits[action])
+	r.q[action] = (1-alpha)*r.q[action] + alpha*(reward+a.gamma*maxNext)
 }
 
 // SampleStats returns the visit count and empirical mean reward of a

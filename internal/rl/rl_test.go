@@ -169,13 +169,26 @@ func updates(a *Agent) int64 {
 	return total
 }
 
+// TestLearningRate pins the visit-decayed step size: 0.8 at a cell's
+// first update, the paper's 0.1 at its 36th, the 0.02 floor from its
+// 196th on.
+func TestLearningRate(t *testing.T) {
+	for _, tc := range []struct {
+		n    uint32
+		want float64
+	}{{1, 0.8}, {2, 2.0 / 3}, {36, 0.1}, {196, 0.02}, {1000, 0.02}} {
+		if got := learningRate(tc.n); math.Abs(got-tc.want) > 1e-15 {
+			t.Errorf("learningRate(%d) = %g, want %g", tc.n, got, tc.want)
+		}
+	}
+}
+
 func TestTDUpdateRule(t *testing.T) {
-	// One hand-checked application of Eq. (2).
+	// Two hand-checked applications of Eq. (2), at the rates of a cell's
+	// first and second updates.
 	cfg := config.Default().RL
-	cfg.Alpha = 0.5
 	cfg.Gamma = 0.5
 	cfg.Epsilon = 0
-	cfg.AlphaDecay = false // fixed alpha for the hand-checked arithmetic
 	a := NewAgent(cfg, 1)
 	s := State{Buf: 1}
 	next := State{Buf: 2}
@@ -183,12 +196,17 @@ func TestTDUpdateRule(t *testing.T) {
 	a.t.write(next.Index()).q[3] = 2.0
 	a.t.write(s.Index()).q[1] = 1.0
 	a.update(s, 1, 0.5, next)
-	// Q = (1-0.5)*1.0 + 0.5*(0.5 + 0.5*2.0) = 0.5 + 0.75 = 1.25
-	if got := a.Q(s, 1); math.Abs(got-1.25) > 1e-12 {
-		t.Fatalf("TD update produced %g, want 1.25", got)
+	// alpha = 0.8: Q = 0.2*1.0 + 0.8*(0.5 + 0.5*2.0) = 0.2 + 1.2 = 1.4
+	if got := a.Q(s, 1); math.Abs(got-1.4) > 1e-12 {
+		t.Fatalf("first TD update produced %g, want 1.4", got)
 	}
-	if n := updates(a); n != 1 {
-		t.Fatalf("updates = %d, want 1", n)
+	a.update(s, 1, 0.5, next)
+	// alpha = 2/3: Q = 1.4/3 + (2/3)*(0.5 + 0.5*2.0) = 7/15 + 1 = 22/15
+	if got := a.Q(s, 1); math.Abs(got-22.0/15) > 1e-12 {
+		t.Fatalf("second TD update produced %g, want 22/15", got)
+	}
+	if n := updates(a); n != 2 {
+		t.Fatalf("updates = %d, want 2", n)
 	}
 }
 
@@ -273,34 +291,33 @@ func TestResetClearsHistoryNotTable(t *testing.T) {
 // seeds NewAgent would have been given), and the constructor allocates
 // one table set, not n.
 func TestSharedAgentsOneTableSet(t *testing.T) {
-	for _, cfg := range []config.RLConfig{config.Default().RL, doubleQConfig()} {
-		const n, seed = 64, 501
-		agents := NewSharedAgents(cfg, n, seed)
-		for i, a := range agents {
-			if !a.SharesTableWith(agents[0]) || a.t.doubleQ != cfg.DoubleQ {
-				t.Fatalf("agent %d does not share agent 0's table (DoubleQ=%v)", i, cfg.DoubleQ)
-			}
-			solo := NewAgent(cfg, seed+int64(i)*7919)
-			for d := 0; d < 8; d++ {
-				if got, want := a.rng.Uint64(), solo.rng.Uint64(); got != want {
-					t.Fatalf("agent %d draw %d: exploration stream differs from NewAgent's at the same seed", i, d)
-				}
+	cfg := config.Default().RL
+	const n, seed = 64, 501
+	agents := NewSharedAgents(cfg, n, seed)
+	for i, a := range agents {
+		if !a.SharesTableWith(agents[0]) {
+			t.Fatalf("agent %d does not share agent 0's table", i)
+		}
+		solo := NewAgent(cfg, seed+int64(i)*7919)
+		for d := 0; d < 8; d++ {
+			if got, want := a.rng.Uint64(), solo.rng.Uint64(); got != want {
+				t.Fatalf("agent %d draw %d: exploration stream differs from NewAgent's at the same seed", i, d)
 			}
 		}
-		one := testing.AllocsPerRun(3, func() { NewAgent(cfg, seed) })
-		all := testing.AllocsPerRun(3, func() { NewSharedAgents(cfg, n, seed) })
-		// Per extra agent: the shell, its rand.Rand and its counting source
-		// (a handful of small objects) — never a table.
-		if perShell := (all - one) / (n - 1); perShell > 6 {
-			t.Errorf("NewSharedAgents allocates %.1f objects per extra agent; tables are being built and dropped again", perShell)
-		}
+	}
+	one := testing.AllocsPerRun(3, func() { NewAgent(cfg, seed) })
+	all := testing.AllocsPerRun(3, func() { NewSharedAgents(cfg, n, seed) })
+	// Per extra agent: the shell, its rand.Rand and its counting source
+	// (a handful of small objects) — never a table.
+	if perShell := (all - one) / (n - 1); perShell > 6 {
+		t.Errorf("NewSharedAgents allocates %.1f objects per extra agent; tables are being built and dropped again", perShell)
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	agents := NewSharedAgents(config.Default().RL, 64, 1)
+	agents = NewSharedAgents(cfg, 64, 1)
 	runtime.ReadMemStats(&ms1)
 	runtime.KeepAlive(agents)
-	// One table is a 20 KB state index and a 256-row slab of 28 KB; the 64
+	// One table is a 20 KB state index and a 256-row slab of 20 KB; the 64
 	// agents add their shells (0.057 MB in all). A dense table set was
 	// 0.8 MB, and one per agent 53.6 MB.
 	if mb := float64(ms1.TotalAlloc-ms0.TotalAlloc) / (1 << 20); mb > 0.1 {

@@ -12,11 +12,11 @@ import (
 	"rlnoc/internal/snap"
 )
 
-// denseAgent is the layout Table replaced, kept as its referee: four
+// denseAgent is the layout Table replaced, kept as its referee: three
 // NumStates x NumActions slices, allocated up front and shared by
 // aliasing. Its learning rule is Agent's, written against that layout.
 type denseAgent struct {
-	q, q2      []float64
+	q          []float64
 	visits     []uint32
 	rsum       []float64
 	cfg        config.RLConfig
@@ -26,42 +26,24 @@ type denseAgent struct {
 	prevAction int
 }
 
-func (d *denseAgent) value(s State, act int) float64 {
-	i := s.Index()*NumActions + act
-	if d.q2 != nil {
-		return (d.q[i] + d.q2[i]) / 2
-	}
-	return d.q[i]
-}
-
 func (d *denseAgent) step(s State, reward float64) int {
+	base := s.Index() * NumActions
 	if d.hasPrev {
 		idx := d.prevState.Index()*NumActions + d.prevAction
-		target, eval := d.q, d.q
-		if d.q2 != nil {
-			if d.rng.Intn(2) == 0 {
-				eval = d.q2
-			} else {
-				target, eval = d.q2, d.q
-			}
-		}
-		base, argmax := s.Index()*NumActions, 0
+		argmax := 0
 		for act := 1; act < NumActions; act++ {
-			if target[base+act] > target[base+argmax] {
+			if d.q[base+act] > d.q[base+argmax] {
 				argmax = act
 			}
 		}
 		d.rsum[idx] += reward
 		d.visits[idx]++
-		alpha := d.cfg.Alpha
-		if d.cfg.AlphaDecay {
-			alpha = max(1/(1+float64(d.visits[idx])/4), 0.02)
-		}
-		target[idx] = (1-alpha)*target[idx] + alpha*(reward+d.cfg.Gamma*eval[base+argmax])
+		alpha := max(1/(1+float64(d.visits[idx])/4), 0.02)
+		d.q[idx] = (1-alpha)*d.q[idx] + alpha*(reward+d.cfg.Gamma*d.q[base+argmax])
 	}
 	action := 0
 	for act := 1; act < NumActions; act++ {
-		if d.value(s, act) > d.value(s, action) {
+		if d.q[base+act] > d.q[base+action] {
 			action = act
 		}
 	}
@@ -82,8 +64,6 @@ func (d *denseAgent) visited(s int) bool {
 // Table.snap must write. A row for each visited state, in ascending order.
 func (d *denseAgent) snapTable(c *snap.Codec) {
 	c.Section("QTAB")
-	hasQ2 := d.q2 != nil
-	c.Bool(&hasQ2)
 	var states []int
 	for s := range NumStates {
 		if d.visited(s) {
@@ -97,9 +77,6 @@ func (d *denseAgent) snapTable(c *snap.Codec) {
 		c.U16(&idx)
 		lo, hi := s*NumActions, (s+1)*NumActions
 		c.RawF64s(d.q[lo:hi])
-		if hasQ2 {
-			c.RawF64s(d.q2[lo:hi])
-		}
 		c.RawU32s(d.visits[lo:hi])
 		c.RawF64s(d.rsum[lo:hi])
 	}
@@ -112,23 +89,22 @@ func newDenseAgents(cfg config.RLConfig, n int, shared bool, seed int64) []*dens
 	for i := range agents {
 		d := &denseAgent{cfg: cfg, rng: rand.New(snap.NewCountingSource(seed + int64(i)*7919))}
 		if shared && i > 0 {
-			d.q, d.q2, d.visits, d.rsum = agents[0].q, agents[0].q2, agents[0].visits, agents[0].rsum
+			d.q, d.visits, d.rsum = agents[0].q, agents[0].visits, agents[0].rsum
 		} else {
 			d.q, d.visits, d.rsum = make([]float64, NumStates*NumActions), make([]uint32, NumStates*NumActions), make([]float64, NumStates*NumActions)
-			if cfg.DoubleQ {
-				d.q2 = make([]float64, NumStates*NumActions)
-			}
 		}
 		agents[i] = d
 	}
 	return agents
 }
 
-// Switches of the referee, one bit each in the first input byte.
+// Switches of the referee, one bit each in the first input byte. The
+// exploration rate is the default 0.2, 0 under swGreedy (no draws), 1
+// under swExplore (two draws a step) and 0.5 under both.
 const (
 	swShared = 1 << iota
-	swDoubleQ
-	swAlphaDecay
+	swGreedy
+	swExplore
 	swNegZero
 )
 
@@ -144,9 +120,14 @@ func checkAgainstDense(t *testing.T, data []byte) {
 	}
 	sw, data := data[0], data[1:]
 	cfg := config.Default().RL
-	cfg.DoubleQ = sw&swDoubleQ != 0
-	cfg.AlphaDecay = sw&swAlphaDecay != 0
-	cfg.Alpha = 0.3
+	switch sw & (swGreedy | swExplore) {
+	case swGreedy:
+		cfg.Epsilon = 0
+	case swExplore:
+		cfg.Epsilon = 1
+	case swGreedy | swExplore:
+		cfg.Epsilon = 0.5
+	}
 	const n, seed = 3, 11
 	shared := sw&swShared != 0
 	dense := newDenseAgents(cfg, n, shared, seed)
@@ -183,7 +164,7 @@ func checkAgainstDense(t *testing.T, data []byte) {
 			t.Fatalf("step %d agent %d: sparse chose %d, dense %d", step, i, got, want)
 		}
 		for act := range NumActions {
-			if g, w := sparse[i].Q(s, act), dense[i].value(s, act); math.Float64bits(g) != math.Float64bits(w) {
+			if g, w := sparse[i].Q(s, act), dense[i].q[s.Index()*NumActions+act]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("step %d agent %d: Q(%v,%d) = %g sparse, %g dense", step, i, s, act, g, w)
 			}
 			v, mean := sparse[i].SampleStats(s, act)
@@ -310,12 +291,10 @@ func TestTableGrowsOnlyOnUpdate(t *testing.T) {
 // corrupt stream or decode into a table that re-encodes to exactly the
 // bytes the decode consumed — and never panic.
 func FuzzTableStream(f *testing.F) {
-	for sw := range 4 {
-		cfg := config.Default().RL
-		cfg.DoubleQ = sw&1 != 0
-		a := NewAgent(cfg, int64(sw))
-		for k := range 6 + 3*sw {
-			a.Step(State{Buf: uint8(k % BufBins), InNACK: uint8(k % NACKBins), Temp: uint8(k / 7 % TempBins)}, float64(k%5)-2)
+	for k := range 4 {
+		a := NewAgent(config.Default().RL, int64(k))
+		for j := range 6 + 3*k {
+			a.Step(State{Buf: uint8(j % BufBins), InNACK: uint8(j % NACKBins), Temp: uint8(j / 7 % TempBins)}, float64(j%5)-2)
 		}
 		var buf bytes.Buffer
 		c := snap.NewEncoder(&buf)
@@ -323,15 +302,14 @@ func FuzzTableStream(f *testing.F) {
 		if err := c.Flush(); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(cfg.DoubleQ, buf.Bytes()[4:])
-		if sw == 0 {
-			f.Add(false, []byte{0, 1, 0, 0, 0})
-			f.Add(true, []byte{1, 2, 0, 0, 0, 9, 0, 9, 0})
-		}
+		f.Add(buf.Bytes()[4:])
 	}
-	f.Fuzz(func(t *testing.T, doubleQ bool, body []byte) {
+	f.Add([]byte{1, 0, 0, 0}) // a row count and no row
+	// Two rows for state 9: the second does not ascend.
+	f.Add(slices.Concat([]byte{2, 0, 0, 0, 9, 0}, make([]byte, 80), []byte{9, 0}, make([]byte, 80)))
+	f.Fuzz(func(t *testing.T, body []byte) {
 		stream := append([]byte("QTAB"), body...)
-		tbl := newTable(doubleQ)
+		tbl := newTable()
 		c := snap.NewDecoder(bytes.NewReader(stream))
 		tbl.snap(c)
 		if err := c.Err(); err != nil {
@@ -353,4 +331,49 @@ func FuzzTableStream(f *testing.F) {
 			t.Fatalf("decode left %d rows, row 0 = %+v", rows, tbl.rows[0])
 		}
 	})
+}
+
+// TestRestoredAgentActsAsSource: trained state moves between runs only as
+// a snapshot, so an agent decoded from its source's table and locals
+// acts, learns and explores exactly as the source does from there on.
+func TestRestoredAgentActsAsSource(t *testing.T) {
+	encode := func(a *Agent) []byte {
+		var buf bytes.Buffer
+		c := snap.NewEncoder(&buf)
+		a.SnapTable(c)
+		a.SnapLocal(c)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	in := rand.New(rand.NewSource(3))
+	state := func() State {
+		return State{Buf: uint8(in.Intn(BufBins)), InNACK: uint8(in.Intn(NACKBins)), Temp: uint8(in.Intn(TempBins))}
+	}
+	src := newAgent(1)
+	for range 20_000 {
+		s := state()
+		src.Step(s, in.Float64()*float64(1+int(s.Temp)))
+	}
+	// A restore rebuilds its skeleton from the config the stream carries,
+	// so the exploration stream has the source's seed, replayed to its
+	// position.
+	dst := newAgent(1)
+	c := snap.NewDecoder(bytes.NewReader(encode(src)))
+	dst.SnapTable(c)
+	dst.SnapLocal(c)
+	c.ReplayDraws(math.MaxUint64)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2_000 {
+		s, r := state(), in.Float64()
+		if got, want := dst.Step(s, r), src.Step(s, r); got != want {
+			t.Fatalf("step %d: restored agent chose %d, source %d", i, got, want)
+		}
+	}
+	if !bytes.Equal(encode(dst), encode(src)) {
+		t.Fatal("restored agent's state diverged from its source's")
+	}
 }

@@ -56,7 +56,9 @@ const Magic uint32 = 0x534E4C52
 // pitches) and its copy at the last window reset; qroute's counters are
 // network-wide scalars; an RL controller carries no state-visit map and
 // an RL agent no update count.
-const Version uint32 = 7
+// Version 8: a Q-table carries no Double-Q flag and each row no second
+// estimate.
+const Version uint32 = 8
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

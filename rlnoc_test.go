@@ -209,7 +209,8 @@ func TestTableIIRouting(t *testing.T) {
 
 func TestTableIIAndOverheadReports(t *testing.T) {
 	out := TableII(DefaultConfig())
-	for _, want := range []string{"8x8", "128 bits/flit", "2.0 GHz", "4 VCs/port"} {
+	for _, want := range []string{"8x8", "128 bits/flit", "2.0 GHz", "4 VCs/port",
+		"alpha max(0.02, 1/(1+n/4))", "epsilon 0.20 pre-train / 0.02 measured"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("TableII missing %q:\n%s", want, out)
 		}
