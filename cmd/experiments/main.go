@@ -39,7 +39,7 @@ func run(args []string) error {
 		all       = fs.Bool("all", false, "regenerate every figure")
 		table2    = fs.Bool("table2", false, "print the Table II parameters")
 		overhead  = fs.Bool("overhead", false, "print the Section VI-B overhead analysis")
-		ablation  = fs.String("ablation", "", "run an ablation: rl-params|modes|epoch|table-sharing|static-modes|granularity")
+		ablation  = fs.String("ablation", "", "run an ablation: "+strings.Join(studyNames(), "|"))
 		benchFlag = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all nine; canneal for -ablation)")
 		cfgPath   = fs.String("config", "", "JSON config file")
 		small     = fs.Bool("small", false, "use the 4x4 quick configuration (fast, noisier)")

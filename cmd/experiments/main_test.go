@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -74,8 +73,9 @@ func TestRun(t *testing.T) {
 			wantErr: "suite workers must be non-negative"},
 		{name: "unknown figure", args: []string{"-small", "-fig", "11"},
 			wantErr: "unknown figure"},
+		// The error lists every study, sorted, from the study table.
 		{name: "unknown ablation", args: []string{"-small", "-ablation", "colour"},
-			wantErr: "unknown ablation"},
+			wantErr: `unknown ablation "colour" (want epoch|granularity|modes|rl-params|static-modes|table-sharing)`},
 		// An ablation table is one seed; -seeds must not be silently ignored.
 		{name: "ablation with seeds", args: []string{"-small", "-ablation", "modes", "-seeds", "2"},
 			wantErr: "-seeds"},
@@ -139,12 +139,7 @@ func TestAblationRowsEqualRun(t *testing.T) {
 // tells the static-mode arms apart by label alone).
 func TestAblationArmsAreDistinct(t *testing.T) {
 	all := studies(rlnoc.SmallConfig())
-	var names []string
-	for name := range all {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range studyNames() {
 		s := all[name]
 		results, err := rlnoc.RunArms(s.arms, []string{"canneal"}, "")
 		if err != nil {
