@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 
+	"rlnoc/internal/config"
+	"rlnoc/internal/network"
 	"rlnoc/internal/snap"
 	"rlnoc/internal/traffic"
 )
@@ -134,4 +137,104 @@ func FuzzPendingStreams(f *testing.F) {
 			t.Fatalf("decode counted %d events, the streams list %d", raw.remaining, n)
 		}
 	})
+}
+
+// injectionCycles drives in over net as drive does — inject, then Step —
+// until the network reaches cycle until, and returns the cycle each event
+// was issued at. sweepAll forces the per-source sweep on every cycle: the
+// reference the skipping injector must match.
+func injectionCycles(t *testing.T, net *network.Network, in *injector, until int64, sweepAll bool) []int64 {
+	t.Helper()
+	var issued []int64
+	for now := net.Cycle(); now < until; now = net.Cycle() {
+		if sweepAll {
+			in.next = math.MinInt64
+		}
+		before := in.remaining
+		if err := in.step(net, now); err != nil {
+			t.Fatal(err)
+		}
+		for k := in.remaining; k < before; k++ {
+			issued = append(issued, now)
+		}
+		if err := net.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return issued
+}
+
+// restoredInjector returns in as a checkpoint restores it: the streams
+// through their walk, the base beside them, then sync.
+func restoredInjector(t *testing.T, in *injector) *injector {
+	t.Helper()
+	out := newInjector(len(in.streams), in.window, 0)
+	dec := snap.NewDecoder(bytes.NewReader(encodeStreams(t, in)))
+	defer dec.Release()
+	if out.snapStreams(dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
+	}
+	out.base = in.base
+	out.sync()
+	return out
+}
+
+// TestInjectorSweepsOnlyWhenDue holds the injector's idle-cycle skip to a
+// reference that sweeps every source every cycle. Source 0's second event
+// falls due while its first is outstanding under a window of one, so the
+// source is held and must be offered again every cycle until the first
+// delivers; the run is also cut by a restore while that source is held and
+// by one between two events. Every event must be issued on the same cycle
+// in every case.
+func TestInjectorSweepsOnlyWhenDue(t *testing.T) {
+	cfg := config.Small()
+	cfg.SourceWindow = 1
+	last := cfg.Routers() - 1
+	events := []traffic.Event{
+		{Cycle: 0, Src: 0, Dst: last, Flits: 4},
+		{Cycle: 2, Src: 0, Dst: last, Flits: 4},
+		{Cycle: 60, Src: 5, Dst: 10, Flits: 4},
+		{Cycle: 300, Src: 3, Dst: 12, Flits: 4},
+	}
+	const end = 1000
+	run := func(sweepAll bool, restoreAt int64) []int64 {
+		s, err := NewSim(cfg, SchemeARQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := s.accept(events, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		issued := injectionCycles(t, s.net, in, restoreAt, sweepAll)
+		if restoreAt > 0 {
+			re := restoredInjector(t, in)
+			if re.next != in.next {
+				t.Fatalf("restored at cycle %d: next = %d, the live injector's %d", restoreAt, re.next, in.next)
+			}
+			in = re
+		}
+		issued = append(issued, injectionCycles(t, s.net, in, end, sweepAll)...)
+		if !in.done() {
+			t.Fatalf("%d events left unissued by cycle %d", in.remaining, end)
+		}
+		return issued
+	}
+	want := run(true, 0)
+	if want[1] <= events[1].Cycle || want[1] >= events[2].Cycle {
+		t.Fatalf("reference issued source 0's second event at cycle %d; want it held past %d by the window and freed before %d",
+			want[1], events[1].Cycle, events[2].Cycle)
+	}
+	for _, tc := range []struct {
+		name      string
+		restoreAt int64
+	}{
+		{"window-blocked source", 0},
+		{"restored while the source is held", events[1].Cycle + 1},
+		{"restored between two events", 150},
+	} {
+		if got := run(false, tc.restoreAt); !slices.Equal(got, want) {
+			t.Errorf("%s: issued at cycles %v, the every-cycle sweep at %v", tc.name, got, want)
+		}
+	}
 }

@@ -361,7 +361,11 @@ type injector struct {
 	// and decodes a stream only when its head is due.
 	// Derived from streams, at and base (sync): rebuilt on restore, never
 	// serialized.
-	due       []int64
+	due []int64
+	// next is the earliest entry of due, so the sweep runs only on a cycle
+	// some head is due; a source the window holds back keeps its past due
+	// cycle and so its place in the sweep. Derived like due (sync).
+	next      int64
 	remaining int
 	window    int
 	base      int64
@@ -433,10 +437,13 @@ func (in *injector) headDue(src int) int64 {
 	return never
 }
 
-// sync recomputes due from the streams, their cycle bases and base.
+// sync recomputes due and next from the streams, their cycle bases and
+// base.
 func (in *injector) sync() {
+	in.next = never
 	for src := range in.due {
 		in.due[src] = in.headDue(src)
+		in.next = min(in.next, in.due[src])
 	}
 }
 
@@ -456,18 +463,26 @@ func (in *injector) issue(src int) (dst, flits int) {
 	return int(d), int(f)
 }
 
+// step issues every event due by now whose source the window lets through,
+// in source order. It sweeps the sources only once now reaches next.
 func (in *injector) step(net *network.Network, now int64) error {
-	for src, due := range in.due {
-		if due > now {
-			continue
-		}
-		for in.due[src] <= now && (in.window <= 0 || net.SourceOutstanding(src) < in.window) {
-			dst, flits := in.issue(src)
-			if _, err := net.NewDataPacket(src, dst, flits, now); err != nil {
-				return err
-			}
-		}
+	if now < in.next {
+		return nil
 	}
+	next := never
+	for src, due := range in.due {
+		if due <= now {
+			for in.due[src] <= now && (in.window <= 0 || net.SourceOutstanding(src) < in.window) {
+				dst, flits := in.issue(src)
+				if _, err := net.NewDataPacket(src, dst, flits, now); err != nil {
+					return err
+				}
+			}
+			due = in.due[src]
+		}
+		next = min(next, due)
+	}
+	in.next = next
 	return nil
 }
 

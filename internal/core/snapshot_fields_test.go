@@ -39,6 +39,7 @@ var unsnapshotted = map[string]struct {
 	"network.qrouteState.dist":       {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
 	"core.measureState.in":           {true, "a fresh injector that adopts the decoded streams"},
 	"core.injector.due":              {true, "sync() over the adopted streams, their cycle bases and base"},
+	"core.injector.next":             {true, "sync(): the earliest entry of due"},
 	"core.injector.streams":          {true, "each source's unread suffix, written as it stands; a restore's windows cut one decoded slab"},
 	"core.injector.at":               {true, "each source's cycle base, written beside its suffix"},
 	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},

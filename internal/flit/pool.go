@@ -27,15 +27,24 @@ type Pool struct {
 // Get returns a zeroed flit, recycling a retired one when available.
 func (p *Pool) Get() *Flit {
 	p.gets++
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if f := p.take(); f != nil {
 		*f = Flit{}
 		return f
 	}
 	p.news++
 	return &Flit{}
+}
+
+// take pops the most recently retired flit, nil when there is none.
+func (p *Pool) take() *Flit {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	f := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return f
 }
 
 // Put retires a flit to the free list. The caller must hold the only
@@ -49,9 +58,15 @@ func (p *Pool) Put(f *Flit) {
 }
 
 // Clone returns a pooled deep copy of f (the Packet pointer is shared,
-// exactly like Flit.Clone).
+// exactly like Flit.Clone). It counts as one Get, and writes the copy
+// once: a recycled flit is overwritten by the copy, not zeroed first.
 func (p *Pool) Clone(f *Flit) *Flit {
-	c := p.Get()
+	p.gets++
+	c := p.take()
+	if c == nil {
+		p.news++
+		c = new(Flit)
+	}
 	*c = *f
 	return c
 }

@@ -25,6 +25,10 @@ func TestPoolGetResetsRecycledFlit(t *testing.T) {
 	}
 }
 
+// TestPoolCloneIsDeepAndPooled: a clone is an exact, separate copy that
+// counts one get, from an empty pool and from the free list alike. Clone
+// writes its copy straight over a recycled flit instead of zeroing it
+// first, so nothing of the retired flit may survive.
 func TestPoolCloneIsDeepAndPooled(t *testing.T) {
 	var p Pool
 	pkt := &Packet{ID: 9}
@@ -42,6 +46,23 @@ func TestPoolCloneIsDeepAndPooled(t *testing.T) {
 	}
 	if c.Packet != f.Packet {
 		t.Fatal("clone must share the packet pointer")
+	}
+	if gets, news, _ := p.Stats(); gets != 1 || news != 1 {
+		t.Fatalf("after one clone from an empty pool: gets %d news %d, want 1 1", gets, news)
+	}
+
+	*c = Flit{Seq: 99, Type: Head, Payload: [WordsPerFlit]uint64{0xdead, 0xbeef}, CRC: 0x1234,
+		VC: 3, ECCCheck: [WordsPerFlit]uint8{0xaa, 0xbb}, Dirty: true, Attempt: 4}
+	p.Put(c)
+	r := p.Clone(f)
+	if r != c {
+		t.Fatal("clone did not recycle the retired flit")
+	}
+	if *r != *f {
+		t.Fatalf("clone over a recycled flit = %+v, want %+v", *r, *f)
+	}
+	if gets, news, puts := p.Stats(); gets != 2 || news != 1 || puts != 1 {
+		t.Fatalf("stats = gets %d news %d puts %d, want 2 1 1", gets, news, puts)
 	}
 }
 

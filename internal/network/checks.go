@@ -8,7 +8,9 @@ package network
 // identically to an unchecked one or fails fast with a report.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,6 +64,7 @@ func (n *Network) runChecks(cycle int64) error {
 		}
 		viols = n.checkCredits(cycle, viols)
 		viols = n.checkRequestMasks(cycle, viols)
+		viols = n.checkAcks(cycle, viols)
 		viols = n.checkPacketBounds(cycle, viols)
 	}
 	if len(viols) == 0 {
@@ -148,6 +151,41 @@ func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []
 				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
 					Msg: fmt.Sprintf("router %d port %v: resend cursor %d, mode %v -> %v pending, but the saAttn bit is clear",
 						id, p.dir, p.resendIdx, p.mode, p.targetMode)})
+			}
+		}
+	}
+	return viols
+}
+
+// checkAcks verifies that every ACK or NACK queued on a live channel
+// names a sequence number its retransmission buffer still holds. An ACK
+// for a flit sent with ECC off would pop nothing, so the receiver raises
+// none (receiveOnLink); a queued one naming no entry is wasted work, or a
+// lost one.
+func (n *Network) checkAcks(cycle int64, viols []invariant.Violation) []invariant.Violation {
+	for id, r := range n.routers {
+		if n.isDeadRouter(id) {
+			continue
+		}
+		for dir := topology.North; dir < topology.NumPorts; dir++ {
+			p := r.outputs[dir]
+			if !p.hasDownstream() { // unwired or dead
+				continue
+			}
+			for _, a := range p.acks {
+				// unacked is in ascending sequence order.
+				if _, held := slices.BinarySearchFunc(p.unacked, a.seq, func(e txEntry, seq uint64) int {
+					return cmp.Compare(e.seq, seq)
+				}); held {
+					continue
+				}
+				kind := "ACK"
+				if a.nack {
+					kind = "NACK"
+				}
+				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+					Msg: fmt.Sprintf("router %d port %v: queued %s for seq %d names no entry of the %d in the retransmission buffer",
+						id, dir, kind, a.seq, len(p.unacked))})
 			}
 		}
 	}

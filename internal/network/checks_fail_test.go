@@ -113,6 +113,43 @@ func TestCreditImbalanceChecks(t *testing.T) {
 	}
 }
 
+// TestAckChecks holds the ACK census to both sides. A Mode 0 mesh under
+// load, checked every cycle, queues no ACK: its flits carry no
+// retransmission entry to pop. One planted on a Mode 0 port — what the
+// receiver would have raised for such a flit — names no entry, and the
+// census reports it.
+func TestAckChecks(t *testing.T) {
+	cfg := testConfig(0)
+	cfg.Checks = "all"
+	n := newNet(t, cfg, Mode0, true)
+	for src := 0; src < 4; src++ {
+		if pkt, err := n.NewDataPacket(src, 15-src, 4, 0); err != nil || pkt == nil {
+			t.Fatalf("inject: (%v, %v)", pkt, err)
+		}
+	}
+	p := n.routers[0].outputs[topology.East]
+	for !n.Drained() {
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+			t.Fatalf("cycle %d: %v", n.Cycle(), err)
+		}
+	}
+	if p.mode != Mode0 || p.nextSeq == 0 {
+		t.Fatalf("router 0 east: mode %v, %d flits sent; want Mode 0 traffic", p.mode, p.nextSeq)
+	}
+
+	p.acks = append(p.acks, wireAck{seq: p.nextSeq - 1, deliver: n.Cycle() + 1})
+	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits",
+		"router 0 port east: queued ACK for seq")
+	assertDump(t, ierr)
+	p.acks = p.acks[:0]
+	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+		t.Fatalf("cleared ACK queue still flagged: %v", err)
+	}
+}
+
 // TestRequestMaskChecks flips one bit of each kind of derived pipeline
 // state — a route mask, the VA-wait mask, a pending-free count, then a
 // wirePorts and an saAttn bit — under a routed, VC-holding resident and

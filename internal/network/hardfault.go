@@ -267,8 +267,8 @@ func (n *Network) killLink(id int, dir topology.Direction, sw *faultSweep) bool 
 // pending resend and mode switch takes the port out of saAttn, which keeps
 // pipeQuiet reachable for the owning router. Emptying the retransmission
 // buffer can complete a VC release's condition with no ACK to announce
-// it, so the port is flagged for this cycle's wire visit (the dense
-// referee would release there).
+// it, so a live router's port frees those VCs here; a dead router's ports
+// are never visited again, and their VCs stay as they were.
 func (n *Network) killPort(r *Router, p *outputPort, reason stats.DropReason, sw *faultSweep) {
 	for i := range p.inflight {
 		f := p.inflight[i].f
@@ -291,7 +291,9 @@ func (n *Network) killPort(r *Router, p *outputPort, reason stats.DropReason, sw
 	r.saAttn &^= 1 << uint(p.dir)
 	p.dead = true
 	p.downstream = -1
-	n.flagWire(r, p)
+	if !n.isDeadRouter(r.id) {
+		n.releaseVCs(p)
+	}
 }
 
 // killRouter removes a router, its NI and every incident link. Reports
@@ -385,7 +387,8 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 
 // purgeVC empties one input VC, returning a credit per dropped flit to
 // the upstream channel (unless that channel died) and releasing the
-// VC's downstream allocation so the fabric's VC inventory never leaks.
+// VC's downstream allocation so the fabric's VC inventory never leaks:
+// at once if the downstream VC has drained, else when it does.
 func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 	port := r.portOf(vc.slot)
 	for !vc.empty() {
@@ -399,12 +402,11 @@ func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 	if vc.routed && vc.outVC >= 0 {
 		if op := r.outputs[vc.outPort]; !op.dead && op.dir != topology.Local && op.vcBusy != nil {
 			// The tail will never pass; schedule the downstream VC free
-			// the way grantAndSend would have (releaseVCs completes it
-			// once the in-flight credits come home — at once if they
-			// already are, with no wire event to announce it, so the port
-			// is flagged for this cycle's wire visit).
+			// the way grantAndSend would have. The credit or ACK that
+			// completes its condition frees it; if both are home already,
+			// no wire event will come, so it is freed here.
 			op.markPendingFree(int(vc.outVC))
-			n.flagWire(r, op)
+			op.freeIfDrained(int(vc.outVC), n.cfg.VCDepth)
 		}
 	}
 	vc.unroute(r)

@@ -675,9 +675,12 @@ func (n *Network) refreshErrorProbs() {
 	}
 }
 
-// Step advances the network one cycle. It returns an error only on a
-// detected deadlock (no movement for watchdogCycles while traffic is
-// outstanding), which indicates a simulator bug, never expected behavior.
+// Step advances the network one cycle: due hard faults, the wire phase,
+// NI injection, then RC/VA and SA/ST (one visit per active router; the
+// dense referee runs them as two passes), and the periodic thermal and
+// control work. It returns an error only on a detected deadlock (no
+// movement for watchdogCycles while traffic is outstanding), which
+// indicates a simulator bug, never expected behavior.
 func (n *Network) Step() error {
 	n.settle()
 	n.cycle++
@@ -721,7 +724,8 @@ func (n *Network) Step() error {
 		// handler ran and left it quiet, so RNG draws, meter charges and
 		// arbitration decisions match the dense path bit for bit.
 
-		// 1. Arrivals, ACK/NACK wires and credit returns.
+		// 1. Arrivals, ACK/NACK wires and credit returns (with the VC
+		// releases they complete).
 		n.wireActive.forEach(func(id int) {
 			r := n.routers[id]
 			n.stepWires(r)
@@ -739,15 +743,16 @@ func (n *Network) Step() error {
 			}
 		})
 
-		// 3. Route computation and VC allocation. Membership is shared
-		// with phase 4, which runs on the same snapshot and prunes.
-		n.pipeActive.forEach(func(id int) {
-			n.routeAndAllocate(n.routers[id])
-		})
-
-		// 4. Switch allocation, switch traversal and link transmission.
+		// 3-4. Route computation, VC allocation, then switch allocation,
+		// switch traversal and link transmission, in one visit per router.
+		// The dense path runs every router's RC/VA before any SA; this
+		// order is equivalent because SA at router i writes only i's own
+		// VCs and ports, the upstream credRet queues, NI i, the pools and
+		// commutative counters, and RC/VA at any other router reads none
+		// of these (DESIGN.md §9).
 		n.pipeActive.forEach(func(id int) {
 			r := n.routers[id]
+			n.routeAndAllocate(r)
 			n.switchAllocate(r)
 			if r.pipeQuiet() {
 				n.pipeActive.remove(id)
@@ -801,8 +806,8 @@ func (n *Network) stepWiresDense(r *Router) {
 }
 
 // stepWirePort runs the wire phase on one port: arrivals, ACK/NACK
-// processing, credit returns and VC releases. It reports whether the port
-// still holds a queue entry.
+// processing and credit returns, the last two releasing the downstream VCs
+// they complete. It reports whether the port still holds a queue entry.
 func (n *Network) stepWirePort(r *Router, p *outputPort) bool {
 	if len(p.inflight) > 0 {
 		n.processArrivals(r, p)
@@ -813,7 +818,6 @@ func (n *Network) stepWirePort(r *Router, p *outputPort) bool {
 	if len(p.credRet) > 0 {
 		n.processCredits(p)
 	}
-	n.releaseVCs(p)
 	return p.wireQueued()
 }
 
@@ -824,7 +828,7 @@ func (n *Network) stepWirePort(r *Router, p *outputPort) bool {
 func (n *Network) processArrivals(r *Router, p *outputPort) {
 	due := 0
 	for ; due < len(p.inflight) && p.inflight[due].arrive <= n.cycle; due++ {
-		wf := p.inflight[due]
+		wf := &p.inflight[due]
 		if p.dir == topology.Local {
 			n.eject(r.id, wf.f)
 			continue
@@ -840,8 +844,9 @@ func (n *Network) processArrivals(r *Router, p *outputPort) {
 // one flit arriving over port p of router up: the sequence screen, the
 // CRC snoop or the SECDED decode (never both: a copy either has its ECC
 // link on or not, so each energy charge happens at most once), the ACK or
-// NACK, and the push into the downstream router's input VC.
-func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
+// NACK, and the push into the downstream router's input VC. wf points into
+// p.inflight, which nothing here appends to.
+func (n *Network) receiveOnLink(up *Router, p *outputPort, wf *wireFlit) {
 	cycle := n.cycle
 	down := p.downstream
 
@@ -926,7 +931,13 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf wireFlit) {
 	}
 
 	p.expectSeq = wf.seq + 1
-	p.acks = append(p.acks, wireAck{seq: wf.seq, nack: false, deliver: cycle + 1})
+	if wf.eccValid {
+		// Only a copy sent with ECC on has a retransmission entry to pop.
+		// A flit sent in Mode 0 has none, and no older entry waits below
+		// it either (a switch into Mode 0 waits for the buffer to drain),
+		// so its cumulative ACK would pop nothing (checkAcks).
+		p.acks = append(p.acks, wireAck{seq: wf.seq, nack: false, deliver: cycle + 1})
+	}
 	n.accept(n.routers[down], p.inPort, wf.f)
 }
 
@@ -1018,6 +1029,9 @@ func (n *Network) processAcks(r *Router, p *outputPort) {
 				p.unacked[i] = txEntry{}
 			}
 			p.unacked = p.unacked[:m]
+			if m == 0 {
+				n.releaseVCs(p) // the buffer just drained
+			}
 		}
 		if p.resendIdx >= 0 {
 			p.resendIdx -= popped
@@ -1029,7 +1043,8 @@ func (n *Network) processAcks(r *Router, p *outputPort) {
 	p.acks = keep
 }
 
-// processCredits applies returned credits.
+// processCredits applies returned credits. The credit that brings a
+// pending VC's count home frees it if the retransmission buffer is empty.
 func (n *Network) processCredits(p *outputPort) {
 	keep := p.credRet[:0]
 	for _, c := range p.credRet {
@@ -1041,21 +1056,20 @@ func (n *Network) processCredits(p *outputPort) {
 		if p.credits[c.vc] > n.cfg.VCDepth {
 			panic(fmt.Sprintf("network: credit overflow on vc %d", c.vc))
 		}
+		p.freeIfDrained(c.vc, n.cfg.VCDepth)
 	}
 	p.credRet = keep
 }
 
-// releaseVCs frees downstream VCs whose packet has fully drained.
+// releaseVCs frees every pending downstream VC of p whose packet has fully
+// drained. It runs where the retransmission buffer empties (processAcks,
+// killPort); processCredits and purgeVC test the one VC they touch.
 func (n *Network) releaseVCs(p *outputPort) {
 	if p.pendingFree == 0 {
 		return
 	}
 	for vc := range p.vcPendingFree {
-		if p.vcPendingFree[vc] && p.credits[vc] == n.cfg.VCDepth && len(p.unacked) == 0 {
-			p.vcPendingFree[vc] = false
-			p.pendingFree--
-			p.vcBusy[vc] = false
-		}
+		p.freeIfDrained(vc, n.cfg.VCDepth)
 	}
 }
 
@@ -1196,7 +1210,10 @@ func (n *Network) routeAndAllocate(r *Router) {
 		if !op.hasDownstream() {
 			continue
 		}
-		start := r.vaRR[out] % total
+		start := r.vaRR[out] // one past the last grant's slot: at most total
+		if start >= total {
+			start -= total
+		}
 		lowMask := uint64(1)<<uint(start) - 1
 		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)
@@ -1322,7 +1339,10 @@ func (n *Network) switchAllocate(r *Router) {
 		if !ready || req == 0 {
 			continue
 		}
-		start := r.saRR[out] % total
+		start := r.saRR[out] // one past the last grant's slot: at most total
+		if start >= total {
+			start -= total
+		}
 		lowMask := uint64(1)<<uint(start) - 1
 		for m := req &^ lowMask; m != 0; { // slots start..total-1
 			idx := bits.TrailingZeros64(m)

@@ -267,7 +267,7 @@ func TestMode2DuplicatesDropApart(t *testing.T) {
 		reason stats.DropReason
 	}{{3, true, stats.DropDuplicate}, {7, true, stats.DropStaleSeq}, {3, false, stats.DropStaleSeq}} {
 		before := n.Stats().Drops(tc.reason)
-		n.receiveOnLink(r, p, wireFlit{f: n.fpool.Get(), seq: tc.seq, isDup: tc.isDup})
+		n.receiveOnLink(r, p, &wireFlit{f: n.fpool.Get(), seq: tc.seq, isDup: tc.isDup})
 		if n.Stats().Drops(tc.reason) != before+1 {
 			t.Errorf("seq %d (dup %v) at expected seq 5: not counted as %s", tc.seq, tc.isDup, tc.reason)
 		}

@@ -183,12 +183,12 @@ func restoredCopy(t *testing.T, n *Network, cfg config.Config, kind ControllerKi
 // announces. A VC is routed, holds an output VC and is empty (head
 // forwarded, body still upstream), every credit is home and the
 // retransmission buffer has drained; then a hard fault condemns its packet
-// and the sweep purges it. The release condition is true at once, so the
-// dense referee frees the downstream VC in the wire phase of that same
-// Step. The mask path must too — purgeVC flags the port and wakes the
-// router, which had long left the wire set — and so must a network
-// restored from a snapshot taken between the purge and that wire phase,
-// whose summaries come back conservative rather than read.
+// and the sweep purges it. The release condition is true at once and no
+// credit or ACK will come to complete it, so purgeVC frees the downstream
+// VC itself, before the next wire visit — on the dense referee and on the
+// summary path alike, where the router had long left the wire set and is
+// not woken — and a network restored from a snapshot taken before that
+// visit holds the VC free too. One Step later it is still free.
 func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -211,7 +211,7 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			const router, outVC = 5, 0
 			r := n.routers[router]
 			if !tc.dense && n.wireActive.has(router) {
-				t.Fatal("idle router still in the wire set; the test would not need the flag")
+				t.Fatal("idle router still in the wire set; the test would not show the release needs no visit")
 			}
 			op := r.outputs[topology.East]
 			vc := r.vc(topology.West, 0)
@@ -221,9 +221,12 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			op.vcBusy[outVC] = true
 
 			n.purgeVC(r, vc, stats.DropKilledLink)
-			if !op.vcPendingFree[outVC] || op.pendingFree != 1 || !op.vcBusy[outVC] {
-				t.Fatalf("purge left pending=%v count=%d busy=%v; want the release scheduled, not done",
-					op.vcPendingFree[outVC], op.pendingFree, op.vcBusy[outVC])
+			if op.vcBusy[outVC] || op.vcPendingFree[outVC] || op.pendingFree != 0 {
+				t.Fatalf("purge left busy=%v pending=%v count=%d; want the drained VC released at once",
+					op.vcBusy[outVC], op.vcPendingFree[outVC], op.pendingFree)
+			}
+			if !tc.dense && n.wireActive.has(router) {
+				t.Fatal("the purge woke the router's wire phase; the release needs no visit")
 			}
 			if tc.restore {
 				n = restoredCopy(t, n, cfg, ControllerNone)
@@ -233,7 +236,7 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 				t.Fatal(err)
 			}
 			if op.vcBusy[outVC] || op.vcPendingFree[outVC] || op.pendingFree != 0 {
-				t.Fatalf("one Step after the purge: busy=%v pending=%v count=%d; the dense scan has released the VC by now",
+				t.Fatalf("one Step after the purge: busy=%v pending=%v count=%d; the released VC must stay free",
 					op.vcBusy[outVC], op.vcPendingFree[outVC], op.pendingFree)
 			}
 		})

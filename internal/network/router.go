@@ -195,9 +195,13 @@ type outputPort struct {
 	// reports the killed link as wired, so credit-return sites check dead
 	// ports explicitly before appending to their queues.
 	dead bool
-	// pendingFree counts the set entries of vcPendingFree, so releaseVCs
-	// skips the scan on the (usual) port with nothing to release. Derived:
-	// recounted on restore, never serialized.
+	// pendingFree counts the set entries of vcPendingFree: the downstream
+	// VCs whose tail has left but whose release waits for their credits
+	// to come home and the retransmission buffer to drain. Each VC is
+	// freed where its condition turns true (processCredits, processAcks,
+	// killPort, purgeVC), and releaseVCs skips the scan on the (usual)
+	// port with nothing pending. Derived: recounted on restore, never
+	// serialized.
 	pendingFree uint8
 	credits     []int
 
@@ -280,6 +284,17 @@ func (p *outputPort) markPendingFree(vc int) {
 	}
 }
 
+// freeIfDrained frees downstream VC vc for reallocation if it is pending
+// and its packet has fully drained: all depth credits home and the
+// retransmission buffer empty.
+func (p *outputPort) freeIfDrained(vc, depth int) {
+	if p.vcPendingFree[vc] && p.credits[vc] == depth && len(p.unacked) == 0 {
+		p.vcPendingFree[vc] = false
+		p.pendingFree--
+		p.vcBusy[vc] = false
+	}
+}
+
 // countPendingFree recounts pendingFree from vcPendingFree.
 func (p *outputPort) countPendingFree() uint8 {
 	var k uint8
@@ -348,8 +363,8 @@ type Router struct {
 	// the activity sets one level up: set where the work is queued, cleared
 	// by the phase that visited the port and found it quiet, so a spurious
 	// bit costs one no-op port visit and a missing one would be a bug.
-	// wirePorts: the port may hold an inflight/acks/credRet entry, or a
-	// hard fault just made a VC release possible on it (flagWire).
+	// wirePorts: the port may hold an inflight/acks/credRet entry
+	// (flagWire).
 	// saAttn: the port may hold a pending go-back-N resend or mode switch
 	// (outputPort.saPending). Never serialized: a restore sets every
 	// wirePorts bit and recomputes saAttn.
@@ -480,11 +495,10 @@ func (r *Router) saAttention() (attn uint8) {
 // in-flight flits, no pending ACK/NACKs, no credit returns. stepWires
 // just cleared the wirePorts bit of every port it found with all three
 // queues empty, and a port outside wirePorts holds no entry, so the
-// summary says it. VC releases (vcPendingFree) need no separate term: the
-// conditions releaseVCs waits on (credits refilled, retransmission buffer
-// drained) can only become true through an ACK or credit arriving on
-// these wires, which re-adds the router and releaseVCs runs in that same
-// visit — or through a hard fault, which flags the port (flagWire).
+// summary says it. VC releases (vcPendingFree) need no term: a pending VC
+// is freed by the event that completes its condition — the last credit
+// landing or the last ACK popping, both in this phase, or a hard fault's
+// killPort or purgeVC — never by a later visit.
 func (r *Router) wiresQuiet() bool { return r.wirePorts == 0 }
 
 // pipeQuiet reports that the RC/VA/SA stages have nothing to do: every

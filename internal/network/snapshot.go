@@ -462,6 +462,16 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	for i := range rt.vaRR {
 		c.Int(&rt.vaRR[i])
 	}
+	if c.Decoding() {
+		// A pointer is one past the last grant's slot: the VA/SA walks
+		// take it as their start with one subtraction, not a modulo.
+		for i := range rt.saRR {
+			if rt.saRR[i] < 0 || rt.saRR[i] > len(rt.vcs) || rt.vaRR[i] < 0 || rt.vaRR[i] > len(rt.vcs) {
+				c.Fail(fmt.Errorf("network: snapshot round-robin pointer out of range at router %d port %d", rt.id, i))
+				return
+			}
+		}
+	}
 	c.I64(&rt.winErrEvents)
 	c.I64(&rt.winFlitsIn)
 	c.I64(&rt.winNACKsOut)

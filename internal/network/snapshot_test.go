@@ -77,6 +77,20 @@ func TestHostileCreditCountIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestHostileRoundRobinIsCorrupt: a VA or SA pointer is one past the last
+// grant's slot, in [0, slots]; the walks take it as their start with one
+// subtraction, so a decode rejects anything else.
+func TestHostileRoundRobinIsCorrupt(t *testing.T) {
+	for _, rr := range []int{-1, 5*config.Small().VCsPerPort + 1} {
+		n, cfg := midPacket(t)
+		n.routers[0].vaRR[topology.East] = rr
+		decodeMustFail(t, n, cfg)
+		n, cfg = midPacket(t)
+		n.routers[0].saRR[topology.Local] = rr
+		decodeMustFail(t, n, cfg)
+	}
+}
+
 // TestHostileTransmitterVCIsCorrupt: a transmitter holding a packet
 // indexes the Local port's VCs with its VC at the next injection.
 func TestHostileTransmitterVCIsCorrupt(t *testing.T) {
