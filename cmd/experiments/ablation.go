@@ -61,10 +61,6 @@ func studies(cfg rlnoc.Config) map[string]study {
 			rl("per-router tables (paper)", func(c *rlnoc.Config) { c.RL.SharedTable = false }),
 		}},
 		"static-modes": {"static single-mode sweep on %s (no mode dominates everywhere)", statics},
-		"granularity": {"control granularity ablation on %s", []rlnoc.Arm{
-			rl("per-router agents (paper)", asIs),
-			arm("per-port agents (4x finer)", core.SchemeRLPerPort, asIs),
-		}},
 	}
 }
 

@@ -75,7 +75,7 @@ func TestRun(t *testing.T) {
 			wantErr: "unknown figure"},
 		// The error lists every study, sorted, from the study table.
 		{name: "unknown ablation", args: []string{"-small", "-ablation", "colour"},
-			wantErr: `unknown ablation "colour" (want epoch|granularity|modes|rl-params|static-modes|table-sharing)`},
+			wantErr: `unknown ablation "colour" (want epoch|modes|rl-params|static-modes|table-sharing)`},
 		// An ablation table is one seed; -seeds must not be silently ignored.
 		{name: "ablation with seeds", args: []string{"-small", "-ablation", "modes", "-seeds", "2"},
 			wantErr: "-seeds"},

@@ -44,7 +44,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
 	var (
-		schemeFlag = fs.String("scheme", "rl", "fault-tolerant scheme: crc|arq-ecc|dt|rl|qroute, or an ablation arm (rl-per-port, static-mode0-bypass .. static-mode3-relax)")
+		schemeFlag = fs.String("scheme", "rl", "fault-tolerant scheme: crc|arq-ecc|dt|rl|qroute, or a static ablation arm (static-mode0-bypass .. static-mode3-relax)")
 		benchFlag  = fs.String("benchmark", "", "PARSEC-like benchmark name (see cmd/trafficgen -list)")
 		traceFlag  = fs.String("trace", "", "trace file to run (overrides -benchmark)")
 		pattern    = fs.String("pattern", "", "synthetic pattern (uniform|transpose|...) instead of a benchmark")

@@ -47,10 +47,10 @@ func TestForkMatchesUnforkedRun(t *testing.T) {
 		tune     func(*Config)
 		inFlight bool // pre-training must end with packets still in the network
 	}
-	// Every name the scheme table holds: the five schemes, the per-port
-	// granularity arm and the four static arms.
+	// Every name the scheme table holds: the five schemes and the four
+	// static arms.
 	var arms []arm
-	for _, scheme := range append(AllSchemes(), core.SchemeRLPerPort) {
+	for _, scheme := range AllSchemes() {
 		arms = append(arms, arm{name: string(scheme), scheme: scheme})
 	}
 	for m := network.Mode0; m < network.NumModes; m++ {
@@ -157,7 +157,6 @@ func TestRunArmsPretrainsOncePerArm(t *testing.T) {
 		{Config: cfg, Scheme: RL},
 		{Config: next, Scheme: RL},
 		{Label: "modes {0,1}", Config: masked, Scheme: RL},
-		{Config: cfg, Scheme: core.SchemeRLPerPort},
 		{Config: cfg, Scheme: core.StaticScheme(network.Mode2)},
 	}
 

@@ -23,6 +23,7 @@ import (
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
+	"rlnoc/internal/fault"
 	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
@@ -116,7 +117,9 @@ type Spec struct {
 
 // Validate rejects specs the engine cannot run. The ID names the job's
 // directory under <campaign>/jobs, so it must be a single path element:
-// specs also arrive from manifest.json on disk.
+// specs also arrive from manifest.json on disk. A hard-fault schedule
+// gets the parse and range check the run's construction makes, so a
+// schedule no attempt could start is refused here rather than retried.
 func (s Spec) Validate() error {
 	switch {
 	case s.ID == "":
@@ -133,6 +136,15 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
+	}
+	if s.Config.HardFaults != "" {
+		topo, err := topology.FromConfig(s.Config)
+		if err != nil {
+			return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
+		}
+		if _, err := fault.HardSchedule(s.Config.HardFaults, topo); err != nil {
+			return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
+		}
 	}
 	return nil
 }

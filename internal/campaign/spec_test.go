@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,6 +68,26 @@ func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	neg.Deadline = -time.Second
 	if err := neg.Validate(); err == nil {
 		t.Error("Validate accepted deadline -1s")
+	}
+}
+
+// TestSubmitRejectsBadHardFaults: a hard-fault schedule the run's
+// construction would refuse — unparseable, a router outside the fabric,
+// a direction that does not exist — is refused by Submit, not taken and
+// retried until the job dies.
+func TestSubmitRejectsBadHardFaults(t *testing.T) {
+	eng := openTestEngine(t, Options{})
+	for i, sched := range []string{"garbage", "5:r999", "5:l3.up"} {
+		s := tinySpec(fmt.Sprintf("hard-%d", i))
+		s.Config.HardFaults = sched
+		if err := eng.Submit(s); err == nil {
+			t.Errorf("Submit accepted hard_faults %q on a %dx%d mesh", sched, s.Config.Width, s.Config.Height)
+		}
+	}
+	ok := tinySpec("hard")
+	ok.Config.HardFaults = "5:r3,9:l5.east"
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate rejected a schedule the fabric can run: %v", err)
 	}
 }
 

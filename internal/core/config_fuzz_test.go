@@ -43,9 +43,8 @@ func FuzzConfig(f *testing.F) {
 		}
 		// Size is not what this target explores, and every fabric Validate
 		// accepts is legal, but not quick: a 64x64 one holds 4096 per-router
-		// Q-tables of about 48 KB each (20480 per-channel ones for
-		// rl-per-port) and up to 15.7M flit slots. One input stays within
-		// Small's 4x4 so the target keeps its pace.
+		// Q-tables of about 32 KB each and up to 15.7M flit slots. One input
+		// stays within Small's 4x4 so the target keeps its pace.
 		if cfg.Width*cfg.Height > 16 {
 			return
 		}

@@ -4,12 +4,8 @@ import (
 	"errors"
 	"testing"
 
-	"rlnoc/internal/config"
 	"rlnoc/internal/network"
-	"rlnoc/internal/rl"
 )
-
-func stateProbe() rl.State { return rl.State{Temp: 2, OutLink: 1} }
 
 func TestNewStaticSimAllModes(t *testing.T) {
 	cfg := quickConfig()
@@ -128,42 +124,5 @@ func TestRunBenchmarkInvalidConfig(t *testing.T) {
 	cfg.VCsPerPort = 1
 	if _, err := RunBenchmark(cfg, SchemeCRC, "swaptions"); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-}
-
-func TestPortControllerPerRouterTables(t *testing.T) {
-	cfg := config.Small()
-	cfg.RL.SharedTable = false
-	c := NewRLPortController(cfg, 2)
-	if len(c.Agents()) != 8 {
-		t.Fatalf("agents = %d, want 8", len(c.Agents()))
-	}
-	// Private tables: learning through one agent must not leak.
-	for i := 0; i < 20; i++ {
-		c.Agents()[0].Step(stateProbe(), 5)
-	}
-	leaked := false
-	for a := 0; a < 4; a++ {
-		if c.Agents()[7].Q(stateProbe(), a) != 0 {
-			leaked = true
-		}
-	}
-	if leaked {
-		t.Fatal("per-router port tables leaked")
-	}
-}
-
-func TestPortControllerSetEpsilonAndPolicyRoundTrip(t *testing.T) {
-	cfg := config.Small()
-	c := NewRLPortController(cfg, 2)
-	c.SetEpsilon(0) // must not panic; greedy afterwards
-	obs := network.Observation{Ports: [4]network.PortObservation{
-		{Connected: true}, {Connected: true}, {Connected: true}, {Connected: true}}}
-	m1 := c.DecidePorts(0, obs)
-	m2 := c.DecidePorts(0, obs)
-	// With zero exploration and a stable table, consecutive decisions on
-	// identical observations agree.
-	if m1 != m2 {
-		t.Fatalf("eps=0 port decisions diverged: %v vs %v", m1, m2)
 	}
 }

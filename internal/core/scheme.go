@@ -47,11 +47,6 @@ const (
 // pins stay exactly four bars.
 const SchemeQRoute Scheme = "qroute"
 
-// SchemeRLPerPort is the granularity ablation's arm: the RL controller
-// with one agent per output channel (RLPortController). Like the static
-// arms (StaticScheme), ParseScheme accepts it but no figure shows it.
-const SchemeRLPerPort Scheme = "rl-per-port"
-
 // StaticScheme names the arm whose routers are all pinned to mode m, e.g.
 // "static-mode2-preretx": the static-mode ablation's arms, and the oracle
 // a learned controller's regret is measured against.
@@ -89,7 +84,6 @@ var schemeTable = func() []schemeSpec {
 		// Same mode controller as SchemeRL: chaos head-to-heads then isolate
 		// the routing policy as the only difference.
 		{SchemeQRoute, network.ControllerRL, true, perRouter},
-		{SchemeRLPerPort, network.ControllerRL, true, func(cfg config.Config) network.Controller { return NewRLPortController(cfg, cfg.Routers()) }},
 	}
 	for m := network.Mode0; m < network.NumModes; m++ {
 		table = append(table, schemeSpec{StaticScheme(m), network.ControllerNone, m.ECCOn(), static(m)})
@@ -205,16 +199,10 @@ func (c *RLController) PolicyDump(top int) string {
 	fmt.Fprintf(&b, "distinct states visited: %d\n", len(all))
 	fmt.Fprintf(&b, "%-34s %8s  %-8s %s\n", "state(buf,in,out,inN,outN,temp)", "visits", "greedy", "Q-row")
 	for _, e := range all[:top] {
-		fmt.Fprintf(&b, "(%d,%d,%d,%d,%d,%d)%24s %8d  mode%-4d [%.2f %.2f %.2f %.2f]",
+		fmt.Fprintf(&b, "(%d,%d,%d,%d,%d,%d)%24s %8d  mode%-4d [%.2f %.2f %.2f %.2f]\n",
 			e.s.Buf, e.s.InLink, e.s.OutLink, e.s.InNACK, e.s.OutNACK, e.s.Temp, "",
 			e.n, a.Greedy(e.s),
 			a.Q(e.s, 0), a.Q(e.s, 1), a.Q(e.s, 2), a.Q(e.s, 3))
-		fmt.Fprintf(&b, "  r=[")
-		for act := 0; act < rl.NumActions; act++ {
-			v, mr := a.SampleStats(e.s, act)
-			fmt.Fprintf(&b, "%.2f/%d ", mr, v)
-		}
-		fmt.Fprintf(&b, "]\n")
 	}
 	return b.String()
 }
@@ -303,7 +291,6 @@ type DTController struct {
 	src        *snap.CountingSource
 	samples    []dt.Sample // the training set, while collecting
 	prevFeat   [][]float64 // each router's unlabeled features, while collecting
-	fitted     int         // how many samples the tree was fit on
 	policy     *dt.Policy
 	opts       dt.Options
 
@@ -350,7 +337,6 @@ func (c *DTController) FinishTraining() error {
 		return fmt.Errorf("core: DT pre-training: %w", err)
 	}
 	c.policy = &dt.Policy{Tree: tree, Thresholds: dt.DefaultThresholds()}
-	c.fitted = len(c.samples)
 	c.samples, c.prevFeat = nil, nil
 	c.collecting = false
 	return nil
@@ -362,14 +348,9 @@ func (c *DTController) Telemetry() (counts [int(network.NumModes)]int64, meanRew
 	return c.decideCount, meanReward
 }
 
-// Samples returns how many labeled examples were collected: so far while
-// collecting, and in all once trained.
-func (c *DTController) Samples() int {
-	if c.collecting {
-		return len(c.samples)
-	}
-	return c.fitted
-}
+// Samples returns how many labeled examples the controller holds: those
+// collected so far, and none once trained (the fit drops them).
+func (c *DTController) Samples() int { return len(c.samples) }
 
 // Tree returns the trained tree (nil while collecting).
 func (c *DTController) Tree() *dt.Tree {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestParseScheme(t *testing.T) {
-	names := append(AllSchemes(), SchemeRLPerPort)
+	names := AllSchemes()
 	for m := network.Mode0; m < network.NumModes; m++ {
 		names = append(names, StaticScheme(m))
 	}
@@ -53,7 +53,6 @@ func TestBuildControllerWiring(t *testing.T) {
 		{SchemeARQ, network.ControllerNone, true},
 		{SchemeDT, network.ControllerDT, true},
 		{SchemeRL, network.ControllerRL, true},
-		{SchemeRLPerPort, network.ControllerRL, true},
 		{StaticScheme(network.Mode0), network.ControllerNone, false},
 		{StaticScheme(network.Mode3), network.ControllerNone, true},
 	}

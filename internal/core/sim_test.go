@@ -106,9 +106,6 @@ func TestDTControllerTrainsDuringPretrain(t *testing.T) {
 	if dtc.Tree() == nil {
 		t.Fatal("DT not trained after pretrain")
 	}
-	if dtc.Samples() == 0 {
-		t.Fatal("no samples collected")
-	}
 }
 
 func TestRunBenchmarkUnknownName(t *testing.T) {

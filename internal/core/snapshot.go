@@ -400,9 +400,9 @@ func snapFeatures(cd *snap.Codec, x *[]float64) {
 
 // Snap walks the controller in either of its lives: collecting (the
 // exploration stream's position, the labeled samples so far and each
-// router's pending feature vector) or trained (the fitted sample count,
-// the tree and the decision counters; the thresholds and training options
-// are constants). Decoding overwrites a freshly constructed controller.
+// router's pending feature vector) or trained (the tree and the decision
+// counters; the thresholds and training options are constants). Decoding
+// overwrites a freshly constructed controller.
 func (c *DTController) Snap(cd *snap.Codec) error {
 	cd.Section("DTCT")
 	cd.Bool(&c.collecting)
@@ -416,11 +416,8 @@ func (c *DTController) Snap(cd *snap.Codec) error {
 		for i := range c.prevFeat {
 			snapFeatures(cd, &c.prevFeat[i])
 		}
-	} else {
-		cd.Int(&c.fitted)
-		if cd.Decoding() {
-			c.samples, c.prevFeat = nil, nil
-		}
+	} else if cd.Decoding() {
+		c.samples, c.prevFeat = nil, nil
 	}
 	for i := range c.decideCount {
 		cd.I64(&c.decideCount[i])

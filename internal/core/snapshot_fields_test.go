@@ -4,9 +4,8 @@ package core
 // stopped mid-run inside the kill schedule, snapshotted and restored, and
 // every field reachable from the two — Network, Router, inputVC,
 // outputPort, NI, stats.Collector, power.Meter, thermal.Grid, rl.Agent,
-// RLController, RLPortController, DTController and its dt.Tree,
-// measureState and all they point at — is compared by reflection, a
-// Q-table state by state. A field
+// RLController, DTController and its dt.Tree, measureState and all they
+// point at — is compared by reflection, a Q-table state by state. A field
 // may differ only if the unsnapshotted table names it and says why; a
 // table entry that names no field the walk reached fails too, so the list
 // cannot rot.
@@ -32,22 +31,21 @@ var unsnapshotted = map[string]struct {
 	why     string
 }{
 	// Derived: recomputed from the fields a decode did read.
-	"network.Router.routeMask":       {true, "requestMasks() over the decoded VC route fields"},
-	"network.Router.vaWait":          {true, "requestMasks() over the decoded VC route fields"},
-	"network.outputPort.pendingFree": {true, "countPendingFree() over the decoded vcPendingFree"},
-	"network.Network.topo":           {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
-	"network.qrouteState.dist":       {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
-	"core.measureState.in":           {true, "a fresh injector that adopts the decoded streams"},
-	"core.injector.due":              {true, "sync() over the adopted streams, their cycle bases and base"},
-	"core.injector.next":             {true, "sync(): the earliest entry of due"},
-	"core.injector.streams":          {true, "each source's unread suffix, written as it stands; a restore's windows cut one decoded slab"},
-	"core.injector.at":               {true, "each source's cycle base, written beside its suffix"},
-	"network.Router.saAttn":          {true, "saAttention() over the decoded resend cursors and modes"},
-	"network.Router.wirePorts":       {false, "port summary: refilled conservatively (every port); a spurious bit is a no-op port visit that clears it"},
-	"network.Network.hardSched":      {true, "reparsed from the Config the stream embeds"},
-	"network.Network.wireActive":     {false, "activity set: refilled conservatively (every live router); a spurious member is a no-op visit with no draws and no meter charges"},
-	"network.Network.niActive":       {false, "activity set: as wireActive"},
-	"network.Network.pipeActive":     {false, "activity set: as wireActive"},
+	"network.Router.routeMask":   {true, "requestMasks() over the decoded VC route fields"},
+	"network.Router.vaWait":      {true, "requestMasks() over the decoded VC route fields"},
+	"network.Network.topo":       {true, "route tables: Reroute over the decoded dead-port flags, its unreachable-pair count cross-checked against the stream's"},
+	"network.qrouteState.dist":   {true, "the fabric's SurvivingDistances over the decoded dead-port flags"},
+	"core.measureState.in":       {true, "a fresh injector that adopts the decoded streams"},
+	"core.injector.due":          {true, "sync() over the adopted streams, their cycle bases and base"},
+	"core.injector.next":         {true, "sync(): the earliest entry of due"},
+	"core.injector.streams":      {true, "each source's unread suffix, written as it stands; a restore's windows cut one decoded slab"},
+	"core.injector.at":           {true, "each source's cycle base, written beside its suffix"},
+	"network.Router.saAttn":      {true, "saAttention() over the decoded resend cursors and modes"},
+	"network.Router.wirePorts":   {false, "port summary: refilled conservatively (every port); a spurious bit is a no-op port visit that clears it"},
+	"network.Network.hardSched":  {true, "reparsed from the Config the stream embeds"},
+	"network.Network.wireActive": {false, "activity set: refilled conservatively (every live router); a spurious member is a no-op visit with no draws and no meter charges"},
+	"network.Network.niActive":   {false, "activity set: as wireActive"},
+	"network.Network.pipeActive": {false, "activity set: as wireActive"},
 
 	// Lazy RNG sources: a CountingSource's state is its seed and draw count
 	// (both compared); the values behind them are computed up to the count
@@ -101,11 +99,10 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// qroute reaches every field of the fabric and the RL controller, and
-	// rl-per-port those of the per-channel one. The DT controller has two
-	// lives and is compared in both: trained by pre-training, and —
-	// measured without it — still collecting, its exploration stream
-	// advanced and every router's sample pending.
+	// qroute reaches every field of the fabric and the RL controller. The
+	// DT controller has two lives and is compared in both: trained by
+	// pre-training, and — measured without it — still collecting, its
+	// exploration stream advanced and every router's sample pending.
 	listed := map[string]bool{}
 	for _, arm := range []struct {
 		name     string
@@ -113,7 +110,6 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		pretrain bool
 	}{
 		{"qroute", SchemeQRoute, true},
-		{"rl-per-port", SchemeRLPerPort, true},
 		{"dt-trained", SchemeDT, true},
 		{"dt-collecting", SchemeDT, false},
 	} {
@@ -197,9 +193,9 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 var fabricPaths = []string{"net.routers", "net.nis", "net.topo"}
 
 // fabricLeafFloor is the fewest leaves under fabricPaths any arm compared
-// when the floor was set (qroute: 7,640; rl-per-port 8,380, dt-trained
-// 7,874, dt-collecting 8,061), so a walk that stops reaching the fabric
-// fails however much controller state it still compares.
+// when the floor was set (qroute: 7,640; dt-trained 7,874, dt-collecting
+// 8,061), so a walk that stops reaching the fabric fails however much
+// controller state it still compares.
 const fabricLeafFloor = 7_640
 
 // fieldDiff walks two values of the same type in lockstep.

@@ -394,14 +394,19 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // had no retransmission entry to pop): the previous build, dropping at
 // encode time each queued ACK that names no buffered entry, writes the
 // same streams. The arq-ecc arm never sends with ECC off and did not move.
+// All three were re-captured for format version 9, when a Q-table row
+// lost its reward sums, the statistics their network-latency sum and a
+// trained DT controller its fitted-sample count: the previous build
+// writing none of those words, with the version word changed, writes the
+// same three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "ab0b797ffc5d7dd55aa97055ea94e969747c2aba08cd95d3a8e11abd73c20b41"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "a5e9bc8c423f3dfab707e69c20ec45397b18cb8af86565da2bac34ae0724cd5b"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "454cf3005ebee68f86038f53c1056ddb406cea3bfdbb506e01f29a3cfb427180"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "6aef3c3e7de970f0c1f914113ad84abfe376a84a90b92315a969b3adc1483507"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "e42f612dafb95241302352cc1c5b8cd7e2e91b7bd03a19f77423ccdd4fe3f3dc"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "203718f9b54fd5595ada20d234c464d087f74ea2c2952947c423b14c4235face"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -643,7 +648,7 @@ func TestHostileV3FieldsAreCorrupt(t *testing.T) {
 
 // qtabRows locates the first Q-table of a checkpoint: the offset of its
 // row count (right after the QTAB tag), the count, and the bytes of one
-// row — a state index and the words of q, visits and rsum. off is -1 when
+// row — a state index and the words of q and visits. off is -1 when
 // the checkpoint holds no Q-table.
 func qtabRows(t *testing.T, data []byte) (off, rows, rowBytes int) {
 	t.Helper()
@@ -653,7 +658,7 @@ func qtabRows(t *testing.T, data []byte) (off, rows, rowBytes int) {
 	}
 	off = tag + 4
 	rows = int(binary.LittleEndian.Uint32(data[off:]))
-	rowBytes = 2 + 4*8 + 4*4 + 4*8
+	rowBytes = 2 + 4*8 + 4*4 // 50 bytes
 	if rows > rl.NumStates || rows > 0 && binary.LittleEndian.Uint16(data[off+4:]) >= rl.NumStates {
 		t.Fatalf("offset %d holds %d, not a Q-table's row count", off, rows)
 	}

@@ -112,6 +112,20 @@ func ParseHardFaults(spec string) ([]HardFault, error) {
 	return sched, nil
 }
 
+// HardSchedule parses spec (ParseHardFaults) and range-checks it against
+// topo (ValidateSchedule): the one check a network's construction and a
+// campaign spec's validation both make.
+func HardSchedule(spec string, topo topology.Topology) ([]HardFault, error) {
+	sched, err := ParseHardFaults(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := ValidateSchedule(sched, topo); err != nil {
+		return nil, err
+	}
+	return sched, nil
+}
+
 // ValidateSchedule range-checks a schedule against a fabric: router IDs
 // must exist and killed links must be wired (a mesh edge router has no
 // neighbor in every direction).

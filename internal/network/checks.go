@@ -112,9 +112,8 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 	return viols
 }
 
-// checkRequestMasks recomputes every router's request masks and
-// per-port pending-free counts from the VC and port state they are
-// derived from (DESIGN.md §18) and reports any disagreement with the
+// checkRequestMasks recomputes every router's request masks from the VC
+// state they are derived from (DESIGN.md §18) and reports any disagreement with the
 // incrementally maintained copies: a stale bit would silently hide a VC
 // from, or wrongly offer it to, the RC/VA/SA walks. The port summaries
 // (§20) are held to the state they summarize in the same pass.
@@ -133,11 +132,6 @@ func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []
 				Msg: fmt.Sprintf("router %d: VA-wait mask %#x, VC route state gives %#x", id, r.vaWait, vaWait)})
 		}
 		for _, p := range r.outputs {
-			if k := p.countPendingFree(); k != p.pendingFree {
-				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
-					Msg: fmt.Sprintf("router %d port %v: pending-free count %d, %d VCs pending",
-						id, p.dir, p.pendingFree, k)})
-			}
 			// The port summaries (DESIGN.md §20) are supersets: a spurious
 			// bit is a no-op port visit, a missing one hides queued work
 			// from the wire or SA walk.

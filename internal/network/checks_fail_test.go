@@ -179,10 +179,6 @@ func TestRequestMaskChecks(t *testing.T) {
 	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: VA-wait mask")
 	r.vaWait &^= bit
 
-	r.outputs[topology.East].pendingFree++
-	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: pending-free count 1, 0 VCs pending")
-	r.outputs[topology.East].pendingFree--
-
 	// The port summaries: step until the head is on the east wire (Mode 1
 	// keeps its clean copy unacked), then ask for a mode switch the
 	// channel cannot take yet. Both bits are now set for cause; a spurious

@@ -405,7 +405,7 @@ func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 			// the way grantAndSend would have. The credit or ACK that
 			// completes its condition frees it; if both are home already,
 			// no wire event will come, so it is freed here.
-			op.markPendingFree(int(vc.outVC))
+			op.vcPendingFree[vc.outVC] = true
 			op.freeIfDrained(int(vc.outVC), n.cfg.VCDepth)
 		}
 	}

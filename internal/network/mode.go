@@ -113,38 +113,12 @@ type Observation struct {
 	// through on ECC-bypassed output links, per flit sent, as observed by
 	// the downstream CRC snoopers — the reliability input of the reward.
 	ResidualErrorRate float64
-	// Ports carries the per-channel observations (for PortControllers).
-	Ports [4]PortObservation
-}
-
-// PortObservation is the per-output-channel slice of an Observation,
-// indexed North, South, East, West (directions 1..4 minus one).
-type PortObservation struct {
-	// Connected is false for mesh-edge ports with no link.
-	Connected bool
-	// Util is the channel's utilization this epoch, flits/cycle.
-	Util float64
-	// NACKRate is link-level NACKs received per flit sent on the channel.
-	NACKRate float64
-	// ResidualRate is snooped corrupt flits per flit sent (Mode 0 links).
-	ResidualRate float64
 }
 
 // Controller decides each router's operation mode once per epoch.
 type Controller interface {
 	// Decide returns the mode router id applies for the next epoch.
 	Decide(id int, obs Observation) Mode
-}
-
-// PortController is an optional finer-grained controller: instead of one
-// mode per router, it decides one mode per output channel (the paper's
-// ECC-Link enable is per-link hardware; the per-router policy is the
-// paper's formulation, this is the finer ablation variant).
-type PortController interface {
-	Controller
-	// DecidePorts returns the mode for each link direction
-	// (N, S, E, W); entries for unconnected edge ports are ignored.
-	DecidePorts(id int, obs Observation) [4]Mode
 }
 
 // StaticController always answers with a fixed mode (the CRC and ARQ+ECC

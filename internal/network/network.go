@@ -275,11 +275,8 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.fillSurvivingDist()
 	}
 	if cfg.HardFaults != "" {
-		sched, err := fault.ParseHardFaults(cfg.HardFaults)
+		sched, err := fault.HardSchedule(cfg.HardFaults, topo)
 		if err != nil {
-			return nil, err
-		}
-		if err := fault.ValidateSchedule(sched, topo); err != nil {
 			return nil, err
 		}
 		net.hardSched = sched
@@ -533,8 +530,7 @@ func (n *Network) sendE2ENack(from int, pkt *flit.Packet, cycle int64) {
 // deliverData finalizes a successfully received data packet.
 func (n *Network) deliverData(pkt *flit.Packet, cycle int64) {
 	latency := cycle - pkt.CreatedAt
-	netLatency := cycle - pkt.FirstInjectedAt
-	n.stats.PacketDelivered(latency, netLatency, pkt.NumFlits())
+	n.stats.PacketDelivered(latency, pkt.NumFlits())
 	// Attribute the per-hop latency to every router on the packet's
 	// recorded path — the paper's per-router reward input, normalized by
 	// path length: raw end-to-end latency varies ~6x with distance on an
@@ -566,7 +562,13 @@ func (n *Network) deliverData(pkt *flit.Packet, cycle int64) {
 	n.pktPool.Put(pkt)
 }
 
-// applyMode sets a router's operation mode on all its link output ports.
+// applyMode points every link output port of router id at mode m and
+// applies the switch where the channel is clean. A still-pending switch
+// must be retried by the SA stage each cycle until the channel drains,
+// so the port joins saAttn and the router the pipe set. When the port
+// switched (or kept its mode) the SA visit would be a no-op; not marking
+// then keeps an idle fabric's active sets empty across control epochs,
+// so the idle Step visits nothing.
 func (n *Network) applyMode(id int, m Mode) {
 	if !n.hasECC {
 		m = Mode0 // CRC-baseline routers have no ECC hardware to enable
@@ -574,56 +576,21 @@ func (n *Network) applyMode(id int, m Mode) {
 	n.modes[id] = m
 	r := n.routers[id]
 	for dir := topology.North; dir < topology.NumPorts; dir++ {
-		if p := r.outputs[dir]; p.hasDownstream() {
-			n.requestMode(r, p, m)
-		}
-	}
-}
-
-// requestMode points port p of router r at mode m and applies the switch
-// if the channel is clean. A still-pending switch must be retried by the
-// SA stage each cycle until the channel drains, so the port joins saAttn
-// and the router the pipe set. When the port switched (or kept its mode)
-// the SA visit would be a no-op; not marking then keeps an idle fabric's
-// active sets empty across control epochs, so the idle Step visits
-// nothing.
-func (n *Network) requestMode(r *Router, p *outputPort, m Mode) {
-	p.targetMode = m
-	p.trySwitchMode()
-	if p.switchPending() {
-		r.saAttn |= 1 << uint(p.dir)
-		n.markPipe(r.id)
-	}
-}
-
-// applyPortModes sets per-channel operation modes (PortController path).
-// The router-level mode report becomes the strongest mode among its
-// channels.
-func (n *Network) applyPortModes(id int, pm [4]Mode) {
-	r := n.routers[id]
-	report := Mode0
-	for dir := topology.North; dir < topology.NumPorts; dir++ {
 		p := r.outputs[dir]
 		if !p.hasDownstream() {
 			continue
 		}
-		m := pm[dir-topology.North]
-		if !n.hasECC {
-			m = Mode0
-		}
-		if m >= NumModes {
-			m = Mode0
-		}
-		n.requestMode(r, p, m)
-		if m > report {
-			report = m
+		p.targetMode = m
+		p.trySwitchMode()
+		if p.switchPending() {
+			r.saAttn |= 1 << uint(p.dir)
+			n.markPipe(id)
 		}
 	}
-	n.modes[id] = report
 }
 
 // eccFraction returns the share of router id's ECC codecs currently
-// powered (per-port gating).
+// powered.
 func (n *Network) eccFraction(id int) float64 {
 	if !n.hasECC {
 		return 0
@@ -1062,12 +1029,10 @@ func (n *Network) processCredits(p *outputPort) {
 }
 
 // releaseVCs frees every pending downstream VC of p whose packet has fully
-// drained. It runs where the retransmission buffer empties (processAcks,
-// killPort); processCredits and purgeVC test the one VC they touch.
+// drained. It runs only where the retransmission buffer empties
+// (processAcks, killPort), so the scan needs no guard; processCredits and
+// purgeVC test the one VC they touch.
 func (n *Network) releaseVCs(p *outputPort) {
-	if p.pendingFree == 0 {
-		return
-	}
 	for vc := range p.vcPendingFree {
 		p.freeIfDrained(vc, n.cfg.VCDepth)
 	}
@@ -1407,7 +1372,8 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 	if f.Type.IsTail() {
 		// The packet has left this VC; clear route state.
 		if op.dir != topology.Local && op.vcBusy != nil {
-			op.markPendingFree(outVC)
+			// Released by releaseVCs once the packet has fully drained.
+			op.vcPendingFree[outVC] = true
 		}
 		vc.unroute(r)
 	}
@@ -1626,21 +1592,7 @@ func (n *Network) controlEpoch() {
 			continue // nothing to observe or control on dead hardware
 		}
 		sent, nacksIn, residual := r.epochSends()
-		var ports [4]PortObservation
-		for dir := topology.North; dir < topology.NumPorts; dir++ {
-			p := r.outputs[dir]
-			if !p.hasDownstream() {
-				continue
-			}
-			ports[dir-topology.North] = PortObservation{
-				Connected:    true,
-				Util:         float64(p.winSentEpoch) / epoch,
-				NACKRate:     rate(p.winNackEpoch, p.winSentEpoch),
-				ResidualRate: rate(p.winResidualEpoch, p.winSentEpoch),
-			}
-		}
 		obs := Observation{
-			Ports: ports,
 			Features: rl.Features{
 				BufferUtilization: float64(r.occupiedVCs()) / float64(r.totalVCs()),
 				InputLinkUtil:     float64(r.winFlitsIn) / (epoch * 4),
@@ -1655,11 +1607,7 @@ func (n *Network) controlEpoch() {
 			MeasuredErrorRate: rate(r.winErrEvents, sent),
 			ResidualErrorRate: rate(residual, sent),
 		}
-		if pc, ok := n.controller.(PortController); ok {
-			n.applyPortModes(id, pc.DecidePorts(id, obs))
-		} else {
-			n.applyMode(id, n.controller.Decide(id, obs))
-		}
+		n.applyMode(id, n.controller.Decide(id, obs))
 	}
 	// The first pass read every router's latency window, dead ones too.
 	for _, r := range n.routers {

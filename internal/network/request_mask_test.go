@@ -52,16 +52,6 @@ func assertRequestMasks(t *testing.T, n *Network, when string) {
 				when, n.cycle, id, r.routeMask, r.vaWait, route, vaWait)
 		}
 		for _, p := range r.outputs {
-			pending := 0
-			for _, set := range p.vcPendingFree {
-				if set {
-					pending++
-				}
-			}
-			if pending != int(p.pendingFree) {
-				t.Fatalf("%s, cycle %d, router %d port %v: pending-free count %d, %d VCs pending",
-					when, n.cycle, id, p.dir, p.pendingFree, pending)
-			}
 			bit := uint8(1) << uint(p.dir)
 			if queued := len(p.inflight) + len(p.acks) + len(p.credRet); queued > 0 && r.wirePorts&bit == 0 {
 				t.Fatalf("%s, cycle %d, router %d port %v: %d wire-queue entries outside wirePorts %05b",
@@ -221,9 +211,9 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			op.vcBusy[outVC] = true
 
 			n.purgeVC(r, vc, stats.DropKilledLink)
-			if op.vcBusy[outVC] || op.vcPendingFree[outVC] || op.pendingFree != 0 {
-				t.Fatalf("purge left busy=%v pending=%v count=%d; want the drained VC released at once",
-					op.vcBusy[outVC], op.vcPendingFree[outVC], op.pendingFree)
+			if op.vcBusy[outVC] || op.vcPendingFree[outVC] {
+				t.Fatalf("purge left busy=%v pending=%v; want the drained VC released at once",
+					op.vcBusy[outVC], op.vcPendingFree[outVC])
 			}
 			if !tc.dense && n.wireActive.has(router) {
 				t.Fatal("the purge woke the router's wire phase; the release needs no visit")
@@ -235,9 +225,9 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			if err := n.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if op.vcBusy[outVC] || op.vcPendingFree[outVC] || op.pendingFree != 0 {
-				t.Fatalf("one Step after the purge: busy=%v pending=%v count=%d; the released VC must stay free",
-					op.vcBusy[outVC], op.vcPendingFree[outVC], op.pendingFree)
+			if op.vcBusy[outVC] || op.vcPendingFree[outVC] {
+				t.Fatalf("one Step after the purge: busy=%v pending=%v; the released VC must stay free",
+					op.vcBusy[outVC], op.vcPendingFree[outVC])
 			}
 		})
 	}

@@ -194,16 +194,8 @@ type outputPort struct {
 	// port and a killed one differ for the topology: Neighbor still
 	// reports the killed link as wired, so credit-return sites check dead
 	// ports explicitly before appending to their queues.
-	dead bool
-	// pendingFree counts the set entries of vcPendingFree: the downstream
-	// VCs whose tail has left but whose release waits for their credits
-	// to come home and the retransmission buffer to drain. Each VC is
-	// freed where its condition turns true (processCredits, processAcks,
-	// killPort, purgeVC), and releaseVCs skips the scan on the (usual)
-	// port with nothing pending. Derived: recounted on restore, never
-	// serialized.
-	pendingFree uint8
-	credits     []int
+	dead    bool
+	credits []int
 
 	// Line 1: in-flight traffic and reverse wires.
 	inflight []wireFlit
@@ -241,8 +233,8 @@ type outputPort struct {
 	// utilization input of the fault model).
 	winSent int64
 
-	// Per-*epoch* channel counters: the PortController observations, and
-	// summed over the ports, the router's own (Router.epochSends).
+	// Per-*epoch* channel counters, summed over the ports into the
+	// router's observation (Router.epochSends).
 	winSentEpoch     int64
 	winNackEpoch     int64
 	winResidualEpoch int64
@@ -275,35 +267,14 @@ func (p *outputPort) trySwitchMode() {
 	}
 }
 
-// markPendingFree schedules downstream VC vc for release once its packet
-// has fully drained (releaseVCs).
-func (p *outputPort) markPendingFree(vc int) {
-	if !p.vcPendingFree[vc] {
-		p.vcPendingFree[vc] = true
-		p.pendingFree++
-	}
-}
-
 // freeIfDrained frees downstream VC vc for reallocation if it is pending
 // and its packet has fully drained: all depth credits home and the
 // retransmission buffer empty.
 func (p *outputPort) freeIfDrained(vc, depth int) {
 	if p.vcPendingFree[vc] && p.credits[vc] == depth && len(p.unacked) == 0 {
 		p.vcPendingFree[vc] = false
-		p.pendingFree--
 		p.vcBusy[vc] = false
 	}
-}
-
-// countPendingFree recounts pendingFree from vcPendingFree.
-func (p *outputPort) countPendingFree() uint8 {
-	var k uint8
-	for _, pending := range p.vcPendingFree {
-		if pending {
-			k++
-		}
-	}
-	return k
 }
 
 // wireQueued reports whether any of the port's three wire queues holds an

@@ -517,7 +517,6 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		c.I64(&p.winNackEpoch)
 		c.I64(&p.winResidualEpoch)
 		if c.Decoding() {
-			p.pendingFree = p.countPendingFree()
 			// The per-link fault stream is rekeyed lazily each cycle; a stale
 			// cursor forces the rekey on first use after restore — exact at a
 			// cycle boundary, where no stream is mid-cycle.

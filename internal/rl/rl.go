@@ -124,7 +124,7 @@ func (d Discretizer) Discretize(f Features) State {
 }
 
 // Table is the learned state of one or more agents: per (state, action)
-// the Q-value, the visit count and the reward sum. It is sparse. A fixed
+// the Q-value and the visit count. It is sparse. A fixed
 // index maps each of the NumStates states to a row of a contiguous slab;
 // index 0 is a permanent zero row that every untouched state reads, so
 // reads never allocate and only the first update of a state appends its
@@ -134,11 +134,10 @@ type Table struct {
 	rows  []row             // rows[0] stays zero
 }
 
-// row is one state's four actions.
+// row is one state's four actions: 48 bytes (TestRowLayout).
 type row struct {
 	q      [NumActions]float64
 	visits [NumActions]uint32
-	rsum   [NumActions]float64
 }
 
 // tableRows is the slab's initial capacity: enough for the states a
@@ -265,21 +264,9 @@ func (a *Agent) update(s State, action int, reward float64, next State) {
 		}
 	}
 	r := a.t.write(s.Index()) // may grow the slab: nq is dead from here
-	r.rsum[action] += reward
 	r.visits[action]++
 	alpha := learningRate(r.visits[action])
 	r.q[action] = (1-alpha)*r.q[action] + alpha*(reward+a.gamma*maxNext)
-}
-
-// SampleStats returns the visit count and empirical mean reward of a
-// (state, action) cell — diagnostics for policy debugging.
-func (a *Agent) SampleStats(s State, action int) (visits uint32, meanReward float64) {
-	r := a.t.read(s.Index())
-	v := r.visits[action]
-	if v == 0 {
-		return 0, 0
-	}
-	return v, r.rsum[action] / float64(v)
 }
 
 // Visits calls f for every state the agent's table holds a row for, in

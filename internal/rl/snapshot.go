@@ -19,17 +19,17 @@ import (
 // NewSharedAgents layout).
 func (a *Agent) SharesTableWith(b *Agent) bool { return a.t == b.t }
 
-// SnapTable walks the learned table (q, visit counts, reward sums) in
-// place, so agents sharing the Table observe a decode. Shared-table
-// groups call this once per group.
+// SnapTable walks the learned table (q and visit counts) in place, so
+// agents sharing the Table observe a decode. Shared-table groups call
+// this once per group.
 func (a *Agent) SnapTable(c *snap.Codec) { a.t.snap(c) }
 
 // snap walks the table as its rows: the row count, then for each touched
-// state in ascending order its index and the raw words of q, visits and
-// rsum. A decode starts from an empty table and appends exactly the
-// stream's rows, so a restored table re-encodes to the same bytes. A
-// count above NumStates, a state out of range or a state that does not
-// ascend is corrupt.
+// state in ascending order its index and the raw words of q and visits.
+// A decode starts from an empty table and appends exactly the stream's
+// rows, so a restored table re-encodes to the same bytes. A count above
+// NumStates, a state out of range or a state that does not ascend is
+// corrupt.
 func (t *Table) snap(c *snap.Codec) {
 	c.Section("QTAB")
 	n := len(t.rows) - 1
@@ -61,7 +61,6 @@ func (t *Table) snap(c *snap.Codec) {
 		r := t.write(int(s)) // appends when decoding; the existing row when encoding
 		c.RawF64s(r.q[:])
 		c.RawU32s(r.visits[:])
-		c.RawF64s(r.rsum[:])
 	}
 }
 

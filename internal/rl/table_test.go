@@ -7,18 +7,18 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/snap"
 )
 
-// denseAgent is the layout Table replaced, kept as its referee: three
+// denseAgent is the layout Table replaced, kept as its referee: two
 // NumStates x NumActions slices, allocated up front and shared by
 // aliasing. Its learning rule is Agent's, written against that layout.
 type denseAgent struct {
 	q          []float64
 	visits     []uint32
-	rsum       []float64
 	cfg        config.RLConfig
 	rng        *rand.Rand
 	hasPrev    bool
@@ -36,7 +36,6 @@ func (d *denseAgent) step(s State, reward float64) int {
 				argmax = act
 			}
 		}
-		d.rsum[idx] += reward
 		d.visits[idx]++
 		alpha := max(1/(1+float64(d.visits[idx])/4), 0.02)
 		d.q[idx] = (1-alpha)*d.q[idx] + alpha*(reward+d.cfg.Gamma*d.q[base+argmax])
@@ -78,7 +77,6 @@ func (d *denseAgent) snapTable(c *snap.Codec) {
 		lo, hi := s*NumActions, (s+1)*NumActions
 		c.RawF64s(d.q[lo:hi])
 		c.RawU32s(d.visits[lo:hi])
-		c.RawF64s(d.rsum[lo:hi])
 	}
 }
 
@@ -89,9 +87,9 @@ func newDenseAgents(cfg config.RLConfig, n int, shared bool, seed int64) []*dens
 	for i := range agents {
 		d := &denseAgent{cfg: cfg, rng: rand.New(snap.NewCountingSource(seed + int64(i)*7919))}
 		if shared && i > 0 {
-			d.q, d.visits, d.rsum = agents[0].q, agents[0].visits, agents[0].rsum
+			d.q, d.visits = agents[0].q, agents[0].visits
 		} else {
-			d.q, d.visits, d.rsum = make([]float64, NumStates*NumActions), make([]uint32, NumStates*NumActions), make([]float64, NumStates*NumActions)
+			d.q, d.visits = make([]float64, NumStates*NumActions), make([]uint32, NumStates*NumActions)
 		}
 		agents[i] = d
 	}
@@ -110,7 +108,7 @@ const (
 
 // checkAgainstDense drives the sparse and dense agents through the same
 // Step sequence (input bytes in threes: agent, state, reward) and fails
-// on the first difference in an action, a Q-value's bits or SampleStats,
+// on the first difference in an action, a Q-value's bits or a visit count,
 // then on any difference in Visits or the table streams. Each sparse
 // stream must decode into a fresh table that re-encodes to the same bytes
 // with a row for exactly the visited states.
@@ -167,15 +165,8 @@ func checkAgainstDense(t *testing.T, data []byte) {
 			if g, w := sparse[i].Q(s, act), dense[i].q[s.Index()*NumActions+act]; math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("step %d agent %d: Q(%v,%d) = %g sparse, %g dense", step, i, s, act, g, w)
 			}
-			v, mean := sparse[i].SampleStats(s, act)
-			idx := s.Index()*NumActions + act
-			wantMean := 0.0
-			if dense[i].visits[idx] != 0 {
-				wantMean = dense[i].rsum[idx] / float64(dense[i].visits[idx])
-			}
-			if v != dense[i].visits[idx] || math.Float64bits(mean) != math.Float64bits(wantMean) {
-				t.Fatalf("step %d agent %d: SampleStats(%v,%d) = %d,%g sparse, %d,%g dense",
-					step, i, s, act, v, mean, dense[i].visits[idx], wantMean)
+			if g, w := sparse[i].t.read(s.Index()).visits[act], dense[i].visits[s.Index()*NumActions+act]; g != w {
+				t.Fatalf("step %d agent %d: visits(%v,%d) = %d sparse, %d dense", step, i, s, act, g, w)
 			}
 		}
 	}
@@ -259,8 +250,18 @@ func FuzzAgentTable(f *testing.F) {
 	f.Fuzz(checkAgainstDense)
 }
 
+// TestRowLayout pins a Q-table row at its four Q-values and four visit
+// counts: a pre-train touches a few hundred rows per table, and a word a
+// run never reads would ride in every one of them, in memory and in
+// every checkpoint.
+func TestRowLayout(t *testing.T) {
+	if size := unsafe.Sizeof(row{}); size != 48 {
+		t.Errorf("row is %d bytes, want 48", size)
+	}
+}
+
 // TestTableGrowsOnlyOnUpdate: a fresh agent holds no rows, reads of
-// untouched states (Greedy, Q, SampleStats) never add one, and an update
+// untouched states (Greedy, Q) never add one, and an update
 // adds exactly the row of the state it closes.
 func TestTableGrowsOnlyOnUpdate(t *testing.T) {
 	cfg := config.Default().RL
@@ -269,7 +270,7 @@ func TestTableGrowsOnlyOnUpdate(t *testing.T) {
 	s, next := State{Buf: 3}, State{Temp: 2}
 	if allocs := testing.AllocsPerRun(10, func() {
 		a.Greedy(s)
-		a.SampleStats(next, 2)
+		a.Q(next, 2)
 	}); allocs != 0 {
 		t.Errorf("reading untouched states made %.0f allocations", allocs)
 	}

@@ -58,7 +58,9 @@ const Magic uint32 = 0x534E4C52
 // an RL agent no update count.
 // Version 8: a Q-table carries no Double-Q flag and each row no second
 // estimate.
-const Version uint32 = 8
+// Version 9: a Q-table row carries no reward sums, the statistics no
+// network-latency sum, and a trained DT controller no fitted-sample count.
+const Version uint32 = 9
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

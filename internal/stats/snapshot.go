@@ -16,7 +16,6 @@ func (c *Collector) Snap(cd *snap.Codec) error {
 	cd.F64(&c.latSum)
 	cd.I64(&c.latCount)
 	cd.I64(&c.latMax)
-	cd.F64(&c.netSum)
 	for i := range c.latHist {
 		cd.I64(&c.latHist[i])
 	}

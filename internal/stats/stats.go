@@ -28,7 +28,6 @@ type Collector struct {
 	latSum   float64
 	latCount int64
 	latMax   int64
-	netSum   float64 // network latency (inject -> deliver)
 	// latHist buckets latencies as [0,1), [1,2), [2,4), ... doubling up
 	// to 2^(histBuckets-1); the last bucket is open-ended.
 	latHist [histBuckets]int64
@@ -68,16 +67,15 @@ func (c *Collector) Measuref(fn func(*Collector)) {
 	}
 }
 
-// PacketDelivered records a data-packet delivery with its end-to-end and
-// network latencies (cycles).
-func (c *Collector) PacketDelivered(e2eLatency, netLatency int64, flits int) {
+// PacketDelivered records a data-packet delivery with its end-to-end
+// latency (cycles).
+func (c *Collector) PacketDelivered(e2eLatency int64, flits int) {
 	if !c.measuring {
 		return
 	}
 	c.PacketsDelivered++
 	c.FlitsDelivered += int64(flits)
 	c.latSum += float64(e2eLatency)
-	c.netSum += float64(netLatency)
 	c.latCount++
 	if e2eLatency > c.latMax {
 		c.latMax = e2eLatency
@@ -126,14 +124,6 @@ func (c *Collector) MeanLatency() float64 {
 		return 0
 	}
 	return c.latSum / float64(c.latCount)
-}
-
-// MeanNetworkLatency returns the average injection-to-delivery latency.
-func (c *Collector) MeanNetworkLatency() float64 {
-	if c.latCount == 0 {
-		return 0
-	}
-	return c.netSum / float64(c.latCount)
 }
 
 // MaxLatency returns the worst observed end-to-end latency.

@@ -7,7 +7,7 @@ import (
 
 func TestMeasurementGate(t *testing.T) {
 	c := New()
-	c.PacketDelivered(100, 80, 4)
+	c.PacketDelivered(100, 4)
 	if c.PacketsDelivered != 0 {
 		t.Fatal("counted while not measuring")
 	}
@@ -15,7 +15,7 @@ func TestMeasurementGate(t *testing.T) {
 	if !c.Measuring() {
 		t.Fatal("Measuring() false")
 	}
-	c.PacketDelivered(100, 80, 4)
+	c.PacketDelivered(100, 4)
 	if c.PacketsDelivered != 1 || c.FlitsDelivered != 4 {
 		t.Fatalf("delivered=%d flits=%d", c.PacketsDelivered, c.FlitsDelivered)
 	}
@@ -37,13 +37,10 @@ func TestMeasuref(t *testing.T) {
 func TestLatencyAggregates(t *testing.T) {
 	c := New()
 	c.SetMeasuring(true)
-	c.PacketDelivered(10, 8, 1)
-	c.PacketDelivered(30, 20, 1)
+	c.PacketDelivered(10, 1)
+	c.PacketDelivered(30, 1)
 	if got := c.MeanLatency(); got != 20 {
 		t.Errorf("MeanLatency = %g, want 20", got)
-	}
-	if got := c.MeanNetworkLatency(); got != 14 {
-		t.Errorf("MeanNetworkLatency = %g, want 14", got)
 	}
 	if got := c.MaxLatency(); got != 30 {
 		t.Errorf("MaxLatency = %d, want 30", got)
@@ -55,12 +52,12 @@ func TestLatencyPercentiles(t *testing.T) {
 	c.SetMeasuring(true)
 	// 90 fast packets, 9 slow, 1 terrible.
 	for i := 0; i < 90; i++ {
-		c.PacketDelivered(20, 20, 1)
+		c.PacketDelivered(20, 1)
 	}
 	for i := 0; i < 9; i++ {
-		c.PacketDelivered(200, 200, 1)
+		c.PacketDelivered(200, 1)
 	}
-	c.PacketDelivered(5000, 5000, 1)
+	c.PacketDelivered(5000, 1)
 	if p50 := c.LatencyPercentile(0.5); p50 != 32 { // bucket [16,32)
 		t.Errorf("p50 = %d, want 32 (bucket bound above 20)", p50)
 	}
@@ -97,7 +94,7 @@ func TestBucketOf(t *testing.T) {
 
 func TestLatencyEmptyIsZero(t *testing.T) {
 	c := New()
-	if c.MeanLatency() != 0 || c.MeanNetworkLatency() != 0 {
+	if c.MeanLatency() != 0 {
 		t.Fatal("empty collector returned nonzero latency")
 	}
 }
@@ -120,7 +117,7 @@ func TestSummarize(t *testing.T) {
 	c := New()
 	c.SetMeasuring(true)
 	c.PacketsInjected = 5
-	c.PacketDelivered(10, 10, 4)
+	c.PacketDelivered(10, 4)
 	c.ErrorsInjected = 3
 	c.ECCCorrections = 2
 	c.ECCDetections = 1

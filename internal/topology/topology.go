@@ -69,13 +69,13 @@ type Link struct {
 // linkPorts is the number of inter-router ports per router (all ports
 // except Local). The dense link-index space reserves one slot per
 // (router, port) pair whether or not the port is wired, so fault-model
-// RNG streams and controller agent tables are position-independent.
+// RNG streams are position-independent.
 const linkPorts = int(NumPorts) - 1
 
 // LinkIndex maps a (router, output port) pair to its canonical slot in
 // the dense per-link index space. It is the single source of truth for
-// link identity: the fault model, the error-probability cache and the
-// per-port RL agents all key on it.
+// link identity: the fault model and the error-probability cache key on
+// it.
 func LinkIndex(id int, d Direction) int { return id*linkPorts + int(d-North) }
 
 // LinkSlots returns the size of the dense link-index space for a fabric

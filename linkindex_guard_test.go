@@ -1,13 +1,13 @@
 package rlnoc
 
 // Guard against the magic link-index math the fabric refactor removed:
-// every link-keyed table (fault model, error-probability cache, per-port
-// RL agents) must go through topology.LinkIndex / topology.LinkSlots, not
-// inline id*4+port arithmetic. This test greps the non-test sources of
-// the packages that index links and fails on any `* 4 +` expression.
-// Port-slot indexing of fixed [4]-arrays (e.g. Observation.Ports) and the
-// per-epoch `epoch * 4` normalization divisors are port math, not link
-// slots, and do not match the pattern; DESIGN.md section 10 records that
+// every link-keyed table (fault model, error-probability cache) must go
+// through topology.LinkIndex / topology.LinkSlots, not inline
+// id*4+port arithmetic. This test greps the non-test sources of the
+// packages that index links and fails on any `* 4 +` expression.
+// Port-slot indexing of fixed per-router arrays and the per-epoch
+// `epoch * 4` normalization divisors are port math, not link slots, and
+// do not match the pattern; DESIGN.md section 10 records that
 // distinction.
 
 import (
