@@ -122,15 +122,23 @@ func TestSubmitOrder(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustion drives a job that can never build its trace
-// (nonexistent benchmark) through the retry machinery to OutcomeDead,
-// checks the journal recorded each failed attempt, and reopens the
-// campaign to see the job retried.
+// TestRetryBudgetExhaustion drives a job that fails every attempt the
+// same way through the retry machinery to OutcomeDead, checks the journal
+// recorded each failed attempt, and reopens the campaign to see the job
+// retried. A file stands where the job's checkpoint directory belongs, so
+// every attempt fails writing its first checkpoint.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	eng := openTestEngine(t, Options{Workers: 1, MaxAttempts: 2,
 		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
 	spec := tinySpec("doomed")
-	spec.Trace = TraceSpec{Benchmark: "no-such-benchmark", Cycles: 100, Seed: 1}
+	spec.SnapshotEvery = 100
+	jobs := filepath.Join(eng.Dir(), "jobs")
+	if err := os.MkdirAll(jobs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobs, "doomed"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Submit(spec, tinySpec("fine")); err != nil {
 		t.Fatal(err)
 	}

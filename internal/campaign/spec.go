@@ -47,19 +47,34 @@ type TraceSpec struct {
 // arm that names the same tuple gets the same shared slice (DESIGN.md
 // §19): callers must not modify it.
 func (t TraceSpec) Events(cfg config.Config) ([]traffic.Event, error) {
-	topo, err := topology.FromConfig(cfg)
+	topo, bench, err := t.source(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if t.Benchmark != "" {
-		b, err := traffic.BenchmarkByName(t.Benchmark)
-		if err != nil {
-			return nil, err
-		}
-		return b.SharedTrace(topo, t.Cycles, cfg.FlitsPerPacket, t.Seed)
+	if bench != nil {
+		return bench.SharedTrace(topo, t.Cycles, cfg.FlitsPerPacket, t.Seed)
 	}
 	return traffic.SharedProgram(topo, []traffic.Segment{{Pattern: traffic.Pattern(t.Pattern), Rate: t.Rate}},
 		cfg.FlitsPerPacket, t.Cycles, t.Seed)
+}
+
+// source resolves what Events generates from — cfg's fabric and the named
+// benchmark, nil for a synthetic pattern — and runs every check the
+// generator makes on its inputs, so Validate refuses a trace no attempt
+// could build without building it.
+func (t TraceSpec) source(cfg config.Config) (topology.Topology, *traffic.Benchmark, error) {
+	topo, err := topology.FromConfig(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if t.Benchmark == "" {
+		return topo, nil, traffic.CheckSynthetic(traffic.Pattern(t.Pattern), t.Rate, cfg.FlitsPerPacket, t.Cycles)
+	}
+	b, err := traffic.BenchmarkByName(t.Benchmark)
+	if err != nil {
+		return nil, nil, err
+	}
+	return topo, &b, traffic.CheckTrace(t.Cycles, cfg.FlitsPerPacket)
 }
 
 // InjectSpec arms deliberate mid-run failures — the supervisor's own
@@ -117,9 +132,9 @@ type Spec struct {
 
 // Validate rejects specs the engine cannot run. The ID names the job's
 // directory under <campaign>/jobs, so it must be a single path element:
-// specs also arrive from manifest.json on disk. A hard-fault schedule
-// gets the parse and range check the run's construction makes, so a
-// schedule no attempt could start is refused here rather than retried.
+// specs also arrive from manifest.json on disk. The trace and a
+// hard-fault schedule get the checks the run makes before it starts, so a
+// job no attempt could start is refused here rather than retried.
 func (s Spec) Validate() error {
 	switch {
 	case s.ID == "":
@@ -137,11 +152,11 @@ func (s Spec) Validate() error {
 	if err := s.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 	}
+	topo, _, err := s.Trace.source(s.Config)
+	if err != nil {
+		return fmt.Errorf("campaign: spec %s: trace: %w", s.ID, err)
+	}
 	if s.Config.HardFaults != "" {
-		topo, err := topology.FromConfig(s.Config)
-		if err != nil {
-			return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
-		}
 		if _, err := fault.HardSchedule(s.Config.HardFaults, topo); err != nil {
 			return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 		}

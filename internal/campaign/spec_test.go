@@ -91,6 +91,42 @@ func TestSubmitRejectsBadHardFaults(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsBadTrace: a trace the run could not build — one bad
+// value per TraceSpec field, with a benchmark and without — is refused by
+// Submit, not taken and retried until the job dies. Seed has no bad
+// value: every int64 seeds a trace.
+func TestSubmitRejectsBadTrace(t *testing.T) {
+	eng := openTestEngine(t, Options{})
+	for i, bad := range []struct {
+		field string
+		set   func(*TraceSpec)
+	}{
+		{"benchmark", func(tr *TraceSpec) { tr.Benchmark = "quake3" }},
+		{"pattern", func(tr *TraceSpec) { tr.Pattern = "zigzag" }},
+		{"pattern", func(tr *TraceSpec) { tr.Pattern = "" }},
+		{"rate", func(tr *TraceSpec) { tr.Rate = 1.5 }},
+		{"rate", func(tr *TraceSpec) { tr.Rate = -0.01 }},
+		{"cycles", func(tr *TraceSpec) { tr.Cycles = -1 }},
+		{"cycles", func(tr *TraceSpec) { tr.Benchmark, tr.Cycles = "canneal", -1 }},
+	} {
+		s := tinySpec(fmt.Sprintf("trace-%d", i))
+		bad.set(&s.Trace)
+		if err := eng.Submit(s); err == nil {
+			t.Errorf("Submit accepted a bad %s: trace %+v", bad.field, s.Trace)
+		}
+	}
+	for _, tr := range []TraceSpec{
+		{Benchmark: "canneal", Cycles: 300, Seed: -7},
+		{Pattern: "transpose", Rate: 1, Cycles: 0, Seed: 1 << 62},
+	} {
+		s := tinySpec("trace")
+		s.Trace = tr
+		if err := s.Validate(); err != nil {
+			t.Errorf("Validate rejected a trace the run can build, %+v: %v", tr, err)
+		}
+	}
+}
+
 // FuzzSpec: whatever the JSON says, a spec Validate accepts names a job
 // directory directly inside <campaign>/jobs.
 func FuzzSpec(f *testing.F) {

@@ -308,14 +308,15 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: need at least 2 VCs per port (data + control), got %d", c.VCsPerPort)
 	case c.VCsPerPort > 12:
 		// The routers track buffer occupancy in a single 64-bit mask of
-		// ports x VCs slots (5 ports x 12 VCs = 60 bits).
+		// ports x VCs slots (5 ports x 12 VCs = 60 bits), and an output
+		// port keeps 12 downstream VCs' credits and flags inline.
 		return fmt.Errorf("config: at most 12 VCs per port supported, got %d", c.VCsPerPort)
 	case c.VCDepth < 1:
 		return fmt.Errorf("config: VC depth must be positive, got %d", c.VCDepth)
 	case c.VCDepth > 64:
 		// The fabric allocates routers x 5 ports x VCs x depth flit slots up
 		// front: at the 64x64, 12-VC ceiling a depth of 64 is 15.7M slots
-		// (250 MB).
+		// (126 MB), and a credit count fits a byte.
 		return fmt.Errorf("config: VC depth above 64 unsupported, got %d", c.VCDepth)
 	case c.FlitBits != 128:
 		return fmt.Errorf("config: flit bits must be 128 (two 64-bit words, the only width the flit model has), got %d", c.FlitBits)

@@ -398,15 +398,20 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // lost its reward sums, the statistics their network-latency sum and a
 // trained DT controller its fitted-sample count: the previous build
 // writing none of those words, with the version word changed, writes the
-// same three streams.
+// same three streams. All three were re-captured for format version 10,
+// when a buffered flit lost its readiness cycle and the link epoch
+// counters moved from the ports to the router: the previous build writing
+// no ready word and, after each router's NACKs-out word, its ports' three
+// epoch counters summed, with the version word changed, writes the same
+// three streams.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "6aef3c3e7de970f0c1f914113ad84abfe376a84a90b92315a969b3adc1483507"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "e42f612dafb95241302352cc1c5b8cd7e2e91b7bd03a19f77423ccdd4fe3f3dc"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "203718f9b54fd5595ada20d234c464d087f74ea2c2952947c423b14c4235face"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "77243eed3e0c927436f0504bd91496aeaa2fb5714c5c9d7a8fb8808bbf137d21"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "03bdb1d85211d85e97a4db7d46340b89cb9193e6ddc4540eaf862fbcd275d4ef"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "5ec2ed51d75bcd9ab4454c9a8527d6f990a6bed09b1aa4aed0ddf5ed0ad84b8a"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -694,17 +699,19 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 		q.remaining = count
 		restoreMustBeCorrupt(t, q.patch(data))
 	}
-	// Router 0's first input VC follows the RTRS tag, the occupancy mask,
-	// two round-robin arrays of NumPorts words and the six words of the
-	// control-epoch window: ring head, flit count, the flits (a reference
-	// and a ready cycle each), the routed byte, the output port, the
-	// output VC.
-	vc := bytes.Index(data, []byte("RTRS")) + 4 + 8 + 2*int(topology.NumPorts)*8 + 6*8
-	outVC := vc + 2 + 16*int(data[vc+1]) + 2
+	// Router 0's occupancy mask follows the RTRS tag; its first input VC
+	// follows the mask, two round-robin arrays of NumPorts words and the
+	// nine words of the control-epoch window: ring head, flit count, the
+	// flits (a reference each), the routed byte, the output port, the
+	// output VC. An occupancy bit on an empty VC (the mask's low byte set)
+	// contradicts the buffers.
+	occ := bytes.Index(data, []byte("RTRS")) + 4
+	vc := occ + 8 + 2*int(topology.NumPorts)*8 + 9*8
+	outVC := vc + 2 + 8*int(data[vc+1]) + 2
 	for _, patch := range []struct {
 		off int
 		val byte
-	}{{vc, 0xff}, {vc + 1, 0xff}, {outVC, 0x7f}, {outVC, 0xfe}} {
+	}{{occ, 0xff}, {vc, 0xff}, {vc + 1, 0xff}, {outVC, 0x7f}, {outVC, 0xfe}} {
 		bad := bytes.Clone(data)
 		bad[patch.off] = patch.val
 		restoreMustBeCorrupt(t, bad)

@@ -64,6 +64,7 @@ func (n *Network) runChecks(cycle int64) error {
 		}
 		viols = n.checkCredits(cycle, viols)
 		viols = n.checkRequestMasks(cycle, viols)
+		viols = n.checkFill(cycle, viols)
 		viols = n.checkAcks(cycle, viols)
 		viols = n.checkPacketBounds(cycle, viols)
 	}
@@ -89,15 +90,15 @@ func (n *Network) checkCredits(cycle int64, viols []invariant.Violation) []invar
 			}
 			dr := n.routers[p.downstream]
 			quiet := len(p.inflight) == 0 && len(p.unacked) == 0 && p.resendIdx < 0
-			for vc := range p.credits {
-				sum := p.credits[vc] + int(dr.vc(p.inPort, vc).n)
+			for vc := range int(p.vcs) {
+				sum := int(p.credits[vc]) + int(dr.vc(p.inPort, vc).n)
 				for _, c := range p.credRet {
 					if c.vc == vc {
 						sum++
 					}
 				}
 				switch {
-				case p.credits[vc] < 0 || sum > n.cfg.VCDepth:
+				case sum > n.cfg.VCDepth:
 					viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
 						Msg: fmt.Sprintf("router %d port %v vc %d: credits %d + occupancy + returns = %d exceeds depth %d",
 							id, dir, vc, p.credits[vc], sum, n.cfg.VCDepth)})
@@ -146,6 +147,24 @@ func (n *Network) checkRequestMasks(cycle int64, viols []invariant.Violation) []
 					Msg: fmt.Sprintf("router %d port %v: resend cursor %d, mode %v -> %v pending, but the saAttn bit is clear",
 						id, p.dir, p.resendIdx, p.mode, p.targetMode)})
 			}
+		}
+	}
+	return viols
+}
+
+// checkFill holds every router's fill register (DESIGN.md §18) to the
+// buffered fronts it is derived from: between cycles its first mask is
+// empty and its second names exactly the occupied slots whose front
+// entered its buffer in the cycle just stepped (the network clock, which
+// a probe test may report under another cycle). A missing bit lets SA
+// grant a flit still in the RC/VA stages; a stale one withholds a ready
+// flit.
+func (n *Network) checkFill(cycle int64, viols []invariant.Violation) []invariant.Violation {
+	for id, r := range n.routers {
+		if want := r.fillMask(n.cycle); r.fill != [2]uint64{0, want} {
+			viols = append(viols, invariant.Violation{Cycle: cycle, Check: "credits",
+				Msg: fmt.Sprintf("router %d: fill register %#x/%#x, buffered fronts give 0/%#x",
+					id, r.fill[0], r.fill[1], want)})
 		}
 	}
 	return viols

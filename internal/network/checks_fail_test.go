@@ -151,7 +151,7 @@ func TestAckChecks(t *testing.T) {
 }
 
 // TestRequestMaskChecks flips one bit of each kind of derived pipeline
-// state — a route mask, the VA-wait mask, a pending-free count, then a
+// state — a route mask, the VA-wait mask, each fill mask, then a
 // wirePorts and an saAttn bit — under a routed, VC-holding resident and
 // expects the census to localize each.
 func TestRequestMaskChecks(t *testing.T) {
@@ -178,6 +178,12 @@ func TestRequestMaskChecks(t *testing.T) {
 	r.vaWait |= bit
 	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: VA-wait mask")
 	r.vaWait &^= bit
+
+	for i := range r.fill {
+		r.fill[i] ^= bit
+		asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: fill register")
+		r.fill[i] ^= bit
+	}
 
 	// The port summaries: step until the head is on the east wire (Mode 1
 	// keeps its clean copy unacked), then ask for a mode switch the

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
-	"rlnoc/internal/topology"
 )
 
 // recordingController answers Mode 1 everywhere and keeps the last
@@ -48,10 +47,9 @@ func stageEpoch(t *testing.T) (config.Config, *Network, *recordingController, fu
 	r := n.routers
 	r[1].winLatSum, r[1].winLatCount = 30, 2
 	r[2].winFlitsIn, r[2].winNACKsOut = 4, 1
-	east := r[5].outputs[topology.East]
-	east.winSentEpoch, east.winNackEpoch, east.winResidualEpoch = 4, 1, 1
+	r[5].winFlitsOut, r[5].winNACKsIn, r[5].winResidual = 4, 1, 1
 	r[5].winErrEvents = 2
-	r[6].outputs[topology.East].winSentEpoch = 8
+	r[6].winFlitsOut = 8
 	r[10].winLatSum, r[10].winLatCount = 500, 1
 
 	stepTo := func(cycle int64) {

@@ -161,7 +161,7 @@ func (n *Network) livePacket(f *flit.Flit) *flit.Packet {
 // buffer), so the owner's current Retransmissions names the attempt.
 func residentOf(r *Router, vc *inputVC) (*flit.Packet, int32) {
 	if front := vc.front(r); front != nil {
-		return front.f.Packet, front.f.Attempt
+		return front.Packet, front.Attempt
 	}
 	if vc.routed && vc.pkt != nil {
 		return vc.pkt, int32(vc.pkt.Retransmissions)
@@ -333,6 +333,9 @@ func (n *Network) killRouter(id int, sw *faultSweep) bool {
 		}
 		n.purgeVC(r, vc, stats.DropDeadRouter)
 	}
+	// No SA visit will shift the fill register again; with every buffer
+	// empty it holds nothing.
+	r.fill = [2]uint64{}
 	// NI teardown. Every packet this node sourced is condemned for
 	// declaration (its replay home is gone); map iteration goes through a
 	// sorted key list so the sweep order is deterministic.
@@ -400,12 +403,12 @@ func (n *Network) purgeVC(r *Router, vc *inputVC, reason stats.DropReason) {
 		n.nis[r.id].releaseLocalVC(int(vc.slot)) // Local slots are the VC indices
 	}
 	if vc.routed && vc.outVC >= 0 {
-		if op := r.outputs[vc.outPort]; !op.dead && op.dir != topology.Local && op.vcBusy != nil {
+		if op := r.outputs[vc.outPort]; !op.dead && op.vcs > 0 {
 			// The tail will never pass; schedule the downstream VC free
 			// the way grantAndSend would have. The credit or ACK that
 			// completes its condition frees it; if both are home already,
 			// no wire event will come, so it is freed here.
-			op.vcPendingFree[vc.outVC] = true
+			op.vcPendingFree |= 1 << uint(vc.outVC)
 			op.freeIfDrained(int(vc.outVC), n.cfg.VCDepth)
 		}
 	}

@@ -207,11 +207,11 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		net.dataVCs = 1
 	}
 	// Structure-of-arrays hot state (DESIGN.md §14): routers, NIs, input
-	// VCs, flit buffers, output ports and per-link credit tables all live
-	// in contiguous network-wide arenas in router-ID order. The
-	// per-router structs remain the API — they are views into the arenas
-	// — but the ascending-ID phase walks touch sequential memory instead
-	// of chasing per-router heap islands.
+	// VCs, flit buffers and output ports (each holding its downstream VC
+	// state inline) all live in contiguous network-wide arenas in
+	// router-ID order. The per-router structs remain the API — they are
+	// views into the arenas — but the ascending-ID phase walks touch
+	// sequential memory instead of chasing per-router heap islands.
 	// Size fresh packets' route records for this fabric: the longest
 	// minimal route is Width+Height-2 hops, plus slack for reroute
 	// detours, so Path never regrows mid-flight even on a 64x64 mesh.
@@ -221,7 +221,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	routerArr := make([]Router, n)
 	niArr := make([]NI, n)
 	vcArr := make([]inputVC, n*ports*vcs)
-	bufArr := make([]bufFlit, n*ports*vcs*cfg.VCDepth)
+	bufArr := make([]*flit.Flit, n*ports*vcs*cfg.VCDepth)
 	portArr := make([]outputPort, n*ports)
 	lvbArr := make([]bool, n*vcs)
 	for id := 0; id < n; id++ {
@@ -250,11 +250,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 			r.outputs[dir] = p
 		}
 	}
-	links := topo.Links()
-	credArr := make([]int, len(links)*vcs)
-	busyArr := make([]bool, len(links)*vcs)
-	pendArr := make([]bool, len(links)*vcs)
-	for li, l := range links {
+	for _, l := range topo.Links() {
 		p := net.routers[l.Src].outputs[l.Dir]
 		p.downstream = l.Dst
 		p.inPort = l.Dir.Opposite()
@@ -262,12 +258,10 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		p.linkID = int32(topo.LinkIndex(l.Src, l.Dir))
 		p.linkKey = detrand.Prefix(cfg.Seed, detrand.DomainLink, uint64(p.linkID))
 		net.routers[l.Dst].up[p.inPort] = p
-		p.credits = credArr[li*vcs : (li+1)*vcs : (li+1)*vcs]
-		for v := range p.credits {
-			p.credits[v] = cfg.VCDepth
+		p.vcs = uint8(vcs)
+		for v := range vcs {
+			p.credits[v] = uint8(cfg.VCDepth)
 		}
-		p.vcBusy = busyArr[li*vcs : (li+1)*vcs : (li+1)*vcs]
-		p.vcPendingFree = pendArr[li*vcs : (li+1)*vcs : (li+1)*vcs]
 	}
 	net.ctrlLive = make(map[uint64]*flit.Packet)
 	if cfg.QRoute.Enabled {
@@ -374,6 +368,9 @@ func (n *Network) returnCredit(up *outputPort, vc int) {
 // toggles mid-run after constructing state by other means.
 func (n *Network) SetDenseScan(dense bool) {
 	n.dense = dense
+	for _, r := range n.routers {
+		r.fill = [2]uint64{0, r.fillMask(n.cycle)}
+	}
 	if !dense {
 		routers := n.topo.Nodes()
 		n.wireActive.addAll(routers)
@@ -852,7 +849,7 @@ func (n *Network) receiveOnLink(up *Router, p *outputPort, wf *wireFlit) {
 			// First detection: blame the link that actually corrupted it;
 			// the taint bit stops later hops from re-blaming innocents.
 			wf.f.Tainted = true
-			p.winResidualEpoch++
+			up.winResidual++
 			n.routers[down].winNACKsOut++
 		}
 	}
@@ -948,7 +945,7 @@ func (n *Network) accept(dr *Router, inPort topology.Direction, f *flit.Flit) {
 		n.qrouteFeedback(dr.id, inPort, f.HopStart, int(f.Dst))
 	}
 	f.HopStart = cycle
-	vcBuf.push(dr, f, cycle+pipelineFill)
+	vcBuf.push(dr, f)
 	n.markPipe(dr.id)
 	n.meter.BufferWrite(dr.id)
 	dr.winFlitsIn++
@@ -966,7 +963,7 @@ func (n *Network) processAcks(r *Router, p *outputPort) {
 			continue
 		}
 		if a.nack {
-			p.winNackEpoch++
+			r.winNACKsIn++
 			// Roll back to the NACKed entry.
 			for i, e := range p.unacked {
 				if e.seq == a.seq {
@@ -1020,7 +1017,7 @@ func (n *Network) processCredits(p *outputPort) {
 			continue
 		}
 		p.credits[c.vc]++
-		if p.credits[c.vc] > n.cfg.VCDepth {
+		if int(p.credits[c.vc]) > n.cfg.VCDepth {
 			panic(fmt.Sprintf("network: credit overflow on vc %d", c.vc))
 		}
 		p.freeIfDrained(c.vc, n.cfg.VCDepth)
@@ -1029,19 +1026,19 @@ func (n *Network) processCredits(p *outputPort) {
 }
 
 // releaseVCs frees every pending downstream VC of p whose packet has fully
-// drained. It runs only where the retransmission buffer empties
-// (processAcks, killPort), so the scan needs no guard; processCredits and
-// purgeVC test the one VC they touch.
+// drained, in ascending VC order. It runs only where the retransmission
+// buffer empties (processAcks, killPort), so the scan needs no guard;
+// processCredits and purgeVC test the one VC they touch.
 func (n *Network) releaseVCs(p *outputPort) {
-	for vc := range p.vcPendingFree {
-		p.freeIfDrained(vc, n.cfg.VCDepth)
+	for m := p.vcPendingFree; m != 0; m &= m - 1 {
+		p.freeIfDrained(bits.TrailingZeros16(m), n.cfg.VCDepth)
 	}
 }
 
 // routeCompute runs the RC stage body for one input VC holding an
 // unrouted head flit at its front.
-func (n *Network) routeCompute(r *Router, vc *inputVC, front *bufFlit) {
-	pkt := front.f.Packet
+func (n *Network) routeCompute(r *Router, vc *inputVC, front *flit.Flit) {
+	pkt := front.Packet
 	vc.qWait = 0
 	// Under qroute a data head takes a learned hop over the permitted
 	// (live, strictly-productive) ports. Every other head, and a data
@@ -1088,8 +1085,8 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	if front == nil || !vc.routed || vc.outVC != -1 || vc.out() != out {
 		return false
 	}
-	lo, hi := n.vcRange(front.f.Kind != flit.Data)
-	if n.qr != nil && front.f.Kind == flit.Data && out != topology.Local {
+	lo, hi := n.vcRange(front.Kind != flit.Data)
+	if n.qr != nil && front.Kind == flit.Data && out != topology.Local {
 		// Escape/adaptive split (qroute only): learned routes allocate
 		// exclusively from the upper half of the data VCs; deterministic
 		// table routes keep the lower (escape) half, which remains
@@ -1107,7 +1104,7 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 		// topology dictates which half this hop may allocate from. See
 		// Fabric.WrapVCClass for the deadlock-freedom argument.
 		mid := lo + (hi-lo)/2
-		if n.topo.WrapVCClass(r.id, int(front.f.Dst), out) == 0 {
+		if n.topo.WrapVCClass(r.id, int(front.Dst), out) == 0 {
 			hi = mid
 		} else {
 			lo = mid
@@ -1119,7 +1116,7 @@ func (n *Network) vaTryGrant(r *Router, op *outputPort, out topology.Direction, 
 	}
 	vc.outVC = int8(grant)
 	r.vaWait &^= vc.bit()
-	op.vcBusy[grant] = true
+	op.vcBusy |= 1 << uint(grant)
 	n.meter.Arbitration(r.id)
 	r.vaRR[out] = idx + 1
 	return true
@@ -1151,7 +1148,7 @@ func (n *Network) routeAndAllocate(r *Router) {
 		m &^= 1 << uint(slot)
 		vc := &r.vcs[slot]
 		front := vc.front(r)
-		if front == nil || !front.f.Type.IsHead() {
+		if front == nil || !front.Type.IsHead() {
 			continue
 		}
 		if vc.routed {
@@ -1205,7 +1202,7 @@ func (n *Network) routeAndAllocateDense(r *Router) {
 	for i := range r.vcs {
 		vc := &r.vcs[i]
 		front := vc.front(r)
-		if front == nil || !front.f.Type.IsHead() {
+		if front == nil || !front.Type.IsHead() {
 			continue
 		}
 		if vc.routed {
@@ -1259,17 +1256,18 @@ func (n *Network) saPortReady(r *Router, op *outputPort) bool {
 }
 
 // saTryGrant runs the SA stage body for candidate slot idx competing for
-// output port out; it reports whether the flit was granted and sent.
+// output port out; it reports whether the flit was granted and sent. The
+// front's RC/VA fill is the caller's test: switchAllocate's walk leaves
+// filling slots out, switchAllocateDense asks filling.
 func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, idx int) bool {
 	if r.inputUsed&(1<<uint(idx)) != 0 {
 		return false
 	}
 	vc := &r.vcs[idx]
-	front := vc.front(r)
-	if front == nil || !vc.routed || vc.outVC < 0 || vc.out() != out || front.ready > n.cycle {
+	if vc.empty() || !vc.routed || vc.outVC < 0 || vc.out() != out {
 		return false
 	}
-	if out != topology.Local && op.credits[vc.outVC] <= 0 {
+	if out != topology.Local && op.credits[vc.outVC] == 0 {
 		return false
 	}
 	port := r.portOf(vc.slot)
@@ -1282,16 +1280,23 @@ func (n *Network) saTryGrant(r *Router, op *outputPort, out topology.Direction, 
 // switchAllocate performs SA and ST: it first services pending go-back-N
 // retransmissions, then grants at most one flit per output port and one
 // per input port. Like routeAndAllocate, it walks only the slots that can
-// act — occupied, routed to this output, holding an output VC, on an
-// input port not yet granted this cycle — in dense round-robin order, and
-// it reads the port itself only when such a slot exists or the saAttn
-// summary says a resend or mode switch is waiting there (DESIGN.md §20):
-// with neither, saPortReady has no effect and nothing could be granted.
+// act — occupied, past the RC/VA fill, routed to this output, holding an
+// output VC, on an input port not yet granted this cycle — in dense
+// round-robin order, and it reads the port itself only when such a slot
+// exists or the saAttn summary says a resend or mode switch is waiting
+// there (DESIGN.md §20): with neither, saPortReady has no effect and
+// nothing could be granted. A router whose occupied slots are all filling
+// or waiting for VA, with no saAttn bit, is done after one mask test.
 func (n *Network) switchAllocate(r *Router) {
+	cand := r.occMask &^ r.vaWait &^ (r.fill[0] | r.fill[1])
+	if cand == 0 && r.saAttn == 0 {
+		r.shiftFill()
+		return
+	}
 	r.inputUsed = 0
 	total := len(r.vcs)
 	for out := topology.Direction(0); out < topology.NumPorts; out++ {
-		req := r.occMask & r.routeMask[out] &^ r.vaWait &^ r.inputUsed
+		req := cand & r.routeMask[out] &^ r.inputUsed
 		attn := r.saAttn & (1 << uint(out))
 		if req == 0 && attn == 0 {
 			continue
@@ -1325,10 +1330,13 @@ func (n *Network) switchAllocate(r *Router) {
 		}
 	nextOut:
 	}
+	r.shiftFill()
 }
 
 // switchAllocateDense is the original full scan over all ports x VCs —
-// the referee implementation for switchAllocate.
+// the referee implementation for switchAllocate, which tests each front's
+// fill from its HopStart instead of the fill register. It still shifts the
+// register, so the register stays exact under either stepping path.
 func (n *Network) switchAllocateDense(r *Router) {
 	r.inputUsed = 0
 	total := len(r.vcs)
@@ -1339,17 +1347,29 @@ func (n *Network) switchAllocateDense(r *Router) {
 		}
 		start := r.saRR[out]
 		for k := 0; k < total; k++ {
-			if n.saTryGrant(r, op, out, (start+k)%total) {
+			idx := (start + k) % total
+			if !n.filling(r, idx) && n.saTryGrant(r, op, out, idx) {
 				break
 			}
 		}
 	}
+	r.shiftFill()
+}
+
+// filling reports whether slot idx's front flit is still in the RC/VA
+// stages: it entered its buffer less than pipelineFill cycles ago.
+func (n *Network) filling(r *Router, idx int) bool {
+	front := r.vcs[idx].front(r)
+	return front != nil && front.HopStart+pipelineFill > n.cycle
 }
 
 // grantAndSend pops the winning flit, traverses the switch and transmits
 // it on the output channel.
 func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC, op *outputPort) {
 	f := vc.pop(r)
+	if next := vc.front(r); next != nil && next.HopStart == n.cycle {
+		r.fill[0] |= vc.bit() // the exposed front was accepted this cycle
+	}
 	outVC := int(vc.outVC)
 	n.meter.BufferRead(r.id)
 	n.meter.Arbitration(r.id)
@@ -1371,9 +1391,9 @@ func (n *Network) grantAndSend(r *Router, inPort topology.Direction, vc *inputVC
 
 	if f.Type.IsTail() {
 		// The packet has left this VC; clear route state.
-		if op.dir != topology.Local && op.vcBusy != nil {
+		if op.vcs > 0 {
 			// Released by releaseVCs once the packet has fully drained.
-			op.vcPendingFree[outVC] = true
+			op.vcPendingFree |= 1 << uint(outVC)
 		}
 		vc.unroute(r)
 	}
@@ -1396,10 +1416,10 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 	mode := op.mode
 	seq := op.nextSeq
 	op.nextSeq++
-	op.credits[f.VC]--
-	if op.credits[f.VC] < 0 {
+	if op.credits[f.VC] == 0 {
 		panic("network: credit underflow")
 	}
+	op.credits[f.VC]--
 
 	eccOn := mode.ECCOn()
 	if eccOn {
@@ -1429,7 +1449,7 @@ func (n *Network) transmit(r *Router, op *outputPort, f *flit.Flit) {
 		dupFollows: mode == Mode2, corrupted: hit})
 	n.meter.Link(r.id, op.wireScale)
 	op.winSent++
-	op.winSentEpoch++
+	r.winFlitsOut++
 	n.elog.Record(eventlog.Event{Cycle: n.cycle, Kind: eventlog.KLinkTx, Router: r.id,
 		Packet: f.PacketID, Aux: int64(f.Seq)})
 

@@ -138,7 +138,7 @@ func (ni *NI) injectClass(cycle int64, cur *txState, queue *[]*flit.Packet, cont
 	f := ni.makeFlit(cur.pkt, cur.next)
 	f.VC = cur.vc
 	f.HopStart = cycle // first-hop clock for the qroute learning signal
-	vcBuf.push(router, f, cycle+pipelineFill)
+	vcBuf.push(router, f)
 	ni.net.markPipe(ni.id)
 	ni.net.meter.BufferWrite(ni.id)
 	ni.net.meter.CRCCheck(ni.id) // source CRC encode

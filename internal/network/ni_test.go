@@ -52,8 +52,8 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 		}
 	}
 	for i := 0; i < int(vcUsed.n); i++ {
-		if bf := vcUsed.at(router, i); bf.f.Seq != i {
-			t.Fatalf("flit %d out of order (seq %d)", i, bf.f.Seq)
+		if f := *vcUsed.at(router, i); f.Seq != i {
+			t.Fatalf("flit %d out of order (seq %d)", i, f.Seq)
 		}
 	}
 }

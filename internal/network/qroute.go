@@ -112,12 +112,12 @@ func (n *Network) qroutePermittedMask(here, dst int) uint8 {
 // currently consumed downstream — the instantaneous congestion signal
 // added to the learned cost at selection time.
 func (n *Network) qroutePortOccupancy(op *outputPort) float64 {
-	if op.credits == nil {
+	if op.vcs == 0 {
 		return 0
 	}
 	free := 0
-	for v := 0; v < n.dataVCs && v < len(op.credits); v++ {
-		free += op.credits[v]
+	for v := 0; v < n.dataVCs && v < int(op.vcs); v++ {
+		free += int(op.credits[v])
 	}
 	total := n.dataVCs * n.cfg.VCDepth
 	if total == 0 {

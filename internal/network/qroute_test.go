@@ -234,7 +234,7 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	}
 	// Stage a routed adaptive head at the VC front the way RC leaves it.
 	head := n.nis[5].makeFlit(pkt, 0)
-	vc.push(r, head, 0)
+	vc.push(r, head)
 	vc.routed = true
 	vc.pkt = pkt
 	vc.outPort = uint8(topology.East)
@@ -247,7 +247,7 @@ func TestQRouteVCWindowSplit(t *testing.T) {
 	}
 	// Re-stage as an escape (table-routed) head: grant must come from the
 	// lower half even though upper-half VCs are free.
-	op.vcBusy[vc.outVC] = false
+	op.vcBusy &^= 1 << uint(vc.outVC)
 	vc.outVC = -1
 	vc.qAdaptive = false
 	if !n.vaTryGrant(r, op, topology.East, int(vc.slot)) {

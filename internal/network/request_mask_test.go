@@ -32,9 +32,14 @@ func (c *agentController) Decide(id int, obs Observation) Mode {
 // on the first disagreement with the maintained copies. The port
 // summaries are held to their superset rule: a port with a wire-queue
 // entry is in wirePorts, a port with a pending resend or mode switch in
-// saAttn (a spurious bit is legal, a missing one hides work).
+// saAttn (a spurious bit is legal, a missing one hides work). The fill
+// register is held to the census (checkFill): its first mask empty, its
+// second exactly the occupied slots whose front has HopStart == cycle.
 func assertRequestMasks(t *testing.T, n *Network, when string) {
 	t.Helper()
+	if viols := n.checkFill(n.cycle, nil); len(viols) > 0 {
+		t.Fatalf("%s, cycle %d: %s (%d routers off)", when, n.cycle, viols[0].Msg, len(viols))
+	}
 	for id, r := range n.routers {
 		var route [len(r.routeMask)]uint64
 		var vaWait uint64
@@ -134,9 +139,9 @@ func assertRestoredMasks(t *testing.T, n *Network, cfg config.Config, kind Contr
 	assertRequestMasks(t, fresh, "after a decoding Snap")
 	for id, r := range n.routers {
 		fr := fresh.routers[id]
-		if fr.routeMask != r.routeMask || fr.vaWait != r.vaWait || fr.saAttn != r.saAttn {
-			t.Fatalf("cycle %d, router %d: restored masks route=%x vaWait=%x saAttn=%05b, live route=%x vaWait=%x saAttn=%05b",
-				n.cycle, id, fr.routeMask, fr.vaWait, fr.saAttn, r.routeMask, r.vaWait, r.saAttn)
+		if fr.routeMask != r.routeMask || fr.vaWait != r.vaWait || fr.saAttn != r.saAttn || fr.fill != r.fill {
+			t.Fatalf("cycle %d, router %d: restored masks route=%x vaWait=%x saAttn=%05b fill=%x, live route=%x vaWait=%x saAttn=%05b fill=%x",
+				n.cycle, id, fr.routeMask, fr.vaWait, fr.saAttn, fr.fill, r.routeMask, r.vaWait, r.saAttn, r.fill)
 		}
 	}
 	for i := 0; i < 40; i++ {
@@ -208,12 +213,12 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			vc.routed, vc.outPort, vc.outVC = true, uint8(topology.East), outVC
 			vc.pkt = n.buildPacket(flit.Data, 4, 7, cfg.FlitsPerPacket, n.Cycle(), 0)
 			r.routeMask[topology.East] |= vc.bit()
-			op.vcBusy[outVC] = true
+			op.vcBusy |= 1 << outVC
 
 			n.purgeVC(r, vc, stats.DropKilledLink)
-			if op.vcBusy[outVC] || op.vcPendingFree[outVC] {
-				t.Fatalf("purge left busy=%v pending=%v; want the drained VC released at once",
-					op.vcBusy[outVC], op.vcPendingFree[outVC])
+			if op.vcBusy|op.vcPendingFree != 0 {
+				t.Fatalf("purge left busy=%04b pending=%04b; want the drained VC released at once",
+					op.vcBusy, op.vcPendingFree)
 			}
 			if !tc.dense && n.wireActive.has(router) {
 				t.Fatal("the purge woke the router's wire phase; the release needs no visit")
@@ -225,9 +230,9 @@ func TestPurgeReleasesOnNextWireVisit(t *testing.T) {
 			if err := n.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if op.vcBusy[outVC] || op.vcPendingFree[outVC] {
-				t.Fatalf("one Step after the purge: busy=%v pending=%v; the released VC must stay free",
-					op.vcBusy[outVC], op.vcPendingFree[outVC])
+			if op.vcBusy|op.vcPendingFree != 0 {
+				t.Fatalf("one Step after the purge: busy=%04b pending=%04b; the released VC must stay free",
+					op.vcBusy, op.vcPendingFree)
 			}
 		})
 	}

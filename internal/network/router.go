@@ -8,25 +8,23 @@ import (
 	"rlnoc/internal/topology"
 )
 
-// bufFlit is a buffered flit plus the cycle at which it has cleared the
-// RC/VA pipeline stages and may compete in switch allocation.
-type bufFlit struct {
-	f     *flit.Flit
-	ready int64
-}
+// maxVCs is config.Validate's ceiling on VCs per port: an output port
+// keeps one credit byte per downstream VC and one bit per VC in each of
+// its allocation masks.
+const maxVCs = 12
 
 // inputVC is one virtual-channel FIFO on an input port. Because a
 // downstream VC is only reallocated after the previous packet fully
 // drains, a VC holds flits of at most one packet at a time.
 //
 // The struct is the VC's control word, 24 bytes (TestInputVCLayout): its
-// flits live in the owning router's bufFlit slab, a ring of depth entries
-// at slot*depth, so a VC holds no slice header, capacity or owner pointer,
-// and every method that touches the buffer takes the router. Each field
-// has the narrowest type config.Validate's ceilings allow: at most 60
-// slots (5 ports x 12 VCs) and 64 flits of depth fit a byte, an output
-// VC index (-1 until VC allocation succeeds) fits an int8, and the escape
-// timeout qWait counts to fits 16 bits.
+// flits live in the owning router's flit-pointer slab, a ring of depth
+// entries at slot*depth, so a VC holds no slice header, capacity or owner
+// pointer, and every method that touches the buffer takes the router.
+// Each field has the narrowest type config.Validate's ceilings allow: at
+// most 60 slots (5 ports x 12 VCs) and 64 flits of depth fit a byte, an
+// output VC index (-1 until VC allocation succeeds) fits an int8, and the
+// escape timeout qWait counts to fits 16 bits.
 type inputVC struct {
 	// pkt identifies the resident packet even when the buffer is
 	// momentarily empty (flits forwarded, tail still upstream). The
@@ -67,9 +65,10 @@ func (vc *inputVC) bit() uint64 { return 1 << vc.slot }
 // full reports whether vc, one of r's input VCs, holds depth flits.
 func (vc *inputVC) full(r *Router) bool { return int(vc.n) >= r.depth }
 
-// at returns the k-th buffered flit of vc (k < vc.n), front first: ring
-// position head+k, wrapped, of the VC's depth entries in r's slab.
-func (vc *inputVC) at(r *Router, k int) *bufFlit {
+// at returns the slab entry of vc's k-th buffered flit (k < vc.n), front
+// first: ring position head+k, wrapped, of the VC's depth entries in r's
+// slab.
+func (vc *inputVC) at(r *Router, k int) **flit.Flit {
 	i := int(vc.head) + k
 	if i >= r.depth {
 		i -= r.depth
@@ -92,26 +91,32 @@ func (vc *inputVC) unroute(r *Router) {
 }
 
 // push appends a flit at the back of the ring and sets the VC's bit in
-// r's occupancy mask. Every caller checks full first.
-func (vc *inputVC) push(r *Router, f *flit.Flit, ready int64) {
-	*vc.at(r, int(vc.n)) = bufFlit{f: f, ready: ready}
+// r's occupancy mask. Every caller checks full first and has just set
+// f.HopStart to the current cycle, so a flit pushed into an empty VC is a
+// front entering the RC/VA fill: its bit joins the fill register.
+func (vc *inputVC) push(r *Router, f *flit.Flit) {
+	*vc.at(r, int(vc.n)) = f
+	if vc.n == 0 {
+		r.fill[0] |= vc.bit()
+	}
 	vc.n++
 	r.occMask |= vc.bit()
 }
 
-func (vc *inputVC) front(r *Router) *bufFlit {
+// front returns the front flit, or nil when the VC is empty.
+func (vc *inputVC) front(r *Router) *flit.Flit {
 	if vc.n == 0 {
 		return nil
 	}
-	return vc.at(r, 0)
+	return *vc.at(r, 0)
 }
 
 // pop removes and returns the front flit: the ring head advances, and
 // nothing is copied.
 func (vc *inputVC) pop(r *Router) *flit.Flit {
-	b := vc.at(r, 0)
-	f := b.f
-	*b = bufFlit{}
+	i := int(vc.slot)*r.depth + int(vc.head)
+	f := r.bufs[i]
+	r.bufs[i] = nil
 	vc.head++
 	if int(vc.head) == r.depth {
 		vc.head = 0
@@ -169,10 +174,11 @@ type txEntry struct {
 // decoder's sequence bookkeeping, which is equivalent state since links
 // are point-to-point).
 //
-// Field order is the cache layout (DESIGN.md §20): the struct is five
+// Field order is the cache layout (DESIGN.md §20): the struct is four
 // 64-byte lines, ports sit back to back in one line-aligned slab, and the
 // words one phase reads share a line — the first holds everything the SA
-// stage tests before it grants, the second starts with the three wire
+// stage tests before it grants (the downstream VC state among it) and the
+// sequence number a grant takes, the second starts with the three wire
 // queues, so a wire-phase visit that finds them empty touches one line.
 // TestOutputPortLayout pins the offsets.
 type outputPort struct {
@@ -194,8 +200,20 @@ type outputPort struct {
 	// port and a killed one differ for the topology: Neighbor still
 	// reports the killed link as wired, so credit-return sites check dead
 	// ports explicitly before appending to their queues.
-	dead    bool
-	credits []int
+	dead bool
+	// The downstream input port's VC state, one entry per VC below vcs:
+	// vcs is the fabric's VCs per port on a port with a link (killed or
+	// not) and 0 on Local and unwired ports, which allocate no VC.
+	// credits counts free buffer slots (at most VCDepth, 64); bit v of
+	// vcBusy marks VC v allocated to a packet, of vcPendingFree a busy VC
+	// whose tail has left and which frees once its packet drains.
+	vcs           uint8
+	credits       [maxVCs]uint8
+	vcBusy        uint16
+	vcPendingFree uint16
+	owner         int32 // ID of the router owning this port (for activity marking)
+	// nextSeq is the ARQ sequence number the next transmission takes.
+	nextSeq uint64
 
 	// Line 1: in-flight traffic and reverse wires.
 	inflight []wireFlit
@@ -209,7 +227,6 @@ type outputPort struct {
 
 	// ARQ upstream state.
 	unacked []txEntry
-	nextSeq uint64
 
 	// Cached per-flit error probability, refreshed at every thermal
 	// window and control epoch (refreshErrorProbs).
@@ -233,25 +250,15 @@ type outputPort struct {
 	// utilization input of the fault model).
 	winSent int64
 
-	// Per-*epoch* channel counters, summed over the ports into the
-	// router's observation (Router.epochSends).
-	winSentEpoch     int64
-	winNackEpoch     int64
-	winResidualEpoch int64
-
-	owner int32 // ID of the router owning this port (for activity marking)
 	// linkID is the topology-global link index behind this port (-1 for
 	// Local ports, which have no physical link). It keys linkKey and the
 	// fault table.
 	linkID int32
-
-	vcBusy        []bool
-	vcPendingFree []bool
-	inPort        topology.Direction
+	inPort topology.Direction
 
 	// Pads the struct to whole lines, so every port in the slab starts
 	// on a line boundary (TestOutputPortLayout).
-	_ [8]byte
+	_ [24]byte
 }
 
 func (p *outputPort) hasDownstream() bool { return p.downstream >= 0 }
@@ -271,9 +278,10 @@ func (p *outputPort) trySwitchMode() {
 // and its packet has fully drained: all depth credits home and the
 // retransmission buffer empty.
 func (p *outputPort) freeIfDrained(vc, depth int) {
-	if p.vcPendingFree[vc] && p.credits[vc] == depth && len(p.unacked) == 0 {
-		p.vcPendingFree[vc] = false
-		p.vcBusy[vc] = false
+	bit := uint16(1) << uint(vc)
+	if p.vcPendingFree&bit != 0 && int(p.credits[vc]) == depth && len(p.unacked) == 0 {
+		p.vcPendingFree &^= bit
+		p.vcBusy &^= bit
 	}
 }
 
@@ -289,12 +297,15 @@ func (p *outputPort) saPending() bool { return p.resendIdx >= 0 || p.switchPendi
 
 // freeVC returns the lowest free downstream VC in [lo, hi), or -1.
 func (p *outputPort) freeVC(lo, hi int) int {
-	for vc := lo; vc < hi && vc < len(p.vcBusy); vc++ {
-		if !p.vcBusy[vc] {
-			return vc
-		}
+	hi = min(hi, int(p.vcs))
+	if lo >= hi {
+		return -1
 	}
-	return -1
+	free := ^p.vcBusy & (uint16(1)<<uint(hi) - 1) &^ (uint16(1)<<uint(lo) - 1)
+	if free == 0 {
+		return -1
+	}
+	return bits.TrailingZeros16(free)
 }
 
 // Router is one fabric router: five input ports of VCs and five output
@@ -318,12 +329,23 @@ type Router struct {
 	// A bit may be set on an empty VC (body flits still upstream), so the
 	// stages always intersect with occMask: VA visits occMask &
 	// routeMask[out] & vaWait, SA visits occMask & routeMask[out] &^ vaWait
-	// and RC the occupied slots in no routeMask. Every slot left out is one
-	// whose *TryGrant predicate would have returned false with no side
-	// effect. Derived from the VC fields: rebuilt on restore, never
+	// &^ fill and RC the occupied slots in no routeMask. Every slot left
+	// out is one whose *TryGrant predicate would have returned false with
+	// no side effect. Derived from the VC fields: rebuilt on restore, never
 	// serialized.
 	vaWait    uint64
 	routeMask [topology.NumPorts]uint64
+
+	// fill is the RC/VA fill register (DESIGN.md §18): the slots whose
+	// front flit entered its buffer this cycle (fill[0]) or last cycle
+	// (fill[1]), pipelineFill cycles from the SA stage. push sets fill[0]
+	// for a flit entering an empty VC, grantAndSend for a pop that exposes
+	// a flit accepted this cycle (a VC takes at most one push a cycle, so
+	// no older front can still be filling), and each SA visit shifts the
+	// register once. Between cycles fill[0] is 0 and fill[1] holds the
+	// occupied slots whose front's HopStart is the cycle just stepped
+	// (fillMask): restore and SetDenseScan rebuild it so, never serialized.
+	fill [2]uint64
 
 	// inputUsed has the slot bits of every input port already granted this
 	// cycle's switch allocation (one flit per input port per cycle).
@@ -357,10 +379,10 @@ type Router struct {
 
 	// vcs is the router's input VCs in slot order (port-major), nvc per
 	// port: slot = port*nvc + vc. bufs holds their flits, depth entries
-	// per VC in slot order (inputVC.ring).
+	// per VC in slot order (inputVC.at).
 	vcs   []inputVC
 	nvc   int
-	bufs  []bufFlit
+	bufs  []*flit.Flit
 	depth int
 
 	// The control epoch's window, as far as no output port counts it:
@@ -369,39 +391,34 @@ type Router struct {
 	// output links (the DT training label), winFlitsIn the flits it
 	// accepted, winNACKsOut the NACKs it sent upstream, and
 	// winLatSum/winLatCount the per-hop latency of the packets delivered
-	// through it. epochEnergyPJ is its energy at the epoch's start. Flits
-	// out, NACKs in and residual corruption are its link ports' epoch
-	// counters (epochSends).
+	// through it. epochEnergyPJ is its energy at the epoch's start. Over
+	// its output links, winFlitsOut counts the flits sent, winNACKsIn the
+	// ECC NACKs received and winResidual the residual corruption the
+	// downstream snoopers caught (each also an advisory NACK); a port
+	// killed mid-epoch keeps its sends from before the kill.
 	winErrEvents  int64
 	winFlitsIn    int64
 	winNACKsOut   int64
+	winFlitsOut   int64
+	winNACKsIn    int64
+	winResidual   int64
 	winLatSum     float64
 	winLatCount   int64
 	epochEnergyPJ float64
 }
 
-// epochSends sums the router's link ports' epoch counters: flits sent,
-// NACKs received (ECC NACKs plus the snoopers' advisory ones) and the
-// residual corruption the snoopers caught. A port killed mid-epoch keeps
-// its sends from before the kill, so dead ports count too.
+// epochSends returns the router's link counters for the epoch: flits
+// sent, NACKs received (ECC NACKs plus the snoopers' advisory ones) and
+// the residual corruption the snoopers caught.
 func (r *Router) epochSends() (sent, nacks, residual int64) {
-	for dir := topology.North; dir < topology.NumPorts; dir++ {
-		p := r.outputs[dir]
-		sent += p.winSentEpoch
-		nacks += p.winNackEpoch + p.winResidualEpoch
-		residual += p.winResidualEpoch
-	}
-	return sent, nacks, residual
+	return r.winFlitsOut, r.winNACKsIn + r.winResidual, r.winResidual
 }
 
-// resetEpoch clears the router's control-epoch window and its ports'.
+// resetEpoch clears the router's control-epoch window.
 func (r *Router) resetEpoch() {
 	r.winErrEvents, r.winFlitsIn, r.winNACKsOut = 0, 0, 0
+	r.winFlitsOut, r.winNACKsIn, r.winResidual = 0, 0, 0
 	r.winLatSum, r.winLatCount = 0, 0
-	for dir := topology.North; dir < topology.NumPorts; dir++ {
-		p := r.outputs[dir]
-		p.winSentEpoch, p.winNackEpoch, p.winResidualEpoch = 0, 0, 0
-	}
 }
 
 // newRouter builds a self-contained router with its own backing slabs
@@ -410,7 +427,7 @@ func (r *Router) resetEpoch() {
 func newRouter(id int, vcs, vcDepth int) *Router {
 	r := &Router{}
 	ports := int(topology.NumPorts)
-	initRouter(r, id, vcs, vcDepth, make([]inputVC, ports*vcs), make([]bufFlit, ports*vcs*vcDepth))
+	initRouter(r, id, vcs, vcDepth, make([]inputVC, ports*vcs), make([]*flit.Flit, ports*vcs*vcDepth))
 	return r
 }
 
@@ -419,7 +436,7 @@ func newRouter(id int, vcs, vcDepth int) *Router {
 // bufSlab the flit-buffer storage (vcDepth entries per VC). A VC's ring
 // is the depth entries at slot*vcDepth and cannot bleed into a
 // neighbor's: every push site checks full first.
-func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, bufSlab []bufFlit) {
+func initRouter(r *Router, id, vcs, vcDepth int, vcSlab []inputVC, bufSlab []*flit.Flit) {
 	r.id = id
 	r.vcs, r.nvc = vcSlab, vcs
 	r.bufs, r.depth = bufSlab, vcDepth
@@ -450,6 +467,24 @@ func (r *Router) requestMasks() (route [topology.NumPorts]uint64, vaWait uint64)
 	}
 	return route, vaWait
 }
+
+// fillMask recomputes the fill register's second mask from the buffered
+// fronts: the occupied slots whose front entered its buffer at cycle.
+// Between cycles, with cycle the one just stepped, it is the whole fill
+// still owed: every older front is past the RC/VA stages.
+func (r *Router) fillMask(cycle int64) (m uint64) {
+	for o := r.occMask; o != 0; o &= o - 1 {
+		slot := bits.TrailingZeros64(o)
+		if r.vcs[slot].front(r).HopStart == cycle {
+			m |= 1 << uint(slot)
+		}
+	}
+	return m
+}
+
+// shiftFill ages the fill register by one cycle: this cycle's new fronts
+// become last cycle's, and last cycle's are ready for the next SA stage.
+func (r *Router) shiftFill() { r.fill = [2]uint64{0, r.fill[0]} }
 
 // saAttention recomputes saAttn from the port state; the restore path
 // installs the result.

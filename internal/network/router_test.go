@@ -16,25 +16,28 @@ func TestInputVCFIFO(t *testing.T) {
 	}
 	p := &flit.Packet{}
 	p.SetNumFlits(3)
-	f1 := &flit.Flit{Packet: p, Seq: 0, Type: flit.Head}
-	f2 := &flit.Flit{Packet: p, Seq: 1, Type: flit.Body}
-	f3 := &flit.Flit{Packet: p, Seq: 2, Type: flit.Tail}
-	vc.push(r, f1, 10)
-	vc.push(r, f2, 11)
+	f1 := &flit.Flit{Packet: p, Seq: 0, Type: flit.Head, HopStart: 10}
+	f2 := &flit.Flit{Packet: p, Seq: 1, Type: flit.Body, HopStart: 11}
+	f3 := &flit.Flit{Packet: p, Seq: 2, Type: flit.Tail, HopStart: 12}
+	vc.push(r, f1)
+	vc.push(r, f2)
 	if !vc.full(r) {
 		t.Fatal("VC should be full at depth 2")
 	}
 	if r.occMask != vc.bit() {
 		t.Fatalf("occMask = %#x, want only the VC's bit %#x", r.occMask, vc.bit())
 	}
-	if front := vc.front(r); front == nil || front.f != f1 || front.ready != 10 {
+	if front := vc.front(r); front != f1 || front.HopStart != 10 {
 		t.Fatal("front wrong")
+	}
+	if r.fill[0] != vc.bit() {
+		t.Fatalf("fill[0] = %#x, want only the bit of the VC the first push filled", r.fill[0])
 	}
 	if got := vc.pop(r); got != f1 {
 		t.Fatal("pop order wrong")
 	}
 	// The ring wraps: f3 takes the slot f1 left.
-	vc.push(r, f3, 12)
+	vc.push(r, f3)
 	for _, want := range []*flit.Flit{f2, f3} {
 		if got := vc.pop(r); got != want {
 			t.Fatal("pop order wrong across the ring's wrap")
@@ -43,29 +46,31 @@ func TestInputVCFIFO(t *testing.T) {
 	if !vc.empty() || vc.front(r) != nil || r.occMask != 0 {
 		t.Fatal("VC should be empty")
 	}
-	for i, b := range r.bufs {
-		if b.f != nil {
+	for i, f := range r.bufs {
+		if f != nil {
 			t.Fatalf("slab entry %d still references a popped flit", i)
 		}
 	}
 }
 
 func TestOutputPortFreeVC(t *testing.T) {
-	p := &outputPort{vcBusy: []bool{true, false, true, false}}
+	p := &outputPort{vcs: 4, vcBusy: 0b0101}
 	if got := p.freeVC(0, 2); got != 1 {
 		t.Errorf("freeVC(0,2) = %d, want 1", got)
 	}
 	if got := p.freeVC(2, 4); got != 3 {
 		t.Errorf("freeVC(2,4) = %d, want 3", got)
 	}
-	p.vcBusy[1] = true
-	p.vcBusy[3] = true
+	p.vcBusy |= 0b1010
 	if got := p.freeVC(0, 4); got != -1 {
 		t.Errorf("freeVC with all busy = %d, want -1", got)
 	}
-	// Range beyond slice length must not panic.
+	// A range past the port's VCs finds none there.
 	if got := p.freeVC(3, 99); got != -1 {
 		t.Errorf("freeVC overrange = %d", got)
+	}
+	if got := (&outputPort{}).freeVC(0, 4); got != -1 {
+		t.Errorf("freeVC on a port without a link = %d, want -1", got)
 	}
 }
 
@@ -106,25 +111,30 @@ func TestRouterOccupiedVCs(t *testing.T) {
 	}
 	p := &flit.Packet{}
 	p.SetNumFlits(1)
-	r.vc(topology.North, 2).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
-	r.vc(topology.Local, 0).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail}, 0)
+	r.vc(topology.North, 2).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail})
+	r.vc(topology.Local, 0).push(r, &flit.Flit{Packet: p, Type: flit.HeadTail})
 	if got := r.occupiedVCs(); got != 2 {
 		t.Fatalf("occupiedVCs = %d, want 2", got)
 	}
 }
 
 // TestOutputPortLayout pins the cache layout the field order of outputPort
-// states (DESIGN.md §20): ports are whole 64-byte lines, the words the SA
-// stage tests before a grant fill the first, and the second starts with
-// the three wire queues, whose length words all fall inside it.
+// states (DESIGN.md §20): ports are at most four whole 64-byte lines, the
+// words the SA stage tests before a grant — the downstream VC state
+// inline — fill the first with the sequence counter a grant advances, and
+// the second starts with the three wire queues, whose length words all
+// fall inside it.
 func TestOutputPortLayout(t *testing.T) {
 	const line = 64
 	var p outputPort
-	if size := unsafe.Sizeof(p); size%line != 0 {
-		t.Errorf("outputPort is %d bytes, not a whole number of %d-byte lines", size, line)
+	if size := unsafe.Sizeof(p); size%line != 0 || size > 4*line {
+		t.Errorf("outputPort is %d bytes, want a whole number of %d-byte lines, at most %d", size, line, 4*line)
 	}
-	if end := unsafe.Offsetof(p.credits) + unsafe.Sizeof(p.credits); end != line {
-		t.Errorf("the SA gate (dir … credits) ends at byte %d, want %d", end, line)
+	if end := unsafe.Offsetof(p.vcPendingFree) + unsafe.Sizeof(p.vcPendingFree); end > line {
+		t.Errorf("the SA gate (dir … vcPendingFree) ends at byte %d, past the first line", end)
+	}
+	if end := unsafe.Offsetof(p.nextSeq) + unsafe.Sizeof(p.nextSeq); end != line {
+		t.Errorf("nextSeq ends at byte %d, want %d", end, line)
 	}
 	if off := unsafe.Offsetof(p.inflight); off != line {
 		t.Errorf("inflight starts at byte %d, want the second line (%d)", off, line)

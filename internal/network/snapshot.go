@@ -130,7 +130,7 @@ func (n *Network) collectFlits(t *refs[flit.Flit]) {
 		for v := range r.vcs {
 			vc := &r.vcs[v]
 			for k := 0; k < int(vc.n); k++ {
-				t.add(vc.at(r, k).f)
+				t.add(*vc.at(r, k))
 			}
 		}
 		for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
@@ -416,11 +416,6 @@ func (w *fabricWalk) flit(c *snap.Codec, fp **flit.Flit) {
 	c.I64(&f.HopStart)
 }
 
-func (w *fabricWalk) bufFlit(c *snap.Codec, b *bufFlit) {
-	w.flits.ref(c, &b.f)
-	c.I64(&b.ready)
-}
-
 func (w *fabricWalk) wireFlit(c *snap.Codec, wf *wireFlit) {
 	w.flits.ref(c, &wf.f)
 	c.I64(&wf.arrive)
@@ -475,6 +470,9 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	c.I64(&rt.winErrEvents)
 	c.I64(&rt.winFlitsIn)
 	c.I64(&rt.winNACKsOut)
+	c.I64(&rt.winFlitsOut)
+	c.I64(&rt.winNACKsIn)
+	c.I64(&rt.winResidual)
 	c.F64(&rt.winLatSum)
 	c.I64(&rt.winLatCount)
 	c.F64(&rt.epochEnergyPJ)
@@ -484,23 +482,43 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		}
 	}
 	if c.Decoding() {
-		// The request masks are derived from the route fields just read.
+		// The occupancy mask must name exactly the VCs holding flits; the
+		// request masks are derived from the route fields just read, the
+		// fill register from the fronts (DESIGN.md §18).
+		var occ uint64
+		for i := range rt.vcs {
+			if !rt.vcs[i].empty() {
+				occ |= rt.vcs[i].bit()
+			}
+		}
+		if occ != rt.occMask {
+			c.Fail(fmt.Errorf("network: snapshot occupancy mask %#x, VC buffers give %#x at router %d", rt.occMask, occ, rt.id))
+			return
+		}
 		rt.routeMask, rt.vaWait = rt.requestMasks()
+		rt.fill = [2]uint64{0, rt.fillMask(w.n.cycle)}
 	}
 	for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
 		p := rt.outputs[dir]
 		c.Int(&p.downstream)
 		c.Bool(&p.dead)
-		c.Ints(p.credits)
-		if c.Decoding() {
-			for vc, n := range p.credits {
+		// The downstream VC state: a length (the port's VC count, 0
+		// without a link), then each credit count as a 64-bit word, and
+		// each flag mask as the same length and one byte per VC.
+		nvc := int(p.vcs)
+		c.LenCheck(nvc)
+		for vc := range nvc {
+			n := int(p.credits[vc])
+			c.Int(&n)
+			if c.Decoding() {
 				if n < 0 || n > w.n.cfg.VCDepth {
 					c.Fail(fmt.Errorf("network: snapshot VC %d holds %d credits of %d", vc, n, w.n.cfg.VCDepth))
 				}
+				p.credits[vc] = uint8(n)
 			}
 		}
-		c.Bools(p.vcBusy)
-		c.Bools(p.vcPendingFree)
+		snapVCFlags(c, &p.vcBusy, nvc)
+		snapVCFlags(c, &p.vcPendingFree, nvc)
 		c.I64(&p.linkBusyUntil)
 		snap.Enum(c, &p.mode)
 		snap.Enum(c, &p.targetMode)
@@ -513,9 +531,6 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		c.U64(&p.expectSeq)
 		c.F64(&p.errProb)
 		c.I64(&p.winSent)
-		c.I64(&p.winSentEpoch)
-		c.I64(&p.winNackEpoch)
-		c.I64(&p.winResidualEpoch)
 		if c.Decoding() {
 			// The per-link fault stream is rekeyed lazily each cycle; a stale
 			// cursor forces the rekey on first use after restore — exact at a
@@ -534,6 +549,21 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	}
 }
 
+// snapVCFlags walks the low nvc bits of a per-VC flag mask as nvc bools.
+func snapVCFlags(c *snap.Codec, m *uint16, nvc int) {
+	c.LenCheck(nvc)
+	for vc := range nvc {
+		bit := uint16(1) << uint(vc)
+		set := *m&bit != 0
+		c.Bool(&set)
+		if set { // encoding leaves the mask as it was
+			*m |= bit
+		} else {
+			*m &^= bit
+		}
+	}
+}
+
 // inputVC walks one input VC: its ring head and the flits it holds,
 // front first, then the route state. Decoding reports false, the codec
 // failed, on a ring position, route port or output VC the fabric does not
@@ -546,7 +576,7 @@ func (w *fabricWalk) inputVC(c *snap.Codec, rt *Router, vc *inputVC) bool {
 		return false
 	}
 	for k := 0; k < int(vc.n); k++ {
-		w.bufFlit(c, vc.at(rt, k))
+		w.flits.ref(c, vc.at(rt, k))
 	}
 	c.Bool(&vc.routed)
 	c.U8(&vc.outPort)

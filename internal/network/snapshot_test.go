@@ -68,9 +68,9 @@ func TestHostileCreditVCIsCorrupt(t *testing.T) {
 }
 
 // TestHostileCreditCountIsCorrupt: a port's credit count lies in
-// [0, VCDepth].
+// [0, VCDepth]. A count the credit byte wrapped below zero reads 255.
 func TestHostileCreditCountIsCorrupt(t *testing.T) {
-	for _, count := range []int{-1, config.Small().VCDepth + 1} {
+	for _, count := range []uint8{255, uint8(config.Small().VCDepth + 1)} {
 		n, cfg := midPacket(t)
 		n.routers[0].outputs[topology.East].credits[1] = count
 		decodeMustFail(t, n, cfg)

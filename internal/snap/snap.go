@@ -60,7 +60,11 @@ const Magic uint32 = 0x534E4C52
 // estimate.
 // Version 9: a Q-table row carries no reward sums, the statistics no
 // network-latency sum, and a trained DT controller no fitted-sample count.
-const Version uint32 = 9
+// Version 10: a buffered flit carries no readiness cycle (the fill is
+// derived from its HopStart), and each router carries its link epoch
+// counters (flits out, NACKs in, residual corruption) in place of five
+// ports' worth.
+const Version uint32 = 10
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -173,19 +174,25 @@ func TestBadSectionTag(t *testing.T) {
 	}
 }
 
-// TestHeaderRejects checks bad magic and version skew fail loudly.
+// TestHeaderRejects checks bad magic and version skew fail loudly; a
+// checkpoint of the previous format names both versions.
 func TestHeaderRejects(t *testing.T) {
 	for name, words := range map[string][2]uint32{
-		"bad magic":      {0x12345678, Version},
-		"future version": {Magic, Version + 1},
+		"bad magic":        {0x12345678, Version},
+		"future version":   {Magic, Version + 1},
+		"previous version": {Magic, Version - 1},
 	} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		enc.U32(&words[0])
 		enc.U32(&words[1])
 		enc.Flush()
-		if err := NewDecoder(bytes.NewReader(buf.Bytes())).Header(); !IsCorrupt(err) {
+		err := NewDecoder(bytes.NewReader(buf.Bytes())).Header()
+		if !IsCorrupt(err) {
 			t.Errorf("%s accepted (err %v)", name, err)
+		}
+		if want := fmt.Sprintf("snapshot version %d, this build reads %d", words[1], Version); words[0] == Magic && !strings.Contains(fmt.Sprint(err), want) {
+			t.Errorf("%s: err %v, want one naming %q", name, err, want)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func SharedProgram(m topology.Topology, segs []Segment, flits int, cycles int64,
 	}
 	key := fmt.Appendf(nil, "program %s flits=%d cycles=%d seed=%d", fabricKey(m), flits, cycles, seed)
 	for _, seg := range segs {
-		if err := checkSynthetic(seg.Pattern, seg.Rate, flits, cycles); err != nil {
+		if err := CheckSynthetic(seg.Pattern, seg.Rate, flits, cycles); err != nil {
 			return nil, err
 		}
 		key = fmt.Appendf(key, " %q@%v", seg.Pattern, seg.Rate)
@@ -140,7 +140,7 @@ func SharedProgram(m topology.Topology, segs []Segment, flits int, cycles int64,
 // cycles, dataFlits, seed). The returned slice is shared: callers must
 // not modify it.
 func (b Benchmark) SharedTrace(m topology.Topology, cycles int64, dataFlits int, seed int64) ([]Event, error) {
-	if err := checkTrace(cycles, dataFlits); err != nil {
+	if err := CheckTrace(cycles, dataFlits); err != nil {
 		return nil, err
 	}
 	// The name does not reach the events; the six parameters do.

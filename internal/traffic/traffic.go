@@ -185,10 +185,11 @@ func sizeHint(expected float64) int {
 	return int(c)
 }
 
-// checkSynthetic validates one pattern segment's parameters. An unknown
-// pattern is an error: no source would have a destination plan, so the
-// trace would be silently empty.
-func checkSynthetic(p Pattern, rate float64, flits int, cycles int64) error {
+// CheckSynthetic validates one pattern segment's parameters, as Synthetic
+// and SharedProgram do before generating. An unknown pattern is an error:
+// no source would have a destination plan, so the trace would be silently
+// empty.
+func CheckSynthetic(p Pattern, rate float64, flits int, cycles int64) error {
 	if !slices.Contains(Patterns(), p) {
 		names := make([]string, 0, len(Patterns()))
 		for _, q := range Patterns() {
@@ -212,7 +213,7 @@ func checkSynthetic(p Pattern, rate float64, flits int, cycles int64) error {
 // rate is packets per node per cycle; flits is the packet size. The
 // caller owns the returned slice.
 func Synthetic(m topology.Topology, p Pattern, rate float64, flits int, cycles int64, seed int64) ([]Event, error) {
-	if err := checkSynthetic(p, rate, flits, cycles); err != nil {
+	if err := CheckSynthetic(p, rate, flits, cycles); err != nil {
 		return nil, err
 	}
 	events := make([]Event, 0, sizeHint(rate*float64(m.Nodes())*float64(cycles)))
@@ -336,13 +337,15 @@ func BenchmarkByName(name string) (Benchmark, error) {
 // dataFlits is the full data-packet size (Table II: 4 flits). The caller
 // owns the returned slice.
 func (b Benchmark) Trace(m topology.Topology, cycles int64, dataFlits int, seed int64) ([]Event, error) {
-	if err := checkTrace(cycles, dataFlits); err != nil {
+	if err := CheckTrace(cycles, dataFlits); err != nil {
 		return nil, err
 	}
 	return b.trace(m, cycles, dataFlits, seed), nil
 }
 
-func checkTrace(cycles int64, dataFlits int) error {
+// CheckTrace validates a benchmark trace's parameters, as Trace and
+// SharedTrace do before generating.
+func CheckTrace(cycles int64, dataFlits int) error {
 	if dataFlits < 1 {
 		return fmt.Errorf("traffic: dataFlits %d < 1", dataFlits)
 	}
