@@ -1,13 +1,14 @@
 // Command nocserve is the long-running campaign daemon: it runs sweep,
 // chaos, and what-if experiment campaigns as durable jobs on the
-// supervised engine in internal/campaign. Jobs survive everything the
-// daemon can throw at them — a panicking run is isolated and retried, a
-// stalled run is killed snapshot-aware by the progress watchdog, and a
-// SIGKILL of the daemon itself loses nothing: restarting with the same
-// -dir replays the journal and resumes every in-flight job from its
-// latest checkpoint, byte-identical to the uninterrupted run. SIGTERM
-// is a graceful shutdown: all in-flight jobs checkpoint, the journal
-// flushes, and the process exits 0 with the campaign resumable.
+// supervised engine in internal/campaign. A panicking run is isolated
+// and ends its job (a deterministic run would panic again) with the
+// command that replays it; a stalled run is killed snapshot-aware by the
+// progress watchdog and resumed once; and a SIGKILL of the daemon itself
+// loses nothing: restarting with the same -dir replays the journal and
+// resumes every in-flight job from its latest checkpoint, byte-identical
+// to the uninterrupted run. SIGTERM is a graceful shutdown: all in-flight
+// jobs checkpoint, the journal flushes, and the process exits 0 with the
+// campaign resumable.
 //
 // With -campaign, the finished campaign prints its report — the chaos
 // battery's per-arm outcomes, the sweep's latency-vs-load table — and the
@@ -57,13 +58,11 @@ func run(args []string) error {
 		small       = fs.Bool("small", false, "use the 4x4 quick configuration")
 		seed        = fs.Int64("seed", 0, "override random seed")
 		workers     = fs.Int("workers", 0, "concurrent jobs (0 = the config's suite workers, else GOMAXPROCS)")
-		maxAttempts = fs.Int("max-attempts", 3, "per-job retry budget")
 		deadline    = fs.Duration("deadline", 0, "per-job wall-clock deadline across attempts (0 = none)")
-		watchdog    = fs.Duration("watchdog", 30*time.Second, "kill a job whose progress heartbeat is silent this long (0 = off)")
-		snapEvery   = fs.Int64("snapshot-every", 2000, "checkpoint each job every N cycles (0 = retries restart from cycle 0)")
+		watchdog    = fs.Duration("watchdog", 30*time.Second, "kill a job whose progress heartbeat is silent this long, and resume it once (0 = off)")
+		snapEvery   = fs.Int64("snapshot-every", 2000, "checkpoint each job every N cycles (0 = a resumed job restarts from cycle 0)")
 		serveAddr   = fs.String("serve", "", "serve campaign status as JSON on this address (e.g. :8080)")
 		statusEvery = fs.Duration("status-every", 10*time.Second, "print the job status table this often (0 = off)")
-		injPanic    = fs.Int64("inject-panic", 0, "TESTING: panic each job once at this cycle (first attempt only)")
 		injStall    = fs.Int64("inject-stall", 0, "TESTING: stall each job at this cycle until the watchdog kills it (first attempt only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -73,8 +72,6 @@ func run(args []string) error {
 		return err
 	}
 	switch {
-	case *maxAttempts < 1:
-		return fmt.Errorf("-max-attempts must be at least 1, got %d", *maxAttempts)
 	case *workers < 0:
 		return fmt.Errorf("-workers must be non-negative, got %d", *workers)
 	case *snapEvery < 0:
@@ -104,9 +101,7 @@ func run(args []string) error {
 		*workers = cfg.SuiteWorkerCount()
 	}
 
-	p, err := buildPreset(*presetFlag, cfg, *runs, *snapEvery, campaign.InjectSpec{
-		PanicAtCycle: *injPanic, StallAtCycle: *injStall,
-	})
+	p, err := buildPreset(*presetFlag, cfg, *runs, *snapEvery, campaign.InjectSpec{StallAtCycle: *injStall})
 	if err != nil {
 		return err
 	}
@@ -121,9 +116,7 @@ func run(args []string) error {
 		Dir:           *dir,
 		Name:          "nocserve",
 		Workers:       *workers,
-		MaxAttempts:   *maxAttempts,
 		WatchdogAfter: *watchdog,
-		Seed:          cfg.Seed,
 		Logf:          logger.Printf,
 	})
 	if err != nil {
@@ -218,8 +211,8 @@ func buildPreset(name string, cfg rlnoc.Config, runs int, snapEvery int64, injec
 
 // verdict is the campaign's exit status: every job must end drained, at
 // its cycle budget, or terminated by the invariant watchdog with a
-// balanced ledger. A wedge, a spent retry budget or a missed deadline
-// fails the campaign.
+// balanced ledger. A wedge, a failed attempt or a missed deadline fails
+// the campaign.
 func verdict(results []campaign.JobResult) error {
 	failed := map[string]int{}
 	n := 0
@@ -247,29 +240,24 @@ func writeResults(dir string, results []campaign.JobResult) error {
 	return snap.WriteRawAtomic(filepath.Join(dir, "results.json"), append(data, '\n'))
 }
 
-// printStatus renders the periodic job table: one row per non-terminal
-// job plus a one-line tally.
+// printStatus renders the periodic job table: a one-line tally plus one
+// row per running job.
 func printStatus(eng *campaign.Engine) {
 	sts := eng.Status()
 	counts := map[string]int{}
-	active := 0
 	for _, st := range sts {
 		counts[st.State]++
-		if st.State == "running" || st.State == "waiting" {
-			active++
-		}
 	}
-	fmt.Printf("status: %d jobs — %d done, %d running, %d waiting, %d pending, %d dead\n",
-		len(sts), counts["done"], counts["running"], counts["waiting"], counts["pending"], counts["dead"])
-	if active == 0 {
+	fmt.Printf("status: %d jobs — %d done, %d running, %d pending, %d dead\n",
+		len(sts), counts["done"], counts["running"], counts["pending"], counts["dead"])
+	if counts["running"] == 0 {
 		return
 	}
-	fmt.Printf("  %-24s %-8s %8s %8s %12s\n", "job", "state", "starts", "fails", "cycle")
+	fmt.Printf("  %-24s %8s %8s %12s\n", "job", "starts", "fails", "cycle")
 	for _, st := range sts {
-		if st.State != "running" && st.State != "waiting" {
-			continue
+		if st.State == "running" {
+			fmt.Printf("  %-24s %8d %8d %12d\n", st.ID, st.Starts, st.Attempts, st.Cycle)
 		}
-		fmt.Printf("  %-24s %-8s %8d %8d %12d\n", st.ID, st.State, st.Starts, st.Attempts, st.Cycle)
 	}
 }
 

@@ -70,8 +70,6 @@ func TestRun(t *testing.T) {
 		{name: "chaos with no runs", args: []string{"-small", "-campaign", "chaos", "-runs", "0"},
 			wantErr: "chaos needs at least one run, got 0"},
 		// Out-of-range flags are refused, not run as a default or "off".
-		{name: "zero max-attempts", args: []string{"-max-attempts", "0"},
-			wantErr: "-max-attempts must be at least 1, got 0"},
 		{name: "negative workers", args: []string{"-workers", "-1"},
 			wantErr: "-workers must be non-negative, got -1"},
 		{name: "negative snapshot-every", args: []string{"-snapshot-every", "-1"},

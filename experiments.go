@@ -82,7 +82,6 @@ func runPlan(ctx context.Context, opts campaign.Options, arms []Arm, benchmarks 
 		}
 	}
 	opts.Workers = arms[0].Config.SuiteWorkerCount()
-	opts.MaxAttempts = 1 // a simulation that failed once fails again
 	open := campaign.Open
 	if opts.Dir == "" {
 		open = campaign.OpenScratch

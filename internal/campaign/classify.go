@@ -21,7 +21,7 @@ import (
 // outcome. iv is non-nil for OutcomeWatchdog (the invariant report).
 // A non-nil error return means the run failed in an unexpected way —
 // not a classification, a fault of the harness or host — and the
-// supervisor treats it as retryable.
+// supervisor marks the job dead.
 func Classify(res core.Result, merr error, net *network.Network) (outcome string, iv *invariant.Error, err error) {
 	led := net.ConservationLedger()
 	switch {

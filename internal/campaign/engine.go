@@ -6,13 +6,16 @@ package campaign
 //
 //	pending ──pick──> running ──classified──> done
 //	   ^                 │
-//	   │ backoff         ├─ panic / stall / unexpected error ──> waiting
-//	   │ (jittered)      │      (checkpoint kept; budget spent)
-//	   └──── waiting <───┤
-//	   ^                 ├─ graceful shutdown ──> pending (suspend
-//	   │                 │      snapshot written; no budget spent)
-//	  open/restart       └─ deadline / budget exhausted ──> dead
-//	  (and a job dead of its budget, with a fresh one)
+//	   ├─────────────────┼─ graceful shutdown (suspend snapshot written)
+//	   ├─────────────────┼─ first watchdog stall (suspend snapshot written)
+//	   │                 │
+//	   │                 └─ panic / any other failure / second stall /
+//	  open/restart            deadline ──> dead
+//	  (re-queues a job dead of a failure)
+//
+// A job is a pure function of its Spec, so a failure other than a stall
+// (the one host-dependent failure: a starved CPU) would recur at the same
+// cycle on a retry; it ends the job at once.
 //
 // Every transition is journaled before it is acted on, so a SIGKILL at
 // any point leaves a journal whose replay reconstructs the exact job
@@ -25,20 +28,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"rlnoc/internal/core"
-	"rlnoc/internal/detrand"
 	"rlnoc/internal/snap"
 )
 
 // ErrStalled is the abort reason the progress watchdog hands a run
-// whose heartbeat went quiet: the attempt is killed snapshot-aware and
-// retried from its latest checkpoint.
+// whose heartbeat went quiet: the attempt is killed snapshot-aware and,
+// the first time, retried from its latest checkpoint.
 var ErrStalled = errors.New("campaign: progress watchdog: run stalled")
 
 // errDeadline is the abort reason for an expired per-job deadline.
@@ -53,18 +54,8 @@ type Options struct {
 	Name string
 	// Workers is the job-level parallelism (default 1).
 	Workers int
-	// MaxAttempts is the per-job retry budget: a job dies after this
-	// many failed attempts (default 3). An attempt ended by graceful
-	// shutdown does not count.
-	MaxAttempts int
-	// BackoffBase and BackoffMax bound the exponential retry backoff
-	// (defaults 100ms and 5s). The delay for failure n is
-	// min(base<<(n-1), max), jittered into its upper half by a
-	// detrand stream keyed on (Seed, job, n).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed keys the backoff jitter (and nothing else: each job's
-	// simulation seed lives in its Config).
+	// Seed is read by nothing: each job's simulation seed lives in its
+	// Config. It stays until the benchmark harness stops setting it.
 	Seed int64
 	// WatchdogAfter kills a running attempt whose progress heartbeat
 	// has been silent this long (0 disables the watchdog).
@@ -81,7 +72,6 @@ type jobState int
 const (
 	jobPending jobState = iota
 	jobRunning
-	jobWaiting // backoff before retry
 	jobDone
 	jobDead
 )
@@ -92,8 +82,6 @@ func (s jobState) String() string {
 		return "pending"
 	case jobRunning:
 		return "running"
-	case jobWaiting:
-		return "waiting"
 	case jobDone:
 		return "done"
 	default:
@@ -107,11 +95,10 @@ func (s jobState) String() string {
 type job struct {
 	spec Spec
 
-	state     jobState
-	starts    int // attempts ever started, across process restarts
-	failures  int // failed attempts (spends the retry budget)
-	notBefore time.Time
-	elapsed   time.Duration // accumulated running time (deadline budget)
+	state    jobState
+	starts   int           // attempts ever started, across process restarts
+	failures int           // failed attempts
+	elapsed  time.Duration // accumulated running time (deadline budget)
 
 	outcome   string
 	detail    string
@@ -138,7 +125,6 @@ type Engine struct {
 	jobs  []*job
 	byID  map[string]*job
 	name  string
-	seed  int64
 	runCh chan struct{} // closed while Run is active (guards double Run)
 	// scratch marks a campaign OpenScratch made: no later process reads its
 	// directory, which Close removes.
@@ -181,15 +167,6 @@ func open(opts Options, scratch bool) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 100 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
-	}
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 250 * time.Millisecond
 		if opts.WatchdogAfter > 0 && opts.WatchdogAfter/4 < opts.Heartbeat {
@@ -201,7 +178,7 @@ func open(opts Options, scratch bool) (*Engine, error) {
 	}
 
 	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{}, scratch: scratch,
-		name: opts.Name, seed: opts.Seed, training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
+		name: opts.Name, training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
 	e.cond = sync.NewCond(&e.mu)
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -247,7 +224,7 @@ func (e *Engine) loadManifest() error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("campaign: manifest: %w", err)
 	}
-	e.name, e.seed = m.Name, m.Seed
+	e.name = m.Name
 	for _, spec := range m.Specs {
 		if err := e.addJob(spec); err != nil {
 			return err
@@ -261,7 +238,7 @@ func (e *Engine) writeManifest() error {
 	if e.scratch {
 		return nil
 	}
-	m := Manifest{Name: e.name, Seed: e.seed}
+	m := Manifest{Name: e.name}
 	for _, j := range e.jobs {
 		m.Specs = append(m.Specs, j.spec)
 	}
@@ -306,7 +283,7 @@ func (e *Engine) applyJournal(recs []Record) error {
 		case RecFail:
 			j.failures = rec.Attempt
 			j.elapsed = time.Duration(rec.ElapsedMS) * time.Millisecond
-			j.state = jobPending // backoff does not survive restarts
+			j.state = jobPending
 		case RecSuspend:
 			j.elapsed = time.Duration(rec.ElapsedMS) * time.Millisecond
 			j.state = jobPending
@@ -322,9 +299,8 @@ func (e *Engine) applyJournal(recs []Record) error {
 			}
 		case RecDead:
 			if rec.Outcome == OutcomeDead {
-				// A new process gives a job that spent its retry budget a
-				// fresh one: what failed it may have been the host, or a
-				// build since fixed.
+				// A new process runs a dead job again: what failed it may
+				// have been the host (a full disk), or a build since fixed.
 				j.state, j.failures = jobPending, 0
 				continue
 			}
@@ -403,25 +379,6 @@ func ContentID(prefix string, spec Spec) string {
 	return prefix + "-" + digest(identity(spec))[:16]
 }
 
-// backoffDelay computes the jittered exponential delay before retry n
-// (1-based). The jitter lands in the delay's upper half, drawn from a
-// detrand stream keyed on (engine seed, job ID hash, n) — deterministic
-// across runs and processes, decorrelated across jobs.
-func (e *Engine) backoffDelay(jobID string, n int) time.Duration {
-	d := e.opts.BackoffBase
-	for i := 1; i < n && d < e.opts.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > e.opts.BackoffMax {
-		d = e.opts.BackoffMax
-	}
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	st := detrand.New(e.seed, detrand.DomainCampaign, h.Sum64(), uint64(n))
-	half := d / 2
-	return half + time.Duration(st.Float64()*float64(half))
-}
-
 // next blocks until a job is ready to run (returns the first in submit
 // order, marked running), all jobs are terminal (returns nil, false), or
 // ctx is done (returns nil, true).
@@ -433,19 +390,10 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 			return nil, true
 		}
 		var best *job
-		var wake time.Time
-		now := time.Now()
 		open := false
 		for _, j := range e.jobs {
 			switch j.state {
-			case jobPending, jobWaiting:
-				if j.notBefore.After(now) {
-					open = true
-					if wake.IsZero() || j.notBefore.Before(wake) {
-						wake = j.notBefore
-					}
-					continue
-				}
+			case jobPending:
 				if e.training[j.key] != nil {
 					// Its (config, scheme) is being pre-trained: it waits
 					// for that state without holding a worker.
@@ -465,27 +413,13 @@ func (e *Engine) next(ctx context.Context) (*job, bool) {
 			}
 			best.state = jobRunning
 			best.starts++
-			best.beat.reset(now)
+			best.beat.reset(time.Now())
 			return best, false
 		}
 		if !open {
 			return nil, false
 		}
-		if !wake.IsZero() {
-			// Wake the scheduler when the earliest backoff expires. The
-			// timer broadcasts under e.mu: this goroutine holds it until
-			// Wait parks, so a short backoff cannot fire in between and
-			// be lost.
-			t := time.AfterFunc(time.Until(wake), func() {
-				e.mu.Lock()
-				e.cond.Broadcast()
-				e.mu.Unlock()
-			})
-			e.cond.Wait()
-			t.Stop()
-		} else {
-			e.cond.Wait()
-		}
+		e.cond.Wait()
 	}
 }
 

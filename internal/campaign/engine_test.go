@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,43 +50,6 @@ func TestOpenRequiresDir(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministicJitter pins the retry-delay policy: same
-// (seed, job, failure) triple → same delay across engines; delays grow
-// exponentially, stay within [base/2^0 .. max], and differ across jobs.
-func TestBackoffDeterministicJitter(t *testing.T) {
-	mk := func(seed int64) *Engine {
-		return openTestEngine(t, Options{Seed: seed,
-			BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second})
-	}
-	a, b := mk(42), mk(42)
-	other := mk(43)
-	sawJobSkew, sawSeedSkew := false, false
-	for n := 1; n <= 8; n++ {
-		da := a.backoffDelay("job-a", n)
-		if db := b.backoffDelay("job-a", n); da != db {
-			t.Fatalf("failure %d: same key gave %v and %v", n, da, db)
-		}
-		if d2 := a.backoffDelay("job-b", n); d2 != da {
-			sawJobSkew = true
-		}
-		if d3 := other.backoffDelay("job-a", n); d3 != da {
-			sawSeedSkew = true
-		}
-		lo := 100 * time.Millisecond << (n - 1) / 2
-		hi := 100 * time.Millisecond << (n - 1)
-		if hi > 5*time.Second {
-			hi = 5 * time.Second
-			lo = hi / 2
-		}
-		if da < lo || da > hi {
-			t.Errorf("failure %d: delay %v outside [%v, %v]", n, da, lo, hi)
-		}
-	}
-	if !sawJobSkew || !sawSeedSkew {
-		t.Errorf("jitter did not vary across jobs (%v) or seeds (%v)", sawJobSkew, sawSeedSkew)
-	}
-}
-
 // TestSubmitOrder runs a single worker over jobs whose IDs sort in
 // another order than they were submitted in, and checks the journal's
 // start records: the queue runs jobs in submit order.
@@ -122,14 +86,15 @@ func TestSubmitOrder(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustion drives a job that fails every attempt the
-// same way through the retry machinery to OutcomeDead, checks the journal
-// recorded each failed attempt, and reopens the campaign to see the job
-// retried. A file stands where the job's checkpoint directory belongs, so
-// every attempt fails writing its first checkpoint.
+// TestRetryBudgetExhaustion drives a job that fails the same way on
+// every attempt: a file stands where its checkpoint directory belongs, so
+// it fails writing its first checkpoint. A failure that is not a stall
+// ends the job after its one attempt — one dead record and no fail record
+// — while its sibling drains. The next process runs the dead job again
+// (the fault may have been the host's, since fixed) and leaves the
+// finished one alone.
 func TestRetryBudgetExhaustion(t *testing.T) {
-	eng := openTestEngine(t, Options{Workers: 1, MaxAttempts: 2,
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+	eng := openTestEngine(t, Options{Workers: 1})
 	spec := tinySpec("doomed")
 	spec.SnapshotEvery = 100
 	jobs := filepath.Join(eng.Dir(), "jobs")
@@ -139,73 +104,105 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(jobs, "doomed"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Submit(spec, tinySpec("fine")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	results := eng.Results()
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	var doomed, fine JobResult
-	for _, r := range results {
-		switch r.ID {
-		case "doomed":
-			doomed = r
-		case "fine":
-			fine = r
+	run := func() map[string]JobResult {
+		t.Helper()
+		if err := eng.Submit(spec, tinySpec("fine")); err != nil {
+			t.Fatal(err)
 		}
+		if err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		byID := map[string]JobResult{}
+		for _, r := range eng.Results() {
+			byID[r.ID] = r
+		}
+		return byID
 	}
-	if doomed.Outcome != OutcomeDead || doomed.Attempts != 2 || doomed.Err == "" {
+	byID := run()
+	if doomed := byID["doomed"]; doomed.Outcome != OutcomeDead || doomed.Attempts != 1 || doomed.Err == "" {
 		t.Errorf("doomed job: outcome %s attempts %d err %q", doomed.Outcome, doomed.Attempts, doomed.Err)
 	}
 	// One job dying must not take the campaign with it.
-	if fine.Outcome != OutcomeDrained && fine.Outcome != OutcomeBudget {
+	if fine := byID["fine"]; fine.Outcome != OutcomeDrained && fine.Outcome != OutcomeBudget {
 		t.Errorf("sibling job finished %s", fine.Outcome)
 	}
 	_, recs, err := OpenJournal(filepath.Join(eng.Dir(), "journal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails, deads := 0, 0
+	verdicts := map[string]int{}
 	for _, rec := range recs {
-		if rec.Job != "doomed" {
-			continue
-		}
-		switch rec.Type {
-		case RecFail:
-			fails++
-		case RecDead:
-			deads++
+		if rec.Job == "doomed" {
+			verdicts[rec.Type]++
 		}
 	}
-	if fails != 1 || deads != 1 {
-		t.Errorf("journal for doomed job: %d fail + %d dead records, want 1+1", fails, deads)
+	if verdicts[RecFail] != 0 || verdicts[RecDead] != 1 {
+		t.Errorf("journal for doomed job: %d fail + %d dead records, want 0+1", verdicts[RecFail], verdicts[RecDead])
 	}
 
-	// The next process gives the dead job a fresh budget — what failed it
-	// may have been the host, or a build since fixed — and leaves the
-	// finished one alone.
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eng = openTestEngine(t, Options{Dir: eng.Dir(), Workers: 1, MaxAttempts: 2,
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
-	if err := eng.Submit(spec, tinySpec("fine")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	eng = openTestEngine(t, Options{Dir: eng.Dir(), Workers: 1})
+	run()
 	starts := map[string]int{}
 	for _, st := range eng.Status() {
 		starts[st.ID] = st.Starts
 	}
-	if starts["doomed"] != 4 || starts["fine"] != 1 {
-		t.Errorf("over two processes the dead job started %d times and the finished one %d, want 4 and 1",
+	if starts["doomed"] != 2 || starts["fine"] != 1 {
+		t.Errorf("over two processes the dead job started %d times and the finished one %d, want 2 and 1",
 			starts["doomed"], starts["fine"])
+	}
+}
+
+// TestOpenOldDirectory opens a campaign directory as an earlier build
+// wrote it: a manifest with the retired "seed" key, and a journal in which
+// a job started, failed and started again with no verdict (the process
+// died mid-retry). The job must resume and finish, keeping the journaled
+// failure in its Attempts.
+func TestOpenOldDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec("old")
+	manifest, err := json.Marshal(map[string]any{"name": "nocserve", "seed": 42, "specs": []Spec{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := OpenJournal(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Type: RecStart, Job: "old", Attempt: 1},
+		{Type: RecFail, Job: "old", Attempt: 1, Error: "campaign: job old panicked: boom", ElapsedMS: 5},
+		{Type: RecStart, Job: "old", Attempt: 2},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	r := eng.Results()[0]
+	if r.Outcome != OutcomeDrained && r.Outcome != OutcomeBudget {
+		t.Fatalf("job finished %s (%s)", r.Outcome, r.Err)
+	}
+	if r.Attempts != 1 {
+		t.Errorf("Attempts %d, want the journaled failure count 1", r.Attempts)
+	}
+	if st := eng.Status()[0]; st.Starts != 3 {
+		t.Errorf("job started %d times over both processes, want 3", st.Starts)
 	}
 }
 

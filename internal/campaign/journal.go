@@ -33,15 +33,14 @@ const (
 	// RecDone marks a job completing with a classified outcome; Result
 	// holds the marshaled core.Result.
 	RecDone = "done"
-	// RecFail marks an attempt failing retryably (panic, stall,
-	// unexpected error); the job re-enters the queue after backoff.
+	// RecFail marks an attempt killed by the progress watchdog for the
+	// first time; the job re-enters the queue at once.
 	RecFail = "fail"
 	// RecSuspend marks an attempt stopped by graceful shutdown with its
-	// state checkpointed; the job stays pending and does not lose
-	// retry budget.
+	// state checkpointed; the job stays pending.
 	RecSuspend = "suspend"
-	// RecDead marks a job abandoned (retry budget exhausted or deadline
-	// expired).
+	// RecDead marks a job abandoned (a failed attempt or an expired
+	// deadline).
 	RecDead = "dead"
 )
 

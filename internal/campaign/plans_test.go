@@ -65,7 +65,7 @@ func TestBuildChaosClampsOverlongWarmup(t *testing.T) {
 				}
 			}
 		}
-		eng := openTestEngine(t, Options{Workers: 2, MaxAttempts: 1})
+		eng := openTestEngine(t, Options{Workers: 2})
 		if err := eng.Submit(plan.Specs...); err != nil {
 			t.Fatal(err)
 		}

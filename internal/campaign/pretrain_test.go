@@ -220,12 +220,12 @@ func TestCorruptPretrainedStateQuarantined(t *testing.T) {
 	checkAgainstDirect(t, eng, specs)
 }
 
-// TestDTJobCheckpointsAndResumes crashes a pre-training DT job in its
-// measured phase. The DT controller used to refuse to snapshot, so such a
-// job could only start over; now the retry restores the job's own newest
-// checkpoint — trained tree, decision counters and all — or, when the job
-// keeps none, the pre-trained state its first attempt left, and either way
-// ends with the uninterrupted Result.
+// TestDTJobCheckpointsAndResumes stalls a pre-training DT job in its
+// measured phase until the watchdog kills it. The DT controller used to
+// refuse to snapshot, so such a job could only start over; now the resumed
+// attempt restores the job's own newest checkpoint — trained tree, decision
+// counters and all — or, when the job keeps none, the pre-trained state its
+// first attempt left, and either way ends with the uninterrupted Result.
 func TestDTJobCheckpointsAndResumes(t *testing.T) {
 	for _, every := range []int64{1000, 0} {
 		t.Run(fmt.Sprintf("snapshot-every=%d", every), func(t *testing.T) {
@@ -237,16 +237,16 @@ func TestDTJobCheckpointsAndResumes(t *testing.T) {
 				Pretrain:      true,
 				Trace:         TraceSpec{Pattern: "uniform", Rate: 0.004, Cycles: 2000, Seed: 12},
 				SnapshotEvery: every,
-				// Pre-training ends a little after cycle 3000; the panic falls
+				// Pre-training ends a little after cycle 3000; the stall falls
 				// past the measured phase's first checkpoint.
-				Inject: InjectSpec{PanicAtCycle: 4500},
+				Inject: InjectSpec{StallAtCycle: 4500},
 			}
 			if err := spec.Validate(); err != nil {
 				t.Fatal(err)
 			}
 			var log logLines
 			eng := openTestEngine(t, Options{Workers: 1, Logf: log.logf,
-				BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
+				WatchdogAfter: time.Second})
 			if err := eng.Submit(spec); err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestDTJobCheckpointsAndResumes(t *testing.T) {
 			fromCheckpoint := every > 0
 			fromPretrained := log.count("starts from pre-trained state") == 1
 			if r.Attempts != 1 || r.Recovered != fromCheckpoint || fromPretrained == fromCheckpoint {
-				t.Errorf("%d failed attempts, restored a checkpoint = %v, restored the pre-trained state = %v; want one crash and a restore of %s",
+				t.Errorf("%d failed attempts, restored a checkpoint = %v, restored the pre-trained state = %v; want one stall and a restore of %s",
 					r.Attempts, r.Recovered, fromPretrained,
 					map[bool]string{true: "the checkpoint", false: "the pre-trained state"}[fromCheckpoint])
 			}

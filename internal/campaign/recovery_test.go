@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,25 +110,38 @@ func checkRecovered(t *testing.T, eng *Engine, ref map[string]refResult, wantRec
 	}
 }
 
-// TestRecoveryFromPanic injects a panic mid-measurement into every job
-// (mesh + torus, rl + qroute): the supervisor must isolate it, resume
-// from the latest checkpoint, and finish with Results byte-identical to
-// a run that never crashed — at 1 and 4 workers.
-func TestRecoveryFromPanic(t *testing.T) {
-	const trace = 2000
-	ref := referenceResults(t, trace)
+// TestPanicIsTerminal injects a panic mid-measurement into every job
+// (mesh + torus, rl + qroute): the supervisor must isolate it and end the
+// job dead after its one start — a deterministic run would panic again at
+// the same cycle — with the command that replays it from its newest
+// checkpoint, at 1 and 4 workers.
+func TestPanicIsTerminal(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			eng := openTestEngine(t, Options{Workers: workers,
-				BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond})
-			specs := recoverySpecs(trace, InjectSpec{PanicAtCycle: 1200})
-			if err := eng.Submit(specs...); err != nil {
+			eng := openTestEngine(t, Options{Workers: workers})
+			if err := eng.Submit(recoverySpecs(2000, InjectSpec{PanicAtCycle: 1200})...); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			checkRecovered(t, eng, ref, true)
+			results := eng.Results()
+			if len(results) != 4 {
+				t.Fatalf("got %d results, want 4", len(results))
+			}
+			for _, r := range results {
+				if r.Outcome != OutcomeDead || r.Attempts != 1 {
+					t.Errorf("job %s: outcome %s after %d failed attempts, want dead after 1", r.ID, r.Outcome, r.Attempts)
+				}
+				if !strings.Contains(r.Err, "panicked") || !strings.Contains(r.Err, "replay with: RLNOC_CHECKS=all nocsim -restore ") {
+					t.Errorf("job %s: error %q names no panic and no replay command", r.ID, r.Err)
+				}
+			}
+			for _, st := range eng.Status() {
+				if st.Starts != 1 {
+					t.Errorf("job %s started %d times, want 1", st.ID, st.Starts)
+				}
+			}
 		})
 	}
 }
@@ -141,8 +155,7 @@ func TestRecoveryFromStall(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			eng := openTestEngine(t, Options{Workers: workers,
-				WatchdogAfter: 400 * time.Millisecond,
-				BackoffBase:   time.Millisecond, BackoffMax: 4 * time.Millisecond})
+				WatchdogAfter: 400 * time.Millisecond})
 			specs := recoverySpecs(trace, InjectSpec{StallAtCycle: 1200})
 			if err := eng.Submit(specs...); err != nil {
 				t.Fatal(err)

@@ -36,8 +36,8 @@ type attemptKind int
 
 const (
 	attemptDone     attemptKind = iota // classified; job terminal
-	attemptRetry                       // failed; spends retry budget
-	attemptSuspend                     // graceful shutdown; no budget spent
+	attemptFail                        // failed; retried once if a stall, else dead
+	attemptSuspend                     // graceful shutdown; job pending
 	attemptDeadline                    // per-job deadline expired; job dead
 )
 
@@ -69,6 +69,7 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 
 	e.unclaim(j) // the phase failed, or never ran
 	e.mu.Lock()
+	sim := j.sim
 	j.sim = nil
 	j.elapsed += ran
 	j.recovered = j.recovered || out.recovered
@@ -94,22 +95,25 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		j.state = jobPending
 		rec = Record{Type: RecSuspend, Job: spec.ID, ElapsedMS: elapsedMS}
 		e.logf("job %s: suspended at cycle %d", spec.ID, j.beat.cycle())
-	case attemptRetry:
+	case attemptFail:
+		// A stall is the one failure the host, not the job, can cause;
+		// any other would recur at the same cycle.
 		j.failures++
-		if j.failures >= e.opts.MaxAttempts {
-			j.state = jobDead
-			j.outcome = OutcomeDead
-			j.errMsg = out.err.Error()
-			rec = Record{Type: RecDead, Job: spec.ID, Outcome: OutcomeDead, Error: j.errMsg}
-			e.logf("job %s: retry budget exhausted after %d failures (%v)", spec.ID, j.failures, out.err)
-		} else {
-			j.state = jobWaiting
-			delay := e.backoffDelay(spec.ID, j.failures)
-			j.notBefore = time.Now().Add(delay)
+		if j.failures == 1 && errors.Is(out.err, ErrStalled) {
+			j.state = jobPending
 			rec = Record{Type: RecFail, Job: spec.ID, Attempt: j.failures,
 				Error: out.err.Error(), ElapsedMS: elapsedMS}
-			e.logf("job %s: attempt %d failed (%v), retry in %v", spec.ID, starts, out.err, delay.Round(time.Millisecond))
+			e.logf("job %s: attempt %d stalled, resuming", spec.ID, starts)
+			break
 		}
+		j.state = jobDead
+		j.outcome = OutcomeDead
+		j.errMsg = out.err.Error()
+		if sim != nil && sim.ReplayCommand() != "" {
+			j.errMsg += "; replay with: " + sim.ReplayCommand()
+		}
+		rec = Record{Type: RecDead, Job: spec.ID, Outcome: OutcomeDead, Error: j.errMsg}
+		e.logf("job %s: dead after %d failed attempts: %s", spec.ID, j.failures, j.errMsg)
 	}
 	if j.terminal() && j.key != "" {
 		e.dropUnused(j.key)
@@ -138,11 +142,11 @@ func (e *Engine) dropUnused(key string) {
 // attempt runs the simulation once: open it (openSim), wire the
 // heartbeat / deadline / cancellation / injection hooks, run, and
 // classify how it ended. A panic anywhere inside is converted to a
-// retryable failure by the deferred recover.
+// failure by the deferred recover.
 func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, elapsed time.Duration) (out attemptResult) {
 	defer func() {
 		if p := recover(); p != nil {
-			out = attemptResult{kind: attemptRetry,
+			out = attemptResult{kind: attemptFail,
 				err: fmt.Errorf("campaign: job %s panicked: %v", spec.ID, p)}
 		}
 	}()
@@ -154,7 +158,7 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	dir := e.jobDir(spec.ID)
 	sim, at, err := e.openSim(j, spec, dir)
 	if err != nil {
-		return attemptResult{kind: attemptRetry, err: err}
+		return attemptResult{kind: attemptFail, err: err}
 	}
 	sim.SetSnapshotPolicy(dir, spec.SnapshotEvery)
 	resumed := at == atCheckpoint
@@ -172,15 +176,21 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 		t := time.AfterFunc(spec.Deadline-elapsed, func() { sim.Abort(errDeadline) })
 		defer t.Stop()
 	}
-	if spec.Inject.armed() && starts == 1 {
-		armInjection(sim, spec.Inject)
+	// A panic is a bug in the job and recurs on every start; a stall is
+	// the host's, and does not.
+	inj := spec.Inject
+	if starts > 1 {
+		inj.StallAtCycle = 0
+	}
+	if inj.armed() {
+		armInjection(sim, inj)
 	}
 
 	var res core.Result
 	var merr error
 	if at == atStart && spec.Pretrain {
-		// The key's one phase: its other jobs, and every retry of this
-		// one, fork the state it ends in.
+		// The key's one phase: its other jobs, and this one if resumed,
+		// fork the state it ends in.
 		if merr = sim.Pretrain(); merr == nil {
 			e.keep(j, sim)
 		}
@@ -192,7 +202,7 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	default:
 		events, terr := spec.Trace.Events(spec.Config)
 		if terr != nil {
-			return attemptResult{kind: attemptRetry, err: terr}
+			return attemptResult{kind: attemptFail, err: terr}
 		}
 		res, merr = sim.Measure(events, spec.Label)
 	}
@@ -210,7 +220,7 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 		case errors.Is(merr, errDeadline):
 			return attemptResult{kind: attemptDeadline, recovered: resumed, err: errDeadline}
 		case errors.Is(merr, ErrStalled):
-			return attemptResult{kind: attemptRetry, recovered: resumed, err: merr}
+			return attemptResult{kind: attemptFail, recovered: resumed, err: merr}
 		default: // graceful shutdown (context cancellation)
 			return attemptResult{kind: attemptSuspend, recovered: resumed, err: merr}
 		}
@@ -218,7 +228,7 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 
 	outcome, iv, cerr := Classify(res, merr, sim.Network())
 	if cerr != nil {
-		return attemptResult{kind: attemptRetry, recovered: resumed, err: cerr}
+		return attemptResult{kind: attemptFail, recovered: resumed, err: cerr}
 	}
 	detail := FormatDetail(sim.Network(), res)
 	if outcome == OutcomeWatchdog {

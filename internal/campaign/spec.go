@@ -2,10 +2,10 @@
 // experiment campaigns (DESIGN.md §17). A campaign is a set of durable
 // jobs — one simulation run each — driven by a worker pool that owns
 // everything the bare simulator does not: a submit-order queue with
-// per-job deadlines and context cancellation, per-job panic isolation,
-// retry with exponential backoff and deterministic jitter,
+// per-job deadlines and context cancellation, per-job panic isolation
+// (a panic ends the job: a deterministic run would panic again),
 // a progress-heartbeat watchdog that kills stalled runs snapshot-aware,
-// checkpoint-based recovery (a failed attempt resumes from the latest
+// checkpoint-based recovery (a stalled attempt resumes from the latest
 // valid `internal/snap` checkpoint instead of cycle 0), and a
 // crash-safe journal + manifest so a SIGKILLed supervisor process
 // resumes every in-flight job byte-identically on restart.
@@ -79,16 +79,17 @@ func (t TraceSpec) source(cfg config.Config) (topology.Topology, *traffic.Benchm
 
 // InjectSpec arms deliberate mid-run failures — the supervisor's own
 // chaos inputs, used by the recovery tests and the CI induced-failure
-// campaign. Injection fires only on a job's first-ever attempt (the
-// journal remembers starts across process restarts), so a recovered
-// attempt replays the run clean instead of re-tripping forever.
+// campaign.
 type InjectSpec struct {
 	// PanicAtCycle panics the run once the measured cycle reaches this
-	// value (0 disables) — exercising per-job panic isolation.
+	// value (0 disables) — exercising per-job panic isolation. Like a
+	// real bug it fires on every start.
 	PanicAtCycle int64 `json:"panic_at_cycle,omitempty"`
 	// StallAtCycle blocks the run at this cycle until the progress
 	// watchdog kills it (0 disables) — exercising stall detection and
-	// snapshot-aware kill/resume.
+	// snapshot-aware kill/resume. Like a starved host it fires on the
+	// job's first start only (the journal remembers starts across
+	// process restarts).
 	StallAtCycle int64 `json:"stall_at_cycle,omitempty"`
 }
 
@@ -114,14 +115,14 @@ type Spec struct {
 	// Pretrain runs the synthetic pre-training phase before measuring
 	// (the full methodology). Chaos probes skip it. The phase runs once per
 	// (Config, Scheme) in a campaign: every other such job, and every
-	// retry, forks the state the first ends it in, which is also kept as
+	// resumed one, forks the state the first ends it in, which is also kept as
 	// pretrain-<hash>.rlns in the campaign directory for a later process.
 	Pretrain bool      `json:"pretrain,omitempty"`
 	Trace    TraceSpec `json:"trace"`
 
 	// SnapshotEvery checkpoints the run every N measured cycles into the
 	// job's directory; recovery resumes from the latest valid checkpoint.
-	// 0 disables — then every retry restarts the measured phase. A run an
+	// 0 disables — then a resumed job restarts the measured phase. A run an
 	// invariant watchdog ends logs the command that replays it from its
 	// latest checkpoint with flit-level event capture
 	// (Sim.ReplayCommand).
@@ -134,7 +135,7 @@ type Spec struct {
 // directory under <campaign>/jobs, so it must be a single path element:
 // specs also arrive from manifest.json on disk. The trace and a
 // hard-fault schedule get the checks the run makes before it starts, so a
-// job no attempt could start is refused here rather than retried.
+// job no attempt could start is refused here rather than run.
 func (s Spec) Validate() error {
 	switch {
 	case s.ID == "":
@@ -181,7 +182,8 @@ const (
 	OutcomeWedged = "wedged"
 	// OutcomeDeadline: the job's wall-clock deadline expired.
 	OutcomeDeadline = "deadline"
-	// OutcomeDead: the retry budget was exhausted without a completed run.
+	// OutcomeDead: an attempt failed (a panic, an unexpected error, a
+	// second stall) without a completed run.
 	OutcomeDead = "dead"
 )
 
@@ -194,7 +196,7 @@ type JobResult struct {
 	Detail string `json:"detail,omitempty"`
 	// Err carries the final error for dead jobs.
 	Err string `json:"err,omitempty"`
-	// Attempts counts failed attempts that preceded the terminal one.
+	// Attempts counts failed attempts, a dead job's last one included.
 	Attempts int `json:"attempts"`
 	// Recovered reports whether any attempt resumed from a checkpoint.
 	Recovered bool `json:"recovered"`
@@ -205,7 +207,7 @@ type JobResult struct {
 // JobStatus is a point-in-time view of one job for the status surface.
 type JobStatus struct {
 	ID       string `json:"id"`
-	State    string `json:"state"` // pending, running, waiting, done, dead
+	State    string `json:"state"` // pending, running, done, dead
 	Attempts int    `json:"attempts"`
 	Starts   int    `json:"starts"`
 	Cycle    int64  `json:"cycle,omitempty"` // last heartbeat cycle while running
@@ -213,11 +215,10 @@ type JobStatus struct {
 	Detail   string `json:"detail,omitempty"`
 }
 
-// Manifest is the campaign's durable identity: the full job list plus
-// the knobs that must survive a restart for recovered runs to be
-// byte-identical. It is rewritten atomically on every Submit.
+// Manifest is the campaign's durable identity: its name and the full job
+// list. It is rewritten atomically on every Submit. (An older manifest's
+// "seed" key is ignored.)
 type Manifest struct {
 	Name  string `json:"name"`
-	Seed  int64  `json:"seed"`
 	Specs []Spec `json:"specs"`
 }

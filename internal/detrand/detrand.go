@@ -43,15 +43,12 @@ const (
 	// router ID. Keyed per cycle so the draw sequence is invariant under
 	// router traversal order.
 	DomainQRoute uint64 = 6
-	// DomainCampaign keys the campaign engine's retry-backoff jitter;
-	// id is a hash of the job ID, cycle is the failure count. Jitter
-	// decorrelates a thundering herd of retries without making test
-	// runs irreproducible.
-	DomainCampaign uint64 = 7
 	// DomainPayload keys the payload words of one packet; id is the
 	// packet ID, cycle is 0. The codes protecting a flit are linear, so
 	// no word value reaches a result: the stream only has to make each
-	// packet's words a pure function of (seed, packet).
+	// packet's words a pure function of (seed, packet). It keeps 8 after
+	// domain 7 (retry-backoff jitter) was retired: renumbering it would
+	// move every payload draw.
 	DomainPayload uint64 = 8
 )
 
