@@ -46,8 +46,8 @@ func runHardFaultScan(t *testing.T, scheme core.Scheme, topo, sched string, dens
 	if err := sim.WriteSnapshot(&state); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s dead=%d unreachable=%d drops=%d %s state=%x",
-		serialize(t, res), net.DeadRouters(), net.UnreachablePairs(), net.Stats().TotalDrops(), led,
+	return fmt.Sprintf("%s dead=%d unreachable=%d drops=%v %s state=%x",
+		serialize(t, res), net.DeadRouters(), net.UnreachablePairs(), net.Stats().DropCounts(), led,
 		sha256.Sum256(state.Bytes()))
 }
 

@@ -59,29 +59,6 @@ func ZeroLoadLatency(hops, flits int, lp LinkParams) int64 {
 	return constantTerm + (perHopBase+lp.ExtraLatency)*int64(hops) + int64(flits-1)*lp.Occupancy
 }
 
-// PacketFailureProb is the probability that at least one flit of a packet
-// is corrupted somewhere along an unprotected path, given the per-flit
-// per-hop error probability p.
-func PacketFailureProb(p float64, flits, hops int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return 1 - math.Pow(1-p, float64(flits*hops))
-}
-
-// ExpectedAttempts is the expected number of end-to-end transmissions
-// until a packet survives, 1/(1-pFail); it diverges as pFail approaches 1
-// (the reactive baseline's retransmission livelock).
-func ExpectedAttempts(pFail float64) float64 {
-	if pFail >= 1 {
-		return math.Inf(1)
-	}
-	if pFail <= 0 {
-		return 1
-	}
-	return 1 / (1 - pFail)
-}
-
 // detectedFraction is the share of mild error events SECDED detects but
 // cannot correct (two flips landing in one 64-bit word): the injector
 // flips 2 bits in ~25% of mild events, and both land in the same word

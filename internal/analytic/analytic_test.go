@@ -77,32 +77,6 @@ func TestZeroLoadDegenerate(t *testing.T) {
 	}
 }
 
-func TestPacketFailureProb(t *testing.T) {
-	if PacketFailureProb(0, 4, 6) != 0 {
-		t.Error("p=0 must not fail")
-	}
-	got := PacketFailureProb(0.01, 4, 6)
-	want := 1 - math.Pow(0.99, 24)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("failure prob = %g, want %g", got, want)
-	}
-	if PacketFailureProb(0.5, 4, 6) < 0.99 {
-		t.Error("heavy corruption must almost surely fail")
-	}
-}
-
-func TestExpectedAttempts(t *testing.T) {
-	if ExpectedAttempts(0) != 1 {
-		t.Error("no failures -> one attempt")
-	}
-	if ExpectedAttempts(0.5) != 2 {
-		t.Error("pFail 0.5 -> 2 attempts")
-	}
-	if !math.IsInf(ExpectedAttempts(1), 1) {
-		t.Error("pFail 1 -> livelock")
-	}
-}
-
 func TestModeCostOrderingAcrossErrorRates(t *testing.T) {
 	pr := power.DefaultParams()
 	// Clean link: the bypass mode must win (no ECC latency/energy).

@@ -60,9 +60,6 @@ type Options struct {
 	// WatchdogAfter kills a running attempt whose progress heartbeat
 	// has been silent this long (0 disables the watchdog).
 	WatchdogAfter time.Duration
-	// Heartbeat is the progress-callback interval (default 250ms, or
-	// WatchdogAfter/4 when a watchdog is armed).
-	Heartbeat time.Duration
 	// Logf receives supervisor diagnostics (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -166,12 +163,6 @@ func OpenScratch(opts Options) (*Engine, error) {
 func open(opts Options, scratch bool) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 250 * time.Millisecond
-		if opts.WatchdogAfter > 0 && opts.WatchdogAfter/4 < opts.Heartbeat {
-			opts.Heartbeat = opts.WatchdogAfter / 4
-		}
 	}
 	if opts.Name == "" {
 		opts.Name = "campaign"
@@ -488,7 +479,7 @@ func (e *Engine) Run(ctx context.Context) error {
 
 // watchdog scans running jobs and aborts any whose heartbeat has been
 // silent longer than WatchdogAfter. The abort is cooperative (the cycle
-// loop polls every 256 iterations), so a stall inside a single Step —
+// loop polls every 256 cycles), so a stall inside a single Step —
 // which would mean a simulator deadlock, not a slow run — is out of its
 // reach by design; the per-job deadline is the backstop there.
 func (e *Engine) watchdog(stop <-chan struct{}) {

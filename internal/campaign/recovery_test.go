@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +171,80 @@ func TestRecoveryFromStall(t *testing.T) {
 	}
 }
 
+// TestWatchdogReportsStallCycle: while a job hangs, Status and the
+// watchdog's log line name the cycle the run reached, not the cycle of an
+// earlier timed tick (cycle 0 when the stall came before the first). The
+// injected stall hangs the observer at the first multiple of its period
+// at or past StallAtCycle (2560), a control-poll cycle, so both must read
+// at least StallAtCycle.
+func TestWatchdogReportsStallCycle(t *testing.T) {
+	const stallAt = 2500
+	var latest atomic.Int64 // the running job's Status().Cycle, last poll
+	type kill struct {
+		status int64  // Status().Cycle while the job hung
+		line   string // the watchdog's log line
+	}
+	atKill := make(chan kill, 1)
+	logf := func(format string, args ...any) {
+		// The watchdog logs under the engine lock that Status takes, so
+		// every poll already stored read the stalled attempt.
+		if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "silent") {
+			select {
+			case atKill <- kill{latest.Load(), msg}:
+			default:
+			}
+		}
+	}
+	eng := openTestEngine(t, Options{WatchdogAfter: time.Second, Logf: logf})
+	if err := eng.Submit(recoverySpecs(3000, InjectSpec{StallAtCycle: stallAt})[0]); err != nil {
+		t.Fatal(err)
+	}
+	latest.Store(-1)
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			for _, st := range eng.Status() {
+				if st.State == "running" {
+					latest.Store(st.Cycle)
+				}
+			}
+		}
+	}()
+	err := eng.Run(context.Background())
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k kill
+	select {
+	case k = <-atKill:
+	default:
+		t.Fatal("the watchdog never fired")
+	}
+	if k.status < stallAt {
+		t.Errorf("Status().Cycle of the stalled job = %d, want >= %d", k.status, stallAt)
+	}
+	var n int64 = -1
+	if m := regexp.MustCompile(`at cycle (\d+)`).FindStringSubmatch(k.line); m != nil {
+		n, _ = strconv.ParseInt(m[1], 10, 64)
+	}
+	if n < stallAt {
+		t.Errorf("watchdog logged %q, want a cycle >= %d", k.line, stallAt)
+	}
+	if st := eng.Status()[0]; st.Outcome != OutcomeDrained {
+		t.Errorf("job ended %s (%s), want drained after one resume", st.Outcome, st.Detail)
+	}
+}
+
 // TestGracefulShutdownResume cancels a campaign mid-flight (the SIGTERM
 // path): Run must return with every in-flight job checkpointed and
 // requeued, and a fresh engine over the same directory must finish the
@@ -178,7 +255,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	specs := recoverySpecs(trace, InjectSpec{})
 
-	eng, err := Open(Options{Dir: dir, Workers: 2, Heartbeat: 2 * time.Millisecond})
+	eng, err := Open(Options{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,9 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 		// AfterFunc has already fired, so deliver the abort by hand.
 		sim.Abort(context.Cause(ctx))
 	}
-	sim.SetProgress(e.opts.Heartbeat, func(cycle int64) { j.beat.tick(cycle) })
+	// The heartbeat ticks at every control poll, so it carries the cycle
+	// the run last reached.
+	sim.SetProgress(0, func(cycle int64) { j.beat.tick(cycle) })
 	if spec.Deadline > 0 {
 		t := time.AfterFunc(spec.Deadline-elapsed, func() { sim.Abort(errDeadline) })
 		defer t.Stop()

@@ -133,9 +133,10 @@ type Spec struct {
 
 // Validate rejects specs the engine cannot run. The ID names the job's
 // directory under <campaign>/jobs, so it must be a single path element:
-// specs also arrive from manifest.json on disk. The trace and a
-// hard-fault schedule get the checks the run makes before it starts, so a
-// job no attempt could start is refused here rather than run.
+// specs also arrive from manifest.json on disk. The config as its scheme
+// runs it (core.SchemeConfig), the trace and a hard-fault schedule get the
+// checks the run makes before it starts, so a job no attempt could start
+// is refused here rather than run.
 func (s Spec) Validate() error {
 	switch {
 	case s.ID == "":
@@ -147,10 +148,12 @@ func (s Spec) Validate() error {
 	case s.Deadline < 0:
 		return fmt.Errorf("campaign: spec %s: negative deadline %v", s.ID, s.Deadline)
 	}
-	if _, err := core.ParseScheme(s.Scheme); err != nil {
+	scheme, err := core.ParseScheme(s.Scheme)
+	if err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 	}
-	if err := s.Config.Validate(); err != nil {
+	cfg := core.SchemeConfig(s.Config, scheme)
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("campaign: spec %s: %w", s.ID, err)
 	}
 	topo, _, err := s.Trace.source(s.Config)

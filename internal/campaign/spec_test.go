@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"rlnoc/internal/core"
 )
 
 // pathIDs are job IDs that are not one path element: each would put the
@@ -124,6 +126,27 @@ func TestSubmitRejectsBadTrace(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("Validate rejected a trace the run can build, %+v: %v", tr, err)
 		}
+	}
+}
+
+// TestSubmitRejectsUnbuildableScheme: a spec whose config is valid alone
+// but not under its scheme — qroute on a torus with 4 VCs per port, where
+// escape x dateline classes need 8 — is refused by Submit, as NewSim would
+// refuse it, and the same config under rl is taken.
+func TestSubmitRejectsUnbuildableScheme(t *testing.T) {
+	eng := openTestEngine(t, Options{})
+	s := tinySpec("qroute-torus")
+	s.Config.Topology, s.Config.VCsPerPort = "torus", 4
+	s.Scheme = string(core.SchemeQRoute)
+	if _, err := core.NewSim(s.Config, core.SchemeQRoute); err == nil {
+		t.Fatal("NewSim built qroute on a torus with 4 VCs per port; the case no longer exercises the rule")
+	}
+	if err := eng.Submit(s); err == nil {
+		t.Error("Submit accepted qroute on a torus with 4 VCs per port, which NewSim refuses")
+	}
+	s.ID, s.Scheme = "rl-torus", string(core.SchemeRL)
+	if err := eng.Submit(s); err != nil {
+		t.Errorf("Submit refused rl on a torus with 4 VCs per port: %v", err)
 	}
 }
 

@@ -33,20 +33,9 @@ func init() {
 	}
 }
 
-// CRC16 returns the CRC-16/CCITT checksum of data with initial value
-// 0xFFFF (the CCITT-FALSE convention). It is CRC16Words' byte-level
-// reference.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
-	}
-	return crc
-}
-
-// CRC16Words returns the CRC-16/CCITT checksum over 64-bit payload words
-// serialized little-endian, as the network-interface CRC encoder does for
-// each flit.
+// CRC16Words returns the CRC-16/CCITT checksum, with initial value 0xFFFF
+// (the CCITT-FALSE convention), over 64-bit payload words serialized
+// little-endian, as the network-interface CRC encoder does for each flit.
 func CRC16Words(words []uint64) uint16 {
 	var buf [8]byte
 	crc := uint16(0xFFFF)

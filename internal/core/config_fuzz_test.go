@@ -49,9 +49,7 @@ func FuzzConfig(f *testing.F) {
 			return
 		}
 		for _, spec := range schemeTable {
-			// The config NewSim validates: the scheme decides qroute.
-			run := cfg
-			run.QRoute.Enabled = spec.name == SchemeQRoute
+			run := SchemeConfig(cfg, spec.name)
 			verr := run.Validate()
 			sim, err := NewSim(cfg, spec.name)
 			if err == nil {

@@ -275,9 +275,6 @@ func (c *RLController) SetEpsilon(eps float64) {
 	}
 }
 
-// Agents exposes the underlying agents (for inspection).
-func (c *RLController) Agents() []*rl.Agent { return c.agents }
-
 // --- DT controller --------------------------------------------------------
 
 // DTController is the supervised baseline. During pre-training it applies
@@ -347,10 +344,6 @@ func (c *DTController) FinishTraining() error {
 func (c *DTController) Telemetry() (counts [int(network.NumModes)]int64, meanReward [int(network.NumModes)]float64) {
 	return c.decideCount, meanReward
 }
-
-// Samples returns how many labeled examples the controller holds: those
-// collected so far, and none once trained (the fit drops them).
-func (c *DTController) Samples() int { return len(c.samples) }
 
 // Tree returns the trained tree (nil while collecting).
 func (c *DTController) Tree() *dt.Tree {

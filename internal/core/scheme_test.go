@@ -120,7 +120,7 @@ func TestRLControllerSharedVsPerRouter(t *testing.T) {
 	shared := NewRLController(cfg, 4)
 	cfg.RL.SharedTable = false
 	private := NewRLController(cfg, 4)
-	if len(shared.Agents()) != 4 || len(private.Agents()) != 4 {
+	if len(shared.agents) != 4 || len(private.agents) != 4 {
 		t.Fatal("agent count wrong")
 	}
 	// A TD update through agent 0 must be visible to agent 1 only in the
@@ -133,10 +133,10 @@ func TestRLControllerSharedVsPerRouter(t *testing.T) {
 	s := rl.State{}
 	sharedVisible := false
 	for a := 0; a < rl.NumActions; a++ {
-		if shared.Agents()[1].Q(s, a) != 0 {
+		if shared.agents[1].Q(s, a) != 0 {
 			sharedVisible = true
 		}
-		if private.Agents()[1].Q(s, a) != 0 {
+		if private.agents[1].Q(s, a) != 0 {
 			t.Fatal("per-router table leaked across agents")
 		}
 	}
@@ -159,8 +159,8 @@ func TestDTControllerLifecycle(t *testing.T) {
 			t.Fatalf("collection phase picked %v", m)
 		}
 	}
-	if c.Samples() < 90 {
-		t.Fatalf("only %d samples collected", c.Samples())
+	if len(c.samples) < 90 {
+		t.Fatalf("only %d samples collected", len(c.samples))
 	}
 	if c.Tree() != nil {
 		t.Fatal("tree exists before training")

@@ -104,19 +104,17 @@ type Sim struct {
 	lastSnap  string
 
 	// abortp holds the cooperative-cancellation request, set from any
-	// goroutine via Abort and polled by the cycle loop (pollControl, and
-	// after every observer call). The loop stops between Steps, so the Sim
-	// is left at a clean inter-cycle boundary — snapshot-safe for
-	// suspend/resume.
+	// goroutine via Abort and polled by the cycle loop (its control poll
+	// every 256 cycles, and after every observer call). The loop stops
+	// between Steps, so the Sim is left at a clean inter-cycle boundary —
+	// snapshot-safe for suspend/resume.
 	abortp atomic.Pointer[AbortError]
 
-	// Progress reporting (nocsim -progress): progFn receives the current
-	// simulated cycle at wall-clock intervals of at least progEvery. The
-	// tick counter keeps the common path to one increment and mask per
-	// cycle.
+	// Progress reporting (nocsim -progress, the campaign heartbeat):
+	// progFn receives the current simulated cycle at the control poll,
+	// once at least progEvery has passed since its last call.
 	progEvery time.Duration
 	progFn    func(cycle int64)
-	progTick  int
 	progLast  time.Time
 }
 
@@ -141,7 +139,8 @@ func (s *Sim) SetObserver(every int64, fn func(Snapshot)) {
 
 // SetProgress registers fn to be called with the current simulated cycle
 // at wall-clock intervals of roughly `every` during the pre-training and
-// measurement phases. The reported cycle is the network's cycle counter.
+// measurement phases; with every <= 0, at every control poll (every 256
+// cycles). The reported cycle is the network's cycle counter.
 func (s *Sim) SetProgress(every time.Duration, fn func(cycle int64)) {
 	s.progEvery = every
 	s.progFn = fn
@@ -194,25 +193,17 @@ func (s *Sim) Aborted() error {
 // resumable checkpoint shape; supervisors restart those from scratch.
 func (s *Sim) HasMeasure() bool { return s.ms != nil }
 
-// pollControl is the cycle loop's per-cycle control hook: every 256
-// cycles it checks for a pending abort and fires the progress
-// callback when the wall-clock interval has elapsed. It reads but never
-// writes simulation state, so byte-identity is unaffected.
-func (s *Sim) pollControl() error {
-	s.progTick++
-	if s.progTick&255 != 0 {
-		return nil
+// progress fires the progress callback with cycle when the wall-clock
+// interval has elapsed. It reads but never writes simulation state, so
+// byte-identity is unaffected.
+func (s *Sim) progress(cycle int64) {
+	if s.progFn == nil {
+		return
 	}
-	if e := s.abortp.Load(); e != nil {
-		return e
+	if now := time.Now(); now.Sub(s.progLast) >= s.progEvery {
+		s.progLast = now
+		s.progFn(cycle)
 	}
-	if s.progFn != nil {
-		if now := time.Now(); now.Sub(s.progLast) >= s.progEvery {
-			s.progLast = now
-			s.progFn(s.net.Cycle())
-		}
-	}
-	return nil
 }
 
 // onHook reports whether a hook that fires every `every` cycles counted
@@ -240,10 +231,7 @@ func (s *Sim) snapshot() Snapshot {
 // (scheme.go), which is how every constructor and every restore picks a
 // controller.
 func NewSim(cfg config.Config, scheme Scheme) (*Sim, error) {
-	// The qroute scheme is the RL scheme plus learned routing; the network
-	// reads the flag (validated against the rest of the config) to build
-	// its per-router route agents.
-	cfg.QRoute.Enabled = scheme == SchemeQRoute
+	cfg = SchemeConfig(cfg, scheme)
 	ctrl, kind, hasECC, err := buildController(scheme, cfg)
 	if err != nil {
 		return nil, err
@@ -253,6 +241,15 @@ func NewSim(cfg config.Config, scheme Scheme) (*Sim, error) {
 		return nil, err
 	}
 	return &Sim{cfg: cfg, scheme: scheme, net: net}, nil
+}
+
+// SchemeConfig is cfg as scheme runs it, the config NewSim validates: the
+// qroute scheme is the RL scheme plus learned routing, and the network
+// reads QRoute.Enabled (validated against the rest of the config) to build
+// its per-router route agents.
+func SchemeConfig(cfg config.Config, scheme Scheme) config.Config {
+	cfg.QRoute.Enabled = scheme == SchemeQRoute
+	return cfg
 }
 
 // NewStaticSim builds a simulation whose routers are pinned to a single
@@ -508,6 +505,12 @@ func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error
 			return false, err
 		}
 		c := net.Cycle()
+		// The control poll, every 256 cycles, reports progress before the
+		// hooks, so a hook that never returns is reported at its cycle.
+		poll := c&255 == 0
+		if poll {
+			s.progress(c)
+		}
 		observed := ms != nil && s.observer != nil && onHook(c, 0, s.observerEvery)
 		if observed {
 			s.observer(s.snapshot())
@@ -519,13 +522,10 @@ func (s *Sim) drive(in *injector, capCycle int64, ms *measureState) (bool, error
 		}
 		// An observer's own Abort stops the loop before the next Step; any
 		// other waits for the control poll.
-		if observed {
+		if observed || poll {
 			if e := s.abortp.Load(); e != nil {
 				return false, e
 			}
-		}
-		if err := s.pollControl(); err != nil {
-			return false, err
 		}
 		if in.done() && net.Drained() {
 			return true, nil

@@ -150,7 +150,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 				if s.DataInFlight == 0 {
 					t.Errorf("cycle %d: nothing in flight; the comparison would cover empty containers", s.Cycle)
 				}
-				if c, ok := sim.Controller().(*DTController); ok && !arm.pretrain && c.Samples() == 0 {
+				if c, ok := sim.Controller().(*DTController); ok && !arm.pretrain && len(c.samples) == 0 {
 					t.Errorf("cycle %d: no samples collected; the comparison would cover an empty training set", s.Cycle)
 				}
 				var buf bytes.Buffer

@@ -332,7 +332,7 @@ func TestCheckpointBytesBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := sim.Controller().(*DTController)
-	if c.Samples() == 0 {
+	if len(c.samples) == 0 {
 		t.Fatal("pre-training collected no samples")
 	}
 	if err := c.FinishTraining(); err != nil {
@@ -522,7 +522,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			if trained {
 				// One node more than a tree of the training depth can hold.
 				restoreMustBeCorrupt(t, withTreeNodes(t, orig, 1<<(c.opts.MaxDepth+1)))
-			} else if c.Samples() == 0 {
+			} else if len(c.samples) == 0 {
 				t.Fatal("collecting DT controller restored with no samples")
 			}
 		}

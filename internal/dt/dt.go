@@ -179,20 +179,6 @@ func (t *Tree) Predict(x []float64) float64 {
 // cost).
 func (t *Tree) Nodes() int { return t.nodes }
 
-// Depth returns the tree's maximum depth.
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Policy maps a predicted error rate to one of the four operation modes
 // via fixed thresholds, per the DT baseline ("operation modes are
 // selected according to DT predicted error rate").

@@ -27,8 +27,8 @@ func TestConstantTargetGivesSingleLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
-		t.Errorf("constant target grew depth %d", tree.Depth())
+	if depthOf(tree.root) != 0 {
+		t.Errorf("constant target grew depth %d", depthOf(tree.root))
 	}
 	if got := tree.Predict([]float64{7}); got != 0.5 {
 		t.Errorf("Predict = %g, want 0.5", got)
@@ -122,8 +122,8 @@ func TestDepthRespectsLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.Depth() > depth {
-			t.Errorf("depth %d exceeds limit %d", tree.Depth(), depth)
+		if depthOf(tree.root) > depth {
+			t.Errorf("depth %d exceeds limit %d", depthOf(tree.root), depth)
 		}
 	}
 }
@@ -246,4 +246,16 @@ func BenchmarkPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = tree.Predict(probe)
 	}
+}
+
+// depthOf is the depth of the subtree at n (a leaf is depth 0).
+func depthOf(n *node) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
 }

@@ -41,8 +41,8 @@ func TestTreeSnapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() < 3 {
-		t.Fatalf("tree of depth %d: too shallow to exercise the walk", tree.Depth())
+	if depthOf(tree.root) < 3 {
+		t.Fatalf("tree of depth %d: too shallow to exercise the walk", depthOf(tree.root))
 	}
 	data := encodeTree(t, tree, opt)
 	got, err := decodeTree(data, opt)
@@ -51,7 +51,7 @@ func TestTreeSnapRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, tree) {
 		t.Fatalf("decoded tree differs: %d nodes, depth %d against %d nodes, depth %d",
-			got.Nodes(), got.Depth(), tree.Nodes(), tree.Depth())
+			got.Nodes(), depthOf(got.root), tree.Nodes(), depthOf(tree.root))
 	}
 	if again := encodeTree(t, got, opt); !bytes.Equal(again, data) {
 		t.Error("re-encoding the decoded tree gives different bytes")

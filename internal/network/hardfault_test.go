@@ -76,7 +76,7 @@ func TestHardFaultRouterKillDeclares(t *testing.T) {
 	if want := 2 * (nodes - 1); n.UnreachablePairs() != want {
 		t.Errorf("want %d unreachable pairs around the dead router, got %d", want, n.UnreachablePairs())
 	}
-	if n.Stats().Drops(stats.DropDeadRouter) == 0 {
+	if n.Stats().DropCounts()[stats.DropDeadRouter] == 0 {
 		t.Error("router kill recorded no dead-router drops")
 	}
 	assertBalanced(t, n)
@@ -103,8 +103,8 @@ func TestHardFaultInjectionRefusal(t *testing.T) {
 	if after := n.ConservationLedger().Injected; after != before {
 		t.Errorf("refused packets were counted as injected: %d -> %d", before, after)
 	}
-	if n.Stats().Drops(stats.DropDeadRouter) < 2 {
-		t.Errorf("refusals not counted: %d dead-router drops", n.Stats().Drops(stats.DropDeadRouter))
+	if n.Stats().DropCounts()[stats.DropDeadRouter] < 2 {
+		t.Errorf("refusals not counted: %d dead-router drops", n.Stats().DropCounts()[stats.DropDeadRouter])
 	}
 }
 

@@ -73,15 +73,6 @@ func (ni *NI) quiet() bool {
 		len(ni.dataQueue) == 0 && len(ni.ctrlQueue) == 0
 }
 
-// QueueDepth returns pending data packets not yet fully injected.
-func (ni *NI) QueueDepth() int {
-	n := len(ni.dataQueue)
-	if ni.curData.pkt != nil {
-		n++
-	}
-	return n
-}
-
 // inject pushes at most one flit per cycle into the router's local input
 // port; control packets take priority (they are single-flit and unblock
 // end-to-end retransmissions).

@@ -20,8 +20,8 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ni.QueueDepth() != 1 {
-		t.Fatalf("queue depth %d, want 1", ni.QueueDepth())
+	if len(ni.dataQueue) != 1 || ni.curData.pkt != nil {
+		t.Fatalf("%d packets queued (one in flight: %v), want one queued", len(ni.dataQueue), ni.curData.pkt != nil)
 	}
 	// One flit per cycle into the local input port.
 	router := n.routers[0]
@@ -38,8 +38,8 @@ func TestNIInjectStreamsOnePacket(t *testing.T) {
 	if pkt.FirstInjectedAt != 1 {
 		t.Fatalf("FirstInjectedAt = %d, want 1", pkt.FirstInjectedAt)
 	}
-	if ni.QueueDepth() != 0 {
-		t.Fatalf("queue depth after streaming = %d", ni.QueueDepth())
+	if len(ni.dataQueue) != 0 || ni.curData.pkt != nil {
+		t.Fatalf("after streaming: %d packets queued, one in flight: %v", len(ni.dataQueue), ni.curData.pkt != nil)
 	}
 	// All flits of one packet share a VC, in order.
 	var vcUsed *inputVC

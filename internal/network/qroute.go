@@ -249,23 +249,6 @@ func (n *Network) QRouteTelemetry() stats.QRouteTelemetry {
 	return n.qr.tel
 }
 
-// QRouteAgent exposes router id's route agent (tests and telemetry).
-func (n *Network) QRouteAgent(id int) *rl.RouteAgent {
-	if n.qr == nil {
-		return nil
-	}
-	return n.qr.agents[id]
-}
-
-// QRouteSurvivingDist exposes the surviving-hop distance from v to dst
-// (-1 when unreachable or qroute is off).
-func (n *Network) QRouteSurvivingDist(v, dst int) int {
-	if n.qr == nil {
-		return -1
-	}
-	return int(n.qr.dist[dst*n.qr.nodes+v])
-}
-
 // RecoveryLog returns the time-to-recover log, nil unless a hard-fault
 // schedule is configured.
 func (n *Network) RecoveryLog() *stats.RecoveryLog { return n.recov }

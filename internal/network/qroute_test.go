@@ -110,7 +110,7 @@ func checkMaskInvariants(t *testing.T, n *Network) int {
 				}
 				continue
 			}
-			if got := n.QRouteSurvivingDist(here, dst); got != ref[here] {
+			if got := int(n.qr.dist[dst*n.qr.nodes+here]); got != ref[here] {
 				t.Fatalf("stored dist(%d->%d)=%d, referee BFS says %d", here, dst, got, ref[here])
 			}
 			if mask != 0 {

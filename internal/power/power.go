@@ -299,22 +299,6 @@ func (m *Meter) TotalStaticPJ() float64 {
 // TotalPJ returns network-wide total (dynamic+static) energy.
 func (m *Meter) TotalPJ() float64 { return m.TotalDynamicPJ() + m.TotalStaticPJ() }
 
-// EventEnergyPJ returns the network-wide energy attributed to one event
-// class.
-func (m *Meter) EventEnergyPJ(ev Event) float64 {
-	return float64(m.EventCount(ev)) * m.unit[ev]
-}
-
-// EventCount returns how many events of a class occurred network-wide
-// (for EvLink, how many tile pitches of wire were traversed).
-func (m *Meter) EventCount(ev Event) int64 {
-	var sum int64
-	for r := 0; r < m.n; r++ {
-		sum += m.cnt[r*int(numEvents)+int(ev)]
-	}
-	return sum
-}
-
 // WindowReset starts a new window at the current counts.
 func (m *Meter) WindowReset() { copy(m.base, m.cnt) }
 

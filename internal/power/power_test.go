@@ -22,10 +22,10 @@ func TestMeterAccumulatesEvents(t *testing.T) {
 	if got, want := m.TotalDynamicPJ(), 2*p.BufferWritePJ+p.BufferReadPJ+p.CrossbarPJ+p.LinkPJ; math.Abs(got-want) > 1e-12 {
 		t.Errorf("total dynamic = %g, want %g", got, want)
 	}
-	if m.EventCount(EvBufferWrite) != 2 {
-		t.Errorf("buffer-write count = %d, want 2", m.EventCount(EvBufferWrite))
+	if eventCount(m, EvBufferWrite) != 2 {
+		t.Errorf("buffer-write count = %d, want 2", eventCount(m, EvBufferWrite))
 	}
-	if got := m.EventEnergyPJ(EvLink); math.Abs(got-p.LinkPJ) > 1e-12 {
+	if got := float64(eventCount(m, EvLink)) * m.unit[EvLink]; math.Abs(got-p.LinkPJ) > 1e-12 {
 		t.Errorf("link energy = %g, want %g", got, p.LinkPJ)
 	}
 }
@@ -44,10 +44,10 @@ func TestAllEventMethods(t *testing.T) {
 	m.DTCompute(0)
 	m.RetxBuffer(0)
 	for ev := Event(0); ev < numEvents; ev++ {
-		if m.EventCount(ev) != 1 {
-			t.Errorf("event %v count = %d, want 1", ev, m.EventCount(ev))
+		if eventCount(m, ev) != 1 {
+			t.Errorf("event %v count = %d, want 1", ev, eventCount(m, ev))
 		}
-		if m.EventEnergyPJ(ev) <= 0 {
+		if float64(eventCount(m, ev))*m.unit[ev] <= 0 {
 			t.Errorf("event %v has non-positive energy", ev)
 		}
 	}
@@ -224,4 +224,14 @@ func TestEnergyOverheadMatchesPaper(t *testing.T) {
 	if math.Abs(frac-0.0122) > 0.001 {
 		t.Errorf("fraction = %g, want ~1.2%%", frac)
 	}
+}
+
+// eventCount is how many events of a class occurred network-wide (for
+// EvLink, how many tile pitches of wire were traversed).
+func eventCount(m *Meter, ev Event) int64 {
+	var sum int64
+	for r := 0; r < m.n; r++ {
+		sum += m.cnt[r*int(numEvents)+int(ev)]
+	}
+	return sum
 }

@@ -304,9 +304,6 @@ func stateOf(i int) State {
 // baseline, and for ablations).
 func (a *Agent) Freeze() { a.frozen = true }
 
-// Frozen reports whether the agent is frozen.
-func (a *Agent) Frozen() bool { return a.frozen }
-
 // SetEpsilon overrides the exploration rate (e.g. to anneal it).
 func (a *Agent) SetEpsilon(eps float64) { a.epsilon = eps }
 

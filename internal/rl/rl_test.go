@@ -244,8 +244,8 @@ func TestFreezeStopsLearningAndExploring(t *testing.T) {
 	s := State{}
 	a.t.write(s.Index()).q[2] = 1
 	a.Freeze()
-	if !a.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
+	if !a.frozen {
+		t.Fatal("frozen false after Freeze")
 	}
 	before := a.Q(s, 2)
 	for i := 0; i < 500; i++ {

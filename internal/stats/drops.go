@@ -33,23 +33,11 @@ func (r DropReason) String() string {
 }
 
 // Drop counts one discard of the given reason. Unlike the measurement
-// counters, drop counters are NOT gated on Measuring(): the conservation
+// counters, drop counters are NOT gated on `measuring`: the conservation
 // ledger must balance over the whole run, warm-up included. They live
 // outside Summary so enabling hard faults cannot perturb the golden
 // result bytes of fault-free runs.
 func (c *Collector) Drop(r DropReason) { c.drops[r]++ }
-
-// Drops returns the count for one reason.
-func (c *Collector) Drops(r DropReason) int64 { return c.drops[r] }
-
-// TotalDrops sums every reason.
-func (c *Collector) TotalDrops() int64 {
-	var sum int64
-	for _, v := range c.drops {
-		sum += v
-	}
-	return sum
-}
 
 // DropCounts returns a copy of the per-reason counters.
 func (c *Collector) DropCounts() [NumDropReasons]int64 { return c.drops }

@@ -47,32 +47,6 @@ func (l *RecoveryLog) RecordDelivery(cycle int64) {
 	}
 }
 
-// Entries returns a copy of the recorded entries.
-func (l *RecoveryLog) Entries() []RecoveryEntry {
-	if l == nil {
-		return nil
-	}
-	return append([]RecoveryEntry(nil), l.entries...)
-}
-
-// CyclesToRecover returns the per-kill recovery times in cycles; -1 marks
-// a kill after which nothing was ever delivered (e.g. the fabric drained
-// before the kill, or the kill partitioned all remaining traffic).
-func (l *RecoveryLog) CyclesToRecover() []int64 {
-	if l == nil {
-		return nil
-	}
-	out := make([]int64, len(l.entries))
-	for i, e := range l.entries {
-		if e.FirstDeliveryAfter < 0 {
-			out[i] = -1
-			continue
-		}
-		out[i] = e.FirstDeliveryAfter - e.KillCycle
-	}
-	return out
-}
-
 // Format renders the log as "kill@C1:+R1 kill@C2:+R2 ..." for campaign
 // reports; unrecovered kills render as "+none".
 func (l *RecoveryLog) Format() string {

@@ -14,12 +14,6 @@ func TestNilRecoveryLogIsNoOp(t *testing.T) {
 	var l *RecoveryLog
 	l.RecordKill(10)
 	l.RecordDelivery(12)
-	if e := l.Entries(); e != nil {
-		t.Errorf("Entries = %v, want nil", e)
-	}
-	if c := l.CyclesToRecover(); c != nil {
-		t.Errorf("CyclesToRecover = %v, want nil", c)
-	}
 	if f := l.Format(); f != "no kills" {
 		t.Errorf("Format = %q, want %q", f, "no kills")
 	}

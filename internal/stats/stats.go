@@ -56,9 +56,6 @@ func New() *Collector { return &Collector{} }
 // always accumulate).
 func (c *Collector) SetMeasuring(on bool) { c.measuring = on }
 
-// Measuring reports whether global counters are live.
-func (c *Collector) Measuring() bool { return c.measuring }
-
 // Measuref runs fn only while measuring; a tiny helper for counters
 // incremented from hot paths.
 func (c *Collector) Measuref(fn func(*Collector)) {
@@ -210,21 +207,4 @@ func StdDev(xs []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(xs)-1))
-}
-
-// GeoMean returns the geometric mean of positive xs; zero/negative inputs
-// are skipped.
-func GeoMean(xs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
