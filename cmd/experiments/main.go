@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"rlnoc"
+	"rlnoc/internal/config"
 )
 
 func main() {
@@ -64,15 +65,9 @@ func run(args []string) error {
 		return fmt.Errorf("-seeds averages the figures only; an -ablation table runs one seed (pick it with -seed)")
 	}
 
-	cfg := rlnoc.DefaultConfig()
-	if *small {
-		cfg = rlnoc.SmallConfig()
-	}
-	if *cfgPath != "" {
-		var err error
-		if cfg, err = rlnoc.LoadConfig(*cfgPath); err != nil {
-			return err
-		}
+	cfg, err := config.Preset(*small, *cfgPath)
+	if err != nil {
+		return err
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed

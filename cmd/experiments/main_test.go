@@ -32,6 +32,10 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 }
 
 func TestRun(t *testing.T) {
+	cfgFile := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(cfgFile, []byte(`{"seed": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		args    []string
@@ -40,6 +44,10 @@ func TestRun(t *testing.T) {
 	}{
 		{name: "table2", args: []string{"-small", "-table2"},
 			want: []string{"Table II: simulation parameters", "16 (4x4 2D mesh)"}},
+		// -config overlays its file on the preset -small chose; it used
+		// to reload the file over Default and print 64 routers.
+		{name: "table2 small with config", args: []string{"-small", "-config", cfgFile, "-table2"},
+			want: []string{"16 (4x4 2D mesh)"}},
 		{name: "overhead", args: []string{"-overhead"},
 			want: []string{"Section VI-B overhead analysis", "area overhead:"}},
 		{name: "analytic", args: []string{"-analytic"},

@@ -38,6 +38,7 @@ import (
 
 	"rlnoc"
 	"rlnoc/internal/campaign"
+	"rlnoc/internal/config"
 	"rlnoc/internal/snap"
 )
 
@@ -84,15 +85,9 @@ func run(args []string) error {
 		return fmt.Errorf("-status-every must be non-negative, got %v", *statusEvery)
 	}
 
-	cfg := rlnoc.DefaultConfig()
-	if *small {
-		cfg = rlnoc.SmallConfig()
-	}
-	if *cfgPath != "" {
-		var err error
-		if cfg, err = rlnoc.LoadConfig(*cfgPath); err != nil {
-			return err
-		}
+	cfg, err := config.Preset(*small, *cfgPath)
+	if err != nil {
+		return err
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
@@ -114,7 +109,6 @@ func run(args []string) error {
 	logger := log.New(os.Stderr, "nocserve: ", log.LstdFlags)
 	eng, err := campaign.Open(campaign.Options{
 		Dir:           *dir,
-		Name:          "nocserve",
 		Workers:       *workers,
 		WatchdogAfter: *watchdog,
 		Logf:          logger.Printf,
@@ -125,7 +119,7 @@ func run(args []string) error {
 	defer eng.Close()
 
 	// Submit is idempotent over job IDs, so restarting with the same
-	// flags re-offers the same specs and the manifest wins.
+	// flags re-offers specs the journal already holds, and adds none.
 	if err := eng.Submit(p.specs...); err != nil {
 		return err
 	}
@@ -230,7 +224,7 @@ func verdict(results []campaign.JobResult) error {
 		n, len(results), failed[campaign.OutcomeWedged], failed[campaign.OutcomeDead], failed[campaign.OutcomeDeadline])
 }
 
-// writeResults persists the terminal results next to the manifest, so a
+// writeResults persists the terminal results next to the journal, so a
 // finished campaign's numbers survive without grepping the journal.
 func writeResults(dir string, results []campaign.JobResult) error {
 	data, err := json.MarshalIndent(results, "", "  ")

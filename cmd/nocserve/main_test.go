@@ -108,6 +108,27 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestSmallWithConfig: -config overlays its file on the preset -small
+// chose; it used to reload the file over Default and run 8x8.
+func TestSmallWithConfig(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"seed": 5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-campaign", "chaos", "-runs", "1", "-snapshot-every", "0"}
+	want, err := runCaptured(t, append([]string{"-small", "-seed", "5"}, args...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCaptured(t, append([]string{"-small", "-config", path}, args...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("-small -config {seed 5} prints\n%s\nnot what -small -seed 5 prints:\n%s", got, want)
+	}
+}
+
 // TestVerdict: a campaign fails on any wedged, dead or deadline job, and
 // on nothing else.
 func TestVerdict(t *testing.T) {

@@ -78,15 +78,9 @@ func run(args []string) error {
 			return err
 		}
 	} else {
-		cfg := config.Default()
-		if *small {
-			cfg = config.Small()
-		}
-		if *cfgPath != "" {
-			var err error
-			if cfg, err = config.Load(*cfgPath); err != nil {
-				return err
-			}
+		cfg, err := config.Preset(*small, *cfgPath)
+		if err != nil {
+			return err
 		}
 		if *seed != 0 {
 			cfg.Seed = *seed

@@ -119,6 +119,22 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestSmallWithConfig: -config overlays its file on the preset -small
+// chose; it used to reload the file over Default and run 8x8.
+func TestSmallWithConfig(t *testing.T) {
+	want, err := runCaptured(t, "-small", "-seed", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runCaptured(t, "-small", "-config", writeTemp(t, `{"seed": 5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("-small -config {seed 5} prints\n%s\nnot what -small -seed 5 prints:\n%s", got, want)
+	}
+}
+
 // TestRestorePrintsTheUninterruptedResult: a run that checkpoints, and
 // every one of its checkpoints resumed through -restore, print the result
 // block of the run that wrote no checkpoint at all.

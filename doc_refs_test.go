@@ -40,6 +40,7 @@ var stdlibPackages = map[string]bool{
 	"bufio": true, "bytes": true, "context": true, "encoding/binary": true,
 	"binary": true, "encoding/json": true, "json": true, "errors": true,
 	"flag": true, "fmt": true, "go/parser": true, "parser": true,
+	"go/types": true, "types": true,
 	"hash/crc32": true, "crc32": true, "hash/fnv": true, "fnv": true,
 	"io": true, "math": true, "math/bits": true, "bits": true,
 	"math/rand": true, "rand": true, "os": true, "reflect": true,
@@ -60,11 +61,6 @@ type moduleDecls struct {
 	paths   map[string]bool            // every file and directory, slash-separated
 	bases   map[string]bool            // every file's base name
 	goDirs  map[string]bool            // directories holding Go files
-
-	// exports_test.go's view: non-test Go only.
-	exports  []exportedDecl             // exported names declared under internal/
-	selected map[string]bool            // names read as x.Name
-	bare     map[string]map[string]bool // directory → names read bare
 }
 
 func parseModule(t *testing.T) *moduleDecls {
@@ -74,7 +70,6 @@ func parseModule(t *testing.T) *moduleDecls {
 		embeds: map[string][]string{}, aliases: map[string]string{},
 		names: map[string]bool{}, structs: map[string]*ast.StructType{},
 		paths: map[string]bool{".": true}, bases: map[string]bool{}, goDirs: map[string]bool{},
-		selected: map[string]bool{}, bare: map[string]map[string]bool{},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -103,12 +98,6 @@ func parseModule(t *testing.T) *moduleDecls {
 			return err
 		}
 		d.addFile(f, dir == "internal/config")
-		if !strings.HasSuffix(path, "_test.go") {
-			d.addReaders(f, dir)
-			if strings.HasPrefix(dir, "internal/") {
-				d.addExports(f, dir, path)
-			}
-		}
 		return nil
 	})
 	if err != nil {

@@ -3,21 +3,37 @@ package rlnoc
 // The readers' guard. An exported name under internal/ is API for the
 // rest of the module; one that only tests call is code the program does
 // not run, so it either goes or is named here with the test that needs
-// it. Reads come from non-test Go anywhere in the module (cmd/, examples/
-// and the benchmark module included) and are matched by name: x.Name for
-// a method or a package-level name of another package, a bare Name
-// inside the declaring package.
+// it. Readers are resolved with go/types, so a use counts for the one
+// declaration it names, never for another of the same name: every
+// non-test package of this module and of the benchmark module is
+// type-checked from source in dependency order, over the standard
+// library's export data from one `go list -export -deps` per module.
+//
+// A name is read when a use in non-test Go resolves to it, or when it is
+// a method implementing an interface method such a use resolves to. The
+// standard library calls fmt.Stringer, error, Unwrap() error and
+// rand.Source64 methods where no use shows it; calledByStdlib holds
+// those uses.
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // testOnlyExports are the exported names whose only readers are tests,
-// each with the test that needs it. An interface method is called by
-// the standard library, never by name.
+// each with the test that needs it.
 var testOnlyExports = map[string]string{
 	// The dense-scan referee the active-set equivalence compares against.
 	"network.Network.SetDenseScan": "TestActiveSetMatchesDenseScan",
@@ -26,94 +42,215 @@ var testOnlyExports = map[string]string{
 	// The draw count a restore must reproduce (the type goes with one
 	// RNG family).
 	"snap.CountingSource.Draws": "TestCountingSourceRestore",
-	// errors.Is and errors.As call Unwrap.
-	"core.AbortError.Unwrap":   "TestObserverAbortStopsAtObservedCycle",
-	"snap.CorruptError.Unwrap": "TestCorruptWrapping",
-	// math/rand calls Int63 through rand.Source.
-	"snap.CountingSource.Int63": "TestCountingSourceMatchesStdlib",
+	// The flit pools' leak oracle: every get is put back.
+	"flit.Pool.Stats": "TestFlitPoolSteadyStateRecycles",
+	"flit.Pool.Size":  "TestFlitPoolBalances",
 }
 
-// exportedDecl is one exported package-level name or method declared in
-// non-test Go under internal/.
-type exportedDecl struct {
-	dir, key string // key is pkg.Name or pkg.Type.Method
-	name     string
-	method   bool
-	pos      string
+// calledByStdlib is type-checked with the module: its uses stand for the
+// standard library's calls through these interfaces.
+const calledByStdlib = `package calledbystdlib
+
+import (
+	"fmt"
+	"math/rand"
+)
+
+func _(s fmt.Stringer, e error, w interface{ Unwrap() error }, r rand.Source64) {
+	_, _, _ = s.String, e.Error, w.Unwrap
+	_, _, _ = r.Int63, r.Uint64, r.Seed
+}
+`
+
+// listedPackage is the part of `go list -json` output the guard reads.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	Standard                bool
 }
 
-// addExports records f's exported package-level names and methods.
-func (d *moduleDecls) addExports(f *ast.File, dir, file string) {
-	pkg := f.Name.Name
-	add := func(id *ast.Ident, recv string) {
-		if !id.IsExported() {
-			return
-		}
-		key := pkg + "." + id.Name
-		if recv != "" {
-			key = pkg + "." + recv + "." + id.Name
-		}
-		d.exports = append(d.exports, exportedDecl{dir: dir, key: key, name: id.Name, method: recv != "", pos: file})
+// goList lists the packages ./... of the module in dir needs, each after
+// its dependencies, with their export data built.
+func goList(t *testing.T, dir string) []listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard", "./...")
+	cmd.Dir = dir
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
 	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			recv := ""
-			if decl.Recv != nil {
-				recv = typeName(decl.Recv.List[0].Type)
-			}
-			add(decl.Name, recv)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.ValueSpec:
-					for _, n := range spec.Names {
-						add(n, "")
-					}
-				case *ast.TypeSpec:
-					add(spec.Name, "")
-				}
-			}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
 		}
+		pkgs = append(pkgs, p)
 	}
+	return pkgs
 }
 
-// addReaders records the names f reads: every selected name, and every
-// bare identifier that is not the name a declaration introduces.
-func (d *moduleDecls) addReaders(f *ast.File, dir string) {
-	declared := map[*ast.Ident]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			d.selected[n.Sel.Name] = true
-			declared[n.Sel] = true
-		case *ast.FuncDecl:
-			declared[n.Name] = true
-		case *ast.TypeSpec:
-			declared[n.Name] = true
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				declared[id] = true
-			}
-		case *ast.Field:
-			for _, id := range n.Names {
-				declared[id] = true
-			}
-		case *ast.Ident:
-			if !declared[n] {
-				if d.bare[dir] == nil {
-					d.bare[dir] = map[string]bool{}
-				}
-				d.bare[dir][n.Name] = true
-			}
+// typedModule is the non-test Go of both modules, type-checked as one
+// program.
+type typedModule struct {
+	fset     *token.FileSet
+	internal []*types.Package // the packages under internal/
+	uses     map[*ast.Ident]types.Object
+}
+
+func checkModule(t *testing.T) *typedModule {
+	t.Helper()
+	pkgs := append(goList(t, "."), goList(t, "benchmark")...)
+	exportData := map[string]string{}
+	for _, p := range pkgs {
+		if p.Standard {
+			exportData[p.ImportPath] = p.Export
 		}
-		return true
+	}
+	m := &typedModule{fset: token.NewFileSet(), uses: map[*ast.Ident]types.Object{}}
+	std := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exportData[path])
 	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{Uses: m.uses}
+	check := func(path string, files []*ast.File) *types.Package {
+		pkg, err := conf.Check(path, m.fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+		return pkg
+	}
+	for _, p := range pkgs {
+		if p.Standard || checked[p.ImportPath] != nil {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		checked[p.ImportPath] = check(p.ImportPath, files)
+		if strings.HasPrefix(p.ImportPath, "rlnoc/internal/") {
+			m.internal = append(m.internal, checked[p.ImportPath])
+		}
+	}
+	f, err := parser.ParseFile(m.fset, "calledbystdlib.go", calledByStdlib, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("calledbystdlib", []*ast.File{f})
+	return m
 }
 
-// read reports whether non-test Go reads e.
-func (d *moduleDecls) read(e exportedDecl) bool {
-	return d.selected[e.name] || (!e.method && d.bare[e.dir][e.name])
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportKey names obj as the allowlist does: pkg.Name, or pkg.Type.Method
+// for a method of a named type; "" for anything else.
+func exportKey(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return ""
+	}
+	prefix := obj.Pkg().Name() + "."
+	if fn, ok := obj.(*types.Func); ok {
+		fn = fn.Origin()
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			named := receiverNamed(recv.Type())
+			if named == nil || types.IsInterface(named) {
+				return ""
+			}
+			return prefix + named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return prefix + obj.Name()
+}
+
+// receiverNamed is the named type a method receiver of type typ names.
+func receiverNamed(typ types.Type) *types.Named {
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	named, _ := typ.(*types.Named)
+	if named != nil {
+		named = named.Origin()
+	}
+	return named
+}
+
+// exported is one exported package-level name or method declared under
+// internal/, with the method's receiver type (nil for a package-level
+// name).
+type exported struct {
+	obj  types.Object
+	recv *types.Named
+}
+
+func (m *typedModule) exports() []exported {
+	var out []exported
+	for _, pkg := range m.internal {
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() {
+				out = append(out, exported{obj: obj})
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); fn.Exported() {
+					out = append(out, exported{obj: fn, recv: named})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// readKeys is the set of exportKeys non-test Go reads.
+func (m *typedModule) readKeys(exports []exported) map[string]bool {
+	read := map[string]bool{}
+	var ifaceMethods []*types.Func
+	for _, obj := range m.uses {
+		if key := exportKey(obj); key != "" {
+			read[key] = true
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods = append(ifaceMethods, fn)
+			}
+		}
+	}
+	byName := map[string][]exported{}
+	for _, e := range exports {
+		if e.recv != nil {
+			byName[e.obj.Name()] = append(byName[e.obj.Name()], e)
+		}
+	}
+	for _, fn := range ifaceMethods {
+		iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, e := range byName[fn.Name()] {
+			if types.Implements(e.recv, iface) || types.Implements(types.NewPointer(e.recv), iface) {
+				read[exportKey(e.obj)] = true
+			}
+		}
+	}
+	return read
 }
 
 // TestExportsHaveReaders: every exported package-level name and method in
@@ -121,26 +258,35 @@ func (d *moduleDecls) read(e exportedDecl) bool {
 // testOnlyExports with a test that exists; and no entry there has gained
 // a reader.
 func TestExportsHaveReaders(t *testing.T) {
-	d := parseModule(t)
-	if len(d.exports) < 300 {
-		t.Fatalf("found %d exported names under internal/; the scan is broken", len(d.exports))
+	m := checkModule(t)
+	exports := m.exports()
+	if len(exports) < 300 {
+		t.Fatalf("found %d exported names under internal/; the scan is broken", len(exports))
+	}
+	read := m.readKeys(exports)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
 	}
 	declared := map[string]bool{}
 	var unread []string
-	for _, e := range d.exports {
-		declared[e.key] = true
-		_, listed := testOnlyExports[e.key]
-		switch read := d.read(e); {
-		case read && listed:
-			t.Errorf("%s (%s) has a non-test reader now; drop it from testOnlyExports", e.key, e.pos)
-		case !read && !listed:
-			unread = append(unread, e.key+" ("+e.pos+")")
+	for _, e := range exports {
+		key := exportKey(e.obj)
+		declared[key] = true
+		_, listed := testOnlyExports[key]
+		switch {
+		case read[key] && listed:
+			t.Errorf("%s has a non-test reader now; drop it from testOnlyExports", key)
+		case !read[key] && !listed:
+			pos, _ := filepath.Rel(wd, m.fset.Position(e.obj.Pos()).Filename)
+			unread = append(unread, key+" ("+filepath.ToSlash(pos)+")")
 		}
 	}
 	sort.Strings(unread)
 	for _, u := range unread {
 		t.Errorf("%s is read only by tests: delete it, or list it in testOnlyExports with the test that needs it", u)
 	}
+	d := parseModule(t)
 	for key, test := range testOnlyExports {
 		if !declared[key] {
 			t.Errorf("testOnlyExports lists %s, which is not declared", key)

@@ -1,8 +1,8 @@
 package campaign
 
 // The supervised job engine. One Engine owns a campaign directory
-// (manifest + journal + per-job checkpoint directories) and a worker
-// pool that drives jobs through the recovery state machine:
+// (journal + per-job checkpoint directories) and a worker pool that
+// drives jobs through the recovery state machine:
 //
 //	pending ──pick──> running ──classified──> done
 //	   ^                 │
@@ -17,10 +17,11 @@ package campaign
 // (the one host-dependent failure: a starved CPU) would recur at the same
 // cycle on a retry; it ends the job at once.
 //
-// Every transition is journaled before it is acted on, so a SIGKILL at
-// any point leaves a journal whose replay reconstructs the exact job
-// states; in-flight work resumes from each job's latest valid on-disk
-// checkpoint, byte-identical to the run that was interrupted.
+// Every submit and every transition is journaled before it is acted on,
+// so a SIGKILL at any point leaves a journal whose replay reconstructs the
+// exact jobs and their states; in-flight work resumes from each job's
+// latest valid on-disk checkpoint, byte-identical to the run that was
+// interrupted.
 
 import (
 	"context"
@@ -47,11 +48,9 @@ var errDeadline = errors.New("campaign: job deadline exceeded")
 
 // Options configures an Engine.
 type Options struct {
-	// Dir is the campaign directory (manifest, journal, per-job
-	// checkpoints, pre-trained states). Required.
+	// Dir is the campaign directory (journal, per-job checkpoints,
+	// pre-trained states). Required.
 	Dir string
-	// Name labels the manifest (default "campaign").
-	Name string
 	// Workers is the job-level parallelism (default 1).
 	Workers int
 	// Seed is read by nothing: each job's simulation seed lives in its
@@ -121,7 +120,6 @@ type Engine struct {
 	cond  *sync.Cond
 	jobs  []*job
 	byID  map[string]*job
-	name  string
 	runCh chan struct{} // closed while Run is active (guards double Run)
 	// scratch marks a campaign OpenScratch made: no later process reads its
 	// directory, which Close removes.
@@ -133,10 +131,10 @@ type Engine struct {
 	pretrained map[string]*core.Checkpoint
 }
 
-// Open loads (or initializes) the campaign at opts.Dir: the manifest's
-// specs are submitted, the journal replayed, and every non-terminal job
-// queued to resume from its checkpoints. A fresh directory starts an
-// empty campaign.
+// Open loads (or initializes) the campaign at opts.Dir: the journal is
+// replayed, which submits its jobs again and restores their states, and
+// every non-terminal job is queued to resume from its checkpoints. A fresh
+// directory starts an empty campaign.
 func Open(opts Options) (*Engine, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("campaign: Options.Dir is required")
@@ -146,7 +144,7 @@ func Open(opts Options) (*Engine, error) {
 
 // OpenScratch opens an empty campaign in a new temporary directory (opts.Dir
 // is ignored) that Close removes. No later process can read it, so it writes
-// no manifest and no pre-trained state file and never syncs its journal.
+// no pre-trained state file and never syncs its journal.
 func OpenScratch(opts Options) (*Engine, error) {
 	dir, err := os.MkdirTemp("", "rlnoc-campaign-")
 	if err != nil {
@@ -164,20 +162,14 @@ func open(opts Options, scratch bool) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	if opts.Name == "" {
-		opts.Name = "campaign"
-	}
 
 	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{}, scratch: scratch,
-		name: opts.Name, training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
+		training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
 	e.cond = sync.NewCond(&e.mu)
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	if err := e.loadManifest(); err != nil {
-		return nil, err
-	}
 	journal, recs, err := OpenJournal(filepath.Join(e.dir, "journal.log"))
 	if err != nil {
 		return nil, err
@@ -200,46 +192,8 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-func (e *Engine) manifestPath() string { return filepath.Join(e.dir, "manifest.json") }
-
-// loadManifest restores the job list from a previous process, if any.
-func (e *Engine) loadManifest() error {
-	data, err := os.ReadFile(e.manifestPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("campaign: manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("campaign: manifest: %w", err)
-	}
-	e.name = m.Name
-	for _, spec := range m.Specs {
-		if err := e.addJob(spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeManifest persists the full job list atomically.
-func (e *Engine) writeManifest() error {
-	if e.scratch {
-		return nil
-	}
-	m := Manifest{Name: e.name}
-	for _, j := range e.jobs {
-		m.Specs = append(m.Specs, j.spec)
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("campaign: manifest: %w", err)
-	}
-	return snap.WriteRawAtomic(e.manifestPath(), append(data, '\n'))
-}
-
+// addJob validates spec and queues its job; an ID already taken is an
+// error.
 func (e *Engine) addJob(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -247,21 +201,34 @@ func (e *Engine) addJob(spec Spec) error {
 	if _, dup := e.byID[spec.ID]; dup {
 		return fmt.Errorf("campaign: duplicate job ID %q", spec.ID)
 	}
+	e.queue(spec)
+	return nil
+}
+
+func (e *Engine) queue(spec Spec) {
 	j := &job{spec: spec}
 	if spec.Pretrain {
 		j.key = e.pretrainPath(spec)
 	}
 	e.jobs = append(e.jobs, j)
 	e.byID[spec.ID] = j
-	return nil
 }
 
-// applyJournal replays lifecycle records onto the job list, rebuilding
-// each job's state. Unknown job IDs (journal ahead of a lost manifest
-// write — impossible under the engine's ordering, but disks lie) are
-// logged and skipped rather than trusted.
+// applyJournal replays the records: a submit record adds its job, and the
+// lifecycle records after it rebuild the job's state. A record for a job
+// no submit record added (an older build's directory, which kept its
+// specs beside the journal) is logged and skipped rather than trusted.
 func (e *Engine) applyJournal(recs []Record) error {
 	for _, rec := range recs {
+		if rec.Type == RecSubmit {
+			if rec.Spec == nil {
+				return fmt.Errorf("campaign: journal submit record for %q has no spec", rec.Job)
+			}
+			if err := e.addJob(*rec.Spec); err != nil {
+				return err
+			}
+			continue
+		}
 		j, ok := e.byID[rec.Job]
 		if !ok {
 			e.logf("journal: record for unknown job %q skipped", rec.Job)
@@ -305,32 +272,43 @@ func (e *Engine) applyJournal(recs []Record) error {
 	return nil
 }
 
-// Submit adds jobs to the campaign and persists the manifest. Specs
-// already present (same ID and identity) are ignored, so re-submitting a
-// campaign's build over a directory is idempotent — the restart path.
+// Submit adds jobs to the campaign: it validates the batch, journals one
+// submit record per new spec in one fsynced append, and only then queues
+// them, so a Submit that fails adds nothing. Specs already present (same
+// ID and identity) are ignored, so re-submitting a campaign's build over
+// a directory is idempotent — the restart path.
 func (e *Engine) Submit(specs ...Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	added := false
+	batch := map[string]Spec{}
+	var recs []Record
 	for _, spec := range specs {
-		if existing, ok := e.byID[spec.ID]; ok {
+		prev, seen := batch[spec.ID]
+		if j, ok := e.byID[spec.ID]; ok {
+			prev, seen = j.spec, true
+		}
+		if seen {
 			// Same ID must mean the same job, or the campaign dir is
 			// being reused for a different experiment.
-			if !specEqual(existing.spec, spec) {
+			if !specEqual(prev, spec) {
 				return fmt.Errorf("campaign: job %q already exists with a different spec", spec.ID)
 			}
 			continue
 		}
-		if err := e.addJob(spec); err != nil {
+		if err := spec.Validate(); err != nil {
 			return err
 		}
-		added = true
+		batch[spec.ID] = spec
+		recs = append(recs, Record{Type: RecSubmit, Job: spec.ID, Spec: &spec})
 	}
-	if !added {
+	if len(recs) == 0 {
 		return nil
 	}
-	if err := e.writeManifest(); err != nil {
+	if err := e.journal.Append(recs...); err != nil {
 		return err
+	}
+	for _, rec := range recs {
+		e.queue(*rec.Spec)
 	}
 	e.cond.Broadcast()
 	return nil
@@ -552,18 +530,6 @@ func (e *Engine) Results() []JobResult {
 		})
 	}
 	return out
-}
-
-// Done reports whether every job is terminal.
-func (e *Engine) Done() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, j := range e.jobs {
-		if !j.terminal() {
-			return false
-		}
-	}
-	return true
 }
 
 // Close flushes and closes the journal, and removes a scratch campaign's

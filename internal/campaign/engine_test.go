@@ -2,9 +2,9 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -155,29 +155,24 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestOpenOldDirectory opens a campaign directory as an earlier build
-// wrote it: a manifest with the retired "seed" key, and a journal in which
-// a job started, failed and started again with no verdict (the process
-// died mid-retry). The job must resume and finish, keeping the journaled
-// failure in its Attempts.
+// TestOpenOldDirectory opens a campaign directory whose journal shows a
+// job submitted, started, failed and started again with no verdict (the
+// process died mid-retry), after a record for a job no submit record
+// added. The job must resume and finish, keeping the journaled failure in
+// its Attempts.
 func TestOpenOldDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := tinySpec("old")
-	manifest, err := json.Marshal(map[string]any{"name": "nocserve", "seed": 42, "specs": []Spec{spec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	j, _, err := OpenJournal(filepath.Join(dir, "journal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []Record{
+		{Type: RecStart, Job: "unknown", Attempt: 1},
+		{Type: RecSubmit, Job: "old", Spec: &spec},
 		{Type: RecStart, Job: "old", Attempt: 1},
 		{Type: RecFail, Job: "old", Attempt: 1, Error: "campaign: job old panicked: boom", ElapsedMS: 5},
 		{Type: RecStart, Job: "old", Attempt: 2},
@@ -191,6 +186,9 @@ func TestOpenOldDirectory(t *testing.T) {
 	}
 
 	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
+	if n := len(eng.Status()); n != 1 {
+		t.Fatalf("reopened campaign holds %d jobs, want 1", n)
+	}
 	if err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +290,102 @@ func TestSubmitIdempotent(t *testing.T) {
 		t.Fatalf("re-submit after reopen rejected: %v", err)
 	}
 	if n := len(eng2.Status()); n != 1 {
-		t.Fatalf("manifest grew to %d jobs across restarts", n)
+		t.Fatalf("campaign grew to %d jobs across restarts", n)
+	}
+	if n := countRecords(t, dir, RecSubmit); n != 1 {
+		t.Fatalf("journal holds %d submit records across restarts, want 1", n)
+	}
+}
+
+// countRecords counts the records of type typ in dir's journal.
+func countRecords(t *testing.T, dir, typ string) int {
+	t.Helper()
+	j, recs, err := OpenJournal(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	n := 0
+	for _, rec := range recs {
+		if rec.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSubmitInvalidBatchAddsNothing: a batch holding one spec Validate
+// refuses is refused whole — no job of it is queued and no record of it
+// is journaled.
+func TestSubmitInvalidBatchAddsNothing(t *testing.T) {
+	eng := openTestEngine(t, Options{Workers: 1})
+	if err := eng.Submit(tinySpec("good"), tinySpec("../bad")); err == nil {
+		t.Fatal("Submit accepted a batch holding ID ../bad")
+	}
+	if n := len(eng.Status()); n != 0 {
+		t.Errorf("a refused Submit queued %d jobs", n)
+	}
+	if n := countRecords(t, eng.Dir(), RecSubmit); n != 0 {
+		t.Errorf("a refused Submit journaled %d submit records", n)
+	}
+}
+
+// TestSubmitJournalFailureAddsNothing: a Submit whose journal append
+// fails returns the error and queues nothing, so no job runs that a
+// restart would not know of.
+func TestSubmitJournalFailureAddsNothing(t *testing.T) {
+	eng := openTestEngine(t, Options{Workers: 1})
+	eng.journal.f.Close()
+	if err := eng.Submit(tinySpec("lost")); err == nil {
+		t.Fatal("Submit succeeded with its journal closed")
+	}
+	if n := len(eng.Status()); n != 0 {
+		t.Errorf("a Submit that journaled nothing queued %d jobs", n)
+	}
+}
+
+// TestOpenJournalOnly: the journal is the campaign's only durable record.
+// A fresh directory holds the journal, the job directories and pre-trained
+// states and nothing else, and with the journal alone it reopens with every
+// job, its state and its result.
+func TestOpenJournalOnly(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign")
+	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
+	if err := eng.Submit(tinySpec("a"), tinySpec("b")); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit(tinySpec("c")); err != nil {
+		t.Fatal(err)
+	}
+	want, wantResults := eng.Status(), eng.Results()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		if name == "journal.log" {
+			continue
+		}
+		if ok, _ := filepath.Match("pretrain-*.rlns", name); name != "jobs" && !ok {
+			t.Errorf("campaign directory holds %s", name)
+		}
+		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eng = openTestEngine(t, Options{Dir: dir, Workers: 1})
+	if got := eng.Status(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened status %+v, want %+v", got, want)
+	}
+	if got := eng.Results(); !reflect.DeepEqual(got, wantResults) {
+		t.Errorf("reopened results differ:\n got %+v\nwant %+v", got, wantResults)
 	}
 }

@@ -9,10 +9,10 @@ package campaign
 // increasing sequence number so a corrupt middle (which fsync ordering
 // makes impossible, but disks lie) can never be silently skipped over.
 //
-// The journal records job lifecycle, not job definitions: specs live in
-// the manifest (manifest.json, atomically rewritten via
-// snap.WriteRawAtomic). Replaying manifest + journal reconstructs every
-// job's state; in-flight jobs resume from their on-disk checkpoints.
+// The journal is the campaign's only durable record: a submit record
+// carries each job's Spec, and the records after it carry the job's
+// lifecycle. Replaying it reconstructs every job and its state; in-flight
+// jobs resume from their on-disk checkpoints.
 
 import (
 	"bufio"
@@ -28,6 +28,8 @@ import (
 
 // Record event types.
 const (
+	// RecSubmit adds a job to the campaign; Spec holds its definition.
+	RecSubmit = "submit"
 	// RecStart marks an attempt beginning (Attempt = starts so far).
 	RecStart = "start"
 	// RecDone marks a job completing with a classified outcome; Result
@@ -60,6 +62,8 @@ type Record struct {
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// Result is the marshaled core.Result of a done-record.
 	Result json.RawMessage `json:"result,omitempty"`
+	// Spec is the job a submit-record adds.
+	Spec *Spec `json:"spec,omitempty"`
 }
 
 // Journal is the append side. Safe for concurrent use.
@@ -153,21 +157,25 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 	return j, recs, nil
 }
 
-// Append assigns the next sequence number, writes the record, and
-// fsyncs before returning: once Append returns nil the record survives
-// any crash.
-func (j *Journal) Append(rec Record) error {
+// Append assigns the records the next sequence numbers, writes them in
+// one write, and fsyncs before returning: once Append returns nil every
+// record survives any crash.
+func (j *Journal) Append(recs ...Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.seq++
-	rec.Seq = j.seq
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return err
+	var buf []byte
+	for i, rec := range recs {
+		rec.Seq = j.seq + uint64(i) + 1
+		line, err := encodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		buf = append(buf, line...)
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("campaign: journal append: %w", err)
 	}
+	j.seq += uint64(len(recs))
 	if j.nosync {
 		return nil
 	}

@@ -10,7 +10,10 @@ import (
 )
 
 func sampleRecords() []Record {
+	rl, qroute := tinySpec("chaos-000-rl"), tinySpec("chaos-001-qroute")
 	return []Record{
+		{Type: RecSubmit, Job: rl.ID, Spec: &rl},
+		{Type: RecSubmit, Job: qroute.ID, Spec: &qroute},
 		{Type: RecStart, Job: "chaos-000-rl", Attempt: 1},
 		{Type: RecFail, Job: "chaos-000-rl", Attempt: 1, Error: "injected panic", ElapsedMS: 120},
 		{Type: RecStart, Job: "chaos-000-rl", Attempt: 2},
@@ -73,21 +76,37 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalTornTail checks that every possible SIGKILL truncation
-// point replays the longest intact record prefix, and that the reopened
-// journal truncates the torn bytes so subsequent appends stay valid.
+// point — inside the batched write of the submit records too — replays
+// the longest intact record prefix, and that the reopened journal
+// truncates the torn bytes so subsequent appends stay valid.
 func TestJournalTornTail(t *testing.T) {
-	var full []byte
-	var ends []int // byte offset after each record
-	seq := uint64(0)
-	for _, rec := range sampleRecords() {
-		seq++
-		rec.Seq = seq
-		line, err := encodeRecord(rec)
-		if err != nil {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "full.log")
+	j, _, err := OpenJournal(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := sampleRecords()
+	if err := j.Append(sample[:2]...); err != nil { // one write: both submits
+		t.Fatal(err)
+	}
+	for _, rec := range sample[2:] {
+		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		full = append(full, line...)
-		ends = append(ends, len(full))
+	}
+	j.Close()
+	full, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // byte offset after each record
+	for off := 0; off < len(full); {
+		off += bytes.IndexByte(full[off:], '\n') + 1
+		ends = append(ends, off)
+	}
+	if len(ends) != len(sample) {
+		t.Fatalf("journal holds %d lines, want %d", len(ends), len(sample))
 	}
 	intactAt := func(cut int) int {
 		n := 0
@@ -98,7 +117,6 @@ func TestJournalTornTail(t *testing.T) {
 		}
 		return n
 	}
-	dir := t.TempDir()
 	for cut := 0; cut <= len(full); cut++ {
 		path := filepath.Join(dir, "j.log")
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {

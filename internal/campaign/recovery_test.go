@@ -279,7 +279,7 @@ func TestGracefulShutdownResume(t *testing.T) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	cancel()
-	if eng.Done() {
+	if len(eng.Results()) == len(eng.Status()) {
 		t.Fatal("campaign finished before the shutdown landed; cancel raced the run")
 	}
 	if err := eng.Close(); err != nil {

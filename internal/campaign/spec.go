@@ -7,8 +7,9 @@
 // a progress-heartbeat watchdog that kills stalled runs snapshot-aware,
 // checkpoint-based recovery (a stalled attempt resumes from the latest
 // valid `internal/snap` checkpoint instead of cycle 0), and a
-// crash-safe journal + manifest so a SIGKILLed supervisor process
-// resumes every in-flight job byte-identically on restart.
+// crash-safe journal, the campaign's only durable record, so a SIGKILLed
+// supervisor process resumes every in-flight job byte-identically on
+// restart.
 //
 // The figure suite and ablations (rlnoc.RunArms plans, `experiments
 // -dir`), the chaos battery and the load sweep (`nocserve -campaign`) all
@@ -30,7 +31,7 @@ import (
 
 // TraceSpec describes a job's injected traffic as generator inputs, not
 // events: every attempt regenerates the trace deterministically from
-// the tuple, so the manifest stays small and a restarted daemon needs
+// the tuple, so the journal stays small and a restarted daemon needs
 // no side files to rebuild the exact workload.
 type TraceSpec struct {
 	// Benchmark names a PARSEC-like workload; when set the synthetic
@@ -96,7 +97,7 @@ type InjectSpec struct {
 func (i InjectSpec) armed() bool { return i.PanicAtCycle > 0 || i.StallAtCycle > 0 }
 
 // Spec is one durable job: a complete, self-contained description of a
-// simulation run. Specs are JSON (they live in the campaign manifest),
+// simulation run. Specs are JSON (they live in the campaign journal),
 // and everything in them is deterministic — two processes that run the
 // same Spec produce byte-identical Results.
 type Spec struct {
@@ -133,7 +134,7 @@ type Spec struct {
 
 // Validate rejects specs the engine cannot run. The ID names the job's
 // directory under <campaign>/jobs, so it must be a single path element:
-// specs also arrive from manifest.json on disk. The config as its scheme
+// specs also arrive from the journal on disk. The config as its scheme
 // runs it (core.SchemeConfig), the trace and a hard-fault schedule get the
 // checks the run makes before it starts, so a job no attempt could start
 // is refused here rather than run.
@@ -216,12 +217,4 @@ type JobStatus struct {
 	Cycle    int64  `json:"cycle,omitempty"` // last heartbeat cycle while running
 	Outcome  string `json:"outcome,omitempty"`
 	Detail   string `json:"detail,omitempty"`
-}
-
-// Manifest is the campaign's durable identity: its name and the full job
-// list. It is rewritten atomically on every Submit. (An older manifest's
-// "seed" key is ignored.)
-type Manifest struct {
-	Name  string `json:"name"`
-	Specs []Spec `json:"specs"`
 }

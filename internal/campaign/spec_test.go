@@ -17,8 +17,8 @@ import (
 var pathIDs = []string{"", ".", "..", "../../escaped", "a/b", "/abs", `a\b`, "a\x00b"}
 
 // TestValidateRejectsPathIDs: a spec whose ID is not a single path
-// element is refused by Validate, by Submit and by a resumed manifest,
-// before any checkpoint is written outside the campaign directory.
+// element is refused by Validate, by Submit and by a journal replayed on
+// Open, before any checkpoint is written outside the campaign directory.
 func TestValidateRejectsPathIDs(t *testing.T) {
 	for _, id := range pathIDs {
 		if err := tinySpec(id).Validate(); err == nil {
@@ -41,16 +41,17 @@ func TestValidateRejectsPathIDs(t *testing.T) {
 	}
 	eng.Close()
 
-	data, err := json.Marshal(Manifest{Name: "hostile", Specs: []Spec{escaped}})
+	j, _, err := OpenJournal(filepath.Join(dir, "journal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+	if err := j.Append(Record{Type: RecSubmit, Job: escaped.ID, Spec: &escaped}); err != nil {
 		t.Fatal(err)
 	}
+	j.Close()
 	if eng, err := Open(Options{Dir: dir}); err == nil {
 		eng.Close()
-		t.Fatal("Open resumed a manifest naming ID ../../escaped")
+		t.Fatal("Open resumed a journal submitting ID ../../escaped")
 	}
 	if _, err := os.Stat(filepath.Join(root, "escaped")); !os.IsNotExist(err) {
 		t.Errorf("something was written outside the campaign directory: %v", err)
@@ -58,8 +59,8 @@ func TestValidateRejectsPathIDs(t *testing.T) {
 }
 
 // TestValidateRejectsNegativeBudgets: a negative checkpoint period or
-// deadline is refused, not run as "none" (specs also arrive from
-// manifest.json on disk).
+// deadline is refused, not run as "none" (specs also arrive from the
+// journal on disk).
 func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	neg := tinySpec("neg")
 	neg.SnapshotEvery = -1

@@ -537,10 +537,20 @@ func (c *Config) TopologyKind() string {
 func (c *Config) CyclePeriodNS() float64 { return 1.0 / c.FrequencyGHz }
 
 // Load reads a JSON configuration file, filling unset fields from Default.
+func Load(path string) (Config, error) { return Preset(false, path) }
+
+// Preset is the configuration a command's flags choose: Small when small
+// is set, else Default, with the JSON file at path, if any, overlaid on it.
 // A key that names no field is an error, so a typo cannot silently run the
-// default; the retired keys below still load, ignored.
-func Load(path string) (Config, error) {
+// preset; the retired keys below still load, ignored.
+func Preset(small bool, path string) (Config, error) {
 	c := Default()
+	if small {
+		c = Small()
+	}
+	if path == "" {
+		return c, nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return c, fmt.Errorf("config: %w", err)
@@ -574,13 +584,4 @@ func decode(data []byte, c *Config) error {
 		return errors.New("trailing data after the JSON object")
 	}
 	return nil
-}
-
-// Save writes the configuration as indented JSON.
-func (c *Config) Save(path string) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,6 +102,18 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// save writes c as the indented JSON a config file holds.
+func save(t *testing.T, c Config, path string) {
+	t.Helper()
+	data, err := json.MarshalIndent(c, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cfg.json")
@@ -109,9 +122,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	c.Seed = 99
 	c.RL.Gamma = 0.9
 	c.RL.ModeMask = 0b0011
-	if err := c.Save(path); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
+	save(t, c, path)
 	got, err := Load(path)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -123,8 +134,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadIgnoresRetiredKeys: pipeline_depth and output_buffer were
 // knobs nothing but Validate read, and the fast-forward switch turned off
-// a cycle-loop jump that no longer exists; a config file (or a campaign
-// manifest, decoded the same way) written while they existed still loads.
+// a cycle-loop jump that no longer exists; a config file written while
+// they existed still loads.
 // The last key is split so a grep for it lists live uses only.
 func TestLoadIgnoresRetiredKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cfg.json")

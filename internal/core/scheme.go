@@ -345,14 +345,6 @@ func (c *DTController) Telemetry() (counts [int(network.NumModes)]int64, meanRew
 	return c.decideCount, meanReward
 }
 
-// Tree returns the trained tree (nil while collecting).
-func (c *DTController) Tree() *dt.Tree {
-	if c.policy == nil {
-		return nil
-	}
-	return c.policy.Tree
-}
-
 // --- scheme wiring ---------------------------------------------------------
 
 // buildController instantiates the controller, controller-energy kind and

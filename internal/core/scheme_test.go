@@ -162,13 +162,13 @@ func TestDTControllerLifecycle(t *testing.T) {
 	if len(c.samples) < 90 {
 		t.Fatalf("only %d samples collected", len(c.samples))
 	}
-	if c.Tree() != nil {
+	if c.policy != nil {
 		t.Fatal("tree exists before training")
 	}
 	if err := c.FinishTraining(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Tree() == nil {
+	if c.policy == nil || c.policy.Tree == nil {
 		t.Fatal("no tree after training")
 	}
 	// Frozen: decisions are deterministic functions of features.

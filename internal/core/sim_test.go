@@ -103,7 +103,7 @@ func TestDTControllerTrainsDuringPretrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dtc := sim.Controller().(*DTController)
-	if dtc.Tree() == nil {
+	if dtc.policy == nil {
 		t.Fatal("DT not trained after pretrain")
 	}
 }

@@ -131,10 +131,10 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 				}
 			}
 			if c, ok := sim.Controller().(*DTController); ok {
-				if trained := c.Tree() != nil; trained != arm.pretrain {
+				if trained := c.policy != nil; trained != arm.pretrain {
 					t.Fatalf("DT controller trained = %v, want %v", trained, arm.pretrain)
 				}
-				if arm.pretrain && c.Tree().Nodes() < 3 {
+				if arm.pretrain && treeNodes(t, c) < 3 {
 					t.Fatalf("trained tree is a single leaf; the comparison would cover no split")
 				}
 			}

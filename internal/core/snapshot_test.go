@@ -516,7 +516,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		restoreMustBeHostileV3(t, orig)
 		if c, ok := restored.Controller().(*DTController); ok {
 			restoreMustBeCorrupt(t, withDTDraws(t, orig, 1<<63))
-			if got := c.Tree() != nil; got != trained {
+			if got := c.policy != nil; got != trained {
 				t.Fatalf("restored DT controller trained = %v, want %v", got, trained)
 			}
 			if trained {
@@ -534,13 +534,34 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // — overwritten.
 func withTreeNodes(t *testing.T, data []byte, nodes uint64) []byte {
 	t.Helper()
+	off := treeNodesOffset(t, data)
+	data = bytes.Clone(data)
+	binary.LittleEndian.PutUint64(data[off:], nodes)
+	return data
+}
+
+// treeNodesOffset is where data holds a tree's node count: after the TREE
+// section tag and the feature count.
+func treeNodesOffset(t *testing.T, data []byte) int {
+	t.Helper()
 	off := bytes.Index(data, []byte("TREE")) + 4 + 8
 	if off < 12 || binary.LittleEndian.Uint64(data[off:]) > 1<<16 {
 		t.Fatalf("offset %d does not hold a tree's node count", off)
 	}
-	data = bytes.Clone(data)
-	binary.LittleEndian.PutUint64(data[off:], nodes)
-	return data
+	return off
+}
+
+// treeNodes is the node count of c's trained tree, read from its
+// checkpoint encoding.
+func treeNodes(t *testing.T, c *DTController) int {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := snap.NewEncoder(&buf)
+	c.policy.Tree.Snap(enc, c.opts)
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return int(binary.LittleEndian.Uint64(buf.Bytes()[treeNodesOffset(t, buf.Bytes()):]))
 }
 
 // restoreMustBeCorrupt requires RestoreSim to reject data as a corrupt

@@ -175,10 +175,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Nodes returns the number of nodes in the tree (a proxy for hardware
-// cost).
-func (t *Tree) Nodes() int { return t.nodes }
-
 // Policy maps a predicted error rate to one of the four operation modes
 // via fixed thresholds, per the DT baseline ("operation modes are
 // selected according to DT predicted error rate").

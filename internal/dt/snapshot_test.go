@@ -51,7 +51,7 @@ func TestTreeSnapRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, tree) {
 		t.Fatalf("decoded tree differs: %d nodes, depth %d against %d nodes, depth %d",
-			got.Nodes(), depthOf(got.root), tree.Nodes(), depthOf(tree.root))
+			got.nodes, depthOf(got.root), tree.nodes, depthOf(tree.root))
 	}
 	if again := encodeTree(t, got, opt); !bytes.Equal(again, data) {
 		t.Error("re-encoding the decoded tree gives different bytes")

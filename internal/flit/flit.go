@@ -192,13 +192,6 @@ type Flit struct {
 	HopStart int64
 }
 
-// Clone returns a deep copy of the flit (packets are shared). Used by
-// output retransmission buffers and by flit pre-retransmission.
-func (f *Flit) Clone() *Flit {
-	c := *f
-	return &c
-}
-
 // RestorePayload rewrites the flit's payload and CRC from the packet's
 // pristine copy. Used when the source retransmits.
 func (f *Flit) RestorePayload() {

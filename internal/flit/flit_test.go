@@ -65,21 +65,6 @@ func TestRestorePayload(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	p := makePacket(t, 2)
-	f := &Flit{Packet: p, Seq: 0, Type: Head}
-	f.RestorePayload()
-	c := f.Clone()
-	c.Payload[0] ^= 0xFF
-	c.VC = 3
-	if f.Payload[0] == c.Payload[0] || f.VC == 3 {
-		t.Fatal("clone aliases the original")
-	}
-	if c.Packet != f.Packet {
-		t.Fatal("clone must share the packet")
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if Data.String() != "data" || NackE2E.String() != "nack-e2e" || Kind(7).String() == "" {
 		t.Error("kind names wrong")

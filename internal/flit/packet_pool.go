@@ -31,10 +31,6 @@ type PacketPool struct {
 	// 64x64 mesh (routes up to 127 hops) a packet's route record never
 	// regrows mid-flight.
 	PathHint int
-
-	news int64
-	gets int64
-	puts int64
 }
 
 // pathCapHint is the default initial Path capacity for freshly allocated
@@ -47,7 +43,6 @@ const pathCapHint = 16
 // Payload and CRCs at exact length (backing arrays reused when capacity
 // allows), Path empty with its capacity retained.
 func (p *PacketPool) Get(nflits int) *Packet {
-	p.gets++
 	words := nflits * WordsPerFlit
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
@@ -64,7 +59,6 @@ func (p *PacketPool) Get(nflits int) *Packet {
 		pkt.flits = nflits
 		return pkt
 	}
-	p.news++
 	hint := p.PathHint
 	if hint <= 0 {
 		hint = pathCapHint
@@ -89,13 +83,5 @@ func (p *PacketPool) Put(pkt *Packet) {
 		panic("flit: packet retired twice")
 	}
 	pkt.flits = -1
-	p.puts++
 	p.free = append(p.free, pkt)
 }
-
-// Stats reports lifetime pool traffic: total Gets, how many of those
-// allocated fresh packets, and total Puts.
-func (p *PacketPool) Stats() (gets, news, puts int64) { return p.gets, p.news, p.puts }
-
-// Size returns the number of packets currently parked on the free list.
-func (p *PacketPool) Size() int { return len(p.free) }

@@ -21,9 +21,6 @@ import (
 	"rlnoc/internal/topology"
 )
 
-// Checks reports whether the invariant checks are armed.
-func (n *Network) Checks() bool { return n.checks }
-
 // ConservationLedger assembles the packet-conservation account: every
 // data packet ever injected must be delivered, declared undeliverable,
 // or still in flight — and the running in-flight counter must agree

@@ -323,7 +323,7 @@ func TestUncheckedConfigSkipsProbes(t *testing.T) {
 	t.Setenv(config.EnvChecks, "") // the suite also runs under RLNOC_CHECKS=all
 	cfg := testConfig(0)
 	n := newNet(t, cfg, Mode1, true)
-	if n.Checks() {
+	if n.checks {
 		t.Fatal("default config has checks on")
 	}
 	// A blatant imbalance must go unreported when checks are off: Step

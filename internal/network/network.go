@@ -53,7 +53,6 @@ type Network struct {
 	grid   *thermal.Grid
 	meter  *power.Meter
 	stats  *stats.Collector
-	disc   rl.Discretizer
 
 	controller Controller
 	ctrlKind   ControllerKind
@@ -182,7 +181,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 		grid:       grid,
 		meter:      power.NewMeter(power.DefaultParams().Scaled(cfg.VoltageV), n),
 		stats:      stats.New(),
-		disc:       rl.DefaultDiscretizer(),
 		controller: controller,
 		wrapVCs:    topo.Wraparound(),
 		ctrlKind:   kind,
@@ -1643,9 +1641,6 @@ func rate(events, of int64) float64 {
 	}
 	return float64(events) / float64(of)
 }
-
-// Discretizer exposes the feature discretizer (shared with controllers).
-func (n *Network) Discretizer() rl.Discretizer { return n.disc }
 
 // SetEventLog attaches an event recorder (nil detaches). Recording costs
 // one nil check per event when detached.

@@ -306,7 +306,3 @@ func (a *Agent) Freeze() { a.frozen = true }
 
 // SetEpsilon overrides the exploration rate (e.g. to anneal it).
 func (a *Agent) SetEpsilon(eps float64) { a.epsilon = eps }
-
-// Reset clears the previous state/action memory (e.g. between simulation
-// phases) without touching the learned Q-table.
-func (a *Agent) Reset() { a.hasPrev = false }

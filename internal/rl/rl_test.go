@@ -270,22 +270,6 @@ func TestGreedyTieBreaksLow(t *testing.T) {
 	}
 }
 
-func TestResetClearsHistoryNotTable(t *testing.T) {
-	a := newAgent(5)
-	s := State{}
-	a.Step(s, 0)
-	a.Step(s, 1) // performs an update
-	upd := updates(a)
-	if upd == 0 {
-		t.Fatal("no update happened")
-	}
-	a.Reset()
-	a.Step(s, 99) // no update: history cleared
-	if updates(a) != upd {
-		t.Fatal("Reset did not clear state-action history")
-	}
-}
-
 // TestSharedAgentsOneTableSet pins the NewSharedAgents layout: every
 // agent aliases agent 0's tables, keeps its own exploration stream (the
 // seeds NewAgent would have been given), and the constructor allocates

@@ -74,8 +74,8 @@ func WriteFileAtomic(path string, emit func(*Codec) error) error {
 	})
 }
 
-// WriteRawAtomic writes an opaque byte payload (campaign manifests and
-// other sidecar files) with the same tmp+fsync+rename discipline as
+// WriteRawAtomic writes an opaque byte payload (a checkpoint's stream,
+// nocserve's results.json) with the same tmp+fsync+rename discipline as
 // WriteFileAtomic.
 func WriteRawAtomic(path string, data []byte) error {
 	return writeAtomic(path, func(f *os.File) error {

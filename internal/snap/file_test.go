@@ -79,7 +79,7 @@ func TestWriteFileAtomic(t *testing.T) {
 
 // TestWriteRawAtomic round-trips an opaque payload.
 func TestWriteRawAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "manifest.json")
+	path := filepath.Join(t.TempDir(), "results.json")
 	want := []byte(`{"name":"chaos"}`)
 	if err := WriteRawAtomic(path, want); err != nil {
 		t.Fatal(err)

