@@ -50,7 +50,7 @@ func run(args []string) error {
 		seeds     = fs.Int("seeds", 1, "number of seeds to average figures over (mean +/- std)")
 		analytic  = fs.Bool("analytic", false, "print the closed-form mode cost model and crossover thresholds")
 		workers   = fs.Int("workers", 0, "suite worker pool size (0 = GOMAXPROCS)")
-		dir       = fs.String("dir", "", "campaign directory for the figure and ablation runs; rerunning over it resumes (default: a temporary one)")
+		dir       = fs.String("dir", "", "campaign directory for the figure and ablation runs; rerunning over it resumes (default: none, the runs stay in memory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -12,7 +12,7 @@
 //
 // With -campaign, the finished campaign prints its report — the chaos
 // battery's per-arm outcomes, the sweep's latency-vs-load table — and the
-// process exits non-zero if any job wedged, died or missed its deadline.
+// process exits non-zero if any job wedged or died.
 // results.json in -dir records every job's terminal result.
 //
 // Examples:
@@ -59,7 +59,6 @@ func run(args []string) error {
 		small       = fs.Bool("small", false, "use the 4x4 quick configuration")
 		seed        = fs.Int64("seed", 0, "override random seed")
 		workers     = fs.Int("workers", 0, "concurrent jobs (0 = the config's suite workers, else GOMAXPROCS)")
-		deadline    = fs.Duration("deadline", 0, "per-job wall-clock deadline across attempts (0 = none)")
 		watchdog    = fs.Duration("watchdog", 30*time.Second, "kill a job whose progress heartbeat is silent this long, and resume it once (0 = off)")
 		snapEvery   = fs.Int64("snapshot-every", 2000, "checkpoint each job every N cycles (0 = a resumed job restarts from cycle 0)")
 		serveAddr   = fs.String("serve", "", "serve campaign status as JSON on this address (e.g. :8080)")
@@ -73,12 +72,12 @@ func run(args []string) error {
 		return err
 	}
 	switch {
+	case *dir == "":
+		return errors.New("-dir must name the campaign directory")
 	case *workers < 0:
 		return fmt.Errorf("-workers must be non-negative, got %d", *workers)
 	case *snapEvery < 0:
 		return fmt.Errorf("-snapshot-every must be non-negative, got %d", *snapEvery)
-	case *deadline < 0:
-		return fmt.Errorf("-deadline must be non-negative, got %v", *deadline)
 	case *watchdog < 0:
 		return fmt.Errorf("-watchdog must be non-negative, got %v", *watchdog)
 	case *statusEvery < 0:
@@ -100,11 +99,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *deadline > 0 {
-		for i := range p.specs {
-			p.specs[i].Deadline = *deadline
-		}
-	}
 
 	logger := log.New(os.Stderr, "nocserve: ", log.LstdFlags)
 	eng, err := campaign.Open(campaign.Options{
@@ -122,6 +116,9 @@ func run(args []string) error {
 	// flags re-offers specs the journal already holds, and adds none.
 	if err := eng.Submit(p.specs...); err != nil {
 		return err
+	}
+	if len(eng.Status()) == 0 {
+		return fmt.Errorf("%s holds no campaign: pass -campaign chaos|loadsweep", *dir)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
@@ -205,23 +202,18 @@ func buildPreset(name string, cfg rlnoc.Config, runs int, snapEvery int64, injec
 
 // verdict is the campaign's exit status: every job must end drained, at
 // its cycle budget, or terminated by the invariant watchdog with a
-// balanced ledger. A wedge, a failed attempt or a missed deadline fails
-// the campaign.
+// balanced ledger. A wedge or a failed attempt fails the campaign.
 func verdict(results []campaign.JobResult) error {
 	failed := map[string]int{}
-	n := 0
 	for _, r := range results {
-		switch r.Outcome {
-		case campaign.OutcomeWedged, campaign.OutcomeDead, campaign.OutcomeDeadline:
-			failed[r.Outcome]++
-			n++
-		}
+		failed[r.Outcome]++
 	}
-	if n == 0 {
+	wedged, dead := failed[campaign.OutcomeWedged], failed[campaign.OutcomeDead]
+	if wedged+dead == 0 {
 		return nil
 	}
-	return fmt.Errorf("campaign failed: %d of %d jobs wedged or lost (%d wedged, %d dead, %d deadline)",
-		n, len(results), failed[campaign.OutcomeWedged], failed[campaign.OutcomeDead], failed[campaign.OutcomeDeadline])
+	return fmt.Errorf("campaign failed: %d of %d jobs wedged or lost (%d wedged, %d dead)",
+		wedged+dead, len(results), wedged, dead)
 }
 
 // writeResults persists the terminal results next to the journal, so a

@@ -74,12 +74,18 @@ func TestRun(t *testing.T) {
 			wantErr: "-workers must be non-negative, got -1"},
 		{name: "negative snapshot-every", args: []string{"-snapshot-every", "-1"},
 			wantErr: "-snapshot-every must be non-negative, got -1"},
-		{name: "negative deadline", args: []string{"-deadline", "-1s"},
-			wantErr: "-deadline must be non-negative, got -1s"},
 		{name: "negative watchdog", args: []string{"-watchdog", "-1s"},
 			wantErr: "-watchdog must be non-negative, got -1s"},
 		{name: "negative status-every", args: []string{"-status-every", "-1s"},
 			wantErr: "-status-every must be non-negative, got -1s"},
+		// An empty Dir would open a campaign in memory, which no restart
+		// could resume.
+		{name: "empty dir", args: []string{"-dir", ""},
+			wantErr: "-dir must name the campaign directory"},
+		// Resume-only mode over a directory that holds no campaign used to
+		// report a complete campaign of no jobs.
+		{name: "resume an empty directory", args: []string{"-small"},
+			wantErr: "holds no campaign: pass -campaign chaos|loadsweep"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			one, err := runCaptured(t, append([]string{"-workers", "1"}, tc.args...)...)
@@ -129,8 +135,8 @@ func TestSmallWithConfig(t *testing.T) {
 	}
 }
 
-// TestVerdict: a campaign fails on any wedged, dead or deadline job, and
-// on nothing else.
+// TestVerdict: a campaign fails on any wedged or dead job, and on nothing
+// else.
 func TestVerdict(t *testing.T) {
 	ok := []campaign.JobResult{
 		{ID: "a", Outcome: campaign.OutcomeDrained},
@@ -143,7 +149,7 @@ func TestVerdict(t *testing.T) {
 	if err := verdict(nil); err != nil {
 		t.Fatalf("empty campaign failed: %v", err)
 	}
-	for _, bad := range []string{campaign.OutcomeWedged, campaign.OutcomeDead, campaign.OutcomeDeadline} {
+	for _, bad := range []string{campaign.OutcomeWedged, campaign.OutcomeDead} {
 		results := append(ok[:len(ok):len(ok)], campaign.JobResult{ID: "d", Outcome: bad})
 		err := verdict(results)
 		if err == nil || !strings.Contains(err.Error(), "1 of 4 jobs") || !strings.Contains(err.Error(), "1 "+bad) {
@@ -156,7 +162,7 @@ func TestVerdict(t *testing.T) {
 // JSON, refuses every other method and path, and the listener drops slow
 // clients instead of holding their connections open.
 func TestStatusServer(t *testing.T) {
-	eng, err := campaign.Open(campaign.Options{Dir: t.TempDir(), Workers: 1})
+	eng, err := campaign.Open(campaign.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +201,43 @@ func TestStatusServer(t *testing.T) {
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Errorf("listener timeouts header=%v read=%v write=%v idle=%v; every one must be set",
 			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+}
+
+// TestResumeOldDirectory: resume-only mode over a directory an older build
+// wrote, whose journal holds lifecycle records but no job specs, fails
+// rather than report a complete campaign of no jobs, and leaves the
+// directory's results.json as it was.
+func TestResumeOldDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "camp")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := campaign.OpenJournal(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(
+		campaign.Record{Type: campaign.RecStart, Job: "chaos-000-rl", Attempt: 1},
+		campaign.Record{Type: campaign.RecDone, Job: "chaos-000-rl", Outcome: campaign.OutcomeDrained},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	results := filepath.Join(dir, "results.json")
+	want := []byte(`[{"id": "chaos-000-rl", "outcome": "drained"}]` + "\n")
+	if err := os.WriteFile(results, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run([]string{"-dir", dir, "-status-every", "0"})
+	if err == nil || !strings.Contains(err.Error(), "predates journaled specs") {
+		t.Errorf("resume-only over an older build's directory: err = %v", err)
+	}
+	if got, rerr := os.ReadFile(results); rerr != nil || string(got) != string(want) {
+		t.Errorf("results.json now %q (%v), want it untouched: %q", got, rerr, want)
 	}
 }
 

@@ -53,7 +53,7 @@ func printLoadSweep(rates []float64, byID map[string]campaign.JobResult) {
 		fmt.Printf("%-12g", rate)
 		for _, sc := range rlnoc.Schemes() {
 			r, ok := byID[campaign.SweepJobID(rate, sc)]
-			if !ok || r.Outcome == campaign.OutcomeDead || r.Outcome == campaign.OutcomeDeadline {
+			if !ok || r.Outcome == campaign.OutcomeDead {
 				fmt.Printf("%11s ", "dead")
 				continue
 			}

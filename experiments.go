@@ -24,7 +24,7 @@ type Suite struct {
 
 // RunSuite executes all four schemes over the given benchmarks (all nine
 // PARSEC-like workloads if benchmarks is empty): RunSuiteSeeds for cfg.Seed
-// alone, in a scratch directory.
+// alone, in memory.
 func RunSuite(cfg Config, benchmarks []string) (*Suite, error) {
 	multi, err := RunSuiteSeeds(cfg, benchmarks, nil, "")
 	if err != nil {
@@ -43,10 +43,10 @@ type Arm struct {
 
 // RunArms runs every arm over the given benchmarks (all nine PARSEC-like
 // workloads if benchmarks is empty) as one plan on the campaign engine,
-// with the first arm's SuiteWorkerCount workers, in dir ("" = a scratch
-// directory removed on return). Each arm pre-trains once and its other
-// benchmarks fork that state (DESIGN.md §21). A rerun over dir resumes: it
-// runs only the cells no earlier run finished. results[i][b] is arms[i]
+// with the first arm's SuiteWorkerCount workers, in dir ("" = in memory,
+// touching no file). Each arm pre-trains once and its other benchmarks
+// fork that state (DESIGN.md §21). A rerun over dir resumes: it runs only
+// the cells no earlier run finished. results[i][b] is arms[i]
 // measured on benchmarks[b], the Result Run gives for it alone.
 func RunArms(arms []Arm, benchmarks []string, dir string) ([][]Result, error) {
 	return runPlan(context.Background(), campaign.Options{Dir: dir}, arms, benchmarks)
@@ -82,11 +82,7 @@ func runPlan(ctx context.Context, opts campaign.Options, arms []Arm, benchmarks 
 		}
 	}
 	opts.Workers = arms[0].Config.SuiteWorkerCount()
-	open := campaign.Open
-	if opts.Dir == "" {
-		open = campaign.OpenScratch
-	}
-	eng, err := open(opts)
+	eng, err := campaign.Open(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +259,7 @@ type MultiSuite struct {
 
 // RunSuiteSeeds runs the full suite once per seed (cfg.Seed alone if seeds
 // is empty): its arms are every seed under every scheme of Schemes(), all
-// one RunArms plan in dir ("" = a scratch directory).
+// one RunArms plan in dir ("" = in memory).
 func RunSuiteSeeds(cfg Config, benchmarks []string, seeds []int64, dir string) (*MultiSuite, error) {
 	return runSuiteSeeds(context.Background(), campaign.Options{Dir: dir}, cfg, benchmarks, seeds)
 }

@@ -1,24 +1,25 @@
 package campaign
 
 // The supervised job engine. One Engine owns a campaign directory
-// (journal + per-job checkpoint directories) and a worker pool that
-// drives jobs through the recovery state machine:
+// (journal + per-job checkpoint directories), or none — a campaign that
+// lives in memory — and a worker pool that drives jobs through the
+// recovery state machine:
 //
 //	pending ──pick──> running ──classified──> done
 //	   ^                 │
 //	   ├─────────────────┼─ graceful shutdown (suspend snapshot written)
 //	   ├─────────────────┼─ first watchdog stall (suspend snapshot written)
 //	   │                 │
-//	   │                 └─ panic / any other failure / second stall /
-//	  open/restart            deadline ──> dead
+//	   │                 └─ panic / any other failure / second stall ──> dead
+//	  open/restart
 //	  (re-queues a job dead of a failure)
 //
 // A job is a pure function of its Spec, so a failure other than a stall
 // (the one host-dependent failure: a starved CPU) would recur at the same
 // cycle on a retry; it ends the job at once.
 //
-// Every submit and every transition is journaled before it is acted on,
-// so a SIGKILL at any point leaves a journal whose replay reconstructs the
+// Every submit, start and verdict is journaled before it is acted on, so a
+// SIGKILL at any point leaves a journal whose replay reconstructs the
 // exact jobs and their states; in-flight work resumes from each job's
 // latest valid on-disk checkpoint, byte-identical to the run that was
 // interrupted.
@@ -43,13 +44,11 @@ import (
 // the first time, retried from its latest checkpoint.
 var ErrStalled = errors.New("campaign: progress watchdog: run stalled")
 
-// errDeadline is the abort reason for an expired per-job deadline.
-var errDeadline = errors.New("campaign: job deadline exceeded")
-
 // Options configures an Engine.
 type Options struct {
 	// Dir is the campaign directory (journal, per-job checkpoints,
-	// pre-trained states). Required.
+	// pre-trained states). Empty, the campaign lives in memory: it reads
+	// and writes no file, and no later process can resume it.
 	Dir string
 	// Workers is the job-level parallelism (default 1).
 	Workers int
@@ -92,9 +91,8 @@ type job struct {
 	spec Spec
 
 	state    jobState
-	starts   int           // attempts ever started, across process restarts
-	failures int           // failed attempts
-	elapsed  time.Duration // accumulated running time (deadline budget)
+	starts   int // attempts ever started, across process restarts
+	failures int // failed attempts
 
 	outcome   string
 	detail    string
@@ -114,16 +112,13 @@ func (j *job) terminal() bool { return j.state == jobDone || j.state == jobDead 
 type Engine struct {
 	opts    Options
 	dir     string
-	journal *Journal
+	journal *Journal // nil for a campaign in memory
 
 	mu    sync.Mutex
 	cond  *sync.Cond
 	jobs  []*job
 	byID  map[string]*job
 	runCh chan struct{} // closed while Run is active (guards double Run)
-	// scratch marks a campaign OpenScratch made: no later process reads its
-	// directory, which Close removes.
-	scratch bool
 	// Pre-trained states by job key (DESIGN.md §21): training maps a key
 	// to the job pre-training it, whose key-mates next holds back;
 	// pretrained holds the state until no unfinished job of the key remains.
@@ -134,38 +129,18 @@ type Engine struct {
 // Open loads (or initializes) the campaign at opts.Dir: the journal is
 // replayed, which submits its jobs again and restores their states, and
 // every non-terminal job is queued to resume from its checkpoints. A fresh
-// directory starts an empty campaign.
+// directory starts an empty campaign, and so does an empty Dir, in memory.
 func Open(opts Options) (*Engine, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("campaign: Options.Dir is required")
-	}
-	return open(opts, false)
-}
-
-// OpenScratch opens an empty campaign in a new temporary directory (opts.Dir
-// is ignored) that Close removes. No later process can read it, so it writes
-// no pre-trained state file and never syncs its journal.
-func OpenScratch(opts Options) (*Engine, error) {
-	dir, err := os.MkdirTemp("", "rlnoc-campaign-")
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-	opts.Dir = dir
-	e, err := open(opts, true)
-	if err != nil {
-		os.RemoveAll(dir)
-	}
-	return e, err
-}
-
-func open(opts Options, scratch bool) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
 
-	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{}, scratch: scratch,
+	e := &Engine{opts: opts, dir: opts.Dir, byID: map[string]*job{},
 		training: map[string]*job{}, pretrained: map[string]*core.Checkpoint{}}
 	e.cond = sync.NewCond(&e.mu)
+	if e.dir == "" {
+		return e, nil
+	}
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -175,7 +150,6 @@ func open(opts Options, scratch bool) (*Engine, error) {
 		return nil, err
 	}
 	e.journal = journal
-	journal.nosync = scratch
 	if err := e.applyJournal(recs); err != nil {
 		journal.Close()
 		return nil, err
@@ -183,7 +157,7 @@ func open(opts Options, scratch bool) (*Engine, error) {
 	return e, nil
 }
 
-// Dir returns the campaign directory.
+// Dir returns the campaign directory ("" for a campaign in memory).
 func (e *Engine) Dir() string { return e.dir }
 
 func (e *Engine) logf(format string, args ...any) {
@@ -215,9 +189,10 @@ func (e *Engine) queue(spec Spec) {
 }
 
 // applyJournal replays the records: a submit record adds its job, and the
-// lifecycle records after it rebuild the job's state. A record for a job
-// no submit record added (an older build's directory, which kept its
-// specs beside the journal) is logged and skipped rather than trusted.
+// lifecycle records after it rebuild the job's state. Submit journals a
+// job before it can run, so a record for a job no submit record added
+// comes from an older build's directory, which kept its specs beside the
+// journal: it is refused, since the campaign it names cannot be rebuilt.
 func (e *Engine) applyJournal(recs []Record) error {
 	for _, rec := range recs {
 		if rec.Type == RecSubmit {
@@ -231,8 +206,7 @@ func (e *Engine) applyJournal(recs []Record) error {
 		}
 		j, ok := e.byID[rec.Job]
 		if !ok {
-			e.logf("journal: record for unknown job %q skipped", rec.Job)
-			continue
+			return fmt.Errorf("campaign: journal %s record for job %q, which no submit record added: the directory predates journaled specs", rec.Type, rec.Job)
 		}
 		switch rec.Type {
 		case RecStart:
@@ -240,10 +214,6 @@ func (e *Engine) applyJournal(recs []Record) error {
 			j.state = jobPending // in-flight at crash: resume
 		case RecFail:
 			j.failures = rec.Attempt
-			j.elapsed = time.Duration(rec.ElapsedMS) * time.Millisecond
-			j.state = jobPending
-		case RecSuspend:
-			j.elapsed = time.Duration(rec.ElapsedMS) * time.Millisecond
 			j.state = jobPending
 		case RecDone:
 			j.state = jobDone
@@ -276,7 +246,8 @@ func (e *Engine) applyJournal(recs []Record) error {
 // submit record per new spec in one fsynced append, and only then queues
 // them, so a Submit that fails adds nothing. Specs already present (same
 // ID and identity) are ignored, so re-submitting a campaign's build over
-// a directory is idempotent — the restart path.
+// a directory is idempotent — the restart path. A campaign in memory
+// refuses a spec that checkpoints: it has nowhere to write one.
 func (e *Engine) Submit(specs ...Spec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -297,6 +268,9 @@ func (e *Engine) Submit(specs ...Spec) error {
 		}
 		if err := spec.Validate(); err != nil {
 			return err
+		}
+		if e.dir == "" && spec.SnapshotEvery > 0 {
+			return fmt.Errorf("campaign: spec %s: snapshot_every %d needs a campaign directory", spec.ID, spec.SnapshotEvery)
 		}
 		batch[spec.ID] = spec
 		recs = append(recs, Record{Type: RecSubmit, Job: spec.ID, Spec: &spec})
@@ -457,9 +431,9 @@ func (e *Engine) Run(ctx context.Context) error {
 
 // watchdog scans running jobs and aborts any whose heartbeat has been
 // silent longer than WatchdogAfter. The abort is cooperative (the cycle
-// loop polls every 256 cycles), so a stall inside a single Step —
-// which would mean a simulator deadlock, not a slow run — is out of its
-// reach by design; the per-job deadline is the backstop there.
+// loop polls every 256 cycles), so a stall inside a single Step — which
+// would mean a simulator deadlock, not a slow run — is out of its reach,
+// as it is of every other abort.
 func (e *Engine) watchdog(stop <-chan struct{}) {
 	interval := e.opts.WatchdogAfter / 4
 	if interval < 10*time.Millisecond {
@@ -532,12 +506,5 @@ func (e *Engine) Results() []JobResult {
 	return out
 }
 
-// Close flushes and closes the journal, and removes a scratch campaign's
-// directory. Call after Run has returned.
-func (e *Engine) Close() error {
-	err := e.journal.Close()
-	if e.scratch {
-		err = errors.Join(err, os.RemoveAll(e.dir))
-	}
-	return err
-}
+// Close flushes and closes the journal. Call after Run has returned.
+func (e *Engine) Close() error { return e.journal.Close() }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
@@ -41,12 +40,27 @@ func openTestEngine(t *testing.T, opts Options) *Engine {
 	return eng
 }
 
-// TestOpenRequiresDir: every engine is durable; the temp-dir mode the
-// one-shot campaign helper used is gone with it.
-func TestOpenRequiresDir(t *testing.T) {
-	if eng, err := Open(Options{}); err == nil {
-		eng.Close()
-		t.Fatal("Open without a directory succeeded")
+// TestOpenInMemory: an engine opened with no directory lives in memory.
+// It has no directory and no journal to close, and it refuses a spec that
+// checkpoints, since it has nowhere to write one, queueing nothing.
+func TestOpenInMemory(t *testing.T) {
+	eng, err := Open(Options{})
+	if err != nil {
+		t.Fatalf("Open without a directory: %v", err)
+	}
+	if d := eng.Dir(); d != "" {
+		t.Errorf("Dir() = %q, want \"\"", d)
+	}
+	spec := tinySpec("checkpoints")
+	spec.SnapshotEvery = 1000
+	if err := eng.Submit(tinySpec("fine"), spec); err == nil || !strings.Contains(err.Error(), "needs a campaign directory") {
+		t.Errorf("Submit of a SnapshotEvery 1000 spec in memory: err = %v", err)
+	}
+	if n := len(eng.Status()); n != 0 {
+		t.Errorf("a refused Submit queued %d jobs", n)
+	}
+	if err := eng.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
@@ -155,35 +169,58 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestOpenOldDirectory opens a campaign directory whose journal shows a
-// job submitted, started, failed and started again with no verdict (the
-// process died mid-retry), after a record for a job no submit record
-// added. The job must resume and finish, keeping the journaled failure in
-// its Attempts.
-func TestOpenOldDirectory(t *testing.T) {
+// writeJournal writes recs as the journal of a new campaign directory
+// under t's temp dir and returns the directory.
+func writeJournal(t *testing.T, recs ...Record) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "campaign")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec("old")
 	j, _, err := OpenJournal(filepath.Join(dir, "journal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []Record{
-		{Type: RecStart, Job: "unknown", Attempt: 1},
-		{Type: RecSubmit, Job: "old", Spec: &spec},
-		{Type: RecStart, Job: "old", Attempt: 1},
-		{Type: RecFail, Job: "old", Attempt: 1, Error: "campaign: job old panicked: boom", ElapsedMS: 5},
-		{Type: RecStart, Job: "old", Attempt: 2},
-	} {
-		if err := j.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := j.Append(recs...); err != nil {
+		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+// TestOpenOldDirectory: a journal an older build wrote holds lifecycle
+// records for jobs no submit record added (that build kept its specs
+// beside the journal). Open refuses it, naming the job, rather than
+// open an empty campaign over it.
+func TestOpenOldDirectory(t *testing.T) {
+	dir := writeJournal(t,
+		Record{Type: RecStart, Job: "chaos-000-rl", Attempt: 1},
+		Record{Type: RecDone, Job: "chaos-000-rl", Outcome: OutcomeDrained})
+	eng, err := Open(Options{Dir: dir})
+	if err == nil {
+		eng.Close()
+		t.Fatal("Open accepted a journal of jobs no submit record added")
+	}
+	for _, want := range []string{`"chaos-000-rl"`, "predates journaled specs"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q lacks %q", err, want)
+		}
+	}
+}
+
+// TestOpenMidRetry opens a campaign directory whose journal shows a job
+// submitted, started, failed and started again with no verdict (the
+// process died mid-retry). The job must resume and finish, keeping the
+// journaled failure in its Attempts.
+func TestOpenMidRetry(t *testing.T) {
+	spec := tinySpec("old")
+	dir := writeJournal(t,
+		Record{Type: RecSubmit, Job: "old", Spec: &spec},
+		Record{Type: RecStart, Job: "old", Attempt: 1},
+		Record{Type: RecFail, Job: "old", Attempt: 1, Error: "campaign: job old stalled"},
+		Record{Type: RecStart, Job: "old", Attempt: 2})
 
 	eng := openTestEngine(t, Options{Dir: dir, Workers: 1})
 	if n := len(eng.Status()); n != 1 {
@@ -201,25 +238,6 @@ func TestOpenOldDirectory(t *testing.T) {
 	}
 	if st := eng.Status()[0]; st.Starts != 3 {
 		t.Errorf("job started %d times over both processes, want 3", st.Starts)
-	}
-}
-
-// TestDeadlineExpires pins the per-job deadline: a job whose wall-clock
-// budget is gone before it can finish dies with OutcomeDeadline.
-func TestDeadlineExpires(t *testing.T) {
-	eng := openTestEngine(t, Options{Workers: 1})
-	spec := tinySpec("rushed")
-	spec.Trace.Cycles = 20_000 // long enough that the abort always lands mid-run
-	spec.Deadline = time.Nanosecond
-	if err := eng.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	r := eng.Results()[0]
-	if r.Outcome != OutcomeDeadline {
-		t.Errorf("outcome %s, want %s", r.Outcome, OutcomeDeadline)
 	}
 }
 

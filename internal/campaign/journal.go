@@ -38,11 +38,7 @@ const (
 	// RecFail marks an attempt killed by the progress watchdog for the
 	// first time; the job re-enters the queue at once.
 	RecFail = "fail"
-	// RecSuspend marks an attempt stopped by graceful shutdown with its
-	// state checkpointed; the job stays pending.
-	RecSuspend = "suspend"
-	// RecDead marks a job abandoned (a failed attempt or an expired
-	// deadline).
+	// RecDead marks a job abandoned after a failed attempt.
 	RecDead = "dead"
 )
 
@@ -57,21 +53,18 @@ type Record struct {
 	Error   string `json:"error,omitempty"`
 	// Recovered marks a done-record whose run resumed from a checkpoint.
 	Recovered bool `json:"recovered,omitempty"`
-	// ElapsedMS accumulates the job's running wall-clock time, restored
-	// after a crash so per-job deadlines span process restarts.
-	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// Result is the marshaled core.Result of a done-record.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Spec is the job a submit-record adds.
 	Spec *Spec `json:"spec,omitempty"`
 }
 
-// Journal is the append side. Safe for concurrent use.
+// Journal is the append side. Safe for concurrent use. A nil *Journal, a
+// campaign in memory's, keeps nothing: Append and Close return nil.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	seq    uint64
-	nosync bool // a scratch campaign's journal (OpenScratch)
+	mu  sync.Mutex
+	f   *os.File
+	seq uint64
 }
 
 // encodeRecord renders one journal line (CRC, space, JSON, newline).
@@ -161,6 +154,9 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 // one write, and fsyncs before returning: once Append returns nil every
 // record survives any crash.
 func (j *Journal) Append(recs ...Record) error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var buf []byte
@@ -176,9 +172,6 @@ func (j *Journal) Append(recs ...Record) error {
 		return fmt.Errorf("campaign: journal append: %w", err)
 	}
 	j.seq += uint64(len(recs))
-	if j.nosync {
-		return nil
-	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("campaign: journal sync: %w", err)
 	}
@@ -186,4 +179,9 @@ func (j *Journal) Append(recs ...Record) error {
 }
 
 // Close closes the journal file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
+	return j.f.Close()
+}

@@ -15,7 +15,7 @@ func sampleRecords() []Record {
 		{Type: RecSubmit, Job: rl.ID, Spec: &rl},
 		{Type: RecSubmit, Job: qroute.ID, Spec: &qroute},
 		{Type: RecStart, Job: "chaos-000-rl", Attempt: 1},
-		{Type: RecFail, Job: "chaos-000-rl", Attempt: 1, Error: "injected panic", ElapsedMS: 120},
+		{Type: RecFail, Job: "chaos-000-rl", Attempt: 1, Error: "injected panic"},
 		{Type: RecStart, Job: "chaos-000-rl", Attempt: 2},
 		{Type: RecDone, Job: "chaos-000-rl", Outcome: OutcomeDrained,
 			Detail: "dead=0", Recovered: true, Result: json.RawMessage(`{"MeanLatency":18.3}`)},

@@ -35,10 +35,9 @@ func (h *heartbeat) cycle() int64        { return h.cyc.Load() }
 type attemptKind int
 
 const (
-	attemptDone     attemptKind = iota // classified; job terminal
-	attemptFail                        // failed; retried once if a stall, else dead
-	attemptSuspend                     // graceful shutdown; job pending
-	attemptDeadline                    // per-job deadline expired; job dead
+	attemptDone    attemptKind = iota // classified; job terminal
+	attemptFail                       // failed; retried once if a stall, else dead
+	attemptSuspend                    // graceful shutdown; job pending
 )
 
 type attemptResult struct {
@@ -54,26 +53,24 @@ type attemptResult struct {
 func (e *Engine) jobDir(id string) string { return filepath.Join(e.dir, "jobs", id) }
 
 // runJob executes one attempt of j and applies the resulting state
-// transition, journaling each side of it (start before, verdict after).
+// transition, journaling each side of it (start before, verdict after). A
+// suspended attempt journals no verdict: its start record already leaves
+// the job pending on replay.
 func (e *Engine) runJob(ctx context.Context, j *job) {
 	e.mu.Lock()
-	spec, starts, elapsed := j.spec, j.starts, j.elapsed
+	spec, starts := j.spec, j.starts
 	e.mu.Unlock()
 
 	if err := e.journal.Append(Record{Type: RecStart, Job: spec.ID, Attempt: starts}); err != nil {
 		e.logf("journal: %v", err)
 	}
-	began := time.Now()
-	out := e.attempt(ctx, j, spec, starts, elapsed)
-	ran := time.Since(began)
+	out := e.attempt(ctx, j, spec, starts)
 
 	e.unclaim(j) // the phase failed, or never ran
 	e.mu.Lock()
 	sim := j.sim
 	j.sim = nil
-	j.elapsed += ran
 	j.recovered = j.recovered || out.recovered
-	elapsedMS := int64(j.elapsed / time.Millisecond)
 	var rec Record
 	switch out.kind {
 	case attemptDone:
@@ -85,15 +82,8 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		}
 		rec = Record{Type: RecDone, Job: spec.ID, Attempt: j.failures,
 			Outcome: out.outcome, Detail: out.detail, Recovered: j.recovered, Result: resJSON}
-	case attemptDeadline:
-		j.state = jobDead
-		j.outcome = OutcomeDeadline
-		j.errMsg = errDeadline.Error()
-		rec = Record{Type: RecDead, Job: spec.ID, Outcome: OutcomeDeadline, Error: j.errMsg}
-		e.logf("job %s: deadline %v exhausted, abandoning", spec.ID, spec.Deadline)
 	case attemptSuspend:
 		j.state = jobPending
-		rec = Record{Type: RecSuspend, Job: spec.ID, ElapsedMS: elapsedMS}
 		e.logf("job %s: suspended at cycle %d", spec.ID, j.beat.cycle())
 	case attemptFail:
 		// A stall is the one failure the host, not the job, can cause;
@@ -101,8 +91,7 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		j.failures++
 		if j.failures == 1 && errors.Is(out.err, ErrStalled) {
 			j.state = jobPending
-			rec = Record{Type: RecFail, Job: spec.ID, Attempt: j.failures,
-				Error: out.err.Error(), ElapsedMS: elapsedMS}
+			rec = Record{Type: RecFail, Job: spec.ID, Attempt: j.failures, Error: out.err.Error()}
 			e.logf("job %s: attempt %d stalled, resuming", spec.ID, starts)
 			break
 		}
@@ -119,8 +108,10 @@ func (e *Engine) runJob(ctx context.Context, j *job) {
 		e.dropUnused(j.key)
 	}
 	e.mu.Unlock()
-	if err := e.journal.Append(rec); err != nil {
-		e.logf("journal: %v", err)
+	if rec.Type != "" {
+		if err := e.journal.Append(rec); err != nil {
+			e.logf("journal: %v", err)
+		}
 	}
 	if out.kind == attemptDone {
 		e.logf("job %s: done (%s)", spec.ID, out.outcome)
@@ -140,20 +131,16 @@ func (e *Engine) dropUnused(key string) {
 }
 
 // attempt runs the simulation once: open it (openSim), wire the
-// heartbeat / deadline / cancellation / injection hooks, run, and
-// classify how it ended. A panic anywhere inside is converted to a
-// failure by the deferred recover.
-func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, elapsed time.Duration) (out attemptResult) {
+// heartbeat / cancellation / injection hooks, run, and classify how it
+// ended. A panic anywhere inside is converted to a failure by the
+// deferred recover.
+func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int) (out attemptResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			out = attemptResult{kind: attemptFail,
 				err: fmt.Errorf("campaign: job %s panicked: %v", spec.ID, p)}
 		}
 	}()
-
-	if spec.Deadline > 0 && spec.Deadline-elapsed <= 0 {
-		return attemptResult{kind: attemptDeadline, err: errDeadline}
-	}
 
 	dir := e.jobDir(spec.ID)
 	sim, at, err := e.openSim(j, spec, dir)
@@ -174,10 +161,6 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 	// The heartbeat ticks at every control poll, so it carries the cycle
 	// the run last reached.
 	sim.SetProgress(0, func(cycle int64) { j.beat.tick(cycle) })
-	if spec.Deadline > 0 {
-		t := time.AfterFunc(spec.Deadline-elapsed, func() { sim.Abort(errDeadline) })
-		defer t.Stop()
-	}
 	// A panic is a bug in the job and recurs on every start; a stall is
 	// the host's, and does not.
 	inj := spec.Inject
@@ -218,14 +201,11 @@ func (e *Engine) attempt(ctx context.Context, j *job, spec Spec, starts int, ela
 				e.logf("job %s: suspend snapshot: %v", spec.ID, serr)
 			}
 		}
-		switch {
-		case errors.Is(merr, errDeadline):
-			return attemptResult{kind: attemptDeadline, recovered: resumed, err: errDeadline}
-		case errors.Is(merr, ErrStalled):
-			return attemptResult{kind: attemptFail, recovered: resumed, err: merr}
-		default: // graceful shutdown (context cancellation)
-			return attemptResult{kind: attemptSuspend, recovered: resumed, err: merr}
+		kind := attemptSuspend // graceful shutdown (context cancellation)
+		if errors.Is(merr, ErrStalled) {
+			kind = attemptFail
 		}
+		return attemptResult{kind: kind, recovered: resumed, err: merr}
 	}
 
 	outcome, iv, cerr := Classify(res, merr, sim.Network())
@@ -281,13 +261,16 @@ func (e *Engine) openSim(j *job, spec Spec, dir string) (*core.Sim, simStart, er
 
 // fromPretrained forks the pre-trained state of j's key held in memory.
 // Only after a restart does it read the key's file, which it then holds
-// for the key's other jobs. (nil, nil) means there is neither.
+// for the key's other jobs; a campaign in memory has no file to read.
+// (nil, nil) means there is neither.
 func (e *Engine) fromPretrained(j *job) (sim *core.Sim, err error) {
 	e.mu.Lock()
 	k := e.pretrained[j.key]
 	e.mu.Unlock()
 	if k != nil {
 		sim, err = k.Sim()
+	} else if e.dir == "" {
+		return nil, nil
 	} else if sim, err = e.restore(j.spec.ID, j.key); sim != nil {
 		if k, err = sim.Checkpoint(); err != nil {
 			return nil, err
@@ -301,12 +284,13 @@ func (e *Engine) fromPretrained(j *job) (sim *core.Sim, err error) {
 }
 
 // keep holds the state sim ended pre-training in for the other jobs of j's
-// key, and writes the same bytes as the key's file for a rerun.
+// key and, in a campaign directory, writes the same bytes as the key's file
+// for a rerun.
 func (e *Engine) keep(j *job, sim *core.Sim) {
 	k, err := sim.Checkpoint()
 	if err == nil {
 		e.hold(j.key, k)
-		if !e.scratch {
+		if e.dir != "" {
 			err = k.Save(j.key)
 		}
 	}

@@ -1,15 +1,15 @@
 // Package campaign is the supervised job engine behind long-running
-// experiment campaigns (DESIGN.md §17). A campaign is a set of durable
-// jobs — one simulation run each — driven by a worker pool that owns
-// everything the bare simulator does not: a submit-order queue with
-// per-job deadlines and context cancellation, per-job panic isolation
-// (a panic ends the job: a deterministic run would panic again),
-// a progress-heartbeat watchdog that kills stalled runs snapshot-aware,
-// checkpoint-based recovery (a stalled attempt resumes from the latest
-// valid `internal/snap` checkpoint instead of cycle 0), and a
-// crash-safe journal, the campaign's only durable record, so a SIGKILLed
-// supervisor process resumes every in-flight job byte-identically on
-// restart.
+// experiment campaigns (DESIGN.md §17). A campaign is a set of jobs — one
+// simulation run each — driven by a worker pool that owns everything the
+// bare simulator does not: a submit-order queue with context
+// cancellation, per-job panic isolation (a panic ends the job: a
+// deterministic run would panic again), a progress-heartbeat watchdog that
+// kills stalled runs snapshot-aware, checkpoint-based recovery (a stalled
+// attempt resumes from the latest valid `internal/snap` checkpoint instead
+// of cycle 0), and, in a campaign directory, a crash-safe journal, the
+// campaign's only durable record, so a SIGKILLed supervisor process
+// resumes every in-flight job byte-identically on restart. A campaign with
+// no directory lives in memory.
 //
 // The figure suite and ablations (rlnoc.RunArms plans, `experiments
 // -dir`), the chaos battery and the load sweep (`nocserve -campaign`) all
@@ -20,7 +20,6 @@ package campaign
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"rlnoc/internal/config"
 	"rlnoc/internal/core"
@@ -105,11 +104,6 @@ type Spec struct {
 	// job's checkpoint directory name.
 	ID string `json:"id"`
 
-	// Deadline bounds the job's total running wall-clock time across
-	// attempts (0 = none). An expired job is killed snapshot-aware and
-	// marked dead with OutcomeDeadline.
-	Deadline time.Duration `json:"deadline,omitempty"`
-
 	Config config.Config `json:"config"`
 	Scheme string        `json:"scheme"`
 	Label  string        `json:"label"`
@@ -146,8 +140,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: spec ID %q is not a single path element", s.ID)
 	case s.SnapshotEvery < 0:
 		return fmt.Errorf("campaign: spec %s: negative snapshot_every %d", s.ID, s.SnapshotEvery)
-	case s.Deadline < 0:
-		return fmt.Errorf("campaign: spec %s: negative deadline %v", s.ID, s.Deadline)
 	}
 	scheme, err := core.ParseScheme(s.Scheme)
 	if err != nil {
@@ -184,7 +176,8 @@ const (
 	// OutcomeWedged: the run ended with an unbalanced conservation
 	// ledger — flits were silently lost or double-counted.
 	OutcomeWedged = "wedged"
-	// OutcomeDeadline: the job's wall-clock deadline expired.
+	// OutcomeDeadline is a stub no job ends with. It stays only while the
+	// benchmark harness reads it (ROADMAP item 1).
 	OutcomeDeadline = "deadline"
 	// OutcomeDead: an attempt failed (a panic, an unexpected error, a
 	// second stall) without a completed run.

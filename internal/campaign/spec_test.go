@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"rlnoc/internal/core"
 )
@@ -58,19 +57,13 @@ func TestValidateRejectsPathIDs(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNegativeBudgets: a negative checkpoint period or
-// deadline is refused, not run as "none" (specs also arrive from the
-// journal on disk).
+// TestValidateRejectsNegativeBudgets: a negative checkpoint period is
+// refused, not run as "none" (specs also arrive from the journal on disk).
 func TestValidateRejectsNegativeBudgets(t *testing.T) {
 	neg := tinySpec("neg")
 	neg.SnapshotEvery = -1
 	if err := neg.Validate(); err == nil {
 		t.Error("Validate accepted snapshot_every -1")
-	}
-	neg = tinySpec("neg")
-	neg.Deadline = -time.Second
-	if err := neg.Validate(); err == nil {
-		t.Error("Validate accepted deadline -1s")
 	}
 }
 

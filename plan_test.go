@@ -149,3 +149,26 @@ func TestPlanFailsOnStoppedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanInMemory: a plan with no directory runs on an engine in memory,
+// which touches no file. It runs with TMPDIR naming a missing directory,
+// and returns what the same plan over a directory returns.
+func TestPlanInMemory(t *testing.T) {
+	cfg := fastConfig()
+	cfg.PretrainCycles = 2000
+	cfg.MaxCycles = 2000
+	arms := []Arm{{Config: cfg, Scheme: CRC}, {Config: cfg, Scheme: RL}}
+	benchmarks := []string{"canneal", "dedup"}
+	want, err := RunArms(arms, benchmarks, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	got, err := RunArms(arms, benchmarks, "")
+	if err != nil {
+		t.Fatalf("a plan in memory with TMPDIR missing: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the plan in memory differs from the same plan over a directory")
+	}
+}
