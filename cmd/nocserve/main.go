@@ -100,6 +100,14 @@ func run(args []string) error {
 		return err
 	}
 
+	if *presetFlag == "" {
+		// Resume only: Open would create a missing directory, so a
+		// mistyped -dir would leave an empty campaign behind.
+		if _, err := os.Stat(*dir); err != nil {
+			return fmt.Errorf("%s holds no campaign: pass -campaign chaos|loadsweep (%w)", *dir, err)
+		}
+	}
+
 	logger := log.New(os.Stderr, "nocserve: ", log.LstdFlags)
 	eng, err := campaign.Open(campaign.Options{
 		Dir:           *dir,

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,6 +36,12 @@ func TestMain(m *testing.M) {
 // returns what it printed to os.Stdout (the reports write there directly).
 func runCaptured(t *testing.T, args ...string) (string, error) {
 	t.Helper()
+	return runIn(t, filepath.Join(t.TempDir(), "camp"), args...)
+}
+
+// runIn is runCaptured on the campaign directory dir.
+func runIn(t *testing.T, dir string, args ...string) (string, error) {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +49,7 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	runErr := run(append([]string{"-dir", filepath.Join(t.TempDir(), "camp"), "-status-every", "0"}, args...))
+	runErr := run(append([]string{"-dir", dir, "-status-every", "0"}, args...))
 	os.Stdout = stdout
 	out, err := os.ReadFile(f.Name())
 	if err != nil {
@@ -52,13 +60,15 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 
 // TestRun drives each stock campaign at one worker and at the default
 // pool (-workers 0 = GOMAXPROCS): both print the campaign's report, and
-// the pool size never reaches it.
+// the pool size never reaches it. A run that fails leaves no campaign
+// directory behind.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		args    []string
 		want    []string // substrings of stdout
 		wantErr string   // substring of the error; "" means success
+		exists  bool     // -dir names an empty directory, not a missing one
 	}{
 		{name: "loadsweep", args: []string{"-small", "-campaign", "loadsweep", "-snapshot-every", "0"},
 			want: []string{"load-latency sweep: mean E2E latency", "\n0.01 ", "(* = saturated"}},
@@ -84,14 +94,26 @@ func TestRun(t *testing.T) {
 			wantErr: "-dir must name the campaign directory"},
 		// Resume-only mode over a directory that holds no campaign used to
 		// report a complete campaign of no jobs.
-		{name: "resume an empty directory", args: []string{"-small"},
+		{name: "resume an empty directory", args: []string{"-small"}, exists: true,
+			wantErr: "holds no campaign: pass -campaign chaos|loadsweep"},
+		// A mistyped -dir used to leave an empty journal.log behind.
+		{name: "resume a missing directory", args: []string{"-small"},
 			wantErr: "holds no campaign: pass -campaign chaos|loadsweep"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			one, err := runCaptured(t, append([]string{"-workers", "1"}, tc.args...)...)
+			dir := filepath.Join(t.TempDir(), "camp")
+			if tc.exists {
+				if err := os.Mkdir(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			one, err := runIn(t, dir, append([]string{"-workers", "1"}, tc.args...)...)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				if _, err := os.Stat(dir); !tc.exists && !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("the failed run left %s behind (stat: %v)", dir, err)
 				}
 				return
 			}

@@ -297,8 +297,8 @@ func TestInjectorOneSlab(t *testing.T) {
 }
 
 // TestSnapshotAllocBudget: encoding a checkpoint allocates per snapshot —
-// one codec, two intern tables, the sorted keys of each non-empty map —
-// never per router, packet or reference. A walk-local that escapes (a
+// one codec, the packet intern table, the sorted keys of each non-empty
+// map — never per router, packet or reference. A walk-local that escapes (a
 // scratch header, a reference index, a method value bound per VC) shows
 // up here as thousands of allocations on a loaded 8x8.
 func TestSnapshotAllocBudget(t *testing.T) {

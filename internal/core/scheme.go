@@ -207,23 +207,10 @@ func (c *RLController) PolicyDump(top int) string {
 	return b.String()
 }
 
-// Reward implements Eq. (3): the reciprocal of the router's mean
-// end-to-end packet latency times its power consumption. Inputs are
-// floored to keep the reward finite on idle epochs.
-func Reward(latencyCycles, powerW float64) float64 {
-	if latencyCycles < 1 {
-		latencyCycles = 1
-	}
-	if powerW < 1e-4 {
-		powerW = 1e-4
-	}
-	return 1 / (latencyCycles * powerW)
-}
-
 // Decide implements network.Controller.
 func (c *RLController) Decide(id int, obs network.Observation) network.Mode {
 	s := c.disc.Discretize(obs.Features)
-	r := Reward(obs.WindowLatency, obs.ControlPowerW)
+	r := rl.Reward(obs.WindowLatency, obs.ControlPowerW)
 	if obs.NetMeanReward > 0 {
 		// Advantage-style normalization: dividing by the network-wide
 		// mean reward cancels epoch-wide fluctuations (traffic phases,

@@ -28,20 +28,6 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
-func TestRewardShape(t *testing.T) {
-	// Lower latency and lower power both raise the reward.
-	if Reward(50, 0.002) <= Reward(100, 0.002) {
-		t.Error("reward not decreasing in latency")
-	}
-	if Reward(50, 0.002) <= Reward(50, 0.004) {
-		t.Error("reward not decreasing in power")
-	}
-	// Floors keep idle epochs finite.
-	if r := Reward(0, 0); r <= 0 || r > 1e4 {
-		t.Errorf("idle reward %g out of range", r)
-	}
-}
-
 func TestBuildControllerWiring(t *testing.T) {
 	cfg := config.Small()
 	cases := []struct {

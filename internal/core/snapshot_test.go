@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"rlnoc/internal/config"
+	"rlnoc/internal/flit"
 	"rlnoc/internal/network"
 	"rlnoc/internal/rl"
 	"rlnoc/internal/snap"
@@ -273,10 +274,11 @@ func TestSnapshotIdempotent(t *testing.T) {
 // TestCheckpointBytesBudget keeps learned state out of a checkpoint
 // unless it exists: a Q-table writes the rows a run touched, not its
 // 10,000 states, and a trained DT controller no training set. Budgets are
-// 1.25x the sizes measured when the pending trace became packed streams
-// (as 32-byte events, 33,676, 42,739 and 35,616 bytes; the dense table
-// made the 4x4 mesh rl and qroute checkpoints 833,397 and 842,546 bytes,
-// and with a table per router 12,833,653).
+// 1.25x the sizes measured at format 11, which writes each flit inline
+// (25,687, 34,293 and 26,908 bytes at format 10; as 32-byte events
+// 33,676, 42,739 and 35,616; the dense table made the 4x4 mesh rl and
+// qroute checkpoints 833,397 and 842,546 bytes, and with a table per
+// router 12,833,653).
 func TestCheckpointBytesBudget(t *testing.T) {
 	for _, arm := range []struct {
 		name     string
@@ -284,9 +286,9 @@ func TestCheckpointBytesBudget(t *testing.T) {
 		shared   bool
 		measured int
 	}{
-		{"rl", SchemeRL, true, 28_560},
-		{"qroute", SchemeQRoute, true, 37_651},
-		{"rl-table-per-router", SchemeRL, false, 30_500},
+		{"rl", SchemeRL, true, 23_567},
+		{"qroute", SchemeQRoute, true, 32_141},
+		{"rl-table-per-router", SchemeRL, false, 24_788},
 	} {
 		cfg := snapConfig("mesh")
 		cfg.RL.SharedTable = arm.shared
@@ -403,15 +405,20 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // counters moved from the ports to the router: the previous build writing
 // no ready word and, after each router's NACKs-out word, its ports' three
 // epoch counters summed, with the version word changed, writes the same
-// three streams.
+// three streams. All three were re-captured for format version 11, when
+// the flit table gave way to flits written inline at their one home and
+// a port's credits and VC flags to a credit byte per VC and two 16-bit
+// masks: each checkpoint shrank by exactly 8 bytes per live flit (its
+// reference), 8 for the FLTS tag and count, and 4 + 9 bytes per VC for
+// each port (2,048 bytes on the 4x4 mesh, 4,928 on the 8-VC torus).
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "77243eed3e0c927436f0504bd91496aeaa2fb5714c5c9d7a8fb8808bbf137d21"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "03bdb1d85211d85e97a4db7d46340b89cb9193e6ddc4540eaf862fbcd275d4ef"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "5ec2ed51d75bcd9ab4454c9a8527d6f990a6bed09b1aa4aed0ddf5ed0ad84b8a"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "126347575b3d42b6e3af8c9061a897b715fb1c4011c4fc8321fb4c41574434a1"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "91ca27a294a11e14d9c2f2b8f69562bec9b21e7c631d29b3754f88ec874fda68"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "aaa035a9af530c883d33861ce5655802f2ce71f7ea09bd986e6fed5f52d97f67"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -723,12 +730,15 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 	// Router 0's occupancy mask follows the RTRS tag; its first input VC
 	// follows the mask, two round-robin arrays of NumPorts words and the
 	// nine words of the control-epoch window: ring head, flit count, the
-	// flits (a reference each), the routed byte, the output port, the
-	// output VC. An occupancy bit on an empty VC (the mask's low byte set)
-	// contradicts the buffers.
+	// flits (inline, flitBytes each), the routed byte, the output port,
+	// the output VC. An occupancy bit on an empty VC (the mask's low byte
+	// set) contradicts the buffers.
 	occ := bytes.Index(data, []byte("RTRS")) + 4
 	vc := occ + 8 + 2*int(topology.NumPorts)*8 + 9*8
-	outVC := vc + 2 + 8*int(data[vc+1]) + 2
+	outVC := vc + 2 + flitBytes()*int(data[vc+1]) + 2
+	if data[outVC-2] > 1 || data[outVC-1] >= byte(topology.NumPorts) {
+		t.Fatalf("offset %d does not hold router 0's first routed flag and output port", outVC-2)
+	}
 	for _, patch := range []struct {
 		off int
 		val byte
@@ -737,6 +747,15 @@ func restoreMustBeHostileV3(t *testing.T, data []byte) {
 		bad[patch.off] = patch.val
 		restoreMustBeCorrupt(t, bad)
 	}
+}
+
+// flitBytes is the width of a flit written at its home by the network's
+// flit walk: a packet reference, Seq, Type, PacketID, Kind, Src, Dst and
+// Attempt, the payload words, CRC, VC, the ECC check bytes, Tainted,
+// Dirty and HopStart.
+func flitBytes() int {
+	var f flit.Flit
+	return 8 + 8 + 1 + 8 + 1 + 3*4 + 8*len(f.Payload) + 2 + 8 + len(f.ECCCheck) + 2 + 8
 }
 
 // TestHostileModeMaskIsCorrupt: the mode mask comes from the config, and

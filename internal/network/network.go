@@ -1594,14 +1594,7 @@ func (n *Network) controlEpoch() {
 		if r.winLatCount > 0 {
 			lats[id] = r.winLatSum / float64(r.winLatCount)
 		}
-		lat, pw := lats[id], ctrlPowers[id]
-		if lat < 1 {
-			lat = 1
-		}
-		if pw < 1e-4 {
-			pw = 1e-4
-		}
-		rawSum += 1 / (lat * pw)
+		rawSum += rl.Reward(lats[id], ctrlPowers[id])
 	}
 	netMean := rawSum / float64(len(n.routers))
 

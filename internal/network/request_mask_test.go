@@ -23,7 +23,7 @@ type agentController struct {
 }
 
 func (c *agentController) Decide(id int, obs Observation) Mode {
-	reward := 1 / (max(obs.WindowLatency, 1) * max(obs.ControlPowerW, 1e-4))
+	reward := rl.Reward(obs.WindowLatency, obs.ControlPowerW)
 	return Mode(c.agents[id].Step(c.disc.Discretize(obs.Features), reward))
 }
 
@@ -35,8 +35,10 @@ func (c *agentController) Decide(id int, obs Observation) Mode {
 // saAttn (a spurious bit is legal, a missing one hides work). The fill
 // register is held to the census (checkFill): its first mask empty, its
 // second exactly the occupied slots whose front has HopStart == cycle.
+// Every flit has one home (assertFlitHomes).
 func assertRequestMasks(t *testing.T, n *Network, when string) {
 	t.Helper()
+	assertFlitHomes(t, n, when)
 	if viols := n.checkFill(n.cycle, nil); len(viols) > 0 {
 		t.Fatalf("%s, cycle %d: %s (%d routers off)", when, n.cycle, viols[0].Msg, len(viols))
 	}
@@ -65,6 +67,49 @@ func assertRequestMasks(t *testing.T, n *Network, when string) {
 			if (p.resendIdx >= 0 || p.targetMode != p.mode) && r.saAttn&bit == 0 {
 				t.Fatalf("%s, cycle %d, router %d port %v: resend cursor %d, mode %v -> %v outside saAttn %05b",
 					when, n.cycle, id, p.dir, p.resendIdx, p.mode, p.targetMode, r.saAttn)
+			}
+		}
+	}
+}
+
+// assertFlitHomes fails on a flit held by two containers: a VC buffer
+// slot, a wire entry, a retransmission entry, a reassembly buffer. The
+// snapshot codec writes each flit inline at its home, so a second home
+// would restore as two distinct flits.
+func assertFlitHomes(t *testing.T, n *Network, when string) {
+	t.Helper()
+	type place struct {
+		what     string
+		node, at int
+	}
+	homes := make(map[*flit.Flit]place)
+	home := func(f *flit.Flit, at place) {
+		if prev, ok := homes[f]; ok {
+			t.Fatalf("%s, cycle %d: flit %d.%d is in node %d's %s %d and in node %d's %s %d",
+				when, n.cycle, f.PacketID, f.Seq, prev.node, prev.what, prev.at, at.node, at.what, at.at)
+		}
+		homes[f] = at
+	}
+	for id, r := range n.routers {
+		for v := range r.vcs {
+			vc := &r.vcs[v]
+			for k := 0; k < int(vc.n); k++ {
+				home(*vc.at(r, k), place{"VC slot", id, v})
+			}
+		}
+		for _, p := range r.outputs {
+			for i := range p.inflight {
+				home(p.inflight[i].f, place{"port wire", id, int(p.dir)})
+			}
+			for i := range p.unacked {
+				home(p.unacked[i].f, place{"port retransmission buffer", id, int(p.dir)})
+			}
+		}
+	}
+	for id, ni := range n.nis {
+		for pkt, buf := range ni.reasm {
+			for _, f := range buf {
+				home(f, place{"reassembly of packet", id, int(pkt)})
 			}
 		}
 	}
@@ -156,19 +201,12 @@ func assertRestoredMasks(t *testing.T, n *Network, cfg config.Config, kind Contr
 // network built from cfg.
 func restoredCopy(t *testing.T, n *Network, cfg config.Config, kind ControllerKind) *Network {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := snap.NewEncoder(&buf)
-	if err := n.Snap(enc); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := encoded(t, n)
 	fresh, err := New(cfg, StaticController{Fixed: Mode0}, kind, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Snap(snap.NewDecoder(&buf)); err != nil {
+	if err := fresh.Snap(snap.NewDecoder(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
 	return fresh

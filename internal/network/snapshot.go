@@ -10,15 +10,16 @@ package network
 //
 // Pointer identity is the only non-trivial part. Live packets are
 // referenced from replay buffers, injection queues, the control ledger,
-// input VCs and flits; live flits from VC buffers, link wires, ARQ
-// retransmission buffers and reassembly buffers. Both go through intern
-// tables (refs): each unique object is written once, in the order a
-// canonical walk first encounters it, and every reference becomes an
-// index into that table — so decoding reproduces the exact aliasing
-// graph, including ARQ ghosts (wire/retransmission copies of settled
-// packets), whose packet reference restores to nil exactly because every
-// screen that can meet a ghost reads the flit's by-value identity, never
-// the pointer.
+// input VCs and flits, so they go through an intern table (pktTable):
+// each unique packet is written once, in the order a canonical walk
+// first encounters it, and every reference becomes an index into that
+// table — so decoding reproduces the exact aliasing graph, including ARQ
+// ghosts (wire/retransmission copies of settled packets), whose packet
+// reference restores to nil exactly because every screen that can meet a
+// ghost reads the flit's by-value identity, never the pointer. A flit
+// has one home between cycles — a VC buffer slot, a wire entry, a
+// retransmission entry or a reassembly buffer (the wire carries a clone
+// of what the retransmission buffer keeps) — and is written inline there.
 //
 // What is deliberately not walked — state a decode rebuilds (request
 // masks, port summaries, pending-free counts, route tables, activity
@@ -37,21 +38,17 @@ import (
 	"rlnoc/internal/topology"
 )
 
-// refs is the intern table of one pointer type. Encoding fills it with a
-// canonical pre-pass (add) and turns every pointer into its index;
-// decoding fills list from the stream's table section and resolves the
-// indices back, bounds-checked.
-type refs[T any] struct {
-	what  string
-	list  []*T
-	index map[*T]int // encoding only
-	// ghosts makes nil and uninterned pointers legal, stored as -1 and
-	// restored as nil (a ghost flit's dangling packet reference).
-	// Without it every reference must name a table entry.
-	ghosts bool
+// pktTable is the packet intern table. Encoding fills it with a
+// canonical pre-pass (add) and turns every pointer into its index, -1
+// for nil or a packet the pre-pass did not reach (a ghost flit's settled
+// packet); decoding fills list from the stream's table section and
+// resolves the indices back, bounds-checked, -1 to nil.
+type pktTable struct {
+	list  []*flit.Packet
+	index map[*flit.Packet]int // encoding only
 }
 
-func (t *refs[T]) add(p *T) {
+func (t *pktTable) add(p *flit.Packet) {
 	if p == nil {
 		return
 	}
@@ -62,46 +59,38 @@ func (t *refs[T]) add(p *T) {
 }
 
 // ref walks one reference: *p's table index out, the table's entry in.
-func (t *refs[T]) ref(c *snap.Codec, p **T) {
+func (t *pktTable) ref(c *snap.Codec, p **flit.Packet) {
 	i := -1
-	// Most packet references are nil (an idle VC): -1 without a lookup.
-	if !c.Decoding() && (*p != nil || !t.ghosts) {
+	if !c.Decoding() && *p != nil { // most references are nil (an idle VC)
 		if at, ok := t.index[*p]; ok {
 			i = at
-		} else if !t.ghosts {
-			// The canonical pre-pass missed a container: a serialization
-			// bug, caught at snapshot time rather than as a corrupt restore.
-			c.Fail(fmt.Errorf("network: %s %v not in intern table", t.what, *p))
 		}
 	}
 	c.Int(&i)
 	if !c.Decoding() {
 		return
 	}
+	*p = nil
 	switch {
 	case i >= 0 && i < len(t.list):
 		*p = t.list[i]
-	case i < 0 && t.ghosts:
-		*p = nil
-	default:
-		*p = nil
-		c.Fail(fmt.Errorf("network: %s reference %d outside table of %d", t.what, i, len(t.list)))
+	case i != -1:
+		c.Fail(fmt.Errorf("network: packet reference %d outside table of %d", i, len(t.list)))
 	}
 }
 
-// fabricWalk carries the two intern tables through one Snap.
+// fabricWalk carries the packet table through one Snap.
 type fabricWalk struct {
-	n     *Network
-	pkts  refs[flit.Packet]
-	flits refs[flit.Flit]
-	hdr   flit.Packet // packet's decode scratch
+	n    *Network
+	pkts pktTable
+	hdr  flit.Packet // packet's decode scratch
 }
 
 // collectPackets enumerates every live packet: per NI in ID order, the
 // replay buffer (sorted by packet ID), the injection queues and the
 // mid-stream transmitters; then the control ledger (sorted by ID).
 // Queue/ledger entries also sit in replay/ctrlLive, so the table dedupes.
-func (n *Network) collectPackets(t *refs[flit.Packet]) {
+func (n *Network) collectPackets(t *pktTable) {
 	for _, ni := range n.nis {
 		for _, id := range snap.SortedKeys(ni.replay, cmp.Compare[uint64]) {
 			t.add(ni.replay[id])
@@ -117,38 +106,6 @@ func (n *Network) collectPackets(t *refs[flit.Packet]) {
 	}
 	for _, id := range snap.SortedKeys(n.ctrlLive, cmp.Compare[uint64]) {
 		t.add(n.ctrlLive[id])
-	}
-}
-
-// collectFlits visits every flit home in the canonical container order —
-// the same order the container sections are walked in — so intern
-// indices ascend with the stream: per router (ID order) the input VC
-// buffers (port-major), then each output port's wire and retransmission
-// buffer; per NI the reassembly buffers (sorted by packet ID).
-func (n *Network) collectFlits(t *refs[flit.Flit]) {
-	for _, r := range n.routers {
-		for v := range r.vcs {
-			vc := &r.vcs[v]
-			for k := 0; k < int(vc.n); k++ {
-				t.add(*vc.at(r, k))
-			}
-		}
-		for dir := topology.Direction(0); dir < topology.NumPorts; dir++ {
-			p := r.outputs[dir]
-			for i := range p.inflight {
-				t.add(p.inflight[i].f)
-			}
-			for i := range p.unacked {
-				t.add(p.unacked[i].f)
-			}
-		}
-	}
-	for _, ni := range n.nis {
-		for _, id := range snap.SortedKeys(ni.reasm, cmp.Compare[uint64]) {
-			for _, f := range ni.reasm[id] {
-				t.add(f)
-			}
-		}
 	}
 }
 
@@ -217,20 +174,15 @@ func (n *Network) Snap(c *snap.Codec) error {
 		snap.Enum(c, &n.modes[i])
 	}
 
-	// Live packets, then live flits, then every container as references.
-	w := &fabricWalk{n: n,
-		pkts:  refs[flit.Packet]{what: "packet", ghosts: true},
-		flits: refs[flit.Flit]{what: "flit"}}
+	// Live packets, then every container: packets as references, flits
+	// inline.
+	w := &fabricWalk{n: n}
 	if !c.Decoding() {
 		w.pkts.index = make(map[*flit.Packet]int)
 		n.collectPackets(&w.pkts)
-		w.flits.index = make(map[*flit.Flit]int)
-		n.collectFlits(&w.flits)
 	}
 	c.Section("PKTS")
 	snap.Slice(c, &w.pkts.list, snap.MaxLen, w.packet)
-	c.Section("FLTS")
-	snap.Slice(c, &w.flits.list, snap.MaxLen, w.flit)
 
 	c.Section("RTRS")
 	for _, r := range n.routers {
@@ -385,8 +337,8 @@ func (w *fabricWalk) packetByID(c *snap.Codec, id *uint64, p **flit.Packet) {
 	}
 }
 
-// flit walks one live flit, its packet as a reference (nil for a ghost
-// whose packet already settled).
+// flit walks one live flit at its home, its packet as a reference (nil
+// for a ghost whose packet already settled).
 func (w *fabricWalk) flit(c *snap.Codec, fp **flit.Flit) {
 	if c.Decoding() {
 		*fp = &flit.Flit{}
@@ -417,7 +369,7 @@ func (w *fabricWalk) flit(c *snap.Codec, fp **flit.Flit) {
 }
 
 func (w *fabricWalk) wireFlit(c *snap.Codec, wf *wireFlit) {
-	w.flits.ref(c, &wf.f)
+	w.flit(c, &wf.f)
 	c.I64(&wf.arrive)
 	c.U64(&wf.seq)
 	c.Bool(&wf.eccValid)
@@ -427,7 +379,7 @@ func (w *fabricWalk) wireFlit(c *snap.Codec, wf *wireFlit) {
 }
 
 func (w *fabricWalk) txEntry(c *snap.Codec, te *txEntry) {
-	w.flits.ref(c, &te.f)
+	w.flit(c, &te.f)
 	c.U64(&te.seq)
 }
 
@@ -502,23 +454,23 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 		p := rt.outputs[dir]
 		c.Int(&p.downstream)
 		c.Bool(&p.dead)
-		// The downstream VC state: a length (the port's VC count, 0
-		// without a link), then each credit count as a 64-bit word, and
-		// each flag mask as the same length and one byte per VC.
+		// The downstream VC state as the port holds it: the VC count (0
+		// without a link), a credit byte per VC, and the busy and
+		// pending-free masks.
 		nvc := int(p.vcs)
 		c.LenCheck(nvc)
 		for vc := range nvc {
-			n := int(p.credits[vc])
-			c.Int(&n)
-			if c.Decoding() {
-				if n < 0 || n > w.n.cfg.VCDepth {
-					c.Fail(fmt.Errorf("network: snapshot VC %d holds %d credits of %d", vc, n, w.n.cfg.VCDepth))
-				}
-				p.credits[vc] = uint8(n)
+			c.U8(&p.credits[vc])
+			if c.Decoding() && int(p.credits[vc]) > w.n.cfg.VCDepth {
+				c.Fail(fmt.Errorf("network: snapshot VC %d holds %d credits of %d", vc, p.credits[vc], w.n.cfg.VCDepth))
 			}
 		}
-		snapVCFlags(c, &p.vcBusy, nvc)
-		snapVCFlags(c, &p.vcPendingFree, nvc)
+		c.U16(&p.vcBusy)
+		c.U16(&p.vcPendingFree)
+		if c.Decoding() && (p.vcBusy|p.vcPendingFree)>>uint(nvc) != 0 {
+			c.Fail(fmt.Errorf("network: snapshot VC flags busy=%#x pending=%#x beyond %d VCs at router %d port %d",
+				p.vcBusy, p.vcPendingFree, nvc, rt.id, dir))
+		}
 		c.I64(&p.linkBusyUntil)
 		snap.Enum(c, &p.mode)
 		snap.Enum(c, &p.targetMode)
@@ -549,21 +501,6 @@ func (w *fabricWalk) router(c *snap.Codec, rt *Router) {
 	}
 }
 
-// snapVCFlags walks the low nvc bits of a per-VC flag mask as nvc bools.
-func snapVCFlags(c *snap.Codec, m *uint16, nvc int) {
-	c.LenCheck(nvc)
-	for vc := range nvc {
-		bit := uint16(1) << uint(vc)
-		set := *m&bit != 0
-		c.Bool(&set)
-		if set { // encoding leaves the mask as it was
-			*m |= bit
-		} else {
-			*m &^= bit
-		}
-	}
-}
-
 // inputVC walks one input VC: its ring head and the flits it holds,
 // front first, then the route state. Decoding reports false, the codec
 // failed, on a ring position, route port or output VC the fabric does not
@@ -576,7 +513,7 @@ func (w *fabricWalk) inputVC(c *snap.Codec, rt *Router, vc *inputVC) bool {
 		return false
 	}
 	for k := 0; k < int(vc.n); k++ {
-		w.flits.ref(c, vc.at(rt, k))
+		w.flit(c, vc.at(rt, k))
 	}
 	c.Bool(&vc.routed)
 	c.U8(&vc.outPort)
@@ -619,6 +556,6 @@ func (w *fabricWalk) ni(c *snap.Codec, ni *NI) {
 	snap.Map(c, &ni.replay, cmp.Compare[uint64], w.packetByID)
 	snap.Map(c, &ni.reasm, cmp.Compare[uint64], func(c *snap.Codec, id *uint64, buf *[]*flit.Flit) {
 		c.U64(id)
-		snap.Slice(c, buf, snap.MaxLen, w.flits.ref)
+		snap.Slice(c, buf, snap.MaxLen, w.flit)
 	})
 }

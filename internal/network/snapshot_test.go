@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"rlnoc/internal/config"
@@ -34,10 +35,8 @@ func midPacket(t *testing.T) (*Network, config.Config) {
 	return n, cfg
 }
 
-// decodeMustFail encodes n as it stands, as restoredCopy does, and
-// requires a fresh network's decode of the stream to fail as a corrupt
-// snapshot rather than restore a state the next Step indexes out of range.
-func decodeMustFail(t *testing.T, n *Network, cfg config.Config) {
+// encoded returns n's snapshot stream as it stands.
+func encoded(t *testing.T, n *Network) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := snap.NewEncoder(&buf)
@@ -47,13 +46,80 @@ func decodeMustFail(t *testing.T, n *Network, cfg config.Config) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// decodeMustFail encodes n as it stands and requires a fresh network's
+// decode of the stream to fail as a corrupt snapshot rather than restore
+// a state the next Step indexes out of range.
+func decodeMustFail(t *testing.T, n *Network, cfg config.Config) {
+	t.Helper()
+	streamMustFail(t, encoded(t, n), cfg)
+}
+
+// streamMustFail requires a fresh network's decode of data to fail as a
+// corrupt snapshot.
+func streamMustFail(t *testing.T, data []byte, cfg config.Config) {
+	t.Helper()
 	fresh, err := New(cfg, StaticController{Fixed: Mode0}, ControllerNone, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Snap(snap.NewDecoder(&buf)); !snap.IsCorrupt(err) {
+	if err := fresh.Snap(snap.NewDecoder(bytes.NewReader(data))); !snap.IsCorrupt(err) {
 		t.Fatalf("err = %v, want a snap.CorruptError", err)
 	}
+}
+
+// TestHostilePacketReferenceIsCorrupt: an encoder writes a nil or ghost
+// packet reference as -1 and no other negative index, so a stream
+// holding -2 (here node 0's transmitter reference) is corrupt. It used
+// to restore as nil and re-encode as -1: a stream a decode accepted that
+// did not re-encode to itself.
+func TestHostilePacketReferenceIsCorrupt(t *testing.T) {
+	n, cfg := midPacket(t)
+	data := encoded(t, n)
+	// NI 0 follows the NIS tag: its data and control queues, each a
+	// 4-byte length and a reference per entry, then its data
+	// transmitter's packet reference.
+	off := bytes.Index(data, []byte("NIS ")) + 4
+	for range 2 {
+		off += 4 + 8*int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	if ref := int64(binary.LittleEndian.Uint64(data[off:])); ref < 0 {
+		t.Fatalf("offset %d holds reference %d, not node 0's transmitting packet", off, ref)
+	}
+	ref := int64(-2)
+	binary.LittleEndian.PutUint64(data[off:], uint64(ref))
+	streamMustFail(t, data, cfg)
+}
+
+// TestHostileVCFlagsAreCorrupt: a port's busy and pending-free masks
+// hold one bit per VC of its downstream input port, and a port without a
+// link has none; a bit beyond them is corrupt, not dropped.
+func TestHostileVCFlagsAreCorrupt(t *testing.T) {
+	nvc := config.Small().VCsPerPort
+	for _, tc := range []struct {
+		name string
+		set  func(*outputPort)
+	}{
+		{"busy beyond the VC count", func(p *outputPort) { p.vcBusy |= 1 << nvc }},
+		{"pending-free beyond the VC count", func(p *outputPort) { p.vcPendingFree |= 1 << 15 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, cfg := midPacket(t)
+			tc.set(n.routers[0].outputs[topology.East])
+			decodeMustFail(t, n, cfg)
+		})
+	}
+	t.Run("busy on a port with no link", func(t *testing.T) {
+		n, cfg := midPacket(t)
+		p := n.routers[0].outputs[topology.West]
+		if p.vcs != 0 {
+			t.Fatalf("router 0's west port has %d VCs; the test needs a port with no link", p.vcs)
+		}
+		p.vcBusy |= 1
+		decodeMustFail(t, n, cfg)
+	})
 }
 
 // TestHostileCreditVCIsCorrupt: a credit returning to VC 99 of 4 used to

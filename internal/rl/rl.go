@@ -161,6 +161,20 @@ func (t *Table) write(s int) *row {
 	return &t.rows[t.index[s]]
 }
 
+// Reward implements Eq. (3): the reciprocal of a router's epoch packet
+// latency (cycles) times its power (W). Inputs are floored to keep the
+// reward finite on idle epochs. The RL controller and the network-wide
+// mean it normalizes by both use it.
+func Reward(latencyCycles, powerW float64) float64 {
+	if latencyCycles < 1 {
+		latencyCycles = 1
+	}
+	if powerW < 1e-4 {
+		powerW = 1e-4
+	}
+	return 1 / (latencyCycles * powerW)
+}
+
 // Agent is one per-router tabular Q-learning agent. Not safe for
 // concurrent use.
 type Agent struct {

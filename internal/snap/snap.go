@@ -64,7 +64,11 @@ const Magic uint32 = 0x534E4C52
 // derived from its HopStart), and each router carries its link epoch
 // counters (flits out, NACKs in, residual corruption) in place of five
 // ports' worth.
-const Version uint32 = 10
+// Version 11: a flit is written inline at its one home (a VC buffer
+// slot, a wire entry, a retransmission entry, a reassembly buffer), with
+// no flit table; a port's downstream VC state is a credit byte per VC and
+// the busy and pending-free masks as two 16-bit words.
+const Version uint32 = 11
 
 // Snapshotter is implemented by every stateful subsystem. Snap walks the
 // subsystem's mutable state through c: an encoding codec serializes it; a
