@@ -72,10 +72,10 @@ func TestRun(t *testing.T) {
 		// Step is sequential; there is no shard count to pick.
 		{name: "removed step-workers flag", args: []string{"-small", "-step" + "-workers", "2"},
 			wantErr: "flag provided but not defined"},
-		// The table's dimension order is the only routing choice; a
+		// X-Y is the only dimension order and no key selects it; a
 		// removed algorithm's name is refused, never run on XY tables.
 		{name: "removed routing value", args: []string{"-small", "-config", writeTemp(t, `{"routing": "west`+`first"}`)},
-			wantErr: `unknown routing "west` + `first"`},
+			wantErr: `unknown field "routing"`},
 		// Flags that repeated a config key are gone; the key in -config
 		// is the one source of each setting.
 		{name: "removed routing flag", args: []string{"-small", "-rout" + "ing", "yx"},

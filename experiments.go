@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"rlnoc/internal/campaign"
+	"rlnoc/internal/config"
 	"rlnoc/internal/network"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
@@ -417,11 +418,11 @@ func TableII(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table II: simulation parameters")
 	fmt.Fprintf(&b, "cores / routers     %d (%dx%d 2D %s)\n", cfg.Routers(), cfg.Width, cfg.Height, cfg.TopologyKind())
-	fmt.Fprintf(&b, "routing             %s dimension-ordered\n", cfg.Routing)
+	fmt.Fprintln(&b, "routing             xy dimension-ordered")
 	fmt.Fprintf(&b, "router pipeline     %d stages, %d VCs/port, %d flits/VC\n",
 		network.PipelineStages, cfg.VCsPerPort, cfg.VCDepth)
 	fmt.Fprintf(&b, "packet              %d bits/flit, %d flits\n", cfg.FlitBits, cfg.FlitsPerPacket)
-	fmt.Fprintf(&b, "operating point     %.1f V, %.1f GHz\n", cfg.VoltageV, cfg.FrequencyGHz)
+	fmt.Fprintf(&b, "operating point     %.1f V, %.1f GHz\n", cfg.VoltageV, config.ClockGHz)
 	fmt.Fprintf(&b, "RL                  alpha max(0.02, 1/(1+n/4)) at a cell's n-th update, gamma %.2f, epsilon %.2f pre-train / %.2f measured, step %d cycles\n",
 		cfg.RL.Gamma, cfg.RL.Epsilon, cfg.RL.TestEpsilon, cfg.RL.StepCycles)
 	fmt.Fprintf(&b, "phases              pretrain %d, warmup %d, measure %d, drain %d cycles\n",

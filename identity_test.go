@@ -14,8 +14,8 @@ import (
 )
 
 // faultFree zeroes every source of timing errors. The base rate alone is
-// the rate at t_ref_c and zero utilisation: with either sensitivity left
-// on, a warm, busy chip still injects errors.
+// the rate at the reference temperature and zero utilisation: with
+// either sensitivity left on, a warm, busy chip still injects errors.
 func faultFree(cfg Config) Config {
 	cfg.Fault.BaseErrorRate = 0
 	cfg.Fault.TempSensitivity = 0

@@ -17,16 +17,6 @@ import (
 	"rlnoc/internal/invariant"
 )
 
-// Routing selects the dimension order of the fabric's deterministic
-// route tables.
-type Routing string
-
-// Supported dimension orders.
-const (
-	RoutingXY Routing = "xy" // dimension-ordered, X first (deadlock-free)
-	RoutingYX Routing = "yx" // dimension-ordered, Y first (deadlock-free)
-)
-
 // Supported fabric topologies (see internal/topology).
 const (
 	TopologyMesh  = "mesh"  // 2D mesh, the paper's fabric
@@ -43,8 +33,6 @@ type Config struct {
 	// mesh) or "torus".
 	Topology string `json:"topology"`
 
-	Routing Routing `json:"routing"`
-
 	// Router microarchitecture. The pipeline depth is the network's
 	// modelled four stages, not a knob (network.PipelineStages), and the
 	// go-back-N retransmission buffer is unbounded; configs that still name
@@ -56,9 +44,8 @@ type Config struct {
 	FlitBits       int `json:"flit_bits"`        // payload bits per flit: 128, the flit model's two 64-bit words
 	FlitsPerPacket int `json:"flits_per_packet"` // flits per data packet
 
-	// Electrical operating point.
-	VoltageV     float64 `json:"voltage_v"`
-	FrequencyGHz float64 `json:"frequency_ghz"`
+	// Supply voltage; the clock is ClockGHz.
+	VoltageV float64 `json:"voltage_v"`
 
 	// Fault model.
 	Fault FaultConfig `json:"fault"`
@@ -122,44 +109,24 @@ type Config struct {
 // (Gaussian critical-path slack; see internal/fault).
 type FaultConfig struct {
 	// BaseErrorRate is the per-flit per-hop timing-error probability at
-	// the calibration point (T = TRefC, configured voltage and frequency,
+	// the calibration point (reference temperature, configured voltage,
 	// zero utilization); the model's path-delay sigma is solved from it.
 	BaseErrorRate float64 `json:"base_error_rate"`
 	// TempSensitivity is the fractional critical-path delay increase per
-	// degree Celsius above TRefC (VARIUS models delay growing with
-	// temperature; the error probability then follows the Gaussian tail).
+	// degree Celsius above the reference temperature (VARIUS models delay
+	// growing with it; the error probability follows the Gaussian tail).
 	TempSensitivity float64 `json:"temp_sensitivity"`
 	// UtilSensitivity is the fractional delay increase at full link
 	// utilization (supply noise / IR-drop proxy).
 	UtilSensitivity float64 `json:"util_sensitivity"`
-	// TRefC is the reference temperature in Celsius.
-	TRefC float64 `json:"t_ref_c"`
-	// DoubleBitFraction is the fraction of error events that flip two bits
-	// (SECDED-detectable but uncorrectable); the rest flip one bit.
-	DoubleBitFraction float64 `json:"double_bit_fraction"`
-	// RelaxedScale multiplies the error probability when a router operates
-	// in Mode 3 (timing relaxation); near zero per the paper.
-	RelaxedScale float64 `json:"relaxed_scale"`
 	// ProcessSigma is the standard deviation of the per-link fractional
 	// delay variation (within-die process variation).
 	ProcessSigma float64 `json:"process_sigma"`
-	// NominalSlack is the fraction of the clock period left as timing
-	// slack at the calibration point (e.g. 0.08 = critical path uses 92%
-	// of the cycle).
-	NominalSlack float64 `json:"nominal_slack"`
-	// CriticalPaths is the number of independent critical paths per link
-	// stage.
-	CriticalPaths int `json:"critical_paths"`
 }
 
 // ThermalConfig parameterizes the HotSpot-like RC thermal grid.
 type ThermalConfig struct {
-	AmbientC      float64 `json:"ambient_c"`       // ambient temperature
-	RThetaJA      float64 `json:"r_theta_ja"`      // vertical thermal resistance to ambient (K/W)
-	RThetaLateral float64 `json:"r_theta_lateral"` // lateral resistance between adjacent tiles (K/W)
-	CThermal      float64 `json:"c_thermal"`       // tile thermal capacitance (J/K)
-	UpdatePeriod  int     `json:"update_period"`   // cycles between thermal solves
-	InitialC      float64 `json:"initial_c"`       // initial tile temperature
+	UpdatePeriod int `json:"update_period"` // cycles between thermal solves
 }
 
 // RLConfig parameterizes the tabular Q-learning controller. The learning
@@ -220,35 +187,23 @@ func Default() Config {
 		Width:          8,
 		Height:         8,
 		Topology:       TopologyMesh,
-		Routing:        RoutingXY,
 		VCsPerPort:     4,
 		VCDepth:        4,
 		FlitBits:       128,
 		FlitsPerPacket: 4,
 		VoltageV:       1.0,
-		FrequencyGHz:   2.0,
 		Fault: FaultConfig{
-			BaseErrorRate:     0.00002,
-			TempSensitivity:   0.0012,
-			UtilSensitivity:   0.005,
-			TRefC:             50.0,
-			DoubleBitFraction: 0.25,
-			RelaxedScale:      0.001,
-			ProcessSigma:      0.01,
-			NominalSlack:      0.08,
-			CriticalPaths:     16,
+			BaseErrorRate:   0.00002,
+			TempSensitivity: 0.0012,
+			UtilSensitivity: 0.005,
+			ProcessSigma:    0.01,
 		},
 		Thermal: ThermalConfig{
-			AmbientC:      45.0,
-			RThetaJA:      25.0,
-			RThetaLateral: 60.0,
-			CThermal:      1.0e-6,
 			// Divides the RL step (1000 cycles) exactly so per-epoch
 			// leakage accrual is uniform; a non-divisor alternates 3 vs 4
 			// accruals per epoch and injects artificial power noise into
 			// the RL reward.
 			UpdatePeriod: 250,
-			InitialC:     55.0,
 		},
 		QRoute: QRouteConfig{
 			// Hop costs are small integers (a few cycles), so a larger
@@ -298,8 +253,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: fabric dimension above 64 unsupported, got %dx%d", c.Width, c.Height)
 	case c.TopologyKind() != TopologyMesh && c.TopologyKind() != TopologyTorus:
 		return fmt.Errorf("config: unknown topology %q (want mesh|torus)", c.Topology)
-	case c.Routing != RoutingXY && c.Routing != RoutingYX:
-		return fmt.Errorf("config: unknown routing %q", c.Routing)
 	case c.TopologyKind() == TopologyTorus && c.VCsPerPort < 4:
 		// The torus dateline rule halves each VC class (data, control)
 		// into wrap classes 0 and 1, so both halves need a VC.
@@ -324,8 +277,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: flits per packet must be positive, got %d", c.FlitsPerPacket)
 	case c.VoltageV <= 0:
 		return fmt.Errorf("config: voltage must be positive, got %g", c.VoltageV)
-	case c.FrequencyGHz <= 0:
-		return fmt.Errorf("config: frequency must be positive, got %g", c.FrequencyGHz)
 	case c.MaxCycles < 1:
 		return fmt.Errorf("config: max cycles must be positive, got %d", c.MaxCycles)
 	case c.PretrainCycles < 0 || c.WarmupCycles < 0 || c.DrainCycles < 0:
@@ -388,35 +339,32 @@ func (f *FaultConfig) validate() error {
 	switch {
 	case f.BaseErrorRate < 0 || f.BaseErrorRate > 1:
 		return fmt.Errorf("config: base error rate must be in [0,1], got %g", f.BaseErrorRate)
-	case f.DoubleBitFraction < 0 || f.DoubleBitFraction > 1:
-		return fmt.Errorf("config: double-bit fraction must be in [0,1], got %g", f.DoubleBitFraction)
-	case f.RelaxedScale < 0 || f.RelaxedScale > 1:
-		return fmt.Errorf("config: relaxed scale must be in [0,1], got %g", f.RelaxedScale)
 	case f.TempSensitivity < 0:
 		return fmt.Errorf("config: temperature sensitivity must be non-negative, got %g", f.TempSensitivity)
 	case f.UtilSensitivity < 0:
 		return fmt.Errorf("config: utilization sensitivity must be non-negative, got %g", f.UtilSensitivity)
 	case f.ProcessSigma < 0:
 		return fmt.Errorf("config: process sigma must be non-negative, got %g", f.ProcessSigma)
-	case f.NominalSlack <= 0 || f.NominalSlack >= 1:
-		return fmt.Errorf("config: nominal slack must be in (0,1), got %g", f.NominalSlack)
-	case f.CriticalPaths < 1:
-		return fmt.Errorf("config: critical paths must be positive, got %d", f.CriticalPaths)
 	}
 	return nil
 }
 
-// vNominal is the supply voltage at which the timing-error model's delay
-// is centered.
-const vNominal = 1.0
+// ClockGHz is the router clock, Table II's 2.0 GHz.
+const ClockGHz float64 = 2.0
 
-// voltageExponent approximates alpha-power-law delay scaling with supply
-// voltage: delay ~ (Vnom/V)^voltageExponent.
-const voltageExponent = 1.3
+// The timing-error model's calibration, typed so that a constant
+// expression over them rounds after every operation, as run-time
+// arithmetic does.
+const (
+	vNominal        float64 = 1.0  // supply voltage at which the model's delay is centered
+	voltageExponent float64 = 1.3  // alpha-power-law delay scaling: delay ~ (vNominal/V)^voltageExponent
+	nominalSlack    float64 = 0.08 // clock-period fraction left as slack at calibration
+	CriticalPaths   float64 = 16   // independent critical paths per link stage
+)
 
 // FaultCalibration is the timing-error model's operating point at the
-// calibration reference (TRefC, zero utilization), which internal/fault
-// builds its Model from.
+// calibration reference (the model's reference temperature, zero
+// utilization), which internal/fault builds its Model from.
 type FaultCalibration struct {
 	// Mu0 is the critical-path mean delay, in clock periods.
 	Mu0 float64
@@ -446,18 +394,18 @@ func (f *FaultConfig) Calibrate(voltageV float64) (FaultCalibration, error) {
 // its answer on that side of 0, so Z0 > 0 exactly when q > 0.5.
 func (f *FaultConfig) operatingPoint(voltageV float64) (mu0, q float64, err error) {
 	vScale := math.Pow(vNominal/voltageV, voltageExponent)
-	mu0 = (1 - f.NominalSlack) * vScale
+	mu0 = (1 - nominalSlack) * vScale
 	if mu0 >= 1 {
 		return 0, 0, fmt.Errorf("config: no timing slack at V=%gV (mean path delay %.3f cycles)", voltageV, mu0)
 	}
 	// Solve for the link error probability at the reference point to equal
-	// BaseErrorRate: with nCrit independent paths,
+	// BaseErrorRate: with CriticalPaths independent paths,
 	// pLink = 1-(1-pPath)^nCrit, and pPath = Q(slack/sigma).
 	pLink := f.BaseErrorRate
 	if pLink <= 0 {
 		pLink = 1e-12 // keep the model well-defined; probabilities stay ~0
 	}
-	pPath := 1 - math.Pow(1-pLink, 1/float64(f.CriticalPaths))
+	pPath := 1 - math.Pow(1-pLink, 1/CriticalPaths)
 	if q = 1 - pPath; q <= 0.5 {
 		return 0, 0, fmt.Errorf("config: base error rate %g too large to calibrate", f.BaseErrorRate)
 	}
@@ -480,12 +428,7 @@ func normalQuantile(p float64) float64 {
 }
 
 func (t *ThermalConfig) validate() error {
-	switch {
-	case t.RThetaJA <= 0 || t.RThetaLateral <= 0:
-		return fmt.Errorf("config: thermal resistances must be positive")
-	case t.CThermal <= 0:
-		return fmt.Errorf("config: thermal capacitance must be positive, got %g", t.CThermal)
-	case t.UpdatePeriod < 1:
+	if t.UpdatePeriod < 1 {
 		return fmt.Errorf("config: thermal update period must be positive, got %d", t.UpdatePeriod)
 	}
 	return nil
@@ -534,7 +477,7 @@ func (c *Config) TopologyKind() string {
 }
 
 // CyclePeriodNS returns the clock period in nanoseconds.
-func (c *Config) CyclePeriodNS() float64 { return 1.0 / c.FrequencyGHz }
+func (c *Config) CyclePeriodNS() float64 { return 1.0 / ClockGHz }
 
 // Load reads a JSON configuration file, filling unset fields from Default.
 func Load(path string) (Config, error) { return Preset(false, path) }
@@ -555,7 +498,7 @@ func Preset(small bool, path string) (Config, error) {
 	if err != nil {
 		return c, fmt.Errorf("config: %w", err)
 	}
-	if err := decode(data, &c); err != nil {
+	if err := Decode(data, &c); err != nil {
 		return c, fmt.Errorf("config: parsing %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {
@@ -564,8 +507,10 @@ func Preset(small bool, path string) (Config, error) {
 	return c, nil
 }
 
-// decode fills c from exactly one JSON value, refusing unknown keys.
-func decode(data []byte, c *Config) error {
+// Decode fills c from exactly one JSON value, refusing unknown keys and
+// anything after the value. Fields the value does not name keep what c
+// held.
+func Decode(data []byte, c *Config) error {
 	// The router's pipeline depth and retransmission buffer are not knobs
 	// (see Config), and the fast-forward switch turned off a cycle-loop
 	// jump that no longer exists; ignoring them runs what the file asked.

@@ -32,9 +32,6 @@ func TestDefaultMatchesTableII(t *testing.T) {
 	if c.Width != 8 || c.Height != 8 {
 		t.Errorf("mesh = %dx%d, want 8x8", c.Width, c.Height)
 	}
-	if c.Routing != RoutingXY {
-		t.Errorf("routing = %q, want xy", c.Routing)
-	}
 	if c.VCsPerPort != 4 {
 		t.Errorf("VCs = %d, want 4", c.VCsPerPort)
 	}
@@ -44,8 +41,8 @@ func TestDefaultMatchesTableII(t *testing.T) {
 	if c.FlitsPerPacket != 4 {
 		t.Errorf("flits/packet = %d, want 4", c.FlitsPerPacket)
 	}
-	if c.VoltageV != 1.0 || c.FrequencyGHz != 2.0 {
-		t.Errorf("operating point = %gV %gGHz, want 1.0V 2.0GHz", c.VoltageV, c.FrequencyGHz)
+	if c.VoltageV != 1.0 || ClockGHz != 2.0 {
+		t.Errorf("operating point = %gV %gGHz, want 1.0V 2.0GHz", c.VoltageV, ClockGHz)
 	}
 }
 
@@ -56,8 +53,6 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"tiny mesh", func(c *Config) { c.Width = 1 }},
 		{"huge mesh", func(c *Config) { c.Height = 100 }},
-		{"bad routing", func(c *Config) { c.Routing = "zigzag" }},
-		{"removed routing value", func(c *Config) { c.Routing = "west" + "first" }},
 		{"one VC", func(c *Config) { c.VCsPerPort = 1 }},
 		{"zero depth", func(c *Config) { c.VCDepth = 0 }},
 		{"depth above 64", func(c *Config) { c.VCDepth = 65 }},
@@ -65,18 +60,13 @@ func TestValidateRejects(t *testing.T) {
 		{"64-bit flits", func(c *Config) { c.FlitBits = 64 }},
 		{"zero flits", func(c *Config) { c.FlitsPerPacket = 0 }},
 		{"zero voltage", func(c *Config) { c.VoltageV = 0 }},
-		{"zero frequency", func(c *Config) { c.FrequencyGHz = 0 }},
 		{"zero cycles", func(c *Config) { c.MaxCycles = 0 }},
 		{"negative warmup", func(c *Config) { c.WarmupCycles = -1 }},
 		{"error rate > 1", func(c *Config) { c.Fault.BaseErrorRate = 1.5 }},
 		{"negative error rate", func(c *Config) { c.Fault.BaseErrorRate = -0.1 }},
-		{"double-bit > 1", func(c *Config) { c.Fault.DoubleBitFraction = 2 }},
-		{"relaxed > 1", func(c *Config) { c.Fault.RelaxedScale = 2 }},
 		{"negative temp sensitivity", func(c *Config) { c.Fault.TempSensitivity = -1 }},
 		{"negative util sensitivity", func(c *Config) { c.Fault.UtilSensitivity = -1 }},
 		{"negative process sigma", func(c *Config) { c.Fault.ProcessSigma = -1 }},
-		{"zero thermal R", func(c *Config) { c.Thermal.RThetaJA = 0 }},
-		{"zero thermal C", func(c *Config) { c.Thermal.CThermal = 0 }},
 		{"zero thermal period", func(c *Config) { c.Thermal.UpdatePeriod = 0 }},
 		{"zero qroute alpha", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 0 }},
 		{"qroute alpha > 1", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 1.5 }},
@@ -154,7 +144,9 @@ func TestLoadIgnoresRetiredKeys(t *testing.T) {
 // TestLoadRejectsUnknownKeys: a key that names no field fails by name
 // instead of silently running the default it was meant to override, and
 // so does anything after the object; a partial nested object still merges
-// over the defaults.
+// over the defaults. The model constants that were once keys (the clock,
+// the dimension order, the fault and thermal calibrations) fail the same
+// way: a file that sets one asks for a model this build does not run.
 func TestLoadRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ name, json, wantErr string }{
 		{"top-level typo", `{"vcs_per_prot": 8}`, `unknown field "vcs_per_prot"`},
@@ -165,6 +157,18 @@ func TestLoadRejectsUnknownKeys(t *testing.T) {
 		{"removed alpha", `{"rl": {"alpha": 0.3}}`, `unknown field "alpha"`},
 		{"removed alpha decay switch", `{"rl": {"alpha_decay": false}}`, `unknown field "alpha_decay"`},
 		{"removed double Q switch", `{"rl": {"double_q": true}}`, `unknown field "double_q"`},
+		{"removed routing", `{"routing": "xy"}`, `unknown field "routing"`},
+		{"removed frequency", `{"frequency_ghz": 2}`, `unknown field "frequency_ghz"`},
+		{"removed reference temperature", `{"fault": {"t_ref_c": 50}}`, `unknown field "t_ref_c"`},
+		{"removed double-bit fraction", `{"fault": {"double_bit_fraction": 0.25}}`, `unknown field "double_bit_fraction"`},
+		{"removed relaxed scale", `{"fault": {"relaxed_scale": 0.001}}`, `unknown field "relaxed_scale"`},
+		{"removed nominal slack", `{"fault": {"nominal_slack": 0.08}}`, `unknown field "nominal_slack"`},
+		{"removed critical paths", `{"fault": {"critical_paths": 16}}`, `unknown field "critical_paths"`},
+		{"removed ambient", `{"thermal": {"ambient_c": 45}}`, `unknown field "ambient_c"`},
+		{"removed vertical resistance", `{"thermal": {"r_theta_ja": 25}}`, `unknown field "r_theta_ja"`},
+		{"removed lateral resistance", `{"thermal": {"r_theta_lateral": 60}}`, `unknown field "r_theta_lateral"`},
+		{"removed capacitance", `{"thermal": {"c_thermal": 1e-6}}`, `unknown field "c_thermal"`},
+		{"removed initial temperature", `{"thermal": {"initial_c": 55}}`, `unknown field "initial_c"`},
 		{"trailing object", `{"width": 6} {"width": 5}`, "trailing data"},
 		{"trailing garbage", `{"width": 6} x`, "trailing data"},
 	} {
@@ -251,7 +255,7 @@ func TestCalibrateMatchesFaultModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 - c.Fault.NominalSlack; math.Abs(cal.Mu0-want) > 1e-15 || cal.Z0 <= 0 {
+	if want := 1 - nominalSlack; math.Abs(cal.Mu0-want) > 1e-15 || cal.Z0 <= 0 {
 		t.Fatalf("calibration at nominal voltage = %+v, want Mu0 %g and a positive Z0", cal, want)
 	}
 	// Validate skips the bisection (operatingPoint): its answer is

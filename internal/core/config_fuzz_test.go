@@ -24,7 +24,7 @@ func FuzzConfig(f *testing.F) {
 		func(c *config.Config) { c.RL.ModeMask = 0b1000; c.RL.SharedTable = false },
 		func(c *config.Config) { c.Topology = config.TopologyTorus; c.VCsPerPort = 8 },
 		func(c *config.Config) { c.HardFaults = "300:l5.east,900:r3" },
-		func(c *config.Config) { c.Routing = config.RoutingYX },
+		func(c *config.Config) { c.Thermal.UpdatePeriod = 125 },
 	} {
 		cfg := config.Small()
 		tune(&cfg)

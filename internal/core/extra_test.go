@@ -73,7 +73,7 @@ func TestSimObserverDuringMeasure(t *testing.T) {
 		t.Fatalf("mode counts sum %d", total)
 	}
 	for _, temp := range last.TempsC {
-		if temp < cfg.Thermal.AmbientC || temp > 200 {
+		if temp < ambientC || temp > 200 {
 			t.Fatalf("implausible snapshot temperature %g", temp)
 		}
 	}

@@ -153,10 +153,10 @@ func snapSim(c *snap.Codec, s *Sim) (*Sim, error) {
 	}
 	if c.Decoding() {
 		var cfg config.Config
-		if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
-			// A bit flip inside the embedded JSON is invisible to the stream
-			// framing; type it corrupt here so recovery falls back to the
-			// previous checkpoint.
+		if err := config.Decode(cfgJSON, &cfg); err != nil {
+			// A bit flip inside the embedded JSON, even one that only
+			// renames a key, is invisible to the stream framing; type it
+			// corrupt so recovery falls back to the previous checkpoint.
 			return nil, snap.Corrupt(fmt.Errorf("core: snapshot config: %w", err))
 		}
 		var err error

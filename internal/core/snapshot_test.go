@@ -274,11 +274,12 @@ func TestSnapshotIdempotent(t *testing.T) {
 // TestCheckpointBytesBudget keeps learned state out of a checkpoint
 // unless it exists: a Q-table writes the rows a run touched, not its
 // 10,000 states, and a trained DT controller no training set. Budgets are
-// 1.25x the sizes measured at format 11, which writes each flit inline
-// (25,687, 34,293 and 26,908 bytes at format 10; as 32-byte events
-// 33,676, 42,739 and 35,616; the dense table made the 4x4 mesh rl and
-// qroute checkpoints 833,397 and 842,546 bytes, and with a table per
-// router 12,833,653).
+// 1.25x the sizes measured once the model constants left the embedded
+// config (23,567, 32,141 and 24,788 bytes with them, at format 11, which
+// writes each flit inline; 25,687, 34,293 and 26,908 bytes at format 10;
+// as 32-byte events 33,676, 42,739 and 35,616; the dense table made the
+// 4x4 mesh rl and qroute checkpoints 833,397 and 842,546 bytes, and with
+// a table per router 12,833,653).
 func TestCheckpointBytesBudget(t *testing.T) {
 	for _, arm := range []struct {
 		name     string
@@ -286,9 +287,9 @@ func TestCheckpointBytesBudget(t *testing.T) {
 		shared   bool
 		measured int
 	}{
-		{"rl", SchemeRL, true, 23_567},
-		{"qroute", SchemeQRoute, true, 32_141},
-		{"rl-table-per-router", SchemeRL, false, 24_788},
+		{"rl", SchemeRL, true, 23_343},
+		{"qroute", SchemeQRoute, true, 31_917},
+		{"rl-table-per-router", SchemeRL, false, 24_564},
 	} {
 		cfg := snapConfig("mesh")
 		cfg.RL.SharedTable = arm.shared
@@ -411,14 +412,18 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // masks: each checkpoint shrank by exactly 8 bytes per live flit (its
 // reference), 8 for the FLTS tag and count, and 4 + 9 bytes per VC for
 // each port (2,048 bytes on the 4x4 mesh, 4,928 on the 8-VC torus).
+// All three were re-captured, still at format 11, when twelve model
+// constants stopped being config keys: every checkpoint's embedded config
+// JSON lost those keys and nothing else, so each file is exactly 224
+// bytes shorter and every byte outside that JSON is the same.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "126347575b3d42b6e3af8c9061a897b715fb1c4011c4fc8321fb4c41574434a1"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "91ca27a294a11e14d9c2f2b8f69562bec9b21e7c631d29b3754f88ec874fda68"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "aaa035a9af530c883d33861ce5655802f2ce71f7ea09bd986e6fed5f52d97f67"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "7bd5130126339f4ffd7c27870653eb1c1fa1fa95c8e6ca8ef37c68d34393f979"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "c532daacf2e30f877d1bf5a69c93f8b266c32b57b502ae60a176571bac25ab1f"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "e92bb24c9a467827925e9dcfd2d6a95587c8e41acfc36f1b061ef43688f5bb6c"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -637,6 +642,25 @@ func withDTDraws(t *testing.T, data []byte, draws uint64) []byte {
 // checkpoint's own cycle counter allows and fail as a corrupt stream.
 func TestHostileDrawCountIsCorrupt(t *testing.T) {
 	restoreMustBeCorrupt(t, withDTDraws(t, firstCheckpoint(t, SchemeDT), 1<<63))
+}
+
+// TestHostileConfigKeyIsCorrupt flips one bit of the embedded config's
+// "hard_faults" key, making it "hard_faulus". A lenient decode dropped the
+// unknown key and resumed without the checkpointed run's hard faults; the
+// strict one refuses the stream as corrupt and names the key.
+func TestHostileConfigKeyIsCorrupt(t *testing.T) {
+	data := firstCheckpoint(t, SchemeRL)
+	key := []byte(`"hard_faults"`)
+	off := bytes.Index(data, key)
+	if off < 0 || bytes.Count(data, key) != 1 {
+		t.Fatalf("the checkpoint names %s %d times, want once", key, bytes.Count(data, key))
+	}
+	data = bytes.Clone(data)
+	data[off+len(`"hard_faul`)] ^= 't' ^ 'u'
+	_, err := RestoreSim(bytes.NewReader(data))
+	if !snap.IsCorrupt(err) || !strings.Contains(err.Error(), `"hard_faulus"`) {
+		t.Fatalf("err = %v, want a snap.CorruptError naming \"hard_faulus\"", err)
+	}
 }
 
 // TestRestoreDrawCeilingHoldsAtDecode: RNG sources are lazy, so a restore

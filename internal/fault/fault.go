@@ -8,7 +8,7 @@
 // temperature — the coupling the paper's RL controller exploits.
 //
 // The model is calibrated so that the configured BaseErrorRate holds
-// exactly at the reference temperature, configured voltage/frequency and
+// exactly at the reference temperature tRefC, the configured voltage and
 // zero utilization.
 package fault
 
@@ -27,17 +27,21 @@ import (
 // finite.
 const maxErrorProbability = 0.75
 
+// The model's fixed calibration, typed so that constant arithmetic over
+// them rounds as run-time arithmetic does.
+const (
+	tRefC             float64 = 50.0  // reference temperature (C)
+	doubleBitFraction float64 = 0.25  // base chance an error flips a second bit (SampleErrorBits)
+	relaxedScale      float64 = 0.001 // Mode 3 (timing relaxation) error scale; near zero per the paper
+)
+
 // Model computes per-link, per-flit timing-error probabilities.
 // It is calibrated once at construction and is safe for concurrent reads.
 type Model struct {
-	mu0        float64 // critical-path mean delay at calibration, in clock periods
-	sigma      float64 // path delay std dev, in clock periods
-	kT         float64 // fractional delay per degree C
-	kU         float64 // fractional delay at utilization 1.0
-	tRef       float64
-	nCrit      int
-	relaxScale float64
-	doubleFrac float64
+	mu0        float64   // critical-path mean delay at calibration, in clock periods
+	sigma      float64   // path delay std dev, in clock periods
+	kT         float64   // fractional delay per degree C
+	kU         float64   // fractional delay at utilization 1.0
 	linkFactor []float64 // per-link process-variation delay factor
 }
 
@@ -58,10 +62,6 @@ func New(cfg config.FaultConfig, voltageV float64, numLinks int, seed int64) (*M
 		sigma:      (1 - cal.Mu0) / cal.Z0, // the reference slack sits at quantile Z0
 		kT:         cfg.TempSensitivity,
 		kU:         cfg.UtilSensitivity,
-		tRef:       cfg.TRefC,
-		nCrit:      cfg.CriticalPaths,
-		relaxScale: cfg.RelaxedScale,
-		doubleFrac: cfg.DoubleBitFraction,
 		linkFactor: make([]float64, numLinks),
 	}
 	rng := rand.New(snap.NewCountingSource(seed))
@@ -77,7 +77,7 @@ func New(cfg config.FaultConfig, voltageV float64, numLinks int, seed int64) (*M
 // ErrorProbability returns the per-flit probability of a timing error on a
 // link traversal given the link's tile temperature (Celsius) and recent
 // utilization (flits/cycle in [0,1]). relaxed applies the Mode 3 timing
-// relaxation, which scales the probability by the configured RelaxedScale.
+// relaxation, which scales the probability by relaxedScale.
 func (m *Model) ErrorProbability(link int, tempC, utilization float64, relaxed bool) float64 {
 	return m.finish(m.rawProbability(link, tempC, utilization), relaxed)
 }
@@ -87,7 +87,7 @@ func (m *Model) ErrorProbability(link int, tempC, utilization float64, relaxed b
 // Table can memoize it per link; the raw value depends only on
 // (link, tempC, utilization), while relaxation is a cheap per-mode scale.
 func (m *Model) rawProbability(link int, tempC, utilization float64) float64 {
-	mu := m.mu0 * (1 + m.kT*(tempC-m.tRef)) * (1 + m.kU*utilization)
+	mu := m.mu0 * (1 + m.kT*(tempC-tRefC)) * (1 + m.kU*utilization)
 	if link >= 0 && link < len(m.linkFactor) {
 		mu *= m.linkFactor[link]
 	}
@@ -98,7 +98,7 @@ func (m *Model) rawProbability(link int, tempC, utilization float64) float64 {
 	} else {
 		pPath = 1 - normalCDF(slack/m.sigma)
 	}
-	return 1 - math.Pow(1-pPath, float64(m.nCrit))
+	return 1 - math.Pow(1-pPath, config.CriticalPaths)
 }
 
 // finish applies the Mode 3 relaxation scale and the probability clamps to
@@ -106,7 +106,7 @@ func (m *Model) rawProbability(link int, tempC, utilization float64) float64 {
 // single-function implementation (relax, then upper clamp, then lower).
 func (m *Model) finish(p float64, relaxed bool) float64 {
 	if relaxed {
-		p *= m.relaxScale
+		p *= relaxedScale
 	}
 	if p > maxErrorProbability {
 		p = maxErrorProbability
@@ -125,7 +125,7 @@ const maxFlipBits = 6
 // timing path that barely misses the clock edge flips one late bit, but
 // the deeper into the timing wall the link operates (higher p), the more
 // simultaneous paths fail. Geometrically, each additional bit flips with
-// probability DoubleBitFraction + 1.5p (capped) — at low p this
+// probability doubleBitFraction + 1.5p (capped) — at low p this
 // reproduces the classic single/double-bit mix, at high p it produces the
 // multi-bit bursts that defeat SECDED (sometimes silently, via
 // miscorrection), which is exactly the regime the paper's Mode 3 exists
@@ -139,7 +139,7 @@ func (m *Model) SampleErrorBits(rng detrand.Source, p float64) int {
 	if rng.Float64() >= p {
 		return 0
 	}
-	escalate := m.doubleFrac + 1.5*p
+	escalate := doubleBitFraction + 1.5*p
 	if escalate > 0.7 {
 		escalate = 0.7
 	}

@@ -26,7 +26,7 @@ func TestCalibrationMatchesBaseRate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	got := m.ErrorProbability(0, cfg.Fault.TRefC, 0, false)
+	got := m.ErrorProbability(0, tRefC, 0, false)
 	want := cfg.Fault.BaseErrorRate
 	if math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("p(TRef) = %g, want %g (within 1%%)", got, want)
@@ -193,7 +193,7 @@ func TestSampleErrorBitsDistribution(t *testing.T) {
 		t.Errorf("error fraction %g, want ~%g", errFrac, p)
 	}
 	multiFrac := float64(errs-counts[1]) / float64(errs)
-	want := config.Default().Fault.DoubleBitFraction + 1.5*p
+	want := doubleBitFraction + 1.5*p
 	if math.Abs(multiFrac-want) > 0.05 {
 		t.Errorf("multi-bit fraction %g, want ~%g", multiFrac, want)
 	}
@@ -261,13 +261,12 @@ func popcount(words []uint64) int {
 }
 
 // TestNormalCDFQuantileInverse: the model's CDF undoes the quantile
-// config.Calibrate solves for, so a single-path link at the reference
-// point fails with exactly the base rate.
+// config.Calibrate solves for, so each of a link's critical paths at the
+// reference point passes with exactly the level the base rate implies.
 func TestNormalCDFQuantileInverse(t *testing.T) {
 	cfg := config.Default().Fault
-	cfg.CriticalPaths = 1
 	for _, p := range []float64{0.6, 0.9, 0.999, 1 - 1e-9} {
-		cfg.BaseErrorRate = 1 - p
+		cfg.BaseErrorRate = 1 - math.Pow(p, config.CriticalPaths)
 		cal, err := cfg.Calibrate(1.0)
 		if err != nil {
 			t.Fatal(err)

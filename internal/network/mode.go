@@ -89,10 +89,9 @@ const (
 type Observation struct {
 	// Features is the Table-I state vector, aggregated per router.
 	Features rl.Features
-	// WindowLatency is the mean end-to-end latency (cycles) of packets
-	// that traversed this router during the epoch (the paper's reward
-	// numerator input); routers that saw no deliveries get the network
-	// mean as fallback.
+	// WindowLatency is the paper's reward numerator input: the mean, over
+	// the epoch's deliveries whose recorded path includes this router, of
+	// latency/(hops+1) in cycles; neutralLatency when there are none.
 	WindowLatency float64
 	// ControlPowerW is the router's average power over the epoch in
 	// watts, minus the always-on router leakage — the action-controllable

@@ -303,7 +303,7 @@ func (n *Network) settle() {
 // zero-initialized Q-table is Mode 0 — the paper's initialization.
 func (n *Network) consult() {
 	n.consultOwed = false
-	idle := Observation{Features: rl.Features{TemperatureC: n.cfg.Thermal.InitialC}}
+	idle := Observation{Features: rl.Features{TemperatureC: thermal.InitialC}}
 	for id := range n.routers {
 		n.applyMode(id, n.controller.Decide(id, idle))
 	}

@@ -7,6 +7,7 @@ import (
 	"rlnoc/internal/config"
 	"rlnoc/internal/power"
 	"rlnoc/internal/stats"
+	"rlnoc/internal/thermal"
 	"rlnoc/internal/topology"
 	"rlnoc/internal/traffic"
 )
@@ -392,9 +393,9 @@ func TestThermalCoupling(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	// Sustained traffic must heat tiles above their initial temperature.
-	if n.Thermal().MeanTemperature() <= cfg.Thermal.InitialC {
+	if n.Thermal().MeanTemperature() <= thermal.InitialC {
 		t.Fatalf("mean temperature %g did not rise above initial %g",
-			n.Thermal().MeanTemperature(), cfg.Thermal.InitialC)
+			n.Thermal().MeanTemperature(), thermal.InitialC)
 	}
 }
 

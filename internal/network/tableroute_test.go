@@ -11,12 +11,11 @@ import (
 )
 
 // tableRouteNet builds a fault-free 4x4 fabric of the given kind whose
-// every hop comes from the dimension-ordered route table.
-func tableRouteNet(t *testing.T, kind string, routing config.Routing) *Network {
+// every hop comes from the X-Y route table.
+func tableRouteNet(t *testing.T, kind string) *Network {
 	t.Helper()
 	cfg := testConfig(0)
 	cfg.Topology = kind
-	cfg.Routing = routing
 	return newNet(t, cfg, Mode0, false)
 }
 
@@ -25,7 +24,7 @@ func tableRouteNet(t *testing.T, kind string, routing config.Routing) *Network {
 func TestTableRouteDeliversEverything(t *testing.T) {
 	for _, kind := range []string{config.TopologyMesh, config.TopologyTorus} {
 		t.Run(kind, func(t *testing.T) {
-			n := tableRouteNet(t, kind, config.RoutingXY)
+			n := tableRouteNet(t, kind)
 			n.Stats().SetMeasuring(true)
 			events, err := traffic.Synthetic(n.Topology(), traffic.Uniform, 0.006, 4, 4000, 11)
 			if err != nil {
@@ -50,7 +49,6 @@ func TestTableRouteSurvivesErrorsAndARQ(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			cfg := testConfig(0.01)
 			cfg.Topology = kind
-			cfg.Routing = config.RoutingXY
 			n := newNet(t, cfg, Mode1, true)
 			n.Stats().SetMeasuring(true)
 			events, err := traffic.Synthetic(n.Topology(), traffic.Uniform, 0.004, 4, 4000, 13)
@@ -81,7 +79,7 @@ func TestTableRouteAdversarialDrain(t *testing.T) {
 		for _, rate := range []float64{0.02, 0.10} {
 			for _, p := range []traffic.Pattern{traffic.Transpose, traffic.Hotspot, traffic.Tornado} {
 				t.Run(fmt.Sprintf("%s/rate%.2f/%s", kind, rate, p), func(t *testing.T) {
-					n := tableRouteNet(t, kind, config.RoutingXY)
+					n := tableRouteNet(t, kind)
 					events, err := traffic.Synthetic(n.Topology(), p, rate, 4, 5000, 17)
 					if err != nil {
 						t.Fatal(err)
@@ -97,69 +95,62 @@ func TestTableRouteAdversarialDrain(t *testing.T) {
 
 // TestTablePathsAreValidAndMinimal checks the paths packets actually
 // record against the table they were routed by, on the mesh and the
-// torus in both dimension orders: each path runs from Src to Dst over
-// wired links only (Neighbor, so wrap links count), is Hops long, and
-// resolves the table's first dimension before it moves in the second.
+// torus: each path runs from Src to Dst over wired links only (Neighbor,
+// so wrap links count), is Hops long, and resolves X before it moves in
+// Y.
 func TestTablePathsAreValidAndMinimal(t *testing.T) {
 	for _, kind := range []string{config.TopologyMesh, config.TopologyTorus} {
-		for _, routing := range []config.Routing{config.RoutingXY, config.RoutingYX} {
-			t.Run(fmt.Sprintf("%s/%s", kind, routing), func(t *testing.T) {
-				n := tableRouteNet(t, kind, routing)
-				fab := n.Topology()
-				var pkts []*flit.Packet
-				for i := 0; i < 40; i++ {
-					src := (i * 7) % fab.Nodes()
-					dst := (i*13 + 5) % fab.Nodes()
-					if src == dst {
-						continue
-					}
-					p, err := n.NewDataPacket(src, dst, 2, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pkts = append(pkts, p)
+		t.Run(kind+"/xy", func(t *testing.T) {
+			n := tableRouteNet(t, kind)
+			fab := n.Topology()
+			var pkts []*flit.Packet
+			for i := 0; i < 40; i++ {
+				src := (i * 7) % fab.Nodes()
+				dst := (i*13 + 5) % fab.Nodes()
+				if src == dst {
+					continue
 				}
-				for !n.Drained() && n.Cycle() < 50_000 {
-					if err := n.Step(); err != nil {
-						t.Fatal(err)
-					}
+				p, err := n.NewDataPacket(src, dst, 2, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !n.Drained() {
-					t.Fatal("did not drain")
+				pkts = append(pkts, p)
+			}
+			for !n.Drained() && n.Cycle() < 50_000 {
+				if err := n.Step(); err != nil {
+					t.Fatal(err)
 				}
-				for _, p := range pkts {
-					if err := checkTablePath(fab, routing, p.Src, p.Dst, p.Path); err != nil {
-						t.Error(err)
-					}
+			}
+			if !n.Drained() {
+				t.Fatal("did not drain")
+			}
+			for _, p := range pkts {
+				if err := checkTablePath(fab, p.Src, p.Dst, p.Path); err != nil {
+					t.Error(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// checkTablePath reports the first way path breaks the table-route
-// contract for src -> dst under routing's dimension order.
-func checkTablePath(fab topology.Topology, routing config.Routing, src, dst int, path []int) error {
+// checkTablePath reports the first way path breaks the X-Y table-route
+// contract for src -> dst.
+func checkTablePath(fab topology.Topology, src, dst int, path []int) error {
 	if len(path) == 0 || path[0] != src || path[len(path)-1] != dst {
 		return fmt.Errorf("path %v does not run %d -> %d", path, src, dst)
 	}
 	if hops := fab.Hops(src, dst); len(path)-1 != hops {
 		return fmt.Errorf("path %v for %d -> %d has %d hops, want %d", path, src, dst, len(path)-1, hops)
 	}
-	// first reads a coordinate's first dimension in the table's order.
-	first := func(c topology.Coord) int { return c.X }
-	if routing == config.RoutingYX {
-		first = func(c topology.Coord) int { return c.Y }
-	}
-	want := first(fab.Coord(dst))
+	want := fab.Coord(dst).X
 	for i := 1; i < len(path); i++ {
 		a, b := path[i-1], path[i]
 		if !wired(fab, a, b) {
 			return fmt.Errorf("path %v steps %d -> %d over no link", path, a, b)
 		}
 		ca, cb := fab.Coord(a), fab.Coord(b)
-		if first(ca) == first(cb) && first(ca) != want {
-			return fmt.Errorf("path %v for %d -> %d moves in the second dimension at %d before resolving the first", path, src, dst, a)
+		if ca.X == cb.X && ca.X != want {
+			return fmt.Errorf("path %v for %d -> %d moves in Y at %d before resolving X", path, src, dst, a)
 		}
 	}
 	return nil

@@ -5,10 +5,10 @@
 // drives temperature, which in turn drives the timing-error model,
 // closing the power→heat→error feedback loop of the paper.
 //
-// The thermal capacitance default is deliberately accelerated (time
-// constant of tens of microseconds instead of milliseconds) so the
-// feedback loop is exercised within simulation windows of a few hundred
-// thousand cycles; DESIGN.md documents this substitution.
+// The thermal capacitance is deliberately accelerated (time constant of
+// tens of microseconds instead of milliseconds) so the feedback loop is
+// exercised within simulation windows of a few hundred thousand cycles;
+// DESIGN.md documents this substitution.
 package thermal
 
 import (
@@ -19,9 +19,18 @@ import (
 	"rlnoc/internal/topology"
 )
 
+// The RC grid's calibration, typed so that constant arithmetic over them
+// (Step's stability bound) rounds as run-time arithmetic does.
+const (
+	ambientC      float64 = 45.0   // ambient temperature (C)
+	rThetaJA      float64 = 25.0   // vertical thermal resistance to ambient (K/W)
+	rThetaLateral float64 = 60.0   // lateral resistance between adjacent tiles (K/W)
+	cThermal      float64 = 1.0e-6 // tile thermal capacitance (J/K)
+	InitialC      float64 = 55.0   // every tile's temperature before the first solve (C)
+)
+
 // Grid is the tile thermal model. It is not safe for concurrent use.
 type Grid struct {
-	cfg  config.ThermalConfig
 	temp []float64
 	// nbr holds each tile's physical lateral neighbors in fixed
 	// North, South, East, West order (-1 where the die edge is). Heat
@@ -37,14 +46,13 @@ type Grid struct {
 }
 
 // NewGrid builds a thermal grid over the fabric's physical tile layout
-// with every tile at the configured initial temperature.
-func NewGrid(topo topology.Topology, cfg config.ThermalConfig) (*Grid, error) {
+// with every tile at InitialC. The ThermalConfig parameter is unread.
+func NewGrid(topo topology.Topology, _ config.ThermalConfig) (*Grid, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("thermal: nil topology")
 	}
 	n := topo.Nodes()
 	g := &Grid{
-		cfg:     cfg,
 		temp:    make([]float64, n),
 		nbr:     make([][4]int, n),
 		scratch: make([]float64, n),
@@ -67,7 +75,7 @@ func NewGrid(topo topology.Topology, cfg config.ThermalConfig) (*Grid, error) {
 		}
 	}
 	for i := range g.temp {
-		g.temp[i] = cfg.InitialC
+		g.temp[i] = InitialC
 	}
 	return g, nil
 }
@@ -109,8 +117,8 @@ func (g *Grid) Step(powerW []float64, dtSeconds float64) error {
 	}
 	// Stability: forward Euler needs dt < C / Gmax where Gmax is the
 	// largest total conductance at a node (vertical + 4 lateral).
-	gMax := 1/g.cfg.RThetaJA + 4/g.cfg.RThetaLateral
-	dtStable := 0.25 * g.cfg.CThermal / gMax
+	const gMax = 1/rThetaJA + 4/rThetaLateral
+	const dtStable = 0.25 * cThermal / gMax
 	steps := int(math.Ceil(dtSeconds / dtStable))
 	if steps < 1 {
 		steps = 1
@@ -124,13 +132,13 @@ func (g *Grid) Step(powerW []float64, dtSeconds float64) error {
 
 func (g *Grid) substep(powerW []float64, h float64) {
 	for i := range g.temp {
-		flow := powerW[i] - (g.temp[i]-g.cfg.AmbientC)/g.cfg.RThetaJA
+		flow := powerW[i] - (g.temp[i]-ambientC)/rThetaJA
 		for _, j := range g.nbr[i] {
 			if j >= 0 {
-				flow -= (g.temp[i] - g.temp[j]) / g.cfg.RThetaLateral
+				flow -= (g.temp[i] - g.temp[j]) / rThetaLateral
 			}
 		}
-		g.scratch[i] = h * flow / g.cfg.CThermal
+		g.scratch[i] = h * flow / cThermal
 	}
 	for i := range g.temp {
 		g.temp[i] += g.scratch[i]
@@ -146,14 +154,14 @@ func (g *Grid) SteadyState(powerW []float64) ([]float64, error) {
 	}
 	t := make([]float64, len(g.temp))
 	for i := range t {
-		t[i] = g.cfg.AmbientC
+		t[i] = ambientC
 	}
-	gv := 1 / g.cfg.RThetaJA
-	gl := 1 / g.cfg.RThetaLateral
+	const gv = 1 / rThetaJA
+	const gl = 1 / rThetaLateral
 	for iter := 0; iter < 10000; iter++ {
 		var maxDelta float64
 		for i := range t {
-			num := powerW[i] + gv*g.cfg.AmbientC
+			num := powerW[i] + gv*ambientC
 			den := gv
 			for _, j := range g.nbr[i] {
 				if j >= 0 {

@@ -23,7 +23,7 @@ func newGrid(t *testing.T, w, h int) *Grid {
 
 func TestInitialTemperature(t *testing.T) {
 	g := newGrid(t, 4, 4)
-	want := config.Default().Thermal.InitialC
+	want := InitialC
 	for i := 0; i < 16; i++ {
 		if g.Temperature(i) != want {
 			t.Fatalf("tile %d starts at %g, want %g", i, g.Temperature(i), want)
@@ -46,10 +46,9 @@ func TestZeroPowerCoolsToAmbient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	amb := config.Default().Thermal.AmbientC
 	for i := 0; i < 4; i++ {
-		if math.Abs(g.Temperature(i)-amb) > 0.1 {
-			t.Fatalf("tile %d = %gC, want ambient %gC", i, g.Temperature(i), amb)
+		if math.Abs(g.Temperature(i)-ambientC) > 0.1 {
+			t.Fatalf("tile %d = %gC, want ambient %gC", i, g.Temperature(i), ambientC)
 		}
 	}
 }
@@ -58,7 +57,6 @@ func TestUniformPowerSteadyState(t *testing.T) {
 	// With uniform power no lateral flow occurs; every tile settles at
 	// ambient + P * RthetaJA.
 	g := newGrid(t, 3, 3)
-	cfg := config.Default().Thermal
 	power := make([]float64, 9)
 	for i := range power {
 		power[i] = 1.0
@@ -67,7 +65,7 @@ func TestUniformPowerSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.AmbientC + 1.0*cfg.RThetaJA
+	want := ambientC + 1.0*rThetaJA
 	for i, temp := range ss {
 		if math.Abs(temp-want) > 0.01 {
 			t.Fatalf("steady tile %d = %g, want %g", i, temp, want)
@@ -103,10 +101,9 @@ func TestHotspotSpreadsLaterally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amb := config.Default().Thermal.AmbientC
 	// Center hottest, edge-adjacent warmer than ambient, corners coolest.
-	if !(ss[4] > ss[1] && ss[1] > ss[0] && ss[0] > amb) {
-		t.Fatalf("no lateral gradient: center=%g edge=%g corner=%g ambient=%g", ss[4], ss[1], ss[0], amb)
+	if !(ss[4] > ss[1] && ss[1] > ss[0] && ss[0] > ambientC) {
+		t.Fatalf("no lateral gradient: center=%g edge=%g corner=%g ambient=%g", ss[4], ss[1], ss[0], ambientC)
 	}
 }
 

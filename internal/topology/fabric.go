@@ -31,25 +31,19 @@ type Topology = *Fabric
 
 // NewMesh returns a mesh with X-Y dimension-ordered routing. Width and
 // height must be >= 1.
-func NewMesh(width, height int) (*Fabric, error) { return newFabric(width, height, false, OrderXY) }
+func NewMesh(width, height int) (*Fabric, error) { return newFabric(width, height, false) }
 
-// NewMeshOrder returns a mesh whose route table resolves the dimensions
-// in the given order.
-func NewMeshOrder(width, height int, order Order) (*Fabric, error) {
-	return newFabric(width, height, false, order)
-}
+// NewMeshOrder is NewMesh: OrderXY is the only order.
+func NewMeshOrder(width, height int, _ Order) (*Fabric, error) { return NewMesh(width, height) }
 
 // NewTorus returns a torus with X-Y dimension-ordered routing. Width and
 // height must be >= 2 so every ring is a real cycle.
-func NewTorus(width, height int) (*Fabric, error) { return newFabric(width, height, true, OrderXY) }
+func NewTorus(width, height int) (*Fabric, error) { return newFabric(width, height, true) }
 
-// NewTorusOrder returns a torus whose route table resolves the dimensions
-// in the given order.
-func NewTorusOrder(width, height int, order Order) (*Fabric, error) {
-	return newFabric(width, height, true, order)
-}
+// NewTorusOrder is NewTorus: OrderXY is the only order.
+func NewTorusOrder(width, height int, _ Order) (*Fabric, error) { return NewTorus(width, height) }
 
-func newFabric(width, height int, wrap bool, order Order) (*Fabric, error) {
+func newFabric(width, height int, wrap bool) (*Fabric, error) {
 	switch {
 	case !wrap && (width < 1 || height < 1):
 		return nil, fmt.Errorf("topology: invalid mesh %dx%d", width, height)
@@ -61,7 +55,7 @@ func newFabric(width, height int, wrap bool, order Order) (*Fabric, error) {
 	f.routes = make([]uint8, n*n)
 	for here := 0; here < n; here++ {
 		for dst := 0; dst < n; dst++ {
-			f.routes[here*n+dst] = uint8(f.routeStep(here, dst, order))
+			f.routes[here*n+dst] = uint8(f.routeStep(here, dst))
 		}
 	}
 	for id := 0; id < n; id++ {
@@ -89,20 +83,15 @@ func (f *Fabric) offset(a, b, n int) int {
 	return off
 }
 
-// routeStep is dimension-ordered routing: the port that moves a packet at
-// here toward dst in the first unresolved dimension of order, or Local on
-// arrival.
-func (f *Fabric) routeStep(here, dst int, order Order) Direction {
+// routeStep is X-Y dimension-ordered routing: the port that moves a
+// packet at here toward dst along X while X is unresolved, then along Y,
+// or Local on arrival.
+func (f *Fabric) routeStep(here, dst int) Direction {
 	h, d := f.Coord(here), f.Coord(dst)
-	first := axisDir(f.offset(h.X, d.X, f.Width), East, West)
-	second := axisDir(f.offset(h.Y, d.Y, f.Height), North, South)
-	if order == OrderYX {
-		first, second = second, first
+	if x := axisDir(f.offset(h.X, d.X, f.Width), East, West); x != Local {
+		return x
 	}
-	if first != Local {
-		return first
-	}
-	return second
+	return axisDir(f.offset(h.Y, d.Y, f.Height), North, South)
 }
 
 func axisDir(off int, pos, neg Direction) Direction {

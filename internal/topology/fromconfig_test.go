@@ -44,7 +44,7 @@ func TestFromConfig(t *testing.T) {
 
 // TestFromConfigMemoizesTables: two builds of the same configuration
 // share one route-table backing array (the memoization), while a
-// different dimension order builds its own.
+// different size builds its own.
 func TestFromConfigMemoizesTables(t *testing.T) {
 	cfg := config.Small()
 	a, err := FromConfig(cfg)
@@ -65,14 +65,14 @@ func TestFromConfigMemoizesTables(t *testing.T) {
 		t.Error("identical configs did not share the cached edge list")
 	}
 
-	yx := cfg
-	yx.Routing = config.RoutingYX
-	c, err := FromConfig(yx)
+	wide := cfg
+	wide.Width++
+	c, err := FromConfig(wide)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &c.routes[0] == &a.routes[0] {
-		t.Error("different table order shared a route table")
+		t.Error("a different size shared a route table")
 	}
 }
 
@@ -131,17 +131,15 @@ func TestFromConfigRerouteDoesNotCorruptCache(t *testing.T) {
 	}
 }
 
-// FromConfig must honor the routing order: the YX table routes Y first.
+// FromConfig routes in Table II's order: the table resolves X first.
 func TestFromConfigRoutingOrder(t *testing.T) {
-	cfg := config.Default()
-	cfg.Routing = config.RoutingYX
-	topo, err := FromConfig(cfg)
+	topo, err := FromConfig(config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := topo.ID(Coord{X: 0, Y: 0})
 	dst := topo.ID(Coord{X: 3, Y: 3})
-	if d := topo.Route(src, dst); d != North {
-		t.Errorf("YX route first hop = %v, want north", d)
+	if d := topo.Route(src, dst); d != East {
+		t.Errorf("first hop = %v, want east", d)
 	}
 }

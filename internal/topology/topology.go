@@ -82,15 +82,12 @@ func LinkIndex(id int, d Direction) int { return id*linkPorts + int(d-North) }
 // of the given node count.
 func LinkSlots(nodes int) int { return nodes * linkPorts }
 
-// Order selects the dimension order of deterministic routing.
+// Order names the dimension order of deterministic routing. X-Y, the
+// paper's, is the only one.
 type Order int
 
-const (
-	// OrderXY resolves the X dimension first, then Y.
-	OrderXY Order = iota
-	// OrderYX resolves the Y dimension first, then X.
-	OrderYX
-)
+// OrderXY resolves the X dimension first, then Y.
+const OrderXY Order = 0
 
 func abs(v int) int {
 	if v < 0 {

@@ -106,46 +106,36 @@ func TestTorusRouteMinimalProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		w, h := 2+rng.Intn(7), 2+rng.Intn(7)
-		for _, order := range []Order{OrderXY, OrderYX} {
-			to, err := NewTorusOrder(w, h, order)
-			if err != nil {
-				t.Fatal(err)
+		to := mustTorus(t, w, h)
+		for rep := 0; rep < 50; rep++ {
+			src, dst := rng.Intn(to.Nodes()), rng.Intn(to.Nodes())
+			path := walkPath(t, to, src, dst)
+			if len(path)-1 != to.Hops(src, dst) {
+				t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
+					w, h, src, dst, len(path)-1, to.Hops(src, dst))
 			}
-			for rep := 0; rep < 50; rep++ {
-				src, dst := rng.Intn(to.Nodes()), rng.Intn(to.Nodes())
-				path := walkPath(t, to, src, dst)
-				if len(path)-1 != to.Hops(src, dst) {
-					t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
-						w, h, src, dst, len(path)-1, to.Hops(src, dst))
-				}
-				for i := 1; i < len(path); i++ {
-					if to.Hops(path[i], dst) != to.Hops(path[i-1], dst)-1 {
-						t.Fatalf("%dx%d: unproductive hop %d->%d en route to %d",
-							w, h, path[i-1], path[i], dst)
-					}
+			for i := 1; i < len(path); i++ {
+				if to.Hops(path[i], dst) != to.Hops(path[i-1], dst)-1 {
+					t.Fatalf("%dx%d: unproductive hop %d->%d en route to %d",
+						w, h, path[i-1], path[i], dst)
 				}
 			}
 		}
 	}
 }
 
-// Property: on randomized meshes, both dimension orders route minimally.
+// Property: on randomized meshes, the X-Y table routes minimally.
 func TestMeshRouteMinimalRandomDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		w, h := 1+rng.Intn(8), 1+rng.Intn(8)
-		for _, order := range []Order{OrderXY, OrderYX} {
-			m, err := NewMeshOrder(w, h, order)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for rep := 0; rep < 50; rep++ {
-				src, dst := rng.Intn(m.Nodes()), rng.Intn(m.Nodes())
-				path := walkPath(t, m, src, dst)
-				if len(path)-1 != m.Hops(src, dst) {
-					t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
-						w, h, src, dst, len(path)-1, m.Hops(src, dst))
-				}
+		m := mustMesh(t, w, h)
+		for rep := 0; rep < 50; rep++ {
+			src, dst := rng.Intn(m.Nodes()), rng.Intn(m.Nodes())
+			path := walkPath(t, m, src, dst)
+			if len(path)-1 != m.Hops(src, dst) {
+				t.Fatalf("%dx%d: path %d->%d has %d hops, Hops says %d",
+					w, h, src, dst, len(path)-1, m.Hops(src, dst))
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package rlnoc
 import (
 	"strings"
 	"testing"
-
-	"rlnoc/internal/config"
 )
 
 // fastConfig keeps root-level integration tests quick.
@@ -193,17 +191,12 @@ func TestSuiteAndFigures(t *testing.T) {
 	}
 }
 
-// TestTableIIRouting: the routing row names each table's dimension order.
+// TestTableIIRouting: the routing row names the table's one dimension
+// order, Table II's X-Y.
 func TestTableIIRouting(t *testing.T) {
-	for _, tc := range []struct{ routing, want string }{
-		{"xy", "routing             xy dimension-ordered\n"},
-		{"yx", "routing             yx dimension-ordered\n"},
-	} {
-		cfg := DefaultConfig()
-		cfg.Routing = config.Routing(tc.routing)
-		if out := TableII(cfg); !strings.Contains(out, tc.want) {
-			t.Errorf("%s: Table II lacks %q:\n%s", tc.routing, tc.want, out)
-		}
+	want := "routing             xy dimension-ordered\n"
+	if out := TableII(DefaultConfig()); !strings.Contains(out, want) {
+		t.Errorf("Table II lacks %q:\n%s", want, out)
 	}
 }
 
