@@ -6,12 +6,14 @@ import (
 
 	"rlnoc"
 	"rlnoc/internal/analytic"
+	"rlnoc/internal/dt"
 	"rlnoc/internal/power"
 )
 
 // printAnalytic renders the closed-form per-mode cost model across error
-// probabilities, plus the crossover thresholds — the analytic companion
-// to the static-modes ablation.
+// probabilities, plus the crossover thresholds next to the mode bounds
+// the DT baseline runs — the analytic companion to the static-modes
+// ablation.
 func printAnalytic(cfg rlnoc.Config) {
 	pr := power.DefaultParams().Scaled(cfg.VoltageV)
 	flits := cfg.FlitsPerPacket
@@ -30,5 +32,5 @@ func printAnalytic(cfg rlnoc.Config) {
 	}
 	th := analytic.CrossoverThresholds(flits, hops, pr)
 	fmt.Printf("crossover thresholds: %v\n", th)
-	fmt.Println("(compare internal/dt.DefaultThresholds — the DT policy's mode boundaries)")
+	fmt.Printf("DT mode bounds:       %v\n", dt.ModeBounds)
 }

@@ -51,7 +51,7 @@ func TestRun(t *testing.T) {
 		{name: "overhead", args: []string{"-overhead"},
 			want: []string{"Section VI-B overhead analysis", "area overhead:"}},
 		{name: "analytic", args: []string{"-analytic"},
-			want: []string{"closed-form cost model", "crossover thresholds:"}},
+			want: []string{"closed-form cost model", "crossover thresholds:", "DT mode bounds:       [0.01 0.08 0.17]"}},
 		// -seeds 0 used to run one seed silently.
 		{name: "no seeds", args: []string{"-small", "-fig", "6", "-seeds", "0"},
 			wantErr: "-seeds must be at least 1, got 0"},

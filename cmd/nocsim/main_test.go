@@ -76,6 +76,11 @@ func TestRun(t *testing.T) {
 		// removed algorithm's name is refused, never run on XY tables.
 		{name: "removed routing value", args: []string{"-small", "-config", writeTemp(t, `{"routing": "west`+`first"}`)},
 			wantErr: `unknown field "routing"`},
+		// The qroute scheme switches learned routing on, and its knobs
+		// are constants: a file naming the section asks for a model this
+		// build does not run.
+		{name: "removed qroute section", args: []string{"-small", "-scheme", "qroute", "-config", writeTemp(t, `{"qroute": {"alpha": 0.5}}`)},
+			wantErr: `unknown field "qroute"`},
 		// Flags that repeated a config key are gone; the key in -config
 		// is the one source of each setting.
 		{name: "removed routing flag", args: []string{"-small", "-rout" + "ing", "yx"},

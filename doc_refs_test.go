@@ -390,7 +390,7 @@ func docSpans(t *testing.T, name string) (spans []string, lines []int) {
 func TestDocRefsResolve(t *testing.T) {
 	d := parseModule(t)
 	r := &resolver{d: d, keys: d.configKeys(), metrics: benchmarkMetrics(t)}
-	if len(r.keys) < 38 || !r.keys["rl.mode_mask"] {
+	if len(r.keys) < 32 || !r.keys["rl.mode_mask"] {
 		t.Fatalf("found %d config keys; the walk of config.Config is broken", len(r.keys))
 	}
 	for _, doc := range []string{"DESIGN.md", "README.md"} {

@@ -35,8 +35,7 @@ type Config struct {
 
 	// Router microarchitecture. The pipeline depth is the network's
 	// modelled four stages, not a knob (network.PipelineStages), and the
-	// go-back-N retransmission buffer is unbounded; configs that still name
-	// pipeline_depth or output_buffer load with those keys ignored.
+	// go-back-N retransmission buffer is unbounded.
 	VCsPerPort int `json:"vcs_per_port"` // virtual channels per input port
 	VCDepth    int `json:"vc_depth"`     // flit slots per VC buffer
 
@@ -56,9 +55,10 @@ type Config struct {
 	// RL controller.
 	RL RLConfig `json:"rl"`
 
-	// QRoute parameterizes the Q-routing scheme's learned next-hop
-	// selection. Ignored (and must stay disabled) for every other scheme.
-	QRoute QRouteConfig `json:"qroute"`
+	// QRoute switches the Q-routing scheme's learned next-hop selection
+	// on. It is not part of the JSON: the scheme sets it
+	// (core.SchemeConfig), on every build and every restore.
+	QRoute QRouteConfig `json:"-"`
 
 	// Simulation phases, in cycles.
 	PretrainCycles int `json:"pretrain_cycles"` // RL/DT pre-training on synthetic traffic
@@ -152,31 +152,17 @@ type RLConfig struct {
 	ModeMask uint8 `json:"mode_mask,omitempty"`
 }
 
-// QRouteConfig parameterizes per-router Q-routing (the qroute scheme):
-// each router learns a cost table Q[dst][port] from per-hop delivery
-// feedback and routes data packets along the learned argmin, restricted
-// to minimal productive ports, with the table-routed escape VC class
-// guaranteeing deadlock freedom (DESIGN.md §13).
+// QRouteConfig switches per-router Q-routing (the qroute scheme): each
+// router learns a cost table Q[dst][port] from per-hop delivery feedback
+// and routes data packets along the learned argmin, restricted to minimal
+// productive ports, with the table-routed escape VC class guaranteeing
+// deadlock freedom (DESIGN.md §13). Its step size, exploration rate,
+// congestion weight and escape timeout are constants of internal/rl and
+// internal/network.
 type QRouteConfig struct {
 	// Enabled turns learned routing on. Set by the scheme wiring, not by
-	// hand: core.NewSim enables it for SchemeQRoute.
-	Enabled bool `json:"enabled,omitempty"`
-	// Alpha is the Q-routing learning rate (TD step size toward the
-	// observed hop cost plus downstream estimate).
-	Alpha float64 `json:"alpha"`
-	// Epsilon is the probability a head flit explores a uniformly random
-	// permitted port instead of the argmin.
-	Epsilon float64 `json:"epsilon"`
-	// CongestionWeight scales the local congestion penalty (fraction of
-	// a candidate output port's data-VC credits consumed downstream)
-	// added to the learned cost at selection time, steering greedy
-	// choices away from backed-up links before queueing delay fully
-	// shows up in the learned hop estimates.
-	CongestionWeight float64 `json:"congestion_weight"`
-	// EscapeTimeout is how many cycles a routed head flit may wait for an
-	// adaptive-class VC grant before it is re-routed onto the escape
-	// class (table route), bounding adaptive-class starvation.
-	EscapeTimeout int `json:"escape_timeout"`
+	// hand: core.SchemeConfig enables it for SchemeQRoute.
+	Enabled bool
 }
 
 // Default returns the paper's Table II configuration with fault, thermal
@@ -204,14 +190,6 @@ func Default() Config {
 			// accruals per epoch and injects artificial power noise into
 			// the RL reward.
 			UpdatePeriod: 250,
-		},
-		QRoute: QRouteConfig{
-			// Hop costs are small integers (a few cycles), so a larger
-			// alpha than mode control converges within a chaos window.
-			Alpha:            0.3,
-			Epsilon:          0.05,
-			CongestionWeight: 4,
-			EscapeTimeout:    8,
 		},
 		RL: RLConfig{
 			Gamma: 0.5,
@@ -304,13 +282,12 @@ func (c *Config) Validate() error {
 	return c.validateQRoute()
 }
 
-// validateQRoute checks the Q-routing knobs against the rest of the
-// configuration. The VC floor doubles on the torus: qroute splits the
-// data VCs into escape and adaptive sub-ranges, and the torus dateline
-// rule halves each sub-range again.
+// validateQRoute checks that the fabric can host Q-routing. The VC floor
+// doubles on the torus: qroute splits the data VCs into escape and
+// adaptive sub-ranges, and the torus dateline rule halves each sub-range
+// again.
 func (c *Config) validateQRoute() error {
-	q := &c.QRoute
-	if !q.Enabled {
+	if !c.QRoute.Enabled {
 		return nil
 	}
 	switch {
@@ -320,17 +297,6 @@ func (c *Config) validateQRoute() error {
 		return fmt.Errorf("config: qroute needs at least 4 VCs per port (escape + adaptive data classes), got %d", c.VCsPerPort)
 	case c.Routers() > 1024:
 		return fmt.Errorf("config: qroute tables scale with routers^2; at most 1024 routers supported, got %d", c.Routers())
-	case q.Alpha <= 0 || q.Alpha > 1:
-		return fmt.Errorf("config: qroute alpha must be in (0,1], got %g", q.Alpha)
-	case q.Epsilon < 0 || q.Epsilon > 1:
-		return fmt.Errorf("config: qroute epsilon must be in [0,1], got %g", q.Epsilon)
-	case q.CongestionWeight < 0:
-		return fmt.Errorf("config: qroute congestion weight must be non-negative, got %g", q.CongestionWeight)
-	case q.EscapeTimeout < 1:
-		return fmt.Errorf("config: qroute escape timeout must be positive, got %d", q.EscapeTimeout)
-	case q.EscapeTimeout > math.MaxUint16:
-		// An input VC counts a head's wait in 16 bits.
-		return fmt.Errorf("config: qroute escape timeout above %d cycles unsupported, got %d", math.MaxUint16, q.EscapeTimeout)
 	}
 	return nil
 }
@@ -484,8 +450,8 @@ func Load(path string) (Config, error) { return Preset(false, path) }
 
 // Preset is the configuration a command's flags choose: Small when small
 // is set, else Default, with the JSON file at path, if any, overlaid on it.
-// A key that names no field is an error, so a typo cannot silently run the
-// preset; the retired keys below still load, ignored.
+// A key that names no field is an error, so a typo or a retired key cannot
+// silently run the preset.
 func Preset(small bool, path string) (Config, error) {
 	c := Default()
 	if small {
@@ -511,18 +477,9 @@ func Preset(small bool, path string) (Config, error) {
 // anything after the value. Fields the value does not name keep what c
 // held.
 func Decode(data []byte, c *Config) error {
-	// The router's pipeline depth and retransmission buffer are not knobs
-	// (see Config), and the fast-forward switch turned off a cycle-loop
-	// jump that no longer exists; ignoring them runs what the file asked.
-	file := struct {
-		*Config
-		PipelineDepth json.RawMessage `json:"pipeline_depth"`
-		OutputBuffer  json.RawMessage `json:"output_buffer"`
-		NoFastForward json.RawMessage `json:"no_fast_forward"`
-	}{Config: c}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&file); err != nil {
+	if err := dec.Decode(c); err != nil {
 		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {

@@ -68,8 +68,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative util sensitivity", func(c *Config) { c.Fault.UtilSensitivity = -1 }},
 		{"negative process sigma", func(c *Config) { c.Fault.ProcessSigma = -1 }},
 		{"zero thermal period", func(c *Config) { c.Thermal.UpdatePeriod = 0 }},
-		{"zero qroute alpha", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 0 }},
-		{"qroute alpha > 1", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.Alpha = 1.5 }},
 		{"gamma = 1", func(c *Config) { c.RL.Gamma = 1 }},
 		{"epsilon > 1", func(c *Config) { c.RL.Epsilon = 1.5 }},
 		{"zero RL step", func(c *Config) { c.RL.StepCycles = 0 }},
@@ -79,7 +77,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative test epsilon", func(c *Config) { c.RL.TestEpsilon = -1 }},
 		{"no timing slack", func(c *Config) { c.VoltageV = 0.5 }},
 		{"error rate too large to calibrate", func(c *Config) { c.Fault.BaseErrorRate = 1 }},
-		{"escape timeout above 16 bits", func(c *Config) { c.QRoute.Enabled = true; c.QRoute.EscapeTimeout = 1 << 16 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,31 +119,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadIgnoresRetiredKeys: pipeline_depth and output_buffer were
-// knobs nothing but Validate read, and the fast-forward switch turned off
-// a cycle-loop jump that no longer exists; a config file written while
-// they existed still loads.
-// The last key is split so a grep for it lists live uses only.
-func TestLoadIgnoresRetiredKeys(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cfg.json")
-	if err := os.WriteFile(path, []byte(`{"width": 6, "pipeline_depth": 4, "output_buffer": 8, "no_fast_`+`forward": true}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Width != 6 {
-		t.Fatalf("width = %d, want 6", got.Width)
-	}
-}
-
 // TestLoadRejectsUnknownKeys: a key that names no field fails by name
 // instead of silently running the default it was meant to override, and
 // so does anything after the object; a partial nested object still merges
 // over the defaults. The model constants that were once keys (the clock,
-// the dimension order, the fault and thermal calibrations) fail the same
-// way: a file that sets one asks for a model this build does not run.
+// the dimension order, the fault and thermal calibrations, the Q-routing
+// section) fail the same way: a file that sets one asks for a model this
+// build does not run. So do the router knobs that were never read and the
+// switch for a cycle-loop jump that no longer exists.
+// The no-fast-forward key is split so a grep for it lists live uses only.
 func TestLoadRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ name, json, wantErr string }{
 		{"top-level typo", `{"vcs_per_prot": 8}`, `unknown field "vcs_per_prot"`},
@@ -169,6 +150,16 @@ func TestLoadRejectsUnknownKeys(t *testing.T) {
 		{"removed lateral resistance", `{"thermal": {"r_theta_lateral": 60}}`, `unknown field "r_theta_lateral"`},
 		{"removed capacitance", `{"thermal": {"c_thermal": 1e-6}}`, `unknown field "c_thermal"`},
 		{"removed initial temperature", `{"thermal": {"initial_c": 55}}`, `unknown field "initial_c"`},
+		{"removed pipeline depth", `{"pipeline_depth": 4}`, `unknown field "pipeline_depth"`},
+		{"removed output buffer", `{"output_buffer": 8}`, `unknown field "output_buffer"`},
+		{"removed fast-forward switch", `{"no_fast_` + `forward": true}`, `unknown field "no_fast_` + `forward"`},
+		// The scheme switches Q-routing on; its knobs are constants.
+		{"removed qroute", `{"qroute": {}}`, `unknown field "qroute"`},
+		{"removed qroute enabled", `{"qroute": {"enabled": true}}`, `unknown field "qroute"`},
+		{"removed qroute alpha", `{"qroute": {"alpha": 0.3}}`, `unknown field "qroute"`},
+		{"removed qroute epsilon", `{"qroute": {"epsilon": 0.05}}`, `unknown field "qroute"`},
+		{"removed qroute congestion weight", `{"qroute": {"congestion_weight": 4}}`, `unknown field "qroute"`},
+		{"removed qroute escape timeout", `{"qroute": {"escape_timeout": 8}}`, `unknown field "qroute"`},
 		{"trailing object", `{"width": 6} {"width": 5}`, "trailing data"},
 		{"trailing garbage", `{"width": 6} x`, "trailing data"},
 	} {
@@ -247,8 +238,7 @@ func TestNormalQuantile(t *testing.T) {
 }
 
 // TestCalibrateMatchesFaultModel: the operating point Validate gates on is
-// the one the default fault model runs at, and the escape-timeout ceiling
-// admits its largest legal value.
+// the one the default fault model runs at.
 func TestCalibrateMatchesFaultModel(t *testing.T) {
 	c := Default()
 	cal, err := c.Fault.Calibrate(c.VoltageV)
@@ -264,10 +254,5 @@ func TestCalibrateMatchesFaultModel(t *testing.T) {
 		if z := normalQuantile(q); (z > 0) != (q > 0.5) {
 			t.Fatalf("quantile(%v) = %v: the gate's sign test disagrees", q, z)
 		}
-	}
-	c.QRoute.Enabled = true
-	c.QRoute.EscapeTimeout = math.MaxUint16
-	if err := c.Validate(); err != nil {
-		t.Fatalf("escape timeout at the 16-bit ceiling rejected: %v", err)
 	}
 }

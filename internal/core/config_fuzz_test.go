@@ -35,7 +35,7 @@ func FuzzConfig(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"rl":{"mode_mask":16}}`))
-	f.Add([]byte(`{"width":2,"height":3,"vc_depth":1,"qroute":{"enabled":true}}`))
+	f.Add([]byte(`{"width":2,"height":3,"vc_depth":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := config.Small()
 		if json.Unmarshal(data, &cfg) != nil {

@@ -268,14 +268,14 @@ func (c *RLController) SetEpsilon(eps float64) {
 // random modes from {0,1,2} (Mode 3 suppresses the very errors being
 // labeled) while recording (features -> measured error rate) samples; a
 // call to FinishTraining fits the regression tree and drops the training
-// set, after which the controller runs the frozen threshold policy.
+// set, after which the frozen tree picks each mode (dt.Tree.Mode).
 type DTController struct {
 	collecting bool
 	rng        *rand.Rand
 	src        *snap.CountingSource
 	samples    []dt.Sample // the training set, while collecting
 	prevFeat   [][]float64 // each router's unlabeled features, while collecting
-	policy     *dt.Policy
+	tree       *dt.Tree
 	opts       dt.Options
 
 	decideCount [int(network.NumModes)]int64
@@ -304,7 +304,7 @@ func (c *DTController) Decide(id int, obs network.Observation) network.Mode {
 		return network.Mode(c.rng.Intn(3)) // explore modes 0..2
 	}
 	x := featureVector(obs.Features) // not retained, so it stays on the stack
-	m := c.policy.Mode(x[:])
+	m := c.tree.Mode(x[:])
 	c.decideCount[m]++
 	return network.Mode(m)
 }
@@ -320,7 +320,7 @@ func (c *DTController) FinishTraining() error {
 	if err != nil {
 		return fmt.Errorf("core: DT pre-training: %w", err)
 	}
-	c.policy = &dt.Policy{Tree: tree, Thresholds: dt.DefaultThresholds()}
+	c.tree = tree
 	c.samples, c.prevFeat = nil, nil
 	c.collecting = false
 	return nil

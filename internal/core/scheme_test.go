@@ -148,13 +148,13 @@ func TestDTControllerLifecycle(t *testing.T) {
 	if len(c.samples) < 90 {
 		t.Fatalf("only %d samples collected", len(c.samples))
 	}
-	if c.policy != nil {
+	if c.tree != nil {
 		t.Fatal("tree exists before training")
 	}
 	if err := c.FinishTraining(); err != nil {
 		t.Fatal(err)
 	}
-	if c.policy == nil || c.policy.Tree == nil {
+	if c.tree == nil {
 		t.Fatal("no tree after training")
 	}
 	// Frozen: decisions are deterministic functions of features.

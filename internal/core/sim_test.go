@@ -107,7 +107,7 @@ func TestDTControllerTrainsDuringPretrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dtc := sim.Controller().(*DTController)
-	if dtc.policy == nil {
+	if dtc.tree == nil {
 		t.Fatal("DT not trained after pretrain")
 	}
 }

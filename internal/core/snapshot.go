@@ -401,7 +401,7 @@ func snapFeatures(cd *snap.Codec, x *[]float64) {
 // Snap walks the controller in either of its lives: collecting (the
 // exploration stream's position, the labeled samples so far and each
 // router's pending feature vector) or trained (the tree and the decision
-// counters; the thresholds and training options are constants). Decoding
+// counters; the mode bounds and training options are constants). Decoding
 // overwrites a freshly constructed controller.
 func (c *DTController) Snap(cd *snap.Codec) error {
 	cd.Section("DTCT")
@@ -426,9 +426,9 @@ func (c *DTController) Snap(cd *snap.Codec) error {
 		return err
 	}
 	if cd.Decoding() {
-		c.policy = &dt.Policy{Tree: new(dt.Tree), Thresholds: dt.DefaultThresholds()}
+		c.tree = new(dt.Tree)
 	}
-	c.policy.Tree.Snap(cd, c.opts)
+	c.tree.Snap(cd, c.opts)
 	return cd.Err()
 }
 

@@ -131,7 +131,7 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 				}
 			}
 			if c, ok := sim.Controller().(*DTController); ok {
-				if trained := c.policy != nil; trained != arm.pretrain {
+				if trained := c.tree != nil; trained != arm.pretrain {
 					t.Fatalf("DT controller trained = %v, want %v", trained, arm.pretrain)
 				}
 				if arm.pretrain && treeNodes(t, c) < 3 {

@@ -274,8 +274,9 @@ func TestSnapshotIdempotent(t *testing.T) {
 // TestCheckpointBytesBudget keeps learned state out of a checkpoint
 // unless it exists: a Q-table writes the rows a run touched, not its
 // 10,000 states, and a trained DT controller no training set. Budgets are
-// 1.25x the sizes measured once the model constants left the embedded
-// config (23,567, 32,141 and 24,788 bytes with them, at format 11, which
+// 1.25x the sizes measured once the qroute section left the embedded
+// config (23,343, 31,917 and 24,564 bytes with it; 23,567, 32,141 and
+// 24,788 bytes with the model constants too, at format 11, which
 // writes each flit inline; 25,687, 34,293 and 26,908 bytes at format 10;
 // as 32-byte events 33,676, 42,739 and 35,616; the dense table made the
 // 4x4 mesh rl and qroute checkpoints 833,397 and 842,546 bytes, and with
@@ -287,9 +288,9 @@ func TestCheckpointBytesBudget(t *testing.T) {
 		shared   bool
 		measured int
 	}{
-		{"rl", SchemeRL, true, 23_343},
-		{"qroute", SchemeQRoute, true, 31_917},
-		{"rl-table-per-router", SchemeRL, false, 24_564},
+		{"rl", SchemeRL, true, 23_264},
+		{"qroute", SchemeQRoute, true, 31_823},
+		{"rl-table-per-router", SchemeRL, false, 24_485},
 	} {
 		cfg := snapConfig("mesh")
 		cfg.RL.SharedTable = arm.shared
@@ -415,15 +416,21 @@ func TestCheckpointBytesBudget(t *testing.T) {
 // All three were re-captured, still at format 11, when twelve model
 // constants stopped being config keys: every checkpoint's embedded config
 // JSON lost those keys and nothing else, so each file is exactly 224
-// bytes shorter and every byte outside that JSON is the same.
+// bytes shorter and every byte outside that JSON is the same. All three
+// were re-captured, still at format 11, when the Q-routing knobs became
+// constants and the qroute section left the embedded config JSON: each
+// file is exactly the 79 bytes of
+// "qroute":{"alpha":0.3,"epsilon":0.05,"congestion_weight":4,"escape_timeout":8},
+// shorter (94 for a qroute checkpoint, whose section also carried
+// "enabled":true,), and every other byte is the same.
 var snapshotBytesPins = []struct {
 	name, topo string
 	schemes    []Scheme
 	sha        string
 }{
-	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "7bd5130126339f4ffd7c27870653eb1c1fa1fa95c8e6ca8ef37c68d34393f979"},
-	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "c532daacf2e30f877d1bf5a69c93f8b266c32b57b502ae60a176571bac25ab1f"},
-	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "e92bb24c9a467827925e9dcfd2d6a95587c8e41acfc36f1b061ef43688f5bb6c"},
+	{"mesh", "mesh", []Scheme{SchemeRL, SchemeQRoute}, "a8ea8264928c0cb54b91f77e9d3a8df5e104b67d9da8e4747a3b675cc8849da1"},
+	{"torus", "torus", []Scheme{SchemeRL, SchemeQRoute}, "8d4873c10d12a0010a2c0fa87753f3adafa80aadaf0e05ded6978eeb0e72fe81"},
+	{"mesh-arq-ecc", "mesh", []Scheme{SchemeARQ}, "ee19baa3ef5cfadeb165219f7eafa2bc080b716782e50ffe30a4c8da70ea4de6"},
 }
 
 func TestSnapshotBytesPin(t *testing.T) {
@@ -528,7 +535,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		restoreMustBeHostileV3(t, orig)
 		if c, ok := restored.Controller().(*DTController); ok {
 			restoreMustBeCorrupt(t, withDTDraws(t, orig, 1<<63))
-			if got := c.policy != nil; got != trained {
+			if got := c.tree != nil; got != trained {
 				t.Fatalf("restored DT controller trained = %v, want %v", got, trained)
 			}
 			if trained {
@@ -569,7 +576,7 @@ func treeNodes(t *testing.T, c *DTController) int {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := snap.NewEncoder(&buf)
-	c.policy.Tree.Snap(enc, c.opts)
+	c.tree.Snap(enc, c.opts)
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -647,7 +654,10 @@ func TestHostileDrawCountIsCorrupt(t *testing.T) {
 // TestHostileConfigKeyIsCorrupt flips one bit of the embedded config's
 // "hard_faults" key, making it "hard_faulus". A lenient decode dropped the
 // unknown key and resumed without the checkpointed run's hard faults; the
-// strict one refuses the stream as corrupt and names the key.
+// strict one refuses the stream as corrupt and names the key. A qroute
+// checkpoint whose config still carries the "qroute" section, with the
+// knobs that are now constants, is refused the same way: it asks for
+// values this build may not run.
 func TestHostileConfigKeyIsCorrupt(t *testing.T) {
 	data := firstCheckpoint(t, SchemeRL)
 	key := []byte(`"hard_faults"`)
@@ -660,6 +670,23 @@ func TestHostileConfigKeyIsCorrupt(t *testing.T) {
 	_, err := RestoreSim(bytes.NewReader(data))
 	if !snap.IsCorrupt(err) || !strings.Contains(err.Error(), `"hard_faulus"`) {
 		t.Fatalf("err = %v, want a snap.CorruptError naming \"hard_faulus\"", err)
+	}
+
+	// The config's length prefix follows the magic, the version and the
+	// CORE tag.
+	data = firstCheckpoint(t, SchemeQRoute)
+	const at = 12
+	n := int(binary.LittleEndian.Uint32(data[at:]))
+	cfgJSON := bytes.Replace(data[at+4:at+4+n], []byte(`,"pretrain_cycles"`),
+		[]byte(`,"qroute":{"enabled":true,"alpha":0.3,"epsilon":0.05,"congestion_weight":4,"escape_timeout":8},"pretrain_cycles"`), 1)
+	if len(cfgJSON) == n {
+		t.Fatalf("no pretrain_cycles key in the embedded config %s", cfgJSON)
+	}
+	stale := binary.LittleEndian.AppendUint32(slices.Clone(data[:at]), uint32(len(cfgJSON)))
+	stale = append(append(stale, cfgJSON...), data[at+4+n:]...)
+	_, err = RestoreSim(bytes.NewReader(stale))
+	if !snap.IsCorrupt(err) || !strings.Contains(err.Error(), `unknown field "qroute"`) {
+		t.Fatalf("err = %v, want a snap.CorruptError naming \"qroute\"", err)
 	}
 }
 

@@ -2,8 +2,8 @@
 // al. (MICRO 2016) as the paper describes it: a regression decision tree
 // (CART, variance-reduction splits) trained offline on labeled examples
 // mapping runtime NoC features to observed link timing-error rates. At
-// runtime the tree predicts the error rate and a static threshold policy
-// maps the prediction to one of the four fault-tolerant operation modes.
+// runtime the tree predicts the error rate and fixed mode bounds map the
+// prediction to one of the four fault-tolerant operation modes.
 // Unlike the RL controller, the tree is not updated during the testing
 // phase.
 package dt
@@ -175,31 +175,27 @@ func (t *Tree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Policy maps a predicted error rate to one of the four operation modes
-// via fixed thresholds, per the DT baseline ("operation modes are
-// selected according to DT predicted error rate").
-type Policy struct {
-	Tree *Tree
-	// Thresholds[0..2] split the predicted error rate into modes 0..3.
-	Thresholds [3]float64
-}
-
-// DefaultThresholds places the mode boundaries at the analytic cost
+// ModeBounds split the predicted error rate into the four operation
+// modes, per the DT baseline ("operation modes are selected according to
+// DT predicted error rate"): a rate below ModeBounds[m] runs Mode m, one
+// at or above the last runs Mode 3. They sit at the analytic cost
 // crossovers of the four modes (internal/analytic, latency x energy at
 // zero load): ECC becomes worthwhile around 1% per-hop error rate and
 // timing relaxation around 17%; pre-retransmission gets the upper-middle
-// band, where its NACK-round-trip savings matter under load.
-func DefaultThresholds() [3]float64 { return [3]float64{0.01, 0.08, 0.17} }
+// band, where its NACK-round-trip savings matter under load. Nothing
+// writes them.
+var ModeBounds = [3]float64{0.01, 0.08, 0.17}
 
-// Mode returns the operation mode for a feature vector.
-func (p *Policy) Mode(x []float64) int {
-	rate := p.Tree.Predict(x)
+// Mode returns the operation mode for a feature vector: the band of
+// ModeBounds the tree's predicted error rate falls in.
+func (t *Tree) Mode(x []float64) int {
+	rate := t.Predict(x)
 	switch {
-	case rate < p.Thresholds[0]:
+	case rate < ModeBounds[0]:
 		return 0
-	case rate < p.Thresholds[1]:
+	case rate < ModeBounds[1]:
 		return 1
-	case rate < p.Thresholds[2]:
+	case rate < ModeBounds[2]:
 		return 2
 	default:
 		return 3

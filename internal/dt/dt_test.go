@@ -191,7 +191,6 @@ func TestPolicyThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Policy{Tree: tree, Thresholds: DefaultThresholds()}
 	cases := map[float64]int{
 		0.001: 0,
 		0.03:  1,
@@ -199,7 +198,7 @@ func TestPolicyThresholds(t *testing.T) {
 		0.25:  3,
 	}
 	for rate, want := range cases {
-		if got := p.Mode([]float64{rate}); got != want {
+		if got := tree.Mode([]float64{rate}); got != want {
 			t.Errorf("Mode(rate=%g) = %d, want %d (predicted %g)", rate, got, want, tree.Predict([]float64{rate}))
 		}
 	}
@@ -215,10 +214,9 @@ func TestPolicyModeMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Policy{Tree: tree, Thresholds: DefaultThresholds()}
 	prev := -1
 	for i := 0; i <= 300; i += 2 {
-		m := p.Mode([]float64{float64(i) / 1000})
+		m := tree.Mode([]float64{float64(i) / 1000})
 		if m < prev {
 			t.Fatalf("mode not monotone in error rate at %g: %d after %d", float64(i)/1000, m, prev)
 		}

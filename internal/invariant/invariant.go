@@ -1,7 +1,7 @@
 // Package invariant defines the simulator's runtime self-checks: a
 // flit-conservation ledger, per-VC credit-balance bounds, and
 // deadlock/livelock watchdogs. The package holds the check *policy* —
-// whether the checks run, their thresholds, and how violations are
+// whether the checks run, their bounds, and how violations are
 // reported — while the probing itself lives in internal/network, which
 // owns the state being checked. Checks are strictly observational: with
 // the checks disabled the network takes no extra branches on its hot
@@ -28,38 +28,27 @@ func Parse(spec string) (bool, error) {
 	return false, fmt.Errorf("invariant: unknown check spec %q (want off|all)", spec)
 }
 
-// Thresholds parameterizes the watchdogs. All bounds are deliberately
-// loose — an order of magnitude past anything a healthy run produces —
-// so a firing watchdog is evidence of a wedge, not of load.
-type Thresholds struct {
+// The watchdog bounds. All are deliberately loose — an order of
+// magnitude past anything a healthy run produces — so a firing watchdog
+// is evidence of a wedge, not of load. The fourth, the hop bound, scales
+// with the fabric: a packet attempt that visits more than eight times as
+// many routers as the fabric holds proves a routing loop.
+const (
 	// CheckPeriod is the cycle interval between full censuses (the
 	// per-cycle watchdog state updates are O(1); the ledger and credit
 	// walks are O(network) and amortized over this period).
-	CheckPeriod int64
+	CheckPeriod int64 = 1024
 	// ProgressWindow is the number of cycles without any flit movement
 	// (while traffic is in flight) after which the deadlock watchdog
 	// fires. Much shorter than the network's last-resort watchdog, so a
 	// checked run reports a deadlock with a dump long before the
 	// unchecked one would give up.
-	ProgressWindow int64
+	ProgressWindow int64 = 20_000
 	// MaxPacketAge is the bound on cycles since a packet's first
 	// injection; an in-flight packet older than this trips the livelock
 	// watchdog (it is circulating or starved, not progressing).
-	MaxPacketAge int64
-	// MaxHops is the bound on routers visited by one packet attempt; a
-	// longer walk proves a routing loop.
-	MaxHops int
-}
-
-// DefaultThresholds scales the watchdog bounds to a fabric of n nodes.
-func DefaultThresholds(n int) Thresholds {
-	return Thresholds{
-		CheckPeriod:    1024,
-		ProgressWindow: 20_000,
-		MaxPacketAge:   200_000,
-		MaxHops:        8 * n,
-	}
-}
+	MaxPacketAge int64 = 200_000
+)
 
 // Violation is one failed check.
 type Violation struct {

@@ -1,7 +1,7 @@
 package network
 
 // Runtime invariant checks (DESIGN.md §12). The check *policy* — which
-// checks run, thresholds, violation/report types — lives in
+// checks run, their bounds, violation/report types — lives in
 // internal/invariant; this file owns the probes, because only the
 // network can walk its own buffers. Everything here is observational:
 // no simulation state is mutated, so a checked run either completes
@@ -44,12 +44,12 @@ func (n *Network) ConservationLedger() invariant.Ledger {
 // packet-bound walks are O(network) and amortized over CheckPeriod.
 func (n *Network) runChecks(cycle int64) error {
 	var viols []invariant.Violation
-	if !n.Drained() && cycle-n.lastProgress > n.thresh.ProgressWindow {
+	if !n.Drained() && cycle-n.lastProgress > invariant.ProgressWindow {
 		viols = append(viols, invariant.Violation{Cycle: cycle, Check: "watchdog",
 			Msg: fmt.Sprintf("no forward progress for %d cycles (%d data, %d ctrl in flight)",
 				cycle-n.lastProgress, n.dataInFlight, n.ctrlInFlight)})
 	}
-	if cycle%n.thresh.CheckPeriod == 0 {
+	if cycle%invariant.CheckPeriod == 0 {
 		if l := n.ConservationLedger(); !l.Balanced() {
 			viols = append(viols, invariant.Violation{Cycle: cycle, Check: "ledger",
 				Msg: "packet account does not close: " + l.String()})
@@ -204,9 +204,10 @@ func (n *Network) checkAcks(cycle int64, viols []invariant.Violation) []invarian
 
 // checkPacketBounds enforces per-packet age and hop limits over the live
 // replay buffers — the livelock side of the watchdog: a packet older
-// than MaxPacketAge is circulating or starved, and a path longer than
-// MaxHops proves a routing loop.
+// than MaxPacketAge is circulating or starved, and a path through more
+// than eight times the fabric's routers proves a routing loop.
 func (n *Network) checkPacketBounds(cycle int64, viols []invariant.Violation) []invariant.Violation {
+	maxHops := 8 * len(n.routers)
 	ids := make([]uint64, 0, 16)
 	for id, ni := range n.nis {
 		if n.isDeadRouter(id) {
@@ -223,15 +224,15 @@ func (n *Network) checkPacketBounds(cycle int64, viols []invariant.Violation) []
 			if base < 0 {
 				base = pkt.CreatedAt
 			}
-			if age := cycle - base; age > n.thresh.MaxPacketAge {
+			if age := cycle - base; age > invariant.MaxPacketAge {
 				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "watchdog",
 					Msg: fmt.Sprintf("packet %d (%d->%d) outstanding for %d cycles, bound %d (attempt %d)",
-						pkt.ID, pkt.Src, pkt.Dst, age, n.thresh.MaxPacketAge, pkt.Retransmissions)})
+						pkt.ID, pkt.Src, pkt.Dst, age, invariant.MaxPacketAge, pkt.Retransmissions)})
 			}
-			if len(pkt.Path) > n.thresh.MaxHops {
+			if len(pkt.Path) > maxHops {
 				viols = append(viols, invariant.Violation{Cycle: cycle, Check: "watchdog",
 					Msg: fmt.Sprintf("packet %d (%d->%d) visited %d routers, bound %d: routing loop",
-						pkt.ID, pkt.Src, pkt.Dst, len(pkt.Path), n.thresh.MaxHops)})
+						pkt.ID, pkt.Src, pkt.Dst, len(pkt.Path), maxHops)})
 			}
 		}
 	}

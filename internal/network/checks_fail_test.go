@@ -85,7 +85,7 @@ func TestProgressStallWatchdog(t *testing.T) {
 	// Rewind the progress clock past the window; the probe runs every
 	// cycle, so no CheckPeriod alignment is needed.
 	stallCycle := n.cycle + 1
-	n.lastProgress = stallCycle - n.thresh.ProgressWindow - 1
+	n.lastProgress = stallCycle - invariant.ProgressWindow - 1
 	ierr := asInvariantError(t, n.runChecks(stallCycle), "watchdog", "no forward progress")
 	assertDump(t, ierr)
 	if !strings.Contains(ierr.Report(), "oldest outstanding packets") {
@@ -101,14 +101,14 @@ func TestCreditImbalanceChecks(t *testing.T) {
 	p := n.routers[5].outputs[topology.East]
 
 	p.credits[0]-- // quiet channel now accounts for depth-1: a leak
-	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "leak")
+	ierr := asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "leak")
 	assertDump(t, ierr)
 
 	p.credits[0] += 3 // restores the leak, then exceeds the depth by 2
-	ierr = asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "exceeds depth")
+	ierr = asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "exceeds depth")
 	assertDump(t, ierr)
 	p.credits[0] -= 2
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("restored credits still flagged: %v", err)
 	}
 }
@@ -132,7 +132,7 @@ func TestAckChecks(t *testing.T) {
 		if err := n.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+		if err := n.runChecks(invariant.CheckPeriod); err != nil {
 			t.Fatalf("cycle %d: %v", n.Cycle(), err)
 		}
 	}
@@ -141,11 +141,11 @@ func TestAckChecks(t *testing.T) {
 	}
 
 	p.acks = append(p.acks, wireAck{seq: p.nextSeq - 1, deliver: n.Cycle() + 1})
-	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits",
+	ierr := asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits",
 		"router 0 port east: queued ACK for seq")
 	assertDump(t, ierr)
 	p.acks = p.acks[:0]
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("cleared ACK queue still flagged: %v", err)
 	}
 }
@@ -165,23 +165,23 @@ func TestRequestMaskChecks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("consistent masks flagged: %v", err)
 	}
 	bit := r.routeMask[topology.East] & -r.routeMask[topology.East]
 
 	r.routeMask[topology.East] &^= bit
-	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: request mask")
+	ierr := asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "router 0 port east: request mask")
 	assertDump(t, ierr)
 	r.routeMask[topology.East] |= bit
 
 	r.vaWait |= bit
-	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: VA-wait mask")
+	asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "router 0: VA-wait mask")
 	r.vaWait &^= bit
 
 	for i := range r.fill {
 		r.fill[i] ^= bit
-		asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0: fill register")
+		asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "router 0: fill register")
 		r.fill[i] ^= bit
 	}
 
@@ -202,19 +202,19 @@ func TestRequestMaskChecks(t *testing.T) {
 			east.switchPending(), r.wirePorts, r.saAttn)
 	}
 	r.wirePorts |= 1 << uint(topology.West) // spurious: legal
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("consistent summaries flagged: %v", err)
 	}
 
 	r.wirePorts &^= portBit
-	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: wire queues hold 1 flits")
+	asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "router 0 port east: wire queues hold 1 flits")
 	r.wirePorts |= portBit
 
 	r.saAttn &^= portBit
-	asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "credits", "router 0 port east: resend cursor -1, mode mode1-ecc -> mode2-preretx pending")
+	asInvariantError(t, n.runChecks(invariant.CheckPeriod), "credits", "router 0 port east: resend cursor -1, mode mode1-ecc -> mode2-preretx pending")
 	r.saAttn |= portBit
 
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("restored masks still flagged: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestPacketAgeWatchdog(t *testing.T) {
 	if err != nil || pkt == nil {
 		t.Fatalf("inject: (%v, %v)", pkt, err)
 	}
-	census := (n.thresh.MaxPacketAge/n.thresh.CheckPeriod + 2) * n.thresh.CheckPeriod
+	census := (invariant.MaxPacketAge/invariant.CheckPeriod + 2) * invariant.CheckPeriod
 	n.lastProgress = census // keep the progress watchdog quiet; age only
 	ierr := asInvariantError(t, n.runChecks(census), "watchdog", "outstanding for")
 	assertDump(t, ierr)
@@ -237,19 +237,20 @@ func TestPacketAgeWatchdog(t *testing.T) {
 	}
 }
 
-// TestHopOverflowWatchdog forges a packet path longer than MaxHops — the
-// signature of a routing loop — and expects the hop-bound watchdog.
+// TestHopOverflowWatchdog forges a packet path through more than eight
+// times the fabric's routers — the signature of a routing loop — and
+// expects the hop-bound watchdog.
 func TestHopOverflowWatchdog(t *testing.T) {
 	n := checkedNet(t)
 	pkt, err := n.NewDataPacket(0, 15, 4, 0)
 	if err != nil || pkt == nil {
 		t.Fatalf("inject: (%v, %v)", pkt, err)
 	}
-	for len(pkt.Path) <= n.thresh.MaxHops {
+	for len(pkt.Path) <= 8*len(n.routers) {
 		pkt.Path = append(pkt.Path, 0)
 	}
-	n.lastProgress = n.thresh.CheckPeriod
-	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "watchdog", "routing loop")
+	n.lastProgress = invariant.CheckPeriod
+	ierr := asInvariantError(t, n.runChecks(invariant.CheckPeriod), "watchdog", "routing loop")
 	assertDump(t, ierr)
 }
 
@@ -258,18 +259,18 @@ func TestHopOverflowWatchdog(t *testing.T) {
 // expects the ledger probe to print the failing account.
 func TestLedgerImbalanceChecks(t *testing.T) {
 	n := checkedNet(t)
-	n.lastProgress = n.thresh.CheckPeriod
+	n.lastProgress = invariant.CheckPeriod
 
 	n.totalInjected++ // phantom packet: account no longer closes
-	ierr := asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "ledger", "packet account does not close")
+	ierr := asInvariantError(t, n.runChecks(invariant.CheckPeriod), "ledger", "packet account does not close")
 	assertDump(t, ierr)
 	n.totalInjected--
 
 	n.ctrlInFlight++ // counter drifts from the live control set
-	ierr = asInvariantError(t, n.runChecks(n.thresh.CheckPeriod), "ledger", "control census mismatch")
+	ierr = asInvariantError(t, n.runChecks(invariant.CheckPeriod), "ledger", "control census mismatch")
 	assertDump(t, ierr)
 	n.ctrlInFlight--
-	if err := n.runChecks(n.thresh.CheckPeriod); err != nil {
+	if err := n.runChecks(invariant.CheckPeriod); err != nil {
 		t.Fatalf("restored accounts still flagged: %v", err)
 	}
 }
@@ -287,7 +288,7 @@ func TestDumpNamesFiredFaults(t *testing.T) {
 		}
 	}
 	n.totalInjected++ // force a ledger violation to get a report
-	census := n.thresh.CheckPeriod
+	census := invariant.CheckPeriod
 	n.lastProgress = census
 	ierr := asInvariantError(t, n.runChecks(census), "ledger", "packet account does not close")
 	rep := ierr.Report()
@@ -307,7 +308,7 @@ func TestCheckedStepSurfacesTypedError(t *testing.T) {
 	// Steal a credit so the next census-aligned Step fails.
 	n.routers[5].outputs[topology.East].credits[0]--
 	var got error
-	for n.Cycle() < 2*n.thresh.CheckPeriod {
+	for n.Cycle() < 2*invariant.CheckPeriod {
 		if err := n.Step(); err != nil {
 			got = err
 			break

@@ -135,7 +135,6 @@ type Network struct {
 
 	// Invariant layer (Config.Checks / RLNOC_CHECKS).
 	checks bool
-	thresh invariant.Thresholds
 }
 
 // neutralLatency is the per-hop latency fed to a controller for an epoch
@@ -263,7 +262,7 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	}
 	net.ctrlLive = make(map[uint64]*flit.Packet)
 	if cfg.QRoute.Enabled {
-		net.qr = newQRouteState(cfg, topo)
+		net.qr = newQRouteState(topo)
 		net.fillSurvivingDist()
 	}
 	if cfg.HardFaults != "" {
@@ -276,9 +275,6 @@ func New(cfg config.Config, controller Controller, kind ControllerKind, hasECC b
 	}
 	if net.checks, err = invariant.Parse(config.ResolveString(config.EnvChecks, cfg.Checks, "")); err != nil {
 		return nil, err
-	}
-	if net.checks {
-		net.thresh = invariant.DefaultThresholds(n)
 	}
 	net.consultOwed = true
 	return net, nil

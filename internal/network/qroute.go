@@ -24,11 +24,30 @@ package network
 import (
 	"math/bits"
 
-	"rlnoc/internal/config"
 	"rlnoc/internal/detrand"
 	"rlnoc/internal/rl"
 	"rlnoc/internal/stats"
 	"rlnoc/internal/topology"
+)
+
+// The learned-routing policy's constants, typed so that each meets its
+// run-time operand in that operand's type.
+const (
+	// qrouteEpsilon is the probability a head flit explores a uniformly
+	// random permitted port instead of the argmin.
+	qrouteEpsilon float64 = 0.05
+	// congestionWeight scales the local congestion penalty (the fraction
+	// of a candidate output port's data-VC credits consumed downstream)
+	// added to the learned cost at selection time, steering greedy
+	// choices away from backed-up links before queueing delay fully
+	// shows up in the learned hop estimates.
+	congestionWeight float64 = 4
+	// escapeTimeout is how many cycles a routed head flit may wait for
+	// an adaptive-class VC grant before it is re-routed onto the escape
+	// class (table route), bounding adaptive-class starvation. An input
+	// VC counts the wait in 16 bits (inputVC.qWait), so the type holds
+	// the ceiling.
+	escapeTimeout uint16 = 8
 )
 
 // qrouteState is the network's learned-routing machinery, nil unless the
@@ -44,11 +63,6 @@ type qrouteState struct {
 	dist  []int32
 	nodes int
 
-	alpha      float64
-	epsilon    float64
-	congW      float64
-	escTimeout int64
-
 	// Per-router exploration streams, rekeyed lazily per cycle (the
 	// outputPort.rng idiom), indexed by router ID.
 	rng      []detrand.Stream
@@ -59,18 +73,14 @@ type qrouteState struct {
 
 // newQRouteState builds the agents and sizes the distance table, which
 // fillSurvivingDist fills.
-func newQRouteState(cfg config.Config, topo topology.Topology) *qrouteState {
+func newQRouteState(topo topology.Topology) *qrouteState {
 	nodes := topo.Nodes()
 	q := &qrouteState{
-		agents:     make([]*rl.RouteAgent, nodes),
-		dist:       make([]int32, nodes*nodes),
-		nodes:      nodes,
-		alpha:      cfg.QRoute.Alpha,
-		epsilon:    cfg.QRoute.Epsilon,
-		congW:      cfg.QRoute.CongestionWeight,
-		escTimeout: int64(cfg.QRoute.EscapeTimeout),
-		rng:        make([]detrand.Stream, nodes),
-		rngCycle:   make([]int64, nodes),
+		agents:   make([]*rl.RouteAgent, nodes),
+		dist:     make([]int32, nodes*nodes),
+		nodes:    nodes,
+		rng:      make([]detrand.Stream, nodes),
+		rngCycle: make([]int64, nodes),
 	}
 	for id := range q.agents {
 		q.agents[id] = rl.NewRouteAgent(nodes)
@@ -137,7 +147,7 @@ func (n *Network) qrouteGreedy(r *Router, dst int, mask uint8) int {
 			continue
 		}
 		op := r.outputs[topology.North+topology.Direction(p)]
-		score := a.Q(dst, p) + q.congW*n.qroutePortOccupancy(op)
+		score := a.Q(dst, p) + congestionWeight*n.qroutePortOccupancy(op)
 		if best == -1 || score < bestScore {
 			best, bestScore = p, score
 		}
@@ -163,7 +173,7 @@ func (n *Network) qrouteChoose(r *Router, dst int) (topology.Direction, bool) {
 	}
 	rng := &q.rng[r.id]
 	var p int
-	if q.epsilon > 0 && rng.Float64() < q.epsilon {
+	if rng.Float64() < qrouteEpsilon {
 		// Uniform over the permitted set: pick the k-th set bit.
 		k := rng.Intn(bits.OnesCount8(mask))
 		m := mask
@@ -187,7 +197,7 @@ func (n *Network) qrouteEscalate(r *Router, vc *inputVC) {
 		return
 	}
 	vc.qWait++
-	if int64(vc.qWait) < n.qr.escTimeout {
+	if vc.qWait < escapeTimeout {
 		return
 	}
 	vc.qAdaptive = false
@@ -233,7 +243,7 @@ func (n *Network) qrouteFeedback(down int, inPort topology.Direction, hopStart i
 	if down != dst {
 		target += q.agents[down].MinQ(dst, n.qroutePermittedMask(down, dst))
 	}
-	q.agents[up].Update(dst, action, target, q.alpha)
+	q.agents[up].Update(dst, action, target)
 	q.tel.Updates++
 }
 

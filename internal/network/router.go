@@ -23,8 +23,8 @@ const maxVCs = 12
 // pointer, and every method that touches the buffer takes the router.
 // Each field has the narrowest type config.Validate's ceilings allow: at
 // most 60 slots (5 ports x 12 VCs) and 64 flits of depth fit a byte, an
-// output VC index (-1 until VC allocation succeeds) fits an int8, and the
-// escape timeout qWait counts to fits 16 bits.
+// output VC index (-1 until VC allocation succeeds) fits an int8, and
+// qWait counts to escapeTimeout, a uint16 constant.
 type inputVC struct {
 	// pkt identifies the resident packet even when the buffer is
 	// momentarily empty (flits forwarded, tail still upstream). The

@@ -59,10 +59,16 @@ func (a *RouteAgent) MinQ(dst int, mask uint8) float64 {
 	return 0
 }
 
-// Update pulls Q[dst][p] toward target with step size alpha:
-// Q <- (1-alpha)Q + alpha*target. target is the observed hop cost plus
-// the downstream router's MinQ toward dst (zero at the destination).
-func (a *RouteAgent) Update(dst, p int, target, alpha float64) {
+// routeAlpha is the Q-routing step size. Hop costs are small integers (a
+// few cycles), so a larger step than mode control's converges within a
+// chaos window.
+const routeAlpha float64 = 0.3
+
+// Update pulls Q[dst][p] toward target with step size routeAlpha:
+// Q <- (1-routeAlpha)Q + routeAlpha*target. target is the observed hop
+// cost plus the downstream router's MinQ toward dst (zero at the
+// destination).
+func (a *RouteAgent) Update(dst, p int, target float64) {
 	i := dst*RoutePorts + p
-	a.q[i] += alpha * (target - a.q[i])
+	a.q[i] += routeAlpha * (target - a.q[i])
 }
